@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"deca/internal/decompose"
 	"deca/internal/sched"
@@ -47,7 +48,11 @@ func Collect[T any](d *Dataset[T]) ([]T, error) {
 			return out, nil
 		},
 		func(ps [][]T) []T {
-			var all []T
+			total := 0
+			for _, part := range ps {
+				total += len(part)
+			}
+			all := slices.Grow([]T(nil), total) // nil stays nil for an empty dataset
 			for _, part := range ps {
 				all = append(all, part...)
 			}
@@ -70,7 +75,14 @@ func CollectMap[K comparable, V any](d *Dataset[decompose.Pair[K, V]]) (map[K]V,
 			return local, nil
 		},
 		func(ps []map[K]V) map[K]V {
-			out := make(map[K]V)
+			// Sized for disjoint partials (a shuffled dataset's partitions
+			// share no key): growing by doubling rehashes the whole result
+			// several times over.
+			total := 0
+			for _, local := range ps {
+				total += len(local)
+			}
+			out := make(map[K]V, total)
 			for _, local := range ps {
 				for k, v := range local {
 					out[k] = v

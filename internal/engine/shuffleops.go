@@ -229,11 +229,11 @@ func lostMapParts(ids []transport.MapOutputID) []int {
 
 // shuffleReduceBody is one reduce task: fetch the task's M inputs
 // through a bounded-concurrency prefetch pipeline — crossing executors
-// where placement differs, with locality noted per executor — decode the
-// wire frames into containers in this executor's memory manager, and
-// merge them, in map order, into a buffer created on this executor,
-// releasing each private copy as it folds in. The source registrations
-// stay pinned (serving is non-consuming), so a failed attempt is simply
+// where placement differs, with locality noted per executor — that
+// stages each Deca frame (decodes each Object frame) into this executor's
+// memory manager, and fold the results, in map order, into a buffer
+// created on this executor, releasing each private copy as it folds in.
+// The source registrations stay pinned (serving is non-consuming), so a failed attempt is simply
 // retryable. Definitively-missing outputs are collected across the whole
 // input set and reported as one *LostOutputsError, so the lineage repair
 // re-runs every lost map task at once. The merged buffer is returned; on
@@ -291,18 +291,26 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 			fp.merged(res.pl)
 			continue
 		}
-		// A payload that crossed the wire decodes into this executor's
-		// memory manager; a pointer payload casts straight back.
-		buf, err := codec.open(res.pl, ex)
-		if err != nil {
-			fp.merged(res.pl)
-			return zero, err
+		// A frame the fetch worker staged folds straight into the merged
+		// buffer (Fold consumes it, error or not). Anything else opens as
+		// a container — a legacy wire payload decodes into this
+		// executor's memory manager, a pointer payload casts straight
+		// back — which is this task's to release, merge error or not.
+		var spilled int64
+		if st, ok := res.pl.Data.(*shuffle.Staged); ok {
+			spilled = st.SpilledBytes()
+			err = any(merged).(stagedFolder).Fold(st)
+		} else {
+			buf, oerr := codec.open(res.pl, ex)
+			if oerr != nil {
+				fp.merged(res.pl)
+				return zero, oerr
+			}
+			err = merge(merged, buf)
+			spilled = buf.SpilledBytes()
+			buf.Release()
 		}
-		err = merge(merged, buf)
-		// Once fetched (or decoded), the buffer is this task's to
-		// release, merge error or not.
-		ctx.noteSpill(res.pl.SrcExecutor, buf.SpilledBytes())
-		buf.Release()
+		ctx.noteSpill(res.pl.SrcExecutor, spilled)
 		fp.merged(res.pl)
 		if err != nil {
 			return zero, err
@@ -649,18 +657,11 @@ func ReduceByKey[K comparable, V any](
 		}), nil
 	}
 
-	// The reduce merge adopts map-output page groups by reference when
-	// both sides are Deca buffers (they always are when decaAble); the
-	// object path — and the DisableZeroCopyMerge baseline — drains and
+	// Deca map outputs reach the reduce task as staged frames and fold in
+	// by page adoption (shuffleReduceBody); what arrives as a container —
+	// the object path and the DisableZeroCopyMerge baseline — drains and
 	// re-inserts records.
 	mergeBufs := func(dst, src aggSink[K, V]) error {
-		if !ctx.conf.DisableZeroCopyMerge {
-			if dd, ok := dst.(*shuffle.DecaAgg[K, V]); ok {
-				if ss, ok := src.(*shuffle.DecaAgg[K, V]); ok {
-					return dd.MergeFrom(ss)
-				}
-			}
-		}
 		return src.Drain(func(k K, v V) bool {
 			dst.Put(k, v)
 			return true
@@ -715,13 +716,6 @@ func GroupByKey[K comparable, V any](
 	}
 
 	mergeBufs := func(dst, src groupSink[K, V]) error {
-		if !ctx.conf.DisableZeroCopyMerge {
-			if dd, ok := dst.(*shuffle.DecaGroup[K, V]); ok {
-				if ss, ok := src.(*shuffle.DecaGroup[K, V]); ok {
-					return dd.MergeFrom(ss)
-				}
-			}
-		}
 		return src.Drain(func(k K, vs []V) bool {
 			for _, v := range vs {
 				dst.Put(k, v)
@@ -779,13 +773,6 @@ func SortByKey[K comparable, V any](
 	}
 
 	mergeBufs := func(dst, src sortSink[K, V]) error {
-		if !ctx.conf.DisableZeroCopyMerge {
-			if dd, ok := dst.(*shuffle.DecaSort[K, V]); ok {
-				if ss, ok := src.(*shuffle.DecaSort[K, V]); ok {
-					return dd.MergeFrom(ss)
-				}
-			}
-		}
 		return src.DrainSorted(func(k K, v V) bool {
 			dst.Put(k, v)
 			return true

@@ -29,6 +29,13 @@ type wireCodec[S any] struct {
 	// executor ex — page bodies land directly in ex's memory manager, the
 	// frame is never materialized whole.
 	decode func(r shuffle.WireReader, ex *Executor) (S, error)
+	// stage replaces decode for Deca sinks: the fetch worker stages a
+	// frame into flat arenas plus restored pages in ex's manager — no
+	// container, no map — and the reduce task folds it into its merged
+	// buffer (a stagedFolder), in map order. Nil for Object sinks and under
+	// Config.DisableZeroCopyMerge, whose frames decode into full containers
+	// for the drain/re-Put merge.
+	stage func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error)
 	// vectored attaches the sinks' segment encoders to their payloads, so
 	// wire-capable transports serve them with writev/sendfile instead of
 	// staging the frame (off under Config.DisableVectoredServe).
@@ -40,6 +47,12 @@ type wireCodec[S any] struct {
 // record) do not and stay on the buffered Encode fallback.
 type segmentEncoder interface {
 	EncodeSegments() (*transport.FrameSegments, error)
+}
+
+// stagedFolder is the reduce-side seam of stage → fold: the Deca
+// containers fold a staged frame of their own kind, consuming it.
+type stagedFolder interface {
+	Fold(st *shuffle.Staged) error
 }
 
 // open resolves a fetched payload into a usable sink on executor ex:
@@ -62,14 +75,22 @@ func (wc wireCodec[S]) open(pl transport.Payload, ex *Executor) (S, error) {
 }
 
 // frameOpen returns the streaming-decode hook the fetch pipeline hands
-// to Transport.Fetch: the codec's decoder run against the wire stream,
-// reporting the decoded container's own footprint for fetch budgeting.
-// Nil when the shuffle has no decoder (pointer-handover payloads).
+// to Transport.Fetch: the codec's stager — or, without one, its decoder —
+// run against the wire stream, reporting the result's own footprint for
+// fetch budgeting. Nil when the shuffle has no decoder (pointer-handover
+// payloads).
 func (wc wireCodec[S]) frameOpen(ex *Executor) transport.FrameOpen {
 	if wc.decode == nil {
 		return nil
 	}
 	return func(r transport.FrameReader, size int64) (transport.Decoded, error) {
+		if wc.stage != nil {
+			st, err := wc.stage(r, ex)
+			if err != nil {
+				return transport.Decoded{}, err
+			}
+			return transport.Decoded{Data: st, MemBytes: st.SizeBytes()}, nil
+		}
 		s, err := wc.decode(r, ex)
 		if err != nil {
 			return transport.Decoded{}, err
@@ -124,7 +145,7 @@ func aggWireCodec[K comparable, V any](
 	if !ops.wireable(ops.decaAble(ctx)) {
 		return wireCodec[aggSink[K, V]]{}
 	}
-	return wireCodec[aggSink[K, V]]{
+	wc := wireCodec[aggSink[K, V]]{
 		vectored: !ctx.conf.DisableVectoredServe,
 		encode: func(s aggSink[K, V], w io.Writer) error {
 			switch b := s.(type) {
@@ -145,6 +166,12 @@ func aggWireCodec[K comparable, V any](
 			})
 		},
 	}
+	if ops.decaAble(ctx) && !ctx.conf.DisableZeroCopyMerge {
+		wc.stage = func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
+			return shuffle.StageDecaAgg(r, ex.mem, ops.KeyCodec.FixedSize(), ctx.conf.SpillDir)
+		}
+	}
+	return wc
 }
 
 // groupWireCodec builds the codec-registry entry for GroupByKey's sinks.
@@ -154,7 +181,7 @@ func groupWireCodec[K comparable, V any](
 	if !ops.wireable(ops.decaGroupAble(ctx)) {
 		return wireCodec[groupSink[K, V]]{}
 	}
-	return wireCodec[groupSink[K, V]]{
+	wc := wireCodec[groupSink[K, V]]{
 		vectored: !ctx.conf.DisableVectoredServe,
 		encode: func(s groupSink[K, V], w io.Writer) error {
 			switch b := s.(type) {
@@ -175,16 +202,23 @@ func groupWireCodec[K comparable, V any](
 			})
 		},
 	}
+	if ops.decaGroupAble(ctx) && !ctx.conf.DisableZeroCopyMerge {
+		wc.stage = func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
+			return shuffle.StageDecaGroup(r, ex.mem, ops.KeyCodec.FixedSize(), ctx.conf.SpillDir)
+		}
+	}
+	return wc
 }
 
 // sortWireCodec builds the codec-registry entry for SortByKey's sinks.
 func sortWireCodec[K comparable, V any](
 	ctx *Context, ops PairOps[K, V],
 ) wireCodec[sortSink[K, V]] {
-	if !ops.wireable(ctx.Mode() == ModeDeca && ops.KeyCodec != nil && ops.ValCodec != nil) {
+	deca := ctx.Mode() == ModeDeca && ops.KeyCodec != nil && ops.ValCodec != nil
+	if !ops.wireable(deca) {
 		return wireCodec[sortSink[K, V]]{}
 	}
-	return wireCodec[sortSink[K, V]]{
+	wc := wireCodec[sortSink[K, V]]{
 		vectored: !ctx.conf.DisableVectoredServe,
 		encode: func(s sortSink[K, V], w io.Writer) error {
 			switch b := s.(type) {
@@ -196,7 +230,7 @@ func sortWireCodec[K comparable, V any](
 			return fmt.Errorf("engine: sort buffer %T has no wire form", s)
 		},
 		decode: func(r shuffle.WireReader, ex *Executor) (sortSink[K, V], error) {
-			if ctx.Mode() == ModeDeca && ops.KeyCodec != nil && ops.ValCodec != nil {
+			if deca {
 				return shuffle.DecodeDecaSort(r, ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
 			}
 			return shuffle.DecodeObjectSort(r, ops.Key.Less, shuffle.ObjectSortConfig[K, V]{
@@ -205,4 +239,10 @@ func sortWireCodec[K comparable, V any](
 			})
 		},
 	}
+	if deca && !ctx.conf.DisableZeroCopyMerge {
+		wc.stage = func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
+			return shuffle.StageDecaSort(r, ex.mem, ctx.conf.SpillDir)
+		}
+	}
+	return wc
 }

@@ -26,9 +26,12 @@
 //     sites like Manager.NewGroup). On a struct field it marks a
 //     sanctioned owner: storing a resource or a memory.Ptr into that
 //     field is an intentional hand-off, not an escape.
-//   - "//deca:transfers" on a function declaration documents that the
-//     callee takes ownership of resource-typed arguments (AdoptPages,
-//     MergeFrom). releasepair treats argument passing as a hand-off.
+//   - "//deca:transfers" on a function declaration states that the
+//     callee takes ownership of resource-typed arguments (AdoptPages, a
+//     shuffle container's Fold of a staged frame). releasepair treats
+//     argument passing as a hand-off at the call site, and inside the
+//     annotated function holds it to the promise: each such parameter
+//     must be released or handed on along every path.
 //   - "//deca:pure" on a function declaration opts it into the
 //     determinism analyzer. internal/chaos's PureDecisionFuncs manifest
 //     is the single source of truth for which chaos/sched decision

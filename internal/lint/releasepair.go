@@ -17,6 +17,13 @@ import (
 // container, or passed to another function (AdoptPages, MergeFrom, and
 // anything annotated //deca:transfers are the documented hand-offs).
 //
+// The obligation also runs the other way across a //deca:transfers
+// boundary: inside a function so annotated, every resource-typed parameter
+// is the function's own from entry — a staged shuffle frame handed to a
+// container's Fold owns a restored page group until it is folded or
+// released — and must be released or handed on along every path, the
+// error returns included.
+//
 // The analysis is intra-procedural and deliberately biased against false
 // positives: aliasing, closures that capture the resource, and passing
 // it to any call all count as hand-offs. What remains is the real bug
@@ -66,7 +73,7 @@ func runReleasePair(p *Pass) {
 			}
 			checkRegisterSites(p, fd)
 			rp := &releaseWalker{p: p}
-			rp.walkFunc(fd.Body)
+			rp.walkFunc(fd.Body, transferredParams(p, fd))
 		}
 	}
 }
@@ -105,18 +112,43 @@ type releaseWalker struct {
 	resources map[types.Object]*tracked
 }
 
-func (w *releaseWalker) walkFunc(body *ast.BlockStmt) {
+// walkFunc walks one function body; owned are the resources it holds on
+// entry (a //deca:transfers function's parameters).
+func (w *releaseWalker) walkFunc(body *ast.BlockStmt, owned []types.Object) {
 	w.resources = make(map[types.Object]*tracked)
 	// Closures get their own walk, once each; deeper nesting recurses.
 	for _, fl := range topLevelFuncLits(body) {
 		inner := &releaseWalker{p: w.p}
-		inner.walkFunc(fl.Body)
+		inner.walkFunc(fl.Body, nil)
 	}
 	st := make(ownMap)
+	for _, obj := range owned {
+		w.resources[obj] = &tracked{obj: obj, desc: "transferred parameter", pos: obj.Pos()}
+		st[obj] = stLive
+	}
 	st, terminated := w.walkStmts(body.List, st, nil)
 	if !terminated {
 		w.checkLeaks(st, nil, body.Rbrace)
 	}
+}
+
+// transferredParams returns the resource-typed parameters of a
+// //deca:transfers function: the annotation promises callers the callee
+// takes them over, so the callee is checked for keeping that promise.
+func transferredParams(p *Pass, fd *ast.FuncDecl) []types.Object {
+	fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
+	if !ok || !p.Ann.Transfers[FuncName(fn)] {
+		return nil
+	}
+	var out []types.Object
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := p.Pkg.Info.Defs[name]; obj != nil && name.Name != "_" && hasReleaseMethod(obj.Type()) {
+				out = append(out, obj)
+			}
+		}
+	}
+	return out
 }
 
 // topLevelFuncLits collects the outermost function literals in a body.

@@ -101,6 +101,62 @@ func storeAnnotated(m *memory.Manager, o *owner) {
 	o.g = g
 }
 
+// staged models shuffle.Staged: a parsed wire frame that owns a restored
+// page group until a container folds it in or it is released.
+type staged struct {
+	g *memory.Group //deca:owns (fixture: restored by stage)
+}
+
+func (s *staged) Release() { s.g.Release() }
+
+//deca:owns
+func stage(m *memory.Manager, r memory.ByteReader) (*staged, error) {
+	g, err := m.RestoreGroup(r)
+	if err != nil {
+		return nil, err
+	}
+	st := &staged{}
+	st.g = g
+	return st, nil
+}
+
+// Negative: the consumer releases the staged frame on every path.
+//
+//deca:transfers
+func (o *owner) fold(st *staged, corrupt bool) error {
+	defer st.Release()
+	if corrupt {
+		return errBoom
+	}
+	o.g.AdoptPages(st.g)
+	return nil
+}
+
+// True positive: the consumer promised to take the frame over, but its
+// error path returns with the restored group still referenced.
+//
+//deca:transfers
+func (o *owner) foldLeaksOnError(st *staged, corrupt bool) error {
+	if corrupt {
+		return errBoom // want "transferred parameter"
+	}
+	o.g.AdoptPages(st.g)
+	st.Release()
+	return nil
+}
+
+// True positive: staged, then abandoned before any fold took it over.
+func stagedThenAbandoned(m *memory.Manager, r memory.ByteReader, o *owner, skip bool) error {
+	st, err := stage(m, r)
+	if err != nil {
+		return err
+	}
+	if skip {
+		return errBoom // want "may not be released on this path"
+	}
+	return o.fold(st, false)
+}
+
 // True positive: Register's displaced payload is dropped.
 func dropsDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
 	tr.Register(id, p) // want "Register result discarded"

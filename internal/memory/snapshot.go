@@ -107,6 +107,9 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 		return nil, fmt.Errorf("memory: restore: implausible page count %d", count)
 	}
 	g := m.NewGroup()
+	// The header announces the page count: size the page array once (up to
+	// a bound a corrupt header cannot abuse) instead of growing it per page.
+	g.pages = make([][]byte, 0, min(count, 1<<10))
 	for i := uint64(0); i < count; i++ {
 		plen, err := binary.ReadUvarint(r)
 		if err != nil {

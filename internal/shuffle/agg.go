@@ -336,6 +336,46 @@ func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error {
 	return nil
 }
 
+// Fold merges a staged frame into b — MergeFrom without a source
+// container: b adopts the restored pages, then one walk of the frame's
+// table in wire order validates each pointer against the restored group
+// and either takes the segment over through a rebased pointer (new key)
+// or combines it into b's existing segment in place (collision). An empty
+// b sizes its table from the frame's key count first. Fold consumes st on
+// every path; a pointer outside the restored group is an error that
+// leaves b partially merged, for the caller to release.
+//
+//deca:transfers
+func (b *DecaAgg[K, V]) Fold(st *Staged) error {
+	defer st.Release()
+	if more, err := st.open(&aggFrame, &b.spills, &b.spilled); !more {
+		return err
+	}
+	base := b.group.AdoptPages(st.group)
+	if len(b.slots) == 0 {
+		b.slots = make(map[K]memory.Ptr, st.n)
+	}
+	for table := st.table; len(table) > 0; table = table[8:] {
+		var kb []byte
+		kb, table = nextKey(table)
+		k, _ := b.keyCodec.Decode(kb)
+		ptr := getPtr(table)
+		src, err := st.group.CheckedBytes(ptr, b.valSize)
+		if err != nil {
+			return fmt.Errorf("shuffle: DecaAgg key %v: %w", k, err)
+		}
+		if dptr, ok := b.slots[k]; ok {
+			sv, _ := b.valCodec.Decode(src)
+			seg := b.group.Bytes(dptr, b.valSize)
+			old, _ := b.valCodec.Decode(seg)
+			b.valCodec.Encode(seg, b.combine(old, sv))
+			continue
+		}
+		b.slots[k] = ptr.Rebase(base)
+	}
+	return nil
+}
+
 // Release frees the page group wholesale and deletes spill files: the
 // container's lifetime ends, its space reclaims at once.
 func (b *DecaAgg[K, V]) Release() {

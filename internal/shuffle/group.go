@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"deca/internal/decompose"
@@ -332,6 +333,46 @@ func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error {
 		}
 	}
 	b.count += src.count
+	return nil
+}
+
+// Fold merges a staged frame into b; see DecaAgg.Fold. Each key's
+// pointer array is a capped sub-slice of the frame's one pointer arena,
+// validated and rebased in place: a new key keeps the sub-slice itself, a
+// collision appends it to b's array (the cap makes a later append to a
+// kept sub-slice copy out instead of overwriting its neighbour).
+//
+//deca:transfers
+func (b *DecaGroup[K, V]) Fold(st *Staged) error {
+	defer st.Release()
+	if more, err := st.open(&groupFrame, &b.spills, &b.spilled); !more {
+		return err
+	}
+	base := b.group.AdoptPages(st.group)
+	if len(b.slots) == 0 {
+		b.slots = make(map[K][]memory.Ptr, st.n)
+	}
+	ptrs := st.ptrs
+	for table := st.table; len(table) > 0; {
+		var kb []byte
+		kb, table = nextKey(table)
+		k, _ := b.keyCodec.Decode(kb)
+		m, w := binary.Uvarint(table)
+		table = table[w:]
+		sub := ptrs[:m:m]
+		ptrs = ptrs[m:]
+		for j, ptr := range sub {
+			if _, err := st.group.CheckedBytes(ptr, 1); err != nil {
+				return fmt.Errorf("shuffle: DecaGroup key %v: %w", k, err)
+			}
+			sub[j] = ptr.Rebase(base)
+		}
+		if existing, ok := b.slots[k]; ok {
+			sub = append(existing, sub...)
+		}
+		b.slots[k] = sub
+		b.count += int(m)
+	}
 	return nil
 }
 

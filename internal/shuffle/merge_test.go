@@ -1,6 +1,9 @@
 package shuffle
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"sort"
 	"testing"
@@ -9,27 +12,37 @@ import (
 	"deca/internal/memory"
 )
 
-// mergeSources builds n DecaAgg sources with overlapping key ranges; every
-// source s holds keys [s*stride, s*stride+keys) so neighbours collide on
-// half their keys.
-func aggSources(t *testing.T, m *memory.Manager, n int, spill bool, dir string) []*DecaAgg[int64, int64] {
+// mergeCase is one run of the merge properties: whether sources carry
+// spill runs, and how far apart their key ranges start (32: neighbours
+// collide on half their keys; 64: disjoint).
+type mergeCase struct {
+	spill  bool
+	stride int64
+}
+
+var mergeCases = []mergeCase{{false, 32}, {true, 32}, {false, 64}, {true, 64}}
+
+// aggSources builds n DecaAgg sources — the first one empty — where source
+// s holds the 64 keys from s*stride up.
+func aggSources(t *testing.T, m *memory.Manager, n int, c mergeCase, dir string) []*DecaAgg[int64, int64] {
 	t.Helper()
+	spill, stride := c.spill, c.stride
 	var out []*DecaAgg[int64, int64]
-	for s := 0; s < n; s++ {
+	for s := -1; s < n; s++ {
 		b, err := NewDecaAgg[int64, int64](m, func(a, c int64) int64 { return a + c },
 			decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := int64(0); i < 64; i++ {
-			b.Put(int64(s)*32+i, i+1)
+		for i := int64(0); i < 64 && s >= 0; i++ {
+			b.Put(int64(s)*stride+i, i+1)
 		}
 		if spill && s%2 == 0 {
 			if err := b.Spill(); err != nil {
 				t.Fatal(err)
 			}
 			for i := int64(0); i < 16; i++ {
-				b.Put(int64(s)*32+i, 100)
+				b.Put(int64(s)*stride+i, 100)
 			}
 		}
 		out = append(out, b)
@@ -37,8 +50,22 @@ func aggSources(t *testing.T, m *memory.Manager, n int, spill bool, dir string) 
 	return out
 }
 
+// stageFrom ships src across the wire — encode, release, stage into m —
+// the way a reduce task's fetch worker receives a map output.
+func stageFrom(t *testing.T, src interface {
+	EncodeWire(io.Writer) error
+	Release()
+}, stage func(r WireReader) (*Staged, error)) *Staged {
+	t.Helper()
+	st, err := stage(bytes.NewReader(encodeFrame(t, src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestDecaAggMergeFromMatchesDrainMerge(t *testing.T) {
-	for _, spill := range []bool{false, true} {
+	for _, mc := range mergeCases {
 		m := memory.NewManager(512, 0)
 		dir := t.TempDir()
 
@@ -47,7 +74,7 @@ func TestDecaAggMergeFromMatchesDrainMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range aggSources(t, m, 4, spill, dir) {
+		for _, src := range aggSources(t, m, 4, mc, dir) {
 			if err := zc.MergeFrom(src); err != nil {
 				t.Fatal(err)
 			}
@@ -59,34 +86,53 @@ func TestDecaAggMergeFromMatchesDrainMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range aggSources(t, m, 4, spill, dir) {
+		for _, src := range aggSources(t, m, 4, mc, dir) {
 			if err := src.Drain(func(k, v int64) bool { base.Put(k, v); return true }); err != nil {
 				t.Fatal(err)
 			}
 			src.Release()
 		}
 
+		// Third arm: every source crosses the wire and is staged + folded.
+		sf, err := NewDecaAgg[int64, int64](m, func(a, c int64) int64 { return a + c },
+			decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range aggSources(t, m, 4, mc, dir) {
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaAgg(r, m, 8, dir) })
+			if err := sf.Fold(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+
 		got := drainAggToMap[int64, int64](t, zc)
 		want := drainAggToMap[int64, int64](t, base)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("spill=%v: zero-copy merge = %v records, drain merge = %v records, maps differ",
-				spill, len(got), len(want))
+			t.Errorf("%+v: zero-copy merge = %v records, drain merge = %v records, maps differ",
+				mc, len(got), len(want))
+		}
+		if folded := drainAggToMap[int64, int64](t, sf); !reflect.DeepEqual(folded, want) {
+			t.Errorf("%+v: stage+fold = %v records, drain merge = %v records, maps differ",
+				mc, len(folded), len(want))
 		}
 		zc.Release()
 		base.Release()
-		if in := m.InUse(); in != 0 {
-			t.Errorf("spill=%v: %d bytes leaked after releasing merged buffers", spill, in)
-		}
+		sf.Release()
+		assertClean(t, m, dir, fmt.Sprintf("%+v", mc))
 	}
 }
 
-func groupSources(t *testing.T, m *memory.Manager, n int, spill bool, dir string) []*DecaGroup[int64, string] {
+// groupSources builds n DecaGroup sources — the first one empty — of 12
+// keys each: the same 12 at stride 32, 12 of their own at stride 64.
+func groupSources(t *testing.T, m *memory.Manager, n int, c mergeCase, dir string) []*DecaGroup[int64, string] {
 	t.Helper()
+	spill := c.spill
 	var out []*DecaGroup[int64, string]
-	for s := 0; s < n; s++ {
+	for s := -1; s < n; s++ {
 		b := NewDecaGroup[int64, string](m, decompose.Int64Codec{}, decompose.StringCodec{}, dir)
-		for i := 0; i < 48; i++ {
-			b.Put(int64(i%12), string(rune('a'+s))+string(rune('0'+i%10)))
+		for i := 0; i < 48 && s >= 0; i++ {
+			b.Put(int64(i%12)+int64(s)*(c.stride-32), string(rune('a'+s))+string(rune('0'+i%10)))
 		}
 		if spill && s%2 == 1 {
 			if err := b.Spill(); err != nil {
@@ -114,12 +160,12 @@ func drainGroupToMap(t *testing.T, b *DecaGroup[int64, string]) map[int64][]stri
 }
 
 func TestDecaGroupMergeFromMatchesDrainMerge(t *testing.T) {
-	for _, spill := range []bool{false, true} {
+	for _, mc := range mergeCases {
 		m := memory.NewManager(512, 0)
 		dir := t.TempDir()
 
 		zc := NewDecaGroup[int64, string](m, decompose.Int64Codec{}, decompose.StringCodec{}, dir)
-		for _, src := range groupSources(t, m, 4, spill, dir) {
+		for _, src := range groupSources(t, m, 4, mc, dir) {
 			if err := zc.MergeFrom(src); err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +173,7 @@ func TestDecaGroupMergeFromMatchesDrainMerge(t *testing.T) {
 		}
 
 		base := NewDecaGroup[int64, string](m, decompose.Int64Codec{}, decompose.StringCodec{}, dir)
-		for _, src := range groupSources(t, m, 4, spill, dir) {
+		for _, src := range groupSources(t, m, 4, mc, dir) {
 			if err := src.Drain(func(k int64, vs []string) bool {
 				for _, v := range vs {
 					base.Put(k, v)
@@ -139,29 +185,40 @@ func TestDecaGroupMergeFromMatchesDrainMerge(t *testing.T) {
 			src.Release()
 		}
 
+		sf := NewDecaGroup[int64, string](m, decompose.Int64Codec{}, decompose.StringCodec{}, dir)
+		for _, src := range groupSources(t, m, 4, mc, dir) {
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaGroup(r, m, 8, dir) })
+			if err := sf.Fold(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+
 		got := drainGroupToMap(t, zc)
 		want := drainGroupToMap(t, base)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("spill=%v: zero-copy group merge differs from drain merge", spill)
+			t.Errorf("%+v: zero-copy group merge differs from drain merge", mc)
 		}
-		if zc.Values() != base.Values() {
-			t.Errorf("spill=%v: value counts %d != %d", spill, zc.Values(), base.Values())
+		if folded := drainGroupToMap(t, sf); !reflect.DeepEqual(folded, want) {
+			t.Errorf("%+v: stage+fold group merge differs from drain merge", mc)
+		}
+		if zc.Values() != base.Values() || sf.Values() != base.Values() {
+			t.Errorf("%+v: value counts %d (merge) / %d (fold) != %d", mc, zc.Values(), sf.Values(), base.Values())
 		}
 		zc.Release()
 		base.Release()
-		if in := m.InUse(); in != 0 {
-			t.Errorf("spill=%v: %d bytes leaked", spill, in)
-		}
+		sf.Release()
+		assertClean(t, m, dir, fmt.Sprintf("%+v", mc))
 	}
 }
 
+// sortSources builds n DecaSort sources, the first one empty.
 func sortSources(t *testing.T, m *memory.Manager, n int, spill bool, dir string) []*DecaSort[int64, int64] {
 	t.Helper()
 	less := func(a, b int64) bool { return a < b }
 	var out []*DecaSort[int64, int64]
-	for s := 0; s < n; s++ {
+	for s := -1; s < n; s++ {
 		b := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-		for i := 0; i < 64; i++ {
+		for i := 0; i < 64 && s >= 0; i++ {
 			b.Put(int64((i*2654435761+s)%40), int64(s*1000+i))
 		}
 		if spill && s == 1 {
@@ -210,8 +267,17 @@ func TestDecaSortMergeFromMatchesDrainMerge(t *testing.T) {
 		}
 		want := collect(base)
 
-		if len(got) != len(want) {
-			t.Fatalf("spill=%v: %d records, want %d", spill, len(got), len(want))
+		sf := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
+		for _, src := range sortSources(t, m, 4, spill, dir) {
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaSort(r, m, dir) })
+			if err := sf.Fold(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		folded := collect(sf)
+
+		if len(got) != len(want) || len(folded) != len(want) {
+			t.Fatalf("spill=%v: %d (merge) / %d (fold) records, want %d", spill, len(got), len(folded), len(want))
 		}
 		// Key order must match exactly; equal-key runs may order values
 		// differently (stable sort over different insertion orders), so
@@ -225,20 +291,21 @@ func TestDecaSortMergeFromMatchesDrainMerge(t *testing.T) {
 			})
 		}
 		for i := range got {
-			if got[i].Key != want[i].Key {
-				t.Fatalf("spill=%v: key order diverges at %d: %d vs %d", spill, i, got[i].Key, want[i].Key)
+			if got[i].Key != want[i].Key || folded[i].Key != want[i].Key {
+				t.Fatalf("spill=%v: key order diverges at %d: %d (merge) / %d (fold) vs %d",
+					spill, i, got[i].Key, folded[i].Key, want[i].Key)
 			}
 		}
 		sortPairs(got)
+		sortPairs(folded)
 		sortPairs(want)
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(folded, want) {
 			t.Errorf("spill=%v: record multisets differ", spill)
 		}
 		zc.Release()
 		base.Release()
-		if in := m.InUse(); in != 0 {
-			t.Errorf("spill=%v: %d bytes leaked", spill, in)
-		}
+		sf.Release()
+		assertClean(t, m, dir, fmt.Sprintf("spill=%v", spill))
 	}
 }
 

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"deca/internal/decompose"
@@ -287,6 +288,27 @@ func (b *DecaSort[K, V]) MergeFrom(src *DecaSort[K, V]) error {
 	}
 	base := b.group.AdoptPages(src.group)
 	for _, ptr := range src.ptrs {
+		b.ptrs = append(b.ptrs, ptr.Rebase(base))
+	}
+	return nil
+}
+
+// Fold merges a staged frame into b; see DecaAgg.Fold. The frame's
+// pointers append to b's array validated and rebased; ordering stays
+// deferred to the next DrainSorted/Spill.
+//
+//deca:transfers
+func (b *DecaSort[K, V]) Fold(st *Staged) error {
+	defer st.Release()
+	if more, err := st.open(&sortFrame, &b.spills, &b.spilled); !more {
+		return err
+	}
+	base := b.group.AdoptPages(st.group)
+	b.ptrs = slices.Grow(b.ptrs, len(st.ptrs))
+	for _, ptr := range st.ptrs {
+		if _, err := st.group.CheckedBytes(ptr, 1); err != nil {
+			return fmt.Errorf("shuffle: DecaSort: %w", err)
+		}
 		b.ptrs = append(b.ptrs, ptr.Rebase(base))
 	}
 	return nil

@@ -1,0 +1,82 @@
+//go:build !race
+
+package shuffle
+
+import (
+	"testing"
+
+	"deca/internal/memory"
+)
+
+// The allocation budget of stage → fold (the race detector changes
+// allocation counts, so plain builds only).
+//
+// A staged frame is a fixed set of heap objects — the Staged, its
+// arenas, the pointer reader's scratch buffer, the restored group and its
+// page array (pages themselves recycle through the manager's pool) —
+// whatever its key count. DecaGroup's pointer arena is the one part that
+// grows: the frame announces its key count but not its pointer total, so
+// the arena doubles as pointers arrive, a logarithmic number of steps.
+//
+// Folding adds the destination's own table: one make(map, n), which the
+// runtime splits into tables of at most 1024 slots, so its allocation
+// count is the key count over a few hundred — never one per key.
+
+const (
+	stageBudget      = 12 // heap objects per staged frame, fixed-size keys
+	groupArenaGrowth = 6  // extra doublings a 10× larger DecaGroup frame may take
+	foldSlack        = 8  // Fold's own objects beside the destination table
+)
+
+func TestStageFoldAllocBudget(t *testing.T) {
+	for _, c := range frameCases {
+		if c.trustedKeys {
+			continue // variable-size keys decode into one string per key by design
+		}
+		t.Run(c.name, func(t *testing.T) {
+			mem := memory.NewManager(4096, 0)
+			dir := t.TempDir()
+			measure := func(keys int) (stage, both float64) {
+				frame := c.build(t, keys, dir, false)
+				stage = testing.AllocsPerRun(10, func() {
+					st, err := c.stage(frame, mem, dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.Release()
+				})
+				both = testing.AllocsPerRun(10, func() {
+					if err := c.stageFold(frame, mem, dir); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return stage, both
+			}
+			stage2k, both2k := measure(2_000)
+			stage20k, both20k := measure(20_000)
+			t.Logf("stage %.0f → %.0f allocs, stage+fold %.0f → %.0f allocs (2k → 20k keys)",
+				stage2k, stage20k, both2k, both20k)
+
+			grow := 0.0
+			if c.shape == &groupFrame {
+				grow = groupArenaGrowth
+			}
+			if stage2k > stageBudget+grow {
+				t.Errorf("staging 2k keys took %.0f allocations, budget %v", stage2k, stageBudget+grow)
+			}
+			if stage20k > stage2k+grow {
+				t.Errorf("staging grew with the key count: %.0f allocations at 2k keys, %.0f at 20k", stage2k, stage20k)
+			}
+			for _, m := range []struct{ keys, both, stage float64 }{{2_000, both2k, stage2k}, {20_000, both20k, stage20k}} {
+				table := 0.0
+				if c.shape != &sortFrame {
+					table = m.keys / 128 // the pre-sized destination map's tables and groups
+				}
+				if fold := m.both - m.stage; fold > foldSlack+table {
+					t.Errorf("folding %.0f keys took %.0f allocations, budget %.0f", m.keys, fold, foldSlack+table)
+				}
+			}
+			assertClean(t, mem, dir, c.name)
+		})
+	}
+}

@@ -1,0 +1,336 @@
+package shuffle
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"os"
+	"testing"
+
+	"deca/internal/decompose"
+	"deca/internal/memory"
+)
+
+// frameCase is one Deca frame shape the stage parser serves, as the tests
+// drive it: build a frame of the given key count, and stage + fold a frame
+// (well-formed or not) into a fresh buffer that is released again.
+type frameCase struct {
+	name  string
+	shape *frameShape
+	// trustedKeys: a variable-size key's bytes are its codec's input
+	// contract (Codec.Decode has no checked form); only their length
+	// prefix is the parser's to validate.
+	trustedKeys bool
+	build       func(tb testing.TB, keys int, dir string, spill bool) []byte
+	// stage is the fetch worker's half; fold is the reduce task's, into a
+	// fresh buffer that is released again.
+	stage func(frame []byte, mem *memory.Manager, dir string) (*Staged, error)
+	fold  func(st *Staged, mem *memory.Manager, dir string) error
+}
+
+func addF(a, b float64) float64 { return a + b }
+func addI(a, b int64) int64     { return a + b }
+func lessI(a, b int64) bool     { return a < b }
+
+var (
+	i64 = decompose.Int64Codec{}
+	f64 = decompose.Float64Codec{}
+	str = decompose.StringCodec{}
+)
+
+func encodeFrame(tb testing.TB, b interface {
+	EncodeWire(io.Writer) error
+	Release()
+}) []byte {
+	tb.Helper()
+	var frame bytes.Buffer
+	if err := b.EncodeWire(&frame); err != nil {
+		tb.Fatal(err)
+	}
+	b.Release()
+	return frame.Bytes()
+}
+
+// foldFresh folds st into a just-built buffer and releases it: whatever
+// the fold adopted must be gone afterwards.
+func foldFresh[B interface {
+	Fold(*Staged) error
+	Release()
+}](b B, st *Staged) error {
+	defer b.Release()
+	return b.Fold(st)
+}
+
+var frameCases = []frameCase{
+	{
+		name: "agg-int64-float64", shape: &aggFrame, // fixed-size keys: the bulk table reader
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b, err := NewDecaAgg[int64, float64](memory.NewManager(4096, 0), addF, i64, f64, dir)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for i := 0; i < keys; i++ {
+				b.Put(int64(i), float64(i))
+				if spill && i == keys/2 {
+					if err := b.Spill(); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+			return encodeFrame(tb, b)
+		},
+		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
+			return StageDecaAgg(bytes.NewReader(frame), mem, i64.FixedSize(), dir)
+		},
+		fold: func(st *Staged, mem *memory.Manager, dir string) error {
+			b, err := NewDecaAgg[int64, float64](mem, addF, i64, f64, dir)
+			if err != nil {
+				return err
+			}
+			return foldFresh(b, st)
+		},
+	},
+	{
+		name: "agg-string-int64", shape: &aggFrame, // variable-size keys: the per-entry reader
+		trustedKeys: true,
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b, err := NewDecaAgg[string, int64](memory.NewManager(4096, 0), addI, str, i64, dir)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for i := 0; i < keys; i++ {
+				b.Put(string(rune('a'+i%26))+string(binary.AppendUvarint(nil, uint64(i))), int64(i))
+				if spill && i == keys/2 {
+					if err := b.Spill(); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+			return encodeFrame(tb, b)
+		},
+		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
+			return StageDecaAgg(bytes.NewReader(frame), mem, str.FixedSize(), dir)
+		},
+		fold: func(st *Staged, mem *memory.Manager, dir string) error {
+			b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
+			if err != nil {
+				return err
+			}
+			return foldFresh(b, st)
+		},
+	},
+	{
+		name: "group-int64-int64", shape: &groupFrame,
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b := NewDecaGroup[int64, int64](memory.NewManager(4096, 0), i64, i64, dir)
+			for i := 0; i < keys; i++ {
+				for j := 0; j <= i%3; j++ {
+					b.Put(int64(i), int64(j))
+				}
+				if spill && i == keys/2 {
+					if err := b.Spill(); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+			return encodeFrame(tb, b)
+		},
+		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
+			return StageDecaGroup(bytes.NewReader(frame), mem, i64.FixedSize(), dir)
+		},
+		fold: func(st *Staged, mem *memory.Manager, dir string) error {
+			return foldFresh(NewDecaGroup[int64, int64](mem, i64, i64, dir), st)
+		},
+	},
+	{
+		name: "sort-int64-int64", shape: &sortFrame,
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b := NewDecaSort[int64, int64](memory.NewManager(4096, 0), lessI, i64, i64, dir)
+			for i := 0; i < keys; i++ {
+				b.Put(int64(i*7919%1009), int64(i))
+				if spill && i == keys/2 {
+					if err := b.Spill(); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+			return encodeFrame(tb, b)
+		},
+		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
+			return StageDecaSort(bytes.NewReader(frame), mem, dir)
+		},
+		fold: func(st *Staged, mem *memory.Manager, dir string) error {
+			return foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st)
+		},
+	},
+}
+
+// stageFold runs a frame through both halves.
+func (c frameCase) stageFold(frame []byte, mem *memory.Manager, dir string) error {
+	st, err := c.stage(frame, mem, dir)
+	if err != nil {
+		return err
+	}
+	return c.fold(st, mem, dir)
+}
+
+// assertClean: every page and every group — merged buffers, adopted
+// sources, restored frames — is back with the manager, and no spill file
+// outlived its buffer.
+func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
+	tb.Helper()
+	if in := mem.InUse(); in != 0 {
+		tb.Fatalf("%s: %d bytes still in use", what, in)
+	}
+	if st := mem.Stats(); st.LiveGroups != 0 {
+		tb.Fatalf("%s: %d groups still live", what, st.LiveGroups)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		tb.Fatalf("%s: %d spill files left in %s", what, len(entries), dir)
+	}
+}
+
+// TestStageKindMismatch: every frame handed to every other container's
+// stager errors instead of misparsing, and a staged frame refuses to fold
+// into a container of another kind.
+func TestStageKindMismatch(t *testing.T) {
+	mem := memory.NewManager(4096, 0)
+	for _, src := range frameCases {
+		frame := src.build(t, 50, t.TempDir(), false)
+		dir := t.TempDir()
+		for _, dst := range frameCases {
+			if src.shape == dst.shape {
+				continue
+			}
+			if err := dst.stageFold(frame, mem, dir); err == nil {
+				t.Errorf("%s frame staged as %s without error", src.name, dst.name)
+			}
+			st, err := src.stage(frame, mem, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.fold(st, mem, dir); err == nil {
+				t.Errorf("staged %s frame folded into %s without error", src.name, dst.name)
+			}
+			assertClean(t, mem, dir, src.name+" as "+dst.name)
+		}
+	}
+}
+
+// TestStageTruncation: a frame cut anywhere — inside the count, inside a
+// bulk-read table chunk, inside a page body, inside a spill run — errors
+// and leaves no page, group or spill file behind.
+func TestStageTruncation(t *testing.T) {
+	for _, c := range frameCases {
+		t.Run(c.name, func(t *testing.T) {
+			mem := memory.NewManager(4096, 0)
+			full := c.build(t, 2000, t.TempDir(), true) // 1000 keys in memory: several 8 KiB table chunks
+			dir := t.TempDir()
+			if err := c.stageFold(full, mem, dir); err != nil {
+				t.Fatalf("whole frame: %v", err)
+			}
+			assertClean(t, mem, dir, "whole frame")
+			for cut := 0; cut < len(full); cut += 13 {
+				if err := c.stageFold(full[:cut], mem, dir); err == nil {
+					t.Fatalf("truncation at %d/%d staged without error", cut, len(full))
+				}
+			}
+			assertClean(t, mem, dir, "truncated frames")
+		})
+	}
+}
+
+// hostileFrames derives the corruptions the stage parser must reject from
+// a well-formed frame of c. Each is named for the error report.
+func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
+	good := c.build(tb, 40, tb.TempDir(), false)
+	_, cw := binary.Uvarint(good[1:]) // width of the table count
+	body := 1 + cw
+	patch := func(at int, b ...byte) []byte {
+		f := bytes.Clone(good)
+		copy(f[at:], b)
+		return f
+	}
+	count := func(n uint64) []byte {
+		return append(binary.AppendUvarint([]byte{good[0]}, n), good[body:]...)
+	}
+	out := map[string][]byte{
+		"count over maxWireCount":    count(maxWireCount + 1),
+		"count far beyond the bytes": count(1 << 30),
+		"count one too many":         count(41),
+	}
+	far := []byte{0xff, 0xff, 0xff, 0x7f} // page 2^31-1
+	neg := []byte{0xff, 0xff, 0xff, 0xff} // page -1
+	switch c.shape {
+	case &sortFrame:
+		out["pointer past the restored group"] = patch(body, far...)
+		out["negative page"] = patch(body, neg...)
+		out["offset past the page"] = patch(body+4, far...)
+	default:
+		kl, kw := binary.Uvarint(good[body:])
+		ptr := body + kw + int(kl) // agg: the entry's pointer
+		if c.shape == &groupFrame {
+			ptr++ // past the one-byte pointer count
+		}
+		out["pointer past the restored group"] = patch(ptr, far...)
+		out["negative page"] = patch(ptr, neg...)
+		out["offset past the page"] = patch(ptr+4, far...)
+		out["key shorter than its codec"] = patch(body, byte(kl-1))
+		out["key longer than its codec"] = patch(body, byte(kl+1))
+		out["key length implausible"] = append(binary.AppendUvarint(bytes.Clone(good[:body]), maxWireCount+1), good[body+kw:]...)
+	}
+	if c.shape == &groupFrame {
+		kl, kw := binary.Uvarint(good[body:])
+		out["pointer count far beyond the bytes"] = append(
+			binary.AppendUvarint(bytes.Clone(good[:body+kw+int(kl)]), 1<<30), good[body+kw+int(kl)+1:]...)
+	}
+	return out
+}
+
+// TestStageHostileFrames: a corrupt table is an error at stage or at fold,
+// never a panic, an out-of-bounds page access later, or a leak.
+func TestStageHostileFrames(t *testing.T) {
+	for _, c := range frameCases {
+		mem := memory.NewManager(4096, 0)
+		dir := t.TempDir()
+		for what, frame := range hostileFrames(t, c) {
+			if c.trustedKeys && what[:4] == "key " && what != "key length implausible" {
+				continue // any length is a well-formed variable-size key
+			}
+			if err := c.stageFold(frame, mem, dir); err == nil {
+				t.Errorf("%s: %s: accepted", c.name, what)
+			}
+			assertClean(t, mem, dir, c.name+": "+what)
+		}
+	}
+}
+
+// FuzzStageDecaFrames feeds arbitrary bytes to every stager whose tables
+// the parser validates in full (fixed-size keys) and folds what stages:
+// whatever happens, no panic and nothing left behind.
+func FuzzStageDecaFrames(f *testing.F) {
+	for _, c := range frameCases {
+		f.Add(c.build(f, 0, f.TempDir(), false))
+		f.Add(c.build(f, 300, f.TempDir(), true))
+		for _, frame := range hostileFrames(f, c) {
+			f.Add(frame)
+		}
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		// RestoreGroup takes a whole pool page per page header, however
+		// short the page: small pages and bounded inputs keep a mutated
+		// page count from turning each input into gigabytes.
+		if len(frame) > 64<<10 {
+			t.Skip()
+		}
+		mem := memory.NewManager(64, 0)
+		dir := t.TempDir()
+		for _, c := range frameCases {
+			if c.trustedKeys {
+				continue
+			}
+			_ = c.stageFold(frame, mem, dir) // errors are the expected outcome
+			assertClean(t, mem, dir, c.name)
+		}
+	})
+}

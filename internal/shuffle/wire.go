@@ -109,7 +109,8 @@ func (e *wireEncoder) ptr(p memory.Ptr) error {
 	return e.raw(b[:])
 }
 
-// ptrChunk is how many pointers ptrs/readPtrs stage per bulk write/read.
+// ptrChunk is how many pointers a bulk write (ptrs, stagePtrs) or bulk
+// read (tableReader.readPtrs) moves per call.
 const ptrChunk = 1024
 
 // ptrs writes a pointer array in chunked bulk writes.
@@ -163,66 +164,6 @@ func readLenBytes(r WireReader, buf []byte, name string) ([]byte, error) {
 		return buf, fmt.Errorf("shuffle: %s bytes: %w", name, err)
 	}
 	return buf, nil
-}
-
-func readPtr(r WireReader) (memory.Ptr, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return memory.Ptr{}, fmt.Errorf("shuffle: ptr: %w", err)
-	}
-	return memory.Ptr{
-		Page: int32(binary.LittleEndian.Uint32(b[:4])),
-		Off:  int32(binary.LittleEndian.Uint32(b[4:])),
-	}, nil
-}
-
-// checkKeyLen rejects a length-prefixed key whose byte count contradicts
-// a fixed-size key codec — a corrupt table must not reach codec.Decode,
-// which assumes well-formed input. For variable-size keys only the wire
-// length prefix is checked (readLenBytes); the bytes inside it are the
-// codec's input contract, as frames originate from this process's own
-// encoder.
-func checkKeyLen[K any](codec decompose.Codec[K], buf []byte, name string) error {
-	if fs := codec.FixedSize(); fs >= 0 && len(buf) != fs {
-		return fmt.Errorf("shuffle: %s key is %d bytes, codec wants %d", name, len(buf), fs)
-	}
-	return nil
-}
-
-// checkPtrs validates that every decoded pointer lands inside the
-// restored group's used bytes. This is structural bounds validation —
-// out-of-range pages and offsets error here instead of becoming page
-// faults on first access. It deliberately stops short of decoding each
-// record to verify its full extent (that would re-introduce exactly the
-// per-record pass the Deca frame avoids); truncation *inside* a record
-// of a frame whose tables and lengths all validate is trusted, since
-// frames come from this process's own encoder.
-func checkPtrs(g *memory.Group, ptrs []memory.Ptr, name string) error {
-	for _, ptr := range ptrs {
-		if _, err := g.CheckedBytes(ptr, 1); err != nil {
-			return fmt.Errorf("shuffle: %s: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// readPtrs bulk-reads n pointers in chunks.
-func readPtrs(r WireReader, dst []memory.Ptr) error {
-	var buf [8 * ptrChunk]byte
-	for len(dst) > 0 {
-		n := min(len(dst), ptrChunk)
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return fmt.Errorf("shuffle: ptr array: %w", err)
-		}
-		for i := range dst[:n] {
-			dst[i] = memory.Ptr{
-				Page: int32(binary.LittleEndian.Uint32(buf[8*i:])),
-				Off:  int32(binary.LittleEndian.Uint32(buf[8*i+4:])),
-			}
-		}
-		dst = dst[n:]
-	}
-	return nil
 }
 
 // encodeSpills streams every spill run: uvarint run count, then per run a
@@ -334,8 +275,10 @@ func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error {
 // DecodeDecaAgg rebuilds an aggregation buffer from its wire frame inside
 // the destination executor: pages restore into mem, spill runs land in
 // spillDir, and the rebuilt slots point at the restored pages directly.
-// The construction parameters must match the encoding side's (the engine
-// derives both from one PairOps).
+// It is stage + fold into a fresh buffer — the reduce path folds staged
+// frames into its one merged buffer instead. The construction parameters
+// must match the encoding side's (the engine derives both from one
+// PairOps).
 func DecodeDecaAgg[K comparable, V any](
 	r WireReader,
 	mem *memory.Manager,
@@ -344,58 +287,18 @@ func DecodeDecaAgg[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) (*DecaAgg[K, V], error) {
-	if err := readKind(r, wireDecaAgg, "DecaAgg"); err != nil {
-		return nil, err
-	}
 	b, err := NewDecaAgg[K, V](mem, combine, keyCodec, valCodec, spillDir)
 	if err != nil {
 		return nil, err
 	}
-	n, err := readCount(r, "DecaAgg key")
+	st, err := StageDecaAgg(r, mem, keyCodec.FixedSize(), spillDir)
+	if err == nil {
+		err = b.Fold(st)
+	}
 	if err != nil {
 		b.Release()
 		return nil, err
 	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if buf, err = readLenBytes(r, buf, "DecaAgg key"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		if err := checkKeyLen(keyCodec, buf, "DecaAgg"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		k, _ := keyCodec.Decode(buf)
-		ptr, err := readPtr(r)
-		if err != nil {
-			b.Release()
-			return nil, err
-		}
-		b.slots[k] = ptr
-	}
-	g, err := mem.RestoreGroup(r)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.group.Release()
-	b.group = g
-	// The fixed value size makes pointer validation cheap; a corrupt table
-	// must not become an out-of-bounds page access later.
-	for k, ptr := range b.slots {
-		if _, err := g.CheckedBytes(ptr, b.valSize); err != nil {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: DecaAgg key %v: %w", k, err)
-		}
-	}
-	spills, total, err := decodeSpills(r, spillDir)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.spills = spills
-	b.spilled = total
 	return b, nil
 }
 
@@ -518,7 +421,7 @@ func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error {
 }
 
 // DecodeDecaGroup rebuilds a grouping buffer from its wire frame inside
-// the destination executor.
+// the destination executor (stage + fold into a fresh buffer).
 func DecodeDecaGroup[K comparable, V any](
 	r WireReader,
 	mem *memory.Manager,
@@ -526,59 +429,15 @@ func DecodeDecaGroup[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) (*DecaGroup[K, V], error) {
-	if err := readKind(r, wireDecaGroup, "DecaGroup"); err != nil {
-		return nil, err
-	}
 	b := NewDecaGroup[K, V](mem, keyCodec, valCodec, spillDir)
-	n, err := readCount(r, "DecaGroup key")
+	st, err := StageDecaGroup(r, mem, keyCodec.FixedSize(), spillDir)
+	if err == nil {
+		err = b.Fold(st)
+	}
 	if err != nil {
 		b.Release()
 		return nil, err
 	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if buf, err = readLenBytes(r, buf, "DecaGroup key"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		if err := checkKeyLen(keyCodec, buf, "DecaGroup"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		k, _ := keyCodec.Decode(buf)
-		m, err := readCount(r, "DecaGroup ptr")
-		if err != nil {
-			b.Release()
-			return nil, err
-		}
-		ptrs := make([]memory.Ptr, m)
-		if err := readPtrs(r, ptrs); err != nil {
-			b.Release()
-			return nil, err
-		}
-		b.slots[k] = ptrs
-		b.count += m
-	}
-	g, err := mem.RestoreGroup(r)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.group.Release()
-	b.group = g
-	for k, ptrs := range b.slots {
-		if err := checkPtrs(g, ptrs, "DecaGroup"); err != nil {
-			b.Release()
-			return nil, fmt.Errorf("key %v: %w", k, err)
-		}
-	}
-	spills, total, err := decodeSpills(r, spillDir)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.spills = spills
-	b.spilled = total
 	return b, nil
 }
 
@@ -689,8 +548,8 @@ func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error {
 }
 
 // DecodeDecaSort rebuilds a sort buffer from its wire frame inside the
-// destination executor. Spill runs arrive already sorted and join the
-// k-way merge untouched.
+// destination executor (stage + fold into a fresh buffer). Spill runs
+// arrive already sorted and join the k-way merge untouched.
 func DecodeDecaSort[K comparable, V any](
 	r WireReader,
 	mem *memory.Manager,
@@ -699,38 +558,15 @@ func DecodeDecaSort[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) (*DecaSort[K, V], error) {
-	if err := readKind(r, wireDecaSort, "DecaSort"); err != nil {
-		return nil, err
-	}
 	b := NewDecaSort[K, V](mem, less, keyCodec, valCodec, spillDir)
-	n, err := readCount(r, "DecaSort ptr")
+	st, err := StageDecaSort(r, mem, spillDir)
+	if err == nil {
+		err = b.Fold(st)
+	}
 	if err != nil {
 		b.Release()
 		return nil, err
 	}
-	b.ptrs = make([]memory.Ptr, n)
-	if err := readPtrs(r, b.ptrs); err != nil {
-		b.Release()
-		return nil, err
-	}
-	g, err := mem.RestoreGroup(r)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.group.Release()
-	b.group = g
-	if err := checkPtrs(g, b.ptrs, "DecaSort"); err != nil {
-		b.Release()
-		return nil, err
-	}
-	spills, total, err := decodeSpills(r, spillDir)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.spills = spills
-	b.spilled = total
 	return b, nil
 }
 

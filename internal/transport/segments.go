@@ -3,6 +3,7 @@ package transport
 import (
 	"io"
 	"os"
+	"sync"
 )
 
 // This file is the vectored serve seam: a FrameSegments is a payload's
@@ -28,6 +29,13 @@ import (
 // as more segments are staged (append never reallocates within a chunk).
 const stageChunkSize = 64 << 10
 
+// stageChunks recycles standard-size scratch chunks across frames: every
+// serve of every map output stages at least one, and a fresh 64 KiB per
+// staged run was the serve path's largest allocation. A frame returns its
+// chunks on Release and not before — the segments it handed out alias
+// them until then.
+var stageChunks = sync.Pool{New: func() any { return new([stageChunkSize]byte) }}
+
 // Seg is one wire-order piece of a frame: either staged/page bytes
 // (Buf != nil) or a file-backed run of Size bytes (File != nil).
 type Seg struct {
@@ -48,9 +56,10 @@ type FrameSegments struct {
 	fileBytes int64 // bytes referenced from spill files
 	pages     int   // page segments referenced in place
 
-	chunk       []byte // current scratch chunk; subslices are stable
-	lastInChunk bool   // last segment is a staged run ending at len(chunk)
-	lastStart   int    // its start offset in chunk
+	chunk       []byte                  // current scratch chunk; subslices are stable
+	pooled      []*[stageChunkSize]byte // standard chunks to recycle on Release
+	lastInChunk bool                    // last segment is a staged run ending at len(chunk)
+	lastStart   int                     // its start offset in chunk
 	released    bool
 }
 
@@ -68,11 +77,13 @@ func (fs *FrameSegments) Stage(n int) []byte {
 		return nil
 	}
 	if n > cap(fs.chunk)-len(fs.chunk) {
-		c := stageChunkSize
-		if n > c {
-			c = n
+		if n > stageChunkSize {
+			fs.chunk = make([]byte, 0, n)
+		} else {
+			c := stageChunks.Get().(*[stageChunkSize]byte)
+			fs.pooled = append(fs.pooled, c)
+			fs.chunk = c[:0]
 		}
-		fs.chunk = make([]byte, 0, c)
 		fs.lastInChunk = false
 	}
 	start := len(fs.chunk)
@@ -138,8 +149,10 @@ func (fs *FrameSegments) FileBytes() int64 { return fs.fileBytes }
 // Pages is the number of page segments served in place.
 func (fs *FrameSegments) Pages() int { return fs.pages }
 
-// Release ends the frame's lifetime: closes every file segment and runs
-// the producer's release hooks. Must be called exactly once; a second
+// Release ends the frame's lifetime: closes every file segment, runs the
+// producer's release hooks and recycles the scratch chunks — segments
+// obtained from Segs or Stage must not be read afterwards. Must be called
+// exactly once; a second
 // call panics (use-after-release of the referenced pages would corrupt
 // an in-flight serve).
 func (fs *FrameSegments) Release() {
@@ -155,7 +168,10 @@ func (fs *FrameSegments) Release() {
 	for _, release := range fs.owners {
 		release()
 	}
-	fs.segs, fs.owners, fs.chunk = nil, nil, nil
+	for _, c := range fs.pooled {
+		stageChunks.Put(c)
+	}
+	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
 }
 
 // segmentsReader streams a frame's segments as one io.Reader — the

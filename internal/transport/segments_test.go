@@ -145,6 +145,35 @@ func TestFrameSegmentsStagingStable(t *testing.T) {
 	}
 }
 
+// Scratch chunks recycle through a pool on Release, never before: frames
+// staged while earlier ones are still live (including right after another
+// frame's Release put its chunk back) must not share backing memory.
+func TestFrameSegmentsChunksRecycleOnlyOnRelease(t *testing.T) {
+	NewFrameSegments().Release() // no chunk taken: nothing to recycle
+	var live []*FrameSegments
+	var staged [][]byte
+	for i := 0; i < 8; i++ {
+		done := NewFrameSegments()
+		copy(done.Stage(64), bytes.Repeat([]byte{0xEE}, 64))
+		done.Release() // its chunk is now up for reuse by the next frame
+
+		fs := NewFrameSegments()
+		b := fs.Stage(64)
+		copy(b, bytes.Repeat([]byte{byte(i)}, 64))
+		// An oversized run gets its own unpooled chunk.
+		copy(fs.Stage(stageChunkSize+1), bytes.Repeat([]byte{byte(i)}, stageChunkSize+1))
+		live, staged = append(live, fs), append(staged, b)
+	}
+	for i, b := range staged {
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, 64)) {
+			t.Fatalf("frame %d's staged bytes were overwritten while it was live", i)
+		}
+	}
+	for _, fs := range live {
+		fs.Release()
+	}
+}
+
 // A truncated spill file surfaces as ErrUnexpectedEOF, not silent short
 // frames.
 func TestFrameSegmentsShortFile(t *testing.T) {

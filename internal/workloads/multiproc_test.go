@@ -2,9 +2,12 @@ package workloads
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
@@ -31,6 +34,23 @@ func helperExecutorCmd(t *testing.T) []string {
 		t.Fatalf("os.Executable: %v", err)
 	}
 	return []string{"env", "DECA_EXECUTOR_HELPER=1", self}
+}
+
+// multiprocDeadline bounds one multiproc test. These tests finish in
+// about a second; one that waits on a process that will never answer
+// would otherwise sit until the package's global timeout. A hung test
+// cannot be failed from outside its goroutine, so past the deadline the
+// test binary goes down the way testing's own timeout takes it down: a
+// panic naming the test, with every goroutine's stack.
+const multiprocDeadline = 60 * time.Second
+
+func withDeadline(t *testing.T) {
+	t.Helper()
+	timer := time.AfterFunc(multiprocDeadline, func() {
+		debug.SetTraceback("all")
+		panic(fmt.Sprintf("%s still running after %v", t.Name(), multiprocDeadline))
+	})
+	t.Cleanup(func() { timer.Stop() })
 }
 
 func multiprocCfg(t *testing.T, execs int) Config {
@@ -61,6 +81,7 @@ func TestMultiprocEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	wcParams := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
 	lrParams := LRParams{Points: 4_000, Dim: 8, Iterations: 3}
 	prParams := GraphParams{Vertices: 1_000, Edges: 6_000, Skew: 1.1, Iterations: 3}
@@ -106,6 +127,7 @@ func TestMultiprocSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	params := WCParams{DistinctKeys: 3_000, WordsPerLine: 8, Lines: 5_000}
 
 	clean, err := WordCount(inprocessCfg(t, 3), params)
@@ -144,6 +166,7 @@ func TestMultiprocSIGKILLPageRank(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	params := GraphParams{Vertices: 800, Edges: 5_000, Skew: 1.1, Iterations: 3}
 
 	clean, err := PageRank(inprocessCfg(t, 3), params)
@@ -181,6 +204,7 @@ func TestMultiprocReduceKillLineageRepair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	params := WCParams{DistinctKeys: 3_000, WordsPerLine: 8, Lines: 5_000}
 
 	clean, err := WordCount(inprocessCfg(t, 3), params)
@@ -232,6 +256,7 @@ func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
 	cfg := multiprocCfg(t, 2).withDefaults()
 	ctx := cfg.newEngine()
@@ -276,6 +301,7 @@ func TestMultiprocFetchFaultChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
 
 	clean, err := WordCount(inprocessCfg(t, 2), params)

@@ -104,6 +104,7 @@ func TestMultiprocVectoredServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
+	withDeadline(t)
 	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
 	cfg := multiprocCfg(t, 2)
 	cfg.DisableVectoredServe = true
