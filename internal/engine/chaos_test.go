@@ -29,21 +29,6 @@ const (
 // transport.
 func assertNoLeaks(t *testing.T, ctx *Context) {
 	t.Helper()
-	// On the tcp transport the ledgers settle a moment after the job: a
-	// serving goroutine unpins its output — and releases one committed
-	// mid-serve — only after the fetcher already holds the frame's last
-	// byte. Give those releases a bounded while to land before judging.
-	liveGroups := func() (n int64) {
-		for _, ex := range ctx.Executors() {
-			n += ex.Memory().Stats().LiveGroups
-		}
-		return n
-	}
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if ctx.MemoryInUse() == 0 && liveGroups() == 0 {
-			break
-		}
-	}
 	if in := ctx.MemoryInUse(); in != 0 {
 		t.Errorf("%d bytes of pages leaked across executors", in)
 	}

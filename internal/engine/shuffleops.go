@@ -233,11 +233,12 @@ func lostMapParts(ids []transport.MapOutputID) []int {
 // stages each Deca frame (decodes each Object frame) into this executor's
 // memory manager, and fold the results, in map order, into a buffer
 // created on this executor, releasing each private copy as it folds in.
-// The source registrations stay pinned (serving is non-consuming), so a failed attempt is simply
-// retryable. Definitively-missing outputs are collected across the whole
-// input set and reported as one *LostOutputsError, so the lineage repair
-// re-runs every lost map task at once. The merged buffer is returned; on
-// error everything fetched or built is released first.
+// The source registrations stay pinned (serving is non-consuming), so a
+// failed attempt is simply retryable. Definitively-missing outputs are
+// collected across the whole input set and reported as one
+// *LostOutputsError, so the lineage repair re-runs every lost map task at
+// once. The merged buffer is returned; on error everything fetched or
+// built is released first.
 func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 	ctx *Context,
 	shufID transport.ShuffleID,
@@ -299,7 +300,12 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 		var spilled int64
 		if st, ok := res.pl.Data.(*shuffle.Staged); ok {
 			spilled = st.SpilledBytes()
-			err = any(merged).(stagedFolder).Fold(st)
+			if f, ok := any(merged).(stagedFolder); ok {
+				err = f.Fold(st)
+			} else {
+				st.Release()
+				err = fmt.Errorf("engine: merge buffer %T cannot fold a staged frame", merged)
+			}
 		} else {
 			buf, oerr := codec.open(res.pl, ex)
 			if oerr != nil {

@@ -324,23 +324,32 @@ func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error {
 	}
 	base := b.group.AdoptPages(src.group)
 	for k, ptr := range src.slots {
-		if dptr, ok := b.slots[k]; ok {
-			sv, _ := b.valCodec.Decode(src.group.Bytes(ptr, b.valSize))
-			seg := b.group.Bytes(dptr, b.valSize)
-			old, _ := b.valCodec.Decode(seg)
-			b.valCodec.Encode(seg, b.combine(old, sv))
-			continue
-		}
-		b.slots[k] = ptr.Rebase(base)
+		b.absorb(k, src.group.Bytes(ptr, b.valSize), ptr.Rebase(base))
 	}
 	return nil
+}
+
+// absorb takes one value segment of a just-adopted page group into b —
+// the per-key step MergeFrom and Fold share: a new key takes the segment
+// over through ptr (already rebased into b's address space), a collision
+// decodes the source value from seg and combines it into b's existing
+// segment in place.
+func (b *DecaAgg[K, V]) absorb(k K, seg []byte, ptr memory.Ptr) {
+	dptr, ok := b.slots[k]
+	if !ok {
+		b.slots[k] = ptr
+		return
+	}
+	sv, _ := b.valCodec.Decode(seg)
+	dst := b.group.Bytes(dptr, b.valSize)
+	old, _ := b.valCodec.Decode(dst)
+	b.valCodec.Encode(dst, b.combine(old, sv))
 }
 
 // Fold merges a staged frame into b — MergeFrom without a source
 // container: b adopts the restored pages, then one walk of the frame's
 // table in wire order validates each pointer against the restored group
-// and either takes the segment over through a rebased pointer (new key)
-// or combines it into b's existing segment in place (collision). An empty
+// and absorbs its segment. An empty
 // b sizes its table from the frame's key count first. Fold consumes st on
 // every path; a pointer outside the restored group is an error that
 // leaves b partially merged, for the caller to release.
@@ -348,7 +357,7 @@ func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error {
 //deca:transfers
 func (b *DecaAgg[K, V]) Fold(st *Staged) error {
 	defer st.Release()
-	if more, err := st.open(&aggFrame, &b.spills, &b.spilled); !more {
+	if more, err := st.open(wireDecaAgg, &b.spills, &b.spilled); !more {
 		return err
 	}
 	base := b.group.AdoptPages(st.group)
@@ -360,18 +369,11 @@ func (b *DecaAgg[K, V]) Fold(st *Staged) error {
 		kb, table = nextKey(table)
 		k, _ := b.keyCodec.Decode(kb)
 		ptr := getPtr(table)
-		src, err := st.group.CheckedBytes(ptr, b.valSize)
+		seg, err := st.group.CheckedBytes(ptr, b.valSize)
 		if err != nil {
 			return fmt.Errorf("shuffle: DecaAgg key %v: %w", k, err)
 		}
-		if dptr, ok := b.slots[k]; ok {
-			sv, _ := b.valCodec.Decode(src)
-			seg := b.group.Bytes(dptr, b.valSize)
-			old, _ := b.valCodec.Decode(seg)
-			b.valCodec.Encode(seg, b.combine(old, sv))
-			continue
-		}
-		b.slots[k] = ptr.Rebase(base)
+		b.absorb(k, seg, ptr.Rebase(base))
 	}
 	return nil
 }

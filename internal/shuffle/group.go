@@ -326,14 +326,20 @@ func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error {
 				ptrs[i] = ptrs[i].Rebase(base)
 			}
 		}
-		if existing, ok := b.slots[k]; ok {
-			b.slots[k] = append(existing, ptrs...)
-		} else {
-			b.slots[k] = ptrs // adopt the source's pointer array wholesale
-		}
+		b.absorb(k, ptrs)
 	}
-	b.count += src.count
 	return nil
+}
+
+// absorb takes one key's pointer array — already rebased into b's
+// address space — into b, the per-key step MergeFrom and Fold share: a
+// new key keeps the array itself, a collision appends it to b's.
+func (b *DecaGroup[K, V]) absorb(k K, ptrs []memory.Ptr) {
+	b.count += len(ptrs)
+	if existing, ok := b.slots[k]; ok {
+		ptrs = append(existing, ptrs...)
+	}
+	b.slots[k] = ptrs
 }
 
 // Fold merges a staged frame into b; see DecaAgg.Fold. Each key's
@@ -345,7 +351,7 @@ func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error {
 //deca:transfers
 func (b *DecaGroup[K, V]) Fold(st *Staged) error {
 	defer st.Release()
-	if more, err := st.open(&groupFrame, &b.spills, &b.spilled); !more {
+	if more, err := st.open(wireDecaGroup, &b.spills, &b.spilled); !more {
 		return err
 	}
 	base := b.group.AdoptPages(st.group)
@@ -367,11 +373,7 @@ func (b *DecaGroup[K, V]) Fold(st *Staged) error {
 			}
 			sub[j] = ptr.Rebase(base)
 		}
-		if existing, ok := b.slots[k]; ok {
-			sub = append(existing, sub...)
-		}
-		b.slots[k] = sub
-		b.count += int(m)
+		b.absorb(k, sub)
 	}
 	return nil
 }

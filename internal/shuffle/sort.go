@@ -300,7 +300,7 @@ func (b *DecaSort[K, V]) MergeFrom(src *DecaSort[K, V]) error {
 //deca:transfers
 func (b *DecaSort[K, V]) Fold(st *Staged) error {
 	defer st.Release()
-	if more, err := st.open(&sortFrame, &b.spills, &b.spilled); !more {
+	if more, err := st.open(wireDecaSort, &b.spills, &b.spilled); !more {
 		return err
 	}
 	base := b.group.AdoptPages(st.group)

@@ -1,10 +1,10 @@
 package shuffle
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"deca/internal/memory"
 )
@@ -26,25 +26,23 @@ import (
 //	DecaGroup  n × [uvarint klen | key | uvarint m | m × ptr]
 //	DecaSort   n × ptr
 
-// frameShape names one container's frame to the shared parser: its kind
-// byte, and what its table's leading count counts.
-type frameShape struct {
-	kind        byte
-	name, entry string
+// kindName names a Deca frame kind in error text.
+func kindName(kind byte) string {
+	switch kind {
+	case wireDecaAgg:
+		return "DecaAgg"
+	case wireDecaGroup:
+		return "DecaGroup"
+	}
+	return "DecaSort"
 }
-
-var (
-	aggFrame   = frameShape{wireDecaAgg, "DecaAgg", "DecaAgg key"}
-	groupFrame = frameShape{wireDecaGroup, "DecaGroup", "DecaGroup key"}
-	sortFrame  = frameShape{wireDecaSort, "DecaSort", "DecaSort ptr"}
-)
 
 // Staged is one Deca frame staged for folding. It owns the restored page
 // group and spill runs until a Fold takes them over or Release ends
 // them; Fold consumes the frame either way.
 type Staged struct {
-	shape *frameShape
-	n     int // table entries: keys (agg, group) or records (sort)
+	kind byte // wireDecaAgg, wireDecaGroup or wireDecaSort
+	n    int  // table entries: keys (agg, group) or records (sort)
 	// table is the key table as it crossed the wire, minus DecaGroup's
 	// pointer arrays: per entry uvarint klen | key, then the 8-byte
 	// pointer (agg) or the uvarint pointer count (group). Empty for sort.
@@ -71,39 +69,37 @@ const stagePresize = 1 << 18
 //
 //deca:owns
 func StageDecaAgg(r WireReader, mem *memory.Manager, keySize int, spillDir string) (*Staged, error) {
-	return stageFrame(r, mem, &aggFrame, keySize, spillDir)
+	return stageFrame(r, mem, wireDecaAgg, keySize, spillDir)
 }
 
 // StageDecaGroup stages a DecaGroup frame; see StageDecaAgg.
 //
 //deca:owns
 func StageDecaGroup(r WireReader, mem *memory.Manager, keySize int, spillDir string) (*Staged, error) {
-	return stageFrame(r, mem, &groupFrame, keySize, spillDir)
+	return stageFrame(r, mem, wireDecaGroup, keySize, spillDir)
 }
 
 // StageDecaSort stages a DecaSort frame; see StageDecaAgg.
 //
 //deca:owns
 func StageDecaSort(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) {
-	return stageFrame(r, mem, &sortFrame, -1, spillDir)
+	return stageFrame(r, mem, wireDecaSort, -1, spillDir)
 }
 
-func stageFrame(r WireReader, mem *memory.Manager, shape *frameShape, keySize int, spillDir string) (*Staged, error) {
-	if err := readKind(r, shape.kind, shape.name); err != nil {
+func stageFrame(r WireReader, mem *memory.Manager, kind byte, keySize int, spillDir string) (*Staged, error) {
+	name := kindName(kind)
+	if err := readKind(r, kind, name); err != nil {
 		return nil, err
 	}
-	n, err := readCount(r, shape.entry)
+	n, err := readCount(r, name)
 	if err != nil {
 		return nil, err
 	}
-	st := &Staged{shape: shape, n: n}
-	t := tableReader{r: r, shape: shape}
-	switch {
-	case shape == &sortFrame:
+	st := &Staged{kind: kind, n: n}
+	t := tableReader{r: r, name: name}
+	if kind == wireDecaSort {
 		st.ptrs, err = t.readPtrs(make([]memory.Ptr, 0, min(n, stagePresize)), n)
-	case shape == &aggFrame && keySize >= 0:
-		err = t.fixedAggTable(st, keySize)
-	default:
+	} else {
 		err = t.keyedTable(st, keySize)
 	}
 	if err != nil {
@@ -149,9 +145,9 @@ func (st *Staged) Release() {
 // open is the shared head of every Fold: check the frame is the
 // container's own kind and hand over its spill runs. It reports whether a
 // table is left to walk.
-func (st *Staged) open(shape *frameShape, spills *[]spillFile, spilled *int64) (bool, error) {
-	if st.released || st.shape != shape {
-		return false, fmt.Errorf("shuffle: %s cannot fold a staged %s frame (released=%v)", shape.name, st.shape.name, st.released)
+func (st *Staged) open(kind byte, spills *[]spillFile, spilled *int64) (bool, error) {
+	if st.released || st.kind != kind {
+		return false, fmt.Errorf("shuffle: %s cannot fold a staged %s frame (released=%v)", kindName(kind), kindName(st.kind), st.released)
 	}
 	*spills = append(*spills, st.spills...)
 	*spilled += st.spilled
@@ -179,20 +175,8 @@ func getPtr(b []byte) memory.Ptr {
 // call is a heap allocation per key.
 type tableReader struct {
 	r       WireReader
-	shape   *frameShape
+	name    string // the frame's kind, for error text
 	scratch []byte
-}
-
-// room returns s with capacity for n more elements, at least doubling
-// when it has to grow (append's 1.25× would copy a large arena several
-// times over).
-func room[E any](s []E, n int) []E {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	grown := make([]E, len(s), max(2*cap(s), len(s)+n))
-	copy(grown, s)
-	return grown
 }
 
 // readPtrs appends n wire pointers to dst in chunked bulk reads.
@@ -204,9 +188,9 @@ func (t *tableReader) readPtrs(dst []memory.Ptr, n int) ([]memory.Ptr, error) {
 		c := min(n, ptrChunk)
 		buf := t.scratch[:8*c]
 		if _, err := io.ReadFull(t.r, buf); err != nil {
-			return dst, fmt.Errorf("shuffle: %s ptr array: %w", t.shape.name, err)
+			return dst, fmt.Errorf("shuffle: %s ptr array: %w", t.name, err)
 		}
-		dst = room(dst, c)
+		dst = slices.Grow(dst, c)
 		for ; len(buf) > 0; buf = buf[8:] {
 			dst = append(dst, getPtr(buf))
 		}
@@ -220,11 +204,11 @@ func (t *tableReader) readPtrs(dst []memory.Ptr, n int) ([]memory.Ptr, error) {
 func (t *tableReader) readBytes(dst []byte, n int) ([]byte, error) {
 	for n > 0 {
 		c := min(n, 64<<10)
-		dst = room(dst, c)
+		dst = slices.Grow(dst, c)
 		at := len(dst)
 		dst = dst[:at+c]
 		if _, err := io.ReadFull(t.r, dst[at:]); err != nil {
-			return dst, fmt.Errorf("shuffle: %s key table: %w", t.shape.name, err)
+			return dst, fmt.Errorf("shuffle: %s key table: %w", t.name, err)
 		}
 		n -= c
 	}
@@ -237,50 +221,38 @@ func (t *tableReader) readBytes(dst []byte, n int) ([]byte, error) {
 // parser's to check; the bytes inside it are the codec's input contract,
 // as frames originate from this system's own encoder.)
 func (t *tableReader) keyLenErr(got uint64, want int) error {
-	return fmt.Errorf("shuffle: %s key is %d bytes, codec wants %d", t.shape.name, got, want)
+	return fmt.Errorf("shuffle: %s key is %d bytes, codec wants %d", t.name, got, want)
 }
 
-// fixedAggTable stages a DecaAgg table whose key codec is fixed-size:
-// every entry is the same stride, so the whole table is bulk-read
-// straight into the arena and then checked entry by entry.
-func (t *tableReader) fixedAggTable(st *Staged, keySize int) (err error) {
-	var pre [binary.MaxVarintLen64]byte
-	pl := binary.PutUvarint(pre[:], uint64(keySize))
-	stride := pl + keySize + 8
-	st.table = make([]byte, 0, stride*min(st.n, stagePresize))
-	if st.table, err = t.readBytes(st.table, stride*st.n); err != nil {
-		return err
-	}
-	for e := st.table; len(e) > 0; e = e[stride:] {
-		if !bytes.Equal(e[:pl], pre[:pl]) {
-			got, _ := binary.Uvarint(e)
-			return t.keyLenErr(got, keySize)
-		}
-	}
-	return nil
-}
-
-// keyedTable stages a table entry by entry: variable-size keys, and every
-// DecaGroup table (its entries vary with their pointer counts).
+// keyedTable stages a DecaAgg or DecaGroup table entry by entry.
 func (t *tableReader) keyedTable(st *Staged, keySize int) error {
-	grouped := st.shape == &groupFrame
-	est := 24 // arena bytes per variable-size-key entry: a guess, room doubles past it
+	grouped := st.kind == wireDecaGroup
+	// Arena bytes per entry: length prefix and key — a guess for
+	// variable-size keys, the arena grows past it — then the pointer (agg)
+	// or the pointer count (group).
+	est := 16
 	if keySize >= 0 {
-		est = keySize + 4
+		est = keySize + 1
+	}
+	if grouped {
+		est += 2
+	} else {
+		est += 8
 	}
 	st.table = make([]byte, 0, est*min(st.n, stagePresize))
 	if grouped {
 		st.ptrs = make([]memory.Ptr, 0, min(st.n, stagePresize))
 	}
+	keyName := t.name + " key"
 	for i := 0; i < st.n; i++ {
-		kl, err := readCount(t.r, t.shape.entry)
+		kl, err := readCount(t.r, keyName)
 		if err != nil {
 			return err
 		}
 		if keySize >= 0 && kl != keySize {
 			return t.keyLenErr(uint64(kl), keySize)
 		}
-		st.table = binary.AppendUvarint(room(st.table, binary.MaxVarintLen64), uint64(kl))
+		st.table = binary.AppendUvarint(st.table, uint64(kl))
 		if !grouped { // the entry's pointer rides along with its key bytes
 			kl += 8
 		}
@@ -294,7 +266,7 @@ func (t *tableReader) keyedTable(st *Staged, keySize int) error {
 		if err != nil {
 			return err
 		}
-		st.table = binary.AppendUvarint(room(st.table, binary.MaxVarintLen64), uint64(m))
+		st.table = binary.AppendUvarint(st.table, uint64(m))
 		if st.ptrs, err = t.readPtrs(st.ptrs, m); err != nil {
 			return err
 		}

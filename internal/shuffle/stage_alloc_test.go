@@ -16,7 +16,8 @@ import (
 // page array (pages themselves recycle through the manager's pool) —
 // whatever its key count. DecaGroup's pointer arena is the one part that
 // grows: the frame announces its key count but not its pointer total, so
-// the arena doubles as pointers arrive, a logarithmic number of steps.
+// the arena grows geometrically as pointers arrive, a logarithmic number
+// of steps.
 //
 // Folding adds the destination's own table: one make(map, n), which the
 // runtime splits into tables of at most 1024 slots, so its allocation
@@ -24,7 +25,7 @@ import (
 
 const (
 	stageBudget      = 12 // heap objects per staged frame, fixed-size keys
-	groupArenaGrowth = 6  // extra doublings a 10× larger DecaGroup frame may take
+	groupArenaGrowth = 6  // extra growth steps a 10× larger DecaGroup frame may take
 	foldSlack        = 8  // Fold's own objects beside the destination table
 )
 
@@ -58,7 +59,7 @@ func TestStageFoldAllocBudget(t *testing.T) {
 				stage2k, stage20k, both2k, both20k)
 
 			grow := 0.0
-			if c.shape == &groupFrame {
+			if c.kind == wireDecaGroup {
 				grow = groupArenaGrowth
 			}
 			if stage2k > stageBudget+grow {
@@ -69,7 +70,7 @@ func TestStageFoldAllocBudget(t *testing.T) {
 			}
 			for _, m := range []struct{ keys, both, stage float64 }{{2_000, both2k, stage2k}, {20_000, both20k, stage20k}} {
 				table := 0.0
-				if c.shape != &sortFrame {
+				if c.kind != wireDecaSort {
 					table = m.keys / 128 // the pre-sized destination map's tables and groups
 				}
 				if fold := m.both - m.stage; fold > foldSlack+table {

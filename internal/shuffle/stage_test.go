@@ -15,8 +15,8 @@ import (
 // drive it: build a frame of the given key count, and stage + fold a frame
 // (well-formed or not) into a fresh buffer that is released again.
 type frameCase struct {
-	name  string
-	shape *frameShape
+	name string
+	kind byte
 	// trustedKeys: a variable-size key's bytes are its codec's input
 	// contract (Codec.Decode has no checked form); only their length
 	// prefix is the parser's to validate.
@@ -63,7 +63,7 @@ func foldFresh[B interface {
 
 var frameCases = []frameCase{
 	{
-		name: "agg-int64-float64", shape: &aggFrame, // fixed-size keys: the bulk table reader
+		name: "agg-int64-float64", kind: wireDecaAgg, // fixed-size keys: length prefixes checked against the codec
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b, err := NewDecaAgg[int64, float64](memory.NewManager(4096, 0), addF, i64, f64, dir)
 			if err != nil {
@@ -91,7 +91,7 @@ var frameCases = []frameCase{
 		},
 	},
 	{
-		name: "agg-string-int64", shape: &aggFrame, // variable-size keys: the per-entry reader
+		name: "agg-string-int64", kind: wireDecaAgg, // variable-size keys
 		trustedKeys: true,
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b, err := NewDecaAgg[string, int64](memory.NewManager(4096, 0), addI, str, i64, dir)
@@ -120,7 +120,7 @@ var frameCases = []frameCase{
 		},
 	},
 	{
-		name: "group-int64-int64", shape: &groupFrame,
+		name: "group-int64-int64", kind: wireDecaGroup,
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b := NewDecaGroup[int64, int64](memory.NewManager(4096, 0), i64, i64, dir)
 			for i := 0; i < keys; i++ {
@@ -143,7 +143,7 @@ var frameCases = []frameCase{
 		},
 	},
 	{
-		name: "sort-int64-int64", shape: &sortFrame,
+		name: "sort-int64-int64", kind: wireDecaSort,
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b := NewDecaSort[int64, int64](memory.NewManager(4096, 0), lessI, i64, i64, dir)
 			for i := 0; i < keys; i++ {
@@ -199,7 +199,7 @@ func TestStageKindMismatch(t *testing.T) {
 		frame := src.build(t, 50, t.TempDir(), false)
 		dir := t.TempDir()
 		for _, dst := range frameCases {
-			if src.shape == dst.shape {
+			if src.kind == dst.kind {
 				continue
 			}
 			if err := dst.stageFold(frame, mem, dir); err == nil {
@@ -261,15 +261,15 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 	}
 	far := []byte{0xff, 0xff, 0xff, 0x7f} // page 2^31-1
 	neg := []byte{0xff, 0xff, 0xff, 0xff} // page -1
-	switch c.shape {
-	case &sortFrame:
+	switch c.kind {
+	case wireDecaSort:
 		out["pointer past the restored group"] = patch(body, far...)
 		out["negative page"] = patch(body, neg...)
 		out["offset past the page"] = patch(body+4, far...)
 	default:
 		kl, kw := binary.Uvarint(good[body:])
 		ptr := body + kw + int(kl) // agg: the entry's pointer
-		if c.shape == &groupFrame {
+		if c.kind == wireDecaGroup {
 			ptr++ // past the one-byte pointer count
 		}
 		out["pointer past the restored group"] = patch(ptr, far...)
@@ -279,7 +279,7 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 		out["key longer than its codec"] = patch(body, byte(kl+1))
 		out["key length implausible"] = append(binary.AppendUvarint(bytes.Clone(good[:body]), maxWireCount+1), good[body+kw:]...)
 	}
-	if c.shape == &groupFrame {
+	if c.kind == wireDecaGroup {
 		kl, kw := binary.Uvarint(good[body:])
 		out["pointer count far beyond the bytes"] = append(
 			binary.AppendUvarint(bytes.Clone(good[:body+kw+int(kl)]), 1<<30), good[body+kw+int(kl)+1:]...)

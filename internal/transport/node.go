@@ -85,6 +85,13 @@ func (s *DataServer) Take(id MapOutputID) (Payload, bool) {
 	return s.store.take(id)
 }
 
+// TakeAll removes the listed entries — a stage verdict — and returns
+// their payloads for the caller to release, after the serves in flight
+// on them have ended.
+func (s *DataServer) TakeAll(ids []MapOutputID) []Payload {
+	return s.store.takeAll(ids)
+}
+
 // ServeLocal serves the entry without consuming it — the executor-local
 // equivalent of a socket FETCH: streamed through open when non-nil, as
 // an encoded Wire payload otherwise. Payloads without a wire form fall
@@ -98,7 +105,8 @@ func (s *DataServer) ServeStats(st *Stats) {
 	s.store.addServeStats(st)
 }
 
-// DropShuffle removes every output of the shuffle and returns them.
+// DropShuffle removes every output of the shuffle and returns them, after
+// the serves in flight on them have ended.
 func (s *DataServer) DropShuffle(shuffle ShuffleID) []Payload {
 	return s.store.dropShuffle(shuffle)
 }

@@ -16,15 +16,21 @@ import (
 // twins) can fetch the same output.
 //
 // Because a serve encodes the entry's buffer outside the lock, an entry
-// removed mid-serve (displacement by a re-registration, a discard, a
-// commit racing a straggler fetch) cannot release its buffers
-// immediately: it leaves the registry as a zombie and the store releases
-// it when the last in-flight serve ends. Such removals report the entry
-// as absent/unreplaced to the caller — the release happened, just not in
-// the caller's hands.
+// removed mid-serve cannot release its buffers immediately. The stage
+// verdicts (takeAll, dropShuffle) unregister their entries and then wait
+// for the in-flight serves to drain, so the caller releases every payload
+// itself and the memory ledgers are settled when the verdict returns — a
+// server goroutine unpins only after the fetcher already holds the
+// frame's last byte, so the job can get here first. The single-entry
+// removals (displacement by a re-registration, a discard), which run
+// under other locks or on a control loop, never wait: the entry leaves
+// the registry as a zombie that the store releases when its last serve
+// ends, and is reported absent/unreplaced to the caller.
 type outputStore struct {
 	mu sync.Mutex
 	m  map[MapOutputID]*storeEntry
+	// drained is broadcast whenever an entry's serving count reaches zero.
+	drained sync.Cond
 
 	// Serve-path copy accounting (atomic: serves run outside the lock).
 	pagesZeroCopy atomic.Int64
@@ -68,6 +74,7 @@ type storeEntry struct {
 
 func (s *outputStore) init() {
 	s.m = make(map[MapOutputID]*storeEntry)
+	s.drained.L = &s.mu
 }
 
 // put stores a payload, returning any entry it displaced so the caller
@@ -110,38 +117,48 @@ func (s *outputStore) removeLocked(id MapOutputID) (Payload, bool) {
 	return e.p, true
 }
 
-// takeAll removes every listed entry, returning the payloads the caller
-// must release (mid-serve entries release store-side).
+// takeAll removes every listed entry and returns the payloads, all the
+// caller's to release: it waits out the serves in flight on them.
 func (s *outputStore) takeAll(ids []MapOutputID) []Payload {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Payload
+	var taken []*storeEntry
 	for _, id := range ids {
-		if p, ok := s.removeLocked(id); ok {
-			out = append(out, p)
+		if e, ok := s.m[id]; ok {
+			delete(s.m, id)
+			taken = append(taken, e)
 		}
 	}
-	return out
+	return s.settleLocked(taken)
 }
 
-// dropShuffle removes every entry of the shuffle, returning the payloads
-// the caller must release.
+// dropShuffle removes every entry of the shuffle and returns the
+// payloads, all the caller's to release (as takeAll).
 func (s *outputStore) dropShuffle(shuffle ShuffleID) []Payload {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var dropped []Payload
+	var dropped []*storeEntry
 	for id, e := range s.m {
-		if id.Shuffle != shuffle {
-			continue
+		if id.Shuffle == shuffle {
+			delete(s.m, id)
+			dropped = append(dropped, e)
 		}
-		delete(s.m, id)
-		if e.serving > 0 {
-			e.dead = true
-			continue
-		}
-		dropped = append(dropped, e.p)
 	}
-	return dropped
+	return s.settleLocked(dropped)
+}
+
+// settleLocked waits until no serve is in flight on any of the
+// already-unregistered entries — nothing can pin them anew — and returns
+// their payloads.
+func (s *outputStore) settleLocked(es []*storeEntry) []Payload {
+	var out []Payload
+	for _, e := range es {
+		for e.serving > 0 {
+			s.drained.Wait()
+		}
+		out = append(out, e.p)
+	}
+	return out
 }
 
 // pending counts registered entries (leak probes). Zombies awaiting
@@ -171,6 +188,9 @@ func (s *outputStore) endServe(e *storeEntry) {
 	s.mu.Lock()
 	e.serving--
 	release := e.dead && e.serving == 0
+	if e.serving == 0 {
+		s.drained.Broadcast()
+	}
 	s.mu.Unlock()
 	if release {
 		releasePayload(e.p)

@@ -201,31 +201,26 @@ func (t *TCP) Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload, b
 }
 
 // Commit ends the listed outputs' lifetime after their consuming stage
-// committed, returning the released payloads.
+// committed, returning the payloads for the caller to release once the
+// serves still in flight on them have ended.
 func (t *TCP) Commit(ids []MapOutputID) []Payload { return t.purge(ids) }
 
 // Abort releases the listed outputs for an abandoned exchange round.
 func (t *TCP) Abort(ids []MapOutputID) []Payload { return t.purge(ids) }
 
 func (t *TCP) purge(ids []MapOutputID) []Payload {
-	type target struct {
-		id  MapOutputID
-		src int
-	}
+	bySrc := make(map[int][]MapOutputID)
 	t.mu.Lock()
-	var targets []target
 	for _, id := range ids {
 		if src, ok := t.loc[id]; ok {
-			targets = append(targets, target{id: id, src: src})
+			bySrc[src] = append(bySrc[src], id)
 			delete(t.loc, id)
 		}
 	}
 	t.mu.Unlock()
 	var out []Payload
-	for _, tg := range targets {
-		if p, ok := t.nodes[tg.src].Take(tg.id); ok {
-			out = append(out, p)
-		}
+	for src, ids := range bySrc {
+		out = append(out, t.nodes[src].TakeAll(ids)...)
 	}
 	return out
 }
@@ -235,24 +230,13 @@ func (t *TCP) purge(ids []MapOutputID) []Payload {
 func (t *TCP) Drop(shuffle ShuffleID) []Payload {
 	t.mu.Lock()
 	var ids []MapOutputID
-	var srcs []int
-	for id, src := range t.loc {
+	for id := range t.loc {
 		if id.Shuffle == shuffle {
 			ids = append(ids, id)
-			srcs = append(srcs, src)
 		}
-	}
-	for _, id := range ids {
-		delete(t.loc, id)
 	}
 	t.mu.Unlock()
-	var dropped []Payload
-	for i, id := range ids {
-		if p, ok := t.nodes[srcs[i]].Take(id); ok {
-			dropped = append(dropped, p)
-		}
-	}
-	return dropped
+	return t.purge(ids)
 }
 
 // Pending returns the number of registered, unfetched outputs across all

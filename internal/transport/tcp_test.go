@@ -404,6 +404,66 @@ func TestTCPMidServeDisplacementDefersRelease(t *testing.T) {
 	}
 }
 
+// TestTCPVerdictWaitsOutInFlightServe: Commit and Drop of an entry a
+// serve goroutine is still encoding return only once that serve has
+// ended, and hand the payload to the caller — after the verdict's release
+// nothing of the shuffle is left for the transport to release later.
+func TestTCPVerdictWaitsOutInFlightServe(t *testing.T) {
+	verdicts := map[string]func(*TCP, MapOutputID) []Payload{
+		"commit": func(tr *TCP, id MapOutputID) []Payload { return tr.Commit([]MapOutputID{id}) },
+		"drop":   func(tr *TCP, id MapOutputID) []Payload { return tr.Drop(id.Shuffle) },
+	}
+	for name, verdict := range verdicts {
+		t.Run(name, func(t *testing.T) {
+			tr := newTCPT(t, 2)
+			id := MapOutputID{Shuffle: 9, MapTask: 0, Reduce: 0}
+			buf := &fakeBuf{frame: []byte("v1")}
+			entered := make(chan struct{})
+			unblock := make(chan struct{})
+			var serveEnded atomic.Bool
+			tr.Register(id, Payload{
+				Data:        buf,
+				SrcExecutor: 0,
+				Bytes:       2,
+				Encode: func(w io.Writer) error {
+					close(entered)
+					<-unblock
+					serveEnded.Store(true)
+					_, err := w.Write(buf.frame)
+					return err
+				},
+			})
+			fetchDone := make(chan struct{})
+			go func() {
+				defer close(fetchDone)
+				tr.Fetch(id, 1, nil) // blocks in the server-side Encode
+			}()
+			<-entered
+
+			taken := make(chan []Payload)
+			go func() { taken <- verdict(tr, id) }()
+			select {
+			case <-taken:
+				t.Fatal("verdict returned while a serve was encoding the entry")
+			case <-time.After(20 * time.Millisecond):
+			}
+			if tr.Pending() != 0 {
+				t.Error("the entry must leave the registry at once, so nothing pins it anew")
+			}
+			close(unblock)
+			ps := <-taken
+			if !serveEnded.Load() {
+				t.Error("verdict returned before the serve ended")
+			}
+			if len(ps) != 1 || buf.released.Load() {
+				t.Fatalf("verdict returned %d payloads (released=%v), want the one unreleased payload", len(ps), buf.released.Load())
+			}
+			releasePayload(ps[0])
+			<-fetchDone
+		})
+	}
+}
+
 // TestTCPFailedRemoteFetchKeepsPayloadDroppable: when the round-trip
 // itself fails (serving node unreachable), the registered buffer must
 // remain reachable through Drop — a failed fetch must not strand pages.

@@ -148,8 +148,9 @@ type Transport interface {
 	Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload, bool, error)
 	// Commit ends the listed outputs' lifetime after their consuming stage
 	// committed: the registrations are removed and the still-registered
-	// payloads returned for the caller to release (mid-serve entries
-	// release transport-side when their last serve ends).
+	// payloads returned for the caller to release. The in-process and TCP
+	// transports return only after the serves in flight on those entries
+	// have ended, so the release settles the memory ledgers.
 	Commit(ids []MapOutputID) []Payload
 	// Abort is Commit for an abandoned exchange round: same release
 	// mechanics, kept distinct so call sites document whether the
