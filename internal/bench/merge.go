@@ -18,9 +18,9 @@ import (
 // the merge step itself at the buffer level — M map outputs folded into
 // one reduce buffer, zero-copy page adoption vs the drain/re-Put
 // baseline — on a collision-light, PageRank-groupBy-shaped key
-// distribution. Part two runs PageRank end to end across modes and
-// executor counts with the zero-copy merge on and off, asserting the
-// answer never changes.
+// distribution (the drain rows are the baseline; no production knob
+// selects that path any more). Part two runs PageRank end to end across
+// modes and executor counts, asserting the answer never changes.
 func MergeZeroCopy(o Options) (*Report, error) {
 	o = o.withDefaults()
 	rep := &Report{
@@ -225,9 +225,8 @@ func recordMerge(rep *Report, shape string, zc, drain time.Duration) {
 	rep.metric(Metric{Name: shape + "/drain", WallMS: float64(drain) / float64(time.Millisecond)})
 }
 
-// mergeClusterRows sweeps PageRank across modes and executor counts with
-// the zero-copy merge on and (for Deca) off; every configuration must
-// compute the identical checksum.
+// mergeClusterRows sweeps PageRank across modes and executor counts;
+// every configuration must compute the identical checksum.
 func mergeClusterRows(o Options, rep *Report) error {
 	params := workloads.GraphParams{
 		Vertices: int64(o.scaled(20_000)), Edges: o.scaled(100_000),
@@ -235,46 +234,33 @@ func mergeClusterRows(o Options, rep *Report) error {
 	}
 	const parts = 8
 
-	type variant struct {
-		label   string
-		mode    engine.Mode
-		disable bool
-	}
-	variants := []variant{
-		{"Spark", engine.ModeSpark, false},
-		{"SparkSer", engine.ModeSparkSer, false},
-		{"Deca", engine.ModeDeca, false},
-		{"Deca-drain", engine.ModeDeca, true},
-	}
-
 	var baseline float64
 	first := true
-	for _, v := range variants {
+	for _, mode := range []engine.Mode{engine.ModeSpark, engine.ModeSparkSer, engine.ModeDeca} {
 		for _, execs := range []int{1, 2, 4, 8} {
 			cfg := workloads.Config{
-				Mode:                 v.mode,
-				NumExecutors:         execs,
-				Parallelism:          o.Parallelism,
-				Partitions:           parts,
-				SpillDir:             o.SpillDir,
-				DisableZeroCopyMerge: v.disable,
-				Seed:                 1,
+				Mode:         mode,
+				NumExecutors: execs,
+				Parallelism:  o.Parallelism,
+				Partitions:   parts,
+				SpillDir:     o.SpillDir,
+				Seed:         1,
 			}
 			o.applyChaos(&cfg)
 			res, err := workloads.PageRank(cfg, params)
 			if err != nil {
-				return fmt.Errorf("PR[%s] x%d executors: %w", v.label, execs, err)
+				return fmt.Errorf("PR[%v] x%d executors: %w", mode, execs, err)
 			}
 			if first {
 				baseline = res.Checksum
 				first = false
 			} else if diff := math.Abs(res.Checksum - baseline); diff > 1e-6*math.Abs(baseline) {
-				return fmt.Errorf("PR[%s] x%d executors: checksum %g != baseline %g — zero-copy merge changed the answer",
-					v.label, execs, res.Checksum, baseline)
+				return fmt.Errorf("PR[%v] x%d executors: checksum %g != baseline %g — the merge changed the answer",
+					mode, execs, res.Checksum, baseline)
 			}
-			rep.record(fmt.Sprintf("PR-%s-x%d", v.label, execs), res)
-			rep.add("PR %-10s execs=%d exec=%-9s gc=%6.3fs remote=%-9s checksum=%.6g",
-				v.label, execs, fmtDur(res.Wall), res.GC.GCCPUSeconds,
+			rep.record(fmt.Sprintf("PR-%v-x%d", mode, execs), res)
+			rep.add("PR %-10v execs=%d exec=%-9s gc=%6.3fs remote=%-9s checksum=%.6g",
+				mode, execs, fmtDur(res.Wall), res.GC.GCCPUSeconds,
 				mb(res.RemoteShuffleBytes), res.Checksum)
 		}
 	}

@@ -183,14 +183,16 @@ func WireThroughput(o Options) (*Report, error) {
 
 // serveFetchRows measures the data plane end to end: a DataServer serving
 // Deca frames through a real socket pair, fetched by a pooled DataClient,
-// vectored (writev page segments, sendfile spill runs) against buffered
-// (the frame staged through Encode into one contiguous buffer). Sort
-// containers carry the frames because their byte stream is deterministic
-// (a pointer array, no map iteration), so the two serve paths must
-// produce bit-identical frames — the checksum row enforces it. The
-// userspace-copy metric records how many frame bytes each path staged
-// through user memory per fetch: the buffered path stages the whole
-// frame, the vectored path only its varint headers and pointer tables.
+// vectored (the container's segments: writev page segments, sendfile
+// spill runs) against buffered (an Encode-only registration of the same
+// container, the form Object payloads take: the transport stages every
+// byte the encoder writes before shipping it). Sort containers carry the
+// frames because their byte stream is deterministic (a pointer array, no
+// map iteration), so the two registrations must produce bit-identical
+// frames — the checksum row enforces it. The userspace-copy metric
+// records how many frame bytes each serve staged through user memory per
+// fetch: the buffered one stages the whole frame, the vectored one only
+// its varint headers and pointer tables.
 func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, iters int) error {
 	// In-memory container: every record in pages. Spill-backed container:
 	// the first fill forced to disk, a second fill resident — its frame

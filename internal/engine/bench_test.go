@@ -7,11 +7,11 @@ import (
 )
 
 // Exchange benchmarks: the reduce-side shuffle path end to end — map
-// buffers, transport registration, prefetch pipeline, merge — across the
-// two knobs this layer owns: zero-copy vs drain/re-Put merge, and
-// pipelined vs sequential fetch.
+// buffers, transport registration, prefetch pipeline, merge — Deca's
+// stage → fold against the Object sinks' drain/re-Put, and pipelined vs
+// sequential fetch.
 
-func benchExchange(b *testing.B, mode Mode, fetchWorkers int, disableZeroCopy bool, group bool) {
+func benchExchange(b *testing.B, mode Mode, fetchWorkers int, group bool) {
 	b.Helper()
 	var pairs []decompose.Pair[int64, int64]
 	for i := int64(0); i < 40_000; i++ {
@@ -22,11 +22,10 @@ func benchExchange(b *testing.B, mode Mode, fetchWorkers int, disableZeroCopy bo
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ctx := New(Config{
-			NumExecutors:         4,
-			Parallelism:          2,
-			Mode:                 mode,
-			FetchConcurrency:     fetchWorkers,
-			DisableZeroCopyMerge: disableZeroCopy,
+			NumExecutors:     4,
+			Parallelism:      2,
+			Mode:             mode,
+			FetchConcurrency: fetchWorkers,
 		})
 		d := Parallelize(ctx, pairs, 8)
 		b.StartTimer()
@@ -45,11 +44,8 @@ func benchExchange(b *testing.B, mode Mode, fetchWorkers int, disableZeroCopy bo
 	}
 }
 
-func BenchmarkExchangeDecaGroupZeroCopy(b *testing.B) { benchExchange(b, ModeDeca, 4, false, true) }
-func BenchmarkExchangeDecaGroupDrain(b *testing.B)    { benchExchange(b, ModeDeca, 4, true, true) }
-func BenchmarkExchangeDecaAggZeroCopy(b *testing.B)   { benchExchange(b, ModeDeca, 4, false, false) }
-func BenchmarkExchangeDecaAggDrain(b *testing.B)      { benchExchange(b, ModeDeca, 4, true, false) }
-func BenchmarkExchangeDecaSingleFetcher(b *testing.B) {
-	benchExchange(b, ModeDeca, 1, false, true)
-}
-func BenchmarkExchangeSparkGroup(b *testing.B) { benchExchange(b, ModeSpark, 4, false, true) }
+func BenchmarkExchangeDecaGroup(b *testing.B)         { benchExchange(b, ModeDeca, 4, true) }
+func BenchmarkExchangeDecaAgg(b *testing.B)           { benchExchange(b, ModeDeca, 4, false) }
+func BenchmarkExchangeDecaSingleFetcher(b *testing.B) { benchExchange(b, ModeDeca, 1, true) }
+func BenchmarkExchangeSparkGroup(b *testing.B)        { benchExchange(b, ModeSpark, 4, true) }
+func BenchmarkExchangeSparkAgg(b *testing.B)          { benchExchange(b, ModeSpark, 4, false) }

@@ -73,12 +73,15 @@ func (m Mode) String() string {
 type TransportKind int
 
 const (
-	// TransportInProcess crosses executor boundaries by pointer (the
-	// default): zero copies, with the would-be network volume accounted.
+	// TransportInProcess serves every fetch from the shared in-process
+	// registry (the default): the consumer decodes the map output's wire
+	// frame straight off its segments, no socket involved, with the
+	// would-be network volume accounted.
 	TransportInProcess TransportKind = iota
 	// TransportTCP runs one loopback listener per executor and moves
-	// cross-executor map output as encoded wire frames over real sockets;
-	// executor-local fetches keep the pointer path.
+	// cross-executor map output as wire frames over real sockets (writev
+	// for pages, sendfile for spill runs); executor-local fetches read the
+	// same frame without the socket.
 	TransportTCP
 )
 
@@ -106,13 +109,13 @@ func ParseTransportKind(s string) (TransportKind, error) {
 }
 
 // DeployKind selects how the cluster is deployed: every executor as a
-// goroutine pool inside this process (with pointer or loopback-socket
+// goroutine pool inside this process (with in-process or loopback-socket
 // shuffles), or as real OS processes supervised over the control plane.
 type DeployKind int
 
 const (
 	// DeployInProcess hosts all executors in this process with the
-	// in-process (pointer) shuffle transport — the default.
+	// in-process shuffle transport — the default.
 	DeployInProcess DeployKind = iota
 	// DeployTCP hosts all executors in this process but moves shuffle
 	// frames over per-executor TCP listeners (TransportTCP).
@@ -194,27 +197,17 @@ type Config struct {
 	// the cap. The cap can overshoot by up to FetchConcurrency payloads,
 	// because output sizes are only known once fetched.
 	MaxFetchBytesInFlight int64
-	// DisableZeroCopyMerge forces the reduce-side merge to drain and
-	// re-insert records even when both buffers are Deca page containers —
-	// the measured baseline of the merge experiment. Default off: Deca
-	// reduce tasks adopt map-output page groups by reference.
-	DisableZeroCopyMerge bool
-	// DisableVectoredServe forces every serve onto the buffered Encode
-	// path — the frame staged into one buffer before writing — instead of
-	// attaching segment encoders to Deca payloads (writev page segments,
-	// sendfile spill runs). The measured baseline of the wire experiment's
-	// serve rows. Default off: Deca payloads serve vectored.
-	DisableVectoredServe bool
 	// TransportKind selects how shuffle map output crosses executors:
-	// TransportInProcess (default) by pointer, TransportTCP as wire
-	// frames over per-executor loopback sockets.
+	// TransportInProcess (default) through the shared in-process registry,
+	// TransportTCP over per-executor loopback sockets. Either way a fetch
+	// serves a wire frame, never the registered buffer itself.
 	TransportKind TransportKind
 	// ListenAddrs sets each executor's TCP-transport listen address
 	// ("host:port"; ":0" for an ephemeral port). Empty selects loopback
 	// ephemerals. Only meaningful with TransportTCP / DeployTCP.
 	ListenAddrs []string
 
-	// DeployKind selects the deployment: in-process executors (pointer or
+	// DeployKind selects the deployment: in-process executors (in-process or
 	// TCP shuffles) or real deca-executor OS processes. DeployTCP is
 	// shorthand for TransportTCP; DeployMultiproc turns this Context into
 	// the cluster's driver, spawning ExecutorCmd once per executor.
@@ -456,6 +449,11 @@ type Context struct {
 	// stages (tests: injecting map-output loss to drive the reduce error
 	// path).
 	testAfterMapStage func(transport.ShuffleID)
+	// testAfterReduceVerdict, when set, runs on the driver between a
+	// shuffle's reduce verdict (followers are live from here) and the
+	// return of its materialization (the driver is live only then) — the
+	// window a recovery release must not fall into.
+	testAfterReduceVerdict func(dataset, epoch int)
 }
 
 // New creates an execution context with NumExecutors executors. The

@@ -238,6 +238,16 @@ func (c *Context) epochOf(dataset int) int {
 // everywhere so the reporting task's retry re-materializes it from
 // lineage under the current placement. Stale reports (a newer epoch
 // already exists) are ignored.
+//
+// The driver's own copy is released by the followers' rule — through the
+// permanent registry, under the state lock, epoch-guarded (ReleaseEpoch).
+// The lock is what makes the release and the broadcast one decision: a
+// report can arrive while the driver is still inside the materialization
+// it names (followers go live on the reduce verdict, the driver only when
+// materialize returns), and a release that found nothing to release on
+// the driver yet told the followers to release would leave driver
+// live@epoch / followers released@epoch — the retry's NeedShuffle is then
+// memoised away and the followers wait for an epoch nobody announces.
 func (c *Context) recoverMissingOutput(dataset, epoch int) {
 	if c.driver == nil {
 		return
@@ -245,7 +255,13 @@ func (c *Context) recoverMissingOutput(dataset, epoch int) {
 	if epoch != c.epochOf(dataset) {
 		return
 	}
-	c.ReleaseShuffle(dataset)
+	c.shufMu.Lock()
+	st := c.shuffleReg[dataset]
+	c.shufMu.Unlock()
+	if st == nil {
+		return
+	}
+	st.ReleaseEpoch(epoch)
 	c.driver.d.ReleaseDataset(dataset, epoch)
 	// Followers process the release broadcast asynchronously; a beat here
 	// keeps the reporting task's immediate retry from racing it and

@@ -1,0 +1,157 @@
+package engine
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+	"time"
+
+	"deca/internal/ctl"
+	"deca/internal/decompose"
+)
+
+// TestMain doubles as a minimal deca-executor for this package's
+// multiproc test: the driver spawns `env DECA_ENGINE_HELPER=1
+// <test-binary> -driver ...`, and the re-exec'd process mirrors
+// recoveryProgram instead of running the suite. (The full executor main
+// lives in internal/workloads, which this package cannot import.)
+func TestMain(m *testing.M) {
+	if os.Getenv("DECA_ENGINE_HELPER") == "1" {
+		os.Exit(helperExecutor(os.Args[1:]))
+	}
+	os.Exit(m.Run())
+}
+
+const recoveryExecutors, recoveryActions = 2, 3
+
+func recoveryConfig(spillDir string) Config {
+	return Config{NumExecutors: recoveryExecutors, Parallelism: 2, Mode: ModeDeca, SpillDir: spillDir}
+}
+
+// recoveryProgram is the mirrored job: one shuffled dataset, collected
+// recoveryActions times. between (driver only) runs before each action.
+func recoveryProgram(ctx *Context, between func(action, dataset int)) ([]map[int64]int64, error) {
+	var pairs []decompose.Pair[int64, int64]
+	for i := int64(0); i < 400; i++ {
+		pairs = append(pairs, KV(i%23, i))
+	}
+	red := ReduceByKey(Parallelize(ctx, pairs, 4), int64Ops(4), func(a, b int64) int64 { return a + b })
+	var outs []map[int64]int64
+	for a := 0; a < recoveryActions; a++ {
+		if between != nil {
+			between(a, red.ID())
+		}
+		out, err := CollectMap(red)
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, out)
+	}
+	return outs, nil
+}
+
+func helperExecutor(args []string) int {
+	fs := flag.NewFlagSet("engine-helper", flag.ContinueOnError)
+	driver := fs.String("driver", "", "")
+	id := fs.Int("id", -1, "")
+	token := fs.String("token", "", "")
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	f, err := ctl.NewFollower(ctl.FollowerConfig{DriverAddr: *driver, ID: *id, Token: *token})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "engine-helper:", err)
+		return 1
+	}
+	defer f.Close()
+	spillDir, err := f.AwaitPlan()
+	if err != nil {
+		return 1
+	}
+	conf := recoveryConfig(string(spillDir))
+	conf.CtlFollower = f
+	ctx := New(conf)
+	defer ctx.Close()
+	if _, err := recoveryProgram(ctx, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "engine-helper: mirror:", err)
+		return 1
+	}
+	<-f.ShutdownCh()
+	return 0
+}
+
+// TestMultiprocRecoveryReleaseDuringMaterialize pins the cause of the
+// TestMultiprocReduceKillLineageRepair hang. A MissingOutput report for
+// the *current* epoch can reach the driver while it is still inside that
+// epoch's materialization: followers go live on the reduce verdict, the
+// driver only when materialize returns. The recovery release must then
+// still release the driver's copy (after the materialization settles) —
+// not find nothing to release, broadcast the release anyway, and leave
+// driver live / followers released, where the next pull's NeedShuffle is
+// memoised away and the followers wait for an epoch nobody announces.
+func TestMultiprocRecoveryReleaseDuringMaterialize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns executor processes")
+	}
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillDir := t.TempDir()
+	conf := recoveryConfig(spillDir)
+	conf.DeployKind = DeployMultiproc
+	conf.ExecutorCmd = []string{"env", "DECA_ENGINE_HELPER=1", self}
+	ctx := New(conf)
+	defer ctx.Close()
+	ctx.RegisterPlan([]byte(spillDir))
+
+	// Epoch 1 materializes under action 0. Before action 1 a first
+	// recovery releases it everywhere, so action 1 re-materializes as
+	// epoch 2 — and in the window after that epoch's reduce verdict a
+	// report naming epoch 2 arrives, on its own goroutine as real reports
+	// do. The hook holds the window open until the report has either gone
+	// through or is parked on the materialization's lock.
+	ctx.testAfterReduceVerdict = func(ds, epoch int) {
+		if epoch != 2 {
+			return
+		}
+		reported := make(chan struct{})
+		go func() {
+			ctx.recoverMissingOutput(ds, epoch)
+			close(reported)
+		}()
+		select {
+		case <-reported:
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	between := func(action, dataset int) {
+		if action == 1 {
+			ctx.recoverMissingOutput(dataset, 1)
+		}
+	}
+	type result struct {
+		outs []map[int64]int64
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		outs, err := recoveryProgram(ctx, between)
+		done <- result{outs, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		for a, out := range r.outs {
+			if !reflect.DeepEqual(out, r.outs[0]) {
+				t.Errorf("action %d collected a different answer after recovery", a)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("job hung: a follower is waiting for a materialization the driver believes it already has")
+	}
+}

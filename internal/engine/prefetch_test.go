@@ -87,43 +87,42 @@ func TestPrefetchConcurrentActions(t *testing.T) {
 	wg.Wait()
 }
 
-// TestZeroCopyMergeEquivalence compares the zero-copy reduce merge
-// against the drain/re-Put baseline for all three sink shapes in Deca
-// mode, on a multi-executor cluster.
+// TestZeroCopyMergeEquivalence compares Deca's stage → fold reduce merge
+// against the drain/re-Put merge the Object sinks run, for all three sink
+// shapes on a multi-executor cluster.
 func TestZeroCopyMergeEquivalence(t *testing.T) {
 	var pairs []decompose.Pair[int64, int64]
 	for i := int64(0); i < 400; i++ {
 		pairs = append(pairs, KV(i%23, i))
 	}
-	newCtx := func(disable bool) *Context {
+	newCtx := func(mode Mode) *Context {
 		ctx := New(Config{
-			NumExecutors:         4,
-			Parallelism:          2,
-			Mode:                 ModeDeca,
-			PageSize:             4096,
-			SpillDir:             t.TempDir(),
-			DisableZeroCopyMerge: disable,
+			NumExecutors: 4,
+			Parallelism:  2,
+			Mode:         mode,
+			PageSize:     4096,
+			SpillDir:     t.TempDir(),
 		})
 		t.Cleanup(ctx.Close)
 		return ctx
 	}
 
 	// ReduceByKey.
-	red := func(disable bool) map[int64]int64 {
-		got, err := CollectMap(ReduceByKey(Parallelize(newCtx(disable), pairs, 8), int64Ops(4),
+	red := func(mode Mode) map[int64]int64 {
+		got, err := CollectMap(ReduceByKey(Parallelize(newCtx(mode), pairs, 8), int64Ops(4),
 			func(a, b int64) int64 { return a + b }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
-	if !reflect.DeepEqual(red(false), red(true)) {
+	if !reflect.DeepEqual(red(ModeDeca), red(ModeSpark)) {
 		t.Error("ReduceByKey: zero-copy merge changes the answer")
 	}
 
 	// GroupByKey (value lists compared as sorted multisets).
-	grp := func(disable bool) map[int64][]int64 {
-		got, err := CollectMap(GroupByKey(Parallelize(newCtx(disable), pairs, 8), int64Ops(4)))
+	grp := func(mode Mode) map[int64][]int64 {
+		got, err := CollectMap(GroupByKey(Parallelize(newCtx(mode), pairs, 8), int64Ops(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +131,13 @@ func TestZeroCopyMergeEquivalence(t *testing.T) {
 		}
 		return got
 	}
-	if !reflect.DeepEqual(grp(false), grp(true)) {
+	if !reflect.DeepEqual(grp(ModeDeca), grp(ModeSpark)) {
 		t.Error("GroupByKey: zero-copy merge changes the answer")
 	}
 
 	// SortByKey: key sequences must match exactly.
-	srt := func(disable bool) []int64 {
-		got, err := Collect(SortByKey(Parallelize(newCtx(disable), pairs, 8), int64Ops(4)))
+	srt := func(mode Mode) []int64 {
+		got, err := Collect(SortByKey(Parallelize(newCtx(mode), pairs, 8), int64Ops(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +147,7 @@ func TestZeroCopyMergeEquivalence(t *testing.T) {
 		}
 		return keys
 	}
-	if !reflect.DeepEqual(srt(false), srt(true)) {
+	if !reflect.DeepEqual(srt(ModeDeca), srt(ModeSpark)) {
 		t.Error("SortByKey: zero-copy merge changes the key order")
 	}
 }

@@ -293,10 +293,10 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 			continue
 		}
 		// A frame the fetch worker staged folds straight into the merged
-		// buffer (Fold consumes it, error or not). Anything else opens as
-		// a container — a legacy wire payload decodes into this
-		// executor's memory manager, a pointer payload casts straight
-		// back — which is this task's to release, merge error or not.
+		// buffer (Fold consumes it, error or not). Anything else is a
+		// container — decoded on this executor by the fetch worker, or
+		// handed over by pointer — which is this task's to release, merge
+		// error or not.
 		var spilled int64
 		if st, ok := res.pl.Data.(*shuffle.Staged); ok {
 			spilled = st.SpilledBytes()
@@ -307,7 +307,7 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 				err = fmt.Errorf("engine: merge buffer %T cannot fold a staged frame", merged)
 			}
 		} else {
-			buf, oerr := codec.open(res.pl, ex)
+			buf, oerr := codec.open(res.pl)
 			if oerr != nil {
 				fp.merged(res.pl)
 				return zero, oerr
@@ -476,6 +476,9 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 			})
 		if err == nil {
 			ctx.endStage(redKey, ctl.VerdictOK, nil)
+			if ctx.testAfterReduceVerdict != nil {
+				ctx.testAfterReduceVerdict(dsID, epoch)
+			}
 			// Stage commit: the consuming stage settled, so every map
 			// output's lifetime ends cluster-wide.
 			ctx.commitShuffleOutputs(shufID, M, R)
@@ -665,8 +668,7 @@ func ReduceByKey[K comparable, V any](
 
 	// Deca map outputs reach the reduce task as staged frames and fold in
 	// by page adoption (shuffleReduceBody); what arrives as a container —
-	// the object path and the DisableZeroCopyMerge baseline — drains and
-	// re-inserts records.
+	// the object path — drains and re-inserts records.
 	mergeBufs := func(dst, src aggSink[K, V]) error {
 		return src.Drain(func(k K, v V) bool {
 			dst.Put(k, v)
@@ -769,7 +771,7 @@ func SortByKey[K comparable, V any](
 	R := ops.partitions(d.parts)
 
 	newBuf := func(ex *Executor) sortSink[K, V] {
-		if ctx.Mode() == ModeDeca && ops.KeyCodec != nil && ops.ValCodec != nil {
+		if ops.decaGroupAble(ctx) { // sort buffers need only codecs, as grouping ones
 			return shuffle.NewDecaSort(ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
 		}
 		return shuffle.NewObjectSort(ops.Key.Less, shuffle.ObjectSortConfig[K, V]{

@@ -194,6 +194,9 @@ func (m *Manager) putPages(pages [][]byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range pages {
+		if cap(p) == 0 {
+			continue // a restored empty page never came from the pool
+		}
 		m.inUse -= int64(cap(p))
 		m.released++
 		switch {

@@ -120,7 +120,13 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d: implausible length %d", i, plen)
 		}
-		page := m.getPage(int(plen))[:plen]
+		// An empty page announces no bytes, so it takes no pool page — a
+		// frame's page headers must not cost the manager more than they
+		// announce — but it keeps its index slot: later pages' Ptrs count it.
+		var page []byte
+		if plen > 0 {
+			page = m.getPage(int(plen))[:plen]
+		}
 		// Append the page directly — Alloc would pack small source pages
 		// together and break the Ptr address space.
 		g.pages = append(g.pages, page)

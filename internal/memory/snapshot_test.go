@@ -2,6 +2,7 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -83,6 +84,54 @@ func TestSnapshotEmptyGroup(t *testing.T) {
 		t.Errorf("restored empty group has %d pages / %d bytes", r.NumPages(), r.Len())
 	}
 	r.Release()
+}
+
+// TestRestoreEmptyPagesTakeNoPoolPages: a page header costs the manager
+// no more bytes than it announces. Snapshot can emit an empty page (a
+// zero-byte Alloc opens one), so RestoreGroup must keep its index slot —
+// later pages' Ptrs count it — but a frame of nothing but empty-page
+// headers, one byte each, must not turn into a pool page apiece.
+func TestRestoreEmptyPagesTakeNoPoolPages(t *testing.T) {
+	src := NewManager(64, 0)
+	g := src.NewGroup()
+	g.Alloc(0) // opens page 0; the payload does not fit it, so it stays empty
+	payload := bytes.Repeat([]byte{7}, 100)
+	ptr := g.Append(payload)
+	if ptr.Page != 1 {
+		t.Fatalf("setup: payload landed on page %d, want 1 (after the empty page)", ptr.Page)
+	}
+	var buf bytes.Buffer
+	if _, err := g.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g.Release()
+
+	dst := NewManager(64, 0)
+	r, err := dst.RestoreGroup(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumPages() != 2 || !bytes.Equal(r.Bytes(ptr, len(payload)), payload) {
+		t.Errorf("restored group has %d pages; the source's Ptr no longer addresses its bytes", r.NumPages())
+	}
+	if in := dst.InUse(); in != int64(len(payload)) {
+		t.Errorf("restore charges %d bytes for one %d-byte page and one empty one", in, len(payload))
+	}
+	r.Release()
+
+	// The hostile form: 100k page headers announcing zero bytes each.
+	hostile := append(binary.AppendUvarint(nil, 100_000), make([]byte, 100_000)...)
+	r, err = dst.RestoreGroup(bytes.NewReader(hostile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, fp := dst.InUse(), r.Footprint(); in != 0 || fp != 0 {
+		t.Errorf("100k empty pages charge %d manager bytes (footprint %d), want 0", in, fp)
+	}
+	r.Release()
+	if st := dst.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 || st.PagesAllocated+st.PagesReused != st.PagesReleased {
+		t.Errorf("manager not settled after releases: %+v", st)
+	}
 }
 
 func TestRestoreGroupTruncatedAndCorrupt(t *testing.T) {

@@ -1,0 +1,87 @@
+package shuffle
+
+import (
+	"bytes"
+	"encoding/hex"
+	"io"
+	"testing"
+
+	"deca/internal/memory"
+)
+
+// goldenFrames pins the Deca wire format byte for byte. The frames were
+// written by the buffered EncodeWire that EncodeSegments replaced — the
+// independent reference the two-writer equivalence tests used to compare
+// against. Each container holds a single key, so map iteration cannot
+// reorder its table, and carries one spill run; the group and sort frames
+// span two 32-byte pages (an aggregation buffer keeps one value per key,
+// so a single-key DecaAgg has exactly one page).
+var goldenFrames = map[string]string{
+	"agg": "0101080700000000000000000000000000000001080200000000000000011007000000000000002800000000000000",
+	"group": "0301080700000000000000050000000000000000000000000800000000000000100000000000000018000000010000000000000002" +
+		"20000000000000000001000000000000000200000000000000030000000000000008040000000000000001" +
+		"200700000000000000640000000000000007000000000000006500000000000000",
+	"sort": "0503000000000000000000000000100000000100000000000000" +
+		"022007000000000000000000000000000000070000000000000001000000000000001007000000000000000200000000000000" +
+		"01200700000000000000090000000000000007000000000000000900000000000000",
+}
+
+type wireBuffer interface {
+	EncodeWire(io.Writer) error
+	Release()
+}
+
+func TestGoldenDecaFrames(t *testing.T) {
+	dir := t.TempDir()
+	build := map[string]func(mem *memory.Manager) wireBuffer{
+		"agg": func(mem *memory.Manager) wireBuffer {
+			b, err := NewDecaAgg[int64, int64](mem, addI, i64, i64, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Put(7, 40)
+			if err := b.Spill(); err != nil {
+				t.Fatal(err)
+			}
+			b.Put(7, 2)
+			return b
+		},
+		"group": func(mem *memory.Manager) wireBuffer {
+			b := NewDecaGroup[int64, int64](mem, i64, i64, dir)
+			b.Put(7, 100)
+			b.Put(7, 101)
+			if err := b.Spill(); err != nil {
+				t.Fatal(err)
+			}
+			for v := int64(0); v < 5; v++ { // 40 bytes: two 32-byte pages
+				b.Put(7, v)
+			}
+			return b
+		},
+		"sort": func(mem *memory.Manager) wireBuffer {
+			b := NewDecaSort[int64, int64](mem, lessI, i64, i64, dir)
+			b.Put(7, 9) // identical records: the run's bytes do not depend on sort stability
+			b.Put(7, 9)
+			if err := b.Spill(); err != nil {
+				t.Fatal(err)
+			}
+			for v := int64(0); v < 3; v++ { // 48 bytes: two 32-byte pages
+				b.Put(7, v)
+			}
+			return b
+		},
+	}
+	for name, want := range goldenFrames {
+		mem := memory.NewManager(32, 0)
+		b := build[name](mem)
+		var frame bytes.Buffer
+		if err := b.EncodeWire(&frame); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		if got := hex.EncodeToString(frame.Bytes()); got != want {
+			t.Errorf("%s frame changed:\n got %s\nwant %s", name, got, want)
+		}
+		assertClean(t, mem, dir, name)
+	}
+}

@@ -3,27 +3,53 @@ package shuffle
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 
 	"deca/internal/memory"
 	"deca/internal/transport"
 )
 
-// Vectored wire encoders: each EncodeSegments builds the exact byte
-// frame its EncodeWire writes, decomposed into transport.FrameSegments —
-// headers and key/pointer tables staged into the frame's scratch chunks,
-// page snapshots referenced in place from the retained page group, spill
-// runs referenced as opened files. The serve path ships the segments
-// with writev/sendfile instead of staging the frame, and the decode side
-// is unchanged: the concatenated segments are indistinguishable from an
-// EncodeWire frame.
+// The Deca frame writers: each EncodeSegments builds its container's wire
+// frame as transport.FrameSegments — headers and key/pointer tables
+// staged into the frame's scratch chunks, page snapshots referenced in
+// place from the retained page group, spill runs referenced as opened
+// files — and EncodeWire is those same segments flushed through a writer,
+// so there is one definition of the frame's bytes. The serve path ships
+// the segments with writev/sendfile instead of staging the frame.
+//
+// A frame is kind byte | uvarint n | key/pointer table (layouts in
+// stage.go) | memory.Group.Snapshot | spill section (run count, then per
+// run a uvarint size and the raw file bytes). A pointer is two fixed
+// little-endian uint32s, bulk-copyable on both ends; value bytes never
+// leave their pages.
 //
 // Ownership: EncodeSegments retains the buffer's page group and opens
 // its spill files; both hand their release to the returned
 // FrameSegments, whose Release the caller must invoke exactly once after
 // the last segment byte is consumed. The buffer must stay registered
-// (unmutated) while any of its frames is in flight — the same contract
-// Encode already imposes.
+// (unmutated) while any of its frames is in flight.
+
+// writeSegments is every Deca EncodeWire: build the frame, flush its
+// segments through w, release it.
+func writeSegments(w io.Writer, encode func() (*transport.FrameSegments, error)) error {
+	fs, err := encode()
+	if err != nil {
+		return err
+	}
+	defer fs.Release()
+	_, err = fs.WriteTo(w)
+	return err
+}
+
+// EncodeWire writes the buffer's wire frame to w.
+func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
+
+// EncodeWire writes the buffer's wire frame to w.
+func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
+
+// EncodeWire writes the buffer's wire frame to w.
+func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
 
 // stageUvarint stages v at the frame's current position.
 func stageUvarint(fs *transport.FrameSegments, v uint64) {
@@ -38,9 +64,9 @@ func appendGroupSegments(fs *transport.FrameSegments, g *memory.Group) {
 	g.SnapshotSegments(fs.Stage, fs.AppendPage)
 }
 
-// appendSpillSegments appends the encodeSpills section: run count, then
-// per run a staged uvarint size and the run's file contents served from
-// an opened descriptor (the sendfile path). On error the frame is NOT
+// appendSpillSegments appends the spill section: run count, then per run
+// a staged uvarint size and the run's file contents served from an opened
+// descriptor (the sendfile path). On error the frame is NOT
 // released — the caller's cleanup handles it — but no file stays open
 // beyond the ones already appended (owned by fs).
 func appendSpillSegments(fs *transport.FrameSegments, spills []spillFile) error {
@@ -56,7 +82,7 @@ func appendSpillSegments(fs *transport.FrameSegments, spills []spillFile) error 
 	return nil
 }
 
-// EncodeSegments is EncodeWire decomposed for the vectored serve path.
+// EncodeSegments builds the DecaAgg frame.
 func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	if b.keyCodec == nil {
 		return nil, fmt.Errorf("shuffle: DecaAgg has no key codec; cannot encode")
@@ -87,7 +113,8 @@ func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	return fs, nil
 }
 
-// EncodeSegments is EncodeWire decomposed for the vectored serve path.
+// EncodeSegments builds the DecaGroup frame; within-key value order is
+// preserved by the pointer arrays.
 func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	if b.keyCodec == nil {
 		return nil, fmt.Errorf("shuffle: DecaGroup has no key codec; cannot encode")
@@ -118,7 +145,9 @@ func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	return fs, nil
 }
 
-// EncodeSegments is EncodeWire decomposed for the vectored serve path.
+// EncodeSegments builds the DecaSort frame: the leanest one — no key
+// table at all, the records ship as pages and the ordering state as
+// pointers.
 func (b *DecaSort[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	fs := transport.NewFrameSegments()
 	fs.Owner(b.group.Retain().Release)

@@ -26,16 +26,15 @@ import (
 //	DecaGroup  n × [uvarint klen | key | uvarint m | m × ptr]
 //	DecaSort   n × ptr
 
-// kindName names a Deca frame kind in error text.
-func kindName(kind byte) string {
-	switch kind {
-	case wireDecaAgg:
-		return "DecaAgg"
-	case wireDecaGroup:
-		return "DecaGroup"
-	}
-	return "DecaSort"
+// kindNames names the frame kinds in error text.
+var kindNames = [...]string{
+	wireDecaAgg: "DecaAgg", wireObjectAgg: "ObjectAgg",
+	wireDecaGroup: "DecaGroup", wireObjectGroup: "ObjectGroup",
+	wireDecaSort: "DecaSort", wireObjectSort: "ObjectSort",
 }
+
+// kindName names one of the frame kind constants.
+func kindName(kind byte) string { return kindNames[kind] }
 
 // Staged is one Deca frame staged for folding. It owns the restored page
 // group and spill runs until a Fold takes them over or Release ends
@@ -88,7 +87,7 @@ func StageDecaSort(r WireReader, mem *memory.Manager, spillDir string) (*Staged,
 
 func stageFrame(r WireReader, mem *memory.Manager, kind byte, keySize int, spillDir string) (*Staged, error) {
 	name := kindName(kind)
-	if err := readKind(r, kind, name); err != nil {
+	if err := readKind(r, kind); err != nil {
 		return nil, err
 	}
 	n, err := readCount(r, name)

@@ -287,6 +287,33 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 	return out
 }
 
+// TestStageEmptyPageHeaders: a frame whose page section is nothing but
+// empty-page headers — one byte each on the wire — stages without taking
+// a pool page apiece (memory.RestoreGroup), and its truncation errors
+// like any other.
+func TestStageEmptyPageHeaders(t *testing.T) {
+	const pages = 100_000
+	frame := []byte{wireDecaSort, 0}                // no records
+	frame = binary.AppendUvarint(frame, pages)      // page count
+	frame = append(frame, make([]byte, pages+1)...) // pages × length 0, then 0 spill runs
+	mem := memory.NewManager(4096, 0)
+	dir := t.TempDir()
+	st, err := StageDecaSort(bytes.NewReader(frame), mem, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := mem.InUse(); in != 0 {
+		t.Errorf("%d empty page headers hold %d manager bytes while staged, want 0", pages, in)
+	}
+	if err := foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st); err != nil {
+		t.Error(err)
+	}
+	if _, err := StageDecaSort(bytes.NewReader(frame[:len(frame)/2]), mem, dir); err == nil {
+		t.Error("truncated page section staged without error")
+	}
+	assertClean(t, mem, dir, "empty page headers")
+}
+
 // TestStageHostileFrames: a corrupt table is an error at stage or at fold,
 // never a panic, an out-of-bounds page access later, or a leak.
 func TestStageHostileFrames(t *testing.T) {
@@ -317,12 +344,9 @@ func FuzzStageDecaFrames(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		// RestoreGroup takes a whole pool page per page header, however
-		// short the page: small pages and bounded inputs keep a mutated
-		// page count from turning each input into gigabytes.
-		if len(frame) > 64<<10 {
-			t.Skip()
-		}
+		// RestoreGroup takes one pool page per non-empty page header,
+		// however short the page (an empty one takes none): small pages
+		// keep a mutated page count from amplifying an input beyond 32×.
 		mem := memory.NewManager(64, 0)
 		dir := t.TempDir()
 		for _, c := range frameCases {

@@ -9,6 +9,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/serial"
 )
 
 // Wire codecs: every shuffle buffer has a self-describing byte frame so a
@@ -17,10 +18,11 @@ import (
 //
 //   - Deca containers encode as header + key/pointer table + a page
 //     snapshot (memory.Group.Snapshot): the record bytes are already in
-//     wire format, so encoding is a handful of bulk copies and decoding
-//     restores pages into the destination executor's manager with the
-//     pointers valid as-is (page boundaries survive the frame, so the
-//     rebase is the identity).
+//     wire format, so the frame is built as segments that reference the
+//     pages in place (segments.go; EncodeWire is those segments flushed
+//     through a writer) and decoding restores pages into the destination
+//     executor's manager with the pointers valid as-is (page boundaries
+//     survive the frame, so the rebase is the identity).
 //   - Object containers round-trip through internal/serial, record by
 //     record: decode materializes fresh objects, re-creating the
 //     allocation and GC cost Kryo/SparkSer pays on every remote fetch.
@@ -57,9 +59,10 @@ const maxWireCount = 1 << 31
 //
 
 // wireEncoder wraps a writer with varint and length-prefix helpers plus a
-// reusable staging buffer for key/record bytes. All output is buffered
-// (small table entries coalesce into few large writes; page-sized bulk
-// writes pass through) — the caller must flush.
+// reusable staging buffer for record bytes — the Object containers'
+// record-by-record frame writer. All output is buffered (small records
+// coalesce into few large writes; spill runs pass through) — the caller
+// must flush.
 type wireEncoder struct {
 	w       *bufio.Writer
 	scratch []byte
@@ -86,12 +89,6 @@ func (e *wireEncoder) uvarint(v uint64) error {
 	return e.raw(e.hdr[:binary.PutUvarint(e.hdr[:], v)])
 }
 
-// stage returns the encoder's scratch resized to n bytes.
-func (e *wireEncoder) stage(n int) []byte {
-	e.scratch = slices.Grow(e.scratch[:0], n)[:n]
-	return e.scratch
-}
-
 // lenBytes writes b with a uvarint length prefix.
 func (e *wireEncoder) lenBytes(b []byte) error {
 	if err := e.uvarint(uint64(len(b))); err != nil {
@@ -100,37 +97,12 @@ func (e *wireEncoder) lenBytes(b []byte) error {
 	return e.raw(b)
 }
 
-// ptr writes a pointer as two fixed little-endian uint32s: bulk-copyable
-// on both ends, which keeps the Deca frames' per-record cost at a memcpy.
-func (e *wireEncoder) ptr(p memory.Ptr) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(p.Page))
-	binary.LittleEndian.PutUint32(b[4:], uint32(p.Off))
-	return e.raw(b[:])
-}
-
-// ptrChunk is how many pointers a bulk write (ptrs, stagePtrs) or bulk
-// read (tableReader.readPtrs) moves per call.
+// ptrChunk is how many pointers a bulk stage (stagePtrs) or bulk read
+// (tableReader.readPtrs) moves per call.
 const ptrChunk = 1024
 
-// ptrs writes a pointer array in chunked bulk writes.
-func (e *wireEncoder) ptrs(ps []memory.Ptr) error {
-	buf := e.stage(8 * min(len(ps), ptrChunk))
-	for len(ps) > 0 {
-		n := min(len(ps), ptrChunk)
-		for i, p := range ps[:n] {
-			binary.LittleEndian.PutUint32(buf[8*i:], uint32(p.Page))
-			binary.LittleEndian.PutUint32(buf[8*i+4:], uint32(p.Off))
-		}
-		if err := e.raw(buf[:8*n]); err != nil {
-			return err
-		}
-		ps = ps[n:]
-	}
-	return nil
-}
-
-func readKind(r WireReader, want byte, name string) error {
+func readKind(r WireReader, want byte) error {
+	name := kindName(want)
 	got, err := r.ReadByte()
 	if err != nil {
 		return fmt.Errorf("shuffle: %s frame kind: %w", name, err)
@@ -218,67 +190,184 @@ func decodeSpills(r WireReader, dir string) ([]spillFile, int64, error) {
 }
 
 //
-// DecaAgg.
+// Object containers: one record-frame writer and one reader.
 //
 
-// EncodeWire writes the buffer's wire frame: kind, key table (key bytes +
-// value pointer per key), page snapshot, spill runs. Value bytes never
-// leave their pages until the snapshot's bulk copy.
-func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error {
-	if b.keyCodec == nil {
-		return fmt.Errorf("shuffle: DecaAgg has no key codec; cannot encode")
+// encodeRecords writes an Object container's frame — kind, record count,
+// every in-memory record as one length-prefixed Marshal(key)+Marshal(value)
+// through the Kryo-style serializers (the per-record encode cost Deca's
+// page snapshot avoids), then the spill runs. records calls emit once per
+// record, n times in all.
+func encodeRecords[K comparable, V any](
+	w io.Writer, kind byte, n int,
+	keySer serial.Serializer[K], valSer serial.Serializer[V],
+	records func(emit func(K, V) error) error,
+	spills []spillFile,
+) error {
+	if keySer == nil || valSer == nil {
+		return fmt.Errorf("shuffle: %s has no serializers; cannot encode", kindName(kind))
 	}
 	e := newWireEncoder(w)
-	if err := e.byte(wireDecaAgg); err != nil {
+	if err := e.byte(kind); err != nil {
 		return err
 	}
-	if err := e.uvarint(uint64(len(b.slots))); err != nil {
+	if err := e.uvarint(uint64(n)); err != nil {
 		return err
 	}
-	// The key table is the only per-record section of the frame; entries
-	// (len-prefixed key bytes + fixed 8-byte pointer) accumulate in a
-	// chunk and flush in ~8 KiB writes, so the per-key cost stays at a
-	// few appends rather than several writer calls. This deliberately
-	// bypasses the lenBytes/ptr helpers DecaGroup's (much shorter) key
-	// section uses: the wire experiment measures the helper form at
-	// roughly half this encode throughput, and the agg key table is the
-	// container's entire per-record cost.
-	chunk := e.stage(0)
-	for k, ptr := range b.slots {
-		n := b.keyCodec.Size(k)
-		chunk = binary.AppendUvarint(chunk, uint64(n))
-		chunk = slices.Grow(chunk, n+8)
-		b.keyCodec.Encode(chunk[len(chunk):len(chunk)+n], k)
-		chunk = chunk[:len(chunk)+n]
-		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(ptr.Page))
-		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(ptr.Off))
-		if len(chunk) >= 8<<10 {
-			if err := e.raw(chunk); err != nil {
-				return err
-			}
-			chunk = chunk[:0]
-		}
-	}
-	if err := e.raw(chunk); err != nil {
+	err := records(func(k K, v V) error {
+		e.scratch = valSer.Marshal(keySer.Marshal(e.scratch[:0], k), v)
+		return e.lenBytes(e.scratch)
+	})
+	if err != nil {
 		return err
 	}
-	e.scratch = chunk[:0]
-	if _, err := b.group.Snapshot(e.w); err != nil {
-		return err
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
+	if err := encodeSpills(e, spills); err != nil {
 		return err
 	}
 	return e.flush()
 }
 
+// decodeRecords reads an encodeRecords frame inside the destination
+// executor: every record deserializes into fresh objects handed to put
+// (the §6.5 deserialization cost) and the spill runs land in spillDir,
+// returned with their total size.
+func decodeRecords[K comparable, V any](
+	r WireReader, kind byte,
+	keySer serial.Serializer[K], valSer serial.Serializer[V], spillDir string,
+	put func(K, V),
+) ([]spillFile, int64, error) {
+	name := kindName(kind)
+	if err := readKind(r, kind); err != nil {
+		return nil, 0, err
+	}
+	if keySer == nil || valSer == nil {
+		return nil, 0, fmt.Errorf("shuffle: %s decode needs serializers", name)
+	}
+	recName := name + " record"
+	n, err := readCount(r, recName)
+	if err != nil {
+		return nil, 0, err
+	}
+	var buf []byte
+	for i := 0; i < n; i++ {
+		if buf, err = readLenBytes(r, buf, recName); err != nil {
+			return nil, 0, err
+		}
+		k, kn := keySer.Unmarshal(buf)
+		if kn <= 0 {
+			return nil, 0, fmt.Errorf("shuffle: %s %d: corrupt key", recName, i)
+		}
+		v, vn := valSer.Unmarshal(buf[kn:])
+		if vn <= 0 {
+			return nil, 0, fmt.Errorf("shuffle: %s %d: corrupt value", recName, i)
+		}
+		put(k, v)
+	}
+	return decodeSpills(r, spillDir)
+}
+
+// EncodeWire serializes the table record by record.
+func (b *ObjectAgg[K, V]) EncodeWire(w io.Writer) error {
+	return encodeRecords(w, wireObjectAgg, len(b.table), b.keySer, b.valSer,
+		func(emit func(K, V) error) error {
+			for k, v := range b.table {
+				if err := emit(k, *v); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, b.spills)
+}
+
+// DecodeObjectAgg rebuilds an object aggregation buffer from its frame.
+func DecodeObjectAgg[K comparable, V any](
+	r WireReader,
+	combine func(V, V) V,
+	cfg ObjectAggConfig[K, V],
+) (*ObjectAgg[K, V], error) {
+	b := NewObjectAgg(combine, cfg)
+	var err error
+	b.spills, b.spilled, err = decodeRecords(r, wireObjectAgg, cfg.KeySer, cfg.ValSer, cfg.SpillDir, b.Put)
+	if err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b, nil
+}
+
+// EncodeWire serializes every (key, value) pair flat, in list order per
+// key; decode regroups them with within-key order preserved.
+func (b *ObjectGroup[K, V]) EncodeWire(w io.Writer) error {
+	return encodeRecords(w, wireObjectGroup, b.count, b.keySer, b.valSer,
+		func(emit func(K, V) error) error {
+			for k, vs := range b.table {
+				for _, v := range vs {
+					if err := emit(k, *v); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}, b.spills)
+}
+
+// DecodeObjectGroup rebuilds a grouping buffer, boxing every value afresh.
+func DecodeObjectGroup[K comparable, V any](
+	r WireReader,
+	cfg ObjectGroupConfig[K, V],
+) (*ObjectGroup[K, V], error) {
+	b := NewObjectGroup(cfg)
+	var err error
+	b.spills, b.spilled, err = decodeRecords(r, wireObjectGroup, cfg.KeySer, cfg.ValSer, cfg.SpillDir, b.Put)
+	if err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b, nil
+}
+
+// EncodeWire serializes the in-memory records in insertion order, then
+// streams the sorted spill runs.
+func (b *ObjectSort[K, V]) EncodeWire(w io.Writer) error {
+	return encodeRecords(w, wireObjectSort, len(b.records), b.keySer, b.valSer,
+		func(emit func(K, V) error) error {
+			for _, rec := range b.records {
+				if err := emit(rec.Key, rec.Value); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, b.spills)
+}
+
+// DecodeObjectSort rebuilds an object sort buffer, materializing every
+// record object afresh.
+func DecodeObjectSort[K comparable, V any](
+	r WireReader,
+	less func(a, b K) bool,
+	cfg ObjectSortConfig[K, V],
+) (*ObjectSort[K, V], error) {
+	b := NewObjectSort(less, cfg)
+	var err error
+	b.spills, b.spilled, err = decodeRecords(r, wireObjectSort, cfg.KeySer, cfg.ValSer, cfg.SpillDir, b.Put)
+	if err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b, nil
+}
+
+//
+// Deca containers: EncodeWire is EncodeSegments flushed through a writer
+// (segments.go); decode is stage + fold into a fresh buffer — the reduce
+// path folds staged frames into its one merged buffer instead. The
+// construction parameters must match the encoding side's (the engine
+// derives both from one PairOps).
+//
+
 // DecodeDecaAgg rebuilds an aggregation buffer from its wire frame inside
 // the destination executor: pages restore into mem, spill runs land in
 // spillDir, and the rebuilt slots point at the restored pages directly.
-// It is stage + fold into a fresh buffer — the reduce path folds staged
-// frames into its one merged buffer instead. The construction parameters
-// must match the encoding side's (the engine derives both from one
-// PairOps).
 func DecodeDecaAgg[K comparable, V any](
 	r WireReader,
 	mem *memory.Manager,
@@ -302,126 +391,7 @@ func DecodeDecaAgg[K comparable, V any](
 	return b, nil
 }
 
-//
-// ObjectAgg.
-//
-
-// EncodeWire serializes the table record by record through the Kryo-style
-// serializers — the per-record encode cost Deca's page snapshot avoids.
-func (b *ObjectAgg[K, V]) EncodeWire(w io.Writer) error {
-	if b.keySer == nil || b.valSer == nil {
-		return fmt.Errorf("shuffle: ObjectAgg has no serializers; cannot encode")
-	}
-	e := newWireEncoder(w)
-	if err := e.byte(wireObjectAgg); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.table))); err != nil {
-		return err
-	}
-	for k, v := range b.table {
-		rec := b.keySer.Marshal(e.stage(0), k)
-		rec = b.valSer.Marshal(rec, *v)
-		e.scratch = rec[:0]
-		if err := e.lenBytes(rec); err != nil {
-			return err
-		}
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
-// DecodeObjectAgg rebuilds an object aggregation buffer by deserializing
-// every record into fresh objects (the §6.5 deserialization cost).
-func DecodeObjectAgg[K comparable, V any](
-	r WireReader,
-	combine func(V, V) V,
-	cfg ObjectAggConfig[K, V],
-) (*ObjectAgg[K, V], error) {
-	if err := readKind(r, wireObjectAgg, "ObjectAgg"); err != nil {
-		return nil, err
-	}
-	if cfg.KeySer == nil || cfg.ValSer == nil {
-		return nil, fmt.Errorf("shuffle: ObjectAgg decode needs serializers")
-	}
-	b := NewObjectAgg(combine, cfg)
-	n, err := readCount(r, "ObjectAgg record")
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if buf, err = readLenBytes(r, buf, "ObjectAgg record"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		k, kn := cfg.KeySer.Unmarshal(buf)
-		if kn <= 0 {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: ObjectAgg record %d: corrupt key", i)
-		}
-		v, vn := cfg.ValSer.Unmarshal(buf[kn:])
-		if vn <= 0 {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: ObjectAgg record %d: corrupt value", i)
-		}
-		b.Put(k, v)
-	}
-	spills, total, err := decodeSpills(r, cfg.SpillDir)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.spills = spills
-	b.spilled = total
-	return b, nil
-}
-
-//
-// DecaGroup.
-//
-
-// EncodeWire writes kind, per-key pointer arrays, page snapshot, spills.
-// Value bytes move only in the snapshot's bulk copy; within-key value
-// order is preserved by the pointer arrays.
-func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error {
-	if b.keyCodec == nil {
-		return fmt.Errorf("shuffle: DecaGroup has no key codec; cannot encode")
-	}
-	e := newWireEncoder(w)
-	if err := e.byte(wireDecaGroup); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.slots))); err != nil {
-		return err
-	}
-	for k, ptrs := range b.slots {
-		key := e.stage(b.keyCodec.Size(k))
-		b.keyCodec.Encode(key, k)
-		if err := e.lenBytes(key); err != nil {
-			return err
-		}
-		if err := e.uvarint(uint64(len(ptrs))); err != nil {
-			return err
-		}
-		if err := e.ptrs(ptrs); err != nil {
-			return err
-		}
-	}
-	if _, err := b.group.Snapshot(e.w); err != nil {
-		return err
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
-// DecodeDecaGroup rebuilds a grouping buffer from its wire frame inside
-// the destination executor (stage + fold into a fresh buffer).
+// DecodeDecaGroup rebuilds a grouping buffer from its wire frame.
 func DecodeDecaGroup[K comparable, V any](
 	r WireReader,
 	mem *memory.Manager,
@@ -441,114 +411,7 @@ func DecodeDecaGroup[K comparable, V any](
 	return b, nil
 }
 
-//
-// ObjectGroup.
-//
-
-// EncodeWire serializes every (key, value) pair flat, in list order per
-// key; decode regroups them with within-key order preserved.
-func (b *ObjectGroup[K, V]) EncodeWire(w io.Writer) error {
-	if b.keySer == nil || b.valSer == nil {
-		return fmt.Errorf("shuffle: ObjectGroup has no serializers; cannot encode")
-	}
-	e := newWireEncoder(w)
-	if err := e.byte(wireObjectGroup); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(b.count)); err != nil {
-		return err
-	}
-	for k, vs := range b.table {
-		for _, v := range vs {
-			rec := b.keySer.Marshal(e.stage(0), k)
-			rec = b.valSer.Marshal(rec, *v)
-			e.scratch = rec[:0]
-			if err := e.lenBytes(rec); err != nil {
-				return err
-			}
-		}
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
-// DecodeObjectGroup rebuilds a grouping buffer, deserializing and boxing
-// every value afresh.
-func DecodeObjectGroup[K comparable, V any](
-	r WireReader,
-	cfg ObjectGroupConfig[K, V],
-) (*ObjectGroup[K, V], error) {
-	if err := readKind(r, wireObjectGroup, "ObjectGroup"); err != nil {
-		return nil, err
-	}
-	if cfg.KeySer == nil || cfg.ValSer == nil {
-		return nil, fmt.Errorf("shuffle: ObjectGroup decode needs serializers")
-	}
-	b := NewObjectGroup(cfg)
-	n, err := readCount(r, "ObjectGroup record")
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if buf, err = readLenBytes(r, buf, "ObjectGroup record"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		k, kn := cfg.KeySer.Unmarshal(buf)
-		if kn <= 0 {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: ObjectGroup record %d: corrupt key", i)
-		}
-		v, vn := cfg.ValSer.Unmarshal(buf[kn:])
-		if vn <= 0 {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: ObjectGroup record %d: corrupt value", i)
-		}
-		b.Put(k, v)
-	}
-	spills, total, err := decodeSpills(r, cfg.SpillDir)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.spills = spills
-	b.spilled = total
-	return b, nil
-}
-
-//
-// DecaSort.
-//
-
-// EncodeWire writes kind, the pointer array in insertion order, page
-// snapshot, spills: the leanest Deca frame — no key table at all, the
-// records ship as pages and the ordering state as pointers.
-func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error {
-	e := newWireEncoder(w)
-	if err := e.byte(wireDecaSort); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.ptrs))); err != nil {
-		return err
-	}
-	if err := e.ptrs(b.ptrs); err != nil {
-		return err
-	}
-	if _, err := b.group.Snapshot(e.w); err != nil {
-		return err
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
-// DecodeDecaSort rebuilds a sort buffer from its wire frame inside the
-// destination executor (stage + fold into a fresh buffer). Spill runs
+// DecodeDecaSort rebuilds a sort buffer from its wire frame. Spill runs
 // arrive already sorted and join the k-way merge untouched.
 func DecodeDecaSort[K comparable, V any](
 	r WireReader,
@@ -567,83 +430,5 @@ func DecodeDecaSort[K comparable, V any](
 		b.Release()
 		return nil, err
 	}
-	return b, nil
-}
-
-//
-// ObjectSort.
-//
-
-// EncodeWire serializes the in-memory records in insertion order, then
-// streams the sorted spill runs.
-func (b *ObjectSort[K, V]) EncodeWire(w io.Writer) error {
-	if b.keySer == nil || b.valSer == nil {
-		return fmt.Errorf("shuffle: ObjectSort has no serializers; cannot encode")
-	}
-	e := newWireEncoder(w)
-	if err := e.byte(wireObjectSort); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.records))); err != nil {
-		return err
-	}
-	for _, rec := range b.records {
-		buf := b.keySer.Marshal(e.stage(0), rec.Key)
-		buf = b.valSer.Marshal(buf, rec.Value)
-		e.scratch = buf[:0]
-		if err := e.lenBytes(buf); err != nil {
-			return err
-		}
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
-// DecodeObjectSort rebuilds an object sort buffer, materializing every
-// record object afresh.
-func DecodeObjectSort[K comparable, V any](
-	r WireReader,
-	less func(a, b K) bool,
-	cfg ObjectSortConfig[K, V],
-) (*ObjectSort[K, V], error) {
-	if err := readKind(r, wireObjectSort, "ObjectSort"); err != nil {
-		return nil, err
-	}
-	if cfg.KeySer == nil || cfg.ValSer == nil {
-		return nil, fmt.Errorf("shuffle: ObjectSort decode needs serializers")
-	}
-	b := NewObjectSort(less, cfg)
-	n, err := readCount(r, "ObjectSort record")
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if buf, err = readLenBytes(r, buf, "ObjectSort record"); err != nil {
-			b.Release()
-			return nil, err
-		}
-		k, kn := cfg.KeySer.Unmarshal(buf)
-		if kn <= 0 {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: ObjectSort record %d: corrupt key", i)
-		}
-		v, vn := cfg.ValSer.Unmarshal(buf[kn:])
-		if vn <= 0 {
-			b.Release()
-			return nil, fmt.Errorf("shuffle: ObjectSort record %d: corrupt value", i)
-		}
-		b.Put(k, v)
-	}
-	spills, total, err := decodeSpills(r, cfg.SpillDir)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	b.spills = spills
-	b.spilled = total
 	return b, nil
 }

@@ -162,99 +162,38 @@ func (s *DataServer) serve(conn net.Conn) {
 	}
 }
 
-// serveOne answers a single FETCH. Segment payloads take the vectored
-// path (staged headers flushed, then page buffers via one writev batch
-// and spill files via the kernel's sendfile path); other payloads stage
-// their frame into a pooled buffer. Returns false when the connection
-// should be dropped.
+// serveOne answers a single FETCH: status + length header through the
+// buffered writer, then — after a flush, so ordering holds on the raw
+// socket — the frame's segments (FrameSegments.WriteTo: page buffers in
+// one writev batch, spill files via the kernel's sendfile path). Returns
+// false when the connection should be dropped.
 func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) bool {
 	p, e, ok := s.store.beginServe(id)
 	if !ok {
 		return writeNotFound(bw)
 	}
-	if p.Segments != nil {
-		fs, err := p.Segments()
-		if err != nil {
-			s.store.endServe(e)
-			return writeNotFound(bw)
-		}
-		sent := s.writeSegments(conn, bw, fs)
-		if sent {
-			s.store.pagesZeroCopy.Add(int64(fs.Pages()))
-			s.store.bytesSendfile.Add(fs.FileBytes())
-			s.store.userCopyBytes.Add(fs.Staged())
-			s.rec.Record(obs.Event{
-				Kind: obs.KindServe, Exec: s.recExec,
-				Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), B: fs.Len(),
-			})
-		}
-		fs.Release()
-		s.store.endServe(e)
-		return sent
-	}
-
-	frame := s.store.getBuf()
-	var err error
-	if p.Encode != nil {
-		err = p.Encode(frame)
-	} else {
-		// No wire form: unservable remotely. The entry stays registered
-		// (an executor-local consumer could still take it); the fetcher
-		// sees NOTFOUND and recovers by lineage.
-		err = fmt.Errorf("transport: payload %v has no wire form", id)
-	}
-	s.store.endServe(e)
+	defer s.store.endServe(e)
+	fs, err := p.frame()
 	if err != nil {
-		s.store.putBuf(frame)
+		// Unencodable, or no wire form: unservable remotely. The entry
+		// stays registered (an executor-local consumer could still take
+		// it); the fetcher sees NOTFOUND and recovers by lineage.
 		return writeNotFound(bw)
 	}
-	ok = writeFrameHeader(bw, int64(frame.Len())) &&
-		writeAll(bw, frame.Bytes()) &&
-		bw.Flush() == nil
-	if ok {
-		s.store.userCopyBytes.Add(int64(frame.Len()))
-		s.rec.Record(obs.Event{
-			Kind: obs.KindServe, Exec: s.recExec,
-			Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), B: int64(frame.Len()),
-		})
-	}
-	s.store.putBuf(frame)
-	return ok
-}
-
-// writeSegments ships one segment frame: status + length header through
-// the buffered writer, then — after a flush, so ordering holds on the
-// raw socket — consecutive in-memory segments batched into single
-// net.Buffers writes (writev) and file segments via io.Copy from an
-// *os.File-backed LimitedReader, which *net.TCPConn turns into sendfile.
-func (s *DataServer) writeSegments(conn net.Conn, bw *bufio.Writer, fs *FrameSegments) bool {
+	defer fs.Release()
 	if !writeFrameHeader(bw, fs.Len()) || bw.Flush() != nil {
 		return false
 	}
-	var batch net.Buffers
-	flushBatch := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		_, err := batch.WriteTo(conn)
-		batch = batch[:0]
-		return err == nil
+	if _, err := fs.WriteTo(conn); err != nil {
+		return false
 	}
-	for _, seg := range fs.Segs() {
-		if seg.File == nil {
-			batch = append(batch, seg.Buf)
-			continue
-		}
-		if !flushBatch() {
-			return false
-		}
-		lr := &io.LimitedReader{R: seg.File, N: seg.Size}
-		n, err := io.Copy(conn, lr)
-		if err != nil || n != seg.Size {
-			return false
-		}
-	}
-	return flushBatch()
+	s.store.countServe(fs)
+	s.store.bytesSendfile.Add(fs.FileBytes())
+	s.rec.Record(obs.Event{
+		Kind: obs.KindServe, Exec: s.recExec,
+		Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), B: fs.Len(),
+	})
+	return true
 }
 
 func writeNotFound(bw *bufio.Writer) bool {
@@ -266,11 +205,7 @@ func writeFrameHeader(bw *bufio.Writer, n int64) bool {
 	if bw.WriteByte(statusOK) != nil {
 		return false
 	}
-	return writeAll(bw, hdr[:binary.PutUvarint(hdr[:], uint64(n))])
-}
-
-func writeAll(bw *bufio.Writer, b []byte) bool {
-	_, err := bw.Write(b)
+	_, err := bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(n))])
 	return err == nil
 }
 
@@ -520,7 +455,8 @@ func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOp
 	return dec, int64(n), true, nil
 }
 
-// wireOpen is the legacy opener: materialize the whole frame.
+// wireOpen is the opener a nil FrameOpen stands for: materialize the
+// whole frame as a Wire payload.
 func wireOpen(r FrameReader, size int64) (Decoded, error) {
 	frame := make([]byte, size)
 	if _, err := io.ReadFull(r, frame); err != nil {

@@ -2,19 +2,22 @@ package transport
 
 import (
 	"io"
+	"net"
 	"os"
 	"sync"
 )
 
-// This file is the vectored serve seam: a FrameSegments is a payload's
-// encoded wire frame decomposed into wire-order segments instead of one
-// staged byte buffer. Small metadata (kind bytes, key/pointer tables,
-// varint headers) is staged into chunked scratch memory owned by the
-// FrameSegments; raw container pages are referenced in place (served
+// This file is the one representation of an encoded wire frame: a
+// FrameSegments is the frame decomposed into wire-order segments instead
+// of one staged byte buffer. Small metadata (kind bytes, key/pointer
+// tables, varint headers) is staged into chunked scratch memory owned by
+// the FrameSegments; raw container pages are referenced in place (served
 // with one writev, never copied into user-space scratch); spill runs are
-// referenced as open files (served with sendfile). The concatenation of
-// the segments is byte-for-byte the frame the payload's Encode would
-// have written, so buffered and vectored consumers decode identically.
+// referenced as open files (served with sendfile). A payload that can
+// only write its frame (Payload.Encode) is normalised into the same form
+// by staging what it writes — a FrameSegments is an io.Writer — so every
+// serve, socket or executor-local, ships segments through WriteTo or
+// reads them back through a segmentsReader.
 //
 // Ownership rule: the producer (EncodeSegments and friends) pins every
 // resource a segment references — it retains the page group and opens
@@ -45,8 +48,8 @@ type Seg struct {
 }
 
 // FrameSegments is an encoded frame as an ordered segment list. Build
-// with Stage/AppendPage/AppendFile, register cleanup with Owner, serve
-// by iterating Segs, then Release exactly once.
+// with Stage/Write/AppendPage/AppendFile, register cleanup with Owner,
+// ship with WriteTo, then Release exactly once.
 type FrameSegments struct {
 	segs   []Seg
 	owners []func()
@@ -100,6 +103,13 @@ func (fs *FrameSegments) Stage(n int) []byte {
 	return b
 }
 
+// Write stages b at the frame's current position: the io.Writer an
+// Encode-only payload's frame is normalised through.
+func (fs *FrameSegments) Write(b []byte) (int, error) {
+	copy(fs.Stage(len(b)), b)
+	return len(b), nil
+}
+
 // AppendPage references p in place as the frame's next segment. The
 // producer must keep p's backing memory live until Release (retain the
 // owning group and hand its release to Owner).
@@ -128,8 +138,42 @@ func (fs *FrameSegments) Owner(release func()) {
 	fs.owners = append(fs.owners, release)
 }
 
-// Segs returns the wire-order segment list.
-func (fs *FrameSegments) Segs() []Seg { return fs.segs }
+// WriteTo ships the frame in wire order — the one loop behind every
+// socket serve and every EncodeWire. Consecutive byte segments go out as
+// one net.Buffers write (a single writev on a TCP conn, plain writes into
+// any other writer); file segments go through io.Copy from a
+// LimitedReader, which *net.TCPConn turns into sendfile.
+func (fs *FrameSegments) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	var batch net.Buffers
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		n, err := batch.WriteTo(w)
+		total += n
+		batch = batch[:0]
+		return err
+	}
+	for _, seg := range fs.segs {
+		if seg.File == nil {
+			batch = append(batch, seg.Buf)
+			continue
+		}
+		if err := flush(); err != nil {
+			return total, err
+		}
+		n, err := io.Copy(w, &io.LimitedReader{R: seg.File, N: seg.Size})
+		total += n
+		if err == nil && n != seg.Size {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, flush()
+}
 
 // Len is the frame's total length in bytes — what the consumer's frame
 // length header must announce.
@@ -151,10 +195,9 @@ func (fs *FrameSegments) Pages() int { return fs.pages }
 
 // Release ends the frame's lifetime: closes every file segment, runs the
 // producer's release hooks and recycles the scratch chunks — segments
-// obtained from Segs or Stage must not be read afterwards. Must be called
-// exactly once; a second
-// call panics (use-after-release of the referenced pages would corrupt
-// an in-flight serve).
+// obtained from Stage must not be read afterwards. Must be called exactly
+// once; a second call panics (use-after-release of the referenced pages
+// would corrupt an in-flight serve).
 func (fs *FrameSegments) Release() {
 	if fs.released {
 		panic("transport: FrameSegments released twice")
@@ -183,7 +226,7 @@ type segmentsReader struct {
 }
 
 func newSegmentsReader(fs *FrameSegments) *segmentsReader {
-	return &segmentsReader{segs: fs.Segs()}
+	return &segmentsReader{segs: fs.segs}
 }
 
 func (r *segmentsReader) Read(p []byte) (int, error) {

@@ -352,3 +352,68 @@ func TestFetchIntoStreamingDecode(t *testing.T) {
 		t.Fatalf("frames released %d of %d serves", sp.releases.Load(), sp.serves.Load())
 	}
 }
+
+// One serve path, two payload forms: an Encode-only payload (what Object
+// containers register) and a Segments payload of the same bytes fetch
+// identically over the socket and executor-locally, streamed through an
+// opener or materialized (open == nil) — and differ only in the copy
+// accounting: a staged frame is all user-space copy, a segment frame
+// copies just its headers, serves its pages in place and (over the socket)
+// its spill bytes through sendfile.
+func TestEncodeOnlyAndSegmentsPayloadsFetchIdentically(t *testing.T) {
+	sp := &segPayload{pages: makePages(3, 8192), spill: []byte("spill-run-bytes"), t: t}
+	frame := flatten(sp.pages, sp.spill)
+	headers := int64(len(frame) - 3*8192 - len(sp.spill))
+	forms := map[string]struct {
+		p     Payload
+		stats Stats // per fetch: socket, then local (which never sendfiles)
+	}{
+		"encode-only": {
+			Payload{Data: sp, Encode: func(w io.Writer) error { _, err := w.Write(frame); return err }},
+			Stats{UserspaceCopyBytes: int64(len(frame))},
+		},
+		"segments": {
+			Payload{Data: sp, Segments: sp.payload().Segments},
+			Stats{UserspaceCopyBytes: headers, PagesServedZeroCopy: 3, BytesSendfile: int64(len(sp.spill))},
+		},
+	}
+	stream := func(r FrameReader, size int64) (Decoded, error) {
+		b, err := io.ReadAll(r)
+		return Decoded{Data: Wire{Frame: b}, MemBytes: size}, err
+	}
+	for name, form := range forms {
+		for _, open := range []FrameOpen{nil, stream} {
+			tr := newTCPT(t, 2)
+			id := MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
+			form.p.SrcExecutor = 0
+			tr.Register(id, form.p)
+			want := Stats{Registered: 1}
+			for _, dst := range []int{1, 0} { // over the socket, then local
+				p, ok, err := tr.Fetch(id, dst, open)
+				if err != nil || !ok {
+					t.Fatalf("%s: fetch to executor %d (open=%v): ok=%v err=%v", name, dst, open != nil, ok, err)
+				}
+				if w, isWire := p.Data.(Wire); !isWire || !bytes.Equal(w.Frame, frame) || p.Bytes != int64(len(frame)) {
+					t.Errorf("%s: fetch to executor %d (open=%v) returned a different frame (%d bytes)", name, dst, open != nil, p.Bytes)
+				}
+				want.UserspaceCopyBytes += form.stats.UserspaceCopyBytes
+				want.PagesServedZeroCopy += form.stats.PagesServedZeroCopy
+				if dst == 1 {
+					want.RemoteFetches, want.RemoteBytes = 1, p.Bytes
+					want.BytesSendfile = form.stats.BytesSendfile
+				} else {
+					want.LocalFetches, want.LocalBytes = 1, p.Bytes
+				}
+			}
+			// The verdict waits out the socket serve, whose goroutine books
+			// its counters after the fetcher already holds the last byte.
+			tr.Commit([]MapOutputID{id})
+			if got := tr.Stats(); got != want {
+				t.Errorf("%s (open=%v): stats %+v, want %+v", name, open != nil, got, want)
+			}
+		}
+	}
+	if sp.releases.Load() != sp.serves.Load() {
+		t.Errorf("frames released %d of %d serves", sp.releases.Load(), sp.serves.Load())
+	}
+}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,27 +35,15 @@ type outputStore struct {
 	pagesZeroCopy atomic.Int64
 	bytesSendfile atomic.Int64
 	userCopyBytes atomic.Int64
-
-	// bufPool recycles fallback staging buffers across serves (and across
-	// connections, for the networked server) instead of growing one per
-	// connection and discarding large frames per request.
-	bufPool sync.Pool
 }
 
-// getBuf takes a staging buffer from the serve pool.
-func (s *outputStore) getBuf() *bytes.Buffer {
-	if b, ok := s.bufPool.Get().(*bytes.Buffer); ok {
-		b.Reset()
-		return b
-	}
-	return new(bytes.Buffer)
-}
-
-// putBuf returns a staging buffer to the pool. Buffers of any size are
-// pooled — the GC reclaims idle pool entries, so a huge frame's buffer
-// is reused by the next huge frame instead of thrown away per request.
-func (s *outputStore) putBuf(b *bytes.Buffer) {
-	s.bufPool.Put(b)
+// countServe books one shipped frame into the serve-path counters. Pages
+// count as zero-copy in the "never staged into a frame buffer" sense on
+// the socket and the executor-local path alike; file bytes count only
+// where they went through sendfile (the socket serve adds them itself).
+func (s *outputStore) countServe(fs *FrameSegments) {
+	s.pagesZeroCopy.Add(int64(fs.Pages()))
+	s.userCopyBytes.Add(fs.Staged())
 }
 
 // addServeStats folds the store's serve-path counters into st.
@@ -199,13 +186,11 @@ func (s *outputStore) endServe(e *storeEntry) {
 
 // serveCopy serves the entry without consuming it — the executor-local
 // equivalent of a socket FETCH, so local and remote consumers see
-// identical multi-consumer semantics. With a non-nil open, the frame is
-// decoded as it streams (segment payloads stream straight from their
-// pages and spill files; Encode-only payloads stage one pooled frame);
-// with open == nil the result is a Wire payload. A payload with no wire
-// form cannot be re-served; it falls back to the legacy consuming
-// pointer handover (a lost consumer there is recovered by lineage, not
-// re-fetch).
+// identical multi-consumer semantics: the consumer decodes straight off
+// the frame's segment stream (open == nil materializes it as a Wire
+// payload); no intermediate frame buffer exists. A payload with no wire
+// form cannot be re-served; it falls back to the legacy consuming pointer
+// handover (a lost consumer there is recovered by lineage, not re-fetch).
 func (s *outputStore) serveCopy(id MapOutputID, open FrameOpen) (Payload, bool, error) {
 	s.mu.Lock()
 	e, ok := s.m[id]
@@ -223,73 +208,23 @@ func (s *outputStore) serveCopy(id MapOutputID, open FrameOpen) (Payload, bool, 
 	s.mu.Unlock()
 	defer s.endServe(e)
 
-	if open != nil && p.Segments != nil {
-		// Vectored local serve: the consumer decodes straight off the
-		// segment stream — no intermediate frame buffer exists. Pages are
-		// counted zero-copy in the "never staged into a frame" sense.
-		fs, err := p.Segments()
-		if err != nil {
-			return Payload{}, false, fmt.Errorf("transport: encoding %v: %w", id, err)
-		}
-		size := fs.Len()
-		r := newSegmentsReader(fs)
-		dec, derr := open(bufio.NewReader(r), size)
-		staged, pages := fs.Staged(), fs.Pages()
-		fs.Release()
-		if derr != nil {
-			return Payload{}, false, fmt.Errorf("transport: decoding %v: %w", id, derr)
-		}
-		s.pagesZeroCopy.Add(int64(pages))
-		s.userCopyBytes.Add(staged)
-		return Payload{
-			Data:        dec.Data,
-			SrcExecutor: p.SrcExecutor,
-			Bytes:       size,
-			MemBytes:    dec.MemBytes,
-		}, true, nil
-	}
-
-	frame := s.getBuf()
-	defer s.putBuf(frame)
-	if err := encodeFallback(p, frame); err != nil {
+	fs, err := p.frame()
+	if err != nil {
 		return Payload{}, false, fmt.Errorf("transport: encoding %v: %w", id, err)
 	}
-	s.userCopyBytes.Add(int64(frame.Len()))
-	if open != nil {
-		size := int64(frame.Len())
-		dec, err := open(bytes.NewReader(frame.Bytes()), size)
-		if err != nil {
-			return Payload{}, false, fmt.Errorf("transport: decoding %v: %w", id, err)
-		}
-		return Payload{
-			Data:        dec.Data,
-			SrcExecutor: p.SrcExecutor,
-			Bytes:       size,
-			MemBytes:    dec.MemBytes,
-		}, true, nil
+	defer fs.Release()
+	if open == nil {
+		open = wireOpen
 	}
-	// Legacy Wire serve: the caller owns the frame bytes, so they cannot
-	// come from the pool.
-	wire := bytes.Clone(frame.Bytes())
-	return Payload{
-		Data:        Wire{Frame: wire},
-		SrcExecutor: p.SrcExecutor,
-		Bytes:       int64(len(wire)),
-		MemBytes:    int64(len(wire)),
-	}, true, nil
-}
-
-// encodeFallback stages p's frame into buf via Encode, or via Segments
-// when the payload has only a segment form.
-func encodeFallback(p Payload, buf *bytes.Buffer) error {
-	if p.Encode != nil {
-		return p.Encode(buf)
-	}
-	fs, err := p.Segments()
+	dec, err := open(bufio.NewReader(newSegmentsReader(fs)), fs.Len())
 	if err != nil {
-		return err
+		return Payload{}, false, fmt.Errorf("transport: decoding %v: %w", id, err)
 	}
-	_, err = buf.ReadFrom(newSegmentsReader(fs))
-	fs.Release()
-	return err
+	s.countServe(fs)
+	return Payload{
+		Data:        dec.Data,
+		SrcExecutor: p.SrcExecutor,
+		Bytes:       fs.Len(),
+		MemBytes:    dec.MemBytes,
+	}, true, nil
 }

@@ -14,10 +14,11 @@ import (
 // paper's cluster deployments honestly within one process: a
 // cross-executor fetch speaks a length-prefixed request/response
 // protocol ("FETCH id" → frame | NOTFOUND) over a real socket — the
-// payload is encoded by the source (Payload.Encode), the frame bytes
-// travel through the kernel's TCP stack, and the fetcher receives a Wire
-// payload to decode into its own executor's memory — while an
-// executor-local fetch encodes the same frame without the socket.
+// payload's frame is built by the source (Payload.Segments, or
+// Payload.Encode staged), its bytes travel through the kernel's TCP
+// stack, and the fetcher decodes them as they stream into its own
+// executor's memory — while an executor-local fetch reads the same
+// segments without the socket.
 // RemoteBytes counts the actual frame bytes moved, not an estimate.
 //
 // Serving is non-consuming (the stage-commit ownership rule): the
@@ -51,10 +52,6 @@ const (
 	maxWireFrame = 1 << 32
 	// connPoolSize caps idle pooled connections per destination node.
 	connPoolSize = 4
-	// maxRetainedServeBuffer caps the staging buffer a server connection
-	// keeps between requests; a larger frame's buffer is dropped after
-	// serving rather than pinned for the connection's lifetime.
-	maxRetainedServeBuffer = 1 << 20
 	// frameReadChunk is the granularity at which a fetching client
 	// refreshes its read deadline while a frame streams in: the timeout
 	// bounds the wait for each chunk, not the whole (arbitrarily large)

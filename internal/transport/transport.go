@@ -16,13 +16,15 @@
 // can fetch the same output. Commit/Abort/Drop return whatever was still
 // registered so the caller can release those buffers — the lifetime end
 // of every map output is one of those three calls, never a fetch. The
-// one exception is a payload with no wire form (Encode nil): it cannot
-// be copied, so fetching it consumes the registration as under the old
-// single-consumer rule, and a consumer that dies with it is recovered by
-// lineage (re-running the producing map task) rather than re-fetch.
+// one exception is a payload with no wire form (Encode and Segments both
+// nil): it cannot be copied, so fetching it consumes the registration as
+// under the old single-consumer rule, and a consumer that dies with it is
+// recovered by lineage (re-running the producing map task) rather than
+// re-fetch.
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"io"
 )
@@ -59,17 +61,37 @@ type Payload struct {
 	// the registered buffer survives its consumers. Encode must be
 	// re-invocable and safe for concurrent use (it reads the buffer, it
 	// never drains it); the registered Data must not be mutated while
-	// registered. Nil means the payload has no wire form; fetching such
-	// an entry consumes it (single-consumer fallback) unless Segments is
-	// set.
+	// registered. A serve stages what Encode writes into a FrameSegments;
+	// it is ignored when Segments is set. With both nil the payload has no
+	// wire form, and fetching it consumes it (single-consumer fallback).
 	Encode func(w io.Writer) error
-	// Segments builds the same frame as Encode decomposed into vectored
-	// segments (staged headers, in-place container pages, spill files),
-	// so the serve path can writev/sendfile instead of staging the frame.
-	// Like Encode it must be re-invocable and concurrency-safe; each call
-	// returns a fresh FrameSegments whose Release the serve path calls
-	// exactly once. Optional — nil payloads serve via Encode.
+	// Segments builds the frame as wire-order segments (staged headers,
+	// in-place container pages, spill files), so the serve path can
+	// writev/sendfile instead of staging the frame. Like Encode it must be
+	// re-invocable and concurrency-safe; each call returns a fresh
+	// FrameSegments whose Release the serve path calls exactly once.
 	Segments func() (*FrameSegments, error)
+}
+
+// frame builds the payload's encoded frame as segments, the one form
+// every serve ships: the payload's own segments, or — for a payload that
+// can only write its frame (Object containers, built record by record) —
+// whatever Encode writes, staged. The caller releases the result.
+//
+//deca:owns
+func (p Payload) frame() (*FrameSegments, error) {
+	if p.Segments != nil {
+		return p.Segments()
+	}
+	if p.Encode == nil {
+		return nil, errors.New("transport: payload has no wire form")
+	}
+	fs := NewFrameSegments()
+	if err := p.Encode(fs); err != nil {
+		fs.Release()
+		return nil, err
+	}
+	return fs, nil
 }
 
 // FrameReader is the stream a FrameOpen decodes from: exactly the frame's
@@ -97,10 +119,8 @@ type Decoded struct {
 // already be released.
 type FrameOpen func(r FrameReader, size int64) (Decoded, error)
 
-// Wire is the Data of a payload that was served as an encoded frame: the
-// raw bytes produced by the source's Payload.Encode. The fetching layer
-// decodes it into a container in the destination executor's memory
-// manager; the transport itself never interprets it.
+// Wire is the Data of a payload fetched without an opener: the raw bytes
+// of the source payload's frame, which the transport never interprets.
 type Wire struct {
 	Frame []byte
 }
@@ -117,8 +137,8 @@ type Stats struct {
 	// Serve-path copy accounting: pages served in place (writev, no
 	// user-space staging), bytes served from spill files through the
 	// sendfile-eligible path, and bytes the serve path did stage in user
-	// space (headers, key tables, and whole frames on the buffered
-	// fallback).
+	// space (headers, key tables, and the whole frame of an Encode-only
+	// payload).
 	PagesServedZeroCopy int64
 	BytesSendfile       int64
 	UserspaceCopyBytes  int64

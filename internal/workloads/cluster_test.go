@@ -50,6 +50,9 @@ func TestMultiExecutorWorkloadEquivalence(t *testing.T) {
 				if j.shuffles && got.RemoteShuffleFetches == 0 {
 					t.Error("expected cross-executor shuffle fetches on 4 executors")
 				}
+				if j.shuffles && mode == engine.ModeDeca && got.PagesServedZeroCopy == 0 {
+					t.Error("Deca run served no pages in place (frames were staged)")
+				}
 				if !j.shuffles && got.RemoteShuffleFetches != 0 {
 					t.Errorf("shuffle-free workload reported %d remote fetches", got.RemoteShuffleFetches)
 				}
@@ -126,10 +129,53 @@ func TestTCPTransportWorkloadEquivalence(t *testing.T) {
 				if j.shuffles && got.RemoteShuffleBytes == 0 {
 					t.Error("expected wire bytes on the TCP transport")
 				}
+				if j.shuffles && mode == engine.ModeDeca {
+					// Deca frames ship as segments: pages in place, only
+					// headers and key tables through user space.
+					if got.PagesServedZeroCopy == 0 {
+						t.Error("Deca run served no pages in place over TCP")
+					}
+					if got.ServeUserspaceCopyBytes >= got.RemoteShuffleBytes {
+						t.Errorf("Deca run staged %d bytes in user space for %d wire bytes — whole frames were staged",
+							got.ServeUserspaceCopyBytes, got.RemoteShuffleBytes)
+					}
+				}
 				if !j.shuffles && got.RemoteShuffleBytes != 0 {
 					t.Errorf("shuffle-free workload moved %d wire bytes", got.RemoteShuffleBytes)
 				}
 			})
 		}
+	}
+}
+
+// Spill-backed Deca outputs serve through the sendfile path: WC under a
+// forced shuffle-spill threshold over TCP matches the unspilled answer
+// exactly, with spill bytes actually crossing the sockets via sendfile.
+func TestTCPSpilledServeEquivalence(t *testing.T) {
+	params := WCParams{DistinctKeys: 4000, WordsPerLine: 8, Lines: 6000}
+	cfg := Config{
+		Mode: engine.ModeDeca, NumExecutors: 2, Parallelism: 2, Partitions: 4,
+		TransportKind: engine.TransportTCP, SpillDir: t.TempDir(), Seed: 1,
+	}
+	ref, err := WordCount(cfg, params)
+	if err != nil {
+		t.Fatalf("unspilled: %v", err)
+	}
+	cfg.ShuffleSpillThreshold = 16 << 10
+	got, err := WordCount(cfg, params)
+	if err != nil {
+		t.Fatalf("spilled: %v", err)
+	}
+	if got.Checksum != ref.Checksum {
+		t.Errorf("checksum: spilled %v != unspilled %v", got.Checksum, ref.Checksum)
+	}
+	if got.ShuffleSpillBytes == 0 {
+		t.Fatal("threshold did not force shuffle spills; the sendfile path was not exercised")
+	}
+	if got.BytesSendfile == 0 {
+		t.Error("spilled run shipped no spill bytes via sendfile")
+	}
+	if ref.BytesSendfile != 0 {
+		t.Errorf("unspilled run shipped %d bytes via sendfile", ref.BytesSendfile)
 	}
 }

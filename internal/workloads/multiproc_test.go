@@ -113,6 +113,10 @@ func TestMultiprocEquivalence(t *testing.T) {
 			} else if math.Abs(multi.Checksum-local.Checksum) > 1e-6*math.Abs(local.Checksum) {
 				t.Errorf("checksum: multiproc %v !~ inprocess %v", multi.Checksum, local.Checksum)
 			}
+			// The executors' serve counters sync back to the driver.
+			if v.name != "LR" && multi.PagesServedZeroCopy == 0 {
+				t.Error("multiproc run synced no zero-copy serve pages to the driver")
+			}
 		})
 	}
 }
@@ -261,9 +265,7 @@ func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	cfg := multiprocCfg(t, 2).withDefaults()
 	ctx := cfg.newEngine()
 	defer ctx.Close()
-	spec := PlanSpec{Workload: "wc", WC: params}
-	spec.fill(cfg)
-	raw, err := json.Marshal(spec)
+	raw, err := json.Marshal(PlanSpec{Workload: "wc", Config: cfg, WC: params})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,8 @@ import (
 	"io"
 	"log"
 	"os"
-	"time"
 
 	"deca/internal/ctl"
-	"deca/internal/engine"
 )
 
 // The multi-process deployment is SPMD: task bodies are Go closures and
@@ -22,35 +20,17 @@ import (
 // plan, and action results broadcast back keep every mirrored program's
 // control flow and captured state (LR weights, PR ranks) in lock-step.
 
-// PlanSpec is the serialized plan: which workload, every engine knob
-// that must match across processes, and the workload's parameters.
-// Scheduling-level chaos (task failures, kills) is deliberately absent —
+// PlanSpec is the serialized plan: which workload, the driver's Config —
+// every engine knob that must match across processes; its driver-only
+// fields are tagged out of the encoding — and the workload's parameters.
+// Scheduling-level chaos (task failures, kills) is deliberately absent:
 // those faults are a driver-side concern (and real process kills), never
 // mirrored state. Data-plane chaos is the exception: fetch faults happen
-// inside the executor processes, so the plan carries a seed and rate and
-// each executor builds its own deterministic injector from them.
+// inside the executor processes, so the Config carries a seed and rate
+// and each executor builds its own deterministic injector from them.
 type PlanSpec struct {
 	Workload string // "wc" | "lr" | "kmeans" | "pr" | "cc"
-
-	Mode                    int
-	NumExecutors            int
-	Parallelism             int
-	Partitions              int
-	MemoryBudget            int64
-	StorageFraction         float64
-	PageSize                int
-	SpillDir                string
-	ShuffleSpillThreshold   int64
-	FetchConcurrency        int
-	DisableZeroCopyMerge    bool
-	DisableVectoredServe    bool
-	MaxTaskRetries          int
-	MaxExecutorFailures     int
-	SpeculationEnabled      bool
-	SpeculateReduce         bool
-	BlacklistProbationAfter int64 // nanoseconds
-	FetchFailureRate        float64
-	Seed                    int64
+	Config   Config
 
 	WC    WCParams     `json:",omitempty"`
 	LR    LRParams     `json:",omitempty"`
@@ -58,61 +38,12 @@ type PlanSpec struct {
 	Graph GraphParams  `json:",omitempty"`
 }
 
-// fill copies the engine-shaping knobs out of the driver's config so the
-// mirrors build byte-identical graphs.
-func (s *PlanSpec) fill(cfg Config) {
-	s.Mode = int(cfg.Mode)
-	s.NumExecutors = cfg.NumExecutors
-	s.Parallelism = cfg.Parallelism
-	s.Partitions = cfg.Partitions
-	s.MemoryBudget = cfg.MemoryBudget
-	s.StorageFraction = cfg.StorageFraction
-	s.PageSize = cfg.PageSize
-	s.SpillDir = cfg.SpillDir
-	s.ShuffleSpillThreshold = cfg.ShuffleSpillThreshold
-	s.FetchConcurrency = cfg.FetchConcurrency
-	s.DisableZeroCopyMerge = cfg.DisableZeroCopyMerge
-	s.DisableVectoredServe = cfg.DisableVectoredServe
-	s.MaxTaskRetries = cfg.MaxTaskRetries
-	s.MaxExecutorFailures = cfg.MaxExecutorFailures
-	s.SpeculationEnabled = cfg.SpeculationEnabled
-	s.SpeculateReduce = cfg.SpeculateReduce
-	s.BlacklistProbationAfter = int64(cfg.BlacklistProbationAfter)
-	s.FetchFailureRate = cfg.FetchFailureRate
-	s.Seed = cfg.Seed
-}
-
-// config rebuilds the workload config a mirror runs the plan under.
-func (s *PlanSpec) config(f *ctl.Follower) Config {
-	return Config{
-		Mode:                    engine.Mode(s.Mode),
-		NumExecutors:            s.NumExecutors,
-		Parallelism:             s.Parallelism,
-		Partitions:              s.Partitions,
-		MemoryBudget:            s.MemoryBudget,
-		StorageFraction:         s.StorageFraction,
-		PageSize:                s.PageSize,
-		SpillDir:                s.SpillDir,
-		ShuffleSpillThreshold:   s.ShuffleSpillThreshold,
-		FetchConcurrency:        s.FetchConcurrency,
-		DisableZeroCopyMerge:    s.DisableZeroCopyMerge,
-		DisableVectoredServe:    s.DisableVectoredServe,
-		MaxTaskRetries:          s.MaxTaskRetries,
-		MaxExecutorFailures:     s.MaxExecutorFailures,
-		SpeculationEnabled:      s.SpeculationEnabled,
-		SpeculateReduce:         s.SpeculateReduce,
-		BlacklistProbationAfter: time.Duration(s.BlacklistProbationAfter),
-		FetchFailureRate:        s.FetchFailureRate,
-		Seed:                    s.Seed,
-		Follower:                f,
-	}
-}
-
 // RunPlan executes a plan spec inside an executor process: it rebuilds
 // the workload's mirrored program and runs it to completion under driver
 // dispatch.
 func RunPlan(spec PlanSpec, f *ctl.Follower) error {
-	cfg := spec.config(f)
+	cfg := spec.Config
+	cfg.Follower = f
 	var err error
 	switch spec.Workload {
 	case "wc":
@@ -174,7 +105,7 @@ func ExecutorMain(args []string, logOut io.Writer) int {
 		return 1
 	}
 	logger.Printf("running plan %s (executors=%d, partitions=%d)",
-		spec.Workload, spec.NumExecutors, spec.Partitions)
+		spec.Workload, spec.Config.NumExecutors, spec.Config.Partitions)
 	if err := RunPlan(spec, f); err != nil {
 		// The driver decides job outcomes; a mirror error here is either
 		// an aborted stage (already surfaced at the driver) or divergence.

@@ -24,7 +24,10 @@ import (
 	"deca/internal/gcstats"
 )
 
-// Config sizes one workload run.
+// Config sizes one workload run. It is also the multiproc plan's wire
+// form (PlanSpec JSON-encodes it as is), so a field that only means
+// something on the driver is tagged `json:"-"` and every other field
+// reaches the executor processes without being copied by hand.
 type Config struct {
 	Mode engine.Mode
 	// NumExecutors shards the engine into a local cluster (0/1 = the
@@ -44,17 +47,10 @@ type Config struct {
 	// FetchConcurrency bounds concurrent map-output fetches per reduce
 	// task (0 = engine default; 1 = a single fetcher, depth-1 pipeline).
 	FetchConcurrency int
-	// DisableZeroCopyMerge drains and re-inserts records on the reduce
-	// merge even in Deca mode — the merge experiment's baseline.
-	DisableZeroCopyMerge bool
-	// DisableVectoredServe stages shuffle frames through Encode instead of
-	// serving page segments with writev/sendfile — the wire experiment's
-	// buffered baseline and the equivalence tests' control arm.
-	DisableVectoredServe bool
 	// TransportKind selects how shuffle map output crosses executors
-	// (default in-process pointers; engine.TransportTCP moves wire frames
-	// over loopback sockets).
-	TransportKind engine.TransportKind
+	// (default the in-process registry; engine.TransportTCP moves wire
+	// frames over loopback sockets).
+	TransportKind engine.TransportKind `json:"-"`
 	// MaxTaskRetries / MaxExecutorFailures tune the fault-tolerant
 	// scheduler (0 = engine defaults; see engine.Config).
 	MaxTaskRetries      int
@@ -69,7 +65,7 @@ type Config struct {
 	// probe task after this long (0 = blacklisting is permanent).
 	BlacklistProbationAfter time.Duration
 	// Chaos injects deterministic faults (nil = none).
-	Chaos *chaos.Injector
+	Chaos *chaos.Injector `json:"-"`
 	// FetchFailureRate injects transient data-plane fetch faults *inside
 	// the executor processes* of a multiproc run (each executor builds a
 	// chaos injector from the plan). In-process deployments just set it
@@ -79,19 +75,19 @@ type Config struct {
 	// Deploy selects the deployment (engine.DeployMultiproc runs each
 	// executor as a spawned deca-executor process; ExecutorCmd is its
 	// argv prefix, required then).
-	Deploy      engine.DeployKind
-	ExecutorCmd []string
+	Deploy      engine.DeployKind `json:"-"`
+	ExecutorCmd []string          `json:"-"`
 	// Follower marks this process as one executor mirroring the plan —
-	// set by ExecutorMain, never by applications.
-	Follower *ctl.Follower
+	// set by RunPlan, never by applications.
+	Follower *ctl.Follower `json:"-"`
 	// OpsAddr serves the driver's live HTTP ops plane (/metrics, /stages,
 	// /executors, /memory, /trace) on this address for the run's
 	// duration. Driver-side only — it is never mirrored into executor
 	// processes.
-	OpsAddr string
+	OpsAddr string `json:"-"`
 	// TraceOut writes the run's event spine as Chrome trace-event JSON
 	// to this file when the engine closes (driver-side only).
-	TraceOut string
+	TraceOut string `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -138,8 +134,6 @@ func (c Config) newEngine() *engine.Context {
 		SpillDir:                c.SpillDir,
 		ShuffleSpillThreshold:   c.ShuffleSpillThreshold,
 		FetchConcurrency:        c.FetchConcurrency,
-		DisableZeroCopyMerge:    c.DisableZeroCopyMerge,
-		DisableVectoredServe:    c.DisableVectoredServe,
 		TransportKind:           c.TransportKind,
 		MaxTaskRetries:          c.MaxTaskRetries,
 		MaxExecutorFailures:     c.MaxExecutorFailures,
@@ -211,7 +205,7 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 	ctx := cfg.newEngine()
 	defer ctx.Close()
 	if cfg.Deploy == engine.DeployMultiproc {
-		spec.fill(cfg)
+		spec.Config = cfg
 		raw, err := json.Marshal(spec)
 		if err != nil {
 			return Result{}, fmt.Errorf("%s: encoding plan: %w", name, err)
