@@ -88,7 +88,7 @@ func AblationValueReuse(o Options) (*Report, error) {
 
 	obj := shuffle.NewObjectAgg[int64, int64](
 		func(a, b int64) int64 { return a + b },
-		shuffle.ObjectAggConfig[int64, int64]{})
+		shuffle.ObjectConfig[int64, int64]{})
 	runAgg("object-boxed", obj.Put, func() int { return obj.Len() })
 	obj.Release()
 

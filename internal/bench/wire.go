@@ -47,14 +47,14 @@ func WireThroughput(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	oAgg := shuffle.NewObjectAgg(combineVec, shuffle.ObjectAggConfig[int64, []int64]{
+	oAgg := shuffle.NewObjectAgg(combineVec, shuffle.ObjectConfig[int64, []int64]{
 		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.SpillDir,
 	})
 	// Sort containers (SortByKey map output): the leanest Deca frame —
 	// pointer array + pages, no key table.
 	dSort := shuffle.NewDecaSort[int64, []int64](decaMem, lessI64,
 		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.SpillDir)
-	oSort := shuffle.NewObjectSort(lessI64, shuffle.ObjectSortConfig[int64, []int64]{
+	oSort := shuffle.NewObjectSort(lessI64, shuffle.ObjectConfig[int64, []int64]{
 		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.SpillDir,
 	})
 	defer dAgg.Release()
@@ -102,7 +102,7 @@ func WireThroughput(o Options) (*Report, error) {
 		}},
 		{"agg  Object", oAgg.EncodeWire, func(frame []byte) error {
 			b, err := shuffle.DecodeObjectAgg[int64, []int64](bytes.NewReader(frame),
-				combineVec, shuffle.ObjectAggConfig[int64, []int64]{
+				combineVec, shuffle.ObjectConfig[int64, []int64]{
 					KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: spill,
 				})
 			if err != nil {
@@ -122,7 +122,7 @@ func WireThroughput(o Options) (*Report, error) {
 		}},
 		{"sort Object", oSort.EncodeWire, func(frame []byte) error {
 			b, err := shuffle.DecodeObjectSort[int64, []int64](bytes.NewReader(frame), lessI64,
-				shuffle.ObjectSortConfig[int64, []int64]{
+				shuffle.ObjectConfig[int64, []int64]{
 					KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: spill,
 				})
 			if err != nil {

@@ -238,11 +238,6 @@ type Config struct {
 	// timeout, injected fault) before treating it as missing. 0 selects
 	// the default of 2; negative disables fetch retries.
 	FetchRetries int
-	// FetchTimeout bounds each TCP FETCH round-trip with socket deadlines
-	// so a hung peer surfaces as a retryable error instead of a stuck
-	// stage. 0 selects the default of 30s; negative disables deadlines.
-	// Ignored by the in-process transport.
-	FetchTimeout time.Duration
 	// SpeculationEnabled duplicates straggler map tasks (action stages
 	// never speculate: result slots are not idempotent). Default off.
 	SpeculationEnabled bool
@@ -323,12 +318,6 @@ func (c Config) withDefaults() Config {
 	case c.FetchRetries < 0:
 		c.FetchRetries = 0
 	}
-	switch {
-	case c.FetchTimeout == 0:
-		c.FetchTimeout = 30 * time.Second
-	case c.FetchTimeout < 0:
-		c.FetchTimeout = 0
-	}
 	return c
 }
 
@@ -350,6 +339,11 @@ type Metrics struct {
 	// a reduce attempt found their outputs definitively lost, and exactly
 	// these tasks — not the whole exchange — were recomputed.
 	LineageMapReruns atomic.Int64
+	// ExchangeReruns counts whole-exchange re-runs: a multiproc driver
+	// answered a failed reduce stage with VerdictRetry and ran map and
+	// reduce again from scratch — the fallback the lineage repair is meant
+	// to make unnecessary (ROADMAP 3(c) records how often it fires).
+	ExchangeReruns atomic.Int64
 	// SpeculativeLaunched / SpeculativeWon count straggler duplicates and
 	// how many of them beat the original attempt.
 	SpeculativeLaunched atomic.Int64
@@ -555,7 +549,7 @@ func New(conf Config) *Context {
 		if len(addrs) == 0 {
 			addrs = transport.LoopbackAddrs(conf.NumExecutors)
 		}
-		tcp, err := transport.NewTCP(addrs, conf.FetchTimeout)
+		tcp, err := transport.NewTCP(addrs, fetchTimeout)
 		if err != nil {
 			// Listeners failing is an environment fault, not a recoverable
 			// job condition; keep New's signature and fail loudly.
@@ -577,6 +571,11 @@ func New(conf Config) *Context {
 	}
 	return c
 }
+
+// fetchTimeout bounds each TCP FETCH round-trip with socket deadlines so a
+// hung peer surfaces as a retryable error instead of a stuck stage. No
+// caller ever needed another value; the in-process transport ignores it.
+const fetchTimeout = 30 * time.Second
 
 // gcSampleInterval paces the periodic GC-stat events. 200ms keeps the
 // timeline readable while costing one ReadMemStats per tick.
@@ -1034,11 +1033,7 @@ func (c *Context) noteSpill(srcExec int, bytes int64) {
 // cleanup for a stage that failed between map and reduce.
 func (c *Context) dropShuffleOutputs(id transport.ShuffleID) {
 	c.rec.Record(obs.Event{Kind: obs.KindStageAbort, Exec: c.obsExec(), Shuffle: int64(id)})
-	for _, p := range c.trans.Drop(id) {
-		if r, ok := p.Data.(releasable); ok {
-			r.Release()
-		}
-	}
+	releasePayloads(c.trans.Drop(id)...)
 }
 
 // commitShuffleOutputs is the stage commit: the reduce stage consuming
@@ -1057,11 +1052,7 @@ func (c *Context) commitShuffleOutputs(id transport.ShuffleID, M, R int) {
 			ids = append(ids, transport.MapOutputID{Shuffle: id, MapTask: m, Reduce: r})
 		}
 	}
-	for _, p := range c.trans.Commit(ids) {
-		if rel, ok := p.Data.(releasable); ok {
-			rel.Release()
-		}
-	}
+	releasePayloads(c.trans.Commit(ids)...)
 }
 
 // Seq is a pull iterator over a partition's records: it calls yield for

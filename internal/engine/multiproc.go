@@ -144,7 +144,7 @@ func (c *Context) wireFollower(f *ctl.Follower) transport.Transport {
 		c:      c,
 		f:      f,
 		node:   f.DataServer(),
-		client: transport.NewDataClient(c.conf.FetchTimeout),
+		client: transport.NewDataClient(fetchTimeout),
 		me:     f.ID(),
 	}
 	trans.node.SetRecorder(c.rec, int32(trans.me))

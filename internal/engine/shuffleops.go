@@ -53,46 +53,34 @@ func (o PairOps[K, V]) decaGroupAble(ctx *Context) bool {
 	return ctx.Mode() == ModeDeca && o.KeyCodec != nil && o.ValCodec != nil
 }
 
-// aggSink abstracts the two aggregation buffer variants for the map and
-// reduce stages.
-type aggSink[K comparable, V any] interface {
-	Put(k K, v V)
-	Drain(yield func(K, V) bool) error
-	Spill() error
-	SizeBytes() int64
-	SpilledBytes() int64
-	Release()
-}
-
-// groupSink abstracts the grouping buffer variants.
-type groupSink[K comparable, V any] interface {
-	Put(k K, v V)
-	Drain(yield func(K, []V) bool) error
-	Spill() error
-	SizeBytes() int64
-	SpilledBytes() int64
-	Release()
-}
-
-// sortSink abstracts the sort buffer variants.
-type sortSink[K comparable, V any] interface {
-	Put(k K, v V)
-	DrainSorted(yield func(K, V) bool) error
-	Spill() error
-	SizeBytes() int64
-	SpilledBytes() int64
-	Release()
-}
-
-// pairSink is the surface the three sink shapes share: map-side fill and
-// the container lifecycle. Draining is shape-specific and stays with each
-// operator.
+// pairSink is the surface every keyed-shuffle container offers the
+// exchange: map-side fill and the container lifecycle. Draining is
+// shape-specific, so each operator's sink adds the one drain method it
+// names.
 type pairSink[K comparable, V any] interface {
 	Put(k K, v V)
 	Spill() error
 	SizeBytes() int64
 	SpilledBytes() int64
 	Release()
+}
+
+// aggSink is ReduceByKey's sink: the two aggregation buffer variants.
+type aggSink[K comparable, V any] interface {
+	pairSink[K, V]
+	Drain(yield func(K, V) bool) error
+}
+
+// groupSink is GroupByKey's sink: the grouping buffer variants.
+type groupSink[K comparable, V any] interface {
+	pairSink[K, V]
+	Drain(yield func(K, []V) bool) error
+}
+
+// sortSink is SortByKey's sink: the sort buffer variants.
+type sortSink[K comparable, V any] interface {
+	pairSink[K, V]
+	DrainSorted(yield func(K, V) bool) error
 }
 
 // shuffleStageKey names one stage of one exchange across processes: the
@@ -191,9 +179,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		if replaced {
 			// Task-retry semantics: the displaced registration's buffers
 			// are nobody else's to free anymore.
-			if rel, ok := prev.Data.(releasable); ok {
-				rel.Release()
-			}
+			releasePayloads(prev)
 		}
 	}
 	registered = true
@@ -260,11 +246,7 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 	defer func() {
 		// shutdown releases whatever the workers fetched ahead of a
 		// failed merge; after full consumption it is a no-op.
-		fp.shutdown(func(pl transport.Payload) {
-			if rel, ok := pl.Data.(releasable); ok {
-				rel.Release()
-			}
-		})
+		fp.shutdown(func(pl transport.Payload) { releasePayloads(pl) })
 		if !done {
 			merged.Release()
 		}
@@ -286,9 +268,7 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 		if len(lost) > 0 {
 			// The attempt is already doomed to a lineage retry; drain the
 			// remaining deliveries without merging.
-			if rel, ok := res.pl.Data.(releasable); ok {
-				rel.Release()
-			}
+			releasePayloads(res.pl)
 			fp.merged(res.pl)
 			continue
 		}
@@ -492,6 +472,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		}
 		ctx.dropShuffleOutputs(shufID)
 		if ctx.driver != nil && round+1 < maxRounds {
+			ctx.metrics.ExchangeReruns.Add(1)
 			ctx.endStage(redKey, ctl.VerdictRetry, err)
 			continue
 		}
@@ -601,11 +582,7 @@ func exchangeFollower[K comparable, V any, S pairSink[K, V]](
 			// (the driver's directory sweep races its Discard broadcasts;
 			// the local purge is the belt to those braces).
 			release()
-			for _, pl := range ctx.trans.Drop(shufID) {
-				if rel, ok := pl.Data.(releasable); ok {
-					rel.Release()
-				}
-			}
+			releasePayloads(ctx.trans.Drop(shufID)...)
 		default:
 			release()
 			return nil, nil, fmt.Errorf("engine: shuffle %d reduce stage failed at driver: %s", shufID, msg)
@@ -642,6 +619,91 @@ func (s *spillTracker) add() bool {
 	return false
 }
 
+// sinkShape is what tells one keyed-shuffle operator from another: which
+// containers it fills (S, in a Deca and an Object flavour), how a frame of
+// either flavour opens on the reduce side, and how a finished container
+// drains into output records T.
+type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
+	// deca selects the page-backed flavour; both ends of the exchange
+	// derive it from the same Config and PairOps.
+	deca   bool
+	newBuf func(ex *Executor) (S, error)
+	// stage opens a fetched Deca frame, decode an Object one (wireCodec).
+	stage  func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error)
+	decode func(r shuffle.WireReader) (S, error)
+	drain  func(s S, yield func(T) bool) error
+	// put re-inserts one drained record: Deca map outputs reach the reduce
+	// task as staged frames and fold in by page adoption
+	// (shuffleReduceBody); what arrives as a container — the object path —
+	// drains and re-inserts records.
+	put func(dst S, t T)
+}
+
+// keyedShuffle is the shell ReduceByKey, GroupByKey and SortByKey share: a
+// dataset of R partitions over a memoized exchange of sh's sinks — the
+// codec-registry entry, the shuffle state with its materialize/drain/
+// release wiring, and the dataset registration.
+func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
+	d *Dataset[decompose.Pair[K, V]],
+	ops PairOps[K, V],
+	sh sinkShape[K, V, T, S],
+) *Dataset[T] {
+	ctx := d.ctx
+	R := ops.partitions(d.parts)
+
+	// The frame is self-describing (a kind byte leads). A shuffle whose
+	// Object sinks cannot round-trip a frame gets the empty codec: its
+	// payloads fall back to the transport's consuming pointer handover.
+	var codec wireCodec[S]
+	switch {
+	case sh.deca:
+		codec.stage = sh.stage
+	case ops.wireable():
+		codec.decode = sh.decode
+	}
+	merge := func(dst, src S) error {
+		return sh.drain(src, func(t T) bool {
+			sh.put(dst, t)
+			return true
+		})
+	}
+
+	st := newShuffleState[T](ctx, R)
+	st.materialize = func() error {
+		outputs, have, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf, merge, codec)
+		if err != nil {
+			return err
+		}
+		st.release = releaseOwned(outputs, have)
+		st.drain = func(r int, yield func(T) bool) error {
+			if !have[r] {
+				return st.missingOutput(r)
+			}
+			return sh.drain(outputs[r], yield)
+		}
+		return nil
+	}
+
+	out := newDataset(ctx, R, st.seq)
+	st.datasetID = out.id
+	ctx.registerShuffle(out.id, st)
+	return out
+}
+
+// objectConfig is the Object containers' construction config under ctx —
+// the one place a shuffle's serializers meet the context's spill directory.
+func (o PairOps[K, V]) objectConfig(ctx *Context) shuffle.ObjectConfig[K, V] {
+	return shuffle.ObjectConfig[K, V]{
+		KeySer: o.KeySer, ValSer: o.ValSer,
+		SpillDir: ctx.conf.SpillDir, EntrySize: o.EntrySize,
+	}
+}
+
+// putPair re-inserts one drained (key, value) record.
+func putPair[K comparable, V any, S pairSink[K, V]](dst S, p decompose.Pair[K, V]) {
+	dst.Put(p.Key, p.Value)
+}
+
 // ReduceByKey shuffles d by key and eagerly combines values, Spark-style:
 // map tasks combine into per-reduce-partition hash buffers registered with
 // the transport; reduce tasks fetch and merge the map outputs, crossing
@@ -654,53 +716,26 @@ func ReduceByKey[K comparable, V any](
 	combine func(V, V) V,
 ) *Dataset[decompose.Pair[K, V]] {
 	ctx := d.ctx
-	R := ops.partitions(d.parts)
-
-	newBuf := func(ex *Executor) (aggSink[K, V], error) {
-		if ops.decaAble(ctx) {
-			return shuffle.NewDecaAgg(ex.mem, combine, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
-		}
-		return shuffle.NewObjectAgg(combine, shuffle.ObjectAggConfig[K, V]{
-			KeySer: ops.KeySer, ValSer: ops.ValSer,
-			SpillDir: ctx.conf.SpillDir, EntrySize: ops.EntrySize,
-		}), nil
-	}
-
-	// Deca map outputs reach the reduce task as staged frames and fold in
-	// by page adoption (shuffleReduceBody); what arrives as a container —
-	// the object path — drains and re-inserts records.
-	mergeBufs := func(dst, src aggSink[K, V]) error {
-		return src.Drain(func(k K, v V) bool {
-			dst.Put(k, v)
-			return true
-		})
-	}
-
-	st := newShuffleState[decompose.Pair[K, V]](ctx, R)
-	st.materialize = func() error {
-		outputs, have, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, newBuf, mergeBufs,
-			aggWireCodec(ctx, ops, combine))
-		if err != nil {
-			return err
-		}
-		st.release = releaseOwned(outputs, have)
-		st.drain = func(r int, yield func(decompose.Pair[K, V]) bool) error {
-			if !have[r] {
-				return st.missingOutput(r)
+	deca, dir, cfg := ops.decaAble(ctx), ctx.conf.SpillDir, ops.objectConfig(ctx)
+	return keyedShuffle(d, ops, sinkShape[K, V, decompose.Pair[K, V], aggSink[K, V]]{
+		deca: deca,
+		newBuf: func(ex *Executor) (aggSink[K, V], error) {
+			if deca {
+				return shuffle.NewDecaAgg(ex.mem, combine, ops.KeyCodec, ops.ValCodec, dir)
 			}
-			return outputs[r].Drain(func(k K, v V) bool {
-				return yield(decompose.Pair[K, V]{Key: k, Value: v})
-			})
-		}
-		return nil
-	}
-
-	out := newDataset(ctx, R, func(p int) Seq[decompose.Pair[K, V]] {
-		return st.seq(p)
+			return shuffle.NewObjectAgg(combine, cfg), nil
+		},
+		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
+			return shuffle.StageDecaAgg(r, ex.mem, ops.KeyCodec.FixedSize(), dir)
+		},
+		decode: func(r shuffle.WireReader) (aggSink[K, V], error) {
+			return shuffle.DecodeObjectAgg(r, combine, cfg)
+		},
+		drain: func(s aggSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
+			return s.Drain(func(k K, v V) bool { return yield(KV(k, v)) })
+		},
+		put: putPair[K, V, aggSink[K, V]],
 	})
-	st.datasetID = out.id
-	ctx.registerShuffle(out.id, st)
-	return out
 }
 
 // GroupByKey shuffles d by key and collects the complete value list per
@@ -711,53 +746,30 @@ func GroupByKey[K comparable, V any](
 	ops PairOps[K, V],
 ) *Dataset[decompose.Pair[K, []V]] {
 	ctx := d.ctx
-	R := ops.partitions(d.parts)
-
-	newBuf := func(ex *Executor) groupSink[K, V] {
-		if ops.decaGroupAble(ctx) {
-			return shuffle.NewDecaGroup(ex.mem, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
-		}
-		return shuffle.NewObjectGroup(shuffle.ObjectGroupConfig[K, V]{
-			KeySer: ops.KeySer, ValSer: ops.ValSer,
-			SpillDir: ctx.conf.SpillDir, EntrySize: ops.EntrySize,
-		})
-	}
-
-	mergeBufs := func(dst, src groupSink[K, V]) error {
-		return src.Drain(func(k K, vs []V) bool {
-			for _, v := range vs {
-				dst.Put(k, v)
+	deca, dir, cfg := ops.decaGroupAble(ctx), ctx.conf.SpillDir, ops.objectConfig(ctx)
+	return keyedShuffle(d, ops, sinkShape[K, V, decompose.Pair[K, []V], groupSink[K, V]]{
+		deca: deca,
+		newBuf: func(ex *Executor) (groupSink[K, V], error) {
+			if deca {
+				return shuffle.NewDecaGroup(ex.mem, ops.KeyCodec, ops.ValCodec, dir), nil
 			}
-			return true
-		})
-	}
-
-	st := newShuffleState[decompose.Pair[K, []V]](ctx, R)
-	st.materialize = func() error {
-		outputs, have, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize,
-			func(ex *Executor) (groupSink[K, V], error) { return newBuf(ex), nil },
-			mergeBufs, groupWireCodec(ctx, ops))
-		if err != nil {
-			return err
-		}
-		st.release = releaseOwned(outputs, have)
-		st.drain = func(r int, yield func(decompose.Pair[K, []V]) bool) error {
-			if !have[r] {
-				return st.missingOutput(r)
+			return shuffle.NewObjectGroup(cfg), nil
+		},
+		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
+			return shuffle.StageDecaGroup(r, ex.mem, ops.KeyCodec.FixedSize(), dir)
+		},
+		decode: func(r shuffle.WireReader) (groupSink[K, V], error) {
+			return shuffle.DecodeObjectGroup(r, cfg)
+		},
+		drain: func(s groupSink[K, V], yield func(decompose.Pair[K, []V]) bool) error {
+			return s.Drain(func(k K, vs []V) bool { return yield(KV(k, vs)) })
+		},
+		put: func(dst groupSink[K, V], p decompose.Pair[K, []V]) {
+			for _, v := range p.Value {
+				dst.Put(p.Key, v)
 			}
-			return outputs[r].Drain(func(k K, vs []V) bool {
-				return yield(decompose.Pair[K, []V]{Key: k, Value: vs})
-			})
-		}
-		return nil
-	}
-
-	out := newDataset(ctx, R, func(p int) Seq[decompose.Pair[K, []V]] {
-		return st.seq(p)
+		},
 	})
-	st.datasetID = out.id
-	ctx.registerShuffle(out.id, st)
-	return out
 }
 
 // SortByKey hash-partitions d and sorts each output partition by key
@@ -768,51 +780,27 @@ func SortByKey[K comparable, V any](
 	ops PairOps[K, V],
 ) *Dataset[decompose.Pair[K, V]] {
 	ctx := d.ctx
-	R := ops.partitions(d.parts)
-
-	newBuf := func(ex *Executor) sortSink[K, V] {
-		if ops.decaGroupAble(ctx) { // sort buffers need only codecs, as grouping ones
-			return shuffle.NewDecaSort(ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
-		}
-		return shuffle.NewObjectSort(ops.Key.Less, shuffle.ObjectSortConfig[K, V]{
-			KeySer: ops.KeySer, ValSer: ops.ValSer,
-			SpillDir: ctx.conf.SpillDir, EntrySize: ops.EntrySize,
-		})
-	}
-
-	mergeBufs := func(dst, src sortSink[K, V]) error {
-		return src.DrainSorted(func(k K, v V) bool {
-			dst.Put(k, v)
-			return true
-		})
-	}
-
-	st := newShuffleState[decompose.Pair[K, V]](ctx, R)
-	st.materialize = func() error {
-		outputs, have, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize,
-			func(ex *Executor) (sortSink[K, V], error) { return newBuf(ex), nil },
-			mergeBufs, sortWireCodec(ctx, ops))
-		if err != nil {
-			return err
-		}
-		st.release = releaseOwned(outputs, have)
-		st.drain = func(r int, yield func(decompose.Pair[K, V]) bool) error {
-			if !have[r] {
-				return st.missingOutput(r)
+	// Sort buffers need only codecs, as grouping ones.
+	deca, dir, cfg := ops.decaGroupAble(ctx), ctx.conf.SpillDir, ops.objectConfig(ctx)
+	return keyedShuffle(d, ops, sinkShape[K, V, decompose.Pair[K, V], sortSink[K, V]]{
+		deca: deca,
+		newBuf: func(ex *Executor) (sortSink[K, V], error) {
+			if deca {
+				return shuffle.NewDecaSort(ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, dir), nil
 			}
-			return outputs[r].DrainSorted(func(k K, v V) bool {
-				return yield(decompose.Pair[K, V]{Key: k, Value: v})
-			})
-		}
-		return nil
-	}
-
-	out := newDataset(ctx, R, func(p int) Seq[decompose.Pair[K, V]] {
-		return st.seq(p)
+			return shuffle.NewObjectSort(ops.Key.Less, cfg), nil
+		},
+		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
+			return shuffle.StageDecaSort(r, ex.mem, dir)
+		},
+		decode: func(r shuffle.WireReader) (sortSink[K, V], error) {
+			return shuffle.DecodeObjectSort(r, ops.Key.Less, cfg)
+		},
+		drain: func(s sortSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
+			return s.DrainSorted(func(k K, v V) bool { return yield(KV(k, v)) })
+		},
+		put: putPair[K, V, sortSink[K, V]],
 	})
-	st.datasetID = out.id
-	ctx.registerShuffle(out.id, st)
-	return out
 }
 
 // CoGrouped is the cogroup record: all left and right values of one key.
@@ -1055,6 +1043,17 @@ func releaseOwned[S releasable](outputs []S, have []bool) func() {
 // releasable lets the context track shuffle outputs without their type
 // parameters.
 type releasable interface{ Release() }
+
+// releasePayloads ends the lifetime of payloads this process took back
+// from the transport or its fetch pipeline: whatever container or staged
+// frame each carries is released.
+func releasePayloads(pls ...transport.Payload) {
+	for _, pl := range pls {
+		if rel, ok := pl.Data.(releasable); ok {
+			rel.Release()
+		}
+	}
+}
 
 func entrySizeHint[K comparable, V any](es func(K, V) int) int64 {
 	if es == nil {

@@ -9,9 +9,9 @@ import (
 )
 
 // The codec registry: the seam between the generic shuffle operators and
-// the payload-agnostic transport. Each keyed-shuffle operator registers
-// one wireCodec for its sink shape (built from the same PairOps both
-// sides of the exchange share); the exchange hands the transport the
+// the payload-agnostic transport. keyedShuffle builds one wireCodec per
+// shuffle from the operator's sinkShape (and the PairOps both sides of
+// the exchange share); the exchange hands the transport the
 // sink's own frame encoder, and frames that come back from a fetch land
 // in the *destination* executor's memory manager. The scheduler and the
 // transport never learn the payload's generic type. Under the stage-commit
@@ -30,7 +30,7 @@ type wireCodec[S any] struct {
 	stage func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error)
 	// decode is the Object half: the frame deserializes record by record
 	// into a full container the reduce task drains into its merged buffer.
-	decode func(r shuffle.WireReader, ex *Executor) (S, error)
+	decode func(r shuffle.WireReader) (S, error)
 }
 
 // The sink-side encode seams, attached by interface assertion: Deca
@@ -79,7 +79,7 @@ func (wc wireCodec[S]) frameOpen(ex *Executor) transport.FrameOpen {
 		}
 	case wc.decode != nil:
 		return func(r transport.FrameReader, size int64) (transport.Decoded, error) {
-			s, err := wc.decode(r, ex)
+			s, err := wc.decode(r)
 			if err != nil {
 				return transport.Decoded{}, err
 			}
@@ -121,66 +121,4 @@ func (wc wireCodec[S]) payloadFor(s S, ex *Executor, sizeBytes, spilledBytes int
 // handover (single-process only) instead of failing at serve time.
 func (o PairOps[K, V]) wireable() bool {
 	return o.KeySer != nil && o.ValSer != nil
-}
-
-// aggWireCodec builds the codec-registry entry for ReduceByKey's sinks.
-// The frame is self-describing (a kind byte leads), and both ends derive
-// the container flavour from the same Config and PairOps.
-func aggWireCodec[K comparable, V any](
-	ctx *Context, ops PairOps[K, V], combine func(V, V) V,
-) wireCodec[aggSink[K, V]] {
-	switch {
-	case ops.decaAble(ctx):
-		return wireCodec[aggSink[K, V]]{stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaAgg(r, ex.mem, ops.KeyCodec.FixedSize(), ctx.conf.SpillDir)
-		}}
-	case ops.wireable():
-		return wireCodec[aggSink[K, V]]{decode: func(r shuffle.WireReader, _ *Executor) (aggSink[K, V], error) {
-			return shuffle.DecodeObjectAgg(r, combine, shuffle.ObjectAggConfig[K, V]{
-				KeySer: ops.KeySer, ValSer: ops.ValSer,
-				SpillDir: ctx.conf.SpillDir, EntrySize: ops.EntrySize,
-			})
-		}}
-	}
-	return wireCodec[aggSink[K, V]]{}
-}
-
-// groupWireCodec builds the codec-registry entry for GroupByKey's sinks.
-func groupWireCodec[K comparable, V any](
-	ctx *Context, ops PairOps[K, V],
-) wireCodec[groupSink[K, V]] {
-	switch {
-	case ops.decaGroupAble(ctx):
-		return wireCodec[groupSink[K, V]]{stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaGroup(r, ex.mem, ops.KeyCodec.FixedSize(), ctx.conf.SpillDir)
-		}}
-	case ops.wireable():
-		return wireCodec[groupSink[K, V]]{decode: func(r shuffle.WireReader, _ *Executor) (groupSink[K, V], error) {
-			return shuffle.DecodeObjectGroup(r, shuffle.ObjectGroupConfig[K, V]{
-				KeySer: ops.KeySer, ValSer: ops.ValSer,
-				SpillDir: ctx.conf.SpillDir, EntrySize: ops.EntrySize,
-			})
-		}}
-	}
-	return wireCodec[groupSink[K, V]]{}
-}
-
-// sortWireCodec builds the codec-registry entry for SortByKey's sinks.
-func sortWireCodec[K comparable, V any](
-	ctx *Context, ops PairOps[K, V],
-) wireCodec[sortSink[K, V]] {
-	switch {
-	case ops.decaGroupAble(ctx): // the predicate SortByKey picks its sink by
-		return wireCodec[sortSink[K, V]]{stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaSort(r, ex.mem, ctx.conf.SpillDir)
-		}}
-	case ops.wireable():
-		return wireCodec[sortSink[K, V]]{decode: func(r shuffle.WireReader, _ *Executor) (sortSink[K, V], error) {
-			return shuffle.DecodeObjectSort(r, ops.Key.Less, shuffle.ObjectSortConfig[K, V]{
-				KeySer: ops.KeySer, ValSer: ops.ValSer,
-				SpillDir: ctx.conf.SpillDir, EntrySize: ops.EntrySize,
-			})
-		}}
-	}
-	return wireCodec[sortSink[K, V]]{}
 }

@@ -48,6 +48,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -310,18 +311,7 @@ func collectFieldMarkers(pkg *Package, d *ast.GenDecl, ann *Annotations) {
 			continue
 		}
 		for _, field := range st.Fields.List {
-			has := false
-			for _, m := range docMarkers(field.Doc) {
-				if m == "owns" {
-					has = true
-				}
-			}
-			for _, m := range docMarkers(field.Comment) {
-				if m == "owns" {
-					has = true
-				}
-			}
-			if !has {
+			if !slices.Contains(docMarkers(field.Doc), "owns") && !slices.Contains(docMarkers(field.Comment), "owns") {
 				continue
 			}
 			for _, name := range field.Names {

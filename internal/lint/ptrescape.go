@@ -13,9 +13,10 @@ import (
 //   - package-level variables whose type contains memory.Ptr (a global
 //     outlives every Group);
 //   - struct fields containing memory.Ptr, unless the field is annotated
-//     //deca:owns or the struct also carries a *memory.Group field — a
-//     guardian whose Release the container is responsible for, which is
-//     exactly the DecaBlock / shuffle-container pattern;
+//     //deca:owns or the struct also carries a *memory.Group field, its
+//     own or an embedded struct's — a guardian whose Release the container
+//     is responsible for, which is exactly the DecaBlock / shuffle-container
+//     (page store) pattern;
 //   - channel types whose element contains memory.Ptr (the receiver's
 //     lifetime is unknowable statically);
 //   - straight-line use after Release: once g.Release() executes, later
@@ -106,14 +107,7 @@ func checkPtrFields(p *Pass, d *ast.GenDecl) {
 		if !ok {
 			continue
 		}
-		hasGuardian := false
-		for _, field := range st.Fields.List {
-			tv, ok := p.Pkg.Info.Types[field.Type]
-			if ok && isNamed(tv.Type, memoryPkg, "Group") {
-				hasGuardian = true
-			}
-		}
-		if hasGuardian {
+		if holdsGroup(p.Pkg.Info.TypeOf(st), true) {
 			continue
 		}
 		for _, field := range st.Fields.List {
@@ -131,6 +125,21 @@ func checkPtrFields(p *Pass, d *ast.GenDecl) {
 			}
 		}
 	}
+}
+
+// holdsGroup reports whether struct type t carries a *memory.Group
+// guardian: as a field of its own or, with embedded set, inside a struct
+// it embeds — the shuffle containers' page store, whose Release is the
+// embedder's.
+func holdsGroup(t types.Type, embedded bool) bool {
+	s, _ := typeDeref(t).Underlying().(*types.Struct)
+	for i := 0; s != nil && i < s.NumFields(); i++ {
+		f := s.Field(i)
+		if isNamed(f.Type(), memoryPkg, "Group") || embedded && f.Embedded() && holdsGroup(f.Type(), false) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkObsPayloads flags memory.Ptr / *memory.Group fields in structs

@@ -42,13 +42,10 @@ var ReleasePair = &Analyzer{
 // builtinOwns are the producers the engine is built around; constructors
 // elsewhere join the set with a //deca:owns annotation.
 var builtinOwns = map[string]bool{
-	"deca/internal/memory.Manager.NewGroup":          true,
-	"deca/internal/memory.Manager.RestoreGroup":      true,
-	"deca/internal/engine.DecaBlockFor":              true,
-	"deca/internal/transport.NewFrameSegments":       true,
-	"deca/internal/shuffle.DecaAgg.EncodeSegments":   true,
-	"deca/internal/shuffle.DecaGroup.EncodeSegments": true,
-	"deca/internal/shuffle.DecaSort.EncodeSegments":  true,
+	"deca/internal/memory.Manager.NewGroup":     true,
+	"deca/internal/memory.Manager.RestoreGroup": true,
+	"deca/internal/engine.DecaBlockFor":         true,
+	"deca/internal/transport.NewFrameSegments":  true,
 }
 
 // builtinOwnsFieldCalls are func-typed fields whose *invocation* produces
@@ -366,7 +363,11 @@ func (w *releaseWalker) checkFieldStore(lhs ast.Expr, obj types.Object) {
 	if !ok || field.Pkg() == nil {
 		return
 	}
-	recv := namedType(selection.Recv())
+	owner := selection.Recv() // a promoted field is annotated where it is declared
+	for _, i := range selection.Index()[:len(selection.Index())-1] {
+		owner = typeDeref(owner).Underlying().(*types.Struct).Field(i).Type()
+	}
+	recv := namedType(owner)
 	if recv == nil {
 		return
 	}
@@ -420,10 +421,7 @@ func (w *releaseWalker) bindProducers(lhs, rhs []ast.Expr, st ownMap) {
 		errObj = identObj(w.p.Pkg.Info, lhs[errIdx])
 	}
 	if resIdx >= len(lhs) {
-		if len(lhs) == 1 && sig.Results().Len() > 1 {
-			return // resource bundled into a single multi-value context; out of scope
-		}
-		return
+		return // resource bundled into a single multi-value context; out of scope
 	}
 	obj := identObj(w.p.Pkg.Info, lhs[resIdx])
 	if obj == nil || obj.Name() == "_" {

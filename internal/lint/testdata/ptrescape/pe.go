@@ -27,6 +27,23 @@ type guarded struct {
 	p memory.Ptr
 }
 
+// store models the shuffle page store: it owns the Group on behalf of
+// whatever embeds it.
+type store struct{ g *memory.Group }
+
+// Negative: the guardian sits in an embedded store, whose Release is the
+// container's own.
+type viaStore struct {
+	store
+	idx []memory.Ptr
+}
+
+// True positive: a store held by name is somebody else's to release.
+type besideStore struct {
+	s   store
+	idx []memory.Ptr // want "guardian"
+}
+
 // Negative: the field is a sanctioned owner.
 type sanctioned struct {
 	p memory.Ptr //deca:owns (fixture: lifetime managed by an external group)

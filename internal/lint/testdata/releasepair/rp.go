@@ -101,13 +101,17 @@ func storeAnnotated(m *memory.Manager, o *owner) {
 	o.g = g
 }
 
-// staged models shuffle.Staged: a parsed wire frame that owns a restored
-// page group until a container folds it in or it is released.
-type staged struct {
-	g *memory.Group //deca:owns (fixture: restored by stage)
+// store models the shuffle page store: the one owner of a page group,
+// embedded by every container and by a staged frame.
+type store struct {
+	g *memory.Group //deca:owns (fixture: released by the embedder's Release)
 }
 
-func (s *staged) Release() { s.g.Release() }
+func (s *store) Release() { s.g.Release() }
+
+// staged models shuffle.Staged: a parsed wire frame whose store owns a
+// restored page group until a container folds it in or it is released.
+type staged struct{ store }
 
 //deca:owns
 func stage(m *memory.Manager, r memory.ByteReader) (*staged, error) {

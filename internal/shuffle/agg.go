@@ -2,10 +2,11 @@ package shuffle
 
 import (
 	"fmt"
+	"io"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
-	"deca/internal/serial"
+	"deca/internal/transport"
 )
 
 // ObjectAgg is the Spark-semantics hash aggregation buffer: a hash table
@@ -13,47 +14,16 @@ import (
 // object, exactly like the JVM's immutable boxed Tuple2 values — the
 // source of the short-lived garbage Figure 8(a) shows.
 type ObjectAgg[K comparable, V any] struct {
-	combine   func(V, V) V
-	table     map[K]*V
-	entrySize func(K, V) int
-	approx    int64 // running SizeBytes estimate, maintained by Put/Spill
-
-	keySer   serial.Serializer[K]
-	valSer   serial.Serializer[V]
-	dir      string
-	spills   []spillFile
-	spilled  int64
-	released bool
-}
-
-// ObjectAggConfig configures spilling and size estimation.
-type ObjectAggConfig[K comparable, V any] struct {
-	// KeySer/ValSer are required for spilling (Spark serializes spills).
-	KeySer serial.Serializer[K]
-	ValSer serial.Serializer[V]
-	// SpillDir receives spill files (default: os temp dir via "").
-	SpillDir string
-	// EntrySize estimates the heap footprint of one entry; nil selects a
-	// flat 48-byte default (map bucket + boxed value + key header).
-	EntrySize func(K, V) int
+	boxedStore[K, V]
+	combine func(V, V) V
+	table   map[K]*V
 }
 
 // NewObjectAgg returns an empty buffer combining values with combine.
 //
 //deca:owns
-func NewObjectAgg[K comparable, V any](combine func(V, V) V, cfg ObjectAggConfig[K, V]) *ObjectAgg[K, V] {
-	es := cfg.EntrySize
-	if es == nil {
-		es = func(K, V) int { return 48 }
-	}
-	return &ObjectAgg[K, V]{
-		combine:   combine,
-		table:     make(map[K]*V),
-		entrySize: es,
-		keySer:    cfg.KeySer,
-		valSer:    cfg.ValSer,
-		dir:       cfg.SpillDir,
-	}
+func NewObjectAgg[K comparable, V any](combine func(V, V) V, cfg ObjectConfig[K, V]) *ObjectAgg[K, V] {
+	return &ObjectAgg[K, V]{boxedStore: newBoxedStore(cfg), combine: combine, table: make(map[K]*V)}
 }
 
 // Put eagerly combines v into the entry for k, allocating a new boxed
@@ -61,75 +31,48 @@ func NewObjectAgg[K comparable, V any](combine func(V, V) V, cfg ObjectAggConfig
 func (b *ObjectAgg[K, V]) Put(k K, v V) {
 	if old, ok := b.table[k]; ok {
 		nv := b.combine(*old, v)
-		b.approx += int64(b.entrySize(k, nv)) - int64(b.entrySize(k, *old))
+		b.approx += int64(b.cfg.EntrySize(k, nv)) - int64(b.cfg.EntrySize(k, *old))
 		b.table[k] = &nv
 		return
 	}
-	b.approx += int64(b.entrySize(k, v))
+	b.charge(k, v)
 	b.table[k] = &v
 }
 
 // Len returns the number of distinct keys in memory.
 func (b *ObjectAgg[K, V]) Len() int { return len(b.table) }
 
-// SizeBytes estimates the in-memory footprint. The estimate is maintained
-// incrementally by Put and Spill — the exchange registers a payload size
-// per map output, and an O(records) table walk there would dwarf the walk
-// it prices.
-func (b *ObjectAgg[K, V]) SizeBytes() int64 { return b.approx }
-
-// SpilledBytes returns the cumulative spill volume.
-func (b *ObjectAgg[K, V]) SpilledBytes() int64 { return b.spilled }
+// each enumerates the table for the store's spill and frame writers.
+func (b *ObjectAgg[K, V]) each(emit func(K, V) error) error {
+	for k, v := range b.table {
+		if err := emit(k, *v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Spill serializes the table to a run file and clears memory.
 func (b *ObjectAgg[K, V]) Spill() error {
-	if b.keySer == nil || b.valSer == nil {
-		return fmt.Errorf("shuffle: ObjectAgg has no serializers; cannot spill")
-	}
-	if len(b.table) == 0 {
-		return nil
-	}
-	run, err := writeSpill(b.dir, func(w *spillWriter) error {
-		for k, v := range b.table {
-			rec := b.keySer.Marshal(w.stage(0), k)
-			rec = b.valSer.Marshal(rec, *v)
-			if err := w.emitScratch(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := b.spill(wireObjectAgg, len(b.table), b.each); err != nil {
 		return err
 	}
-	b.spills = append(b.spills, run)
-	b.spilled += run.size
 	b.table = make(map[K]*V)
-	b.approx = 0
 	return nil
+}
+
+// EncodeWire serializes the table record by record.
+func (b *ObjectAgg[K, V]) EncodeWire(w io.Writer) error {
+	return b.encodeRecords(w, wireObjectAgg, len(b.table), b.each)
 }
 
 // Drain merges spilled runs back (deserializing and re-aggregating, as
 // Spark's spill merge does) and yields every (key, value) pair. The buffer
 // stays valid; Release frees it.
 func (b *ObjectAgg[K, V]) Drain(yield func(K, V) bool) error {
-	for _, run := range b.spills {
-		data, err := run.read()
-		if err != nil {
-			return err
-		}
-		err = drainRecords(data, func(src []byte) int {
-			k, kn := b.keySer.Unmarshal(src)
-			v, vn := b.valSer.Unmarshal(src[kn:])
-			b.Put(k, v)
-			return kn + vn
-		})
-		if err != nil {
-			return err
-		}
-		run.remove()
+	if err := b.replay(b.Put); err != nil {
+		return err
 	}
-	b.spills = nil
 	for k, v := range b.table {
 		if !yield(k, *v) {
 			return nil
@@ -140,16 +83,8 @@ func (b *ObjectAgg[K, V]) Drain(yield func(K, V) bool) error {
 
 // Release drops the table and deletes any remaining spill files.
 func (b *ObjectAgg[K, V]) Release() {
-	if b.released {
-		return
-	}
-	b.released = true
 	b.table = nil
-	b.approx = 0
-	for _, run := range b.spills {
-		run.remove()
-	}
-	b.spills = nil
+	b.boxedStore.Release()
 }
 
 // DecaAgg is the page-decomposed aggregation buffer (§4.3.2): keys stay in
@@ -163,18 +98,12 @@ func (b *ObjectAgg[K, V]) Release() {
 // would corrupt neighbouring segments — the safety property §3 exists to
 // guarantee.
 type DecaAgg[K comparable, V any] struct {
+	pageStore
 	combine  func(V, V) V
 	keyCodec decompose.Codec[K]
 	valCodec decompose.Codec[V]
 	valSize  int
-
-	group *memory.Group //deca:owns (released by Release; decode re-homes restored groups here)
-	slots map[K]memory.Ptr
-	dir   string
-
-	spills   []spillFile
-	spilled  int64
-	released bool
+	slots    map[K]memory.Ptr
 }
 
 // NewDecaAgg returns a page-backed aggregation buffer. valCodec must
@@ -193,13 +122,12 @@ func NewDecaAgg[K comparable, V any](
 		return nil, fmt.Errorf("shuffle: DecaAgg requires a StaticFixed value codec (got variable size)")
 	}
 	return &DecaAgg[K, V]{
-		combine:  combine,
-		keyCodec: keyCodec,
-		valCodec: valCodec,
-		valSize:  valCodec.FixedSize(),
-		group:    mem.NewGroup(),
-		slots:    make(map[K]memory.Ptr),
-		dir:      spillDir,
+		pageStore: newPageStore(mem, spillDir),
+		combine:   combine,
+		keyCodec:  keyCodec,
+		valCodec:  valCodec,
+		valSize:   valCodec.FixedSize(),
+		slots:     make(map[K]memory.Ptr),
 	}, nil
 }
 
@@ -222,9 +150,6 @@ func (b *DecaAgg[K, V]) SizeBytes() int64 {
 	return b.group.Footprint() + int64(len(b.slots))*24
 }
 
-// SpilledBytes returns the cumulative spill volume.
-func (b *DecaAgg[K, V]) SpilledBytes() int64 { return b.spilled }
-
 // Spill writes (key, value) records in raw page encoding — no
 // serialization pass — and resets the pages for reuse.
 func (b *DecaAgg[K, V]) Spill() error {
@@ -234,15 +159,11 @@ func (b *DecaAgg[K, V]) Spill() error {
 	if len(b.slots) == 0 {
 		return nil
 	}
-	run, err := writeSpill(b.dir, func(w *spillWriter) error {
+	err := b.spillPages(func(w *spillWriter) error {
 		for k, ptr := range b.slots {
-			key := w.stage(b.keyCodec.Size(k))
-			b.keyCodec.Encode(key, k)
-			if err := w.emit(key); err != nil {
+			if err := emitKey(w, b.keyCodec, k); err != nil {
 				return err
 			}
-			// Value bytes stream straight out of the page — already in
-			// I/O form, no serialization pass (Appendix C).
 			if err := w.emit(b.group.Bytes(ptr, b.valSize)); err != nil {
 				return err
 			}
@@ -252,33 +173,17 @@ func (b *DecaAgg[K, V]) Spill() error {
 	if err != nil {
 		return err
 	}
-	b.spills = append(b.spills, run)
-	b.spilled += run.size
 	b.slots = make(map[K]memory.Ptr)
-	b.group.Reset()
 	return nil
 }
 
 // Drain merges any spilled runs (re-aggregating through the page path) and
 // yields every pair.
 func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
-	for _, run := range b.spills {
-		data, err := run.read()
-		if err != nil {
-			return err
-		}
-		err = drainRecords(data, func(src []byte) int {
-			k, kn := b.keyCodec.Decode(src)
-			v, vn := b.valCodec.Decode(src[kn:])
-			b.Put(k, v)
-			return kn + vn
-		})
-		if err != nil {
-			return err
-		}
-		run.remove()
+	pair := decompose.PairCodec[K, V]{KeyCodec: b.keyCodec, ValueCodec: b.valCodec}
+	if err := replayRuns(&b.runSet, pair.Decode, b.Put); err != nil {
+		return err
 	}
-	b.spills = nil
 	for k, ptr := range b.slots {
 		v, _ := b.valCodec.Decode(b.group.Bytes(ptr, b.valSize))
 		if !yield(k, v) {
@@ -299,13 +204,30 @@ func (b *DecaAgg[K, V]) ValueBytes(k K) ([]byte, bool) {
 	return b.group.Bytes(ptr, b.valSize), true
 }
 
+// EncodeSegments builds the DecaAgg frame: per key its bytes and the
+// pointer to its value segment.
+//
+//deca:owns
+func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
+	if b.keyCodec == nil {
+		return nil, fmt.Errorf("shuffle: DecaAgg has no key codec; cannot encode")
+	}
+	return b.encodeSegments(wireDecaAgg, len(b.slots), func(fs *transport.FrameSegments) {
+		for k, ptr := range b.slots {
+			putPtr(stageKey(fs, b.keyCodec, k, 8), ptr)
+		}
+	})
+}
+
+// EncodeWire writes the buffer's wire frame to w.
+func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
+
 // MergeFrom folds src into b without decoding or re-encoding records:
-// b adopts src's page group wholesale (the pages are retained as a
-// dependency, no bytes move — §4.3.3's depPages applied to the reduce
-// merge), keys absent from b take over their source segment through a
-// rebased pointer, and only key collisions decode — the source value is
-// combined into b's existing segment in place. Spilled runs transfer by
-// file handle; b's Drain folds them like its own.
+// b adopts src's page group and spill runs (pageStore.adopt), keys absent
+// from b take over their source segment through a rebased pointer, and
+// only key collisions decode — the source value is combined into b's
+// existing segment in place. b's Drain folds the transferred runs like its
+// own.
 //
 // Ownership contract: MergeFrom consumes src. The caller must Release src
 // afterwards and must not read it in between — collision segments inside
@@ -316,15 +238,10 @@ func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error {
 	if src == b {
 		return fmt.Errorf("shuffle: DecaAgg cannot merge from itself")
 	}
-	b.spills = append(b.spills, src.spills...)
-	b.spilled += src.spilled
-	src.spills = nil
-	if len(src.slots) == 0 {
-		return nil
-	}
-	base := b.group.AdoptPages(src.group)
-	for k, ptr := range src.slots {
-		b.absorb(k, src.group.Bytes(ptr, b.valSize), ptr.Rebase(base))
+	if base, ok := b.adopt(&src.pageStore, len(src.slots)); ok {
+		for k, ptr := range src.slots {
+			b.absorb(k, src.group.Bytes(ptr, b.valSize), ptr.Rebase(base))
+		}
 	}
 	return nil
 }
@@ -357,10 +274,10 @@ func (b *DecaAgg[K, V]) absorb(k K, seg []byte, ptr memory.Ptr) {
 //deca:transfers
 func (b *DecaAgg[K, V]) Fold(st *Staged) error {
 	defer st.Release()
-	if more, err := st.open(wireDecaAgg, &b.spills, &b.spilled); !more {
+	base, ok, err := b.adoptStaged(st, wireDecaAgg)
+	if !ok {
 		return err
 	}
-	base := b.group.AdoptPages(st.group)
 	if len(b.slots) == 0 {
 		b.slots = make(map[K]memory.Ptr, st.n)
 	}
@@ -378,17 +295,9 @@ func (b *DecaAgg[K, V]) Fold(st *Staged) error {
 	return nil
 }
 
-// Release frees the page group wholesale and deletes spill files: the
-// container's lifetime ends, its space reclaims at once.
+// Release frees the pages and spill files (pageStore.Release) and drops
+// the table.
 func (b *DecaAgg[K, V]) Release() {
-	if b.released {
-		return
-	}
-	b.released = true
 	b.slots = nil
-	b.group.Release()
-	for _, run := range b.spills {
-		run.remove()
-	}
-	b.spills = nil
+	b.pageStore.Release()
 }

@@ -13,7 +13,7 @@ import (
 
 func BenchmarkObjectAggCombine(b *testing.B) {
 	buf := NewObjectAgg[int64, int64](func(a, c int64) int64 { return a + c },
-		ObjectAggConfig[int64, int64]{})
+		ObjectConfig[int64, int64]{})
 	defer buf.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,7 +38,7 @@ func BenchmarkDecaAggCombine(b *testing.B) {
 }
 
 func BenchmarkObjectGroupPut(b *testing.B) {
-	buf := NewObjectGroup[int64, int64](ObjectGroupConfig[int64, int64]{})
+	buf := NewObjectGroup[int64, int64](ObjectConfig[int64, int64]{})
 	defer buf.Release()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -260,7 +260,7 @@ func BenchmarkObjectSortDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		buf := NewObjectSort[int64, int64](less, ObjectSortConfig[int64, int64]{})
+		buf := NewObjectSort[int64, int64](less, ObjectConfig[int64, int64]{})
 		for j := 0; j < n; j++ {
 			buf.Put(int64((j*2654435761)%n), int64(j))
 		}

@@ -30,7 +30,7 @@ func readOnlyDir(t *testing.T) string {
 func TestObjectAggSpillIOError(t *testing.T) {
 	dir := readOnlyDir(t)
 	b := NewObjectAgg[string, int64](func(a, c int64) int64 { return a + c },
-		ObjectAggConfig[string, int64]{KeySer: serial.Str{}, ValSer: serial.Int64{}, SpillDir: dir})
+		ObjectConfig[string, int64]{KeySer: serial.Str{}, ValSer: serial.Int64{}, SpillDir: dir})
 	defer b.Release()
 	b.Put("k", 1)
 	if err := b.Spill(); err == nil {
@@ -94,7 +94,7 @@ func TestDecaAggSpillWithoutKeyCodec(t *testing.T) {
 
 func TestObjectSortSpillWithoutSerializers(t *testing.T) {
 	b := NewObjectSort[int64, int64](func(a, c int64) bool { return a < c },
-		ObjectSortConfig[int64, int64]{})
+		ObjectConfig[int64, int64]{})
 	defer b.Release()
 	b.Put(1, 1)
 	if err := b.Spill(); err == nil {

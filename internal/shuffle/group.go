@@ -3,10 +3,11 @@ package shuffle
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
-	"deca/internal/serial"
+	"deca/internal/transport"
 )
 
 // ObjectGroup is the Spark-semantics groupByKey buffer: a hash table from
@@ -14,42 +15,16 @@ import (
 // inserted reference lives until the buffer is released — the long-living
 // population that saturates the old generation (§4.2 case 3).
 type ObjectGroup[K comparable, V any] struct {
-	table     map[K][]*V
-	entrySize func(K, V) int
-	approx    int64 // running SizeBytes estimate, maintained by Put/Spill
-
-	keySer   serial.Serializer[K]
-	valSer   serial.Serializer[V]
-	dir      string
-	spills   []spillFile
-	spilled  int64
-	count    int
-	released bool
-}
-
-// ObjectGroupConfig mirrors ObjectAggConfig for the grouping buffer.
-type ObjectGroupConfig[K comparable, V any] struct {
-	KeySer    serial.Serializer[K]
-	ValSer    serial.Serializer[V]
-	SpillDir  string
-	EntrySize func(K, V) int
+	boxedStore[K, V]
+	table map[K][]*V
+	count int
 }
 
 // NewObjectGroup returns an empty grouping buffer.
 //
 //deca:owns
-func NewObjectGroup[K comparable, V any](cfg ObjectGroupConfig[K, V]) *ObjectGroup[K, V] {
-	es := cfg.EntrySize
-	if es == nil {
-		es = func(K, V) int { return 48 }
-	}
-	return &ObjectGroup[K, V]{
-		table:     make(map[K][]*V),
-		entrySize: es,
-		keySer:    cfg.KeySer,
-		valSer:    cfg.ValSer,
-		dir:       cfg.SpillDir,
-	}
+func NewObjectGroup[K comparable, V any](cfg ObjectConfig[K, V]) *ObjectGroup[K, V] {
+	return &ObjectGroup[K, V]{boxedStore: newBoxedStore(cfg), table: make(map[K][]*V)}
 }
 
 // Put appends v to k's value list (boxed, like the JVM's ArrayBuffer of
@@ -57,7 +32,7 @@ func NewObjectGroup[K comparable, V any](cfg ObjectGroupConfig[K, V]) *ObjectGro
 func (b *ObjectGroup[K, V]) Put(k K, v V) {
 	b.table[k] = append(b.table[k], &v)
 	b.count++
-	b.approx += int64(b.entrySize(k, v))
+	b.charge(k, v)
 }
 
 // Len returns the number of distinct keys in memory.
@@ -66,65 +41,42 @@ func (b *ObjectGroup[K, V]) Len() int { return len(b.table) }
 // Values returns the total number of buffered values in memory.
 func (b *ObjectGroup[K, V]) Values() int { return b.count }
 
-// SizeBytes estimates the footprint, maintained incrementally by Put and
-// Spill instead of walking every buffered value on each call.
-func (b *ObjectGroup[K, V]) SizeBytes() int64 { return b.approx }
-
-// SpilledBytes returns the cumulative spill volume.
-func (b *ObjectGroup[K, V]) SpilledBytes() int64 { return b.spilled }
+// each enumerates every (key, value) pair flat, in list order per key, for
+// the store's spill and frame writers; replay and decode regroup them with
+// within-key order preserved.
+func (b *ObjectGroup[K, V]) each(emit func(K, V) error) error {
+	for k, vs := range b.table {
+		for _, v := range vs {
+			if err := emit(k, *v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // Spill serializes all (key, value) pairs flat and clears memory; Drain
 // re-groups them.
 func (b *ObjectGroup[K, V]) Spill() error {
-	if b.keySer == nil || b.valSer == nil {
-		return fmt.Errorf("shuffle: ObjectGroup has no serializers; cannot spill")
-	}
-	if len(b.table) == 0 {
-		return nil
-	}
-	run, err := writeSpill(b.dir, func(w *spillWriter) error {
-		for k, vs := range b.table {
-			for _, v := range vs {
-				rec := b.keySer.Marshal(w.stage(0), k)
-				rec = b.valSer.Marshal(rec, *v)
-				if err := w.emitScratch(rec); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := b.spill(wireObjectGroup, b.count, b.each); err != nil {
 		return err
 	}
-	b.spills = append(b.spills, run)
-	b.spilled += run.size
 	b.table = make(map[K][]*V)
 	b.count = 0
-	b.approx = 0
 	return nil
+}
+
+// EncodeWire serializes every (key, value) pair flat.
+func (b *ObjectGroup[K, V]) EncodeWire(w io.Writer) error {
+	return b.encodeRecords(w, wireObjectGroup, b.count, b.each)
 }
 
 // Drain merges spills back and yields every key with its complete value
 // list.
 func (b *ObjectGroup[K, V]) Drain(yield func(K, []V) bool) error {
-	for _, run := range b.spills {
-		data, err := run.read()
-		if err != nil {
-			return err
-		}
-		err = drainRecords(data, func(src []byte) int {
-			k, kn := b.keySer.Unmarshal(src)
-			v, vn := b.valSer.Unmarshal(src[kn:])
-			b.Put(k, v)
-			return kn + vn
-		})
-		if err != nil {
-			return err
-		}
-		run.remove()
+	if err := b.replay(b.Put); err != nil {
+		return err
 	}
-	b.spills = nil
 	for k, vs := range b.table {
 		out := make([]V, len(vs))
 		for i, v := range vs {
@@ -139,16 +91,8 @@ func (b *ObjectGroup[K, V]) Drain(yield func(K, []V) bool) error {
 
 // Release drops everything.
 func (b *ObjectGroup[K, V]) Release() {
-	if b.released {
-		return
-	}
-	b.released = true
 	b.table = nil
-	b.approx = 0
-	for _, run := range b.spills {
-		run.remove()
-	}
-	b.spills = nil
+	b.boxedStore.Release()
 }
 
 // DecaGroup is the page-backed groupByKey buffer of Figure 7(b): values
@@ -160,17 +104,11 @@ func (b *ObjectGroup[K, V]) Release() {
 // structure itself stays on the heap, but the value payloads live in
 // pages.
 type DecaGroup[K comparable, V any] struct {
+	pageStore
 	keyCodec decompose.Codec[K]
 	valCodec decompose.Codec[V]
-
-	group *memory.Group //deca:owns (released by Release; decode re-homes restored groups here)
-	slots map[K][]memory.Ptr
-	dir   string
-
-	spills   []spillFile
-	spilled  int64
+	slots    map[K][]memory.Ptr
 	count    int
-	released bool
 }
 
 // NewDecaGroup returns a page-backed grouping buffer. keyCodec is needed
@@ -184,11 +122,10 @@ func NewDecaGroup[K comparable, V any](
 	spillDir string,
 ) *DecaGroup[K, V] {
 	return &DecaGroup[K, V]{
-		keyCodec: keyCodec,
-		valCodec: valCodec,
-		group:    mem.NewGroup(),
-		slots:    make(map[K][]memory.Ptr),
-		dir:      spillDir,
+		pageStore: newPageStore(mem, spillDir),
+		keyCodec:  keyCodec,
+		valCodec:  valCodec,
+		slots:     make(map[K][]memory.Ptr),
 	}
 }
 
@@ -210,9 +147,6 @@ func (b *DecaGroup[K, V]) SizeBytes() int64 {
 	return b.group.Footprint() + int64(b.count)*8 + int64(len(b.slots))*24
 }
 
-// SpilledBytes returns the cumulative spill volume.
-func (b *DecaGroup[K, V]) SpilledBytes() int64 { return b.spilled }
-
 // Spill writes raw (key, value) records and resets pages.
 func (b *DecaGroup[K, V]) Spill() error {
 	if b.keyCodec == nil {
@@ -221,12 +155,10 @@ func (b *DecaGroup[K, V]) Spill() error {
 	if len(b.slots) == 0 {
 		return nil
 	}
-	run, err := writeSpill(b.dir, func(w *spillWriter) error {
+	err := b.spillPages(func(w *spillWriter) error {
 		for k, ptrs := range b.slots {
 			for _, ptr := range ptrs {
-				key := w.stage(b.keyCodec.Size(k))
-				b.keyCodec.Encode(key, k)
-				if err := w.emit(key); err != nil {
+				if err := emitKey(w, b.keyCodec, k); err != nil {
 					return err
 				}
 				// Re-read the value's exact size from its segment; the
@@ -243,36 +175,28 @@ func (b *DecaGroup[K, V]) Spill() error {
 	if err != nil {
 		return err
 	}
-	b.spills = append(b.spills, run)
-	b.spilled += run.size
 	b.slots = make(map[K][]memory.Ptr)
 	b.count = 0
-	b.group.Reset()
 	return nil
 }
 
 // Drain merges spills and yields each key with its decoded value list.
 func (b *DecaGroup[K, V]) Drain(yield func(K, []V) bool) error {
-	if err := b.mergeSpills(); err != nil {
-		return err
-	}
-	for k, ptrs := range b.slots {
+	return b.DrainPages(func(k K, ptrs []memory.Ptr, g *memory.Group) bool {
 		out := make([]V, len(ptrs))
 		for i, ptr := range ptrs {
-			out[i] = decompose.ReadAt(b.group, b.valCodec, ptr)
+			out[i] = decompose.ReadAt(g, b.valCodec, ptr)
 		}
-		if !yield(k, out) {
-			return nil
-		}
-	}
-	return nil
+		return yield(k, out)
+	})
 }
 
-// DrainPages yields each key's pointer array along with the backing group,
-// letting a downstream cache copy raw value bytes without decoding — the
-// partially-decomposable hand-off of Figure 7(b).
+// DrainPages merges spills and yields each key's pointer array along with
+// the backing group, letting a downstream cache copy raw value bytes
+// without decoding — the partially-decomposable hand-off of Figure 7(b).
 func (b *DecaGroup[K, V]) DrainPages(yield func(k K, ptrs []memory.Ptr, g *memory.Group) bool) error {
-	if err := b.mergeSpills(); err != nil {
+	pair := decompose.PairCodec[K, V]{KeyCodec: b.keyCodec, ValueCodec: b.valCodec}
+	if err := replayRuns(&b.runSet, pair.Decode, b.Put); err != nil {
 		return err
 	}
 	for k, ptrs := range b.slots {
@@ -283,43 +207,39 @@ func (b *DecaGroup[K, V]) DrainPages(yield func(k K, ptrs []memory.Ptr, g *memor
 	return nil
 }
 
-func (b *DecaGroup[K, V]) mergeSpills() error {
-	for _, run := range b.spills {
-		data, err := run.read()
-		if err != nil {
-			return err
-		}
-		err = drainRecords(data, func(src []byte) int {
-			k, kn := b.keyCodec.Decode(src)
-			v, vn := b.valCodec.Decode(src[kn:])
-			b.Put(k, v)
-			return kn + vn
-		})
-		if err != nil {
-			return err
-		}
-		run.remove()
+// EncodeSegments builds the DecaGroup frame: per key its bytes and its
+// pointer array, which preserves within-key value order.
+//
+//deca:owns
+func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
+	if b.keyCodec == nil {
+		return nil, fmt.Errorf("shuffle: DecaGroup has no key codec; cannot encode")
 	}
-	b.spills = nil
-	return nil
+	return b.encodeSegments(wireDecaGroup, len(b.slots), func(fs *transport.FrameSegments) {
+		for k, ptrs := range b.slots {
+			stageKey(fs, b.keyCodec, k, 0)
+			stageUvarint(fs, uint64(len(ptrs)))
+			stagePtrs(fs, ptrs)
+		}
+	})
 }
 
-// MergeFrom folds src into b zero-copy: b adopts src's page group by
-// reference and appends each key's pointer array wholesale — rebased to
-// b's page address space, never decoded. Spilled runs transfer by file
-// handle. Same ownership contract as DecaAgg.MergeFrom: src is consumed
-// and must only be Released afterwards.
+// EncodeWire writes the buffer's wire frame to w.
+func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
+
+// MergeFrom folds src into b zero-copy: b adopts src's page group and
+// spill runs (pageStore.adopt) and appends each key's pointer array
+// wholesale — rebased to b's page address space, never decoded. Same
+// ownership contract as DecaAgg.MergeFrom: src is consumed and must only
+// be Released afterwards.
 func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error {
 	if src == b {
 		return fmt.Errorf("shuffle: DecaGroup cannot merge from itself")
 	}
-	b.spills = append(b.spills, src.spills...)
-	b.spilled += src.spilled
-	src.spills = nil
-	if len(src.slots) == 0 {
+	base, ok := b.adopt(&src.pageStore, len(src.slots))
+	if !ok {
 		return nil
 	}
-	base := b.group.AdoptPages(src.group)
 	for k, ptrs := range src.slots {
 		if base != 0 {
 			for i := range ptrs {
@@ -351,10 +271,10 @@ func (b *DecaGroup[K, V]) absorb(k K, ptrs []memory.Ptr) {
 //deca:transfers
 func (b *DecaGroup[K, V]) Fold(st *Staged) error {
 	defer st.Release()
-	if more, err := st.open(wireDecaGroup, &b.spills, &b.spilled); !more {
+	base, ok, err := b.adoptStaged(st, wireDecaGroup)
+	if !ok {
 		return err
 	}
-	base := b.group.AdoptPages(st.group)
 	if len(b.slots) == 0 {
 		b.slots = make(map[K][]memory.Ptr, st.n)
 	}
@@ -378,16 +298,9 @@ func (b *DecaGroup[K, V]) Fold(st *Staged) error {
 	return nil
 }
 
-// Release frees the page group wholesale and deletes spill files.
+// Release frees the pages and spill files (pageStore.Release) and drops
+// the pointer arrays.
 func (b *DecaGroup[K, V]) Release() {
-	if b.released {
-		return
-	}
-	b.released = true
 	b.slots = nil
-	b.group.Release()
-	for _, run := range b.spills {
-		run.remove()
-	}
-	b.spills = nil
+	b.pageStore.Release()
 }

@@ -60,7 +60,7 @@ func drainAggToMap[K comparable, V any](t *testing.T, d interface {
 
 func TestObjectAggMatchesReference(t *testing.T) {
 	b := NewObjectAgg[string, int64](func(a, b int64) int64 { return a + b },
-		ObjectAggConfig[string, int64]{})
+		ObjectConfig[string, int64]{})
 	defer b.Release()
 	pairs := []decompose.Pair[string, int64]{
 		{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3},
@@ -171,7 +171,7 @@ func TestAggSpillRoundTrip(t *testing.T) {
 	want := referenceAgg(pairs)
 
 	obj := NewObjectAgg[string, int64](func(a, b int64) int64 { return a + b },
-		ObjectAggConfig[string, int64]{KeySer: serial.Str{}, ValSer: serial.Int64{}, SpillDir: dir})
+		ObjectConfig[string, int64]{KeySer: serial.Str{}, ValSer: serial.Int64{}, SpillDir: dir})
 	defer obj.Release()
 	m := memory.NewManager(128, 0)
 	dec, _ := NewDecaAgg[string, int64](m, func(a, b int64) int64 { return a + b },
@@ -203,7 +203,7 @@ func TestAggSpillRoundTrip(t *testing.T) {
 
 func TestObjectAggSpillWithoutSerializers(t *testing.T) {
 	b := NewObjectAgg[string, int64](func(a, b int64) int64 { return a + b },
-		ObjectAggConfig[string, int64]{})
+		ObjectConfig[string, int64]{})
 	defer b.Release()
 	b.Put("a", 1)
 	if err := b.Spill(); err == nil {
@@ -218,7 +218,7 @@ func TestGroupBuffersMatchReference(t *testing.T) {
 	}
 	want := map[int64][]int64{1: {10, 11, 12}, 2: {20, 21}, 3: {30}}
 
-	obj := NewObjectGroup[int64, int64](ObjectGroupConfig[int64, int64]{})
+	obj := NewObjectGroup[int64, int64](ObjectConfig[int64, int64]{})
 	defer obj.Release()
 	m := memory.NewManager(64, 0)
 	dec := NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
@@ -275,7 +275,7 @@ func TestDecaGroupDrainPages(t *testing.T) {
 func TestGroupSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := memory.NewManager(64, 0)
-	obj := NewObjectGroup[string, int64](ObjectGroupConfig[string, int64]{
+	obj := NewObjectGroup[string, int64](ObjectConfig[string, int64]{
 		KeySer: serial.Str{}, ValSer: serial.Int64{}, SpillDir: dir})
 	defer obj.Release()
 	dec := NewDecaGroup[string, int64](m, decompose.StringCodec{}, decompose.Int64Codec{}, dir)
@@ -322,7 +322,7 @@ func TestGroupSpillRoundTrip(t *testing.T) {
 
 func TestSortBuffersOrder(t *testing.T) {
 	less := func(a, b int64) bool { return a < b }
-	obj := NewObjectSort[int64, string](less, ObjectSortConfig[int64, string]{})
+	obj := NewObjectSort[int64, string](less, ObjectConfig[int64, string]{})
 	defer obj.Release()
 	m := memory.NewManager(64, 0)
 	dec := NewDecaSort[int64, string](m, less, decompose.Int64Codec{}, decompose.StringCodec{}, "")
@@ -360,7 +360,7 @@ func TestSortBuffersOrder(t *testing.T) {
 func TestSortSpillMerge(t *testing.T) {
 	dir := t.TempDir()
 	less := func(a, b int64) bool { return a < b }
-	obj := NewObjectSort[int64, int64](less, ObjectSortConfig[int64, int64]{
+	obj := NewObjectSort[int64, int64](less, ObjectConfig[int64, int64]{
 		KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
 	defer obj.Release()
 	m := memory.NewManager(128, 0)
@@ -412,7 +412,7 @@ func TestAggEquivalenceProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := memory.NewManager(256, 0)
 		obj := NewObjectAgg[int64, int64](func(a, b int64) int64 { return a + b },
-			ObjectAggConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
+			ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
 		defer obj.Release()
 		dec, _ := NewDecaAgg[int64, int64](m, func(a, b int64) int64 { return a + b },
 			decompose.Int64Codec{}, decompose.Int64Codec{}, dir)

@@ -2,101 +2,67 @@ package shuffle
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
-	"deca/internal/serial"
+	"deca/internal/transport"
 )
 
 // ObjectSort is the Spark-semantics sort-based shuffle buffer: record
 // objects accumulate in a slice and are sorted by key. References inserted
 // are never removed, so their lifetime equals the buffer's (§4.2 case 1).
 type ObjectSort[K comparable, V any] struct {
+	boxedStore[K, V]
 	less    func(a, b K) bool
 	records []decompose.Pair[K, V]
-
-	keySer    serial.Serializer[K]
-	valSer    serial.Serializer[V]
-	dir       string
-	spills    []spillFile
-	spilled   int64
-	entrySize func(K, V) int
-	approx    int64 // running SizeBytes estimate, maintained by Put/Spill
-	released  bool
-}
-
-// ObjectSortConfig mirrors the other object-buffer configs.
-type ObjectSortConfig[K comparable, V any] struct {
-	KeySer    serial.Serializer[K]
-	ValSer    serial.Serializer[V]
-	SpillDir  string
-	EntrySize func(K, V) int
 }
 
 // NewObjectSort returns an empty sort buffer ordering keys by less.
 //
 //deca:owns
-func NewObjectSort[K comparable, V any](less func(a, b K) bool, cfg ObjectSortConfig[K, V]) *ObjectSort[K, V] {
-	es := cfg.EntrySize
-	if es == nil {
-		es = func(K, V) int { return 48 }
-	}
-	return &ObjectSort[K, V]{
-		less:      less,
-		keySer:    cfg.KeySer,
-		valSer:    cfg.ValSer,
-		dir:       cfg.SpillDir,
-		entrySize: es,
-	}
+func NewObjectSort[K comparable, V any](less func(a, b K) bool, cfg ObjectConfig[K, V]) *ObjectSort[K, V] {
+	return &ObjectSort[K, V]{boxedStore: newBoxedStore(cfg), less: less}
 }
 
 // Put inserts one record.
 func (b *ObjectSort[K, V]) Put(k K, v V) {
 	b.records = append(b.records, decompose.Pair[K, V]{Key: k, Value: v})
-	b.approx += int64(b.entrySize(k, v))
+	b.charge(k, v)
 }
 
 // Len returns the number of in-memory records.
 func (b *ObjectSort[K, V]) Len() int { return len(b.records) }
 
-// SizeBytes estimates the footprint, maintained incrementally by Put and
-// Spill instead of walking every buffered record on each call.
-func (b *ObjectSort[K, V]) SizeBytes() int64 { return b.approx }
-
-// SpilledBytes returns the cumulative spill volume.
-func (b *ObjectSort[K, V]) SpilledBytes() int64 { return b.spilled }
+// each enumerates the in-memory records in their current order for the
+// store's spill and frame writers.
+func (b *ObjectSort[K, V]) each(emit func(K, V) error) error {
+	for _, r := range b.records {
+		if err := emit(r.Key, r.Value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Spill sorts the in-memory records and writes them as a sorted run
 // (Appendix C: "Deca sorts the pointers before spilling" — Spark sorts the
 // records), serializing each.
 func (b *ObjectSort[K, V]) Spill() error {
-	if b.keySer == nil || b.valSer == nil {
-		return fmt.Errorf("shuffle: ObjectSort has no serializers; cannot spill")
-	}
-	if len(b.records) == 0 {
-		return nil
-	}
 	b.sortRecords()
-	run, err := writeSpill(b.dir, func(w *spillWriter) error {
-		for _, r := range b.records {
-			rec := b.keySer.Marshal(w.stage(0), r.Key)
-			rec = b.valSer.Marshal(rec, r.Value)
-			if err := w.emitScratch(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := b.spill(wireObjectSort, len(b.records), b.each); err != nil {
 		return err
 	}
-	b.spills = append(b.spills, run)
-	b.spilled += run.size
 	b.records = nil
-	b.approx = 0
 	return nil
+}
+
+// EncodeWire serializes the in-memory records in insertion order, then
+// streams the sorted spill runs.
+func (b *ObjectSort[K, V]) EncodeWire(w io.Writer) error {
+	return b.encodeRecords(w, wireObjectSort, len(b.records), b.each)
 }
 
 func (b *ObjectSort[K, V]) sortRecords() {
@@ -112,40 +78,13 @@ func (b *ObjectSort[K, V]) sortRecords() {
 // identically on every action.
 func (b *ObjectSort[K, V]) DrainSorted(yield func(K, V) bool) error {
 	b.sortRecords()
-	runs := make([]*runCursor[K, V], 0, len(b.spills)+1)
-	for _, run := range b.spills {
-		data, err := run.read()
-		if err != nil {
-			return err
-		}
-		rc := &runCursor[K, V]{data: data, decode: func(src []byte) (decompose.Pair[K, V], int) {
-			k, kn := b.keySer.Unmarshal(src)
-			v, vn := b.valSer.Unmarshal(src[kn:])
-			return decompose.Pair[K, V]{Key: k, Value: v}, kn + vn
-		}}
-		rc.advance()
-		runs = append(runs, rc)
-	}
-	mem := &runCursor[K, V]{mem: b.records}
-	mem.advance()
-	runs = append(runs, mem)
-
-	mergeRuns(runs, b.less, yield)
-	return nil
+	return mergeSorted(&b.runSet, b.decodePair, b.records, b.less, yield)
 }
 
 // Release drops everything.
 func (b *ObjectSort[K, V]) Release() {
-	if b.released {
-		return
-	}
-	b.released = true
 	b.records = nil
-	b.approx = 0
-	for _, run := range b.spills {
-		run.remove()
-	}
-	b.spills = nil
+	b.boxedStore.Release()
 }
 
 // DecaSort is the page-backed sort buffer of Figure 6(b): records are
@@ -153,16 +92,10 @@ func (b *ObjectSort[K, V]) Release() {
 // sorted instead of the records themselves. The hashing/sorting operations
 // run on the pointer array; record bytes never move.
 type DecaSort[K comparable, V any] struct {
+	pageStore
 	less      func(a, b K) bool
 	pairCodec decompose.PairCodec[K, V]
-
-	group *memory.Group //deca:owns (released by Release; decode re-homes restored groups here)
-	ptrs  []memory.Ptr
-	dir   string
-
-	spills   []spillFile
-	spilled  int64
-	released bool
+	ptrs      []memory.Ptr
 }
 
 // NewDecaSort returns a page-backed sort buffer.
@@ -176,10 +109,9 @@ func NewDecaSort[K comparable, V any](
 	spillDir string,
 ) *DecaSort[K, V] {
 	return &DecaSort[K, V]{
+		pageStore: newPageStore(mem, spillDir),
 		less:      less,
 		pairCodec: decompose.PairCodec[K, V]{KeyCodec: keyCodec, ValueCodec: valCodec},
-		group:     mem.NewGroup(),
-		dir:       spillDir,
 	}
 }
 
@@ -195,9 +127,6 @@ func (b *DecaSort[K, V]) Len() int { return len(b.ptrs) }
 func (b *DecaSort[K, V]) SizeBytes() int64 {
 	return b.group.Footprint() + int64(len(b.ptrs))*8
 }
-
-// SpilledBytes returns the cumulative spill volume.
-func (b *DecaSort[K, V]) SpilledBytes() int64 { return b.spilled }
 
 // keyAt decodes only the key of the record at ptr.
 func (b *DecaSort[K, V]) keyAt(ptr memory.Ptr) K {
@@ -219,7 +148,7 @@ func (b *DecaSort[K, V]) Spill() error {
 		return nil
 	}
 	b.sortPtrs()
-	run, err := writeSpill(b.dir, func(w *spillWriter) error {
+	err := b.spillPages(func(w *spillWriter) error {
 		for _, ptr := range b.ptrs {
 			// Record bytes dump straight from the page in pointer order —
 			// no staging buffer at all.
@@ -234,10 +163,7 @@ func (b *DecaSort[K, V]) Spill() error {
 	if err != nil {
 		return err
 	}
-	b.spills = append(b.spills, run)
-	b.spilled += run.size
 	b.ptrs = nil
-	b.group.Reset()
 	return nil
 }
 
@@ -248,47 +174,42 @@ func (b *DecaSort[K, V]) Spill() error {
 // transferred runs) all see the full record set.
 func (b *DecaSort[K, V]) DrainSorted(yield func(K, V) bool) error {
 	b.sortPtrs()
-	runs := make([]*runCursor[K, V], 0, len(b.spills)+1)
-	for _, run := range b.spills {
-		data, err := run.read()
-		if err != nil {
-			return err
-		}
-		rc := &runCursor[K, V]{data: data, decode: b.pairCodec.Decode}
-		rc.advance()
-		runs = append(runs, rc)
-	}
-	memRun := &runCursor[K, V]{}
-	memRun.mem = make([]decompose.Pair[K, V], len(b.ptrs))
+	mem := make([]decompose.Pair[K, V], len(b.ptrs))
 	for i, ptr := range b.ptrs {
-		memRun.mem[i] = decompose.ReadAt(b.group, b.pairCodec, ptr)
+		mem[i] = decompose.ReadAt(b.group, b.pairCodec, ptr)
 	}
-	memRun.advance()
-	runs = append(runs, memRun)
-
-	mergeRuns(runs, b.less, yield)
-	return nil
+	return mergeSorted(&b.runSet, b.pairCodec.Decode, mem, b.less, yield)
 }
 
-// MergeFrom folds src into b zero-copy: b adopts src's page group by
-// reference and appends src's pointer array rebased to b's page address
-// space; records are never decoded — ordering is established lazily by
-// the next DrainSorted/Spill. Sorted spill runs transfer by file handle
-// and join b's k-way merge untouched. Same ownership contract as
-// DecaAgg.MergeFrom: src is consumed and must only be Released afterwards.
+// EncodeSegments builds the DecaSort frame: the leanest one — no key
+// table at all, the records ship as pages and the ordering state as
+// pointers.
+//
+//deca:owns
+func (b *DecaSort[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
+	return b.encodeSegments(wireDecaSort, len(b.ptrs), func(fs *transport.FrameSegments) {
+		stagePtrs(fs, b.ptrs)
+	})
+}
+
+// EncodeWire writes the buffer's wire frame to w.
+func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
+
+// MergeFrom folds src into b zero-copy: b adopts src's page group and
+// spill runs (pageStore.adopt) and appends src's pointer array rebased to
+// b's page address space; records are never decoded — ordering is
+// established lazily by the next DrainSorted/Spill, and the transferred
+// runs, already sorted, join b's k-way merge untouched. Same ownership
+// contract as DecaAgg.MergeFrom: src is consumed and must only be
+// Released afterwards.
 func (b *DecaSort[K, V]) MergeFrom(src *DecaSort[K, V]) error {
 	if src == b {
 		return fmt.Errorf("shuffle: DecaSort cannot merge from itself")
 	}
-	b.spills = append(b.spills, src.spills...)
-	b.spilled += src.spilled
-	src.spills = nil
-	if len(src.ptrs) == 0 {
-		return nil
-	}
-	base := b.group.AdoptPages(src.group)
-	for _, ptr := range src.ptrs {
-		b.ptrs = append(b.ptrs, ptr.Rebase(base))
+	if base, ok := b.adopt(&src.pageStore, len(src.ptrs)); ok {
+		for _, ptr := range src.ptrs {
+			b.ptrs = append(b.ptrs, ptr.Rebase(base))
+		}
 	}
 	return nil
 }
@@ -300,10 +221,10 @@ func (b *DecaSort[K, V]) MergeFrom(src *DecaSort[K, V]) error {
 //deca:transfers
 func (b *DecaSort[K, V]) Fold(st *Staged) error {
 	defer st.Release()
-	if more, err := st.open(wireDecaSort, &b.spills, &b.spilled); !more {
+	base, ok, err := b.adoptStaged(st, wireDecaSort)
+	if !ok {
 		return err
 	}
-	base := b.group.AdoptPages(st.group)
 	b.ptrs = slices.Grow(b.ptrs, len(st.ptrs))
 	for _, ptr := range st.ptrs {
 		if _, err := st.group.CheckedBytes(ptr, 1); err != nil {
@@ -314,75 +235,9 @@ func (b *DecaSort[K, V]) Fold(st *Staged) error {
 	return nil
 }
 
-// Release frees the page group wholesale and deletes spill files.
+// Release frees the pages and spill files (pageStore.Release) and drops
+// the pointer array.
 func (b *DecaSort[K, V]) Release() {
-	if b.released {
-		return
-	}
-	b.released = true
 	b.ptrs = nil
-	b.group.Release()
-	for _, run := range b.spills {
-		run.remove()
-	}
-	b.spills = nil
-}
-
-// runCursor iterates one sorted run: either decoded from spill bytes or an
-// in-memory slice.
-type runCursor[K comparable, V any] struct {
-	data   []byte
-	off    int
-	decode func(src []byte) (decompose.Pair[K, V], int)
-
-	mem    []decompose.Pair[K, V]
-	memIdx int
-
-	cur decompose.Pair[K, V]
-	ok  bool
-}
-
-func (rc *runCursor[K, V]) advance() {
-	if rc.mem != nil || rc.decode == nil {
-		if rc.memIdx < len(rc.mem) {
-			rc.cur = rc.mem[rc.memIdx]
-			rc.memIdx++
-			rc.ok = true
-		} else {
-			rc.ok = false
-		}
-		return
-	}
-	if rc.off >= len(rc.data) {
-		rc.ok = false
-		return
-	}
-	p, n := rc.decode(rc.data[rc.off:])
-	rc.off += n
-	rc.cur = p
-	rc.ok = true
-}
-
-// mergeRuns k-way merges sorted runs by repeatedly taking the minimum key.
-// Run counts are small (spill count + 1), so a linear scan beats a heap.
-func mergeRuns[K comparable, V any](runs []*runCursor[K, V], less func(a, b K) bool, yield func(K, V) bool) {
-	for {
-		best := -1
-		for i, rc := range runs {
-			if !rc.ok {
-				continue
-			}
-			if best < 0 || less(rc.cur.Key, runs[best].cur.Key) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		rec := runs[best].cur
-		runs[best].advance()
-		if !yield(rec.Key, rec.Value) {
-			return
-		}
-	}
+	b.pageStore.Release()
 }

@@ -36,10 +36,11 @@ var kindNames = [...]string{
 // kindName names one of the frame kind constants.
 func kindName(kind byte) string { return kindNames[kind] }
 
-// Staged is one Deca frame staged for folding. It owns the restored page
-// group and spill runs until a Fold takes them over or Release ends
-// them; Fold consumes the frame either way.
+// Staged is one Deca frame staged for folding. Its page store owns the
+// restored page group and spill runs until a Fold adopts them or Release
+// ends them; Fold consumes the frame either way.
 type Staged struct {
+	pageStore
 	kind byte // wireDecaAgg, wireDecaGroup or wireDecaSort
 	n    int  // table entries: keys (agg, group) or records (sort)
 	// table is the key table as it crossed the wire, minus DecaGroup's
@@ -49,11 +50,6 @@ type Staged struct {
 	// ptrs holds DecaGroup's per-key pointer arrays back to back, in table
 	// order, and DecaSort's records. They address group's pages as-is.
 	ptrs []memory.Ptr
-
-	group    *memory.Group //deca:owns (restored by stage; adopted by Fold, dropped by Release)
-	spills   []spillFile
-	spilled  int64
-	released bool
 }
 
 // stagePresize caps how many table entries a stage reserves arena room
@@ -94,7 +90,7 @@ func stageFrame(r WireReader, mem *memory.Manager, kind byte, keySize int, spill
 	if err != nil {
 		return nil, err
 	}
-	st := &Staged{kind: kind, n: n}
+	st := &Staged{pageStore: pageStore{runSet: runSet{dir: spillDir}}, kind: kind, n: n}
 	t := tableReader{r: r, name: name}
 	if kind == wireDecaSort {
 		st.ptrs, err = t.readPtrs(make([]memory.Ptr, 0, min(n, stagePresize)), n)
@@ -109,7 +105,7 @@ func stageFrame(r WireReader, mem *memory.Manager, kind byte, keySize int, spill
 		return nil, err
 	}
 	st.group = g
-	if st.spills, st.spilled, err = decodeSpills(r, spillDir); err != nil {
+	if err := st.restore(r); err != nil {
 		st.Release()
 		return nil, err
 	}
@@ -122,36 +118,12 @@ func (st *Staged) SizeBytes() int64 {
 	return st.group.Footprint() + int64(len(st.ptrs))*8 + int64(len(st.table))
 }
 
-// SpilledBytes is the volume of the spill runs the frame carried.
-func (st *Staged) SpilledBytes() int64 { return st.spilled }
-
 // Release drops whatever the frame still owns: its reference on the
 // restored group (pages a Fold adopted stay alive through the adopter)
 // and any spill runs no Fold took over. Idempotent.
 func (st *Staged) Release() {
-	if st.released {
-		return
-	}
-	st.released = true
 	st.table, st.ptrs = nil, nil
-	st.group.Release()
-	for _, run := range st.spills {
-		run.remove()
-	}
-	st.spills = nil
-}
-
-// open is the shared head of every Fold: check the frame is the
-// container's own kind and hand over its spill runs. It reports whether a
-// table is left to walk.
-func (st *Staged) open(kind byte, spills *[]spillFile, spilled *int64) (bool, error) {
-	if st.released || st.kind != kind {
-		return false, fmt.Errorf("shuffle: %s cannot fold a staged %s frame (released=%v)", kindName(kind), kindName(st.kind), st.released)
-	}
-	*spills = append(*spills, st.spills...)
-	*spilled += st.spilled
-	st.spills = nil
-	return st.n > 0, nil
+	st.pageStore.Release()
 }
 
 // nextKey splits the next key's bytes off a staged table. The table is

@@ -77,35 +77,6 @@ func TestDecaAggWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestObjectAggWireRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	add := func(a, b int64) int64 { return a + b }
-	cfg := ObjectAggConfig[string, int64]{KeySer: serial.Str{}, ValSer: serial.Int64{}, SpillDir: dir}
-	b := NewObjectAgg(add, cfg)
-	words := []string{"alpha", "beta", "gamma", "delta"}
-	for i := int64(0); i < 300; i++ {
-		b.Put(words[i%4], i)
-	}
-	if err := b.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	b.Put("epsilon", 7)
-
-	var frame bytes.Buffer
-	if err := b.EncodeWire(&frame); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeObjectAgg[string, int64](bytes.NewReader(frame.Bytes()), add, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(drainAggMap[string, int64](t, got), drainAggMap[string, int64](t, b)) {
-		t.Error("decoded ObjectAgg drains differently from the source")
-	}
-	got.Release()
-	b.Release()
-}
-
 func TestDecaGroupWireRoundTrip(t *testing.T) {
 	srcMem := memory.NewManager(256, 0)
 	dir := t.TempDir()
@@ -156,52 +127,13 @@ func TestDecaGroupWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestObjectGroupWireRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ObjectGroupConfig[int64, string]{KeySer: serial.Int64{}, ValSer: serial.Str{}, SpillDir: dir}
-	b := NewObjectGroup(cfg)
-	for i := int64(0); i < 120; i++ {
-		b.Put(i%5, string(rune('a'+i%26)))
-	}
-	if err := b.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	b.Put(99, "tail")
-
-	var frame bytes.Buffer
-	if err := b.EncodeWire(&frame); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeObjectGroup[int64, string](bytes.NewReader(frame.Bytes()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	collect := func(g *ObjectGroup[int64, string]) map[int64][]string {
-		out := map[int64][]string{}
-		if err := g.Drain(func(k int64, vs []string) bool {
-			cp := append([]string(nil), vs...)
-			sort.Strings(cp)
-			out[k] = cp
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if wantM, gotM := collect(b), collect(got); !reflect.DeepEqual(gotM, wantM) {
-		t.Error("decoded ObjectGroup drains differently from the source")
-	}
-	got.Release()
-	b.Release()
-}
-
 func TestSortWireRoundTrip(t *testing.T) {
 	srcMem := memory.NewManager(256, 0)
 	dir := t.TempDir()
 	less := func(a, b int64) bool { return a < b }
 
 	ds := NewDecaSort[int64, int64](srcMem, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-	os := NewObjectSort(less, ObjectSortConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
+	os := NewObjectSort(less, ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
 	for i := int64(0); i < 500; i++ {
 		k, v := (i*7919)%101, i
 		ds.Put(k, v)
@@ -254,7 +186,7 @@ func TestSortWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	go2, err := DecodeObjectSort[int64, int64](bytes.NewReader(oFrame.Bytes()), less,
-		ObjectSortConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
+		ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,6 +121,15 @@ func TestMultiprocEquivalence(t *testing.T) {
 	}
 }
 
+// logRecovery prints how the run recovered — in particular whether any
+// whole-exchange re-run (VerdictRetry round) was needed beside the lineage
+// repair: the evidence ROADMAP 3(c) asks for.
+func logRecovery(t *testing.T, res Result) {
+	t.Helper()
+	t.Logf("recovery: retries=%d failed=%d lineage=%d exchange-reruns=%d blacklisted=%d",
+		res.TaskRetries, res.TasksFailed, res.LineageMapReruns, res.ExchangeReruns, res.ExecutorsBlacklisted)
+}
+
 // TestMultiprocSIGKILL is the multiproc analogue of TestExecutorKill:
 // the chaos harness kills executor 1 after two attempts started on it —
 // which here SIGKILLs the real deca-executor process mid-job, taking its
@@ -150,6 +159,7 @@ func TestMultiprocSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multiproc with SIGKILL: %v", err)
 	}
+	logRecovery(t, res)
 	if res.Checksum != clean.Checksum {
 		t.Errorf("checksum after SIGKILL = %v, want %v", res.Checksum, clean.Checksum)
 	}
@@ -189,6 +199,7 @@ func TestMultiprocSIGKILLPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multiproc PR with SIGKILL: %v", err)
 	}
+	logRecovery(t, res)
 	if math.Abs(res.Checksum-clean.Checksum) > 1e-6*math.Abs(clean.Checksum) {
 		t.Errorf("checksum after SIGKILL = %v, want ~%v", res.Checksum, clean.Checksum)
 	}
@@ -232,8 +243,7 @@ func TestMultiprocReduceKillLineageRepair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multiproc with reduce-stage SIGKILL: %v", err)
 	}
-	t.Logf("recovery: retries=%d failed=%d lineage=%d blacklisted=%d kills=%d",
-		res.TaskRetries, res.TasksFailed, res.LineageMapReruns, res.ExecutorsBlacklisted, inj.Stats().Kills)
+	logRecovery(t, res)
 	if res.Checksum != clean.Checksum {
 		t.Errorf("checksum after reduce-stage SIGKILL = %v, want %v", res.Checksum, clean.Checksum)
 	}
@@ -318,6 +328,7 @@ func TestMultiprocFetchFaultChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multiproc with executor-side fetch faults: %v", err)
 	}
+	logRecovery(t, res)
 	if res.Checksum != clean.Checksum {
 		t.Errorf("checksum under fetch faults = %v, want %v", res.Checksum, clean.Checksum)
 	}

@@ -184,6 +184,7 @@ type Result struct {
 	SpeculativeWon       int64
 	ExecutorsBlacklisted int64
 	LineageMapReruns     int64
+	ExchangeReruns       int64 // whole-exchange VerdictRetry rounds
 }
 
 func (r Result) String() string {
@@ -247,6 +248,7 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 		SpeculativeWon:          metrics.SpeculativeWon.Load(),
 		ExecutorsBlacklisted:    metrics.ExecutorsBlacklisted.Load(),
 		LineageMapReruns:        metrics.LineageMapReruns.Load(),
+		ExchangeReruns:          metrics.ExchangeReruns.Load(),
 	}, nil
 }
 
