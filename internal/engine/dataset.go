@@ -310,16 +310,18 @@ func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
 func FlatMap[T, U any](d *Dataset[T], f func(v T, emit func(U))) *Dataset[U] {
 	return newDataset(d.ctx, d.parts, func(p int) Seq[U] {
 		return func(yield func(U) bool) {
+			// emit is built once per partition walk, not per input record.
 			stop := false
+			emit := func(u U) {
+				if stop {
+					return
+				}
+				if !yield(u) {
+					stop = true
+				}
+			}
 			err := d.Iterate(p, func(v T) bool {
-				f(v, func(u U) {
-					if stop {
-						return
-					}
-					if !yield(u) {
-						stop = true
-					}
-				})
+				f(v, emit)
 				return !stop
 			})
 			if err != nil {

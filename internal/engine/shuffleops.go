@@ -726,7 +726,7 @@ func ReduceByKey[K comparable, V any](
 			return shuffle.NewObjectAgg(combine, cfg), nil
 		},
 		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaAgg(r, ex.mem, ops.KeyCodec.FixedSize(), dir)
+			return shuffle.StageDecaAgg(r, ex.mem, dir)
 		},
 		decode: func(r shuffle.WireReader) (aggSink[K, V], error) {
 			return shuffle.DecodeObjectAgg(r, combine, cfg)

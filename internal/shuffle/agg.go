@@ -1,8 +1,10 @@
 package shuffle
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
@@ -87,11 +89,20 @@ func (b *ObjectAgg[K, V]) Release() {
 	b.boxedStore.Release()
 }
 
-// DecaAgg is the page-decomposed aggregation buffer (§4.3.2): keys stay in
-// the hash table (the paper keeps Key objects intact), values live as
-// fixed-size byte segments in a page group, and every combine decodes,
-// combines and re-encodes *in place*, reusing the old value's segment —
-// no allocation, no garbage, no GC pressure from combining.
+// DecaAgg is the page-decomposed aggregation buffer (§4.3.2, Figure 7): a
+// pointer-free hash table (aggIndex) over page segments that hold the key
+// and the value. Each distinct key owns one record in the page group,
+//
+//	uvarint (klen<<1 | dead) | key bytes (the key codec's encoding) | value
+//
+// appended once and never straddling a page; every combine decodes,
+// combines and re-encodes the value *in place* — no allocation, no garbage,
+// and no key survives as a Go object. Two keys are the same key iff their
+// encodings are byte-equal: Go's == for every built-in codec except on
+// floats, where +0 and -0 are two keys and equal-bit NaNs are one. The dead
+// bit marks a record a merge combined into another of the same key
+// (absorb); every walk skips it, so the pages alone say what the buffer
+// holds.
 //
 // The value codec must be fixed-size (a StaticFixed classification); the
 // constructor enforces it because in-place reuse of a variable-size value
@@ -102,13 +113,18 @@ type DecaAgg[K comparable, V any] struct {
 	combine  func(V, V) V
 	keyCodec decompose.Codec[K]
 	valCodec decompose.Codec[V]
+	keySize  int // keyCodec.FixedSize(): negative when keys vary in size
 	valSize  int
-	slots    map[K]memory.Ptr
+	idx      aggIndex
+	// keyBuf is where Put encodes its key. One buffer per container: a
+	// stack array handed to the codec interface escapes, an allocation per
+	// record.
+	keyBuf []byte
 }
 
 // NewDecaAgg returns a page-backed aggregation buffer. valCodec must
-// report a non-negative FixedSize. keyCodec is needed only for spilling;
-// pass nil to disable spill.
+// report a non-negative FixedSize; keyCodec must not be nil, because keys
+// live in the pages in its encoding.
 //
 //deca:owns
 func NewDecaAgg[K comparable, V any](
@@ -118,158 +134,245 @@ func NewDecaAgg[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) (*DecaAgg[K, V], error) {
-	if valCodec.FixedSize() < 0 {
-		return nil, fmt.Errorf("shuffle: DecaAgg requires a StaticFixed value codec (got variable size)")
+	if keyCodec == nil || valCodec.FixedSize() < 0 {
+		return nil, fmt.Errorf("shuffle: DecaAgg requires a key codec and a StaticFixed value codec")
 	}
 	return &DecaAgg[K, V]{
 		pageStore: newPageStore(mem, spillDir),
 		combine:   combine,
 		keyCodec:  keyCodec,
 		valCodec:  valCodec,
+		keySize:   keyCodec.FixedSize(),
 		valSize:   valCodec.FixedSize(),
-		slots:     make(map[K]memory.Ptr),
 	}, nil
 }
 
-// Put eagerly combines v into k's segment, reusing the segment in place.
-func (b *DecaAgg[K, V]) Put(k K, v V) {
-	if ptr, ok := b.slots[k]; ok {
-		seg := b.group.Bytes(ptr, b.valSize)
-		old, _ := b.valCodec.Decode(seg)
-		b.valCodec.Encode(seg, b.combine(old, v))
-		return
+// encodeKey returns k's encoding, valid until the next call.
+func (b *DecaAgg[K, V]) encodeKey(k K) []byte {
+	n := b.keySize
+	if n < 0 {
+		n = b.keyCodec.Size(k)
 	}
-	b.slots[k] = decompose.Write(b.group, b.valCodec, v)
+	if n > cap(b.keyBuf) {
+		b.keyBuf = make([]byte, n, 2*n)
+	}
+	b.keyCodec.Encode(b.keyBuf[:n], k)
+	return b.keyBuf[:n]
+}
+
+// upsert returns the value segment of key's record, appending the record
+// first when the key is new (fresh: the segment is the caller's to fill).
+func (b *DecaAgg[K, V]) upsert(key []byte) (val []byte, fresh bool) {
+	tag := hashKey(key)
+	val, at, found := b.idx.find(b.group, tag, key, b.valSize)
+	if found {
+		return val, false
+	}
+	hd := uint64(len(key)) << 1
+	w := (bits.Len64(hd|1) + 6) / 7 // the header's uvarint width
+	rec, ptr := b.group.Alloc(w + len(key) + b.valSize)
+	binary.PutUvarint(rec, hd)
+	copy(rec[w:], key)
+	b.idx.insert(at, tag, ptr)
+	return rec[w+len(key):], true
+}
+
+// combineInto combines v into the value held in seg, in place.
+func (b *DecaAgg[K, V]) combineInto(seg []byte, v V) {
+	old, _ := b.valCodec.Decode(seg)
+	b.valCodec.Encode(seg, b.combine(old, v))
+}
+
+// Put eagerly combines v into k's record, reusing its segment in place.
+func (b *DecaAgg[K, V]) Put(k K, v V) {
+	if seg, fresh := b.upsert(b.encodeKey(k)); fresh {
+		b.valCodec.Encode(seg, v)
+	} else {
+		b.combineInto(seg, v)
+	}
 }
 
 // Len returns the number of distinct keys in memory.
-func (b *DecaAgg[K, V]) Len() int { return len(b.slots) }
+func (b *DecaAgg[K, V]) Len() int { return b.idx.n }
 
-// SizeBytes returns the page footprint plus hash-table slot overhead.
+// SizeBytes returns the page footprint plus the index table's.
 func (b *DecaAgg[K, V]) SizeBytes() int64 {
-	return b.group.Footprint() + int64(len(b.slots))*24
+	return b.group.Footprint() + int64(cap(b.idx.slots))*aggSlotSize
 }
 
-// Spill writes (key, value) records in raw page encoding — no
-// serialization pass — and resets the pages for reuse.
-func (b *DecaAgg[K, V]) Spill() error {
-	if b.keyCodec == nil {
-		return fmt.Errorf("shuffle: DecaAgg has no key codec; cannot spill")
+// recordIter walks the live records of a page group from page base on, or
+// (g nil) of one spill run. It trusts nothing it reads: a record that does
+// not fit the used bytes of its page, or whose key contradicts a fixed-size
+// codec, ends the walk with err naming the page (counted from base) and
+// offset.
+type recordIter struct {
+	keySize, valSize int
+	g                *memory.Group
+	base, page, off  int
+	data             []byte     // the current page's used bytes, or the run
+	ptr              memory.Ptr // the current record: where it starts,
+	rec, key, val    []byte     // its bytes, and their two parts
+	err              error
+}
+
+// records iterates the buffer's pages from page base on.
+func (b *DecaAgg[K, V]) records(base int) recordIter {
+	return recordIter{keySize: b.keySize, valSize: b.valSize, g: b.group, base: base, page: base - 1}
+}
+
+func (it *recordIter) next() bool {
+	for {
+		for it.off >= len(it.data) {
+			if it.g == nil || it.page+1 >= it.g.NumPages() {
+				return false
+			}
+			it.page, it.off = it.page+1, 0
+			it.data = it.g.Page(it.page)
+		}
+		start := it.off
+		hd, w := binary.Uvarint(it.data[start:])
+		kl := min(hd>>1, uint64(len(it.data)))
+		ks := start + w
+		end := ks + int(kl) + it.valSize
+		if w <= 0 || end > len(it.data) || it.keySize >= 0 && kl != uint64(it.keySize) {
+			it.err = fmt.Errorf("shuffle: DecaAgg record at page %d offset %d (header %#x, key codec size %d) does not fit the %d bytes in use",
+				it.page-it.base, start, hd, it.keySize, len(it.data))
+			return false
+		}
+		it.off = end
+		if hd&1 == 0 {
+			it.ptr = memory.Ptr{Page: int32(it.page), Off: int32(start)}
+			it.rec, it.key, it.val = it.data[start:end], it.data[ks:ks+int(kl)], it.data[ks+int(kl):end]
+			return true
+		}
 	}
-	if len(b.slots) == 0 {
+}
+
+// Spill writes the live records as they stand in the pages — the run is
+// the page encoding, no serialization pass — resets the pages for reuse
+// and clears the index in place.
+func (b *DecaAgg[K, V]) Spill() error {
+	if b.idx.n == 0 {
 		return nil
 	}
 	err := b.spillPages(func(w *spillWriter) error {
-		for k, ptr := range b.slots {
-			if err := emitKey(w, b.keyCodec, k); err != nil {
-				return err
-			}
-			if err := w.emit(b.group.Bytes(ptr, b.valSize)); err != nil {
+		it := b.records(0)
+		for it.next() {
+			if err := w.emit(it.rec); err != nil {
 				return err
 			}
 		}
-		return nil
+		return it.err
+	})
+	if err == nil {
+		clear(b.idx.slots)
+		b.idx.n = 0
+	}
+	return err
+}
+
+// Drain merges any spilled runs — each record re-aggregates through the
+// byte-keyed upsert, no key or pair is materialized — and yields every
+// pair in record order, decoding a key only as it is yielded.
+func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
+	err := b.replay(func(run []byte) error {
+		it := recordIter{keySize: b.keySize, valSize: b.valSize, data: run}
+		for it.next() {
+			if seg, fresh := b.upsert(it.key); fresh {
+				copy(seg, it.val)
+			} else {
+				v, _ := b.valCodec.Decode(it.val)
+				b.combineInto(seg, v)
+			}
+		}
+		return it.err
 	})
 	if err != nil {
 		return err
 	}
-	b.slots = make(map[K]memory.Ptr)
-	return nil
-}
-
-// Drain merges any spilled runs (re-aggregating through the page path) and
-// yields every pair.
-func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
-	pair := decompose.PairCodec[K, V]{KeyCodec: b.keyCodec, ValueCodec: b.valCodec}
-	if err := replayRuns(&b.runSet, pair.Decode, b.Put); err != nil {
-		return err
-	}
-	for k, ptr := range b.slots {
-		v, _ := b.valCodec.Decode(b.group.Bytes(ptr, b.valSize))
+	it := b.records(0)
+	for it.next() {
+		k, _ := b.keyCodec.Decode(it.key)
+		v, _ := b.valCodec.Decode(it.val)
 		if !yield(k, v) {
 			return nil
 		}
 	}
-	return nil
+	return it.err
 }
 
 // ValueBytes exposes the raw segment of k's current value — the zero-copy
 // output path: Deca "saves the cost of data (de-)serialization by directly
 // outputting the raw bytes" (§6.1).
 func (b *DecaAgg[K, V]) ValueBytes(k K) ([]byte, bool) {
-	ptr, ok := b.slots[k]
-	if !ok {
-		return nil, false
-	}
-	return b.group.Bytes(ptr, b.valSize), true
+	key := b.encodeKey(k)
+	val, _, ok := b.idx.find(b.group, hashKey(key), key, b.valSize)
+	return val, ok
 }
 
-// EncodeSegments builds the DecaAgg frame: per key its bytes and the
-// pointer to its value segment.
+// EncodeSegments builds the DecaAgg frame. It has no table: the records
+// ride in the page snapshot, and the count says how many are live.
 //
 //deca:owns
 func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
-	if b.keyCodec == nil {
-		return nil, fmt.Errorf("shuffle: DecaAgg has no key codec; cannot encode")
-	}
-	return b.encodeSegments(wireDecaAgg, len(b.slots), func(fs *transport.FrameSegments) {
-		for k, ptr := range b.slots {
-			putPtr(stageKey(fs, b.keyCodec, k, 8), ptr)
-		}
-	})
+	return b.encodeSegments(wireDecaAgg, b.idx.n, nil)
 }
 
 // EncodeWire writes the buffer's wire frame to w.
 func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
 
-// MergeFrom folds src into b without decoding or re-encoding records:
-// b adopts src's page group and spill runs (pageStore.adopt), keys absent
-// from b take over their source segment through a rebased pointer, and
-// only key collisions decode — the source value is combined into b's
-// existing segment in place. b's Drain folds the transferred runs like its
+// MergeFrom folds src into b without decoding or re-encoding records: b
+// adopts src's page group and spill runs (pageStore.adopt) and absorbs the
+// adopted pages' records. b's Drain folds the transferred runs like its
 // own.
 //
 // Ownership contract: MergeFrom consumes src. The caller must Release src
-// afterwards and must not read it in between — collision segments inside
-// the adopted pages may be mutated by b, and transferred spill files now
-// belong to b. Both buffers must share the codecs they were built with
-// (the exchange constructs them from one PairOps).
+// afterwards and must not read it in between — records inside the adopted
+// pages may be mutated by b, and transferred spill files now belong to b.
+// Both buffers must share the codecs they were built with (the exchange
+// constructs them from one PairOps).
 func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error {
 	if src == b {
 		return fmt.Errorf("shuffle: DecaAgg cannot merge from itself")
 	}
-	if base, ok := b.adopt(&src.pageStore, len(src.slots)); ok {
-		for k, ptr := range src.slots {
-			b.absorb(k, src.group.Bytes(ptr, b.valSize), ptr.Rebase(base))
-		}
+	if base, ok := b.adopt(&src.pageStore, src.idx.n); ok {
+		return b.absorb(base, src.idx.n)
 	}
 	return nil
 }
 
-// absorb takes one value segment of a just-adopted page group into b —
-// the per-key step MergeFrom and Fold share: a new key takes the segment
-// over through ptr (already rebased into b's address space), a collision
-// decodes the source value from seg and combines it into b's existing
-// segment in place.
-func (b *DecaAgg[K, V]) absorb(k K, seg []byte, ptr memory.Ptr) {
-	dptr, ok := b.slots[k]
-	if !ok {
-		b.slots[k] = ptr
-		return
+// absorb indexes the records of the pages b just adopted at page base —
+// the one walk MergeFrom and Fold share. A new key's slot points at its
+// record where it lies; a collision combines the source value into b's
+// record in place and marks the source record dead. A slot only ever
+// points at a record the walk has checked against its page, and the walk
+// must find exactly n live ones. An empty b sizes its table from n first
+// (capped: n may be a hostile header).
+func (b *DecaAgg[K, V]) absorb(base, n int) error {
+	if b.idx.n == 0 {
+		b.idx.reserve(min(n, stagePresize))
 	}
-	sv, _ := b.valCodec.Decode(seg)
-	dst := b.group.Bytes(dptr, b.valSize)
-	old, _ := b.valCodec.Decode(dst)
-	b.valCodec.Encode(dst, b.combine(old, sv))
+	live, it := 0, b.records(base)
+	for it.next() {
+		live++
+		tag := hashKey(it.key)
+		if dst, at, found := b.idx.find(b.group, tag, it.key, b.valSize); found {
+			v, _ := b.valCodec.Decode(it.val)
+			b.combineInto(dst, v)
+			it.rec[0] |= 1
+		} else {
+			b.idx.insert(at, tag, it.ptr)
+		}
+	}
+	if it.err == nil && live != n {
+		return fmt.Errorf("shuffle: DecaAgg pages hold %d live records, their header says %d", live, n)
+	}
+	return it.err
 }
 
 // Fold merges a staged frame into b — MergeFrom without a source
-// container: b adopts the restored pages, then one walk of the frame's
-// table in wire order validates each pointer against the restored group
-// and absorbs its segment. An empty
-// b sizes its table from the frame's key count first. Fold consumes st on
-// every path; a pointer outside the restored group is an error that
-// leaves b partially merged, for the caller to release.
+// container. Fold consumes st on every path; a malformed record is an
+// error that leaves b partially merged, for the caller to release.
 //
 //deca:transfers
 func (b *DecaAgg[K, V]) Fold(st *Staged) error {
@@ -278,26 +381,12 @@ func (b *DecaAgg[K, V]) Fold(st *Staged) error {
 	if !ok {
 		return err
 	}
-	if len(b.slots) == 0 {
-		b.slots = make(map[K]memory.Ptr, st.n)
-	}
-	for table := st.table; len(table) > 0; table = table[8:] {
-		var kb []byte
-		kb, table = nextKey(table)
-		k, _ := b.keyCodec.Decode(kb)
-		ptr := getPtr(table)
-		seg, err := st.group.CheckedBytes(ptr, b.valSize)
-		if err != nil {
-			return fmt.Errorf("shuffle: DecaAgg key %v: %w", k, err)
-		}
-		b.absorb(k, seg, ptr.Rebase(base))
-	}
-	return nil
+	return b.absorb(base, st.n)
 }
 
 // Release frees the pages and spill files (pageStore.Release) and drops
-// the table.
+// the index.
 func (b *DecaAgg[K, V]) Release() {
-	b.slots = nil
+	b.idx = aggIndex{}
 	b.pageStore.Release()
 }

@@ -1,6 +1,9 @@
 package shuffle
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"deca/internal/decompose"
@@ -295,4 +298,90 @@ func BenchmarkDecaSortDrain(b *testing.B) {
 		buf.Release()
 		b.StartTimer()
 	}
+}
+
+// The two halves of a ReduceByKey exchange at the buffer level, in the
+// benchmark workloads' shapes: a map task's fill (200 k puts) and a reduce
+// task's stage + fold of four such map outputs into one merged buffer.
+// DecaAgg[string, int64] is WordCount (8-character words, ~114 k distinct
+// per fill), DecaAgg[int64, float64] is PageRank's contribution sum.
+
+const aggShapePuts = 200_000
+
+func wordCountKeys(seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]string, aggShapePuts)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("w%07d", rng.Intn(160_000))
+	}
+	return keys
+}
+
+func pageRankKeys(seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]int64, aggShapePuts)
+	for i := range keys {
+		keys[i] = rng.Int63n(35_000)
+	}
+	return keys
+}
+
+func fillAgg[K comparable, V any](b *testing.B, m *memory.Manager, kc decompose.Codec[K], vc decompose.Codec[V],
+	add func(V, V) V, keys []K, one V) *DecaAgg[K, V] {
+	buf, err := NewDecaAgg(m, add, kc, vc, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range keys {
+		buf.Put(k, one)
+	}
+	return buf
+}
+
+func benchAggFill[K comparable, V any](b *testing.B, kc decompose.Codec[K], vc decompose.Codec[V],
+	add func(V, V) V, keys []K, one V) {
+	m := memory.NewManager(1<<20, 0)
+	fillAgg(b, m, kc, vc, add, keys, one).Release() // warm the page pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fillAgg(b, m, kc, vc, add, keys, one).Release()
+	}
+}
+
+func BenchmarkDecaAggFill(b *testing.B) {
+	b.Run("string-int64", func(b *testing.B) { benchAggFill(b, str, i64, addI, wordCountKeys(1), 1) })
+	b.Run("int64-float64", func(b *testing.B) { benchAggFill(b, i64, f64, addF, pageRankKeys(1), 0.5) })
+}
+
+func benchAggStageFold[K comparable, V any](b *testing.B, kc decompose.Codec[K], vc decompose.Codec[V],
+	add func(V, V) V, keys func(seed int64) []K, one V) {
+	m := memory.NewManager(1<<20, 0)
+	var frames [4][]byte
+	for s := range frames {
+		frames[s] = encodeFrame(b, fillAgg(b, memory.NewManager(1<<20, 0), kc, vc, add, keys(int64(s+1)), one))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged, err := NewDecaAgg(m, add, kc, vc, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, frame := range frames {
+			st, err := StageDecaAgg(bytes.NewReader(frame), m, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := merged.Fold(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+		merged.Release()
+	}
+}
+
+func BenchmarkDecaAggStageFold(b *testing.B) {
+	b.Run("string-int64", func(b *testing.B) { benchAggStageFold(b, str, i64, addI, wordCountKeys, 1) })
+	b.Run("int64-float64", func(b *testing.B) { benchAggStageFold(b, i64, f64, addF, pageRankKeys, 0.5) })
 }

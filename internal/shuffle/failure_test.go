@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"deca/internal/decompose"
@@ -78,17 +79,70 @@ func TestDecaGroupSpillWithoutKeyCodec(t *testing.T) {
 	}
 }
 
-func TestDecaAggSpillWithoutKeyCodec(t *testing.T) {
+// TestDecaAggRequiresKeyCodec: keys live in the pages in the codec's
+// encoding, so a buffer without one cannot exist (a DecaGroup without one
+// still can: it only fails to spill).
+func TestDecaAggRequiresKeyCodec(t *testing.T) {
 	m := memory.NewManager(1024, 0)
-	b, err := NewDecaAgg[string, int64](m, func(a, c int64) int64 { return a + c },
-		nil, decompose.Int64Codec{}, "")
-	if err != nil {
-		t.Fatal(err)
+	if b, err := NewDecaAgg[string, int64](m, addI, nil, decompose.Int64Codec{}, ""); err == nil {
+		b.Release()
+		t.Error("DecaAgg built without a key codec")
 	}
-	defer b.Release()
-	b.Put("k", 1)
-	if err := b.Spill(); err == nil {
-		t.Error("spill without key codec must fail")
+	assertClean(t, m, t.TempDir(), "rejected constructor")
+}
+
+// TestDecaAggFoldRejectsMalformedRecords: the fold walk trusts no record.
+// Each corruption is an error that names the page and offset (or the
+// count), and the destination — which held keys of its own — is left
+// holding exactly those: still readable, still combinable, drained or
+// refused without a panic, released without a leak.
+func TestDecaAggFoldRejectsMalformedRecords(t *testing.T) {
+	wantErr := map[string]string{
+		"count one too many":         "41",
+		"count one too few":          "39",
+		"dead record counted live":   "39 live records",
+		"key overruns the page":      "page 0 offset",
+		"header never ends":          "page 0 offset",
+		"value tail past the page":   "page 0 offset",
+		"key shorter than its codec": "page 0 offset 0 (header 0xe, key codec size 8)",
+		"key longer than its codec":  "page 0 offset 0 (header 0x12, key codec size 8)",
+	}
+	for _, c := range frameCases[:2] { // int64 and string keys
+		mem := memory.NewManager(4096, 0)
+		dir := t.TempDir()
+		for what, frame := range hostileFrames(t, c) {
+			want, ok := wantErr[what]
+			if !ok {
+				continue // the header corruptions every kind shares: TestStageHostileFrames
+			}
+			if err := c.stageFold(frame, mem, dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s: fold returned %v, want an error naming %q", c.name, what, err, want)
+			}
+			if c.keySize < 0 {
+				continue
+			}
+			b, err := NewDecaAgg[int64, float64](mem, addF, i64, f64, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Put(-1, 0.5)
+			st, err := c.stage(frame, mem, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Fold(st); err == nil {
+				t.Errorf("%s: %s: accepted by a buffer holding keys", c.name, what)
+			}
+			b.Put(-1, 0.25)
+			if seg, ok := b.ValueBytes(-1); !ok {
+				t.Errorf("%s: %s: the destination's own key is gone after the failed fold", c.name, what)
+			} else if v, _ := f64.Decode(seg); v != 0.75 {
+				t.Errorf("%s: %s: the destination's own key holds %v, want 0.75", c.name, what, v)
+			}
+			_ = b.Drain(func(int64, float64) bool { return true }) // may refuse the bad page; must not panic
+			b.Release()
+			assertClean(t, mem, dir, c.name+": "+what)
+		}
 	}
 }
 

@@ -9,15 +9,19 @@ import (
 	"deca/internal/memory"
 )
 
-// goldenFrames pins the Deca wire format byte for byte. The frames were
-// written by the buffered EncodeWire that EncodeSegments replaced — the
-// independent reference the two-writer equivalence tests used to compare
-// against. Each container holds a single key, so map iteration cannot
-// reorder its table, and carries one spill run; the group and sort frames
-// span two 32-byte pages (an aggregation buffer keeps one value per key,
-// so a single-key DecaAgg has exactly one page).
+// goldenFrames pins the Deca wire format byte for byte. The group and sort
+// frames were written by the buffered EncodeWire that EncodeSegments
+// replaced — the independent reference the two-writer equivalence tests
+// used to compare against; each holds a single key, so map iteration
+// cannot reorder its table, carries one spill run and spans two 32-byte
+// pages. The agg frame was re-captured when DecaAgg's keys moved into its
+// pages (the frame lost its table): kind | 3 live records | 3 pages, each
+// one record 0x10 (an 8-byte key, live) | key | value — keys 7, 9, 3 in
+// insertion order | one 34-byte spill run of two such records (keys 7, 8).
 var goldenFrames = map[string]string{
-	"agg": "0101080700000000000000000000000000000001080200000000000000011007000000000000002800000000000000",
+	"agg": "010303" +
+		"1110070000000000000002000000000000001110090000000000000006000000000000001110030000000000000006000000000000000" +
+		"12210070000000000000028000000000000001008000000000000000100000000000000",
 	"group": "0301080700000000000000050000000000000000000000000800000000000000100000000000000018000000010000000000000002" +
 		"20000000000000000001000000000000000200000000000000030000000000000008040000000000000001" +
 		"200700000000000000640000000000000007000000000000006500000000000000",
@@ -40,10 +44,13 @@ func TestGoldenDecaFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.Put(7, 40)
+			b.Put(8, 1)
 			if err := b.Spill(); err != nil {
 				t.Fatal(err)
 			}
-			b.Put(7, 2)
+			for _, kv := range [][2]int64{{7, 2}, {9, 5}, {3, 6}, {9, 1}} { // 3 keys × 17 bytes: three 32-byte pages
+				b.Put(kv[0], kv[1])
+			}
 			return b
 		},
 		"group": func(mem *memory.Manager) wireBuffer {

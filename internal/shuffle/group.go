@@ -217,7 +217,7 @@ func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	}
 	return b.encodeSegments(wireDecaGroup, len(b.slots), func(fs *transport.FrameSegments) {
 		for k, ptrs := range b.slots {
-			stageKey(fs, b.keyCodec, k, 0)
+			stageKey(fs, b.keyCodec, k)
 			stageUvarint(fs, uint64(len(ptrs)))
 			stagePtrs(fs, ptrs)
 		}

@@ -1,0 +1,135 @@
+package shuffle
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"unsafe"
+
+	"deca/internal/memory"
+)
+
+// aggIndex is DecaAgg's hash index: an open-addressing table (linear
+// probing, load ≤ 3/4) whose slots hold a hash tag and the pointer of a
+// record in the buffer's pages. Keys are never stored here — a probe
+// compares the tag, then the key bytes in the page — so the table is one
+// pointer-free allocation the collector never scans, whatever the key
+// type. It is allocated on the first insert, doubles as it fills, and is
+// cleared in place when the buffer spills.
+type aggIndex struct {
+	slots []aggSlot //deca:owns (pointers into the page store of the DecaAgg holding the index, dropped by its Release)
+	n     int       // occupied slots = distinct keys in memory
+	shift uint      // 32 - log2(len(slots)): a tag's home slot is its top bits
+}
+
+// aggSlot is one table entry. tag 0 marks an empty slot (hashKey never
+// returns it), which is what lets clear() reset the table.
+type aggSlot struct {
+	tag uint32
+	ptr memory.Ptr //deca:owns (the record's first byte; see aggIndex.slots)
+}
+
+const (
+	aggSlotSize = int64(unsafe.Sizeof(aggSlot{}))
+	minAggSlots = 16
+)
+
+// hashKey hashes a key's encoded bytes into a slot tag. The function is
+// fixed (frames and drains repeat run to run) and shares nothing with the
+// partitioner's hashes: every key in reducer r's buffer agrees on
+// Key.Hash(k) mod R, so a table that probed from those bits would fill in
+// clusters.
+func hashKey(key []byte) uint32 {
+	const k0, k1, k2 = 0x9e3779b97f4a7c15, 0xa0761d6478bd642f, 0xe7037ed1a0b428db
+	h := uint64(len(key)) ^ k0
+	for ; len(key) >= 8; key = key[8:] {
+		h = mum(h^binary.LittleEndian.Uint64(key), k1)
+	}
+	if len(key) > 0 {
+		var tail uint64
+		for i, c := range key {
+			tail |= uint64(c) << (8 * uint(i))
+		}
+		h = mum(h^tail, k2)
+	}
+	return uint32(mum(h, k2)>>32) | 1
+}
+
+// mum folds the 128-bit product of a and b.
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// find probes for key among the records of g. Found: the record's value
+// segment. Not found: at is the empty slot insert takes for it.
+func (ix *aggIndex) find(g *memory.Group, tag uint32, key []byte, valSize int) (val []byte, at int, found bool) {
+	if len(ix.slots) == 0 {
+		return nil, 0, false
+	}
+	mask := len(ix.slots) - 1
+	for i := int(tag >> ix.shift); ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if s.tag == 0 {
+			return nil, i, false
+		}
+		if s.tag != tag {
+			continue
+		}
+		// Slots only ever point at records the buffer wrote or validated.
+		rec := g.Page(int(s.ptr.Page))[s.ptr.Off:]
+		hd, w := uint64(rec[0]), 1
+		if hd >= 0x80 { // a key of 64 bytes or more
+			hd, w = binary.Uvarint(rec)
+		}
+		if kl := int(hd >> 1); kl == len(key) && string(rec[w:w+kl]) == string(key) {
+			return rec[w+kl : w+kl+valSize], i, true
+		}
+	}
+}
+
+// insert files a record under the slot find reported for its absent key.
+func (ix *aggIndex) insert(at int, tag uint32, ptr memory.Ptr) {
+	if len(ix.slots) == 0 {
+		ix.resize(minAggSlots)
+		at = ix.free(tag)
+	}
+	ix.slots[at] = aggSlot{tag: tag, ptr: ptr}
+	ix.n++
+	if ix.n*4 > len(ix.slots)*3 {
+		ix.resize(2 * len(ix.slots))
+	}
+}
+
+// free is the first empty slot from tag's home.
+func (ix *aggIndex) free(tag uint32) int {
+	mask := len(ix.slots) - 1
+	i := int(tag >> ix.shift)
+	for ix.slots[i].tag != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// resize moves the table into n slots (a power of two). Tags carry the
+// whole hash, so no key is re-read from its page.
+func (ix *aggIndex) resize(n int) {
+	old := ix.slots
+	ix.slots = make([]aggSlot, n)
+	ix.shift = uint(32 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.tag != 0 {
+			ix.slots[ix.free(s.tag)] = s
+		}
+	}
+}
+
+// reserve makes room for n keys without a resize on the way.
+func (ix *aggIndex) reserve(n int) {
+	want := minAggSlots
+	for want*3 < n*4 {
+		want *= 2
+	}
+	if want > len(ix.slots) {
+		ix.resize(want)
+	}
+}

@@ -100,14 +100,54 @@ func TestDecaAggMergeFromMatchesDrainMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range aggSources(t, m, 4, mc, dir) {
-			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaAgg(r, m, 8, dir) })
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaAgg(r, m, dir) })
 			if err := sf.Fold(st); err != nil {
 				t.Fatal(err)
 			}
 		}
 
+		// Fourth arm: a merged buffer is itself a source. Its pages hold the
+		// records the merges combined away, marked dead; both the page walk
+		// of a further MergeFrom and the table-free frame must skip them.
+		newAgg := func() *DecaAgg[int64, int64] {
+			b, err := NewDecaAgg[int64, int64](m, addI, i64, i64, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		mm, half := newAgg(), newAgg()
+		for i, src := range aggSources(t, m, 4, mc, dir) {
+			dst := mm
+			if i < 3 {
+				dst = half
+			}
+			if err := dst.MergeFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			src.Release()
+		}
+		if err := mm.MergeFrom(half); err != nil {
+			t.Fatal(err)
+		}
+		half.Release()
+		var frame bytes.Buffer
+		if err := mm.EncodeWire(&frame); err != nil {
+			t.Fatal(err)
+		}
+		shipped, err := DecodeDecaAgg[int64, int64](&frame, m, addI, i64, i64, dir)
+		if err != nil {
+			t.Fatalf("%+v: decoding a merged buffer's frame: %v", mc, err)
+		}
+
 		got := drainAggToMap[int64, int64](t, zc)
 		want := drainAggToMap[int64, int64](t, base)
+		for what, b := range map[string]*DecaAgg[int64, int64]{"merge of merges": mm, "its frame": shipped} {
+			if again := drainAggToMap[int64, int64](t, b); !reflect.DeepEqual(again, want) {
+				t.Errorf("%+v: %s = %v records, drain merge = %v records, maps differ", mc, what, len(again), len(want))
+			}
+			b.Release()
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: zero-copy merge = %v records, drain merge = %v records, maps differ",
 				mc, len(got), len(want))

@@ -13,16 +13,17 @@ import (
 // pageStore is the page storage layer under DecaAgg, DecaGroup, DecaSort
 // and a staged frame: the page group the records live in and the spill
 // runs that die with it. A container embeds one by value and keeps only
-// its index over the pages (a pointer per key, a pointer array per key, a
-// sortable pointer array) plus the Put/Drain/absorb that read it; spilling,
-// adopting another store, the wire frame and the end of the lifetime are
-// written here, once.
+// its index over the pages (a hash table of record pointers, a pointer
+// array per key, a sortable pointer array) plus the Put/Drain/absorb that
+// read it; spilling, adopting another store, the wire frame and the end of
+// the lifetime are written here, once.
 //
 // The frame (built by encodeSegments, parsed by stageFrame) is kind byte |
-// uvarint n | key/pointer table (the index's own layout, see stage.go) |
-// memory.Group.Snapshot | spill section (runSet.restore). A pointer is two
-// fixed little-endian uint32s, bulk-copyable on both ends; value bytes
-// never leave their pages.
+// uvarint n | key/pointer table (the index's own layout, see stage.go;
+// DecaAgg has none, its keys are in the pages) | memory.Group.Snapshot |
+// spill section (runSet.restore). A pointer is two fixed little-endian
+// uint32s, bulk-copyable on both ends; record bytes never leave their
+// pages.
 type pageStore struct {
 	group *memory.Group //deca:owns (released by Release; adopt takes other stores' pages in as dependencies)
 	runSet
@@ -77,10 +78,10 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 
 // encodeSegments builds a container's wire frame as
 // transport.FrameSegments: the header and the index's table (n entries,
-// staged by table) go into the frame's scratch chunks, the page snapshot
-// is referenced in place from the retained group, spill runs are
-// referenced as opened files — the serve path ships them with
-// writev/sendfile instead of staging the frame.
+// staged by table; nil when the kind has none) go into the frame's scratch
+// chunks, the page snapshot is referenced in place from the retained
+// group, spill runs are referenced as opened files — the serve path ships
+// them with writev/sendfile instead of staging the frame.
 //
 // Ownership: the frame retains the page group and holds the opened spill
 // files until the caller invokes its Release, exactly once, after the last
@@ -93,7 +94,9 @@ func (ps *pageStore) encodeSegments(kind byte, n int, table func(fs *transport.F
 	fs.Owner(ps.group.Retain().Release)
 	fs.Stage(1)[0] = kind
 	stageUvarint(fs, uint64(n))
-	table(fs)
+	if table != nil {
+		table(fs)
+	}
 	ps.group.SnapshotSegments(fs.Stage, fs.AppendPage)
 	if err := ps.appendSegments(fs); err != nil {
 		fs.Release()
@@ -129,14 +132,11 @@ func stageUvarint(fs *transport.FrameSegments, v uint64) {
 	copy(fs.Stage(k), hdr[:k])
 }
 
-// stageKey stages one table entry's head — uvarint key length, key bytes —
-// with tail more bytes behind it, which it returns for the caller to fill.
-func stageKey[K any](fs *transport.FrameSegments, c decompose.Codec[K], k K, tail int) []byte {
+// stageKey stages one table entry's head: uvarint key length, key bytes.
+func stageKey[K any](fs *transport.FrameSegments, c decompose.Codec[K], k K) {
 	n := c.Size(k)
-	e := fs.Stage(uvarintLen(uint64(n)) + n + tail)
-	off := binary.PutUvarint(e, uint64(n))
-	c.Encode(e[off:off+n], k)
-	return e[off+n:]
+	e := fs.Stage(uvarintLen(uint64(n)) + n)
+	c.Encode(e[binary.PutUvarint(e, uint64(n)):], k)
 }
 
 // putPtr writes p in the wire layout getPtr reads.

@@ -175,18 +175,30 @@ func (rs *runSet) take(src *runSet) {
 	src.spills = nil
 }
 
-// replayRuns folds every run back in: each is read whole, decoded record by
-// record through decode into put, deleted, and dropped from the set at that
-// moment. A failure on one run therefore leaves the set listing exactly the
-// runs still on disk, so the retried replay — and any encode of the buffer
-// in between — meets no deleted file, and the caller sees the error that
-// actually happened.
-func replayRuns[K comparable, V any](rs *runSet, decode func([]byte) (decompose.Pair[K, V], int), put func(K, V)) error {
+// replay folds every run back in: each is read whole, handed to fold,
+// deleted, and dropped from the set at that moment. A failure on one run
+// therefore leaves the set listing exactly the runs still on disk, so the
+// retried replay — and any encode of the buffer in between — meets no
+// deleted file, and the caller sees the error that actually happened.
+func (rs *runSet) replay(fold func(run []byte) error) error {
 	for len(rs.spills) > 0 {
 		data, err := rs.spills[0].read()
 		if err != nil {
 			return err
 		}
+		if err := fold(data); err != nil {
+			return err
+		}
+		rs.spills[0].remove()
+		rs.spills = rs.spills[1:]
+	}
+	return nil
+}
+
+// replayRuns replays runs of codec-delimited (key, value) records, decoded
+// one by one through decode into put.
+func replayRuns[K comparable, V any](rs *runSet, decode func([]byte) (decompose.Pair[K, V], int), put func(K, V)) error {
+	return rs.replay(func(data []byte) error {
 		for off := 0; off < len(data); {
 			p, n := decode(data[off:])
 			if n <= 0 {
@@ -195,10 +207,8 @@ func replayRuns[K comparable, V any](rs *runSet, decode func([]byte) (decompose.
 			put(p.Key, p.Value)
 			off += n
 		}
-		rs.spills[0].remove()
-		rs.spills = rs.spills[1:]
-	}
-	return nil
+		return nil
+	})
 }
 
 // mergeSorted k-way merges the set's runs — each written in key order,

@@ -18,11 +18,12 @@ import (
 // destination manager. It builds no map, no per-key slice and no
 // container: a staged frame is O(1) heap objects whatever its key count.
 // Fold (DecaAgg/DecaGroup/DecaSort.Fold; the reduce task runs it, in map
-// order) adopts the pages and walks the arenas once in wire order.
+// order) adopts the pages and walks the arenas — for DecaAgg, the pages'
+// own records — once in wire order.
 //
-// One parser serves the three tables:
+// One parser serves the tables:
 //
-//	DecaAgg    n × [uvarint klen | key | ptr]
+//	DecaAgg    none: n counts the live records in the pages
 //	DecaGroup  n × [uvarint klen | key | uvarint m | m × ptr]
 //	DecaSort   n × ptr
 
@@ -42,10 +43,10 @@ func kindName(kind byte) string { return kindNames[kind] }
 type Staged struct {
 	pageStore
 	kind byte // wireDecaAgg, wireDecaGroup or wireDecaSort
-	n    int  // table entries: keys (agg, group) or records (sort)
-	// table is the key table as it crossed the wire, minus DecaGroup's
-	// pointer arrays: per entry uvarint klen | key, then the 8-byte
-	// pointer (agg) or the uvarint pointer count (group). Empty for sort.
+	n    int  // keys (agg, group) or records (sort)
+	// table is DecaGroup's key table as it crossed the wire, minus the
+	// pointer arrays: per entry uvarint klen | key | uvarint pointer
+	// count. Empty for agg and sort.
 	table []byte
 	// ptrs holds DecaGroup's per-key pointer arrays back to back, in table
 	// order, and DecaSort's records. They address group's pages as-is.
@@ -59,15 +60,17 @@ type Staged struct {
 const stagePresize = 1 << 18
 
 // StageDecaAgg stages a DecaAgg frame inside the destination executor:
-// pages restore into mem, spill runs land in spillDir. keySize is the key
-// codec's FixedSize (negative: variable).
+// pages restore into mem, spill runs land in spillDir. The frame has no
+// table, so the stage holds no per-key state; the records are checked
+// when Fold walks them.
 //
 //deca:owns
-func StageDecaAgg(r WireReader, mem *memory.Manager, keySize int, spillDir string) (*Staged, error) {
-	return stageFrame(r, mem, wireDecaAgg, keySize, spillDir)
+func StageDecaAgg(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) {
+	return stageFrame(r, mem, wireDecaAgg, -1, spillDir)
 }
 
-// StageDecaGroup stages a DecaGroup frame; see StageDecaAgg.
+// StageDecaGroup stages a DecaGroup frame; see StageDecaAgg. keySize is
+// the key codec's FixedSize (negative: variable).
 //
 //deca:owns
 func StageDecaGroup(r WireReader, mem *memory.Manager, keySize int, spillDir string) (*Staged, error) {
@@ -92,10 +95,11 @@ func stageFrame(r WireReader, mem *memory.Manager, kind byte, keySize int, spill
 	}
 	st := &Staged{pageStore: pageStore{runSet: runSet{dir: spillDir}}, kind: kind, n: n}
 	t := tableReader{r: r, name: name}
-	if kind == wireDecaSort {
+	switch kind {
+	case wireDecaSort:
 		st.ptrs, err = t.readPtrs(make([]memory.Ptr, 0, min(n, stagePresize)), n)
-	} else {
-		err = t.keyedTable(st, keySize)
+	case wireDecaGroup:
+		err = t.groupTable(st, keySize)
 	}
 	if err != nil {
 		return nil, err // nothing owned yet: the arenas are plain heap
@@ -186,52 +190,32 @@ func (t *tableReader) readBytes(dst []byte, n int) ([]byte, error) {
 	return dst, nil
 }
 
-// keyLenErr: a length prefix that contradicts a fixed-size key codec is a
-// corrupt table and must not reach codec.Decode, which assumes
-// well-formed input. (For variable-size keys only the prefix is the
-// parser's to check; the bytes inside it are the codec's input contract,
-// as frames originate from this system's own encoder.)
-func (t *tableReader) keyLenErr(got uint64, want int) error {
-	return fmt.Errorf("shuffle: %s key is %d bytes, codec wants %d", t.name, got, want)
-}
-
-// keyedTable stages a DecaAgg or DecaGroup table entry by entry.
-func (t *tableReader) keyedTable(st *Staged, keySize int) error {
-	grouped := st.kind == wireDecaGroup
+// groupTable stages a DecaGroup table entry by entry.
+func (t *tableReader) groupTable(st *Staged, keySize int) error {
 	// Arena bytes per entry: length prefix and key — a guess for
-	// variable-size keys, the arena grows past it — then the pointer (agg)
-	// or the pointer count (group).
-	est := 16
+	// variable-size keys, the arena grows past it — then the pointer count.
+	est := 16 + 2
 	if keySize >= 0 {
-		est = keySize + 1
-	}
-	if grouped {
-		est += 2
-	} else {
-		est += 8
+		est = keySize + 1 + 2
 	}
 	st.table = make([]byte, 0, est*min(st.n, stagePresize))
-	if grouped {
-		st.ptrs = make([]memory.Ptr, 0, min(st.n, stagePresize))
-	}
-	keyName := t.name + " key"
+	st.ptrs = make([]memory.Ptr, 0, min(st.n, stagePresize))
 	for i := 0; i < st.n; i++ {
-		kl, err := readCount(t.r, keyName)
+		kl, err := readCount(t.r, "DecaGroup key")
 		if err != nil {
 			return err
 		}
+		// A length prefix that contradicts a fixed-size key codec is a
+		// corrupt table and must not reach codec.Decode, which assumes
+		// well-formed input. (For variable-size keys only the prefix is the
+		// parser's to check; the bytes inside it are the codec's input
+		// contract, as frames originate from this system's own encoder.)
 		if keySize >= 0 && kl != keySize {
-			return t.keyLenErr(uint64(kl), keySize)
+			return fmt.Errorf("shuffle: DecaGroup key is %d bytes, codec wants %d", kl, keySize)
 		}
 		st.table = binary.AppendUvarint(st.table, uint64(kl))
-		if !grouped { // the entry's pointer rides along with its key bytes
-			kl += 8
-		}
 		if st.table, err = t.readBytes(st.table, kl); err != nil {
 			return err
-		}
-		if !grouped {
-			continue
 		}
 		m, err := readCount(t.r, "DecaGroup ptr")
 		if err != nil {

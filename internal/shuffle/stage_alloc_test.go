@@ -3,7 +3,10 @@
 package shuffle
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"deca/internal/memory"
 )
@@ -19,9 +22,11 @@ import (
 // the arena grows geometrically as pointers arrive, a logarithmic number
 // of steps.
 //
-// Folding adds the destination's own table: one make(map, n), which the
-// runtime splits into tables of at most 1024 slots, so its allocation
-// count is the key count over a few hundred — never one per key.
+// Folding adds the destination's own index. DecaGroup's is one
+// make(map, n), which the runtime splits into tables of at most 1024
+// slots, so its allocation count is the key count over a few hundred.
+// DecaAgg's is one pointer-free table sized from the frame's count — and
+// nothing per key, whatever the key type: a folded key stays in its page.
 
 const (
 	stageBudget      = 12 // heap objects per staged frame, fixed-size keys
@@ -31,9 +36,6 @@ const (
 
 func TestStageFoldAllocBudget(t *testing.T) {
 	for _, c := range frameCases {
-		if c.trustedKeys {
-			continue // variable-size keys decode into one string per key by design
-		}
 		t.Run(c.name, func(t *testing.T) {
 			mem := memory.NewManager(4096, 0)
 			dir := t.TempDir()
@@ -70,7 +72,7 @@ func TestStageFoldAllocBudget(t *testing.T) {
 			}
 			for _, m := range []struct{ keys, both, stage float64 }{{2_000, both2k, stage2k}, {20_000, both20k, stage20k}} {
 				table := 0.0
-				if c.kind != wireDecaSort {
+				if c.kind == wireDecaGroup {
 					table = m.keys / 128 // the pre-sized destination map's tables and groups
 				}
 				if fold := m.both - m.stage; fold > foldSlack+table {
@@ -79,5 +81,58 @@ func TestStageFoldAllocBudget(t *testing.T) {
 			}
 			assertClean(t, mem, dir, c.name)
 		})
+	}
+}
+
+// TestDecaAggFillAllocBudget: the map side of the same claim. Combining
+// into a key the buffer holds allocates nothing; filling n distinct string
+// keys costs the table's doubling steps (and the page array's), never an
+// object per key; a spill clears the table in place, so the refill runs on
+// the same allocation.
+func TestDecaAggFillAllocBudget(t *testing.T) {
+	const n = 50_000
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("word-%d", i)
+	}
+	mem := memory.NewManager(1<<16, 0)
+	dir := t.TempDir()
+	fill := func() *DecaAgg[string, int64] {
+		b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			b.Put(k, int64(i))
+		}
+		return b
+	}
+	fill().Release() // the pages the measured fills take now come from the pool
+
+	steps := float64(bits.Len(n))
+	if got, budget := testing.AllocsPerRun(5, func() { fill().Release() }), 2*steps+8; got > budget {
+		t.Errorf("filling %d distinct keys took %.0f allocations, budget %.0f", n, got, budget)
+	}
+
+	b := fill()
+	defer b.Release()
+	if got := testing.AllocsPerRun(100, func() { b.Put(keys[n/2], 1) }); got != 0 {
+		t.Errorf("Put on an existing key took %.0f allocations, want 0", got)
+	}
+	table, slots := unsafe.SliceData(b.idx.slots), len(b.idx.slots)
+	if err := b.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("%d keys in memory after a spill", b.Len())
+	}
+	for i, k := range keys {
+		b.Put(k, int64(i))
+	}
+	if unsafe.SliceData(b.idx.slots) != table || len(b.idx.slots) != slots {
+		t.Errorf("refill after a spill runs on a new table (%d slots, was %d)", len(b.idx.slots), slots)
+	}
+	if want := mem.Stats().BytesInUse + int64(slots)*aggSlotSize; b.SizeBytes() != want {
+		t.Errorf("SizeBytes %d, want pages + table = %d", b.SizeBytes(), want)
 	}
 }

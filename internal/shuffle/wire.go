@@ -14,8 +14,9 @@ import (
 // network transport can move map output between executors. The asymmetry
 // the paper measures in §6.5 is built in:
 //
-//   - Deca containers encode as header + key/pointer table + a page
-//     snapshot (memory.Group.Snapshot): the record bytes are already in
+//   - Deca containers encode as header + key/pointer table (DecaAgg has
+//     none: its keys are in the pages) + a page snapshot
+//     (memory.Group.Snapshot): the record bytes are already in
 //     wire format, so the frame is built as segments that reference the
 //     pages in place (pagestore.go; EncodeWire is those segments flushed
 //     through a writer) and decoding restores pages into the destination
@@ -165,7 +166,7 @@ func DecodeDecaAgg[K comparable, V any](
 	if err != nil {
 		return nil, err
 	}
-	st, err := StageDecaAgg(r, mem, keyCodec.FixedSize(), spillDir)
+	st, err := StageDecaAgg(r, mem, spillDir)
 	return folded(b, st, err)
 }
 
