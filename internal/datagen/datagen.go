@@ -11,6 +11,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Words returns a generator of space-separated word lines. distinctKeys
@@ -33,11 +34,15 @@ func Words(seed int64, distinctKeys, wordsPerLine, numLines int) []string {
 	return lines
 }
 
-// appendWord renders key i as a pronounceable-ish fixed-alphabet token,
-// like RandomWriter's random keys but deterministic per index.
+// appendWord renders key i (non-negative) as a pronounceable-ish
+// fixed-alphabet token, like RandomWriter's random keys but deterministic
+// per index: 'w' then i in hex, zero-padded to 7 digits — fmt's "w%07x",
+// without the interface box fmt allocates per call.
 func appendWord(dst []byte, i int) []byte {
-	dst = append(dst, 'w')
-	return fmt.Appendf(dst, "%07x", i)
+	var hex [16]byte
+	digits := strconv.AppendUint(hex[:0], uint64(i), 16)
+	dst = append(dst, "w0000000"[:max(8-len(digits), 1)]...)
+	return append(dst, digits...)
 }
 
 // LabeledPoint is a training example: a label in {-1, +1} and a dense

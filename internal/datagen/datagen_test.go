@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -166,5 +167,19 @@ func TestUserVisits(t *testing.T) {
 	// fewer than rows.
 	if len(prefixes) < 2 || len(prefixes) >= len(rows) {
 		t.Errorf("group cardinality degenerate: %d groups over %d rows", len(prefixes), len(rows))
+	}
+}
+
+// appendWord replaced fmt.Appendf("%07x"): the bytes must not change (the
+// WordCount goldens and closed form hash them) and no call may allocate.
+func TestAppendWordMatchesFmt(t *testing.T) {
+	for _, i := range []int{0, 1, 15, 16, 255, 256, 640_000, 1<<28 - 1, 1 << 28, 1<<31 - 1, 1 << 40} {
+		if got, want := string(appendWord(nil, i)), fmt.Sprintf("w%07x", i); got != want {
+			t.Errorf("appendWord(%d) = %q, want %q", i, got, want)
+		}
+	}
+	buf := make([]byte, 0, 32)
+	if n := testing.AllocsPerRun(100, func() { buf = appendWord(buf[:0], 123_456) }); n != 0 {
+		t.Errorf("appendWord allocates %v times per call, want 0", n)
 	}
 }
