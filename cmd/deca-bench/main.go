@@ -8,6 +8,8 @@
 //	deca-bench -exp fig9b,table3   # run selected experiments
 //	deca-bench -scale 0.2          # shrink datasets 5x (quick look)
 //	deca-bench -list               # show available experiment ids
+//	deca-bench -exp fig9b -cpuprofile cpu.prof -memprofile mem.prof
+//	                               # profile the run for `go tool pprof`
 package main
 
 import (
@@ -17,6 +19,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -24,7 +28,12 @@ import (
 	"deca/internal/engine"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code in place of os.Exit, so the deferred
+// clean-up — the temp spill directory, the profiles — happens on failure
+// too.
+func run() int {
 	var (
 		expFlag   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
@@ -42,25 +51,31 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write the event spine as Chrome trace-event JSON (Perfetto-loadable) to this file on engine close")
 		jsonDir   = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, bytes, checksums) into this directory ('.' = cwd)")
 		listOnly  = flag.Bool("list", false, "list experiment ids and exit")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile (every allocation since start, not just the live heap) to this file at exit")
+		memRate   = flag.Int("memprofilerate", 0, "runtime.MemProfileRate for -memprofile: 1 records every allocation (exact object counts, slower); 0 keeps the runtime's sampling")
 	)
 	flag.Parse()
+	if *memRate > 0 {
+		runtime.MemProfileRate = *memRate
+	}
 
 	transportKind, err := engine.ParseTransportKind(*transport)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deca-bench:", err)
-		os.Exit(1)
+		return 1
 	}
 	deployKind, err := engine.ParseDeployKind(*deploy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deca-bench:", err)
-		os.Exit(1)
+		return 1
 	}
 	var executorCmd []string
 	if deployKind == engine.DeployMultiproc {
 		bin, err := resolveExecutorBin(*execBin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "deca-bench:", err)
-			os.Exit(1)
+			return 1
 		}
 		executorCmd = []string{bin}
 	}
@@ -69,7 +84,7 @@ func main() {
 		for _, e := range bench.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	opts := bench.Options{
@@ -84,7 +99,7 @@ func main() {
 		dir, err := os.MkdirTemp("", "deca-bench-*")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "deca-bench:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer os.RemoveAll(dir)
 		opts.SpillDir = dir
@@ -99,11 +114,18 @@ func main() {
 			e, ok := bench.Find(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "deca-bench: unknown experiment %q (use -list)\n", id)
-				os.Exit(1)
+				return 1
 			}
 			experiments = append(experiments, e)
 		}
 	}
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deca-bench:", err)
+		return 1
+	}
+	defer stopProfiles()
 
 	failed := false
 	for _, e := range experiments {
@@ -125,8 +147,53 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// startProfiles starts the CPU profile and returns the function that
+// stops it and writes the allocation profile; empty paths are skipped.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "deca-bench: -cpuprofile:", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				fmt.Fprintln(os.Stderr, "deca-bench: -memprofile:", err)
+			}
+		}
+	}, nil
+}
+
+// writeAllocProfile writes the "allocs" profile: the same samples as
+// "heap", defaulting to alloc_space — where the run's bytes and objects
+// were allocated, which is what an allocation ledger reads.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // flush the last cycle's allocations into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeJSON writes one experiment's machine-readable report as

@@ -2,12 +2,53 @@ package cache
 
 import (
 	"fmt"
+	"io"
+	"iter"
 	"os"
+	"slices"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
 	"deca/internal/serial"
 )
+
+// swapFile is a block's copy on disk: written at the block's first
+// eviction, valid from then until Drop (blocks never change once built).
+type swapFile struct {
+	path string
+}
+
+// OnDisk implements Block.
+func (s *swapFile) OnDisk() bool { return s.path != "" }
+
+// writeOnce creates the file under dir and has fill write the block into
+// it, unless an earlier eviction already did.
+func (s *swapFile) writeOnce(dir, pattern string, fill func(io.Writer) error) error {
+	if s.OnDisk() {
+		return nil
+	}
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	err = fill(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	s.path = f.Name()
+	return nil
+}
+
+func (s *swapFile) remove() {
+	if s.path != "" {
+		os.Remove(s.path)
+		s.path = ""
+	}
+}
 
 // ObjectBlock stores a partition as a plain Go slice of records — Spark's
 // default MEMORY storage level. Pointer-rich record types keep the whole
@@ -15,11 +56,12 @@ import (
 // paper's core problem statement. Swapping out serializes (Spark writes
 // serialized bytes on eviction); swapping in re-materializes every object.
 type ObjectBlock[T any] struct {
+	swapFile
 	values   []T
+	count    int // len(values), kept while the values are on disk
 	memBytes int64
 	ser      serial.Serializer[T]
 	estimate func(T) int
-	file     string
 }
 
 // NewObjectBlock wraps values. estimate gives per-record heap bytes (nil
@@ -33,11 +75,23 @@ func NewObjectBlock[T any](values []T, estimate func(T) int, ser serial.Serializ
 	for _, v := range values {
 		total += int64(estimate(v))
 	}
-	return &ObjectBlock[T]{values: values, memBytes: total, ser: ser, estimate: estimate}
+	return &ObjectBlock[T]{values: values, count: len(values), memBytes: total, ser: ser, estimate: estimate}
 }
 
 // Values returns the resident records; nil when swapped out.
 func (b *ObjectBlock[T]) Values() []T { return b.values }
+
+// Each yields the resident records in order.
+func (b *ObjectBlock[T]) Each(yield func(T) bool) {
+	for _, v := range b.values {
+		if !yield(v) {
+			return
+		}
+	}
+}
+
+// Count implements Block.
+func (b *ObjectBlock[T]) Count() int { return b.count }
 
 // MemBytes implements Block.
 func (b *ObjectBlock[T]) MemBytes() int64 {
@@ -53,7 +107,8 @@ func (b *ObjectBlock[T]) InMemory() bool { return b.values != nil }
 // Swappable implements Block.
 func (b *ObjectBlock[T]) Swappable() bool { return b.ser != nil }
 
-// SwapOut implements Block: serialize all records to a temp file.
+// SwapOut implements Block: serialize all records to a temp file, the
+// first time; after that the objects are just dropped.
 func (b *ObjectBlock[T]) SwapOut(dir string) error {
 	if b.ser == nil {
 		return fmt.Errorf("cache: object block has no serializer")
@@ -61,25 +116,17 @@ func (b *ObjectBlock[T]) SwapOut(dir string) error {
 	if b.values == nil {
 		return nil
 	}
-	var buf []byte
-	buf = serial.AppendUvarint(buf, uint64(len(b.values)))
-	for _, v := range b.values {
-		buf = b.ser.Marshal(buf, v)
-	}
-	f, err := os.CreateTemp(dir, "deca-swap-obj-*.bin")
+	err := b.writeOnce(dir, "deca-swap-obj-*.bin", func(w io.Writer) error {
+		buf := serial.AppendUvarint(nil, uint64(len(b.values)))
+		for _, v := range b.values {
+			buf = b.ser.Marshal(buf, v)
+		}
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	b.file = f.Name()
 	b.values = nil
 	return nil
 }
@@ -89,10 +136,10 @@ func (b *ObjectBlock[T]) SwapIn() error {
 	if b.values != nil {
 		return nil
 	}
-	if b.file == "" {
+	if !b.OnDisk() {
 		return fmt.Errorf("cache: object block has no swap file")
 	}
-	data, err := os.ReadFile(b.file)
+	data, err := os.ReadFile(b.path)
 	if err != nil {
 		return err
 	}
@@ -104,8 +151,6 @@ func (b *ObjectBlock[T]) SwapIn() error {
 		values = append(values, v)
 		off += m
 	}
-	os.Remove(b.file)
-	b.file = ""
 	b.values = values
 	return nil
 }
@@ -113,10 +158,7 @@ func (b *ObjectBlock[T]) SwapIn() error {
 // Drop implements Block.
 func (b *ObjectBlock[T]) Drop() {
 	b.values = nil
-	if b.file != "" {
-		os.Remove(b.file)
-		b.file = ""
-	}
+	b.remove()
 }
 
 // SerializedBlock stores a partition as one serialized byte buffer — the
@@ -124,19 +166,21 @@ func (b *ObjectBlock[T]) Drop() {
 // that allocates fresh objects every time; that cost is what Table 5
 // isolates. Swap is a raw byte copy.
 type SerializedBlock[T any] struct {
+	swapFile
 	data  []byte
 	count int
 	ser   serial.Serializer[T]
-	file  string
 }
 
-// NewSerializedBlock encodes values eagerly.
-func NewSerializedBlock[T any](values []T, ser serial.Serializer[T]) *SerializedBlock[T] {
-	var buf []byte
-	for _, v := range values {
-		buf = ser.Marshal(buf, v)
+// BuildSerializedBlock marshals each record into the block's buffer as
+// records yields it.
+func BuildSerializedBlock[T any](records iter.Seq[T], ser serial.Serializer[T]) *SerializedBlock[T] {
+	b := &SerializedBlock[T]{ser: ser}
+	for v := range records {
+		b.data = ser.Marshal(b.data, v)
+		b.count++
 	}
-	return &SerializedBlock[T]{data: buf, count: len(values), ser: ser}
+	return b
 }
 
 // Decode materializes all records — the per-access deserialization cost.
@@ -163,7 +207,7 @@ func (b *SerializedBlock[T]) Each(yield func(T) bool) {
 	}
 }
 
-// Count returns the number of records.
+// Count implements Block.
 func (b *SerializedBlock[T]) Count() int { return b.count }
 
 // MemBytes implements Block.
@@ -175,25 +219,18 @@ func (b *SerializedBlock[T]) InMemory() bool { return b.data != nil }
 // Swappable implements Block.
 func (b *SerializedBlock[T]) Swappable() bool { return true }
 
-// SwapOut implements Block: the bytes go to disk as-is.
+// SwapOut implements Block: the bytes go to disk as-is, once.
 func (b *SerializedBlock[T]) SwapOut(dir string) error {
 	if b.data == nil {
 		return nil
 	}
-	f, err := os.CreateTemp(dir, "deca-swap-ser-*.bin")
+	err := b.writeOnce(dir, "deca-swap-ser-*.bin", func(w io.Writer) error {
+		_, err := w.Write(b.data)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b.data); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	b.file = f.Name()
 	b.data = nil
 	return nil
 }
@@ -203,15 +240,13 @@ func (b *SerializedBlock[T]) SwapIn() error {
 	if b.data != nil {
 		return nil
 	}
-	if b.file == "" {
+	if !b.OnDisk() {
 		return fmt.Errorf("cache: serialized block has no swap file")
 	}
-	data, err := os.ReadFile(b.file)
+	data, err := os.ReadFile(b.path)
 	if err != nil {
 		return err
 	}
-	os.Remove(b.file)
-	b.file = ""
 	b.data = data
 	return nil
 }
@@ -219,10 +254,7 @@ func (b *SerializedBlock[T]) SwapIn() error {
 // Drop implements Block.
 func (b *SerializedBlock[T]) Drop() {
 	b.data = nil
-	if b.file != "" {
-		os.Remove(b.file)
-		b.file = ""
-	}
+	b.remove()
 }
 
 // DecaBlock stores a partition as a decomposed page group (§4.3.2,
@@ -231,20 +263,39 @@ func (b *SerializedBlock[T]) Drop() {
 // only the pages. Swap writes the raw pages (Appendix C); pointers stay
 // valid across a swap round-trip.
 type DecaBlock[T any] struct {
+	swapFile
 	mem   *memory.Manager
-	group *memory.Group
+	group *memory.Group //deca:owns (released by SwapOut and Drop)
 	codec decompose.Codec[T]
 	count int
-	file  string
 }
 
-// NewDecaBlock decomposes values into a fresh page group.
-func NewDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], values []T) *DecaBlock[T] {
-	g := mem.NewGroup()
-	for _, v := range values {
-		decompose.Write(g, codec, v)
+// BuildDecaBlock decomposes each record into a fresh page group as records
+// yields it: the block is born in its pages, and no copy of the partition
+// exists beside them. If records panics — the engine's lazy plumbing
+// carries a failed or cancelled upstream that way — the pages are released
+// before the panic continues.
+//
+//deca:owns
+func BuildDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], records iter.Seq[T]) *DecaBlock[T] {
+	b := &DecaBlock[T]{mem: mem, group: mem.NewGroup(), codec: codec}
+	built := false
+	defer func() {
+		if !built {
+			b.Drop()
+		}
+	}()
+	for v := range records {
+		decompose.Write(b.group, codec, v)
+		b.count++
 	}
-	return &DecaBlock[T]{mem: mem, group: g, codec: codec, count: len(values)}
+	built = true
+	return b
+}
+
+// NewDecaBlock is BuildDecaBlock over a slice.
+func NewDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], values []T) *DecaBlock[T] {
+	return BuildDecaBlock(mem, codec, slices.Values(values))
 }
 
 // NewDecaBlockFromGroup adopts an already-filled page group (used when a
@@ -266,7 +317,7 @@ func (b *DecaBlock[T]) Group() *memory.Group { return b.group }
 // Codec returns the block's codec.
 func (b *DecaBlock[T]) Codec() decompose.Codec[T] { return b.codec }
 
-// Count returns the number of records.
+// Count implements Block.
 func (b *DecaBlock[T]) Count() int { return b.count }
 
 // MemBytes implements Block.
@@ -283,25 +334,19 @@ func (b *DecaBlock[T]) InMemory() bool { return b.group != nil }
 // Swappable implements Block.
 func (b *DecaBlock[T]) Swappable() bool { return true }
 
-// SwapOut implements Block: raw page bytes, no serialization.
+// SwapOut implements Block: raw page bytes, no serialization, written
+// once; an eviction after that only releases the pages.
 func (b *DecaBlock[T]) SwapOut(dir string) error {
 	if b.group == nil {
 		return nil
 	}
-	f, err := os.CreateTemp(dir, "deca-swap-page-*.bin")
+	err := b.writeOnce(dir, "deca-swap-page-*.bin", func(w io.Writer) error {
+		_, err := b.group.WriteTo(w)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := b.group.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	b.file = f.Name()
 	b.group.Release()
 	b.group = nil
 	return nil
@@ -312,10 +357,10 @@ func (b *DecaBlock[T]) SwapIn() error {
 	if b.group != nil {
 		return nil
 	}
-	if b.file == "" {
+	if !b.OnDisk() {
 		return fmt.Errorf("cache: deca block has no swap file")
 	}
-	f, err := os.Open(b.file)
+	f, err := os.Open(b.path)
 	if err != nil {
 		return err
 	}
@@ -324,8 +369,6 @@ func (b *DecaBlock[T]) SwapIn() error {
 	if err != nil {
 		return err
 	}
-	os.Remove(b.file)
-	b.file = ""
 	b.group = g
 	return nil
 }
@@ -336,8 +379,5 @@ func (b *DecaBlock[T]) Drop() {
 		b.group.Release()
 		b.group = nil
 	}
-	if b.file != "" {
-		os.Remove(b.file)
-		b.file = ""
-	}
+	b.remove()
 }

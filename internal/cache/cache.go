@@ -6,6 +6,12 @@
 // ends at Unpersist, at which point every block (and for Deca, every page
 // group) is released at once.
 //
+// A block is immutable from the moment it is built, which makes eviction
+// write-once: the first SwapOut writes the block's swap file, SwapIn reads
+// it and keeps it, later SwapOuts only free memory, and the file lives
+// until the block is dropped (Unpersist, Clear, replacement, or a
+// non-swappable eviction).
+//
 // Deca's modification to Spark's LRU is preserved: the eviction unit for a
 // Deca block is its page group, whose raw bytes go to disk with no
 // serialization step, while object blocks must serialize on the way out
@@ -30,6 +36,9 @@ func (id BlockID) String() string {
 // Block is one stored partition. Implementations are ObjectBlock,
 // SerializedBlock and DecaBlock.
 type Block interface {
+	// Count is the number of records, known whether or not the block is
+	// resident.
+	Count() int
 	// MemBytes is the block's current in-memory footprint (0 once swapped
 	// out).
 	MemBytes() int64
@@ -37,9 +46,12 @@ type Block interface {
 	InMemory() bool
 	// Swappable reports whether SwapOut can move the block to disk.
 	Swappable() bool
-	// SwapOut writes the block to a file under dir and frees its memory.
+	// OnDisk reports whether the block's swap file exists.
+	OnDisk() bool
+	// SwapOut frees the block's memory, first writing the block to a file
+	// under dir unless it is already OnDisk.
 	SwapOut(dir string) error
-	// SwapIn restores a swapped-out block into memory.
+	// SwapIn restores a swapped-out block into memory; the file stays.
 	SwapIn() error
 	// Drop releases all memory and disk resources.
 	Drop()
@@ -51,15 +63,17 @@ type Stats struct {
 	Misses       uint64
 	Evictions    uint64
 	Drops        uint64 // evictions that discarded data (non-swappable)
-	SwapOutBytes int64
+	SwapOutBytes int64  // written to swap files: each block once, however often it is evicted
 	SwapInBytes  int64
 	MemBytes     int64 // current resident bytes
+	SwappedBytes int64 // current non-resident bytes: what the blocks now only on disk held in memory
 }
 
 type entry struct {
-	block  Block
-	use    uint64 // LRU clock
-	pinned int    // >0 while a task is reading or swapping the block
+	block   Block
+	use     uint64 // LRU clock
+	pinned  int    // >0 while a task is reading or swapping the block
+	swapped int64  // MemBytes the block gave up at its last eviction; 0 while resident
 }
 
 // Manager is the executor-side cache manager: it accounts resident bytes
@@ -93,7 +107,10 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.MemBytes = m.residentLocked()
+	for _, e := range m.blocks {
+		s.MemBytes += e.block.MemBytes()
+		s.SwappedBytes += e.swapped
+	}
 	return s
 }
 
@@ -142,6 +159,7 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 		}
 		bytes += e.block.MemBytes()
 		m.stats.SwapInBytes += bytes
+		e.swapped = 0
 		if err := m.reclaimLocked(); err != nil {
 			e.pinned--
 			return nil, false, err
@@ -205,11 +223,14 @@ func (m *Manager) reclaimLocked() error {
 		e := m.blocks[*victim]
 		m.stats.Evictions++
 		if e.block.Swappable() && m.swapDir != "" {
-			bytes := e.block.MemBytes()
+			bytes, written := e.block.MemBytes(), e.block.OnDisk()
 			if err := e.block.SwapOut(m.swapDir); err != nil {
 				return fmt.Errorf("cache: swapping out %s: %w", victim, err)
 			}
-			m.stats.SwapOutBytes += bytes
+			e.swapped = bytes
+			if !written {
+				m.stats.SwapOutBytes += bytes
+			}
 		} else {
 			e.block.Drop()
 			delete(m.blocks, *victim)

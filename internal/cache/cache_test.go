@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"deca/internal/decompose"
@@ -114,7 +116,7 @@ func TestPinnedBlocksNotEvicted(t *testing.T) {
 
 func TestSerializedBlockRoundTrip(t *testing.T) {
 	vals := []int64{5, -6, 7}
-	b := NewSerializedBlock(vals, serial.Int64{})
+	b := BuildSerializedBlock(slices.Values(vals), serial.Int64{})
 	if b.Count() != 3 {
 		t.Errorf("Count = %d", b.Count())
 	}
@@ -250,4 +252,116 @@ func TestPutReplacesExisting(t *testing.T) {
 		t.Errorf("values = %v", got)
 	}
 	m.Unpin(id)
+}
+
+// TestWriteOnceEviction: blocks are immutable, so scanning a dataset twice
+// the budget over and over writes each block's swap file once — SwapOutBytes
+// stops at one dataset's bytes however many passes evict it — while every
+// pass still reads it back; Unpersist removes the files.
+func TestWriteOnceEviction(t *testing.T) {
+	const blocks, perBlock = 8, 64 // 8 values x 8 bytes each, page size 64
+	mem := memory.NewManager(perBlock, 0)
+	dir := t.TempDir()
+	m := NewManager(blocks*perBlock/2, dir)
+	id := func(p int) BlockID { return BlockID{Dataset: 3, Partition: p} }
+	for p := 0; p < blocks; p++ {
+		vals := make([]int64, 8)
+		for i := range vals {
+			vals[i] = int64(p*100 + i)
+		}
+		if err := m.Put(id(p), NewDecaBlock[int64](mem, decompose.Int64Codec{}, vals)); err != nil {
+			t.Fatal(err)
+		}
+		m.Unpin(id(p))
+	}
+	const passes = 5
+	for pass := 0; pass < passes; pass++ {
+		for p := 0; p < blocks; p++ {
+			blk, ok, err := m.Get(id(p))
+			if err != nil || !ok {
+				t.Fatalf("pass %d: Get(%d): ok=%v err=%v", pass, p, ok, err)
+			}
+			var first int64 = -1
+			blk.(*DecaBlock[int64]).Each(func(v int64) bool { first = v; return false })
+			if first != int64(p*100) {
+				t.Fatalf("pass %d: block %d starts with %d", pass, p, first)
+			}
+			m.Unpin(id(p))
+		}
+	}
+	st := m.Stats()
+	if want := int64(blocks * perBlock); st.SwapOutBytes != want {
+		t.Errorf("SwapOutBytes = %d after %d passes, want one dataset = %d", st.SwapOutBytes, passes, want)
+	}
+	if st.SwapInBytes < int64(passes-1)*blocks*perBlock {
+		t.Errorf("SwapInBytes = %d: the passes did not go through swap", st.SwapInBytes)
+	}
+	if got, want := st.MemBytes+st.SwappedBytes, int64(blocks*perBlock); got != want {
+		t.Errorf("resident %d + swapped %d = %d, want the dataset's %d", st.MemBytes, st.SwappedBytes, got, want)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != blocks {
+		t.Errorf("%d swap files for %d blocks", len(files), blocks)
+	}
+	m.Unpersist(3)
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("%d swap files survived Unpersist", len(files))
+	}
+	if mem.InUse() != 0 {
+		t.Errorf("pages leaked after Unpersist: %d", mem.InUse())
+	}
+}
+
+// TestCountSurvivesSwap: every block type answers Count while its data is
+// on disk, and a second SwapOut needs no directory — the file exists.
+func TestCountSurvivesSwap(t *testing.T) {
+	vals := []int64{4, 5, 6, 7, 8}
+	mem := memory.NewManager(64, 0)
+	for name, b := range map[string]Block{
+		"objects":    intBlock(slices.Clone(vals)),
+		"serialized": BuildSerializedBlock(slices.Values(vals), serial.Int64{}),
+		"deca":       BuildDecaBlock[int64](mem, decompose.Int64Codec{}, slices.Values(vals)),
+	} {
+		dir := t.TempDir()
+		if err := b.SwapOut(dir); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.InMemory() || !b.OnDisk() || b.Count() != len(vals) {
+			t.Errorf("%s swapped out: resident=%v onDisk=%v count=%d", name, b.InMemory(), b.OnDisk(), b.Count())
+		}
+		if err := b.SwapIn(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !b.InMemory() || !b.OnDisk() || b.Count() != len(vals) {
+			t.Errorf("%s swapped in: resident=%v onDisk=%v count=%d", name, b.InMemory(), b.OnDisk(), b.Count())
+		}
+		if err := b.SwapOut("/nonexistent"); err != nil {
+			t.Errorf("%s: second SwapOut wrote again: %v", name, err)
+		}
+		b.Drop()
+		if files, _ := os.ReadDir(dir); len(files) != 0 || b.OnDisk() {
+			t.Errorf("%s: swap file survived Drop", name)
+		}
+	}
+}
+
+// TestBuildDecaBlockReleasesOnPanic: a record stream that dies mid-build
+// takes the half-filled page group with it.
+func TestBuildDecaBlockReleasesOnPanic(t *testing.T) {
+	mem := memory.NewManager(64, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the stream's panic was swallowed")
+			}
+		}()
+		BuildDecaBlock[int64](mem, decompose.Int64Codec{}, func(yield func(int64) bool) {
+			for i := int64(0); i < 100; i++ {
+				yield(i)
+			}
+			panic("upstream failed")
+		})
+	}()
+	if st := mem.Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
+		t.Errorf("failed build left %d live groups, %d bytes in use", st.LiveGroups, st.BytesInUse)
+	}
 }

@@ -24,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	e.bool(true)
 	e.bytes([]byte{0, 1, 2, 255})
 	appendOutputID(&e, transport.MapOutputID{Shuffle: 9, MapTask: 3, Reduce: 11})
-	e.b = appendSnapshot(e.b, MetricsSnapshot{ShuffleRecords: 123, RemoteShuffleBytes: 1 << 30, CacheMemBytes: -5})
+	e.b = appendSnapshot(e.b, MetricsSnapshot{ShuffleRecords: 123, RemoteShuffleBytes: 1 << 30, CacheMemBytes: -5, CacheSwappedBytes: 77})
 
 	done := make(chan error, 1)
 	go func() { done <- ca.send(msgHeartbeat, e.b) }()
@@ -58,7 +58,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("output id = %v", id)
 	}
 	snap := decodeSnapshot(d)
-	if snap.ShuffleRecords != 123 || snap.RemoteShuffleBytes != 1<<30 || snap.CacheMemBytes != -5 {
+	if snap.ShuffleRecords != 123 || snap.RemoteShuffleBytes != 1<<30 || snap.CacheMemBytes != -5 || snap.CacheSwappedBytes != 77 {
 		t.Errorf("snapshot = %+v", snap)
 	}
 	if !d.ok() {

@@ -181,6 +181,9 @@ type MetricsSnapshot struct {
 	// reserved. Appended after the original 15 fields; the count-prefixed
 	// wire layout lets old decoders skip it and old encoders omit it.
 	FetchInFlightBytes int64
+	// CacheSwappedBytes is a gauge too: the in-memory size of the cache
+	// blocks that are on disk only. The 17th field, appended the same way.
+	CacheSwappedBytes int64
 }
 
 func (m MetricsSnapshot) fields() []int64 {
@@ -190,7 +193,7 @@ func (m MetricsSnapshot) fields() []int64 {
 		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.CacheDrops,
 		m.SwapOutBytes, m.SwapInBytes, m.CacheMemBytes,
 		m.PagesServedZeroCopy, m.BytesSendfile, m.UserspaceCopyBytes,
-		m.FetchInFlightBytes,
+		m.FetchInFlightBytes, m.CacheSwappedBytes,
 	}
 }
 
@@ -205,7 +208,7 @@ func appendSnapshot(dst []byte, m MetricsSnapshot) []byte {
 
 func decodeSnapshot(d *dec) MetricsSnapshot {
 	n := int(d.uint())
-	vals := make([]int64, 16)
+	vals := make([]int64, 17)
 	for i := 0; i < n; i++ {
 		v := d.int()
 		if i < len(vals) {
@@ -218,7 +221,7 @@ func decodeSnapshot(d *dec) MetricsSnapshot {
 		CacheHits: vals[5], CacheMisses: vals[6], CacheEvictions: vals[7], CacheDrops: vals[8],
 		SwapOutBytes: vals[9], SwapInBytes: vals[10], CacheMemBytes: vals[11],
 		PagesServedZeroCopy: vals[12], BytesSendfile: vals[13], UserspaceCopyBytes: vals[14],
-		FetchInFlightBytes: vals[15],
+		FetchInFlightBytes: vals[15], CacheSwappedBytes: vals[16],
 	}
 }
 

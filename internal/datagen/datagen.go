@@ -10,28 +10,47 @@ package datagen
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"slices"
 	"strconv"
 )
 
-// Words returns a generator of space-separated word lines. distinctKeys
-// controls the vocabulary size — the paper varies 10M vs 100M keys to grow
-// the shuffle hash table; wordsPerLine and numLines control volume.
-func Words(seed int64, distinctKeys, wordsPerLine, numLines int) []string {
-	r := rand.New(rand.NewSource(seed))
-	lines := make([]string, numLines)
-	var buf []byte
-	for i := range lines {
-		buf = buf[:0]
-		for w := 0; w < wordsPerLine; w++ {
-			if w > 0 {
-				buf = append(buf, ' ')
+// The partition-sized generators come in two forms that draw from the RNG
+// in the same order: XSeq streams the records one at a time, so a consumer
+// that stores them elsewhere (a cache block, a shuffle buffer) never holds
+// the partition twice, and X collects the same stream into a slice.
+
+// collect gathers a stream of n records.
+func collect[T any](n int, seq iter.Seq[T]) []T {
+	return slices.AppendSeq(make([]T, 0, n), seq)
+}
+
+// WordsSeq streams space-separated word lines. distinctKeys controls the
+// vocabulary size — the paper varies 10M vs 100M keys to grow the shuffle
+// hash table; wordsPerLine and numLines control volume.
+func WordsSeq(seed int64, distinctKeys, wordsPerLine, numLines int) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		r := rand.New(rand.NewSource(seed))
+		var buf []byte
+		for i := 0; i < numLines; i++ {
+			buf = buf[:0]
+			for w := 0; w < wordsPerLine; w++ {
+				if w > 0 {
+					buf = append(buf, ' ')
+				}
+				buf = appendWord(buf, r.Intn(distinctKeys))
 			}
-			buf = appendWord(buf, r.Intn(distinctKeys))
+			if !yield(string(buf)) {
+				return
+			}
 		}
-		lines[i] = string(buf)
 	}
-	return lines
+}
+
+// Words is WordsSeq as a slice.
+func Words(seed int64, distinctKeys, wordsPerLine, numLines int) []string {
+	return collect(numLines, WordsSeq(seed, distinctKeys, wordsPerLine, numLines))
 }
 
 // appendWord renders key i (non-negative) as a pronounceable-ish
@@ -52,48 +71,63 @@ type LabeledPoint struct {
 	Features []float64 `deca:"final"`
 }
 
-// Points generates n labeled points of dimension d, drawn from two
-// Gaussian-ish clusters so LR has signal to fit.
-func Points(seed int64, n, d int) []LabeledPoint {
-	r := rand.New(rand.NewSource(seed))
-	pts := make([]LabeledPoint, n)
-	for i := range pts {
-		label := float64(1)
-		shift := 0.5
-		if r.Intn(2) == 0 {
-			label = -1
-			shift = -0.5
+// PointsSeq streams n labeled points of dimension d, drawn from two
+// Gaussian-ish clusters so LR has signal to fit. Every point owns a fresh
+// Features vector.
+func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
+	return func(yield func(LabeledPoint) bool) {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			label := float64(1)
+			shift := 0.5
+			if r.Intn(2) == 0 {
+				label = -1
+				shift = -0.5
+			}
+			f := make([]float64, d)
+			for j := range f {
+				f[j] = r.NormFloat64() + shift
+			}
+			if !yield(LabeledPoint{Label: label, Features: f}) {
+				return
+			}
 		}
-		f := make([]float64, d)
-		for j := range f {
-			f[j] = r.NormFloat64() + shift
-		}
-		pts[i] = LabeledPoint{Label: label, Features: f}
 	}
-	return pts
 }
 
-// Vectors generates n unlabeled vectors of dimension d around k cluster
+// Points is PointsSeq as a slice.
+func Points(seed int64, n, d int) []LabeledPoint {
+	return collect(n, PointsSeq(seed, n, d))
+}
+
+// VectorsSeq streams n unlabeled vectors of dimension d around k cluster
 // centers, for KMeans.
+func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
+	return func(yield func([]float64) bool) {
+		r := rand.New(rand.NewSource(seed))
+		centers := make([][]float64, k)
+		for c := range centers {
+			centers[c] = make([]float64, d)
+			for j := range centers[c] {
+				centers[c][j] = r.Float64() * 10
+			}
+		}
+		for i := 0; i < n; i++ {
+			c := centers[r.Intn(k)]
+			v := make([]float64, d)
+			for j := range v {
+				v[j] = c[j] + r.NormFloat64()*0.5
+			}
+			if !yield(v) {
+				return
+			}
+		}
+	}
+}
+
+// Vectors is VectorsSeq as a slice.
 func Vectors(seed int64, n, d, k int) [][]float64 {
-	r := rand.New(rand.NewSource(seed))
-	centers := make([][]float64, k)
-	for c := range centers {
-		centers[c] = make([]float64, d)
-		for j := range centers[c] {
-			centers[c][j] = r.Float64() * 10
-		}
-	}
-	vecs := make([][]float64, n)
-	for i := range vecs {
-		c := centers[r.Intn(k)]
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = c[j] + r.NormFloat64()*0.5
-		}
-		vecs[i] = v
-	}
-	return vecs
+	return collect(n, VectorsSeq(seed, n, d, k))
 }
 
 // Edge is a directed graph edge.
@@ -102,26 +136,33 @@ type Edge struct {
 	Dst int64
 }
 
-// Graph generates numEdges edges over numVertices vertices with a skewed
+// GraphSeq streams numEdges edges over numVertices vertices with a skewed
 // (power-law-like) degree distribution, standing in for the paper's
 // LiveJournal / webbase / HiBench graphs. Skew in (0,1]: higher
 // concentrates edges on fewer hub vertices.
-func Graph(seed int64, numVertices int64, numEdges int, skew float64) []Edge {
+func GraphSeq(seed int64, numVertices int64, numEdges int, skew float64) iter.Seq[Edge] {
 	if skew <= 0 || skew > 1 {
 		skew = 0.6
 	}
-	r := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, numEdges)
-	for i := range edges {
-		// Power-law-ish sampling: u^(1/skew) concentrates mass near 0.
-		src := int64(powSample(r, skew) * float64(numVertices))
-		dst := int64(r.Float64() * float64(numVertices))
-		if src == dst {
-			dst = (dst + 1) % numVertices
+	return func(yield func(Edge) bool) {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < numEdges; i++ {
+			// Power-law-ish sampling: u^(1/skew) concentrates mass near 0.
+			src := int64(powSample(r, skew) * float64(numVertices))
+			dst := int64(r.Float64() * float64(numVertices))
+			if src == dst {
+				dst = (dst + 1) % numVertices
+			}
+			if !yield(Edge{Src: src, Dst: dst}) {
+				return
+			}
 		}
-		edges[i] = Edge{Src: src, Dst: dst}
 	}
-	return edges
+}
+
+// Graph is GraphSeq as a slice.
+func Graph(seed int64, numVertices int64, numEdges int, skew float64) []Edge {
+	return collect(numEdges, GraphSeq(seed, numVertices, numEdges, skew))
 }
 
 func powSample(r *rand.Rand, skew float64) float64 {

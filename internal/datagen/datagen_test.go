@@ -2,6 +2,9 @@ package datagen
 
 import (
 	"fmt"
+	"iter"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -181,5 +184,60 @@ func TestAppendWordMatchesFmt(t *testing.T) {
 	buf := make([]byte, 0, 32)
 	if n := testing.AllocsPerRun(100, func() { buf = appendWord(buf[:0], 123_456) }); n != 0 {
 		t.Errorf("appendWord allocates %v times per call, want 0", n)
+	}
+}
+
+// TestStreamsMatchSlices: each XSeq yields what X returns, again on a
+// second walk (the RNG is seeded per walk, not per Seq), and stops when
+// told to. The last record of each is pinned to what the slice-building
+// generators produced before the streaming forms existed: one RNG call
+// out of order anywhere in the partition would move it.
+func TestStreamsMatchSlices(t *testing.T) {
+	pinned := map[int64]struct {
+		word   string
+		point  LabeledPoint
+		vector []float64
+		edge   Edge
+	}{
+		1: {
+			"w0000312 w0000033 w000004c",
+			LabeledPoint{Label: -1, Features: []float64{-0.5416893383425935, 0.5755625449863215, -0.3981076746813823}},
+			[]float64{6.556484565037507, 9.561925541690824, 6.451007360432804},
+			Edge{Src: 79, Dst: 410},
+		},
+		42: {
+			"w00000ad w00002fa w0000183",
+			LabeledPoint{Label: 1, Features: []float64{-0.8368636989791505, 1.46354847819623, -0.01877754467542303}},
+			[]float64{1.346745824341113, 0.5697315134084935, 4.294247489897851},
+			Edge{Src: 171, Dst: 579},
+		},
+	}
+	const n = 50
+	for seed, want := range pinned {
+		checkStream(t, "Words", WordsSeq(seed, 1000, 3, n), Words(seed, 1000, 3, n), want.word)
+		checkStream(t, "Points", PointsSeq(seed, n, 3), Points(seed, n, 3), want.point)
+		checkStream(t, "Vectors", VectorsSeq(seed, n, 3, 4), Vectors(seed, n, 3, 4), want.vector)
+		checkStream(t, "Graph", GraphSeq(seed, 1000, n, 0.6), Graph(seed, 1000, n, 0.6), want.edge)
+	}
+}
+
+func checkStream[T any](t *testing.T, name string, stream iter.Seq[T], slice []T, last T) {
+	t.Helper()
+	for walk := 1; walk <= 2; walk++ {
+		if got := slices.Collect(stream); !reflect.DeepEqual(got, slice) {
+			t.Errorf("%s: walk %d of the stream differs from the slice form", name, walk)
+		}
+	}
+	if got := slice[len(slice)-1]; !reflect.DeepEqual(got, last) {
+		t.Errorf("%s: last record %v, pinned %v", name, got, last)
+	}
+	seen := 0
+	for range stream {
+		if seen++; seen == 3 {
+			break
+		}
+	}
+	if seen != 3 {
+		t.Errorf("%s: stream yielded %d records before a stop at 3", name, seen)
 	}
 }

@@ -95,16 +95,7 @@ func CollectMap[K comparable, V any](d *Dataset[decompose.Pair[K, V]]) (map[K]V,
 // Count returns the number of records.
 func Count[T any](d *Dataset[T]) (int64, error) {
 	return runAction(d.ctx, d.parts,
-		func(p int, _ *Executor) (int64, error) {
-			var n int64
-			if err := d.Iterate(p, func(T) bool {
-				n++
-				return true
-			}); err != nil {
-				return 0, err
-			}
-			return n, nil
-		},
+		func(p int, _ *Executor) (int64, error) { return d.count(p) },
 		func(ps []int64) int64 {
 			var total int64
 			for _, n := range ps {
@@ -197,7 +188,8 @@ func ForeachAttempt[T any](d *Dataset[T], f func(p, attempt int, v T)) error {
 // Materialize forces computation (and caching, if persisted) of every
 // partition without retaining results — Spark's count()-to-warm-the-cache
 // idiom, used by the workloads to separate load time from iteration time
-// as the paper's measurements do (§6.2).
+// as the paper's measurements do (§6.2). A persisted partition is built
+// and counted from its block, never read back.
 func Materialize[T any](d *Dataset[T]) error {
 	_, err := Count(d)
 	return err

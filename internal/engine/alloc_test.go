@@ -2,7 +2,12 @@
 
 package engine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"deca/internal/decompose"
+)
 
 // expandUDF is reached through a variable: handed to FlatMap as a literal
 // it is inlined into the walk and the per-record closure never reaches the
@@ -36,5 +41,37 @@ func TestFlatMapAllocsPerWalk(t *testing.T) {
 	}
 	if allocs > 32 {
 		t.Errorf("walking a %d-record partition through FlatMap took %.0f allocations, want a constant", n, allocs)
+	}
+}
+
+// TestDecaBuildAllocatesOnlyItsPages: a Deca-persisted partition is
+// decomposed into its pages as it is generated, so materializing it
+// allocates the pages plus a constant — not a staging copy that grows with
+// the record count, and nothing to count the records afterwards.
+func TestDecaBuildAllocatesOnlyItsPages(t *testing.T) {
+	for _, n := range []int{10_000, 100_000} {
+		ctx := testCtx(t, ModeDeca)
+		d := Generate(ctx, 1, func(_ int, emit func(int64)) {
+			for i := 0; i < n; i++ {
+				emit(int64(i))
+			}
+		})
+		d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := Materialize(d); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		st := ctx.Memory().Stats()
+		pageBytes := st.PagesAllocated * uint64(st.PageSize)
+		if pageBytes < uint64(8*n) {
+			t.Fatalf("%d records sit in %d page bytes", n, pageBytes)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		if budget := pageBytes*5/4 + 64<<10; allocated > budget {
+			t.Errorf("materializing %d records allocated %d bytes for %d bytes of pages (budget %d)",
+				n, allocated, pageBytes, budget)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"deca/internal/cache"
@@ -168,17 +170,34 @@ func (d *Dataset[T]) Iterate(p int, yield func(T) bool) error {
 		d.compute(p)(yield)
 		return nil
 	}
-	return d.iterateCached(p, yield)
-}
-
-func (d *Dataset[T]) iterateCached(p int, yield func(T) bool) error {
 	blk, unpin, err := d.pinBlock(p)
 	if err != nil {
 		return err
 	}
 	defer unpin()
-	d.eachFromBlock(blk, yield)
+	// Every block type walks its own representation.
+	blk.(interface{ Each(func(T) bool) }).Each(yield)
 	return nil
+}
+
+// count returns partition p's record count. A persisted partition is
+// materialized if needed and answers from its block — no record is decoded
+// to be counted.
+func (d *Dataset[T]) count(p int) (int64, error) {
+	if d.persisted {
+		blk, unpin, err := d.pinBlock(p)
+		if err != nil {
+			return 0, err
+		}
+		defer unpin()
+		return int64(blk.Count()), nil
+	}
+	var n int64
+	d.compute(p)(func(T) bool {
+		n++
+		return true
+	})
+	return n, nil
 }
 
 // pinBlock returns partition p's cache block, pinned, computing and
@@ -219,38 +238,20 @@ func (d *Dataset[T]) pinBlock(p int) (cache.Block, func(), error) {
 	return blk, unpin, nil
 }
 
+// buildBlock computes partition p straight into its cache representation:
+// each record is marshalled or decomposed as the fused chain yields it, and
+// only the object level, whose representation is the slice, collects one.
 func (d *Dataset[T]) buildBlock(p int, ex *Executor) (cache.Block, error) {
-	var values []T
-	d.compute(p)(func(v T) bool {
-		values = append(values, v)
-		return true
-	})
+	records := iter.Seq[T](d.compute(p))
 	switch d.level {
 	case StorageObjects:
-		return cache.NewObjectBlock(values, d.storage.Estimate, d.storage.Ser), nil
+		return cache.NewObjectBlock(slices.Collect(records), d.storage.Estimate, d.storage.Ser), nil
 	case StorageSerialized:
-		return cache.NewSerializedBlock(values, d.storage.Ser), nil
+		return cache.BuildSerializedBlock(records, d.storage.Ser), nil
 	case StorageDeca:
-		return cache.NewDecaBlock(ex.mem, d.storage.Codec, values), nil
+		return cache.BuildDecaBlock(ex.mem, d.storage.Codec, records), nil
 	default:
 		return nil, fmt.Errorf("engine: dataset %d has unsupported storage level %v", d.id, d.level)
-	}
-}
-
-func (d *Dataset[T]) eachFromBlock(blk cache.Block, yield func(T) bool) {
-	switch b := blk.(type) {
-	case *cache.ObjectBlock[T]:
-		for _, v := range b.Values() {
-			if !yield(v) {
-				return
-			}
-		}
-	case *cache.SerializedBlock[T]:
-		b.Each(yield)
-	case *cache.DecaBlock[T]:
-		b.Each(yield)
-	default:
-		panic(fmt.Sprintf("engine: unknown block type %T", blk))
 	}
 }
 

@@ -807,6 +807,11 @@ func (c *Context) CacheStats() cache.Stats {
 	if c.driver != nil {
 		return c.driver.cacheStats()
 	}
+	return c.localCacheStats()
+}
+
+// localCacheStats sums the counters of this process's executors.
+func (c *Context) localCacheStats() cache.Stats {
 	var total cache.Stats
 	for _, ex := range c.execs {
 		s := ex.cache.Stats()
@@ -817,6 +822,7 @@ func (c *Context) CacheStats() cache.Stats {
 		total.SwapOutBytes += s.SwapOutBytes
 		total.SwapInBytes += s.SwapInBytes
 		total.MemBytes += s.MemBytes
+		total.SwappedBytes += s.SwappedBytes
 	}
 	return total
 }
@@ -1058,13 +1064,3 @@ func (c *Context) commitShuffleOutputs(id transport.ShuffleID, M, R int) {
 // Seq is a pull iterator over a partition's records: it calls yield for
 // each record until exhaustion or until yield returns false.
 type Seq[T any] func(yield func(T) bool)
-
-// Collect materializes a Seq (tests and small results only).
-func (s Seq[T]) Collect() []T {
-	var out []T
-	s(func(v T) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
-}

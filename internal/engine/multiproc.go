@@ -189,6 +189,7 @@ func (c *Context) SyncClusterMetrics() {
 		cs.SwapOutBytes += s.SwapOutBytes
 		cs.SwapInBytes += s.SwapInBytes
 		cs.MemBytes += s.CacheMemBytes
+		cs.SwappedBytes += s.CacheSwappedBytes
 	}
 	c.metrics.ShuffleRecords.Store(sum.ShuffleRecords)
 	c.metrics.ShuffleSpillBytes.Store(sum.ShuffleSpillBytes)
@@ -521,17 +522,7 @@ func (r followerRuntime) ReleaseDataset(dataset, epoch int) {
 
 func (r followerRuntime) Snapshot() ctl.MetricsSnapshot {
 	c := r.c
-	var cs cache.Stats
-	for _, ex := range c.execs {
-		s := ex.cache.Stats()
-		cs.Hits += s.Hits
-		cs.Misses += s.Misses
-		cs.Evictions += s.Evictions
-		cs.Drops += s.Drops
-		cs.SwapOutBytes += s.SwapOutBytes
-		cs.SwapInBytes += s.SwapInBytes
-		cs.MemBytes += s.MemBytes
-	}
+	cs := c.localCacheStats()
 	var ts transport.Stats
 	if c.trans != nil {
 		ts = c.trans.Stats()
@@ -553,6 +544,7 @@ func (r followerRuntime) Snapshot() ctl.MetricsSnapshot {
 		BytesSendfile:        ts.BytesSendfile,
 		UserspaceCopyBytes:   ts.UserspaceCopyBytes,
 		FetchInFlightBytes:   c.metrics.FetchInFlightBytes.Load(),
+		CacheSwappedBytes:    cs.SwappedBytes,
 	}
 }
 

@@ -61,7 +61,7 @@ func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected b
 		edgesPerPart = 1
 	}
 	edges := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(decompose.Pair[int64, int64])) {
-		for _, e := range datagen.Graph(cfg.Seed+int64(p), params.Vertices, edgesPerPart, params.Skew) {
+		for e := range datagen.GraphSeq(cfg.Seed+int64(p), params.Vertices, edgesPerPart, params.Skew) {
 			emit(engine.KV(e.Src, e.Dst))
 			if undirected {
 				emit(engine.KV(e.Dst, e.Src))

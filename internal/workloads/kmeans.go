@@ -33,7 +33,7 @@ func KMeans(cfg Config, params KMeansParams) (Result, error) {
 			perPart = 1
 		}
 		vectors := engine.Generate(ctx, cfg.Partitions, func(p int, emit func([]float64)) {
-			for _, v := range datagen.Vectors(cfg.Seed+int64(p), perPart, params.Dim, params.K) {
+			for v := range datagen.VectorsSeq(cfg.Seed+int64(p), perPart, params.Dim, params.K) {
 				emit(v)
 			}
 		})

@@ -35,7 +35,7 @@ func LogisticRegression(cfg Config, params LRParams) (Result, error) {
 			perPart = 1
 		}
 		points := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(datagen.LabeledPoint)) {
-			for _, pt := range datagen.Points(cfg.Seed+int64(p), perPart, params.Dim) {
+			for pt := range datagen.PointsSeq(cfg.Seed+int64(p), perPart, params.Dim) {
 				emit(pt)
 			}
 		})

@@ -38,7 +38,7 @@ func wcBody(cfg Config, params WCParams) func(ctx *engine.Context) (float64, err
 			linesPerPart = 1
 		}
 		lines := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(string)) {
-			for _, line := range datagen.Words(cfg.Seed+int64(p), params.DistinctKeys, params.WordsPerLine, linesPerPart) {
+			for line := range datagen.WordsSeq(cfg.Seed+int64(p), params.DistinctKeys, params.WordsPerLine, linesPerPart) {
 				emit(line)
 			}
 		})

@@ -156,8 +156,9 @@ type Result struct {
 	Wall     time.Duration
 	GC       gcstats.Delta
 	Checksum float64
-	// CacheBytes is the resident cache footprint right after the cached
-	// data was materialized (the paper's "cached data" bars, Fig. 9).
+	// CacheBytes is the cached data's footprint (the paper's "cached data"
+	// bars, Fig. 9): resident bytes plus what the blocks now on disk only
+	// held in memory.
 	CacheBytes int64
 	// SwapBytes / ShuffleSpillBytes are disk traffic from memory pressure.
 	SwapBytes         int64
@@ -234,7 +235,7 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 		Wall:                    wall,
 		GC:                      delta,
 		Checksum:                checksum,
-		CacheBytes:              cstats.MemBytes + cstats.SwapOutBytes - cstats.SwapInBytes,
+		CacheBytes:              cstats.MemBytes + cstats.SwappedBytes,
 		SwapBytes:               cstats.SwapOutBytes,
 		ShuffleSpillBytes:       metrics.ShuffleSpillBytes.Load(),
 		RemoteShuffleFetches:    metrics.RemoteShuffleFetches.Load(),

@@ -164,6 +164,14 @@ func TestLRUnderCachePressure(t *testing.T) {
 	if res.SwapBytes == 0 {
 		t.Error("expected cache swaps under pressure")
 	}
+	// The footprint counts blocks wherever they are, and a block is written
+	// to swap once however many passes evict it.
+	if min := int64(params.Points * LabeledPointCodec{Dim: params.Dim}.FixedSize()); res.CacheBytes < min {
+		t.Errorf("CacheBytes = %d, below the %d bytes of records cached", res.CacheBytes, min)
+	}
+	if res.SwapBytes > res.CacheBytes {
+		t.Errorf("SwapBytes = %d exceeds the cached data's %d: blocks were rewritten", res.SwapBytes, res.CacheBytes)
+	}
 }
 
 func TestResultString(t *testing.T) {
