@@ -92,6 +92,11 @@ type Injector struct {
 	// goroutine scheduling; use FetchFailureRate for scheduling-independent
 	// injection.
 	FailFetchN int64
+	// LoseOutput, when non-nil, turns every fetch of a matching output into
+	// a definitive miss — the output's holder keeps dying, so lineage repair
+	// re-runs the map task and the loss repeats (tests: a repair that cannot
+	// converge must fail the job, not hang it).
+	LoseOutput func(id transport.MapOutputID) bool
 
 	killStarted atomic.Int64
 	killFired   atomic.Bool
@@ -279,6 +284,9 @@ func (t *Transport) Fetch(id transport.MapOutputID, dstExecutor int, open transp
 	if err := t.inj.fetchFault(id); err != nil {
 		return transport.Payload{}, false, err
 	}
+	if lose := t.inj.LoseOutput; lose != nil && lose(id) {
+		return transport.Payload{}, false, nil
+	}
 	return t.inner.Fetch(id, dstExecutor, open)
 }
 
@@ -286,11 +294,6 @@ func (t *Transport) Fetch(id transport.MapOutputID, dstExecutor int, open transp
 // decision, never a fault site).
 func (t *Transport) Commit(ids []transport.MapOutputID) []transport.Payload {
 	return t.inner.Commit(ids)
-}
-
-// Abort delegates to the inner transport.
-func (t *Transport) Abort(ids []transport.MapOutputID) []transport.Payload {
-	return t.inner.Abort(ids)
 }
 
 // Drop delegates to the inner transport.

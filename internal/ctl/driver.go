@@ -525,27 +525,6 @@ func (d *Driver) DropShuffle(shuffle int64) int {
 	return len(ids)
 }
 
-// Alive reports whether the executor is (still) considered live.
-func (d *Driver) Alive(exec int) bool {
-	st := d.execs[exec]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.alive
-}
-
-// NumAlive counts live executors.
-func (d *Driver) NumAlive() int {
-	n := 0
-	for _, st := range d.execs {
-		st.mu.Lock()
-		if st.alive {
-			n++
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
-
 // ExecStatus is one executor's liveness + latest heartbeat view, for
 // the ops plane.
 type ExecStatus struct {

@@ -83,10 +83,9 @@ type stageVerdict struct {
 // and the stores the engine's mirrored program waits on (plan, stage
 // verdicts, action results, materialization announcements).
 type Follower struct {
-	id           int
-	conn         *rpcConn
-	server       *transport.DataServer
-	numExecutors int
+	id     int
+	conn   *rpcConn
+	server *transport.DataServer
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -155,8 +154,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		return nil, fmt.Errorf("ctl: handshake: %v (frame type %d)", err, t)
 	}
 	dd := &dec{b: payload}
-	f.numExecutors = int(dd.int())
-	if !dd.ok() || f.numExecutors <= 0 {
+	if numExecutors := dd.int(); !dd.ok() || numExecutors <= 0 {
 		f.teardown()
 		return nil, fmt.Errorf("ctl: malformed welcome")
 	}
@@ -173,9 +171,6 @@ func (f *Follower) teardown() {
 
 // ID returns this executor's id.
 func (f *Follower) ID() int { return f.id }
-
-// NumExecutors returns the cluster size the driver announced.
-func (f *Follower) NumExecutors() int { return f.numExecutors }
 
 // DataServer returns the local data-plane server map tasks register
 // their outputs on.
@@ -202,13 +197,25 @@ func (f *Follower) SetRuntime(rt Runtime) {
 	f.cond.Broadcast()
 }
 
-// runtime blocks until SetRuntime (or connection death).
+// waitLocked blocks, with f.mu held, until ready reports true or the
+// control connection dies (closeErr). It is the one wait loop behind every
+// follower-side await, so a liveness rule — a deadline, a death signal —
+// has exactly one place to land.
+func (f *Follower) waitLocked(ready func() bool) error {
+	for !ready() {
+		if f.closed {
+			return f.closeErr
+		}
+		f.cond.Wait()
+	}
+	return nil
+}
+
+// runtime blocks until SetRuntime (nil on connection death).
 func (f *Follower) runtime() Runtime {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for f.rt == nil && !f.closed {
-		f.cond.Wait()
-	}
+	_ = f.waitLocked(func() bool { return f.rt != nil })
 	return f.rt
 }
 
@@ -440,11 +447,8 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 func (f *Follower) AwaitPlan() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for !f.hasPlan && !f.closed {
-		f.cond.Wait()
-	}
-	if !f.hasPlan {
-		return nil, f.closeErr
+	if err := f.waitLocked(func() bool { return f.hasPlan }); err != nil {
+		return nil, err
 	}
 	return f.plan, nil
 }
@@ -454,16 +458,13 @@ func (f *Follower) AwaitPlan() ([]byte, error) {
 func (f *Follower) AwaitStageEnd(key string) (byte, string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for {
-		if v, ok := f.ends[key]; ok {
-			delete(f.ends, key)
-			return v.verdict, v.errMsg, nil
-		}
-		if f.closed {
-			return VerdictAbort, "", f.closeErr
-		}
-		f.cond.Wait()
+	var v stageVerdict
+	var ok bool
+	if err := f.waitLocked(func() bool { v, ok = f.ends[key]; return ok }); err != nil {
+		return VerdictAbort, "", err
 	}
+	delete(f.ends, key)
+	return v.verdict, v.errMsg, nil
 }
 
 // AwaitActionResult blocks until the driver broadcasts the action's
@@ -471,16 +472,13 @@ func (f *Follower) AwaitStageEnd(key string) (byte, string, error) {
 func (f *Follower) AwaitActionResult(key string) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for {
-		if res, ok := f.actions[key]; ok {
-			delete(f.actions, key)
-			return res, nil
-		}
-		if f.closed {
-			return nil, f.closeErr
-		}
-		f.cond.Wait()
+	var res []byte
+	var ok bool
+	if err := f.waitLocked(func() bool { res, ok = f.actions[key]; return ok }); err != nil {
+		return nil, err
 	}
+	delete(f.actions, key)
+	return res, nil
 }
 
 // AwaitMaterialize blocks until a materialization of the dataset with an
@@ -488,15 +486,11 @@ func (f *Follower) AwaitActionResult(key string) ([]byte, error) {
 func (f *Follower) AwaitMaterialize(dataset, afterEpoch int) (epoch int, shuffle int64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for {
-		if m, ok := f.mats[dataset]; ok && m.epoch > afterEpoch {
-			return m.epoch, m.shuffle, nil
-		}
-		if f.closed {
-			return 0, 0, f.closeErr
-		}
-		f.cond.Wait()
+	var m matEntry
+	if err := f.waitLocked(func() bool { m = f.mats[dataset]; return m.epoch > afterEpoch }); err != nil {
+		return 0, 0, err
 	}
+	return m.epoch, m.shuffle, nil
 }
 
 // NeedShuffle notifies the driver that a local task pulled an

@@ -95,12 +95,9 @@ const (
 	// VerdictOK: the stage completed; followers proceed.
 	VerdictOK byte = 0
 	// VerdictAbort: the stage failed terminally; followers surface the
-	// carried error.
+	// carried error. Any byte other than VerdictOK reads as an abort (2 was
+	// the retired whole-exchange retry round).
 	VerdictAbort byte = 1
-	// VerdictRetry: the reduce stage lost consumed map outputs (an
-	// executor died); followers discard this round's buffers and re-run
-	// the whole exchange — Spark's FetchFailed stage resubmission.
-	VerdictRetry byte = 2
 )
 
 // maxFrame bounds a control frame length read off the wire (action

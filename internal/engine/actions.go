@@ -14,13 +14,40 @@ import (
 // stage execution of §4.1's job model).
 //
 // Every action decomposes into a per-partition *partial* and a fold over
-// the partials in partition order (runAction). In-process deployments
-// run both locally; the multi-process deployment runs the partial on the
-// partition's executor process, ships it back as bytes, folds at the
-// driver, and broadcasts the folded result so every mirrored program
-// adopts the same value. Folding in partition order makes action results
-// deterministic across schedules (the fold functions must still be
+// the partials in partition order (runAction): the partials are one stage
+// (runStage — on the partition's executor, wherever that is), the fold runs
+// where the job is decided, and every mirrored program continues with the
+// folded value (adoptResult). Folding in partition order makes action
+// results deterministic across schedules (the fold functions must still be
 // associative, as in Spark — they may run in either grouping).
+
+// runAction runs an action: one task per partition computing its partial,
+// then the fold.
+func runAction[P, R any](ctx *Context, parts int,
+	partial func(p int, ex *Executor) (P, error),
+	fold func(ps []P) R,
+) (R, error) {
+	return runActionAttempt(ctx, parts,
+		func(t sched.Attempt, ex *Executor) (P, error) { return partial(t.Part, ex) },
+		fold)
+}
+
+// runActionAttempt is runAction with the scheduler attempt visible to
+// the partial — the seam side-effecting actions use to expose the
+// at-least-once attempt epoch to user code. Action stages are numbered in
+// program order (actionKey), identically on every mirror.
+func runActionAttempt[P, R any](ctx *Context, parts int,
+	partial func(t sched.Attempt, ex *Executor) (P, error),
+	fold func(ps []P) R,
+) (R, error) {
+	key := ctx.actionKey()
+	ps := make([]P, parts)
+	if err := runStage(ctx, stage{key: key, parts: denseParts(parts)}, ps, partial); err != nil {
+		var zero R
+		return zero, err
+	}
+	return adoptResult(ctx, key, ps, fold)
+}
 
 // recoverErr converts task panics (which the lazy Seq plumbing uses to
 // carry errors upward) back into error returns at the action boundary.

@@ -13,7 +13,6 @@ import (
 
 	"deca/internal/cache"
 	"deca/internal/decompose"
-	"deca/internal/sched"
 )
 
 func clusterCtx(t *testing.T, mode Mode, execs int) *Context {
@@ -217,8 +216,7 @@ func TestRunTasksJoinsAllErrors(t *testing.T) {
 		MaxTaskRetries: -1,
 	})
 	t.Cleanup(ctx.Close)
-	err := ctx.runStage(6, sched.StageOptions{}, func(t sched.Attempt, _ *Executor) error {
-		p := t.Part
+	err := RunPartitions(ctx, 6, func(p int) error {
 		if p%2 == 1 {
 			return fmt.Errorf("boom-%d", p)
 		}
@@ -255,7 +253,7 @@ func TestRunTasksJoinsAllErrors(t *testing.T) {
 func TestRunTasksRetriesCountPerAttempt(t *testing.T) {
 	ctx := clusterCtx(t, ModeSpark, 2)
 	var calls atomic.Int64
-	err := ctx.runStage(1, sched.StageOptions{}, func(t sched.Attempt, _ *Executor) error {
+	err := RunPartitions(ctx, 1, func(int) error {
 		calls.Add(1)
 		return fmt.Errorf("always-boom")
 	})
@@ -283,8 +281,7 @@ func TestRunTasksRetriesCountPerAttempt(t *testing.T) {
 func TestRunTasksRetryRecovers(t *testing.T) {
 	ctx := clusterCtx(t, ModeSpark, 2)
 	var calls atomic.Int64
-	err := ctx.runStage(4, sched.StageOptions{}, func(t sched.Attempt, _ *Executor) error {
-		p := t.Part
+	err := RunPartitions(ctx, 4, func(p int) error {
 		if p == 2 && calls.Add(1) <= 2 {
 			return fmt.Errorf("flaky-boom")
 		}

@@ -339,11 +339,6 @@ type Metrics struct {
 	// a reduce attempt found their outputs definitively lost, and exactly
 	// these tasks — not the whole exchange — were recomputed.
 	LineageMapReruns atomic.Int64
-	// ExchangeReruns counts whole-exchange re-runs: a multiproc driver
-	// answered a failed reduce stage with VerdictRetry and ran map and
-	// reduce again from scratch — the fallback the lineage repair is meant
-	// to make unnecessary (ROADMAP 3(c) records how often it fires).
-	ExchangeReruns atomic.Int64
 	// SpeculativeLaunched / SpeculativeWon count straggler duplicates and
 	// how many of them beat the original attempt.
 	SpeculativeLaunched atomic.Int64
@@ -620,10 +615,11 @@ func (c *Context) noteStageStart(key string, stage int) {
 	c.rec.Record(obs.Event{Kind: obs.KindStageBegin, Exec: c.obsExec(), Stage: int32(stage), Key: key})
 }
 
-// recordStageVerdict emits the stage-verdict event, resolving the
-// scheduler stage id recorded at stage start (0 when the stage never
-// started locally — the view then matches by key).
-func (c *Context) recordStageVerdict(key string, verdict byte) {
+// recordStageVerdict emits the stage-verdict event — ok for a nil err,
+// abort otherwise — resolving the scheduler stage id recorded at stage
+// start (0 when the stage never started locally — the view then matches by
+// key).
+func (c *Context) recordStageVerdict(key string, err error) {
 	if c.rec == nil {
 		return
 	}
@@ -631,13 +627,8 @@ func (c *Context) recordStageVerdict(key string, verdict byte) {
 	id := c.stageIDs[key]
 	delete(c.stageIDs, key)
 	c.stageIDMu.Unlock()
-	var code int64
-	switch verdict {
-	case ctl.VerdictOK:
-		code = obs.VerdictOK
-	case ctl.VerdictRetry:
-		code = obs.VerdictRetry
-	default:
+	code := int64(obs.VerdictOK)
+	if err != nil {
 		code = obs.VerdictAbort
 	}
 	c.rec.Record(obs.Event{Kind: obs.KindStageVerdict, Exec: c.obsExec(), Stage: id, Key: key, A: code})
@@ -692,13 +683,19 @@ func (c *Context) registerShuffle(datasetID int, r releasable) {
 // materialization they hold map tasks for. Concurrent calls for one
 // dataset are deduplicated by the state's memoization.
 func (c *Context) MaterializeShuffle(datasetID int) error {
-	c.shufMu.Lock()
-	st := c.shuffleReg[datasetID]
-	c.shufMu.Unlock()
+	st := c.shuffleOf(datasetID)
 	if st == nil {
 		return fmt.Errorf("engine: dataset %d has no registered shuffle", datasetID)
 	}
 	return st.Materialize()
+}
+
+// shuffleOf resolves a dataset id in the permanent shuffle registry (nil
+// when the program has not built that shuffle).
+func (c *Context) shuffleOf(datasetID int) materializable {
+	c.shufMu.Lock()
+	defer c.shufMu.Unlock()
+	return c.shuffleReg[datasetID]
 }
 
 // ReleaseShuffle frees the materialized shuffle output backing the given
@@ -903,32 +900,6 @@ func (c *Context) datasetID() int { return int(c.nextID.Add(1)) }
 // shuffleID issues unique transport shuffle ids.
 func (c *Context) shuffleID() transport.ShuffleID {
 	return transport.ShuffleID(c.nextShf.Add(1))
-}
-
-// runStage executes fn for every partition index on that partition's
-// affine executor through the fault-tolerant scheduler (internal/sched):
-// failed attempts retry up to Config.MaxTaskRetries times, re-placed if
-// their executor has been blacklisted. Worker slots stay stage-local — a
-// task that transitively materializes a parent shuffle starts a nested
-// stage with its own slots, so parent stages cannot deadlock against the
-// slots their children hold (Spark likewise bounds concurrency per
-// running stage). Per task only the final attempt's error survives into
-// the joined stage error (with its attempt count and final executor);
-// TasksRun/TasksFailed count once per attempt. The attempt is visible to
-// fn — shuffle stages use it to opt into speculation and cooperative
-// cancellation, actions to expose the at-least-once attempt epoch.
-func (c *Context) runStage(parts int, opts sched.StageOptions, fn func(t sched.Attempt, ex *Executor) error) error {
-	return c.cluster.RunStage(parts, opts, func(t sched.Attempt) error {
-		return fn(t, c.execs[t.Exec])
-	})
-}
-
-// runStageOn is runStage over an explicit (possibly sparse) partition
-// set — the lineage repair's way to re-run exactly the lost map tasks.
-func (c *Context) runStageOn(partIDs []int, opts sched.StageOptions, fn func(t sched.Attempt, ex *Executor) error) error {
-	return c.cluster.RunStageOn(partIDs, opts, func(t sched.Attempt) error {
-		return fn(t, c.execs[t.Exec])
-	})
 }
 
 // clusterHooks mirrors scheduler events into the cluster- and

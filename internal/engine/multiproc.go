@@ -17,39 +17,15 @@ import (
 
 // The multi-process deployment runs the cluster as real OS processes in
 // an SPMD shape: the driver and every deca-executor process build the
-// *same* job plan (the mirrored program), and only the driver makes
-// decisions — placement, retries, blacklisting, stage verdicts, action
-// folds. Task bodies are Go closures and cannot cross process
-// boundaries, so a dispatched task is only a descriptor — a stage key
-// plus (stage, partition, attempt) — resolved against the body the
-// mirrored program registered when it reached that stage. Action partial
-// results come back as encoded bytes; the driver folds them in partition
-// order and broadcasts the folded result, which every mirror adopts so
-// the programs stay in lock-step (an LR mirror updates its weights with
-// the very gradient the driver computed).
-//
-// Shuffle data never touches the control stream: map outputs register in
-// the driver's location directory (an RPC), and frames move
-// executor↔executor over the same transport.DataServer/DataClient data
-// plane the single-process TCP transport uses.
-//
-// Recovery is lineage-granular: a killed executor process takes its
-// registered map outputs with it, the driver's directory sweep turns
-// their lookups into definitive misses, and the reduce attempt that
-// observes them reports the lost MapOutputIDs back in its TaskResult.
-// The driver re-runs exactly those map tasks (lineageRepair) and retries
-// the reduce attempt, which re-fetches everything — serving is
-// non-consuming until the stage commits. Whole-exchange re-runs
-// (VerdictRetry — Spark's FetchFailed stage resubmission) remain the
-// fallback when repair itself keeps failing, and an action task that
-// finds its locally-owned reduce output gone (its producer died after
-// the exchange) reports a MissingOutputError; the driver releases that
-// materialization everywhere and the retry re-materializes it from
-// lineage under the post-blacklist placement.
-
-// maxExchangeRounds bounds how many times a multiproc exchange re-runs
-// its map+reduce pair after losing consumed outputs to a dead executor.
-const maxExchangeRounds = 3
+// *same* job plan (the mirrored program), and only the driver decides —
+// placement, retries, blacklisting, stage verdicts, action folds. Task
+// bodies are closures and cannot cross processes, so a dispatched task is
+// a descriptor (stage key, partition, attempt) resolved against the body
+// the mirror published when it reached that stage; shuffle data never
+// touches the control stream. This file is where the roles live: one
+// stage runner (runStage) with a local, a driver and a follower arm, and
+// the two steps around it that are role-specific by nature (beginExchange,
+// adoptResult). DESIGN.md's "Stage protocol" table is the map.
 
 // stageBodyTimeout bounds how long a dispatched task waits for the
 // mirrored program to register its stage's body. A healthy mirror
@@ -75,29 +51,57 @@ func (e *MissingOutputError) Error() string {
 
 // ctlDriver is the driver role's control-plane attachment.
 type ctlDriver struct {
-	c *Context
 	d *ctl.Driver
 
 	mu     sync.Mutex
 	remote cache.Stats // aggregated follower cache stats (last sync)
+	// fails counts failed dispatches and lastFail is the latest one's error
+	// (withCause).
+	fails    int
+	lastFail error
+}
+
+// failMark and withCause carry a failure's typed cause up the stage nesting
+// at the driver. Followers report task failures as text, so a stage whose
+// tasks failed *because* a stage nested under it failed (an action pulling a
+// shuffle whose reduce stage lost its inputs for good) would otherwise drop
+// the error value the driver itself produced a moment earlier: a failing
+// dispatch joins the failure recorded since it began, and becomes the latest
+// failure itself. Both are no-ops off the driver, where errors arrive as
+// values.
+func (d *ctlDriver) failMark() int {
+	if d == nil {
+		return 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.fails
+}
+
+func (d *ctlDriver) withCause(mark int, err error) error {
+	if d == nil || err == nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.fails != mark {
+		err = errors.Join(err, d.lastFail)
+	}
+	d.fails, d.lastFail = d.fails+1, err
+	return err
 }
 
 // ctlFollower is the executor-process role: the mirrored program's stage
 // bodies are registered here and executed when the driver dispatches
 // their descriptors.
 type ctlFollower struct {
-	c   *Context
 	ctl *ctl.Follower
 	me  int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	bodies map[string]stageBody
+	bodies map[string]taskBody[[]byte]
 }
-
-// stageBody executes one dispatched attempt and returns its encoded
-// result (actions) or nil (shuffle stages).
-type stageBody func(t sched.Attempt, ex *Executor) ([]byte, error)
 
 // wireDriver spawns and supervises the executor fleet and returns the
 // driver-side transport facade. Executor death feeds straight into the
@@ -125,7 +129,7 @@ func (c *Context) wireDriver() transport.Transport {
 	if err != nil {
 		panic(fmt.Sprintf("engine: starting multiproc control plane: %v", err))
 	}
-	c.driver = &ctlDriver{c: c, d: d}
+	c.driver = &ctlDriver{d: d}
 	if c.conf.Chaos != nil && c.conf.Chaos.OnKill == nil {
 		// The chaos harness's executor kill becomes a real SIGKILL of the
 		// child process.
@@ -137,7 +141,7 @@ func (c *Context) wireDriver() transport.Transport {
 // wireFollower attaches this Context to the executor process's control
 // connection and returns the follower transport.
 func (c *Context) wireFollower(f *ctl.Follower) transport.Transport {
-	fl := &ctlFollower{c: c, ctl: f, me: f.ID(), bodies: make(map[string]stageBody)}
+	fl := &ctlFollower{ctl: f, me: f.ID(), bodies: make(map[string]taskBody[[]byte])}
 	fl.cond = sync.NewCond(&fl.mu)
 	c.follower = fl
 	trans := &followerTransport{
@@ -211,7 +215,7 @@ func (d *ctlDriver) cacheStats() cache.Stats {
 	return d.remote
 }
 
-// bumpEpoch advances (driver) a dataset's materialization epoch.
+// bumpEpoch advances (deciding roles) a dataset's materialization epoch.
 func (c *Context) bumpEpoch(dataset int) int {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
@@ -234,11 +238,11 @@ func (c *Context) epochOf(dataset int) int {
 	return c.epochs[dataset]
 }
 
-// recoverMissingOutput handles a follower's MissingOutputError: if the
-// report names the dataset's *current* materialization, release it
-// everywhere so the reporting task's retry re-materializes it from
-// lineage under the current placement. Stale reports (a newer epoch
-// already exists) are ignored.
+// recoverMissingOutput is the driver arm's reaction to a follower's
+// MissingOutputError: if the report names the dataset's *current*
+// materialization, release it everywhere so the reporting task's retry
+// re-materializes it from lineage under the current placement. Stale
+// reports (a newer epoch already exists) are ignored.
 //
 // The driver's own copy is released by the followers' rule — through the
 // permanent registry, under the state lock, epoch-guarded (ReleaseEpoch).
@@ -250,15 +254,10 @@ func (c *Context) epochOf(dataset int) int {
 // live@epoch / followers released@epoch — the retry's NeedShuffle is then
 // memoised away and the followers wait for an epoch nobody announces.
 func (c *Context) recoverMissingOutput(dataset, epoch int) {
-	if c.driver == nil {
-		return
-	}
 	if epoch != c.epochOf(dataset) {
 		return
 	}
-	c.shufMu.Lock()
-	st := c.shuffleReg[dataset]
-	c.shufMu.Unlock()
+	st := c.shuffleOf(dataset)
 	if st == nil {
 		return
 	}
@@ -272,150 +271,213 @@ func (c *Context) recoverMissingOutput(dataset, epoch int) {
 	time.Sleep(20 * time.Millisecond)
 }
 
-// runRemoteStageOn runs a stage whose task bodies execute in the
-// executor processes, over an explicit (possibly sparse) partition set:
-// each attempt is an RPC carrying the stage key and the attempt
-// coordinates, and the usual scheduler machinery (retries,
-// blacklist-aware placement, speculation) operates on the dispatch
-// outcomes. The attempt's cancel signal is relayed to the executor as a
-// CancelTask frame, so a speculative loser or an aborted attempt stops
-// early inside its real process. rep (optional) receives LostOutputs
-// reports — a reduce attempt found map outputs definitively gone — and
-// re-runs exactly those map tasks before the attempt retries. collect
-// receives each task's result bytes (first successful attempt per
-// partition wins).
-func (c *Context) runRemoteStageOn(partIDs []int, opts sched.StageOptions, key string,
-	rep *lineageRepair, collect func(part int, result []byte) error) error {
-	opts.OnStart = c.stageStartHook(key, opts.OnStart)
-	d := c.driver.d
-	var mu sync.Mutex
-	seen := make(map[int]bool, len(partIDs))
-	return c.cluster.RunStageOn(partIDs, opts, func(t sched.Attempt) error {
-		g0 := 0
-		if rep != nil {
-			g0 = rep.generation()
-		}
-		res, err := d.RunTask(t.Exec, key, t.Stage, t.Part, t.Attempt, t.CancelCh())
-		if err != nil {
-			return err
-		}
-		if !res.OK {
-			if res.Canceled {
-				return sched.ErrCanceled
-			}
-			if res.MissingDataset != 0 {
-				c.recoverMissingOutput(res.MissingDataset, res.MissingEpoch)
-			}
-			taskErr := fmt.Errorf("executor %d: %s", t.Exec, res.ErrMsg)
-			if rep != nil && len(res.LostOutputs) > 0 {
-				if rerr := rep.repair(g0, res.LostOutputs); rerr != nil {
-					return errors.Join(taskErr, rerr)
-				}
-			}
-			return taskErr
-		}
-		if collect != nil {
-			mu.Lock()
-			defer mu.Unlock()
-			if seen[t.Part] {
-				return nil // a twin attempt already delivered this partition
-			}
-			if err := collect(t.Part, res.Result); err != nil {
-				return err
-			}
-			seen[t.Part] = true
-		}
-		return nil
-	})
+// taskBody runs one attempt of one task on ex. P is the partial an action
+// task hands back to the deciding process; the tasks of shuffle stages
+// leave their results on the executor that built them (noPartial).
+type taskBody[P any] func(t sched.Attempt, ex *Executor) (P, error)
+
+// noPartial adapts a body that has nothing to hand back.
+func noPartial(fn func(t sched.Attempt, ex *Executor) error) taskBody[struct{}] {
+	return func(t sched.Attempt, ex *Executor) (struct{}, error) { return struct{}{}, fn(t, ex) }
 }
 
-// runRemoteStage is runRemoteStageOn over the dense partition set.
-func (c *Context) runRemoteStage(parts int, opts sched.StageOptions, key string,
-	rep *lineageRepair, collect func(part int, result []byte) error) error {
-	ids := make([]int, parts)
+// stage names one stage of the mirrored program: the key every role meets
+// on, the partition ids its tasks run over, whether stragglers among them
+// may be duplicated, and — on a reduce stage — who re-runs map tasks whose
+// outputs an attempt finds lost.
+type stage struct {
+	key          string
+	parts        []int
+	speculatable bool
+	rep          *lineageRepair
+}
+
+// denseParts is the partition set of a full stage: every id in [0, n).
+func denseParts(n int) []int {
+	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	return c.runRemoteStageOn(ids, opts, key, rep, collect)
+	return ids
 }
 
-// stageRun runs one shuffle stage in whatever role this context has:
-// locally on the executor goroutines (in-process deployments), or
-// dispatched to the executor fleet (multiproc driver). Followers never
-// call it — their stages are driven by registered bodies. rep is the
-// reduce stage's lineage-repair hook (nil elsewhere); in-process
-// deployments handle repair inside the body itself.
-func (c *Context) stageRun(parts int, opts sched.StageOptions, key string,
-	rep *lineageRepair, local func(t sched.Attempt, ex *Executor) error) error {
-	if c.driver != nil {
-		return c.runRemoteStage(parts, opts, key, rep, nil)
+// runStage runs one stage to its verdict in whatever role this context
+// has, and is the only code that knows the role. The deciding roles
+// dispatch the tasks, then record and announce the verdict; a follower
+// publishes the body for the driver's descriptors to resolve against and
+// follows the verdict the driver broadcasts. ps, when non-nil, receives
+// each partition's partial at the deciding process — as a Go value when the
+// task ran here, gob-encoded across processes — and marks the stage as one
+// whose tasks hand a result back.
+func runStage[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
+	f := c.follower
+	if f == nil {
+		err := dispatch(c, st, ps, body)
+		c.endStage(st.key, err)
+		return err
 	}
-	opts.OnStart = c.stageStartHook(key, opts.OnStart)
-	return c.runStage(parts, opts, local)
+	keys := []string{st.key}
+	f.publish(st.key, onWire(body, ps != nil))
+	if st.rep != nil {
+		// The driver's lineage repair dispatches lost map tasks against the
+		// map stage's key while this stage's attempts are still running.
+		keys = append(keys, st.rep.maps.key)
+		f.publish(st.rep.maps.key, onWire(st.rep.body, false))
+	}
+	verdict, msg, err := f.ctl.AwaitStageEnd(st.key)
+	f.retire(keys) // the driver never dispatches a stage's tasks after its StageEnd
+	if err == nil && verdict != ctl.VerdictOK {
+		err = fmt.Errorf("engine: stage %s failed at driver: %s", st.key, msg)
+	}
+	return err
 }
 
-// stageStartHook chains the stage-begin observability event onto any
-// existing OnStart callback (no-op when events are disabled).
-func (c *Context) stageStartHook(key string, prev func(stage int)) func(stage int) {
-	if c.rec == nil {
-		return prev
-	}
-	return func(stage int) {
-		if prev != nil {
-			prev(stage)
+// onWire is a body as a follower publishes it: a panic (the lazy Seq
+// plumbing carries errors as panics) becomes the attempt's error rather
+// than the executor process's end, and the partial, when the stage hands
+// one back, is gob-encoded for the trip to the driver.
+func onWire[P any](body taskBody[P], partial bool) taskBody[[]byte] {
+	return func(t sched.Attempt, ex *Executor) (raw []byte, err error) {
+		defer recoverErr(&err)
+		v, err := body(t, ex)
+		if err != nil || !partial {
+			return nil, err
 		}
-		c.noteStageStart(key, stage)
+		return gobEncode(v)
 	}
 }
 
-// stageRunOn is stageRun over an explicit partition set — the lineage
-// repair's sparse map re-run, in either role.
-func (c *Context) stageRunOn(partIDs []int, opts sched.StageOptions, key string,
-	local func(t sched.Attempt, ex *Executor) error) error {
-	if c.driver != nil {
-		return c.runRemoteStageOn(partIDs, opts, key, nil, nil)
+// dispatch runs a stage's tasks through the scheduler (retries,
+// blacklist-aware placement, speculation) without settling a verdict —
+// runStage's deciding arms, and the lineage repair's re-dispatch inside a
+// still-open exchange. The local arm runs the body on this process's
+// executor goroutines; the driver arm ships each attempt as a descriptor,
+// relays the attempt's cancel signal as a CancelTask frame, and turns the
+// TaskResult back into the error value the local arm would have seen.
+// Either way a failed attempt that names lost map outputs gets exactly
+// those map tasks re-run before the scheduler retries it.
+func dispatch[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
+	opts := sched.StageOptions{Speculatable: st.speculatable}
+	if c.rec != nil {
+		opts.OnStart = func(id int) { c.noteStageStart(st.key, id) }
 	}
-	opts.OnStart = c.stageStartHook(key, opts.OnStart)
-	return c.runStageOn(partIDs, opts, local)
+	mark := c.driver.failMark()
+	run := func(t sched.Attempt) (v P, err error) {
+		defer recoverErr(&err)
+		return body(t, c.execs[t.Exec])
+	}
+	if d := c.driver; d != nil {
+		run = func(t sched.Attempt) (v P, err error) {
+			res, err := d.d.RunTask(t.Exec, st.key, t.Stage, t.Part, t.Attempt, t.CancelCh())
+			if err != nil {
+				return v, err
+			}
+			if !res.OK {
+				if res.MissingDataset != 0 {
+					c.recoverMissingOutput(res.MissingDataset, res.MissingEpoch)
+				}
+				return v, taskError(t.Exec, res)
+			}
+			if ps != nil {
+				if err := gobDecode(res.Result, &v); err != nil {
+					return v, fmt.Errorf("engine: decoding stage %s partial %d: %w", st.key, t.Part, err)
+				}
+			}
+			return v, nil
+		}
+	}
+	err := c.cluster.RunStageOn(st.parts, opts, func(t sched.Attempt) error {
+		g0 := st.rep.generation()
+		v, err := run(t)
+		if err != nil {
+			var lost *LostOutputsError
+			if errors.As(err, &lost) {
+				if rerr := st.rep.repair(g0, lost.IDs); rerr != nil {
+					return errors.Join(err, rerr)
+				}
+			}
+			return err
+		}
+		if ps != nil {
+			ps[t.Part] = v // attempts of one task never succeed twice where ps is set (actions do not speculate)
+		}
+		return nil
+	})
+	return c.driver.withCause(mark, err)
 }
 
-// endStage broadcasts a stage verdict to the fleet (driver; no-op
-// otherwise).
-func (c *Context) endStage(key string, verdict byte, err error) {
-	c.recordStageVerdict(key, verdict)
+// taskError is a failed remote attempt as an error value: the typed causes
+// a follower reported in TaskResult fields come back as the error types
+// the local arm sees.
+func taskError(exec int, res ctl.TaskResult) error {
+	switch {
+	case res.Canceled:
+		return sched.ErrCanceled
+	case len(res.LostOutputs) > 0:
+		return fmt.Errorf("executor %d: %w", exec, &LostOutputsError{IDs: res.LostOutputs})
+	default:
+		return fmt.Errorf("executor %d: %s", exec, res.ErrMsg)
+	}
+}
+
+// endStage settles a stage at the deciding process: the verdict is
+// recorded and, on a multiproc driver, broadcast to the fleet.
+func (c *Context) endStage(key string, err error) {
+	c.recordStageVerdict(key, err)
 	if c.driver == nil {
 		return
 	}
-	msg := ""
+	verdict, msg := ctl.VerdictOK, ""
 	if err != nil {
-		msg = err.Error()
+		verdict, msg = ctl.VerdictAbort, err.Error()
 	}
 	c.driver.d.StageEnd(key, verdict, msg)
 }
 
-// registerStageBody publishes (follower) the body dispatched tasks for
-// the stage execute.
-func (c *Context) registerStageBody(key string, body stageBody) {
-	f := c.follower
+// beginExchange opens one materialization of a shuffled dataset — the
+// one step of an exchange that differs by role. The deciding roles issue
+// the shuffle id and the dataset's next epoch (announced to the fleet by a
+// driver); a follower asks the driver to run the materialization (it
+// deduplicates) and adopts what the driver announces — local counters
+// could drift under concurrent materializations, the broadcast cannot.
+func (c *Context) beginExchange(dataset int) (transport.ShuffleID, int, error) {
+	if f := c.follower; f != nil {
+		f.ctl.NeedShuffle(dataset)
+		epoch, shuffle, err := f.ctl.AwaitMaterialize(dataset, c.epochOf(dataset))
+		if err != nil {
+			return 0, 0, err
+		}
+		c.setEpoch(dataset, epoch)
+		return transport.ShuffleID(shuffle), epoch, nil
+	}
+	shuffle, epoch := c.shuffleID(), c.bumpEpoch(dataset)
+	if c.driver != nil {
+		c.driver.d.MaterializeBegin(dataset, epoch, int64(shuffle))
+	}
+	return shuffle, epoch, nil
+}
+
+// publish makes body what dispatched tasks of the stage execute.
+func (f *ctlFollower) publish(key string, body taskBody[[]byte]) {
 	f.mu.Lock()
 	f.bodies[key] = body
 	f.mu.Unlock()
 	f.cond.Broadcast()
 }
 
-// unregisterStageBody retires a stage's body once its verdict arrived
-// (the driver never dispatches a stage's tasks after its StageEnd).
-func (c *Context) unregisterStageBody(key string) {
-	f := c.follower
+// retire withdraws the stages' bodies once the verdict arrived.
+func (f *ctlFollower) retire(keys []string) {
 	f.mu.Lock()
-	delete(f.bodies, key)
+	for _, key := range keys {
+		delete(f.bodies, key)
+	}
 	f.mu.Unlock()
 }
 
 // awaitStageBody blocks until the mirrored program registers the stage's
 // body. The timeout guards against a diverged mirror that will never
 // reach the stage.
-func (f *ctlFollower) awaitStageBody(key string) (stageBody, error) {
+func (f *ctlFollower) awaitStageBody(key string) (taskBody[[]byte], error) {
 	deadline := time.Now().Add(stageBodyTimeout)
 	timer := time.AfterFunc(stageBodyTimeout, f.cond.Broadcast)
 	defer timer.Stop()
@@ -461,7 +523,7 @@ func (r followerRuntime) RunTask(key string, stage, part, attempt int, cancel <-
 	if err != nil {
 		return ctl.TaskResult{ErrMsg: err.Error()}
 	}
-	res, err := runBodySafely(body, sched.ExternalAttempt(stage, part, attempt, f.me, cancel), r.c.execs[f.me])
+	res, err := body(sched.ExternalAttempt(stage, part, attempt, f.me, cancel), r.c.execs[f.me])
 	if err == nil {
 		return ctl.TaskResult{OK: true, Result: res}
 	}
@@ -478,24 +540,12 @@ func (r followerRuntime) RunTask(key string, stage, part, attempt int, cancel <-
 	return tr
 }
 
-// runBodySafely converts body panics (the lazy Seq plumbing carries
-// errors as panics) into error returns, so a failing task never takes
-// the executor process down with it.
-func runBodySafely(body stageBody, t sched.Attempt, ex *Executor) (res []byte, err error) {
-	defer recoverErr(&err)
-	return body(t, ex)
-}
-
 func (r followerRuntime) MaterializeDataset(dataset, epoch int) {
 	// Participation path: the driver announced a materialization; run the
 	// local follower exchange even when none of this executor's own tasks
 	// pull the dataset. Unknown ids mean the mirrored program has not
 	// built the dataset yet; its own pull path will materialize then.
-	//
-	c := r.c
-	c.shufMu.Lock()
-	st := c.shuffleReg[dataset]
-	c.shufMu.Unlock()
+	st := r.c.shuffleOf(dataset)
 	if st == nil {
 		return
 	}
@@ -508,10 +558,7 @@ func (r followerRuntime) MaterializeDataset(dataset, epoch int) {
 }
 
 func (r followerRuntime) ReleaseDataset(dataset, epoch int) {
-	c := r.c
-	c.shufMu.Lock()
-	st := c.shuffleReg[dataset]
-	c.shufMu.Unlock()
+	st := r.c.shuffleOf(dataset)
 	if st == nil {
 		return
 	}
@@ -583,13 +630,6 @@ func (t *driverTransport) Commit(ids []transport.MapOutputID) []transport.Payloa
 	return nil
 }
 
-// Abort is Commit with failure semantics — cross-process, both retire
-// the same directory entries and holder buffers.
-func (t *driverTransport) Abort(ids []transport.MapOutputID) []transport.Payload {
-	t.c.driver.d.CommitOutputs(ids)
-	return nil
-}
-
 func (t *driverTransport) Stats() transport.Stats {
 	return transport.Stats{Registered: t.c.driver.d.Registered()}
 }
@@ -616,12 +656,10 @@ type followerTransport struct {
 // by the old holder when the driver tells it to.
 func (t *followerTransport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool) {
 	prev, replaced := t.node.Put(id, p)
-	if err := t.f.RegisterOutput(id); err != nil {
-		// The control connection is gone; the process is shutting down.
-		// The local store still owns the payload; the job is failing
-		// anyway through the dispatch path.
-		_ = err
-	}
+	// Publishing fails only once the control connection is gone: the
+	// process is shutting down, the local store still owns the payload, and
+	// the job is already failing through the dispatch path.
+	_ = t.f.RegisterOutput(id)
 	t.mu.Lock()
 	t.stats.Registered++
 	t.mu.Unlock()
@@ -695,12 +733,6 @@ func (t *followerTransport) Commit(ids []transport.MapOutputID) []transport.Payl
 	return out
 }
 
-// Abort mirrors Commit: a failed consuming stage retires the same
-// entries.
-func (t *followerTransport) Abort(ids []transport.MapOutputID) []transport.Payload {
-	return t.Commit(ids)
-}
-
 func (t *followerTransport) Stats() transport.Stats {
 	t.mu.Lock()
 	st := t.stats
@@ -739,96 +771,31 @@ func gobDecode(raw []byte, out any) error {
 	return gob.NewDecoder(bytes.NewReader(raw)).Decode(out)
 }
 
-// runAction executes an action stage in whatever role this context has.
-// The action is decomposed into a per-partition partial (running on the
-// partition's executor, wherever that is) and a driver-side fold over
-// the partials in partition order; the folded result is adopted by every
-// process, so mirrored programs continue with identical values.
-func runAction[P, R any](ctx *Context, parts int,
-	partial func(p int, ex *Executor) (P, error),
-	fold func(ps []P) R,
-) (R, error) {
-	return runActionAttempt(ctx, parts,
-		func(t sched.Attempt, ex *Executor) (P, error) { return partial(t.Part, ex) },
-		fold)
-}
-
-// runActionAttempt is runAction with the scheduler attempt visible to
-// the partial — the seam side-effecting actions use to expose the
-// at-least-once attempt epoch to user code.
-func runActionAttempt[P, R any](ctx *Context, parts int,
-	partial func(t sched.Attempt, ex *Executor) (P, error),
-	fold func(ps []P) R,
-) (R, error) {
-	key := ctx.actionKey()
-	var zero R
-	run := func(t sched.Attempt, ex *Executor) (v P, err error) {
-		defer recoverErr(&err)
-		return partial(t, ex)
-	}
-
-	if f := ctx.follower; f != nil {
-		ctx.registerStageBody(key, func(t sched.Attempt, ex *Executor) ([]byte, error) {
-			v, err := run(t, ex)
-			if err != nil {
-				return nil, err
-			}
-			return gobEncode(v)
-		})
-		verdict, msg, err := f.ctl.AwaitStageEnd(key)
-		ctx.unregisterStageBody(key)
-		if err != nil {
-			return zero, err
-		}
-		if verdict != ctl.VerdictOK {
-			return zero, fmt.Errorf("engine: action %s failed at driver: %s", key, msg)
-		}
+// adoptResult makes an action's fold the value every mirrored program
+// continues with — the step after the action's stage that differs by role.
+// The deciding roles fold the partials in partition order (a driver then
+// broadcasts the result); a follower adopts the broadcast, so an LR mirror
+// updates its weights with the very gradient the driver computed.
+func adoptResult[P, R any](c *Context, key string, ps []P, fold func(ps []P) R) (out R, err error) {
+	if f := c.follower; f != nil {
 		raw, err := f.ctl.AwaitActionResult(key)
-		if err != nil {
-			return zero, err
+		if err == nil {
+			err = gobDecode(raw, &out)
 		}
-		var out R
-		if err := gobDecode(raw, &out); err != nil {
-			return zero, fmt.Errorf("engine: decoding action %s result: %w", key, err)
+		if err != nil {
+			return out, fmt.Errorf("engine: adopting action %s result: %w", key, err)
 		}
 		return out, nil
 	}
-
-	ps := make([]P, parts)
-	if d := ctx.driver; d != nil {
-		err := ctx.runRemoteStage(parts, sched.StageOptions{}, key, nil, func(part int, raw []byte) error {
-			var v P
-			if err := gobDecode(raw, &v); err != nil {
-				return fmt.Errorf("engine: decoding action %s partial %d: %w", key, part, err)
-			}
-			ps[part] = v
-			return nil
-		})
-		if err != nil {
-			ctx.endStage(key, ctl.VerdictAbort, err)
-			return zero, err
-		}
-		out := fold(ps)
+	out = fold(ps)
+	if d := c.driver; d != nil {
+		// The verdict is already out, so an unencodable result is broadcast
+		// as no bytes at all: the mirrors fail decoding instead of waiting.
 		raw, err := gobEncode(out)
-		if err != nil {
-			ctx.endStage(key, ctl.VerdictAbort, err)
-			return zero, err
-		}
-		ctx.endStage(key, ctl.VerdictOK, nil)
 		d.d.ActionResult(key, raw)
-		return out, nil
-	}
-
-	err := ctx.runStage(parts, sched.StageOptions{}, func(t sched.Attempt, ex *Executor) error {
-		v, err := run(t, ex)
 		if err != nil {
-			return err
+			return out, fmt.Errorf("engine: encoding action %s result: %w", key, err)
 		}
-		ps[t.Part] = v
-		return nil
-	})
-	if err != nil {
-		return zero, err
 	}
-	return fold(ps), nil
+	return out, nil
 }

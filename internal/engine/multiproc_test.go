@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,15 +14,49 @@ import (
 )
 
 // TestMain doubles as a minimal deca-executor for this package's
-// multiproc test: the driver spawns `env DECA_ENGINE_HELPER=1
-// <test-binary> -driver ...`, and the re-exec'd process mirrors
-// recoveryProgram instead of running the suite. (The full executor main
+// multiproc tests: the driver spawns `env DECA_ENGINE_HELPER=1
+// <test-binary> -driver ...`, and the re-exec'd process mirrors the program
+// the plan names instead of running the suite. (The full executor main
 // lives in internal/workloads, which this package cannot import.)
 func TestMain(m *testing.M) {
 	if os.Getenv("DECA_ENGINE_HELPER") == "1" {
 		os.Exit(helperExecutor(os.Args[1:]))
 	}
 	os.Exit(m.Run())
+}
+
+// mirrorPrograms are the jobs a helper executor can mirror. The plan is
+// "<program>\n<spill dir>"; every program runs under recoveryConfig, and a
+// program that returns nil keeps the executor alive until shutdown.
+var mirrorPrograms = map[string]func(ctx *Context) error{
+	"recovery": func(ctx *Context) error {
+		_, err := recoveryProgram(ctx, nil)
+		return err
+	},
+	"roles": func(ctx *Context) error {
+		_, _, err := rolesProgram(ctx)
+		return err
+	},
+	"unconverged": mirrorUnconverged,
+}
+
+// multiprocCtx starts a driver whose helper executors mirror program.
+func multiprocCtx(t *testing.T, program string) *Context {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("spawns executor processes")
+	}
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := recoveryConfig(t.TempDir())
+	conf.DeployKind = DeployMultiproc
+	conf.ExecutorCmd = []string{"env", "DECA_ENGINE_HELPER=1", self}
+	ctx := New(conf)
+	t.Cleanup(ctx.Close)
+	ctx.RegisterPlan([]byte(program + "\n" + conf.SpillDir))
+	return ctx
 }
 
 const recoveryExecutors, recoveryActions = 2, 3
@@ -66,15 +101,19 @@ func helperExecutor(args []string) int {
 		return 1
 	}
 	defer f.Close()
-	spillDir, err := f.AwaitPlan()
+	plan, err := f.AwaitPlan()
 	if err != nil {
 		return 1
 	}
-	conf := recoveryConfig(string(spillDir))
+	program, spillDir, _ := strings.Cut(string(plan), "\n")
+	conf := recoveryConfig(spillDir)
 	conf.CtlFollower = f
+	if program == "unconverged" {
+		conf.Chaos = loseMapTaskZero()
+	}
 	ctx := New(conf)
 	defer ctx.Close()
-	if _, err := recoveryProgram(ctx, nil); err != nil {
+	if err := mirrorPrograms[program](ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "engine-helper: mirror:", err)
 		return 1
 	}
@@ -92,20 +131,7 @@ func helperExecutor(args []string) int {
 // driver live / followers released, where the next pull's NeedShuffle is
 // memoised away and the followers wait for an epoch nobody announces.
 func TestMultiprocRecoveryReleaseDuringMaterialize(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns executor processes")
-	}
-	self, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spillDir := t.TempDir()
-	conf := recoveryConfig(spillDir)
-	conf.DeployKind = DeployMultiproc
-	conf.ExecutorCmd = []string{"env", "DECA_ENGINE_HELPER=1", self}
-	ctx := New(conf)
-	defer ctx.Close()
-	ctx.RegisterPlan([]byte(spillDir))
+	ctx := multiprocCtx(t, "recovery")
 
 	// Epoch 1 materializes under action 0. Before action 1 a first
 	// recovery releases it everywhere, so action 1 re-materializes as

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"deca/internal/ctl"
 	"deca/internal/decompose"
 	"deca/internal/sched"
 	"deca/internal/serial"
@@ -83,12 +81,12 @@ type sortSink[K comparable, V any] interface {
 	DrainSorted(yield func(K, V) bool) error
 }
 
-// shuffleStageKey names one stage of one exchange across processes: the
-// driver's dispatches and the followers' registered bodies meet on it.
-// The epoch distinguishes re-materializations of the same dataset, the
-// round distinguishes whole-exchange re-runs after output loss.
-func shuffleStageKey(sh transport.ShuffleID, epoch, round int, phase string) string {
-	return fmt.Sprintf("x/%d/%d/%d/%s", sh, epoch, round, phase)
+// shuffleStageKey names one stage of one exchange: every role derives the
+// same key, so the driver's dispatches and the followers' published bodies
+// meet on it. The epoch distinguishes re-materializations of the same
+// dataset.
+func shuffleStageKey(sh transport.ShuffleID, epoch int, phase string) string {
+	return fmt.Sprintf("x/%d/%d/%s", sh, epoch, phase)
 }
 
 // shuffleMapBody is one map task: fill one buffer per reduce partition
@@ -196,7 +194,9 @@ type LostOutputsError struct {
 }
 
 func (e *LostOutputsError) Error() string {
-	return fmt.Sprintf("engine: %d map outputs lost (first: %v)", len(e.IDs), e.IDs[0])
+	first := e.IDs[0]
+	return fmt.Sprintf("engine: shuffle %d lost %d map outputs (first: map task %d for reduce partition %d)",
+		first.Shuffle, len(e.IDs), first.MapTask, first.Reduce)
 }
 
 // lostMapParts extracts the distinct map-task indices of the lost ids —
@@ -322,29 +322,43 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 // lineageRepair serializes map-task re-runs for one reduce stage. A
 // reduce attempt that finds outputs definitively missing reports them
 // together with the repair generation it observed before fetching; the
-// first reporter of a generation re-runs exactly the lost map tasks (a
-// sparse lineage stage) and advances the generation, and every
-// concurrent or later reporter of the same generation skips straight to
-// its retry, which re-fetches the re-registered outputs.
+// first reporter of a generation re-runs exactly the lost map tasks — a
+// sparse re-dispatch against the still-open map stage, which settles no
+// verdict of its own — and advances the generation, and every concurrent
+// or later reporter of the same generation skips straight to its retry,
+// which re-fetches the re-registered outputs. A nil repair (any stage but
+// a reduce) repairs nothing.
 type lineageRepair struct {
+	ctx  *Context
+	maps stage // the map stage, and the body its tasks run
+	body taskBody[struct{}]
+
 	mu  sync.Mutex
 	gen int
-	run func(parts []int) error
 }
 
 func (lr *lineageRepair) generation() int {
+	if lr == nil {
+		return 0
+	}
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
 	return lr.gen
 }
 
 func (lr *lineageRepair) repair(g0 int, ids []transport.MapOutputID) error {
+	if lr == nil {
+		return nil
+	}
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
 	if lr.gen != g0 {
 		return nil // another attempt already repaired this generation
 	}
-	if err := lr.run(lostMapParts(ids)); err != nil {
+	rerun := lr.maps
+	rerun.parts = lostMapParts(ids)
+	lr.ctx.metrics.LineageMapReruns.Add(int64(len(rerun.parts)))
+	if err := dispatch(lr.ctx, rerun, nil, lr.body); err != nil {
 		return err
 	}
 	lr.gen++
@@ -352,22 +366,21 @@ func (lr *lineageRepair) repair(g0 int, ids []transport.MapOutputID) error {
 }
 
 // exchange is the transport-backed map/reduce exchange every keyed
-// shuffle runs (shuffleMapBody × M, then shuffleReduceBody × R). It
-// returns the merged reduce outputs plus a per-partition presence mask:
-// in-process deployments own every partition; a follower process owns
-// only the partitions the driver placed on it; the multiproc driver owns
-// none (its outputs live in the executor processes).
+// shuffle runs, written once for every role: begin (the one role-specific
+// step), shuffleMapBody × M as one stage, shuffleReduceBody × R as the
+// next, then commit or release. It returns the merged reduce outputs, by
+// partition, that this process owns: all of them in-process, those the
+// driver placed here on a follower, none on the multiproc driver.
 //
-// Recovery is map-task-granular: serving is non-consuming, so a failed
-// reduce attempt simply retries, and when its inputs are definitively
-// lost (their producing executor died) the lineage repair re-runs only
-// the lost map tasks before the retry re-fetches. The whole-round re-run
-// (VerdictRetry, up to maxExchangeRounds) survives as the multiproc
-// fallback for losses the granular path cannot absorb within the retry
-// budget. On success the consuming stage commits: every registered map
-// output's lifetime ends cluster-wide. On any terminal error, every
-// buffer this exchange created, fetched, or still holds registered is
-// released before returning.
+// Recovery is map-task-granular and there is no other kind: serving is
+// non-consuming, so a failed reduce attempt simply retries, and when its
+// inputs are definitively lost (their producing executor died) the lineage
+// repair re-runs only the lost map tasks before the retry re-fetches. A
+// reduce stage whose repair cannot converge inside the task-retry budget
+// fails the job with an error naming the shuffle. On success the consuming
+// stage commits: every registered map output's lifetime ends cluster-wide.
+// On any error, every buffer this exchange created, fetched, or still
+// holds registered is released before returning.
 func exchange[K comparable, V any, S pairSink[K, V]](
 	d *Dataset[decompose.Pair[K, V]],
 	dsID int,
@@ -377,217 +390,74 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	newBuf func(ex *Executor) (S, error),
 	merge func(dst, src S) error,
 	codec wireCodec[S],
-) ([]S, []bool, error) {
+) (map[int]S, error) {
 	ctx := d.ctx
-	if ctx.follower != nil {
-		return exchangeFollower(d, dsID, key, R, entrySize, newBuf, merge, codec)
-	}
-	M := d.parts
-	shufID := ctx.shuffleID()
-	threshold := ctx.shuffleSpillThreshold(M * R)
-
-	epoch := 0
-	maxRounds := 1
-	if ctx.driver != nil {
-		epoch = ctx.bumpEpoch(dsID)
-		maxRounds = maxExchangeRounds
-		ctx.driver.d.MaterializeBegin(dsID, epoch, int64(shufID))
-	}
-
-	var lastErr error
-	for round := 0; round < maxRounds; round++ {
-		// The map stage is speculatable: two attempts of the same map task
-		// build private buffers and register content-identical outputs, and
-		// Register's replace semantics release whichever set is displaced.
-		mapKey := shuffleStageKey(shufID, epoch, round, "map")
-		mapBody := func(t sched.Attempt, ex *Executor) error {
-			return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, codec, t, ex)
-		}
-		err := ctx.stageRun(M, sched.StageOptions{Speculatable: true}, mapKey, nil, mapBody)
-		if err != nil {
-			ctx.endStage(mapKey, ctl.VerdictAbort, err)
-			ctx.dropShuffleOutputs(shufID)
-			return nil, nil, err
-		}
-		ctx.endStage(mapKey, ctl.VerdictOK, nil)
-		if ctx.testAfterMapStage != nil {
-			ctx.testAfterMapStage(shufID)
-		}
-
-		// The repair re-dispatches against the same mapKey — still
-		// registered follower-side until the reduce verdict — without
-		// broadcasting a verdict of its own: it is an internal re-dispatch
-		// inside the still-open round, not a new stage.
-		rep := &lineageRepair{run: func(parts []int) error {
-			ctx.metrics.LineageMapReruns.Add(int64(len(parts)))
-			return ctx.stageRunOn(parts, sched.StageOptions{Speculatable: true}, mapKey, mapBody)
-		}}
-
-		outputs := make([]S, R)
-		have := make([]bool, R)
-		var outMu sync.Mutex
-		redKey := shuffleStageKey(shufID, epoch, round, "reduce")
-		// The reduce stage speculates only when the config opts in: under
-		// the commit protocol duplicate reduce attempts are safe (both
-		// re-fetch pinned inputs; the loser's merge is released by the
-		// have-guard below or its cancel poll).
-		err = ctx.stageRun(R, sched.StageOptions{Speculatable: ctx.conf.SpeculateReduce}, redKey, rep,
-			func(t sched.Attempt, ex *Executor) error {
-				g0 := rep.generation()
-				merged, err := shuffleReduceBody(ctx, shufID, M, t, ex, newBuf, merge, codec)
-				if err != nil {
-					var lerr *LostOutputsError
-					if errors.As(err, &lerr) {
-						if rerr := rep.repair(g0, lerr.IDs); rerr != nil {
-							return errors.Join(err, rerr)
-						}
-					}
-					return err
-				}
-				outMu.Lock()
-				defer outMu.Unlock()
-				if have[t.Part] {
-					merged.Release() // a duplicate attempt lost; keep the first
-					return nil
-				}
-				outputs[t.Part] = merged
-				have[t.Part] = true
-				return nil
-			})
-		if err == nil {
-			ctx.endStage(redKey, ctl.VerdictOK, nil)
-			if ctx.testAfterReduceVerdict != nil {
-				ctx.testAfterReduceVerdict(dsID, epoch)
-			}
-			// Stage commit: the consuming stage settled, so every map
-			// output's lifetime ends cluster-wide.
-			ctx.commitShuffleOutputs(shufID, M, R)
-			return outputs, have, nil
-		}
-		lastErr = err
-		for r, ok := range have {
-			if ok {
-				outputs[r].Release()
-			}
-		}
-		ctx.dropShuffleOutputs(shufID)
-		if ctx.driver != nil && round+1 < maxRounds {
-			ctx.metrics.ExchangeReruns.Add(1)
-			ctx.endStage(redKey, ctl.VerdictRetry, err)
-			continue
-		}
-		ctx.endStage(redKey, ctl.VerdictAbort, err)
-		return nil, nil, lastErr
-	}
-	return nil, nil, lastErr
-}
-
-// exchangeFollower is the executor-process side of an exchange: adopt
-// the driver's announced epoch and shuffle id, register the map and
-// reduce bodies round by round, execute whatever tasks the driver
-// dispatches here, and follow the broadcast verdicts. The reduce outputs
-// this process owns are collected for the local drain path; everything
-// else stays with its owning process.
-func exchangeFollower[K comparable, V any, S pairSink[K, V]](
-	d *Dataset[decompose.Pair[K, V]],
-	dsID int,
-	key shuffle.Key[K],
-	R int,
-	entrySize func(K, V) int,
-	newBuf func(ex *Executor) (S, error),
-	merge func(dst, src S) error,
-	codec wireCodec[S],
-) ([]S, []bool, error) {
-	ctx := d.ctx
-	f := ctx.follower
 	M := d.parts
 	threshold := ctx.shuffleSpillThreshold(M * R)
-
-	// Ask the driver to run this materialization (it deduplicates), then
-	// adopt the epoch and shuffle id it announces — local counters could
-	// drift under concurrent materializations, the broadcast cannot.
-	f.ctl.NeedShuffle(dsID)
-	epoch, shufID64, err := f.ctl.AwaitMaterialize(dsID, ctx.epochOf(dsID))
+	shufID, epoch, err := ctx.beginExchange(dsID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ctx.setEpoch(dsID, epoch)
-	shufID := transport.ShuffleID(shufID64)
 
-	for round := 0; ; round++ {
-		mapKey := shuffleStageKey(shufID, epoch, round, "map")
-		ctx.registerStageBody(mapKey, func(t sched.Attempt, ex *Executor) ([]byte, error) {
-			return nil, shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, codec, t, ex)
-		})
-		verdict, msg, err := f.ctl.AwaitStageEnd(mapKey)
-		if err != nil {
-			ctx.unregisterStageBody(mapKey)
-			return nil, nil, err
-		}
-		if verdict != ctl.VerdictOK {
-			ctx.unregisterStageBody(mapKey)
-			return nil, nil, fmt.Errorf("engine: shuffle %d map stage failed at driver: %s", shufID, msg)
-		}
-		// The map body stays registered through the reduce phase: the
-		// driver's lineage repair re-dispatches lost map tasks against
-		// this same key while reduce attempts are still running.
-
-		outputs := make([]S, R)
-		have := make([]bool, R)
-		var outMu sync.Mutex
-		redKey := shuffleStageKey(shufID, epoch, round, "reduce")
-		ctx.registerStageBody(redKey, func(t sched.Attempt, ex *Executor) ([]byte, error) {
-			merged, err := shuffleReduceBody(ctx, shufID, M, t, ex, newBuf, merge, codec)
-			if err != nil {
-				return nil, err
-			}
-			outMu.Lock()
-			defer outMu.Unlock()
-			if have[t.Part] {
-				merged.Release() // a duplicate attempt lost; keep the first
-				return nil, nil
-			}
-			outputs[t.Part] = merged
-			have[t.Part] = true
-			return nil, nil
-		})
-		verdict, msg, err = f.ctl.AwaitStageEnd(redKey)
-		ctx.unregisterStageBody(redKey)
-		ctx.unregisterStageBody(mapKey)
-		release := func() {
-			outMu.Lock()
-			defer outMu.Unlock()
-			for r, ok := range have {
-				if ok {
-					outputs[r].Release()
-					have[r] = false
-				}
-			}
-		}
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		switch verdict {
-		case ctl.VerdictOK:
-			// Stage commit observed: end the locally-held map outputs'
-			// lifetime. The driver also broadcasts per-id discards from its
-			// directory sweep; Take is idempotent, so whichever side gets
-			// there first releases the buffer.
-			ctx.commitShuffleOutputs(shufID, M, R)
-			return outputs, have, nil
-		case ctl.VerdictRetry:
-			// The driver re-runs the exchange: drop this round everywhere
-			// local — merged outputs and any still-registered map outputs
-			// (the driver's directory sweep races its Discard broadcasts;
-			// the local purge is the belt to those braces).
-			release()
-			releasePayloads(ctx.trans.Drop(shufID)...)
-		default:
-			release()
-			return nil, nil, fmt.Errorf("engine: shuffle %d reduce stage failed at driver: %s", shufID, msg)
-		}
+	// The map stage is speculatable: two attempts of the same map task
+	// build private buffers and register content-identical outputs, and
+	// Register's replace semantics release whichever set is displaced.
+	maps := stage{key: shuffleStageKey(shufID, epoch, "map"), parts: denseParts(M), speculatable: true}
+	mapBody := noPartial(func(t sched.Attempt, ex *Executor) error {
+		return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, codec, t, ex)
+	})
+	if err := runStage(ctx, maps, nil, mapBody); err != nil {
+		ctx.dropShuffleOutputs(shufID)
+		return nil, err
 	}
+	if ctx.testAfterMapStage != nil {
+		ctx.testAfterMapStage(shufID)
+	}
+
+	// The reduce stage speculates only when the config opts in: under the
+	// commit protocol duplicate reduce attempts are safe (both re-fetch
+	// pinned inputs; the loser's merge is released below or by its cancel
+	// poll). The first task with a buffer to keep makes the map, so a
+	// process that runs none of the tasks holds nothing.
+	var outMu sync.Mutex
+	var outputs map[int]S
+	reduces := stage{
+		key: shuffleStageKey(shufID, epoch, "reduce"), parts: denseParts(R),
+		speculatable: ctx.conf.SpeculateReduce,
+		rep:          &lineageRepair{ctx: ctx, maps: maps, body: mapBody},
+	}
+	err = runStage(ctx, reduces, nil, noPartial(func(t sched.Attempt, ex *Executor) error {
+		merged, err := shuffleReduceBody(ctx, shufID, M, t, ex, newBuf, merge, codec)
+		if err != nil {
+			return err
+		}
+		outMu.Lock()
+		defer outMu.Unlock()
+		if _, dup := outputs[t.Part]; dup {
+			merged.Release() // a duplicate attempt lost; keep the first
+			return nil
+		}
+		if outputs == nil {
+			outputs = make(map[int]S, R)
+		}
+		outputs[t.Part] = merged
+		return nil
+	}))
+	if err != nil {
+		outMu.Lock() // a follower whose control connection died may still have attempts in flight
+		releaseAll(outputs)
+		outMu.Unlock()
+		ctx.dropShuffleOutputs(shufID)
+		return nil, fmt.Errorf("engine: shuffle %d (dataset %d, epoch %d): reduce stage failed: %w",
+			shufID, dsID, epoch, err)
+	}
+	if ctx.testAfterReduceVerdict != nil {
+		ctx.testAfterReduceVerdict(dsID, epoch)
+	}
+	// Stage commit: the consuming stage settled, so every map output's
+	// lifetime ends cluster-wide.
+	ctx.commitShuffleOutputs(shufID, M, R)
+	return outputs, nil
 }
 
 // spillTracker triggers buffer spills on an incrementally-maintained size
@@ -670,16 +540,17 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 
 	st := newShuffleState[T](ctx, R)
 	st.materialize = func() error {
-		outputs, have, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf, merge, codec)
+		outputs, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf, merge, codec)
 		if err != nil {
 			return err
 		}
-		st.release = releaseOwned(outputs, have)
+		st.release = func() { releaseAll(outputs) }
 		st.drain = func(r int, yield func(T) bool) error {
-			if !have[r] {
+			buf, ok := outputs[r]
+			if !ok {
 				return st.missingOutput(r)
 			}
-			return sh.drain(outputs[r], yield)
+			return sh.drain(buf, yield)
 		}
 		return nil
 	}
@@ -964,7 +835,7 @@ func (st *shuffleState[T]) MaterializeEpoch(epoch int) error {
 // ReleaseEpoch releases the materialization only if it is still the
 // given epoch's — a late-arriving recovery release must not free the
 // buffers of a newer materialization. The check-and-clear runs under the
-// state lock (Context.epochs is adopted under it in exchangeFollower).
+// state lock (a follower adopts Context.epochs under it, in beginExchange).
 func (st *shuffleState[T]) ReleaseEpoch(epoch int) {
 	st.mu.Lock()
 	if st.live && st.ctx.epochOf(st.datasetID) <= epoch {
@@ -1029,20 +900,16 @@ func (st *shuffleState[T]) Release() {
 	st.mu.Unlock()
 }
 
-// releaseOwned builds a release for the partitions this process owns.
-func releaseOwned[S releasable](outputs []S, have []bool) func() {
-	return func() {
-		for r, ok := range have {
-			if ok {
-				outputs[r].Release()
-			}
-		}
-	}
-}
-
 // releasable lets the context track shuffle outputs without their type
 // parameters.
 type releasable interface{ Release() }
+
+// releaseAll ends the lifetime of an exchange's merged reduce outputs.
+func releaseAll[S releasable](outputs map[int]S) {
+	for _, buf := range outputs {
+		buf.Release()
+	}
+}
 
 // releasePayloads ends the lifetime of payloads this process took back
 // from the transport or its fetch pipeline: whatever container or staged

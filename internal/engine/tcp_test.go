@@ -170,7 +170,7 @@ func TestLineageRepairOnLostMapOutput(t *testing.T) {
 				for r := 0; r < 4; r++ {
 					ids = append(ids, transport.MapOutputID{Shuffle: id, MapTask: 0, Reduce: r})
 				}
-				for _, pl := range ctx.trans.Abort(ids) {
+				for _, pl := range ctx.trans.Commit(ids) {
 					if rel, ok := pl.Data.(releasable); ok {
 						rel.Release()
 					}

@@ -120,24 +120,51 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d: implausible length %d", i, plen)
 		}
-		// An empty page announces no bytes, so it takes no pool page — a
-		// frame's page headers must not cost the manager more than they
-		// announce — but it keeps its index slot: later pages' Ptrs count it.
-		var page []byte
-		if plen > 0 {
-			page = m.getPage(int(plen))[:plen]
-		}
+		page, err := m.restorePage(r, int(plen))
 		// Append the page directly — Alloc would pack small source pages
 		// together and break the Ptr address space.
 		g.pages = append(g.pages, page)
 		if g.adopted != nil {
 			g.adopted = append(g.adopted, false)
 		}
-		g.bytes += int64(plen)
-		if _, err := io.ReadFull(r, page); err != nil {
+		g.bytes += int64(len(page))
+		if err != nil {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d body: %w", i, err)
 		}
 	}
 	return g, nil
+}
+
+// restorePage reads one n-byte page body into a page of this manager,
+// returning the page (to be released with its group) even beside an error.
+// An empty page announces no bytes, so it takes no pool page — a frame's
+// page headers must not cost the manager more than they announce — but it
+// keeps its index slot: later pages' Ptrs count it. A page that fits the
+// pool's page size — every page but an oversized single object's — is
+// taken up front and filled in place. An oversized one is believed only as
+// far as its bytes arrive: the body is read into a buffer that doubles
+// (never past n) and moves into its page once complete, so a header that
+// announces a gigabyte and delivers sixteen bytes costs one page size, not
+// the gigabyte.
+func (m *Manager) restorePage(r io.Reader, n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if n <= m.pageSize {
+		page := m.getPage(n)[:n]
+		_, err := io.ReadFull(r, page)
+		return page, err
+	}
+	body := make([]byte, m.pageSize)
+	for got := 0; ; {
+		k, err := io.ReadFull(r, body[got:])
+		if got += k; err != nil {
+			return nil, err
+		}
+		if got == n {
+			return append(m.getPage(n), body...), nil
+		}
+		body = append(body, make([]byte, min(got, n-got))...)
+	}
 }

@@ -194,3 +194,43 @@ func TestSnapshotAfterAdoption(t *testing.T) {
 		t.Errorf("leaked %d bytes", m.InUse())
 	}
 }
+
+// TestRestoreOversizedPageRoundTrip: a page larger than the destination's
+// pool pages — an oversized single object — is read through the growing
+// buffer (here 64 → 128 → 197 bytes) and lands bit-identical in one page,
+// charged and released like any other; cut anywhere, it fails clean.
+func TestRestoreOversizedPageRoundTrip(t *testing.T) {
+	m := NewManager(64, 0)
+	g := m.NewGroup()
+	big := make([]byte, 3*64+5)
+	for i := range big {
+		big[i] = byte(i * 31)
+	}
+	small := g.Append([]byte("before"))
+	at := g.Append(big)
+	var buf bytes.Buffer
+	if _, err := g.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g.Release()
+
+	r, err := m.RestoreGroup(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Bytes(at, len(big)); !bytes.Equal(got, big) {
+		t.Error("oversized page differs after restore")
+	}
+	if got := r.Bytes(small, 6); string(got) != "before" {
+		t.Errorf("page before the oversized one = %q", got)
+	}
+	r.Release()
+	for cut := 0; cut < buf.Len(); cut += 5 {
+		if _, err := m.RestoreGroup(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d bytes restored without error", cut, buf.Len())
+		}
+	}
+	if st := m.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+		t.Errorf("manager not settled: %+v", st)
+	}
+}

@@ -33,7 +33,7 @@ const (
 	// Stage lifecycle (driver-side, from the exchange loop and the
 	// multiproc stage-commit protocol).
 	KindStageBegin   // Stage; Key=stage key
-	KindStageVerdict // Key=stage key; A=verdict (0 ok, 1 abort, 2 retry)
+	KindStageVerdict // Key=stage key; A=verdict (0 ok, 1 abort)
 	KindStageCommit  // Shuffle; A=map tasks, B=reduce tasks
 	KindStageAbort   // Shuffle
 	// Data plane (executor-side).

@@ -272,7 +272,6 @@ type StageSummary struct {
 const (
 	VerdictOK    = 0
 	VerdictAbort = 1
-	VerdictRetry = 2
 )
 
 func verdictName(set bool, code int64) string {
@@ -284,8 +283,6 @@ func verdictName(set bool, code int64) string {
 		return "ok"
 	case VerdictAbort:
 		return "abort"
-	case VerdictRetry:
-		return "retry"
 	}
 	return "unknown"
 }

@@ -292,6 +292,9 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 		out["header never ends"] = patch(last, bytes.Repeat([]byte{0x80}, page+int(plen)-last)...)
 		out["value tail past the page"] = slices.Concat(
 			binary.AppendUvarint(bytes.Clone(good[:body+1]), plen-1), good[page:page+int(plen)-1], good[page+int(plen):])
+		// memory.RestoreGroup must not believe the length before the bytes.
+		out["page announces a gigabyte"] = slices.Concat(
+			binary.AppendUvarint(bytes.Clone(good[:body+1]), 1<<30), good[page:page+16])
 		if c.keySize >= 0 {
 			out["key shorter than its codec"] = patch(page, good[page]-2)
 			out["key longer than its codec"] = patch(page, good[page]+2)

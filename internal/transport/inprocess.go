@@ -58,11 +58,6 @@ func (t *InProcess) Commit(ids []MapOutputID) []Payload {
 	return t.store.takeAll(ids)
 }
 
-// Abort releases the listed registrations for an abandoned round.
-func (t *InProcess) Abort(ids []MapOutputID) []Payload {
-	return t.store.takeAll(ids)
-}
-
 // Drop removes every output of the shuffle still registered.
 func (t *InProcess) Drop(shuffle ShuffleID) []Payload {
 	return t.store.dropShuffle(shuffle)

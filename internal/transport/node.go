@@ -144,7 +144,7 @@ func (s *DataServer) acceptLoop() {
 // serve answers FETCH requests on one server-side connection. Serving
 // pins the entry, ships its frame outside the store lock, and unpins —
 // the registration survives the transfer for other consumers; only a
-// Commit/Abort/Drop (or displacement) ends its lifetime. A mid-transfer
+// Commit/Drop (or displacement) ends its lifetime. A mid-transfer
 // write error drops the connection but never the registration: the
 // entry was pinned, not consumed, so the fetcher's retry re-serves it.
 func (s *DataServer) serve(conn net.Conn) {

@@ -10,9 +10,8 @@ import (
 // outputStore is the pinned map-output registry shared by the in-process
 // transport and the networked DataServer. Serving is non-consuming: an
 // entry stays registered — pinned — until the consuming stage commits
-// (Commit), the exchange round is abandoned (Abort), or the shuffle is
-// dropped, so any number of consumers (reduce retries, speculative
-// twins) can fetch the same output.
+// (Commit) or the shuffle is dropped (Drop), so any number of consumers
+// (reduce retries, speculative twins) can fetch the same output.
 //
 // Because a serve encodes the entry's buffer outside the lock, an entry
 // removed mid-serve cannot release its buffers immediately. The stage

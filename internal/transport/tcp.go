@@ -23,8 +23,8 @@ import (
 //
 // Serving is non-consuming (the stage-commit ownership rule): the
 // location entry and the registered buffer survive every fetch, so
-// reduce retries and speculative twins can re-fetch. Commit/Abort end
-// the outputs' lifetime once the consuming stage settles; Drop purges
+// reduce retries and speculative twins can re-fetch. Commit ends the
+// outputs' lifetime once the consuming stage settles; Drop purges
 // whatever is still registered on every node and returns it.
 //
 // The multi-process deployment reuses the same data plane (one
@@ -200,12 +200,7 @@ func (t *TCP) Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload, b
 // Commit ends the listed outputs' lifetime after their consuming stage
 // committed, returning the payloads for the caller to release once the
 // serves still in flight on them have ended.
-func (t *TCP) Commit(ids []MapOutputID) []Payload { return t.purge(ids) }
-
-// Abort releases the listed outputs for an abandoned exchange round.
-func (t *TCP) Abort(ids []MapOutputID) []Payload { return t.purge(ids) }
-
-func (t *TCP) purge(ids []MapOutputID) []Payload {
+func (t *TCP) Commit(ids []MapOutputID) []Payload {
 	bySrc := make(map[int][]MapOutputID)
 	t.mu.Lock()
 	for _, id := range ids {
@@ -233,7 +228,7 @@ func (t *TCP) Drop(shuffle ShuffleID) []Payload {
 		}
 	}
 	t.mu.Unlock()
-	return t.purge(ids)
+	return t.Commit(ids)
 }
 
 // Pending returns the number of registered, unfetched outputs across all

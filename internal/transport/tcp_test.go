@@ -251,7 +251,7 @@ func TestTCPRegisterTwiceReturnsReplaced(t *testing.T) {
 	if w, isWire := p.Data.(Wire); !isWire || string(w.Frame) != "new" {
 		t.Fatalf("fetch after replace = %+v", p.Data)
 	}
-	for _, c := range tr.Abort([]MapOutputID{id}) {
+	for _, c := range tr.Commit([]MapOutputID{id}) {
 		releasePayload(c)
 	}
 	if !fresh.released.Load() || tr.Pending() != 0 {

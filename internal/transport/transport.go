@@ -8,14 +8,14 @@
 // buffers are generic types the engine casts back on arrival.
 //
 // Ownership rule (stage-commit protocol): a registered payload belongs to
-// the transport until the driver commits the consuming stage (Commit),
-// the exchange round is abandoned (Abort), or the shuffle is dropped.
+// the transport until the driver commits the consuming stage (Commit) or
+// the shuffle is dropped (Drop).
 // Fetch serves a *copy* — an encoded wire frame the consumer decodes into
 // its own memory — and never consumes the registration, so any number of
 // consumers (reduce retries after a mid-merge failure, speculative twins)
-// can fetch the same output. Commit/Abort/Drop return whatever was still
+// can fetch the same output. Commit/Drop return whatever was still
 // registered so the caller can release those buffers — the lifetime end
-// of every map output is one of those three calls, never a fetch. The
+// of every map output is one of those two calls, never a fetch. The
 // one exception is a payload with no wire form (Encode and Segments both
 // nil): it cannot be copied, so fetching it consumes the registration as
 // under the old single-consumer rule, and a consumer that dies with it is
@@ -154,7 +154,7 @@ type Transport interface {
 	Register(id MapOutputID, p Payload) (prev Payload, replaced bool)
 	// Fetch serves the output to the reduce task running on dstExecutor
 	// without consuming the registration, while the source stays pinned
-	// for other consumers until Commit/Abort/Drop. With a non-nil open,
+	// for other consumers until Commit/Drop. With a non-nil open,
 	// the frame is decoded as it streams (never materialized whole): the
 	// returned payload's Data/MemBytes come from the opener's Decoded and
 	// Bytes is the frame length. With open == nil the returned payload is
@@ -172,11 +172,6 @@ type Transport interface {
 	// transports return only after the serves in flight on those entries
 	// have ended, so the release settles the memory ledgers.
 	Commit(ids []MapOutputID) []Payload
-	// Abort is Commit for an abandoned exchange round: same release
-	// mechanics, kept distinct so call sites document whether the
-	// consuming stage succeeded or the round is being torn down for a
-	// retry.
-	Abort(ids []MapOutputID) []Payload
 	// Drop removes every output of the shuffle still registered and
 	// returns them, so the caller can release the buffers (terminal
 	// shuffle teardown).

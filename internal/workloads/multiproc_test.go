@@ -121,13 +121,12 @@ func TestMultiprocEquivalence(t *testing.T) {
 	}
 }
 
-// logRecovery prints how the run recovered — in particular whether any
-// whole-exchange re-run (VerdictRetry round) was needed beside the lineage
-// repair: the evidence ROADMAP 3(c) asks for.
+// logRecovery prints how the run recovered: task retries and lineage map
+// re-runs are the only two mechanisms there are.
 func logRecovery(t *testing.T, res Result) {
 	t.Helper()
-	t.Logf("recovery: retries=%d failed=%d lineage=%d exchange-reruns=%d blacklisted=%d",
-		res.TaskRetries, res.TasksFailed, res.LineageMapReruns, res.ExchangeReruns, res.ExecutorsBlacklisted)
+	t.Logf("recovery: retries=%d failed=%d lineage=%d blacklisted=%d",
+		res.TaskRetries, res.TasksFailed, res.LineageMapReruns, res.ExecutorsBlacklisted)
 }
 
 // TestMultiprocSIGKILL is the multiproc analogue of TestExecutorKill:

@@ -185,7 +185,6 @@ type Result struct {
 	SpeculativeWon       int64
 	ExecutorsBlacklisted int64
 	LineageMapReruns     int64
-	ExchangeReruns       int64 // whole-exchange VerdictRetry rounds
 }
 
 func (r Result) String() string {
@@ -249,7 +248,6 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 		SpeculativeWon:          metrics.SpeculativeWon.Load(),
 		ExecutorsBlacklisted:    metrics.ExecutorsBlacklisted.Load(),
 		LineageMapReruns:        metrics.LineageMapReruns.Load(),
-		ExchangeReruns:          metrics.ExchangeReruns.Load(),
 	}, nil
 }
 
