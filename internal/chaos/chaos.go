@@ -273,7 +273,7 @@ func WrapTransport(inner transport.Transport, inj *Injector) *Transport {
 }
 
 // Register delegates to the inner transport.
-func (t *Transport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool) {
+func (t *Transport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool, error) {
 	return t.inner.Register(id, p)
 }
 

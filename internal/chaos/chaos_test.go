@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -117,9 +118,18 @@ func TestTransportWrapperInjectsAndDelegates(t *testing.T) {
 	inj.FailFetchN = 1
 	tr := WrapTransport(inner, inj)
 	id := transport.MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
-	tr.Register(id, transport.Payload{Data: "buf", SrcExecutor: 0, Bytes: 3})
+	if _, _, err := tr.Register(id, transport.Payload{
+		Data: "buf", SrcExecutor: 0, Bytes: 3,
+		Encode: func(w io.Writer) error { _, err := io.WriteString(w, "buf"); return err },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	open := func(r transport.FrameReader, size int64) (transport.Decoded, error) {
+		b, err := io.ReadAll(r)
+		return transport.Decoded{Data: string(b), MemBytes: size}, err
+	}
 
-	_, ok, err := tr.Fetch(id, 0, nil)
+	_, ok, err := tr.Fetch(id, 0, open)
 	if ok || !errors.Is(err, ErrInjected) {
 		t.Fatalf("first fetch = (ok=%v, err=%v), want injected failure", ok, err)
 	}
@@ -127,7 +137,7 @@ func TestTransportWrapperInjectsAndDelegates(t *testing.T) {
 		t.Fatalf("injected failure consumed the registration (pending=%d)", tr.Pending())
 	}
 	// The retry goes through untouched.
-	p, ok, err := tr.Fetch(id, 0, nil)
+	p, ok, err := tr.Fetch(id, 0, open)
 	if err != nil || !ok || p.Data != "buf" {
 		t.Fatalf("retry fetch = (%v, %v, %v)", p, ok, err)
 	}

@@ -66,9 +66,6 @@ func (c DriverConfig) withDefaults() DriverConfig {
 	return c
 }
 
-// dirEntry is one registered map output's location.
-type dirEntry struct{ exec int }
-
 // execState is the driver's view of one executor process.
 type execState struct {
 	id   int
@@ -97,9 +94,8 @@ type Driver struct {
 
 	execs []*execState
 
-	dirMu      sync.Mutex
-	dir        map[transport.MapOutputID]dirEntry
-	registered uint64
+	dirMu sync.Mutex
+	dir   map[transport.MapOutputID]int // output id → executor holding it
 
 	nextTask atomic.Uint64
 	nextReq  atomic.Uint64
@@ -132,7 +128,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		cfg:   cfg,
 		ln:    ln,
 		token: hex.EncodeToString(tok[:]),
-		dir:   make(map[transport.MapOutputID]dirEntry),
+		dir:   make(map[transport.MapOutputID]int),
 		execs: make([]*execState, cfg.NumExecutors),
 	}
 	for i := range d.execs {
@@ -288,8 +284,8 @@ func (d *Driver) markDead(st *execState, cause error) {
 	// missing — that miss is what triggers map-task-granular lineage
 	// repair on the driver.
 	d.dirMu.Lock()
-	for id, entry := range d.dir {
-		if entry.exec == st.id {
+	for id, exec := range d.dir {
+		if exec == st.id {
 			delete(d.dir, id)
 		}
 	}
@@ -372,29 +368,19 @@ func (d *Driver) readLoop(st *execState) {
 			if !dd.ok() {
 				continue
 			}
-			d.registerOutput(id, from)
+			d.Publish(id, from)
 		case msgLookupOutput:
 			reqID := dd.uint()
 			id := decodeOutputID(dd)
 			if !dd.ok() {
 				continue
 			}
-			// Non-consuming: the entry survives the lookup so reduce
-			// retries and speculative twins can re-fetch; CommitOutputs or
-			// DropShuffle end its lifetime.
-			d.dirMu.Lock()
-			entry, found := d.dir[id]
-			d.dirMu.Unlock()
+			exec, addr, found, _ := d.Lookup(id)
 			var e enc
 			e.uint(reqID)
 			e.bool(found)
-			if found {
-				e.int(int64(entry.exec))
-				e.str(d.dataAddrOf(entry.exec))
-			} else {
-				e.int(0)
-				e.str("")
-			}
+			e.int(int64(exec))
+			e.str(addr)
 			st.conn.send(msgLookupReply, e.b)
 		case msgNeedShuffle:
 			dataset := int(dd.int())
@@ -436,27 +422,37 @@ func appendOutputID(e *enc, id transport.MapOutputID) {
 	e.int(int64(id.Reduce))
 }
 
-func (d *Driver) dataAddrOf(exec int) string {
-	if exec < 0 || exec >= len(d.execs) {
-		return ""
-	}
-	return d.execs[exec].dataAddr
-}
+// The driver is the cluster's transport.Directory: Publish and Lookup
+// serve the followers' RegisterOutput and LookupOutput frames, Retire and
+// RetireShuffle the driver's own stage verdicts.
 
-// registerOutput records a map output's location, telling the previous
-// holder — when the entry moved across executors on a retry or a
-// speculative re-registration — to discard its now-orphaned buffers.
-// Same-executor displacement is handled locally by the executor's own
-// data server.
-func (d *Driver) registerOutput(id transport.MapOutputID, exec int) {
+// Publish records a map output's location, telling the previous holder —
+// when the entry moved across executors on a retry or a speculative
+// re-registration — to discard its now-orphaned buffers, which is why it
+// reports no previous holder for the caller to take from. Same-executor
+// displacement is handled locally by the executor's own data server.
+func (d *Driver) Publish(id transport.MapOutputID, exec int) (int, bool, error) {
 	d.dirMu.Lock()
 	prev, had := d.dir[id]
-	d.dir[id] = dirEntry{exec: exec}
-	d.registered++
+	d.dir[id] = exec
 	d.dirMu.Unlock()
-	if had && prev.exec != exec {
-		d.sendDiscard(prev.exec, id)
+	if had && prev != exec {
+		d.sendDiscard(prev, id)
 	}
+	return 0, false, nil
+}
+
+// Lookup resolves the output's holder and its data address. It is
+// non-consuming: the entry survives so reduce retries and speculative
+// twins can re-fetch; Retire or RetireShuffle end its lifetime.
+func (d *Driver) Lookup(id transport.MapOutputID) (exec int, addr string, found bool, err error) {
+	d.dirMu.Lock()
+	exec, found = d.dir[id]
+	d.dirMu.Unlock()
+	if found && exec >= 0 && exec < len(d.execs) {
+		addr = d.execs[exec].dataAddr
+	}
+	return exec, addr, found, nil
 }
 
 func (d *Driver) sendDiscard(exec int, id transport.MapOutputID) {
@@ -472,26 +468,18 @@ func (d *Driver) sendDiscard(exec int, id transport.MapOutputID) {
 	st.conn.send(msgDiscardOutput, e.b)
 }
 
-// Registered returns how many directory registrations were observed.
-func (d *Driver) Registered() uint64 {
-	d.dirMu.Lock()
-	defer d.dirMu.Unlock()
-	return d.registered
-}
-
-// CommitOutputs ends the listed outputs' lifetime after their consuming
-// stage committed: each directory entry is retired and its holder told
-// to discard the pinned buffer. Unknown ids (already swept by markDead
-// or a racing drop) are skipped. It returns how many entries were
-// committed away.
-func (d *Driver) CommitOutputs(ids []transport.MapOutputID) int {
+// Retire ends the listed outputs' lifetime after their consuming stage
+// committed: each directory entry is retired and its holder told to
+// discard the pinned buffer. Unknown ids (already swept by markDead or a
+// racing drop) are skipped.
+func (d *Driver) Retire(ids []transport.MapOutputID) {
 	d.dirMu.Lock()
 	var hit []transport.MapOutputID
 	var holders []int
 	for _, id := range ids {
-		if entry, ok := d.dir[id]; ok {
+		if exec, ok := d.dir[id]; ok {
 			hit = append(hit, id)
-			holders = append(holders, entry.exec)
+			holders = append(holders, exec)
 			delete(d.dir, id)
 		}
 	}
@@ -499,8 +487,10 @@ func (d *Driver) CommitOutputs(ids []transport.MapOutputID) int {
 	for i, id := range hit {
 		d.sendDiscard(holders[i], id)
 	}
-	return len(hit)
 }
+
+// RetireShuffle is DropShuffle as the directory seam spells it.
+func (d *Driver) RetireShuffle(shuffle transport.ShuffleID) { d.DropShuffle(int64(shuffle)) }
 
 // DropShuffle purges the shuffle's directory entries and tells each
 // holder to discard the buffers. It returns how many entries were
@@ -509,10 +499,10 @@ func (d *Driver) DropShuffle(shuffle int64) int {
 	d.dirMu.Lock()
 	var ids []transport.MapOutputID
 	var holders []int
-	for id, entry := range d.dir {
+	for id, exec := range d.dir {
 		if int64(id.Shuffle) == shuffle {
 			ids = append(ids, id)
-			holders = append(holders, entry.exec)
+			holders = append(holders, exec)
 		}
 	}
 	for _, id := range ids {

@@ -501,21 +501,30 @@ func (f *Follower) NeedShuffle(dataset int) {
 	f.conn.send(msgNeedShuffle, e.b)
 }
 
-// RegisterOutput publishes a map output's location in the driver
-// directory. Ordering is guaranteed against this executor's later
-// TaskDone frames (same stream, handled in order by the driver).
-func (f *Follower) RegisterOutput(id transport.MapOutputID) error {
+// The follower is its process's transport.Directory: the driver's
+// directory, reached over the control connection.
+
+// Publish records a map output's location in the driver directory.
+// Ordering is guaranteed against this executor's later TaskDone frames
+// (same stream, handled in order by the driver). It reports no previous
+// holder: the driver tells a displaced one to discard (msgDiscardOutput).
+func (f *Follower) Publish(id transport.MapOutputID, exec int) (int, bool, error) {
 	var e enc
 	appendOutputID(&e, id)
-	e.int(int64(f.id))
-	return f.conn.send(msgRegisterOutput, e.b)
+	e.int(int64(exec))
+	return 0, false, f.conn.send(msgRegisterOutput, e.b)
 }
 
-// LookupOutput resolves the output's directory entry without consuming
-// it (the entry lives until the consuming stage commits). found=false
-// with nil error means nothing is registered — the output is
-// definitively lost and lineage repair is the only way back.
-func (f *Follower) LookupOutput(id transport.MapOutputID) (exec int, addr string, found bool, err error) {
+// Retire and RetireShuffle are no-ops: the driver retires directory
+// entries on its own verdicts, a follower only its local node's.
+func (f *Follower) Retire([]transport.MapOutputID)    {}
+func (f *Follower) RetireShuffle(transport.ShuffleID) {}
+
+// Lookup resolves the output's directory entry without consuming it (the
+// entry lives until the consuming stage commits). found=false with nil
+// error means nothing is registered — the output is definitively lost
+// and lineage repair is the only way back.
+func (f *Follower) Lookup(id transport.MapOutputID) (exec int, addr string, found bool, err error) {
 	reqID := f.nextReq.Add(1)
 	ch := make(chan lookupReply, 1)
 	f.mu.Lock()

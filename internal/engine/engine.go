@@ -69,7 +69,8 @@ func (m Mode) String() string {
 	}
 }
 
-// TransportKind selects the shuffle transport implementation.
+// TransportKind selects how a single-process cluster's data plane is
+// constructed (transport.Plane).
 type TransportKind int
 
 const (
@@ -202,10 +203,6 @@ type Config struct {
 	// TransportTCP over per-executor loopback sockets. Either way a fetch
 	// serves a wire frame, never the registered buffer itself.
 	TransportKind TransportKind
-	// ListenAddrs sets each executor's TCP-transport listen address
-	// ("host:port"; ":0" for an ephemeral port). Empty selects loopback
-	// ephemerals. Only meaningful with TransportTCP / DeployTCP.
-	ListenAddrs []string
 
 	// DeployKind selects the deployment: in-process executors (in-process or
 	// TCP shuffles) or real deca-executor OS processes. DeployTCP is
@@ -529,38 +526,34 @@ func New(conf Config) *Context {
 		})
 	}
 
-	// Role-specific transport and control-plane wiring. A follower mirrors
-	// the plan inside one deca-executor process; a multiproc driver spawns
-	// and supervises the fleet; everything else hosts the whole cluster in
-	// this process.
-	var trans transport.Transport
+	// Role-specific control-plane wiring, and the construction of the data
+	// plane that goes with it. A follower mirrors the plan inside one
+	// deca-executor process; a multiproc driver spawns and supervises the
+	// fleet; everything else hosts the whole cluster in this process.
+	var plane *transport.Plane
 	switch {
 	case conf.CtlFollower != nil:
-		trans = c.wireFollower(conf.CtlFollower)
+		plane = c.wireFollower(conf.CtlFollower)
 	case conf.DeployKind == DeployMultiproc:
-		trans = c.wireDriver()
+		plane = c.wireDriver()
 	case conf.TransportKind == TransportTCP:
-		addrs := conf.ListenAddrs
-		if len(addrs) == 0 {
-			addrs = transport.LoopbackAddrs(conf.NumExecutors)
-		}
-		tcp, err := transport.NewTCP(addrs, fetchTimeout)
+		var err error
+		plane, err = transport.NewTCP(transport.LoopbackAddrs(conf.NumExecutors), fetchTimeout)
 		if err != nil {
 			// Listeners failing is an environment fault, not a recoverable
 			// job condition; keep New's signature and fail loudly.
 			panic(fmt.Sprintf("engine: starting TCP transport: %v", err))
 		}
-		tcp.SetRecorder(c.rec)
-		trans = tcp
 	default:
-		trans = transport.NewInProcess()
+		plane = transport.NewInProcess()
 	}
+	plane.SetRecorder(c.rec)
+	c.trans = plane
 	// Followers wrap too: an executor-process injector (built from the
 	// plan's chaos spec) makes fetch faults fire inside the real process.
 	if conf.Chaos != nil {
-		trans = chaos.WrapTransport(trans, conf.Chaos)
+		c.trans = chaos.WrapTransport(plane, conf.Chaos)
 	}
-	c.trans = trans
 	if conf.OpsAddr != "" && conf.CtlFollower == nil {
 		c.ops = startOps(c, conf.OpsAddr)
 	}

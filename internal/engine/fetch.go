@@ -52,10 +52,9 @@ type fetchPipeline struct {
 }
 
 // startFetchPipeline launches the workers for reduce task r on executor
-// ex. open is the streaming-decode hook handed to every Transport.Fetch
-// (nil for pointer-handover shuffles). The caller must consume every
-// slot via wait (in order) and finish with shutdown, which is safe to
-// call on every path.
+// ex. open is the streaming-decode hook handed to every Transport.Fetch.
+// The caller must consume every slot via wait (in order) and finish with
+// shutdown, which is safe to call on every path.
 func (c *Context) startFetchPipeline(shuf transport.ShuffleID, r, m int, ex *Executor, open transport.FrameOpen) *fetchPipeline {
 	fp := &fetchPipeline{
 		ctx:      c,

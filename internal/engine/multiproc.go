@@ -104,10 +104,11 @@ type ctlFollower struct {
 }
 
 // wireDriver spawns and supervises the executor fleet and returns the
-// driver-side transport facade. Executor death feeds straight into the
-// scheduler's blacklist; follower NeedShuffle requests drive
+// driver's share of the data plane: the location directory and no node,
+// since the driver hosts no shuffle data. Executor death feeds straight
+// into the scheduler's blacklist; follower NeedShuffle requests drive
 // materialization.
-func (c *Context) wireDriver() transport.Transport {
+func (c *Context) wireDriver() *transport.Plane {
 	d, err := ctl.NewDriver(ctl.DriverConfig{
 		NumExecutors: c.conf.NumExecutors,
 		ExecutorCmd:  c.conf.ExecutorCmd,
@@ -135,26 +136,19 @@ func (c *Context) wireDriver() transport.Transport {
 		// child process.
 		c.conf.Chaos.OnKill = d.Kill
 	}
-	return &driverTransport{c: c}
+	return transport.NewRemote(d, nil, fetchTimeout)
 }
 
 // wireFollower attaches this Context to the executor process's control
-// connection and returns the follower transport.
-func (c *Context) wireFollower(f *ctl.Follower) transport.Transport {
+// connection and returns the executor's share of the data plane: its own
+// node — the data server whose address the handshake advertised — behind
+// the driver's directory.
+func (c *Context) wireFollower(f *ctl.Follower) *transport.Plane {
 	fl := &ctlFollower{ctl: f, me: f.ID(), bodies: make(map[string]taskBody[[]byte])}
 	fl.cond = sync.NewCond(&fl.mu)
 	c.follower = fl
-	trans := &followerTransport{
-		c:      c,
-		f:      f,
-		node:   f.DataServer(),
-		client: transport.NewDataClient(fetchTimeout),
-		me:     f.ID(),
-	}
-	trans.node.SetRecorder(c.rec, int32(trans.me))
-	trans.client.SetRecorder(c.rec, int32(trans.me))
 	f.SetRuntime(followerRuntime{c: c})
-	return trans
+	return transport.NewRemote(f, map[int]*transport.DataServer{f.ID(): f.DataServer()}, fetchTimeout)
 }
 
 // RegisterPlan broadcasts the job plan to the executor fleet (multiproc
@@ -600,154 +594,6 @@ func (r followerRuntime) Snapshot() ctl.MetricsSnapshot {
 func (r followerRuntime) DrainEvents(max int) []obs.Event {
 	return r.c.rec.Drain(max)
 }
-
-// driverTransport is the multiproc driver's transport facade: the driver
-// never hosts shuffle data, so only the directory-facing operations are
-// live. Register/Fetch would mean a task body ran in the driver process —
-// a bug, hence the panic.
-type driverTransport struct{ c *Context }
-
-func (t *driverTransport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool) {
-	panic("engine: the multiproc driver does not host shuffle data (Register)")
-}
-
-func (t *driverTransport) Fetch(id transport.MapOutputID, dst int, open transport.FrameOpen) (transport.Payload, bool, error) {
-	panic("engine: the multiproc driver does not host shuffle data (Fetch)")
-}
-
-// Drop purges the shuffle's directory entries; the holders discard their
-// buffers on the broadcast, so there is nothing to hand back.
-func (t *driverTransport) Drop(shuffle transport.ShuffleID) []transport.Payload {
-	t.c.driver.d.DropShuffle(int64(shuffle))
-	return nil
-}
-
-// Commit retires the committed outputs' directory entries and tells each
-// holder to discard its pinned source buffers. Nothing comes back: the
-// driver hosts no data.
-func (t *driverTransport) Commit(ids []transport.MapOutputID) []transport.Payload {
-	t.c.driver.d.CommitOutputs(ids)
-	return nil
-}
-
-func (t *driverTransport) Stats() transport.Stats {
-	return transport.Stats{Registered: t.c.driver.d.Registered()}
-}
-
-func (t *driverTransport) Close() error { return nil }
-
-// followerTransport is the executor-process transport: outputs live on
-// the local data server, locations live in the driver's directory, and
-// remote frames arrive over the shared data plane.
-type followerTransport struct {
-	c      *Context
-	f      *ctl.Follower
-	node   *transport.DataServer
-	client *transport.DataClient
-	me     int
-
-	mu    sync.Mutex
-	stats transport.Stats
-}
-
-// Register stores the output locally and publishes its location. A
-// same-process displacement (task retry on this executor) hands the old
-// buffers back to the caller as usual; a cross-process one is discarded
-// by the old holder when the driver tells it to.
-func (t *followerTransport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool) {
-	prev, replaced := t.node.Put(id, p)
-	// Publishing fails only once the control connection is gone: the
-	// process is shutting down, the local store still owns the payload, and
-	// the job is already failing through the dispatch path.
-	_ = t.f.RegisterOutput(id)
-	t.mu.Lock()
-	t.stats.Registered++
-	t.mu.Unlock()
-	return prev, replaced
-}
-
-// Fetch resolves the output in the driver's directory (non-consuming)
-// and serves it as a decoded-on-demand wire frame: local holders serve
-// through DataServer.ServeLocal, remote holders over the data plane. The
-// source entry stays registered either way, so retried and speculative
-// attempts re-fetch the same outputs until the stage commits. A failed
-// remote round-trip is a transient error (the directory entry is
-// untouched); a definitive miss (found=false) means the producer died
-// and only lineage repair brings the output back.
-func (t *followerTransport) Fetch(id transport.MapOutputID, dst int, open transport.FrameOpen) (transport.Payload, bool, error) {
-	exec, addr, found, err := t.f.LookupOutput(id)
-	if err != nil {
-		return transport.Payload{}, false, err
-	}
-	if !found {
-		return transport.Payload{}, false, nil
-	}
-	if exec == t.me {
-		p, ok, err := t.node.ServeLocal(id, open)
-		if err != nil || !ok {
-			return transport.Payload{}, false, err
-		}
-		t.mu.Lock()
-		t.stats.LocalFetches++
-		t.stats.LocalBytes += p.Bytes
-		t.mu.Unlock()
-		return p, true, nil
-	}
-	dec, size, ok, err := t.client.FetchInto(addr, id, open)
-	if err != nil {
-		return transport.Payload{}, false, err
-	}
-	if !ok {
-		return transport.Payload{}, false, nil
-	}
-	t.mu.Lock()
-	t.stats.RemoteFetches++
-	t.stats.RemoteBytes += size
-	t.mu.Unlock()
-	return transport.Payload{
-		Data:        dec.Data,
-		SrcExecutor: exec,
-		Bytes:       size,
-		MemBytes:    dec.MemBytes,
-	}, true, nil
-}
-
-// Drop purges this process's local entries; the driver's directory sweep
-// (driverTransport.Drop) coordinates the cluster-wide purge.
-func (t *followerTransport) Drop(shuffle transport.ShuffleID) []transport.Payload {
-	return t.node.DropShuffle(shuffle)
-}
-
-// Commit takes this process's local entries for the committed ids and
-// hands them back for release. It runs belt-and-braces with the driver's
-// discard broadcasts (Take is idempotent — whoever gets there first
-// wins), so a follower frees its pinned sources as soon as its own
-// mirror observes the stage verdict rather than a broadcast later.
-func (t *followerTransport) Commit(ids []transport.MapOutputID) []transport.Payload {
-	var out []transport.Payload
-	for _, id := range ids {
-		if p, ok := t.node.Take(id); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func (t *followerTransport) Stats() transport.Stats {
-	t.mu.Lock()
-	st := t.stats
-	t.mu.Unlock()
-	t.node.ServeStats(&st)
-	return st
-}
-
-func (t *followerTransport) Close() error {
-	t.client.Close()
-	return t.node.Close()
-}
-
-// Pending exposes the local leak probe (tests).
-func (t *followerTransport) Pending() int { return t.node.Pending() }
 
 // actionKey numbers action stages in program order; mirrored programs
 // issue identical sequences, so the driver's dispatches resolve against

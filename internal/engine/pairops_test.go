@@ -3,11 +3,13 @@ package engine
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"deca/internal/decompose"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
+	"deca/internal/transport"
 )
 
 func TestMapValuesKeysValues(t *testing.T) {
@@ -153,7 +155,18 @@ func TestAggregateByKey(t *testing.T) {
 	// Aggregate into (sum, count) accumulators.
 	type acc struct{ Sum, N int64 }
 	ops := PairOps[string, acc]{
-		Key:        shuffle.StringKey(),
+		Key:    shuffle.StringKey(),
+		KeySer: serial.Str{},
+		ValSer: serial.Func[acc]{
+			MarshalFunc: func(dst []byte, v acc) []byte {
+				return serial.AppendVarint(serial.AppendVarint(dst, v.Sum), v.N)
+			},
+			UnmarshalFunc: func(src []byte) (acc, int) {
+				sum, n := serial.Varint(src)
+				cnt, k := serial.Varint(src[n:])
+				return acc{Sum: sum, N: cnt}, n + k
+			},
+		},
 		Partitions: 2,
 	}
 	agg := AggregateByKey(d, ops,
@@ -167,5 +180,32 @@ func TestAggregateByKey(t *testing.T) {
 	}
 	if got["a"] != (acc{Sum: 8, N: 2}) || got["b"] != (acc{Sum: 2, N: 1}) {
 		t.Errorf("AggregateByKey = %v", got)
+	}
+}
+
+// TestObjectShuffleWithoutSerializersFailsAtMaterialization: an
+// Object-mode shuffle crosses executors as a serialized frame or not at
+// all — built without KeySer/ValSer it fails when it materializes, with
+// an error naming the missing serializer, and leaves nothing behind.
+func TestObjectShuffleWithoutSerializersFailsAtMaterialization(t *testing.T) {
+	for _, missing := range []string{"KeySer", "ValSer"} {
+		t.Run(missing, func(t *testing.T) {
+			ctx := testCtx(t, ModeSpark)
+			ops := PairOps[string, int64]{Key: shuffle.StringKey(), KeySer: serial.Str{}, ValSer: serial.Int64{}, Partitions: 2}
+			if missing == "KeySer" {
+				ops.KeySer = nil
+			} else {
+				ops.ValSer = nil
+			}
+			d := Parallelize(ctx, []decompose.Pair[string, int64]{KV("a", int64(1)), KV("b", int64(2))}, 2)
+			red := ReduceByKey(d, ops, func(a, b int64) int64 { return a + b }) // building it is not the failure
+			_, err := Collect(red)
+			if err == nil || !strings.Contains(err.Error(), "PairOps."+missing+" is nil") {
+				t.Fatalf("Collect = %v, want an error naming PairOps.%s", err, missing)
+			}
+			if n := ctx.trans.(*transport.Plane).Pending(); n != 0 || ctx.MemoryInUse() != 0 {
+				t.Errorf("the failed shuffle left %d registrations and %d bytes behind", n, ctx.MemoryInUse())
+			}
+		})
 	}
 }

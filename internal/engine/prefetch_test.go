@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"io"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"deca/internal/decompose"
@@ -216,32 +218,50 @@ func TestSortedShuffleRedrainsWithSpills(t *testing.T) {
 
 // countingReleasable counts Release calls (a stand-in for a shuffle
 // buffer inside a transport payload).
-type countingReleasable struct{ released int }
+type countingReleasable struct{ released atomic.Int32 }
 
-func (c *countingReleasable) Release() { c.released++ }
+func (c *countingReleasable) Release() { c.released.Add(1) }
 
 // TestFetchPipelineMissingAndAbort probes the pipeline directly: a hole
 // in the registered outputs surfaces as ok=false at the right index, and
-// shutdown after an early abort releases exactly the payloads that were
-// fetched but never consumed — never the consumed ones, never twice.
+// shutdown after an early abort releases exactly the fetched copies that
+// were never consumed — never the consumed ones, never twice, and never
+// the registered sources, which stay pinned for the stage's verdict.
 func TestFetchPipelineMissingAndAbort(t *testing.T) {
 	ctx := New(Config{NumExecutors: 1, FetchConcurrency: 4, MaxFetchBytesInFlight: -1})
 	defer ctx.Close()
 	ex := ctx.Executors()[0]
 
 	const M = 6
-	bufs := make([]*countingReleasable, M)
+	sources := make([]*countingReleasable, M)
 	for m := 0; m < M; m++ {
 		if m == 3 {
 			continue // the hole
 		}
-		bufs[m] = &countingReleasable{}
-		ctx.trans.Register(
+		sources[m] = &countingReleasable{}
+		frame := []byte{byte(m)}
+		if _, _, err := ctx.trans.Register(
 			transport.MapOutputID{Shuffle: 9, MapTask: m, Reduce: 0},
-			transport.Payload{Data: bufs[m], SrcExecutor: 0, Bytes: 10})
+			transport.Payload{Data: sources[m], SrcExecutor: 0, Bytes: 10, Encode: func(w io.Writer) error {
+				_, err := w.Write(frame)
+				return err
+			}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	fp := ctx.startFetchPipeline(9, 0, M, ex, nil)
+	// Every fetch decodes a private copy; copies[m] is map task m's.
+	var copies [M]countingReleasable
+	var fetched [M]atomic.Bool
+	open := func(r transport.FrameReader, size int64) (transport.Decoded, error) {
+		m, err := r.ReadByte()
+		if err != nil {
+			return transport.Decoded{}, err
+		}
+		fetched[m].Store(true)
+		return transport.Decoded{Data: &copies[m], MemBytes: size}, nil
+	}
+	fp := ctx.startFetchPipeline(9, 0, M, ex, open)
 	for m := 0; m < 3; m++ {
 		res := fp.wait(m)
 		if !res.ok {
@@ -254,26 +274,27 @@ func TestFetchPipelineMissingAndAbort(t *testing.T) {
 		t.Fatal("output 3 was never registered; wait must report the hole")
 	}
 	// Abort as the exchange's error path does; outputs 4 and 5 may or may
-	// not have been prefetched — each must end up released exactly once
-	// or still registered with the transport, never both, never twice.
+	// not have been prefetched — a copy that was must end up released
+	// exactly once.
 	fp.shutdown(func(pl transport.Payload) {
 		pl.Data.(*countingReleasable).Release()
 	})
-	stillRegistered := ctx.trans.(*transport.InProcess).Pending()
-	var released int
-	for m := 0; m < 3; m++ {
-		if bufs[m].released != 1 {
-			t.Errorf("consumed output %d released %d times, want 1", m, bufs[m].released)
+	for m := range copies {
+		want := int32(0)
+		if fetched[m].Load() {
+			want = 1
+		}
+		if got := copies[m].released.Load(); got != want {
+			t.Errorf("copy of output %d (fetched=%v) released %d times, want %d", m, fetched[m].Load(), got, want)
 		}
 	}
-	for _, m := range []int{4, 5} {
-		if bufs[m].released > 1 {
-			t.Errorf("prefetched output %d released %d times", m, bufs[m].released)
-		}
-		released += bufs[m].released
+	if n := ctx.trans.(*transport.Plane).Pending(); n != M-1 {
+		t.Errorf("%d outputs still registered, want all %d: a fetch never consumes its source", n, M-1)
 	}
-	if released+stillRegistered != 2 {
-		t.Errorf("outputs 4,5: %d released + %d registered, want 2 total", released, stillRegistered)
+	for m, src := range sources {
+		if src != nil && src.released.Load() != 0 {
+			t.Errorf("registered source %d released by the pipeline", m)
+		}
 	}
 	if ctx.MetricsRef().LocalShuffleFetches.Load() == 0 {
 		t.Error("expected locality accounting on prefetched outputs")

@@ -113,14 +113,11 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	bufs := make([]S, R)
 	made := 0
 	trackers := make([]*spillTracker, R)
-	// Until the task registers its output, the buffers are its to
-	// release: any error return must not leak their pages.
-	registered := false
+	// Until the task hands a buffer to the transport it is the task's to
+	// release: any error return must not leak its pages.
+	registered := 0
 	defer func() {
-		if registered {
-			return
-		}
-		for _, b := range bufs[:made] {
+		for _, b := range bufs[registered:made] {
 			b.Release()
 		}
 	}()
@@ -171,16 +168,19 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	}
 	for r, b := range bufs {
 		ctx.noteOccupancy(shufID, b)
-		prev, replaced := ctx.trans.Register(
+		prev, replaced, err := ctx.trans.Register(
 			transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r},
 			codec.payloadFor(b, ex, b.SizeBytes(), b.SpilledBytes()))
+		registered = r + 1 // Register owns b now, even when it fails
 		if replaced {
 			// Task-retry semantics: the displaced registration's buffers
 			// are nobody else's to free anymore.
 			releasePayloads(prev)
 		}
+		if err != nil {
+			return err
+		}
 	}
-	registered = true
 	return nil
 }
 
@@ -274,9 +274,8 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 		}
 		// A frame the fetch worker staged folds straight into the merged
 		// buffer (Fold consumes it, error or not). Anything else is a
-		// container — decoded on this executor by the fetch worker, or
-		// handed over by pointer — which is this task's to release, merge
-		// error or not.
+		// container the fetch worker decoded on this executor, which is this
+		// task's to release, merge error or not.
 		var spilled int64
 		if st, ok := res.pl.Data.(*shuffle.Staged); ok {
 			spilled = st.SpilledBytes()
@@ -521,15 +520,19 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	ctx := d.ctx
 	R := ops.partitions(d.parts)
 
-	// The frame is self-describing (a kind byte leads). A shuffle whose
-	// Object sinks cannot round-trip a frame gets the empty codec: its
-	// payloads fall back to the transport's consuming pointer handover.
-	var codec wireCodec[S]
+	// The frame is self-describing (a kind byte leads). Deca sinks encode
+	// through their codecs; Object sinks need the Kryo-style serializers to
+	// round-trip one, and a shuffle built without them fails when it
+	// materializes.
+	codec := wireCodec[S]{decode: sh.decode}
+	missing := ""
 	switch {
 	case sh.deca:
-		codec.stage = sh.stage
-	case ops.wireable():
-		codec.decode = sh.decode
+		codec = wireCodec[S]{stage: sh.stage}
+	case ops.KeySer == nil:
+		missing = "KeySer"
+	case ops.ValSer == nil:
+		missing = "ValSer"
 	}
 	merge := func(dst, src S) error {
 		return sh.drain(src, func(t T) bool {
@@ -540,6 +543,10 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 
 	st := newShuffleState[T](ctx, R)
 	st.materialize = func() error {
+		if missing != "" {
+			return fmt.Errorf("engine: shuffle of dataset %d: PairOps.%s is nil, and Object-mode buffers cross executors only as serialized frames",
+				st.datasetID, missing)
+		}
 		outputs, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf, merge, codec)
 		if err != nil {
 			return err

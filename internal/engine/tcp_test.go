@@ -265,7 +265,7 @@ func TestDropOnFailedReduceStage(t *testing.T) {
 // TestTCPFetchChargesWireBytes: a remote wire payload's in-flight charge
 // is its frame length, so the prefetch budget throttles on real bytes.
 func TestTCPFetchChargesWireBytes(t *testing.T) {
-	pl := transport.Payload{Data: transport.Wire{Frame: make([]byte, 1234)}, Bytes: 1234, MemBytes: 1234}
+	pl := transport.Payload{Data: make([]byte, 1234), Bytes: 1234, MemBytes: 1234}
 	if got := fetchCharge(pl); got != 1234 {
 		t.Errorf("fetchCharge = %d, want 1234", got)
 	}

@@ -16,12 +16,11 @@ import (
 // in the *destination* executor's memory manager. The scheduler and the
 // transport never learn the payload's generic type. Under the stage-commit
 // protocol every fetch — executor-local included — serves an encoded frame
-// so the pinned source stays private to its holder; only payloads without
-// a wire form fall back to the consuming pointer handover.
+// so the pinned source stays private to its holder.
 
 // wireCodec is one shuffle's codec-registry entry for sink type S: how a
 // frame streaming off r opens inside executor ex. Exactly one of the two
-// is set for a wireable shuffle, neither for a pointer-handover one.
+// is set.
 type wireCodec[S any] struct {
 	// stage is the Deca half: the fetch worker stages a frame into flat
 	// arenas plus restored pages in ex's manager — no container, no map —
@@ -50,9 +49,8 @@ type stagedFolder interface {
 	Fold(st *shuffle.Staged) error
 }
 
-// open casts a fetched payload's data back to the sink type: a container
-// the Object decoder built on this executor, or one that crossed by
-// pointer. The returned sink is owned by the caller either way.
+// open casts a fetched payload's data back to the sink type: the
+// container the Object decoder built on this executor, owned by the caller.
 func (wc wireCodec[S]) open(pl transport.Payload) (S, error) {
 	s, ok := pl.Data.(S)
 	if !ok {
@@ -64,12 +62,9 @@ func (wc wireCodec[S]) open(pl transport.Payload) (S, error) {
 
 // frameOpen returns the streaming-decode hook the fetch pipeline hands
 // to Transport.Fetch: the codec's stager or decoder run against the wire
-// stream, reporting the result's own footprint for fetch budgeting. Nil
-// exactly when the shuffle's payloads carry no encoder (pointer
-// handover).
+// stream, reporting the result's own footprint for fetch budgeting.
 func (wc wireCodec[S]) frameOpen(ex *Executor) transport.FrameOpen {
-	switch {
-	case wc.stage != nil:
+	if wc.stage != nil {
 		return func(r transport.FrameReader, _ int64) (transport.Decoded, error) {
 			st, err := wc.stage(r, ex)
 			if err != nil {
@@ -77,33 +72,28 @@ func (wc wireCodec[S]) frameOpen(ex *Executor) transport.FrameOpen {
 			}
 			return transport.Decoded{Data: st, MemBytes: st.SizeBytes()}, nil
 		}
-	case wc.decode != nil:
-		return func(r transport.FrameReader, size int64) (transport.Decoded, error) {
-			s, err := wc.decode(r)
-			if err != nil {
-				return transport.Decoded{}, err
-			}
-			mem := size
-			if sb, ok := any(s).(interface{ SizeBytes() int64 }); ok {
-				mem = sb.SizeBytes()
-			}
-			return transport.Decoded{Data: s, MemBytes: mem}, nil
-		}
 	}
-	return nil
+	return func(r transport.FrameReader, size int64) (transport.Decoded, error) {
+		s, err := wc.decode(r)
+		if err != nil {
+			return transport.Decoded{}, err
+		}
+		mem := size
+		if sb, ok := any(s).(interface{ SizeBytes() int64 }); ok {
+			mem = sb.SizeBytes()
+		}
+		return transport.Decoded{Data: s, MemBytes: mem}, nil
+	}
 }
 
-// payloadFor wraps a sink into a transport payload, attaching — when the
-// shuffle is wireable — whichever frame encoder the sink has.
+// payloadFor wraps a sink into a transport payload, attaching whichever
+// frame encoder the sink has.
 func (wc wireCodec[S]) payloadFor(s S, ex *Executor, sizeBytes, spilledBytes int64) transport.Payload {
 	pl := transport.Payload{
 		Data:        s,
 		SrcExecutor: ex.id,
 		Bytes:       sizeBytes + spilledBytes,
 		MemBytes:    sizeBytes,
-	}
-	if wc.stage == nil && wc.decode == nil {
-		return pl
 	}
 	switch enc := any(s).(type) {
 	case segmentEncoder:
@@ -112,13 +102,4 @@ func (wc wireCodec[S]) payloadFor(s S, ex *Executor, sizeBytes, spilledBytes int
 		pl.Encode = enc.EncodeWire
 	}
 	return pl
-}
-
-// wireable reports whether this shuffle's Object sinks can round-trip a
-// wire frame: they need the Kryo-style serializers (Deca sinks always
-// encode through their codecs). A non-wireable shuffle gets an empty
-// codec, so its payloads fall back to the transport's consuming pointer
-// handover (single-process only) instead of failing at serve time.
-func (o PairOps[K, V]) wireable() bool {
-	return o.KeySer != nil && o.ValSer != nil
 }

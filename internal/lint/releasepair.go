@@ -686,14 +686,14 @@ func checkRegisterSites(p *Pass, fd *ast.FuncDecl) {
 }
 
 // isRegisterCall matches methods named Register with the transport
-// signature (MapOutputID, Payload) (Payload, bool).
+// signature (MapOutputID, Payload) (Payload, bool, error).
 func isRegisterCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil || fn.Name() != "Register" {
 		return false
 	}
 	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != 2 || sig.Results().Len() != 2 {
+	if sig.Params().Len() != 2 || sig.Results().Len() != 3 {
 		return false
 	}
 	return isNamed(sig.Params().At(0).Type(), "deca/internal/transport", "MapOutputID") &&

@@ -168,12 +168,12 @@ func dropsDisplaced(tr transport.Transport, id transport.MapOutputID, p transpor
 
 // True positive: displaced payload bound to blanks.
 func blankDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
-	_, _ = tr.Register(id, p) // want "assigned to _"
+	_, _, _ = tr.Register(id, p) // want "assigned to _"
 }
 
 // Negative: the replace-release idiom.
 func handlesDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
-	prev, replaced := tr.Register(id, p)
+	prev, replaced, _ := tr.Register(id, p)
 	if replaced {
 		if c, ok := prev.Data.(io.Closer); ok {
 			_ = c.Close()

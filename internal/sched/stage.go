@@ -216,11 +216,12 @@ func (s *stage) runAttempt(t *taskState, attempt, exec int, speculative bool, bo
 // attemptBody wraps the body in the fault-injection hooks. AfterAttempt
 // faults — "the executor died after its side effects landed" — only fire
 // on speculatable stages, whose bodies are idempotent under re-execution
-// (map-output re-registration displaces and releases). Reduce attempts
-// consume single-consumer fetches and action attempts fold into shared
-// result slots, so re-running a *completed* one is either doomed or
-// double-counts; faulting them after success would guarantee job failure
-// rather than exercise recovery.
+// (map-output re-registration displaces and releases; a reduce stage,
+// speculatable when the config opts in, re-fetches inputs that stay
+// registered until the stage commits). Action attempts fold into shared
+// result slots, so re-running a *completed* one double-counts; faulting
+// them after success would guarantee a wrong answer rather than exercise
+// recovery.
 func (s *stage) attemptBody(a Attempt, body func(Attempt) error) error {
 	if f := s.c.conf.Faults; f != nil {
 		if err := f.BeforeAttempt(a.Stage, a.Part, a.Attempt, a.Exec, a.cancel); err != nil {

@@ -12,21 +12,36 @@ import (
 	"deca/internal/obs"
 )
 
-// This file is the data plane shared by every networked deployment: a
-// DataServer is one executor's shuffle endpoint (a listener plus the map
-// outputs registered on it, served with the length-prefixed FETCH
-// protocol), and a DataClient is the pooled dialer the fetching side
-// uses. The single-process TCP transport composes one DataServer per
-// executor with one shared client; the multi-process deployment runs one
-// DataServer inside each deca-executor process and resolves which address
-// to dial through the driver's location directory (internal/ctl).
+// This file is the two ends of the wire every construction of Plane is
+// built from: a DataServer is one executor's shuffle endpoint (the map
+// outputs registered on it plus, when it listens, the length-prefixed
+// FETCH protocol serving them), and a DataClient is the pooled dialer the
+// fetching side uses.
 
-// DataServer is one executor endpoint: its listener, its registered
-// outputs, and the serve loop answering FETCH requests. Serving is
-// non-consuming: a served entry stays pinned in the store for other
-// consumers (reduce retries, speculative twins) until the consuming
-// stage commits and the driver discards it, per the package's
-// stage-commit ownership rule.
+// Protocol constants. Every request and response is length-delimited by
+// construction: the request is three uvarints, the response a status byte
+// followed (on a hit) by a uvarint frame length and the frame.
+const (
+	statusNotFound byte = 0
+	statusOK       byte = 1
+
+	// maxWireFrame bounds a response frame length read off the wire.
+	maxWireFrame = 1 << 32
+	// connPoolSize caps idle pooled connections per destination node.
+	connPoolSize = 4
+	// frameReadChunk is the granularity at which a fetching client
+	// refreshes its read deadline while a frame streams in: the timeout
+	// bounds the wait for each chunk, not the whole (arbitrarily large)
+	// frame.
+	frameReadChunk = 1 << 20
+)
+
+// DataServer is one executor endpoint: its registered outputs and — nil
+// in the never-dialing construction — its listener, with the serve loop
+// answering FETCH requests. Serving is non-consuming: a served entry
+// stays pinned in the store for other consumers (reduce retries,
+// speculative twins) until the consuming stage commits and the driver
+// discards it, per the package's stage-commit ownership rule.
 type DataServer struct {
 	ln   net.Listener
 	addr string
@@ -59,13 +74,17 @@ func NewDataServer(addr string) (*DataServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %s: %w", addr, err)
 	}
-	s := &DataServer{
-		ln:   ln,
-		addr: ln.Addr().String(),
-	}
-	s.store.init()
+	s := newNode()
+	s.ln, s.addr = ln, ln.Addr().String()
 	go s.acceptLoop()
 	return s, nil
+}
+
+// newNode returns a node that holds outputs but does not listen.
+func newNode() *DataServer {
+	s := &DataServer{}
+	s.store.init()
+	return s
 }
 
 // Addr returns the resolved listen address.
@@ -93,9 +112,7 @@ func (s *DataServer) TakeAll(ids []MapOutputID) []Payload {
 }
 
 // ServeLocal serves the entry without consuming it — the executor-local
-// equivalent of a socket FETCH: streamed through open when non-nil, as
-// an encoded Wire payload otherwise. Payloads without a wire form fall
-// back to the consuming pointer handover.
+// equivalent of a socket FETCH, streamed through open.
 func (s *DataServer) ServeLocal(id MapOutputID, open FrameOpen) (Payload, bool, error) {
 	return s.store.serveCopy(id, open)
 }
@@ -127,6 +144,9 @@ func (s *DataServer) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	if s.ln == nil {
+		return nil
+	}
 	return s.ln.Close()
 }
 
@@ -175,9 +195,8 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 	defer s.store.endServe(e)
 	fs, err := p.frame()
 	if err != nil {
-		// Unencodable, or no wire form: unservable remotely. The entry
-		// stays registered (an executor-local consumer could still take
-		// it); the fetcher sees NOTFOUND and recovers by lineage.
+		// Unencodable: the entry stays registered until its stage's
+		// verdict; the fetcher sees NOTFOUND and recovers by lineage.
 		return writeNotFound(bw)
 	}
 	defer fs.Release()
@@ -273,22 +292,9 @@ func NewDataClient(fetchTimeout time.Duration) *DataClient {
 	}
 }
 
-// Fetch runs one FETCH round-trip against addr, materializing the frame
-// as one []byte. A nil frame with nil error is NOTFOUND; a non-nil error
-// means the round-trip itself failed and the output's fate is unknown to
-// the caller.
-func (c *DataClient) Fetch(addr string, id MapOutputID) ([]byte, error) {
-	dec, _, found, err := c.FetchInto(addr, id, nil)
-	if err != nil || !found {
-		return nil, err
-	}
-	return dec.Data.(Wire).Frame, nil
-}
-
 // FetchInto runs one FETCH round-trip against addr, streaming the
 // response frame through open so page bodies land directly in the
-// decoder's memory — the frame is never held whole. With open == nil the
-// frame is materialized and returned as a Wire Decoded. size is the
+// decoder's memory — the frame is never held whole. size is the
 // frame's wire length; found=false with nil error is NOTFOUND. A
 // transport or decode error retires the connection (its stream position
 // is unknown) and returns a non-nil error the caller may retry.
@@ -435,9 +441,6 @@ func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOp
 	if n > maxWireFrame {
 		return Decoded{}, 0, false, fmt.Errorf("transport: implausible frame length %d", n)
 	}
-	if open == nil {
-		open = wireOpen
-	}
 	fr := &frameReader{conn: c, remaining: int64(n), timeout: timeout}
 	dec, err := open(fr, int64(n))
 	if err != nil {
@@ -453,16 +456,6 @@ func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOp
 		}
 	}
 	return dec, int64(n), true, nil
-}
-
-// wireOpen is the opener a nil FrameOpen stands for: materialize the
-// whole frame as a Wire payload.
-func wireOpen(r FrameReader, size int64) (Decoded, error) {
-	frame := make([]byte, size)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return Decoded{}, err
-	}
-	return Decoded{Data: Wire{Frame: frame}, MemBytes: size}, nil
 }
 
 // frameReader hands a decoder exactly the frame's bytes off the pooled

@@ -273,12 +273,12 @@ func TestServeSegmentsConnResetKeepsRegistration(t *testing.T) {
 	// A clean retry re-serves the same registration in full.
 	client := NewDataClient(10 * time.Second)
 	defer client.Close()
-	frame, err := client.Fetch(srv.Addr(), id)
-	if err != nil {
-		t.Fatal(err)
+	dec, _, found, err := client.FetchInto(srv.Addr(), id, openBytes)
+	if err != nil || !found {
+		t.Fatalf("retried fetch: found=%v err=%v", found, err)
 	}
 	want := flatten(sp.pages, sp.spill)
-	if !bytes.Equal(frame, want) {
+	if frame := dec.Data.([]byte); !bytes.Equal(frame, want) {
 		t.Fatalf("retried fetch got %d bytes, want %d", len(frame), len(want))
 	}
 	if got := sp.releases.Load(); got != sp.serves.Load() {
@@ -359,9 +359,8 @@ func TestFetchIntoStreamingDecode(t *testing.T) {
 
 // One serve path, two payload forms: an Encode-only payload (what Object
 // containers register) and a Segments payload of the same bytes fetch
-// identically over the socket and executor-locally, streamed through an
-// opener or materialized (open == nil) — and differ only in the copy
-// accounting: a staged frame is all user-space copy, a segment frame
+// identically over the socket and executor-locally — and differ only in
+// the copy accounting: a staged frame is all user-space copy, a segment frame
 // copies just its headers, serves its pages in place and (over the socket)
 // its spill bytes through sendfile.
 func TestEncodeOnlyAndSegmentsPayloadsFetchIdentically(t *testing.T) {
@@ -381,40 +380,34 @@ func TestEncodeOnlyAndSegmentsPayloadsFetchIdentically(t *testing.T) {
 			Stats{UserspaceCopyBytes: headers, PagesServedZeroCopy: 3, BytesSendfile: int64(len(sp.spill))},
 		},
 	}
-	stream := func(r FrameReader, size int64) (Decoded, error) {
-		b, err := io.ReadAll(r)
-		return Decoded{Data: Wire{Frame: b}, MemBytes: size}, err
-	}
 	for name, form := range forms {
-		for _, open := range []FrameOpen{nil, stream} {
-			tr := newTCPT(t, 2)
-			id := MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
-			form.p.SrcExecutor = 0
-			tr.Register(id, form.p)
-			want := Stats{Registered: 1}
-			for _, dst := range []int{1, 0} { // over the socket, then local
-				p, ok, err := tr.Fetch(id, dst, open)
-				if err != nil || !ok {
-					t.Fatalf("%s: fetch to executor %d (open=%v): ok=%v err=%v", name, dst, open != nil, ok, err)
-				}
-				if w, isWire := p.Data.(Wire); !isWire || !bytes.Equal(w.Frame, frame) || p.Bytes != int64(len(frame)) {
-					t.Errorf("%s: fetch to executor %d (open=%v) returned a different frame (%d bytes)", name, dst, open != nil, p.Bytes)
-				}
-				want.UserspaceCopyBytes += form.stats.UserspaceCopyBytes
-				want.PagesServedZeroCopy += form.stats.PagesServedZeroCopy
-				if dst == 1 {
-					want.RemoteFetches, want.RemoteBytes = 1, p.Bytes
-					want.BytesSendfile = form.stats.BytesSendfile
-				} else {
-					want.LocalFetches, want.LocalBytes = 1, p.Bytes
-				}
+		tr, err := NewTCP(LoopbackAddrs(2), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		id := MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
+		form.p.SrcExecutor = 0
+		mustRegister(t, tr, id, form.p)
+		want := Stats{Registered: 1}
+		for _, dst := range []int{1, 0} { // over the socket, then local
+			if got := mustFetch(t, tr, id, dst); got != string(frame) {
+				t.Errorf("%s: fetch to executor %d returned a different frame (%d bytes)", name, dst, len(got))
 			}
-			// The verdict waits out the socket serve, whose goroutine books
-			// its counters after the fetcher already holds the last byte.
-			tr.Commit([]MapOutputID{id})
-			if got := tr.Stats(); got != want {
-				t.Errorf("%s (open=%v): stats %+v, want %+v", name, open != nil, got, want)
+			want.UserspaceCopyBytes += form.stats.UserspaceCopyBytes
+			want.PagesServedZeroCopy += form.stats.PagesServedZeroCopy
+			if dst == 1 {
+				want.RemoteFetches, want.RemoteBytes = 1, int64(len(frame))
+				want.BytesSendfile = form.stats.BytesSendfile
+			} else {
+				want.LocalFetches, want.LocalBytes = 1, int64(len(frame))
 			}
+		}
+		// The verdict waits out the socket serve, whose goroutine books
+		// its counters after the fetcher already holds the last byte.
+		tr.Commit([]MapOutputID{id})
+		if got := tr.Stats(); got != want {
+			t.Errorf("%s: stats %+v, want %+v", name, got, want)
 		}
 	}
 	if sp.releases.Load() != sp.serves.Load() {

@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// outputStore is the pinned map-output registry shared by the in-process
-// transport and the networked DataServer. Serving is non-consuming: an
-// entry stays registered — pinned — until the consuming stage commits
-// (Commit) or the shuffle is dropped (Drop), so any number of consumers
-// (reduce retries, speculative twins) can fetch the same output.
+// outputStore is a node's pinned map-output registry. Serving is
+// non-consuming: an entry stays registered — pinned — until the consuming
+// stage commits (Commit) or the shuffle is dropped (Drop), so any number
+// of consumers (reduce retries, speculative twins) can fetch the same
+// output.
 //
 // Because a serve encodes the entry's buffer outside the lock, an entry
 // removed mid-serve cannot release its buffers immediately. The stage
@@ -186,25 +186,12 @@ func (s *outputStore) endServe(e *storeEntry) {
 // serveCopy serves the entry without consuming it — the executor-local
 // equivalent of a socket FETCH, so local and remote consumers see
 // identical multi-consumer semantics: the consumer decodes straight off
-// the frame's segment stream (open == nil materializes it as a Wire
-// payload); no intermediate frame buffer exists. A payload with no wire
-// form cannot be re-served; it falls back to the legacy consuming pointer
-// handover (a lost consumer there is recovered by lineage, not re-fetch).
+// the frame's segment stream; no intermediate frame buffer exists.
 func (s *outputStore) serveCopy(id MapOutputID, open FrameOpen) (Payload, bool, error) {
-	s.mu.Lock()
-	e, ok := s.m[id]
+	p, e, ok := s.beginServe(id)
 	if !ok {
-		s.mu.Unlock()
 		return Payload{}, false, nil
 	}
-	if e.p.Encode == nil && e.p.Segments == nil {
-		p, _ := s.removeLocked(id)
-		s.mu.Unlock()
-		return p, true, nil
-	}
-	e.serving++
-	p := e.p
-	s.mu.Unlock()
 	defer s.endServe(e)
 
 	fs, err := p.frame()
@@ -212,9 +199,6 @@ func (s *outputStore) serveCopy(id MapOutputID, open FrameOpen) (Payload, bool, 
 		return Payload{}, false, fmt.Errorf("transport: encoding %v: %w", id, err)
 	}
 	defer fs.Release()
-	if open == nil {
-		open = wireOpen
-	}
 	dec, err := open(bufio.NewReader(newSegmentsReader(fs)), fs.Len())
 	if err != nil {
 		return Payload{}, false, fmt.Errorf("transport: decoding %v: %w", id, err)

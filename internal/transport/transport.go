@@ -1,26 +1,21 @@
 // Package transport is the shuffle-data seam between executors: map tasks
 // register their per-reduce-partition output buffers here, and reduce
 // tasks — possibly running on a different executor — fetch them. The
-// engine sees only the Transport interface, so the in-process
-// implementation (this package's InProcess) can later be swapped for a
-// networked one without touching the scheduler or the shuffle operators;
-// the interface is deliberately payload-agnostic because the shuffle
-// buffers are generic types the engine casts back on arrival.
+// engine sees only the Transport interface; the one implementation is
+// Plane, and a deployment is a construction of it (NewInProcess, NewTCP,
+// NewRemote). The interface is deliberately payload-agnostic because the
+// shuffle buffers are generic types the engine casts back on arrival.
 //
 // Ownership rule (stage-commit protocol): a registered payload belongs to
 // the transport until the driver commits the consuming stage (Commit) or
-// the shuffle is dropped (Drop).
-// Fetch serves a *copy* — an encoded wire frame the consumer decodes into
-// its own memory — and never consumes the registration, so any number of
-// consumers (reduce retries after a mid-merge failure, speculative twins)
-// can fetch the same output. Commit/Drop return whatever was still
-// registered so the caller can release those buffers — the lifetime end
-// of every map output is one of those two calls, never a fetch. The
-// one exception is a payload with no wire form (Encode and Segments both
-// nil): it cannot be copied, so fetching it consumes the registration as
-// under the old single-consumer rule, and a consumer that dies with it is
-// recovered by lineage (re-running the producing map task) rather than
-// re-fetch.
+// the shuffle is dropped (Drop). Fetch serves a *copy* — an encoded wire
+// frame the consumer decodes into its own memory — and never consumes the
+// registration, so any number of consumers (reduce retries after a
+// mid-merge failure, speculative twins) can fetch the same output.
+// Commit/Drop return whatever was still registered so the caller can
+// release those buffers — the lifetime end of every map output is one of
+// those two calls, never a fetch. A payload that cannot be framed is
+// rejected at Register.
 package transport
 
 import (
@@ -62,8 +57,8 @@ type Payload struct {
 	// re-invocable and safe for concurrent use (it reads the buffer, it
 	// never drains it); the registered Data must not be mutated while
 	// registered. A serve stages what Encode writes into a FrameSegments;
-	// it is ignored when Segments is set. With both nil the payload has no
-	// wire form, and fetching it consumes it (single-consumer fallback).
+	// it is ignored when Segments is set. Register rejects a payload with
+	// neither.
 	Encode func(w io.Writer) error
 	// Segments builds the frame as wire-order segments (staged headers,
 	// in-place container pages, spill files), so the serve path can
@@ -84,7 +79,7 @@ func (p Payload) frame() (*FrameSegments, error) {
 		return p.Segments()
 	}
 	if p.Encode == nil {
-		return nil, errors.New("transport: payload has no wire form")
+		return nil, errors.New("transport: payload has neither Segments nor Encode")
 	}
 	fs := NewFrameSegments()
 	if err := p.Encode(fs); err != nil {
@@ -119,12 +114,6 @@ type Decoded struct {
 // already be released.
 type FrameOpen func(r FrameReader, size int64) (Decoded, error)
 
-// Wire is the Data of a payload fetched without an opener: the raw bytes
-// of the source payload's frame, which the transport never interprets.
-type Wire struct {
-	Frame []byte
-}
-
 // Stats counts transport traffic. A fetch is "local" when the requesting
 // executor is the one that registered the output, "remote" otherwise —
 // the cross-executor shuffle traffic a real network would pay for.
@@ -146,35 +135,35 @@ type Stats struct {
 
 // Transport moves shuffle map output between executors.
 type Transport interface {
-	// Register publishes a map output. Registering the same id twice
-	// replaces the entry (task retry semantics) and returns the payload it
-	// displaced with replaced=true, so the caller can release the old
-	// buffers instead of leaking them. A displaced entry that is mid-serve
-	// is released by the transport once the serve ends (replaced=false).
-	Register(id MapOutputID, p Payload) (prev Payload, replaced bool)
+	// Register publishes a map output, handing p to the transport whether
+	// or not it succeeds: a rejected payload — one with neither Segments nor
+	// Encode, one whose source executor has no node in this process, one
+	// whose location could not be published — is released before Register
+	// returns the error. Registering the same id twice replaces the entry
+	// (task retry semantics) and returns the payload it displaced with
+	// replaced=true, so the caller can release the old buffers instead of
+	// leaking them. A displaced entry that is mid-serve is released by the
+	// transport once the serve ends (replaced=false).
+	Register(id MapOutputID, p Payload) (prev Payload, replaced bool, err error)
 	// Fetch serves the output to the reduce task running on dstExecutor
-	// without consuming the registration, while the source stays pinned
-	// for other consumers until Commit/Drop. With a non-nil open,
-	// the frame is decoded as it streams (never materialized whole): the
-	// returned payload's Data/MemBytes come from the opener's Decoded and
-	// Bytes is the frame length. With open == nil the returned payload is
-	// a Wire-framed copy (Data holding the encoded frame bytes). ok=false
-	// with a nil error means nothing is registered under id (definitively
-	// missing — lineage must re-run the producing map task); a non-nil
-	// error is a transient fault (socket error, timeout, decode fault,
-	// injected fault) that left the registration intact, so the caller
-	// may retry. Payloads without a wire form are handed over by pointer
-	// and consumed (see the package ownership rule).
+	// without consuming the registration, which stays pinned for other
+	// consumers until Commit/Drop. The frame is decoded by open as it
+	// streams (never materialized whole): the returned payload's
+	// Data/MemBytes come from the opener's Decoded and Bytes is the frame
+	// length. ok=false with a nil error means nothing is registered under
+	// id (definitively missing — lineage must re-run the producing map
+	// task); a non-nil error is a fault that left the registration intact
+	// (socket error, timeout, decode fault, injected fault, a closed
+	// transport), so the caller may retry.
 	Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload, bool, error)
 	// Commit ends the listed outputs' lifetime after their consuming stage
 	// committed: the registrations are removed and the still-registered
-	// payloads returned for the caller to release. The in-process and TCP
-	// transports return only after the serves in flight on those entries
-	// have ended, so the release settles the memory ledgers.
+	// payloads this process holds returned for the caller to release. It
+	// returns only after the serves in flight on those entries have ended,
+	// so the release settles the memory ledgers.
 	Commit(ids []MapOutputID) []Payload
 	// Drop removes every output of the shuffle still registered and
-	// returns them, so the caller can release the buffers (terminal
-	// shuffle teardown).
+	// returns them as Commit does (terminal shuffle teardown).
 	Drop(shuffle ShuffleID) []Payload
 	// Stats snapshots the traffic counters.
 	Stats() Stats

@@ -44,9 +44,6 @@ type Config struct {
 	// ShuffleSpillThreshold forces shuffle spilling at a per-buffer byte
 	// bound (<0 disables; 0 derives from budget).
 	ShuffleSpillThreshold int64
-	// FetchConcurrency bounds concurrent map-output fetches per reduce
-	// task (0 = engine default; 1 = a single fetcher, depth-1 pipeline).
-	FetchConcurrency int
 	// TransportKind selects how shuffle map output crosses executors
 	// (default the in-process registry; engine.TransportTCP moves wire
 	// frames over loopback sockets).
@@ -57,13 +54,6 @@ type Config struct {
 	MaxExecutorFailures int
 	// SpeculationEnabled duplicates straggler map tasks.
 	SpeculationEnabled bool
-	// SpeculateReduce extends speculation to reduce stages (their serving
-	// is non-consuming under the stage-commit protocol, so twins are
-	// safe; the loser's merge is cancelled and released).
-	SpeculateReduce bool
-	// BlacklistProbationAfter re-admits a blacklisted executor with one
-	// probe task after this long (0 = blacklisting is permanent).
-	BlacklistProbationAfter time.Duration
 	// Chaos injects deterministic faults (nil = none).
 	Chaos *chaos.Injector `json:"-"`
 	// FetchFailureRate injects transient data-plane fetch faults *inside
@@ -124,28 +114,25 @@ func (c Config) chaosInjector() *chaos.Injector {
 
 func (c Config) newEngine() *engine.Context {
 	return engine.New(engine.Config{
-		NumExecutors:            c.NumExecutors,
-		Parallelism:             c.Parallelism,
-		NumPartitions:           c.Partitions,
-		Mode:                    c.Mode,
-		PageSize:                c.PageSize,
-		MemoryBudget:            c.MemoryBudget,
-		StorageFraction:         c.StorageFraction,
-		SpillDir:                c.SpillDir,
-		ShuffleSpillThreshold:   c.ShuffleSpillThreshold,
-		FetchConcurrency:        c.FetchConcurrency,
-		TransportKind:           c.TransportKind,
-		MaxTaskRetries:          c.MaxTaskRetries,
-		MaxExecutorFailures:     c.MaxExecutorFailures,
-		SpeculationEnabled:      c.SpeculationEnabled,
-		SpeculateReduce:         c.SpeculateReduce,
-		BlacklistProbationAfter: c.BlacklistProbationAfter,
-		Chaos:                   c.chaosInjector(),
-		DeployKind:              c.Deploy,
-		ExecutorCmd:             c.ExecutorCmd,
-		CtlFollower:             c.Follower,
-		OpsAddr:                 c.OpsAddr,
-		TraceOut:                c.TraceOut,
+		NumExecutors:          c.NumExecutors,
+		Parallelism:           c.Parallelism,
+		NumPartitions:         c.Partitions,
+		Mode:                  c.Mode,
+		PageSize:              c.PageSize,
+		MemoryBudget:          c.MemoryBudget,
+		StorageFraction:       c.StorageFraction,
+		SpillDir:              c.SpillDir,
+		ShuffleSpillThreshold: c.ShuffleSpillThreshold,
+		TransportKind:         c.TransportKind,
+		MaxTaskRetries:        c.MaxTaskRetries,
+		MaxExecutorFailures:   c.MaxExecutorFailures,
+		SpeculationEnabled:    c.SpeculationEnabled,
+		Chaos:                 c.chaosInjector(),
+		DeployKind:            c.Deploy,
+		ExecutorCmd:           c.ExecutorCmd,
+		CtlFollower:           c.Follower,
+		OpsAddr:               c.OpsAddr,
+		TraceOut:              c.TraceOut,
 	})
 }
 
