@@ -61,25 +61,34 @@ func recoverErr(err *error) {
 	}
 }
 
+// partRecords is the partial Collect and CollectMap share: one partition's
+// records in order, append-grown.
+func partRecords[T any](d *Dataset[T]) func(p int, _ *Executor) ([]T, error) {
+	return func(p int, _ *Executor) ([]T, error) {
+		var out []T
+		if err := d.Iterate(p, func(v T) bool {
+			out = append(out, v)
+			return true
+		}); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+}
+
+// partsLen is the record count of a set of partials.
+func partsLen[T any](ps [][]T) (total int) {
+	for _, part := range ps {
+		total += len(part)
+	}
+	return total
+}
+
 // Collect gathers all records in partition order.
 func Collect[T any](d *Dataset[T]) ([]T, error) {
-	return runAction(d.ctx, d.parts,
-		func(p int, _ *Executor) ([]T, error) {
-			var out []T
-			if err := d.Iterate(p, func(v T) bool {
-				out = append(out, v)
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			return out, nil
-		},
+	return runAction(d.ctx, d.parts, partRecords(d),
 		func(ps [][]T) []T {
-			total := 0
-			for _, part := range ps {
-				total += len(part)
-			}
-			all := slices.Grow([]T(nil), total) // nil stays nil for an empty dataset
+			all := slices.Grow([]T(nil), partsLen(ps)) // nil stays nil for an empty dataset
 			for _, part := range ps {
 				all = append(all, part...)
 			}
@@ -88,31 +97,16 @@ func Collect[T any](d *Dataset[T]) ([]T, error) {
 }
 
 // CollectMap gathers a keyed dataset into a map (duplicate keys keep the
-// value from the highest partition holding them).
+// value from the highest partition holding them). The partials are record
+// lists, so the one map built is the result, sized for disjoint partials
+// (a shuffled dataset's partitions share no key).
 func CollectMap[K comparable, V any](d *Dataset[decompose.Pair[K, V]]) (map[K]V, error) {
-	return runAction(d.ctx, d.parts,
-		func(p int, _ *Executor) (map[K]V, error) {
-			local := make(map[K]V)
-			if err := d.Iterate(p, func(kv decompose.Pair[K, V]) bool {
-				local[kv.Key] = kv.Value
-				return true
-			}); err != nil {
-				return nil, err
-			}
-			return local, nil
-		},
-		func(ps []map[K]V) map[K]V {
-			// Sized for disjoint partials (a shuffled dataset's partitions
-			// share no key): growing by doubling rehashes the whole result
-			// several times over.
-			total := 0
-			for _, local := range ps {
-				total += len(local)
-			}
-			out := make(map[K]V, total)
-			for _, local := range ps {
-				for k, v := range local {
-					out[k] = v
+	return runAction(d.ctx, d.parts, partRecords(d),
+		func(ps [][]decompose.Pair[K, V]) map[K]V {
+			out := make(map[K]V, partsLen(ps))
+			for _, part := range ps {
+				for _, kv := range part {
+					out[kv.Key] = kv.Value
 				}
 			}
 			return out

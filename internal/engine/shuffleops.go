@@ -497,8 +497,7 @@ type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 	// derive it from the same Config and PairOps.
 	deca   bool
 	newBuf func(ex *Executor) (S, error)
-	// stage opens a fetched Deca frame, decode an Object one (wireCodec).
-	stage  func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error)
+	// decode opens a fetched Object frame (wireCodec).
 	decode func(r shuffle.WireReader) (S, error)
 	drain  func(s S, yield func(T) bool) error
 	// put re-inserts one drained record: Deca map outputs reach the reduce
@@ -528,7 +527,7 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	missing := ""
 	switch {
 	case sh.deca:
-		codec = wireCodec[S]{stage: sh.stage}
+		codec = wireCodec[S]{spillDir: ctx.conf.SpillDir}
 	case ops.KeySer == nil:
 		missing = "KeySer"
 	case ops.ValSer == nil:
@@ -603,9 +602,6 @@ func ReduceByKey[K comparable, V any](
 			}
 			return shuffle.NewObjectAgg(combine, cfg), nil
 		},
-		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaAgg(r, ex.mem, dir)
-		},
 		decode: func(r shuffle.WireReader) (aggSink[K, V], error) {
 			return shuffle.DecodeObjectAgg(r, combine, cfg)
 		},
@@ -632,9 +628,6 @@ func GroupByKey[K comparable, V any](
 				return shuffle.NewDecaGroup(ex.mem, ops.KeyCodec, ops.ValCodec, dir), nil
 			}
 			return shuffle.NewObjectGroup(cfg), nil
-		},
-		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaGroup(r, ex.mem, ops.KeyCodec.FixedSize(), dir)
 		},
 		decode: func(r shuffle.WireReader) (groupSink[K, V], error) {
 			return shuffle.DecodeObjectGroup(r, cfg)
@@ -667,9 +660,6 @@ func SortByKey[K comparable, V any](
 				return shuffle.NewDecaSort(ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, dir), nil
 			}
 			return shuffle.NewObjectSort(ops.Key.Less, cfg), nil
-		},
-		stage: func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error) {
-			return shuffle.StageDecaSort(r, ex.mem, dir)
 		},
 		decode: func(r shuffle.WireReader) (sortSink[K, V], error) {
 			return shuffle.DecodeObjectSort(r, ops.Key.Less, cfg)

@@ -19,17 +19,16 @@ import (
 // so the pinned source stays private to its holder.
 
 // wireCodec is one shuffle's codec-registry entry for sink type S: how a
-// frame streaming off r opens inside executor ex. Exactly one of the two
-// is set.
+// frame streaming off r opens inside executor ex.
 type wireCodec[S any] struct {
-	// stage is the Deca half: the fetch worker stages a frame into flat
-	// arenas plus restored pages in ex's manager — no container, no map —
-	// and the reduce task folds it into its merged buffer (a
-	// stagedFolder), in map order.
-	stage func(r shuffle.WireReader, ex *Executor) (*shuffle.Staged, error)
 	// decode is the Object half: the frame deserializes record by record
 	// into a full container the reduce task drains into its merged buffer.
-	decode func(r shuffle.WireReader) (S, error)
+	// The Deca half has none: the fetch worker stages the frame
+	// (shuffle.Stage) as restored pages in ex's manager, its spill runs in
+	// spillDir — no container, no map — and the reduce task folds it into
+	// its merged buffer (a stagedFolder), in map order.
+	decode   func(r shuffle.WireReader) (S, error)
+	spillDir string
 }
 
 // The sink-side encode seams, attached by interface assertion: Deca
@@ -64,9 +63,9 @@ func (wc wireCodec[S]) open(pl transport.Payload) (S, error) {
 // to Transport.Fetch: the codec's stager or decoder run against the wire
 // stream, reporting the result's own footprint for fetch budgeting.
 func (wc wireCodec[S]) frameOpen(ex *Executor) transport.FrameOpen {
-	if wc.stage != nil {
+	if wc.decode == nil {
 		return func(r transport.FrameReader, _ int64) (transport.Decoded, error) {
-			st, err := wc.stage(r, ex)
+			st, err := shuffle.Stage(r, ex.mem, wc.spillDir)
 			if err != nil {
 				return transport.Decoded{}, err
 			}

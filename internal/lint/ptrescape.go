@@ -21,8 +21,10 @@ import (
 //     lifetime is unknowable statically);
 //   - straight-line use after Release: once g.Release() executes, later
 //     statements on the same path must not touch g or byte slices
-//     obtained from it. (Reset is deliberately not tracked: the
-//     spill-restart pattern reuses a Group after Reset.)
+//     obtained from it — g a Group, or a Slab (a container's index
+//     table, manager memory like the pages it points into). (Reset is
+//     deliberately not tracked: the spill-restart pattern reuses a Group
+//     after Reset.)
 //   - observability payloads: a struct that carries deca/internal/obs
 //     types (an event, a batch of events, a Kind) is instrumentation
 //     data, and may carry page or group *identifiers* only — a
@@ -301,9 +303,10 @@ func containsPtr(t types.Type, seen map[types.Type]bool) bool {
 // Straight-line use-after-Release.
 //
 
-// checkUseAfterRelease walks a function body tracking Groups released by
-// a direct g.Release() statement; any later reference to g — or to a
-// byte slice previously derived from g — on the same path is flagged.
+// checkUseAfterRelease walks a function body tracking Groups and Slabs
+// released by a direct g.Release() statement; any later reference to g —
+// or to a byte slice previously derived from g — on the same path is
+// flagged.
 // Branches are walked with a copy of the released set, so a conditional
 // release does not poison the join.
 func checkUseAfterRelease(p *Pass, body *ast.BlockStmt) {
@@ -380,8 +383,14 @@ func cloneSet(m map[types.Object]bool) map[types.Object]bool {
 	return c
 }
 
+// isPageMemory reports whether t is one of the two owners of manager
+// memory: a page group or a slab.
+func isPageMemory(t types.Type) bool {
+	return isNamed(t, memoryPkg, "Group") || isNamed(t, memoryPkg, "Slab")
+}
+
 // groupReleaseTarget matches a statement-level g.Release() where g is a
-// *memory.Group variable, returning g's object.
+// *memory.Group or memory.Slab variable, returning g's object.
 func groupReleaseTarget(p *Pass, e ast.Expr) types.Object {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
@@ -392,14 +401,14 @@ func groupReleaseTarget(p *Pass, e ast.Expr) types.Object {
 		return nil
 	}
 	obj := identObj(p.Pkg.Info, sel.X)
-	if obj == nil || !isNamed(obj.Type(), memoryPkg, "Group") {
+	if obj == nil || !isPageMemory(obj.Type()) {
 		return nil
 	}
 	return obj
 }
 
-// byteDerivation matches g.Alloc/Bytes/CheckedBytes/Page calls,
-// returning g's object so the byte result is tied to the group.
+// byteDerivation matches g.Alloc/Bytes/CheckedBytes/Page calls (Bytes is
+// a Slab's too), returning g's object so the byte result is tied to it.
 func byteDerivation(p *Pass, e ast.Expr) types.Object {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -415,7 +424,7 @@ func byteDerivation(p *Pass, e ast.Expr) types.Object {
 		return nil
 	}
 	obj := identObj(p.Pkg.Info, sel.X)
-	if obj == nil || !isNamed(obj.Type(), memoryPkg, "Group") {
+	if obj == nil || !isPageMemory(obj.Type()) {
 		return nil
 	}
 	return obj
@@ -435,14 +444,22 @@ func reportReleasedUses(p *Pass, n ast.Node, released map[types.Object]bool, der
 			return true
 		}
 		if released[obj] {
-			p.Reportf(id.Pos(), "use of group %q after Release on this path", id.Name)
+			p.Reportf(id.Pos(), "use of %s %q after Release on this path", memoryKind(obj), id.Name)
 			delete(released, obj) // one report per object per path
 		} else if src, ok := derived[obj]; ok && released[src] {
-			p.Reportf(id.Pos(), "use of %q, page bytes of group %q, after the group's Release", id.Name, src.Name())
+			p.Reportf(id.Pos(), "use of %q, bytes of %s %q, after its Release", id.Name, memoryKind(src), src.Name())
 			delete(derived, obj)
 		}
 		return true
 	})
+}
+
+// memoryKind names what obj is for a diagnostic: "group" or "slab".
+func memoryKind(obj types.Object) string {
+	if isNamed(obj.Type(), memoryPkg, "Slab") {
+		return "slab"
+	}
+	return "group"
 }
 
 // reportReleasedUsesStmt applies the ident scan to statements with no

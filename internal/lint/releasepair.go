@@ -9,7 +9,7 @@ import (
 
 // ReleasePair enforces the engine's paired-release discipline: a value
 // returned by an owned-resource producer — Manager.NewGroup,
-// Manager.RestoreGroup, DecaBlockFor's release func, and any constructor
+// Manager.NewSlab, Manager.RestoreGroup, DecaBlockFor's release func, and any constructor
 // annotated //deca:owns — must, on every path out of the acquiring
 // function, either be released (x.Release(), or calling the returned
 // release func, directly or deferred) or be handed off: returned to the
@@ -43,6 +43,7 @@ var ReleasePair = &Analyzer{
 // elsewhere join the set with a //deca:owns annotation.
 var builtinOwns = map[string]bool{
 	"deca/internal/memory.Manager.NewGroup":     true,
+	"deca/internal/memory.Manager.NewSlab":      true,
 	"deca/internal/memory.Manager.RestoreGroup": true,
 	"deca/internal/engine.DecaBlockFor":         true,
 	"deca/internal/transport.NewFrameSegments":  true,
@@ -329,7 +330,7 @@ func (w *releaseWalker) walkAssign(s *ast.AssignStmt, st ownMap) {
 		if obj := identObj(w.p.Pkg.Info, r); obj != nil {
 			if _, tracked := w.resources[obj]; tracked {
 				if st[obj] == stLive && i < len(s.Lhs) {
-					w.checkFieldStore(s.Lhs[i], obj)
+					w.checkFieldStore(s.Lhs[i], w.resources[obj].desc)
 				}
 				st[obj] = stDead
 				continue
@@ -348,20 +349,20 @@ func (w *releaseWalker) walkAssign(s *ast.AssignStmt, st ownMap) {
 	w.bindProducers(s.Lhs, s.Rhs, st)
 }
 
-// checkFieldStore requires //deca:owns on a field a live resource is
-// stored into.
-func (w *releaseWalker) checkFieldStore(lhs ast.Expr, obj types.Object) {
+// checkFieldStore requires //deca:owns on a field a live resource (desc
+// says which) is stored into; it reports whether lhs is a field at all.
+func (w *releaseWalker) checkFieldStore(lhs ast.Expr, desc string) bool {
 	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok {
-		return
+		return false
 	}
 	selection, ok := w.p.Pkg.Info.Selections[sel]
 	if !ok || selection.Kind() != types.FieldVal {
-		return
+		return false
 	}
 	field, ok := selection.Obj().(*types.Var)
 	if !ok || field.Pkg() == nil {
-		return
+		return false
 	}
 	owner := selection.Recv() // a promoted field is annotated where it is declared
 	for _, i := range selection.Index()[:len(selection.Index())-1] {
@@ -369,14 +370,15 @@ func (w *releaseWalker) checkFieldStore(lhs ast.Expr, obj types.Object) {
 	}
 	recv := namedType(owner)
 	if recv == nil {
-		return
+		return false
 	}
 	key := fieldKey(field.Pkg().Path(), recv.Obj().Name(), field.Name())
 	if !w.p.Ann.OwnsFields[key] {
 		w.p.Reportf(lhs.Pos(),
 			"owned %s stored into field %s.%s, which is not annotated //deca:owns; annotate the field or release the resource here",
-			w.resources[obj].desc, recv.Obj().Name(), field.Name())
+			desc, recv.Obj().Name(), field.Name())
 	}
+	return true
 }
 
 // bindProducers matches producer calls on the RHS to LHS identifiers.
@@ -424,6 +426,9 @@ func (w *releaseWalker) bindProducers(lhs, rhs []ast.Expr, st ownMap) {
 		return // resource bundled into a single multi-value context; out of scope
 	}
 	obj := identObj(w.p.Pkg.Info, lhs[resIdx])
+	if obj == nil && w.checkFieldStore(lhs[resIdx], "result of "+prodName) {
+		return // produced straight into a field: the field's owner holds it from here
+	}
 	if obj == nil || obj.Name() == "_" {
 		w.p.Reportf(call.Pos(),
 			"result of %s is an owned resource but is discarded; bind and release it", prodName)

@@ -66,7 +66,29 @@ func bytesAfterRelease(m *memory.Manager) byte {
 	g := m.NewGroup()
 	b, _ := g.Alloc(4)
 	g.Release()
-	return b[0] // want "page bytes"
+	return b[0] // want "bytes of group"
+}
+
+// True positive: an index table read after its slab went back to the pool.
+func slabBytesAfterRelease(m *memory.Manager) byte {
+	s := m.NewSlab(64)
+	table := s.Bytes()
+	s.Release()
+	return table[0] // want "bytes of slab"
+}
+
+// Negative: the doubling step — the old slab is released after the last
+// read of its table, and releasing it again is a no-op, not a use.
+func slabResize(m *memory.Manager) byte {
+	old := m.NewSlab(64)
+	table := old.Bytes()
+	next := m.NewSlab(128)
+	copy(next.Bytes(), table)
+	old.Release()
+	old.Release()
+	b := next.Bytes()[0]
+	next.Release()
+	return b
 }
 
 // Negative: rebinding the bytes first is fine.

@@ -101,6 +101,37 @@ func storeAnnotated(m *memory.Manager, o *owner) {
 	o.g = g
 }
 
+// index models the shuffle hash index: its table is a slab of manager
+// memory, an owned resource like the page group beside it.
+type index struct {
+	slab memory.Slab //deca:owns (fixture: returned by resize and by the embedder's Release)
+}
+
+// True positive: a slab taken and dropped on the error path.
+func slabLeak(m *memory.Manager, fail bool) error {
+	s := m.NewSlab(64)
+	if fail {
+		return errBoom // want "may not be released on this path"
+	}
+	s.Release()
+	return nil
+}
+
+// Negative: the doubling step — the new slab goes to the owning field, the
+// old one back to the manager.
+func (ix *index) resize(m *memory.Manager, n int) {
+	old := ix.slab
+	ix.slab = m.NewSlab(n)
+	old.Release()
+}
+
+// True positive: the same step into a field nobody owns.
+type looseIndex struct{ slab memory.Slab }
+
+func (ix *looseIndex) resize(m *memory.Manager, n int) {
+	ix.slab = m.NewSlab(n) // want "not annotated //deca:owns"
+}
+
 // store models the shuffle page store: the one owner of a page group,
 // embedded by every container and by a staged frame.
 type store struct {

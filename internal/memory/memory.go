@@ -16,6 +16,7 @@ package memory
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +31,10 @@ const DefaultPageSize = 1 << 20
 // Stats is a snapshot of manager counters.
 type Stats struct {
 	PageSize       int
-	PagesAllocated uint64 // pages created from the Go heap
-	PagesReused    uint64 // pages served from the free pool
-	PagesReleased  uint64 // pages returned by group release
-	BytesInUse     int64  // bytes of live pages (allocated to groups)
+	PagesAllocated uint64 // pages and slabs created from the Go heap
+	PagesReused    uint64 // pages and slabs served from the free pool
+	PagesReleased  uint64 // pages returned by group release, slabs by theirs
+	BytesInUse     int64  // bytes of live pages (allocated to groups) and slabs
 	BytesPooled    int64  // bytes parked in the free pool
 	LiveGroups     int64
 }
@@ -41,21 +42,22 @@ type Stats struct {
 // Manager allocates fixed-size pages, pools released ones, and tracks a
 // soft memory budget. It is safe for concurrent use.
 //
-// The pool keeps two free lists: standard-size pages in a LIFO stack
-// served by popping the tail (O(1) under the global mutex — the hot path
-// every shuffle buffer and cache block allocation takes), and the rare
-// oversized pages — dedicated pages for single objects larger than the
-// page size — in a separate, small list scanned only when an oversized
-// request arrives.
+// The pool keeps standard-size pages in a LIFO stack served by popping the
+// tail (O(1) under the global mutex — the hot path every shuffle buffer
+// and cache block allocation takes), and everything that is not a standard
+// page — the slabs containers keep their index tables in (Slab), a
+// restored frame's short last page, the rare oversized page of a single
+// object larger than the page size — as blocks in size classes, one per
+// power of two, searched only within the request's class. putBlock says
+// which blocks pool.
 type Manager struct {
 	pageSize int
 	limit    int64 // soft budget in bytes; 0 means unlimited
 
 	mu         sync.Mutex
-	free       [][]byte // standard-size pages; pop from the tail
-	freeBig    [][]byte // oversized pages; scanned only for oversized wants
-	pooledMax  int      // max standard pages kept in the pool
-	bigMax     int      // max oversized pages kept in the pool
+	free       [][]byte                // standard-size pages; pop from the tail
+	blocks     [bits.UintSize][][]byte // class c holds capacities in [2^c, 2^(c+1))
+	poolMax    int64                   // max bytes kept in the pool, pages and blocks together
 	inUse      int64
 	pooled     int64
 	allocated  uint64
@@ -85,15 +87,11 @@ func NewManager(pageSize int, limit int64) *Manager {
 	}
 	m := &Manager{pageSize: pageSize, limit: limit}
 	// Keep at most the budget's worth of pages pooled, or a generous
-	// default when unlimited. Oversized pages are exceptional by
-	// construction, so their pool stays small.
-	m.pooledMax = 1024
-	if limit > 0 {
-		if n := int(limit / int64(pageSize)); n > 0 {
-			m.pooledMax = n
-		}
+	// default when unlimited.
+	m.poolMax = 1024 * int64(pageSize)
+	if n := limit / int64(pageSize); n > 0 {
+		m.poolMax = n * int64(pageSize)
 	}
-	m.bigMax = 16
 	return m
 }
 
@@ -134,44 +132,58 @@ func (m *Manager) Stats() Stats {
 
 // getPage returns a zero-length page with capacity ≥ want (normally the
 // page size; larger only for oversized single objects). Standard requests
-// pop the free stack's tail — O(1); only oversized requests scan the
-// (small, separate) oversized pool.
+// pop the free stack's tail — O(1); an oversized one is a block of its own.
 func (m *Manager) getPage(want int) []byte {
-	m.mu.Lock()
-	if want <= m.pageSize {
-		if n := len(m.free); n > 0 {
-			p := m.free[n-1]
-			m.free[n-1] = nil
-			m.free = m.free[:n-1]
-			m.pooled -= int64(cap(p))
-			m.reused++
-			m.inUse += int64(cap(p))
-			m.mu.Unlock()
-			return p[:0]
-		}
-		m.allocated++
-		allocated := m.allocated
-		m.inUse += int64(m.pageSize)
-		m.mu.Unlock()
-		m.rec.Record(obs.Event{
-			Kind: obs.KindPageAlloc, Exec: m.recExec,
-			A: int64(allocated), B: int64(m.pageSize),
-		})
-		return make([]byte, 0, m.pageSize)
+	if want > m.pageSize {
+		b, _ := m.getBlock(want)
+		return b
 	}
-	// Oversized: first fit in the dedicated pool.
-	for i := len(m.freeBig) - 1; i >= 0; i-- {
-		if cap(m.freeBig[i]) >= want {
-			p := m.freeBig[i]
-			m.freeBig[i] = m.freeBig[len(m.freeBig)-1]
-			m.freeBig[len(m.freeBig)-1] = nil
-			m.freeBig = m.freeBig[:len(m.freeBig)-1]
-			m.pooled -= int64(cap(p))
-			m.reused++
-			m.inUse += int64(cap(p))
-			m.mu.Unlock()
-			return p[:0]
+	m.mu.Lock()
+	if n := len(m.free); n > 0 {
+		p := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		m.pooled -= int64(cap(p))
+		m.reused++
+		m.inUse += int64(cap(p))
+		m.mu.Unlock()
+		return p[:0]
+	}
+	m.allocated++
+	allocated := m.allocated
+	m.inUse += int64(m.pageSize)
+	m.mu.Unlock()
+	m.rec.Record(obs.Event{
+		Kind: obs.KindPageAlloc, Exec: m.recExec,
+		A: int64(allocated), B: int64(m.pageSize),
+	})
+	return make([]byte, 0, m.pageSize)
+}
+
+// getBlock returns a zero-length block with capacity ≥ want: the best fit
+// (the smallest that is large enough) among the pooled blocks of want's
+// size class, or a fresh — zeroed — one of exactly want bytes. Staying
+// inside the class bounds the waste at 2× and keeps a small request from
+// taking the large block a sibling is about to ask for.
+func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
+	m.mu.Lock()
+	class := &m.blocks[bits.Len(uint(want))-1]
+	best := -1
+	for i, b := range *class {
+		if cap(b) >= want && (best < 0 || cap(b) < cap((*class)[best])) {
+			best = i
 		}
+	}
+	if best >= 0 {
+		last := len(*class) - 1
+		b = (*class)[best]
+		(*class)[best], (*class)[last] = (*class)[last], nil
+		*class = (*class)[:last]
+		m.pooled -= int64(cap(b))
+		m.reused++
+		m.inUse += int64(cap(b))
+		m.mu.Unlock()
+		return b, false
 	}
 	m.allocated++
 	allocated := m.allocated
@@ -181,7 +193,34 @@ func (m *Manager) getPage(want int) []byte {
 		Kind: obs.KindPageAlloc, Exec: m.recExec,
 		A: int64(allocated), B: int64(want),
 	})
-	return make([]byte, 0, want)
+	return make([]byte, 0, want), true
+}
+
+// bigMax is how many oversized pages a size class keeps pooled.
+const bigMax = 16
+
+// putBlock takes a block back and pools it in its size class, within the
+// pool's byte bound, unless it is
+//   - a slab of more than half a page: a pooled block is live heap — the
+//     collector paces itself on twice its size — and a multi-page index
+//     table parked for a sibling that may never ask for it was measured to
+//     cost a job more peak heap than its reuse saved in allocation
+//     (EXPERIMENTS.md, "Allocation ledger");
+//   - an oversized page whose class already holds bigMax blocks.
+//
+// Called with m.mu held.
+func (m *Manager) putBlock(b []byte, slab bool) {
+	m.inUse -= int64(cap(b))
+	m.released++
+	class := &m.blocks[bits.Len(uint(cap(b)))-1]
+	switch {
+	case m.pooled+int64(cap(b)) > m.poolMax:
+	case slab && cap(b) > m.pageSize/2:
+	case cap(b) > m.pageSize && len(*class) >= bigMax:
+	default:
+		*class = append(*class, b[:0])
+		m.pooled += int64(cap(b))
+	}
 }
 
 // putPages returns pages to the pool (or drops them if the pool is full).
@@ -194,20 +233,59 @@ func (m *Manager) putPages(pages [][]byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range pages {
-		if cap(p) == 0 {
-			continue // a restored empty page never came from the pool
-		}
-		m.inUse -= int64(cap(p))
-		m.released++
 		switch {
-		case cap(p) == m.pageSize && len(m.free) < m.pooledMax:
-			m.free = append(m.free, p[:0])
-			m.pooled += int64(cap(p))
-		case cap(p) > m.pageSize && len(m.freeBig) < m.bigMax:
-			m.freeBig = append(m.freeBig, p[:0])
-			m.pooled += int64(cap(p))
+		case cap(p) == 0: // a restored empty page never came from the pool
+		case cap(p) != m.pageSize:
+			m.putBlock(p, false)
+		default:
+			m.inUse -= int64(cap(p))
+			m.released++
+			if m.pooled+int64(cap(p)) <= m.poolMax {
+				m.free = append(m.free, p[:0])
+				m.pooled += int64(cap(p))
+			}
 		}
 	}
+}
+
+// Slab is a block of manager memory that belongs to a container rather
+// than to its page group: the hash-index table over the group's records.
+// It is charged to the budget like a page and pooled on release if it is at
+// most half of one (putBlock), but comes in whatever size is asked for — a
+// 16-slot table does not cost a page — and is zeroed, whichever pool or heap
+// it came from. The zero Slab is
+// empty; Release is idempotent, so a container's double Release returns
+// the memory once.
+type Slab struct {
+	m   *Manager
+	buf []byte
+}
+
+// NewSlab returns a zeroed slab of n > 0 bytes.
+func (m *Manager) NewSlab(n int) Slab {
+	buf, fresh := m.getBlock(n)
+	if buf = buf[:n]; !fresh {
+		clear(buf)
+	}
+	return Slab{m: m, buf: buf}
+}
+
+// Bytes returns the slab's n bytes (nil once released), aligned as the Go
+// allocator aligns a byte slice of that size: to 8 bytes from n = 8 up.
+func (s *Slab) Bytes() []byte { return s.buf }
+
+// Footprint returns the bytes the manager charges for the slab.
+func (s *Slab) Footprint() int64 { return int64(cap(s.buf)) }
+
+// Release returns the memory to the manager's pool.
+func (s *Slab) Release() {
+	if s.buf == nil {
+		return
+	}
+	s.m.mu.Lock()
+	s.m.putBlock(s.buf, true)
+	s.m.mu.Unlock()
+	s.buf = nil
 }
 
 // Ptr locates the start of a byte segment within a page group: page index

@@ -142,8 +142,10 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 // page headers must not cost the manager more than they announce — but it
 // keeps its index slot: later pages' Ptrs count it. A page that fits the
 // pool's page size — every page but an oversized single object's — is
-// taken up front and filled in place. An oversized one is believed only as
-// far as its bytes arrive: the body is read into a buffer that doubles
+// taken up front and filled in place; nothing is appended to a restored
+// page, so a short one (a frame's last page, at most half a page) is a block
+// of its own size, not a page's worth of memory. An oversized one is
+// believed only as far as its bytes arrive: the body is read into a buffer that doubles
 // (never past n) and moves into its page once complete, so a header that
 // announces a gigabyte and delivers sixteen bytes costs one page size, not
 // the gigabyte.
@@ -152,7 +154,13 @@ func (m *Manager) restorePage(r io.Reader, n int) ([]byte, error) {
 		return nil, nil
 	}
 	if n <= m.pageSize {
-		page := m.getPage(n)[:n]
+		var page []byte
+		if n <= m.pageSize/2 {
+			page, _ = m.getBlock(n)
+		} else {
+			page = m.getPage(n)
+		}
+		page = page[:n]
 		_, err := io.ReadFull(r, page)
 		return page, err
 	}

@@ -141,9 +141,19 @@ func TestViewRingBound(t *testing.T) {
 	for i := range evs {
 		evs[i] = Event{Kind: KindServe, Exec: 0, B: 1, Nanos: int64(i + 1)}
 	}
-	v.Ingest(evs)
-	if got := len(v.Events()); got != 8 {
-		t.Errorf("retained %d events, want 8", got)
+	if cap(v.buf) != 0 {
+		t.Errorf("a view with no events holds a %d-event ring; it grows as events arrive", cap(v.buf))
+	}
+	v.Ingest(evs[:5]) // still growing,
+	v.Ingest(evs[5:]) // then full and wrapped one and a half times
+	got := v.Events()
+	if len(got) != 8 || cap(v.buf) > 8 {
+		t.Errorf("retained %d events in a ring of %d, want 8 in 8", len(got), cap(v.buf))
+	}
+	for i, e := range got {
+		if e.Nanos != int64(13+i) {
+			t.Errorf("retained event %d is #%d, want the last 8 in ingest order (#%d)", i, e.Nanos, 13+i)
+		}
 	}
 	if v.Dropped() != 12 {
 		t.Errorf("dropped = %d, want 12", v.Dropped())

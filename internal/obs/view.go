@@ -14,9 +14,9 @@ import (
 // events flow through.
 type View struct {
 	mu       sync.Mutex
-	buf      []Event
-	start    int
-	n        int
+	buf      []Event // append-grown up to capacity, a ring from there
+	capacity int
+	start    int // the oldest event, once the ring has wrapped
 	ingested uint64
 	dropped  uint64 // overwritten here, plus drops reported by recorders
 
@@ -84,11 +84,11 @@ func NewView(capacity int) *View {
 		capacity = defaultViewCapacity
 	}
 	return &View{
-		buf:    make([]Event, capacity),
-		stages: make(map[int32]*stageAgg),
-		execs:  make(map[int32]*execAgg),
-		occ:    make(map[int64][]OccupancyPoint),
-		occCap: 1024,
+		capacity: capacity,
+		stages:   make(map[int32]*stageAgg),
+		execs:    make(map[int32]*execAgg),
+		occ:      make(map[int64][]OccupancyPoint),
+		occCap:   1024,
 	}
 }
 
@@ -101,13 +101,12 @@ func (v *View) Ingest(evs []Event) {
 	defer v.mu.Unlock()
 	for _, e := range evs {
 		v.ingested++
-		if v.n == len(v.buf) {
+		if len(v.buf) < v.capacity {
+			v.buf = append(v.buf, e)
+		} else {
 			v.buf[v.start] = e
 			v.start = (v.start + 1) % len(v.buf)
 			v.dropped++
-		} else {
-			v.buf[(v.start+v.n)%len(v.buf)] = e
-			v.n++
 		}
 		v.aggregate(e)
 	}
@@ -228,11 +227,7 @@ func (v *View) Events() []Event {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	out := make([]Event, v.n)
-	for i := 0; i < v.n; i++ {
-		out[i] = v.buf[(v.start+i)%len(v.buf)]
-	}
-	return out
+	return append(append(make([]Event, 0, len(v.buf)), v.buf[v.start:]...), v.buf[:v.start]...)
 }
 
 // Dropped reports events lost to ring overwrites (here or upstream).

@@ -89,37 +89,198 @@ func (b *ObjectAgg[K, V]) Release() {
 	b.boxedStore.Release()
 }
 
+// keyedStore is what DecaAgg and DecaGroup are built on: a page store whose
+// key records,
+//
+//	uvarint (klen<<1 | flag) | key bytes (the key codec's encoding) | tail
+//
+// are appended once, never straddle a page and are found through an
+// aggIndex: no key survives as a Go object, and pages and index slab are
+// all the memory the container owns. Two keys are one iff their encodings
+// are byte-equal: Go's == for every built-in codec except on floats, where
+// +0 and -0 are two keys and equal-bit NaNs one. The tail is the container's
+// per-key state (DecaAgg: the value; DecaGroup: the value chain). A record
+// whose flag is set is no key record (DecaAgg: a dead one; DecaGroup: a
+// value node) and every walk skips it: the pages alone say what they hold.
+type keyedStore struct {
+	pageStore
+	idx   aggIndex
+	shape [2]recordShape // of a record, by its flag
+	kind  byte           // of the container's frame
+	// absorb is the container's walk over pages it just adopted at page
+	// base, whose header counts n key records: the body of Fold and
+	// MergeFrom.
+	absorb func(base, n int) error
+	// keyBuf is where Put encodes its key. One buffer per container: a
+	// stack array handed to the codec interface escapes, an allocation per
+	// record.
+	keyBuf []byte
+}
+
+// recordShape is what a walk holds a record to: the length its first part
+// must have (the codec's FixedSize; negative: any) and the size of its tail.
+type recordShape struct{ fixed, tail int }
+
+func newKeyedStore(mem *memory.Manager, spillDir string, kind byte, flag0, flag1 recordShape) keyedStore {
+	return keyedStore{pageStore: newPageStore(mem, spillDir), idx: aggIndex{mem: mem}, kind: kind, shape: [2]recordShape{flag0, flag1}}
+}
+
+// encodeKey returns k's encoding, valid until the next call.
+func encodeKey[K any](s *keyedStore, c decompose.Codec[K], k K) []byte {
+	n := s.shape[0].fixed
+	if n < 0 {
+		n = c.Size(k)
+	}
+	if n > cap(s.keyBuf) {
+		s.keyBuf = make([]byte, n, 2*n)
+	}
+	c.Encode(s.keyBuf[:n], k)
+	return s.keyBuf[:n]
+}
+
+// upsert returns the tail of key's record and the page the record lies in,
+// appending the record, its tail zeroed, when the key is new.
+func (s *keyedStore) upsert(key []byte) (tail []byte, page int32, fresh bool) {
+	tag, size := hashKey(key), s.shape[0].tail
+	tail, at, found := s.idx.find(s.group, tag, key, size)
+	if found {
+		return tail, s.idx.slots[at].ptr.Page, false
+	}
+	hd := uint64(len(key)) << 1
+	w := (bits.Len64(hd|1) + 6) / 7 // the header's uvarint width
+	rec, ptr := s.group.Alloc(w + len(key) + size)
+	binary.PutUvarint(rec, hd)
+	copy(rec[w:], key)
+	clear(rec[w+len(key):])
+	s.idx.insert(at, tag, ptr)
+	return rec[w+len(key):], ptr.Page, true
+}
+
+// Len returns the number of distinct keys in memory.
+func (s *keyedStore) Len() int { return s.idx.n }
+
+// SizeBytes returns what the buffer holds of its manager: the page
+// footprint plus the index slab.
+func (s *keyedStore) SizeBytes() int64 { return s.group.Footprint() + s.idx.slab.Footprint() }
+
+// Release frees the pages and spill files (pageStore.Release) and returns
+// the index slab. Idempotent.
+func (s *keyedStore) Release() {
+	s.idx.release()
+	s.pageStore.Release()
+}
+
+// EncodeSegments builds the container's frame. It has no table: the
+// records ride in the page snapshot, and the count says how many key
+// records are live.
+//
+//deca:owns
+func (s *keyedStore) EncodeSegments() (*transport.FrameSegments, error) {
+	return s.encodeSegments(s.kind, s.idx.n, nil)
+}
+
+// mergeFrom is the containers' MergeFrom: s adopts src's page group and
+// spill runs (pageStore.adopt) and absorbs the adopted pages' records —
+// nothing is decoded, nothing moves. s's Drain replays the transferred
+// runs like its own.
+func (s *keyedStore) mergeFrom(src *keyedStore) error {
+	if src == s {
+		return fmt.Errorf("shuffle: %s cannot merge from itself", kindName(s.kind))
+	}
+	if base, ok := s.adopt(&src.pageStore, src.idx.n); ok {
+		return s.absorb(base, src.idx.n)
+	}
+	return nil
+}
+
+// Fold merges a staged frame into the container — MergeFrom without a
+// source container. Fold consumes st on every path; a malformed record is
+// an error that leaves the container partially merged, for the caller to
+// release.
+//
+//deca:transfers
+func (s *keyedStore) Fold(st *Staged) error {
+	defer st.Release()
+	base, ok, err := s.adoptStaged(st, s.kind)
+	if !ok {
+		return err
+	}
+	return s.absorb(base, st.n)
+}
+
+// recordIter walks the records of a page group from page base on, or (g
+// nil) of one spill run. It trusts nothing it reads: a record that does not
+// fit the used bytes of its page, or whose length contradicts a fixed-size
+// codec, ends the walk with err naming the page (counted from base) and
+// offset.
+type recordIter struct {
+	shape           [2]recordShape
+	g               *memory.Group
+	base, page, off int
+	data            []byte     // the current page's used bytes, or the run
+	hd              uint64     // the current record: its header,
+	ptr             memory.Ptr // where it starts,
+	rec, key, val   []byte     // its bytes, and their two parts after the header
+	err             error
+}
+
+// records iterates the buffer's pages from page base on.
+func (s *keyedStore) records(base int) recordIter {
+	return recordIter{shape: s.shape, g: s.group, base: base, page: base - 1}
+}
+
+// step advances to the next record, whatever its flag.
+func (it *recordIter) step() bool {
+	for it.off >= len(it.data) {
+		if it.g == nil || it.page+1 >= it.g.NumPages() {
+			return false
+		}
+		it.page, it.off = it.page+1, 0
+		it.data = it.g.Page(it.page)
+	}
+	start := it.off
+	hd, w := binary.Uvarint(it.data[start:])
+	sh := it.shape[hd&1]
+	kl := min(hd>>1, uint64(len(it.data)))
+	ks := start + w
+	end := ks + int(kl) + sh.tail
+	if w <= 0 || end > len(it.data) || sh.fixed >= 0 && kl != uint64(sh.fixed) {
+		it.err = fmt.Errorf("shuffle: record at page %d offset %d (header %#x, codec size %d) does not fit the %d bytes in use",
+			it.page-it.base, start, hd, sh.fixed, len(it.data))
+		return false
+	}
+	it.off, it.hd = end, hd
+	it.ptr = memory.Ptr{Page: int32(it.page), Off: int32(start)}
+	it.rec, it.key, it.val = it.data[start:end], it.data[ks:ks+int(kl)], it.data[ks+int(kl):end]
+	return true
+}
+
+// next advances to the next key record: the next record whose flag is clear.
+func (it *recordIter) next() bool {
+	for it.step() {
+		if it.hd&1 == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // DecaAgg is the page-decomposed aggregation buffer (§4.3.2, Figure 7): a
 // pointer-free hash table (aggIndex) over page segments that hold the key
-// and the value. Each distinct key owns one record in the page group,
-//
-//	uvarint (klen<<1 | dead) | key bytes (the key codec's encoding) | value
-//
-// appended once and never straddling a page; every combine decodes,
-// combines and re-encodes the value *in place* — no allocation, no garbage,
-// and no key survives as a Go object. Two keys are the same key iff their
-// encodings are byte-equal: Go's == for every built-in codec except on
-// floats, where +0 and -0 are two keys and equal-bit NaNs are one. The dead
-// bit marks a record a merge combined into another of the same key
-// (absorb); every walk skips it, so the pages alone say what the buffer
-// holds.
+// and the value. Each distinct key owns one keyedStore record whose tail is
+// its value; every combine decodes, combines and re-encodes the value *in
+// place* — no allocation, no garbage. The flag marks a record dead: one a
+// merge combined into another of the same key (absorbPages).
 //
 // The value codec must be fixed-size (a StaticFixed classification); the
 // constructor enforces it because in-place reuse of a variable-size value
 // would corrupt neighbouring segments — the safety property §3 exists to
 // guarantee.
 type DecaAgg[K comparable, V any] struct {
-	pageStore
+	keyedStore
 	combine  func(V, V) V
 	keyCodec decompose.Codec[K]
 	valCodec decompose.Codec[V]
-	keySize  int // keyCodec.FixedSize(): negative when keys vary in size
-	valSize  int
-	idx      aggIndex
-	// keyBuf is where Put encodes its key. One buffer per container: a
-	// stack array handed to the codec interface escapes, an allocation per
-	// record.
-	keyBuf []byte
 }
 
 // NewDecaAgg returns a page-backed aggregation buffer. valCodec must
@@ -137,44 +298,15 @@ func NewDecaAgg[K comparable, V any](
 	if keyCodec == nil || valCodec.FixedSize() < 0 {
 		return nil, fmt.Errorf("shuffle: DecaAgg requires a key codec and a StaticFixed value codec")
 	}
-	return &DecaAgg[K, V]{
-		pageStore: newPageStore(mem, spillDir),
-		combine:   combine,
-		keyCodec:  keyCodec,
-		valCodec:  valCodec,
-		keySize:   keyCodec.FixedSize(),
-		valSize:   valCodec.FixedSize(),
-	}, nil
-}
-
-// encodeKey returns k's encoding, valid until the next call.
-func (b *DecaAgg[K, V]) encodeKey(k K) []byte {
-	n := b.keySize
-	if n < 0 {
-		n = b.keyCodec.Size(k)
+	shape := recordShape{fixed: keyCodec.FixedSize(), tail: valCodec.FixedSize()}
+	b := &DecaAgg[K, V]{
+		keyedStore: newKeyedStore(mem, spillDir, wireDecaAgg, shape, shape),
+		combine:    combine,
+		keyCodec:   keyCodec,
+		valCodec:   valCodec,
 	}
-	if n > cap(b.keyBuf) {
-		b.keyBuf = make([]byte, n, 2*n)
-	}
-	b.keyCodec.Encode(b.keyBuf[:n], k)
-	return b.keyBuf[:n]
-}
-
-// upsert returns the value segment of key's record, appending the record
-// first when the key is new (fresh: the segment is the caller's to fill).
-func (b *DecaAgg[K, V]) upsert(key []byte) (val []byte, fresh bool) {
-	tag := hashKey(key)
-	val, at, found := b.idx.find(b.group, tag, key, b.valSize)
-	if found {
-		return val, false
-	}
-	hd := uint64(len(key)) << 1
-	w := (bits.Len64(hd|1) + 6) / 7 // the header's uvarint width
-	rec, ptr := b.group.Alloc(w + len(key) + b.valSize)
-	binary.PutUvarint(rec, hd)
-	copy(rec[w:], key)
-	b.idx.insert(at, tag, ptr)
-	return rec[w+len(key):], true
+	b.absorb = b.absorbPages
+	return b, nil
 }
 
 // combineInto combines v into the value held in seg, in place.
@@ -185,66 +317,10 @@ func (b *DecaAgg[K, V]) combineInto(seg []byte, v V) {
 
 // Put eagerly combines v into k's record, reusing its segment in place.
 func (b *DecaAgg[K, V]) Put(k K, v V) {
-	if seg, fresh := b.upsert(b.encodeKey(k)); fresh {
+	if seg, _, fresh := b.upsert(encodeKey(&b.keyedStore, b.keyCodec, k)); fresh {
 		b.valCodec.Encode(seg, v)
 	} else {
 		b.combineInto(seg, v)
-	}
-}
-
-// Len returns the number of distinct keys in memory.
-func (b *DecaAgg[K, V]) Len() int { return b.idx.n }
-
-// SizeBytes returns the page footprint plus the index table's.
-func (b *DecaAgg[K, V]) SizeBytes() int64 {
-	return b.group.Footprint() + int64(cap(b.idx.slots))*aggSlotSize
-}
-
-// recordIter walks the live records of a page group from page base on, or
-// (g nil) of one spill run. It trusts nothing it reads: a record that does
-// not fit the used bytes of its page, or whose key contradicts a fixed-size
-// codec, ends the walk with err naming the page (counted from base) and
-// offset.
-type recordIter struct {
-	keySize, valSize int
-	g                *memory.Group
-	base, page, off  int
-	data             []byte     // the current page's used bytes, or the run
-	ptr              memory.Ptr // the current record: where it starts,
-	rec, key, val    []byte     // its bytes, and their two parts
-	err              error
-}
-
-// records iterates the buffer's pages from page base on.
-func (b *DecaAgg[K, V]) records(base int) recordIter {
-	return recordIter{keySize: b.keySize, valSize: b.valSize, g: b.group, base: base, page: base - 1}
-}
-
-func (it *recordIter) next() bool {
-	for {
-		for it.off >= len(it.data) {
-			if it.g == nil || it.page+1 >= it.g.NumPages() {
-				return false
-			}
-			it.page, it.off = it.page+1, 0
-			it.data = it.g.Page(it.page)
-		}
-		start := it.off
-		hd, w := binary.Uvarint(it.data[start:])
-		kl := min(hd>>1, uint64(len(it.data)))
-		ks := start + w
-		end := ks + int(kl) + it.valSize
-		if w <= 0 || end > len(it.data) || it.keySize >= 0 && kl != uint64(it.keySize) {
-			it.err = fmt.Errorf("shuffle: DecaAgg record at page %d offset %d (header %#x, key codec size %d) does not fit the %d bytes in use",
-				it.page-it.base, start, hd, it.keySize, len(it.data))
-			return false
-		}
-		it.off = end
-		if hd&1 == 0 {
-			it.ptr = memory.Ptr{Page: int32(it.page), Off: int32(start)}
-			it.rec, it.key, it.val = it.data[start:end], it.data[ks:ks+int(kl)], it.data[ks+int(kl):end]
-			return true
-		}
 	}
 }
 
@@ -265,8 +341,7 @@ func (b *DecaAgg[K, V]) Spill() error {
 		return it.err
 	})
 	if err == nil {
-		clear(b.idx.slots)
-		b.idx.n = 0
+		b.idx.reset()
 	}
 	return err
 }
@@ -276,9 +351,9 @@ func (b *DecaAgg[K, V]) Spill() error {
 // pair in record order, decoding a key only as it is yielded.
 func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
 	err := b.replay(func(run []byte) error {
-		it := recordIter{keySize: b.keySize, valSize: b.valSize, data: run}
+		it := recordIter{shape: b.shape, data: run}
 		for it.next() {
-			if seg, fresh := b.upsert(it.key); fresh {
+			if seg, _, fresh := b.upsert(it.key); fresh {
 				copy(seg, it.val)
 			} else {
 				v, _ := b.valCodec.Decode(it.val)
@@ -305,50 +380,31 @@ func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
 // output path: Deca "saves the cost of data (de-)serialization by directly
 // outputting the raw bytes" (§6.1).
 func (b *DecaAgg[K, V]) ValueBytes(k K) ([]byte, bool) {
-	key := b.encodeKey(k)
-	val, _, ok := b.idx.find(b.group, hashKey(key), key, b.valSize)
+	key := encodeKey(&b.keyedStore, b.keyCodec, k)
+	val, _, ok := b.idx.find(b.group, hashKey(key), key, b.shape[0].tail)
 	return val, ok
-}
-
-// EncodeSegments builds the DecaAgg frame. It has no table: the records
-// ride in the page snapshot, and the count says how many are live.
-//
-//deca:owns
-func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
-	return b.encodeSegments(wireDecaAgg, b.idx.n, nil)
 }
 
 // EncodeWire writes the buffer's wire frame to w.
 func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
 
-// MergeFrom folds src into b without decoding or re-encoding records: b
-// adopts src's page group and spill runs (pageStore.adopt) and absorbs the
-// adopted pages' records. b's Drain folds the transferred runs like its
-// own.
+// MergeFrom folds src into b without decoding or re-encoding records
+// (keyedStore.mergeFrom).
 //
 // Ownership contract: MergeFrom consumes src. The caller must Release src
 // afterwards and must not read it in between — records inside the adopted
 // pages may be mutated by b, and transferred spill files now belong to b.
 // Both buffers must share the codecs they were built with (the exchange
 // constructs them from one PairOps).
-func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error {
-	if src == b {
-		return fmt.Errorf("shuffle: DecaAgg cannot merge from itself")
-	}
-	if base, ok := b.adopt(&src.pageStore, src.idx.n); ok {
-		return b.absorb(base, src.idx.n)
-	}
-	return nil
-}
+func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error { return b.mergeFrom(&src.keyedStore) }
 
-// absorb indexes the records of the pages b just adopted at page base —
-// the one walk MergeFrom and Fold share. A new key's slot points at its
-// record where it lies; a collision combines the source value into b's
-// record in place and marks the source record dead. A slot only ever
-// points at a record the walk has checked against its page, and the walk
-// must find exactly n live ones. An empty b sizes its table from n first
-// (capped: n may be a hostile header).
-func (b *DecaAgg[K, V]) absorb(base, n int) error {
+// absorbPages indexes the records of the pages b just adopted at page base
+// (keyedStore.absorb). A new key's slot points at its record where it lies;
+// a collision combines the source value into b's record in place and marks
+// the source record dead. A slot only ever points at a record the walk has
+// checked against its page, and the walk must find exactly n live ones. An
+// empty b sizes its table from n first (capped: n may be a hostile header).
+func (b *DecaAgg[K, V]) absorbPages(base, n int) error {
 	if b.idx.n == 0 {
 		b.idx.reserve(min(n, stagePresize))
 	}
@@ -356,7 +412,7 @@ func (b *DecaAgg[K, V]) absorb(base, n int) error {
 	for it.next() {
 		live++
 		tag := hashKey(it.key)
-		if dst, at, found := b.idx.find(b.group, tag, it.key, b.valSize); found {
+		if dst, at, found := b.idx.find(b.group, tag, it.key, b.shape[0].tail); found {
 			v, _ := b.valCodec.Decode(it.val)
 			b.combineInto(dst, v)
 			it.rec[0] |= 1
@@ -368,25 +424,4 @@ func (b *DecaAgg[K, V]) absorb(base, n int) error {
 		return fmt.Errorf("shuffle: DecaAgg pages hold %d live records, their header says %d", live, n)
 	}
 	return it.err
-}
-
-// Fold merges a staged frame into b — MergeFrom without a source
-// container. Fold consumes st on every path; a malformed record is an
-// error that leaves b partially merged, for the caller to release.
-//
-//deca:transfers
-func (b *DecaAgg[K, V]) Fold(st *Staged) error {
-	defer st.Release()
-	base, ok, err := b.adoptStaged(st, wireDecaAgg)
-	if !ok {
-		return err
-	}
-	return b.absorb(base, st.n)
-}
-
-// Release frees the pages and spill files (pageStore.Release) and drops
-// the index.
-func (b *DecaAgg[K, V]) Release() {
-	b.idx = aggIndex{}
-	b.pageStore.Release()
 }

@@ -369,7 +369,7 @@ func benchAggStageFold[K comparable, V any](b *testing.B, kc decompose.Codec[K],
 			b.Fatal(err)
 		}
 		for _, frame := range frames {
-			st, err := StageDecaAgg(bytes.NewReader(frame), m, "")
+			st, err := Stage(bytes.NewReader(frame), m, "")
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -69,26 +69,23 @@ func TestDecaAggSpillIOError(t *testing.T) {
 	}
 }
 
-func TestDecaGroupSpillWithoutKeyCodec(t *testing.T) {
-	m := memory.NewManager(1024, 0)
-	b := NewDecaGroup[string, int64](m, nil, decompose.Int64Codec{}, "")
-	defer b.Release()
-	b.Put("k", 1)
-	if err := b.Spill(); err == nil {
-		t.Error("spill without key codec must fail")
-	}
-}
-
-// TestDecaAggRequiresKeyCodec: keys live in the pages in the codec's
-// encoding, so a buffer without one cannot exist (a DecaGroup without one
-// still can: it only fails to spill).
-func TestDecaAggRequiresKeyCodec(t *testing.T) {
+// TestDecaRequiresKeyCodec: keys live in the pages in the codec's
+// encoding, so a buffer without one cannot exist.
+func TestDecaRequiresKeyCodec(t *testing.T) {
 	m := memory.NewManager(1024, 0)
 	if b, err := NewDecaAgg[string, int64](m, addI, nil, decompose.Int64Codec{}, ""); err == nil {
 		b.Release()
 		t.Error("DecaAgg built without a key codec")
 	}
-	assertClean(t, m, t.TempDir(), "rejected constructor")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("DecaGroup built without a key codec")
+			}
+		}()
+		NewDecaGroup[string, int64](m, nil, decompose.Int64Codec{}, "").Release()
+	}()
+	assertClean(t, m, t.TempDir(), "rejected constructors")
 }
 
 // TestDecaAggFoldRejectsMalformedRecords: the fold walk trusts no record.
@@ -104,8 +101,8 @@ func TestDecaAggFoldRejectsMalformedRecords(t *testing.T) {
 		"key overruns the page":      "page 0 offset",
 		"header never ends":          "page 0 offset",
 		"value tail past the page":   "page 0 offset",
-		"key shorter than its codec": "page 0 offset 0 (header 0xe, key codec size 8)",
-		"key longer than its codec":  "page 0 offset 0 (header 0x12, key codec size 8)",
+		"key shorter than its codec": "page 0 offset 0 (header 0xe, codec size 8)",
+		"key longer than its codec":  "page 0 offset 0 (header 0x12, codec size 8)",
 	}
 	for _, c := range frameCases[:2] { // int64 and string keys
 		mem := memory.NewManager(4096, 0)
@@ -143,6 +140,70 @@ func TestDecaAggFoldRejectsMalformedRecords(t *testing.T) {
 			b.Release()
 			assertClean(t, mem, dir, c.name+": "+what)
 		}
+	}
+}
+
+// TestDecaGroupFoldRejectsMalformedChains: the group fold holds the pages
+// it adopts to account as a whole. Each corruption of a key record, a node
+// or a link is an error that says what is wrong — at the fold, or for the
+// one the fold's sums cannot see, at the drain — and a destination that
+// held a key of its own can still be drained (or refuse to be) without a
+// panic or a walk that never ends, and released without a leak.
+func TestDecaGroupFoldRejectsMalformedChains(t *testing.T) {
+	wantErr := map[string]string{
+		"count one too many":                "40 live keys, their header says 41",
+		"count one too few":                 "40 live keys, their header says 39",
+		"key record counted dead":           "39 live keys",
+		"count disagrees with the nodes":    "count 80 values, their pages hold 79",
+		"link past the restored group":      "links do not reach",
+		"link past the page":                "links do not reach",
+		"link to a negative page":           "page 0 off 0 links back to page -1",
+		"link into the middle of a record":  "links do not reach",
+		"tail into the middle of a record":  "links do not reach",
+		"cycle of two nodes":                "page 0 off 92 links back to page 0 off 75",
+		"node linked to itself":             "page 0 off 92 links back to page 0 off 92",
+		"head links back to its own record": "page 0 off 46 links back to page 0 off 46",
+		"two chains share a node":           "links do not reach",
+		"tail is not the chain's end":       "links do not reach",
+		"counts swapped between keys":       "chain of the key at page 0 off 46 does not end",
+		"key shorter than its codec":        "page 0 offset 0 (header 0xe, codec size 8)",
+		"value longer than its codec":       "page 0 offset 29 (header 0x13, codec size 8)",
+		"header never ends":                 "page 0 offset 109",
+	}
+	c := frameCases[2]
+	mem := memory.NewManager(4096, 0)
+	dir := t.TempDir()
+	frames := hostileFrames(t, c)
+	for what, want := range wantErr {
+		frame, ok := frames[what]
+		if !ok {
+			t.Fatalf("no hostile frame %q", what)
+		}
+		if err := c.stageFold(frame, mem, dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: fold and drain returned %v, want an error naming %q", what, err, want)
+		}
+		b := NewDecaGroup[int64, int64](mem, i64, i64, dir)
+		b.Put(-1, 5)
+		st, err := c.stage(frame, mem, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := b.Fold(st) != nil
+		own := 0
+		err = b.Drain(func(k int64, vs []int64) bool {
+			if k == -1 && len(vs) == 1 && vs[0] == 5 {
+				own++
+			}
+			return true
+		})
+		if !failed && err == nil {
+			t.Errorf("%s: folded and drained by a buffer holding a key", what)
+		}
+		if err == nil && own != 1 {
+			t.Errorf("%s: the drain went through but the destination's own key came out %d times", what, own)
+		}
+		b.Release()
+		assertClean(t, mem, dir, what)
 	}
 }
 

@@ -9,22 +9,34 @@ import (
 	"deca/internal/memory"
 )
 
-// goldenFrames pins the Deca wire format byte for byte. The group and sort
-// frames were written by the buffered EncodeWire that EncodeSegments
-// replaced — the independent reference the two-writer equivalence tests
-// used to compare against; each holds a single key, so map iteration
-// cannot reorder its table, carries one spill run and spans two 32-byte
-// pages. The agg frame was re-captured when DecaAgg's keys moved into its
-// pages (the frame lost its table): kind | 3 live records | 3 pages, each
-// one record 0x10 (an 8-byte key, live) | key | value — keys 7, 9, 3 in
-// insertion order | one 34-byte spill run of two such records (keys 7, 8).
+// goldenFrames pins the Deca wire format byte for byte. The sort frame was
+// written by the buffered EncodeWire that EncodeSegments replaced — the
+// independent reference the two-writer equivalence tests used to compare
+// against; it carries one spill run and spans two 32-byte pages. The agg
+// frame was re-captured when DecaAgg's keys moved into its pages (the frame
+// lost its table): kind | 3 live records | 3 pages, each one record 0x10
+// (an 8-byte key, live) | key | value — keys 7, 9, 3 in insertion order |
+// one 34-byte spill run of two such records (keys 7, 8). The group frame
+// was re-captured when DecaGroup's key and value lists followed: kind | 1
+// live key record | 6 pages | one 68-byte spill run. Page 0 (29 bytes) is
+// the key record 0x10 (an 8-byte key) | key 7 | head link (+1 page, offset
+// 0: the first node) | tail link (+5 pages, offset 9: the last node's link
+// field) | count 5. Pages 1-5 (17 bytes each, two nodes do not fit 32) are
+// the value nodes 0x11 (an 8-byte value, the node flag) | value 0..4 | next
+// link (+1 page, offset 0; none on the last). The run is the same again,
+// as the pages lay when the buffer spilled: 1 live key record | 3 pages —
+// the key record of 7 (tail +2 pages, count 2) and the nodes of 100 and 101.
 var goldenFrames = map[string]string{
 	"agg": "010303" +
 		"1110070000000000000002000000000000001110090000000000000006000000000000001110030000000000000006000000000000000" +
 		"12210070000000000000028000000000000001008000000000000000100000000000000",
-	"group": "0301080700000000000000050000000000000000000000000800000000000000100000000000000018000000010000000000000002" +
-		"20000000000000000001000000000000000200000000000000030000000000000008040000000000000001" +
-		"200700000000000000640000000000000007000000000000006500000000000000",
+	"group": "030106" +
+		"1d1007000000000000000100000000000000050000000900000005000000" +
+		"11110000000000000000010000000000000011110100000000000000010000000000000011110200000000000000010000000000000" +
+		"0111103000000000000000100000000000000111104000000000000000000000000000000" +
+		"01440103" +
+		"1d1007000000000000000100000000000000020000000900000002000000" +
+		"111164000000000000000100000000000000111165000000000000000000000000000000",
 	"sort": "0503000000000000000000000000100000000100000000000000" +
 		"022007000000000000000000000000000000070000000000000001000000000000001007000000000000000200000000000000" +
 		"01200700000000000000090000000000000007000000000000000900000000000000",
@@ -60,7 +72,7 @@ func TestGoldenDecaFrames(t *testing.T) {
 			if err := b.Spill(); err != nil {
 				t.Fatal(err)
 			}
-			for v := int64(0); v < 5; v++ { // 40 bytes: two 32-byte pages
+			for v := int64(0); v < 5; v++ { // a 29-byte key record and five 17-byte nodes: six 32-byte pages
 				b.Put(7, v)
 			}
 			return b

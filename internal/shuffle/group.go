@@ -1,13 +1,14 @@
 package shuffle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
-	"deca/internal/transport"
 )
 
 // ObjectGroup is the Spark-semantics groupByKey buffer: a hash table from
@@ -95,24 +96,37 @@ func (b *ObjectGroup[K, V]) Release() {
 	b.boxedStore.Release()
 }
 
-// DecaGroup is the page-backed groupByKey buffer of Figure 7(b): values
-// are decomposed into the buffer's page group as they arrive (the codec
-// may be RuntimeFixed — values are appended once and never mutated), and
-// each key holds a pointer array into the pages instead of a list of
-// object references. The buffer is the *partially decomposable* case: the
-// per-key value-list type is Variable while the buffer grows, so the list
-// structure itself stays on the heap, but the value payloads live in
-// pages.
+// DecaGroup is the page-backed groupByKey buffer of Figure 7(b), wholly
+// decomposed: a key is a keyedStore record, a value a node appended to the
+// same pages as it arrives (the codec may be RuntimeFixed: values are
+// written once, never mutated), a key's value list the chain of its nodes:
+//
+//	key record   uvarint (klen<<1)     | key bytes   | head link | tail link | uint32 count
+//	value node   uvarint (vlen<<1 | 1) | value bytes | next link
+//
+// A link is 8 bytes in the putPtr layout, its page counted from the page of
+// the record holding it, all zero for "none". Links point forward, at what
+// starts after their holder ends: none can be all zero or close a loop, and
+// all stay valid as they lie when the pages are snapshot, restored or
+// adopted behind another buffer's (a frame's pages stay contiguous). head
+// is the key's first node, tail the *link field* the next node hangs on
+// (the last node's next link), count the chain's length; a key record that
+// counts 0 is dead: a merge spliced its chain onto another record of the
+// same key (absorbPages).
 type DecaGroup[K comparable, V any] struct {
-	pageStore
+	keyedStore
 	keyCodec decompose.Codec[K]
 	valCodec decompose.Codec[V]
-	slots    map[K][]memory.Ptr
-	count    int
+	count    int // values in memory
 }
 
-// NewDecaGroup returns a page-backed grouping buffer. keyCodec is needed
-// only for spilling.
+const (
+	linkSize  = 8
+	chainSize = 2*linkSize + 4 // a key record's tail: head | tail | count
+)
+
+// NewDecaGroup returns a page-backed grouping buffer. keyCodec must not be
+// nil: keys live in the pages in its encoding.
 //
 //deca:owns
 func NewDecaGroup[K comparable, V any](
@@ -121,186 +135,257 @@ func NewDecaGroup[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) *DecaGroup[K, V] {
-	return &DecaGroup[K, V]{
-		pageStore: newPageStore(mem, spillDir),
-		keyCodec:  keyCodec,
-		valCodec:  valCodec,
-		slots:     make(map[K][]memory.Ptr),
+	if keyCodec == nil {
+		panic("shuffle: DecaGroup requires a key codec")
 	}
+	b := &DecaGroup[K, V]{
+		keyedStore: newKeyedStore(mem, spillDir, wireDecaGroup,
+			recordShape{fixed: keyCodec.FixedSize(), tail: chainSize},
+			recordShape{fixed: valCodec.FixedSize(), tail: linkSize}),
+		keyCodec: keyCodec,
+		valCodec: valCodec,
+	}
+	b.absorb = b.absorbPages
+	return b
 }
 
-// Put appends v's encoded bytes to the pages and its pointer to k's
-// pointer array.
-func (b *DecaGroup[K, V]) Put(k K, v V) {
-	b.slots[k] = append(b.slots[k], decompose.Write(b.group, b.valCodec, v))
+// getLink reads, and putLink writes, the link in b of a record in page from.
+func getLink(b []byte, from int32) memory.Ptr     { return getPtr(b).Rebase(int(from)) }
+func putLink(b []byte, from int32, to memory.Ptr) { putPtr(b, to.Rebase(-int(from))) }
+
+// after reports whether p lies at or past offset end of page: forward of a
+// record that ends there.
+func after(p memory.Ptr, page, end int32) bool {
+	return p.Page > page || p.Page == page && p.Off >= end
+}
+
+// chainCount reads, and addCount grows, the count of a key record's chain.
+func chainCount(chain []byte) int { return int(binary.LittleEndian.Uint32(chain[2*linkSize:])) }
+func addCount(chain []byte, n int) {
+	binary.LittleEndian.PutUint32(chain[2*linkSize:], uint32(chainCount(chain)+n))
+}
+
+// mixPtr hashes a page position for absorbPages' link sums.
+func mixPtr(p memory.Ptr) uint64 {
+	return mum(uint64(uint32(p.Page))<<32|uint64(uint32(p.Off))^0x9e3779b97f4a7c15, 0xa0761d6478bd642f)
+}
+
+// push appends a node for a value of vlen bytes to the chain of the key
+// record in page; the caller fills the value segment it returns.
+func (b *DecaGroup[K, V]) push(chain []byte, page int32, vlen int) ([]byte, error) {
+	link, from := chain[:linkSize], page // an empty chain's first node hangs on head
+	if chainCount(chain) > 0 {
+		// Checked: a buffer a failed fold left half-merged must not turn a
+		// bad tail into a write out of bounds.
+		tail := getLink(chain[linkSize:], page)
+		var err error
+		if link, err = b.group.CheckedBytes(tail, linkSize); err != nil {
+			return nil, fmt.Errorf("shuffle: DecaGroup tail link: %w", err)
+		}
+		from = tail.Page
+	}
+	hd := uint64(vlen)<<1 | 1
+	w := (bits.Len64(hd) + 6) / 7
+	node, ptr := b.group.Alloc(w + vlen + linkSize)
+	binary.PutUvarint(node, hd)
+	clear(node[w+vlen:])
+	putLink(link, from, ptr)
+	putLink(chain[linkSize:], page, memory.Ptr{Page: ptr.Page, Off: ptr.Off + int32(w+vlen)})
+	addCount(chain, 1)
 	b.count++
+	return node[w : w+vlen], nil
 }
 
-// Len returns the number of distinct keys in memory.
-func (b *DecaGroup[K, V]) Len() int { return len(b.slots) }
+// Put appends v, decomposed, to k's chain. It can only fail — and then
+// panics — on a buffer a failed Fold left for release.
+func (b *DecaGroup[K, V]) Put(k K, v V) {
+	chain, page, _ := b.upsert(encodeKey(&b.keyedStore, b.keyCodec, k))
+	seg, err := b.push(chain, page, b.valCodec.Size(v))
+	if err != nil {
+		panic(err)
+	}
+	b.valCodec.Encode(seg, v)
+}
 
 // Values returns the total number of buffered values in memory.
 func (b *DecaGroup[K, V]) Values() int { return b.count }
 
-// SizeBytes returns the page footprint plus pointer-array overhead.
-func (b *DecaGroup[K, V]) SizeBytes() int64 {
-	return b.group.Footprint() + int64(b.count)*8 + int64(len(b.slots))*24
+// node returns the value and next-link segments of the value node at p,
+// checked against its page: chains are walked with the distrust their
+// pages were absorbed with.
+func (b *DecaGroup[K, V]) node(p memory.Ptr) (val, link []byte, err error) {
+	var data []byte
+	if p.Page >= 0 && int(p.Page) < b.group.NumPages() && p.Off >= 0 {
+		if page := b.group.Page(int(p.Page)); int(p.Off) < len(page) {
+			data = page[p.Off:]
+		}
+	}
+	hd, w := binary.Uvarint(data)
+	vl, fixed := min(hd>>1, uint64(len(data))), b.shape[1].fixed
+	end := w + int(vl) + linkSize
+	if w <= 0 || hd&1 == 0 || end > len(data) || fixed >= 0 && vl != uint64(fixed) {
+		return nil, nil, fmt.Errorf("shuffle: DecaGroup chain leaves its value nodes at %v", p)
+	}
+	return data[w : end-linkSize], data[end-linkSize : end], nil
 }
 
-// Spill writes raw (key, value) records and resets pages.
+// Spill writes the pages as they lie — records, links and all: Deca's
+// bytes are already in I/O form (Appendix C) — under the count of live key
+// records, resets the pages and clears the index in place. The run is a
+// frame without kind byte or spill section, and replaying it is folding it.
 func (b *DecaGroup[K, V]) Spill() error {
-	if b.keyCodec == nil {
-		return fmt.Errorf("shuffle: DecaGroup has no key codec; cannot spill")
-	}
-	if len(b.slots) == 0 {
+	if b.idx.n == 0 {
 		return nil
 	}
 	err := b.spillPages(func(w *spillWriter) error {
-		for k, ptrs := range b.slots {
-			for _, ptr := range ptrs {
-				if err := emitKey(w, b.keyCodec, k); err != nil {
-					return err
-				}
-				// Re-read the value's exact size from its segment; the
-				// bytes stream straight out of the page.
-				page := b.group.Page(int(ptr.Page))
-				_, vn := b.valCodec.Decode(page[ptr.Off:])
-				if err := w.emit(page[ptr.Off : int(ptr.Off)+vn]); err != nil {
-					return err
-				}
-			}
+		if err := w.emitScratch(binary.AppendUvarint(w.stage(0), uint64(b.idx.n))); err != nil {
+			return err
 		}
-		return nil
+		_, err := b.group.Snapshot(w)
+		return err
 	})
+	if err == nil {
+		b.idx.reset()
+		b.count = 0
+	}
+	return err
+}
+
+// replayRun takes one spill run back in: its pages restore behind b's own
+// and are absorbed like a fetched frame's, checks included — each key's
+// spilled values follow the ones b holds.
+func (b *DecaGroup[K, V]) replayRun(run []byte) error {
+	r := bytes.NewReader(run)
+	n, err := readCount(r, "DecaGroup spill run")
 	if err != nil {
 		return err
 	}
-	b.slots = make(map[K][]memory.Ptr)
-	b.count = 0
-	return nil
-}
-
-// Drain merges spills and yields each key with its decoded value list.
-func (b *DecaGroup[K, V]) Drain(yield func(K, []V) bool) error {
-	return b.DrainPages(func(k K, ptrs []memory.Ptr, g *memory.Group) bool {
-		out := make([]V, len(ptrs))
-		for i, ptr := range ptrs {
-			out[i] = decompose.ReadAt(g, b.valCodec, ptr)
-		}
-		return yield(k, out)
-	})
-}
-
-// DrainPages merges spills and yields each key's pointer array along with
-// the backing group, letting a downstream cache copy raw value bytes
-// without decoding — the partially-decomposable hand-off of Figure 7(b).
-func (b *DecaGroup[K, V]) DrainPages(yield func(k K, ptrs []memory.Ptr, g *memory.Group) bool) error {
-	pair := decompose.PairCodec[K, V]{KeyCodec: b.keyCodec, ValueCodec: b.valCodec}
-	if err := replayRuns(&b.runSet, pair.Decode, b.Put); err != nil {
+	g, err := b.idx.mem.RestoreGroup(r)
+	if err != nil {
 		return err
 	}
-	for k, ptrs := range b.slots {
-		if !yield(k, ptrs, b.group) {
+	defer g.Release() // b keeps the pages it adopts
+	return b.absorb(b.group.AdoptPages(g), n)
+}
+
+// Drain merges any spilled runs — their values follow the in-memory ones
+// of their key, run by run — and yields each key with its decoded value
+// list, in record order. A chain is walked for as many nodes as its record
+// counts and must end there.
+func (b *DecaGroup[K, V]) Drain(yield func(K, []V) bool) error {
+	if err := b.replay(b.replayRun); err != nil {
+		return err
+	}
+	it := b.records(0)
+	for it.next() {
+		n := chainCount(it.val)
+		if n == 0 {
+			continue
+		}
+		out := make([]V, 0, min(n, b.count))
+		for link, from := it.val[:linkSize], int32(it.page); n > 0; n-- {
+			at := getLink(link, from)
+			val, next, err := b.node(at)
+			if err == nil && (binary.LittleEndian.Uint64(next) == 0) != (n == 1) {
+				err = fmt.Errorf("shuffle: DecaGroup chain of the key at %v does not end with its count, %d nodes on", it.ptr, n-1)
+			}
+			if err != nil {
+				return err
+			}
+			v, _ := b.valCodec.Decode(val)
+			out = append(out, v)
+			link, from = next, at.Page
+		}
+		k, _ := b.keyCodec.Decode(it.key)
+		if !yield(k, out) {
 			return nil
 		}
 	}
-	return nil
-}
-
-// EncodeSegments builds the DecaGroup frame: per key its bytes and its
-// pointer array, which preserves within-key value order.
-//
-//deca:owns
-func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
-	if b.keyCodec == nil {
-		return nil, fmt.Errorf("shuffle: DecaGroup has no key codec; cannot encode")
-	}
-	return b.encodeSegments(wireDecaGroup, len(b.slots), func(fs *transport.FrameSegments) {
-		for k, ptrs := range b.slots {
-			stageKey(fs, b.keyCodec, k)
-			stageUvarint(fs, uint64(len(ptrs)))
-			stagePtrs(fs, ptrs)
-		}
-	})
+	return it.err
 }
 
 // EncodeWire writes the buffer's wire frame to w.
 func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
 
-// MergeFrom folds src into b zero-copy: b adopts src's page group and
-// spill runs (pageStore.adopt) and appends each key's pointer array
-// wholesale — rebased to b's page address space, never decoded. Same
+// MergeFrom folds src into b zero-copy (keyedStore.mergeFrom). Same
 // ownership contract as DecaAgg.MergeFrom: src is consumed and must only
 // be Released afterwards.
-func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error {
-	if src == b {
-		return fmt.Errorf("shuffle: DecaGroup cannot merge from itself")
+func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error { return b.mergeFrom(&src.keyedStore) }
+
+// absorbPages indexes the records of the pages b just adopted at page base
+// (keyedStore.absorb). A new key's slot points at its record where it lies,
+// chain and all; a collision hangs the source chain on the end of b's — the
+// source's values follow b's own — and leaves the source record dead: no
+// link is rewritten but that one. The walk passes every adopted record, so
+// it holds the pages to account as a whole: n live key records, their
+// counts adding up to the nodes present, every link forward, every node
+// named by exactly one head or next link and every chain end by exactly one
+// tail — as sums of position hashes, which no link into the middle of a
+// record, out of the pages or onto another chain's node balances. An error
+// leaves b partially merged, for the caller to release.
+func (b *DecaGroup[K, V]) absorbPages(base, n int) error {
+	if b.idx.n == 0 {
+		b.idx.reserve(min(n, stagePresize))
 	}
-	base, ok := b.adopt(&src.pageStore, len(src.slots))
-	if !ok {
-		return nil
-	}
-	for k, ptrs := range src.slots {
-		if base != 0 {
-			for i := range ptrs {
-				ptrs[i] = ptrs[i].Rebase(base)
+	var live, nodes, values int
+	var links, ends uint64 // Σ hash(node) − Σ hash(link to it); Σ hash(nil link field) − Σ hash(tail link)
+	it := b.records(base)
+	for it.step() {
+		page, end := int32(it.page), int32(it.off)
+		if it.hd&1 != 0 {
+			nodes++
+			links += mixPtr(it.ptr)
+			if binary.LittleEndian.Uint64(it.val) == 0 {
+				ends += mixPtr(memory.Ptr{Page: page, Off: end - linkSize})
+			} else if next := getLink(it.val, page); after(next, page, end) {
+				links -= mixPtr(next)
+			} else {
+				return fmt.Errorf("shuffle: DecaGroup value node at %v links back to %v", it.ptr, next)
 			}
+			continue
 		}
-		b.absorb(k, ptrs)
-	}
-	return nil
-}
-
-// absorb takes one key's pointer array — already rebased into b's
-// address space — into b, the per-key step MergeFrom and Fold share: a
-// new key keeps the array itself, a collision appends it to b's.
-func (b *DecaGroup[K, V]) absorb(k K, ptrs []memory.Ptr) {
-	b.count += len(ptrs)
-	if existing, ok := b.slots[k]; ok {
-		ptrs = append(existing, ptrs...)
-	}
-	b.slots[k] = ptrs
-}
-
-// Fold merges a staged frame into b; see DecaAgg.Fold. Each key's
-// pointer array is a capped sub-slice of the frame's one pointer arena,
-// validated and rebased in place: a new key keeps the sub-slice itself, a
-// collision appends it to b's array (the cap makes a later append to a
-// kept sub-slice copy out instead of overwriting its neighbour).
-//
-//deca:transfers
-func (b *DecaGroup[K, V]) Fold(st *Staged) error {
-	defer st.Release()
-	base, ok, err := b.adoptStaged(st, wireDecaGroup)
-	if !ok {
-		return err
-	}
-	if len(b.slots) == 0 {
-		b.slots = make(map[K][]memory.Ptr, st.n)
-	}
-	ptrs := st.ptrs
-	for table := st.table; len(table) > 0; {
-		var kb []byte
-		kb, table = nextKey(table)
-		k, _ := b.keyCodec.Decode(kb)
-		m, w := binary.Uvarint(table)
-		table = table[w:]
-		sub := ptrs[:m:m]
-		ptrs = ptrs[m:]
-		for j, ptr := range sub {
-			if _, err := st.group.CheckedBytes(ptr, 1); err != nil {
-				return fmt.Errorf("shuffle: DecaGroup key %v: %w", k, err)
-			}
-			sub[j] = ptr.Rebase(base)
+		cnt := chainCount(it.val)
+		if cnt == 0 {
+			continue
 		}
-		b.absorb(k, sub)
+		live++
+		values += cnt
+		head, tail := getLink(it.val, page), getLink(it.val[linkSize:], page)
+		if !after(head, page, end) {
+			return fmt.Errorf("shuffle: DecaGroup key record at %v links back to %v", it.ptr, head)
+		}
+		links -= mixPtr(head)
+		ends -= mixPtr(tail)
+		tag := hashKey(it.key)
+		dst, at, found := b.idx.find(b.group, tag, it.key, chainSize)
+		if !found {
+			b.idx.insert(at, tag, it.ptr)
+			continue
+		}
+		dpage := b.idx.slots[at].ptr.Page
+		dtail := getLink(dst[linkSize:], dpage)
+		link, err := b.group.CheckedBytes(dtail, linkSize)
+		if err != nil {
+			return fmt.Errorf("shuffle: DecaGroup tail link: %w", err)
+		}
+		if !after(head, dtail.Page, dtail.Off+linkSize) {
+			return fmt.Errorf("shuffle: DecaGroup key record at %v is not the first of its key in these pages", it.ptr)
+		}
+		putLink(link, dtail.Page, head)
+		putLink(dst[linkSize:], dpage, tail)
+		addCount(dst, cnt)
+		clear(it.val[2*linkSize:])
 	}
+	switch {
+	case it.err != nil:
+		return it.err
+	case live != n:
+		return fmt.Errorf("shuffle: DecaGroup pages hold %d live keys, their header says %d", live, n)
+	case values != nodes:
+		return fmt.Errorf("shuffle: DecaGroup key records count %d values, their pages hold %d", values, nodes)
+	case links != 0 || ends != 0:
+		return fmt.Errorf("shuffle: DecaGroup links do not reach each of %d value nodes and chain ends exactly once", nodes)
+	}
+	b.count += nodes
 	return nil
-}
-
-// Release frees the pages and spill files (pageStore.Release) and drops
-// the pointer arrays.
-func (b *DecaGroup[K, V]) Release() {
-	b.slots = nil
-	b.pageStore.Release()
 }

@@ -8,17 +8,21 @@ import (
 	"deca/internal/memory"
 )
 
-// aggIndex is DecaAgg's hash index: an open-addressing table (linear
-// probing, load ≤ 3/4) whose slots hold a hash tag and the pointer of a
-// record in the buffer's pages. Keys are never stored here — a probe
-// compares the tag, then the key bytes in the page — so the table is one
-// pointer-free allocation the collector never scans, whatever the key
-// type. It is allocated on the first insert, doubles as it fills, and is
-// cleared in place when the buffer spills.
+// aggIndex is the hash index of DecaAgg and DecaGroup: an open-addressing
+// table (linear probing, load ≤ 3/4) whose slots hold a hash tag and the
+// pointer of a key record in the buffer's pages. Keys are never stored here
+// — a probe compares the tag, then the key bytes in the page — so the table
+// is pointer-free, whatever the key type, and it is manager memory like the
+// pages it points into: a memory.Slab taken on the first insert, swapped
+// for one twice the size as it fills (the old one goes back to the manager,
+// which pools it, up to half a page, for the sibling buffers growing behind
+// this one), cleared in place on a spill and returned at the buffer's Release.
 type aggIndex struct {
-	slots []aggSlot //deca:owns (pointers into the page store of the DecaAgg holding the index, dropped by its Release)
-	n     int       // occupied slots = distinct keys in memory
-	shift uint      // 32 - log2(len(slots)): a tag's home slot is its top bits
+	mem   *memory.Manager
+	slab  memory.Slab //deca:owns (returned by resize when it replaces the table, and by release)
+	slots []aggSlot   //deca:owns (the slab's bytes as slots: pointers into the page store of the container holding the index, dropped by its Release)
+	n     int         // occupied slots = distinct keys in memory
+	shift uint        // 32 - log2(len(slots)): a tag's home slot is its top bits
 }
 
 // aggSlot is one table entry. tag 0 marks an empty slot (hashKey never
@@ -110,17 +114,32 @@ func (ix *aggIndex) free(tag uint32) int {
 	return i
 }
 
-// resize moves the table into n slots (a power of two). Tags carry the
-// whole hash, so no key is re-read from its page.
+// resize moves the table into a fresh slab of n slots (a power of two) and
+// returns the old one to the manager. Tags carry the whole hash, so no key
+// is re-read from its page.
 func (ix *aggIndex) resize(n int) {
-	old := ix.slots
-	ix.slots = make([]aggSlot, n)
+	old, oldSlab := ix.slots, ix.slab
+	ix.slab = ix.mem.NewSlab(n * int(aggSlotSize))
+	ix.slots = unsafe.Slice((*aggSlot)(unsafe.Pointer(unsafe.SliceData(ix.slab.Bytes()))), n)
 	ix.shift = uint(32 - bits.TrailingZeros(uint(n)))
 	for _, s := range old {
 		if s.tag != 0 {
 			ix.slots[ix.free(s.tag)] = s
 		}
 	}
+	oldSlab.Release()
+}
+
+// reset empties the table in place: the buffer spilled and refills.
+func (ix *aggIndex) reset() {
+	clear(ix.slots)
+	ix.n = 0
+}
+
+// release returns the table to the manager: the container's lifetime ended.
+func (ix *aggIndex) release() {
+	ix.slab.Release()
+	ix.slots, ix.n = nil, 0
 }
 
 // reserve makes room for n keys without a resize on the way.

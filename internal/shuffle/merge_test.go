@@ -100,7 +100,7 @@ func TestDecaAggMergeFromMatchesDrainMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range aggSources(t, m, 4, mc, dir) {
-			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaAgg(r, m, dir) })
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return Stage(r, m, dir) })
 			if err := sf.Fold(st); err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestDecaGroupMergeFromMatchesDrainMerge(t *testing.T) {
 
 		sf := NewDecaGroup[int64, string](m, decompose.Int64Codec{}, decompose.StringCodec{}, dir)
 		for _, src := range groupSources(t, m, 4, mc, dir) {
-			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaGroup(r, m, 8, dir) })
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return Stage(r, m, dir) })
 			if err := sf.Fold(st); err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func TestDecaSortMergeFromMatchesDrainMerge(t *testing.T) {
 
 		sf := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
 		for _, src := range sortSources(t, m, 4, spill, dir) {
-			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return StageDecaSort(r, m, dir) })
+			st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return Stage(r, m, dir) })
 			if err := sf.Fold(st); err != nil {
 				t.Fatal(err)
 			}
@@ -409,15 +409,19 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if refs := src.group.Refs(); refs != 2 {
 		t.Fatalf("source group refs = %d after merge, want 2", refs)
 	}
-	inUse := m.InUse()
+	inUse, srcSlab, pooled := m.InUse(), src.idx.slab.Footprint(), m.Stats().BytesPooled
+	if want := dst.SizeBytes() + srcSlab; inUse != want {
+		t.Errorf("InUse = %d after merge, want %d: the adopted pages and two index slabs, each once", inUse, want)
+	}
 	releasedBefore := m.Stats().PagesReleased
 
 	src.Release()
+	src.Release() // the slab goes back once
 	if refs := src.group.Refs(); refs != 1 {
 		t.Fatalf("source group refs = %d after source release, want 1 (dep)", refs)
 	}
-	if got := m.InUse(); got != inUse {
-		t.Errorf("source release freed dep-retained pages: InUse %d -> %d", inUse, got)
+	if got := m.InUse(); got != inUse-srcSlab {
+		t.Errorf("source release must free its index slab (%d bytes) and no dep-retained page: InUse %d -> %d", srcSlab, inUse, got)
 	}
 	// The merged buffer still reads the adopted segments.
 	got := drainAggToMap[int64, int64](t, dst)
@@ -432,8 +436,11 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if m.Stats().LiveGroups != 0 {
 		t.Errorf("live groups = %d after merged release", m.Stats().LiveGroups)
 	}
-	if m.Stats().PagesReleased == releasedBefore {
-		t.Error("no pages returned on merged release")
+	// The two 3 KiB tables are six pages' worth each: slabs of more than
+	// half a page leave the ledger but do not pool (memory.Manager).
+	if st := m.Stats(); st.PagesReleased == releasedBefore || st.BytesPooled != pooled+inUse-2*srcSlab {
+		t.Errorf("merged release returned %d pages and slabs, %d bytes pooled; want every page of the %d bytes in use back beside the %d pooled before",
+			st.PagesReleased-releasedBefore, st.BytesPooled, inUse, pooled)
 	}
 
 	defer func() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"deca/internal/decompose"
 	"deca/internal/memory"
 	"deca/internal/transport"
 )
@@ -13,17 +12,15 @@ import (
 // pageStore is the page storage layer under DecaAgg, DecaGroup, DecaSort
 // and a staged frame: the page group the records live in and the spill
 // runs that die with it. A container embeds one by value and keeps only
-// its index over the pages (a hash table of record pointers, a pointer
-// array per key, a sortable pointer array) plus the Put/Drain/absorb that
-// read it; spilling, adopting another store, the wire frame and the end of
-// the lifetime are written here, once.
+// its index over the pages (DecaAgg, DecaGroup: a hash table of key-record
+// pointers, manager memory too; DecaSort: a sortable pointer array) plus
+// the Put/Drain/absorb that read it; spilling, adopting another store, the
+// wire frame and the end of the lifetime are written here, once.
 //
-// The frame (built by encodeSegments, parsed by stageFrame) is kind byte |
-// uvarint n | key/pointer table (the index's own layout, see stage.go;
-// DecaAgg has none, its keys are in the pages) | memory.Group.Snapshot |
-// spill section (runSet.restore). A pointer is two fixed little-endian
-// uint32s, bulk-copyable on both ends; record bytes never leave their
-// pages.
+// The frame (built by encodeSegments, parsed by Stage) is kind byte |
+// uvarint n | DecaSort only: n record pointers, two fixed little-endian
+// uint32s each, bulk-copyable on both ends | memory.Group.Snapshot | spill
+// section (runSet.restore). Record bytes never leave their pages.
 type pageStore struct {
 	group *memory.Group //deca:owns (released by Release; adopt takes other stores' pages in as dependencies)
 	runSet
@@ -132,13 +129,6 @@ func stageUvarint(fs *transport.FrameSegments, v uint64) {
 	copy(fs.Stage(k), hdr[:k])
 }
 
-// stageKey stages one table entry's head: uvarint key length, key bytes.
-func stageKey[K any](fs *transport.FrameSegments, c decompose.Codec[K], k K) {
-	n := c.Size(k)
-	e := fs.Stage(uvarintLen(uint64(n)) + n)
-	c.Encode(e[binary.PutUvarint(e, uint64(n)):], k)
-}
-
 // putPtr writes p in the wire layout getPtr reads.
 func putPtr(b []byte, p memory.Ptr) {
 	binary.LittleEndian.PutUint32(b, uint32(p.Page))
@@ -157,10 +147,4 @@ func stagePtrs(fs *transport.FrameSegments, ps []memory.Ptr) {
 		}
 		ps = ps[n:]
 	}
-}
-
-// uvarintLen is the encoded length of v.
-func uvarintLen(v uint64) int {
-	var b [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(b[:], v)
 }

@@ -35,12 +35,18 @@ type spillWriter struct {
 
 // emit appends b to the run.
 func (w *spillWriter) emit(b []byte) error {
-	nn, err := w.w.Write(b)
-	w.n += int64(nn)
+	_, err := w.Write(b)
+	return err
+}
+
+// Write is emit as an io.Writer, for a page snapshot.
+func (w *spillWriter) Write(b []byte) (int, error) {
+	n, err := w.w.Write(b)
+	w.n += int64(n)
 	if err != nil {
-		return fmt.Errorf("shuffle: writing spill: %w", err)
+		err = fmt.Errorf("shuffle: writing spill: %w", err)
 	}
-	return nil
+	return n, err
 }
 
 // stage returns the writer's scratch buffer resized to n bytes, growing
@@ -57,14 +63,6 @@ func (w *spillWriter) stage(n int) []byte {
 func (w *spillWriter) emitScratch(buf []byte) error {
 	w.scratch = buf[:0]
 	return w.emit(buf)
-}
-
-// emitKey writes k in its page encoding, staged through the scratch
-// buffer — how the Deca hash buffers open each spilled record.
-func emitKey[K any](w *spillWriter, c decompose.Codec[K], k K) error {
-	key := w.stage(c.Size(k))
-	c.Encode(key, k)
-	return w.emit(key)
 }
 
 // writeSpill streams records through fn into a new temp file in dir.

@@ -7,8 +7,8 @@
 //     a StaticFixed type (§4.3.2);
 //  2. hash-based buffers for grouping (groupByKey): Value lists only grow,
 //     so references live until the buffer dies; the list type is Variable
-//     while being built, making the buffer partially decomposable
-//     (Figure 7(b));
+//     while being built (the partially decomposable case of Figure 7(b)),
+//     which Deca keeps as a chain of value segments in the pages;
 //  3. sort-based buffers (sortByKey): records are immutable once inserted;
 //     Deca keeps raw records in pages and sorts a pointer array
 //     (Figure 6(b)).
@@ -18,8 +18,6 @@
 // (page-decomposed). Buffers spill to disk when asked (Appendix C): object
 // buffers serialize, Deca buffers write raw page-encoded records.
 package shuffle
-
-import ()
 
 // Buffer is the lifecycle interface every shuffle buffer implements.
 type Buffer interface {

@@ -250,28 +250,6 @@ func TestGroupBuffersMatchReference(t *testing.T) {
 	}
 }
 
-func TestDecaGroupDrainPages(t *testing.T) {
-	m := memory.NewManager(64, 0)
-	dec := NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-	defer dec.Release()
-	dec.Put(7, 100)
-	dec.Put(7, 200)
-
-	var rawSum int64
-	err := dec.DrainPages(func(k int64, ptrs []memory.Ptr, g *memory.Group) bool {
-		for _, p := range ptrs {
-			rawSum += decompose.I64(g.Bytes(p, 8), 0)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rawSum != 300 {
-		t.Errorf("raw sum = %d, want 300", rawSum)
-	}
-}
-
 func TestGroupSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := memory.NewManager(64, 0)

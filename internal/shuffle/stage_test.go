@@ -23,10 +23,13 @@ type frameCase struct {
 	// their length prefix is the parser's to validate.
 	keySize int
 	build   func(tb testing.TB, keys int, dir string, spill bool) []byte
-	// stage is the fetch worker's half; fold is the reduce task's, into a
-	// fresh buffer that is released again.
-	stage func(frame []byte, mem *memory.Manager, dir string) (*Staged, error)
-	fold  func(st *Staged, mem *memory.Manager, dir string) error
+	// fold is the reduce task's half (the fetch worker's is stage, below),
+	// into a fresh buffer that is released again.
+	fold func(st *Staged, mem *memory.Manager, dir string) error
+	// foldDrain, where set, is fold plus a drain of the buffer: what a
+	// DecaGroup fold's sums cannot see — a count that is some other key's —
+	// the chain walk of its drain refuses.
+	foldDrain func(st *Staged, mem *memory.Manager, dir string) error
 }
 
 func addF(a, b float64) float64 { return a + b }
@@ -80,9 +83,6 @@ var frameCases = []frameCase{
 			}
 			return encodeFrame(tb, b)
 		},
-		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
-			return StageDecaAgg(bytes.NewReader(frame), mem, dir)
-		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			b, err := NewDecaAgg[int64, float64](mem, addF, i64, f64, dir)
 			if err != nil {
@@ -108,9 +108,6 @@ var frameCases = []frameCase{
 			}
 			return encodeFrame(tb, b)
 		},
-		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
-			return StageDecaAgg(bytes.NewReader(frame), mem, dir)
-		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
 			if err != nil {
@@ -135,11 +132,16 @@ var frameCases = []frameCase{
 			}
 			return encodeFrame(tb, b)
 		},
-		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
-			return StageDecaGroup(bytes.NewReader(frame), mem, i64.FixedSize(), dir)
-		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			return foldFresh(NewDecaGroup[int64, int64](mem, i64, i64, dir), st)
+		},
+		foldDrain: func(st *Staged, mem *memory.Manager, dir string) error {
+			b := NewDecaGroup[int64, int64](mem, i64, i64, dir)
+			defer b.Release()
+			if err := b.Fold(st); err != nil {
+				return err
+			}
+			return b.Drain(func(int64, []int64) bool { return true })
 		},
 	},
 	{
@@ -156,20 +158,26 @@ var frameCases = []frameCase{
 			}
 			return encodeFrame(tb, b)
 		},
-		stage: func(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
-			return StageDecaSort(bytes.NewReader(frame), mem, dir)
-		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			return foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st)
 		},
 	},
 }
 
-// stageFold runs a frame through both halves.
+// stage is the fetch worker's half, whatever the frame's kind.
+func (frameCase) stage(frame []byte, mem *memory.Manager, dir string) (*Staged, error) {
+	return Stage(bytes.NewReader(frame), mem, dir)
+}
+
+// stageFold runs a frame through both halves, and a drain where the case
+// has one.
 func (c frameCase) stageFold(frame []byte, mem *memory.Manager, dir string) error {
 	st, err := c.stage(frame, mem, dir)
 	if err != nil {
 		return err
+	}
+	if c.foldDrain != nil {
+		return c.foldDrain(st, mem, dir)
 	}
 	return c.fold(st, mem, dir)
 }
@@ -190,9 +198,9 @@ func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
 	}
 }
 
-// TestStageKindMismatch: every frame handed to every other container's
-// stager errors instead of misparsing, and a staged frame refuses to fold
-// into a container of another kind.
+// TestStageKindMismatch: a frame stages as what its kind byte says it is
+// — a Deca container's or not at all — and refuses to fold into a container
+// of another kind.
 func TestStageKindMismatch(t *testing.T) {
 	mem := memory.NewManager(4096, 0)
 	for _, src := range frameCases {
@@ -202,9 +210,6 @@ func TestStageKindMismatch(t *testing.T) {
 			if src.kind == dst.kind {
 				continue
 			}
-			if err := dst.stageFold(frame, mem, dir); err == nil {
-				t.Errorf("%s frame staged as %s without error", src.name, dst.name)
-			}
 			st, err := src.stage(frame, mem, dir)
 			if err != nil {
 				t.Fatal(err)
@@ -213,6 +218,11 @@ func TestStageKindMismatch(t *testing.T) {
 				t.Errorf("staged %s frame folded into %s without error", src.name, dst.name)
 			}
 			assertClean(t, mem, dir, src.name+" as "+dst.name)
+		}
+	}
+	for _, kind := range []byte{0, wireObjectAgg, wireObjectGroup, wireObjectSort, wireObjectSort + 1} {
+		if _, err := Stage(bytes.NewReader([]byte{kind, 0, 0, 0}), mem, t.TempDir()); err == nil {
+			t.Errorf("a frame of kind %d staged as a Deca container's", kind)
 		}
 	}
 }
@@ -261,27 +271,46 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 	}
 	far := []byte{0xff, 0xff, 0xff, 0x7f} // page 2^31-1
 	neg := []byte{0xff, 0xff, 0xff, 0xff} // page -1
+	// Agg and group frames have no table: the records fill one page, which
+	// follows the page count and its own length.
+	plen, pw := binary.Uvarint(good[body+1:])
+	page := body + 1 + pw
 	switch c.kind {
 	case wireDecaSort:
 		out["pointer past the restored group"] = patch(body, far...)
 		out["negative page"] = patch(body, neg...)
 		out["offset past the page"] = patch(body+4, far...)
 	case wireDecaGroup:
-		kl, kw := binary.Uvarint(good[body:])
-		ptr := body + kw + int(kl) + 1 // past the one-byte pointer count
-		out["pointer past the restored group"] = patch(ptr, far...)
-		out["negative page"] = patch(ptr, neg...)
-		out["offset past the page"] = patch(ptr+4, far...)
-		out["key shorter than its codec"] = patch(body, byte(kl-1))
-		out["key longer than its codec"] = patch(body, byte(kl+1))
-		out["key length implausible"] = append(binary.AppendUvarint(bytes.Clone(good[:body]), maxWireCount+1), good[body+kw:]...)
-		out["pointer count far beyond the bytes"] = append(
-			binary.AppendUvarint(bytes.Clone(good[:body+kw+int(kl)]), 1<<30), good[body+kw+int(kl)+1:]...)
+		// Key i has 1 + i%3 values and each of its nodes follows it: key
+		// record 0 at offset 0 (0x10 | key | head | tail | count: 29
+		// bytes), its node at 29 (0x11 | value | next: 17 bytes), key
+		// record 1 at 46, its nodes at 75 and 92, key record 2 at 109.
+		const key0, node0, key1, node1a, node1b, key2 = 0, 29, 46, 75, 92, 109
+		const head, tail, cnt, next = 9, 17, 25, 9 // fields of a key record and of a node
+		at := func(off int) int { return page + off }
+		link := func(off int32) []byte { return binary.LittleEndian.AppendUint32(make([]byte, 4), uint32(off)) }
+		out["count one too few"] = count(39)
+		out["key record counted dead"] = patch(at(key0+cnt), 0)
+		out["count disagrees with the nodes"] = patch(at(key0+cnt), 2)
+		out["link past the restored group"] = patch(at(key0+head), far...)
+		out["link to a negative page"] = patch(at(key0+head), neg...)
+		out["link past the page"] = patch(at(key0+head+4), far...)
+		out["link into the middle of a record"] = patch(at(node1a+next), link(node1b+1)...)
+		out["tail into the middle of a record"] = patch(at(key1+tail), link(node1b+next+1)...)
+		out["cycle of two nodes"] = patch(at(node1b+next), link(node1a)...)
+		out["node linked to itself"] = patch(at(node1b+next), link(node1b)...)
+		out["head links back to its own record"] = patch(at(key1+head), link(key1)...)
+		out["two chains share a node"] = patch(at(key0+head), link(node1a)...)
+		out["tail is not the chain's end"] = patch(at(key1+tail), link(node1a+next)...)
+		out["counts swapped between keys"] = patch(at(key2+cnt), 2) // and key 1 takes key 2's 3:
+		out["counts swapped between keys"][at(key1+cnt)] = 3
+		out["key shorter than its codec"] = patch(at(key0), good[at(key0)]-2)
+		out["value longer than its codec"] = patch(at(node0), good[at(node0)]+2)
+		out["header never ends"] = patch(at(key2), bytes.Repeat([]byte{0x80}, int(plen)-key2)...)
+		out["page announces a gigabyte"] = slices.Concat(
+			binary.AppendUvarint(bytes.Clone(good[:body+1]), 1<<30), good[page:page+16])
 	case wireDecaAgg:
-		// No table: the 40 records (one-byte headers, 8-byte values) fill
-		// one page, which follows the page count and its own length.
-		plen, pw := binary.Uvarint(good[body+1:])
-		page := body + 1 + pw
+		// 40 records, one-byte headers, 8-byte values.
 		last := page
 		for next := page; next < page+int(plen); next += 1 + int(good[next]>>1) + 8 {
 			last = next
@@ -314,7 +343,7 @@ func TestStageEmptyPageHeaders(t *testing.T) {
 	frame = append(frame, make([]byte, pages+1)...) // pages × length 0, then 0 spill runs
 	mem := memory.NewManager(4096, 0)
 	dir := t.TempDir()
-	st, err := StageDecaSort(bytes.NewReader(frame), mem, dir)
+	st, err := Stage(bytes.NewReader(frame), mem, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +353,7 @@ func TestStageEmptyPageHeaders(t *testing.T) {
 	if err := foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st); err != nil {
 		t.Error(err)
 	}
-	if _, err := StageDecaSort(bytes.NewReader(frame[:len(frame)/2]), mem, dir); err == nil {
+	if _, err := Stage(bytes.NewReader(frame[:len(frame)/2]), mem, dir); err == nil {
 		t.Error("truncated page section staged without error")
 	}
 	assertClean(t, mem, dir, "empty page headers")
@@ -345,8 +374,8 @@ func TestStageHostileFrames(t *testing.T) {
 	}
 }
 
-// FuzzStageDecaFrames feeds arbitrary bytes to every stager and folds what
-// stages: whatever happens, no panic and nothing left behind. (Neither half
+// FuzzStageDecaFrames feeds arbitrary bytes to the stager and folds what
+// stages into every container: whatever happens, no panic and nothing left behind. (Neither half
 // decodes a variable-size key, so the string-key case is held to it too.)
 func FuzzStageDecaFrames(f *testing.F) {
 	for _, c := range frameCases {

@@ -14,14 +14,14 @@ import (
 // network transport can move map output between executors. The asymmetry
 // the paper measures in §6.5 is built in:
 //
-//   - Deca containers encode as header + key/pointer table (DecaAgg has
-//     none: its keys are in the pages) + a page snapshot
-//     (memory.Group.Snapshot): the record bytes are already in
-//     wire format, so the frame is built as segments that reference the
-//     pages in place (pagestore.go; EncodeWire is those segments flushed
-//     through a writer) and decoding restores pages into the destination
-//     executor's manager with the pointers valid as-is (page boundaries
-//     survive the frame, so the rebase is the identity).
+//   - Deca containers encode as header (+ DecaSort's pointer array) + a
+//     page snapshot (memory.Group.Snapshot): the record bytes — keys,
+//     values and the links between them — are already in wire format, so
+//     the frame is built as segments that reference the pages in place
+//     (pagestore.go; EncodeWire is those segments flushed through a
+//     writer) and decoding restores pages into the destination executor's
+//     manager with pointers and links valid as-is (page boundaries survive
+//     the frame).
 //   - Object containers round-trip through internal/serial, record by
 //     record (boxedstore.go): decode materializes fresh objects,
 //     re-creating the allocation and GC cost Kryo/SparkSer pays on every
@@ -166,7 +166,7 @@ func DecodeDecaAgg[K comparable, V any](
 	if err != nil {
 		return nil, err
 	}
-	st, err := StageDecaAgg(r, mem, spillDir)
+	st, err := Stage(r, mem, spillDir)
 	return folded(b, st, err)
 }
 
@@ -178,7 +178,7 @@ func DecodeDecaGroup[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) (*DecaGroup[K, V], error) {
-	st, err := StageDecaGroup(r, mem, keyCodec.FixedSize(), spillDir)
+	st, err := Stage(r, mem, spillDir)
 	return folded(NewDecaGroup[K, V](mem, keyCodec, valCodec, spillDir), st, err)
 }
 
@@ -192,6 +192,6 @@ func DecodeDecaSort[K comparable, V any](
 	valCodec decompose.Codec[V],
 	spillDir string,
 ) (*DecaSort[K, V], error) {
-	st, err := StageDecaSort(r, mem, spillDir)
+	st, err := Stage(r, mem, spillDir)
 	return folded(NewDecaSort[K, V](mem, less, keyCodec, valCodec, spillDir), st, err)
 }

@@ -51,11 +51,10 @@ func PageRank(cfg Config, params GraphParams) (Result, error) {
 			}
 			ctx.ReleaseShuffle(agg.ID())
 
-			next := make(map[int64]float64, len(msgs))
 			for v, sum := range msgs {
-				next[v] = 0.15 + 0.85*sum
+				msgs[v] = 0.15 + 0.85*sum
 			}
-			ranks = next
+			ranks = msgs
 		}
 
 		var checksum float64
