@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"deca/internal/bench"
+	"deca/internal/workloads"
 )
 
 // Each benchmark regenerates one table or figure of the paper's
@@ -28,7 +29,7 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
-	opts := bench.Options{Scale: benchScale(), SpillDir: b.TempDir(), Parallelism: 4}
+	opts := bench.Options{Scale: benchScale(), Base: workloads.Config{SpillDir: b.TempDir(), Parallelism: 4}}
 	for i := 0; i < b.N; i++ {
 		rep, err := exp.Run(opts)
 		if err != nil {

@@ -34,50 +34,47 @@ func main() { os.Exit(run()) }
 // clean-up — the temp spill directory, the profiles — happens on failure
 // too.
 func run() int {
+	var opts bench.Options
+	cfg := &opts.Base
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
-		par       = flag.Int("parallelism", 4, "worker goroutines per executor")
-		execs     = flag.Int("executors", 1, "executors in the local cluster (scaling experiment sweeps its own)")
-		transport = flag.String("transport", "inprocess", "shuffle transport: inprocess or tcp (loopback sockets)")
-		deploy    = flag.String("deploy", "", "deployment: inprocess, tcp, or multiproc (spawn deca-executor processes)")
-		execBin   = flag.String("executor-bin", "", "deca-executor binary for -deploy multiproc (default: next to deca-bench, then $PATH)")
-		spillDir  = flag.String("spill-dir", "", "directory for spills and swaps (default: temp)")
-		chaosSeed = flag.Int64("chaos-seed", 0, "seed for the deterministic fault injector (0 = 1; used when -failure-rate > 0)")
-		failRate  = flag.Float64("failure-rate", 0, "inject this per-attempt task failure probability into every experiment (0 = no chaos)")
-		fetchRate = flag.Float64("fetch-failure-rate", 0, "inject this transient data-plane fetch failure probability (multiproc: inside the executor processes)")
-		maxRetry  = flag.Int("max-retries", 0, "per-task retry budget (0 = engine default of 3, negative disables retries)")
-		opsAddr   = flag.String("ops-addr", "", "serve the live HTTP ops plane (/metrics, /stages, /executors, /memory, /trace) on this address while experiments run")
-		traceOut  = flag.String("trace-out", "", "write the event spine as Chrome trace-event JSON (Perfetto-loadable) to this file on engine close")
-		jsonDir   = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, bytes, checksums) into this directory ('.' = cwd)")
-		listOnly  = flag.Bool("list", false, "list experiment ids and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile (every allocation since start, not just the live heap) to this file at exit")
-		memRate   = flag.Int("memprofilerate", 0, "runtime.MemProfileRate for -memprofile: 1 records every allocation (exact object counts, slower); 0 keeps the runtime's sampling")
+		expFlag  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		execBin  = flag.String("executor-bin", "", "deca-executor binary for -deploy multiproc (default: next to deca-bench, then $PATH)")
+		jsonDir  = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, bytes, checksums) into this directory ('.' = cwd)")
+		listOnly = flag.Bool("list", false, "list experiment ids and exit")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile (every allocation since start, not just the live heap) to this file at exit")
+		memRate  = flag.Int("memprofilerate", 0, "runtime.MemProfileRate for -memprofile: 1 records every allocation (exact object counts, slower); 0 keeps the runtime's sampling")
 	)
+	flag.Float64Var(&opts.Scale, "scale", 1.0, "dataset scale factor")
+	flag.IntVar(&cfg.Parallelism, "parallelism", 4, "worker goroutines per executor")
+	flag.IntVar(&cfg.NumExecutors, "executors", 1, "executors in the local cluster (scaling experiment sweeps its own)")
+	flag.Func("transport", "shuffle transport: inprocess (default) or tcp (loopback sockets)", func(s string) (err error) {
+		cfg.TransportKind, err = engine.ParseTransportKind(s)
+		return err
+	})
+	flag.Func("deploy", "deployment: inprocess (default) or multiproc (spawn deca-executor processes)", func(s string) (err error) {
+		cfg.Deploy, err = engine.ParseDeployKind(s)
+		return err
+	})
+	flag.StringVar(&cfg.SpillDir, "spill-dir", "", "directory for spills and swaps (default: temp)")
+	flag.Int64Var(&opts.ChaosSeed, "chaos-seed", 0, "seed for the deterministic fault injector (0 = 1; used when -failure-rate > 0)")
+	flag.Float64Var(&opts.FailureRate, "failure-rate", 0, "inject this per-attempt task failure probability into every experiment (0 = no chaos)")
+	flag.Float64Var(&cfg.FetchFailureRate, "fetch-failure-rate", 0, "inject this transient data-plane fetch failure probability (multiproc: inside the executor processes)")
+	flag.IntVar(&cfg.MaxTaskRetries, "max-retries", 0, "per-task retry budget (0 = engine default of 3, negative disables retries)")
+	flag.StringVar(&cfg.OpsAddr, "ops-addr", "", "serve the live HTTP ops plane (/metrics, /stages, /executors, /memory, /trace) on this address while experiments run")
+	flag.StringVar(&cfg.TraceOut, "trace-out", "", "write the event spine as Chrome trace-event JSON (Perfetto-loadable) to this file on engine close")
 	flag.Parse()
 	if *memRate > 0 {
 		runtime.MemProfileRate = *memRate
 	}
 
-	transportKind, err := engine.ParseTransportKind(*transport)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "deca-bench:", err)
-		return 1
-	}
-	deployKind, err := engine.ParseDeployKind(*deploy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "deca-bench:", err)
-		return 1
-	}
-	var executorCmd []string
-	if deployKind == engine.DeployMultiproc {
+	if cfg.Deploy == engine.DeployMultiproc {
 		bin, err := resolveExecutorBin(*execBin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "deca-bench:", err)
 			return 1
 		}
-		executorCmd = []string{bin}
+		cfg.ExecutorCmd = []string{bin}
 	}
 
 	if *listOnly {
@@ -87,22 +84,14 @@ func run() int {
 		return 0
 	}
 
-	opts := bench.Options{
-		Scale: *scale, Parallelism: *par, NumExecutors: *execs,
-		SpillDir: *spillDir, TransportKind: transportKind,
-		Deploy: deployKind, ExecutorCmd: executorCmd,
-		ChaosSeed: *chaosSeed, FailureRate: *failRate, FetchFailureRate: *fetchRate,
-		MaxRetries: *maxRetry,
-		OpsAddr:    *opsAddr, TraceOut: *traceOut,
-	}
-	if opts.SpillDir == "" {
+	if cfg.SpillDir == "" {
 		dir, err := os.MkdirTemp("", "deca-bench-*")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "deca-bench:", err)
 			return 1
 		}
 		defer os.RemoveAll(dir)
-		opts.SpillDir = dir
+		cfg.SpillDir = dir
 	}
 
 	var experiments []bench.Experiment
@@ -140,7 +129,7 @@ func run() int {
 		fmt.Print(rep.String())
 		fmt.Printf("  (completed in %s)\n\n", elapsed.Round(time.Millisecond))
 		if *jsonDir != "" {
-			if err := writeJSON(*jsonDir, rep, *scale, elapsed); err != nil {
+			if err := writeJSON(*jsonDir, rep, opts.Scale, elapsed); err != nil {
 				fmt.Fprintf(os.Stderr, "deca-bench: %s: %v\n", e.ID, err)
 				failed = true
 			}

@@ -18,29 +18,22 @@ import (
 	"deca/internal/workloads"
 )
 
-// Options tunes experiment size.
+// Options tunes experiment size and the cluster every experiment runs on.
 type Options struct {
 	// Scale multiplies dataset sizes; 1.0 is the default laptop scale
 	// (every experiment in seconds), tests use ~0.05.
 	Scale float64
-	// SpillDir receives spills and swaps; "" uses the OS temp dir.
-	SpillDir string
-	// Parallelism bounds worker goroutines per executor (0 = 4).
-	Parallelism int
-	// NumExecutors shards each experiment's engine into a local cluster
-	// (0/1 = single executor). The scaling experiment sweeps its own
-	// executor counts regardless.
-	NumExecutors int
-	// TransportKind selects the shuffle transport every experiment's
-	// engine uses (deca-bench -transport tcp).
-	TransportKind engine.TransportKind
-	// Deploy selects the deployment every experiment's engine uses
-	// (deca-bench -deploy multiproc spawns deca-executor processes);
-	// ExecutorCmd is the executor binary's argv prefix, required for
-	// multiproc. The deploy experiment sweeps deployments itself and only
-	// needs ExecutorCmd.
-	Deploy      engine.DeployKind
-	ExecutorCmd []string
+	// Base is the workload config every experiment's engine starts from;
+	// deca-bench binds its cluster flags straight into it: NumExecutors
+	// (0/1 = single executor; the scaling experiment sweeps its own),
+	// Parallelism (0 = 4), SpillDir, TransportKind, Deploy and ExecutorCmd
+	// (the deploy experiment sweeps deployments itself and only needs
+	// ExecutorCmd), MaxTaskRetries, FetchFailureRate (under multiproc it
+	// travels in the plan, so the faults fire inside the executor
+	// processes), OpsAddr and TraceOut (runs with several engines overwrite
+	// the file, so it holds the last one). Mode, Partitions and Seed are
+	// each experiment's own.
+	Base workloads.Config
 	// ChaosSeed seeds the deterministic fault injector (deca-bench
 	// -chaos-seed); 0 selects seed 1 when FailureRate asks for chaos.
 	ChaosSeed int64
@@ -48,33 +41,17 @@ type Options struct {
 	// every experiment's engine (deca-bench -failure-rate). The faults
 	// experiment sweeps its own rates regardless.
 	FailureRate float64
-	// FetchFailureRate injects a transient data-plane fetch failure
-	// probability (deca-bench -fetch-failure-rate). Under -deploy
-	// multiproc the rate travels in the plan, so the faults fire inside
-	// the executor processes.
-	FetchFailureRate float64
-	// MaxRetries overrides the per-task retry budget (deca-bench
-	// -max-retries; 0 = engine default of 3, negative disables).
-	MaxRetries int
-	// OpsAddr serves each experiment engine's live HTTP ops plane
-	// (/metrics, /stages, /executors, /memory, /trace) on this address
-	// for the run's duration (deca-bench -ops-addr). Driver-side only.
-	OpsAddr string
-	// TraceOut writes each engine's event spine as Chrome trace-event
-	// JSON to this file on engine close (deca-bench -trace-out); runs
-	// with several engines overwrite it, so the file holds the last one.
-	TraceOut string
 }
 
 func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 4
+	if o.Base.Parallelism <= 0 {
+		o.Base.Parallelism = 4
 	}
-	if o.NumExecutors <= 0 {
-		o.NumExecutors = 1
+	if o.Base.NumExecutors <= 0 {
+		o.Base.NumExecutors = 1
 	}
 	return o
 }
@@ -216,29 +193,19 @@ func resultRow(label string, r workloads.Result) string {
 		mb(r.CacheBytes), mb(r.SwapBytes+r.ShuffleSpillBytes))
 }
 
-// baseCfg builds a workload config for the given mode, wiring in the
-// global chaos flags: every engine the experiment builds gets its own
+// baseCfg builds a workload config for the given mode from Base, wiring in
+// the global chaos flags: every engine the experiment builds gets its own
 // injector (fresh counters) with the same seed, so runs stay repeatable.
 func (o Options) baseCfg(mode engine.Mode) workloads.Config {
-	cfg := workloads.Config{
-		Mode:          mode,
-		NumExecutors:  o.NumExecutors,
-		Parallelism:   o.Parallelism,
-		Partitions:    o.Parallelism * o.NumExecutors,
-		SpillDir:      o.SpillDir,
-		TransportKind: o.TransportKind,
-		Deploy:        o.Deploy,
-		ExecutorCmd:   o.ExecutorCmd,
-		Seed:          1,
-		OpsAddr:       o.OpsAddr,
-		TraceOut:      o.TraceOut,
-	}
+	cfg := o.Base
+	cfg.Mode = mode
+	cfg.Seed = 1
 	if cfg.Deploy == engine.DeployMultiproc && cfg.NumExecutors < 2 {
 		// A single-process "cluster" of one child defeats the point;
 		// multiproc runs always get at least two executor processes.
 		cfg.NumExecutors = 2
-		cfg.Partitions = o.Parallelism * cfg.NumExecutors
 	}
+	cfg.Partitions = cfg.Parallelism * cfg.NumExecutors
 	o.applyChaos(&cfg)
 	return cfg
 }
@@ -247,14 +214,12 @@ func (o Options) baseCfg(mode engine.Mode) workloads.Config {
 // experiments that build their configs inline (scaling, merge) call it
 // too, so -failure-rate covers every engine the bench starts.
 func (o Options) applyChaos(cfg *workloads.Config) {
-	cfg.MaxTaskRetries = o.MaxRetries
+	cfg.MaxTaskRetries = o.Base.MaxTaskRetries
+	cfg.FetchFailureRate = o.Base.FetchFailureRate
 	if o.FailureRate > 0 {
 		inj := chaos.New(o.chaosSeed())
 		inj.TaskFailureRate = o.FailureRate
 		cfg.Chaos = inj
-	}
-	if o.FetchFailureRate > 0 {
-		cfg.FetchFailureRate = o.FetchFailureRate
 	}
 }
 

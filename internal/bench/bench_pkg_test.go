@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"deca/internal/workloads"
 )
 
 // Every experiment must run end-to-end at tiny scale and produce a
@@ -12,7 +14,7 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds even at tiny scale")
 	}
-	opts := Options{Scale: 0.02, SpillDir: t.TempDir(), Parallelism: 2}
+	opts := Options{Scale: 0.02, Base: workloads.Config{SpillDir: t.TempDir(), Parallelism: 2}}
 	for _, exp := range All() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -49,7 +51,7 @@ func TestOptionsScaled(t *testing.T) {
 		t.Errorf("scaled floor broken: %d", got)
 	}
 	o = Options{}.withDefaults()
-	if o.Scale != 1 || o.Parallelism != 4 {
+	if o.Scale != 1 || o.Base.Parallelism != 4 {
 		t.Errorf("defaults: %+v", o)
 	}
 }

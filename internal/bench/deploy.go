@@ -9,7 +9,7 @@ import (
 
 // DeployComparison measures what each deployment of the same cluster
 // costs: WC, LR and PR in Deca mode on (a) in-process executors with
-// pointer shuffles, (b) in-process executors with TCP-framed shuffles,
+// in-process shuffles, (b) in-process executors with TCP-framed shuffles,
 // and (c) real deca-executor OS processes driven over the control plane
 // (when an executor binary is available — deca-bench -deploy multiproc
 // or -executor-bin). Checksums must match the in-process run exactly:
@@ -24,7 +24,7 @@ func DeployComparison(o Options) (*Report, error) {
 			"plane pays RPC dispatch",
 	}
 
-	execs := o.NumExecutors
+	execs := o.Base.NumExecutors
 	if execs < 2 {
 		execs = 2
 	}
@@ -48,34 +48,42 @@ func DeployComparison(o Options) (*Report, error) {
 		}},
 	}
 
-	deploys := []engine.DeployKind{engine.DeployInProcess, engine.DeployTCP}
-	if len(o.ExecutorCmd) > 0 {
-		deploys = append(deploys, engine.DeployMultiproc)
+	// A row is a deployment and, for the in-process ones, a transport.
+	type row struct {
+		name      string
+		deploy    engine.DeployKind
+		transport engine.TransportKind
+	}
+	rows := []row{
+		{"inprocess", engine.DeployInProcess, engine.TransportInProcess},
+		{"tcp", engine.DeployInProcess, engine.TransportTCP},
+	}
+	if len(o.Base.ExecutorCmd) > 0 {
+		rows = append(rows, row{"multiproc", engine.DeployMultiproc, engine.TransportInProcess})
 	} else {
 		rep.add("(multiproc rows skipped: no deca-executor binary — run deca-bench -deploy multiproc)")
 	}
 
 	for _, a := range apps {
 		var baseline float64
-		for _, deploy := range deploys {
+		for i, r := range rows {
 			cfg := o.baseCfg(engine.ModeDeca)
 			cfg.NumExecutors = execs
-			cfg.Partitions = o.Parallelism * execs
-			cfg.Deploy = deploy
-			cfg.TransportKind = engine.TransportInProcess
+			cfg.Partitions = o.Base.Parallelism * execs
+			cfg.Deploy, cfg.TransportKind = r.deploy, r.transport
 			res, err := a.run(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("%s[%v]: %w", a.name, deploy, err)
+				return nil, fmt.Errorf("%s[%s]: %w", a.name, r.name, err)
 			}
-			if deploy == engine.DeployInProcess {
+			if i == 0 {
 				baseline = res.Checksum
 			} else if !checksumClose(res.Checksum, baseline) {
-				return nil, fmt.Errorf("%s[%v]: checksum %g != inprocess %g",
-					a.name, deploy, res.Checksum, baseline)
+				return nil, fmt.Errorf("%s[%s]: checksum %g != inprocess %g",
+					a.name, r.name, res.Checksum, baseline)
 			}
-			rep.record(fmt.Sprintf("%s-%s", a.name, deploy), res)
+			rep.record(fmt.Sprintf("%s-%s", a.name, r.name), res)
 			rep.add("%-3s %-10s exec=%-9s remote-fetches=%-5d remote=%-9s checksum=%.6g",
-				a.name, deploy, fmtDur(res.Wall),
+				a.name, r.name, fmtDur(res.Wall),
 				res.RemoteShuffleFetches, mb(res.RemoteShuffleBytes), res.Checksum)
 		}
 	}

@@ -40,19 +40,19 @@ func FaultTolerance(o Options) (*Report, error) {
 				Skew: 1.2, Iterations: 3})
 		}},
 	}
-	execs := o.NumExecutors
+	execs := o.Base.NumExecutors
 	if execs < 4 {
 		execs = 4 // the kill row needs executors to spare
 	}
 	rates := []float64{0, 0.01, 0.05, 0.10}
 	// One base config per transport; each run clones it and sets only its
 	// fault profile. MaxTaskRetries is pinned so the 10% rows survive a
-	// streak (the flag-driven default stays available via o.MaxRetries on
+	// streak (the flag-driven default stays available via -max-retries on
 	// the other experiments).
 	baseCfg := func(kind engine.TransportKind) workloads.Config {
 		cfg := o.baseCfg(engine.ModeDeca)
 		cfg.NumExecutors = execs
-		cfg.Partitions = o.Parallelism * execs
+		cfg.Partitions = o.Base.Parallelism * execs
 		cfg.TransportKind = kind
 		cfg.Deploy = engine.DeployInProcess // the classic rows sweep transports themselves
 		cfg.Chaos = nil
@@ -112,12 +112,12 @@ func FaultTolerance(o Options) (*Report, error) {
 	// job across real executor processes, fault-free and with a real
 	// SIGKILL of one child mid-job — the process-mode overhead vs the tcp
 	// rows above, answers still identical.
-	if len(o.ExecutorCmd) > 0 {
+	if len(o.Base.ExecutorCmd) > 0 {
 		baseline := 0.0
 		for _, row := range []string{"none", "fetch", "kill"} {
 			cfg := baseCfg(engine.TransportInProcess)
 			cfg.Deploy = engine.DeployMultiproc
-			cfg.ExecutorCmd = o.ExecutorCmd
+			cfg.ExecutorCmd = o.Base.ExecutorCmd
 			switch row {
 			case "fetch":
 				// The rate rides in the plan: each executor process builds

@@ -59,7 +59,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 	groupSrcs := func(m *memory.Manager) []*shuffle.DecaGroup[int64, int64] {
 		out := make([]*shuffle.DecaGroup[int64, int64], sources)
 		for s := range out {
-			out[s] = shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+			out[s] = shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 			for i := 0; i < recs; i++ {
 				out[s].Put(int64(s*recs/16+i%(recs/16+1)), int64(i))
 			}
@@ -69,7 +69,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 	m := memory.NewManager(0, 0)
 	zcSrcs, drainSrcs := groupSrcs(m), groupSrcs(m)
 	zc, err := timeIt(func() error {
-		dst := shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+		dst := shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 		defer dst.Release()
 		for _, src := range zcSrcs {
 			if err := dst.MergeFrom(src); err != nil {
@@ -83,7 +83,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 		return err
 	}
 	drain, err := timeIt(func() error {
-		dst := shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+		dst := shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 		defer dst.Release()
 		for _, src := range drainSrcs {
 			err := src.Drain(func(k int64, vs []int64) bool {
@@ -111,7 +111,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 		out := make([]*shuffle.DecaAgg[int64, int64], sources)
 		for s := range out {
 			b, err := shuffle.NewDecaAgg[int64, int64](m, func(x, y int64) int64 { return x + y },
-				decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+				decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +132,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 	}
 	zc, err = timeIt(func() error {
 		dst, err := shuffle.NewDecaAgg[int64, int64](m, func(x, y int64) int64 { return x + y },
-			decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+			decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 		if err != nil {
 			return err
 		}
@@ -150,7 +150,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 	}
 	drain, err = timeIt(func() error {
 		dst, err := shuffle.NewDecaAgg[int64, int64](m, func(x, y int64) int64 { return x + y },
-			decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+			decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 	sortSrcs := func(m *memory.Manager) []*shuffle.DecaSort[int64, int64] {
 		out := make([]*shuffle.DecaSort[int64, int64], sources)
 		for s := range out {
-			out[s] = shuffle.NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+			out[s] = shuffle.NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 			for i := 0; i < recs; i++ {
 				out[s].Put(int64((i*2654435761+s)%recs), int64(i))
 			}
@@ -185,7 +185,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 	}
 	zcSort, drainSort := sortSrcs(m), sortSrcs(m)
 	zc, err = timeIt(func() error {
-		dst := shuffle.NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+		dst := shuffle.NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 		defer dst.Release()
 		for _, src := range zcSort {
 			if err := dst.MergeFrom(src); err != nil {
@@ -199,7 +199,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 		return err
 	}
 	drain, err = timeIt(func() error {
-		dst := shuffle.NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, o.SpillDir)
+		dst := shuffle.NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)
 		defer dst.Release()
 		for _, src := range drainSort {
 			err := src.DrainSorted(func(k, v int64) bool { dst.Put(k, v); return true })
@@ -241,9 +241,9 @@ func mergeClusterRows(o Options, rep *Report) error {
 			cfg := workloads.Config{
 				Mode:         mode,
 				NumExecutors: execs,
-				Parallelism:  o.Parallelism,
+				Parallelism:  o.Base.Parallelism,
 				Partitions:   parts,
-				SpillDir:     o.SpillDir,
+				SpillDir:     o.Base.SpillDir,
 				Seed:         1,
 			}
 			o.applyChaos(&cfg)

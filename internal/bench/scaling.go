@@ -57,11 +57,11 @@ func ScalingExecutors(o Options) (*Report, error) {
 				cfg := workloads.Config{
 					Mode:          mode,
 					NumExecutors:  execs,
-					Parallelism:   o.Parallelism,
+					Parallelism:   o.Base.Parallelism,
 					Partitions:    parts,
 					MemoryBudget:  totalBudget,
-					SpillDir:      o.SpillDir,
-					TransportKind: o.TransportKind,
+					SpillDir:      o.Base.SpillDir,
+					TransportKind: o.Base.TransportKind,
 					Seed:          1,
 				}
 				o.applyChaos(&cfg)

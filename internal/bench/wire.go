@@ -43,19 +43,19 @@ func WireThroughput(o Options) (*Report, error) {
 	// Aggregation containers (ReduceByKey map output).
 	decaMem := memory.NewManager(0, 0)
 	dAgg, err := shuffle.NewDecaAgg[int64, []int64](decaMem,
-		combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.SpillDir)
+		combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
 	if err != nil {
 		return nil, err
 	}
 	oAgg := shuffle.NewObjectAgg(combineVec, shuffle.ObjectConfig[int64, []int64]{
-		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.SpillDir,
+		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.Base.SpillDir,
 	})
 	// Sort containers (SortByKey map output): the leanest Deca frame —
 	// pointer array + pages, no key table.
 	dSort := shuffle.NewDecaSort[int64, []int64](decaMem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.SpillDir)
+		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
 	oSort := shuffle.NewObjectSort(lessI64, shuffle.ObjectConfig[int64, []int64]{
-		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.SpillDir,
+		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.Base.SpillDir,
 	})
 	defer dAgg.Release()
 	defer oAgg.Release()
@@ -85,7 +85,7 @@ func WireThroughput(o Options) (*Report, error) {
 		encode func(w io.Writer) error
 		decode func(frame []byte) error
 	}
-	spill := o.SpillDir
+	spill := o.Base.SpillDir
 	// One long-lived destination manager, as on a real executor: restored
 	// pages return to its pool on release and recycle across fetches —
 	// the steady-state-no-allocation property the decode path inherits.
@@ -198,9 +198,9 @@ func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, i
 	// the first fill forced to disk, a second fill resident — its frame
 	// exercises pages and the sendfile run path in one serve.
 	dMem := shuffle.NewDecaSort[int64, []int64](mem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.SpillDir)
+		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
 	dSp := shuffle.NewDecaSort[int64, []int64](mem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.SpillDir)
+		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
 	defer dMem.Release()
 	defer dSp.Release()
 	vec := make([]int64, dim)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"deca/internal/obs"
 )
 
 // TestMain doubles as a minimal follower binary: the driver spawns
@@ -34,7 +36,7 @@ func (cancelEchoRuntime) RunTask(key string, stage, part, attempt int, cancel <-
 
 func (cancelEchoRuntime) MaterializeDataset(int, int) {}
 func (cancelEchoRuntime) ReleaseDataset(int, int)     {}
-func (cancelEchoRuntime) Snapshot() MetricsSnapshot   { return MetricsSnapshot{} }
+func (cancelEchoRuntime) Snapshot() obs.CounterValues { return obs.CounterValues{} }
 
 func cancelHelperMain(args []string) int {
 	fs := flag.NewFlagSet("ctl-helper", flag.ContinueOnError)

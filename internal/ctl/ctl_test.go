@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"deca/internal/obs"
 	"deca/internal/transport"
 )
 
@@ -24,7 +25,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	e.bool(true)
 	e.bytes([]byte{0, 1, 2, 255})
 	appendOutputID(&e, transport.MapOutputID{Shuffle: 9, MapTask: 3, Reduce: 11})
-	e.b = appendSnapshot(e.b, MetricsSnapshot{ShuffleRecords: 123, RemoteShuffleBytes: 1 << 30, CacheMemBytes: -5, CacheSwappedBytes: 77})
+	want := obs.CounterValues{obs.ShuffleRecords: 123, obs.RemoteShuffleBytes: 1 << 30, obs.CacheMemBytes: -5, obs.CacheSwappedBytes: 77}
+	e.b = appendSnapshot(e.b, want)
 
 	done := make(chan error, 1)
 	go func() { done <- ca.send(msgHeartbeat, e.b) }()
@@ -57,9 +59,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if id := decodeOutputID(d); id != (transport.MapOutputID{Shuffle: 9, MapTask: 3, Reduce: 11}) {
 		t.Errorf("output id = %v", id)
 	}
-	snap := decodeSnapshot(d)
-	if snap.ShuffleRecords != 123 || snap.RemoteShuffleBytes != 1<<30 || snap.CacheMemBytes != -5 || snap.CacheSwappedBytes != 77 {
-		t.Errorf("snapshot = %+v", snap)
+	if snap := decodeSnapshot(d); snap != want {
+		t.Errorf("snapshot = %v, want %v", snap, want)
 	}
 	if !d.ok() {
 		t.Error("decoder reported corruption on a clean frame")

@@ -79,9 +79,9 @@ type execState struct {
 	deadErr  error
 	deadCh   chan struct{} // closed when declared dead
 	lastBeat time.Time
-	lastSnap MetricsSnapshot
+	counters obs.CounterValues          // the latest snapshot: heartbeat or metrics reply
 	pending  map[uint64]chan TaskResult // taskID → dispatch waiter
-	reqs     map[uint64]chan MetricsSnapshot
+	reqs     map[uint64]chan struct{}   // reqID → SyncMetrics waiter
 }
 
 // Driver supervises the executor fleet: it spawns the processes, owns
@@ -136,7 +136,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 			id:      i,
 			deadCh:  make(chan struct{}),
 			pending: make(map[uint64]chan TaskResult),
-			reqs:    make(map[uint64]chan MetricsSnapshot),
+			reqs:    make(map[uint64]chan struct{}),
 		}
 	}
 
@@ -265,7 +265,7 @@ func (d *Driver) markDead(st *execState, cause error) {
 	pending := st.pending
 	st.pending = make(map[uint64]chan TaskResult)
 	reqs := st.reqs
-	st.reqs = make(map[uint64]chan MetricsSnapshot)
+	st.reqs = make(map[uint64]chan struct{})
 	st.mu.Unlock()
 	if st.conn != nil {
 		st.conn.close()
@@ -341,11 +341,14 @@ func (d *Driver) readLoop(st *execState) {
 		dd := &dec{b: payload}
 		switch t {
 		case msgHeartbeat:
-			snap := decodeSnapshot(dd)
-			evs := decodeEvents(dd)
+			snap, evs, ok := decodeHeartbeat(payload)
+			if !ok {
+				d.markDead(st, fmt.Errorf("ctl: executor %d sent a malformed heartbeat", st.id))
+				return
+			}
 			st.mu.Lock()
 			st.lastBeat = time.Now()
-			st.lastSnap = snap
+			st.counters = snap
 			st.mu.Unlock()
 			if len(evs) > 0 && d.cfg.OnEvents != nil {
 				d.cfg.OnEvents(st.id, evs)
@@ -399,10 +402,10 @@ func (d *Driver) readLoop(st *execState) {
 			st.mu.Lock()
 			ch := st.reqs[reqID]
 			delete(st.reqs, reqID)
-			st.lastSnap = snap
+			st.counters = snap
 			st.mu.Unlock()
 			if ch != nil {
-				ch <- snap
+				close(ch)
 			}
 		}
 	}
@@ -515,13 +518,11 @@ func (d *Driver) DropShuffle(shuffle int64) int {
 	return len(ids)
 }
 
-// ExecStatus is one executor's liveness + latest heartbeat view, for
-// the ops plane.
+// ExecStatus is one executor's liveness, for the ops plane.
 type ExecStatus struct {
 	Exec     int
 	Alive    bool
 	LastBeat time.Time
-	Snapshot MetricsSnapshot
 }
 
 // Statuses returns every executor's last-heartbeat state without any
@@ -532,11 +533,20 @@ func (d *Driver) Statuses() []ExecStatus {
 	for i, st := range d.execs {
 		st.mu.Lock()
 		out[i] = ExecStatus{
-			Exec: i, Alive: st.alive, LastBeat: st.lastBeat, Snapshot: st.lastSnap,
+			Exec: i, Alive: st.alive, LastBeat: st.lastBeat,
 		}
 		st.mu.Unlock()
 	}
 	return out
+}
+
+// Counters returns the executor-resident counter values the executor last
+// reported, without any round trip.
+func (d *Driver) Counters(exec int) obs.CounterValues {
+	st := d.execs[exec]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.counters
 }
 
 // Kill SIGKILLs the executor's process — the chaos harness's executor
@@ -658,46 +668,40 @@ func (d *Driver) ReleaseDataset(dataset, epoch int) {
 }
 
 // SyncMetrics requests a fresh counter snapshot from every live executor
-// (dead executors contribute their last heartbeat's snapshot) and
-// returns the per-executor set.
-func (d *Driver) SyncMetrics(timeout time.Duration) []MetricsSnapshot {
-	out := make([]MetricsSnapshot, len(d.execs))
+// and waits, up to timeout, for the replies to land where Counters reads
+// them; a dead executor keeps what its last heartbeat reported.
+func (d *Driver) SyncMetrics(timeout time.Duration) {
 	var wg sync.WaitGroup
-	for i, st := range d.execs {
+	for _, st := range d.execs {
+		reqID := d.nextReq.Add(1)
+		ch := make(chan struct{})
 		st.mu.Lock()
 		alive := st.alive
-		out[i] = st.lastSnap
+		if alive {
+			st.reqs[reqID] = ch
+		}
 		st.mu.Unlock()
 		if !alive {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, st *execState) {
+		go func() {
 			defer wg.Done()
-			reqID := d.nextReq.Add(1)
-			ch := make(chan MetricsSnapshot, 1)
-			st.mu.Lock()
-			st.reqs[reqID] = ch
-			st.mu.Unlock()
 			var e enc
 			e.uint(reqID)
 			if err := st.conn.send(msgMetricsRequest, e.b); err != nil {
 				return
 			}
 			select {
-			case snap, ok := <-ch:
-				if ok {
-					out[i] = snap
-				}
+			case <-ch: // replied, or declared dead
 			case <-time.After(timeout):
 				st.mu.Lock()
 				delete(st.reqs, reqID)
 				st.mu.Unlock()
 			}
-		}(i, st)
+		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // Close shuts the fleet down: Shutdown broadcast, a grace period for the

@@ -33,8 +33,8 @@ type Runtime interface {
 	// the given epoch (driver-initiated recovery). Stale requests — the
 	// local materialization is already newer — are ignored.
 	ReleaseDataset(dataset, epoch int)
-	// Snapshot returns the executor-owned metrics counters.
-	Snapshot() MetricsSnapshot
+	// Snapshot returns the executor's counter vector.
+	Snapshot() obs.CounterValues
 }
 
 // EventSource is an optional Runtime extension: a runtime that also
@@ -99,6 +99,12 @@ type Follower struct {
 	cancels  map[uint64]chan struct{} // taskID → attempt cancel signal
 	closed   bool
 	closeErr error
+
+	// snapMu is held from reading a counter snapshot to sending it, so
+	// snapshots reach the driver in the order they were taken: the driver
+	// keeps the last vector it received, and a heartbeat must not lay an
+	// older one over a metrics reply's.
+	snapMu sync.Mutex
 
 	shutdownCh chan struct{}
 	shutdown   sync.Once
@@ -375,10 +381,11 @@ func (f *Follower) readLoop() {
 			if !dd.ok() {
 				continue
 			}
-			var snap MetricsSnapshot
+			var snap obs.CounterValues
 			f.mu.Lock()
 			rt := f.rt
 			f.mu.Unlock()
+			f.snapMu.Lock()
 			if rt != nil {
 				snap = rt.Snapshot()
 			}
@@ -386,6 +393,7 @@ func (f *Follower) readLoop() {
 			e.uint(reqID)
 			e.b = appendSnapshot(e.b, snap)
 			f.conn.send(msgMetricsReply, e.b)
+			f.snapMu.Unlock()
 		case msgShutdown:
 			f.shutdown.Do(func() { close(f.shutdownCh) })
 		}
@@ -417,7 +425,7 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 		case <-f.shutdownCh:
 			return
 		}
-		var snap MetricsSnapshot
+		var snap obs.CounterValues
 		f.mu.Lock()
 		rt := f.rt
 		closed := f.closed
@@ -426,6 +434,7 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 			return
 		}
 		var evs []obs.Event
+		f.snapMu.Lock()
 		if rt != nil {
 			snap = rt.Snapshot()
 			if src, ok := rt.(EventSource); ok {
@@ -436,7 +445,9 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 		if len(evs) > 0 {
 			payload = appendEvents(payload, evs)
 		}
-		if err := f.conn.send(msgHeartbeat, payload); err != nil {
+		err := f.conn.send(msgHeartbeat, payload)
+		f.snapMu.Unlock()
+		if err != nil {
 			f.markClosed(fmt.Errorf("ctl: heartbeat send: %w", err))
 			return
 		}

@@ -75,11 +75,12 @@ const (
 	// local shuffle release (the next read re-materializes from lineage);
 	// followers already on a newer epoch ignore it.
 	msgReleaseDataset byte = 15
-	// msgHeartbeat (exec→driver): metrics snapshot. Liveness + counters.
+	// msgHeartbeat (exec→driver): counter snapshot, drained events.
+	// Liveness + counters.
 	msgHeartbeat byte = 16
 	// msgMetricsRequest (driver→exec): reqID.
 	msgMetricsRequest byte = 17
-	// msgMetricsReply (exec→driver): reqID, metrics snapshot.
+	// msgMetricsReply (exec→driver): reqID, counter snapshot.
 	msgMetricsReply byte = 18
 	// msgShutdown (driver→exec): none. The executor exits.
 	msgShutdown byte = 19
@@ -155,71 +156,30 @@ func decodeTaskResult(d *dec) (taskID uint64, res TaskResult) {
 	return taskID, res
 }
 
-// MetricsSnapshot is the executor-owned counter set carried by
-// heartbeats and metrics replies, merged into the driver's cluster view.
-type MetricsSnapshot struct {
-	ShuffleRecords       int64
-	ShuffleSpillBytes    int64
-	LocalShuffleFetches  int64
-	RemoteShuffleFetches int64
-	RemoteShuffleBytes   int64
-	CacheHits            int64
-	CacheMisses          int64
-	CacheEvictions       int64
-	CacheDrops           int64
-	SwapOutBytes         int64
-	SwapInBytes          int64
-	CacheMemBytes        int64
-	PagesServedZeroCopy  int64
-	BytesSendfile        int64
-	UserspaceCopyBytes   int64
-	// FetchInFlightBytes is a gauge (not a counter): the bytes of map
-	// output the executor's reduce fetch pipelines currently hold
-	// reserved. Appended after the original 15 fields; the count-prefixed
-	// wire layout lets old decoders skip it and old encoders omit it.
-	FetchInFlightBytes int64
-	// CacheSwappedBytes is a gauge too: the in-memory size of the cache
-	// blocks that are on disk only. The 17th field, appended the same way.
-	CacheSwappedBytes int64
-}
-
-func (m MetricsSnapshot) fields() []int64 {
-	return []int64{
-		m.ShuffleRecords, m.ShuffleSpillBytes,
-		m.LocalShuffleFetches, m.RemoteShuffleFetches, m.RemoteShuffleBytes,
-		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.CacheDrops,
-		m.SwapOutBytes, m.SwapInBytes, m.CacheMemBytes,
-		m.PagesServedZeroCopy, m.BytesSendfile, m.UserspaceCopyBytes,
-		m.FetchInFlightBytes, m.CacheSwappedBytes,
-	}
-}
-
-func appendSnapshot(dst []byte, m MetricsSnapshot) []byte {
-	f := m.fields()
-	dst = serial.AppendUvarint(dst, uint64(len(f)))
-	for _, v := range f {
-		dst = serial.AppendVarint(dst, v)
+// A counter snapshot — the body of a metrics reply and the head of a
+// heartbeat — is an obs.CounterValues on the wire: a uvarint count, then
+// that many varints, position = obs.Counter value. A sender built before a
+// counter existed ships a shorter vector and the rest reads zero; one built
+// after ships a longer one and the surplus is skipped.
+func appendSnapshot(dst []byte, v obs.CounterValues) []byte {
+	dst = serial.AppendUvarint(dst, uint64(len(v)))
+	for _, x := range v {
+		dst = serial.AppendVarint(dst, x)
 	}
 	return dst
 }
 
-func decodeSnapshot(d *dec) MetricsSnapshot {
-	n := int(d.uint())
-	vals := make([]int64, 17)
-	for i := 0; i < n; i++ {
-		v := d.int()
-		if i < len(vals) {
-			vals[i] = v
+// decodeSnapshot keeps the positions the sending executor owns
+// (obs.ScopeExecutor): a driver-resident counter is never taken from a peer.
+func decodeSnapshot(d *dec) (v obs.CounterValues) {
+	n := d.count()
+	for i := 0; i < n && d.ok(); i++ {
+		x := d.int()
+		if i < len(v) && obs.Counter(i).Row().Scope == obs.ScopeExecutor {
+			v[i] = x
 		}
 	}
-	return MetricsSnapshot{
-		ShuffleRecords: vals[0], ShuffleSpillBytes: vals[1],
-		LocalShuffleFetches: vals[2], RemoteShuffleFetches: vals[3], RemoteShuffleBytes: vals[4],
-		CacheHits: vals[5], CacheMisses: vals[6], CacheEvictions: vals[7], CacheDrops: vals[8],
-		SwapOutBytes: vals[9], SwapInBytes: vals[10], CacheMemBytes: vals[11],
-		PagesServedZeroCopy: vals[12], BytesSendfile: vals[13], UserspaceCopyBytes: vals[14],
-		FetchInFlightBytes: vals[15], CacheSwappedBytes: vals[16],
-	}
+	return v
 }
 
 // Heartbeat event shipping: after the snapshot, a heartbeat payload may
@@ -251,20 +211,22 @@ func appendEvents(dst []byte, evs []obs.Event) []byte {
 }
 
 // decodeEvents decodes a trailing event batch; an empty remainder means
-// the sender shipped none.
+// the sender shipped none. Both counts are the peer's: each is bounded by
+// the payload that remains (dec.count), the batch is pre-sized by what an
+// honest sender ships at most, and a malformed batch leaves d bad.
 func decodeEvents(d *dec) []obs.Event {
 	if len(d.b) == 0 || d.bad {
 		return nil
 	}
-	n := int(d.uint())
-	if n <= 0 || !d.ok() {
+	n := d.count()
+	if n == 0 {
 		return nil
 	}
-	evs := make([]obs.Event, 0, n)
-	for i := 0; i < n && d.ok(); i++ {
-		nf := int(d.uint())
-		vals := make([]int64, eventNumFields)
-		for j := 0; j < nf; j++ {
+	evs := make([]obs.Event, 0, min(n, heartbeatEventBatch))
+	for i := 0; i < n; i++ {
+		nf := d.count()
+		var vals [eventNumFields]int64
+		for j := 0; j < nf && d.ok(); j++ {
 			v := d.int()
 			if j < len(vals) {
 				vals[j] = v
@@ -272,7 +234,7 @@ func decodeEvents(d *dec) []obs.Event {
 		}
 		key := d.str()
 		if !d.ok() {
-			break
+			return nil
 		}
 		evs = append(evs, obs.Event{
 			Seq: uint64(vals[0]), Kind: obs.Kind(vals[1]), Nanos: vals[2],
@@ -282,6 +244,17 @@ func decodeEvents(d *dec) []obs.Event {
 		})
 	}
 	return evs
+}
+
+// decodeHeartbeat decodes a msgHeartbeat payload: the executor's counter
+// snapshot, then the events it drained. ok=false means the frame is
+// malformed — the peer is not speaking the protocol, and the driver
+// declares it dead rather than guess at what it meant.
+func decodeHeartbeat(payload []byte) (snap obs.CounterValues, evs []obs.Event, ok bool) {
+	d := &dec{b: payload}
+	snap = decodeSnapshot(d)
+	evs = decodeEvents(d)
+	return snap, evs, d.ok()
 }
 
 // enc builds a message payload field by field.
@@ -337,6 +310,18 @@ func (d *dec) uint() uint64 {
 	}
 	d.b = d.b[n:]
 	return v
+}
+
+// count reads an element count a peer supplied. Every element takes at
+// least one byte, so a count above the bytes that remain is malformed —
+// which bounds the loop, and anything sized by the count, by the frame.
+func (d *dec) count() int {
+	n := d.uint()
+	if n > uint64(len(d.b)) {
+		d.bad = true
+		return 0
+	}
+	return int(n)
 }
 
 func (d *dec) str() string {

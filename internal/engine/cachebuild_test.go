@@ -7,6 +7,7 @@ import (
 
 	"deca/internal/cache"
 	"deca/internal/decompose"
+	"deca/internal/obs"
 	"deca/internal/sched"
 	"deca/internal/serial"
 )
@@ -89,12 +90,12 @@ func TestCountAcrossLevelsAndSwap(t *testing.T) {
 			if err != nil || len(all) != parts*perPart {
 				t.Fatalf("Collect = %d records, %v", len(all), err)
 			}
-			st := ctx.CacheStats()
-			if st.SwapOutBytes == 0 || st.SwapInBytes == 0 {
-				t.Fatalf("no swap round trip happened: %+v", st)
+			st := ctx.Counters()
+			if st[obs.CacheSwapOutBytes] == 0 || st[obs.CacheSwapInBytes] == 0 {
+				t.Fatalf("no swap round trip happened: %v", st)
 			}
-			if st.Drops != 0 {
-				t.Fatalf("blocks were dropped, not swapped: %+v", st)
+			if st[obs.CacheDrops] != 0 {
+				t.Fatalf("blocks were dropped, not swapped: %v", st)
 			}
 			count("after the round trip")
 		})

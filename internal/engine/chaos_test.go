@@ -12,6 +12,7 @@ import (
 
 	"deca/internal/chaos"
 	"deca/internal/decompose"
+	"deca/internal/obs"
 )
 
 // Stage ids are deterministic for a single-action WC-shaped job: the
@@ -104,12 +105,12 @@ func TestChaosTaskFailuresRecover(t *testing.T) {
 			if inj.Stats().TaskFailures == 0 {
 				t.Fatal("seed injected no failures; the test proves nothing")
 			}
-			m := ctx.MetricsRef()
-			if m.TaskRetries.Load() == 0 {
+			m := ctx.Counters()
+			if m[obs.TaskRetries] == 0 {
 				t.Error("recovery left no TaskRetries trace")
 			}
-			if m.TasksFailed.Load() != inj.Stats().TaskFailures {
-				t.Errorf("TasksFailed = %d, injected = %d", m.TasksFailed.Load(), inj.Stats().TaskFailures)
+			if m[obs.TasksFailed] != inj.Stats().TaskFailures {
+				t.Errorf("TasksFailed = %d, injected = %d", m[obs.TasksFailed], inj.Stats().TaskFailures)
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
@@ -139,7 +140,7 @@ func TestChaosExecutorKillBlacklistsAndRecovers(t *testing.T) {
 			if !ctx.Scheduler().Blacklisted(1) {
 				t.Error("killed executor was never blacklisted")
 			}
-			if got := ctx.MetricsRef().ExecutorsBlacklisted.Load(); got != 1 {
+			if got := ctx.Counters()[obs.ExecutorsBlacklisted]; got != 1 {
 				t.Errorf("ExecutorsBlacklisted = %d, want 1", got)
 			}
 			// Placement must avoid the dead executor, keeping healthy homes.
@@ -179,7 +180,7 @@ func TestBlacklistTreatsCacheBlocksAsMisses(t *testing.T) {
 		return total
 	}
 	want := sum()
-	missesBefore := ctx.CacheStats().Misses
+	missesBefore := ctx.Counters()[obs.CacheMisses]
 
 	if !ctx.Scheduler().Blacklist(1) {
 		t.Fatal("blacklist refused")
@@ -189,7 +190,7 @@ func TestBlacklistTreatsCacheBlocksAsMisses(t *testing.T) {
 	}
 	// Partitions 1 and 5 lost their cached blocks with their executor; the
 	// re-run recomputes them as misses on their new executors.
-	if misses := ctx.CacheStats().Misses - missesBefore; misses < 2 {
+	if misses := ctx.Counters()[obs.CacheMisses] - missesBefore; misses < 2 {
 		t.Errorf("cache misses after blacklist = %d, want ≥ 2 (recompute)", misses)
 	}
 	for p := 0; p < 8; p++ {
@@ -229,7 +230,7 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 				t.Fatal("no post-registration failures were injected")
 			}
 			// Every map task ran at least twice and re-registered.
-			if got := ctx.MetricsRef().TaskRetries.Load(); got < 8 {
+			if got := ctx.Counters()[obs.TaskRetries]; got < 8 {
 				t.Errorf("TaskRetries = %d, want ≥ 8 (one per map task)", got)
 			}
 			ts := ctx.Transport().Stats()
@@ -268,15 +269,15 @@ func TestChaosSpeculativeRaceLeaksNothing(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("result differs after a speculative race")
 			}
-			m := ctx.MetricsRef()
-			if m.SpeculativeLaunched.Load() == 0 {
+			m := ctx.Counters()
+			if m[obs.SpeculativeLaunched] == 0 {
 				t.Error("no speculative attempt launched for the stalled straggler")
 			}
-			if m.SpeculativeWon.Load() == 0 {
+			if m[obs.SpeculativeWon] == 0 {
 				t.Error("the speculative duplicate never won against a 300ms stall")
 			}
-			if m.TasksFailed.Load() != 0 {
-				t.Errorf("TasksFailed = %d, want 0 (a cancelled loser is not a failure)", m.TasksFailed.Load())
+			if m[obs.TasksFailed] != 0 {
+				t.Errorf("TasksFailed = %d, want 0 (a cancelled loser is not a failure)", m[obs.TasksFailed])
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
@@ -308,12 +309,12 @@ func TestChaosMidMergeReduceFailureRetries(t *testing.T) {
 			if st.MergeFailures == 0 {
 				t.Fatal("no mid-merge failure injected; the test proves nothing")
 			}
-			m := ctx.MetricsRef()
-			if m.TaskRetries.Load() < st.MergeFailures {
+			m := ctx.Counters()
+			if m[obs.TaskRetries] < st.MergeFailures {
 				t.Errorf("TaskRetries = %d, want >= %d (one retry per injected merge death)",
-					m.TaskRetries.Load(), st.MergeFailures)
+					m[obs.TaskRetries], st.MergeFailures)
 			}
-			if n := m.LineageMapReruns.Load(); n != 0 {
+			if n := m[obs.LineageMapReruns]; n != 0 {
 				t.Errorf("LineageMapReruns = %d, want 0 (sources stayed pinned; no repair needed)", n)
 			}
 			ctx.ReleaseAllShuffles()
@@ -350,15 +351,15 @@ func TestChaosReduceSpeculationReleasesLoser(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("result differs after a speculative reduce race")
 			}
-			m := ctx.MetricsRef()
-			if m.SpeculativeLaunched.Load() == 0 {
+			m := ctx.Counters()
+			if m[obs.SpeculativeLaunched] == 0 {
 				t.Error("no speculative attempt launched for the stalled reduce task")
 			}
-			if m.SpeculativeWon.Load() == 0 {
+			if m[obs.SpeculativeWon] == 0 {
 				t.Error("the speculative duplicate never won against a 300ms stall")
 			}
-			if m.TasksFailed.Load() != 0 {
-				t.Errorf("TasksFailed = %d, want 0 (a cancelled loser is not a failure)", m.TasksFailed.Load())
+			if m[obs.TasksFailed] != 0 {
+				t.Errorf("TasksFailed = %d, want 0 (a cancelled loser is not a failure)", m[obs.TasksFailed])
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
@@ -412,8 +413,8 @@ func TestChaosCombinedFaults(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("combined-fault result differs from fault-free run")
 			}
-			m := ctx.MetricsRef()
-			if m.TaskRetries.Load() == 0 {
+			m := ctx.Counters()
+			if m[obs.TaskRetries] == 0 {
 				t.Error("no retries recorded")
 			}
 			if !ctx.Scheduler().Blacklisted(2) {
@@ -521,7 +522,7 @@ func TestForeachAttemptExposesRetryEpoch(t *testing.T) {
 			t.Errorf("partition %d applied %v records per attempt, want %d on attempt 1 only", p, m, per)
 		}
 	}
-	if ctx.MetricsRef().TaskRetries.Load() == 0 {
+	if ctx.Counters()[obs.TaskRetries] == 0 {
 		t.Error("the crashed partition left no TaskRetries trace")
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"deca/internal/cache"
 	"deca/internal/decompose"
+	"deca/internal/obs"
 )
 
 func clusterCtx(t *testing.T, mode Mode, execs int) *Context {
@@ -117,27 +118,26 @@ func TestCrossExecutorShuffleMetrics(t *testing.T) {
 	ctx := clusterCtx(t, ModeDeca, 4)
 	wordCountOn(t, ctx)
 
-	m := ctx.MetricsRef()
-	if m.RemoteShuffleFetches.Load() == 0 {
+	m := ctx.Counters()
+	if m[obs.RemoteShuffleFetches] == 0 {
 		t.Error("expected cross-executor map-output fetches with 4 executors")
 	}
-	if m.RemoteShuffleBytes.Load() == 0 {
+	if m[obs.RemoteShuffleBytes] == 0 {
 		t.Error("expected nonzero remote shuffle volume")
 	}
 	// Per-executor counters must sum to the cluster totals.
 	var tasks, local, remote int64
-	for _, ex := range ctx.Executors() {
-		em := ex.MetricsRef()
-		tasks += em.TasksRun.Load()
-		local += em.LocalShuffleFetches.Load()
-		remote += em.RemoteShuffleFetches.Load()
+	for _, em := range ctx.ExecCounters() {
+		tasks += em[obs.TasksRun]
+		local += em[obs.LocalShuffleFetches]
+		remote += em[obs.RemoteShuffleFetches]
 	}
-	if tasks != m.TasksRun.Load() {
-		t.Errorf("per-executor TasksRun sums to %d, cluster says %d", tasks, m.TasksRun.Load())
+	if tasks != m[obs.TasksRun] {
+		t.Errorf("per-executor TasksRun sums to %d, cluster says %d", tasks, m[obs.TasksRun])
 	}
-	if local != m.LocalShuffleFetches.Load() || remote != m.RemoteShuffleFetches.Load() {
+	if local != m[obs.LocalShuffleFetches] || remote != m[obs.RemoteShuffleFetches] {
 		t.Errorf("fetch sums (%d local, %d remote) != cluster (%d, %d)",
-			local, remote, m.LocalShuffleFetches.Load(), m.RemoteShuffleFetches.Load())
+			local, remote, m[obs.LocalShuffleFetches], m[obs.RemoteShuffleFetches])
 	}
 	// Every (map task, reduce partition) output is fetched exactly once:
 	// M=8 map partitions × R=5 reduce partitions.
@@ -235,12 +235,12 @@ func TestRunTasksJoinsAllErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "on executor 1") {
 		t.Errorf("error lacks attempt/executor context: %v", err)
 	}
-	if got := ctx.MetricsRef().TasksFailed.Load(); got != 3 {
+	if got := ctx.Counters()[obs.TasksFailed]; got != 3 {
 		t.Errorf("TasksFailed = %d, want 3", got)
 	}
 	var perExec int64
-	for _, ex := range ctx.Executors() {
-		perExec += ex.MetricsRef().TasksFailed.Load()
+	for _, em := range ctx.ExecCounters() {
+		perExec += em[obs.TasksFailed]
 	}
 	if perExec != 3 {
 		t.Errorf("per-executor TasksFailed sums to %d, want 3", perExec)
@@ -264,11 +264,11 @@ func TestRunTasksRetriesCountPerAttempt(t *testing.T) {
 	if got := calls.Load(); got != wantAttempts {
 		t.Errorf("task body ran %d times, want %d", got, wantAttempts)
 	}
-	m := ctx.MetricsRef()
-	if got := m.TasksFailed.Load(); got != wantAttempts {
+	m := ctx.Counters()
+	if got := m[obs.TasksFailed]; got != wantAttempts {
 		t.Errorf("TasksFailed = %d, want %d (once per attempt)", got, wantAttempts)
 	}
-	if got := m.TaskRetries.Load(); got != wantAttempts-1 {
+	if got := m[obs.TaskRetries]; got != wantAttempts-1 {
 		t.Errorf("TaskRetries = %d, want %d", got, wantAttempts-1)
 	}
 	if !strings.Contains(err.Error(), fmt.Sprintf("failed after %d attempts", wantAttempts)) {
@@ -290,14 +290,14 @@ func TestRunTasksRetryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
-	m := ctx.MetricsRef()
-	if got := m.TaskRetries.Load(); got != 2 {
+	m := ctx.Counters()
+	if got := m[obs.TaskRetries]; got != 2 {
 		t.Errorf("TaskRetries = %d, want 2", got)
 	}
-	if got := m.TasksFailed.Load(); got != 2 {
+	if got := m[obs.TasksFailed]; got != 2 {
 		t.Errorf("TasksFailed = %d, want 2", got)
 	}
-	if got := m.TasksRun.Load(); got != 4+2 {
+	if got := m[obs.TasksRun]; got != 4+2 {
 		t.Errorf("TasksRun = %d, want 6 (4 tasks + 2 retries)", got)
 	}
 }
@@ -378,7 +378,7 @@ func TestShuffleErrorPathReleasesBuffers(t *testing.T) {
 	if in := ctx.MemoryInUse(); in != 0 {
 		t.Errorf("failed shuffle leaked %d bytes of pages across executors", in)
 	}
-	if ctx.MetricsRef().TasksFailed.Load() == 0 {
+	if ctx.Counters()[obs.TasksFailed] == 0 {
 		t.Error("expected failed tasks to be counted")
 	}
 }

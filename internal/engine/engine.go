@@ -7,7 +7,7 @@
 //
 // The engine is organized as a local cluster: a driver (the Context's
 // scheduler) plus NumExecutors executors, each owning a private
-// memory.Manager, cache.Manager and Metrics, as in the paper's
+// memory.Manager, cache.Manager and counter set, as in the paper's
 // per-executor lifetime-managed heaps. Partitions have deterministic
 // executor affinity (partition mod executor count), so cache blocks stay
 // executor-local across jobs; shuffle map output crosses executors through
@@ -109,18 +109,14 @@ func ParseTransportKind(s string) (TransportKind, error) {
 	}
 }
 
-// DeployKind selects how the cluster is deployed: every executor as a
-// goroutine pool inside this process (with in-process or loopback-socket
-// shuffles), or as real OS processes supervised over the control plane.
+// DeployKind selects where the executors run: as goroutine pools inside
+// this process (TransportKind then says how their shuffles cross), or as
+// real OS processes supervised over the control plane.
 type DeployKind int
 
 const (
-	// DeployInProcess hosts all executors in this process with the
-	// in-process shuffle transport — the default.
+	// DeployInProcess hosts all executors in this process — the default.
 	DeployInProcess DeployKind = iota
-	// DeployTCP hosts all executors in this process but moves shuffle
-	// frames over per-executor TCP listeners (TransportTCP).
-	DeployTCP
 	// DeployMultiproc spawns each executor as a deca-executor OS process:
 	// the driver keeps the scheduler and the shuffle location directory,
 	// dispatches task descriptors over the internal/ctl RPC stream, and
@@ -132,8 +128,6 @@ func (k DeployKind) String() string {
 	switch k {
 	case DeployInProcess:
 		return "inprocess"
-	case DeployTCP:
-		return "tcp"
 	case DeployMultiproc:
 		return "multiproc"
 	default:
@@ -146,19 +140,17 @@ func ParseDeployKind(s string) (DeployKind, error) {
 	switch s {
 	case "", "inprocess":
 		return DeployInProcess, nil
-	case "tcp":
-		return DeployTCP, nil
 	case "multiproc":
 		return DeployMultiproc, nil
 	default:
-		return 0, fmt.Errorf("engine: unknown deploy kind %q (want inprocess, tcp or multiproc)", s)
+		return 0, fmt.Errorf("engine: unknown deploy kind %q (want inprocess or multiproc)", s)
 	}
 }
 
 // Config sizes the cluster.
 type Config struct {
 	// NumExecutors is the number of executors in the local cluster, each
-	// with its own memory manager, cache and metrics. Defaults to 1 (the
+	// with its own memory manager, cache and counters. Defaults to 1 (the
 	// original single-executor engine).
 	NumExecutors int
 	// Parallelism bounds concurrently running tasks per executor (executor
@@ -204,9 +196,8 @@ type Config struct {
 	// serves a wire frame, never the registered buffer itself.
 	TransportKind TransportKind
 
-	// DeployKind selects the deployment: in-process executors (in-process or
-	// TCP shuffles) or real deca-executor OS processes. DeployTCP is
-	// shorthand for TransportTCP; DeployMultiproc turns this Context into
+	// DeployKind selects the deployment: in-process executors or real
+	// deca-executor OS processes. DeployMultiproc turns this Context into
 	// the cluster's driver, spawning ExecutorCmd once per executor.
 	DeployKind DeployKind
 	// ExecutorCmd is the deca-executor argv prefix the multiproc driver
@@ -285,9 +276,6 @@ func (c Config) withDefaults() Config {
 	if c.NumExecutors <= 0 {
 		c.NumExecutors = 1
 	}
-	if c.DeployKind == DeployTCP {
-		c.TransportKind = TransportTCP
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 4
 	}
@@ -318,87 +306,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Metrics aggregates execution counters. The Context holds a cluster-wide
-// instance; each Executor additionally holds its own, so per-executor
-// shuffle locality and task counts are observable.
-type Metrics struct {
-	ShuffleSpillBytes atomic.Int64
-	ShuffleRecords    atomic.Int64
-	// TasksRun and TasksFailed count task *attempts*: a task retried twice
-	// contributes three TasksRun and up to three TasksFailed, and a
-	// speculative duplicate counts like any other attempt.
-	TasksRun    atomic.Int64
-	TasksFailed atomic.Int64
-	// TaskRetries counts retry attempts launched after a failure — the
-	// recomputed-task volume fault injection causes.
-	TaskRetries atomic.Int64
-	// LineageMapReruns counts map tasks re-run by the lineage repair:
-	// a reduce attempt found their outputs definitively lost, and exactly
-	// these tasks — not the whole exchange — were recomputed.
-	LineageMapReruns atomic.Int64
-	// SpeculativeLaunched / SpeculativeWon count straggler duplicates and
-	// how many of them beat the original attempt.
-	SpeculativeLaunched atomic.Int64
-	SpeculativeWon      atomic.Int64
-	// ExecutorsBlacklisted counts executors removed from placement after
-	// repeated attempt failures.
-	ExecutorsBlacklisted atomic.Int64
-	// LocalShuffleFetches counts map outputs a reduce task fetched from
-	// its own executor; RemoteShuffleFetches those fetched from another
-	// executor, with RemoteShuffleBytes the estimated volume that would
-	// cross the network on a distributed deployment.
-	LocalShuffleFetches  atomic.Int64
-	RemoteShuffleFetches atomic.Int64
-	RemoteShuffleBytes   atomic.Int64
-	// Serve-path copy accounting, mirrored from transport.Stats on
-	// MetricsRef (single process) or SyncClusterMetrics (multiproc):
-	// pages served in place by the vectored data plane, bytes served
-	// from spill files through the sendfile-eligible path, and bytes the
-	// serve path staged through user-space buffers.
-	PagesServedZeroCopy     atomic.Int64
-	BytesSendfile           atomic.Int64
-	ServeUserspaceCopyBytes atomic.Int64
-	// FetchInFlightBytes is a gauge: the estimated bytes of map outputs
-	// reduce tasks have fetched but not yet merged, cluster-wide on the
-	// Context's instance and per executor on each Executor's. On a
-	// multiproc driver it refreshes from heartbeat snapshots.
-	FetchInFlightBytes atomic.Int64
-}
-
-// OccupancySample aggregates one shuffle's page-occupancy observations:
-// used bytes against page footprint, sampled from each map-side buffer
-// at every spill decision and at registration. Occupancy persistently
-// far below 1.0 means the page size is wrong for the dataset's record
-// shape — the profiling signal (ROLP's idea turned runtime) that
-// adaptive page sizing will consume.
-type OccupancySample struct {
-	Samples   int
-	Used      int64
-	Footprint int64
-}
-
-// Ratio is the aggregate used/footprint occupancy (1 when nothing was
-// sampled, so an unsampled shuffle reads as perfectly packed).
-func (o OccupancySample) Ratio() float64 {
-	if o.Footprint == 0 {
-		return 1
-	}
-	return float64(o.Used) / float64(o.Footprint)
-}
-
 // Context is the driver: configuration, the executor set, the shuffle
 // transport and the placement-aware scheduler.
 type Context struct {
-	conf    Config
-	execs   []*Executor
+	conf  Config
+	execs []*Executor
+	// plane is the data plane and trans the face the engine moves map
+	// output through: the plane itself, or the chaos wrapper around it.
+	plane   *transport.Plane
 	trans   transport.Transport
 	cluster *sched.Cluster
-	metrics Metrics
 	nextID  atomic.Int64
 	nextShf atomic.Int64
-
-	occMu     sync.Mutex
-	occupancy map[transport.ShuffleID]OccupancySample
 
 	shufMu   sync.Mutex
 	shuffles map[int]releasable
@@ -452,7 +371,6 @@ func New(conf Config) *Context {
 	conf = conf.withDefaults()
 	c := &Context{
 		conf:       conf,
-		occupancy:  make(map[transport.ShuffleID]OccupancySample),
 		shuffles:   make(map[int]releasable),
 		shuffleReg: make(map[int]materializable),
 		epochs:     make(map[int]int),
@@ -530,29 +448,28 @@ func New(conf Config) *Context {
 	// plane that goes with it. A follower mirrors the plan inside one
 	// deca-executor process; a multiproc driver spawns and supervises the
 	// fleet; everything else hosts the whole cluster in this process.
-	var plane *transport.Plane
 	switch {
 	case conf.CtlFollower != nil:
-		plane = c.wireFollower(conf.CtlFollower)
+		c.plane = c.wireFollower(conf.CtlFollower)
 	case conf.DeployKind == DeployMultiproc:
-		plane = c.wireDriver()
+		c.plane = c.wireDriver()
 	case conf.TransportKind == TransportTCP:
 		var err error
-		plane, err = transport.NewTCP(transport.LoopbackAddrs(conf.NumExecutors), fetchTimeout)
+		c.plane, err = transport.NewTCP(transport.LoopbackAddrs(conf.NumExecutors), fetchTimeout)
 		if err != nil {
 			// Listeners failing is an environment fault, not a recoverable
 			// job condition; keep New's signature and fail loudly.
 			panic(fmt.Sprintf("engine: starting TCP transport: %v", err))
 		}
 	default:
-		plane = transport.NewInProcess()
+		c.plane = transport.NewInProcess()
 	}
-	plane.SetRecorder(c.rec)
-	c.trans = plane
+	c.plane.SetRecorder(c.rec)
+	c.trans = c.plane
 	// Followers wrap too: an executor-process injector (built from the
 	// plan's chaos spec) makes fetch faults fire inside the real process.
 	if conf.Chaos != nil {
-		c.trans = chaos.WrapTransport(plane, conf.Chaos)
+		c.trans = chaos.WrapTransport(c.plane, conf.Chaos)
 	}
 	if conf.OpsAddr != "" && conf.CtlFollower == nil {
 		c.ops = startOps(c, conf.OpsAddr)
@@ -789,52 +706,55 @@ func (c *Context) MemoryInUse() int64 {
 	return total
 }
 
-// CacheStats sums cache counters across every executor. On a multiproc
-// driver the executors' caches live in other processes; their counters
-// come from the control plane's snapshots (refresh with
-// SyncClusterMetrics).
-func (c *Context) CacheStats() cache.Stats {
+// execCounters reads one executor's counter vector: the counters this
+// process increments, the values the executor's block store (cache.Stats)
+// and its transport node (transport.Stats) already keep — this function is
+// the one place they are pulled into the vector — and, on a multiproc
+// driver, whose executors' data lives in other processes, the
+// executor-resident values the executor's last heartbeat carried
+// (SyncClusterMetrics asks for fresh ones).
+func (c *Context) execCounters(ex *Executor) obs.CounterValues {
+	v := ex.counters.Load()
+	cs, ts := ex.cache.Stats(), c.plane.ServeStats(ex.id)
+	v[obs.CacheHits] = int64(cs.Hits)
+	v[obs.CacheMisses] = int64(cs.Misses)
+	v[obs.CacheEvictions] = int64(cs.Evictions)
+	v[obs.CacheDrops] = int64(cs.Drops)
+	v[obs.CacheSwapOutBytes] = cs.SwapOutBytes
+	v[obs.CacheSwapInBytes] = cs.SwapInBytes
+	v[obs.CacheMemBytes] = cs.MemBytes
+	v[obs.CacheSwappedBytes] = cs.SwappedBytes
+	v[obs.PagesServedZeroCopy] = ts.PagesServedZeroCopy
+	v[obs.BytesSendfile] = ts.BytesSendfile
+	v[obs.ServeUserspaceCopyBytes] = ts.UserspaceCopyBytes
 	if c.driver != nil {
-		return c.driver.cacheStats()
+		v.Add(c.driver.d.Counters(ex.id))
 	}
-	return c.localCacheStats()
+	return v
 }
 
-// localCacheStats sums the counters of this process's executors.
-func (c *Context) localCacheStats() cache.Stats {
-	var total cache.Stats
+// ExecCounters reads every executor's counter vector, by executor id.
+func (c *Context) ExecCounters() []obs.CounterValues {
+	out := make([]obs.CounterValues, len(c.execs))
+	for i, ex := range c.execs {
+		out[i] = c.execCounters(ex)
+	}
+	return out
+}
+
+// Counters is the cluster's counter vector: the sum of the executors',
+// taken on read.
+func (c *Context) Counters() (sum obs.CounterValues) {
 	for _, ex := range c.execs {
-		s := ex.cache.Stats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Evictions += s.Evictions
-		total.Drops += s.Drops
-		total.SwapOutBytes += s.SwapOutBytes
-		total.SwapInBytes += s.SwapInBytes
-		total.MemBytes += s.MemBytes
-		total.SwappedBytes += s.SwappedBytes
+		sum.Add(c.execCounters(ex))
 	}
-	return total
-}
-
-// MetricsRef returns the cluster-wide counters, refreshing the
-// serve-path copy counters from the transport. Per-executor views are on
-// each Executor. On a multiproc driver the data plane lives in the
-// executor processes; SyncClusterMetrics refreshes those counters from
-// control-plane snapshots instead.
-func (c *Context) MetricsRef() *Metrics {
-	if c.driver == nil && c.trans != nil {
-		st := c.trans.Stats()
-		c.metrics.PagesServedZeroCopy.Store(st.PagesServedZeroCopy)
-		c.metrics.BytesSendfile.Store(st.BytesSendfile)
-		c.metrics.ServeUserspaceCopyBytes.Store(st.UserspaceCopyBytes)
-	}
-	return &c.metrics
+	return sum
 }
 
 // noteOccupancy samples a shuffle buffer's page occupancy (used bytes vs
-// footprint) into the per-shuffle aggregate. Buffers that do not expose
-// PageOccupancy (object containers) contribute nothing.
+// footprint) into the event spine, where obs.View keeps the per-shuffle
+// series. Buffers that do not expose PageOccupancy (object containers)
+// contribute nothing.
 func (c *Context) noteOccupancy(sh transport.ShuffleID, buf any) {
 	po, ok := buf.(interface{ PageOccupancy() (int64, int64) })
 	if !ok {
@@ -844,29 +764,10 @@ func (c *Context) noteOccupancy(sh transport.ShuffleID, buf any) {
 	if footprint == 0 {
 		return
 	}
-	c.occMu.Lock()
-	s := c.occupancy[sh]
-	s.Samples++
-	s.Used += used
-	s.Footprint += footprint
-	c.occupancy[sh] = s
-	c.occMu.Unlock()
 	c.rec.Record(obs.Event{
 		Kind: obs.KindOccupancy, Exec: c.obsExec(),
 		Shuffle: int64(sh), A: used, B: footprint,
 	})
-}
-
-// Occupancy returns the per-shuffle page-occupancy aggregates sampled so
-// far (map-side, at spill decisions and registrations).
-func (c *Context) Occupancy() map[transport.ShuffleID]OccupancySample {
-	c.occMu.Lock()
-	defer c.occMu.Unlock()
-	out := make(map[transport.ShuffleID]OccupancySample, len(c.occupancy))
-	for k, v := range c.occupancy {
-		out[k] = v
-	}
-	return out
 }
 
 // shuffleSpillThreshold resolves the per-buffer spill trigger. Each
@@ -895,42 +796,37 @@ func (c *Context) shuffleID() transport.ShuffleID {
 	return transport.ShuffleID(c.nextShf.Add(1))
 }
 
-// clusterHooks mirrors scheduler events into the cluster- and
-// executor-level metrics and the observability event spine. It
+// clusterHooks mirrors scheduler events into the concerned executor's
+// counters and the observability event spine. It
 // implements sched.AttemptObserver alongside sched.Hooks, so attempt
 // events carry full (stage, part, attempt) coordinates.
 type clusterHooks struct{ c *Context }
 
 func (h clusterHooks) TaskStarted(exec int) {
-	h.c.execs[exec].metrics.TasksRun.Add(1)
-	h.c.metrics.TasksRun.Add(1)
+	h.c.execs[exec].counters[obs.TasksRun].Add(1)
 }
 
 func (h clusterHooks) TaskFailed(exec int) {
-	h.c.execs[exec].metrics.TasksFailed.Add(1)
-	h.c.metrics.TasksFailed.Add(1)
+	h.c.execs[exec].counters[obs.TasksFailed].Add(1)
 }
 
 func (h clusterHooks) TaskRetried(exec int) {
-	h.c.execs[exec].metrics.TaskRetries.Add(1)
-	h.c.metrics.TaskRetries.Add(1)
+	h.c.execs[exec].counters[obs.TaskRetries].Add(1)
 	h.c.rec.Record(obs.Event{Kind: obs.KindTaskRetry, Exec: int32(exec), Stage: -1})
 }
 
 func (h clusterHooks) SpeculativeLaunched(exec int) {
-	h.c.execs[exec].metrics.SpeculativeLaunched.Add(1)
-	h.c.metrics.SpeculativeLaunched.Add(1)
+	h.c.execs[exec].counters[obs.SpeculativeLaunched].Add(1)
 	h.c.rec.Record(obs.Event{Kind: obs.KindTaskSpeculate, Exec: int32(exec)})
 }
 
 func (h clusterHooks) SpeculativeWon(exec int) {
-	h.c.execs[exec].metrics.SpeculativeWon.Add(1)
-	h.c.metrics.SpeculativeWon.Add(1)
+	h.c.execs[exec].counters[obs.SpeculativeWon].Add(1)
 	h.c.rec.Record(obs.Event{Kind: obs.KindSpeculativeWon, Exec: int32(exec)})
 }
 
 func (h clusterHooks) ExecutorBlacklisted(exec int) {
-	h.c.metrics.ExecutorsBlacklisted.Add(1)
+	h.c.execs[exec].counters[obs.ExecutorsBlacklisted].Add(1)
 	h.c.rec.Record(obs.Event{Kind: obs.KindExecutorBlacklisted, Exec: int32(exec)})
 }
 
@@ -974,27 +870,23 @@ const maxEventErrLen = 256
 func (c *Context) Scheduler() *sched.Cluster { return c.cluster }
 
 // noteFetch records a map-output fetch's locality on the destination
-// executor and the cluster metrics.
+// executor.
 func (c *Context) noteFetch(dst *Executor, p transport.Payload) {
 	if p.SrcExecutor == dst.id {
-		dst.metrics.LocalShuffleFetches.Add(1)
-		c.metrics.LocalShuffleFetches.Add(1)
+		dst.counters[obs.LocalShuffleFetches].Add(1)
 		return
 	}
-	dst.metrics.RemoteShuffleFetches.Add(1)
-	dst.metrics.RemoteShuffleBytes.Add(p.Bytes)
-	c.metrics.RemoteShuffleFetches.Add(1)
-	c.metrics.RemoteShuffleBytes.Add(p.Bytes)
+	dst.counters[obs.RemoteShuffleFetches].Add(1)
+	dst.counters[obs.RemoteShuffleBytes].Add(p.Bytes)
 }
 
 // noteSpill attributes spilled bytes to the executor that produced the
-// buffer and to the cluster metrics.
+// buffer.
 func (c *Context) noteSpill(srcExec int, bytes int64) {
 	if bytes == 0 {
 		return
 	}
-	c.execs[srcExec].metrics.ShuffleSpillBytes.Add(bytes)
-	c.metrics.ShuffleSpillBytes.Add(bytes)
+	c.execs[srcExec].counters[obs.ShuffleSpillBytes].Add(bytes)
 	c.rec.Record(obs.Event{Kind: obs.KindPageSpill, Exec: int32(srcExec), B: bytes})
 }
 

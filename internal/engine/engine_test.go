@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"deca/internal/decompose"
+	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
 )
@@ -367,7 +368,7 @@ func TestShuffleSpilling(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("spilled aggregation mismatch")
 			}
-			if ctx.MetricsRef().ShuffleSpillBytes.Load() == 0 {
+			if ctx.Counters()[obs.ShuffleSpillBytes] == 0 {
 				t.Error("expected shuffle spills")
 			}
 		})

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 
+	"deca/internal/obs"
 	"deca/internal/transport"
 )
 
@@ -115,14 +116,13 @@ func (fp *fetchPipeline) worker() {
 }
 
 // addInFlightGauge mirrors the pipeline's in-flight byte budget into the
-// FetchInFlightBytes gauges (per destination executor and cluster-wide),
-// so the ops plane can watch reduce-side fetch pressure live.
+// destination executor's gauge, so the ops plane can watch reduce-side
+// fetch pressure live.
 func (fp *fetchPipeline) addInFlightGauge(delta int64) {
 	if delta == 0 {
 		return
 	}
-	fp.ex.metrics.FetchInFlightBytes.Add(delta)
-	fp.ctx.metrics.FetchInFlightBytes.Add(delta)
+	fp.ex.counters[obs.FetchInFlightBytes].Add(delta)
 }
 
 // fetchWithRetry is the per-fetch retry loop: a transient transport error

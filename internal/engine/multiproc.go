@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"deca/internal/cache"
 	"deca/internal/ctl"
 	"deca/internal/obs"
 	"deca/internal/sched"
@@ -53,8 +52,7 @@ func (e *MissingOutputError) Error() string {
 type ctlDriver struct {
 	d *ctl.Driver
 
-	mu     sync.Mutex
-	remote cache.Stats // aggregated follower cache stats (last sync)
+	mu sync.Mutex
 	// fails counts failed dispatches and lastFail is the latest one's error
 	// (withCause).
 	fails    int
@@ -159,54 +157,14 @@ func (c *Context) RegisterPlan(spec []byte) {
 	}
 }
 
-// SyncClusterMetrics pulls fresh counters from every executor process
-// into the driver's metrics (shuffle records, spill, fetch locality,
-// cache stats). A no-op for in-process deployments, whose counters are
-// maintained directly.
+// SyncClusterMetrics asks every executor process for a fresh counter
+// vector, so the next ExecCounters/Counters read is current rather than
+// one heartbeat old. A no-op for in-process deployments, whose counters
+// are read in place.
 func (c *Context) SyncClusterMetrics() {
-	if c.driver == nil {
-		return
+	if c.driver != nil {
+		c.driver.d.SyncMetrics(5 * time.Second)
 	}
-	snaps := c.driver.d.SyncMetrics(5 * time.Second)
-	var sum ctl.MetricsSnapshot
-	var cs cache.Stats
-	for _, s := range snaps {
-		sum.ShuffleRecords += s.ShuffleRecords
-		sum.ShuffleSpillBytes += s.ShuffleSpillBytes
-		sum.LocalShuffleFetches += s.LocalShuffleFetches
-		sum.RemoteShuffleFetches += s.RemoteShuffleFetches
-		sum.RemoteShuffleBytes += s.RemoteShuffleBytes
-		sum.PagesServedZeroCopy += s.PagesServedZeroCopy
-		sum.BytesSendfile += s.BytesSendfile
-		sum.UserspaceCopyBytes += s.UserspaceCopyBytes
-		sum.FetchInFlightBytes += s.FetchInFlightBytes
-		cs.Hits += uint64(s.CacheHits)
-		cs.Misses += uint64(s.CacheMisses)
-		cs.Evictions += uint64(s.CacheEvictions)
-		cs.Drops += uint64(s.CacheDrops)
-		cs.SwapOutBytes += s.SwapOutBytes
-		cs.SwapInBytes += s.SwapInBytes
-		cs.MemBytes += s.CacheMemBytes
-		cs.SwappedBytes += s.CacheSwappedBytes
-	}
-	c.metrics.ShuffleRecords.Store(sum.ShuffleRecords)
-	c.metrics.ShuffleSpillBytes.Store(sum.ShuffleSpillBytes)
-	c.metrics.LocalShuffleFetches.Store(sum.LocalShuffleFetches)
-	c.metrics.RemoteShuffleFetches.Store(sum.RemoteShuffleFetches)
-	c.metrics.RemoteShuffleBytes.Store(sum.RemoteShuffleBytes)
-	c.metrics.PagesServedZeroCopy.Store(sum.PagesServedZeroCopy)
-	c.metrics.BytesSendfile.Store(sum.BytesSendfile)
-	c.metrics.ServeUserspaceCopyBytes.Store(sum.UserspaceCopyBytes)
-	c.metrics.FetchInFlightBytes.Store(sum.FetchInFlightBytes)
-	c.driver.mu.Lock()
-	c.driver.remote = cs
-	c.driver.mu.Unlock()
-}
-
-func (d *ctlDriver) cacheStats() cache.Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.remote
 }
 
 // bumpEpoch advances (deciding roles) a dataset's materialization epoch.
@@ -561,32 +519,13 @@ func (r followerRuntime) ReleaseDataset(dataset, epoch int) {
 	st.ReleaseEpoch(epoch)
 }
 
-func (r followerRuntime) Snapshot() ctl.MetricsSnapshot {
-	c := r.c
-	cs := c.localCacheStats()
-	var ts transport.Stats
-	if c.trans != nil {
-		ts = c.trans.Stats()
-	}
-	return ctl.MetricsSnapshot{
-		ShuffleRecords:       c.metrics.ShuffleRecords.Load(),
-		ShuffleSpillBytes:    c.metrics.ShuffleSpillBytes.Load(),
-		LocalShuffleFetches:  c.metrics.LocalShuffleFetches.Load(),
-		RemoteShuffleFetches: c.metrics.RemoteShuffleFetches.Load(),
-		RemoteShuffleBytes:   c.metrics.RemoteShuffleBytes.Load(),
-		CacheHits:            int64(cs.Hits),
-		CacheMisses:          int64(cs.Misses),
-		CacheEvictions:       int64(cs.Evictions),
-		CacheDrops:           int64(cs.Drops),
-		SwapOutBytes:         cs.SwapOutBytes,
-		SwapInBytes:          cs.SwapInBytes,
-		CacheMemBytes:        cs.MemBytes,
-		PagesServedZeroCopy:  ts.PagesServedZeroCopy,
-		BytesSendfile:        ts.BytesSendfile,
-		UserspaceCopyBytes:   ts.UserspaceCopyBytes,
-		FetchInFlightBytes:   c.metrics.FetchInFlightBytes.Load(),
-		CacheSwappedBytes:    cs.SwappedBytes,
-	}
+// Snapshot ships everything this process counted, not just the set of the
+// executor it hosts: a reduce task books the spill of a buffer it fetched
+// on the buffer's source executor (noteSpill), whose set here no other
+// process reads. The driver sees the sum under this executor's id, so the
+// cluster figure equals an in-process run's.
+func (r followerRuntime) Snapshot() obs.CounterValues {
+	return r.c.Counters()
 }
 
 // DrainEvents implements ctl.EventSource: each heartbeat ships the

@@ -26,7 +26,7 @@ func TestMain(m *testing.M) {
 }
 
 // mirrorPrograms are the jobs a helper executor can mirror. The plan is
-// "<program>\n<spill dir>"; every program runs under recoveryConfig, and a
+// "<program>\n<spill dir>"; every program runs under programConfig, and a
 // program that returns nil keeps the executor alive until shutdown.
 var mirrorPrograms = map[string]func(ctx *Context) error{
 	"recovery": func(ctx *Context) error {
@@ -50,7 +50,7 @@ func multiprocCtx(t *testing.T, program string) *Context {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := recoveryConfig(t.TempDir())
+	conf := programConfig(program, t.TempDir())
 	conf.DeployKind = DeployMultiproc
 	conf.ExecutorCmd = []string{"env", "DECA_ENGINE_HELPER=1", self}
 	ctx := New(conf)
@@ -63,6 +63,17 @@ const recoveryExecutors, recoveryActions = 2, 3
 
 func recoveryConfig(spillDir string) Config {
 	return Config{NumExecutors: recoveryExecutors, Parallelism: 2, Mode: ModeDeca, SpillDir: spillDir}
+}
+
+// programConfig is the config every process of a mirrored program runs
+// under: recoveryConfig, with a threshold that makes "roles" spill its
+// shuffle buffers so its counter comparison covers spill accounting.
+func programConfig(program, spillDir string) Config {
+	conf := recoveryConfig(spillDir)
+	if program == "roles" {
+		conf.ShuffleSpillThreshold = 256
+	}
+	return conf
 }
 
 // recoveryProgram is the mirrored job: one shuffled dataset, collected
@@ -106,7 +117,7 @@ func helperExecutor(args []string) int {
 		return 1
 	}
 	program, spillDir, _ := strings.Cut(string(plan), "\n")
-	conf := recoveryConfig(spillDir)
+	conf := programConfig(program, spillDir)
 	conf.CtlFollower = f
 	if program == "unconverged" {
 		conf.Chaos = loseMapTaskZero()

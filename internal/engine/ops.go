@@ -73,165 +73,41 @@ func (c *Context) OpsAddr() string {
 	return c.ops.ln.Addr().String()
 }
 
-// execCounterRow is one per-executor slice of the /metrics surface.
-type execCounterRow struct {
-	tasksRun, tasksFailed, taskRetries       int64
-	speculativeLaunched, speculativeWon      int64
-	shuffleRecords, shuffleSpillBytes        int64
-	localFetches, remoteFetches, remoteBytes int64
-	pagesZeroCopy, bytesSendfile, copyBytes  int64
-	fetchInFlightBytes                       int64
-}
-
-// execCounters assembles the per-executor counter rows. Scheduler-side
-// task counters always live in the driver's per-executor Metrics; the
-// data-plane counters come from there too for in-process deployments,
-// and from the latest heartbeat snapshots for a multiproc driver (whose
-// data plane runs in the executor processes).
-func (o *opsServer) execCounters() []execCounterRow {
-	c := o.c
-	rows := make([]execCounterRow, len(c.execs))
-	for i, ex := range c.execs {
-		em := &ex.metrics
-		rows[i] = execCounterRow{
-			tasksRun:            em.TasksRun.Load(),
-			tasksFailed:         em.TasksFailed.Load(),
-			taskRetries:         em.TaskRetries.Load(),
-			speculativeLaunched: em.SpeculativeLaunched.Load(),
-			speculativeWon:      em.SpeculativeWon.Load(),
-		}
-	}
-	if c.driver != nil {
-		for _, st := range c.driver.d.Statuses() {
-			if st.Exec < 0 || st.Exec >= len(rows) {
-				continue
-			}
-			s := st.Snapshot
-			r := &rows[st.Exec]
-			r.shuffleRecords = s.ShuffleRecords
-			r.shuffleSpillBytes = s.ShuffleSpillBytes
-			r.localFetches = s.LocalShuffleFetches
-			r.remoteFetches = s.RemoteShuffleFetches
-			r.remoteBytes = s.RemoteShuffleBytes
-			r.pagesZeroCopy = s.PagesServedZeroCopy
-			r.bytesSendfile = s.BytesSendfile
-			r.copyBytes = s.UserspaceCopyBytes
-			r.fetchInFlightBytes = s.FetchInFlightBytes
-		}
-		return rows
-	}
-	for i, ex := range c.execs {
-		em := &ex.metrics
-		r := &rows[i]
-		r.shuffleRecords = em.ShuffleRecords.Load()
-		r.shuffleSpillBytes = em.ShuffleSpillBytes.Load()
-		r.localFetches = em.LocalShuffleFetches.Load()
-		r.remoteFetches = em.RemoteShuffleFetches.Load()
-		r.remoteBytes = em.RemoteShuffleBytes.Load()
-		r.fetchInFlightBytes = em.FetchInFlightBytes.Load()
-	}
-	return rows
-}
-
+// handleMetrics is two loops over the counter table: every counter per
+// executor, then its cluster sum. On a multiproc driver the
+// executor-resident values are the last heartbeat's, so a scrape is live
+// without a control-plane round trip.
 func (o *opsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	c := o.c
 	c.drainLocalEvents()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
 
-	rows := o.execCounters()
-	perExec := []struct {
-		name string
-		get  func(r *execCounterRow) int64
-	}{
-		{"deca_exec_tasks_run_total", func(r *execCounterRow) int64 { return r.tasksRun }},
-		{"deca_exec_tasks_failed_total", func(r *execCounterRow) int64 { return r.tasksFailed }},
-		{"deca_exec_task_retries_total", func(r *execCounterRow) int64 { return r.taskRetries }},
-		{"deca_exec_speculative_launched_total", func(r *execCounterRow) int64 { return r.speculativeLaunched }},
-		{"deca_exec_speculative_won_total", func(r *execCounterRow) int64 { return r.speculativeWon }},
-		{"deca_exec_shuffle_records_total", func(r *execCounterRow) int64 { return r.shuffleRecords }},
-		{"deca_exec_shuffle_spill_bytes_total", func(r *execCounterRow) int64 { return r.shuffleSpillBytes }},
-		{"deca_exec_local_shuffle_fetches_total", func(r *execCounterRow) int64 { return r.localFetches }},
-		{"deca_exec_remote_shuffle_fetches_total", func(r *execCounterRow) int64 { return r.remoteFetches }},
-		{"deca_exec_remote_shuffle_bytes_total", func(r *execCounterRow) int64 { return r.remoteBytes }},
-		{"deca_exec_pages_served_zero_copy_total", func(r *execCounterRow) int64 { return r.pagesZeroCopy }},
-		{"deca_exec_bytes_sendfile_total", func(r *execCounterRow) int64 { return r.bytesSendfile }},
-		{"deca_exec_serve_userspace_copy_bytes_total", func(r *execCounterRow) int64 { return r.copyBytes }},
-		{"deca_exec_fetch_in_flight_bytes", func(r *execCounterRow) int64 { return r.fetchInFlightBytes }},
-	}
-	for _, m := range perExec {
-		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, promType(m.name))
-		for i := range rows {
-			fmt.Fprintf(&b, "%s{exec=%q} %d\n", m.name, fmt.Sprint(i), m.get(&rows[i]))
+	execs := c.ExecCounters()
+	var cluster obs.CounterValues
+	for k := obs.Counter(0); k < obs.NumCounters; k++ {
+		name, typ := k.Series("deca_exec_")
+		fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
+		for i, v := range execs {
+			fmt.Fprintf(&b, "%s{exec=\"%d\"} %d\n", name, i, v[k])
 		}
 	}
-
-	// Cluster aggregates. Task counters are driver-resident; data-plane
-	// counters sum the per-executor rows so a multiproc scrape is live
-	// without a control-plane round trip.
-	cm := c.MetricsRef()
-	var sum execCounterRow
-	for i := range rows {
-		r := &rows[i]
-		sum.shuffleRecords += r.shuffleRecords
-		sum.shuffleSpillBytes += r.shuffleSpillBytes
-		sum.localFetches += r.localFetches
-		sum.remoteFetches += r.remoteFetches
-		sum.remoteBytes += r.remoteBytes
-		sum.pagesZeroCopy += r.pagesZeroCopy
-		sum.bytesSendfile += r.bytesSendfile
-		sum.copyBytes += r.copyBytes
-		sum.fetchInFlightBytes += r.fetchInFlightBytes
+	for _, v := range execs {
+		cluster.Add(v)
 	}
-	if c.driver == nil {
-		// In-process serve stats are kept cluster-level by the transport.
-		sum.pagesZeroCopy = cm.PagesServedZeroCopy.Load()
-		sum.bytesSendfile = cm.BytesSendfile.Load()
-		sum.copyBytes = cm.ServeUserspaceCopyBytes.Load()
-	}
-	cluster := []struct {
-		name string
-		v    int64
-	}{
-		{"deca_tasks_run_total", cm.TasksRun.Load()},
-		{"deca_tasks_failed_total", cm.TasksFailed.Load()},
-		{"deca_task_retries_total", cm.TaskRetries.Load()},
-		{"deca_lineage_map_reruns_total", cm.LineageMapReruns.Load()},
-		{"deca_speculative_launched_total", cm.SpeculativeLaunched.Load()},
-		{"deca_speculative_won_total", cm.SpeculativeWon.Load()},
-		{"deca_executors_blacklisted_total", cm.ExecutorsBlacklisted.Load()},
-		{"deca_shuffle_records_total", sum.shuffleRecords},
-		{"deca_shuffle_spill_bytes_total", sum.shuffleSpillBytes},
-		{"deca_local_shuffle_fetches_total", sum.localFetches},
-		{"deca_remote_shuffle_fetches_total", sum.remoteFetches},
-		{"deca_remote_shuffle_bytes_total", sum.remoteBytes},
-		{"deca_pages_served_zero_copy_total", sum.pagesZeroCopy},
-		{"deca_bytes_sendfile_total", sum.bytesSendfile},
-		{"deca_serve_userspace_copy_bytes_total", sum.copyBytes},
-		{"deca_fetch_in_flight_bytes", sum.fetchInFlightBytes},
-	}
-	for _, m := range cluster {
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", m.name, promType(m.name), m.name, m.v)
+	for k := obs.Counter(0); k < obs.NumCounters; k++ {
+		name, typ := k.Series("deca_")
+		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", name, typ, name, cluster[k])
 	}
 
 	// The latest GC samples and event accounting, from the view.
 	for _, x := range c.view.Executors() {
-		label := fmt.Sprint(x.Exec)
-		fmt.Fprintf(&b, "deca_exec_gc_cpu_nanos{exec=%q} %d\n", label, x.GCCPUNanos)
-		fmt.Fprintf(&b, "deca_exec_heap_live_bytes{exec=%q} %d\n", label, x.HeapLiveBytes)
+		fmt.Fprintf(&b, "deca_exec_gc_cpu_nanos{exec=\"%d\"} %d\n", x.Exec, x.GCCPUNanos)
+		fmt.Fprintf(&b, "deca_exec_heap_live_bytes{exec=\"%d\"} %d\n", x.Exec, x.HeapLiveBytes)
 	}
 	fmt.Fprintf(&b, "deca_obs_events_dropped_total %d\n", c.view.Dropped())
 
 	w.Write([]byte(b.String()))
-}
-
-// promType derives the metric type from the naming convention: *_total
-// counters, everything else a gauge.
-func promType(name string) string {
-	if strings.HasSuffix(name, "_total") {
-		return "counter"
-	}
-	return "gauge"
 }
 
 func (o *opsServer) writeJSON(w http.ResponseWriter, v any) {
@@ -268,12 +144,12 @@ func (o *opsServer) handleExecutors(w http.ResponseWriter, _ *http.Request) {
 	for _, x := range c.view.Executors() {
 		obsByExec[x.Exec] = x
 	}
-	rows := o.execCounters()
+	counters := c.ExecCounters()
 	out := make([]opsExecutor, 0, len(c.execs))
 	for _, st := range c.cluster.States() {
 		row := opsExecutor{ExecutorState: st}
-		if st.Exec >= 0 && st.Exec < len(rows) {
-			row.FetchInFlightBytes = rows[st.Exec].fetchInFlightBytes
+		if st.Exec >= 0 && st.Exec < len(counters) {
+			row.FetchInFlightBytes = counters[st.Exec][obs.FetchInFlightBytes]
 		}
 		if x, ok := obsByExec[int32(st.Exec)]; ok {
 			xc := x
@@ -299,14 +175,8 @@ func (o *opsServer) handleExecutors(w http.ResponseWriter, _ *http.Request) {
 // opsMemoryExec is one /memory row: local manager accounting where the
 // manager lives in this process, event-derived accounting always.
 type opsMemoryExec struct {
-	Exec          int32 `json:"exec"`
-	InUseBytes    int64 `json:"in_use_bytes,omitempty"`
-	PagesAlloc    int64 `json:"pages_allocated,omitempty"`
-	PagesAdopted  int64 `json:"pages_adopted,omitempty"`
-	PagesReleased int64 `json:"pages_released,omitempty"`
-	SpillBytes    int64 `json:"spill_bytes,omitempty"`
-	HeapLiveBytes int64 `json:"heap_live_bytes,omitempty"`
-	GCCPUNanos    int64 `json:"gc_cpu_nanos,omitempty"`
+	obs.ExecObs
+	InUseBytes int64 `json:"in_use_bytes,omitempty"`
 }
 
 func (o *opsServer) handleMemory(w http.ResponseWriter, _ *http.Request) {
@@ -318,17 +188,10 @@ func (o *opsServer) handleMemory(w http.ResponseWriter, _ *http.Request) {
 	}
 	out := make([]opsMemoryExec, 0, len(c.execs))
 	for i, ex := range c.execs {
-		row := opsMemoryExec{Exec: int32(i)}
+		row := opsMemoryExec{ExecObs: obsByExec[int32(i)]}
+		row.Exec = int32(i) // an executor no event has named yet still gets its row
 		if c.driver == nil {
 			row.InUseBytes = ex.mem.InUse()
-		}
-		if x, ok := obsByExec[int32(i)]; ok {
-			row.PagesAlloc = x.PagesAlloc
-			row.PagesAdopted = x.PagesAdopted
-			row.PagesReleased = x.PagesReleased
-			row.SpillBytes = x.SpillBytes
-			row.HeapLiveBytes = x.HeapLiveBytes
-			row.GCCPUNanos = x.GCCPUNanos
 		}
 		out = append(out, row)
 	}

@@ -2,14 +2,18 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"deca/internal/obs"
 )
 
 // opsGet fetches one ops endpoint and returns the body.
@@ -194,5 +198,106 @@ func TestCloseStopsObservability(t *testing.T) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// scrapeMetrics parses a /metrics body: series name → exec label ("" for a
+// cluster series) → value, and the `# TYPE name type` lines as served.
+func scrapeMetrics(t *testing.T, body string) (vals map[string]map[string]int64, types map[string]bool) {
+	t.Helper()
+	vals, types = make(map[string]map[string]int64), make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types[line] = true
+			continue
+		}
+		series, value, _ := strings.Cut(line, " ")
+		name, label, _ := strings.Cut(series, "{")
+		v, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		if vals[name] == nil {
+			vals[name] = make(map[string]int64)
+		}
+		vals[name][label] = v
+	}
+	return vals, types
+}
+
+// TestMetricsTable holds the counter table to its contract, against a live
+// /metrics scrape after a 2-executor TCP WordCount.
+func TestMetricsTable(t *testing.T) {
+	ctx := New(Config{
+		NumExecutors: 2, Parallelism: 2, Mode: ModeDeca, PageSize: 4096,
+		SpillDir: t.TempDir(), TransportKind: TransportTCP, OpsAddr: "127.0.0.1:0",
+	})
+	t.Cleanup(ctx.Close)
+	wordCountOn(t, ctx)
+	vals, types := scrapeMetrics(t, string(opsGet(t, ctx.OpsAddr(), "/metrics")))
+
+	// Every Counter has a table row, a unique name and a scope; fromTable
+	// collects what the table may put on /metrics.
+	fromTable, names := make(map[string]bool), make(map[string]obs.Counter)
+	for k := obs.Counter(0); k < obs.NumCounters; k++ {
+		row := k.Row()
+		if row.Name == "" || (row.Scope != obs.ScopeExecutor && row.Scope != obs.ScopeDriver) {
+			t.Errorf("counter %d has no complete table row: %+v", k, row)
+		}
+		if prev, dup := names[row.Name]; dup {
+			t.Errorf("counters %d and %d share the name %q", prev, k, row.Name)
+		}
+		names[row.Name] = k
+		for _, prefix := range []string{"deca_", "deca_exec_"} {
+			name, typ := k.Series(prefix)
+			fromTable[name], fromTable[fmt.Sprintf("# TYPE %s %s", name, typ)] = true, true
+		}
+	}
+
+	// The series names and TYPE lines served before the table existed are
+	// all still served; anything new is a counter the table carries (the
+	// cache counters heartbeats shipped but /metrics never exported).
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics_series.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(map[string]bool)
+	for name := range vals {
+		served[name] = true
+	}
+	for line := range types {
+		served[line] = true
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		if !served[line] {
+			t.Errorf("/metrics no longer serves %q", line)
+		}
+		delete(served, line)
+	}
+	for line := range served {
+		if !fromTable[line] {
+			t.Errorf("/metrics serves %q, which is neither in the golden file nor derived from the counter table", line)
+		}
+	}
+
+	// The cluster series is the sum of the executors', for every counter,
+	// and is what Context.Counters reports.
+	cluster := ctx.Counters()
+	for k := obs.Counter(0); k < obs.NumCounters; k++ {
+		execName, _ := k.Series("deca_exec_")
+		name, _ := k.Series("deca_")
+		var sum int64
+		for _, v := range vals[execName] {
+			sum += v
+		}
+		if len(vals[execName]) != 2 || sum != vals[name][""] || sum != cluster[k] {
+			t.Errorf("%s: executors %v sum to %d, cluster series says %d, Counters() says %d",
+				name, vals[execName], sum, vals[name][""], cluster[k])
+		}
+	}
+	for _, k := range []obs.Counter{obs.ShuffleRecords, obs.RemoteShuffleBytes, obs.PagesServedZeroCopy, obs.TasksRun} {
+		if cluster[k] == 0 {
+			t.Errorf("%s is zero after a shuffling job", k.Row().Name)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"deca/internal/decompose"
+	"deca/internal/obs"
 	"deca/internal/transport"
 )
 
@@ -204,7 +205,7 @@ func TestSortedShuffleRedrainsWithSpills(t *testing.T) {
 	if len(first) != len(pairs) {
 		t.Fatalf("first drain yielded %d records, want %d", len(first), len(pairs))
 	}
-	if ctx.MetricsRef().ShuffleSpillBytes.Load() == 0 {
+	if ctx.Counters()[obs.ShuffleSpillBytes] == 0 {
 		t.Fatal("test needs spills to exercise transferred runs")
 	}
 	second, err := Collect(sorted)
@@ -296,7 +297,7 @@ func TestFetchPipelineMissingAndAbort(t *testing.T) {
 			t.Errorf("registered source %d released by the pipeline", m)
 		}
 	}
-	if ctx.MetricsRef().LocalShuffleFetches.Load() == 0 {
+	if ctx.Counters()[obs.LocalShuffleFetches] == 0 {
 		t.Error("expected locality accounting on prefetched outputs")
 	}
 }

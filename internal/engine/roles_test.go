@@ -60,19 +60,23 @@ func stageVerdicts(ctx *Context) []string {
 // executor processes: the answers are identical, and so is the ordered
 // list of stage keys and verdicts — every role meets on the same keys, and
 // the one runner records the same protocol whichever arm ran the tasks.
+// The data plane did the same work too: the cluster counters that describe
+// it are equal, whichever process kept them and however they reached the
+// driver — spill included, which a reduce task books on the executor whose
+// buffer it fetched, in whichever process it runs.
 func TestRoleEquivalence(t *testing.T) {
 	deployments := []struct {
 		name string
 		ctx  func(t *testing.T) *Context
 	}{
 		{"inprocess", func(t *testing.T) *Context {
-			ctx := New(recoveryConfig(t.TempDir()))
+			ctx := New(programConfig("roles", t.TempDir()))
 			t.Cleanup(ctx.Close)
 			return ctx
 		}},
 		{"tcp", func(t *testing.T) *Context {
-			conf := recoveryConfig(t.TempDir())
-			conf.DeployKind = DeployTCP
+			conf := programConfig("roles", t.TempDir())
+			conf.TransportKind = TransportTCP
 			ctx := New(conf)
 			t.Cleanup(ctx.Close)
 			return ctx
@@ -85,7 +89,8 @@ func TestRoleEquivalence(t *testing.T) {
 		"action/1=0", "action/2=0",
 	}
 	var wantGroups map[int64][]int64
-	for _, d := range deployments {
+	var wantPlane [4]int64
+	for i, d := range deployments {
 		t.Run(d.name, func(t *testing.T) {
 			ctx := d.ctx(t)
 			groups, squares, err := rolesProgram(ctx)
@@ -103,6 +108,16 @@ func TestRoleEquivalence(t *testing.T) {
 			}
 			if got := stageVerdicts(ctx); !slices.Equal(got, wantVerdicts) {
 				t.Errorf("stage verdicts = %v, want %v", got, wantVerdicts)
+			}
+			ctx.SyncClusterMetrics()
+			v := ctx.Counters()
+			plane := [4]int64{v[obs.ShuffleRecords], v[obs.LocalShuffleFetches] + v[obs.RemoteShuffleFetches],
+				v[obs.PagesServedZeroCopy], v[obs.ShuffleSpillBytes]}
+			if i == 0 {
+				wantPlane = plane
+			}
+			if plane != wantPlane || slices.Contains(plane[:], 0) {
+				t.Errorf("records, fetches, zero-copy pages, spill bytes = %v, want the first deployment's %v, none zero", plane, wantPlane)
 			}
 		})
 	}
@@ -157,7 +172,7 @@ func TestUnconvergedRepairFailsTheJob(t *testing.T) {
 		if lost.IDs[0].MapTask != 0 || !strings.Contains(err.Error(), "shuffle 1 ") {
 			t.Errorf("error does not name shuffle 1 / map task 0: %v", err)
 		}
-		if n := ctx.MetricsRef().LineageMapReruns.Load(); n == 0 {
+		if n := ctx.Counters()[obs.LineageMapReruns]; n == 0 {
 			t.Error("no lineage repair was attempted before giving up")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"deca/internal/decompose"
+	"deca/internal/obs"
 	"deca/internal/sched"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
@@ -153,8 +154,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		}
 		return true
 	})
-	ex.metrics.ShuffleRecords.Add(records)
-	ctx.metrics.ShuffleRecords.Add(records)
+	ex.counters[obs.ShuffleRecords].Add(records)
 	if walkErr != nil {
 		return walkErr
 	}
@@ -356,7 +356,9 @@ func (lr *lineageRepair) repair(g0 int, ids []transport.MapOutputID) error {
 	}
 	rerun := lr.maps
 	rerun.parts = lostMapParts(ids)
-	lr.ctx.metrics.LineageMapReruns.Add(int64(len(rerun.parts)))
+	for _, p := range rerun.parts {
+		lr.ctx.executorFor(p).counters[obs.LineageMapReruns].Add(1)
+	}
 	if err := dispatch(lr.ctx, rerun, nil, lr.body); err != nil {
 		return err
 	}

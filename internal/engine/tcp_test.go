@@ -8,6 +8,7 @@ import (
 
 	"deca/internal/chaos"
 	"deca/internal/decompose"
+	"deca/internal/obs"
 	"deca/internal/transport"
 )
 
@@ -40,7 +41,7 @@ func TestTCPTransportEquivalence(t *testing.T) {
 			if ts.RemoteFetches == 0 || ts.RemoteBytes == 0 {
 				t.Errorf("expected wire traffic, stats = %+v", ts)
 			}
-			if m := ctx.MetricsRef(); m.RemoteShuffleBytes.Load() == 0 {
+			if m := ctx.Counters(); m[obs.RemoteShuffleBytes] == 0 {
 				t.Error("engine metrics saw no remote shuffle bytes")
 			}
 			// Every executor's pages are free once shuffles release.
@@ -138,7 +139,7 @@ func TestTCPSpilledShuffleEquivalence(t *testing.T) {
 			if got := sum(tcp); !reflect.DeepEqual(got, want) {
 				t.Error("spilled shuffle result differs over TCP")
 			}
-			if m := tcp.MetricsRef(); m.ShuffleSpillBytes.Load() == 0 {
+			if m := tcp.Counters(); m[obs.ShuffleSpillBytes] == 0 {
 				t.Error("test intended to exercise spills but none happened")
 			}
 		})
@@ -191,7 +192,7 @@ func TestLineageRepairOnLostMapOutput(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("recovered result differs from the true sums")
 			}
-			if n := ctx.MetricsRef().LineageMapReruns.Load(); n != 1 {
+			if n := ctx.Counters()[obs.LineageMapReruns]; n != 1 {
 				t.Errorf("LineageMapReruns = %d, want 1 (only the lost map task re-runs)", n)
 			}
 			ctx.ReleaseAllShuffles()

@@ -21,7 +21,7 @@ type View struct {
 	dropped  uint64 // overwritten here, plus drops reported by recorders
 
 	stages map[int32]*stageAgg
-	execs  map[int32]*execAgg
+	execs  map[int32]*ExecObs
 	occ    map[int64][]OccupancyPoint
 	occCap int
 }
@@ -50,21 +50,6 @@ type runningAttempt struct {
 	speculative bool
 }
 
-type execAgg struct {
-	lastNanos     int64
-	gcCPUNanos    int64
-	heapLiveBytes int64
-	pagesAlloc    int64
-	pagesAdopted  int64
-	pagesReleased int64
-	spillBytes    int64
-	serveBytes    int64
-	fetchIssued   int64
-	fetchServed   int64
-	fetchFailed   int64
-	fetchBytes    int64
-}
-
 // OccupancyPoint is one sample of a shuffle buffer's live bytes vs its
 // page footprint — the paper's container-lifetime signal as a series.
 type OccupancyPoint struct {
@@ -86,7 +71,7 @@ func NewView(capacity int) *View {
 	return &View{
 		capacity: capacity,
 		stages:   make(map[int32]*stageAgg),
-		execs:    make(map[int32]*execAgg),
+		execs:    make(map[int32]*ExecObs),
 		occ:      make(map[int64][]OccupancyPoint),
 		occCap:   1024,
 	}
@@ -155,26 +140,26 @@ func (v *View) aggregate(e Event) {
 		}
 	case KindGCSample:
 		x := v.exec(e.Exec)
-		x.gcCPUNanos = e.A
-		x.heapLiveBytes = e.B
+		x.GCCPUNanos = e.A
+		x.HeapLiveBytes = e.B
 	case KindPageAlloc:
-		v.exec(e.Exec).pagesAlloc = e.A
+		v.exec(e.Exec).PagesAlloc = e.A
 	case KindPageAdopt:
-		v.exec(e.Exec).pagesAdopted += e.A
+		v.exec(e.Exec).PagesAdopted += e.A
 	case KindPageRelease:
-		v.exec(e.Exec).pagesReleased += e.A
+		v.exec(e.Exec).PagesReleased += e.A
 	case KindPageSpill:
-		v.exec(e.Exec).spillBytes += e.B
+		v.exec(e.Exec).SpillBytes += e.B
 	case KindServe:
-		v.exec(e.Exec).serveBytes += e.B
+		v.exec(e.Exec).ServeBytes += e.B
 	case KindFetchIssued:
-		v.exec(e.Exec).fetchIssued++
+		v.exec(e.Exec).FetchIssued++
 	case KindFetchServed:
 		x := v.exec(e.Exec)
-		x.fetchServed++
-		x.fetchBytes += e.B
+		x.FetchServed++
+		x.FetchBytes += e.B
 	case KindFetchFailed:
-		v.exec(e.Exec).fetchFailed++
+		v.exec(e.Exec).FetchFailed++
 	case KindOccupancy:
 		pts := v.occ[e.Shuffle]
 		pts = append(pts, OccupancyPoint{Nanos: e.Nanos, Exec: e.Exec, Used: e.A, Footprint: e.B})
@@ -185,8 +170,8 @@ func (v *View) aggregate(e Event) {
 	}
 	if e.Exec >= -1 {
 		x := v.exec(e.Exec)
-		if e.Nanos > x.lastNanos {
-			x.lastNanos = e.Nanos
+		if e.Nanos > x.LastNanos {
+			x.LastNanos = e.Nanos
 		}
 	}
 }
@@ -316,7 +301,8 @@ func (v *View) Stages() []StageSummary {
 }
 
 // ExecObs is the per-executor slice of the event stream: data-plane and
-// memory activity plus the latest GC sample.
+// memory activity plus the latest GC sample. The view aggregates straight
+// into it.
 type ExecObs struct {
 	Exec          int32 `json:"exec"`
 	LastNanos     int64 `json:"last_event_nanos,omitempty"`
@@ -342,16 +328,8 @@ func (v *View) Executors() []ExecObs {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := make([]ExecObs, 0, len(v.execs))
-	for id, x := range v.execs {
-		out = append(out, ExecObs{
-			Exec: id, LastNanos: x.lastNanos,
-			GCCPUNanos: x.gcCPUNanos, HeapLiveBytes: x.heapLiveBytes,
-			PagesAlloc: x.pagesAlloc, PagesAdopted: x.pagesAdopted,
-			PagesReleased: x.pagesReleased, SpillBytes: x.spillBytes,
-			ServeBytes: x.serveBytes, FetchIssued: x.fetchIssued,
-			FetchServed: x.fetchServed, FetchFailed: x.fetchFailed,
-			FetchBytes: x.fetchBytes,
-		})
+	for _, x := range v.execs {
+		out = append(out, *x)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Exec < out[j].Exec })
 	return out
@@ -373,10 +351,10 @@ func (v *View) Occupancy() map[int64][]OccupancyPoint {
 	return out
 }
 
-func (v *View) exec(id int32) *execAgg {
+func (v *View) exec(id int32) *ExecObs {
 	x := v.execs[id]
 	if x == nil {
-		x = &execAgg{}
+		x = &ExecObs{Exec: id}
 		v.execs[id] = x
 	}
 	return x

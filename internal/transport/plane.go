@@ -325,6 +325,17 @@ func (t *Plane) Stats() Stats {
 	return st
 }
 
+// ServeStats returns the serve-path copy counters of the local node keyed
+// by exec, zero where this process hosts none. The never-dialing
+// construction's single node is keyed 0, so executor 0 reports the serves
+// of every executor there.
+func (t *Plane) ServeStats(exec int) (st Stats) {
+	if n := t.nodes[exec]; n != nil {
+		n.ServeStats(&st)
+	}
+	return st
+}
+
 // Close shuts every local listener and drains every pooled connection; a
 // fetch in flight during Close closes its connection on return rather
 // than re-pooling it, and a later one fails naming the closed transport.

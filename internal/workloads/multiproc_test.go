@@ -11,6 +11,7 @@ import (
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
+	"deca/internal/obs"
 )
 
 // TestMain doubles as the deca-executor binary for multiproc tests: the
@@ -260,10 +261,10 @@ func TestMultiprocReduceKillLineageRepair(t *testing.T) {
 	}
 }
 
-// TestSyncClusterMetricsIdempotent: SyncClusterMetrics stores absolute
-// per-executor sums, so pulling the cluster's counters twice — duplicate
-// delivery, or an ops scrape racing the end-of-run sync — leaves the
-// driver's metrics unchanged rather than doubled. The job runs against a
+// TestSyncClusterMetricsIdempotent: a metrics reply replaces the driver's
+// copy of the executor's vector, so pulling the cluster's counters twice —
+// duplicate delivery, or an ops scrape racing the end-of-run sync — leaves
+// the cluster figures unchanged rather than doubled. The job runs against a
 // hand-held context so the cluster is still up for the second sync.
 func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	if testing.Short() {
@@ -283,22 +284,13 @@ func TestSyncClusterMetricsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	read := func() [4]int64 {
-		m := ctx.MetricsRef()
-		return [4]int64{
-			m.ShuffleRecords.Load(),
-			m.RemoteShuffleFetches.Load(),
-			m.RemoteShuffleBytes.Load(),
-			m.FetchInFlightBytes.Load(),
-		}
-	}
 	ctx.SyncClusterMetrics()
-	first := read()
-	if first[0] == 0 {
+	first := ctx.Counters()
+	if first[obs.ShuffleRecords] == 0 {
 		t.Fatal("no shuffle records after a multiproc WC — sync pulled nothing")
 	}
 	ctx.SyncClusterMetrics()
-	if second := read(); second != first {
+	if second := ctx.Counters(); second != first {
 		t.Errorf("duplicate sync changed counters: %v -> %v", first, second)
 	}
 }

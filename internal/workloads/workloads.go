@@ -22,6 +22,7 @@ import (
 	"deca/internal/ctl"
 	"deca/internal/engine"
 	"deca/internal/gcstats"
+	"deca/internal/obs"
 )
 
 // Config sizes one workload run. It is also the multiproc plan's wire
@@ -210,38 +211,37 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 	if err != nil {
 		return Result{}, fmt.Errorf("%s[%v]: %w", name, cfg.Mode, err)
 	}
-	// Multiproc: pull the executor processes' counters into the driver's
-	// metrics before reading them (a no-op otherwise).
+	// Multiproc: have the executor processes report their final counters
+	// before the cluster vector is read (a no-op otherwise).
 	ctx.SyncClusterMetrics()
-	cstats := ctx.CacheStats()
-	metrics := ctx.MetricsRef()
+	v := ctx.Counters()
 	return Result{
 		Name:                    name,
 		Mode:                    cfg.Mode,
 		Wall:                    wall,
 		GC:                      delta,
 		Checksum:                checksum,
-		CacheBytes:              cstats.MemBytes + cstats.SwappedBytes,
-		SwapBytes:               cstats.SwapOutBytes,
-		ShuffleSpillBytes:       metrics.ShuffleSpillBytes.Load(),
-		RemoteShuffleFetches:    metrics.RemoteShuffleFetches.Load(),
-		RemoteShuffleBytes:      metrics.RemoteShuffleBytes.Load(),
-		PagesServedZeroCopy:     metrics.PagesServedZeroCopy.Load(),
-		BytesSendfile:           metrics.BytesSendfile.Load(),
-		ServeUserspaceCopyBytes: metrics.ServeUserspaceCopyBytes.Load(),
-		TasksFailed:             metrics.TasksFailed.Load(),
-		TaskRetries:             metrics.TaskRetries.Load(),
-		SpeculativeLaunched:     metrics.SpeculativeLaunched.Load(),
-		SpeculativeWon:          metrics.SpeculativeWon.Load(),
-		ExecutorsBlacklisted:    metrics.ExecutorsBlacklisted.Load(),
-		LineageMapReruns:        metrics.LineageMapReruns.Load(),
+		CacheBytes:              v[obs.CacheMemBytes] + v[obs.CacheSwappedBytes],
+		SwapBytes:               v[obs.CacheSwapOutBytes],
+		ShuffleSpillBytes:       v[obs.ShuffleSpillBytes],
+		RemoteShuffleFetches:    v[obs.RemoteShuffleFetches],
+		RemoteShuffleBytes:      v[obs.RemoteShuffleBytes],
+		PagesServedZeroCopy:     v[obs.PagesServedZeroCopy],
+		BytesSendfile:           v[obs.BytesSendfile],
+		ServeUserspaceCopyBytes: v[obs.ServeUserspaceCopyBytes],
+		TasksFailed:             v[obs.TasksFailed],
+		TaskRetries:             v[obs.TaskRetries],
+		SpeculativeLaunched:     v[obs.SpeculativeLaunched],
+		SpeculativeWon:          v[obs.SpeculativeWon],
+		ExecutorsBlacklisted:    v[obs.ExecutorsBlacklisted],
+		LineageMapReruns:        v[obs.LineageMapReruns],
 	}, nil
 }
 
 // runFollower runs the mirrored program inside one executor process: the
 // body's stages execute only when the driver dispatches their tasks, and
 // its action results are the driver's broadcasts. The context stays up
-// until the driver shuts the fleet down — the data plane and metric
+// until the driver shuts the fleet down — the data plane and counter
 // snapshots must outlive the program itself.
 func runFollower(name string, cfg Config, body func(ctx *engine.Context) (float64, error)) (Result, error) {
 	ctx := cfg.newEngine()
