@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
@@ -107,14 +108,27 @@ type keyedStore struct {
 	idx   aggIndex
 	shape [2]recordShape // of a record, by its flag
 	kind  byte           // of the container's frame
-	// absorb is the container's walk over pages it just adopted at page
-	// base, whose header counts n key records: the body of Fold and
-	// MergeFrom.
-	absorb func(base, n int) error
-	// keyBuf is where Put encodes its key. One buffer per container: a
-	// stack array handed to the codec interface escapes, an allocation per
-	// record.
-	keyBuf []byte
+	ops   keyedOps       // the container built on the store
+	// The pending batch: Puts staged, not yet probed (flush). staged counts
+	// them, tags holds the hash of each one's key, and buf its encoded key
+	// and value, entry after entry, ending at ends[i][0] and ends[i][1].
+	// One buffer per container, grown on demand: a stack array handed to the
+	// codec interface escapes, an allocation per record.
+	buf    []byte
+	staged int // entries
+	used   int // bytes of buf
+	tags   [probeBatch]uint32
+	ends   [probeBatch][2]int32
+}
+
+// keyedOps is what a keyedStore asks of its container.
+type keyedOps interface {
+	// put applies one Put, staged or replayed from a spill run, given the
+	// key's encoding, its hashKey and the value's encoding.
+	put(tag uint32, key, val []byte)
+	// absorbPages walks the pages the store just adopted at page base, whose
+	// header counts n key records: the body of Fold and MergeFrom.
+	absorbPages(base, n int) error
 }
 
 // recordShape is what a walk holds a record to: the length its first part
@@ -125,23 +139,55 @@ func newKeyedStore(mem *memory.Manager, spillDir string, kind byte, flag0, flag1
 	return keyedStore{pageStore: newPageStore(mem, spillDir), idx: aggIndex{mem: mem}, kind: kind, shape: [2]recordShape{flag0, flag1}}
 }
 
-// encodeKey returns k's encoding, valid until the next call.
-func encodeKey[K any](s *keyedStore, c decompose.Codec[K], k K) []byte {
-	n := s.shape[0].fixed
-	if n < 0 {
-		n = c.Size(k)
+// stagePut is the head of every Put: it adds k, encoded and hashed once, to
+// the pending batch — flushing a full one first — and returns the vlen bytes
+// the caller encodes the value into. Nothing reaches pages or index before
+// the flush, which every method that reads them runs first.
+func stagePut[K any](s *keyedStore, c decompose.Codec[K], k K, vlen int) []byte {
+	if s.staged == probeBatch {
+		s.flush()
 	}
-	if n > cap(s.keyBuf) {
-		s.keyBuf = make([]byte, n, 2*n)
+	klen := s.shape[0].fixed
+	if klen < 0 {
+		klen = c.Size(k)
 	}
-	c.Encode(s.keyBuf[:n], k)
-	return s.keyBuf[:n]
+	at, i := s.used, s.staged
+	vat, end := at+klen, at+klen+vlen
+	if end > len(s.buf) {
+		// Room for the rest of the batch at this entry's size: all a
+		// container of fixed-size records ever takes.
+		s.buf = slices.Grow(s.buf[:at], (probeBatch-i)*(klen+vlen))
+		s.buf = s.buf[:cap(s.buf)]
+	}
+	key := s.buf[at:vat]
+	c.Encode(key, k)
+	s.tags[i], s.ends[i] = hashKey(key), [2]int32{int32(vat), int32(end)}
+	s.staged, s.used = i+1, end
+	return s.buf[vat:end]
 }
 
-// upsert returns the tail of key's record and the page the record lies in,
-// appending the record, its tail zeroed, when the key is new.
-func (s *keyedStore) upsert(key []byte) (tail []byte, page int32, fresh bool) {
-	tag, size := hashKey(key), s.shape[0].tail
+// flush probes for the pending batch as one pipeline — touch, then each
+// entry's put in Put order — and leaves it empty. A flush is the only way a
+// Put takes effect, of one entry like of sixteen.
+func (s *keyedStore) flush() {
+	n := s.staged
+	if n == 0 {
+		return
+	}
+	s.staged, s.used = 0, 0
+	s.idx.touch(s.group, s.tags[:n])
+	at := int32(0)
+	for i, end := range s.ends[:n] {
+		s.ops.put(s.tags[i], s.buf[at:end[0]], s.buf[end[0]:end[1]])
+		at = end[1]
+	}
+}
+
+// upsert returns the tail of the record of key, whose hashKey is tag, and
+// the page the record lies in, appending the record, its tail zeroed, when
+// the key is new.
+func (s *keyedStore) upsert(tag uint32, key []byte) (tail []byte, page int32, fresh bool) {
+	size := s.shape[0].tail
 	tail, at, found := s.idx.find(s.group, tag, key, size)
 	if found {
 		return tail, s.idx.slots[at].ptr.Page, false
@@ -157,15 +203,28 @@ func (s *keyedStore) upsert(key []byte) (tail []byte, page int32, fresh bool) {
 }
 
 // Len returns the number of distinct keys in memory.
-func (s *keyedStore) Len() int { return s.idx.n }
+func (s *keyedStore) Len() int {
+	s.flush()
+	return s.idx.n
+}
 
 // SizeBytes returns what the buffer holds of its manager: the page
 // footprint plus the index slab.
-func (s *keyedStore) SizeBytes() int64 { return s.group.Footprint() + s.idx.slab.Footprint() }
+func (s *keyedStore) SizeBytes() int64 {
+	s.flush()
+	return s.group.Footprint() + s.idx.slab.Footprint()
+}
+
+// PageOccupancy is pageStore.PageOccupancy with every Put in the pages.
+func (s *keyedStore) PageOccupancy() (used, footprint int64) {
+	s.flush()
+	return s.pageStore.PageOccupancy()
+}
 
 // Release frees the pages and spill files (pageStore.Release) and returns
-// the index slab. Idempotent.
+// the index slab; a pending batch is dropped. Idempotent.
 func (s *keyedStore) Release() {
+	s.staged, s.used = 0, 0
 	s.idx.release()
 	s.pageStore.Release()
 }
@@ -176,6 +235,7 @@ func (s *keyedStore) Release() {
 //
 //deca:owns
 func (s *keyedStore) EncodeSegments() (*transport.FrameSegments, error) {
+	s.flush()
 	return s.encodeSegments(s.kind, s.idx.n, nil)
 }
 
@@ -187,8 +247,10 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 	if src == s {
 		return fmt.Errorf("shuffle: %s cannot merge from itself", kindName(s.kind))
 	}
+	s.flush()
+	src.flush()
 	if base, ok := s.adopt(&src.pageStore, src.idx.n); ok {
-		return s.absorb(base, src.idx.n)
+		return s.ops.absorbPages(base, src.idx.n)
 	}
 	return nil
 }
@@ -201,11 +263,12 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 //deca:transfers
 func (s *keyedStore) Fold(st *Staged) error {
 	defer st.Release()
+	s.flush()
 	base, ok, err := s.adoptStaged(st, s.kind)
 	if !ok {
 		return err
 	}
-	return s.absorb(base, st.n)
+	return s.ops.absorbPages(base, st.n)
 }
 
 // recordIter walks the records of a page group from page base on, or (g
@@ -222,6 +285,11 @@ type recordIter struct {
 	ptr             memory.Ptr // where it starts,
 	rec, key, val   []byte     // its bytes, and their two parts after the header
 	err             error
+	// The key records nextBatch gathered: their keys' hashes, where they
+	// start, their keys and their tails.
+	tags       [probeBatch]uint32
+	ptrs       [probeBatch]memory.Ptr
+	keys, vals [probeBatch][]byte
 }
 
 // records iterates the buffer's pages from page base on.
@@ -265,6 +333,17 @@ func (it *recordIter) next() bool {
 	return false
 }
 
+// nextBatch gathers the next key records, up to probeBatch of them, for a
+// pipelined probe and returns how many there were: 0 ends the walk.
+func (it *recordIter) nextBatch() int {
+	n := 0
+	for n < probeBatch && it.next() {
+		it.tags[n], it.ptrs[n], it.keys[n], it.vals[n] = hashKey(it.key), it.ptr, it.key, it.val
+		n++
+	}
+	return n
+}
+
 // DecaAgg is the page-decomposed aggregation buffer (§4.3.2, Figure 7): a
 // pointer-free hash table (aggIndex) over page segments that hold the key
 // and the value. Each distinct key owns one keyedStore record whose tail is
@@ -305,7 +384,7 @@ func NewDecaAgg[K comparable, V any](
 		keyCodec:   keyCodec,
 		valCodec:   valCodec,
 	}
-	b.absorb = b.absorbPages
+	b.ops = b
 	return b, nil
 }
 
@@ -315,11 +394,18 @@ func (b *DecaAgg[K, V]) combineInto(seg []byte, v V) {
 	b.valCodec.Encode(seg, b.combine(old, v))
 }
 
-// Put eagerly combines v into k's record, reusing its segment in place.
+// Put eagerly combines v into k's record, reusing its segment in place —
+// when the batch it joins is flushed (stagePut).
 func (b *DecaAgg[K, V]) Put(k K, v V) {
-	if seg, _, fresh := b.upsert(encodeKey(&b.keyedStore, b.keyCodec, k)); fresh {
-		b.valCodec.Encode(seg, v)
+	b.valCodec.Encode(stagePut(&b.keyedStore, b.keyCodec, k, b.shape[0].tail), v)
+}
+
+// put combines the encoded value val into key's record (keyedOps).
+func (b *DecaAgg[K, V]) put(tag uint32, key, val []byte) {
+	if seg, _, fresh := b.upsert(tag, key); fresh {
+		copy(seg, val)
 	} else {
+		v, _ := b.valCodec.Decode(val)
 		b.combineInto(seg, v)
 	}
 }
@@ -328,7 +414,7 @@ func (b *DecaAgg[K, V]) Put(k K, v V) {
 // the page encoding, no serialization pass — resets the pages for reuse
 // and clears the index in place.
 func (b *DecaAgg[K, V]) Spill() error {
-	if b.idx.n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
 	err := b.spillPages(func(w *spillWriter) error {
@@ -347,17 +433,16 @@ func (b *DecaAgg[K, V]) Spill() error {
 }
 
 // Drain merges any spilled runs — each record re-aggregates through the
-// byte-keyed upsert, no key or pair is materialized — and yields every
-// pair in record order, decoding a key only as it is yielded.
+// byte-keyed put, a batch at a time, no key or pair is materialized — and
+// yields every pair in record order, decoding a key only as it is yielded.
 func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
+	b.flush()
 	err := b.replay(func(run []byte) error {
 		it := recordIter{shape: b.shape, data: run}
-		for it.next() {
-			if seg, _, fresh := b.upsert(it.key); fresh {
-				copy(seg, it.val)
-			} else {
-				v, _ := b.valCodec.Decode(it.val)
-				b.combineInto(seg, v)
+		for n := it.nextBatch(); n > 0; n = it.nextBatch() {
+			b.idx.touch(b.group, it.tags[:n])
+			for i := 0; i < n; i++ {
+				b.put(it.tags[i], it.keys[i], it.vals[i])
 			}
 		}
 		return it.err
@@ -376,15 +461,6 @@ func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
 	return it.err
 }
 
-// ValueBytes exposes the raw segment of k's current value — the zero-copy
-// output path: Deca "saves the cost of data (de-)serialization by directly
-// outputting the raw bytes" (§6.1).
-func (b *DecaAgg[K, V]) ValueBytes(k K) ([]byte, bool) {
-	key := encodeKey(&b.keyedStore, b.keyCodec, k)
-	val, _, ok := b.idx.find(b.group, hashKey(key), key, b.shape[0].tail)
-	return val, ok
-}
-
 // EncodeWire writes the buffer's wire frame to w.
 func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
 
@@ -399,25 +475,29 @@ func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, 
 func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error { return b.mergeFrom(&src.keyedStore) }
 
 // absorbPages indexes the records of the pages b just adopted at page base
-// (keyedStore.absorb). A new key's slot points at its record where it lies;
-// a collision combines the source value into b's record in place and marks
-// the source record dead. A slot only ever points at a record the walk has
-// checked against its page, and the walk must find exactly n live ones. An
-// empty b sizes its table from n first (capped: n may be a hostile header).
+// (keyedOps), a batch at a time. A new key's slot points at its record where
+// it lies; a collision combines the source value into b's record in place
+// and marks the source record dead. A slot only ever points at a record the
+// walk has checked against its page, and the walk must find exactly n live
+// ones. An empty b sizes its table from n first (capped: n may be a hostile
+// header).
 func (b *DecaAgg[K, V]) absorbPages(base, n int) error {
 	if b.idx.n == 0 {
 		b.idx.reserve(min(n, stagePresize))
 	}
 	live, it := 0, b.records(base)
-	for it.next() {
-		live++
-		tag := hashKey(it.key)
-		if dst, at, found := b.idx.find(b.group, tag, it.key, b.shape[0].tail); found {
-			v, _ := b.valCodec.Decode(it.val)
-			b.combineInto(dst, v)
-			it.rec[0] |= 1
-		} else {
-			b.idx.insert(at, tag, it.ptr)
+	for got := it.nextBatch(); got > 0; got = it.nextBatch() {
+		live += got
+		b.idx.touch(b.group, it.tags[:got])
+		for i := 0; i < got; i++ {
+			tag, ptr := it.tags[i], it.ptrs[i]
+			if dst, at, found := b.idx.find(b.group, tag, it.keys[i], b.shape[0].tail); found {
+				v, _ := b.valCodec.Decode(it.vals[i])
+				b.combineInto(dst, v)
+				b.group.Bytes(ptr, 1)[0] |= 1
+			} else {
+				b.idx.insert(at, tag, ptr)
+			}
 		}
 	}
 	if it.err == nil && live != n {

@@ -61,6 +61,42 @@ func BenchmarkDecaGroupPut(b *testing.B) {
 	}
 }
 
+// benchPuts times fill, one container lifetime of puts Puts on a manager it
+// warms first, and reports ns/put.
+func benchPuts(b *testing.B, puts int, fill func()) {
+	fill() // warm the page pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(puts), "ns/put")
+}
+
+// BenchmarkDecaGroupPutLarge is DecaGroupPut past the caches: 2 M values
+// over 500 k keys in random order (a 12 MiB table, ~60 MiB of pages), so
+// slot, key record and chain tail are each a memory miss.
+func BenchmarkDecaGroupPutLarge(b *testing.B) {
+	const puts, keys = 2_000_000, 500_000
+	rng := rand.New(rand.NewSource(1))
+	ks := make([]int64, puts)
+	for i := range ks {
+		ks[i] = rng.Int63n(keys)
+	}
+	m := memory.NewManager(1<<20, 0)
+	fill := func() {
+		buf := NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
+		for i, k := range ks {
+			buf.Put(k, int64(i))
+		}
+		if buf.Values() != puts {
+			b.Fatalf("%d values, want %d", buf.Values(), puts)
+		}
+		buf.Release()
+	}
+	benchPuts(b, puts, fill)
+}
+
 // Reduce-side merge benchmarks: the §6.1 zero-copy claim at the buffer
 // level. Each iteration merges M collision-light map outputs into one
 // reduce buffer, either by adopting page groups (MergeFrom) or through
@@ -352,6 +388,37 @@ func benchAggFill[K comparable, V any](b *testing.B, kc decompose.Codec[K], vc d
 func BenchmarkDecaAggFill(b *testing.B) {
 	b.Run("string-int64", func(b *testing.B) { benchAggFill(b, str, i64, addI, wordCountKeys(1), 1) })
 	b.Run("int64-float64", func(b *testing.B) { benchAggFill(b, i64, f64, addF, pageRankKeys(1), 0.5) })
+	b.Run("wc-map-task", benchWCMapTask)
+}
+
+// benchWCMapTask is one map task of bench/e2e's wc-shuffle: 800 k words
+// drawn from 640 k keys, routed over 4 reducer buffers by the partitioner's
+// hash — a 32 MiB working set of tables and pages, where every probe misses.
+func benchWCMapTask(b *testing.B) {
+	const puts, distinct, reducers = 800_000, 640_000, 4
+	rng := rand.New(rand.NewSource(1))
+	words := make([]string, puts)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%07x", rng.Intn(distinct))
+	}
+	m, hash := memory.NewManager(1<<20, 0), StringKey().Hash
+	fill := func() {
+		var bufs [reducers]*DecaAgg[string, int64]
+		for r := range bufs {
+			buf, err := NewDecaAgg(m, addI, str, i64, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			bufs[r] = buf
+		}
+		for _, w := range words {
+			bufs[Partition(hash(w), reducers)].Put(w, 1)
+		}
+		for _, buf := range bufs {
+			buf.Release()
+		}
+	}
+	benchPuts(b, puts, fill)
 }
 
 func benchAggStageFold[K comparable, V any](b *testing.B, kc decompose.Codec[K], vc decompose.Codec[V],

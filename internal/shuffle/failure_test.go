@@ -131,7 +131,7 @@ func TestDecaAggFoldRejectsMalformedRecords(t *testing.T) {
 				t.Errorf("%s: %s: accepted by a buffer holding keys", c.name, what)
 			}
 			b.Put(-1, 0.25)
-			if seg, ok := b.ValueBytes(-1); !ok {
+			if seg, ok := valueBytes(b, -1); !ok {
 				t.Errorf("%s: %s: the destination's own key is gone after the failed fold", c.name, what)
 			} else if v, _ := f64.Decode(seg); v != 0.75 {
 				t.Errorf("%s: %s: the destination's own key holds %v, want 0.75", c.name, what, v)

@@ -145,7 +145,7 @@ func NewDecaGroup[K comparable, V any](
 		keyCodec: keyCodec,
 		valCodec: valCodec,
 	}
-	b.absorb = b.absorbPages
+	b.ops, b.idx.chained = b, true
 	return b
 }
 
@@ -196,19 +196,29 @@ func (b *DecaGroup[K, V]) push(chain []byte, page int32, vlen int) ([]byte, erro
 	return node[w : w+vlen], nil
 }
 
-// Put appends v, decomposed, to k's chain. It can only fail — and then
-// panics — on a buffer a failed Fold left for release.
+// Put appends v, decomposed, to k's chain — when the batch it joins is
+// flushed (stagePut).
 func (b *DecaGroup[K, V]) Put(k K, v V) {
-	chain, page, _ := b.upsert(encodeKey(&b.keyedStore, b.keyCodec, k))
-	seg, err := b.push(chain, page, b.valCodec.Size(v))
+	b.valCodec.Encode(stagePut(&b.keyedStore, b.keyCodec, k, b.valCodec.Size(v)), v)
+}
+
+// put hangs a node holding the encoded value val on key's chain
+// (keyedOps). It can only fail — and then panics — on a buffer a failed
+// Fold left for release.
+func (b *DecaGroup[K, V]) put(tag uint32, key, val []byte) {
+	chain, page, _ := b.upsert(tag, key)
+	seg, err := b.push(chain, page, len(val))
 	if err != nil {
 		panic(err)
 	}
-	b.valCodec.Encode(seg, v)
+	copy(seg, val)
 }
 
 // Values returns the total number of buffered values in memory.
-func (b *DecaGroup[K, V]) Values() int { return b.count }
+func (b *DecaGroup[K, V]) Values() int {
+	b.flush()
+	return b.count
+}
 
 // node returns the value and next-link segments of the value node at p,
 // checked against its page: chains are walked with the distrust their
@@ -234,7 +244,7 @@ func (b *DecaGroup[K, V]) node(p memory.Ptr) (val, link []byte, err error) {
 // records, resets the pages and clears the index in place. The run is a
 // frame without kind byte or spill section, and replaying it is folding it.
 func (b *DecaGroup[K, V]) Spill() error {
-	if b.idx.n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
 	err := b.spillPages(func(w *spillWriter) error {
@@ -265,7 +275,7 @@ func (b *DecaGroup[K, V]) replayRun(run []byte) error {
 		return err
 	}
 	defer g.Release() // b keeps the pages it adopts
-	return b.absorb(b.group.AdoptPages(g), n)
+	return b.absorbPages(b.group.AdoptPages(g), n)
 }
 
 // Drain merges any spilled runs — their values follow the in-memory ones
@@ -273,6 +283,7 @@ func (b *DecaGroup[K, V]) replayRun(run []byte) error {
 // list, in record order. A chain is walked for as many nodes as its record
 // counts and must end there.
 func (b *DecaGroup[K, V]) Drain(yield func(K, []V) bool) error {
+	b.flush()
 	if err := b.replay(b.replayRun); err != nil {
 		return err
 	}
@@ -313,7 +324,7 @@ func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w
 func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error { return b.mergeFrom(&src.keyedStore) }
 
 // absorbPages indexes the records of the pages b just adopted at page base
-// (keyedStore.absorb). A new key's slot points at its record where it lies,
+// (keyedOps). A new key's slot points at its record where it lies,
 // chain and all; a collision hangs the source chain on the end of b's — the
 // source's values follow b's own — and leaves the source record dead: no
 // link is rewritten but that one. The walk passes every adopted record, so

@@ -74,12 +74,14 @@ func (g groupTriple[K]) release() {
 	g.obj.Release()
 }
 
-// TestDecaGroupMatchesOrderModel: over seeded random interleavings of Put,
-// Spill, EncodeWire → Stage → Fold (in map order) and MergeFrom, a
-// DecaGroup on 32-byte pages — chains cross pages at almost every link —
-// drains the same keys and, per key, the same value sequence as the model,
-// and the same multiset as the ObjectGroup; and so does what a second
-// buffer decodes from the drained buffer's frame (dead records and all).
+// TestDecaGroupMatchesOrderModel: over seeded random interleavings of Put
+// (in runs that end on every edge of the probe batch), Spill, Len, Values,
+// EncodeWire → Stage → Fold (in map order), MergeFrom and a Release with
+// entries pending, a DecaGroup on 32-byte pages — chains cross pages at
+// almost every link, and a flush rolls pages over in mid-batch — drains the
+// same keys and, per key, the same value sequence as the model, and the
+// same multiset as the ObjectGroup; and so does what a second buffer
+// decodes from the drained buffer's frame (dead records and all).
 func TestDecaGroupMatchesOrderModel(t *testing.T) {
 	t.Run("int64 keys", func(t *testing.T) {
 		groupOrderProperty(t, decompose.Int64Codec{}, serial.Int64{}, func(i int) int64 { return int64(i) * 1_000_003 })
@@ -120,14 +122,32 @@ func groupOrderProperty[K comparable](t *testing.T, keyCodec decompose.Codec[K],
 				}
 			}
 		}
+		size := func() int {
+			if r.Intn(2) == 0 {
+				return batchSizes[r.Intn(len(batchSizes))]
+			}
+			return r.Intn(40)
+		}
 		dst := fresh()
 		for step := 0; step < 12; step++ {
-			switch op := r.Intn(3); op {
+			switch op := r.Intn(4); op {
 			case 0:
-				fill(dst, r.Intn(40))
+				fill(dst, size())
+			case 3: // a lifetime that ends with entries pending, and a look at one that has some
+				gone, before := fresh(), seq
+				fill(gone, size())
+				gone.release()
+				seq = before // seq is also the count of values that reach dst
+				values := 0
+				for _, vs := range dst.model.mem {
+					values += len(vs)
+				}
+				if dst.deca.Len() != len(dst.model.mem) || dst.deca.Values() != values {
+					t.Fatalf("seed %d step %d: %d keys, %d values in memory; the model holds %d, %d", seed, step, dst.deca.Len(), dst.deca.Values(), len(dst.model.mem), values)
+				}
 			default:
 				src := fresh()
-				fill(src, r.Intn(40))
+				fill(src, size())
 				if op == 1 {
 					if err := dst.deca.MergeFrom(src.deca); err != nil {
 						t.Fatal(err)

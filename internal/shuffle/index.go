@@ -23,6 +23,10 @@ type aggIndex struct {
 	slots []aggSlot   //deca:owns (the slab's bytes as slots: pointers into the page store of the container holding the index, dropped by its Release)
 	n     int         // occupied slots = distinct keys in memory
 	shift uint        // 32 - log2(len(slots)): a tag's home slot is its top bits
+	// chained says a key record's tail is a DecaGroup chain, whose last node
+	// a Put writes as well: touch loads it with the record.
+	chained bool
+	warmed  byte // the sum of what touch loaded; storing it is what keeps the loads
 }
 
 // aggSlot is one table entry. tag 0 marks an empty slot (hashKey never
@@ -35,6 +39,9 @@ type aggSlot struct {
 const (
 	aggSlotSize = int64(unsafe.Sizeof(aggSlot{}))
 	minAggSlots = 16
+	// probeBatch is how many probes run as one pipeline (touch): enough to
+	// keep every miss buffer of a core busy; 8 to 64 measure the same.
+	probeBatch = 16
 )
 
 // hashKey hashes a key's encoded bytes into a slot tag. The function is
@@ -89,6 +96,48 @@ func (ix *aggIndex) find(g *memory.Group, tag uint32, key []byte, valSize int) (
 			return rec[w+kl : w+kl+valSize], i, true
 		}
 	}
+}
+
+// touch is the head of a pipelined probe: it loads what the finds for tags
+// are about to read — pass one every tag's home slot, pass two the first
+// byte of the record each tag's probe stops at (the probe by tag alone, now
+// over cached slots), pass three, chained, the link field that record's
+// chain ends in — so a batch's misses overlap, where a find waits out two
+// or three dependent ones. It decides nothing and writes nothing but
+// warmed: the finds that follow probe as if it had not run, only out of
+// cache.
+func (ix *aggIndex) touch(g *memory.Group, tags []uint32) {
+	if len(ix.slots) == 0 {
+		return
+	}
+	sum, mask := ix.warmed, len(ix.slots)-1
+	for _, tag := range tags {
+		sum += byte(ix.slots[tag>>ix.shift].tag)
+	}
+	var hit [probeBatch]aggSlot // where each probe stops: a slot of the tag, or an empty one
+	for i, tag := range tags {
+		j := int(tag >> ix.shift)
+		for ix.slots[j].tag != tag && ix.slots[j].tag != 0 {
+			j = (j + 1) & mask
+		}
+		if hit[i] = ix.slots[j]; hit[i].tag != 0 {
+			sum += g.Page(int(hit[i].ptr.Page))[hit[i].ptr.Off]
+		}
+	}
+	for i := 0; ix.chained && i < len(tags); i++ {
+		s := hit[i]
+		if s.tag == 0 {
+			continue
+		}
+		rec := g.Page(int(s.ptr.Page))[s.ptr.Off:]
+		hd, w := binary.Uvarint(rec)
+		chain := rec[w+int(hd>>1):]
+		// Checked like push's own read: a failed fold may have left a bad tail.
+		if link, err := g.CheckedBytes(getLink(chain[linkSize:], s.ptr.Page), 1); err == nil && chainCount(chain) > 0 {
+			sum += link[0]
+		}
+	}
+	ix.warmed = sum
 }
 
 // insert files a record under the slot find reported for its absent key.

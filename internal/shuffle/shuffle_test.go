@@ -114,13 +114,13 @@ func TestDecaAggReusesSegmentInPlace(t *testing.T) {
 	defer b.Release()
 
 	b.Put("k", 1)
-	sizeAfterFirst := b.group.Len()
+	sizeAfterFirst, _ := b.PageOccupancy()
 	for i := 0; i < 1000; i++ {
 		b.Put("k", 1)
 	}
-	if b.group.Len() != sizeAfterFirst {
+	if size, _ := b.PageOccupancy(); size != sizeAfterFirst {
 		t.Errorf("page bytes grew from %d to %d during combining; segment not reused",
-			sizeAfterFirst, b.group.Len())
+			sizeAfterFirst, size)
 	}
 	got := drainAggToMap[string, int64](t, b)
 	if got["k"] != 1001 {
@@ -138,6 +138,15 @@ func TestDecaAggRejectsVariableValueCodec(t *testing.T) {
 	}
 }
 
+// valueBytes is the raw segment of k's current value in b's pages.
+func valueBytes[K comparable, V any](b *DecaAgg[K, V], k K) ([]byte, bool) {
+	b.flush()
+	key := make([]byte, b.keyCodec.Size(k))
+	b.keyCodec.Encode(key, k)
+	val, _, ok := b.idx.find(b.group, hashKey(key), key, b.shape[0].tail)
+	return val, ok
+}
+
 func TestDecaAggValueBytes(t *testing.T) {
 	m := memory.NewManager(128, 0)
 	b, _ := NewDecaAgg[string, int64](m,
@@ -146,14 +155,14 @@ func TestDecaAggValueBytes(t *testing.T) {
 	defer b.Release()
 	b.Put("x", 41)
 	b.Put("x", 1)
-	seg, ok := b.ValueBytes("x")
+	seg, ok := valueBytes(b, "x")
 	if !ok {
 		t.Fatal("ValueBytes miss")
 	}
 	if v := decompose.I64(seg, 0); v != 42 {
 		t.Errorf("raw value = %d, want 42", v)
 	}
-	if _, ok := b.ValueBytes("missing"); ok {
+	if _, ok := valueBytes(b, "missing"); ok {
 		t.Error("ValueBytes hit on missing key")
 	}
 }

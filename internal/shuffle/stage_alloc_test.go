@@ -113,6 +113,7 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 
 	b := fill()
 	defer b.Release()
+	b.flush()          // what follows reads table and pages directly
 	large := uint64(0) // tables of one doubling series that are over half a page
 	for slots := len(b.idx.slots); int64(slots)*aggSlotSize > int64(mem.PageSize()/2); slots /= 2 {
 		large++
@@ -133,6 +134,7 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 	for i, k := range keys {
 		b.Put(k, int64(i))
 	}
+	b.flush()
 	if unsafe.SliceData(b.idx.slots) != table || len(b.idx.slots) != slots {
 		t.Errorf("refill after a spill runs on a new table (%d slots, was %d)", len(b.idx.slots), slots)
 	}
