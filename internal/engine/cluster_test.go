@@ -14,6 +14,8 @@ import (
 	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/obs"
+	"deca/internal/shuffle"
+	"deca/internal/transport"
 )
 
 func clusterCtx(t *testing.T, mode Mode, execs int) *Context {
@@ -53,6 +55,53 @@ func wordCountOn(t *testing.T, ctx *Context) map[string]int64 {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// recordingTransport remembers what was registered with it.
+type recordingTransport struct {
+	transport.Transport
+	mu       sync.Mutex
+	payloads []transport.Payload
+}
+
+func (r *recordingTransport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool, error) {
+	r.mu.Lock()
+	r.payloads = append(r.payloads, p)
+	r.mu.Unlock()
+	return r.Transport.Register(id, p)
+}
+
+// TestMapOutputsRegisterSealed: a map output is registered without its hash
+// index — nothing probes it again — so between the stages of a 2-executor
+// WordCount every payload weighs its pages and the managers hold the pages
+// and nothing else: the tables went back at registration, not at commit.
+func TestMapOutputsRegisterSealed(t *testing.T) {
+	ctx := clusterCtx(t, ModeDeca, 2)
+	rec := &recordingTransport{Transport: ctx.trans}
+	ctx.trans = rec
+	var pages int64
+	ctx.testAfterMapStage = func(transport.ShuffleID) {
+		keys := 0
+		for _, pl := range rec.payloads {
+			b := pl.Data.(*shuffle.DecaAgg[string, int64])
+			_, footprint := b.PageOccupancy()
+			if pl.MemBytes != footprint || b.SizeBytes() != footprint {
+				t.Errorf("a map output of %d keys registered as %d bytes and sizes itself %d, want its page footprint %d",
+					b.Len(), pl.MemBytes, b.SizeBytes(), footprint)
+			}
+			pages += footprint
+			keys += b.Len()
+		}
+		if len(rec.payloads) != 8*5 || keys == 0 || pages == 0 {
+			t.Fatalf("%d map outputs of %d keys on %d bytes of pages, want 8 x 5 filled ones", len(rec.payloads), keys, pages)
+		}
+		if got := ctx.MemoryInUse(); got != pages {
+			t.Errorf("the managers hold %d bytes between the stages, want the map outputs' pages (%d) and no table", got, pages)
+		}
+	}
+	if got := wordCountOn(t, ctx); pages == 0 || got["the"] != 38 {
+		t.Errorf("the job counted %d \"the\" (want 38) and checked %d bytes of map outputs", got["the"], pages)
+	}
 }
 
 func TestMultiExecutorEquivalence(t *testing.T) {

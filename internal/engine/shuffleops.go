@@ -59,6 +59,7 @@ func (o PairOps[K, V]) decaGroupAble(ctx *Context) bool {
 type pairSink[K comparable, V any] interface {
 	Put(k K, v V)
 	Spill() error
+	Seal() // the fill ended: the container returns what only a Put needed
 	SizeBytes() int64
 	SpilledBytes() int64
 	Release()
@@ -111,24 +112,22 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	ex *Executor,
 ) error {
 	m := t.Part
-	bufs := make([]S, R)
-	made := 0
+	bufs := make([]S, 0, R)
 	trackers := make([]*spillTracker, R)
 	// Until the task hands a buffer to the transport it is the task's to
 	// release: any error return must not leak its pages.
 	registered := 0
 	defer func() {
-		for _, b := range bufs[registered:made] {
+		for _, b := range bufs[registered:] {
 			b.Release()
 		}
 	}()
-	for r := range bufs {
+	for r := range trackers {
 		b, err := newBuf(ex)
 		if err != nil {
 			return err
 		}
-		bufs[r] = b
-		made = r + 1
+		bufs = append(bufs, b)
 		trackers[r] = newSpillTracker(threshold, entrySizeHint(entrySize))
 	}
 	var records int64
@@ -167,6 +166,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		return sched.ErrCanceled
 	}
 	for r, b := range bufs {
+		b.Seal() // nothing probes a map output again: its index goes back now, not at stage commit
 		ctx.noteOccupancy(shufID, b)
 		prev, replaced, err := ctx.trans.Register(
 			transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r},

@@ -132,6 +132,49 @@ func (ix *looseIndex) resize(m *memory.Manager, n int) {
 	ix.slab = m.NewSlab(n) // want "not annotated //deca:owns"
 }
 
+// segIndex models the index past one slab: a directory of segments, their
+// slabs owned as a collection.
+type segment struct {
+	slab memory.Slab //deca:owns (fixture: returned by split and by release)
+}
+
+type segIndex struct {
+	dir []segment //deca:owns (fixture: every segment's slab is returned by release, a split one's by split)
+}
+
+// Negative: a split — the two new slabs go into the owned directory inside
+// their segments, the old one back to the manager.
+func (ix *segIndex) split(m *memory.Manager, n int) {
+	for s := len(ix.dir)/2 - 1; s >= 0; s-- {
+		old := ix.dir[s]
+		for i := 2 * s; i < 2*s+2; i++ {
+			slab := m.NewSlab(n)
+			ix.dir[i] = segment{slab: slab}
+		}
+		old.slab.Release()
+	}
+}
+
+// Negative: the collection released in a loop.
+func (ix *segIndex) release() {
+	for i := range ix.dir {
+		ix.dir[i].slab.Release()
+	}
+	clear(ix.dir)
+}
+
+// True positive: a segment's slab taken and dropped when the split bails out.
+func (ix *segIndex) splitLeak(m *memory.Manager, n int, fail bool) error {
+	for i := range ix.dir {
+		slab := m.NewSlab(n)
+		if fail {
+			return errBoom // want "may not be released on this path"
+		}
+		ix.dir[i] = segment{slab: slab}
+	}
+	return nil
+}
+
 // store models the shuffle page store: the one owner of a page group,
 // embedded by every container and by a staged frame.
 type store struct {

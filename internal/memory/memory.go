@@ -200,24 +200,19 @@ func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 const bigMax = 16
 
 // putBlock takes a block back and pools it in its size class, within the
-// pool's byte bound, unless it is
-//   - a slab of more than half a page: a pooled block is live heap — the
-//     collector paces itself on twice its size — and a multi-page index
-//     table parked for a sibling that may never ask for it was measured to
-//     cost a job more peak heap than its reuse saved in allocation
-//     (EXPERIMENTS.md, "Allocation ledger");
-//   - an oversized page whose class already holds bigMax blocks.
+// pool's byte bound, unless it is larger than a page and its class already
+// holds bigMax blocks. A pooled block is live heap — the collector paces
+// itself on twice its size — so what is parked here must be what the next
+// request asks for: slabs are (a container's index takes them a segment at
+// a time, all of one size past the small ones), a single object's oversized
+// page rarely.
 //
 // Called with m.mu held.
-func (m *Manager) putBlock(b []byte, slab bool) {
+func (m *Manager) putBlock(b []byte) {
 	m.inUse -= int64(cap(b))
 	m.released++
 	class := &m.blocks[bits.Len(uint(cap(b)))-1]
-	switch {
-	case m.pooled+int64(cap(b)) > m.poolMax:
-	case slab && cap(b) > m.pageSize/2:
-	case cap(b) > m.pageSize && len(*class) >= bigMax:
-	default:
+	if m.pooled+int64(cap(b)) <= m.poolMax && (cap(b) <= m.pageSize || len(*class) < bigMax) {
 		*class = append(*class, b[:0])
 		m.pooled += int64(cap(b))
 	}
@@ -236,7 +231,7 @@ func (m *Manager) putPages(pages [][]byte) {
 		switch {
 		case cap(p) == 0: // a restored empty page never came from the pool
 		case cap(p) != m.pageSize:
-			m.putBlock(p, false)
+			m.putBlock(p)
 		default:
 			m.inUse -= int64(cap(p))
 			m.released++
@@ -249,13 +244,12 @@ func (m *Manager) putPages(pages [][]byte) {
 }
 
 // Slab is a block of manager memory that belongs to a container rather
-// than to its page group: the hash-index table over the group's records.
-// It is charged to the budget like a page and pooled on release if it is at
-// most half of one (putBlock), but comes in whatever size is asked for — a
+// than to its page group: a segment of the hash-index table over the
+// group's records. It is charged to the budget like a page and pooled on
+// release like one (putBlock), but comes in whatever size is asked for — a
 // 16-slot table does not cost a page — and is zeroed, whichever pool or heap
-// it came from. The zero Slab is
-// empty; Release is idempotent, so a container's double Release returns
-// the memory once.
+// it came from. The zero Slab is empty; Release is idempotent, so a
+// container's double Release returns the memory once.
 type Slab struct {
 	m   *Manager
 	buf []byte
@@ -283,7 +277,7 @@ func (s *Slab) Release() {
 		return
 	}
 	s.m.mu.Lock()
-	s.m.putBlock(s.buf, true)
+	s.m.putBlock(s.buf)
 	s.m.mu.Unlock()
 	s.buf = nil
 }

@@ -96,7 +96,7 @@ func (b *ObjectAgg[K, V]) Release() {
 //	uvarint (klen<<1 | flag) | key bytes (the key codec's encoding) | tail
 //
 // are appended once, never straddle a page and are found through an
-// aggIndex: no key survives as a Go object, and pages and index slab are
+// aggIndex: no key survives as a Go object, and pages and index slabs are
 // all the memory the container owns. Two keys are one iff their encodings
 // are byte-equal: Go's == for every built-in codec except on floats, where
 // +0 and -0 are two keys and equal-bit NaNs one. The tail is the container's
@@ -119,6 +119,7 @@ type keyedStore struct {
 	used   int // bytes of buf
 	tags   [probeBatch]uint32
 	ends   [probeBatch][2]int32
+	sealed bool // Seal ran: the index is gone, the records are final
 }
 
 // keyedOps is what a keyedStore asks of its container.
@@ -144,6 +145,7 @@ func newKeyedStore(mem *memory.Manager, spillDir string, kind byte, flag0, flag1
 // the caller encodes the value into. Nothing reaches pages or index before
 // the flush, which every method that reads them runs first.
 func stagePut[K any](s *keyedStore, c decompose.Codec[K], k K, vlen int) []byte {
+	s.fills("Put")
 	if s.staged == probeBatch {
 		s.flush()
 	}
@@ -190,7 +192,7 @@ func (s *keyedStore) upsert(tag uint32, key []byte) (tail []byte, page int32, fr
 	size := s.shape[0].tail
 	tail, at, found := s.idx.find(s.group, tag, key, size)
 	if found {
-		return tail, s.idx.slots[at].ptr.Page, false
+		return tail, s.idx.slot(at).ptr.Page, false
 	}
 	hd := uint64(len(key)) << 1
 	w := (bits.Len64(hd|1) + 6) / 7 // the header's uvarint width
@@ -209,10 +211,10 @@ func (s *keyedStore) Len() int {
 }
 
 // SizeBytes returns what the buffer holds of its manager: the page
-// footprint plus the index slab.
+// footprint plus the index slabs.
 func (s *keyedStore) SizeBytes() int64 {
 	s.flush()
-	return s.group.Footprint() + s.idx.slab.Footprint()
+	return s.group.Footprint() + s.idx.footprint()
 }
 
 // PageOccupancy is pageStore.PageOccupancy with every Put in the pages.
@@ -221,8 +223,35 @@ func (s *keyedStore) PageOccupancy() (used, footprint int64) {
 	return s.pageStore.PageOccupancy()
 }
 
+// Seal ends the fill: every Put is in the pages and the index goes back to
+// the manager — nothing probes a filled buffer again. What is left counts,
+// sizes, encodes, releases, is a MergeFrom source and drains (unless spill
+// runs are pending: replaying one fills); Put, Spill, Fold and being a
+// MergeFrom destination panic. Idempotent.
+func (s *keyedStore) Seal() {
+	s.flush()
+	n := s.idx.n // a sealed container still counts its keys
+	s.idx.release()
+	s.idx.n, s.sealed = n, true
+}
+
+// fills heads every method that needs the index.
+func (s *keyedStore) fills(method string) {
+	if s.sealed {
+		panic("shuffle: " + method + " on a sealed " + kindName(s.kind))
+	}
+}
+
+// replay is runSet.replay; a sealed store must have no run to fold.
+func (s *keyedStore) replay(fold func(run []byte) error) error {
+	if len(s.spills) > 0 {
+		s.fills("Drain with spill runs pending")
+	}
+	return s.runSet.replay(fold)
+}
+
 // Release frees the pages and spill files (pageStore.Release) and returns
-// the index slab; a pending batch is dropped. Idempotent.
+// the index slabs; a pending batch is dropped. Idempotent.
 func (s *keyedStore) Release() {
 	s.staged, s.used = 0, 0
 	s.idx.release()
@@ -247,6 +276,7 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 	if src == s {
 		return fmt.Errorf("shuffle: %s cannot merge from itself", kindName(s.kind))
 	}
+	s.fills("MergeFrom")
 	s.flush()
 	src.flush()
 	if base, ok := s.adopt(&src.pageStore, src.idx.n); ok {
@@ -263,6 +293,7 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 //deca:transfers
 func (s *keyedStore) Fold(st *Staged) error {
 	defer st.Release()
+	s.fills("Fold")
 	s.flush()
 	base, ok, err := s.adoptStaged(st, s.kind)
 	if !ok {
@@ -414,6 +445,7 @@ func (b *DecaAgg[K, V]) put(tag uint32, key, val []byte) {
 // the page encoding, no serialization pass — resets the pages for reuse
 // and clears the index in place.
 func (b *DecaAgg[K, V]) Spill() error {
+	b.fills("Spill")
 	if b.Len() == 0 {
 		return nil
 	}

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -419,6 +420,31 @@ func benchWCMapTask(b *testing.B) {
 		}
 	}
 	benchPuts(b, puts, fill)
+}
+
+// BenchmarkAggIndexGrow is the index alone growing from empty under 2^18
+// inserts of distinct tags — a 6 MiB table, 16 segments — on a manager the
+// previous lifetime left its slabs with (warm) and on a new one (cold). B/op
+// is what growing takes from the heap: cold the final table plus a segment
+// and the small tables before the first split (a doubling series took twice
+// the final table), warm the directory past the container's own.
+func BenchmarkAggIndexGrow(b *testing.B) {
+	const inserts = 1 << 18
+	tags := make([]uint32, inserts)
+	for i := range tags {
+		tags[i] = hashKey(binary.LittleEndian.AppendUint64(nil, uint64(i)))
+	}
+	grow := func(m *memory.Manager) {
+		ix := aggIndex{mem: m}
+		ix.insert(0, tags[0], memory.Ptr{})
+		for _, tag := range tags[1:] {
+			ix.insert(ix.free(tag), tag, memory.Ptr{})
+		}
+		ix.release()
+	}
+	warm := memory.NewManager(1<<20, 0)
+	b.Run("warm", func(b *testing.B) { benchPuts(b, inserts, func() { grow(warm) }) })
+	b.Run("cold", func(b *testing.B) { benchPuts(b, inserts, func() { grow(memory.NewManager(1<<20, 0)) }) })
 }
 
 func benchAggStageFold[K comparable, V any](b *testing.B, kc decompose.Codec[K], vc decompose.Codec[V],

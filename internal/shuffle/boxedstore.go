@@ -99,6 +99,9 @@ func (s *boxedStore[K, V]) replay(put func(K, V)) error {
 	return replayRuns(&s.runSet, s.decodePair, put)
 }
 
+// Seal ends the fill (keyedStore.Seal); drain and frame still read the table.
+func (s *boxedStore[K, V]) Seal() {}
+
 // Release ends the lifetime: the spill files are deleted. Idempotent; the
 // container drops its table alongside.
 func (s *boxedStore[K, V]) Release() {

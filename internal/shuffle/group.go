@@ -244,6 +244,7 @@ func (b *DecaGroup[K, V]) node(p memory.Ptr) (val, link []byte, err error) {
 // records, resets the pages and clears the index in place. The run is a
 // frame without kind byte or spill section, and replaying it is folding it.
 func (b *DecaGroup[K, V]) Spill() error {
+	b.fills("Spill")
 	if b.Len() == 0 {
 		return nil
 	}
@@ -373,7 +374,7 @@ func (b *DecaGroup[K, V]) absorbPages(base, n int) error {
 			b.idx.insert(at, tag, it.ptr)
 			continue
 		}
-		dpage := b.idx.slots[at].ptr.Page
+		dpage := b.idx.slot(at).ptr.Page
 		dtail := getLink(dst[linkSize:], dpage)
 		link, err := b.group.CheckedBytes(dtail, linkSize)
 		if err != nil {

@@ -409,7 +409,7 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if refs := src.group.Refs(); refs != 2 {
 		t.Fatalf("source group refs = %d after merge, want 2", refs)
 	}
-	inUse, srcSlab, pooled := m.InUse(), src.idx.slab.Footprint(), m.Stats().BytesPooled
+	inUse, srcSlab, pooled := m.InUse(), src.idx.footprint(), m.Stats().BytesPooled
 	if want := dst.SizeBytes() + srcSlab; inUse != want {
 		t.Errorf("InUse = %d after merge, want %d: the adopted pages and two index slabs, each once", inUse, want)
 	}
@@ -436,9 +436,10 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if m.Stats().LiveGroups != 0 {
 		t.Errorf("live groups = %d after merged release", m.Stats().LiveGroups)
 	}
-	// The two 3 KiB tables are six pages' worth each: slabs of more than
-	// half a page leave the ledger but do not pool (memory.Manager).
-	if st := m.Stats(); st.PagesReleased == releasedBefore || st.BytesPooled != pooled+inUse-2*srcSlab {
+	// Everything pools, the two 3 KiB tables (six pages' worth each)
+	// included: until ISSUE 23 a slab of more than half a page left the
+	// ledger for the collector and this expectation was short of 2*srcSlab.
+	if st := m.Stats(); st.PagesReleased == releasedBefore || st.BytesPooled != pooled+inUse {
 		t.Errorf("merged release returned %d pages and slabs, %d bytes pooled; want every page of the %d bytes in use back beside the %d pooled before",
 			st.PagesReleased-releasedBefore, st.BytesPooled, inUse, pooled)
 	}

@@ -123,14 +123,19 @@ func restoreSpill(dir string, r io.Reader, size int64) (spillFile, error) {
 	return spillFile{path: f.Name(), size: size}, nil
 }
 
-// read loads the whole run back. Spill merging re-aggregates, so streaming
-// granularity buys nothing at these run sizes.
-func (s spillFile) read() ([]byte, error) {
-	data, err := os.ReadFile(s.path)
+// read loads the whole run back into buf, grown when it is too short (nil:
+// a buffer of the run's own), and returns it.
+func (s spillFile) read(buf []byte) ([]byte, error) {
+	f, err := os.Open(s.path)
+	if err == nil {
+		defer f.Close()
+		buf = slices.Grow(buf[:0], int(s.size))[:s.size]
+		_, err = io.ReadFull(f, buf)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: reading spill %s: %w", s.path, err)
 	}
-	return data, nil
+	return buf, nil
 }
 
 // remove deletes the run file.
@@ -177,11 +182,14 @@ func (rs *runSet) take(src *runSet) {
 // deleted, and dropped from the set at that moment. A failure on one run
 // therefore leaves the set listing exactly the runs still on disk, so the
 // retried replay — and any encode of the buffer in between — meets no
-// deleted file, and the caller sees the error that actually happened.
+// deleted file, and the caller sees the error that actually happened. The
+// runs are read one after the other into one buffer that lives as long as
+// the replay: fold keeps nothing of run past its return but copies.
 func (rs *runSet) replay(fold func(run []byte) error) error {
+	var data []byte
 	for len(rs.spills) > 0 {
-		data, err := rs.spills[0].read()
-		if err != nil {
+		var err error
+		if data, err = rs.spills[0].read(data); err != nil {
 			return err
 		}
 		if err := fold(data); err != nil {
@@ -222,7 +230,7 @@ func mergeSorted[K comparable, V any](
 ) error {
 	runs := make([]*runCursor[K, V], 0, len(rs.spills)+1)
 	for _, run := range rs.spills {
-		data, err := run.read()
+		data, err := run.read(nil)
 		if err != nil {
 			return err
 		}

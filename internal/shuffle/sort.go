@@ -235,6 +235,9 @@ func (b *DecaSort[K, V]) Fold(st *Staged) error {
 	return nil
 }
 
+// Seal ends the fill (keyedStore.Seal); drain and frame still read the pointers.
+func (b *DecaSort[K, V]) Seal() {}
+
 // Release frees the pages and spill files (pageStore.Release) and drops
 // the pointer array.
 func (b *DecaSort[K, V]) Release() {

@@ -5,8 +5,8 @@ package shuffle
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"deca/internal/memory"
 )
@@ -19,10 +19,10 @@ import (
 // its page array (pages themselves recycle through the manager's pool) —
 // whatever its key count.
 //
-// Folding adds the destination's own index: for DecaAgg and DecaGroup one
-// slab of manager memory sized from the frame's count — and nothing per
-// key or per value, whatever their types: a folded key stays in its page,
-// and so does its value list.
+// Folding adds the destination's own index: for DecaAgg and DecaGroup
+// slabs of manager memory sized from the frame's count, under a directory
+// inside the container — and nothing per key or per value, whatever their
+// types: a folded key stays in its page, and so does its value list.
 
 const (
 	stageBudget = 12 // heap objects per staged frame
@@ -78,13 +78,12 @@ func TestStageFoldAllocBudget(t *testing.T) {
 // TestDecaAggFillAllocBudget: the map side of the same claim. Combining
 // into a key the buffer holds allocates nothing; filling n distinct string
 // keys costs the table's doubling steps (and the page array's), never an
-// object per key. On a warm manager every page and every table of up to
-// half a page is the previous lifetime's; at the page-to-table ratio of the
-// WordCount workloads (1 MiB pages, a series ending at 1.5 MiB) that leaves
-// the two largest tables fresh each time, because slabs of more than half a
-// page do not pool (TestDecaGroupFillAllocBudget has the ratio at which all
-// of them do). A spill clears the table in place, so the refill runs on the
-// same slab.
+// object per key, and no directory object either (4 segments fit the
+// container's own). On a warm manager every page and every slab is the
+// previous lifetime's — at the page-to-table ratio of the WordCount
+// workloads too (1 MiB pages, a table ending at 1.5 MiB: until ISSUE 23 its
+// two largest tables were fresh each time). A spill clears the table in
+// place, so the refill runs on the same segments.
 func TestDecaAggFillAllocBudget(t *testing.T) {
 	const n = 50_000
 	keys := make([]string, n)
@@ -113,18 +112,14 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 
 	b := fill()
 	defer b.Release()
-	b.flush()          // what follows reads table and pages directly
-	large := uint64(0) // tables of one doubling series that are over half a page
-	for slots := len(b.idx.slots); int64(slots)*aggSlotSize > int64(mem.PageSize()/2); slots /= 2 {
-		large++
-	}
-	if got := mem.Stats().PagesAllocated - warm; large != 2 || got != 7*large {
-		t.Errorf("7 container lifetimes on a warm manager took %d pages or index slabs from the heap, want the %d tables over half a page of each (2) and nothing else", got, large)
+	b.flush() // what follows reads table and pages directly
+	if got := mem.Stats().PagesAllocated - warm; got != 0 || len(b.idx.dir) != 4 {
+		t.Errorf("7 container lifetimes on a warm manager took %d pages or index slabs from the heap, want none (table of %d segments, want 4)", got, len(b.idx.dir))
 	}
 	if got := testing.AllocsPerRun(100, func() { b.Put(keys[n/2], 1) }); got != 0 {
 		t.Errorf("Put on an existing key took %.0f allocations, want 0", got)
 	}
-	table, slots := unsafe.SliceData(b.idx.slots), len(b.idx.slots)
+	table, slots := b.idx.segments(), b.idx.size()
 	if err := b.Spill(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +130,8 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 		b.Put(k, int64(i))
 	}
 	b.flush()
-	if unsafe.SliceData(b.idx.slots) != table || len(b.idx.slots) != slots {
-		t.Errorf("refill after a spill runs on a new table (%d slots, was %d)", len(b.idx.slots), slots)
+	if !slices.Equal(b.idx.segments(), table) || b.idx.size() != slots {
+		t.Errorf("refill after a spill runs on a new table (%d slots, was %d)", b.idx.size(), slots)
 	}
 	if want := b.group.Footprint() + int64(slots)*aggSlotSize; b.SizeBytes() != want || mem.Stats().BytesInUse != want {
 		t.Errorf("SizeBytes %d and the manager's BytesInUse %d, want pages + table = %d, each once",
@@ -172,8 +167,8 @@ func TestDecaGroupFillAllocBudget(t *testing.T) {
 	if b.Len() != keys || b.Values() != values {
 		t.Fatalf("%d keys, %d values in the buffer", b.Len(), b.Values())
 	}
-	if in := mem.Stats().BytesInUse; b.SizeBytes() != in || in != b.group.Footprint()+b.idx.slab.Footprint() {
-		t.Errorf("SizeBytes %d, BytesInUse %d, want pages %d + index slab %d, each once", b.SizeBytes(), in, b.group.Footprint(), b.idx.slab.Footprint())
+	if in := mem.Stats().BytesInUse; b.SizeBytes() != in || in != b.group.Footprint()+b.idx.footprint() {
+		t.Errorf("SizeBytes %d, BytesInUse %d, want pages %d + index slab %d, each once", b.SizeBytes(), in, b.group.Footprint(), b.idx.footprint())
 	}
 	b.Release()
 	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 || st.BytesPooled == 0 {
