@@ -74,6 +74,24 @@ type entry struct {
 	use     uint64 // LRU clock
 	pinned  int    // >0 while a task is reading or swapping the block
 	swapped int64  // MemBytes the block gave up at its last eviction; 0 while resident
+	// loading is set while one Get runs block.SwapIn outside the lock.
+	// Until it clears, nobody else touches the block: it is counted as
+	// resident at its swapped size, never a victim (its loader pins it),
+	// and a Get for it waits on Manager.loaded.
+	loading bool
+	// removed says the entry left the map (Unpersist, Clear, a replacing
+	// Put, a dropping eviction). A Get that was waiting on it reports a
+	// miss; if that happened mid-load, the loader drops the block.
+	removed bool
+}
+
+// memBytes is block.MemBytes for accounting: a block mid-load already
+// counts as what it is about to occupy, without being read.
+func (e *entry) memBytes() int64 {
+	if e.loading {
+		return e.swapped
+	}
+	return e.block.MemBytes()
 }
 
 // Manager is the executor-side cache manager: it accounts resident bytes
@@ -86,17 +104,20 @@ type Manager struct {
 	blocks  map[BlockID]*entry
 	clock   uint64
 	stats   Stats
+	loaded  sync.Cond // on mu: some entry's load just ended
 }
 
 // NewManager returns a cache manager with the given resident-byte budget
 // (0 = unlimited) and swap directory ("" disables swapping; evictions then
 // drop data).
 func NewManager(budget int64, swapDir string) *Manager {
-	return &Manager{
+	m := &Manager{
 		budget:  budget,
 		swapDir: swapDir,
 		blocks:  make(map[BlockID]*entry),
 	}
+	m.loaded.L = &m.mu
+	return m
 }
 
 // Budget returns the resident-byte budget.
@@ -108,8 +129,10 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	s := m.stats
 	for _, e := range m.blocks {
-		s.MemBytes += e.block.MemBytes()
-		s.SwappedBytes += e.swapped
+		s.MemBytes += e.memBytes()
+		if !e.loading {
+			s.SwappedBytes += e.swapped
+		}
 	}
 	return s
 }
@@ -117,7 +140,7 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) residentLocked() int64 {
 	var total int64
 	for _, e := range m.blocks {
-		total += e.block.MemBytes()
+		total += e.memBytes()
 	}
 	return total
 }
@@ -128,7 +151,7 @@ func (m *Manager) Put(id BlockID, b Block) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if old, ok := m.blocks[id]; ok {
-		old.block.Drop()
+		m.removeLocked(id, old)
 	}
 	m.clock++
 	m.blocks[id] = &entry{block: b, use: m.clock, pinned: 1}
@@ -139,6 +162,13 @@ func (m *Manager) Put(id BlockID, b Block) error {
 // in first (possibly evicting others). ok is false when the block was
 // never cached or was dropped under pressure — the caller recomputes, as
 // Spark does.
+//
+// The swap-in's file read runs outside the lock, under the pin and the
+// entry's loading mark, so hits, Unpins and Stats of other blocks do not
+// queue behind it; a second Get of the same block waits for the load
+// instead of starting another. (An eviction's first SwapOut, the one that
+// writes the file, still runs under the lock in reclaimLocked: once per
+// block, where a block is read back every pass.)
 func (m *Manager) Get(id BlockID) (Block, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -150,20 +180,33 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 	m.clock++
 	e.use = m.clock
 	e.pinned++
-	if !e.block.InMemory() {
-		// Swap in under pin so the reclaim pass cannot evict it again.
-		bytes := -e.block.MemBytes()
-		if err := e.block.SwapIn(); err != nil {
-			e.pinned--
-			return nil, false, err
+	for e.loading {
+		m.loaded.Wait()
+	}
+	if !e.removed && !e.block.InMemory() {
+		e.loading = true
+		m.mu.Unlock()
+		err := e.block.SwapIn()
+		m.mu.Lock()
+		e.loading = false
+		m.loaded.Broadcast()
+		if e.removed {
+			e.block.Drop()
+		} else {
+			if err == nil {
+				m.stats.SwapInBytes += e.block.MemBytes()
+				e.swapped = 0
+				err = m.reclaimLocked()
+			}
+			if err != nil {
+				e.pinned--
+				return nil, false, err
+			}
 		}
-		bytes += e.block.MemBytes()
-		m.stats.SwapInBytes += bytes
-		e.swapped = 0
-		if err := m.reclaimLocked(); err != nil {
-			e.pinned--
-			return nil, false, err
-		}
+	}
+	if e.removed {
+		m.stats.Misses++
+		return nil, false, nil
 	}
 	m.stats.Hits++
 	return e.block, true, nil
@@ -193,8 +236,7 @@ func (m *Manager) Unpersist(dataset int) {
 	defer m.mu.Unlock()
 	for id, e := range m.blocks {
 		if id.Dataset == dataset {
-			e.block.Drop()
-			delete(m.blocks, id)
+			m.removeLocked(id, e)
 		}
 	}
 }
@@ -204,8 +246,17 @@ func (m *Manager) Clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for id, e := range m.blocks {
+		m.removeLocked(id, e)
+	}
+}
+
+// removeLocked takes the entry out of the map and drops its block — or, if
+// the block is mid-load, leaves the drop to its loader.
+func (m *Manager) removeLocked(id BlockID, e *entry) {
+	delete(m.blocks, id)
+	e.removed = true
+	if !e.loading {
 		e.block.Drop()
-		delete(m.blocks, id)
 	}
 }
 
@@ -232,8 +283,7 @@ func (m *Manager) reclaimLocked() error {
 				m.stats.SwapOutBytes += bytes
 			}
 		} else {
-			e.block.Drop()
-			delete(m.blocks, *victim)
+			m.removeLocked(*victim, e)
 			m.stats.Drops++
 		}
 	}
@@ -244,6 +294,8 @@ func (m *Manager) lruVictimLocked() *BlockID {
 	var victim *BlockID
 	var oldest uint64
 	for id, e := range m.blocks {
+		// A block mid-load is pinned by its loader, so it is skipped
+		// before it is read.
 		if e.pinned > 0 || !e.block.InMemory() {
 			continue
 		}

@@ -22,7 +22,8 @@ import (
 //   - straight-line use after Release: once g.Release() executes, later
 //     statements on the same path must not touch g or byte slices
 //     obtained from it — g a Group, or a Slab (a container's index
-//     table, manager memory like the pages it points into). (Reset is
+//     table, manager memory like the pages it points into) — through
+//     however many re-slices and typed views (decompose.Float64s). (Reset is
 //     deliberately not tracked: the spill-restart pattern reuses a Group
 //     after Reset.)
 //   - observability payloads: a struct that carries deca/internal/obs
@@ -43,6 +44,7 @@ var PtrEscape = &Analyzer{
 
 const memoryPkg = "deca/internal/memory"
 const obsPkg = "deca/internal/obs"
+const decomposePkg = "deca/internal/decompose"
 
 func runPtrEscape(p *Pass) {
 	if p.Pkg.PkgPath == memoryPkg {
@@ -333,7 +335,7 @@ func walkReleased(p *Pass, stmts []ast.Stmt, released map[types.Object]bool, der
 					delete(released, obj)
 					delete(derived, obj)
 					if i < len(s.Rhs) {
-						if src := byteDerivation(p, s.Rhs[i]); src != nil {
+						if src := byteDerivation(p, s.Rhs[i], derived); src != nil {
 							derived[obj] = src
 						}
 					}
@@ -407,27 +409,34 @@ func groupReleaseTarget(p *Pass, e ast.Expr) types.Object {
 	return obj
 }
 
-// byteDerivation matches g.Alloc/Bytes/CheckedBytes/Page calls (Bytes is
-// a Slab's too), returning g's object so the byte result is tied to it.
-func byteDerivation(p *Pass, e ast.Expr) types.Object {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil
+// byteDerivation ties an expression to the group or slab whose memory it
+// is: a g.Alloc/Bytes/CheckedBytes/Page call (Bytes is a Slab's too), a
+// variable already derived, a slice expression of either (page[a:b]), or a
+// typed view of them — decompose.Float64s/Int64s return their second
+// argument by another name. nil when e is nobody's bytes.
+func byteDerivation(p *Pass, e ast.Expr, derived map[types.Object]types.Object) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return derived[p.Pkg.Info.ObjectOf(e)]
+	case *ast.SliceExpr:
+		return byteDerivation(p, e.X, derived)
+	case *ast.CallExpr:
+		if f := calleeFunc(p.Pkg.Info, e); f != nil && f.Pkg() != nil && f.Pkg().Path() == decomposePkg &&
+			(f.Name() == "Float64s" || f.Name() == "Int64s") && len(e.Args) == 2 {
+			return byteDerivation(p, e.Args[1], derived)
+		}
+		sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		switch sel.Sel.Name {
+		case "Alloc", "Bytes", "CheckedBytes", "Page":
+			if obj := identObj(p.Pkg.Info, sel.X); obj != nil && isPageMemory(obj.Type()) {
+				return obj
+			}
+		}
 	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	switch sel.Sel.Name {
-	case "Alloc", "Bytes", "CheckedBytes", "Page":
-	default:
-		return nil
-	}
-	obj := identObj(p.Pkg.Info, sel.X)
-	if obj == nil || !isPageMemory(obj.Type()) {
-		return nil
-	}
-	return obj
+	return nil
 }
 
 func reportReleasedUses(p *Pass, n ast.Node, released map[types.Object]bool, derived map[types.Object]types.Object) {

@@ -2,6 +2,7 @@
 package ptrescape
 
 import (
+	"deca/internal/decompose"
 	"deca/internal/memory"
 	"deca/internal/obs"
 )
@@ -89,6 +90,29 @@ func slabResize(m *memory.Manager) byte {
 	b := next.Bytes()[0]
 	next.Release()
 	return b
+}
+
+// True positive: a typed view of a record is bytes of the group by another
+// name, through the re-slice and through the view.
+func viewAfterRelease(m *memory.Manager) float64 {
+	g := m.NewGroup()
+	g.Alloc(16)
+	page := g.Page(0)
+	rec := decompose.Float64s(nil, page[8:16])
+	x := rec[1:]
+	g.Release()
+	return x[0] // want "bytes of group"
+}
+
+// Negative: the view is read while the group lives; what leaves is a value.
+func viewBeforeRelease(m *memory.Manager) int64 {
+	g := m.NewGroup()
+	g.Alloc(16)
+	page := g.Page(0)
+	rec := decompose.Int64s(nil, page[8:16])
+	v := rec[0]
+	g.Release()
+	return v
 }
 
 // Negative: rebinding the bytes first is fine.

@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"deca/internal/obs"
 )
@@ -157,7 +158,7 @@ func (m *Manager) getPage(want int) []byte {
 		Kind: obs.KindPageAlloc, Exec: m.recExec,
 		A: int64(allocated), B: int64(m.pageSize),
 	})
-	return make([]byte, 0, m.pageSize)
+	return newBytes(m.pageSize)
 }
 
 // getBlock returns a zero-length block with capacity ≥ want: the best fit
@@ -193,7 +194,22 @@ func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 		Kind: obs.KindPageAlloc, Exec: m.recExec,
 		A: int64(allocated), B: int64(want),
 	})
-	return make([]byte, 0, want), true
+	return newBytes(want), true
+}
+
+// newBytes is the one place manager memory comes from: a zero-length,
+// zeroed byte slice of capacity n that starts 8-byte aligned. Everything
+// the manager hands out is cut from the front of such a slice — a page, a
+// block, a restored or swapped-in page — and Group.Alloc packs a page from
+// offset 0, so a record whose layout is only 8-byte primitives is aligned
+// wherever it lies, and decompose.Float64s/Int64s can read it in place.
+// The words are allocated as words because only a type's alignment is the
+// language's promise (a 13-byte []byte may start anywhere); an arena that
+// replaces this (ROADMAP direction 3) must keep it, and
+// TestManagerMemoryIsAligned is what will say so.
+func newBytes(n int) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)[:0]
 }
 
 // bigMax is how many oversized pages a size class keeps pooled.
@@ -264,8 +280,8 @@ func (m *Manager) NewSlab(n int) Slab {
 	return Slab{m: m, buf: buf}
 }
 
-// Bytes returns the slab's n bytes (nil once released), aligned as the Go
-// allocator aligns a byte slice of that size: to 8 bytes from n = 8 up.
+// Bytes returns the slab's n bytes (nil once released), 8-byte aligned
+// like all manager memory (newBytes).
 func (s *Slab) Bytes() []byte { return s.buf }
 
 // Footprint returns the bytes the manager charges for the slab.

@@ -6,6 +6,7 @@ import (
 	"deca/internal/datagen"
 	"deca/internal/decompose"
 	"deca/internal/engine"
+	"deca/internal/memory"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
 )
@@ -145,7 +146,6 @@ func kmeansStepDeca(
 	centers [][]float64,
 ) (map[int32]VecSum, error) {
 	dim := params.Dim
-	recSize := 8 * dim
 
 	// Each partition's partial is one flat K*(dim+1) buffer, returned as a
 	// value so the step works identically when the task runs in another
@@ -156,29 +156,7 @@ func kmeansStepDeca(
 			return nil, err
 		}
 		defer release()
-
-		acc := make([]float64, params.K*(dim+1))
-		// One reusable scratch vector per task: each record's coordinates
-		// decode once, then the K distance loops and the accumulation run
-		// on plain floats — the register/locals form Deca's generated code
-		// reaches after its optimization passes (Appendix B).
-		scratch := make([]float64, dim)
-		g := blk.Group()
-		for pi := 0; pi < g.NumPages(); pi++ {
-			page := g.Page(pi)
-			for off := 0; off+recSize <= len(page); off += recSize {
-				for j := 0; j < dim; j++ {
-					scratch[j] = pageF64(page, off+8*j)
-				}
-				best := nearestCenter(scratch, centers)
-				base := best * (dim + 1)
-				for j, x := range scratch {
-					acc[base+j] += x
-				}
-				acc[base+dim]++
-			}
-		}
-		return acc, nil
+		return kmeansStepBlock(blk.Group(), dim, centers), nil
 	})
 	if err != nil {
 		return nil, err
@@ -203,6 +181,28 @@ func kmeansStepDeca(
 		}
 	}
 	return byCenter, nil
+}
+
+// kmeansStepBlock is the scan kernel: each record of g — dim coordinates,
+// read in place through a typed view as lrGradientBlock reads its own — is
+// added to its nearest center's slot of one flat K*(dim+1) accumulator.
+func kmeansStepBlock(g *memory.Group, dim int, centers [][]float64) []float64 {
+	recSize := 8 * dim
+	acc := make([]float64, len(centers)*(dim+1))
+	scratch := make([]float64, dim)
+	for pi := 0; pi < g.NumPages(); pi++ {
+		page := g.Page(pi)
+		for off := 0; off+recSize <= len(page); off += recSize {
+			rec := decompose.Float64s(scratch, page[off:off+recSize])
+			slot := acc[nearestCenter(rec, centers)*(dim+1):][:dim+1]
+			sum := slot[:len(rec)]
+			for j, x := range rec {
+				sum[j] += x
+			}
+			slot[dim]++
+		}
+	}
+	return acc
 }
 
 // nearestCenter returns the index of the closest center to v.

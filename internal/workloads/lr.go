@@ -4,7 +4,9 @@ import (
 	"math"
 
 	"deca/internal/datagen"
+	"deca/internal/decompose"
 	"deca/internal/engine"
+	"deca/internal/memory"
 )
 
 // LRParams sizes a logistic-regression run (§6.2): the paper sweeps the
@@ -22,8 +24,9 @@ type LRParams struct {
 //
 //	Spark:    []LabeledPoint objects (GC traces every point every cycle)
 //	SparkSer: serialized bytes, deserialized into fresh objects per pass
-//	Deca:     StaticFixed page layout; the gradient loop reads raw bytes
-//	          (the transformed code of Figure 12)
+//	Deca:     StaticFixed page layout; the gradient loop reads each record
+//	          in place, as the floats it is, through a typed view of the
+//	          page (lrGradientBlock — the transformed code of Figure 12)
 //
 // The checksum is the final weight-vector norm; modes agree to floating-
 // point tolerance (cross-partition reduction order is scheduler-driven).
@@ -68,7 +71,7 @@ func LogisticRegression(cfg Config, params LRParams) (Result, error) {
 			var gradient []float64
 			var err error
 			if cfg.Mode == engine.ModeDeca {
-				gradient, err = lrGradientDeca(ctx, points, codec, weights)
+				gradient, err = lrGradientDeca(ctx, points, weights)
 			} else {
 				gradient, err = lrGradientObjects(points, weights)
 			}
@@ -122,19 +125,14 @@ func lrGradientObjects(points *engine.Dataset[datagen.LabeledPoint], weights []f
 	return grad, nil
 }
 
-// lrGradientDeca is the transformed computation of Figure 12: it walks the
-// cache block's raw pages, reading label and features by offset, keeping
-// one accumulator per task — no LabeledPoint or gradient objects exist at
-// all.
+// lrGradientDeca is the transformed computation of Figure 12: one task per
+// cache block runs lrGradientBlock over the block's raw pages — no
+// LabeledPoint or gradient objects exist at all.
 func lrGradientDeca(
 	ctx *engine.Context,
 	points *engine.Dataset[datagen.LabeledPoint],
-	codec LabeledPointCodec,
 	weights []float64,
 ) ([]float64, error) {
-	dim := codec.Dim
-	recSize := codec.FixedSize()
-
 	// Per-partition partials come back as values (not closure side
 	// effects) so the gradient step works identically when tasks run in
 	// executor processes.
@@ -144,37 +142,13 @@ func lrGradientDeca(
 			return nil, err
 		}
 		defer release()
-
-		acc := make([]float64, dim)
-		// Decode each record's features once into a reused scratch vector;
-		// the dot product and the accumulation then run on plain floats
-		// (the locals form of the generated code, Appendix B).
-		scratch := make([]float64, dim)
-		g := blk.Group()
-		for pi := 0; pi < g.NumPages(); pi++ {
-			page := g.Page(pi)
-			for off := 0; off+recSize <= len(page); off += recSize {
-				label := pageF64(page, off)
-				fbase := off + 8
-				dot := 0.0
-				for i := 0; i < dim; i++ {
-					x := pageF64(page, fbase+8*i)
-					scratch[i] = x
-					dot += weights[i] * x
-				}
-				factor := (1/(1+math.Exp(-label*dot)) - 1) * label
-				for i, x := range scratch {
-					acc[i] += factor * x
-				}
-			}
-		}
-		return acc, nil
+		return lrGradientBlock(blk.Group(), weights), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	grad := make([]float64, dim)
+	grad := make([]float64, len(weights))
 	for _, acc := range partial {
 		if acc == nil {
 			continue
@@ -184,6 +158,34 @@ func lrGradientDeca(
 		}
 	}
 	return grad, nil
+}
+
+// lrGradientBlock is the scan kernel: each record of g — label, then
+// len(weights) features, LabeledPointCodec's layout — is read in place
+// through a typed view of its page; scratch is written only where a record
+// cannot be viewed (DESIGN.md "Typed views"). The order of every sum is
+// frozen: job checksums are compared bit for bit.
+func lrGradientBlock(g *memory.Group, weights []float64) []float64 {
+	recSize := 8 + 8*len(weights)
+	acc := make([]float64, len(weights))
+	scratch := make([]float64, 1+len(weights))
+	for pi := 0; pi < g.NumPages(); pi++ {
+		page := g.Page(pi)
+		for off := 0; off+recSize <= len(page); off += recSize {
+			rec := decompose.Float64s(scratch, page[off:off+recSize])
+			label, x := rec[0], rec[1:][:len(weights)]
+			dot := 0.0
+			for i, w := range weights {
+				dot += w * x[i]
+			}
+			factor := (1/(1+math.Exp(-label*dot)) - 1) * label
+			acc := acc[:len(x)]
+			for i, xi := range x {
+				acc[i] += factor * xi
+			}
+		}
+	}
+	return acc
 }
 
 // pseudo is a tiny deterministic [0,1) hash for reproducible initial

@@ -69,10 +69,6 @@ func (LabeledPointSer) Unmarshal(src []byte) (datagen.LabeledPoint, int) {
 // object headers; the GC-visible pointer count is what matters).
 func lpEstimate(p datagen.LabeledPoint) int { return 48 + 8*len(p.Features) }
 
-// pageF64 reads a float64 straight out of a cache page — the primitive
-// accessor the transformed code of Figure 12 uses.
-func pageF64(b []byte, off int) float64 { return decompose.F64(b, off) }
-
 // VecSum is the KMeans combine value: a running coordinate sum plus a
 // count. With the dimension fixed it is StaticFixed, so Deca's aggregation
 // buffer reuses its segment on every combine.
