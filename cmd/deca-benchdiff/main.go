@@ -24,8 +24,18 @@ import (
 // metric mirrors the bench.Metric JSON shape (only the compared fields).
 type metric struct {
 	Name     string  `json:"name"`
+	Mode     string  `json:"mode"`
 	WallMS   float64 `json:"wall_ms"`
 	Checksum float64 `json:"checksum"`
+}
+
+// key identifies a row: the paper-figure experiments record one row per
+// mode under one name (fig9b: "lr-n500000" for Spark, SparkSer and Deca).
+func (m metric) key() string {
+	if m.Mode == "" {
+		return m.Name
+	}
+	return m.Name + " [" + m.Mode + "]"
 }
 
 type report struct {
@@ -54,16 +64,16 @@ func load(path string) (report, error) {
 func diff(base, cur report, wallWarn float64, w io.Writer) (failed bool) {
 	current := make(map[string]metric, len(cur.Metrics))
 	for _, m := range cur.Metrics {
-		current[m.Name] = m
+		current[m.key()] = m
 	}
 
 	for _, want := range base.Metrics {
-		got, ok := current[want.Name]
+		got, ok := current[want.key()]
 		if !ok {
 			// A row the baseline measured vanished: the experiment's
 			// coverage shrank, which silent wall/checksum comparison would
 			// never notice.
-			fmt.Fprintf(w, "FAIL %-28s missing from current report\n", want.Name)
+			fmt.Fprintf(w, "FAIL %-28s missing from current report\n", want.key())
 			failed = true
 			continue
 		}
@@ -72,32 +82,32 @@ func diff(base, cur report, wallWarn float64, w io.Writer) (failed bool) {
 		// partition order, so a small relative tolerance covers them.
 		if math.Abs(got.Checksum-want.Checksum) > 1e-6*math.Abs(want.Checksum) {
 			fmt.Fprintf(w, "FAIL %-28s checksum %.6g, baseline %.6g — answers drifted\n",
-				want.Name, got.Checksum, want.Checksum)
+				want.key(), got.Checksum, want.Checksum)
 			failed = true
 			continue
 		}
 		if want.WallMS > 0 && got.WallMS > want.WallMS*(1+wallWarn) {
 			fmt.Fprintf(w, "WARN %-28s wall %.1fms vs baseline %.1fms (+%.0f%%)\n",
-				want.Name, got.WallMS, want.WallMS, 100*(got.WallMS/want.WallMS-1))
+				want.key(), got.WallMS, want.WallMS, 100*(got.WallMS/want.WallMS-1))
 			continue
 		}
 		fmt.Fprintf(w, "ok   %-28s checksum %.6g, wall %.1fms (baseline %.1fms)\n",
-			want.Name, got.Checksum, got.WallMS, want.WallMS)
+			want.key(), got.Checksum, got.WallMS, want.WallMS)
 	}
 	for _, m := range cur.Metrics {
-		if _, ok := lookup(base.Metrics, m.Name); !ok {
+		if _, ok := lookup(base.Metrics, m.key()); !ok {
 			fmt.Fprintf(w, "FAIL %-28s not in baseline %s — the baseline predates this metric; regenerate it\n",
-				m.Name, base.ID)
+				m.key(), base.ID)
 			failed = true
 		}
 	}
 	return failed
 }
 
-// lookup finds a metric by name in a report's rows.
-func lookup(ms []metric, name string) (metric, bool) {
+// lookup finds a metric by key in a report's rows.
+func lookup(ms []metric, key string) (metric, bool) {
 	for _, m := range ms {
-		if m.Name == name {
+		if m.key() == key {
 			return m, true
 		}
 	}

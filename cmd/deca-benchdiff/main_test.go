@@ -74,3 +74,23 @@ func TestDiffWallRegressionOnlyWarns(t *testing.T) {
 		t.Errorf("missing wall warning:\n%s", out.String())
 	}
 }
+
+// TestDiffTellsModesApart: an experiment that records one row per mode
+// under one name is compared mode by mode, not last-row-wins.
+func TestDiffTellsModesApart(t *testing.T) {
+	modeRow := func(mode string, wall float64) metric {
+		return metric{Name: "lr-n500000", Mode: mode, WallMS: wall, Checksum: 2.05}
+	}
+	base := report{ID: "fig9b", Metrics: []metric{modeRow("Spark", 760), modeRow("Deca", 150)}}
+	var out strings.Builder
+	if diff(base, report{Metrics: []metric{modeRow("Spark", 770), modeRow("Deca", 400)}}, 0.25, &out) {
+		t.Fatalf("a wall regression must only warn:\n%s", out.String())
+	}
+	if got := out.String(); !strings.Contains(got, "ok   lr-n500000 [Spark]") || !strings.Contains(got, "WARN lr-n500000 [Deca]") {
+		t.Errorf("rows were not compared mode by mode:\n%s", got)
+	}
+	out.Reset()
+	if !diff(base, report{Metrics: []metric{modeRow("Deca", 150)}}, 0.25, &out) {
+		t.Errorf("a missing mode went unnoticed:\n%s", out.String())
+	}
+}

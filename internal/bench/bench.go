@@ -15,6 +15,7 @@ import (
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
+	"deca/internal/gcstats"
 	"deca/internal/workloads"
 )
 
@@ -79,14 +80,19 @@ type Report struct {
 // Metric is one measured run in machine-readable form. Bytes is the
 // run's total data motion (cache footprint + swap + shuffle spill +
 // remote shuffle); Checksum is the workload's answer digest, so two
-// bench runs can be diffed for result drift, not just speed.
+// bench runs can be diffed for result drift, not just speed. PeakRSSMB is
+// the process's resident high-water mark (VmHWM; 0 where the kernel does
+// not say) when the row was recorded: a mark of the whole deca-bench
+// process so far, not of the one run, so it only rises down a report —
+// compare it row for row between two reports of the same experiment.
 type Metric struct {
-	Name     string  `json:"name"`
-	Mode     string  `json:"mode,omitempty"`
-	WallMS   float64 `json:"wall_ms"`
-	GCSec    float64 `json:"gc_sec"`
-	Bytes    int64   `json:"bytes"`
-	Checksum float64 `json:"checksum"`
+	Name      string  `json:"name"`
+	Mode      string  `json:"mode,omitempty"`
+	WallMS    float64 `json:"wall_ms"`
+	GCSec     float64 `json:"gc_sec"`
+	Bytes     int64   `json:"bytes"`
+	Checksum  float64 `json:"checksum"`
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
 func (r *Report) add(format string, args ...any) {
@@ -96,7 +102,7 @@ func (r *Report) add(format string, args ...any) {
 // record captures a workload result as a metric row alongside whatever
 // rendered Rows the experiment adds.
 func (r *Report) record(name string, res workloads.Result) {
-	r.Metrics = append(r.Metrics, Metric{
+	r.metric(Metric{
 		Name:     name,
 		Mode:     res.Mode.String(),
 		WallMS:   float64(res.Wall) / float64(time.Millisecond),
@@ -107,8 +113,10 @@ func (r *Report) record(name string, res workloads.Result) {
 }
 
 // metric appends a hand-built metric for experiments that measure
-// something other than a workloads.Result (throughputs, sweeps).
+// something other than a workloads.Result (throughputs, sweeps), stamped
+// with the process's peak RSS so far.
 func (r *Report) metric(m Metric) {
+	m.PeakRSSMB = float64(gcstats.ReadProcMem().PeakRSS) / (1 << 20)
 	r.Metrics = append(r.Metrics, m)
 }
 

@@ -260,12 +260,21 @@ func (b *SerializedBlock[T]) Drop() {
 // DecaBlock stores a partition as a decomposed page group (§4.3.2,
 // Figure 6(a)). Records are accessed in place through the codec or raw
 // page bytes — no deserialization, no per-record objects, and the GC sees
-// only the pages. Swap writes the raw pages (Appendix C); pointers stay
-// valid across a swap round-trip.
+// only the pages.
+//
+// The block has two states. It is built into manager pages, which count
+// against the cache budget. Its one eviction writes the raw pages to the
+// swap file (Appendix C), releases them and maps the file: from then on the
+// group is that read-only mapping — same page boundaries, so every pointer
+// still resolves, and every page 8-byte aligned, so the scan kernels read
+// it exactly as they read the heap pages — and the block holds no manager
+// memory. There is no way back and no need for one: the mapping is
+// readable, its resident part is page cache the kernel sizes by itself, and
+// Drop unmaps it before it unlinks the file.
 type DecaBlock[T any] struct {
 	swapFile
 	mem   *memory.Manager
-	group *memory.Group //deca:owns (released by SwapOut and Drop)
+	group *memory.Group //deca:owns (manager pages, then the swap file's mapping; released by Drop)
 	codec decompose.Codec[T]
 	count int
 }
@@ -320,7 +329,7 @@ func (b *DecaBlock[T]) Codec() decompose.Codec[T] { return b.codec }
 // Count implements Block.
 func (b *DecaBlock[T]) Count() int { return b.count }
 
-// MemBytes implements Block.
+// MemBytes implements Block: the manager pages held, none once mapped.
 func (b *DecaBlock[T]) MemBytes() int64 {
 	if b.group == nil {
 		return 0
@@ -328,16 +337,19 @@ func (b *DecaBlock[T]) MemBytes() int64 {
 	return b.group.Footprint()
 }
 
-// InMemory implements Block.
+// InMemory implements Block: true until Drop, mapped or not.
 func (b *DecaBlock[T]) InMemory() bool { return b.group != nil }
 
 // Swappable implements Block.
 func (b *DecaBlock[T]) Swappable() bool { return true }
 
 // SwapOut implements Block: raw page bytes, no serialization, written
-// once; an eviction after that only releases the pages.
+// once; the heap pages are released and the block becomes the file's
+// mapping. A file that cannot be written, mapped or validated is an error
+// that leaves the block as it was, on its pages — nothing falls back to
+// reading the file.
 func (b *DecaBlock[T]) SwapOut(dir string) error {
-	if b.group == nil {
+	if b.group == nil || b.OnDisk() {
 		return nil
 	}
 	err := b.writeOnce(dir, "deca-swap-page-*.bin", func(w io.Writer) error {
@@ -347,33 +359,26 @@ func (b *DecaBlock[T]) SwapOut(dir string) error {
 	if err != nil {
 		return err
 	}
+	mapped, err := memory.MapGroup(b.mem, b.path)
+	if err != nil {
+		b.remove()
+		return err
+	}
 	b.group.Release()
-	b.group = nil
+	b.group = mapped
 	return nil
 }
 
-// SwapIn implements Block.
+// SwapIn implements Block. A swapped-out Deca block is already readable.
 func (b *DecaBlock[T]) SwapIn() error {
-	if b.group != nil {
-		return nil
+	if b.group == nil {
+		return fmt.Errorf("cache: deca block was dropped")
 	}
-	if !b.OnDisk() {
-		return fmt.Errorf("cache: deca block has no swap file")
-	}
-	f, err := os.Open(b.path)
-	if err != nil {
-		return err
-	}
-	g, err := memory.ReadGroupFrom(b.mem, f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	b.group = g
 	return nil
 }
 
-// Drop implements Block: the whole page group releases at once.
+// Drop implements Block: the whole page group releases at once — back to
+// the pool, or unmapped and then unlinked.
 func (b *DecaBlock[T]) Drop() {
 	if b.group != nil {
 		b.group.Release()

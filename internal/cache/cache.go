@@ -7,15 +7,25 @@
 // group) is released at once.
 //
 // A block is immutable from the moment it is built, which makes eviction
-// write-once: the first SwapOut writes the block's swap file, SwapIn reads
-// it and keeps it, later SwapOuts only free memory, and the file lives
-// until the block is dropped (Unpersist, Clear, replacement, or a
-// non-swappable eviction).
+// write-once: the first SwapOut writes the block's swap file and the file
+// lives until the block is dropped (Unpersist, Clear, replacement, or a
+// non-swappable eviction). What happens after that depends on the level.
+// An object or serialized block (the Spark baselines) is read back by
+// SwapIn and kept, later SwapOuts only free its memory, and the LRU decides
+// which of them are resident. A Deca block's file holds its pages exactly
+// as the scan reads them (Appendix C), so the block is never read back: its
+// one SwapOut releases the heap pages and maps the file, and from then on
+// the block is that mapping — a Get of it is a hit that loads nothing, it
+// occupies none of the budget, and it is never evicted again.
 //
-// Deca's modification to Spark's LRU is preserved: the eviction unit for a
-// Deca block is its page group, whose raw bytes go to disk with no
-// serialization step, while object blocks must serialize on the way out
-// and re-materialize objects on the way back in.
+// The budget bounds what the process cannot give back: heap objects and
+// the memory manager's pages. A clean read-only file mapping is page cache,
+// which the kernel reclaims on its own under pressure and re-reads on the
+// next touch; evicting it from here would free nothing.
+//
+// A block is dropped only when nobody reads it: Unpersist, Clear and a
+// replacing Put take a pinned block out of the cache at once, but its
+// memory, its mapping and its file go with the last Unpin.
 package cache
 
 import (
@@ -39,10 +49,12 @@ type Block interface {
 	// Count is the number of records, known whether or not the block is
 	// resident.
 	Count() int
-	// MemBytes is the block's current in-memory footprint (0 once swapped
-	// out).
+	// MemBytes is what the block now holds of the budget: heap objects or
+	// manager pages. 0 once swapped out, whether the data then waits in the
+	// file (object, serialized) or is read from it in place (Deca).
 	MemBytes() int64
-	// InMemory reports whether the data is resident.
+	// InMemory reports whether the data can be read as the block stands;
+	// if not, SwapIn comes first.
 	InMemory() bool
 	// Swappable reports whether SwapOut can move the block to disk.
 	Swappable() bool
@@ -51,9 +63,11 @@ type Block interface {
 	// SwapOut frees the block's memory, first writing the block to a file
 	// under dir unless it is already OnDisk.
 	SwapOut(dir string) error
-	// SwapIn restores a swapped-out block into memory; the file stays.
+	// SwapIn makes a swapped-out block readable again; the file stays. A
+	// no-op on a block that is InMemory.
 	SwapIn() error
-	// Drop releases all memory and disk resources.
+	// Drop releases all memory and disk resources. Nobody may be reading
+	// the block.
 	Drop()
 }
 
@@ -65,8 +79,8 @@ type Stats struct {
 	Drops        uint64 // evictions that discarded data (non-swappable)
 	SwapOutBytes int64  // written to swap files: each block once, however often it is evicted
 	SwapInBytes  int64
-	MemBytes     int64 // current resident bytes
-	SwappedBytes int64 // current non-resident bytes: what the blocks now only on disk held in memory
+	MemBytes     int64 // current bytes held of the budget
+	SwappedBytes int64 // what the blocks now in their swap files held in memory
 }
 
 type entry struct {
@@ -83,6 +97,10 @@ type entry struct {
 	// Put, a dropping eviction). A Get that was waiting on it reports a
 	// miss; if that happened mid-load, the loader drops the block.
 	removed bool
+	// doomed are blocks that left the cache under this entry's id while
+	// readers held them pinned — the entry's own, once it is removed, and
+	// those a replacing Put inherited. The last Unpin drops them.
+	doomed []Block
 }
 
 // memBytes is block.MemBytes for accounting: a block mid-load already
@@ -102,6 +120,8 @@ type Manager struct {
 	budget  int64 // 0 = unlimited
 	swapDir string
 	blocks  map[BlockID]*entry
+	// leaving holds the removed entries whose readers have yet to Unpin.
+	leaving map[BlockID]*entry
 	clock   uint64
 	stats   Stats
 	loaded  sync.Cond // on mu: some entry's load just ended
@@ -115,6 +135,7 @@ func NewManager(budget int64, swapDir string) *Manager {
 		budget:  budget,
 		swapDir: swapDir,
 		blocks:  make(map[BlockID]*entry),
+		leaving: make(map[BlockID]*entry),
 	}
 	m.loaded.L = &m.mu
 	return m
@@ -154,21 +175,31 @@ func (m *Manager) Put(id BlockID, b Block) error {
 		m.removeLocked(id, old)
 	}
 	m.clock++
-	m.blocks[id] = &entry{block: b, use: m.clock, pinned: 1}
+	e := &entry{block: b, use: m.clock, pinned: 1}
+	if old := m.leaving[id]; old != nil {
+		// Unpin names an id, not a block: the new entry takes over the old
+		// readers' pins with the blocks they read, and all of it goes when
+		// the count reaches zero.
+		e.pinned += old.pinned
+		e.doomed = old.doomed
+		delete(m.leaving, id)
+	}
+	m.blocks[id] = e
 	return m.reclaimLocked()
 }
 
-// Get returns the block and pins it. A swapped-out block is swapped back
-// in first (possibly evicting others). ok is false when the block was
-// never cached or was dropped under pressure — the caller recomputes, as
-// Spark does.
+// Get returns the block and pins it. A block that is not InMemory — an
+// object or serialized block after its eviction — is swapped back in first
+// (possibly evicting others); a swapped-out Deca block is its file mapping
+// and a hit like any other. ok is false when the block was never cached or
+// was dropped under pressure — the caller recomputes, as Spark does.
 //
 // The swap-in's file read runs outside the lock, under the pin and the
 // entry's loading mark, so hits, Unpins and Stats of other blocks do not
 // queue behind it; a second Get of the same block waits for the load
 // instead of starting another. (An eviction's first SwapOut, the one that
 // writes the file, still runs under the lock in reclaimLocked: once per
-// block, where a block is read back every pass.)
+// block.)
 func (m *Manager) Get(id BlockID) (Block, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -199,7 +230,7 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 				err = m.reclaimLocked()
 			}
 			if err != nil {
-				e.pinned--
+				m.unpinLocked(id, e)
 				return nil, false, err
 			}
 		}
@@ -212,12 +243,33 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 	return e.block, true, nil
 }
 
-// Unpin releases a pin taken by Put or Get.
+// Unpin releases a pin taken by Put or Get. The last pin of a block that
+// has left the cache meanwhile drops it.
 func (m *Manager) Unpin(id BlockID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.blocks[id]; ok && e.pinned > 0 {
-		e.pinned--
+	e, ok := m.blocks[id]
+	if !ok {
+		e = m.leaving[id]
+	}
+	if e != nil && e.pinned > 0 {
+		m.unpinLocked(id, e)
+	}
+}
+
+// unpinLocked takes one pin off e, which holds at least one; the last pin
+// drops the blocks that left the cache while it was held.
+func (m *Manager) unpinLocked(id BlockID, e *entry) {
+	e.pinned--
+	if e.pinned > 0 {
+		return
+	}
+	for _, b := range e.doomed {
+		b.Drop()
+	}
+	e.doomed = nil
+	if e.removed {
+		delete(m.leaving, id)
 	}
 }
 
@@ -250,17 +302,24 @@ func (m *Manager) Clear() {
 	}
 }
 
-// removeLocked takes the entry out of the map and drops its block — or, if
-// the block is mid-load, leaves the drop to its loader.
+// removeLocked takes the entry out of the map and drops its block — unless
+// somebody is using it: a block mid-load is dropped by its loader, a pinned
+// one by its last Unpin. (A reader of a dropped Deca block would scan
+// recycled pages, or fault on an unmapped file.)
 func (m *Manager) removeLocked(id BlockID, e *entry) {
 	delete(m.blocks, id)
 	e.removed = true
-	if !e.loading {
+	switch {
+	case e.loading:
+	case e.pinned == 0:
 		e.block.Drop()
+	default:
+		e.doomed = append(e.doomed, e.block)
+		m.leaving[id] = e
 	}
 }
 
-// reclaimLocked evicts LRU blocks until resident bytes fit the budget.
+// reclaimLocked evicts LRU blocks until the bytes held fit the budget.
 // Swappable blocks go to disk; others are dropped (recompute-on-miss).
 func (m *Manager) reclaimLocked() error {
 	if m.budget <= 0 {
@@ -269,7 +328,7 @@ func (m *Manager) reclaimLocked() error {
 	for m.residentLocked() > m.budget {
 		victim := m.lruVictimLocked()
 		if victim == nil {
-			return nil // everything pinned or non-resident; overshoot
+			return nil // everything left is pinned or holds nothing; overshoot
 		}
 		e := m.blocks[*victim]
 		m.stats.Evictions++
@@ -295,8 +354,10 @@ func (m *Manager) lruVictimLocked() *BlockID {
 	var oldest uint64
 	for id, e := range m.blocks {
 		// A block mid-load is pinned by its loader, so it is skipped
-		// before it is read.
-		if e.pinned > 0 || !e.block.InMemory() {
+		// before it is read. Only a block that holds bytes is a victim:
+		// evicting one that is already in its file — a mapped Deca block
+		// above all — frees nothing, and the loop above would never end.
+		if e.pinned > 0 || e.block.MemBytes() == 0 {
 			continue
 		}
 		if victim == nil || e.use < oldest {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"os"
 	"reflect"
 	"slices"
@@ -10,6 +11,17 @@ import (
 	"deca/internal/memory"
 	"deca/internal/serial"
 )
+
+// fixed64 serializes an int64 as 8 bytes, so a serialized block of n values
+// holds what a Deca block of them does.
+type fixed64 struct{}
+
+func (fixed64) Marshal(dst []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
+}
+func (fixed64) Unmarshal(src []byte) (int64, int) {
+	return int64(binary.LittleEndian.Uint64(src)), 8
+}
 
 func intBlock(vals []int64) *ObjectBlock[int64] {
 	return NewObjectBlock(vals, func(int64) int { return 16 }, serial.Int64{})
@@ -255,64 +267,225 @@ func TestPutReplacesExisting(t *testing.T) {
 }
 
 // TestWriteOnceEviction: blocks are immutable, so scanning a dataset twice
-// the budget over and over writes each block's swap file once — SwapOutBytes
-// stops at one dataset's bytes however many passes evict it — while every
-// pass still reads it back; Unpersist removes the files.
+// the budget over and over writes a block's swap file once, and Unpersist
+// removes the files. What the passes cost after that is the level's: a
+// serialized block is read back on every pass and evicts another — every
+// block ends up written, SwapOutBytes stops at one dataset — while a Deca
+// block, once written, is scanned where it lies: only the half that did not
+// fit is ever written, and nothing is read back.
 func TestWriteOnceEviction(t *testing.T) {
 	const blocks, perBlock = 8, 64 // 8 values x 8 bytes each, page size 64
-	mem := memory.NewManager(perBlock, 0)
-	dir := t.TempDir()
-	m := NewManager(blocks*perBlock/2, dir)
 	id := func(p int) BlockID { return BlockID{Dataset: 3, Partition: p} }
-	for p := 0; p < blocks; p++ {
+	values := func(p int) []int64 {
 		vals := make([]int64, 8)
 		for i := range vals {
 			vals[i] = int64(p*100 + i)
 		}
-		if err := m.Put(id(p), NewDecaBlock[int64](mem, decompose.Int64Codec{}, vals)); err != nil {
+		return vals
+	}
+	mem := memory.NewManager(perBlock, 0)
+	for name, level := range map[string]struct {
+		build    func(p int) Block
+		readBack bool
+	}{
+		"serialized": {func(p int) Block {
+			return BuildSerializedBlock(slices.Values(values(p)), fixed64{})
+		}, true},
+		"deca": {func(p int) Block {
+			return NewDecaBlock[int64](mem, decompose.Int64Codec{}, values(p))
+		}, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			m := NewManager(blocks*perBlock/2, dir)
+			for p := 0; p < blocks; p++ {
+				if err := m.Put(id(p), level.build(p)); err != nil {
+					t.Fatal(err)
+				}
+				m.Unpin(id(p))
+			}
+			const passes = 5
+			for pass := 0; pass < passes; pass++ {
+				for p := 0; p < blocks; p++ {
+					blk, ok, err := m.Get(id(p))
+					if err != nil || !ok {
+						t.Fatalf("pass %d: Get(%d): ok=%v err=%v", pass, p, ok, err)
+					}
+					var first int64 = -1
+					blk.(interface{ Each(func(int64) bool) }).Each(func(v int64) bool { first = v; return false })
+					if first != int64(p*100) {
+						t.Fatalf("pass %d: block %d starts with %d", pass, p, first)
+					}
+					m.Unpin(id(p))
+				}
+			}
+			st := m.Stats()
+			written := int64(blocks * perBlock)
+			if !level.readBack {
+				written /= 2
+			}
+			if st.SwapOutBytes != written {
+				t.Errorf("SwapOutBytes = %d after %d passes, want %d", st.SwapOutBytes, passes, written)
+			}
+			if level.readBack && st.SwapInBytes < int64(passes-1)*blocks*perBlock {
+				t.Errorf("SwapInBytes = %d: the passes did not go through swap", st.SwapInBytes)
+			}
+			if !level.readBack && (st.SwapInBytes != 0 || st.Evictions != blocks/2 || st.Misses != 0) {
+				t.Errorf("a mapped block was read back, evicted again or missed: %+v", st)
+			}
+			if got, want := st.MemBytes+st.SwappedBytes, int64(blocks*perBlock); got != want {
+				t.Errorf("resident %d + swapped %d = %d, want the dataset's %d", st.MemBytes, st.SwappedBytes, got, want)
+			}
+			if files, _ := os.ReadDir(dir); int64(len(files))*perBlock != written {
+				t.Errorf("%d swap files for %d bytes written", len(files), written)
+			}
+			m.Unpersist(3)
+			if files, _ := os.ReadDir(dir); len(files) != 0 {
+				t.Errorf("%d swap files survived Unpersist", len(files))
+			}
+			if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+				t.Errorf("pages or mappings leaked after Unpersist: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSwappedDecaBlockScansItsFile: an evicted Deca block is a mapping of
+// its swap file. A Get of it is a hit that reads nothing back, its pages
+// are byte for byte the ones it was built into and pointers recorded then
+// still resolve, and pass after pass over twice the budget evicts nothing
+// more and writes no more files. The accounting keeps its meaning: what is
+// in files is SwappedBytes, and MemBytes + SwappedBytes — what
+// workloads.Result.CacheBytes reports — is still the dataset.
+func TestSwappedDecaBlockScansItsFile(t *testing.T) {
+	const blocks, pageSize, perBlock = 6, 128, 40 // 40 values: two full pages and a half
+	mem := memory.NewManager(pageSize, 0)
+	dir := t.TempDir()
+	id := func(p int) BlockID { return BlockID{Dataset: 4, Partition: p} }
+	type built struct {
+		pages [][]byte
+		ptrs  []memory.Ptr
+	}
+	var want [blocks]built
+	var dataset int64
+	m := NewManager(blocks/2*3*pageSize, dir)
+	for p := 0; p < blocks; p++ {
+		g := mem.NewGroup()
+		for i := 0; i < perBlock; i++ {
+			want[p].ptrs = append(want[p].ptrs, decompose.Write[int64](g, decompose.Int64Codec{}, int64(p*1000+i)))
+		}
+		for i := 0; i < g.NumPages(); i++ {
+			want[p].pages = append(want[p].pages, slices.Clone(g.Page(i)))
+		}
+		dataset += g.Footprint()
+		if err := m.Put(id(p), NewDecaBlockFromGroup[int64](mem, decompose.Int64Codec{}, g, perBlock)); err != nil {
 			t.Fatal(err)
 		}
 		m.Unpin(id(p))
 	}
-	const passes = 5
-	for pass := 0; pass < passes; pass++ {
+	after := m.Stats()
+	if after.Evictions != blocks/2 || after.SwapOutBytes != dataset/2 || after.SwappedBytes != dataset/2 || after.MemBytes != dataset/2 {
+		t.Fatalf("after the build: %+v, want half of %d bytes evicted", after, dataset)
+	}
+	if mem.InUse() != dataset/2 {
+		t.Errorf("manager holds %d bytes, want the resident half of %d", mem.InUse(), dataset)
+	}
+	mapped := 0
+	for pass := 0; pass < 6; pass++ {
 		for p := 0; p < blocks; p++ {
 			blk, ok, err := m.Get(id(p))
 			if err != nil || !ok {
 				t.Fatalf("pass %d: Get(%d): ok=%v err=%v", pass, p, ok, err)
 			}
-			var first int64 = -1
-			blk.(*DecaBlock[int64]).Each(func(v int64) bool { first = v; return false })
-			if first != int64(p*100) {
-				t.Fatalf("pass %d: block %d starts with %d", pass, p, first)
+			deca := blk.(*DecaBlock[int64])
+			if pass == 0 && deca.OnDisk() {
+				mapped++
+				if deca.MemBytes() != 0 || !deca.InMemory() {
+					t.Errorf("mapped block %d: MemBytes %d, InMemory %v", p, deca.MemBytes(), deca.InMemory())
+				}
+			}
+			g := deca.Group()
+			if g.NumPages() != len(want[p].pages) {
+				t.Fatalf("block %d has %d pages, was built into %d", p, g.NumPages(), len(want[p].pages))
+			}
+			for i, page := range want[p].pages {
+				if !slices.Equal(g.Page(i), page) {
+					t.Fatalf("pass %d: block %d page %d differs from the page it was built into", pass, p, i)
+				}
+			}
+			for i, ptr := range want[p].ptrs {
+				if got := decompose.I64(g.Bytes(ptr, 8), 0); got != int64(p*1000+i) {
+					t.Fatalf("pass %d: block %d record %d at %v reads %d", pass, p, i, ptr, got)
+				}
 			}
 			m.Unpin(id(p))
 		}
 	}
+	if mapped != blocks/2 {
+		t.Errorf("%d blocks on disk, want %d", mapped, blocks/2)
+	}
 	st := m.Stats()
-	if want := int64(blocks * perBlock); st.SwapOutBytes != want {
-		t.Errorf("SwapOutBytes = %d after %d passes, want one dataset = %d", st.SwapOutBytes, passes, want)
+	if st.SwapInBytes != 0 || st.Misses != 0 || st.Hits != 6*blocks {
+		t.Errorf("the passes read something back or missed: %+v", st)
 	}
-	if st.SwapInBytes < int64(passes-1)*blocks*perBlock {
-		t.Errorf("SwapInBytes = %d: the passes did not go through swap", st.SwapInBytes)
+	if st.Evictions != after.Evictions || st.SwapOutBytes != after.SwapOutBytes ||
+		st.SwappedBytes != after.SwappedBytes || st.MemBytes != after.MemBytes {
+		t.Errorf("the passes moved the cache: %+v, was %+v", st, after)
 	}
-	if got, want := st.MemBytes+st.SwappedBytes, int64(blocks*perBlock); got != want {
-		t.Errorf("resident %d + swapped %d = %d, want the dataset's %d", st.MemBytes, st.SwappedBytes, got, want)
+	if files, _ := os.ReadDir(dir); len(files) != blocks/2 {
+		t.Errorf("%d swap files, want %d", len(files), blocks/2)
 	}
-	if files, _ := os.ReadDir(dir); len(files) != blocks {
-		t.Errorf("%d swap files for %d blocks", len(files), blocks)
-	}
-	m.Unpersist(3)
+	m.Clear()
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
-		t.Errorf("%d swap files survived Unpersist", len(files))
+		t.Errorf("%d swap files survived Clear", len(files))
 	}
-	if mem.InUse() != 0 {
-		t.Errorf("pages leaked after Unpersist: %d", mem.InUse())
+	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+		t.Errorf("after Clear the manager holds %+v", st)
+	}
+}
+
+// TestReclaimSkipsBlocksThatFreeNothing: with a budget smaller than one
+// block, reclaim runs out of victims that would free a byte — what is not
+// pinned is mapped — and returns over budget instead of evicting a mapping
+// round and round.
+func TestReclaimSkipsBlocksThatFreeNothing(t *testing.T) {
+	mem := memory.NewManager(64, 0)
+	m := NewManager(8, t.TempDir())
+	id := func(p int) BlockID { return BlockID{Dataset: 5, Partition: p} }
+	returns(t, "Put, Unpin and Get over a budget nothing fits", func() {
+		for p := 0; p < 3; p++ {
+			if err := m.Put(id(p), NewDecaBlock[int64](mem, decompose.Int64Codec{}, []int64{1, 2, 3})); err != nil {
+				t.Error(err)
+			}
+			if p > 0 {
+				m.Unpin(id(p)) // block 0 stays pinned, on its pages
+			}
+		}
+		for p := 0; p < 3; p++ {
+			if _, ok, err := m.Get(id(p)); !ok || err != nil {
+				t.Errorf("Get(%d): ok=%v err=%v", p, ok, err)
+			}
+		}
+	})
+	// Block 1 was evicted by block 2's Put; block 2, unpinned over budget,
+	// is evicted by the next thing that reclaims — nothing here did.
+	if st := m.Stats(); st.Evictions != 1 || st.MemBytes != 128 || st.SwappedBytes != 64 {
+		t.Errorf("stats = %+v, want one eviction and two blocks on their pages", st)
+	}
+	for p := 0; p < 3; p++ {
+		m.Unpin(id(p))
+		m.Unpin(id(p))
+	}
+	m.Clear()
+	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+		t.Errorf("after Clear the manager holds %+v", st)
 	}
 }
 
 // TestCountSurvivesSwap: every block type answers Count while its data is
-// on disk, and a second SwapOut needs no directory — the file exists.
+// on disk, and a second SwapOut needs no directory — the file exists. An
+// object or serialized block is unreadable until SwapIn; a Deca block reads
+// from the file and holds no memory either way.
 func TestCountSurvivesSwap(t *testing.T) {
 	vals := []int64{4, 5, 6, 7, 8}
 	mem := memory.NewManager(64, 0)
@@ -322,17 +495,27 @@ func TestCountSurvivesSwap(t *testing.T) {
 		"deca":       BuildDecaBlock[int64](mem, decompose.Int64Codec{}, slices.Values(vals)),
 	} {
 		dir := t.TempDir()
+		held := b.MemBytes()
 		if err := b.SwapOut(dir); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if b.InMemory() || !b.OnDisk() || b.Count() != len(vals) {
-			t.Errorf("%s swapped out: resident=%v onDisk=%v count=%d", name, b.InMemory(), b.OnDisk(), b.Count())
+		if b.InMemory() != (name == "deca") || b.MemBytes() != 0 || !b.OnDisk() || b.Count() != len(vals) {
+			t.Errorf("%s swapped out: readable=%v bytes=%d onDisk=%v count=%d", name, b.InMemory(), b.MemBytes(), b.OnDisk(), b.Count())
 		}
 		if err := b.SwapIn(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !b.InMemory() || !b.OnDisk() || b.Count() != len(vals) {
-			t.Errorf("%s swapped in: resident=%v onDisk=%v count=%d", name, b.InMemory(), b.OnDisk(), b.Count())
+		want := held
+		if name == "deca" {
+			want = 0
+		}
+		if !b.InMemory() || b.MemBytes() != want || !b.OnDisk() || b.Count() != len(vals) {
+			t.Errorf("%s swapped in: readable=%v bytes=%d (want %d) onDisk=%v count=%d", name, b.InMemory(), b.MemBytes(), want, b.OnDisk(), b.Count())
+		}
+		var got []int64
+		b.(interface{ Each(func(int64) bool) }).Each(func(v int64) bool { got = append(got, v); return true })
+		if !slices.Equal(got, vals) {
+			t.Errorf("%s after the swap reads %v", name, got)
 		}
 		if err := b.SwapOut("/nonexistent"); err != nil {
 			t.Errorf("%s: second SwapOut wrote again: %v", name, err)
@@ -341,6 +524,9 @@ func TestCountSurvivesSwap(t *testing.T) {
 		if files, _ := os.ReadDir(dir); len(files) != 0 || b.OnDisk() {
 			t.Errorf("%s: swap file survived Drop", name)
 		}
+	}
+	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+		t.Errorf("the deca block left %+v", st)
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"deca/internal/decompose"
+	"deca/internal/memory"
 )
 
 // parkedBlock is a scripted Block whose SwapIn announces itself on entered
@@ -68,7 +71,8 @@ func goGet(m *Manager, id BlockID) chan getResult {
 }
 
 // returns fails the test if f is still running after ten seconds: the
-// manager's lock is held by something that should not hold it.
+// manager's lock is held by something that should not hold it, or a loop
+// under it does not end.
 func returns(t *testing.T, what string, f func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -76,7 +80,7 @@ func returns(t *testing.T, what string, f func()) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("%s did not return while another block was loading", what)
+		t.Fatalf("%s did not return", what)
 	}
 }
 
@@ -123,13 +127,13 @@ func TestSwapInLeavesTheLock(t *testing.T) {
 	m, a, _, ea, first := loadingManager(t)
 	idA, idB := BlockID{1, 0}, BlockID{1, 1}
 
-	returns(t, "Get/Unpin of a resident block", func() {
+	returns(t, "Get/Unpin of a resident block while another loads", func() {
 		if _, ok, err := m.Get(idB); !ok || err != nil {
 			t.Errorf("Get(b) while a loads: ok=%v err=%v", ok, err)
 		}
 		m.Unpin(idB)
 	})
-	returns(t, "Stats", func() {
+	returns(t, "Stats while a block loads", func() {
 		// The loading block already counts as resident, at what it gave up.
 		if st := m.Stats(); st.MemBytes != 64 || st.SwappedBytes != 0 {
 			t.Errorf("mid-load MemBytes = %d, SwappedBytes = %d, want 64, 0", st.MemBytes, st.SwappedBytes)
@@ -163,7 +167,7 @@ func TestUnpersistDuringLoad(t *testing.T) {
 	second := goGet(m, BlockID{1, 0})
 	pins(t, m, ea, 2)
 
-	returns(t, "Unpersist", func() { m.Unpersist(1) })
+	returns(t, "Unpersist while a block loads", func() { m.Unpersist(1) })
 	if a.dropped || !b.dropped {
 		t.Fatalf("mid-load Unpersist: a dropped=%v (its loader's job), b dropped=%v", a.dropped, b.dropped)
 	}
@@ -201,5 +205,99 @@ func TestFailedSwapInUnpinsAndWakes(t *testing.T) {
 	}
 	if ea.pinned != 0 || ea.loading || !m.Contains(BlockID{1, 0}) {
 		t.Errorf("pinned = %d, loading = %v after two failed loads", ea.pinned, ea.loading)
+	}
+}
+
+// TestUnpersistUnderAPinnedScan: Clear, Unpersist and a replacing Put take
+// a block out of the cache while a reader holds it pinned, and return; the
+// reader goes on scanning the pages it was given — manager pages that have
+// not been recycled, a mapping that has not been unmapped — and the block,
+// its file included, goes with the reader's Unpin.
+func TestUnpersistUnderAPinnedScan(t *testing.T) {
+	const pageSize, perBlock = 64, 20 // two full pages and a half
+	vals := func(base int64) []int64 {
+		v := make([]int64, perBlock)
+		for i := range v {
+			v[i] = base + int64(i)
+		}
+		return v
+	}
+	id := BlockID{Dataset: 6, Partition: 0}
+	removals := map[string]func(t *testing.T, m *Manager, mem *memory.Manager){
+		"Clear":     func(_ *testing.T, m *Manager, _ *memory.Manager) { m.Clear() },
+		"Unpersist": func(_ *testing.T, m *Manager, _ *memory.Manager) { m.Unpersist(id.Dataset) },
+		"Put": func(t *testing.T, m *Manager, mem *memory.Manager) {
+			if err := m.Put(id, NewDecaBlock[int64](mem, decompose.Int64Codec{}, vals(-100))); err != nil {
+				t.Error(err)
+			}
+		},
+	}
+	for name, remove := range removals {
+		for _, state := range []string{"on its pages", "mapped"} {
+			t.Run(name+" of a block "+state, func(t *testing.T) {
+				mem := memory.NewManager(pageSize, 0)
+				dir := t.TempDir()
+				m := NewManager(0, dir)
+				blk := NewDecaBlock[int64](mem, decompose.Int64Codec{}, vals(7))
+				if state == "mapped" {
+					if err := blk.SwapOut(dir); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.Put(id, blk); err != nil {
+					t.Fatal(err)
+				}
+				m.Unpin(id)
+				got, ok, err := m.Get(id) // the reader's pin
+				if !ok || err != nil {
+					t.Fatalf("Get: ok=%v err=%v", ok, err)
+				}
+				g := got.(*DecaBlock[int64]).Group()
+
+				returns(t, name, func() { remove(t, m, mem) })
+				if name != "Put" && m.Contains(id) {
+					t.Error("the block is still in the cache")
+				}
+				// Anything the removal freed is what the next builder takes.
+				scratch := NewDecaBlock[int64](mem, decompose.Int64Codec{}, vals(-1))
+				next := int64(7)
+				for i := 0; i < g.NumPages(); i++ {
+					page := g.Page(i)
+					for off := 0; off < len(page); off += 8 {
+						if v := decompose.I64(page, off); v != next {
+							t.Fatalf("page %d offset %d reads %d after the removal, want %d", i, off, v, next)
+						}
+						next++
+					}
+				}
+				if next != 7+perBlock {
+					t.Errorf("scanned %d records of %d", next-7, perBlock)
+				}
+				scratch.Drop()
+				if blk.Group() == nil || blk.OnDisk() != (state == "mapped") {
+					t.Fatal("the block was dropped under its reader")
+				}
+
+				m.Unpin(id)
+				if name == "Put" {
+					// The reader's Unpin cannot be told from the producer's:
+					// the old block goes when both have come.
+					m.Unpin(id)
+				}
+				if blk.Group() != nil || blk.OnDisk() {
+					t.Error("the last Unpin did not drop the block")
+				}
+				m.Clear()
+				if files, _ := os.ReadDir(dir); len(files) != 0 {
+					t.Errorf("%d swap files left", len(files))
+				}
+				if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+					t.Errorf("the manager still holds %+v", st)
+				}
+				if len(m.leaving) != 0 {
+					t.Errorf("%d removed entries never left", len(m.leaving))
+				}
+			})
+		}
 	}
 }

@@ -3,13 +3,18 @@
 // the paper's evaluation (§6). The headline metric is GC CPU seconds
 // (/cpu/classes/gc/total:cpu-seconds), the closest Go analogue of the
 // "time of GC" the paper reports; heap object counts drive the lifetime
-// timelines of Figures 8(a) and 9(a).
+// timelines of Figures 8(a) and 9(a). ReadProcMem adds the kernel's view of
+// the process (peak RSS, split into anonymous and file-backed), which is
+// what says whether memory that left the Go heap left the process too.
 package gcstats
 
 import (
+	"os"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -226,4 +231,51 @@ func WithMemoryLimit(bytes int64, f func()) {
 // measured regions.
 func ForceGC() {
 	runtime.GC()
+}
+
+// ProcMem is the process's memory as the kernel accounts it, in bytes —
+// what the Go heap figures cannot see: pages the runtime has not returned,
+// and file mappings such as a swapped-out Deca block's, which are page
+// cache charged to whoever touched them. All zero where /proc/self/status
+// does not exist.
+type ProcMem struct {
+	PeakRSS int64 // VmHWM: the resident set's high-water mark since the process started
+	RSSAnon int64 // RssAnon: resident anonymous memory — the heap, stacks, the manager's pages
+	RSSFile int64 // RssFile: resident file-backed memory — the binary, mapped swap files
+}
+
+// ReadProcMem reads the current figures.
+func ReadProcMem() ProcMem {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return ProcMem{}
+	}
+	return parseProcStatus(status)
+}
+
+// parseProcStatus picks the three "<Key>:   <n> kB" lines out of a
+// /proc/<pid>/status image; a line that is missing or malformed reads as 0.
+func parseProcStatus(status []byte) ProcMem {
+	var m ProcMem
+	for _, line := range strings.Split(string(status), "\n") {
+		key, rest, ok := strings.Cut(line, ":")
+		if !ok {
+			continue
+		}
+		var dst *int64
+		switch key {
+		case "VmHWM":
+			dst = &m.PeakRSS
+		case "RssAnon":
+			dst = &m.RSSAnon
+		case "RssFile":
+			dst = &m.RSSFile
+		default:
+			continue
+		}
+		if kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 10, 64); err == nil {
+			*dst = kb << 10
+		}
+	}
+	return m
 }

@@ -146,3 +146,28 @@ func TestForceGC(t *testing.T) {
 		t.Error("ForceGC did not run a cycle")
 	}
 }
+
+func TestParseProcStatus(t *testing.T) {
+	status := "Name:\tdeca-bench\nVmPeak:\t 1234567 kB\nVmHWM:\t  178924 kB\nVmRSS:\t  170000 kB\n" +
+		"RssAnon:\t  112640 kB\nRssFile:\t   66284 kB\nRssShmem:\t       0 kB\nThreads:\t7\n"
+	got := parseProcStatus([]byte(status))
+	if want := (ProcMem{PeakRSS: 178924 << 10, RSSAnon: 112640 << 10, RSSFile: 66284 << 10}); got != want {
+		t.Errorf("parsed %+v, want %+v", got, want)
+	}
+	if got := parseProcStatus([]byte("VmHWM:\tmany kB\nRssAnon 12 kB\n")); got != (ProcMem{}) {
+		t.Errorf("malformed lines parsed as %+v", got)
+	}
+}
+
+func TestReadProcMem(t *testing.T) {
+	m := ReadProcMem()
+	if runtime.GOOS != "linux" {
+		if m != (ProcMem{}) {
+			t.Errorf("ReadProcMem = %+v where there is no /proc/self/status", m)
+		}
+		return
+	}
+	if m.PeakRSS <= 0 || m.RSSAnon <= 0 {
+		t.Errorf("ReadProcMem = %+v: a running process has a peak and a heap", m)
+	}
+}

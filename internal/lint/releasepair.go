@@ -9,10 +9,10 @@ import (
 
 // ReleasePair enforces the engine's paired-release discipline: a value
 // returned by an owned-resource producer — Manager.NewGroup,
-// Manager.NewSlab, Manager.RestoreGroup, DecaBlockFor's release func, and any constructor
-// annotated //deca:owns — must, on every path out of the acquiring
-// function, either be released (x.Release(), or calling the returned
-// release func, directly or deferred) or be handed off: returned to the
+// Manager.NewSlab, Manager.RestoreGroup, MapGroup, DecaBlockFor's release
+// func, and any constructor annotated //deca:owns — must, on every path out
+// of the acquiring function, either be released (x.Release(), or calling the
+// returned release func, directly or deferred) or be handed off: returned to the
 // caller, stored into a //deca:owns-annotated field, placed in a
 // container, or passed to another function (AdoptPages, MergeFrom, and
 // anything annotated //deca:transfers are the documented hand-offs).
@@ -45,6 +45,7 @@ var builtinOwns = map[string]bool{
 	"deca/internal/memory.Manager.NewGroup":     true,
 	"deca/internal/memory.Manager.NewSlab":      true,
 	"deca/internal/memory.Manager.RestoreGroup": true,
+	"deca/internal/memory.MapGroup":             true,
 	"deca/internal/engine.DecaBlockFor":         true,
 	"deca/internal/transport.NewFrameSegments":  true,
 }

@@ -115,6 +115,18 @@ func viewBeforeRelease(m *memory.Manager) int64 {
 	return v
 }
 
+// True positive: a typed view of a mapped page is bytes of the mapping; after
+// the Release that unmaps the file, reading it is a fault, not stale data.
+func mappedViewAfterRelease(m *memory.Manager, path string) (float64, error) {
+	g, err := memory.MapGroup(m, path)
+	if err != nil {
+		return 0, err
+	}
+	rec := decompose.Float64s(nil, g.Page(0))
+	g.Release()
+	return rec[0], nil // want "bytes of group"
+}
+
 // Negative: rebinding the bytes first is fine.
 func rebindBytes(m *memory.Manager) byte {
 	g := m.NewGroup()

@@ -235,6 +235,45 @@ func stagedThenAbandoned(m *memory.Manager, r memory.ByteReader, o *owner, skip 
 	return o.fold(st, false)
 }
 
+// mappedBlock models a swapped-out cache block: the group its field owns
+// becomes a mapping of the block's swap file, which the group's one last
+// Release unmaps.
+type mappedBlock struct {
+	path  string
+	group *memory.Group //deca:owns (fixture: manager pages, then the file's mapping; released by drop)
+}
+
+// Negative: the swap — the pages go back to the manager, the mapping into
+// the owning field; a file that does not map leaves the block as it was.
+func (b *mappedBlock) swapOut(m *memory.Manager) error {
+	mapped, err := memory.MapGroup(m, b.path)
+	if err != nil {
+		return err
+	}
+	b.group.Release()
+	b.group = mapped
+	return nil
+}
+
+// Negative: the mapping is released exactly once, with its owner.
+func (b *mappedBlock) drop() {
+	b.group.Release()
+	b.group = nil
+}
+
+// True positive: a mapping made and left mapped on the error path.
+func mapLeak(m *memory.Manager, path string, fail bool) error {
+	g, err := memory.MapGroup(m, path)
+	if err != nil {
+		return err
+	}
+	if fail {
+		return errBoom // want "may not be released on this path"
+	}
+	g.Release()
+	return nil
+}
+
 // True positive: Register's displaced payload is dropped.
 func dropsDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
 	tr.Register(id, p) // want "Register result discarded"

@@ -9,8 +9,10 @@ import (
 // TestManagerMemoryIsAligned pins the invariant decompose.Float64s/Int64s
 // read in place on: every page and block a Manager hands out starts 8-byte
 // aligned — fresh or pooled, standard, short, oversized, restored from a
-// frame or read back from a swap file — and Group.Alloc packs a page from
-// offset 0, so a record made only of 8-byte primitives is aligned too.
+// frame — and Group.Alloc packs a page from offset 0, so a record made only
+// of 8-byte primitives is aligned too. A mapped swap file (MapGroup) keeps
+// the promise for memory that is not the manager's: whatever the page count
+// and the page lengths, every page of the mapping starts aligned.
 func TestManagerMemoryIsAligned(t *testing.T) {
 	aligned := func(what string, b []byte) {
 		t.Helper()
@@ -64,26 +66,41 @@ func TestManagerMemoryIsAligned(t *testing.T) {
 			g.Append(rec[:8])
 			groupAligned(round+" group page", g)
 
-			var frame, swap bytes.Buffer
+			var frame bytes.Buffer
 			if _, err := g.Snapshot(&frame); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.WriteTo(&swap); err != nil {
-				t.Fatal(err)
-			}
+			swap := spillFile(t, spillBytes(t, g))
 			g.Release()
 			restored, err := m.RestoreGroup(&frame)
 			if err != nil {
 				t.Fatal(err)
 			}
 			groupAligned(round+" restored page", restored)
-			read, err := ReadGroupFrom(m, &swap)
+			mapped, err := MapGroup(m, swap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			groupAligned(round+" swapped-in page", read)
+			groupAligned(round+" mapped page", mapped)
 			restored.Release()
-			read.Release()
+			mapped.Release()
+		}
+		// Odd page counts (the header's padding) of odd page lengths (the
+		// bodies').
+		for _, pages := range []int{1, 3, 5, 7, 33} {
+			lens := make([]int, pages)
+			for i := range lens {
+				lens[i] = odd[i%len(odd)]
+			}
+			mapped, err := MapGroup(m, spillFile(t, spillOf(t, lens...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapped.NumPages() != pages {
+				t.Fatalf("%d pages mapped, want %d", mapped.NumPages(), pages)
+			}
+			groupAligned("mapped odd page", mapped)
+			mapped.Release()
 		}
 		if s := m.Stats(); s.BytesInUse != 0 || s.PagesReused == 0 {
 			t.Errorf("page size %d: in use %d, reused %d: the pooled round did not run on the pool", m.PageSize(), s.BytesInUse, s.PagesReused)

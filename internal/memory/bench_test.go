@@ -1,7 +1,8 @@
 package memory
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -79,15 +80,21 @@ func BenchmarkSpillRoundTrip(b *testing.B) {
 	for i := 0; i < 4096; i++ {
 		g.Append(make([]byte, 256))
 	}
-	var buf bytes.Buffer
+	path := filepath.Join(b.TempDir(), "spill.bin")
 	b.SetBytes(g.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if _, err := g.WriteTo(&buf); err != nil {
+		f, err := os.Create(path)
+		if err != nil {
 			b.Fatal(err)
 		}
-		g2, err := ReadGroupFrom(m, &buf)
+		if _, err := g.WriteTo(f); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		g2, err := MapGroup(m, path)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -344,6 +344,9 @@ type Group struct {
 	bytes   int64
 	refs    atomic.Int32
 	deps    []*Group // page groups of primary containers (Fig. 7(a) depPages)
+	// mapping is the file mapping every page is a view of (MapGroup); nil
+	// for a group of manager pages. A mapped group holds no manager memory.
+	mapping []byte
 }
 
 // NewGroup returns an empty page group with reference count 1.
@@ -363,6 +366,9 @@ func (g *Group) Alloc(n int) ([]byte, Ptr) {
 	g.checkLive()
 	if n < 0 {
 		panic("memory: negative allocation")
+	}
+	if g.mapping != nil {
+		panic("memory: Alloc on a mapped page group")
 	}
 	last := len(g.pages) - 1
 	if last < 0 || g.isAdopted(last) || cap(g.pages[last])-len(g.pages[last]) < n {
@@ -431,8 +437,12 @@ func (g *Group) EndOffset() int {
 	return len(g.pages[len(g.pages)-1])
 }
 
-// Footprint returns the bytes of page capacity held (≥ Len).
+// Footprint returns the bytes of manager page capacity held: ≥ Len, or 0
+// for a mapped group, whose pages are the page cache's.
 func (g *Group) Footprint() int64 {
+	if g.mapping != nil {
+		return 0
+	}
 	var total int64
 	for _, p := range g.pages {
 		total += int64(cap(p))
@@ -515,9 +525,11 @@ func (g *Group) rehome(dst *Manager) {
 		return
 	}
 	var owned int64
-	for i, p := range g.pages {
-		if !g.isAdopted(i) {
-			owned += int64(cap(p))
+	if g.mapping == nil { // a mapped group's pages were never charged
+		for i, p := range g.pages {
+			if !g.isAdopted(i) {
+				owned += int64(cap(p))
+			}
 		}
 	}
 	src := g.m
@@ -535,11 +547,14 @@ func (g *Group) rehome(dst *Manager) {
 	}
 }
 
-// reclaim returns g's owned pages to its manager and drops the page
-// array; adopted pages are left to their owning groups, which the caller
-// releases through deps.
+// reclaim returns g's owned pages to its manager — or unmaps the file they
+// are views of — and drops the page array; adopted pages are left to their
+// owning groups, which the caller releases through deps.
 func (g *Group) reclaim() {
-	if g.adopted == nil {
+	if g.mapping != nil {
+		unmapFile(g.mapping)
+		g.mapping = nil
+	} else if g.adopted == nil {
 		g.m.putPages(g.pages)
 	} else {
 		owned := g.pages[:0]

@@ -276,62 +276,6 @@ func TestBudgetAccounting(t *testing.T) {
 	}
 }
 
-func TestSpillRoundTrip(t *testing.T) {
-	m := NewManager(16, 0)
-	g := m.NewGroup()
-	var ptrs []Ptr
-	var want [][]byte
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 50; i++ {
-		b := make([]byte, 1+r.Intn(24))
-		r.Read(b)
-		ptrs = append(ptrs, g.Append(b))
-		want = append(want, b)
-	}
-
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g.Release()
-
-	g2, err := ReadGroupFrom(m, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Release()
-	for i, p := range ptrs {
-		if got := g2.Bytes(p, len(want[i])); !bytes.Equal(got, want[i]) {
-			t.Fatalf("segment %d mismatch after spill round-trip", i)
-		}
-	}
-}
-
-func TestSpillBadMagic(t *testing.T) {
-	m := NewManager(16, 0)
-	if _, err := ReadGroupFrom(m, bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Error("bad magic should error")
-	}
-}
-
-func TestSpillTruncated(t *testing.T) {
-	m := NewManager(16, 0)
-	g := m.NewGroup()
-	g.Append([]byte("some data here"))
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g.Release()
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadGroupFrom(m, bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated spill should error")
-	}
-	if got := m.Stats().LiveGroups; got != 0 {
-		t.Errorf("LiveGroups after failed restore = %d, want 0", got)
-	}
-}
-
 func TestConcurrentGroups(t *testing.T) {
 	m := NewManager(1024, 0)
 	var wg sync.WaitGroup

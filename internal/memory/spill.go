@@ -4,26 +4,37 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 )
 
-// Raw page I/O (Appendix C): decomposed data bytes are written to and read
-// from disk directly, with no serialization step. The on-disk format is
-// one batched header — magic, page count, then every page length — followed
-// by the raw page bytes back to back, so a swapped-out group restores with
-// identical pointers. Batching the lengths into the header means a spill
-// is one small write plus one large write per page, and a restore learns
-// every page size up front (one header read, then straight bulk reads).
+// Raw page I/O (Appendix C): decomposed data bytes are written to disk
+// directly and read from there in place, with no serialization step in
+// either direction. The on-disk format is one batched header — magic, page
+// count, then every page length — followed by the raw page bytes, the
+// header and every page body padded with zeros to a multiple of 8 bytes.
+// A spill is one small write plus one large write per page; the padding
+// puts every page at an 8-byte-aligned file offset, so a mapping of the
+// file (MapGroup) is a page group as it stands: identical pointers, and
+// pages that decompose.Float64s/Int64s view in place like the manager's own.
 
-const spillMagic = uint32(0xDEC0DE01)
+const (
+	spillMagic = uint32(0xDEC0DE01)
+	spillAlign = 8
+)
+
+// spillPad is how many zero bytes follow n bytes of the spill format.
+func spillPad(n int) int { return -n & (spillAlign - 1) }
 
 // WriteTo writes the group's pages to w in the raw spill format. The
-// whole header (magic + count + per-page lengths) goes out as a single
-// write, then each page as one bulk write. It returns the number of
-// bytes written.
+// whole header (magic + count + per-page lengths + padding) goes out as a
+// single write, then each page as one bulk write, followed by its padding
+// when its length is not a multiple of 8. It returns the number of bytes
+// written.
 func (g *Group) WriteTo(w io.Writer) (int64, error) {
 	g.checkLive()
 	var written int64
-	hdr := make([]byte, 8+4*len(g.pages))
+	hdrLen := 8 + 4*len(g.pages)
+	hdr := make([]byte, hdrLen+spillPad(hdrLen))
 	binary.LittleEndian.PutUint32(hdr[0:4], spillMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(g.pages)))
 	for i, p := range g.pages {
@@ -34,47 +45,92 @@ func (g *Group) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return written, err
 	}
+	var zeros [spillAlign]byte
 	for _, p := range g.pages {
 		n, err = w.Write(p)
 		written += int64(n)
 		if err != nil {
 			return written, err
 		}
+		if pad := spillPad(len(p)); pad > 0 {
+			n, err = w.Write(zeros[:pad])
+			written += int64(n)
+			if err != nil {
+				return written, err
+			}
+		}
 	}
 	return written, nil
 }
 
-// ReadGroupFrom reads a group in the spill format from r, allocating its
-// pages from m. Pointers recorded before the spill remain valid against
-// the restored group.
-func ReadGroupFrom(m *Manager, r io.Reader) (*Group, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("memory: reading spill header: %w", err)
+// MapGroup maps the spill file at path read-only and returns a group whose
+// pages are views of the mapping: nothing is read, and pointers recorded
+// before the spill address the same segments. The pages are not manager
+// memory — never pooled, not counted in InUse, Footprint 0 — the group is
+// sealed (Alloc panics; a write through a page faults), and its last
+// Release unmaps the file. The caller keeps the file as long as the group:
+// it may unlink it, it must not truncate it.
+//
+// The file is not trusted. The mapping covers exactly the file's size at
+// open, and before a page is handed out the header is checked against that
+// size: magic, a page count the file has room to list, and header plus
+// padded page lengths summing to the size exactly. A truncated, extended or
+// corrupt file is therefore an error here, never a fault in whoever scans
+// the pages.
+func MapGroup(m *Manager, path string) (*Group, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != spillMagic {
-		return nil, fmt.Errorf("memory: bad spill magic %#x", got)
+	defer f.Close() // the mapping outlives the descriptor
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	numPages := binary.LittleEndian.Uint32(hdr[4:8])
-	if numPages > maxSnapshotPage {
-		return nil, fmt.Errorf("memory: implausible spill page count %d", numPages)
+	size := st.Size()
+	if size < 8 || int64(int(size)) != size {
+		return nil, fmt.Errorf("memory: spill file %s: implausible size %d", path, size)
 	}
-	lens := make([]byte, 4*numPages)
-	if _, err := io.ReadFull(r, lens); err != nil {
-		return nil, fmt.Errorf("memory: reading spill page lengths: %w", err)
+	data, err := mapFile(f, int(size))
+	if err != nil {
+		return nil, fmt.Errorf("memory: mapping %s: %w", path, err)
+	}
+	pages, bytes, err := spillPages(data)
+	if err != nil {
+		unmapFile(data)
+		return nil, fmt.Errorf("memory: spill file %s: %w", path, err)
 	}
 	g := m.NewGroup()
-	for i := uint32(0); i < numPages; i++ {
-		pageLen := int(binary.LittleEndian.Uint32(lens[4*i:]))
-		page := m.getPage(pageLen)
-		page = page[:pageLen]
-		if _, err := io.ReadFull(r, page); err != nil {
-			m.putPages([][]byte{page})
-			g.Release()
-			return nil, fmt.Errorf("memory: reading spill page %d: %w", i, err)
-		}
-		g.pages = append(g.pages, page)
-		g.bytes += int64(pageLen)
-	}
+	g.mapping, g.pages, g.bytes = data, pages, bytes
 	return g, nil
+}
+
+// spillPages validates data as a whole spill file and returns its pages as
+// capacity-clipped views of it, with their total length.
+func spillPages(data []byte) ([][]byte, int64, error) {
+	if got := binary.LittleEndian.Uint32(data[0:4]); got != spillMagic {
+		return nil, 0, fmt.Errorf("bad magic %#x", got)
+	}
+	numPages := int64(binary.LittleEndian.Uint32(data[4:8]))
+	size := int64(len(data))
+	hdrLen := 8 + 4*numPages
+	hdrLen += int64(spillPad(int(hdrLen)))
+	if hdrLen > size {
+		return nil, 0, fmt.Errorf("%d pages announced, %d bytes of file", numPages, size)
+	}
+	pages := make([][]byte, numPages)
+	off, total := hdrLen, int64(0)
+	for i := range pages {
+		n := int64(binary.LittleEndian.Uint32(data[8+4*i:]))
+		if n > size-off {
+			return nil, 0, fmt.Errorf("page %d: %d bytes announced at offset %d of %d", i, n, off, size)
+		}
+		pages[i] = data[off : off+n : off+n]
+		total += n
+		off += n + int64(spillPad(int(n)))
+	}
+	if off != size {
+		return nil, 0, fmt.Errorf("%d pages end at offset %d, file has %d bytes", numPages, off, size)
+	}
+	return pages, total, nil
 }

@@ -58,8 +58,8 @@ func scanCenters(k, dim int) [][]float64 {
 	return centers
 }
 
-// eachRoundTrip runs check on the block as built and again after a
-// swap-out/swap-in round trip, which rebuilds every page from the swap file.
+// eachRoundTrip runs check on the block as built and again after a swap
+// round trip, when every page is a view of the swap file's mapping.
 func eachRoundTrip[T any](t *testing.T, blk *cache.DecaBlock[T], check func(what string)) {
 	t.Helper()
 	check("built")
@@ -69,7 +69,7 @@ func eachRoundTrip[T any](t *testing.T, blk *cache.DecaBlock[T], check func(what
 	if err := blk.SwapIn(); err != nil {
 		t.Fatal(err)
 	}
-	check("swapped in")
+	check("swapped")
 }
 
 func TestDecaGradientMatchesCodec(t *testing.T) {
