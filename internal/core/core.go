@@ -3,9 +3,10 @@
 // model of §4.2 to decide, per data container, whether and how objects are
 // decomposed into page groups, which container owns each object
 // population, and how secondary containers share the primary's pages
-// (§4.3). The workloads consult the resulting plan to configure the
-// engine — the role Deca's runtime optimizer plays when it intercepts a
-// submitted Spark job (Appendix A).
+// (§4.3) — the decision Deca's runtime optimizer makes when it intercepts
+// a submitted Spark job (Appendix A). Nothing executes the plan: the
+// workloads choose their containers by hand, and the plan is printed by
+// cmd/deca-analyze and checked against the paper by tests.
 package core
 
 import (

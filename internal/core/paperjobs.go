@@ -6,8 +6,8 @@ import (
 )
 
 // Prebuilt job models for the paper's workloads, as Deca's pre-processing
-// would extract them. The workloads and the analyzer CLI consult the
-// resulting plans; the tests check them against the paper's narrative.
+// would extract them. The analyzer CLI prints the resulting plans; the
+// tests check them against the paper's narrative.
 
 // LRJob models the Figure 1 logistic-regression program: a build phase
 // that parses and caches LabeledPoints, and an iterate phase whose

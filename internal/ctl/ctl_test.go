@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -103,4 +104,34 @@ func TestDriverSpawnTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("bring-up failure took %v", elapsed)
 	}
+}
+
+// TestConfigSurface ratchets the control plane's settings. The ceilings
+// only go down; a raise states its reason here, as the CI line ratchets
+// do. (Driver 9 -> 7 and follower 5 -> 4 when the heartbeat period and
+// miss budget became constants and the period one fact in the welcome.)
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		cfg     any
+		ceiling int
+	}{{DriverConfig{}, 7}, {FollowerConfig{}, 4}} {
+		typ := reflect.TypeOf(c.cfg)
+		if n := leafFields(typ); n > c.ceiling {
+			t.Errorf("ctl.%s has %d settable values, the ceiling is %d", typ.Name(), n, c.ceiling)
+		}
+	}
+}
+
+// leafFields counts the settable values of a config struct; a field whose
+// type is itself a struct of settings counts by its own fields.
+func leafFields(t reflect.Type) int {
+	n := 0
+	for i := range t.NumField() {
+		if f := t.Field(i).Type; f.Kind() == reflect.Struct {
+			n += leafFields(f)
+		} else {
+			n++
+		}
+	}
+	return n
 }

@@ -27,11 +27,6 @@ type DriverConfig struct {
 	ExecutorCmd []string
 	// ListenAddr is the control listener address ("127.0.0.1:0" default).
 	ListenAddr string
-	// HeartbeatInterval is the executor heartbeat period (default 100ms);
-	// HeartbeatMisses is the liveness miss budget: an executor silent for
-	// misses*interval is declared dead (default 20, i.e. 2s).
-	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
 	// SpawnTimeout bounds the spawn+handshake of the whole fleet
 	// (default 30s).
 	SpawnTimeout time.Duration
@@ -50,15 +45,19 @@ type DriverConfig struct {
 	OnEvents func(exec int, evs []obs.Event)
 }
 
+// Executor liveness. The welcome carries heartbeatInterval, so followers
+// beat at the period the miss budget counts in: an executor silent for
+// heartbeatMisses periods (2 s) is declared dead. A period above that
+// budget (maxHeartbeatInterval) would die between beats: a malformed welcome.
+const (
+	heartbeatInterval    = 100 * time.Millisecond
+	heartbeatMisses      = 20
+	maxHeartbeatInterval = heartbeatMisses * heartbeatInterval
+)
+
 func (c DriverConfig) withDefaults() DriverConfig {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 20
 	}
 	if c.SpawnTimeout <= 0 {
 		c.SpawnTimeout = 30 * time.Second
@@ -198,9 +197,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 			st.lastBeat = time.Now()
 			st.mu.Unlock()
 			// Welcome: the executor may proceed to wait for the plan.
-			var e enc
-			e.int(int64(cfg.NumExecutors))
-			if err := h.conn.send(msgWelcome, e.b); err != nil {
+			if err := h.conn.send(msgWelcome, appendWelcome(cfg.NumExecutors, heartbeatInterval)); err != nil {
 				d.teardown()
 				return nil, fmt.Errorf("ctl: welcoming executor %d: %w", h.id, err)
 			}
@@ -306,8 +303,8 @@ func (d *Driver) waitChild(st *execState) {
 
 // heartbeatMonitor declares executors whose heartbeats stopped dead.
 func (d *Driver) heartbeatMonitor() {
-	budget := time.Duration(d.cfg.HeartbeatMisses) * d.cfg.HeartbeatInterval
-	ticker := time.NewTicker(d.cfg.HeartbeatInterval)
+	const budget = heartbeatMisses * heartbeatInterval
+	ticker := time.NewTicker(heartbeatInterval)
 	defer ticker.Stop()
 	for range ticker.C {
 		if d.closed.Load() {
@@ -320,7 +317,7 @@ func (d *Driver) heartbeatMonitor() {
 			st.mu.Unlock()
 			if silent {
 				d.markDead(st, fmt.Errorf("ctl: executor %d missed %d heartbeats",
-					st.id, d.cfg.HeartbeatMisses))
+					st.id, heartbeatMisses))
 			}
 		}
 	}

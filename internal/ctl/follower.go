@@ -49,11 +49,12 @@ type EventSource interface {
 }
 
 // heartbeatEventBatch bounds the events one heartbeat carries; at the
-// default 100ms interval that is 10k events/s of shipping capacity per
+// driver's 100ms period that is 10k events/s of shipping capacity per
 // executor before recorder rings start overwriting.
 const heartbeatEventBatch = 1024
 
-// FollowerConfig connects one executor process to its driver.
+// FollowerConfig connects one executor process to its driver; it beats at
+// the period the driver's welcome carries.
 type FollowerConfig struct {
 	DriverAddr string
 	ID         int
@@ -61,9 +62,6 @@ type FollowerConfig struct {
 	// DataAddr is the data-plane listen address ("127.0.0.1:0" default);
 	// the resolved address is advertised in the handshake.
 	DataAddr string
-	// HeartbeatInterval defaults to 100ms (keep it well under the
-	// driver's miss budget).
-	HeartbeatInterval time.Duration
 }
 
 // matEntry is the latest announced materialization of one dataset.
@@ -121,9 +119,6 @@ type lookupReply struct {
 // the handshake. The caller then awaits the plan, builds the mirrored
 // engine, and registers it with SetRuntime.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 100 * time.Millisecond
-	}
 	server, err := transport.NewDataServer(cfg.DataAddr)
 	if err != nil {
 		return nil, err
@@ -159,14 +154,14 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		f.teardown()
 		return nil, fmt.Errorf("ctl: handshake: %v (frame type %d)", err, t)
 	}
-	dd := &dec{b: payload}
-	if numExecutors := dd.int(); !dd.ok() || numExecutors <= 0 {
+	period, err := decodeWelcome(payload)
+	if err != nil {
 		f.teardown()
-		return nil, fmt.Errorf("ctl: malformed welcome")
+		return nil, err
 	}
 
 	go f.readLoop()
-	go f.heartbeatLoop(cfg.HeartbeatInterval)
+	go f.heartbeatLoop(period)
 	return f, nil
 }
 

@@ -42,9 +42,14 @@ func (r *tickingRuntime) Snapshot() obs.CounterValues {
 }
 func (r *tickingRuntime) DrainEvents(max int) []obs.Event { return r.rec.Drain(max) }
 
-// acceptFollower is the driver side of one follower handshake; nil (after
-// reporting why) when it did not complete.
-func acceptFollower(t *testing.T, ln net.Listener) *rpcConn {
+// testBeat is the heartbeat period the fake drivers welcome followers
+// with: fast enough that a test sees many beats in a few milliseconds.
+const testBeat = 5 * time.Millisecond
+
+// acceptFollower is the driver side of one follower handshake, answering
+// the hello with the given welcome payload; nil (after reporting why) when
+// it did not complete.
+func acceptFollower(t *testing.T, ln net.Listener, welcome []byte) *rpcConn {
 	t.Helper()
 	c, err := ln.Accept()
 	if err != nil {
@@ -57,9 +62,7 @@ func acceptFollower(t *testing.T, ln net.Listener) *rpcConn {
 		rc.close()
 		return nil
 	}
-	var e enc
-	e.int(2) // numExecutors
-	if err := rc.send(msgWelcome, e.b); err != nil {
+	if err := rc.send(msgWelcome, welcome); err != nil {
 		t.Errorf("welcome: %v", err)
 		rc.close()
 		return nil
@@ -72,7 +75,7 @@ func acceptFollower(t *testing.T, ln net.Listener) *rpcConn {
 // enough to assert against frame by frame.
 func fakeDriver(t *testing.T, ln net.Listener, beats chan<- beat) {
 	t.Helper()
-	rc := acceptFollower(t, ln)
+	rc := acceptFollower(t, ln, appendWelcome(2, testBeat))
 	if rc == nil {
 		return
 	}
@@ -107,9 +110,8 @@ func TestHeartbeatCountersMonotonic(t *testing.T) {
 	go fakeDriver(t, ln, beats)
 
 	f, err := NewFollower(FollowerConfig{
-		DriverAddr:        ln.Addr().String(),
-		ID:                0,
-		HeartbeatInterval: 5 * time.Millisecond,
+		DriverAddr: ln.Addr().String(),
+		ID:         0,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +146,71 @@ func TestHeartbeatCountersMonotonic(t *testing.T) {
 	}
 }
 
+// TestWelcomeSetsTheHeartbeatPeriod: the handshake is decoded like any
+// other peer frame. A follower beats at the period its welcome carries,
+// and a welcome without a usable period (missing, zero, negative, above
+// the miss budget) or without executors fails the handshake.
+func TestWelcomeSetsTheHeartbeatPeriod(t *testing.T) {
+	t.Run("welcomed period", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		beats := make(chan beat, 1024)
+		go fakeDriver(t, ln, beats)
+		f, err := NewFollower(FollowerConfig{DriverAddr: ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		// Ten beats take 50ms at the welcomed period, 1s at the driver's 100ms.
+		deadline := time.After(900 * time.Millisecond)
+		for n := 0; n < 10; n++ {
+			select {
+			case <-beats:
+			case <-deadline:
+				t.Fatalf("%d heartbeats in 900ms: the follower is not beating at the welcomed %v", n, testBeat)
+			}
+		}
+	})
+
+	var numOnly enc
+	numOnly.int(2)
+	for name, welcome := range map[string][]byte{
+		"missing period":               numOnly.b,
+		"zero period":                  appendWelcome(2, 0),
+		"negative period":              appendWelcome(2, -testBeat),
+		"period above the miss budget": appendWelcome(2, maxHeartbeatInterval+time.Millisecond),
+		"no executors":                 appendWelcome(0, testBeat),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				if rc := acceptFollower(t, ln, welcome); rc != nil {
+					rc.read() // returns once the follower hangs up
+					rc.close()
+				}
+			}()
+			f, err := NewFollower(FollowerConfig{DriverAddr: ln.Addr().String()})
+			if err == nil {
+				f.Close()
+				t.Fatal("the follower accepted the welcome")
+			}
+			if !strings.Contains(err.Error(), "malformed welcome") {
+				t.Errorf("error = %v, want a malformed welcome", err)
+			}
+			<-served
+		})
+	}
+}
+
 // gatedRuntime numbers its snapshots in ShuffleRecords and holds the first
 // one back until gate closes: a heartbeat descheduled between reading the
 // counters and sending them.
@@ -175,11 +242,8 @@ func TestSnapshotsArriveInOrderTaken(t *testing.T) {
 	}
 	defer ln.Close()
 	accepted := make(chan *rpcConn, 1)
-	go func() { accepted <- acceptFollower(t, ln) }()
-	f, err := NewFollower(FollowerConfig{
-		DriverAddr:        ln.Addr().String(),
-		HeartbeatInterval: 5 * time.Millisecond,
-	})
+	go func() { accepted <- acceptFollower(t, ln, appendWelcome(2, testBeat)) }()
+	f, err := NewFollower(FollowerConfig{DriverAddr: ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +326,8 @@ func TestHeartbeatShipsRecordedEvents(t *testing.T) {
 	go fakeDriver(t, ln, beats)
 
 	f, err := NewFollower(FollowerConfig{
-		DriverAddr:        ln.Addr().String(),
-		ID:                1,
-		HeartbeatInterval: 5 * time.Millisecond,
+		DriverAddr: ln.Addr().String(),
+		ID:         1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,42 @@ import (
 	"deca/internal/shuffle"
 )
 
+// scriptedMirror connects a real Follower, with the real engine mirrored
+// on top of it, to a ScriptedDriver; the test's cleanup tears all three
+// down.
+func scriptedMirror(t *testing.T) (*ctl.ScriptedDriver, *engine.Context) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan *ctl.ScriptedDriver, 1)
+	go func() {
+		d, err := ctl.AcceptScripted(ln, 1)
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- d
+	}()
+	f, err := ctl.NewFollower(ctl.FollowerConfig{DriverAddr: ln.Addr().String(), ID: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	drv := <-accepted
+	if drv == nil {
+		t.FailNow()
+	}
+	t.Cleanup(drv.Close)
+	ctx := engine.New(engine.Config{
+		NumExecutors: 1, Parallelism: 2, Mode: engine.ModeDeca,
+		SpillDir: t.TempDir(), CtlFollower: f,
+	})
+	t.Cleanup(ctx.Close)
+	return drv, ctx
+}
+
 // TestFollowerTreatsUnknownVerdictsAsAbort drives a real Follower — and
 // the real engine mirrored on top of it — from a scripted driver through
 // one exchange, and answers the reduce stage with a verdict byte that is
@@ -26,35 +62,7 @@ import (
 func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 	for _, verdict := range []byte{2, 9} {
 		t.Run(fmt.Sprintf("verdict-%d", verdict), func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			accepted := make(chan *ctl.ScriptedDriver, 1)
-			go func() {
-				d, err := ctl.AcceptScripted(ln, 1)
-				if err != nil {
-					t.Error(err)
-				}
-				accepted <- d
-			}()
-			f, err := ctl.NewFollower(ctl.FollowerConfig{DriverAddr: ln.Addr().String(), ID: 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			drv := <-accepted
-			if drv == nil {
-				t.FailNow()
-			}
-			defer drv.Close()
-
-			ctx := engine.New(engine.Config{
-				NumExecutors: 1, Parallelism: 2, Mode: engine.ModeDeca,
-				SpillDir: t.TempDir(), CtlFollower: f,
-			})
-			defer ctx.Close()
+			drv, ctx := scriptedMirror(t)
 			const parts = 2
 			var pairs []decompose.Pair[int64, int64]
 			for i := int64(0); i < 300; i++ {
@@ -80,7 +88,7 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					actions[p] = drv.RunTask("action/1", 1, p, 1)
+					actions[p] = drv.RunTask("action/1", 1, p, 1, nil)
 				}()
 			}
 			var dataset int
@@ -93,7 +101,7 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 			for _, phase := range []string{"map", "reduce"} {
 				key := "x/1/1/" + phase
 				for p := 0; p < parts; p++ {
-					if res := drv.RunTask(key, 2, p, 1); !res.OK {
+					if res := drv.RunTask(key, 2, p, 1, nil); !res.OK {
 						t.Fatalf("%s task %d: %s", phase, p, res.ErrMsg)
 					}
 				}
@@ -134,5 +142,30 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 				t.Errorf("%d map outputs still registered after the abort", n)
 			}
 		})
+	}
+}
+
+// TestCanceledAttemptStopsWaitingForItsBody: a dispatched attempt whose
+// stage body the mirror never registers waits for it — until the driver
+// cancels the attempt. Then it answers Canceled at once instead of
+// holding the driver's dispatch for the stage-body deadline (minutes).
+func TestCanceledAttemptStopsWaitingForItsBody(t *testing.T) {
+	drv, _ := scriptedMirror(t)
+	cancel := make(chan struct{})
+	done := make(chan ctl.TaskResult, 1)
+	go func() { done <- drv.RunTask("x/never/registered/map", 1, 0, 1, cancel) }()
+	select {
+	case res := <-done:
+		t.Fatalf("the attempt answered before any body or cancel: %+v", res)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(cancel)
+	select {
+	case res := <-done:
+		if !res.Canceled || res.OK {
+			t.Errorf("result = %+v, want Canceled", res)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the canceled attempt was still waiting for its stage body after 1s")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"deca/internal/obs"
 	"deca/internal/serial"
@@ -35,7 +36,8 @@ const (
 	// msgHello (exec→driver): id, token, dataAddr. First frame on a
 	// connection; everything else is rejected until it verifies.
 	msgHello byte = 1
-	// msgWelcome (driver→exec): numExecutors. Handshake acknowledgement.
+	// msgWelcome (driver→exec): numExecutors, heartbeat period (ns).
+	// Handshake acknowledgement; the follower beats at that period.
 	msgWelcome byte = 2
 	// msgPlan (driver→exec): spec bytes. Registers the job plan every
 	// executor mirrors.
@@ -123,6 +125,22 @@ type TaskResult struct {
 	LostOutputs []transport.MapOutputID
 	// Result carries an action task's encoded partial result.
 	Result []byte
+}
+
+// appendWelcome / decodeWelcome keep the msgWelcome layout in one place.
+// A welcome without executors, or whose period is not positive or exceeds
+// maxHeartbeatInterval, is a malformed handshake.
+func appendWelcome(numExecutors int, period time.Duration) []byte {
+	return serial.AppendVarint(serial.AppendVarint(nil, int64(numExecutors)), int64(period))
+}
+
+func decodeWelcome(payload []byte) (time.Duration, error) {
+	d := &dec{b: payload}
+	n, period := d.int(), time.Duration(d.int())
+	if !d.ok() || n <= 0 || period <= 0 || period > maxHeartbeatInterval {
+		return 0, fmt.Errorf("ctl: malformed welcome (%d executors, heartbeat period %v)", n, period)
+	}
+	return period, nil
 }
 
 // appendTaskResult / decodeTaskResult keep the msgTaskDone layout in one

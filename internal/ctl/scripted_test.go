@@ -28,7 +28,8 @@ type ScriptedDriver struct {
 }
 
 // AcceptScripted accepts one follower on ln, completes the handshake
-// (announcing numExecutors) and starts answering its directory RPCs.
+// (announcing numExecutors and the driver's heartbeat period) and starts
+// answering its directory RPCs.
 func AcceptScripted(ln net.Listener, numExecutors int) (*ScriptedDriver, error) {
 	c, err := ln.Accept()
 	if err != nil {
@@ -44,9 +45,7 @@ func AcceptScripted(ln net.Listener, numExecutors int) (*ScriptedDriver, error) 
 		d.rc.close()
 		return nil, fmt.Errorf("first frame: type %d, err %v (want hello)", typ, err)
 	}
-	var e enc
-	e.int(int64(numExecutors))
-	if err := d.rc.send(msgWelcome, e.b); err != nil {
+	if err := d.rc.send(msgWelcome, appendWelcome(numExecutors, heartbeatInterval)); err != nil {
 		d.rc.close()
 		return nil, err
 	}
@@ -103,8 +102,10 @@ func (d *ScriptedDriver) pump() {
 }
 
 // RunTask dispatches one attempt descriptor and waits for its result; a
-// connection that dies first yields a failed result.
-func (d *ScriptedDriver) RunTask(key string, stage, part, attempt int) TaskResult {
+// connection that dies first yields a failed result. A close of cancel
+// (nil = never) sends msgCancelTask for the attempt once, as the real
+// driver does, and keeps waiting for the result.
+func (d *ScriptedDriver) RunTask(key string, stage, part, attempt int, cancel <-chan struct{}) TaskResult {
 	ch := make(chan TaskResult, 1)
 	d.mu.Lock()
 	d.nextTask++
@@ -118,11 +119,20 @@ func (d *ScriptedDriver) RunTask(key string, stage, part, attempt int) TaskResul
 	e.int(int64(part))
 	e.int(int64(attempt))
 	d.rc.send(msgRunTask, e.b)
-	res, ok := <-ch
-	if !ok {
-		return TaskResult{ErrMsg: "scripted driver: connection closed"}
+	for {
+		select {
+		case res, ok := <-ch:
+			if !ok {
+				return TaskResult{ErrMsg: "scripted driver: connection closed"}
+			}
+			return res
+		case <-cancel:
+			var ce enc
+			ce.uint(taskID)
+			d.rc.send(msgCancelTask, ce.b)
+			cancel = nil
+		}
 	}
-	return res
 }
 
 // Materialize announces a materialization of dataset.

@@ -22,11 +22,11 @@ func benchExchange(b *testing.B, mode Mode, fetchWorkers int, group bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ctx := New(Config{
-			NumExecutors:     4,
-			Parallelism:      2,
-			Mode:             mode,
-			FetchConcurrency: fetchWorkers,
+			NumExecutors: 4,
+			Parallelism:  2,
+			Mode:         mode,
 		})
+		ctx.fetchWorkers = fetchWorkers
 		d := Parallelize(ctx, pairs, 8)
 		b.StartTimer()
 		var err error

@@ -247,7 +247,9 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 // TestChaosSpeculativeRaceLeaksNothing is satellite leak test (c): a
 // straggler map task (stalled by an injected delay) gets a speculative
 // duplicate that wins; the losing attempt is cancelled and its buffers
-// released, with nothing leaked and the answer unchanged.
+// released, with nothing leaked and the answer unchanged. The stall runs
+// at the scheduler's own thresholds: 300ms is ten times the 30ms floor and
+// far above 1.5× the median of tasks that take a few milliseconds.
 func TestChaosSpeculativeRaceLeaksNothing(t *testing.T) {
 	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -260,10 +262,6 @@ func TestChaosSpeculativeRaceLeaksNothing(t *testing.T) {
 			}
 			ctx := chaosCtx(t, kind, inj, func(c *Config) {
 				c.SpeculationEnabled = true
-				c.SpeculationQuantile = 0.5
-				c.SpeculationMultiplier = 1.2
-				c.SpeculationMinRuntime = 10 * time.Millisecond
-				c.SpeculationInterval = time.Millisecond
 			})
 			got := wordCountOn(t, ctx)
 			if !reflect.DeepEqual(got, want) {
@@ -324,8 +322,9 @@ func TestChaosMidMergeReduceFailureRetries(t *testing.T) {
 	}
 }
 
-// TestChaosReduceSpeculationReleasesLoser: with SpeculateReduce on, a
-// stalled reduce attempt gets a speculative twin. Both fetch the same
+// TestChaosReduceSpeculationReleasesLoser: with speculation on, a
+// stalled reduce attempt gets a speculative twin (the stall is sized as in
+// TestChaosSpeculativeRaceLeaksNothing). Both fetch the same
 // pinned inputs (serving is non-consuming), the winner's merge lands,
 // and the loser's is released by its cancel poll or the have-guard —
 // identical answer, no failures counted, nothing leaked.
@@ -341,11 +340,6 @@ func TestChaosReduceSpeculationReleasesLoser(t *testing.T) {
 			}
 			ctx := chaosCtx(t, kind, inj, func(c *Config) {
 				c.SpeculationEnabled = true
-				c.SpeculateReduce = true
-				c.SpeculationQuantile = 0.5
-				c.SpeculationMultiplier = 1.2
-				c.SpeculationMinRuntime = 10 * time.Millisecond
-				c.SpeculationInterval = time.Millisecond
 			})
 			got := wordCountOn(t, ctx)
 			if !reflect.DeepEqual(got, want) {
@@ -370,7 +364,10 @@ func TestChaosReduceSpeculationReleasesLoser(t *testing.T) {
 
 // TestChaosFetchFaultsRetryBelowTaskLevel: injected fetch failures are
 // retried per fetch (never consuming the registration), so the stage
-// completes without any task-level retry noise.
+// completes without any task-level retry noise. Fetch faults are pure
+// hashes of (output, try): under this seed and rate a quarter of the tries
+// fail (11 of them), yet no output fails all fetchRetries+1 of its tries,
+// so not one task attempt is retried.
 func TestChaosFetchFaultsRetryBelowTaskLevel(t *testing.T) {
 	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -378,15 +375,16 @@ func TestChaosFetchFaultsRetryBelowTaskLevel(t *testing.T) {
 
 			inj := chaos.New(2024)
 			inj.FetchFailureRate = 0.25
-			ctx := chaosCtx(t, kind, inj, func(c *Config) {
-				c.FetchRetries = 6
-			})
+			ctx := chaosCtx(t, kind, inj, nil)
 			got := wordCountOn(t, ctx)
 			if !reflect.DeepEqual(got, want) {
 				t.Error("result differs under fetch faults")
 			}
 			if inj.Stats().FetchFailures == 0 {
 				t.Fatal("seed injected no fetch failures")
+			}
+			if n := ctx.Counters()[obs.TaskRetries]; n != 0 {
+				t.Errorf("TaskRetries = %d, want 0: every injected fault should be absorbed by a fetch retry", n)
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)

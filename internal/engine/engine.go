@@ -179,17 +179,6 @@ type Config struct {
 	// shuffle share of the owning executor's budget; negative disables
 	// spilling.
 	ShuffleSpillThreshold int64
-	// FetchConcurrency bounds how many map outputs a reduce task fetches
-	// concurrently ahead of its merge loop. Defaults to 4; 1 narrows the
-	// pipeline to a single fetcher running at most one output ahead of
-	// the merge (the fetch of output m+1 still overlaps the merge of m).
-	FetchConcurrency int
-	// MaxFetchBytesInFlight caps the estimated bytes of map outputs a
-	// reduce task has fetched but not yet merged (Spark's
-	// spark.reducer.maxSizeInFlight). 0 selects 48 MiB; negative removes
-	// the cap. The cap can overshoot by up to FetchConcurrency payloads,
-	// because output sizes are only known once fetched.
-	MaxFetchBytesInFlight int64
 	// TransportKind selects how shuffle map output crosses executors:
 	// TransportInProcess (default) through the shared in-process registry,
 	// TransportTCP over per-executor loopback sockets. Either way a fetch
@@ -221,36 +210,12 @@ type Config struct {
 	// elsewhere. 0 disables blacklisting; the last healthy executor is
 	// never blacklisted.
 	MaxExecutorFailures int
-	// FetchRetries is how many times a reduce task re-tries one map-output
-	// fetch that failed with a transient transport error (socket fault,
-	// timeout, injected fault) before treating it as missing. 0 selects
-	// the default of 2; negative disables fetch retries.
-	FetchRetries int
-	// SpeculationEnabled duplicates straggler map tasks (action stages
-	// never speculate: result slots are not idempotent). Default off.
+	// SpeculationEnabled duplicates straggler map and reduce tasks at the
+	// scheduler's fixed thresholds (sched.Config.Speculate). Reduce stages
+	// qualify under stage commit: inputs stay pinned, so a duplicate
+	// re-fetches them and the loser's merge is released. Action stages
+	// never speculate: result slots are not idempotent. Default off.
 	SpeculationEnabled bool
-	// SpeculateReduce extends speculation to reduce stages. Safe under
-	// the stage-commit protocol — map outputs stay pinned until the
-	// consuming stage commits, so duplicate reduce attempts re-fetch the
-	// same inputs and the loser's partial merge is released. Requires
-	// SpeculationEnabled. Default off.
-	SpeculateReduce bool
-	// BlacklistProbationAfter re-admits a blacklisted executor on
-	// probation after this long: it gets one probe task, and a probe
-	// success reinstates it into placement while a failure re-stamps the
-	// probation clock. 0 (default) disables probation — blacklisting
-	// stays permanent for the context's lifetime.
-	BlacklistProbationAfter time.Duration
-	// SpeculationQuantile is the fraction of a stage's tasks that must
-	// finish before stragglers are duplicated (0 = 0.75).
-	SpeculationQuantile float64
-	// SpeculationMultiplier scales the median task runtime into the
-	// straggler threshold (0 = 1.5).
-	SpeculationMultiplier float64
-	// SpeculationMinRuntime floors the straggler threshold (0 = 30ms).
-	SpeculationMinRuntime time.Duration
-	// SpeculationInterval is the straggler-monitor tick (0 = 2ms).
-	SpeculationInterval time.Duration
 	// Chaos, when non-nil, injects deterministic faults into task attempts
 	// (via the scheduler) and map-output fetches (via a transport
 	// wrapper) — the fault-injection harness of internal/chaos.
@@ -285,23 +250,11 @@ func (c Config) withDefaults() Config {
 	if c.StorageFraction <= 0 || c.StorageFraction > 1 {
 		c.StorageFraction = 0.6
 	}
-	if c.FetchConcurrency <= 0 {
-		c.FetchConcurrency = 4
-	}
-	if c.MaxFetchBytesInFlight == 0 {
-		c.MaxFetchBytesInFlight = 48 << 20
-	}
 	switch {
 	case c.MaxTaskRetries == 0:
 		c.MaxTaskRetries = 3
 	case c.MaxTaskRetries < 0:
 		c.MaxTaskRetries = 0
-	}
-	switch {
-	case c.FetchRetries == 0:
-		c.FetchRetries = 2
-	case c.FetchRetries < 0:
-		c.FetchRetries = 0
 	}
 	return c
 }
@@ -350,6 +303,11 @@ type Context struct {
 
 	closeOnce sync.Once
 
+	// fetchWorkers and fetchBudget shape every reduce task's fetch pipeline
+	// (New: the constants; tests assign other shapes before a shuffle).
+	fetchWorkers int
+	fetchBudget  int64
+
 	// testAfterMapStage, when set, runs between a shuffle's map and reduce
 	// stages (tests: injecting map-output loss to drive the reduce error
 	// path).
@@ -370,31 +328,26 @@ type Context struct {
 func New(conf Config) *Context {
 	conf = conf.withDefaults()
 	c := &Context{
-		conf:       conf,
-		shuffles:   make(map[int]releasable),
-		shuffleReg: make(map[int]materializable),
-		epochs:     make(map[int]int),
-		stageIDs:   make(map[string]int32),
+		conf:         conf,
+		shuffles:     make(map[int]releasable),
+		shuffleReg:   make(map[int]materializable),
+		epochs:       make(map[int]int),
+		stageIDs:     make(map[string]int32),
+		fetchWorkers: fetchConcurrency,
+		fetchBudget:  maxFetchBytesInFlight,
 	}
 	var faults sched.FaultInjector
 	if conf.Chaos != nil {
 		faults = conf.Chaos
 	}
 	c.cluster = sched.NewCluster(sched.Config{
-		NumExecutors:            conf.NumExecutors,
-		SlotsPerExecutor:        conf.Parallelism,
-		MaxTaskRetries:          conf.MaxTaskRetries,
-		MaxExecutorFailures:     conf.MaxExecutorFailures,
-		BlacklistProbationAfter: conf.BlacklistProbationAfter,
-		Speculation: sched.Speculation{
-			Enabled:    conf.SpeculationEnabled,
-			Quantile:   conf.SpeculationQuantile,
-			Multiplier: conf.SpeculationMultiplier,
-			MinRuntime: conf.SpeculationMinRuntime,
-			Interval:   conf.SpeculationInterval,
-		},
-		Hooks:  clusterHooks{c},
-		Faults: faults,
+		NumExecutors:        conf.NumExecutors,
+		SlotsPerExecutor:    conf.Parallelism,
+		MaxTaskRetries:      conf.MaxTaskRetries,
+		MaxExecutorFailures: conf.MaxExecutorFailures,
+		Speculate:           conf.SpeculationEnabled,
+		Hooks:               clusterHooks{c},
+		Faults:              faults,
 	})
 	n := conf.NumExecutors
 	perExec := conf.MemoryBudget / int64(n)

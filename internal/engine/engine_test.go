@@ -535,3 +535,28 @@ func TestCountAndForeach(t *testing.T) {
 		t.Errorf("Foreach: %v, %v", seen, err)
 	}
 }
+
+// TestConfigSurface ratchets the engine's settings: a value no experiment,
+// flag, benchmark workload or deployment sets is a constant, not a field.
+// The ceiling only goes down; a raise states its reason here, as the CI
+// line ratchets do. (29 -> 20 when the fetch pipeline's shape, the fetch
+// retry count, probation and the speculation thresholds became constants.)
+func TestConfigSurface(t *testing.T) {
+	if n := leafFields(reflect.TypeOf(Config{})); n > 20 {
+		t.Errorf("engine.Config has %d settable values, the ceiling is 20", n)
+	}
+}
+
+// leafFields counts the settable values of a config struct; a field whose
+// type is itself a struct of settings counts by its own fields.
+func leafFields(t reflect.Type) int {
+	n := 0
+	for i := range t.NumField() {
+		if f := t.Field(i).Type; f.Kind() == reflect.Struct {
+			n += leafFields(f)
+		} else {
+			n++
+		}
+	}
+	return n
+}

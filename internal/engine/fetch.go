@@ -7,6 +7,23 @@ import (
 	"deca/internal/transport"
 )
 
+// The fetch pipeline's shape. Every run uses these values; tests reach
+// other shapes through Context.fetchWorkers and Context.fetchBudget.
+const (
+	// fetchConcurrency bounds how many map outputs a reduce task fetches
+	// ahead of its merge loop.
+	fetchConcurrency = 4
+	// maxFetchBytesInFlight caps the estimated bytes a reduce task has
+	// fetched but not yet merged (Spark's spark.reducer.maxSizeInFlight).
+	// It can overshoot by up to fetchConcurrency payloads, because an
+	// output's size is only known once it is fetched.
+	maxFetchBytesInFlight = 48 << 20
+	// fetchRetries is how many times one map-output fetch that failed with
+	// a transient transport error (socket fault, timeout, injected fault)
+	// is re-tried before the error is final.
+	fetchRetries = 2
+)
+
 // fetchResult is one map output delivered by the prefetch pipeline.
 type fetchResult struct {
 	pl  transport.Payload
@@ -17,8 +34,8 @@ type fetchResult struct {
 // fetchPipeline overlaps a reduce task's M map-output fetches with its
 // merge loop — the engine's analogue of Spark's pipelined shuffle reads
 // under spark.reducer.maxSizeInFlight. A small worker pool fetches
-// outputs ahead of the merger, bounded two ways: at most FetchConcurrency
-// outstanding fetches, and at most MaxFetchBytesInFlight estimated bytes
+// outputs ahead of the merger, bounded two ways: at most fetchConcurrency
+// outstanding fetches, and at most maxFetchBytesInFlight estimated bytes
 // fetched but not yet merged. Delivery is strictly in map-task order so
 // the merge remains deterministic and identical to the sequential path.
 //
@@ -40,7 +57,7 @@ type fetchPipeline struct {
 	m    int // number of map outputs
 	open transport.FrameOpen
 
-	maxBytes int64 // <0: unbounded
+	maxBytes int64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -64,20 +81,14 @@ func (c *Context) startFetchPipeline(shuf transport.ShuffleID, r, m int, ex *Exe
 		r:        r,
 		m:        m,
 		open:     open,
-		maxBytes: c.conf.MaxFetchBytesInFlight,
+		maxBytes: c.fetchBudget,
 		slots:    make([]chan fetchResult, m),
 	}
 	fp.cond = sync.NewCond(&fp.mu)
 	for i := range fp.slots {
 		fp.slots[i] = make(chan fetchResult, 1)
 	}
-	workers := c.conf.FetchConcurrency
-	if workers > m {
-		workers = m
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(c.fetchWorkers, m), 1)
 	fp.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go fp.worker()
@@ -90,7 +101,7 @@ func (fp *fetchPipeline) worker() {
 	defer fp.wg.Done()
 	for {
 		fp.mu.Lock()
-		for fp.maxBytes >= 0 && fp.inFlight >= fp.maxBytes && !fp.aborted {
+		for fp.inFlight >= fp.maxBytes && !fp.aborted {
 			fp.cond.Wait()
 		}
 		if fp.aborted || fp.next >= fp.m {
@@ -128,18 +139,17 @@ func (fp *fetchPipeline) addInFlightGauge(delta int64) {
 // fetchWithRetry is the per-fetch retry loop: a transient transport error
 // (socket fault, timeout, injected fault) leaves the output registered,
 // so the fetch is re-tried against the serving executor up to
-// Config.FetchRetries times before the error is given up as final. A
-// definitive miss (ok=false, nil error) is never retried — the output is
-// not registered anywhere; the reduce body collects such ids and reports
-// them for map-task-granular lineage repair.
+// fetchRetries times before the error is given up as final. A definitive
+// miss (ok=false, nil error) is never retried — the output is not
+// registered anywhere; the reduce body collects such ids and reports them
+// for map-task-granular lineage repair.
 func (fp *fetchPipeline) fetchWithRetry(id transport.MapOutputID) fetchResult {
-	retries := fp.ctx.conf.FetchRetries
 	for try := 0; ; try++ {
 		pl, ok, err := fp.ctx.trans.Fetch(id, fp.ex.id, fp.open)
 		if err == nil {
 			return fetchResult{pl: pl, ok: ok}
 		}
-		if try >= retries {
+		if try >= fetchRetries {
 			return fetchResult{err: err}
 		}
 	}

@@ -428,22 +428,32 @@ func (f *ctlFollower) retire(keys []string) {
 
 // awaitStageBody blocks until the mirrored program registers the stage's
 // body. The timeout guards against a diverged mirror that will never
-// reach the stage.
-func (f *ctlFollower) awaitStageBody(key string) (taskBody[[]byte], error) {
-	deadline := time.Now().Add(stageBodyTimeout)
-	timer := time.AfterFunc(stageBodyTimeout, f.cond.Broadcast)
-	defer timer.Stop()
-	// Wake the wait loop when the control connection dies, so pending
-	// tasks abort immediately instead of running out the deadline against
-	// a driver that is already gone.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
+// reach the stage; a close of cancel (the driver's CancelTask) ends the
+// wait with sched.ErrCanceled.
+func (f *ctlFollower) awaitStageBody(key string, cancel <-chan struct{}) (taskBody[[]byte], error) {
+	// One watcher ends the wait on whichever comes first — the deadline,
+	// the follower shutting down (the driver is gone), the attempt's cancel
+	// (the driver no longer waits) — by setting ended under mu, so the
+	// wake-up cannot fall between the loop's checks and its cond.Wait.
+	var ended error
+	stop := make(chan struct{})
+	defer close(stop)
 	go func() {
+		var err error
 		select {
+		case <-time.After(stageBodyTimeout):
+			err = fmt.Errorf("engine: no body registered for stage %q within %v (mirror diverged?)", key, stageBodyTimeout)
 		case <-f.ctl.ShutdownCh():
-			f.cond.Broadcast()
-		case <-stopWatch:
+			err = fmt.Errorf("engine: follower shutting down before stage %q ran", key)
+		case <-cancel:
+			err = fmt.Errorf("engine: stage %q canceled before its body registered: %w", key, sched.ErrCanceled)
+		case <-stop:
+			return
 		}
+		f.mu.Lock()
+		ended = err
+		f.mu.Unlock()
+		f.cond.Broadcast()
 	}()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -451,12 +461,8 @@ func (f *ctlFollower) awaitStageBody(key string) (taskBody[[]byte], error) {
 		if body, ok := f.bodies[key]; ok {
 			return body, nil
 		}
-		if f.ctl.Closed() {
-			return nil, fmt.Errorf("engine: follower shutting down before stage %q ran", key)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("engine: no body registered for stage %q within %v (mirror diverged?)",
-				key, stageBodyTimeout)
+		if ended != nil {
+			return nil, ended
 		}
 		f.cond.Wait()
 	}
@@ -467,15 +473,16 @@ func (f *ctlFollower) awaitStageBody(key string) (taskBody[[]byte], error) {
 type followerRuntime struct{ c *Context }
 
 // RunTask executes one dispatched attempt against the mirrored plan.
-// cancel closes when the driver sends CancelTask for this attempt; the
-// body observes it through Attempt.Canceled and stops early.
+// cancel closes when the driver sends CancelTask for this attempt: a wait
+// for the stage's body ends, and a running body observes it through
+// Attempt.Canceled and stops early — either way the answer is Canceled.
 func (r followerRuntime) RunTask(key string, stage, part, attempt int, cancel <-chan struct{}) ctl.TaskResult {
 	f := r.c.follower
-	body, err := f.awaitStageBody(key)
-	if err != nil {
-		return ctl.TaskResult{ErrMsg: err.Error()}
+	var res []byte
+	body, err := f.awaitStageBody(key, cancel)
+	if err == nil {
+		res, err = body(sched.ExternalAttempt(stage, part, attempt, f.me, cancel), r.c.execs[f.me])
 	}
-	res, err := body(sched.ExternalAttempt(stage, part, attempt, f.me, cancel), r.c.execs[f.me])
 	if err == nil {
 		return ctl.TaskResult{OK: true, Result: res}
 	}

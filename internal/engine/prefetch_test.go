@@ -13,28 +13,28 @@ import (
 	"deca/internal/transport"
 )
 
-// prefetchCtx builds a cluster whose reduce fetch pipeline is stressed:
+// prefetchCtx builds a cluster whose reduce fetch pipeline has the given
+// shape (set through the unexported fields New fills from the constants):
 // several workers and a byte budget small enough that every payload waits
 // on it at least once.
 func prefetchCtx(t *testing.T, mode Mode, execs, workers int, maxInFlight int64) *Context {
 	t.Helper()
 	ctx := New(Config{
-		NumExecutors:          execs,
-		Parallelism:           2,
-		Mode:                  mode,
-		PageSize:              4096,
-		SpillDir:              t.TempDir(),
-		FetchConcurrency:      workers,
-		MaxFetchBytesInFlight: maxInFlight,
+		NumExecutors: execs,
+		Parallelism:  2,
+		Mode:         mode,
+		PageSize:     4096,
+		SpillDir:     t.TempDir(),
 	})
+	ctx.fetchWorkers, ctx.fetchBudget = workers, maxInFlight
 	t.Cleanup(ctx.Close)
 	return ctx
 }
 
 // TestPrefetchEquivalence sweeps fetch concurrency and in-flight budgets
-// (including a 1-byte budget, which degenerates to one payload at a time)
-// and checks the shuffle answer never changes. Run under -race this is
-// the cross-executor prefetch data-race test.
+// (including a 1-byte budget, which degenerates to one payload at a time,
+// and the default) and checks the shuffle answer never changes. Run under
+// -race this is the cross-executor prefetch data-race test.
 func TestPrefetchEquivalence(t *testing.T) {
 	var pairs []decompose.Pair[int64, int64]
 	want := map[int64]int64{}
@@ -44,7 +44,7 @@ func TestPrefetchEquivalence(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModeSpark, ModeDeca} {
 		for _, workers := range []int{1, 4, 8} {
-			for _, budget := range []int64{1, 4096, -1} {
+			for _, budget := range []int64{1, 4096, maxFetchBytesInFlight} {
 				ctx := prefetchCtx(t, mode, 4, workers, budget)
 				red := ReduceByKey(Parallelize(ctx, pairs, 8), int64Ops(4),
 					func(a, b int64) int64 { return a + b })
@@ -229,7 +229,7 @@ func (c *countingReleasable) Release() { c.released.Add(1) }
 // were never consumed — never the consumed ones, never twice, and never
 // the registered sources, which stay pinned for the stage's verdict.
 func TestFetchPipelineMissingAndAbort(t *testing.T) {
-	ctx := New(Config{NumExecutors: 1, FetchConcurrency: 4, MaxFetchBytesInFlight: -1})
+	ctx := New(Config{NumExecutors: 1})
 	defer ctx.Close()
 	ex := ctx.Executors()[0]
 

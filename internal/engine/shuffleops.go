@@ -415,7 +415,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		ctx.testAfterMapStage(shufID)
 	}
 
-	// The reduce stage speculates only when the config opts in: under the
+	// The reduce stage speculates whenever speculation is on: under the
 	// commit protocol duplicate reduce attempts are safe (both re-fetch
 	// pinned inputs; the loser's merge is released below or by its cancel
 	// poll). The first task with a buffer to keep makes the map, so a
@@ -424,7 +424,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	var outputs map[int]S
 	reduces := stage{
 		key: shuffleStageKey(shufID, epoch, "reduce"), parts: denseParts(R),
-		speculatable: ctx.conf.SpeculateReduce,
+		speculatable: ctx.conf.SpeculationEnabled,
 		rep:          &lineageRepair{ctx: ctx, maps: maps, body: mapBody},
 	}
 	err = runStage(ctx, reduces, nil, noPartial(func(t sched.Attempt, ex *Executor) error {

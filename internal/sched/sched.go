@@ -3,9 +3,8 @@
 // Spark-shaped recovery model: every (stage, partition) runs as a chain of
 // task *attempts* with a per-task retry budget; repeated attempt failures
 // on one executor blacklist it cluster-wide, after which placement
-// re-routes that executor's partitions to the surviving ones (with an
-// optional timed probation that lets a blacklisted executor earn its way
-// back); and stages whose tasks are safe to duplicate — map stages, whose
+// re-routes that executor's partitions to the surviving ones; and stages
+// whose tasks are safe to duplicate — map stages, whose
 // side effect is map-output registration replacing idempotently, and
 // reduce stages under the engine's stage-commit shuffle protocol, whose
 // fetches are non-consuming — can launch a speculative copy of straggler
@@ -96,39 +95,20 @@ type FaultInjector interface {
 	AfterAttempt(stage, part, attempt, exec int) error
 }
 
-// Speculation tunes straggler duplication for stages that allow it.
-type Speculation struct {
-	// Enabled turns straggler speculation on (default off: it duplicates
-	// work).
-	Enabled bool
-	// Quantile is the fraction of a stage's tasks that must have finished
-	// before any straggler is duplicated (0 = 0.75).
-	Quantile float64
-	// Multiplier scales the median successful-attempt runtime into the
-	// straggler threshold (0 = 1.5).
-	Multiplier float64
-	// MinRuntime floors the straggler threshold, so microsecond tasks do
-	// not speculate on scheduling noise (0 = 30ms).
-	MinRuntime time.Duration
-	// Interval is the straggler-monitor tick (0 = 2ms).
-	Interval time.Duration
-}
-
-func (s Speculation) withDefaults() Speculation {
-	if s.Quantile <= 0 || s.Quantile > 1 {
-		s.Quantile = 0.75
-	}
-	if s.Multiplier <= 0 {
-		s.Multiplier = 1.5
-	}
-	if s.MinRuntime <= 0 {
-		s.MinRuntime = 30 * time.Millisecond
-	}
-	if s.Interval <= 0 {
-		s.Interval = 2 * time.Millisecond
-	}
-	return s
-}
+// The straggler thresholds speculation runs at.
+const (
+	// speculationQuantile is the fraction of a stage's tasks that must have
+	// finished before any straggler is duplicated.
+	speculationQuantile = 0.75
+	// speculationMultiplier scales the median successful-attempt runtime
+	// into the straggler threshold.
+	speculationMultiplier = 1.5
+	// speculationMinRuntime floors the straggler threshold, so microsecond
+	// tasks do not speculate on scheduling noise.
+	speculationMinRuntime = 30 * time.Millisecond
+	// speculationInterval is the straggler-monitor tick.
+	speculationInterval = 2 * time.Millisecond
+)
 
 // Config sizes a Cluster.
 type Config struct {
@@ -146,15 +126,11 @@ type Config struct {
 	// have failed on it. 0 disables blacklisting. The last healthy
 	// executor is never blacklisted.
 	MaxExecutorFailures int
-	// BlacklistProbationAfter, when > 0, gives a blacklisted executor a
-	// probation probe after that long on the blacklist: the next primary
-	// attempt placed while a probe is due runs there. A successful probe
-	// reinstates the executor (failure count reset); a failed one
-	// re-blacklists it and restarts the probation clock. 0 (the default)
-	// keeps blacklists permanent.
-	BlacklistProbationAfter time.Duration
-	// Speculation tunes straggler duplication.
-	Speculation Speculation
+	// Speculate duplicates stragglers of speculatable stages (default off:
+	// it duplicates work). Once speculationQuantile of a stage's tasks
+	// finished, a task running longer than speculationMultiplier × their
+	// median runtime, and at least speculationMinRuntime, gets one twin.
+	Speculate bool
 	// Hooks observes scheduler events (nil = none).
 	Hooks Hooks
 	// Faults is the fault-injection seam (nil = no injected faults).
@@ -174,26 +150,23 @@ func (c Config) withDefaults() Config {
 	if c.Hooks == nil {
 		c.Hooks = nopHooks{}
 	}
-	c.Speculation = c.Speculation.withDefaults()
 	return c
 }
 
 // Cluster holds the scheduler state that outlives a single stage:
 // executor health (failure counts, blacklist) and the stage id counter.
 // Placement policy lives here so the engine's cache-block affinity and
-// the stage scheduler always agree on where a partition runs.
+// the stage scheduler always agree on where a partition runs. A blacklist
+// is permanent for the cluster's lifetime.
 type Cluster struct {
 	conf      Config
 	nextStage atomic.Int64
 
-	mu          sync.Mutex
-	failures    []int
-	blacklisted []bool
-	numHealthy  int
-	// Probation bookkeeping (BlacklistProbationAfter > 0): when each
-	// executor was blacklisted, and whether a probe attempt is in flight.
-	blacklistedAt []time.Time
-	probing       []bool
+	mu            sync.Mutex
+	failures      []int
+	blacklisted   []bool
+	blacklistedAt []time.Time // when each blacklisted executor left placement
+	numHealthy    int
 }
 
 // NewCluster builds a cluster with every executor healthy.
@@ -203,9 +176,8 @@ func NewCluster(conf Config) *Cluster {
 		conf:          conf,
 		failures:      make([]int, conf.NumExecutors),
 		blacklisted:   make([]bool, conf.NumExecutors),
-		numHealthy:    conf.NumExecutors,
 		blacklistedAt: make([]time.Time, conf.NumExecutors),
-		probing:       make([]bool, conf.NumExecutors),
+		numHealthy:    conf.NumExecutors,
 	}
 }
 
@@ -310,12 +282,11 @@ type ExecutorState struct {
 	Exec          int       `json:"exec"`
 	Failures      int       `json:"failures"`
 	Blacklisted   bool      `json:"blacklisted"`
-	Probing       bool      `json:"probing,omitempty"`
 	BlacklistedAt time.Time `json:"blacklisted_at,omitzero"`
 }
 
-// States snapshots every executor's health: attempt-failure count,
-// blacklist membership, and probation-probe status.
+// States snapshots every executor's health: attempt-failure count and
+// blacklist membership.
 func (c *Cluster) States() []ExecutorState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -325,54 +296,12 @@ func (c *Cluster) States() []ExecutorState {
 			Exec:        e,
 			Failures:    c.failures[e],
 			Blacklisted: c.blacklisted[e],
-			Probing:     c.probing[e],
 		}
 		if c.blacklisted[e] {
 			out[e].BlacklistedAt = c.blacklistedAt[e]
 		}
 	}
 	return out
-}
-
-// placeForAttempt resolves a primary attempt's placement, preferring a
-// blacklisted executor whose probation is due: that attempt becomes the
-// executor's single probe task (probe=true), and its outcome must be
-// reported through probeResult. It is deliberately NOT pure — the
-// probation decision reads the clock — which is why the pure placement
-// rule (Place/placeLocked) stays untouched and probation lives in this
-// wrapper consulted only on the attempt path.
-func (c *Cluster) placeForAttempt(part int) (exec int, probe bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d := c.conf.BlacklistProbationAfter; d > 0 {
-		now := time.Now()
-		for e := 0; e < c.conf.NumExecutors; e++ {
-			if c.blacklisted[e] && !c.probing[e] && now.Sub(c.blacklistedAt[e]) >= d {
-				c.probing[e] = true
-				return e, true
-			}
-		}
-	}
-	return c.placeLocked(part, -1), false
-}
-
-// probeResult settles a probation probe: success reinstates the executor
-// into placement with a clean failure record; failure re-blacklists it
-// and restarts the probation clock.
-func (c *Cluster) probeResult(exec int, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.probing[exec] {
-		return
-	}
-	c.probing[exec] = false
-	if ok {
-		c.blacklisted[exec] = false
-		c.failures[exec] = 0
-		c.numHealthy++
-		return
-	}
-	c.blacklistedAt[exec] = time.Now()
 }
 
 // StageOptions selects per-stage scheduling behaviour.
@@ -476,7 +405,7 @@ func (c *Cluster) RunStageOn(partIDs []int, opts StageOptions, body func(Attempt
 	}
 
 	var stopMonitor, monitorDone chan struct{}
-	if opts.Speculatable && c.conf.Speculation.Enabled && len(s.tasks) > 1 {
+	if opts.Speculatable && c.conf.Speculate && len(s.tasks) > 1 {
 		stopMonitor = make(chan struct{})
 		monitorDone = make(chan struct{})
 		go s.monitor(stopMonitor, monitorDone, body)

@@ -126,15 +126,12 @@ func (s *stage) primary(idx int, body func(Attempt) error) {
 		if t.isDone() {
 			return
 		}
-		exec, probe := s.c.placeForAttempt(t.part)
+		exec := s.c.Place(t.part)
 		attempt := t.issueAttempt()
 		if try > 1 {
 			s.c.conf.Hooks.TaskRetried(exec)
 		}
 		err := s.runAttempt(t, attempt, exec, false, body)
-		if probe {
-			s.c.probeResult(exec, err == nil)
-		}
 		if err == nil || t.isDone() {
 			return
 		}
@@ -217,7 +214,7 @@ func (s *stage) runAttempt(t *taskState, attempt, exec int, speculative bool, bo
 // faults — "the executor died after its side effects landed" — only fire
 // on speculatable stages, whose bodies are idempotent under re-execution
 // (map-output re-registration displaces and releases; a reduce stage,
-// speculatable when the config opts in, re-fetches inputs that stay
+// speculatable when speculation is on, re-fetches inputs that stay
 // registered until the stage commits). Action attempts fold into shared
 // result slots, so re-running a *completed* one double-counts; faulting
 // them after success would guarantee a wrong answer rather than exercise
@@ -248,20 +245,16 @@ func (s *stage) recordDuration(d time.Duration) {
 	s.durMu.Unlock()
 }
 
-// monitor is the straggler watchdog for speculatable stages: once the
-// configured quantile of tasks has finished, any task whose current
-// primary attempt has been running longer than Multiplier × the median
-// successful runtime (floored at MinRuntime) gets one speculative
-// duplicate on another executor.
+// monitor is the straggler watchdog for speculatable stages: once
+// speculationQuantile of the tasks have finished, any task whose current
+// primary attempt has been running longer than speculationMultiplier ×
+// the median successful runtime (floored at speculationMinRuntime) gets
+// one speculative duplicate on another executor.
 func (s *stage) monitor(stop <-chan struct{}, done chan<- struct{}, body func(Attempt) error) {
 	defer close(done)
-	spec := s.c.conf.Speculation
-	ticker := time.NewTicker(spec.Interval)
+	ticker := time.NewTicker(speculationInterval)
 	defer ticker.Stop()
-	need := int(math.Ceil(spec.Quantile * float64(len(s.tasks))))
-	if need < 1 {
-		need = 1
-	}
+	need := int(math.Ceil(speculationQuantile * float64(len(s.tasks)))) // ≥ 2: a monitor runs only over several tasks
 	for {
 		select {
 		case <-stop:
@@ -273,7 +266,6 @@ func (s *stage) monitor(stop <-chan struct{}, done chan<- struct{}, body func(At
 }
 
 func (s *stage) maybeSpeculate(need int, body func(Attempt) error) {
-	spec := s.c.conf.Speculation
 	s.durMu.Lock()
 	done := s.doneCount
 	durs := slices.Clone(s.durations)
@@ -283,10 +275,7 @@ func (s *stage) maybeSpeculate(need int, body func(Attempt) error) {
 	}
 	slices.Sort(durs)
 	median := durs[len(durs)/2]
-	threshold := time.Duration(spec.Multiplier * float64(median))
-	if threshold < spec.MinRuntime {
-		threshold = spec.MinRuntime
-	}
+	threshold := max(time.Duration(speculationMultiplier*float64(median)), speculationMinRuntime)
 	now := time.Now()
 	for _, t := range s.tasks {
 		t.mu.Lock()

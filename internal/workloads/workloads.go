@@ -53,7 +53,7 @@ type Config struct {
 	// scheduler (0 = engine defaults; see engine.Config).
 	MaxTaskRetries      int
 	MaxExecutorFailures int
-	// SpeculationEnabled duplicates straggler map tasks.
+	// SpeculationEnabled duplicates straggler map and reduce tasks.
 	SpeculationEnabled bool
 	// Chaos injects deterministic faults (nil = none).
 	Chaos *chaos.Injector `json:"-"`
