@@ -15,13 +15,14 @@ import (
 )
 
 // WireThroughput is the serialization claim of §6.5 measured end to end
-// on the shuffle wire path: a Deca container's network frame is its key
-// table plus a bulk page snapshot (the records are already bytes), while
-// an object container must marshal — and on decode re-materialize —
-// every record through the Kryo-style serializer. The experiment fills
-// an aggregation and a sort container of each flavour with identical
-// LR-shaped records (int64 key, fixed-dimension float vector), then
-// measures encode and decode throughput over the frames.
+// on the shuffle wire path: a Deca container's network frame is a bulk
+// page snapshot (the records are already bytes), while an object
+// container must marshal — and on the fold re-materialize — every record
+// through the Kryo-style serializer. The experiment fills an aggregation
+// and a sort container of each flavour with identical LR-shaped records
+// (int64 key, fixed-dimension int vector), then measures encode (frame
+// segments written out) and decode (stage + fold into a fresh container)
+// throughput over the frames.
 func WireThroughput(o Options) (*Report, error) {
 	o = o.withDefaults()
 	rep := &Report{
@@ -41,22 +42,20 @@ func WireThroughput(o Options) (*Report, error) {
 	}
 
 	// Aggregation containers (ReduceByKey map output).
+	spill := o.Base.SpillDir
+	objCfg := shuffle.ObjectConfig[int64, []int64]{KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: spill}
 	decaMem := memory.NewManager(0, 0)
 	dAgg, err := shuffle.NewDecaAgg[int64, []int64](decaMem,
-		combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
+		combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
 	if err != nil {
 		return nil, err
 	}
-	oAgg := shuffle.NewObjectAgg(combineVec, shuffle.ObjectConfig[int64, []int64]{
-		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.Base.SpillDir,
-	})
+	oAgg := shuffle.NewObjectAgg(combineVec, objCfg)
 	// Sort containers (SortByKey map output): the leanest Deca frame —
 	// pointer array + pages, no key table.
 	dSort := shuffle.NewDecaSort[int64, []int64](decaMem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
-	oSort := shuffle.NewObjectSort(lessI64, shuffle.ObjectConfig[int64, []int64]{
-		KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: o.Base.SpillDir,
-	})
+		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
+	oSort := shuffle.NewObjectSort(lessI64, objCfg)
 	defer dAgg.Release()
 	defer oAgg.Release()
 	defer dSort.Release()
@@ -80,63 +79,46 @@ func WireThroughput(o Options) (*Report, error) {
 		oSort.Put(int64(i), boxed)
 	}
 
+	// Every row runs what the engine runs: an encode builds the container's
+	// frame as segments and writes them out, a decode stages the frame and
+	// folds it into a fresh container of the same kind, as a reduce task
+	// receives a map output.
 	type path struct {
 		label  string
-		encode func(w io.Writer) error
-		decode func(frame []byte) error
+		encode func() (*transport.FrameSegments, error)
+		fresh  func() (folder, error)
 	}
-	spill := o.Base.SpillDir
 	// One long-lived destination manager, as on a real executor: restored
 	// pages return to its pool on release and recycle across fetches —
 	// the steady-state-no-allocation property the decode path inherits.
 	dstMem := memory.NewManager(0, 0)
 	paths := []path{
-		{"agg  Deca", dAgg.EncodeWire, func(frame []byte) error {
-			b, err := shuffle.DecodeDecaAgg[int64, []int64](bytes.NewReader(frame), dstMem,
-				combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
-			if err != nil {
-				return err
-			}
-			b.Release()
-			return nil
+		{"agg  Deca", dAgg.EncodeSegments, func() (folder, error) {
+			return shuffle.NewDecaAgg(dstMem, combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
 		}},
-		{"agg  Object", oAgg.EncodeWire, func(frame []byte) error {
-			b, err := shuffle.DecodeObjectAgg[int64, []int64](bytes.NewReader(frame),
-				combineVec, shuffle.ObjectConfig[int64, []int64]{
-					KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: spill,
-				})
-			if err != nil {
-				return err
-			}
-			b.Release()
-			return nil
+		{"agg  Object", oAgg.EncodeSegments, func() (folder, error) { return shuffle.NewObjectAgg(combineVec, objCfg), nil }},
+		{"sort Deca", dSort.EncodeSegments, func() (folder, error) {
+			return shuffle.NewDecaSort(dstMem, lessI64, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill), nil
 		}},
-		{"sort Deca", dSort.EncodeWire, func(frame []byte) error {
-			b, err := shuffle.DecodeDecaSort[int64, []int64](bytes.NewReader(frame), dstMem, lessI64,
-				decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
-			if err != nil {
-				return err
-			}
-			b.Release()
-			return nil
-		}},
-		{"sort Object", oSort.EncodeWire, func(frame []byte) error {
-			b, err := shuffle.DecodeObjectSort[int64, []int64](bytes.NewReader(frame), lessI64,
-				shuffle.ObjectConfig[int64, []int64]{
-					KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: spill,
-				})
-			if err != nil {
-				return err
-			}
-			b.Release()
-			return nil
-		}},
+		{"sort Object", oSort.EncodeSegments, func() (folder, error) { return shuffle.NewObjectSort(lessI64, objCfg), nil }},
+	}
+	decode := func(p path, frame []byte) error {
+		b, err := p.fresh()
+		if err != nil {
+			return err
+		}
+		defer b.Release()
+		st, err := shuffle.Stage(bytes.NewReader(frame), dstMem, spill)
+		if err != nil {
+			return err
+		}
+		return b.Fold(st)
 	}
 
 	mbps := make([][2]float64, len(paths)) // per path: {encode, decode} MB/s
 	for pi, p := range paths {
 		var frame bytes.Buffer
-		if err := p.encode(&frame); err != nil {
+		if err := writeFrame(&frame, p.encode); err != nil {
 			return nil, fmt.Errorf("wire: %s encode: %w", p.label, err)
 		}
 		size := int64(frame.Len())
@@ -144,7 +126,7 @@ func WireThroughput(o Options) (*Report, error) {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			frame.Reset()
-			if err := p.encode(&frame); err != nil {
+			if err := writeFrame(&frame, p.encode); err != nil {
 				return nil, fmt.Errorf("wire: %s encode: %w", p.label, err)
 			}
 		}
@@ -153,7 +135,7 @@ func WireThroughput(o Options) (*Report, error) {
 		buf := frame.Bytes()
 		start = time.Now()
 		for i := 0; i < iters; i++ {
-			if err := p.decode(buf); err != nil {
+			if err := decode(p, buf); err != nil {
 				return nil, fmt.Errorf("wire: %s decode: %w", p.label, err)
 			}
 		}
@@ -303,6 +285,24 @@ func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, i
 			shape, ratio(rates[2*i], rates[2*i+1]), sums[2*i])
 	}
 	return nil
+}
+
+// folder is a fresh container a decode row folds a staged frame into.
+type folder interface {
+	Fold(*shuffle.Staged) error
+	Release()
+}
+
+// writeFrame builds a frame as segments and writes them out, as a serve
+// ships them.
+func writeFrame(w io.Writer, encode func() (*transport.FrameSegments, error)) error {
+	fs, err := encode()
+	if err != nil {
+		return err
+	}
+	defer fs.Release()
+	_, err = fs.WriteTo(w)
+	return err
 }
 
 func combineVec(a, b []int64) []int64 {

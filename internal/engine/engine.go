@@ -565,7 +565,22 @@ func (c *Context) shuffleOf(datasetID int) materializable {
 // shuffled dataset — the §4.2 lifetime end of a shuffle buffer, once its
 // reading phase has completed. Iterative jobs call this between
 // iterations, which is why PR/CC show milder GC pressure than LR (§6.3).
+//
+// In the multiproc deployment the driver's program order is the one that
+// counts: the driver releases its copy and tells every executor to release
+// the same epoch (releaseEverywhere), and a follower's own call does
+// nothing. A mirror lags its driver, so a release in its program order
+// could land after the driver re-materialized the dataset — freeing the
+// live epoch on one executor while the driver, still live, memoises away
+// that executor's request for it.
 func (c *Context) ReleaseShuffle(datasetID int) {
+	switch {
+	case c.follower != nil:
+		return
+	case c.driver != nil:
+		c.releaseEverywhere(datasetID, c.epochOf(datasetID))
+		return
+	}
 	c.shufMu.Lock()
 	r, ok := c.shuffles[datasetID]
 	delete(c.shuffles, datasetID)

@@ -195,32 +195,39 @@ func (c *Context) epochOf(dataset int) int {
 // materialization, release it everywhere so the reporting task's retry
 // re-materializes it from lineage under the current placement. Stale
 // reports (a newer epoch already exists) are ignored.
-//
-// The driver's own copy is released by the followers' rule — through the
-// permanent registry, under the state lock, epoch-guarded (ReleaseEpoch).
-// The lock is what makes the release and the broadcast one decision: a
-// report can arrive while the driver is still inside the materialization
-// it names (followers go live on the reduce verdict, the driver only when
-// materialize returns), and a release that found nothing to release on
-// the driver yet told the followers to release would leave driver
-// live@epoch / followers released@epoch — the retry's NeedShuffle is then
-// memoised away and the followers wait for an epoch nobody announces.
 func (c *Context) recoverMissingOutput(dataset, epoch int) {
-	if epoch != c.epochOf(dataset) {
+	if epoch != c.epochOf(dataset) || !c.releaseEverywhere(dataset, epoch) {
 		return
 	}
-	st := c.shuffleOf(dataset)
-	if st == nil {
-		return
-	}
-	st.ReleaseEpoch(epoch)
-	c.driver.d.ReleaseDataset(dataset, epoch)
 	// Followers process the release broadcast asynchronously; a beat here
 	// keeps the reporting task's immediate retry from racing it and
 	// burning budget on a second missing-output round trip. (Correctness
 	// does not depend on it: a stale-live materialization is also
 	// released by the next epoch's Materialize announcement.)
 	time.Sleep(20 * time.Millisecond)
+}
+
+// releaseEverywhere is the driver's one way to end a materialization:
+// its own copy, then every executor's, of the same epoch. It reports
+// whether the program has built the dataset's shuffle at all.
+//
+// The driver's own copy is released by the followers' rule — through the
+// permanent registry, under the state lock, epoch-guarded (ReleaseEpoch).
+// The lock is what makes the release and the broadcast one decision: a
+// release can arrive while the driver is still inside the materialization
+// it names (followers go live on the reduce verdict, the driver only when
+// materialize returns), and a release that found nothing to release on
+// the driver yet told the followers to release would leave driver
+// live@epoch / followers released@epoch — the next NeedShuffle is then
+// memoised away and the followers wait for an epoch nobody announces.
+func (c *Context) releaseEverywhere(dataset, epoch int) bool {
+	st := c.shuffleOf(dataset)
+	if st == nil {
+		return false
+	}
+	st.ReleaseEpoch(epoch)
+	c.driver.d.ReleaseDataset(dataset, epoch)
+	return true
 }
 
 // taskBody runs one attempt of one task on ex. P is the partial an action

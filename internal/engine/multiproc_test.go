@@ -33,6 +33,19 @@ var mirrorPrograms = map[string]func(ctx *Context) error{
 		_, err := recoveryProgram(ctx, nil)
 		return err
 	},
+	// release is recovery with a program-order ReleaseShuffle before
+	// action 1, which the mirror reaches only once it holds the epoch the
+	// driver re-materialized after its own release (see
+	// TestMultiprocProgramOrderRelease).
+	"release": func(ctx *Context) error {
+		_, err := recoveryProgram(ctx, func(action, dataset int) {
+			if action == 1 {
+				awaitLive(ctx, dataset, 2)
+				ctx.ReleaseShuffle(dataset)
+			}
+		})
+		return err
+	},
 	"roles": func(ctx *Context) error {
 		_, _, err := rolesProgram(ctx)
 		return err
@@ -169,6 +182,15 @@ func TestMultiprocRecoveryReleaseDuringMaterialize(t *testing.T) {
 			ctx.recoverMissingOutput(dataset, 1)
 		}
 	}
+	runRecoveryProgram(t, ctx, between)
+}
+
+// runRecoveryProgram runs the driver's side of recoveryProgram under a
+// 20 s bound: every action must collect the same answer, and a follower
+// left waiting for a materialization the driver believes it already has
+// hangs the job past the bound.
+func runRecoveryProgram(t *testing.T, ctx *Context, between func(action, dataset int)) {
+	t.Helper()
 	type result struct {
 		outs []map[int64]int64
 		err  error
@@ -191,4 +213,45 @@ func TestMultiprocRecoveryReleaseDuringMaterialize(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("job hung: a follower is waiting for a materialization the driver believes it already has")
 	}
+}
+
+// awaitLive blocks until this process holds the dataset's materialization
+// of epoch live; a mirror that never does is a broken test.
+func awaitLive(ctx *Context, dataset, epoch int) {
+	st := ctx.shuffleOf(dataset).(*shuffleState[decompose.Pair[int64, int64]])
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st.mu.Lock()
+		live := st.live && ctx.epochOf(dataset) == epoch
+		st.mu.Unlock()
+		if live {
+			return
+		}
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("dataset %d never went live at epoch %d here", dataset, epoch))
+		}
+	}
+}
+
+// TestMultiprocProgramOrderRelease pins the cause of the
+// TestMultiprocSIGKILLPageRank hang. The driver releases a shuffled
+// dataset in program order and re-materializes it (as epoch 2) before the
+// next action — in PageRank, recovery re-materializing the adjacency
+// shuffle after the cache blocks built from it died with an executor. A
+// mirror lags its driver, so it can reach the same program-order release
+// only after it went live at epoch 2. If that release freed the mirror's
+// copy, the next action's drain would ask for the dataset again, the
+// driver (live at epoch 2) would memoise the request away, and the mirror
+// would wait for an epoch nobody announces. A follower therefore never
+// releases on its own: the driver's release reaches it as an epoch-guarded
+// broadcast.
+func TestMultiprocProgramOrderRelease(t *testing.T) {
+	ctx := multiprocCtx(t, "release")
+	runRecoveryProgram(t, ctx, func(action, dataset int) {
+		if action == 1 {
+			ctx.ReleaseShuffle(dataset)
+			if err := ctx.MaterializeShuffle(dataset); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }

@@ -53,15 +53,20 @@ func (o PairOps[K, V]) decaGroupAble(ctx *Context) bool {
 }
 
 // pairSink is the surface every keyed-shuffle container offers the
-// exchange: map-side fill and the container lifecycle. Draining is
-// shape-specific, so each operator's sink adds the one drain method it
-// names.
+// exchange: map-side fill, its frame, the reduce-side fold of a fetched
+// frame, and the container lifecycle. Draining is shape-specific, so each
+// operator's sink adds the one drain method it names.
 type pairSink[K comparable, V any] interface {
 	Put(k K, v V)
 	Spill() error
 	Seal() // the fill ended: the container returns what only a Put needed
 	SizeBytes() int64
 	SpilledBytes() int64
+	// EncodeSegments builds the map output's frame for every serve.
+	EncodeSegments() (*transport.FrameSegments, error)
+	// Fold merges a fetched frame of the sink's kind, staged on this
+	// executor, and consumes it.
+	Fold(st *shuffle.Staged) error
 	Release()
 }
 
@@ -93,8 +98,8 @@ func shuffleStageKey(sh transport.ShuffleID, epoch int, phase string) string {
 
 // shuffleMapBody is one map task: fill one buffer per reduce partition
 // from partition m of d, spilling under the derived threshold, and
-// register each with the transport — wrapped by codec in a payload
-// carrying the buffer's wire encoder, so a networked transport can frame
+// register each with the transport — wrapped in a payload carrying the
+// buffer's frame encoder (payloadFor), so a networked transport can frame
 // it without knowing its type. The fill loop polls for cooperative
 // cancellation so the loser of a speculative race releases its buffers
 // and bails out early.
@@ -107,7 +112,6 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	threshold int64,
 	entrySize func(K, V) int,
 	newBuf func(ex *Executor) (S, error),
-	codec wireCodec[S],
 	t sched.Attempt,
 	ex *Executor,
 ) error {
@@ -169,8 +173,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		b.Seal() // nothing probes a map output again: its index goes back now, not at stage commit
 		ctx.noteOccupancy(shufID, b)
 		prev, replaced, err := ctx.trans.Register(
-			transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r},
-			codec.payloadFor(b, ex, b.SizeBytes(), b.SpilledBytes()))
+			transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r}, payloadFor[K, V](b, ex))
 		registered = r + 1 // Register owns b now, even when it fails
 		if replaced {
 			// Task-retry semantics: the displaced registration's buffers
@@ -216,9 +219,8 @@ func lostMapParts(ids []transport.MapOutputID) []int {
 // shuffleReduceBody is one reduce task: fetch the task's M inputs
 // through a bounded-concurrency prefetch pipeline — crossing executors
 // where placement differs, with locality noted per executor — that
-// stages each Deca frame (decodes each Object frame) into this executor's
-// memory manager, and fold the results, in map order, into a buffer
-// created on this executor, releasing each private copy as it folds in.
+// stages each frame on this executor (frameOpen), and fold the staged
+// frames, in map order, into a buffer created on this executor.
 // The source registrations stay pinned (serving is non-consuming), so a
 // failed attempt is simply retryable. Definitively-missing outputs are
 // collected across the whole input set and reported as one
@@ -232,8 +234,6 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 	t sched.Attempt,
 	ex *Executor,
 	newBuf func(ex *Executor) (S, error),
-	merge func(dst, src S) error,
-	codec wireCodec[S],
 ) (out S, err error) {
 	var zero S
 	r := t.Part
@@ -241,7 +241,7 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 	if err != nil {
 		return zero, err
 	}
-	fp := ctx.startFetchPipeline(shufID, r, M, ex, codec.frameOpen(ex))
+	fp := ctx.startFetchPipeline(shufID, r, M, ex, ctx.frameOpen(ex))
 	done := false
 	defer func() {
 		// shutdown releases whatever the workers fetched ahead of a
@@ -272,30 +272,11 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 			fp.merged(res.pl)
 			continue
 		}
-		// A frame the fetch worker staged folds straight into the merged
-		// buffer (Fold consumes it, error or not). Anything else is a
-		// container the fetch worker decoded on this executor, which is this
-		// task's to release, merge error or not.
-		var spilled int64
-		if st, ok := res.pl.Data.(*shuffle.Staged); ok {
-			spilled = st.SpilledBytes()
-			if f, ok := any(merged).(stagedFolder); ok {
-				err = f.Fold(st)
-			} else {
-				st.Release()
-				err = fmt.Errorf("engine: merge buffer %T cannot fold a staged frame", merged)
-			}
-		} else {
-			buf, oerr := codec.open(res.pl)
-			if oerr != nil {
-				fp.merged(res.pl)
-				return zero, oerr
-			}
-			err = merge(merged, buf)
-			spilled = buf.SpilledBytes()
-			buf.Release()
-		}
-		ctx.noteSpill(res.pl.SrcExecutor, spilled)
+		// The staged frame folds straight into the merged buffer (Fold
+		// consumes it, error or not).
+		st := res.pl.Data.(*shuffle.Staged)
+		ctx.noteSpill(res.pl.SrcExecutor, st.SpilledBytes())
+		err = merged.Fold(st)
 		fp.merged(res.pl)
 		if err != nil {
 			return zero, err
@@ -389,8 +370,6 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	R int,
 	entrySize func(K, V) int,
 	newBuf func(ex *Executor) (S, error),
-	merge func(dst, src S) error,
-	codec wireCodec[S],
 ) (map[int]S, error) {
 	ctx := d.ctx
 	M := d.parts
@@ -405,7 +384,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	// Register's replace semantics release whichever set is displaced.
 	maps := stage{key: shuffleStageKey(shufID, epoch, "map"), parts: denseParts(M), speculatable: true}
 	mapBody := noPartial(func(t sched.Attempt, ex *Executor) error {
-		return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, codec, t, ex)
+		return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, t, ex)
 	})
 	if err := runStage(ctx, maps, nil, mapBody); err != nil {
 		ctx.dropShuffleOutputs(shufID)
@@ -428,7 +407,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		rep:          &lineageRepair{ctx: ctx, maps: maps, body: mapBody},
 	}
 	err = runStage(ctx, reduces, nil, noPartial(func(t sched.Attempt, ex *Executor) error {
-		merged, err := shuffleReduceBody(ctx, shufID, M, t, ex, newBuf, merge, codec)
+		merged, err := shuffleReduceBody(ctx, shufID, M, t, ex, newBuf)
 		if err != nil {
 			return err
 		}
@@ -491,28 +470,20 @@ func (s *spillTracker) add() bool {
 }
 
 // sinkShape is what tells one keyed-shuffle operator from another: which
-// containers it fills (S, in a Deca and an Object flavour), how a frame of
-// either flavour opens on the reduce side, and how a finished container
-// drains into output records T.
+// containers it fills (S, in a Deca and an Object flavour) and how a
+// finished container drains into output records T.
 type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 	// deca selects the page-backed flavour; both ends of the exchange
 	// derive it from the same Config and PairOps.
 	deca   bool
 	newBuf func(ex *Executor) (S, error)
-	// decode opens a fetched Object frame (wireCodec).
-	decode func(r shuffle.WireReader) (S, error)
 	drain  func(s S, yield func(T) bool) error
-	// put re-inserts one drained record: Deca map outputs reach the reduce
-	// task as staged frames and fold in by page adoption
-	// (shuffleReduceBody); what arrives as a container — the object path —
-	// drains and re-inserts records.
-	put func(dst S, t T)
 }
 
 // keyedShuffle is the shell ReduceByKey, GroupByKey and SortByKey share: a
 // dataset of R partitions over a memoized exchange of sh's sinks — the
-// codec-registry entry, the shuffle state with its materialize/drain/
-// release wiring, and the dataset registration.
+// shuffle state with its materialize/drain/release wiring, and the dataset
+// registration.
 func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	d *Dataset[decompose.Pair[K, V]],
 	ops PairOps[K, V],
@@ -521,25 +492,16 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	ctx := d.ctx
 	R := ops.partitions(d.parts)
 
-	// The frame is self-describing (a kind byte leads). Deca sinks encode
-	// through their codecs; Object sinks need the Kryo-style serializers to
-	// round-trip one, and a shuffle built without them fails when it
-	// materializes.
-	codec := wireCodec[S]{decode: sh.decode}
+	// Deca sinks encode their frames through their codecs; Object sinks need
+	// the Kryo-style serializers, and a shuffle built without them fails
+	// when it materializes.
 	missing := ""
 	switch {
-	case sh.deca:
-		codec = wireCodec[S]{spillDir: ctx.conf.SpillDir}
+	case sh.deca: // framed through the codecs
 	case ops.KeySer == nil:
 		missing = "KeySer"
 	case ops.ValSer == nil:
 		missing = "ValSer"
-	}
-	merge := func(dst, src S) error {
-		return sh.drain(src, func(t T) bool {
-			sh.put(dst, t)
-			return true
-		})
 	}
 
 	st := newShuffleState[T](ctx, R)
@@ -548,7 +510,7 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 			return fmt.Errorf("engine: shuffle of dataset %d: PairOps.%s is nil, and Object-mode buffers cross executors only as serialized frames",
 				st.datasetID, missing)
 		}
-		outputs, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf, merge, codec)
+		outputs, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf)
 		if err != nil {
 			return err
 		}
@@ -578,11 +540,6 @@ func (o PairOps[K, V]) objectConfig(ctx *Context) shuffle.ObjectConfig[K, V] {
 	}
 }
 
-// putPair re-inserts one drained (key, value) record.
-func putPair[K comparable, V any, S pairSink[K, V]](dst S, p decompose.Pair[K, V]) {
-	dst.Put(p.Key, p.Value)
-}
-
 // ReduceByKey shuffles d by key and eagerly combines values, Spark-style:
 // map tasks combine into per-reduce-partition hash buffers registered with
 // the transport; reduce tasks fetch and merge the map outputs, crossing
@@ -604,13 +561,9 @@ func ReduceByKey[K comparable, V any](
 			}
 			return shuffle.NewObjectAgg(combine, cfg), nil
 		},
-		decode: func(r shuffle.WireReader) (aggSink[K, V], error) {
-			return shuffle.DecodeObjectAgg(r, combine, cfg)
-		},
 		drain: func(s aggSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
 			return s.Drain(func(k K, v V) bool { return yield(KV(k, v)) })
 		},
-		put: putPair[K, V, aggSink[K, V]],
 	})
 }
 
@@ -631,16 +584,8 @@ func GroupByKey[K comparable, V any](
 			}
 			return shuffle.NewObjectGroup(cfg), nil
 		},
-		decode: func(r shuffle.WireReader) (groupSink[K, V], error) {
-			return shuffle.DecodeObjectGroup(r, cfg)
-		},
 		drain: func(s groupSink[K, V], yield func(decompose.Pair[K, []V]) bool) error {
 			return s.Drain(func(k K, vs []V) bool { return yield(KV(k, vs)) })
-		},
-		put: func(dst groupSink[K, V], p decompose.Pair[K, []V]) {
-			for _, v := range p.Value {
-				dst.Put(p.Key, v)
-			}
 		},
 	})
 }
@@ -663,13 +608,9 @@ func SortByKey[K comparable, V any](
 			}
 			return shuffle.NewObjectSort(ops.Key.Less, cfg), nil
 		},
-		decode: func(r shuffle.WireReader) (sortSink[K, V], error) {
-			return shuffle.DecodeObjectSort(r, ops.Key.Less, cfg)
-		},
 		drain: func(s sortSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
 			return s.DrainSorted(func(k K, v V) bool { return yield(KV(k, v)) })
 		},
-		put: putPair[K, V, sortSink[K, V]],
 	})
 }
 

@@ -64,10 +64,17 @@ func (b *ObjectAgg[K, V]) Spill() error {
 	return nil
 }
 
-// EncodeWire serializes the table record by record.
-func (b *ObjectAgg[K, V]) EncodeWire(w io.Writer) error {
-	return b.encodeRecords(w, wireObjectAgg, len(b.table), b.each)
+// EncodeSegments builds the buffer's frame (boxedStore.encodeSegments).
+//
+//deca:owns
+func (b *ObjectAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
+	return b.encodeSegments(wireObjectAgg, len(b.table), b.each)
 }
+
+// Fold merges a staged frame of b's kind into b (boxedStore.fold).
+//
+//deca:transfers
+func (b *ObjectAgg[K, V]) Fold(st *Staged) error { return b.fold(st, wireObjectAgg, b.Put) }
 
 // Drain merges spilled runs back (deserializing and re-aggregating, as
 // Spark's spill merge does) and yields every (key, value) pair. The buffer

@@ -1,13 +1,12 @@
 package shuffle
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"deca/internal/decompose"
 	"deca/internal/serial"
+	"deca/internal/transport"
 )
 
 // ObjectConfig configures an Object container's spilling and size
@@ -109,88 +108,63 @@ func (s *boxedStore[K, V]) Release() {
 	s.approx = 0
 }
 
-// wireEncoder wraps a writer with varint and length-prefix helpers plus a
-// reusable staging buffer for record bytes — the Object containers'
-// record-by-record frame writer. All output is buffered (small records
-// coalesce into few large writes; spill runs pass through) — the caller
-// must flush.
-type wireEncoder struct {
-	w       *bufio.Writer
-	scratch []byte
-	hdr     [binary.MaxVarintLen64]byte
-}
-
-func (e *wireEncoder) raw(b []byte) error {
-	_, err := e.w.Write(b)
-	return err
-}
-
-func (e *wireEncoder) uvarint(v uint64) error {
-	return e.raw(e.hdr[:binary.PutUvarint(e.hdr[:], v)])
-}
-
-// encodeRecords writes the container's frame — kind, record count, every
+// encodeSegments builds the container's frame — kind, record count, every
 // in-memory record as one length-prefixed Marshal(key)+Marshal(value) (the
-// per-record encode cost Deca's page snapshot avoids), then the spill
-// section. records calls emit once per record, n times in all.
-func (s *boxedStore[K, V]) encodeRecords(w io.Writer, kind byte, n int, records func(emit func(K, V) error) error) error {
+// per-record encode cost Deca's page snapshot avoids), then the spill runs
+// as files (runSet.endFrame). records calls emit once per record, n times
+// in all. The caller releases the frame.
+//
+//deca:owns
+func (s *boxedStore[K, V]) encodeSegments(kind byte, n int, records func(emit func(K, V) error) error) (*transport.FrameSegments, error) {
 	if err := s.needSerializers(kind, "encode"); err != nil {
-		return err
+		return nil, err
 	}
-	e := &wireEncoder{w: bufio.NewWriter(w)}
-	e.hdr[0] = kind
-	if err := e.raw(e.hdr[:1]); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(n)); err != nil {
-		return err
-	}
+	fs := newFrame(kind, n)
+	var rec []byte
 	err := records(func(k K, v V) error {
-		e.scratch = s.cfg.ValSer.Marshal(s.cfg.KeySer.Marshal(e.scratch[:0], k), v)
-		if err := e.uvarint(uint64(len(e.scratch))); err != nil {
-			return err
-		}
-		return e.raw(e.scratch)
+		rec = s.cfg.ValSer.Marshal(s.cfg.KeySer.Marshal(rec[:0], k), v)
+		stageUvarint(fs, uint64(len(rec)))
+		_, err := fs.Write(rec)
+		return err
 	})
 	if err != nil {
-		return err
+		fs.Release()
+		return nil, err
 	}
-	if err := s.encode(e); err != nil {
-		return err
-	}
-	return e.w.Flush()
+	return s.endFrame(fs)
 }
 
-// decodeRecords reads an encodeRecords frame inside the destination
-// executor: every record deserializes into fresh objects handed to put
-// (the §6.5 deserialization cost) and the spill runs land in the store's
-// directory.
-func (s *boxedStore[K, V]) decodeRecords(r WireReader, kind byte, put func(K, V)) error {
-	if err := readKind(r, kind); err != nil {
+// fold is every Object container's Fold: the store takes the frame's spill
+// runs over (a drain replays or merges them like its own), and every staged
+// record deserializes into fresh objects handed straight to put — the
+// §6.5 deserialization cost, paid once, into the one container. Fold
+// consumes st on every path; a corrupt record is an error that leaves the
+// container holding the records before it, for the caller to release.
+//
+//deca:transfers
+func (s *boxedStore[K, V]) fold(st *Staged, kind byte, put func(K, V)) error {
+	defer st.Release()
+	if err := st.check(kind); err != nil {
 		return err
 	}
-	if err := s.needSerializers(kind, "decode"); err != nil {
+	if err := s.needSerializers(kind, "fold"); err != nil {
 		return err
 	}
-	recName := kindName(kind) + " record"
-	n, err := readCount(r, recName)
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		if buf, err = readLenBytes(r, buf, recName); err != nil {
-			return err
-		}
-		k, kn := s.cfg.KeySer.Unmarshal(buf)
+	s.take(&st.runSet)
+	recs := st.recs
+	for i := 0; i < st.n; i++ {
+		size, w := binary.Uvarint(recs) // Stage wrote the prefixes: n of them, each followed by its bytes
+		rec := recs[w : w+int(size)]
+		recs = recs[w+int(size):]
+		k, kn := s.cfg.KeySer.Unmarshal(rec)
 		if kn <= 0 {
-			return fmt.Errorf("shuffle: %s %d: corrupt key", recName, i)
+			return fmt.Errorf("shuffle: %s record %d: corrupt key", kindName(kind), i)
 		}
-		v, vn := s.cfg.ValSer.Unmarshal(buf[kn:])
-		if vn <= 0 {
-			return fmt.Errorf("shuffle: %s %d: corrupt value", recName, i)
+		v, vn := s.cfg.ValSer.Unmarshal(rec[kn:])
+		if vn <= 0 || kn+vn != len(rec) {
+			return fmt.Errorf("shuffle: %s record %d: corrupt value", kindName(kind), i)
 		}
 		put(k, v)
 	}
-	return s.restore(r)
+	return nil
 }

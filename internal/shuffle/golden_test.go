@@ -3,7 +3,6 @@ package shuffle
 import (
 	"bytes"
 	"encoding/hex"
-	"io"
 	"testing"
 
 	"deca/internal/memory"
@@ -42,15 +41,10 @@ var goldenFrames = map[string]string{
 		"01200700000000000000090000000000000007000000000000000900000000000000",
 }
 
-type wireBuffer interface {
-	EncodeWire(io.Writer) error
-	Release()
-}
-
 func TestGoldenDecaFrames(t *testing.T) {
 	dir := t.TempDir()
-	build := map[string]func(mem *memory.Manager) wireBuffer{
-		"agg": func(mem *memory.Manager) wireBuffer {
+	build := map[string]func(mem *memory.Manager) frameBuffer{
+		"agg": func(mem *memory.Manager) frameBuffer {
 			b, err := NewDecaAgg[int64, int64](mem, addI, i64, i64, dir)
 			if err != nil {
 				t.Fatal(err)
@@ -65,7 +59,7 @@ func TestGoldenDecaFrames(t *testing.T) {
 			}
 			return b
 		},
-		"group": func(mem *memory.Manager) wireBuffer {
+		"group": func(mem *memory.Manager) frameBuffer {
 			b := NewDecaGroup[int64, int64](mem, i64, i64, dir)
 			b.Put(7, 100)
 			b.Put(7, 101)
@@ -77,7 +71,7 @@ func TestGoldenDecaFrames(t *testing.T) {
 			}
 			return b
 		},
-		"sort": func(mem *memory.Manager) wireBuffer {
+		"sort": func(mem *memory.Manager) frameBuffer {
 			b := NewDecaSort[int64, int64](mem, lessI, i64, i64, dir)
 			b.Put(7, 9) // identical records: the run's bytes do not depend on sort stability
 			b.Put(7, 9)
@@ -94,7 +88,7 @@ func TestGoldenDecaFrames(t *testing.T) {
 		mem := memory.NewManager(32, 0)
 		b := build[name](mem)
 		var frame bytes.Buffer
-		if err := b.EncodeWire(&frame); err != nil {
+		if err := writeSegments(&frame, b.EncodeSegments); err != nil {
 			t.Fatal(err)
 		}
 		b.Release()

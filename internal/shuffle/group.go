@@ -9,6 +9,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/transport"
 )
 
 // ObjectGroup is the Spark-semantics groupByKey buffer: a hash table from
@@ -67,10 +68,17 @@ func (b *ObjectGroup[K, V]) Spill() error {
 	return nil
 }
 
-// EncodeWire serializes every (key, value) pair flat.
-func (b *ObjectGroup[K, V]) EncodeWire(w io.Writer) error {
-	return b.encodeRecords(w, wireObjectGroup, b.count, b.each)
+// EncodeSegments builds the buffer's frame (boxedStore.encodeSegments).
+//
+//deca:owns
+func (b *ObjectGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
+	return b.encodeSegments(wireObjectGroup, b.count, b.each)
 }
+
+// Fold merges a staged frame of b's kind into b (boxedStore.fold).
+//
+//deca:transfers
+func (b *ObjectGroup[K, V]) Fold(st *Staged) error { return b.fold(st, wireObjectGroup, b.Put) }
 
 // Drain merges spills back and yields every key with its complete value
 // list.

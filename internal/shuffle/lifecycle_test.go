@@ -14,6 +14,7 @@ import (
 
 	"deca/internal/memory"
 	"deca/internal/serial"
+	"deca/internal/transport"
 )
 
 // container is one shuffle buffer of int64 keys and values as the
@@ -28,17 +29,16 @@ type container struct {
 	// has one value per key, the sum). inOrder reports whether keys arrived
 	// in ascending order, which only the sort buffers promise.
 	drain func() (got map[int64][]int64, inOrder bool, err error)
-	// merge takes over src, a container of the same kind, the way the
-	// reduce side merges it: MergeFrom for the Deca kinds, drain and re-Put
-	// for the Object ones. The caller releases src afterwards.
+	// merge takes over src, a container of the same kind: MergeFrom for the
+	// Deca kinds, src's frame staged and folded — the reduce side's one
+	// path — for the Object ones. The caller releases src afterwards.
 	merge func(src container) error
 	self  any // the concrete buffer, for merge's type assertion
 }
 
 // containerCase is one of the six kinds: how to build an empty buffer and
-// how a frame of it is received on the far side — decoded record by record
-// (Object), or staged and folded into a fresh buffer (Deca: that is what
-// DecodeDeca* are).
+// how a frame of it is received on the far side — staged and folded into a
+// fresh buffer (for the Deca kinds, that is what DecodeDeca* are).
 type containerCase struct {
 	name    string
 	hash    bool // spill runs are folded back in (and consumed) by the drain
@@ -74,49 +74,62 @@ func pairs(drain func(func(k, v int64) bool) error) func() (map[int64][]int64, b
 	})
 }
 
+// wire writes the frame encode builds, as a serve ships it.
+func wire(encode func() (*transport.FrameSegments, error)) func(io.Writer) error {
+	return func(w io.Writer) error { return writeSegments(w, encode) }
+}
+
+// foldFrame receives an Object frame into b as a reduce task does: staged
+// (no manager: an Object frame has no pages), then folded.
+func foldFrame(b interface{ Fold(*Staged) error }, frame []byte, dir string) error {
+	st, err := Stage(bytes.NewReader(frame), nil, dir)
+	if err != nil {
+		return err
+	}
+	return b.Fold(st)
+}
+
+// refold merges src into b through src's frame.
+func refold(b interface{ Fold(*Staged) error }, src container) error {
+	var frame bytes.Buffer
+	if err := src.encode(&frame); err != nil {
+		return err
+	}
+	return foldFrame(b, frame.Bytes(), src.runs.dir)
+}
+
 func wrapObjectAgg(b *ObjectAgg[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: b.EncodeWire, release: b.Release, runs: &b.runSet, self: b,
+	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.Drain),
-		merge: func(src container) error {
-			return src.self.(*ObjectAgg[int64, int64]).Drain(func(k, v int64) bool { b.Put(k, v); return true })
-		}}
+		merge: func(src container) error { return refold(b, src) }}
 }
 
 func wrapDecaAgg(b *DecaAgg[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: b.EncodeWire, release: b.Release, runs: &b.runSet, self: b,
+	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.Drain),
 		merge: func(src container) error { return b.MergeFrom(src.self.(*DecaAgg[int64, int64])) }}
 }
 
 func wrapObjectGroup(b *ObjectGroup[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: b.EncodeWire, release: b.Release, runs: &b.runSet, self: b,
+	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: collect(b.Drain),
-		merge: func(src container) error {
-			return src.self.(*ObjectGroup[int64, int64]).Drain(func(k int64, vs []int64) bool {
-				for _, v := range vs {
-					b.Put(k, v)
-				}
-				return true
-			})
-		}}
+		merge: func(src container) error { return refold(b, src) }}
 }
 
 func wrapDecaGroup(b *DecaGroup[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: b.EncodeWire, release: b.Release, runs: &b.runSet, self: b,
+	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: collect(b.Drain),
 		merge: func(src container) error { return b.MergeFrom(src.self.(*DecaGroup[int64, int64])) }}
 }
 
 func wrapObjectSort(b *ObjectSort[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: b.EncodeWire, release: b.Release, runs: &b.runSet, self: b,
+	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.DrainSorted),
-		merge: func(src container) error {
-			return src.self.(*ObjectSort[int64, int64]).DrainSorted(func(k, v int64) bool { b.Put(k, v); return true })
-		}}
+		merge: func(src container) error { return refold(b, src) }}
 }
 
 func wrapDecaSort(b *DecaSort[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: b.EncodeWire, release: b.Release, runs: &b.runSet, self: b,
+	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.DrainSorted),
 		merge: func(src container) error { return b.MergeFrom(src.self.(*DecaSort[int64, int64])) }}
 }
@@ -131,13 +144,14 @@ func wrapped[B any](wrap func(B) container) func(b B, err error) (container, err
 	}
 }
 
-// containerCases is the six-kind sibling of frameCases (which stays
-// Deca-only: the stage parser and its allocation budget range over it).
+// containerCases is the six-kind sibling of frameCases (which drives the
+// stage parser and its allocation budget, not a lifecycle).
 var containerCases = []containerCase{
 	{name: "ObjectAgg", hash: true, agg: true,
 		new: func(_ *memory.Manager, dir string) container { return wrapObjectAgg(NewObjectAgg(addI, objCfg(dir))) },
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
-			return wrapped(wrapObjectAgg)(DecodeObjectAgg(bytes.NewReader(frame), addI, objCfg(dir)))
+			b := NewObjectAgg(addI, objCfg(dir))
+			return wrapObjectAgg(b), foldFrame(b, frame, dir)
 		}},
 	{name: "DecaAgg", hash: true, agg: true,
 		new: func(mem *memory.Manager, dir string) container {
@@ -153,7 +167,8 @@ var containerCases = []containerCase{
 	{name: "ObjectGroup", hash: true,
 		new: func(_ *memory.Manager, dir string) container { return wrapObjectGroup(NewObjectGroup(objCfg(dir))) },
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
-			return wrapped(wrapObjectGroup)(DecodeObjectGroup(bytes.NewReader(frame), objCfg(dir)))
+			b := NewObjectGroup(objCfg(dir))
+			return wrapObjectGroup(b), foldFrame(b, frame, dir)
 		}},
 	{name: "DecaGroup", hash: true,
 		new: func(mem *memory.Manager, dir string) container {
@@ -167,7 +182,8 @@ var containerCases = []containerCase{
 			return wrapObjectSort(NewObjectSort(lessI, objCfg(dir)))
 		},
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
-			return wrapped(wrapObjectSort)(DecodeObjectSort(bytes.NewReader(frame), lessI, objCfg(dir)))
+			b := NewObjectSort(lessI, objCfg(dir))
+			return wrapObjectSort(b), foldFrame(b, frame, dir)
 		}},
 	{name: "DecaSort",
 		new: func(mem *memory.Manager, dir string) container {
@@ -337,7 +353,8 @@ func TestDrainSurvivesFailedReplay(t *testing.T) {
 
 // goldenObjectFrames pins the Object wire format and, inside it, the
 // serialized spill-run format: frames written by the tree before the
-// storage layers were factored out (PR 13), one per kind. Each hash
+// storage layers were factored out, one per kind, which EncodeSegments
+// writes byte for byte and Stage + Fold receive. Each hash
 // container holds a single key, so map iteration cannot reorder it, and
 // every frame carries one spill run.
 var goldenObjectFrames = map[string]string{
@@ -356,15 +373,15 @@ func TestGoldenObjectFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	build := map[string]func() wireBuffer{
-		"agg": func() wireBuffer {
+	build := map[string]func() frameBuffer{
+		"agg": func() frameBuffer {
 			b := NewObjectAgg(addI, aggCfg)
 			b.Put("seven", 40)
 			mustSpill(b.Spill)
 			b.Put("seven", 2)
 			return b
 		},
-		"group": func() wireBuffer {
+		"group": func() frameBuffer {
 			b := NewObjectGroup(groupCfg)
 			b.Put(7, "a")
 			b.Put(7, "bb")
@@ -373,7 +390,7 @@ func TestGoldenObjectFrames(t *testing.T) {
 			b.Put(7, "")
 			return b
 		},
-		"sort": func() wireBuffer {
+		"sort": func() frameBuffer {
 			b := NewObjectSort(lessI, objCfg(dir))
 			b.Put(9, 1)
 			b.Put(3, 2)
@@ -383,43 +400,44 @@ func TestGoldenObjectFrames(t *testing.T) {
 			return b
 		},
 	}
-	// What each golden frame holds, as its decoder must drain it.
+	// What each golden frame holds, as a fresh buffer that folds it must
+	// drain it.
 	decode := map[string]func(frame []byte) (got, want any, err error){
 		"agg": func(frame []byte) (any, any, error) {
-			b, err := DecodeObjectAgg(bytes.NewReader(frame), addI, aggCfg)
-			if err != nil {
-				return nil, nil, err
-			}
+			b := NewObjectAgg(addI, aggCfg)
 			defer b.Release()
 			got := map[string]int64{}
-			err = b.Drain(func(k string, v int64) bool { got[k] = v; return true })
+			err := foldFrame(b, frame, dir)
+			if err == nil {
+				err = b.Drain(func(k string, v int64) bool { got[k] = v; return true })
+			}
 			return got, map[string]int64{"seven": 42}, err
 		},
 		"group": func(frame []byte) (any, any, error) {
-			b, err := DecodeObjectGroup(bytes.NewReader(frame), groupCfg)
-			if err != nil {
-				return nil, nil, err
-			}
+			b := NewObjectGroup(groupCfg)
 			defer b.Release()
 			got := map[int64][]string{}
-			err = b.Drain(func(k int64, vs []string) bool { got[k] = vs; return true })
+			err := foldFrame(b, frame, dir)
+			if err == nil {
+				err = b.Drain(func(k int64, vs []string) bool { got[k] = vs; return true })
+			}
 			return got, map[int64][]string{7: {"ccc", "", "a", "bb"}}, err
 		},
 		"sort": func(frame []byte) (any, any, error) {
-			b, err := DecodeObjectSort(bytes.NewReader(frame), lessI, objCfg(dir))
-			if err != nil {
-				return nil, nil, err
-			}
+			b := NewObjectSort(lessI, objCfg(dir))
 			defer b.Release()
 			var got [][2]int64
-			err = b.DrainSorted(func(k, v int64) bool { got = append(got, [2]int64{k, v}); return true })
+			err := foldFrame(b, frame, dir)
+			if err == nil {
+				err = b.DrainSorted(func(k, v int64) bool { got = append(got, [2]int64{k, v}); return true })
+			}
 			return got, [][2]int64{{-1, 4}, {3, 2}, {5, 3}, {9, 1}}, err
 		},
 	}
 	for name, want := range goldenObjectFrames {
 		b := build[name]()
 		var frame bytes.Buffer
-		if err := b.EncodeWire(&frame); err != nil {
+		if err := writeSegments(&frame, b.EncodeSegments); err != nil {
 			t.Fatal(err)
 		}
 		b.Release()

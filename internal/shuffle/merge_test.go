@@ -3,7 +3,6 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"testing"
@@ -52,10 +51,7 @@ func aggSources(t *testing.T, m *memory.Manager, n int, c mergeCase, dir string)
 
 // stageFrom ships src across the wire — encode, release, stage into m —
 // the way a reduce task's fetch worker receives a map output.
-func stageFrom(t *testing.T, src interface {
-	EncodeWire(io.Writer) error
-	Release()
-}, stage func(r WireReader) (*Staged, error)) *Staged {
+func stageFrom(t *testing.T, src frameBuffer, stage func(r WireReader) (*Staged, error)) *Staged {
 	t.Helper()
 	st, err := stage(bytes.NewReader(encodeFrame(t, src)))
 	if err != nil {

@@ -2,7 +2,6 @@ package shuffle
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"deca/internal/memory"
@@ -17,7 +16,7 @@ import (
 // the Put/Drain/absorb that read it; spilling, adopting another store, the
 // wire frame and the end of the lifetime are written here, once.
 //
-// The frame (built by encodeSegments, parsed by Stage) is kind byte |
+// The Deca frame (built by encodeSegments, parsed by Stage) is kind byte |
 // uvarint n | DecaSort only: n record pointers, two fixed little-endian
 // uint32s each, bulk-copyable on both ends | memory.Group.Snapshot | spill
 // section (runSet.restore). Record bytes never leave their pages.
@@ -63,11 +62,11 @@ func (ps *pageStore) adopt(src *pageStore, n int) (base int, ok bool) {
 	return ps.group.AdoptPages(src.group), true
 }
 
-// adoptStaged is the head of every Fold: check the frame is of the
-// container's own kind, then adopt it like any other store.
+// adoptStaged is the head of every Deca Fold: check the frame
+// (Staged.check), then adopt it like any other store.
 func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err error) {
-	if st.released || st.kind != kind {
-		return 0, false, fmt.Errorf("shuffle: %s cannot fold a staged %s frame (released=%v)", kindName(kind), kindName(st.kind), st.released)
+	if err := st.check(kind); err != nil {
+		return 0, false, err
 	}
 	base, ok = ps.adopt(&st.pageStore, st.n)
 	return base, ok, nil
@@ -77,8 +76,8 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 // transport.FrameSegments: the header and the index's table (n entries,
 // staged by table; nil when the kind has none) go into the frame's scratch
 // chunks, the page snapshot is referenced in place from the retained
-// group, spill runs are referenced as opened files — the serve path ships
-// them with writev/sendfile instead of staging the frame.
+// group, spill runs are referenced as opened files (runSet.endFrame) — the
+// serve path ships them with writev/sendfile instead of staging the frame.
 //
 // Ownership: the frame retains the page group and holds the opened spill
 // files until the caller invokes its Release, exactly once, after the last
@@ -87,19 +86,13 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 //
 //deca:owns
 func (ps *pageStore) encodeSegments(kind byte, n int, table func(fs *transport.FrameSegments)) (*transport.FrameSegments, error) {
-	fs := transport.NewFrameSegments()
+	fs := newFrame(kind, n)
 	fs.Owner(ps.group.Retain().Release)
-	fs.Stage(1)[0] = kind
-	stageUvarint(fs, uint64(n))
 	if table != nil {
 		table(fs)
 	}
 	ps.group.SnapshotSegments(fs.Stage, fs.AppendPage)
-	if err := ps.appendSegments(fs); err != nil {
-		fs.Release()
-		return nil, err
-	}
-	return fs, nil
+	return ps.endFrame(fs)
 }
 
 // writeSegments is every Deca EncodeWire: build the frame, flush its
@@ -114,19 +107,13 @@ func writeSegments(w io.Writer, encode func() (*transport.FrameSegments, error))
 	return err
 }
 
-// Release frees the page group wholesale and deletes the spill files: the
-// container's lifetime ends, its space reclaims at once. Idempotent.
+// Release frees the page group wholesale (a staged Object frame has none)
+// and deletes the spill files: the container's lifetime ends, its space
+// reclaims at once. Idempotent.
 func (ps *pageStore) Release() {
-	if ps.release() {
+	if ps.release() && ps.group != nil {
 		ps.group.Release()
 	}
-}
-
-// stageUvarint stages v at the frame's current position.
-func stageUvarint(fs *transport.FrameSegments, v uint64) {
-	var hdr [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(hdr[:], v)
-	copy(fs.Stage(k), hdr[:k])
 }
 
 // putPtr writes p in the wire layout getPtr reads.

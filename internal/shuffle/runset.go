@@ -90,20 +90,6 @@ func writeSpill(dir string, fn func(w *spillWriter) error) (spillFile, error) {
 	return spillFile{path: f.Name(), size: sw.n}, nil
 }
 
-// writeTo streams the run file into w (the wire encode path: spill runs
-// cross the network as raw file bytes, no re-read into a record pass).
-func (s spillFile) writeTo(w io.Writer) error {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return fmt.Errorf("shuffle: opening spill %s: %w", s.path, err)
-	}
-	defer f.Close()
-	if _, err := io.Copy(w, f); err != nil {
-		return fmt.Errorf("shuffle: streaming spill %s: %w", s.path, err)
-	}
-	return nil
-}
-
 // restoreSpill writes the next size bytes of r into a fresh run file in
 // dir — the receiving end of a spill run that crossed the wire.
 func restoreSpill(dir string, r io.Reader, size int64) (spillFile, error) {
@@ -271,36 +257,23 @@ func (rs *runSet) restore(r WireReader) error {
 	return nil
 }
 
-// encode streams the spill section restore reads through e.
-func (rs *runSet) encode(e *wireEncoder) error {
-	if err := e.uvarint(uint64(len(rs.spills))); err != nil {
-		return err
-	}
-	for _, run := range rs.spills {
-		if err := e.uvarint(uint64(run.size)); err != nil {
-			return err
-		}
-		if err := run.writeTo(e.w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendSegments appends the same spill section to fs with each run's
-// bytes served from an opened descriptor (the sendfile path). The files
-// appended before an error are fs's to close.
-func (rs *runSet) appendSegments(fs *transport.FrameSegments) error {
+// endFrame ends a container's frame with the spill section restore reads,
+// each run's bytes served from an opened descriptor (the sendfile path),
+// and returns it. On error the frame is released.
+//
+//deca:transfers
+func (rs *runSet) endFrame(fs *transport.FrameSegments) (*transport.FrameSegments, error) {
 	stageUvarint(fs, uint64(len(rs.spills)))
 	for _, run := range rs.spills {
 		stageUvarint(fs, uint64(run.size))
 		f, err := os.Open(run.path)
 		if err != nil {
-			return fmt.Errorf("shuffle: opening spill %s: %w", run.path, err)
+			fs.Release()
+			return nil, fmt.Errorf("shuffle: opening spill %s: %w", run.path, err)
 		}
 		fs.AppendFile(f, run.size)
 	}
-	return nil
+	return fs, nil
 }
 
 // release deletes the runs still in the set. It reports whether this call

@@ -59,11 +59,19 @@ func (b *ObjectSort[K, V]) Spill() error {
 	return nil
 }
 
-// EncodeWire serializes the in-memory records in insertion order, then
-// streams the sorted spill runs.
-func (b *ObjectSort[K, V]) EncodeWire(w io.Writer) error {
-	return b.encodeRecords(w, wireObjectSort, len(b.records), b.each)
+// EncodeSegments builds the buffer's frame (boxedStore.encodeSegments):
+// the in-memory records in insertion order, then the sorted spill runs.
+//
+//deca:owns
+func (b *ObjectSort[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
+	return b.encodeSegments(wireObjectSort, len(b.records), b.each)
 }
+
+// Fold merges a staged frame of b's kind into b (boxedStore.fold); its
+// sorted runs join the k-way merge untouched.
+//
+//deca:transfers
+func (b *ObjectSort[K, V]) Fold(st *Staged) error { return b.fold(st, wireObjectSort, b.Put) }
 
 func (b *ObjectSort[K, V]) sortRecords() {
 	sort.SliceStable(b.records, func(i, j int) bool {
@@ -74,8 +82,8 @@ func (b *ObjectSort[K, V]) sortRecords() {
 // DrainSorted yields all records in key order, k-way merging any sorted
 // spill runs with the in-memory records. Draining does not consume the
 // buffer: spill runs stay on disk until Release, so a memoized shuffle
-// output — which may hold runs transferred in by MergeFrom — drains
-// identically on every action.
+// output — which may hold runs taken over by Fold — drains identically on
+// every action.
 func (b *ObjectSort[K, V]) DrainSorted(yield func(K, V) bool) error {
 	b.sortRecords()
 	return mergeSorted(&b.runSet, b.decodePair, b.records, b.less, yield)

@@ -9,16 +9,20 @@ import (
 	"deca/internal/memory"
 )
 
-// Stage → fold: how a fetched Deca frame joins the reduce-side buffer
-// (DESIGN.md, "Reduce merge: stage → fold").
+// Stage → fold: how a fetched frame joins the reduce-side buffer (DESIGN.md,
+// "Reduce merge: stage → fold"), for all six containers.
 //
 // Stage (the fetch-pipeline worker runs it as the frame streams off the
-// transport) restores the page bodies straight into the destination manager
-// — and, for DecaSort, reads the record pointers into one flat array. It
-// builds no map, no per-key slice and no container: a staged frame is O(1)
-// heap objects whatever its key count. Fold (the reduce task runs it, in
-// map order) adopts the pages and walks, once in wire order, their own
-// records (DecaAgg, DecaGroup) or the pointer array (DecaSort).
+// transport) restores a Deca frame's page bodies straight into the
+// destination manager — and, for DecaSort, reads the record pointers into
+// one flat array — and reads an Object frame's records, still serialized,
+// into one byte slice; either frame's spill runs land in the spill
+// directory. It builds no map, no per-key slice and no container: a staged
+// frame is O(1) heap objects whatever its key count. Fold (the reduce task
+// runs it, in map order) takes the runs over and walks the records once,
+// in wire order: a Deca container adopts the pages and indexes their own
+// records (DecaAgg, DecaGroup) or the pointer array (DecaSort); an Object
+// container deserializes each record into its table through Put.
 
 // kindNames names the frame kinds in error text.
 var kindNames = [...]string{
@@ -30,28 +34,31 @@ var kindNames = [...]string{
 // kindName names one of the frame kind constants.
 func kindName(kind byte) string { return kindNames[kind] }
 
-// Staged is one Deca frame staged for folding. Its page store owns the
-// restored page group and spill runs until a Fold adopts them or Release
-// ends them; Fold consumes the frame either way.
+// Staged is one frame staged for folding. Its page store owns the spill
+// runs and, for a Deca frame, the restored page group until a Fold adopts
+// them or Release ends them; Fold consumes the frame either way.
 type Staged struct {
 	pageStore
-	kind byte // wireDecaAgg, wireDecaGroup or wireDecaSort
-	n    int  // live key records (agg, group) or records (sort)
+	kind byte
+	n    int // live key records (DecaAgg, DecaGroup) or records (the rest)
 	// ptrs holds DecaSort's records. They address group's pages as-is.
 	ptrs []memory.Ptr
+	// recs holds an Object frame's n records as they stood on the wire:
+	// uvarint length | Marshal(key) | Marshal(value), each.
+	recs []byte
 }
 
 // stagePresize caps how many entries a stage or a fold reserves room for
-// on the strength of the count header alone; past it the pointer array and
-// the index grow as records actually arrive, so a corrupt count cannot
-// turn into a huge allocation.
+// on the strength of the count header alone; past it the pointer array,
+// the record bytes and the index grow as records actually arrive, so a
+// corrupt count cannot turn into a huge allocation.
 const stagePresize = 1 << 18
 
-// Stage stages a Deca frame inside the destination executor: pages restore
-// into mem, spill runs land in spillDir. The frame says which container's
-// it is (its kind byte leads) and only that container's Fold takes it. No
-// frame has a key table, so the stage holds no per-key state; the records
-// are checked when Fold walks them.
+// Stage stages a frame inside the destination executor: pages restore into
+// mem, spill runs land in spillDir. The frame says which container's it is
+// (its kind byte leads) and only that container's Fold takes it. No frame
+// has a key table, so the stage holds no per-key state; the records are
+// checked when Fold walks them.
 //
 //deca:owns
 func Stage(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) {
@@ -59,24 +66,30 @@ func Stage(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) 
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: frame kind: %w", err)
 	}
-	if kind != wireDecaAgg && kind != wireDecaGroup && kind != wireDecaSort {
-		return nil, fmt.Errorf("shuffle: frame of kind %d is no Deca container's", kind)
+	if kind < wireDecaAgg || kind > wireObjectSort {
+		return nil, fmt.Errorf("shuffle: frame of kind %d is no container's", kind)
 	}
 	n, err := readCount(r, kindName(kind))
 	if err != nil {
 		return nil, err
 	}
 	st := &Staged{pageStore: pageStore{runSet: runSet{dir: spillDir}}, kind: kind, n: n}
-	if kind == wireDecaSort {
-		if st.ptrs, err = readPtrs(r, n); err != nil {
-			return nil, err // nothing owned yet: the array is plain heap
+	if objectKind(kind) {
+		if st.recs, err = readRecords(r, n); err != nil {
+			return nil, err // nothing owned yet: the records are plain heap
 		}
+	} else {
+		if kind == wireDecaSort {
+			if st.ptrs, err = readPtrs(r, n); err != nil {
+				return nil, err // nothing owned yet: the array is plain heap
+			}
+		}
+		g, err := mem.RestoreGroup(r)
+		if err != nil {
+			return nil, err
+		}
+		st.group = g
 	}
-	g, err := mem.RestoreGroup(r)
-	if err != nil {
-		return nil, err
-	}
-	st.group = g
 	if err := st.restore(r); err != nil {
 		st.Release()
 		return nil, err
@@ -84,17 +97,30 @@ func Stage(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) 
 	return st, nil
 }
 
-// SizeBytes is the staged frame's in-memory footprint: restored pages
-// plus the pointer array (fetch budgeting).
+// SizeBytes is the staged frame's in-memory footprint: restored pages, the
+// pointer array and the record bytes (fetch budgeting).
 func (st *Staged) SizeBytes() int64 {
-	return st.group.Footprint() + int64(len(st.ptrs))*8
+	size := int64(len(st.ptrs))*8 + int64(len(st.recs))
+	if st.group != nil {
+		size += st.group.Footprint()
+	}
+	return size
+}
+
+// check is the head of every Fold: st must still hold its frame, and the
+// frame must be of the folding container's kind.
+func (st *Staged) check(kind byte) error {
+	if st.released || st.kind != kind {
+		return fmt.Errorf("shuffle: %s cannot fold a staged %s frame (released=%v)", kindName(kind), kindName(st.kind), st.released)
+	}
+	return nil
 }
 
 // Release drops whatever the frame still owns: its reference on the
 // restored group (pages a Fold adopted stay alive through the adopter)
 // and any spill runs no Fold took over. Idempotent.
 func (st *Staged) Release() {
-	st.ptrs = nil
+	st.ptrs, st.recs = nil, nil
 	st.pageStore.Release()
 }
 
@@ -123,4 +149,40 @@ func readPtrs(r WireReader, n int) ([]memory.Ptr, error) {
 		n -= c
 	}
 	return dst, nil
+}
+
+// readChunk is the most a stage reads of one record before its bytes have
+// arrived: the slice grows as they do, not as a length prefix claims.
+const readChunk = 64 << 10
+
+// readRecords reads an Object frame's n length-prefixed records verbatim
+// into one slice, reserved at 8 bytes a record (capped like the pointer
+// array) and doubled as the bytes arrive.
+func readRecords(r WireReader, n int) ([]byte, error) {
+	recs := make([]byte, 0, 8*min(n, stagePresize))
+	for i := 0; i < n; i++ {
+		size, err := readCount(r, "record")
+		if err != nil {
+			return nil, err
+		}
+		recs = binary.AppendUvarint(grow(recs, binary.MaxVarintLen64), uint64(size))
+		for size > 0 {
+			c, at := min(size, readChunk), len(recs)
+			recs = grow(recs, c)[:at+c]
+			if _, err := io.ReadFull(r, recs[at:]); err != nil {
+				return nil, fmt.Errorf("shuffle: record %d bytes: %w", i, err)
+			}
+			size -= c
+		}
+	}
+	return recs, nil
+}
+
+// grow makes room for n more bytes in b, at least doubling it when it has
+// to move (slices.Grow alone grows a long slice a quarter at a time).
+func grow(b []byte, n int) []byte {
+	if n <= cap(b)-len(b) {
+		return b
+	}
+	return slices.Grow(b, max(n, len(b)))
 }

@@ -16,13 +16,16 @@ import (
 //
 // A staged frame is a fixed set of heap objects — the Staged, DecaSort's
 // pointer array and its reader's scratch buffer, the restored group and
-// its page array (pages themselves recycle through the manager's pool) —
-// whatever its key count.
+// its page array (pages themselves recycle through the manager's pool), an
+// Object frame's one record slice and its doublings — whatever its key
+// count.
 //
-// Folding adds the destination's own index: for DecaAgg and DecaGroup
-// slabs of manager memory sized from the frame's count, under a directory
-// inside the container — and nothing per key or per value, whatever their
-// types: a folded key stays in its page, and so does its value list.
+// Folding a Deca frame adds the destination's own index: for DecaAgg and
+// DecaGroup slabs of manager memory sized from the frame's count, under a
+// directory inside the container — and nothing per key or per value,
+// whatever their types: a folded key stays in its page, and so does its
+// value list. (Folding an Object frame boxes every record by design: that
+// half holds the Deca kinds only.)
 
 const (
 	stageBudget = 12 // heap objects per staged frame
@@ -66,7 +69,7 @@ func TestStageFoldAllocBudget(t *testing.T) {
 				t.Errorf("staging grew with the key count: %.0f allocations at 2k keys, %.0f at 20k", stage2k, stage20k)
 			}
 			for _, m := range []struct{ keys, both, stage float64 }{{2_000, both2k, stage2k}, {20_000, both20k, stage20k}} {
-				if fold := m.both - m.stage; fold > foldSlack {
+				if fold := m.both - m.stage; fold > foldSlack && !objectKind(c.kind) {
 					t.Errorf("folding %.0f keys took %.0f allocations, budget %v", m.keys, fold, foldSlack)
 				}
 			}

@@ -3,24 +3,28 @@ package shuffle
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
+	"encoding/hex"
 	"os"
 	"slices"
 	"testing"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/serial"
+	"deca/internal/transport"
 )
 
-// frameCase is one Deca frame shape the stage parser serves, as the tests
-// drive it: build a frame of the given key count, and stage + fold a frame
-// (well-formed or not) into a fresh buffer that is released again.
+// frameCase is one frame shape the stage parser serves, a Deca or an Object
+// container's, as the tests drive it: build a frame of the given key count,
+// and stage + fold a frame (well-formed or not) into a fresh buffer that is
+// released again.
 type frameCase struct {
 	name string
 	kind byte
-	// keySize is the key codec's FixedSize. A variable-size key's bytes are
-	// its codec's input contract (Codec.Decode has no checked form); only
-	// their length prefix is the parser's to validate.
+	// keySize is the key codec's FixedSize (-1 for the Object kinds). A
+	// variable-size key's bytes are its codec's input contract (Codec.Decode
+	// has no checked form); only their length prefix is the parser's to
+	// validate.
 	keySize int
 	build   func(tb testing.TB, keys int, dir string, spill bool) []byte
 	// fold is the reduce task's half (the fetch worker's is stage, below),
@@ -42,17 +46,42 @@ var (
 	str = decompose.StringCodec{}
 )
 
-func encodeFrame(tb testing.TB, b interface {
-	EncodeWire(io.Writer) error
+// frameBuffer is a container as the frame tests build it, whatever its kind.
+type frameBuffer interface {
+	Spill() error
+	EncodeSegments() (*transport.FrameSegments, error)
 	Release()
-}) []byte {
+}
+
+// encodeFrame writes b's frame as a serve ships it and releases b.
+func encodeFrame(tb testing.TB, b frameBuffer) []byte {
 	tb.Helper()
 	var frame bytes.Buffer
-	if err := b.EncodeWire(&frame); err != nil {
+	if err := writeSegments(&frame, b.EncodeSegments); err != nil {
 		tb.Fatal(err)
 	}
 	b.Release()
 	return frame.Bytes()
+}
+
+// fillFrame puts keys 0..keys-1 into b through put, spilling at the
+// halfway key if asked, and returns b's frame.
+func fillFrame(tb testing.TB, b frameBuffer, keys int, spill bool, put func(i int)) []byte {
+	tb.Helper()
+	for i := 0; i < keys; i++ {
+		put(i)
+		if spill && i == keys/2 {
+			if err := b.Spill(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return encodeFrame(tb, b)
+}
+
+// f64Cfg is the Object configuration of the int64 → float64 cases.
+func f64Cfg(dir string) ObjectConfig[int64, float64] {
+	return ObjectConfig[int64, float64]{KeySer: serial.Int64{}, ValSer: serial.F64{}, SpillDir: dir}
 }
 
 // foldFresh folds st into a just-built buffer and releases it: whatever
@@ -73,15 +102,7 @@ var frameCases = []frameCase{
 			if err != nil {
 				tb.Fatal(err)
 			}
-			for i := 0; i < keys; i++ {
-				b.Put(int64(i), float64(i))
-				if spill && i == keys/2 {
-					if err := b.Spill(); err != nil {
-						tb.Fatal(err)
-					}
-				}
-			}
-			return encodeFrame(tb, b)
+			return fillFrame(tb, b, keys, spill, func(i int) { b.Put(int64(i), float64(i)) })
 		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			b, err := NewDecaAgg[int64, float64](mem, addF, i64, f64, dir)
@@ -98,15 +119,9 @@ var frameCases = []frameCase{
 			if err != nil {
 				tb.Fatal(err)
 			}
-			for i := 0; i < keys; i++ {
+			return fillFrame(tb, b, keys, spill, func(i int) {
 				b.Put(string(rune('a'+i%26))+string(binary.AppendUvarint(nil, uint64(i))), int64(i))
-				if spill && i == keys/2 {
-					if err := b.Spill(); err != nil {
-						tb.Fatal(err)
-					}
-				}
-			}
-			return encodeFrame(tb, b)
+			})
 		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
@@ -120,17 +135,11 @@ var frameCases = []frameCase{
 		name: "group-int64-int64", kind: wireDecaGroup, keySize: 8,
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b := NewDecaGroup[int64, int64](memory.NewManager(4096, 0), i64, i64, dir)
-			for i := 0; i < keys; i++ {
+			return fillFrame(tb, b, keys, spill, func(i int) {
 				for j := 0; j <= i%3; j++ {
 					b.Put(int64(i), int64(j))
 				}
-				if spill && i == keys/2 {
-					if err := b.Spill(); err != nil {
-						tb.Fatal(err)
-					}
-				}
-			}
-			return encodeFrame(tb, b)
+			})
 		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			return foldFresh(NewDecaGroup[int64, int64](mem, i64, i64, dir), st)
@@ -148,18 +157,44 @@ var frameCases = []frameCase{
 		name: "sort-int64-int64", kind: wireDecaSort, keySize: 8,
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b := NewDecaSort[int64, int64](memory.NewManager(4096, 0), lessI, i64, i64, dir)
-			for i := 0; i < keys; i++ {
-				b.Put(int64(i*7919%1009), int64(i))
-				if spill && i == keys/2 {
-					if err := b.Spill(); err != nil {
-						tb.Fatal(err)
-					}
-				}
-			}
-			return encodeFrame(tb, b)
+			return fillFrame(tb, b, keys, spill, func(i int) { b.Put(int64(i*7919%1009), int64(i)) })
 		},
 		fold: func(st *Staged, mem *memory.Manager, dir string) error {
 			return foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st)
+		},
+	},
+	{
+		name: "object-agg-int64-float64", kind: wireObjectAgg, keySize: -1,
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b := NewObjectAgg(addF, f64Cfg(dir))
+			return fillFrame(tb, b, keys, spill, func(i int) { b.Put(int64(i), float64(i)) })
+		},
+		fold: func(st *Staged, _ *memory.Manager, dir string) error {
+			return foldFresh(NewObjectAgg(addF, f64Cfg(dir)), st)
+		},
+	},
+	{
+		name: "object-group-int64-int64", kind: wireObjectGroup, keySize: -1,
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b := NewObjectGroup(objCfg(dir))
+			return fillFrame(tb, b, keys, spill, func(i int) {
+				for j := 0; j <= i%3; j++ {
+					b.Put(int64(i), int64(j))
+				}
+			})
+		},
+		fold: func(st *Staged, _ *memory.Manager, dir string) error {
+			return foldFresh(NewObjectGroup(objCfg(dir)), st)
+		},
+	},
+	{
+		name: "object-sort-int64-int64", kind: wireObjectSort, keySize: -1,
+		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
+			b := NewObjectSort(lessI, objCfg(dir))
+			return fillFrame(tb, b, keys, spill, func(i int) { b.Put(int64(i*7919%1009), int64(i)) })
+		},
+		fold: func(st *Staged, _ *memory.Manager, dir string) error {
+			return foldFresh(NewObjectSort(lessI, objCfg(dir)), st)
 		},
 	},
 }
@@ -199,8 +234,8 @@ func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
 }
 
 // TestStageKindMismatch: a frame stages as what its kind byte says it is
-// — a Deca container's or not at all — and refuses to fold into a container
-// of another kind.
+// — one of the six containers' or not at all — and refuses to fold into a
+// container of another kind.
 func TestStageKindMismatch(t *testing.T) {
 	mem := memory.NewManager(4096, 0)
 	for _, src := range frameCases {
@@ -220,9 +255,9 @@ func TestStageKindMismatch(t *testing.T) {
 			assertClean(t, mem, dir, src.name+" as "+dst.name)
 		}
 	}
-	for _, kind := range []byte{0, wireObjectAgg, wireObjectGroup, wireObjectSort, wireObjectSort + 1} {
+	for _, kind := range []byte{0, wireObjectSort + 1, 0xff} {
 		if _, err := Stage(bytes.NewReader([]byte{kind, 0, 0, 0}), mem, t.TempDir()); err == nil {
-			t.Errorf("a frame of kind %d staged as a Deca container's", kind)
+			t.Errorf("a frame of kind %d staged as a container's", kind)
 		}
 	}
 }
@@ -254,7 +289,7 @@ func TestStageTruncation(t *testing.T) {
 // a well-formed frame of c. Each is named for the error report.
 func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 	good := c.build(tb, 40, tb.TempDir(), false)
-	_, cw := binary.Uvarint(good[1:]) // width of the table count
+	n, cw := binary.Uvarint(good[1:]) // the count and its width
 	body := 1 + cw
 	patch := func(at int, b ...byte) []byte {
 		f := bytes.Clone(good)
@@ -267,7 +302,7 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 	out := map[string][]byte{
 		"count over maxWireCount":    count(maxWireCount + 1),
 		"count far beyond the bytes": count(1 << 30),
-		"count one too many":         count(41),
+		"count one too many":         count(n + 1),
 	}
 	far := []byte{0xff, 0xff, 0xff, 0x7f} // page 2^31-1
 	neg := []byte{0xff, 0xff, 0xff, 0xff} // page -1
@@ -309,6 +344,14 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 		out["header never ends"] = patch(at(key2), bytes.Repeat([]byte{0x80}, int(plen)-key2)...)
 		out["page announces a gigabyte"] = slices.Concat(
 			binary.AppendUvarint(bytes.Clone(good[:body+1]), 1<<30), good[page:page+16])
+	case wireObjectAgg, wireObjectGroup, wireObjectSort:
+		// The records follow the count, each uvarint length | key | value;
+		// the first has a one-byte length and a one-byte key.
+		out["key runs into its value"] = patch(body+1, good[body+1]|0x80)
+		rec := body + 1 + int(good[body])
+		out["record longer than its key and value"] = slices.Concat(good[:body], []byte{good[body] + 1}, good[body+1:rec], []byte{0}, good[rec:])
+		// Stage must not believe a length before the bytes either.
+		out["record announces a gigabyte"] = slices.Concat(good[:body], binary.AppendUvarint(nil, 1<<30), good[body+1:])
 	case wireDecaAgg:
 		// 40 records, one-byte headers, 8-byte values.
 		last := page
@@ -375,14 +418,26 @@ func TestStageHostileFrames(t *testing.T) {
 }
 
 // FuzzStageDecaFrames feeds arbitrary bytes to the stager and folds what
-// stages into every container: whatever happens, no panic and nothing left behind. (Neither half
-// decodes a variable-size key, so the string-key case is held to it too.)
+// stages into every container, Deca and Object: whatever happens, no panic
+// and nothing left behind — no manager byte in use, no spill file. (Neither
+// half decodes a variable-size Deca key, so the string-key case is held to
+// it too.) The seeds are every case's frames and corruptions, then the
+// golden Object frames and each of their truncations.
 func FuzzStageDecaFrames(f *testing.F) {
 	for _, c := range frameCases {
 		f.Add(c.build(f, 0, f.TempDir(), false))
 		f.Add(c.build(f, 300, f.TempDir(), true))
 		for _, frame := range hostileFrames(f, c) {
 			f.Add(frame)
+		}
+	}
+	for _, golden := range goldenObjectFrames {
+		frame, err := hex.DecodeString(golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for cut := len(frame); cut >= 0; cut-- {
+			f.Add(frame[:cut])
 		}
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {

@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/transport"
 )
 
 // Wire codecs: every shuffle buffer has a self-describing byte frame so a
@@ -17,20 +17,20 @@ import (
 //   - Deca containers encode as header (+ DecaSort's pointer array) + a
 //     page snapshot (memory.Group.Snapshot): the record bytes — keys,
 //     values and the links between them — are already in wire format, so
-//     the frame is built as segments that reference the pages in place
-//     (pagestore.go; EncodeWire is those segments flushed through a
-//     writer) and decoding restores pages into the destination executor's
-//     manager with pointers and links valid as-is (page boundaries survive
-//     the frame).
-//   - Object containers round-trip through internal/serial, record by
-//     record (boxedstore.go): decode materializes fresh objects,
-//     re-creating the allocation and GC cost Kryo/SparkSer pays on every
-//     remote fetch.
-//   - Spill runs cross the wire as raw file bytes on both paths and land
-//     in the destination's spill directory.
+//     the frame references the pages in place (pagestore.go) and staging
+//     restores them into the destination executor's manager with pointers
+//     and links valid as-is (page boundaries survive the frame).
+//   - Object containers serialize through internal/serial, record by
+//     record (boxedstore.go), and their Fold deserializes every record
+//     into fresh objects — the allocation and GC cost Kryo/SparkSer pays
+//     on every remote fetch.
+//   - Spill runs cross the wire as raw file bytes on both paths (sendfile
+//     on a socket) and land in the destination's spill directory.
 //
-// Each frame opens with a kind byte; decoders verify it, so a frame
-// handed to the wrong decoder fails loudly instead of misparsing.
+// Every container builds its frame as transport.FrameSegments
+// (EncodeSegments), and every frame is received by Stage and the
+// container's Fold (stage.go). Each frame opens with a kind byte; a frame
+// handed to the wrong container's Fold fails loudly instead of misparsing.
 
 // WireReader is the stream a container frame decodes from: byte-level
 // reads for headers plus bulk reads for pages and spill runs.
@@ -55,20 +55,12 @@ const (
 const maxWireCount = 1 << 31
 
 // ptrChunk is how many pointers a bulk stage (stagePtrs) or bulk read
-// (tableReader.readPtrs) moves per call.
+// (readPtrs) moves per call.
 const ptrChunk = 1024
 
-func readKind(r WireReader, want byte) error {
-	name := kindName(want)
-	got, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("shuffle: %s frame kind: %w", name, err)
-	}
-	if got != want {
-		return fmt.Errorf("shuffle: %s frame has kind %d, want %d", name, got, want)
-	}
-	return nil
-}
+// objectKind reports whether a frame kind is an Object container's (the
+// even ones): records serialized one by one, no pages.
+func objectKind(kind byte) bool { return kind%2 == 0 }
 
 func readCount(r WireReader, name string) (int, error) {
 	v, err := binary.ReadUvarint(r)
@@ -81,49 +73,22 @@ func readCount(r WireReader, name string) (int, error) {
 	return int(v), nil
 }
 
-// readLenBytes reads a uvarint length prefix and that many bytes into buf
-// (grown as needed, reused across calls).
-func readLenBytes(r WireReader, buf []byte, name string) ([]byte, error) {
-	n, err := readCount(r, name)
-	if err != nil {
-		return buf, err
-	}
-	buf = slices.Grow(buf[:0], n)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, fmt.Errorf("shuffle: %s bytes: %w", name, err)
-	}
-	return buf, nil
+// newFrame starts every container's frame: kind byte | uvarint n. The
+// container appends its body and ends it with its runSet's endFrame.
+//
+//deca:owns
+func newFrame(kind byte, n int) *transport.FrameSegments {
+	fs := transport.NewFrameSegments()
+	fs.Stage(1)[0] = kind
+	stageUvarint(fs, uint64(n))
+	return fs
 }
 
-// DecodeObjectAgg rebuilds an object aggregation buffer from its frame.
-func DecodeObjectAgg[K comparable, V any](r WireReader, combine func(V, V) V, cfg ObjectConfig[K, V]) (*ObjectAgg[K, V], error) {
-	b := NewObjectAgg(combine, cfg)
-	if err := b.decodeRecords(r, wireObjectAgg, b.Put); err != nil {
-		b.Release()
-		return nil, err
-	}
-	return b, nil
-}
-
-// DecodeObjectGroup rebuilds a grouping buffer, boxing every value afresh.
-func DecodeObjectGroup[K comparable, V any](r WireReader, cfg ObjectConfig[K, V]) (*ObjectGroup[K, V], error) {
-	b := NewObjectGroup(cfg)
-	if err := b.decodeRecords(r, wireObjectGroup, b.Put); err != nil {
-		b.Release()
-		return nil, err
-	}
-	return b, nil
-}
-
-// DecodeObjectSort rebuilds an object sort buffer, materializing every
-// record object afresh.
-func DecodeObjectSort[K comparable, V any](r WireReader, less func(a, b K) bool, cfg ObjectConfig[K, V]) (*ObjectSort[K, V], error) {
-	b := NewObjectSort(less, cfg)
-	if err := b.decodeRecords(r, wireObjectSort, b.Put); err != nil {
-		b.Release()
-		return nil, err
-	}
-	return b, nil
+// stageUvarint stages v at the frame's current position.
+func stageUvarint(fs *transport.FrameSegments, v uint64) {
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], v)
+	copy(fs.Stage(k), hdr[:k])
 }
 
 //

@@ -175,7 +175,7 @@ func TestSortWireRoundTrip(t *testing.T) {
 	if err := ds.EncodeWire(&dFrame); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.EncodeWire(&oFrame); err != nil {
+	if err := writeSegments(&oFrame, os.EncodeSegments); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,9 +185,8 @@ func TestSortWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go2, err := DecodeObjectSort[int64, int64](bytes.NewReader(oFrame.Bytes()), less,
-		ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
-	if err != nil {
+	go2 := NewObjectSort(less, ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
+	if err := foldFrame(go2, oFrame.Bytes(), dir); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(collectDeca(gd), collectDeca(ds)) {

@@ -33,28 +33,10 @@ func ConnectedComponents(cfg Config, params GraphParams) (Result, error) {
 			if cfg.Mode == engine.ModeDeca {
 				// Transformed path: walk adjacency pages, emit the source's
 				// label to each neighbor without materializing lists.
-				msgs = engine.Generate(ctx, parts, func(p int, emit func(decompose.Pair[int64, int64])) {
-					blk, release, err := engine.DecaBlockFor(links, p)
-					if err != nil {
-						panic(err)
-					}
-					defer release()
-					g := blk.Group()
-					for pi := 0; pi < g.NumPages(); pi++ {
-						page := g.Page(pi)
-						off := 0
-						for off+12 <= len(page) {
-							src := decompose.I64(page, off)
-							n := int(decompose.I32(page, off+8))
-							base := off + 12
-							l := labelOf(src)
-							for i := 0; i < n; i++ {
-								emit(engine.KV(decompose.I64(page, base+8*i), l))
-							}
-							off = base + 8*n
-						}
-					}
-				})
+				msgs = decaAdjacencyContribs(ctx, links,
+					func(src int64, _ int, neighbor int64, emit func(decompose.Pair[int64, int64])) {
+						emit(engine.KV(neighbor, labelOf(src)))
+					})
 			} else {
 				msgs = engine.FlatMap(links,
 					func(kv decompose.Pair[int64, []int64], emit func(decompose.Pair[int64, int64])) {

@@ -108,15 +108,16 @@ func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected b
 	return links, nil
 }
 
-// decaAdjacencyContribs builds the per-iteration contribution pairs by
-// walking the adjacency cache's raw pages (key, count-prefixed neighbor
-// list) — the transformed access path, no pair or slice materialization.
-func decaAdjacencyContribs(
+// decaAdjacencyContribs builds an iteration's message pairs — PageRank's
+// rank contributions, CC's labels — by walking the adjacency cache's raw
+// pages (key, count-prefixed neighbor list) and calling contribute once
+// per edge: the transformed access path, no pair or slice materialization.
+func decaAdjacencyContribs[V any](
 	ctx *engine.Context,
 	links *engine.Dataset[decompose.Pair[int64, []int64]],
-	contribute func(src int64, degree int, neighbor int64, emit func(decompose.Pair[int64, float64])),
-) *engine.Dataset[decompose.Pair[int64, float64]] {
-	return engine.Generate(ctx, links.Partitions(), func(p int, emit func(decompose.Pair[int64, float64])) {
+	contribute func(src int64, degree int, neighbor int64, emit func(decompose.Pair[int64, V])),
+) *engine.Dataset[decompose.Pair[int64, V]] {
+	return engine.Generate(ctx, links.Partitions(), func(p int, emit func(decompose.Pair[int64, V])) {
 		blk, release, err := engine.DecaBlockFor(links, p)
 		if err != nil {
 			panic(err)
