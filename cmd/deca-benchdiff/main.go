@@ -7,9 +7,15 @@
 // than silently skipped. Wall time is advice: CI machines are noisy, so
 // regressions beyond the threshold only warn.
 //
+// With -pairs it runs the repo benchmark's pairs protocol instead (pairs.go):
+// bench/e2e in two checkouts, interleaved, after an A/A calibration, and
+// prints per end-to-end metric the medians, the change, the quartiles of
+// the per-pair ratios, the wins and a verdict against the A/A band.
+//
 // Usage:
 //
 //	deca-benchdiff -baseline bench/baseline/BENCH_faults.json -current out/BENCH_faults.json
+//	deca-benchdiff -pairs 10 -a ../parent -b . -workload pr-iter -seconds 8
 package main
 
 import (
@@ -119,8 +125,26 @@ func main() {
 		basePath = flag.String("baseline", "", "committed BENCH_<id>.json to compare against")
 		curPath  = flag.String("current", "", "freshly generated BENCH_<id>.json")
 		wallWarn = flag.Float64("wall-warn", 0.25, "warn when a row's wall_ms regresses by more than this fraction")
+		pairs    = flag.Int("pairs", 0, "run the bench/e2e pairs protocol with this many A/A and A/B pairs")
+		aDir     = flag.String("a", "", "-pairs: the checkout compared against (the parent)")
+		bDir     = flag.String("b", "", "-pairs: the checkout under test")
+		workload = flag.String("workload", "", "-pairs: the bench/e2e workload")
+		seconds  = flag.Float64("seconds", 8, "-pairs: each run's timed loop")
+		scale    = flag.Float64("scale", 1, "-pairs: each run's workload scale")
 	)
 	flag.Parse()
+	if *pairs > 0 {
+		if *aDir == "" || *bDir == "" || *workload == "" {
+			fmt.Fprintln(os.Stderr, "deca-benchdiff: -pairs needs -a, -b and -workload")
+			os.Exit(2)
+		}
+		c := pairsConfig{n: *pairs, a: *aDir, b: *bDir, workload: *workload, seconds: *seconds, scale: *scale}
+		if err := runPairs(c, os.Stdout, os.Stderr); err != nil {
+			fmt.Fprintln(os.Stderr, "deca-benchdiff:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *basePath == "" || *curPath == "" {
 		fmt.Fprintln(os.Stderr, "deca-benchdiff: -baseline and -current are required")
 		os.Exit(2)

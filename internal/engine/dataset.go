@@ -272,6 +272,33 @@ func DecaBlockFor[T any](d *Dataset[T], p int) (*cache.DecaBlock[T], func(), err
 	return blk.(*cache.DecaBlock[T]), unpin, nil
 }
 
+// LookupFor returns a probe of partition p of d, a ReduceByKey output: its
+// merged reduce container where it lies, materialized if need be, runs
+// folded back, pinned until the returned release (shuffleState.pin) — for a
+// dataset co-partitioned with d, a narrow join. A process that does not
+// hold partition p reports the *MissingOutputError a drain would.
+func LookupFor[K comparable, V any](d *Dataset[decompose.Pair[K, V]], p int) (func(K) (V, bool), func(), error) {
+	notAgg := fmt.Errorf("engine: dataset %d is not a ReduceByKey output", d.id)
+	st, ok := d.ctx.shuffleOf(d.id).(*shuffleState[decompose.Pair[K, V]])
+	if !ok {
+		return nil, nil, notAgg
+	}
+	buf, err := st.pin(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	err = notAgg
+	agg, ok := buf.(aggSink[K, V])
+	if ok {
+		err = agg.FoldRuns()
+	}
+	if err != nil {
+		st.unpin(p)
+		return nil, nil, err
+	}
+	return agg.Lookup, func() { st.unpin(p) }, nil
+}
+
 //
 // Narrow transformations: fused into the parent's pull loop.
 //

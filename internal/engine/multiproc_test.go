@@ -46,6 +46,10 @@ var mirrorPrograms = map[string]func(ctx *Context) error{
 		})
 		return err
 	},
+	"lookup": func(ctx *Context) error {
+		_, _, _, err := lookupProgram(ctx)
+		return err
+	},
 	"roles": func(ctx *Context) error {
 		_, _, err := rolesProgram(ctx)
 		return err

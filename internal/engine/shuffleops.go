@@ -70,10 +70,12 @@ type pairSink[K comparable, V any] interface {
 	Release()
 }
 
-// aggSink is ReduceByKey's sink: the two aggregation buffer variants.
+// aggSink is ReduceByKey's sink; a merged one is the table LookupFor probes.
 type aggSink[K comparable, V any] interface {
 	pairSink[K, V]
 	Drain(yield func(K, V) bool) error
+	FoldRuns() error
+	Lookup(k K) (V, bool)
 }
 
 // groupSink is GroupByKey's sink: the grouping buffer variants.
@@ -370,7 +372,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	R int,
 	entrySize func(K, V) int,
 	newBuf func(ex *Executor) (S, error),
-) (map[int]S, error) {
+) (map[int]releasable, error) {
 	ctx := d.ctx
 	M := d.parts
 	threshold := ctx.shuffleSpillThreshold(M * R)
@@ -400,7 +402,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	// poll). The first task with a buffer to keep makes the map, so a
 	// process that runs none of the tasks holds nothing.
 	var outMu sync.Mutex
-	var outputs map[int]S
+	var outputs map[int]releasable
 	reduces := stage{
 		key: shuffleStageKey(shufID, epoch, "reduce"), parts: denseParts(R),
 		speculatable: ctx.conf.SpeculationEnabled,
@@ -418,7 +420,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 			return nil
 		}
 		if outputs == nil {
-			outputs = make(map[int]S, R)
+			outputs = make(map[int]releasable, R)
 		}
 		outputs[t.Part] = merged
 		return nil
@@ -505,27 +507,27 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	}
 
 	st := newShuffleState[T](ctx, R)
-	st.materialize = func() error {
+	st.materialize = func() (err error) {
 		if missing != "" {
 			return fmt.Errorf("engine: shuffle of dataset %d: PairOps.%s is nil, and Object-mode buffers cross executors only as serialized frames",
 				st.datasetID, missing)
 		}
-		outputs, err := exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf)
-		if err != nil {
-			return err
-		}
-		st.release = func() { releaseAll(outputs) }
-		st.drain = func(r int, yield func(T) bool) error {
-			buf, ok := outputs[r]
-			if !ok {
-				return st.missingOutput(r)
-			}
-			return sh.drain(buf, yield)
-		}
-		return nil
+		st.outputs, err = exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf)
+		return err
 	}
 
-	out := newDataset(ctx, R, st.seq)
+	out := newDataset(ctx, R, func(p int) Seq[T] {
+		return func(yield func(T) bool) {
+			buf, err := st.pin(p)
+			if err != nil {
+				panic(err)
+			}
+			defer st.unpin(p)
+			if err := sh.drain(buf.(S), yield); err != nil {
+				panic(err)
+			}
+		}
+	})
 	st.datasetID = out.id
 	ctx.registerShuffle(out.id, st)
 	return out
@@ -687,10 +689,10 @@ func Join[K comparable, V, W any](
 }
 
 // shuffleState memoizes a shuffle's materialized outputs across actions,
-// like Spark's shuffle files surviving between jobs. Draining an output
-// buffer may fold spilled runs back in (a mutation), so drains of the
-// same output partition are serialized; concurrent actions over the same
-// shuffled dataset stay safe.
+// like Spark's shuffle files surviving between jobs. Draining or probing
+// an output buffer may fold spilled runs back in (a mutation), so the
+// drains and probes of one output partition are serialized (pin);
+// concurrent actions over the same shuffled dataset stay safe.
 //
 // A released shuffle is not dead, only reclaimed: the next read
 // re-materializes it from its parents — Spark's lineage recovery, which
@@ -710,14 +712,13 @@ type shuffleState[T any] struct {
 	mu      sync.Mutex
 	live    bool
 	err     error
-	drain   func(p int, yield func(T) bool) error
-	release func()
-	// gate fences buffer release against in-flight drains: a drain holds
-	// a read lock from capture to completion, and Release frees buffers
-	// under the write lock. In-process programs only release between
-	// jobs, but the multiproc recovery path releases a materialization
-	// while other partitions of the same dataset may still be draining
-	// on this executor.
+	outputs map[int]releasable // the live materialization's merged outputs held here
+	// gate fences buffer release against in-flight pins: a drain or a map
+	// task probing (LookupFor) holds a read lock from capture to completion,
+	// and Release frees buffers under the write lock. In-process programs
+	// only release between jobs, but the multiproc recovery path releases
+	// a materialization while other partitions of the same dataset may
+	// still be pinned on this executor.
 	gate sync.RWMutex
 }
 
@@ -785,53 +786,48 @@ func (st *shuffleState[T]) ReleaseEpoch(epoch int) {
 }
 
 // releaseLocked ends the live materialization under st.mu, waiting out
-// in-flight drains before freeing their buffers. The gate acquisition
-// under st.mu is safe: drains hold only the gate (not st.mu) while
-// running, and new drains cannot start without st.mu.
+// in-flight pins before freeing their buffers. The gate acquisition under
+// st.mu is safe: a pin holds only the gate (not st.mu) while its holder
+// runs, and no new pin starts without st.mu.
 func (st *shuffleState[T]) releaseLocked() {
-	if !st.live || st.release == nil {
+	if !st.live {
 		return
 	}
 	st.live = false
-	rel := st.release
-	st.release, st.drain = nil, nil
 	st.gate.Lock()
-	rel()
+	releaseAll(st.outputs)
+	st.outputs = nil
 	st.gate.Unlock()
 }
 
-// missingOutput is the drain-side report that this process does not own
-// partition r of the materialization — possible only in the multiproc
-// deployment, when the reduce task that produced it ran on an executor
-// that has since died. Carrying the epoch lets the driver ignore stale
-// reports after it has already re-materialized.
-func (st *shuffleState[T]) missingOutput(r int) error {
-	return &MissingOutputError{
-		Dataset: st.datasetID,
-		Epoch:   st.ctx.epochOf(st.datasetID),
-		Part:    r,
+// pin materializes the shuffle if needed and holds partition p's merged
+// output for a drain or LookupFor's probes until unpin(p): the drain gate
+// fends off a release, the partition lock other drains and probes. A
+// partition held elsewhere (multiproc) is a *MissingOutputError, whose
+// epoch lets the driver ignore it once it has re-materialized.
+func (st *shuffleState[T]) pin(p int) (any, error) {
+	st.mu.Lock()
+	if err := st.ensureLocked(); err != nil {
+		st.mu.Unlock()
+		return nil, err
 	}
+	outputs := st.outputs
+	// The gate is taken before st.mu is released, so a Release cannot free
+	// the captured outputs in between.
+	st.gate.RLock()
+	st.mu.Unlock()
+	buf, ok := outputs[p]
+	if !ok {
+		st.gate.RUnlock()
+		return nil, &MissingOutputError{Dataset: st.datasetID, Epoch: st.ctx.epochOf(st.datasetID), Part: p}
+	}
+	st.partMu[p].Lock()
+	return buf, nil
 }
 
-func (st *shuffleState[T]) seq(p int) Seq[T] {
-	return func(yield func(T) bool) {
-		st.mu.Lock()
-		if err := st.ensureLocked(); err != nil {
-			st.mu.Unlock()
-			panic(err)
-		}
-		drain := st.drain
-		// Take the drain gate before st.mu is released, so a Release
-		// cannot free the captured outputs between here and the drain.
-		st.gate.RLock()
-		st.mu.Unlock()
-		defer st.gate.RUnlock()
-		st.partMu[p].Lock()
-		defer st.partMu[p].Unlock()
-		if err := drain(p, yield); err != nil {
-			panic(err)
-		}
-	}
+func (st *shuffleState[T]) unpin(p int) {
+	st.partMu[p].Unlock()
+	st.gate.RUnlock()
 }
 
 func (st *shuffleState[T]) Release() {

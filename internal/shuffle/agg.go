@@ -76,11 +76,13 @@ func (b *ObjectAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 //deca:transfers
 func (b *ObjectAgg[K, V]) Fold(st *Staged) error { return b.fold(st, wireObjectAgg, b.Put) }
 
-// Drain merges spilled runs back (deserializing and re-aggregating, as
-// Spark's spill merge does) and yields every (key, value) pair. The buffer
-// stays valid; Release frees it.
+// FoldRuns merges spilled runs back as Spark's spill merge does, deleting each.
+func (b *ObjectAgg[K, V]) FoldRuns() error { return b.replay(b.Put) }
+
+// Drain folds the spilled runs back and yields every (key, value) pair.
+// The buffer stays valid; Release frees it.
 func (b *ObjectAgg[K, V]) Drain(yield func(K, V) bool) error {
-	if err := b.replay(b.Put); err != nil {
+	if err := b.FoldRuns(); err != nil {
 		return err
 	}
 	for k, v := range b.table {
@@ -89,6 +91,18 @@ func (b *ObjectAgg[K, V]) Drain(yield func(K, V) bool) error {
 		}
 	}
 	return nil
+}
+
+// Lookup returns k's combined value and whether b holds k. A spill run not
+// yet folded back (FoldRuns) would hide its keys: Lookup panics then.
+func (b *ObjectAgg[K, V]) Lookup(k K) (v V, ok bool) {
+	if len(b.spills) > 0 {
+		panic("shuffle: Lookup on an ObjectAgg with spill runs pending (FoldRuns first)")
+	}
+	if p := b.table[k]; p != nil {
+		return *p, true
+	}
+	return v, false
 }
 
 // Release drops the table and deletes any remaining spill files.
@@ -471,12 +485,11 @@ func (b *DecaAgg[K, V]) Spill() error {
 	return err
 }
 
-// Drain merges any spilled runs — each record re-aggregates through the
-// byte-keyed put, a batch at a time, no key or pair is materialized — and
-// yields every pair in record order, decoding a key only as it is yielded.
-func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
+// FoldRuns merges any spilled runs back — each record re-aggregates through
+// the byte-keyed put, a batch at a time — and deletes each as it lands.
+func (b *DecaAgg[K, V]) FoldRuns() error {
 	b.flush()
-	err := b.replay(func(run []byte) error {
+	return b.replay(func(run []byte) error {
 		it := recordIter{shape: b.shape, data: run}
 		for n := it.nextBatch(); n > 0; n = it.nextBatch() {
 			b.idx.touch(b.group, it.tags[:n])
@@ -486,7 +499,37 @@ func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
 		}
 		return it.err
 	})
-	if err != nil {
+}
+
+// Lookup returns k's combined value and whether b holds k: the key is
+// encoded into the staging buffer and found through the index, nothing
+// allocated. Pending spill runs (FoldRuns first) or a seal panic.
+func (b *DecaAgg[K, V]) Lookup(k K) (v V, ok bool) {
+	b.fills("Lookup")
+	if len(b.spills) > 0 {
+		panic("shuffle: Lookup on a DecaAgg with spill runs pending (FoldRuns first)")
+	}
+	b.flush()
+	klen := b.shape[0].fixed
+	if klen < 0 {
+		klen = b.keyCodec.Size(k)
+	}
+	if len(b.buf) < klen {
+		b.buf = make([]byte, klen)
+	}
+	key := b.buf[:klen] // flushed: no staged entry lives in buf
+	b.keyCodec.Encode(key, k)
+	if val, _, found := b.idx.find(b.group, hashKey(key), key, b.shape[0].tail); found {
+		v, _ = b.valCodec.Decode(val)
+		return v, true
+	}
+	return v, false
+}
+
+// Drain folds the spilled runs back and yields every pair in record order,
+// decoding a key only as it is yielded.
+func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
+	if err := b.FoldRuns(); err != nil {
 		return err
 	}
 	it := b.records(0)

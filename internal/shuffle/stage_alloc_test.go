@@ -142,6 +142,32 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 	}
 }
 
+// TestLookupAllocBudget: a probe of a merged aggregation buffer — the next
+// PageRank iteration's rank table — allocates nothing, hit or miss, once
+// its runs are folded back: DecaAgg encodes the key into its staging
+// buffer, ObjectAgg reads its own table.
+func TestLookupAllocBudget(t *testing.T) {
+	for _, c := range lookupCases {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.new(t, memory.NewManager(4096, 0), t.TempDir())
+			defer b.Release()
+			fillLookup(b, map[int64]float64{}, 0, 10_000, 1)
+			if err := b.Spill(); err != nil {
+				t.Fatal(err)
+			}
+			fillLookup(b, map[int64]float64{}, 5_000, 15_000, 1)
+			if err := b.FoldRuns(); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int64{7_000, 20_000} { // a hit, a miss
+				if got := testing.AllocsPerRun(100, func() { b.Lookup(k) }); got != 0 {
+					t.Errorf("Lookup(%d) took %.0f allocations, want 0", k, got)
+				}
+			}
+		})
+	}
+}
+
 // TestDecaGroupFillAllocBudget: a grouping buffer is its pages and its
 // index slab. Filling one with 100 k values over 10 k keys (at the parent:
 // one Go slice per key, regrown as it fills — ≈ 60 k objects) allocates the

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	"deca/internal/decompose"
-	"deca/internal/engine"
-)
+import "deca/internal/engine"
 
 // ConnectedComponents runs the §6.3 CC job: label propagation over the
 // cached (undirected) adjacency lists. Each vertex starts with its own id
@@ -27,26 +24,12 @@ func ConnectedComponents(cfg Config, params GraphParams) (Result, error) {
 			return v
 		}
 
-		parts := links.Partitions()
 		for iter := 0; iter < params.Iterations; iter++ {
-			var msgs *engine.Dataset[decompose.Pair[int64, int64]]
-			if cfg.Mode == engine.ModeDeca {
-				// Transformed path: walk adjacency pages, emit the source's
-				// label to each neighbor without materializing lists.
-				msgs = decaAdjacencyContribs(ctx, links,
-					func(src int64, _ int, neighbor int64, emit func(decompose.Pair[int64, int64])) {
-						emit(engine.KV(neighbor, labelOf(src)))
-					})
-			} else {
-				msgs = engine.FlatMap(links,
-					func(kv decompose.Pair[int64, []int64], emit func(decompose.Pair[int64, int64])) {
-						l := labelOf(kv.Key)
-						for _, dst := range kv.Value {
-							emit(engine.KV(dst, l))
-						}
-					})
-			}
-			agg := engine.ReduceByKey(msgs, labelOps(parts), func(a, b int64) int64 {
+			// Labels stay a driver map: whether one changed is a driver decision.
+			msgs := adjacencyContribs(ctx, links, func(int) (func(int64, int) int64, func()) {
+				return func(src int64, _ int) int64 { return labelOf(src) }, func() {}
+			})
+			agg := engine.ReduceByKey(msgs, adjOps(links.Partitions()), func(a, b int64) int64 {
 				if a < b {
 					return a
 				}

@@ -16,7 +16,8 @@ type GraphParams struct {
 	Iterations int
 }
 
-// adjOps are the shuffle helpers for (vertex, neighbor-list) pairs.
+// adjOps are the shuffle helpers for (vertex, vertex) pairs: the edges the
+// adjacency lists group, and CC's (vertex, label) messages.
 func adjOps(parts int) engine.PairOps[int64, int64] {
 	return engine.PairOps[int64, int64]{
 		Key:        shuffle.Int64Key(),
@@ -41,11 +42,6 @@ func rankOps(parts int) engine.PairOps[int64, float64] {
 		EntrySize:  func(int64, float64) int { return 48 },
 		Partitions: parts,
 	}
-}
-
-// labelOps are the shuffle helpers for (vertex, label) message pairs (CC).
-func labelOps(parts int) engine.PairOps[int64, int64] {
-	return adjOps(parts)
 }
 
 // adjacency builds the cached adjacency lists the way the paper's PR/CC
@@ -108,16 +104,35 @@ func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected b
 	return links, nil
 }
 
-// decaAdjacencyContribs builds an iteration's message pairs — PageRank's
-// rank contributions, CC's labels — by walking the adjacency cache's raw
-// pages (key, count-prefixed neighbor list) and calling contribute once
-// per edge: the transformed access path, no pair or slice materialization.
-func decaAdjacencyContribs[V any](
+// messageSetup prepares partition p of an iteration's messages: msg runs
+// once per adjacency record and its value goes to every neighbor; release
+// ends what the setup pinned. A failed setup panics, as record plumbing does.
+type messageSetup[V any] func(p int) (msg func(src int64, degree int) V, release func())
+
+// adjacencyContribs builds an iteration's message pairs — PageRank's rank
+// contributions, CC's labels — from the adjacency cache, a partition at a
+// time. Deca mode walks the cache's raw pages (key, count-prefixed neighbor
+// list): the transformed access path, no pair or slice materialization.
+func adjacencyContribs[V any](
 	ctx *engine.Context,
 	links *engine.Dataset[decompose.Pair[int64, []int64]],
-	contribute func(src int64, degree int, neighbor int64, emit func(decompose.Pair[int64, V])),
+	setup messageSetup[V],
 ) *engine.Dataset[decompose.Pair[int64, V]] {
 	return engine.Generate(ctx, links.Partitions(), func(p int, emit func(decompose.Pair[int64, V])) {
+		msg, done := setup(p)
+		defer done()
+		if ctx.Mode() != engine.ModeDeca {
+			if err := links.Iterate(p, func(kv decompose.Pair[int64, []int64]) bool {
+				v := msg(kv.Key, len(kv.Value))
+				for _, dst := range kv.Value {
+					emit(engine.KV(dst, v))
+				}
+				return true
+			}); err != nil {
+				panic(err)
+			}
+			return
+		}
 		blk, release, err := engine.DecaBlockFor(links, p)
 		if err != nil {
 			panic(err)
@@ -128,11 +143,11 @@ func decaAdjacencyContribs[V any](
 			page := g.Page(pi)
 			off := 0
 			for off+12 <= len(page) {
-				src := decompose.I64(page, off)
 				n := int(decompose.I32(page, off+8))
+				v := msg(decompose.I64(page, off), n)
 				base := off + 12
 				for i := 0; i < n; i++ {
-					contribute(src, n, decompose.I64(page, base+8*i), emit)
+					emit(engine.KV(decompose.I64(page, base+8*i), v))
 				}
 				off = base + 8*n
 			}

@@ -172,39 +172,49 @@ func TestMultiprocSIGKILL(t *testing.T) {
 }
 
 // TestMultiprocSIGKILLPageRank kills an executor process mid-way through
-// an iterative job: the dead process takes its adjacency cache blocks
-// with it, and the rebuilt blocks need the *released* grouped shuffle —
-// exercising lineage re-materialization (NeedShuffle on a fresh epoch)
-// across real processes.
+// an iterative job, at two points. Early ("adjacency"), the dead process
+// takes its adjacency cache blocks with it, and the rebuilt blocks need the
+// *released* grouped shuffle — lineage re-materialization (NeedShuffle on a
+// fresh epoch) across real processes. Late ("iteration"), it takes its
+// partitions of an iteration's sums, which the next iteration probes where
+// they lie: the retry re-materializes them from the iteration before,
+// released too, and so on back to the adjacency shuffle — the lineage chain
+// a lost iteration walks.
 func TestMultiprocSIGKILLPageRank(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
 	}
-	withDeadline(t)
 	params := GraphParams{Vertices: 800, Edges: 5_000, Skew: 1.1, Iterations: 3}
 
 	clean, err := PageRank(inprocessCfg(t, 3), params)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-
-	cfg := multiprocCfg(t, 3)
-	inj := chaos.New(13)
-	inj.KillExecutor = 1
-	inj.KillAfter = 8
-	cfg.Chaos = inj
-	cfg.MaxTaskRetries = 5
-	cfg.MaxExecutorFailures = 2
-	res, err := PageRank(cfg, params)
-	if err != nil {
-		t.Fatalf("multiproc PR with SIGKILL: %v", err)
-	}
-	logRecovery(t, res)
-	if math.Abs(res.Checksum-clean.Checksum) > 1e-6*math.Abs(clean.Checksum) {
-		t.Errorf("checksum after SIGKILL = %v, want ~%v", res.Checksum, clean.Checksum)
-	}
-	if inj.Stats().Kills == 0 {
-		t.Errorf("chaos kill never fired")
+	for _, c := range []struct {
+		name      string
+		killAfter int // attempts started on the executor before it dies
+	}{{"adjacency", 8}, {"iteration", 22}} {
+		t.Run(c.name, func(t *testing.T) {
+			withDeadline(t)
+			cfg := multiprocCfg(t, 3)
+			inj := chaos.New(13)
+			inj.KillExecutor = 1
+			inj.KillAfter = c.killAfter
+			cfg.Chaos = inj
+			cfg.MaxTaskRetries = 5
+			cfg.MaxExecutorFailures = 2
+			res, err := PageRank(cfg, params)
+			if err != nil {
+				t.Fatalf("multiproc PR with SIGKILL: %v", err)
+			}
+			logRecovery(t, res)
+			if math.Abs(res.Checksum-clean.Checksum) > 1e-6*math.Abs(clean.Checksum) {
+				t.Errorf("checksum after SIGKILL = %v, want ~%v", res.Checksum, clean.Checksum)
+			}
+			if inj.Stats().Kills == 0 {
+				t.Errorf("chaos kill never fired")
+			}
+		})
 	}
 }
 
