@@ -20,23 +20,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// cancelEchoRuntime is the helper process's runtime: a "block" task
-// parks on its cancel signal — the shape of a speculative loser mid-
-// merge — and reports Canceled once the driver's CancelTask lands; any
-// other key completes immediately, echoing the key.
-type cancelEchoRuntime struct{}
+// nopRuntime is a Runtime with no shuffles and nothing counted.
+type nopRuntime struct{}
 
-func (cancelEchoRuntime) RunTask(key string, stage, part, attempt int, cancel <-chan struct{}) TaskResult {
-	if key == "block" {
+func (nopRuntime) MaterializeDataset(int, int) {}
+func (nopRuntime) ReleaseDataset(int, int)     {}
+func (nopRuntime) Snapshot() obs.CounterValues { return obs.CounterValues{} }
+
+// publishEchoBodies publishes the helper process's two stages: a "block"
+// attempt parks on its cancel signal — the shape of a speculative loser
+// mid-merge — and reports Canceled once the driver's CancelTask lands; an
+// "after" attempt completes at once, echoing its stage key.
+func publishEchoBodies(f *Follower) {
+	f.AddStageBody("block", func(_, _, _ int, cancel <-chan struct{}) TaskResult {
 		<-cancel
 		return TaskResult{Canceled: true, ErrMsg: "canceled by driver"}
-	}
-	return TaskResult{OK: true, Result: []byte(key)}
+	})
+	f.AddStageBody("after", func(int, int, int, <-chan struct{}) TaskResult {
+		return TaskResult{OK: true, Result: []byte("after")}
+	})
 }
-
-func (cancelEchoRuntime) MaterializeDataset(int, int) {}
-func (cancelEchoRuntime) ReleaseDataset(int, int)     {}
-func (cancelEchoRuntime) Snapshot() obs.CounterValues { return obs.CounterValues{} }
 
 func cancelHelperMain(args []string) int {
 	fs := flag.NewFlagSet("ctl-helper", flag.ContinueOnError)
@@ -52,7 +55,8 @@ func cancelHelperMain(args []string) int {
 		return 1
 	}
 	defer f.Close()
-	f.SetRuntime(cancelEchoRuntime{})
+	f.SetRuntime(nopRuntime{})
+	publishEchoBodies(f)
 	<-f.ShutdownCh()
 	return 0
 }

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -12,15 +13,9 @@ import (
 )
 
 // Runtime is what the engine plugs into a Follower once its mirrored
-// context exists: the executor-side implementations of task execution
-// and shuffle lifecycle. All methods may be called concurrently.
+// context exists: the executor side of the shuffle lifecycle and its
+// counters. All methods may be called concurrently.
 type Runtime interface {
-	// RunTask executes one dispatched attempt against the mirrored plan.
-	// It blocks until the mirrored program has registered the stage's
-	// body (the program reaches every stage the driver dispatches).
-	// cancel closes when the driver sent CancelTask for this attempt
-	// (best-effort early stop; a result is still expected).
-	RunTask(key string, stage, part, attempt int, cancel <-chan struct{}) TaskResult
 	// MaterializeDataset ensures the announced epoch of the dataset's
 	// shuffle is materialized locally (follower-side exchange), so
 	// executors that hold map tasks for a shuffle none of their own tasks
@@ -48,10 +43,32 @@ type EventSource interface {
 	DrainEvents(max int) []obs.Event
 }
 
+// StageBody runs one dispatched attempt of a stage the mirrored program
+// published (AddStageBody). cancel closes when the driver sends CancelTask
+// for the attempt: a best-effort early stop, after which a result is still
+// expected.
+type StageBody func(stage, part, attempt int, cancel <-chan struct{}) TaskResult
+
 // heartbeatEventBatch bounds the events one heartbeat carries; at the
 // driver's 100ms period that is 10k events/s of shipping capacity per
 // executor before recorder rings start overwriting.
 const heartbeatEventBatch = 1024
+
+// stageBodyTimeout bounds how long a dispatched attempt waits for the
+// mirrored program to publish its stage's body. A healthy mirror publishes
+// within the time its program takes to reach the stage; a diverged one
+// would otherwise park the attempt forever. A variable so tests can
+// shorten it.
+var stageBodyTimeout = 2 * time.Minute
+
+// The ends of a wait other than a dead connection: errShutdown ends every
+// wait once the driver broadcast Shutdown; errBodyCanceled and errNoBody end
+// a body wait whose attempt the driver canceled or whose deadline passed.
+var (
+	errShutdown     = errors.New("ctl: the driver shut the fleet down")
+	errBodyCanceled = errors.New("ctl: the attempt was canceled before its stage body was published")
+	errNoBody       = errors.New("ctl: no stage body was published before the deadline (mirror diverged?)")
+)
 
 // FollowerConfig connects one executor process to its driver; it beats at
 // the period the driver's welcome carries.
@@ -78,8 +95,10 @@ type stageVerdict struct {
 
 // Follower is the executor-process side of the control plane: the
 // control connection, the data-plane server whose address it advertises,
-// and the stores the engine's mirrored program waits on (plan, stage
-// verdicts, action results, materialization announcements).
+// and the stores behind its one wait loop: what the engine's mirrored
+// program waits on (plan, stage verdicts, action results, materialization
+// announcements) and what the driver's dispatched attempts wait on (the
+// stage bodies the program published).
 type Follower struct {
 	id     int
 	conn   *rpcConn
@@ -93,9 +112,10 @@ type Follower struct {
 	ends     map[string]stageVerdict
 	actions  map[string][]byte
 	mats     map[int]matEntry
+	bodies   map[string]StageBody
 	lookups  map[uint64]chan lookupReply
 	cancels  map[uint64]chan struct{} // taskID → attempt cancel signal
-	closed   bool
+	closed   bool                     // the connection died or the driver broadcast Shutdown
 	closeErr error
 
 	// snapMu is held from reading a counter snapshot to sending it, so
@@ -104,8 +124,7 @@ type Follower struct {
 	// older one over a metrics reply's.
 	snapMu sync.Mutex
 
-	shutdownCh chan struct{}
-	shutdown   sync.Once
+	shutdownCh chan struct{} // closed with closed
 	nextReq    atomic.Uint64
 }
 
@@ -135,6 +154,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		ends:       make(map[string]stageVerdict),
 		actions:    make(map[string][]byte),
 		mats:       make(map[int]matEntry),
+		bodies:     make(map[string]StageBody),
 		lookups:    make(map[uint64]chan lookupReply),
 		cancels:    make(map[uint64]chan struct{}),
 		shutdownCh: make(chan struct{}),
@@ -181,16 +201,9 @@ func (f *Follower) DataServer() *transport.DataServer { return f.server }
 // connection died.
 func (f *Follower) ShutdownCh() <-chan struct{} { return f.shutdownCh }
 
-// Closed reports whether the control connection is gone (waiters should
-// abort rather than run out their deadlines).
-func (f *Follower) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}
-
-// SetRuntime registers the engine's executor-side runtime; dispatched
-// tasks queued before this point proceed once it is set.
+// SetRuntime registers the engine's executor-side runtime; announced
+// materializations and releases queued before this point proceed once it
+// is set.
 func (f *Follower) SetRuntime(rt Runtime) {
 	f.mu.Lock()
 	f.rt = rt
@@ -198,42 +211,100 @@ func (f *Follower) SetRuntime(rt Runtime) {
 	f.cond.Broadcast()
 }
 
-// waitLocked blocks, with f.mu held, until ready reports true or the
-// control connection dies (closeErr). It is the one wait loop behind every
-// follower-side await, so a liveness rule — a deadline, a death signal —
-// has exactly one place to land.
-func (f *Follower) waitLocked(ready func() bool) error {
+// waitLocked blocks, with f.mu held, until ready reports true, or the wait
+// ends: the control connection died or the driver broadcast Shutdown
+// (closeErr), or ended — nil for a wait with no end of its own — reports
+// why. It is the one wait loop behind every follower-side await, so a
+// liveness rule has exactly one place to land; whatever can change an
+// answer broadcasts f.cond under f.mu.
+func (f *Follower) waitLocked(ready func() bool, ended func() error) error {
 	for !ready() {
 		if f.closed {
 			return f.closeErr
+		}
+		if ended != nil {
+			if err := ended(); err != nil {
+				return err
+			}
 		}
 		f.cond.Wait()
 	}
 	return nil
 }
 
-// runtime blocks until SetRuntime (nil on connection death).
+// runtime blocks until SetRuntime (nil once the follower is closed).
 func (f *Follower) runtime() Runtime {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_ = f.waitLocked(func() bool { return f.rt != nil })
+	_ = f.waitLocked(func() bool { return f.rt != nil }, nil)
 	return f.rt
+}
+
+// AddStageBody publishes what the driver's dispatched attempts of the
+// stage run; attempts that arrived first stop waiting for it.
+func (f *Follower) AddStageBody(key string, body StageBody) {
+	f.mu.Lock()
+	f.bodies[key] = body
+	f.mu.Unlock()
+	f.cond.Broadcast()
+}
+
+// DropStageBodies withdraws the stages' bodies (the driver dispatches no
+// attempt of a stage after its verdict).
+func (f *Follower) DropStageBodies(keys ...string) {
+	f.mu.Lock()
+	for _, key := range keys {
+		delete(f.bodies, key)
+	}
+	f.mu.Unlock()
+}
+
+// awaitBody blocks until the stage's body is published. Beyond the ends
+// every wait has, this one ends when the attempt's cancel closes (the
+// driver no longer waits for it) or when stageBodyTimeout passes (the
+// mirror diverged and will never reach the stage).
+func (f *Follower) awaitBody(key string, cancel <-chan struct{}) (StageBody, error) {
+	expired := false
+	deadline := time.AfterFunc(stageBodyTimeout, func() {
+		f.mu.Lock()
+		expired = true
+		f.mu.Unlock()
+		f.cond.Broadcast()
+	})
+	defer deadline.Stop()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var body StageBody
+	err := f.waitLocked(func() bool { body = f.bodies[key]; return body != nil }, func() error {
+		select {
+		case <-cancel:
+			return errBodyCanceled
+		default:
+		}
+		if expired {
+			return errNoBody
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("stage %q: %w", key, err)
+	}
+	return body, nil
 }
 
 // markClosed wakes every waiter with a terminal error.
 func (f *Follower) markClosed(err error) {
 	f.mu.Lock()
 	if !f.closed {
-		f.closed = true
-		f.closeErr = err
+		f.closed, f.closeErr = true, err
 		for _, ch := range f.lookups {
 			close(ch)
 		}
 		f.lookups = make(map[uint64]chan lookupReply)
+		close(f.shutdownCh)
 	}
 	f.mu.Unlock()
 	f.cond.Broadcast()
-	f.shutdown.Do(func() { close(f.shutdownCh) })
 }
 
 // Close tears the follower down (executor main, after shutdown).
@@ -284,12 +355,12 @@ func (f *Follower) readLoop() {
 				continue
 			}
 			f.mu.Lock()
-			cancel := f.cancels[taskID]
-			delete(f.cancels, taskID)
-			f.mu.Unlock()
-			if cancel != nil {
+			if cancel := f.cancels[taskID]; cancel != nil {
 				close(cancel)
+				delete(f.cancels, taskID)
 			}
+			f.mu.Unlock()
+			f.cond.Broadcast() // a body wait of the attempt ends
 		case msgStageEnd:
 			key := dd.str()
 			if len(dd.b) < 1 {
@@ -390,18 +461,20 @@ func (f *Follower) readLoop() {
 			f.conn.send(msgMetricsReply, e.b)
 			f.snapMu.Unlock()
 		case msgShutdown:
-			f.shutdown.Do(func() { close(f.shutdownCh) })
+			f.markClosed(errShutdown)
 		}
 	}
 }
 
+// handleRunTask runs one dispatched attempt against the body the mirrored
+// program published for its stage, and answers TaskDone. A body wait that
+// ends early is the attempt's failure — Canceled when the driver canceled it.
 func (f *Follower) handleRunTask(taskID uint64, key string, stage, part, attempt int, cancel <-chan struct{}) {
-	rt := f.runtime()
 	var res TaskResult
-	if rt == nil {
-		res = TaskResult{ErrMsg: "ctl: follower shut down before running the task"}
+	if body, err := f.awaitBody(key, cancel); err != nil {
+		res = TaskResult{ErrMsg: err.Error(), Canceled: errors.Is(err, errBodyCanceled)}
 	} else {
-		res = rt.RunTask(key, stage, part, attempt, cancel)
+		res = body(stage, part, attempt, cancel)
 	}
 	f.mu.Lock()
 	delete(f.cancels, taskID) // a cancel arriving after the result is a no-op
@@ -423,11 +496,7 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 		var snap obs.CounterValues
 		f.mu.Lock()
 		rt := f.rt
-		closed := f.closed
 		f.mu.Unlock()
-		if closed {
-			return
-		}
 		var evs []obs.Event
 		f.snapMu.Lock()
 		if rt != nil {
@@ -453,7 +522,7 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 func (f *Follower) AwaitPlan() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.waitLocked(func() bool { return f.hasPlan }); err != nil {
+	if err := f.waitLocked(func() bool { return f.hasPlan }, nil); err != nil {
 		return nil, err
 	}
 	return f.plan, nil
@@ -466,7 +535,7 @@ func (f *Follower) AwaitStageEnd(key string) (byte, string, error) {
 	defer f.mu.Unlock()
 	var v stageVerdict
 	var ok bool
-	if err := f.waitLocked(func() bool { v, ok = f.ends[key]; return ok }); err != nil {
+	if err := f.waitLocked(func() bool { v, ok = f.ends[key]; return ok }, nil); err != nil {
 		return VerdictAbort, "", err
 	}
 	delete(f.ends, key)
@@ -480,7 +549,7 @@ func (f *Follower) AwaitActionResult(key string) ([]byte, error) {
 	defer f.mu.Unlock()
 	var res []byte
 	var ok bool
-	if err := f.waitLocked(func() bool { res, ok = f.actions[key]; return ok }); err != nil {
+	if err := f.waitLocked(func() bool { res, ok = f.actions[key]; return ok }, nil); err != nil {
 		return nil, err
 	}
 	delete(f.actions, key)
@@ -493,7 +562,7 @@ func (f *Follower) AwaitMaterialize(dataset, afterEpoch int) (epoch int, shuffle
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var m matEntry
-	if err := f.waitLocked(func() bool { m = f.mats[dataset]; return m.epoch > afterEpoch }); err != nil {
+	if err := f.waitLocked(func() bool { m = f.mats[dataset]; return m.epoch > afterEpoch }, nil); err != nil {
 		return 0, 0, err
 	}
 	return m.epoch, m.shuffle, nil

@@ -26,9 +26,6 @@ type tickingRuntime struct {
 	rec *obs.Recorder
 }
 
-func (r *tickingRuntime) RunTask(string, int, int, int, <-chan struct{}) TaskResult {
-	return TaskResult{OK: true}
-}
 func (r *tickingRuntime) MaterializeDataset(int, int) {}
 func (r *tickingRuntime) ReleaseDataset(int, int)     {}
 func (r *tickingRuntime) Snapshot() obs.CounterValues {
@@ -215,7 +212,7 @@ func TestWelcomeSetsTheHeartbeatPeriod(t *testing.T) {
 // one back until gate closes: a heartbeat descheduled between reading the
 // counters and sending them.
 type gatedRuntime struct {
-	cancelEchoRuntime
+	nopRuntime
 	calls         atomic.Int64
 	entered, gate chan struct{}
 }

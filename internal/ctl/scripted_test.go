@@ -153,6 +153,10 @@ func (d *ScriptedDriver) StageEnd(key string, verdict byte, errMsg string) {
 	d.rc.send(msgStageEnd, e.b)
 }
 
+// Shutdown broadcasts the end of the job, the first thing a driver's Close
+// sends.
+func (d *ScriptedDriver) Shutdown() { d.rc.send(msgShutdown, nil) }
+
 // Registered reports how many directory entries the follower published.
 func (d *ScriptedDriver) Registered() int {
 	d.mu.Lock()

@@ -28,7 +28,9 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,22 +274,21 @@ type Context struct {
 	nextID  atomic.Int64
 	nextShf atomic.Int64
 
-	shufMu   sync.Mutex
-	shuffles map[int]releasable
-	// shuffleReg is the persistent dataset→shuffle-state registry (never
-	// deleted, unlike shuffles, whose entries end with each release): the
-	// control plane resolves NeedShuffle and recovery releases through it.
+	// shuffleReg maps every shuffled dataset the program built to its
+	// shuffle state, for good: ReleaseShuffle, ReleaseAllShuffles and the
+	// control plane's NeedShuffle and recovery releases resolve through it.
+	// The state itself knows whether it is live and which epoch it holds.
+	shufMu     sync.Mutex
 	shuffleReg map[int]materializable
 
-	// Multiproc roles: at most one of driver/follower is set. nextAction
-	// numbers action stages in program order — identical on the driver and
-	// every mirror, so descriptors agree; epochs tracks each dataset's
-	// current materialization so recovery ignores stale reports.
+	// Multiproc roles: at most one of driver/follower is set. follower is
+	// the executor process's control connection, which also keeps the stage
+	// bodies the mirrored program publishes. nextAction numbers action stages
+	// in program order — identical on the driver and every mirror, so
+	// descriptors agree.
 	driver     *ctlDriver
-	follower   *ctlFollower
+	follower   *ctl.Follower
 	nextAction atomic.Int64
-	epochMu    sync.Mutex
-	epochs     map[int]int
 
 	// Observability: the process-local event ring, the driver-side
 	// cluster view, the periodic GC sampler, and the HTTP ops plane.
@@ -329,9 +330,7 @@ func New(conf Config) *Context {
 	conf = conf.withDefaults()
 	c := &Context{
 		conf:         conf,
-		shuffles:     make(map[int]releasable),
 		shuffleReg:   make(map[int]materializable),
-		epochs:       make(map[int]int),
 		stageIDs:     make(map[string]int32),
 		fetchWorkers: fetchConcurrency,
 		fetchBudget:  maxFetchBytesInFlight,
@@ -515,29 +514,19 @@ func (c *Context) writeTraceOut() {
 }
 
 // materializable is the deployment-facing face of a shuffle state: the
-// control plane materializes and releases shuffles by dataset id without
-// knowing their record types.
+// context materializes and releases shuffles by dataset id without knowing
+// their record types.
 type materializable interface {
-	releasable
+	releasable // a state that is not live releases nothing
 	Materialize() error
-	// MaterializeEpoch / ReleaseEpoch are the follower-side epoch-guarded
-	// variants: recovery release and re-materialize broadcasts arrive on
-	// independent goroutines, so each operation re-checks the adopted
-	// epoch under the state lock instead of trusting arrival order.
+	// Epoch names the current materialization (0 before the first).
+	Epoch() int
+	// MaterializeEpoch / ReleaseEpoch are the epoch-guarded variants:
+	// recovery release and re-materialize broadcasts arrive on independent
+	// goroutines, so each operation re-checks the state's epoch under its
+	// lock instead of trusting arrival order.
 	MaterializeEpoch(epoch int) error
-	ReleaseEpoch(epoch int)
-}
-
-// registerShuffle tracks a shuffle output for later release, and keeps
-// the permanent dataset→state registry the control plane resolves
-// NeedShuffle requests and recovery releases through.
-func (c *Context) registerShuffle(datasetID int, r releasable) {
-	c.shufMu.Lock()
-	defer c.shufMu.Unlock()
-	c.shuffles[datasetID] = r
-	if m, ok := r.(materializable); ok {
-		c.shuffleReg[datasetID] = m
-	}
+	ReleaseEpoch(epoch int) bool
 }
 
 // MaterializeShuffle materializes the dataset's shuffle by id — the
@@ -553,8 +542,8 @@ func (c *Context) MaterializeShuffle(datasetID int) error {
 	return st.Materialize()
 }
 
-// shuffleOf resolves a dataset id in the permanent shuffle registry (nil
-// when the program has not built that shuffle).
+// shuffleOf resolves a dataset id in the shuffle registry (nil when the
+// program has not built that shuffle).
 func (c *Context) shuffleOf(datasetID int) materializable {
 	c.shufMu.Lock()
 	defer c.shufMu.Unlock()
@@ -574,33 +563,23 @@ func (c *Context) shuffleOf(datasetID int) materializable {
 // live epoch on one executor while the driver, still live, memoises away
 // that executor's request for it.
 func (c *Context) ReleaseShuffle(datasetID int) {
+	st := c.shuffleOf(datasetID)
 	switch {
-	case c.follower != nil:
-		return
+	case st == nil || c.follower != nil:
 	case c.driver != nil:
-		c.releaseEverywhere(datasetID, c.epochOf(datasetID))
-		return
-	}
-	c.shufMu.Lock()
-	r, ok := c.shuffles[datasetID]
-	delete(c.shuffles, datasetID)
-	c.shufMu.Unlock()
-	if ok {
-		r.Release()
+		c.releaseEverywhere(datasetID, st.Epoch())
+	default:
+		st.Release()
 	}
 }
 
-// ReleaseAllShuffles frees every tracked shuffle output.
+// ReleaseAllShuffles frees every live shuffle output.
 func (c *Context) ReleaseAllShuffles() {
 	c.shufMu.Lock()
-	rs := make([]releasable, 0, len(c.shuffles))
-	for id, r := range c.shuffles {
-		rs = append(rs, r)
-		delete(c.shuffles, id)
-	}
+	sts := slices.Collect(maps.Values(c.shuffleReg))
 	c.shufMu.Unlock()
-	for _, r := range rs {
-		r.Release()
+	for _, st := range sts {
+		st.Release()
 	}
 }
 

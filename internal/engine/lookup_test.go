@@ -109,7 +109,7 @@ func TestLookupForAgreesWithCollectMap(t *testing.T) {
 			if spilled := ctx.Counters()[obs.ShuffleSpillBytes] > 0; spilled != strings.HasPrefix(c.name, "spill") {
 				t.Errorf("map side spilled: %v", spilled)
 			}
-			if epoch := ctx.epochOf(red.ID()); epoch != 2 {
+			if epoch := ctx.shuffleOf(red.ID()).Epoch(); epoch != 2 {
 				t.Errorf("epoch %d after a release and a round of probes, want 2", epoch)
 			}
 			one := Parallelize(ctx, []decompose.Pair[int64, int64]{KV(int64(1), int64(2))}, 1)

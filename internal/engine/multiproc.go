@@ -26,12 +26,6 @@ import (
 // the two steps around it that are role-specific by nature (beginExchange,
 // adoptResult). DESIGN.md's "Stage protocol" table is the map.
 
-// stageBodyTimeout bounds how long a dispatched task waits for the
-// mirrored program to register its stage's body. A healthy mirror
-// registers within the time its program takes to reach the stage; a
-// diverged mirror would otherwise park the task forever.
-const stageBodyTimeout = 2 * time.Minute
-
 // MissingOutputError reports that a shuffle output this executor should
 // hold locally was gone when a task tried to drain it — the executor
 // that produced it died after the exchange completed. The driver reacts
@@ -89,18 +83,6 @@ func (d *ctlDriver) withCause(mark int, err error) error {
 	return err
 }
 
-// ctlFollower is the executor-process role: the mirrored program's stage
-// bodies are registered here and executed when the driver dispatches
-// their descriptors.
-type ctlFollower struct {
-	ctl *ctl.Follower
-	me  int
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	bodies map[string]taskBody[[]byte]
-}
-
 // wireDriver spawns and supervises the executor fleet and returns the
 // driver's share of the data plane: the location directory and no node,
 // since the driver hosts no shuffle data. Executor death feeds straight
@@ -142,9 +124,7 @@ func (c *Context) wireDriver() *transport.Plane {
 // node — the data server whose address the handshake advertised — behind
 // the driver's directory.
 func (c *Context) wireFollower(f *ctl.Follower) *transport.Plane {
-	fl := &ctlFollower{ctl: f, me: f.ID(), bodies: make(map[string]taskBody[[]byte])}
-	fl.cond = sync.NewCond(&fl.mu)
-	c.follower = fl
+	c.follower = f
 	f.SetRuntime(followerRuntime{c: c})
 	return transport.NewRemote(f, map[int]*transport.DataServer{f.ID(): f.DataServer()}, fetchTimeout)
 }
@@ -167,36 +147,13 @@ func (c *Context) SyncClusterMetrics() {
 	}
 }
 
-// bumpEpoch advances (deciding roles) a dataset's materialization epoch.
-func (c *Context) bumpEpoch(dataset int) int {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	c.epochs[dataset]++
-	return c.epochs[dataset]
-}
-
-// setEpoch records (follower) the epoch adopted from the driver.
-func (c *Context) setEpoch(dataset, epoch int) {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	if epoch > c.epochs[dataset] {
-		c.epochs[dataset] = epoch
-	}
-}
-
-func (c *Context) epochOf(dataset int) int {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	return c.epochs[dataset]
-}
-
 // recoverMissingOutput is the driver arm's reaction to a follower's
 // MissingOutputError: if the report names the dataset's *current*
 // materialization, release it everywhere so the reporting task's retry
 // re-materializes it from lineage under the current placement. Stale
 // reports (a newer epoch already exists) are ignored.
 func (c *Context) recoverMissingOutput(dataset, epoch int) {
-	if epoch != c.epochOf(dataset) || !c.releaseEverywhere(dataset, epoch) {
+	if !c.releaseEverywhere(dataset, epoch) {
 		return
 	}
 	// Followers process the release broadcast asynchronously; a beat here
@@ -209,10 +166,11 @@ func (c *Context) recoverMissingOutput(dataset, epoch int) {
 
 // releaseEverywhere is the driver's one way to end a materialization:
 // its own copy, then every executor's, of the same epoch. It reports
-// whether the program has built the dataset's shuffle at all.
+// whether epoch is the dataset's current one; a stale epoch, or a dataset
+// whose shuffle the program has not built, releases nothing anywhere.
 //
 // The driver's own copy is released by the followers' rule — through the
-// permanent registry, under the state lock, epoch-guarded (ReleaseEpoch).
+// registry, under the state lock, epoch-guarded (ReleaseEpoch).
 // The lock is what makes the release and the broadcast one decision: a
 // release can arrive while the driver is still inside the materialization
 // it names (followers go live on the reduce verdict, the driver only when
@@ -222,10 +180,9 @@ func (c *Context) recoverMissingOutput(dataset, epoch int) {
 // memoised away and the followers wait for an epoch nobody announces.
 func (c *Context) releaseEverywhere(dataset, epoch int) bool {
 	st := c.shuffleOf(dataset)
-	if st == nil {
+	if st == nil || !st.ReleaseEpoch(epoch) {
 		return false
 	}
-	st.ReleaseEpoch(epoch)
 	c.driver.d.ReleaseDataset(dataset, epoch)
 	return true
 }
@@ -276,34 +233,57 @@ func runStage[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
 		return err
 	}
 	keys := []string{st.key}
-	f.publish(st.key, onWire(body, ps != nil))
+	f.AddStageBody(st.key, onWire(c, body, ps != nil))
 	if st.rep != nil {
 		// The driver's lineage repair dispatches lost map tasks against the
 		// map stage's key while this stage's attempts are still running.
 		keys = append(keys, st.rep.maps.key)
-		f.publish(st.rep.maps.key, onWire(st.rep.body, false))
+		f.AddStageBody(st.rep.maps.key, onWire(c, st.rep.body, false))
 	}
-	verdict, msg, err := f.ctl.AwaitStageEnd(st.key)
-	f.retire(keys) // the driver never dispatches a stage's tasks after its StageEnd
+	verdict, msg, err := f.AwaitStageEnd(st.key)
+	f.DropStageBodies(keys...)
 	if err == nil && verdict != ctl.VerdictOK {
 		err = fmt.Errorf("engine: stage %s failed at driver: %s", st.key, msg)
 	}
 	return err
 }
 
-// onWire is a body as a follower publishes it: a panic (the lazy Seq
-// plumbing carries errors as panics) becomes the attempt's error rather
-// than the executor process's end, and the partial, when the stage hands
-// one back, is gob-encoded for the trip to the driver.
-func onWire[P any](body taskBody[P], partial bool) taskBody[[]byte] {
-	return func(t sched.Attempt, ex *Executor) (raw []byte, err error) {
-		defer recoverErr(&err)
-		v, err := body(t, ex)
-		if err != nil || !partial {
-			return nil, err
-		}
-		return gobEncode(v)
+// onWire is a body as a follower publishes it: the attempt runs on this
+// process's executor, a panic (the lazy Seq plumbing carries errors as
+// panics) becomes the attempt's error rather than the executor process's
+// end, the partial, when the stage hands one back, is gob-encoded for the
+// trip to the driver, and the outcome is a ctl.TaskResult (taskResult).
+func onWire[P any](c *Context, body taskBody[P], partial bool) ctl.StageBody {
+	me := c.follower.ID()
+	return func(stage, part, attempt int, cancel <-chan struct{}) ctl.TaskResult {
+		return taskResult(func() (raw []byte, err error) {
+			defer recoverErr(&err)
+			v, err := body(sched.ExternalAttempt(stage, part, attempt, me, cancel), c.execs[me])
+			if err != nil || !partial {
+				return nil, err
+			}
+			return gobEncode(v)
+		}())
 	}
+}
+
+// taskResult is an attempt's outcome as a follower reports it: the typed
+// causes the driver acts on travel as TaskResult fields (taskError turns
+// them back into the error types the local arm sees), the rest as text.
+func taskResult(raw []byte, err error) ctl.TaskResult {
+	if err == nil {
+		return ctl.TaskResult{OK: true, Result: raw}
+	}
+	res := ctl.TaskResult{ErrMsg: err.Error(), Canceled: errors.Is(err, sched.ErrCanceled)}
+	var missing *MissingOutputError
+	if errors.As(err, &missing) {
+		res.MissingDataset, res.MissingEpoch = missing.Dataset, missing.Epoch
+	}
+	var lost *LostOutputsError
+	if errors.As(err, &lost) {
+		res.LostOutputs = lost.IDs
+	}
+	return res
 }
 
 // dispatch runs a stage's tasks through the scheduler (retries,
@@ -393,144 +373,52 @@ func (c *Context) endStage(key string, err error) {
 	c.driver.d.StageEnd(key, verdict, msg)
 }
 
-// beginExchange opens one materialization of a shuffled dataset — the
-// one step of an exchange that differs by role. The deciding roles issue
-// the shuffle id and the dataset's next epoch (announced to the fleet by a
-// driver); a follower asks the driver to run the materialization (it
-// deduplicates) and adopts what the driver announces — local counters
-// could drift under concurrent materializations, the broadcast cannot.
-func (c *Context) beginExchange(dataset int) (transport.ShuffleID, int, error) {
+// beginExchange opens one materialization of a shuffled dataset whose
+// current one is epoch prev — the one step of an exchange that differs by
+// role. The deciding roles issue the shuffle id and the next epoch
+// (announced to the fleet by a driver); a follower asks the driver to run
+// the materialization (it deduplicates) and adopts what the driver
+// announces — local counters could drift under concurrent
+// materializations, the broadcast cannot. The dataset's shuffle state
+// keeps the epoch (it calls this under its lock).
+func (c *Context) beginExchange(dataset, prev int) (transport.ShuffleID, int, error) {
 	if f := c.follower; f != nil {
-		f.ctl.NeedShuffle(dataset)
-		epoch, shuffle, err := f.ctl.AwaitMaterialize(dataset, c.epochOf(dataset))
-		if err != nil {
-			return 0, 0, err
-		}
-		c.setEpoch(dataset, epoch)
-		return transport.ShuffleID(shuffle), epoch, nil
+		f.NeedShuffle(dataset)
+		epoch, shuffle, err := f.AwaitMaterialize(dataset, prev)
+		return transport.ShuffleID(shuffle), epoch, err
 	}
-	shuffle, epoch := c.shuffleID(), c.bumpEpoch(dataset)
+	shuffle, epoch := c.shuffleID(), prev+1
 	if c.driver != nil {
 		c.driver.d.MaterializeBegin(dataset, epoch, int64(shuffle))
 	}
 	return shuffle, epoch, nil
 }
 
-// publish makes body what dispatched tasks of the stage execute.
-func (f *ctlFollower) publish(key string, body taskBody[[]byte]) {
-	f.mu.Lock()
-	f.bodies[key] = body
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// retire withdraws the stages' bodies once the verdict arrived.
-func (f *ctlFollower) retire(keys []string) {
-	f.mu.Lock()
-	for _, key := range keys {
-		delete(f.bodies, key)
-	}
-	f.mu.Unlock()
-}
-
-// awaitStageBody blocks until the mirrored program registers the stage's
-// body. The timeout guards against a diverged mirror that will never
-// reach the stage; a close of cancel (the driver's CancelTask) ends the
-// wait with sched.ErrCanceled.
-func (f *ctlFollower) awaitStageBody(key string, cancel <-chan struct{}) (taskBody[[]byte], error) {
-	// One watcher ends the wait on whichever comes first — the deadline,
-	// the follower shutting down (the driver is gone), the attempt's cancel
-	// (the driver no longer waits) — by setting ended under mu, so the
-	// wake-up cannot fall between the loop's checks and its cond.Wait.
-	var ended error
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		var err error
-		select {
-		case <-time.After(stageBodyTimeout):
-			err = fmt.Errorf("engine: no body registered for stage %q within %v (mirror diverged?)", key, stageBodyTimeout)
-		case <-f.ctl.ShutdownCh():
-			err = fmt.Errorf("engine: follower shutting down before stage %q ran", key)
-		case <-cancel:
-			err = fmt.Errorf("engine: stage %q canceled before its body registered: %w", key, sched.ErrCanceled)
-		case <-stop:
-			return
-		}
-		f.mu.Lock()
-		ended = err
-		f.mu.Unlock()
-		f.cond.Broadcast()
-	}()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if body, ok := f.bodies[key]; ok {
-			return body, nil
-		}
-		if ended != nil {
-			return nil, ended
-		}
-		f.cond.Wait()
-	}
-}
-
 // followerRuntime is the ctl.Runtime the engine plugs into the follower
 // connection.
 type followerRuntime struct{ c *Context }
 
-// RunTask executes one dispatched attempt against the mirrored plan.
-// cancel closes when the driver sends CancelTask for this attempt: a wait
-// for the stage's body ends, and a running body observes it through
-// Attempt.Canceled and stops early — either way the answer is Canceled.
-func (r followerRuntime) RunTask(key string, stage, part, attempt int, cancel <-chan struct{}) ctl.TaskResult {
-	f := r.c.follower
-	var res []byte
-	body, err := f.awaitStageBody(key, cancel)
-	if err == nil {
-		res, err = body(sched.ExternalAttempt(stage, part, attempt, f.me, cancel), r.c.execs[f.me])
-	}
-	if err == nil {
-		return ctl.TaskResult{OK: true, Result: res}
-	}
-	tr := ctl.TaskResult{ErrMsg: err.Error(), Canceled: errors.Is(err, sched.ErrCanceled)}
-	var missing *MissingOutputError
-	if errors.As(err, &missing) {
-		tr.MissingDataset = missing.Dataset
-		tr.MissingEpoch = missing.Epoch
-	}
-	var lost *LostOutputsError
-	if errors.As(err, &lost) {
-		tr.LostOutputs = lost.IDs
-	}
-	return tr
-}
-
+// MaterializeDataset is the participation path: the driver announced a
+// materialization, so the local follower exchange runs even when none of
+// this executor's own tasks pull the dataset. Unknown ids mean the mirrored
+// program has not built the dataset yet; its own pull path will
+// materialize then. Epoch-guarded: a live materialization of an older
+// epoch is released first (the driver released it cluster-wide before
+// announcing this one, but that broadcast may not have been processed here
+// yet), under the state lock, so the check cannot misfire against a
+// concurrent materialization adopting this very epoch.
 func (r followerRuntime) MaterializeDataset(dataset, epoch int) {
-	// Participation path: the driver announced a materialization; run the
-	// local follower exchange even when none of this executor's own tasks
-	// pull the dataset. Unknown ids mean the mirrored program has not
-	// built the dataset yet; its own pull path will materialize then.
-	st := r.c.shuffleOf(dataset)
-	if st == nil {
-		return
+	if st := r.c.shuffleOf(dataset); st != nil {
+		_ = st.MaterializeEpoch(epoch)
 	}
-	// Epoch-guarded: a live materialization of an older epoch is released
-	// first (the driver released it cluster-wide before announcing this
-	// one, but that broadcast may not have been processed here yet). The
-	// check runs under the state lock, so it cannot misfire against a
-	// concurrent materialization adopting this very epoch.
-	_ = st.MaterializeEpoch(epoch)
 }
 
+// ReleaseDataset is epoch-guarded too: a late-arriving recovery release
+// must not free the buffers of a newer materialization.
 func (r followerRuntime) ReleaseDataset(dataset, epoch int) {
-	st := r.c.shuffleOf(dataset)
-	if st == nil {
-		return
+	if st := r.c.shuffleOf(dataset); st != nil {
+		st.ReleaseEpoch(epoch)
 	}
-	// Epoch-guarded: a late-arriving recovery release must not free the
-	// buffers of a newer materialization.
-	st.ReleaseEpoch(epoch)
 }
 
 // Snapshot ships everything this process counted, not just the set of the
@@ -577,7 +465,7 @@ func gobDecode(raw []byte, out any) error {
 // updates its weights with the very gradient the driver computed.
 func adoptResult[P, R any](c *Context, key string, ps []P, fold func(ps []P) R) (out R, err error) {
 	if f := c.follower; f != nil {
-		raw, err := f.ctl.AwaitActionResult(key)
+		raw, err := f.AwaitActionResult(key)
 		if err == nil {
 			err = gobDecode(raw, &out)
 		}

@@ -225,7 +225,7 @@ func awaitLive(ctx *Context, dataset, epoch int) {
 	st := ctx.shuffleOf(dataset).(*shuffleState[decompose.Pair[int64, int64]])
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		st.mu.Lock()
-		live := st.live && ctx.epochOf(dataset) == epoch
+		live := st.live && st.epoch == epoch
 		st.mu.Unlock()
 		if live {
 			return

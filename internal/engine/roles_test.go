@@ -144,7 +144,7 @@ func mirrorUnconverged(ctx *Context) error {
 	if err := unconvergedProgram(ctx); err == nil {
 		return errors.New("the mirrored job succeeded")
 	}
-	me := ctx.follower.me
+	me := ctx.follower.ID()
 	ledger := fmt.Sprintf("groups=%d bytes=%d pending=%d", ctx.execs[me].mem.Stats().LiveGroups,
 		ctx.MemoryInUse(), ctx.trans.(interface{ Pending() int }).Pending())
 	return os.WriteFile(filepath.Join(ctx.conf.SpillDir, fmt.Sprintf("ledger-%d", me)), []byte(ledger), 0o644)

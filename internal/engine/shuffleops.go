@@ -351,10 +351,11 @@ func (lr *lineageRepair) repair(g0 int, ids []transport.MapOutputID) error {
 
 // exchange is the transport-backed map/reduce exchange every keyed
 // shuffle runs, written once for every role: begin (the one role-specific
-// step), shuffleMapBody × M as one stage, shuffleReduceBody × R as the
-// next, then commit or release. It returns the merged reduce outputs, by
-// partition, that this process owns: all of them in-process, those the
-// driver placed here on a follower, none on the multiproc driver.
+// step, which opens the epoch after prev), shuffleMapBody × M as one stage,
+// shuffleReduceBody × R as the next, then commit or release. It returns the
+// merged reduce outputs, by partition, that this process owns — all of
+// them in-process, those the driver placed here on a follower, none on
+// the multiproc driver — and the epoch it opened.
 //
 // Recovery is map-task-granular and there is no other kind: serving is
 // non-consuming, so a failed reduce attempt simply retries, and when its
@@ -367,18 +368,18 @@ func (lr *lineageRepair) repair(g0 int, ids []transport.MapOutputID) error {
 // holds registered is released before returning.
 func exchange[K comparable, V any, S pairSink[K, V]](
 	d *Dataset[decompose.Pair[K, V]],
-	dsID int,
+	dsID, prev int,
 	key shuffle.Key[K],
 	R int,
 	entrySize func(K, V) int,
 	newBuf func(ex *Executor) (S, error),
-) (map[int]releasable, error) {
+) (map[int]releasable, int, error) {
 	ctx := d.ctx
 	M := d.parts
 	threshold := ctx.shuffleSpillThreshold(M * R)
-	shufID, epoch, err := ctx.beginExchange(dsID)
+	shufID, epoch, err := ctx.beginExchange(dsID, prev)
 	if err != nil {
-		return nil, err
+		return nil, prev, err
 	}
 
 	// The map stage is speculatable: two attempts of the same map task
@@ -390,7 +391,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	})
 	if err := runStage(ctx, maps, nil, mapBody); err != nil {
 		ctx.dropShuffleOutputs(shufID)
-		return nil, err
+		return nil, epoch, err
 	}
 	if ctx.testAfterMapStage != nil {
 		ctx.testAfterMapStage(shufID)
@@ -430,7 +431,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		releaseAll(outputs)
 		outMu.Unlock()
 		ctx.dropShuffleOutputs(shufID)
-		return nil, fmt.Errorf("engine: shuffle %d (dataset %d, epoch %d): reduce stage failed: %w",
+		return nil, epoch, fmt.Errorf("engine: shuffle %d (dataset %d, epoch %d): reduce stage failed: %w",
 			shufID, dsID, epoch, err)
 	}
 	if ctx.testAfterReduceVerdict != nil {
@@ -439,7 +440,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	// Stage commit: the consuming stage settled, so every map output's
 	// lifetime ends cluster-wide.
 	ctx.commitShuffleOutputs(shufID, M, R)
-	return outputs, nil
+	return outputs, epoch, nil
 }
 
 // spillTracker triggers buffer spills on an incrementally-maintained size
@@ -484,8 +485,8 @@ type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 
 // keyedShuffle is the shell ReduceByKey, GroupByKey and SortByKey share: a
 // dataset of R partitions over a memoized exchange of sh's sinks — the
-// shuffle state with its materialize/drain/release wiring, and the dataset
-// registration.
+// shuffle state with its materialize/drain wiring, entered in the context's
+// registry once, for the dataset's life.
 func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	d *Dataset[decompose.Pair[K, V]],
 	ops PairOps[K, V],
@@ -512,7 +513,7 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 			return fmt.Errorf("engine: shuffle of dataset %d: PairOps.%s is nil, and Object-mode buffers cross executors only as serialized frames",
 				st.datasetID, missing)
 		}
-		st.outputs, err = exchange(d, st.datasetID, ops.Key, R, ops.EntrySize, sh.newBuf)
+		st.outputs, st.epoch, err = exchange(d, st.datasetID, st.epoch, ops.Key, R, ops.EntrySize, sh.newBuf)
 		return err
 	}
 
@@ -529,7 +530,9 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 		}
 	})
 	st.datasetID = out.id
-	ctx.registerShuffle(out.id, st)
+	ctx.shufMu.Lock()
+	ctx.shuffleReg[out.id] = st
+	ctx.shufMu.Unlock()
 	return out
 }
 
@@ -699,19 +702,22 @@ func Join[K comparable, V, W any](
 // the fault-tolerance subsystem leans on when a blacklisted executor's
 // cache blocks are recomputed after the shuffle they derived from had
 // already ended its lifetime. Each re-materialization is a fresh
-// container lifetime (new buffers, re-registered with the context for
-// release). A failed materialization is sticky: concurrent and retried
-// actions observe the same error instead of multiplying doomed stage
-// re-runs.
+// container lifetime (new buffers) under the next epoch, the number every
+// role names it by. A failed materialization is sticky: concurrent and
+// retried actions observe the same error instead of multiplying doomed
+// stage re-runs.
 type shuffleState[T any] struct {
 	ctx         *Context
 	datasetID   int
 	materialize func() error
 	partMu      []sync.Mutex
 
-	mu      sync.Mutex
-	live    bool
-	err     error
+	mu   sync.Mutex
+	live bool
+	err  error
+	// epoch names the latest materialization: issued by the deciding roles,
+	// adopted from the driver's announcement on a follower (beginExchange).
+	epoch   int
 	outputs map[int]releasable // the live materialization's merged outputs held here
 	// gate fences buffer release against in-flight pins: a drain or a map
 	// task probing (LookupFor) holds a read lock from capture to completion,
@@ -740,9 +746,6 @@ func (st *shuffleState[T]) ensureLocked() error {
 		return err
 	}
 	st.live = true
-	// Register (or re-register, after a release) so the context can
-	// end this materialization's lifetime.
-	st.ctx.registerShuffle(st.datasetID, st)
 	return nil
 }
 
@@ -765,7 +768,7 @@ func (st *shuffleState[T]) Materialize() error {
 // and is then correctly left alone.
 func (st *shuffleState[T]) MaterializeEpoch(epoch int) error {
 	st.mu.Lock()
-	if st.live && st.ctx.epochOf(st.datasetID) < epoch {
+	if st.epoch < epoch {
 		st.releaseLocked()
 	}
 	err := st.ensureLocked()
@@ -773,16 +776,26 @@ func (st *shuffleState[T]) MaterializeEpoch(epoch int) error {
 	return err
 }
 
-// ReleaseEpoch releases the materialization only if it is still the
-// given epoch's — a late-arriving recovery release must not free the
-// buffers of a newer materialization. The check-and-clear runs under the
-// state lock (a follower adopts Context.epochs under it, in beginExchange).
-func (st *shuffleState[T]) ReleaseEpoch(epoch int) {
+// ReleaseEpoch releases the materialization only if it is still the given
+// epoch's — a late-arriving recovery release must not free the buffers of
+// a newer materialization — and reports whether the given epoch is still
+// the current one (or, on a follower, not yet adopted). The check-and-clear
+// runs under the state lock, which also covers the materialization that
+// adopts or issues the next epoch.
+func (st *shuffleState[T]) ReleaseEpoch(epoch int) bool {
 	st.mu.Lock()
-	if st.live && st.ctx.epochOf(st.datasetID) <= epoch {
-		st.releaseLocked()
+	defer st.mu.Unlock()
+	if st.epoch > epoch {
+		return false
 	}
-	st.mu.Unlock()
+	st.releaseLocked()
+	return true
+}
+
+func (st *shuffleState[T]) Epoch() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.epoch
 }
 
 // releaseLocked ends the live materialization under st.mu, waiting out
@@ -811,7 +824,7 @@ func (st *shuffleState[T]) pin(p int) (any, error) {
 		st.mu.Unlock()
 		return nil, err
 	}
-	outputs := st.outputs
+	outputs, epoch := st.outputs, st.epoch
 	// The gate is taken before st.mu is released, so a Release cannot free
 	// the captured outputs in between.
 	st.gate.RLock()
@@ -819,7 +832,7 @@ func (st *shuffleState[T]) pin(p int) (any, error) {
 	buf, ok := outputs[p]
 	if !ok {
 		st.gate.RUnlock()
-		return nil, &MissingOutputError{Dataset: st.datasetID, Epoch: st.ctx.epochOf(st.datasetID), Part: p}
+		return nil, &MissingOutputError{Dataset: st.datasetID, Epoch: epoch, Part: p}
 	}
 	st.partMu[p].Lock()
 	return buf, nil

@@ -95,9 +95,11 @@ var counterTable = [NumCounters]CounterRow{
 	// served in place from their pinned groups (writev, never staged into
 	// a frame buffer), spill-file bytes shipped through the
 	// sendfile-eligible path, and frame bytes the serve path did stage in
-	// user space (headers, key tables, an Encode-only payload's frame). The
-	// in-process plane keeps one node for every executor, so there executor
-	// 0's values are the whole cluster's and the others' are 0.
+	// user space (headers, key tables, an Encode-only payload's frame). A
+	// serve is counted before its bytes leave, so a fetch that returned is
+	// always in them and a serve whose write failed is counted all the same.
+	// The in-process plane keeps one node for every executor, so there
+	// executor 0's values are the whole cluster's and the others' are 0.
 	PagesServedZeroCopy:     {"pages_served_zero_copy", false, ScopeExecutor},
 	BytesSendfile:           {"bytes_sendfile", false, ScopeExecutor},
 	ServeUserspaceCopyBytes: {"serve_userspace_copy_bytes", false, ScopeExecutor},

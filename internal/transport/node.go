@@ -200,14 +200,16 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 		return writeNotFound(bw)
 	}
 	defer fs.Release()
+	// Counted before the frame's bytes leave: once the fetcher holds the
+	// last one it may end the job, and the driver read this node's counters.
+	s.store.countServe(fs)
+	s.store.bytesSendfile.Add(fs.FileBytes())
 	if !writeFrameHeader(bw, fs.Len()) || bw.Flush() != nil {
 		return false
 	}
 	if _, err := fs.WriteTo(conn); err != nil {
 		return false
 	}
-	s.store.countServe(fs)
-	s.store.bytesSendfile.Add(fs.FileBytes())
 	s.rec.Record(obs.Event{
 		Kind: obs.KindServe, Exec: s.recExec,
 		Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), B: fs.Len(),

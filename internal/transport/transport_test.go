@@ -709,3 +709,28 @@ func TestTCPFetchTimeoutRetiresConnAndStaysRetryable(t *testing.T) {
 		t.Errorf("retry fetch served %q", got)
 	}
 }
+
+// TestServeCountedBeforeFetchReturns: a TCP fetch that has returned has
+// already been counted by the serving node. A job's last fetch can end it,
+// and the driver reads the serving process's counters right after, so a
+// serve booked once the bytes were on the wire could be missing from that
+// read and present in the next.
+func TestServeCountedBeforeFetchReturns(t *testing.T) {
+	tr, err := NewTCP(LoopbackAddrs(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	frame := []byte("counted before it leaves")
+	id := MapOutputID{Shuffle: 12, MapTask: 0, Reduce: 0}
+	mustRegister(t, tr, id, (&fakeBuf{frame: frame}).payload(0))
+	for i := 1; i <= 20; i++ {
+		mustFetch(t, tr, id, 1)
+		if got, want := tr.ServeStats(0).UserspaceCopyBytes, int64(i*len(frame)); got != want {
+			t.Fatalf("after fetch %d the serving node counted %d staged bytes, want %d", i, got, want)
+		}
+	}
+	for _, p := range tr.Drop(12) {
+		releasePayload(p)
+	}
+}

@@ -111,11 +111,13 @@ type messageSetup[V any] func(p int) (msg func(src int64, degree int) V, release
 
 // adjacencyContribs builds an iteration's message pairs — PageRank's rank
 // contributions, CC's labels — from the adjacency cache, a partition at a
-// time. Deca mode walks the cache's raw pages (key, count-prefixed neighbor
+// time; toSelf also sends each source's message to the source itself.
+// Deca mode walks the cache's raw pages (key, count-prefixed neighbor
 // list): the transformed access path, no pair or slice materialization.
 func adjacencyContribs[V any](
 	ctx *engine.Context,
 	links *engine.Dataset[decompose.Pair[int64, []int64]],
+	toSelf bool,
 	setup messageSetup[V],
 ) *engine.Dataset[decompose.Pair[int64, V]] {
 	return engine.Generate(ctx, links.Partitions(), func(p int, emit func(decompose.Pair[int64, V])) {
@@ -126,6 +128,9 @@ func adjacencyContribs[V any](
 				v := msg(kv.Key, len(kv.Value))
 				for _, dst := range kv.Value {
 					emit(engine.KV(dst, v))
+				}
+				if toSelf {
+					emit(engine.KV(kv.Key, v))
 				}
 				return true
 			}); err != nil {
@@ -143,11 +148,14 @@ func adjacencyContribs[V any](
 			page := g.Page(pi)
 			off := 0
 			for off+12 <= len(page) {
-				n := int(decompose.I32(page, off+8))
-				v := msg(decompose.I64(page, off), n)
+				src, n := decompose.I64(page, off), int(decompose.I32(page, off+8))
+				v := msg(src, n)
 				base := off + 12
 				for i := 0; i < n; i++ {
 					emit(engine.KV(decompose.I64(page, base+8*i), v))
+				}
+				if toSelf {
+					emit(engine.KV(src, v))
 				}
 				off = base + 8*n
 			}

@@ -36,7 +36,7 @@ func damped(sum float64) float64 { return 0.15 + 0.85*sum }
 func pageRankSums(ctx *engine.Context, links *engine.Dataset[decompose.Pair[int64, []int64]], iterations int) (*engine.Dataset[decompose.Pair[int64, float64]], error) {
 	var prev *engine.Dataset[decompose.Pair[int64, float64]]
 	for iter := 0; iter < iterations; iter++ {
-		contribs := adjacencyContribs(ctx, links, rankContribs(prev))
+		contribs := adjacencyContribs(ctx, links, false, rankContribs(prev))
 		agg := engine.ReduceByKey(contribs, rankOps(links.Partitions()), func(a, b float64) float64 { return a + b })
 		if err := engine.Materialize(agg); err != nil {
 			return nil, err
