@@ -3,7 +3,6 @@ package bench
 import (
 	"time"
 
-	"deca/internal/datagen"
 	"deca/internal/decompose"
 	"deca/internal/engine"
 	"deca/internal/gcstats"
@@ -92,85 +91,5 @@ func AblationValueReuse(o Options) (*Report, error) {
 	runAgg("object-boxed", obj.Put, func() int { return obj.Len() })
 	obj.Release()
 
-	return rep, nil
-}
-
-// AblationReflectVsGenerated compares the automatic reflection codec with
-// the hand-written (generated-equivalent) codec for the same records —
-// the cost of skipping Deca's code generation.
-func AblationReflectVsGenerated(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "ablation-codec",
-		Title: "Reflection codec vs generated-equivalent codec",
-		PaperClaim: "Appendix B: Deca generates per-UDT accessor code; a generic (reflective) " +
-			"path would give up much of the decomposition win",
-	}
-	type rec struct {
-		Label    float64
-		Features []float64 `deca:"final"`
-	}
-	n := o.scaled(300_000)
-	const dim = 10
-	refl, err := decompose.NewReflectCodec[rec](nil)
-	if err != nil {
-		return nil, err
-	}
-	gen := workloads.LabeledPointCodec{Dim: dim}
-	mem := memory.NewManager(1<<20, 0)
-
-	features := make([]float64, dim)
-	for i := range features {
-		features[i] = float64(i) * 1.5
-	}
-
-	// Reflection path.
-	g1 := mem.NewGroup()
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		decompose.Write(g1, refl, rec{Label: 1, Features: features})
-	}
-	reflEnc := time.Since(start)
-	start = time.Now()
-	cnt := 0
-	decompose.Scan(g1, refl, func(rec) bool { cnt++; return true })
-	reflDec := time.Since(start)
-	g1.Release()
-
-	// Generated path (plus the raw accessor read, which needs no decode).
-	g2 := mem.NewGroup()
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		seg, _ := g2.Alloc(gen.FixedSize())
-		gen.Encode(seg, datagen.LabeledPoint{Label: 1, Features: features})
-	}
-	genEnc := time.Since(start)
-	start = time.Now()
-	var sink float64
-	for pi := 0; pi < g2.NumPages(); pi++ {
-		page := g2.Page(pi)
-		for off := 0; off+gen.FixedSize() <= len(page); off += gen.FixedSize() {
-			sink += decompose.F64(page, off)
-		}
-	}
-	rawRead := time.Since(start)
-	g2.Release()
-	_ = sink
-
-	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(n) }
-	for _, m := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"encode/reflect", reflEnc}, {"encode/generated", genEnc},
-		{"access/reflect-decode", reflDec}, {"access/raw-page-read", rawRead},
-	} {
-		rep.metric(Metric{Name: m.name, WallMS: float64(m.d) / float64(time.Millisecond)})
-	}
-	rep.add("encode/object:  reflect=%.0fns generated=%.0fns (%.1fx)",
-		per(reflEnc), per(genEnc), per(reflEnc)/per(genEnc))
-	rep.add("access/object:  reflect-decode=%.0fns raw-page-read=%.0fns (%.1fx)",
-		per(reflDec), per(rawRead), per(reflDec)/per(rawRead))
-	_ = cnt
 	return rep, nil
 }

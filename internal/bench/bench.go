@@ -162,7 +162,6 @@ func All() []Experiment {
 		{"merge", "Zero-copy reduce merge vs drain/re-Put across modes and executor counts", MergeZeroCopy},
 		{"ablation-pagesize", "Page-size sweep (design-choice ablation)", AblationPageSize},
 		{"ablation-value-reuse", "SFST value reuse vs boxed combines (ablation)", AblationValueReuse},
-		{"ablation-codec", "Reflection vs generated codec (ablation)", AblationReflectVsGenerated},
 	}
 }
 

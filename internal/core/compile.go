@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"deca/internal/analysis"
-	"deca/internal/decompose"
 	"deca/internal/udt"
 )
 
 // Layout compilation: the runtime half of Deca's hybrid optimization
 // (Appendix A). The static analyzer leaves array lengths symbolic (e.g.
-// the feature dimension Symbol(D)); when a job is actually submitted the
-// driver knows the concrete values, binds them, and compiles the byte
-// layouts the transformed code will use. This avoids the path-explosion
-// problem of optimizing every possible job ahead of time: only submitted
-// jobs get layouts.
+// the feature dimension Symbol(D)); at submission Deca's driver binds the
+// concrete values and compiles the byte layouts the transformed code uses,
+// so only submitted jobs get layouts (no path explosion). Here no job is
+// submitted through this path: tests and cmd/deca-analyze supply the
+// bindings.
 
 // Bindings resolves analysis symbols to concrete values at submission
 // time (Symbol name → value).
@@ -25,7 +24,7 @@ type CompiledContainer struct {
 	Decision *Decision
 	// ElemLayout is the compiled element layout for decomposed
 	// containers; nil when the container keeps objects.
-	ElemLayout *decompose.Layout
+	ElemLayout *Layout
 	// Lengths are the resolved array lengths used by the layout.
 	Lengths udt.Lengths
 }
@@ -47,7 +46,7 @@ func (p *Plan) CompileLayouts(bindings Bindings) (map[string]*CompiledContainer,
 		if err != nil {
 			return nil, fmt.Errorf("core: container %q: %w", name, err)
 		}
-		layout, err := decompose.CompileLayout(d.Container.Elem, d.ElemSizeType, lengths)
+		layout, err := CompileLayout(d.Container.Elem, d.ElemSizeType, lengths)
 		if err != nil {
 			return nil, fmt.Errorf("core: container %q: %w", name, err)
 		}

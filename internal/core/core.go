@@ -4,9 +4,10 @@
 // decomposed into page groups, which container owns each object
 // population, and how secondary containers share the primary's pages
 // (§4.3) — the decision Deca's runtime optimizer makes when it intercepts
-// a submitted Spark job (Appendix A). Nothing executes the plan: the
-// workloads choose their containers by hand, and the plan is printed by
-// cmd/deca-analyze and checked against the paper by tests.
+// a submitted Spark job (Appendix A) — and compiles the byte layouts
+// (layout.go). No job executes either: the workloads' containers and codecs
+// are hand-written equivalents, the engine does not link this package, and
+// the plan is printed by cmd/deca-analyze and checked by tests.
 package core
 
 import (

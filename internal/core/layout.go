@@ -1,4 +1,4 @@
-package decompose
+package core
 
 import (
 	"fmt"
@@ -56,7 +56,7 @@ func (a ArraySlot) ElemOffset(i int) int { return a.Offset + i*a.ElemPrim.Size()
 // unsafe, which is the whole point of the classification (§3.1).
 func CompileLayout(t *udt.Type, sizeType udt.SizeType, lengths udt.Lengths) (*Layout, error) {
 	if !sizeType.Decomposable() {
-		return nil, fmt.Errorf("decompose: %s is %s and cannot be safely decomposed", t, sizeType)
+		return nil, fmt.Errorf("core: %s is %s and cannot be safely decomposed", t, sizeType)
 	}
 	l := &Layout{
 		Type:     t,
@@ -88,11 +88,11 @@ func (l *Layout) flatten(t *udt.Type, path string, off int, lengths udt.Lengths)
 	case udt.KindArray:
 		elem := singleRuntimeType(t.Elem)
 		if elem == nil {
-			return fmt.Errorf("decompose: array %s has an ambiguous element type-set", t.Name)
+			return fmt.Errorf("core: array %s has an ambiguous element type-set", t.Name)
 		}
 		n, ok := lengths[t.Name]
 		if !ok {
-			return fmt.Errorf("decompose: no length bound for array %s", t.Name)
+			return fmt.Errorf("core: no length bound for array %s", t.Name)
 		}
 		if elem.Kind == udt.KindPrimitive {
 			l.arrays[path] = ArraySlot{Path: path, Offset: off, Count: n, ElemPrim: elem.Prim}
@@ -113,7 +113,7 @@ func (l *Layout) flatten(t *udt.Type, path string, off int, lengths udt.Lengths)
 		for _, f := range t.Fields {
 			ft := singleRuntimeType(f)
 			if ft == nil {
-				return fmt.Errorf("decompose: field %s.%s has an ambiguous type-set", t.Name, f.Name)
+				return fmt.Errorf("core: field %s.%s has an ambiguous type-set", t.Name, f.Name)
 			}
 			p := f.Name
 			if path != "" {
@@ -150,7 +150,7 @@ func singleRuntimeType(f *udt.Field) *udt.Type {
 func (l *Layout) Scalar(path string) ScalarSlot {
 	s, ok := l.scalars[path]
 	if !ok {
-		panic(fmt.Sprintf("decompose: no scalar slot %q in layout of %s", path, l.Type))
+		panic(fmt.Sprintf("core: no scalar slot %q in layout of %s", path, l.Type))
 	}
 	return s
 }
@@ -160,7 +160,7 @@ func (l *Layout) Scalar(path string) ScalarSlot {
 func (l *Layout) Array(path string) ArraySlot {
 	a, ok := l.arrays[path]
 	if !ok {
-		panic(fmt.Sprintf("decompose: no array slot %q in layout of %s", path, l.Type))
+		panic(fmt.Sprintf("core: no array slot %q in layout of %s", path, l.Type))
 	}
 	return a
 }

@@ -1,8 +1,11 @@
-package decompose
+package core
 
 import (
+	"reflect"
 	"testing"
 
+	"deca/internal/decompose"
+	"deca/internal/memory"
 	"deca/internal/udt"
 )
 
@@ -120,5 +123,52 @@ func TestAmbiguousTypeSetRejected(t *testing.T) {
 	s := udt.Struct("Amb", f)
 	if _, err := CompileLayout(s, udt.StaticFixed, nil); err == nil {
 		t.Error("ambiguous type-set must be rejected for static layouts")
+	}
+}
+
+// TestTransformedGradientLoop mirrors Figure 12: the transformed LR
+// gradient computation reading label and features straight out of the page
+// bytes using layout offsets, no object materialization.
+func TestTransformedGradientLoop(t *testing.T) {
+	const D = 3
+	lp := udt.LabeledPointType(true)
+	layout, err := CompileLayout(lp, udt.StaticFixed, udt.Lengths{"Array[float64]": D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := memory.NewManager(1024, 0)
+	g := m.NewGroup()
+	defer g.Release()
+
+	// Write two points: (label=1, f=[1,2,3]), (label=-1, f=[4,5,6]).
+	write := func(label float64, f [D]float64) {
+		seg, _ := g.Alloc(layout.FixedSize)
+		decompose.PutF64(seg, layout.Scalar("label").Offset, label)
+		slot := layout.Array("features.data")
+		for i, x := range f {
+			decompose.PutF64(seg, slot.ElemOffset(i), x)
+		}
+		decompose.PutI32(seg, layout.Scalar("features.length").Offset, D)
+	}
+	write(1, [D]float64{1, 2, 3})
+	write(-1, [D]float64{4, 5, 6})
+
+	// The transformed loop: sum label * features element-wise.
+	labelOff := layout.Scalar("label").Offset
+	slot := layout.Array("features.data")
+	sum := make([]float64, D)
+	for p := 0; p < g.NumPages(); p++ {
+		page := g.Page(p)
+		for off := 0; off+layout.FixedSize <= len(page); off += layout.FixedSize {
+			seg := page[off : off+layout.FixedSize]
+			label := decompose.F64(seg, labelOff)
+			for i := 0; i < D; i++ {
+				sum[i] += label * decompose.F64(seg, slot.ElemOffset(i))
+			}
+		}
+	}
+	want := []float64{1 - 4, 2 - 5, 3 - 6}
+	if !reflect.DeepEqual(sum, want) {
+		t.Errorf("gradient = %v, want %v", sum, want)
 	}
 }

@@ -6,38 +6,12 @@ import (
 	"deca/internal/memory"
 )
 
-type benchRec struct {
-	Label    float64
-	Features []float64 `deca:"final"`
-}
-
 func benchFeatures() []float64 {
 	f := make([]float64, 10)
 	for i := range f {
 		f[i] = float64(i) * 1.5
 	}
 	return f
-}
-
-func BenchmarkReflectCodecEncode(b *testing.B) {
-	c, err := NewReflectCodec[benchRec](nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := memory.NewManager(1<<20, 0)
-	g := m.NewGroup()
-	defer g.Release()
-	rec := benchRec{Label: 1, Features: benchFeatures()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.Len() > 32<<20 {
-			b.StopTimer()
-			g.Reset()
-			b.StartTimer()
-		}
-		Write(g, c, rec)
-	}
 }
 
 func BenchmarkVecCodecEncode(b *testing.B) {

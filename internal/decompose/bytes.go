@@ -1,14 +1,15 @@
-// Package decompose turns objects of safely-classified UDTs into compact
-// byte segments inside memory page groups, and provides the accessor layer
-// that transformed code uses to read fields directly from the raw bytes
+// Package decompose is the runtime codec layer: it writes records into
+// compact byte segments inside memory page groups and reads them back
 // (paper §2.3, Figure 2 and Appendix B).
 //
-// A Layout is compiled from a classified type descriptor: for a
-// StaticFixed type it yields constant field offsets (the synthesized SUDT
-// constants of Appendix B); for a RuntimeFixed type it yields a sequential
-// encoding with length-prefixed arrays. Codecs encode and decode values;
-// the primitive accessors below are the replacement for field-access
-// bytecode in the transformed program.
+// A Codec encodes and decodes one record type; the primitive accessors
+// below and the typed views (Float64s, Int64s) are what transformed code
+// uses to read fields straight from the raw bytes.
+//
+// The codecs are written by hand. Each is the equivalent of the layout
+// core.CompileLayout derives from its type's classification (constant
+// offsets for StaticFixed, length-prefixed arrays for RuntimeFixed), but
+// no job runs that analysis.
 package decompose
 
 import (

@@ -63,13 +63,6 @@ func Scan[T any](g *memory.Group, c Codec[T], yield func(T) bool) {
 	}
 }
 
-// Count returns the number of encoded values in the group.
-func Count[T any](g *memory.Group, c Codec[T]) int {
-	n := 0
-	Scan(g, c, func(T) bool { n++; return true })
-	return n
-}
-
 //
 // Built-in codecs for primitive and common composite shapes. These cover
 // the key/value types of the paper's workloads (WordCount pairs, vertex
@@ -121,22 +114,6 @@ func (StringCodec) Decode(seg []byte) (string, int) {
 	return string(seg[4 : 4+n]), 4 + n
 }
 
-// BytesCodec encodes raw byte slices as uint32 length + bytes.
-type BytesCodec struct{}
-
-func (BytesCodec) FixedSize() int    { return -1 }
-func (BytesCodec) Size(b []byte) int { return 4 + len(b) }
-func (BytesCodec) Encode(seg []byte, b []byte) {
-	binary.LittleEndian.PutUint32(seg, uint32(len(b)))
-	copy(seg[4:], b)
-}
-func (BytesCodec) Decode(seg []byte) ([]byte, int) {
-	n := int(binary.LittleEndian.Uint32(seg))
-	out := make([]byte, n)
-	copy(out, seg[4:4+n])
-	return out, 4 + n
-}
-
 // Float64VecCodec encodes fixed-dimension float64 vectors: the StaticFixed
 // layout of the LR/KMeans feature arrays once the global analysis has
 // proven the dimension constant (§3.3). Dim must match every encoded
@@ -186,27 +163,6 @@ func (c Int64VecCodec) Decode(seg []byte) ([]int64, int) {
 		v[i] = int64(binary.LittleEndian.Uint64(seg[i*8:]))
 	}
 	return v, 8 * c.Dim
-}
-
-// Float64SliceCodec encodes variable-length float64 slices with a uint32
-// count prefix (RuntimeFixed).
-type Float64SliceCodec struct{}
-
-func (Float64SliceCodec) FixedSize() int       { return -1 }
-func (Float64SliceCodec) Size(v []float64) int { return 4 + 8*len(v) }
-func (Float64SliceCodec) Encode(seg []byte, v []float64) {
-	binary.LittleEndian.PutUint32(seg, uint32(len(v)))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(seg[4+i*8:], math.Float64bits(x))
-	}
-}
-func (Float64SliceCodec) Decode(seg []byte) ([]float64, int) {
-	n := int(binary.LittleEndian.Uint32(seg))
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(seg[4+i*8:]))
-	}
-	return v, 4 + 8*n
 }
 
 // Int64SliceCodec encodes variable-length int64 slices with a uint32 count

@@ -1,7 +1,8 @@
 // Package integration_test exercises cross-module flows that no single
 // package owns: the Figure 7(b) partially-decomposable hand-off from a
-// grouped shuffle buffer into a cached page block, planner-to-engine
-// consistency, and whole-pipeline memory hygiene.
+// grouped shuffle buffer into a cached page block, the engine's
+// hand-written codecs against the layouts the analysis chain compiles (no
+// job runs that chain), and whole-pipeline memory hygiene.
 package integration_test
 
 import (
@@ -11,11 +12,13 @@ import (
 
 	"deca/internal/cache"
 	"deca/internal/core"
+	"deca/internal/datagen"
 	"deca/internal/decompose"
 	"deca/internal/engine"
 	"deca/internal/memory"
 	"deca/internal/shuffle"
 	"deca/internal/udt"
+	"deca/internal/workloads"
 )
 
 // TestFigure7bPartialDecomposition walks the exact §4.3.3 scenario: a
@@ -93,19 +96,64 @@ func TestPlannerEngineConsistency(t *testing.T) {
 	if d.Mode != core.FullyDecompose {
 		t.Fatalf("planner: count-agg = %s", d.Mode)
 	}
-	// The engine's condition for a Deca aggregation buffer is a fixed-size
-	// value codec — exactly the StaticFixed value the planner demanded.
-	if (decompose.Int64Codec{}).FixedSize() < 0 {
-		t.Error("engine condition diverges from planner condition")
-	}
-	// And for the value the planner refused (RFST string), the engine's
-	// buffer constructor refuses too.
+	// For a value the planner refuses (RFST string), the engine's buffer
+	// constructor refuses too.
 	mem := memory.NewManager(1024, 0)
 	_, err = shuffle.NewDecaAgg[int64, string](mem,
 		func(a, b string) string { return a + b },
 		decompose.Int64Codec{}, decompose.StringCodec{}, "")
 	if err == nil {
 		t.Error("engine accepted a buffer the planner proved unsafe")
+	}
+}
+
+// TestLabeledPointCodecIsCompiledLayout: the engine's hand-written LR
+// record codec is the layout the analysis chain derives for the points
+// cache (core.Optimize → CompileLayouts, Figure 2), less the DenseVector's
+// offset/stride/length ints, which the codec drops as constants. The label
+// and every feature sit at the compiled offsets.
+func TestLabeledPointCodecIsCompiledLayout(t *testing.T) {
+	const D = 10
+	plan, err := core.Optimize(core.LRJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := plan.CompileLayouts(core.Bindings{"D": D})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := compiled["points-cache"].ElemLayout
+	codec := workloads.LabeledPointCodec{Dim: D}
+
+	dropped := 0
+	for _, path := range []string{"features.offset", "features.stride", "features.length"} {
+		slot := layout.Scalar(path)
+		if slot.Prim != udt.PrimInt32 {
+			t.Errorf("%s is %s, want int32", path, slot.Prim)
+		}
+		dropped += slot.Prim.Size()
+	}
+	if got, want := codec.FixedSize(), layout.FixedSize-dropped; got != want {
+		t.Fatalf("codec FixedSize = %d, want layout %d - %d dropped = %d", got, layout.FixedSize, dropped, want)
+	}
+
+	p := datagen.LabeledPoint{Label: -1.25, Features: make([]float64, D)}
+	for i := range p.Features {
+		p.Features[i] = float64(i)*1.5 + 0.25
+	}
+	seg := make([]byte, codec.Size(p))
+	codec.Encode(seg, p)
+	if got := decompose.F64(seg, layout.Scalar("label").Offset); got != p.Label {
+		t.Errorf("label at its compiled offset = %v, want %v", got, p.Label)
+	}
+	data := layout.Array("features.data")
+	if data.Count != D {
+		t.Fatalf("features.data count = %d, want %d", data.Count, D)
+	}
+	for i, want := range p.Features {
+		if got := decompose.F64(seg, data.ElemOffset(i)); got != want {
+			t.Errorf("feature %d at its compiled offset = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -143,8 +191,8 @@ func TestMemoryHygieneAcrossJob(t *testing.T) {
 	}
 }
 
-// TestClassificationDrivesStorageLevel: the full chain from a Go type to
-// an engine storage decision — the automatic path a user would follow.
+// TestClassificationDrivesStorageLevel: a Go type's local classification
+// decides whether its records may be decomposed at all.
 func TestClassificationDrivesStorageLevel(t *testing.T) {
 	type fixedRec struct {
 		A int64
@@ -158,30 +206,8 @@ func TestClassificationDrivesStorageLevel(t *testing.T) {
 	if st := udt.Classify(fixedDesc); !st.Decomposable() {
 		t.Fatalf("fixedRec = %s", st)
 	}
-	codec, err := decompose.NewReflectCodec[fixedRec](nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	varDesc := udt.MustDescribe(reflect.TypeOf(varRec{}))
 	if st := udt.Classify(varDesc); st.Decomposable() {
 		t.Fatalf("varRec = %s should not be decomposable", st)
-	}
-	if _, err := decompose.NewReflectCodec[varRec](nil); err == nil {
-		t.Fatal("codec construction must fail for non-decomposable types")
-	}
-
-	// The decomposable type round-trips through a Deca-persisted dataset.
-	ctx := engine.New(engine.Config{Parallelism: 2, Mode: engine.ModeDeca, PageSize: 1024})
-	defer ctx.Close()
-	data := []fixedRec{{1, 1.5}, {2, 2.5}, {3, 3.5}}
-	ds := engine.Parallelize(ctx, data, 2)
-	ds.Persist(engine.StorageDeca, engine.Storage[fixedRec]{Codec: codec})
-	got, err := engine.Collect(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, data) {
-		t.Errorf("round trip = %v", got)
 	}
 }

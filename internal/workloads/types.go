@@ -6,12 +6,11 @@ import (
 	"deca/internal/serial"
 )
 
-// Hand-written codecs for the workload UDTs. These are the Go rendition of
-// the SUDT accessor classes Deca's transformation phase generates
-// (Appendix B): straight-line offset arithmetic over the byte layout that
-// the classification proved safe. The reflect-based codec would work too;
-// generated code is what Deca actually executes, so the hot paths use
-// these.
+// Hand-written codecs for the workload UDTs: the Go rendition of the SUDT
+// classes Deca's transformation phase generates (Appendix B), straight-line
+// offset arithmetic over the layout core.CompileLayout derives from the
+// type's classification. No job runs that analysis; integration's
+// TestLabeledPointCodecIsCompiledLayout pins the equivalence for LabeledPoint.
 
 // LabeledPointCodec is the StaticFixed layout of Figure 2: label followed
 // by the D feature doubles (offset/stride/length of the paper's
