@@ -4,7 +4,10 @@
 //
 // A Codec encodes and decodes one record type; the primitive accessors
 // below and the typed views (Float64s, Int64s) are what transformed code
-// uses to read fields straight from the raw bytes.
+// uses to read fields straight from the raw bytes. A reader that yields
+// the values it decodes — a container's drain — decodes them through a
+// Decoder into a Chunk of its own, so they share a few arrays that die
+// together.
 //
 // The codecs are written by hand. Each is the equivalent of the layout
 // core.CompileLayout derives from its type's classification (constant

@@ -3,6 +3,7 @@ package decompose
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 
 	"deca/internal/memory"
 )
@@ -114,6 +115,23 @@ func (StringCodec) Decode(seg []byte) (string, int) {
 	return string(seg[4 : 4+n]), 4 + n
 }
 
+// DecodeChunk is Decode with the string's bytes cut from c (ChunkDecoder):
+// the string is a view of c, not an allocation of its own.
+func (StringCodec) DecodeChunk(seg []byte, c *Chunk) (string, int) {
+	if len(seg) < 4 {
+		return "", 0
+	}
+	n := binary.LittleEndian.Uint32(seg)
+	if uint64(n) > uint64(len(seg)-4) {
+		return "", 0
+	}
+	if n == 0 {
+		return "", 4
+	}
+	b := c.Copy(seg[4 : 4+n])
+	return unsafe.String(&b[0], n), 4 + int(n)
+}
+
 // Float64VecCodec encodes fixed-dimension float64 vectors: the StaticFixed
 // layout of the LR/KMeans feature arrays once the global analysis has
 // proven the dimension constant (§3.3). Dim must match every encoded
@@ -220,5 +238,20 @@ func (c PairCodec[K, V]) Encode(seg []byte, p Pair[K, V]) {
 func (c PairCodec[K, V]) Decode(seg []byte) (Pair[K, V], int) {
 	k, kn := c.KeyCodec.Decode(seg)
 	v, vn := c.ValueCodec.Decode(seg[kn:])
+	return Pair[K, V]{Key: k, Value: v}, kn + vn
+}
+
+// DecodeChunk is Decode with key and value each decoded through its
+// codec's chunked form where it has one (ChunkDecoder); where either
+// decodes nothing, so does the pair.
+func (c PairCodec[K, V]) DecodeChunk(seg []byte, chunk *Chunk) (Pair[K, V], int) {
+	k, kn := NewDecoder(c.KeyCodec, chunk).Decode(seg)
+	if kn == 0 {
+		return Pair[K, V]{}, 0
+	}
+	v, vn := NewDecoder(c.ValueCodec, chunk).Decode(seg[kn:])
+	if vn == 0 {
+		return Pair[K, V]{}, 0
+	}
 	return Pair[K, V]{Key: k, Value: v}, kn + vn
 }

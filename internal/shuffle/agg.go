@@ -385,6 +385,15 @@ func (it *recordIter) next() bool {
 	return false
 }
 
+// drainKey decodes the current record's key through d. A key that is not
+// exactly its bytes ends the walk: it.err names its page and offset.
+func drainKey[K any](it *recordIter, d decompose.Decoder[K]) (k K, ok bool) {
+	if k, ok = d.Exact(it.key); !ok {
+		it.err = fmt.Errorf("shuffle: key at page %d offset %d does not decode to its record's %d bytes", it.page-it.base, it.ptr.Off, len(it.key))
+	}
+	return k, ok
+}
+
 // nextBatch gathers the next key records, up to probeBatch of them, for a
 // pipelined probe and returns how many there were: 0 ends the walk.
 func (it *recordIter) nextBatch() int {
@@ -527,17 +536,19 @@ func (b *DecaAgg[K, V]) Lookup(k K) (v V, ok bool) {
 }
 
 // Drain folds the spilled runs back and yields every pair in record order,
-// decoding a key only as it is yielded.
+// decoding a key only as it is yielded, into the drain's own chunk
+// (decompose.Chunk): no key is a view of a page.
 func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
 	if err := b.FoldRuns(); err != nil {
 		return err
 	}
+	keys := decompose.NewDecoder(b.keyCodec, new(decompose.Chunk))
 	it := b.records(0)
 	for it.next() {
-		k, _ := b.keyCodec.Decode(it.key)
+		k, ok := drainKey(&it, keys)
 		v, _ := b.valCodec.Decode(it.val)
-		if !yield(k, v) {
-			return nil
+		if !ok || !yield(k, v) {
+			break
 		}
 	}
 	return it.err

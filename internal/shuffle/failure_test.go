@@ -285,3 +285,29 @@ func TestDrainEarlyStopKeepsBufferUsable(t *testing.T) {
 		t.Errorf("re-drain visited %d, want 10", n)
 	}
 }
+
+// TestDrainSortedStopsAtACorruptRun: a sorted spill run whose record does
+// not decode — a string length past the end of the run — ends DrainSorted
+// with an error, instead of yielding that record again and again.
+func TestDrainSortedStopsAtACorruptRun(t *testing.T) {
+	b := NewDecaSort[string, int64](memory.NewManager(4096, 0), func(a, c string) bool { return a < c },
+		decompose.StringCodec{}, decompose.Int64Codec{}, t.TempDir())
+	defer b.Release()
+	b.Put("b", 2)
+	if err := b.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	b.Put("a", 1)
+	if err := os.WriteFile(b.spills[0].path, []byte{0xff, 0xff, 0xff, 0x7f, 'b'}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b.spills[0].size = 5
+	var got []string
+	err := b.DrainSorted(func(k string, _ int64) bool {
+		got = append(got, k)
+		return len(got) < 10
+	})
+	if err == nil || len(got) != 0 {
+		t.Errorf("drained %q, then %v; want an error", got, err)
+	}
+}

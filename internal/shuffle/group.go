@@ -228,10 +228,11 @@ func (b *DecaGroup[K, V]) Values() int {
 	return b.count
 }
 
-// node returns the value and next-link segments of the value node at p,
-// checked against its page: chains are walked with the distrust their
-// pages were absorbed with.
-func (b *DecaGroup[K, V]) node(p memory.Ptr) (val, link []byte, err error) {
+// node decodes the value of the value node at p through vals and returns
+// its next-link segment, checked against its page: chains are walked with
+// the distrust their pages were absorbed with, and a value must decode to
+// exactly its bytes.
+func (b *DecaGroup[K, V]) node(p memory.Ptr, vals decompose.Decoder[V]) (v V, link []byte, err error) {
 	var data []byte
 	if p.Page >= 0 && int(p.Page) < b.group.NumPages() && p.Off >= 0 {
 		if page := b.group.Page(int(p.Page)); int(p.Off) < len(page) {
@@ -241,10 +242,12 @@ func (b *DecaGroup[K, V]) node(p memory.Ptr) (val, link []byte, err error) {
 	hd, w := binary.Uvarint(data)
 	vl, fixed := min(hd>>1, uint64(len(data))), b.shape[1].fixed
 	end := w + int(vl) + linkSize
-	if w <= 0 || hd&1 == 0 || end > len(data) || fixed >= 0 && vl != uint64(fixed) {
-		return nil, nil, fmt.Errorf("shuffle: DecaGroup chain leaves its value nodes at %v", p)
+	if w > 0 && hd&1 != 0 && end <= len(data) && (fixed < 0 || vl == uint64(fixed)) {
+		if v, ok := vals.Exact(data[w : end-linkSize]); ok {
+			return v, data[end-linkSize : end], nil
+		}
 	}
-	return data[w : end-linkSize], data[end-linkSize : end], nil
+	return v, nil, fmt.Errorf("shuffle: DecaGroup chain reaches no well-formed value node at %v", p)
 }
 
 // Spill writes the pages as they lie — records, links and all: Deca's
@@ -287,38 +290,47 @@ func (b *DecaGroup[K, V]) replayRun(run []byte) error {
 	return b.absorbPages(b.group.AdoptPages(g), n)
 }
 
+// listChunk is the most values a drain's array of value lists holds,
+// unless one list is longer.
+const listChunk = 4096
+
 // Drain merges any spilled runs — their values follow the in-memory ones
 // of their key, run by run — and yields each key with its decoded value
 // list, in record order. A chain is walked for as many nodes as its record
-// counts and must end there.
+// counts and must end there. Keys and values decode into the drain's own
+// chunk (decompose.Chunk), and each list is cut from an array of lists with
+// its capacity at its end: appending to it cannot reach the next list.
 func (b *DecaGroup[K, V]) Drain(yield func(K, []V) bool) error {
 	b.flush()
 	if err := b.replay(b.replayRun); err != nil {
 		return err
 	}
+	chunk, lists := new(decompose.Chunk), []V(nil)
+	keys, vals := decompose.NewDecoder(b.keyCodec, chunk), decompose.NewDecoder(b.valCodec, chunk)
 	it := b.records(0)
 	for it.next() {
 		n := chainCount(it.val)
 		if n == 0 {
 			continue
 		}
-		out := make([]V, 0, min(n, b.count))
+		if m := min(n, b.count); cap(lists)-len(lists) < m {
+			lists = make([]V, 0, max(m, min(b.count, listChunk)))
+		}
+		start := len(lists)
 		for link, from := it.val[:linkSize], int32(it.page); n > 0; n-- {
 			at := getLink(link, from)
-			val, next, err := b.node(at)
+			v, next, err := b.node(at, vals)
 			if err == nil && (binary.LittleEndian.Uint64(next) == 0) != (n == 1) {
 				err = fmt.Errorf("shuffle: DecaGroup chain of the key at %v does not end with its count, %d nodes on", it.ptr, n-1)
 			}
 			if err != nil {
 				return err
 			}
-			v, _ := b.valCodec.Decode(val)
-			out = append(out, v)
+			lists = append(lists, v)
 			link, from = next, at.Page
 		}
-		k, _ := b.keyCodec.Decode(it.key)
-		if !yield(k, out) {
-			return nil
+		if k, ok := drainKey(&it, keys); !ok || !yield(k, lists[start:len(lists):len(lists)]) {
+			break
 		}
 	}
 	return it.err

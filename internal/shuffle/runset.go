@@ -226,8 +226,7 @@ func mergeSorted[K comparable, V any](
 	for _, rc := range runs {
 		rc.advance()
 	}
-	mergeRuns(runs, less, yield)
-	return nil
+	return mergeRuns(runs, less, yield)
 }
 
 // restore reads a frame's spill section off r — uvarint run count, then
@@ -290,61 +289,56 @@ func (rs *runSet) release() bool {
 	return true
 }
 
-// runCursor iterates one sorted run: either decoded from spill bytes or an
-// in-memory slice.
+// runCursor iterates one sorted run: a spill run's records decoded one by
+// one, or (decode nil) the in-memory records. A record that decodes to
+// nothing ends the run with err.
 type runCursor[K comparable, V any] struct {
 	data   []byte
-	off    int
 	decode func(src []byte) (decompose.Pair[K, V], int)
-
 	mem    []decompose.Pair[K, V]
-	memIdx int
-
-	cur decompose.Pair[K, V]
-	ok  bool
+	at     int // the next record's offset in data, or index in mem
+	cur    decompose.Pair[K, V]
+	ok     bool
+	err    error
 }
 
 func (rc *runCursor[K, V]) advance() {
-	if rc.mem != nil || rc.decode == nil {
-		if rc.memIdx < len(rc.mem) {
-			rc.cur = rc.mem[rc.memIdx]
-			rc.memIdx++
-			rc.ok = true
-		} else {
-			rc.ok = false
+	if rc.decode == nil {
+		if rc.ok = rc.at < len(rc.mem); rc.ok {
+			rc.cur, rc.at = rc.mem[rc.at], rc.at+1
 		}
 		return
 	}
-	if rc.off >= len(rc.data) {
-		rc.ok = false
-		return
+	if rc.ok = rc.at < len(rc.data); rc.ok {
+		var n int
+		if rc.cur, n = rc.decode(rc.data[rc.at:]); n <= 0 {
+			rc.ok, rc.err = false, fmt.Errorf("shuffle: sorted run: no record decodes at offset %d", rc.at)
+		}
+		rc.at += n
 	}
-	p, n := rc.decode(rc.data[rc.off:])
-	rc.off += n
-	rc.cur = p
-	rc.ok = true
 }
 
-// mergeRuns k-way merges sorted runs by repeatedly taking the minimum key.
-// Run counts are small (spill count + 1), so a linear scan beats a heap.
-func mergeRuns[K comparable, V any](runs []*runCursor[K, V], less func(a, b K) bool, yield func(K, V) bool) {
+// mergeRuns k-way merges sorted runs by repeatedly taking the minimum key,
+// and stops at a run that fails to decode. Run counts are small (spill
+// count + 1), so a linear scan beats a heap.
+func mergeRuns[K comparable, V any](runs []*runCursor[K, V], less func(a, b K) bool, yield func(K, V) bool) error {
 	for {
 		best := -1
 		for i, rc := range runs {
-			if !rc.ok {
-				continue
+			if rc.err != nil {
+				return rc.err
 			}
-			if best < 0 || less(rc.cur.Key, runs[best].cur.Key) {
+			if rc.ok && (best < 0 || less(rc.cur.Key, runs[best].cur.Key)) {
 				best = i
 			}
 		}
 		if best < 0 {
-			return
+			return nil
 		}
 		rec := runs[best].cur
 		runs[best].advance()
 		if !yield(rec.Key, rec.Value) {
-			return
+			return nil
 		}
 	}
 }

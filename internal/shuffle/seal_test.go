@@ -17,7 +17,10 @@ import (
 // sealable is a hash container as the seal contract drives it, whatever its
 // kind; what is typed by the kind rides in sealCase.
 type sealable interface {
-	Buffer
+	Len() int
+	SizeBytes() int64
+	SpilledBytes() int64
+	Release()
 	Seal()
 	Spill() error
 	Fold(*Staged) error
@@ -254,7 +257,7 @@ func TestReplayReadsIntoOneBuffer(t *testing.T) {
 			t.Errorf("%s drained %d keys off 3 runs (%v), want %d (or other lists)", name, len(lists), err, len(want))
 		}
 	}
-	for _, b := range []Buffer{objAgg, objGroup, decaGroup, decaAgg} {
+	for _, b := range []interface{ Release() }{objAgg, objGroup, decaGroup, decaAgg} {
 		b.Release()
 	}
 	assertClean(t, mem, dir, "after the drains")

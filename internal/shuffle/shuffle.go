@@ -19,20 +19,6 @@
 // buffers serialize, Deca buffers write raw page-encoded records.
 package shuffle
 
-// Buffer is the lifecycle interface every shuffle buffer implements.
-type Buffer interface {
-	// Len returns the number of keys (agg/group) or records (sort).
-	Len() int
-	// SizeBytes estimates the in-memory footprint, for spill decisions.
-	SizeBytes() int64
-	// SpilledBytes returns the total bytes written to spill files.
-	SpilledBytes() int64
-	// Release frees page groups and deletes spill files. The buffer is
-	// unusable afterwards. This is the lifetime end-point of the container:
-	// all of its space reclaims at once (§4.2).
-	Release()
-}
-
 // Key bundles the per-key-type operations a shuffle needs: a partitioning
 // hash and an ordering.
 type Key[K comparable] struct {

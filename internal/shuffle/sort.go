@@ -136,17 +136,32 @@ func (b *DecaSort[K, V]) SizeBytes() int64 {
 	return b.group.Footprint() + int64(len(b.ptrs))*8
 }
 
-// keyAt decodes only the key of the record at ptr.
-func (b *DecaSort[K, V]) keyAt(ptr memory.Ptr) K {
-	page := b.group.Page(int(ptr.Page))
-	k, _ := b.pairCodec.KeyCodec.Decode(page[ptr.Off:])
-	return k
+// sortedRecords sorts decoded records and their pointers together, by key.
+type sortedRecords[K comparable, V any] struct {
+	recs []decompose.Pair[K, V]
+	ptrs []memory.Ptr //deca:owns (the DecaSort's own array, sorted in place for the length of one sort)
+	less func(a, b K) bool
 }
 
-func (b *DecaSort[K, V]) sortPtrs() {
-	sort.SliceStable(b.ptrs, func(i, j int) bool {
-		return b.less(b.keyAt(b.ptrs[i]), b.keyAt(b.ptrs[j]))
-	})
+func (s sortedRecords[K, V]) Len() int           { return len(s.recs) }
+func (s sortedRecords[K, V]) Less(i, j int) bool { return s.less(s.recs[i].Key, s.recs[j].Key) }
+func (s sortedRecords[K, V]) Swap(i, j int) {
+	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
+	s.ptrs[i], s.ptrs[j] = s.ptrs[j], s.ptrs[i]
+}
+
+// sorted decodes every in-memory record once, into a fresh chunk
+// (decompose.Chunk), and sorts the records stably by key, the pointer array
+// with them: a comparison decodes nothing. The decoder comes back with them,
+// for the spill runs a drain merges in.
+func (b *DecaSort[K, V]) sorted() ([]decompose.Pair[K, V], decompose.Decoder[decompose.Pair[K, V]]) {
+	d := decompose.NewDecoder[decompose.Pair[K, V]](b.pairCodec, new(decompose.Chunk))
+	recs := make([]decompose.Pair[K, V], len(b.ptrs))
+	for i, ptr := range b.ptrs {
+		recs[i], _ = d.Decode(b.group.Page(int(ptr.Page))[ptr.Off:])
+	}
+	sort.Stable(sortedRecords[K, V]{recs, b.ptrs, b.less})
+	return recs, d
 }
 
 // Spill sorts the pointer array and writes the records in pointer order as
@@ -155,13 +170,13 @@ func (b *DecaSort[K, V]) Spill() error {
 	if len(b.ptrs) == 0 {
 		return nil
 	}
-	b.sortPtrs()
+	recs, _ := b.sorted()
 	err := b.spillPages(func(w *spillWriter) error {
-		for _, ptr := range b.ptrs {
+		for i, ptr := range b.ptrs {
 			// Record bytes dump straight from the page in pointer order —
 			// no staging buffer at all.
 			page := b.group.Page(int(ptr.Page))
-			_, n := b.pairCodec.Decode(page[ptr.Off:])
+			n := b.pairCodec.Size(recs[i])
 			if err := w.emit(page[ptr.Off : int(ptr.Off)+n]); err != nil {
 				return err
 			}
@@ -181,12 +196,8 @@ func (b *DecaSort[K, V]) Spill() error {
 // repeated drains of a memoized output (possibly holding MergeFrom-
 // transferred runs) all see the full record set.
 func (b *DecaSort[K, V]) DrainSorted(yield func(K, V) bool) error {
-	b.sortPtrs()
-	mem := make([]decompose.Pair[K, V], len(b.ptrs))
-	for i, ptr := range b.ptrs {
-		mem[i] = decompose.ReadAt(b.group, b.pairCodec, ptr)
-	}
-	return mergeSorted(&b.runSet, b.pairCodec.Decode, mem, b.less, yield)
+	recs, d := b.sorted()
+	return mergeSorted(&b.runSet, d.Decode, recs, b.less, yield)
 }
 
 // EncodeSegments builds the DecaSort frame: the leanest one — no key

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"deca/internal/memory"
@@ -203,4 +204,192 @@ func TestDecaGroupFillAllocBudget(t *testing.T) {
 	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 || st.BytesPooled == 0 {
 		t.Errorf("after release: %+v", st)
 	}
+}
+
+// What a Deca drain yields it decodes into chunks of its own
+// (decompose.Chunk): a key string or a value list is cut from a GC-owned
+// array shared with the drain's other keys or lists, never a page and never
+// an array of a former drain. The tests below hold a drain to it: what it
+// yielded survives the container, the reuse of its pages and the next
+// drain unchanged; a list cannot be appended into its neighbour; and a drain
+// allocates an array per chunk of what it yields, not an object per key.
+
+// drainKeys is the string keys of the lifetime tests: distinct, with
+// lengths that differ.
+func drainKeys(prefix string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s-%d", prefix, i*7919)
+	}
+	return keys
+}
+
+// TestDrainOutlivesItsContainer: keys and value lists kept from one drain
+// stay byte-identical after Release, after a new fill reuses the pages and
+// after a second drain.
+func TestDrainOutlivesItsContainer(t *testing.T) {
+	mem := memory.NewManager(4096, 0)
+	fillAgg := func(prefix string) *DecaAgg[string, int64] {
+		b, err := NewDecaAgg[string, int64](mem, addI, str, i64, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range drainKeys(prefix, 3_000) {
+			b.Put(k, int64(i))
+		}
+		return b
+	}
+	fillGroup := func(base int64) *DecaGroup[string, int64] {
+		b := NewDecaGroup[string, int64](mem, str, i64, "")
+		for i, k := range drainKeys("g", 1_000) {
+			for j := 0; j <= i%4; j++ {
+				b.Put(k, base+int64(j))
+			}
+		}
+		return b
+	}
+
+	agg := fillAgg("a")
+	keys := map[string]int64{}
+	if err := agg.Drain(func(k string, v int64) bool { keys[k] = v; return true }); err != nil {
+		t.Fatal(err)
+	}
+	group := fillGroup(0)
+	lists := map[string][]int64{}
+	if err := group.Drain(func(k string, vs []int64) bool { lists[k] = vs; return true }); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // every kept key and list, as copied bytes
+	for k, v := range keys {
+		want["agg "+strings.Clone(k)] = fmt.Sprint(v)
+	}
+	for k, vs := range lists {
+		want["group "+strings.Clone(k)] = fmt.Sprint(vs)
+	}
+	check := func(when string) {
+		t.Helper()
+		got := map[string]string{}
+		for k, v := range keys {
+			got["agg "+k] = fmt.Sprint(v)
+		}
+		for k, vs := range lists {
+			got["group "+k] = fmt.Sprint(vs)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d kept keys read back as %d distinct ones", when, len(want), len(got))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s: kept %q reads %q, was %q", when, k, got[k], v)
+			}
+		}
+	}
+
+	agg.Release()
+	group.Release()
+	check("after Release")
+	warm := mem.Stats().PagesAllocated
+	agg, group = fillAgg("b"), fillGroup(1_000_000)
+	defer agg.Release()
+	defer group.Release()
+	if got := mem.Stats().PagesAllocated; got != warm {
+		t.Fatalf("the refill took %d fresh pages: it must reuse the released ones", got-warm)
+	}
+	check("after a new fill of the same pages")
+	if err := agg.Drain(func(string, int64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := group.Drain(func(string, []int64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	check("after a second drain")
+}
+
+// TestDrainListsDoNotOverlap: appending to a yielded value list leaves the
+// next key's list unchanged, and the list it grew keeps what was appended.
+func TestDrainListsDoNotOverlap(t *testing.T) {
+	b := NewDecaGroup[int64, int64](memory.NewManager(4096, 0), i64, i64, "")
+	defer b.Release()
+	for k := int64(0); k < 500; k++ {
+		for j := int64(0); j <= k%3; j++ {
+			b.Put(k, k*10+j)
+		}
+	}
+	var got, grown [][]int64
+	if err := b.Drain(func(k int64, vs []int64) bool {
+		got = append(got, vs)
+		grown = append(grown, append(vs, -k))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for k, vs := range got {
+		want := make([]int64, 0, 4)
+		for j := 0; j <= k%3; j++ {
+			want = append(want, int64(k*10+j))
+		}
+		if !slices.Equal(vs, want) {
+			t.Fatalf("key %d yielded %v, want %v (an append to key %d's list reached it)", k, vs, want, k-1)
+		}
+		if !slices.Equal(grown[k], append(want, int64(-k))) {
+			t.Fatalf("key %d's list grown by one reads %v: the next list overwrote it", k, grown[k])
+		}
+	}
+}
+
+// TestDrainAllocBudget: a drain allocates an array per chunk of what it
+// yields — 32 KiB of key bytes (decompose.Chunk), listChunk values — and a
+// few objects of its own, never an object per key: DecaAgg[string, int64]
+// over 50 k keys, DecaGroup[int64, int64] over 10 k keys, and a re-sort of
+// a DecaSort of 20 k string keys, where a sort that decodes both keys of
+// every comparison allocates O(n log n) strings.
+func TestDrainAllocBudget(t *testing.T) {
+	const chunk = 32 << 10
+	within := func(what string, got, budget float64) {
+		t.Helper()
+		t.Logf("%s: %.0f allocations (budget %.0f)", what, got, budget)
+		if got > budget {
+			t.Errorf("%s took %.0f allocations, budget %.0f", what, got, budget)
+		}
+	}
+	mem := memory.NewManager(1<<20, 0)
+	keys := drainKeys("word", 50_000)
+	size := 0
+	for _, k := range keys {
+		size += len(k)
+	}
+
+	agg, err := NewDecaAgg[string, int64](mem, addI, str, i64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Release()
+	for i, k := range keys {
+		agg.Put(k, int64(i))
+	}
+	within(fmt.Sprintf("draining %d string keys (%d bytes)", len(keys), size), testing.AllocsPerRun(5, func() {
+		agg.Drain(func(string, int64) bool { return true })
+	}), float64(size/chunk+4))
+
+	const groupKeys, values = 10_000, 100_000
+	group := NewDecaGroup[int64, int64](mem, i64, i64, "")
+	defer group.Release()
+	for i := int64(0); i < values; i++ {
+		group.Put(i*7919%groupKeys, i)
+	}
+	within(fmt.Sprintf("draining %d keys with %d values", groupKeys, values), testing.AllocsPerRun(5, func() {
+		group.Drain(func(int64, []int64) bool { return true })
+	}), float64(values/listChunk+4))
+
+	sorter := NewDecaSort[string, int64](mem, func(a, b string) bool { return a < b }, str, i64, "")
+	defer sorter.Release()
+	size = 0
+	for i, k := range keys[:20_000] {
+		sorter.Put(k, int64(i))
+		size += len(k)
+	}
+	sorter.DrainSorted(func(string, int64) bool { return true }) // sorted now: what follows re-sorts
+	within(fmt.Sprintf("re-sorting %d string keys (%d bytes)", 20_000, size), testing.AllocsPerRun(5, func() {
+		sorter.DrainSorted(func(string, int64) bool { return true })
+	}), float64(size/chunk+12))
 }

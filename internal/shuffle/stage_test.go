@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"deca/internal/decompose"
@@ -22,9 +23,8 @@ type frameCase struct {
 	name string
 	kind byte
 	// keySize is the key codec's FixedSize (-1 for the Object kinds). A
-	// variable-size key's bytes are its codec's input contract (Codec.Decode
-	// has no checked form); only their length prefix is the parser's to
-	// validate.
+	// variable-size key's record length is the parser's to validate, the
+	// length inside its encoding the drain's (decodeAll).
 	keySize int
 	build   func(tb testing.TB, keys int, dir string, spill bool) []byte
 	// fold is the reduce task's half (the fetch worker's is stage, below),
@@ -129,6 +129,17 @@ var frameCases = []frameCase{
 				return err
 			}
 			return foldFresh(b, st)
+		},
+		foldDrain: func(st *Staged, mem *memory.Manager, dir string) error {
+			b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
+			if err != nil {
+				return err
+			}
+			defer b.Release()
+			if err := b.Fold(st); err != nil {
+				return err
+			}
+			return b.Drain(func(string, int64) bool { return true })
 		},
 	},
 	{
@@ -370,6 +381,11 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 		if c.keySize >= 0 {
 			out["key shorter than its codec"] = patch(page, good[page]-2)
 			out["key longer than its codec"] = patch(page, good[page]+2)
+		} else {
+			// The first key's string length follows its one-byte header.
+			out["string longer than its record"] = patch(page+1, good[page+1]+1)
+			out["string shorter than its record"] = patch(page+1, good[page+1]-1)
+			out["string past the page"] = patch(page+1, 0xff, 0xff, 0, 0)
 		}
 	}
 	return out
@@ -417,12 +433,45 @@ func TestStageHostileFrames(t *testing.T) {
 	}
 }
 
+// TestDrainDistrustsKeyLength: a string key whose length prefix disagrees
+// with its record — reaching into the value and the records after it, or
+// past the end of the page — folds (a fold compares key bytes, it decodes
+// none) and then fails the drain with an error naming page and offset,
+// where the drain once read its neighbours' bytes or panicked.
+func TestDrainDistrustsKeyLength(t *testing.T) {
+	i := slices.IndexFunc(frameCases, func(c frameCase) bool { return c.name == "agg-string-int64" })
+	c := frameCases[i]
+	mem := memory.NewManager(4096, 0)
+	dir := t.TempDir()
+	hostile := hostileFrames(t, c)
+	for _, what := range []string{"string longer than its record", "string shorter than its record", "string past the page"} {
+		st, err := c.stage(hostile[what], mem, dir)
+		if err != nil {
+			t.Fatalf("%s: stage: %v", what, err)
+		}
+		b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Fold(st); err != nil {
+			t.Fatalf("%s: fold: %v", what, err)
+		}
+		yielded := 0
+		err = b.Drain(func(string, int64) bool { yielded++; return true })
+		if err == nil || !strings.Contains(err.Error(), "key at page 0 offset 0 ") || yielded != 0 {
+			t.Errorf("%s: drain yielded %d keys, then %v; want the first key refused by page and offset", what, yielded, err)
+		}
+		b.Release()
+		assertClean(t, mem, dir, what)
+	}
+}
+
 // FuzzStageDecaFrames feeds arbitrary bytes to the stager and folds what
-// stages into every container, Deca and Object: whatever happens, no panic
-// and nothing left behind — no manager byte in use, no spill file. (Neither
-// half decodes a variable-size Deca key, so the string-key case is held to
-// it too.) The seeds are every case's frames and corruptions, then the
-// golden Object frames and each of their truncations.
+// stages into every container, Deca and Object, draining where the case
+// does: whatever happens, no panic and nothing left behind — no manager
+// byte in use, no spill file. The string-key drain decodes every key it
+// meets, checked against its record. The seeds are every case's frames and
+// corruptions, then the golden Object frames and each of their truncations.
 func FuzzStageDecaFrames(f *testing.F) {
 	for _, c := range frameCases {
 		f.Add(c.build(f, 0, f.TempDir(), false))
