@@ -13,20 +13,24 @@ import (
 
 // Ablations for the design choices the paper motivates qualitatively.
 // They are not paper figures, but they quantify the §2.3/§4.3 arguments:
-// the page size must be neither too small (GC overhead from many pages)
-// nor too large (wasted space), and the SFST in-place value reuse is what
-// removes the combine-time garbage.
+// the page size must be neither too small (per-page overhead) nor too
+// large (wasted space), and the SFST in-place value reuse is what removes
+// the combine-time garbage.
 
-// AblationPageSize sweeps the page size for the LR cache: tiny pages
-// multiply the number of GC-visible arrays and pool traffic; huge pages
-// waste the unused tail of each container's last page.
+// AblationPageSize sweeps the page size for the LR cache. In the paper a
+// tiny page costs GC tracing, one more array per page. Here pages are
+// anonymous mappings the collector never sees (memory.newBytes), so on
+// unix a tiny page costs one mapping of its own: an mmap when it is first
+// made, an munmap when the pool drops it, and pool traffic in between.
+// Huge pages waste the unused tail of each container's last page.
 func AblationPageSize(o Options) (*Report, error) {
 	o = o.withDefaults()
 	rep := &Report{
 		ID:    "ablation-pagesize",
 		Title: "Page-size sweep for the LR cache",
-		PaperClaim: "§2.3/§4.3.1: pages must be neither too small (GC traces many arrays, " +
-			"pool churn) nor too large (unused space in each container's last page)",
+		PaperClaim: "§2.3/§4.3.1: pages must be neither too small (the paper: GC traces many arrays; " +
+			"here, mapped pages: one mmap/munmap and mapping per page, pool churn) " +
+			"nor too large (unused space in each container's last page)",
 	}
 	params := workloads.LRParams{Points: o.scaled(200_000), Dim: 10, Iterations: 8}
 	for _, ps := range []int{4 << 10, 64 << 10, 1 << 20, 16 << 20} {
@@ -59,6 +63,7 @@ func AblationValueReuse(o Options) (*Report, error) {
 	n := o.scaled(4_000_000)
 	keys := o.scaled(100_000)
 	mem := memory.NewManager(1<<20, 0)
+	defer mem.Close()
 
 	runAgg := func(name string, put func(k, v int64), drain func() int) {
 		gcstats.ForceGC()

@@ -67,6 +67,7 @@ func mergeBufferRows(o Options, rep *Report) error {
 		return out
 	}
 	m := memory.NewManager(0, 0)
+	defer m.Close()
 	zcSrcs, drainSrcs := groupSrcs(m), groupSrcs(m)
 	zc, err := timeIt(func() error {
 		dst := shuffle.NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, o.Base.SpillDir)

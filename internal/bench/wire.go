@@ -45,6 +45,7 @@ func WireThroughput(o Options) (*Report, error) {
 	spill := o.Base.SpillDir
 	objCfg := shuffle.ObjectConfig[int64, []int64]{KeySer: serial.Int64{}, ValSer: serial.I64Slice{}, SpillDir: spill}
 	decaMem := memory.NewManager(0, 0)
+	defer decaMem.Close()
 	dAgg, err := shuffle.NewDecaAgg[int64, []int64](decaMem,
 		combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
 	if err != nil {
@@ -92,6 +93,7 @@ func WireThroughput(o Options) (*Report, error) {
 	// pages return to its pool on release and recycle across fetches —
 	// the steady-state-no-allocation property the decode path inherits.
 	dstMem := memory.NewManager(0, 0)
+	defer dstMem.Close()
 	paths := []path{
 		{"agg  Deca", dAgg.EncodeSegments, func() (folder, error) {
 			return shuffle.NewDecaAgg(dstMem, combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)

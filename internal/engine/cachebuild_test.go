@@ -132,7 +132,7 @@ func TestFailedBuildLeavesNoPages(t *testing.T) {
 			if want, ok := failure.(error); ok && !errors.Is(err, want) {
 				t.Errorf("error %v does not wrap %v", err, want)
 			}
-			if ctx.CacheManager().Contains(cache.BlockID{Dataset: d.ID(), Partition: 2}) {
+			if ctx.Executors()[0].CacheManager().Contains(cache.BlockID{Dataset: d.ID(), Partition: 2}) {
 				t.Error("the failed partition published a block")
 			}
 			d.Unpersist()

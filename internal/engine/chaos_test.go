@@ -47,6 +47,20 @@ func assertNoLeaks(t *testing.T, ctx *Context) {
 	}
 }
 
+// assertManagersEmptyAfterClose closes the context, after which no
+// executor's manager may hold a byte, in use or pooled: the pool's mappings
+// went with Close. It runs after every other ledger check, since Close
+// itself deletes spill files and releases what the job left behind.
+func assertManagersEmptyAfterClose(t *testing.T, ctx *Context) {
+	t.Helper()
+	ctx.Close()
+	for _, ex := range ctx.Executors() {
+		if st := ex.Memory().Stats(); st.BytesInUse != 0 || st.BytesPooled != 0 {
+			t.Errorf("executor %d's manager after Close: %d bytes in use, %d pooled; want 0 and 0", ex.ID(), st.BytesInUse, st.BytesPooled)
+		}
+	}
+}
+
 // assertNoSpillFiles checks that no spill or swap files survive in dir.
 func assertNoSpillFiles(t *testing.T, dir string) {
 	t.Helper()
@@ -115,6 +129,7 @@ func TestChaosTaskFailuresRecover(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -156,6 +171,7 @@ func TestChaosExecutorKillBlacklistsAndRecovers(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -240,6 +256,7 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -280,6 +297,7 @@ func TestChaosSpeculativeRaceLeaksNothing(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -318,6 +336,7 @@ func TestChaosMidMergeReduceFailureRetries(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -358,6 +377,7 @@ func TestChaosReduceSpeculationReleasesLoser(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -388,6 +408,7 @@ func TestChaosFetchFaultsRetryBelowTaskLevel(t *testing.T) {
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -421,6 +442,7 @@ func TestChaosCombinedFaults(t *testing.T) {
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
 			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
 }
@@ -473,6 +495,7 @@ func TestChaosExhaustedBudgetStillReleasesEverything(t *testing.T) {
 	}
 	ctx.ReleaseAllShuffles()
 	assertNoLeaks(t, ctx)
+	assertManagersEmptyAfterClose(t, ctx)
 }
 
 // TestForeachAttemptExposesRetryEpoch: a Foreach partition whose user

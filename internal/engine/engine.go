@@ -583,10 +583,10 @@ func (c *Context) ReleaseAllShuffles() {
 	}
 }
 
-// Close releases shuffles, every executor's cache blocks, the
-// transport's listeners and connection pools, and — on a multiproc
-// driver — the executor fleet (Shutdown broadcast, then SIGKILL for
-// stragglers). Idempotent: a second Close, including one racing a
+// Close releases shuffles, every executor's cache blocks and memory
+// manager, the transport's listeners and connection pools, and — on a
+// multiproc driver — the executor fleet (Shutdown broadcast, then SIGKILL
+// for stragglers). Idempotent: a second Close, including one racing a
 // stage's error path, is a no-op. The context is unusable afterwards.
 func (c *Context) Close() {
 	c.closeOnce.Do(func() {
@@ -599,6 +599,7 @@ func (c *Context) Close() {
 		c.ReleaseAllShuffles()
 		for _, ex := range c.execs {
 			ex.cache.Clear()
+			ex.mem.Close()
 		}
 		if c.driver != nil {
 			c.driver.d.Close()
@@ -640,9 +641,6 @@ func (c *Context) Transport() transport.Transport { return c.trans }
 // manager in single-executor configs. Multi-executor callers should range
 // over Executors() or use MemoryInUse.
 func (c *Context) Memory() *memory.Manager { return c.execs[0].mem }
-
-// CacheManager returns executor 0's block store (see Memory's caveat).
-func (c *Context) CacheManager() *cache.Manager { return c.execs[0].cache }
 
 // MemoryInUse sums live page bytes across every executor.
 func (c *Context) MemoryInUse() int64 {

@@ -404,7 +404,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Error("data changed across eviction round trips")
 	}
-	st := ctx.CacheManager().Stats()
+	st := ctx.Executors()[0].CacheManager().Stats()
 	if st.Evictions == 0 {
 		t.Errorf("expected evictions under pressure, stats = %+v", st)
 	}

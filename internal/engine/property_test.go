@@ -187,7 +187,7 @@ func TestCachedSerializedSwapPath(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("serialized cache changed across swap round trips")
 	}
-	if ctx.CacheManager().Stats().Evictions == 0 {
+	if ctx.Executors()[0].CacheManager().Stats().Evictions == 0 {
 		t.Error("expected evictions under the tiny budget")
 	}
 }

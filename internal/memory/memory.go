@@ -3,23 +3,26 @@
 // Deca stores decomposed objects in logical memory pages: byte arrays with
 // a common fixed size. Each data container (cache block, shuffle buffer)
 // owns a page group; a page-info structure tracks the group's pages, the
-// end offset of the last page, and a sequential cursor. Because the
-// garbage collector only sees a handful of large byte slices instead of
-// millions of small objects, tracing cost collapses; when a container's
-// lifetime ends, releasing the group reclaims all of its space at once.
+// end offset of the last page, and a sequential cursor. The pages are not
+// Go heap at all but anonymous mappings (newBytes), so the garbage
+// collector neither traces them nor paces itself on them. When a
+// container's lifetime ends, releasing the group reclaims all of its space
+// at once; when a mapping's own lifetime ends — it does not fit in the
+// pool, or it is in the pool when the manager closes — the manager unmaps
+// it, and the kernel has the memory back.
 //
 // The Manager hands out pages from a free pool so that steady-state
-// execution allocates no new heap memory at all, and accounts the bytes in
-// use against an optional soft budget that the cache and shuffle layers
+// execution maps no new memory at all, and accounts the bytes in use
+// against an optional soft budget that the cache and shuffle layers
 // consult for eviction and spilling decisions.
 package memory
 
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"deca/internal/obs"
 )
@@ -32,7 +35,7 @@ const DefaultPageSize = 1 << 20
 // Stats is a snapshot of manager counters.
 type Stats struct {
 	PageSize       int
-	PagesAllocated uint64 // pages and slabs created from the Go heap
+	PagesAllocated uint64 // pages and slabs freshly mapped (newBytes)
 	PagesReused    uint64 // pages and slabs served from the free pool
 	PagesReleased  uint64 // pages returned by group release, slabs by theirs
 	BytesInUse     int64  // bytes of live pages (allocated to groups) and slabs
@@ -51,14 +54,18 @@ type Stats struct {
 // object larger than the page size — as blocks in size classes, one per
 // power of two, searched only within the request's class. putBlock says
 // which blocks pool.
+//
+// Close ends the manager's lifetime. A manager nobody closes has its pool
+// unmapped by a cleanup once it is unreachable; nothing else can be left
+// to unmap by then, because every group and slab holds its manager.
 type Manager struct {
 	pageSize int
 	limit    int64 // soft budget in bytes; 0 means unlimited
 
 	mu         sync.Mutex
-	free       [][]byte                // standard-size pages; pop from the tail
-	blocks     [bits.UintSize][][]byte // class c holds capacities in [2^c, 2^(c+1))
-	poolMax    int64                   // max bytes kept in the pool, pages and blocks together
+	pool       *pool // an object of its own, so the cleanup that unmaps it does not keep the manager reachable
+	poolMax    int64 // max bytes kept in the pool, pages and blocks together
+	closed     bool
 	inUse      int64
 	pooled     int64
 	allocated  uint64
@@ -86,14 +93,58 @@ func NewManager(pageSize int, limit int64) *Manager {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	m := &Manager{pageSize: pageSize, limit: limit}
+	m := &Manager{pageSize: pageSize, limit: limit, pool: new(pool)}
 	// Keep at most the budget's worth of pages pooled, or a generous
 	// default when unlimited.
 	m.poolMax = 1024 * int64(pageSize)
 	if n := limit / int64(pageSize); n > 0 {
 		m.poolMax = n * int64(pageSize)
 	}
+	runtime.AddCleanup(m, (*pool).unmap, m.pool)
 	return m
+}
+
+// pool is a manager's free memory: standard-size pages, and blocks by size
+// class. Guarded by the manager's mu.
+type pool struct {
+	free   [][]byte                // standard-size pages; pop from the tail
+	blocks [bits.UintSize][][]byte // class c holds capacities in [2^c, 2^(c+1))
+}
+
+// unmap ends every pooled mapping and empties the pool.
+func (p *pool) unmap() {
+	for _, b := range p.free {
+		freeBytes(b)
+	}
+	p.free = nil
+	for c := range p.blocks {
+		for _, b := range p.blocks[c] {
+			freeBytes(b)
+		}
+		p.blocks[c] = nil
+	}
+}
+
+// Close ends the manager's lifetime: every pooled mapping is unmapped at
+// once, and asking for a page or a slab afterwards panics. Memory a live
+// group or slab still holds stays mapped — the group may still be read —
+// and stays in Stats.BytesInUse until its release, which unmaps it instead
+// of pooling it. A second Close is a no-op.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.closed = true
+	m.pool.unmap()
+	m.pooled = 0
+}
+
+// checkOpenLocked panics on a closed manager; called with m.mu held, which
+// it releases before panicking.
+func (m *Manager) checkOpenLocked() {
+	if m.closed {
+		m.mu.Unlock()
+		panic("memory: page or slab requested from a closed manager")
+	}
 }
 
 // PageSize returns the fixed page size in bytes.
@@ -140,16 +191,18 @@ func (m *Manager) getPage(want int) []byte {
 		return b
 	}
 	m.mu.Lock()
-	if n := len(m.free); n > 0 {
-		p := m.free[n-1]
-		m.free[n-1] = nil
-		m.free = m.free[:n-1]
+	if n := len(m.pool.free); n > 0 {
+		p := m.pool.free[n-1]
+		m.pool.free[n-1] = nil
+		m.pool.free = m.pool.free[:n-1]
 		m.pooled -= int64(cap(p))
 		m.reused++
 		m.inUse += int64(cap(p))
+		unpoison(p)
 		m.mu.Unlock()
 		return p[:0]
 	}
+	m.checkOpenLocked()
 	m.allocated++
 	allocated := m.allocated
 	m.inUse += int64(m.pageSize)
@@ -168,7 +221,7 @@ func (m *Manager) getPage(want int) []byte {
 // taking the large block a sibling is about to ask for.
 func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 	m.mu.Lock()
-	class := &m.blocks[bits.Len(uint(want))-1]
+	class := &m.pool.blocks[bits.Len(uint(want))-1]
 	best := -1
 	for i, b := range *class {
 		if cap(b) >= want && (best < 0 || cap(b) < cap((*class)[best])) {
@@ -183,9 +236,11 @@ func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 		m.pooled -= int64(cap(b))
 		m.reused++
 		m.inUse += int64(cap(b))
+		unpoison(b)
 		m.mu.Unlock()
 		return b, false
 	}
+	m.checkOpenLocked()
 	m.allocated++
 	allocated := m.allocated
 	m.inUse += int64(want)
@@ -197,44 +252,39 @@ func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 	return newBytes(want), true
 }
 
-// newBytes is the one place manager memory comes from: a zero-length,
-// zeroed byte slice of capacity n that starts 8-byte aligned. Everything
-// the manager hands out is cut from the front of such a slice — a page, a
-// block, a restored or swapped-in page — and Group.Alloc packs a page from
-// offset 0, so a record whose layout is only 8-byte primitives is aligned
-// wherever it lies, and decompose.Float64s/Int64s can read it in place.
-// The words are allocated as words because only a type's alignment is the
-// language's promise (a 13-byte []byte may start anywhere); an arena that
-// replaces this (ROADMAP direction 3) must keep it, and
-// TestManagerMemoryIsAligned is what will say so.
-func newBytes(n int) []byte {
-	words := make([]uint64, (n+7)/8)
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)[:0]
-}
-
 // bigMax is how many oversized pages a size class keeps pooled.
 const bigMax = 16
 
 // putBlock takes a block back and pools it in its size class, within the
 // pool's byte bound, unless it is larger than a page and its class already
-// holds bigMax blocks. A pooled block is live heap — the collector paces
-// itself on twice its size — so what is parked here must be what the next
-// request asks for: slabs are (a container's index takes them a segment at
-// a time, all of one size past the small ones), a single object's oversized
-// page rarely.
+// holds bigMax blocks; a block that does not pool is unmapped on the spot.
+// A pooled block is resident memory nobody uses, so what is parked here
+// must be what the next request asks for: slabs are (a container's index
+// takes them a segment at a time, all of one size past the small ones), a
+// single object's oversized page rarely.
 //
 // Called with m.mu held.
 func (m *Manager) putBlock(b []byte) {
 	m.inUse -= int64(cap(b))
 	m.released++
-	class := &m.blocks[bits.Len(uint(cap(b)))-1]
-	if m.pooled+int64(cap(b)) <= m.poolMax && (cap(b) <= m.pageSize || len(*class) < bigMax) {
+	class := &m.pool.blocks[bits.Len(uint(cap(b)))-1]
+	if m.pools(b) && (cap(b) <= m.pageSize || len(*class) < bigMax) {
+		poison(b)
 		*class = append(*class, b[:0])
 		m.pooled += int64(cap(b))
+	} else {
+		freeBytes(b)
 	}
 }
 
-// putPages returns pages to the pool (or drops them if the pool is full).
+// pools reports whether b fits in an open manager's pool. Called with m.mu
+// held.
+func (m *Manager) pools(b []byte) bool {
+	return !m.closed && m.pooled+int64(cap(b)) <= m.poolMax
+}
+
+// putPages returns pages to the pool, unmapping those the pool has no room
+// for.
 func (m *Manager) putPages(pages [][]byte) {
 	if len(pages) > 0 {
 		m.rec.Record(obs.Event{
@@ -251,9 +301,12 @@ func (m *Manager) putPages(pages [][]byte) {
 		default:
 			m.inUse -= int64(cap(p))
 			m.released++
-			if m.pooled+int64(cap(p)) <= m.poolMax {
-				m.free = append(m.free, p[:0])
+			if m.pools(p) {
+				poison(p)
+				m.pool.free = append(m.pool.free, p[:0])
 				m.pooled += int64(cap(p))
+			} else {
+				freeBytes(p)
 			}
 		}
 	}
@@ -263,9 +316,9 @@ func (m *Manager) putPages(pages [][]byte) {
 // than to its page group: a segment of the hash-index table over the
 // group's records. It is charged to the budget like a page and pooled on
 // release like one (putBlock), but comes in whatever size is asked for — a
-// 16-slot table does not cost a page — and is zeroed, whichever pool or heap
-// it came from. The zero Slab is empty; Release is idempotent, so a
-// container's double Release returns the memory once.
+// 16-slot table does not cost a page — and is zeroed, whether it came from
+// the pool or a fresh mapping. The zero Slab is empty; Release is
+// idempotent, so a container's double Release returns the memory once.
 type Slab struct {
 	m   *Manager
 	buf []byte
@@ -552,7 +605,7 @@ func (g *Group) rehome(dst *Manager) {
 // owning groups, which the caller releases through deps.
 func (g *Group) reclaim() {
 	if g.mapping != nil {
-		unmapFile(g.mapping)
+		unmap(g.mapping)
 		g.mapping = nil
 	} else if g.adopted == nil {
 		g.m.putPages(g.pages)

@@ -97,7 +97,7 @@ func MapGroup(m *Manager, path string) (*Group, error) {
 	}
 	pages, bytes, err := spillPages(data)
 	if err != nil {
-		unmapFile(data)
+		unmap(data)
 		return nil, fmt.Errorf("memory: spill file %s: %w", path, err)
 	}
 	g := m.NewGroup()
