@@ -162,18 +162,53 @@ func lrGradientDeca(
 
 // lrGradientBlock is the scan kernel: each record of g — label, then
 // len(weights) features, LabeledPointCodec's layout — is read in place
-// through a typed view of its page; scratch is written only where a record
+// through a typed view of its page; scratch is written only where records
 // cannot be viewed (DESIGN.md "Typed views"). The order of every sum is
 // frozen: job checksums are compared bit for bit.
+//
+// The main loop reads four records abreast: their four dots are independent
+// chains, their four Exp calls do not wait on each other, and acc is loaded
+// and stored once per four records. Each dot still sums in feature order and
+// each acc[i] still receives its terms in record order, so every operation
+// has the operands it has one record at a time. The 0-3 records left on a
+// page go through the one-record loop after it.
 func lrGradientBlock(g *memory.Group, weights []float64) []float64 {
-	recSize := 8 + 8*len(weights)
-	acc := make([]float64, len(weights))
-	scratch := make([]float64, 1+len(weights))
+	dim := len(weights)
+	recSize := 8 + 8*dim
+	acc := make([]float64, dim)
+	scratch := make([]float64, 4*(1+dim))
 	for pi := 0; pi < g.NumPages(); pi++ {
 		page := g.Page(pi)
-		for off := 0; off+recSize <= len(page); off += recSize {
+		off := 0
+		for ; off+4*recSize <= len(page); off += 4 * recSize {
+			recs := decompose.Float64s(scratch, page[off:off+4*recSize])
+			l0, x0 := recs[0], recs[1:][:dim]
+			l1, x1 := recs[1+dim], recs[2+dim:][:dim]
+			l2, x2 := recs[2+2*dim], recs[3+2*dim:][:dim]
+			l3, x3 := recs[3+3*dim], recs[4+3*dim:][:dim]
+			d0, d1, d2, d3 := 0.0, 0.0, 0.0, 0.0
+			for i, w := range weights {
+				d0 += w * x0[i]
+				d1 += w * x1[i]
+				d2 += w * x2[i]
+				d3 += w * x3[i]
+			}
+			f0 := (1/(1+math.Exp(-l0*d0)) - 1) * l0
+			f1 := (1/(1+math.Exp(-l1*d1)) - 1) * l1
+			f2 := (1/(1+math.Exp(-l2*d2)) - 1) * l2
+			f3 := (1/(1+math.Exp(-l3*d3)) - 1) * l3
+			for i := range acc {
+				a := acc[i]
+				a += f0 * x0[i]
+				a += f1 * x1[i]
+				a += f2 * x2[i]
+				a += f3 * x3[i]
+				acc[i] = a
+			}
+		}
+		for ; off+recSize <= len(page); off += recSize {
 			rec := decompose.Float64s(scratch, page[off:off+recSize])
-			label, x := rec[0], rec[1:][:len(weights)]
+			label, x := rec[0], rec[1:][:dim]
 			dot := 0.0
 			for i, w := range weights {
 				dot += w * x[i]

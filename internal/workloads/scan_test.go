@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"iter"
 	"math"
 	"testing"
@@ -72,31 +73,37 @@ func eachRoundTrip[T any](t *testing.T, blk *cache.DecaBlock[T], check func(what
 	check("swapped")
 }
 
+// The kernel reads four records abreast and the rest one at a time: 256-259
+// points leave each tail, 0-3, on a default page, and 64-byte pages hold one
+// to four 1-dimensional records, or one record of 8 or 10 dimensions.
 func TestDecaGradientMatchesCodec(t *testing.T) {
 	for name, mem := range scanManagers() {
-		for _, dim := range []int{1, 8, 10} {
-			var points []datagen.LabeledPoint
-			for p := range datagen.PointsSeq(int64(dim), 257, dim) {
-				points = append(points, p)
-			}
-			weights := scanWeights(dim)
-			blk := cache.NewDecaBlock(mem, LabeledPointCodec{Dim: dim}, points)
-			eachRoundTrip(t, blk, func(what string) {
-				want := make([]float64, dim)
-				blk.Each(func(p datagen.LabeledPoint) bool {
-					dot := 0.0
-					for i, x := range p.Features {
-						dot += weights[i] * x
-					}
-					factor := (1/(1+math.Exp(-p.Label*dot)) - 1) * p.Label
-					for i, x := range p.Features {
-						want[i] += factor * x
-					}
-					return true
+		for _, n := range []int{256, 257, 258, 259} {
+			for _, dim := range []int{1, 8, 10} {
+				var points []datagen.LabeledPoint
+				for p := range datagen.PointsSeq(int64(dim), n, dim) {
+					points = append(points, p)
+				}
+				weights := scanWeights(dim)
+				blk := cache.NewDecaBlock(mem, LabeledPointCodec{Dim: dim}, points)
+				eachRoundTrip(t, blk, func(what string) {
+					want := make([]float64, dim)
+					blk.Each(func(p datagen.LabeledPoint) bool {
+						dot := 0.0
+						for i, x := range p.Features {
+							dot += weights[i] * x
+						}
+						factor := (1/(1+math.Exp(-p.Label*dot)) - 1) * p.Label
+						for i, x := range p.Features {
+							want[i] += factor * x
+						}
+						return true
+					})
+					what = fmt.Sprintf("%s, %d points of %d, %s: gradient", name, n, dim, what)
+					sameBits(t, what, lrGradientBlock(blk.Group(), weights), want)
 				})
-				sameBits(t, name+", "+what+": gradient", lrGradientBlock(blk.Group(), weights), want)
-			})
-			blk.Drop()
+				blk.Drop()
+			}
 		}
 		if s := mem.Stats(); s.BytesInUse != 0 || s.LiveGroups != 0 {
 			t.Errorf("%s: manager still holds %+v", name, s)
