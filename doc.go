@@ -6,12 +6,19 @@
 //
 //	udt, analysis  the UDT size-type classification (Algorithms 1-4,
 //	               phased refinement)
+//	core           the lifetime planner (containers, ownership,
+//	               decomposition decisions) and the byte layouts it
+//	               compiles to; udt, analysis and core are reproduced
+//	               beside the engine, which links none of them
 //	memory         page groups with page-info metadata and refcounting
-//	decompose      layouts, codecs and raw-byte accessors (SUDT analogue)
-//	core           the lifetime planner: containers, ownership,
-//	               decomposition decisions
+//	decompose      the runtime codec layer: hand-written codecs, typed
+//	               views over page bytes, the chunks a drain decodes into
 //	engine         a mini-Spark substrate (datasets, shuffles, caching)
 //	               organized as a driver plus N executors
+//	sched, ctl     the fault-tolerant task scheduler and the multiproc
+//	               control plane
+//	obs            the counter table and the event spine behind the ops
+//	               plane
 //	transport      the shuffle-data seam between executors
 //	shuffle, cache the three shuffle-buffer shapes and the block store
 //	serial         the Kryo-equivalent baseline serializer

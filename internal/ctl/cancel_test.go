@@ -20,12 +20,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// nopRuntime is a Runtime with no shuffles and nothing counted.
+// nopRuntime is a Runtime with no shuffles, nothing counted and no events.
 type nopRuntime struct{}
 
 func (nopRuntime) MaterializeDataset(int, int) {}
 func (nopRuntime) ReleaseDataset(int, int)     {}
 func (nopRuntime) Snapshot() obs.CounterValues { return obs.CounterValues{} }
+func (nopRuntime) DrainEvents(int) []obs.Event { return nil }
 
 // publishEchoBodies publishes the helper process's two stages: a "block"
 // attempt parks on its cancel signal — the shape of a speculative loser

@@ -13,8 +13,8 @@ import (
 )
 
 // Runtime is what the engine plugs into a Follower once its mirrored
-// context exists: the executor side of the shuffle lifecycle and its
-// counters. All methods may be called concurrently.
+// context exists: the executor side of the shuffle lifecycle, its counters
+// and its event backlog. All methods may be called concurrently.
 type Runtime interface {
 	// MaterializeDataset ensures the announced epoch of the dataset's
 	// shuffle is materialized locally (follower-side exchange), so
@@ -30,16 +30,9 @@ type Runtime interface {
 	ReleaseDataset(dataset, epoch int)
 	// Snapshot returns the executor's counter vector.
 	Snapshot() obs.CounterValues
-}
-
-// EventSource is an optional Runtime extension: a runtime that also
-// implements it has its observability backlog drained into every
-// heartbeat frame, giving the driver a rolling cluster-wide event
-// stream mid-job. Checked by type assertion so the Runtime contract is
-// unchanged for implementations without a recorder.
-type EventSource interface {
 	// DrainEvents removes and returns up to max buffered events (all if
-	// max <= 0).
+	// max <= 0; none without a recorder). Every heartbeat frame carries
+	// them, giving the driver a rolling cluster-wide event stream mid-job.
 	DrainEvents(max int) []obs.Event
 }
 
@@ -501,9 +494,7 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 		f.snapMu.Lock()
 		if rt != nil {
 			snap = rt.Snapshot()
-			if src, ok := rt.(EventSource); ok {
-				evs = src.DrainEvents(heartbeatEventBatch)
-			}
+			evs = rt.DrainEvents(heartbeatEventBatch)
 		}
 		payload := appendSnapshot(nil, snap)
 		if len(evs) > 0 {

@@ -12,7 +12,7 @@ import (
 )
 
 // Dataset is the engine's RDD: a lazy, partitioned collection. Transform
-// it with the free functions (Map, Filter, ReduceByKey, ...) — Go methods
+// it with the free functions (Map, FlatMap, ReduceByKey, ...) — Go methods
 // cannot introduce type parameters — and materialize it with an action
 // (Collect, Reduce, Count, Foreach).
 type Dataset[T any] struct {
@@ -309,23 +309,6 @@ func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 		return func(yield func(U) bool) {
 			err := d.Iterate(p, func(v T) bool {
 				return yield(f(v))
-			})
-			if err != nil {
-				panic(err)
-			}
-		}
-	})
-}
-
-// Filter keeps records satisfying pred.
-func Filter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
-	return newDataset(d.ctx, d.parts, func(p int) Seq[T] {
-		return func(yield func(T) bool) {
-			err := d.Iterate(p, func(v T) bool {
-				if pred(v) {
-					return yield(v)
-				}
-				return true
 			})
 			if err != nil {
 				panic(err)

@@ -335,6 +335,10 @@ func New(conf Config) *Context {
 		fetchWorkers: fetchConcurrency,
 		fetchBudget:  maxFetchBytesInFlight,
 	}
+	// Observability spine: one event ring per process, fed by every layer.
+	if conf.EventBuffer >= 0 {
+		c.rec = obs.NewRecorder(conf.EventBuffer)
+	}
 	var faults sched.FaultInjector
 	if conf.Chaos != nil {
 		faults = conf.Chaos
@@ -345,7 +349,7 @@ func New(conf Config) *Context {
 		MaxTaskRetries:      conf.MaxTaskRetries,
 		MaxExecutorFailures: conf.MaxExecutorFailures,
 		Speculate:           conf.SpeculationEnabled,
-		Hooks:               clusterHooks{c},
+		Recorder:            c.rec,
 		Faults:              faults,
 	})
 	n := conf.NumExecutors
@@ -373,12 +377,10 @@ func New(conf Config) *Context {
 		})
 	}
 
-	// Observability spine: one event ring per process, fed by every layer.
-	// The driver (any non-follower role) also aggregates into a View; a
-	// follower's ring drains into ctl heartbeats instead. The GC sampler
-	// turns runtime GC stats into a periodic event stream.
-	if conf.EventBuffer >= 0 {
-		c.rec = obs.NewRecorder(conf.EventBuffer)
+	// The driver (any non-follower role) also aggregates the ring into a
+	// View; a follower's ring drains into ctl heartbeats instead. The GC
+	// sampler turns runtime GC stats into a periodic event stream.
+	if c.rec != nil {
 		for i, ex := range c.execs {
 			ex.mem.SetRecorder(c.rec, int32(i))
 		}
@@ -652,14 +654,16 @@ func (c *Context) MemoryInUse() int64 {
 }
 
 // execCounters reads one executor's counter vector: the counters this
-// process increments, the values the executor's block store (cache.Stats)
-// and its transport node (transport.Stats) already keep — this function is
-// the one place they are pulled into the vector — and, on a multiproc
+// process increments, the values the scheduler (sched.Cluster.Counters),
+// the executor's block store (cache.Stats) and its transport node
+// (transport.Stats) already keep — this function is the one place they are
+// pulled into the vector — and, on a multiproc
 // driver, whose executors' data lives in other processes, the
 // executor-resident values the executor's last heartbeat carried
 // (SyncClusterMetrics asks for fresh ones).
 func (c *Context) execCounters(ex *Executor) obs.CounterValues {
 	v := ex.counters.Load()
+	v.Add(c.cluster.Counters(ex.id))
 	cs, ts := ex.cache.Stats(), c.plane.ServeStats(ex.id)
 	v[obs.CacheHits] = int64(cs.Hits)
 	v[obs.CacheMisses] = int64(cs.Misses)
@@ -740,75 +744,6 @@ func (c *Context) datasetID() int { return int(c.nextID.Add(1)) }
 func (c *Context) shuffleID() transport.ShuffleID {
 	return transport.ShuffleID(c.nextShf.Add(1))
 }
-
-// clusterHooks mirrors scheduler events into the concerned executor's
-// counters and the observability event spine. It
-// implements sched.AttemptObserver alongside sched.Hooks, so attempt
-// events carry full (stage, part, attempt) coordinates.
-type clusterHooks struct{ c *Context }
-
-func (h clusterHooks) TaskStarted(exec int) {
-	h.c.execs[exec].counters[obs.TasksRun].Add(1)
-}
-
-func (h clusterHooks) TaskFailed(exec int) {
-	h.c.execs[exec].counters[obs.TasksFailed].Add(1)
-}
-
-func (h clusterHooks) TaskRetried(exec int) {
-	h.c.execs[exec].counters[obs.TaskRetries].Add(1)
-	h.c.rec.Record(obs.Event{Kind: obs.KindTaskRetry, Exec: int32(exec), Stage: -1})
-}
-
-func (h clusterHooks) SpeculativeLaunched(exec int) {
-	h.c.execs[exec].counters[obs.SpeculativeLaunched].Add(1)
-	h.c.rec.Record(obs.Event{Kind: obs.KindTaskSpeculate, Exec: int32(exec)})
-}
-
-func (h clusterHooks) SpeculativeWon(exec int) {
-	h.c.execs[exec].counters[obs.SpeculativeWon].Add(1)
-	h.c.rec.Record(obs.Event{Kind: obs.KindSpeculativeWon, Exec: int32(exec)})
-}
-
-func (h clusterHooks) ExecutorBlacklisted(exec int) {
-	h.c.execs[exec].counters[obs.ExecutorsBlacklisted].Add(1)
-	h.c.rec.Record(obs.Event{Kind: obs.KindExecutorBlacklisted, Exec: int32(exec)})
-}
-
-// AttemptStarted / AttemptFinished implement sched.AttemptObserver: the
-// scheduler's per-attempt lifecycle becomes the task lanes of the event
-// spine. Error strings are truncated so one failing stage cannot bloat
-// the ring.
-func (h clusterHooks) AttemptStarted(stage, part, attempt, exec int, speculative bool) {
-	var spec int64
-	if speculative {
-		spec = 1
-	}
-	h.c.rec.Record(obs.Event{
-		Kind: obs.KindTaskStart, Exec: int32(exec),
-		Stage: int32(stage), Part: int32(part), Attempt: int32(attempt), B: spec,
-	})
-}
-
-func (h clusterHooks) AttemptFinished(stage, part, attempt, exec int, speculative bool, d time.Duration, err error) {
-	var failed int64
-	var msg string
-	if err != nil {
-		failed = 1
-		msg = err.Error()
-		if len(msg) > maxEventErrLen {
-			msg = msg[:maxEventErrLen]
-		}
-	}
-	h.c.rec.Record(obs.Event{
-		Kind: obs.KindTaskFinish, Exec: int32(exec),
-		Stage: int32(stage), Part: int32(part), Attempt: int32(attempt),
-		A: int64(d), B: failed, Key: msg,
-	})
-}
-
-// maxEventErrLen bounds error strings carried in events.
-const maxEventErrLen = 256
 
 // Scheduler exposes the cluster scheduler state (blacklist, placement)
 // for tests and tools.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
+	"deca/internal/transport"
 )
 
 func testCtx(t *testing.T, mode Mode) *Context {
@@ -84,7 +86,12 @@ func TestMapFilterFlatMapChain(t *testing.T) {
 	ctx := testCtx(t, ModeSpark)
 	d := Parallelize(ctx, []int{1, 2, 3, 4, 5, 6}, 3)
 	doubled := Map(d, func(v int) int { return v * 2 })
-	evens := Filter(doubled, func(v int) bool { return v%4 == 0 })
+	// A filter is a FlatMap that emits zero or one record.
+	evens := FlatMap(doubled, func(v int, emit func(int)) {
+		if v%4 == 0 {
+			emit(v)
+		}
+	})
 	expanded := FlatMap(evens, func(v int, emit func(int)) {
 		emit(v)
 		emit(v + 1)
@@ -313,34 +320,6 @@ func TestSortByKeyAllModes(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	for _, mode := range []Mode{ModeSpark, ModeDeca} {
-		t.Run(mode.String(), func(t *testing.T) {
-			ctx := testCtx(t, mode)
-			left := Parallelize(ctx, []decompose.Pair[int64, int64]{
-				KV[int64, int64](1, 10), KV[int64, int64](2, 20), KV[int64, int64](1, 11),
-			}, 2)
-			right := Parallelize(ctx, []decompose.Pair[int64, int64]{
-				KV[int64, int64](1, 100), KV[int64, int64](3, 300),
-			}, 2)
-			joined := Join(left, right, int64Ops(2), int64Ops(2))
-			rows, err := Collect(joined)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Key 1 joins twice (10,100) and (11,100); keys 2, 3 drop.
-			if len(rows) != 2 {
-				t.Fatalf("join produced %d rows, want 2: %v", len(rows), rows)
-			}
-			for _, r := range rows {
-				if r.Key != 1 || r.Value.Value != 100 {
-					t.Errorf("unexpected row %v", r)
-				}
-			}
-		})
-	}
-}
-
 func TestShuffleSpilling(t *testing.T) {
 	for _, mode := range []Mode{ModeSpark, ModeDeca} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -493,27 +472,30 @@ func TestModeDecaFallsBackWithoutCodecs(t *testing.T) {
 	}
 }
 
-func TestCoGroup(t *testing.T) {
-	ctx := testCtx(t, ModeSpark)
-	left := Parallelize(ctx, []decompose.Pair[int64, int64]{
-		KV[int64, int64](1, 10), KV[int64, int64](2, 20),
-	}, 2)
-	right := Parallelize(ctx, []decompose.Pair[int64, int64]{
-		KV[int64, int64](2, 200), KV[int64, int64](3, 300),
-	}, 2)
-	cg := CoGroup(left, right, int64Ops(2), int64Ops(2))
-	got, err := CollectMap(cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("cogroup keys = %d, want 3", len(got))
-	}
-	if !reflect.DeepEqual(got[2].Left, []int64{20}) || !reflect.DeepEqual(got[2].Right, []int64{200}) {
-		t.Errorf("key 2 cogroup = %+v", got[2])
-	}
-	if len(got[1].Right) != 0 || len(got[3].Left) != 0 {
-		t.Errorf("unmatched sides should be empty: %+v", got)
+// TestObjectShuffleWithoutSerializersFailsAtMaterialization: an
+// Object-mode shuffle crosses executors as a serialized frame or not at
+// all — built without KeySer/ValSer it fails when it materializes, with
+// an error naming the missing serializer, and leaves nothing behind.
+func TestObjectShuffleWithoutSerializersFailsAtMaterialization(t *testing.T) {
+	for _, missing := range []string{"KeySer", "ValSer"} {
+		t.Run(missing, func(t *testing.T) {
+			ctx := testCtx(t, ModeSpark)
+			ops := PairOps[string, int64]{Key: shuffle.StringKey(), KeySer: serial.Str{}, ValSer: serial.Int64{}, Partitions: 2}
+			if missing == "KeySer" {
+				ops.KeySer = nil
+			} else {
+				ops.ValSer = nil
+			}
+			d := Parallelize(ctx, []decompose.Pair[string, int64]{KV("a", int64(1)), KV("b", int64(2))}, 2)
+			red := ReduceByKey(d, ops, func(a, b int64) int64 { return a + b }) // building it is not the failure
+			_, err := Collect(red)
+			if err == nil || !strings.Contains(err.Error(), "PairOps."+missing+" is nil") {
+				t.Fatalf("Collect = %v, want an error naming PairOps.%s", err, missing)
+			}
+			if n := ctx.trans.(*transport.Plane).Pending(); n != 0 || ctx.MemoryInUse() != 0 {
+				t.Errorf("the failed shuffle left %d registrations and %d bytes behind", n, ctx.MemoryInUse())
+			}
+		})
 	}
 }
 

@@ -430,8 +430,8 @@ func (r followerRuntime) Snapshot() obs.CounterValues {
 	return r.c.Counters()
 }
 
-// DrainEvents implements ctl.EventSource: each heartbeat ships the
-// follower's event backlog to the driver.
+// DrainEvents hands each heartbeat the follower's event backlog to ship
+// to the driver.
 func (r followerRuntime) DrainEvents(max int) []obs.Event {
 	return r.c.rec.Drain(max)
 }

@@ -149,6 +149,53 @@ func TestOpsEndpointsServeLiveState(t *testing.T) {
 	}
 }
 
+// TestStagesCountTheirOwnRetries: a stage whose first attempts fail shows
+// its retries on its own /stages row — as many as the cluster's
+// task_retries counter — and no row is keyed by a stage id of -1.
+func TestStagesCountTheirOwnRetries(t *testing.T) {
+	ctx := New(Config{
+		NumExecutors: 2,
+		Parallelism:  2,
+		Mode:         ModeSpark,
+		OpsAddr:      "127.0.0.1:0",
+	})
+	t.Cleanup(ctx.Close)
+	d := Parallelize(ctx, []int{1, 2, 3, 4}, 4)
+	err := ForeachAttempt(d, func(p, attempt int, _ int) {
+		if p%2 == 0 && attempt == 1 {
+			panic("first attempt fails")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retries := ctx.Counters()[obs.TaskRetries]
+	if retries != 2 {
+		t.Fatalf("task_retries = %d, want 2", retries)
+	}
+	var stages struct {
+		Stages []obs.StageSummary `json:"stages"`
+	}
+	if err := json.Unmarshal(opsGet(t, ctx.OpsAddr(), "/stages"), &stages); err != nil {
+		t.Fatalf("/stages: %v", err)
+	}
+	var action *obs.StageSummary
+	for i, s := range stages.Stages {
+		if s.Stage == -1 {
+			t.Errorf("/stages has a row for stage -1: %+v", s)
+		}
+		if strings.HasPrefix(s.Key, "action/") {
+			action = &stages.Stages[i]
+		}
+	}
+	if action == nil {
+		t.Fatalf("/stages has no action stage: %+v", stages.Stages)
+	}
+	if action.Retried != retries {
+		t.Errorf("the action stage's attempts_retried = %d, want task_retries' %d", action.Retried, retries)
+	}
+}
+
 func TestObservabilityDisabledByNegativeEventBuffer(t *testing.T) {
 	ctx := New(Config{
 		NumExecutors: 2,

@@ -50,72 +50,6 @@ func TestReduceByKeyProperty(t *testing.T) {
 	}
 }
 
-func TestJoinProperty(t *testing.T) {
-	dir := t.TempDir()
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var left []decompose.Pair[int64, int64]
-		var right []decompose.Pair[int64, int64]
-		for i := 0; i < 60; i++ {
-			left = append(left, KV(r.Int63n(10), r.Int63n(100)))
-		}
-		for i := 0; i < 40; i++ {
-			right = append(right, KV(r.Int63n(10), r.Int63n(100)))
-		}
-		// Reference inner join.
-		type pair struct{ v, w int64 }
-		refCount := map[int64][]pair{}
-		rightByKey := map[int64][]int64{}
-		for _, p := range right {
-			rightByKey[p.Key] = append(rightByKey[p.Key], p.Value)
-		}
-		for _, l := range left {
-			for _, w := range rightByKey[l.Key] {
-				refCount[l.Key] = append(refCount[l.Key], pair{l.Value, w})
-			}
-		}
-
-		ctx := New(Config{Parallelism: 2, Mode: ModeSpark, PageSize: 1024, SpillDir: dir})
-		defer ctx.Close()
-		joined := Join(
-			Parallelize(ctx, left, 3),
-			Parallelize(ctx, right, 2),
-			int64Ops(2), int64Ops(2),
-		)
-		rows, err := Collect(joined)
-		if err != nil {
-			return false
-		}
-		got := map[int64][]pair{}
-		for _, row := range rows {
-			got[row.Key] = append(got[row.Key], pair{row.Value.Key, row.Value.Value})
-		}
-		if len(got) != len(refCount) {
-			return false
-		}
-		normalize := func(ps []pair) {
-			sort.Slice(ps, func(i, j int) bool {
-				if ps[i].v != ps[j].v {
-					return ps[i].v < ps[j].v
-				}
-				return ps[i].w < ps[j].w
-			})
-		}
-		for k, ps := range refCount {
-			normalize(ps)
-			gps := got[k]
-			normalize(gps)
-			if !reflect.DeepEqual(ps, gps) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSortByKeyTotalOrderProperty(t *testing.T) {
 	// With a single output partition, SortByKey produces a globally
 	// sorted sequence equal to the reference sort.

@@ -619,78 +619,6 @@ func SortByKey[K comparable, V any](
 	})
 }
 
-// CoGrouped is the cogroup record: all left and right values of one key.
-type CoGrouped[V, W any] struct {
-	Left  []V
-	Right []W
-}
-
-// CoGroup shuffles two keyed datasets with the same partitioner and joins
-// their value lists per key.
-func CoGroup[K comparable, V, W any](
-	left *Dataset[decompose.Pair[K, V]],
-	right *Dataset[decompose.Pair[K, W]],
-	lops PairOps[K, V],
-	rops PairOps[K, W],
-) *Dataset[decompose.Pair[K, CoGrouped[V, W]]] {
-	R := lops.partitions(left.parts)
-	lops.Partitions = R
-	rops.Partitions = R
-	lg := GroupByKey(left, lops)
-	rg := GroupByKey(right, rops)
-
-	ctx := left.ctx
-	return newDataset(ctx, R, func(p int) Seq[decompose.Pair[K, CoGrouped[V, W]]] {
-		return func(yield func(decompose.Pair[K, CoGrouped[V, W]]) bool) {
-			groups := make(map[K]*CoGrouped[V, W])
-			err := lg.Iterate(p, func(kv decompose.Pair[K, []V]) bool {
-				groups[kv.Key] = &CoGrouped[V, W]{Left: kv.Value}
-				return true
-			})
-			if err != nil {
-				panic(err)
-			}
-			err = rg.Iterate(p, func(kv decompose.Pair[K, []W]) bool {
-				if g, ok := groups[kv.Key]; ok {
-					g.Right = kv.Value
-				} else {
-					groups[kv.Key] = &CoGrouped[V, W]{Right: kv.Value}
-				}
-				return true
-			})
-			if err != nil {
-				panic(err)
-			}
-			for k, g := range groups {
-				if !yield(decompose.Pair[K, CoGrouped[V, W]]{Key: k, Value: *g}) {
-					return
-				}
-			}
-		}
-	})
-}
-
-// Join inner-joins two keyed datasets: one output record per (left value,
-// right value) pair of each key.
-func Join[K comparable, V, W any](
-	left *Dataset[decompose.Pair[K, V]],
-	right *Dataset[decompose.Pair[K, W]],
-	lops PairOps[K, V],
-	rops PairOps[K, W],
-) *Dataset[decompose.Pair[K, decompose.Pair[V, W]]] {
-	cg := CoGroup(left, right, lops, rops)
-	return FlatMap(cg, func(kv decompose.Pair[K, CoGrouped[V, W]], emit func(decompose.Pair[K, decompose.Pair[V, W]])) {
-		for _, v := range kv.Value.Left {
-			for _, w := range kv.Value.Right {
-				emit(decompose.Pair[K, decompose.Pair[V, W]]{
-					Key:   kv.Key,
-					Value: decompose.Pair[V, W]{Key: v, Value: w},
-				})
-			}
-		}
-	})
-}
-
 // shuffleState memoizes a shuffle's materialized outputs across actions,
 // like Spark's shuffle files surviving between jobs. Draining or probing
 // an output buffer may fold spilled runs back in (a mutation), so the

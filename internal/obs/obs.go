@@ -26,9 +26,9 @@ const (
 	// Task attempt lifecycle (driver-side, from the scheduler).
 	KindTaskStart      // Exec/Stage/Part/Attempt; B=1 if speculative
 	KindTaskFinish     // same ids; A=duration ns; B=0 ok, 1 failed; Key=error
-	KindTaskRetry      // Exec/Stage/Part
-	KindTaskSpeculate  // Exec: a speculative duplicate launched there
-	KindSpeculativeWon // Exec: the duplicate beat the primary
+	KindTaskRetry      // Exec/Stage/Part/Attempt of the retry launched
+	KindTaskSpeculate  // same ids, of a speculative duplicate launched
+	KindSpeculativeWon // same ids: the duplicate beat the primary
 	KindExecutorBlacklisted
 	// Stage lifecycle (driver-side, from the exchange loop and the
 	// multiproc stage-commit protocol).

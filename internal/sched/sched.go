@@ -12,11 +12,13 @@
 // cancelled cooperatively.
 //
 // The package is engine-agnostic: it schedules opaque attempt bodies over
-// integer executor ids. The engine adapts bodies to its Executor objects,
-// mirrors scheduler events into its metrics through Hooks, and wires the
-// deterministic fault-injection harness (internal/chaos) in through the
-// FaultInjector seam, so every recovery path is testable without real
-// faults.
+// integer executor ids. It keeps its own per-executor counts (Counters),
+// which the engine pulls into each executor's counter vector, and records
+// its attempt, retry, speculation and blacklist events into the obs spine
+// (Config.Recorder). The engine adapts bodies to its Executor objects and
+// wires the deterministic fault-injection harness (internal/chaos) in
+// through the FaultInjector seam, so every recovery path is testable
+// without real faults.
 package sched
 
 import (
@@ -24,6 +26,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"deca/internal/obs"
 )
 
 // ErrCanceled is returned by attempt bodies (and fault injectors) that
@@ -31,54 +35,6 @@ import (
 // completed it. The scheduler treats it as a clean exit, not a failure:
 // it is not counted, not retried, and not held against the executor.
 var ErrCanceled = errors.New("sched: attempt canceled (task completed by a twin attempt)")
-
-// Hooks observes scheduler events. The engine implements it to mirror
-// events into cluster- and executor-level metrics. All methods may be
-// called concurrently.
-type Hooks interface {
-	// TaskStarted fires when an attempt begins executing on an executor
-	// (after it acquired a worker slot) — once per attempt, so task counts
-	// measure attempts, including retries and speculative duplicates.
-	TaskStarted(exec int)
-	// TaskFailed fires once per failed attempt, on the executor that ran it.
-	TaskFailed(exec int)
-	// TaskRetried fires when a retry attempt is launched after a failure.
-	TaskRetried(exec int)
-	// SpeculativeLaunched fires when a straggler's duplicate is launched.
-	SpeculativeLaunched(exec int)
-	// SpeculativeWon fires when a speculative attempt completes its task
-	// before the original.
-	SpeculativeWon(exec int)
-	// ExecutorBlacklisted fires when the cluster stops placing work on an
-	// executor.
-	ExecutorBlacklisted(exec int)
-}
-
-// AttemptObserver is an optional extension of Hooks: an implementation
-// that also satisfies this interface additionally receives per-attempt
-// lifecycle callbacks carrying the full task identity and timing — the
-// seam the engine's observability event spine hangs off. It is checked
-// by type assertion on Config.Hooks, so existing Hooks implementations
-// keep working unchanged. Both methods may be called concurrently.
-type AttemptObserver interface {
-	// AttemptStarted fires right before an attempt body runs (after the
-	// worker slot was acquired).
-	AttemptStarted(stage, part, attempt, exec int, speculative bool)
-	// AttemptFinished fires when the attempt body returns. err is nil on
-	// success; a finished attempt whose task was already completed by a
-	// twin still reports here (with its own outcome).
-	AttemptFinished(stage, part, attempt, exec int, speculative bool, d time.Duration, err error)
-}
-
-// nopHooks is the default observer.
-type nopHooks struct{}
-
-func (nopHooks) TaskStarted(int)         {}
-func (nopHooks) TaskFailed(int)          {}
-func (nopHooks) TaskRetried(int)         {}
-func (nopHooks) SpeculativeLaunched(int) {}
-func (nopHooks) SpeculativeWon(int)      {}
-func (nopHooks) ExecutorBlacklisted(int) {}
 
 // FaultInjector is the seam for deterministic fault injection
 // (internal/chaos implements it). Both methods may return an injected
@@ -131,8 +87,10 @@ type Config struct {
 	// finished, a task running longer than speculationMultiplier × their
 	// median runtime, and at least speculationMinRuntime, gets one twin.
 	Speculate bool
-	// Hooks observes scheduler events (nil = none).
-	Hooks Hooks
+	// Recorder receives the scheduler's events: each attempt's start and
+	// finish, retries, speculative launches and wins, blacklistings (nil =
+	// none).
+	Recorder *obs.Recorder
 	// Faults is the fault-injection seam (nil = no injected faults).
 	Faults FaultInjector
 }
@@ -147,14 +105,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxTaskRetries < 0 {
 		c.MaxTaskRetries = 0
 	}
-	if c.Hooks == nil {
-		c.Hooks = nopHooks{}
-	}
 	return c
 }
 
 // Cluster holds the scheduler state that outlives a single stage:
-// executor health (failure counts, blacklist) and the stage id counter.
+// executor health (failure counts, blacklist), the per-executor counts and
+// the stage id counter.
 // Placement policy lives here so the engine's cache-block affinity and
 // the stage scheduler always agree on where a partition runs. A blacklist
 // is permanent for the cluster's lifetime.
@@ -162,24 +118,32 @@ type Cluster struct {
 	conf      Config
 	nextStage atomic.Int64
 
-	mu            sync.Mutex
-	failures      []int
-	blacklisted   []bool
-	blacklistedAt []time.Time // when each blacklisted executor left placement
-	numHealthy    int
+	mu         sync.Mutex
+	execs      []executorState // by executor id
+	numHealthy int
+}
+
+// executorState is what the cluster keeps for one executor.
+type executorState struct {
+	ExecutorState              // health, under Cluster.mu
+	counts        obs.Counters // only the scheduler's rows move
 }
 
 // NewCluster builds a cluster with every executor healthy.
 func NewCluster(conf Config) *Cluster {
 	conf = conf.withDefaults()
-	return &Cluster{
-		conf:          conf,
-		failures:      make([]int, conf.NumExecutors),
-		blacklisted:   make([]bool, conf.NumExecutors),
-		blacklistedAt: make([]time.Time, conf.NumExecutors),
-		numHealthy:    conf.NumExecutors,
+	execs := make([]executorState, conf.NumExecutors)
+	for e := range execs {
+		execs[e].Exec = e
 	}
+	return &Cluster{conf: conf, execs: execs, numHealthy: conf.NumExecutors}
 }
+
+// Counters reads what the scheduler counted against one executor: task
+// attempts run and failed (retries and speculative duplicates are attempts
+// too), retries launched, speculative duplicates launched and won, and
+// blacklistings. Every other counter reads 0.
+func (c *Cluster) Counters(exec int) obs.CounterValues { return c.execs[exec].counts.Load() }
 
 // Place is the affinity rule: partition p lives on executor p mod N while
 // that executor is healthy. When its home executor is blacklisted, p is
@@ -201,19 +165,19 @@ func (c *Cluster) Place(part int) int {
 func (c *Cluster) placeLocked(part, avoid int) int {
 	n := c.conf.NumExecutors
 	home := part % n
-	if !c.blacklisted[home] && home != avoid {
+	if !c.execs[home].Blacklisted && home != avoid {
 		return home
 	}
 	candidates := make([]int, 0, n)
 	for e := 0; e < n; e++ {
-		if !c.blacklisted[e] && e != avoid {
+		if !c.execs[e].Blacklisted && e != avoid {
 			candidates = append(candidates, e)
 		}
 	}
 	if len(candidates) == 0 {
 		// Only the avoided executor is healthy; use it anyway.
 		for e := 0; e < n; e++ {
-			if !c.blacklisted[e] {
+			if !c.execs[e].Blacklisted {
 				return e
 			}
 		}
@@ -226,7 +190,7 @@ func (c *Cluster) placeLocked(part, avoid int) int {
 func (c *Cluster) Blacklisted(exec int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.blacklisted[exec]
+	return c.execs[exec].Blacklisted
 }
 
 // NumBlacklisted returns how many executors are blacklisted.
@@ -241,38 +205,38 @@ func (c *Cluster) NumBlacklisted() int {
 // blacklist took effect: the last healthy executor is never blacklisted.
 func (c *Cluster) Blacklist(exec int) bool {
 	c.mu.Lock()
-	ok := !c.blacklisted[exec] && c.numHealthy > 1
-	if ok {
-		c.blacklisted[exec] = true
-		c.blacklistedAt[exec] = time.Now()
-		c.numHealthy--
+	defer c.mu.Unlock()
+	return c.blacklistLocked(exec)
+}
+
+// blacklistLocked removes exec from placement, counts and records it, and
+// reports whether it did: never an executor already out, never the last
+// healthy one.
+func (c *Cluster) blacklistLocked(exec int) bool {
+	x := &c.execs[exec]
+	if x.Blacklisted || c.numHealthy <= 1 {
+		return false
 	}
-	c.mu.Unlock()
-	if ok {
-		c.conf.Hooks.ExecutorBlacklisted(exec)
-	}
-	return ok
+	x.Blacklisted, x.BlacklistedAt = true, time.Now()
+	c.numHealthy--
+	x.counts[obs.ExecutorsBlacklisted].Add(1)
+	c.conf.Recorder.Record(obs.Event{Kind: obs.KindExecutorBlacklisted, Exec: int32(exec)})
+	return true
 }
 
 // recordFailure counts a failed attempt against its executor and
-// blacklists it at the configured threshold — never the last healthy one.
+// blacklists it at the configured threshold.
 func (c *Cluster) recordFailure(exec int) {
+	x := &c.execs[exec]
+	x.counts[obs.TasksFailed].Add(1)
 	if c.conf.MaxExecutorFailures <= 0 {
 		return
 	}
 	c.mu.Lock()
-	c.failures[exec]++
-	tripped := !c.blacklisted[exec] &&
-		c.failures[exec] >= c.conf.MaxExecutorFailures &&
-		c.numHealthy > 1
-	if tripped {
-		c.blacklisted[exec] = true
-		c.blacklistedAt[exec] = time.Now()
-		c.numHealthy--
-	}
-	c.mu.Unlock()
-	if tripped {
-		c.conf.Hooks.ExecutorBlacklisted(exec)
+	defer c.mu.Unlock()
+	x.Failures++
+	if x.Failures >= c.conf.MaxExecutorFailures {
+		c.blacklistLocked(exec)
 	}
 }
 
@@ -282,7 +246,7 @@ type ExecutorState struct {
 	Exec          int       `json:"exec"`
 	Failures      int       `json:"failures"`
 	Blacklisted   bool      `json:"blacklisted"`
-	BlacklistedAt time.Time `json:"blacklisted_at,omitzero"`
+	BlacklistedAt time.Time `json:"blacklisted_at,omitzero"` // when it left placement
 }
 
 // States snapshots every executor's health: attempt-failure count and
@@ -290,16 +254,9 @@ type ExecutorState struct {
 func (c *Cluster) States() []ExecutorState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]ExecutorState, c.conf.NumExecutors)
+	out := make([]ExecutorState, len(c.execs))
 	for e := range out {
-		out[e] = ExecutorState{
-			Exec:        e,
-			Failures:    c.failures[e],
-			Blacklisted: c.blacklisted[e],
-		}
-		if c.blacklisted[e] {
-			out[e].BlacklistedAt = c.blacklistedAt[e]
-		}
+		out[e] = c.execs[e].ExecutorState
 	}
 	return out
 }
@@ -370,7 +327,7 @@ func (a Attempt) Cancel() <-chan struct{} { return a.cancel }
 // enabled — duplicating stragglers. It waits for every attempt, including
 // losers of speculative races, before returning. Per task, only the final
 // attempt's error survives into the joined stage error (earlier failures
-// are visible through the hooks); tasks that never succeeded report their
+// are in the recorded events); tasks that never succeeded report their
 // attempt count and final executor.
 func (c *Cluster) RunStage(parts int, opts StageOptions, body func(Attempt) error) error {
 	ids := make([]int, parts)

@@ -9,41 +9,27 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"deca/internal/obs"
 )
 
-// recorder counts hook events.
-type recorder struct {
-	started, failed, retried       atomic.Int64
-	specLaunched, specWon          atomic.Int64
-	blacklisted                    atomic.Int64
-	mu                             sync.Mutex
-	blacklistedExecs, failedByExec []int
-}
-
-func (r *recorder) TaskStarted(int) { r.started.Add(1) }
-func (r *recorder) TaskFailed(exec int) {
-	r.failed.Add(1)
-	r.mu.Lock()
-	r.failedByExec = append(r.failedByExec, exec)
-	r.mu.Unlock()
-}
-func (r *recorder) TaskRetried(int)         { r.retried.Add(1) }
-func (r *recorder) SpeculativeLaunched(int) { r.specLaunched.Add(1) }
-func (r *recorder) SpeculativeWon(int)      { r.specWon.Add(1) }
-func (r *recorder) ExecutorBlacklisted(exec int) {
-	r.blacklisted.Add(1)
-	r.mu.Lock()
-	r.blacklistedExecs = append(r.blacklistedExecs, exec)
-	r.mu.Unlock()
+// count sums what c counted of k over every executor.
+func count(c *Cluster, k obs.Counter) int64 {
+	var n int64
+	for e := range c.conf.NumExecutors {
+		n += c.Counters(e)[k]
+	}
+	return n
 }
 
 func TestRetryRecoversWithinBudget(t *testing.T) {
-	rec := &recorder{}
+	rec := obs.NewRecorder(0)
 	c := NewCluster(Config{
-		NumExecutors: 2, SlotsPerExecutor: 2, MaxTaskRetries: 3, Hooks: rec,
+		NumExecutors: 2, SlotsPerExecutor: 2, MaxTaskRetries: 3, Recorder: rec,
 	})
 	var fails atomic.Int64
-	err := c.RunStage(4, StageOptions{}, func(a Attempt) error {
+	stage := -1
+	err := c.RunStage(4, StageOptions{OnStart: func(id int) { stage = id }}, func(a Attempt) error {
 		if a.Part == 1 && fails.Add(1) <= 2 {
 			return fmt.Errorf("flaky")
 		}
@@ -52,14 +38,30 @@ func TestRetryRecoversWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stage should recover: %v", err)
 	}
-	if got := rec.retried.Load(); got != 2 {
+	if got := count(c, obs.TaskRetries); got != 2 {
 		t.Errorf("retried = %d, want 2", got)
 	}
-	if got := rec.failed.Load(); got != 2 {
+	if got := count(c, obs.TasksFailed); got != 2 {
 		t.Errorf("failed = %d, want 2 (once per attempt)", got)
 	}
-	if got := rec.started.Load(); got != 6 {
+	if got := count(c, obs.TasksRun); got != 6 {
 		t.Errorf("started = %d, want 6", got)
+	}
+	// Each retry is recorded under the stage, task and attempt it launched.
+	var retries []obs.Event
+	for _, e := range rec.Drain(0) {
+		if e.Kind == obs.KindTaskRetry {
+			retries = append(retries, e)
+		}
+	}
+	if len(retries) != 2 {
+		t.Fatalf("%d retry events, want 2", len(retries))
+	}
+	for i, e := range retries {
+		if e.Stage != int32(stage) || e.Part != 1 || e.Attempt != int32(i+2) {
+			t.Errorf("retry event %d: stage %d part %d attempt %d, want stage %d part 1 attempt %d",
+				i, e.Stage, e.Part, e.Attempt, stage, i+2)
+		}
 	}
 }
 
@@ -105,10 +107,9 @@ func TestAttemptNumbersAreSequential(t *testing.T) {
 }
 
 func TestBlacklistReplacesOnlyDeadExecutorsPartitions(t *testing.T) {
-	rec := &recorder{}
 	c := NewCluster(Config{
 		NumExecutors: 4, SlotsPerExecutor: 2,
-		MaxTaskRetries: 3, MaxExecutorFailures: 2, Hooks: rec,
+		MaxTaskRetries: 3, MaxExecutorFailures: 2,
 	})
 	// Executor 1 fails every attempt placed on it; after two failures it
 	// is blacklisted and its partitions re-place.
@@ -124,7 +125,7 @@ func TestBlacklistReplacesOnlyDeadExecutorsPartitions(t *testing.T) {
 	if !c.Blacklisted(1) {
 		t.Error("executor 1 not blacklisted")
 	}
-	if got := rec.blacklisted.Load(); got != 1 {
+	if got := count(c, obs.ExecutorsBlacklisted); got != 1 {
 		t.Errorf("blacklist events = %d, want 1", got)
 	}
 	// Partitions with healthy homes keep their affinity; executor 1's
@@ -169,10 +170,9 @@ func TestLastHealthyExecutorIsNeverBlacklisted(t *testing.T) {
 }
 
 func TestSpeculationDuplicatesStragglerAndCancelsLoser(t *testing.T) {
-	rec := &recorder{}
 	c := NewCluster(Config{
 		NumExecutors: 2, SlotsPerExecutor: 4, MaxTaskRetries: 1,
-		Speculate: true, Hooks: rec,
+		Speculate: true,
 	})
 	var loserCanceled atomic.Bool
 	var straggler atomic.Int64
@@ -198,25 +198,24 @@ func TestSpeculationDuplicatesStragglerAndCancelsLoser(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stage failed: %v", err)
 	}
-	if got := rec.specLaunched.Load(); got != 1 {
+	if got := count(c, obs.SpeculativeLaunched); got != 1 {
 		t.Errorf("speculative launches = %d, want 1", got)
 	}
-	if got := rec.specWon.Load(); got != 1 {
+	if got := count(c, obs.SpeculativeWon); got != 1 {
 		t.Errorf("speculative wins = %d, want 1", got)
 	}
 	if !loserCanceled.Load() {
 		t.Error("losing attempt never observed its cancellation")
 	}
-	if got := rec.failed.Load(); got != 0 {
+	if got := count(c, obs.TasksFailed); got != 0 {
 		t.Errorf("failures = %d, want 0 (a canceled loser is not a failure)", got)
 	}
 }
 
 func TestSpeculationDisabledForNonSpeculatableStages(t *testing.T) {
-	rec := &recorder{}
 	c := NewCluster(Config{
 		NumExecutors: 2, SlotsPerExecutor: 4,
-		Speculate: true, Hooks: rec,
+		Speculate: true,
 	})
 	err := c.RunStage(4, StageOptions{}, func(a Attempt) error {
 		if a.Part == 0 {
@@ -229,7 +228,7 @@ func TestSpeculationDisabledForNonSpeculatableStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.specLaunched.Load(); got != 0 {
+	if got := count(c, obs.SpeculativeLaunched); got != 0 {
 		t.Errorf("non-speculatable stage launched %d duplicates", got)
 	}
 }
@@ -255,10 +254,9 @@ func (i errInjector) AfterAttempt(stage, part, attempt, exec int) error {
 }
 
 func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
-	rec := &recorder{}
 	var bodies atomic.Int64
 	c := NewCluster(Config{
-		NumExecutors: 2, SlotsPerExecutor: 1, MaxTaskRetries: 2, Hooks: rec,
+		NumExecutors: 2, SlotsPerExecutor: 1, MaxTaskRetries: 2,
 		Faults: errInjector{after: func(_, part, attempt, _ int) error {
 			if part == 0 && attempt == 1 {
 				return errors.New("died after reporting")
@@ -278,7 +276,7 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 	if got := bodies.Load(); got != 3 {
 		t.Errorf("bodies ran %d times, want 3 (task 0 re-ran after its side effects landed)", got)
 	}
-	if got := rec.retried.Load(); got != 1 {
+	if got := count(c, obs.TaskRetries); got != 1 {
 		t.Errorf("retried = %d, want 1", got)
 	}
 	// On a non-speculatable stage the same injector fires nothing.
@@ -299,11 +297,10 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 // bookkeeping sanity. The stragglers' 60ms stalls clear the 30ms floor
 // twice over, so speculative twins race them.
 func TestStageStress(t *testing.T) {
-	rec := &recorder{}
 	c := NewCluster(Config{
 		NumExecutors: 4, SlotsPerExecutor: 4,
 		MaxTaskRetries: 6, MaxExecutorFailures: 50,
-		Speculate: true, Hooks: rec,
+		Speculate: true,
 	})
 	var fails atomic.Int64
 	for round := 0; round < 5; round++ {
@@ -328,14 +325,14 @@ func TestStageStress(t *testing.T) {
 			t.Fatalf("round %d failed: %v", round, err)
 		}
 	}
-	if rec.failed.Load() == 0 {
+	if count(c, obs.TasksFailed) == 0 {
 		t.Error("stress test injected no failures")
 	}
-	if rec.specLaunched.Load() == 0 {
+	if count(c, obs.SpeculativeLaunched) == 0 {
 		t.Error("no straggler was ever duplicated")
 	}
-	if rec.started.Load() < 5*32 {
-		t.Errorf("started = %d, want ≥ %d", rec.started.Load(), 5*32)
+	if count(c, obs.TasksRun) < 5*32 {
+		t.Errorf("started = %d, want ≥ %d", count(c, obs.TasksRun), 5*32)
 	}
 }
 

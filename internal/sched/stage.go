@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"deca/internal/obs"
 )
 
 // stage is one RunStage invocation: stage-local worker slots, per-task
@@ -129,7 +131,7 @@ func (s *stage) primary(idx int, body func(Attempt) error) {
 		exec := s.c.Place(t.part)
 		attempt := t.issueAttempt()
 		if try > 1 {
-			s.c.conf.Hooks.TaskRetried(exec)
+			s.note(obs.TaskRetries, obs.KindTaskRetry, t.part, attempt, exec, 0)
 		}
 		err := s.runAttempt(t, attempt, exec, false, body)
 		if err == nil || t.isDone() {
@@ -162,7 +164,7 @@ func (s *stage) speculative(t *taskState, avoid int, body func(Attempt) error) {
 	exec := s.c.placeLocked(t.part, avoid)
 	s.c.mu.Unlock()
 	attempt := t.issueAttempt()
-	s.c.conf.Hooks.SpeculativeLaunched(exec)
+	s.note(obs.SpeculativeLaunched, obs.KindTaskSpeculate, t.part, attempt, exec, 0)
 	_ = s.runAttempt(t, attempt, exec, true, body)
 }
 
@@ -176,11 +178,11 @@ func (s *stage) runAttempt(t *taskState, attempt, exec int, speculative bool, bo
 	if t.isDone() {
 		return nil // the twin won while this attempt queued
 	}
-	s.c.conf.Hooks.TaskStarted(exec)
-	observer, _ := s.c.conf.Hooks.(AttemptObserver)
-	if observer != nil {
-		observer.AttemptStarted(s.id, t.part, attempt, exec, speculative)
+	var spec int64
+	if speculative {
+		spec = 1
 	}
+	s.note(obs.TasksRun, obs.KindTaskStart, t.part, attempt, exec, spec)
 	a := Attempt{
 		Stage: s.id, Part: t.part, Attempt: attempt, Exec: exec,
 		Speculative: speculative, cancel: t.doneCh,
@@ -190,14 +192,12 @@ func (s *stage) runAttempt(t *taskState, attempt, exec int, speculative bool, bo
 	err := s.attemptBody(a, body)
 	dur := time.Since(start)
 	t.noteStopped()
-	if observer != nil {
-		observer.AttemptFinished(s.id, t.part, attempt, exec, speculative, dur, err)
-	}
+	s.recordFinish(a, dur, err)
 	if err == nil {
 		if t.complete() {
 			s.recordDuration(dur)
 			if speculative {
-				s.c.conf.Hooks.SpeculativeWon(exec)
+				s.note(obs.SpeculativeWon, obs.KindSpeculativeWon, t.part, attempt, exec, 0)
 			}
 		}
 		return nil
@@ -205,9 +205,44 @@ func (s *stage) runAttempt(t *taskState, attempt, exec int, speculative bool, bo
 	if errors.Is(err, ErrCanceled) && t.isDone() {
 		return nil // the loser of a speculative race bailed out cleanly
 	}
-	s.c.conf.Hooks.TaskFailed(exec)
 	s.c.recordFailure(exec)
 	return err
+}
+
+// note counts k against exec and records the event of kind for the
+// attempt, under this stage's id; b is the event's B.
+func (s *stage) note(k obs.Counter, kind obs.Kind, part, attempt, exec int, b int64) {
+	s.c.execs[exec].counts[k].Add(1)
+	s.c.conf.Recorder.Record(obs.Event{
+		Kind: kind, Exec: int32(exec),
+		Stage: int32(s.id), Part: int32(part), Attempt: int32(attempt), B: b,
+	})
+}
+
+// maxEventErrLen bounds the error string a finish event carries, so one
+// failing stage cannot bloat the ring.
+const maxEventErrLen = 256
+
+// recordFinish records the attempt's finish: its runtime and whether its
+// body returned an error (a canceled loser of a speculative race included).
+func (s *stage) recordFinish(a Attempt, d time.Duration, err error) {
+	if s.c.conf.Recorder == nil {
+		return
+	}
+	var failed int64
+	var msg string
+	if err != nil {
+		failed = 1
+		msg = err.Error()
+		if len(msg) > maxEventErrLen {
+			msg = msg[:maxEventErrLen]
+		}
+	}
+	s.c.conf.Recorder.Record(obs.Event{
+		Kind: obs.KindTaskFinish, Exec: int32(a.Exec),
+		Stage: int32(a.Stage), Part: int32(a.Part), Attempt: int32(a.Attempt),
+		A: int64(d), B: failed, Key: msg,
+	})
 }
 
 // attemptBody wraps the body in the fault-injection hooks. AfterAttempt

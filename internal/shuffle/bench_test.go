@@ -229,31 +229,36 @@ func BenchmarkDecaGroupMergeDrain(b *testing.B) {
 }
 
 // The sort benchmarks time merge *plus* a full DrainSorted of the merged
-// buffer: the zero-copy merge defers all sorting to the first drain, so
-// merge-only timing would compare unequal amounts of work (the hash-
-// shaped benchmarks above have no such asymmetry — both strategies leave
-// an equivalent fully-merged state).
+// buffer: a fold defers all sorting to the first drain, so merge-only
+// timing would compare unequal amounts of work (the hash-shaped
+// benchmarks above have no such asymmetry — both strategies leave an
+// equivalent fully-merged state). The sort buffer has no MergeFrom: it is
+// received the reduce side's way, each source's frame staged and folded.
 
-func BenchmarkDecaSortMergeZeroCopy(b *testing.B) {
+func BenchmarkDecaSortStageFold(b *testing.B) {
 	m := memory.NewManager(1<<20, 0)
 	less := func(x, y int64) bool { return x < y }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		srcs := make([]*DecaSort[int64, int64], mergeSources)
-		for s := range srcs {
-			srcs[s] = NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
+		frames := make([][]byte, mergeSources)
+		for s := range frames {
+			src := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
 			for j := 0; j < recsPerSource; j++ {
-				srcs[s].Put(int64((j*2654435761)%recsPerSource), int64(j))
+				src.Put(int64((j*2654435761)%recsPerSource), int64(j))
 			}
+			frames[s] = encodeFrame(b, src)
 		}
 		dst := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
 		b.StartTimer()
-		for _, src := range srcs {
-			if err := dst.MergeFrom(src); err != nil {
+		for _, frame := range frames {
+			st, err := Stage(bytes.NewReader(frame), m, "")
+			if err != nil {
 				b.Fatal(err)
 			}
-			src.Release()
+			if err := dst.Fold(st); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if err := dst.DrainSorted(func(int64, int64) bool { return true }); err != nil {
 			b.Fatal(err)

@@ -29,9 +29,9 @@ type container struct {
 	// has one value per key, the sum). inOrder reports whether keys arrived
 	// in ascending order, which only the sort buffers promise.
 	drain func() (got map[int64][]int64, inOrder bool, err error)
-	// merge takes over src, a container of the same kind: MergeFrom for the
-	// Deca kinds, src's frame staged and folded — the reduce side's one
-	// path — for the Object ones. The caller releases src afterwards.
+	// merge takes over src, a container of the same kind: MergeFrom for
+	// DecaAgg and DecaGroup, src's frame staged and folded — the reduce
+	// side's one path — for the others. The caller releases src afterwards.
 	merge func(src container) error
 	self  any // the concrete buffer, for merge's type assertion
 }
@@ -79,29 +79,30 @@ func wire(encode func() (*transport.FrameSegments, error)) func(io.Writer) error
 	return func(w io.Writer) error { return writeSegments(w, encode) }
 }
 
-// foldFrame receives an Object frame into b as a reduce task does: staged
-// (no manager: an Object frame has no pages), then folded.
-func foldFrame(b interface{ Fold(*Staged) error }, frame []byte, dir string) error {
-	st, err := Stage(bytes.NewReader(frame), nil, dir)
+// foldFrame receives a frame into b as a reduce task does: staged into mem
+// (nil for an Object frame, which has no pages), then folded.
+func foldFrame(b interface{ Fold(*Staged) error }, frame []byte, mem *memory.Manager, dir string) error {
+	st, err := Stage(bytes.NewReader(frame), mem, dir)
 	if err != nil {
 		return err
 	}
 	return b.Fold(st)
 }
 
-// refold merges src into b through src's frame.
-func refold(b interface{ Fold(*Staged) error }, src container) error {
+// refold merges src into b through src's frame, staged into mem (nil for
+// an Object frame).
+func refold(b interface{ Fold(*Staged) error }, src container, mem *memory.Manager) error {
 	var frame bytes.Buffer
 	if err := src.encode(&frame); err != nil {
 		return err
 	}
-	return foldFrame(b, frame.Bytes(), src.runs.dir)
+	return foldFrame(b, frame.Bytes(), mem, src.runs.dir)
 }
 
 func wrapObjectAgg(b *ObjectAgg[int64, int64]) container {
 	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.Drain),
-		merge: func(src container) error { return refold(b, src) }}
+		merge: func(src container) error { return refold(b, src, nil) }}
 }
 
 func wrapDecaAgg(b *DecaAgg[int64, int64]) container {
@@ -113,7 +114,7 @@ func wrapDecaAgg(b *DecaAgg[int64, int64]) container {
 func wrapObjectGroup(b *ObjectGroup[int64, int64]) container {
 	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: collect(b.Drain),
-		merge: func(src container) error { return refold(b, src) }}
+		merge: func(src container) error { return refold(b, src, nil) }}
 }
 
 func wrapDecaGroup(b *DecaGroup[int64, int64]) container {
@@ -125,13 +126,13 @@ func wrapDecaGroup(b *DecaGroup[int64, int64]) container {
 func wrapObjectSort(b *ObjectSort[int64, int64]) container {
 	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.DrainSorted),
-		merge: func(src container) error { return refold(b, src) }}
+		merge: func(src container) error { return refold(b, src, nil) }}
 }
 
-func wrapDecaSort(b *DecaSort[int64, int64]) container {
+func wrapDecaSort(b *DecaSort[int64, int64], mem *memory.Manager) container {
 	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
 		drain: pairs(b.DrainSorted),
-		merge: func(src container) error { return b.MergeFrom(src.self.(*DecaSort[int64, int64])) }}
+		merge: func(src container) error { return refold(b, src, mem) }}
 }
 
 // wrapped adapts a decoder's result to container.
@@ -151,7 +152,7 @@ var containerCases = []containerCase{
 		new: func(_ *memory.Manager, dir string) container { return wrapObjectAgg(NewObjectAgg(addI, objCfg(dir))) },
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
 			b := NewObjectAgg(addI, objCfg(dir))
-			return wrapObjectAgg(b), foldFrame(b, frame, dir)
+			return wrapObjectAgg(b), foldFrame(b, frame, nil, dir)
 		}},
 	{name: "DecaAgg", hash: true, agg: true,
 		new: func(mem *memory.Manager, dir string) container {
@@ -168,7 +169,7 @@ var containerCases = []containerCase{
 		new: func(_ *memory.Manager, dir string) container { return wrapObjectGroup(NewObjectGroup(objCfg(dir))) },
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
 			b := NewObjectGroup(objCfg(dir))
-			return wrapObjectGroup(b), foldFrame(b, frame, dir)
+			return wrapObjectGroup(b), foldFrame(b, frame, nil, dir)
 		}},
 	{name: "DecaGroup", hash: true,
 		new: func(mem *memory.Manager, dir string) container {
@@ -183,14 +184,15 @@ var containerCases = []containerCase{
 		},
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
 			b := NewObjectSort(lessI, objCfg(dir))
-			return wrapObjectSort(b), foldFrame(b, frame, dir)
+			return wrapObjectSort(b), foldFrame(b, frame, nil, dir)
 		}},
 	{name: "DecaSort",
 		new: func(mem *memory.Manager, dir string) container {
-			return wrapDecaSort(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir))
+			return wrapDecaSort(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), mem)
 		},
 		receive: func(frame []byte, mem *memory.Manager, dir string) (container, error) {
-			return wrapped(wrapDecaSort)(DecodeDecaSort[int64, int64](bytes.NewReader(frame), mem, lessI, i64, i64, dir))
+			wrap := func(b *DecaSort[int64, int64]) container { return wrapDecaSort(b, mem) }
+			return wrapped(wrap)(DecodeDecaSort[int64, int64](bytes.NewReader(frame), mem, lessI, i64, i64, dir))
 		}},
 }
 
@@ -407,7 +409,7 @@ func TestGoldenObjectFrames(t *testing.T) {
 			b := NewObjectAgg(addI, aggCfg)
 			defer b.Release()
 			got := map[string]int64{}
-			err := foldFrame(b, frame, dir)
+			err := foldFrame(b, frame, nil, dir)
 			if err == nil {
 				err = b.Drain(func(k string, v int64) bool { got[k] = v; return true })
 			}
@@ -417,7 +419,7 @@ func TestGoldenObjectFrames(t *testing.T) {
 			b := NewObjectGroup(groupCfg)
 			defer b.Release()
 			got := map[int64][]string{}
-			err := foldFrame(b, frame, dir)
+			err := foldFrame(b, frame, nil, dir)
 			if err == nil {
 				err = b.Drain(func(k int64, vs []string) bool { got[k] = vs; return true })
 			}
@@ -427,7 +429,7 @@ func TestGoldenObjectFrames(t *testing.T) {
 			b := NewObjectSort(lessI, objCfg(dir))
 			defer b.Release()
 			var got [][2]int64
-			err := foldFrame(b, frame, dir)
+			err := foldFrame(b, frame, nil, dir)
 			if err == nil {
 				err = b.DrainSorted(func(k, v int64) bool { got = append(got, [2]int64{k, v}); return true })
 			}

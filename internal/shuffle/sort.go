@@ -193,8 +193,8 @@ func (b *DecaSort[K, V]) Spill() error {
 // DrainSorted yields all records in key order, merging sorted spill runs
 // with the sorted in-memory pointer array. Like ObjectSort, draining
 // leaves the spill runs in place — Release owns their deletion — so
-// repeated drains of a memoized output (possibly holding MergeFrom-
-// transferred runs) all see the full record set.
+// repeated drains of a memoized output (possibly holding runs its folds
+// took over) all see the full record set.
 func (b *DecaSort[K, V]) DrainSorted(yield func(K, V) bool) error {
 	recs, d := b.sorted()
 	return mergeSorted(&b.runSet, d.Decode, recs, b.less, yield)
@@ -213,25 +213,6 @@ func (b *DecaSort[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 
 // EncodeWire writes the buffer's wire frame to w.
 func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error { return writeSegments(w, b.EncodeSegments) }
-
-// MergeFrom folds src into b zero-copy: b adopts src's page group and
-// spill runs (pageStore.adopt) and appends src's pointer array rebased to
-// b's page address space; records are never decoded — ordering is
-// established lazily by the next DrainSorted/Spill, and the transferred
-// runs, already sorted, join b's k-way merge untouched. Same ownership
-// contract as DecaAgg.MergeFrom: src is consumed and must only be
-// Released afterwards.
-func (b *DecaSort[K, V]) MergeFrom(src *DecaSort[K, V]) error {
-	if src == b {
-		return fmt.Errorf("shuffle: DecaSort cannot merge from itself")
-	}
-	if base, ok := b.adopt(&src.pageStore, len(src.ptrs)); ok {
-		for _, ptr := range src.ptrs {
-			b.ptrs = append(b.ptrs, ptr.Rebase(base))
-		}
-	}
-	return nil
-}
 
 // Fold merges a staged frame into b; see DecaAgg.Fold. The frame's
 // pointers append to b's array validated and rebased; ordering stays

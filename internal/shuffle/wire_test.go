@@ -186,7 +186,7 @@ func TestSortWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	go2 := NewObjectSort(less, ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
-	if err := foldFrame(go2, oFrame.Bytes(), dir); err != nil {
+	if err := foldFrame(go2, oFrame.Bytes(), nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(collectDeca(gd), collectDeca(ds)) {
