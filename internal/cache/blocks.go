@@ -307,9 +307,11 @@ func NewDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], values [
 	return BuildDecaBlock(mem, codec, slices.Values(values))
 }
 
-// NewDecaBlockFromGroup adopts an already-filled page group (used when a
-// shuffle buffer's output is decomposed straight into the cache,
-// Figure 7(b)).
+// NewDecaBlockFromGroup adopts an already-filled page group of count
+// records. It is Figure 7(b)'s hand-off: engine.GroupByKey makes each block
+// of a Deca-persisted output — PageRank's and CC's adjacency cache — from
+// the group its merged DecaGroup writes its lists into
+// (shuffle.DecaGroup.WriteLists).
 func NewDecaBlockFromGroup[T any](mem *memory.Manager, codec decompose.Codec[T], g *memory.Group, count int) *DecaBlock[T] {
 	return &DecaBlock[T]{mem: mem, group: g, codec: codec, count: count}
 }

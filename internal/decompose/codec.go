@@ -184,13 +184,19 @@ func (c Int64VecCodec) Decode(seg []byte) ([]int64, int) {
 }
 
 // Int64SliceCodec encodes variable-length int64 slices with a uint32 count
-// prefix (RuntimeFixed). Used for adjacency lists in PR/CC.
+// prefix (RuntimeFixed). Used for adjacency lists in PR/CC. Elem,
+// HeaderSize and PutHeader name that layout — a header, then each element
+// as Int64Codec encodes it — for a writer that assembles a list from its
+// elements' bytes (shuffle.DecaGroup.WriteLists).
 type Int64SliceCodec struct{}
 
-func (Int64SliceCodec) FixedSize() int     { return -1 }
-func (Int64SliceCodec) Size(v []int64) int { return 4 + 8*len(v) }
-func (Int64SliceCodec) Encode(seg []byte, v []int64) {
-	binary.LittleEndian.PutUint32(seg, uint32(len(v)))
+func (Int64SliceCodec) Elem() Codec[int64]          { return Int64Codec{} }
+func (Int64SliceCodec) HeaderSize() int             { return 4 }
+func (Int64SliceCodec) PutHeader(seg []byte, n int) { binary.LittleEndian.PutUint32(seg, uint32(n)) }
+func (Int64SliceCodec) FixedSize() int              { return -1 }
+func (Int64SliceCodec) Size(v []int64) int          { return 4 + 8*len(v) }
+func (c Int64SliceCodec) Encode(seg []byte, v []int64) {
+	c.PutHeader(seg, len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(seg[4+i*8:], uint64(x))
 	}

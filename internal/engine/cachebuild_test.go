@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"deca/internal/obs"
 	"deca/internal/sched"
 	"deca/internal/serial"
+	"deca/internal/shuffle"
 )
 
 // countingCodec is Int64Codec that counts its Decode calls.
@@ -142,5 +145,59 @@ func TestFailedBuildLeavesNoPages(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGroupByKeyBlockFromPages: a Deca-persisted GroupByKey output, whose
+// blocks are written from the merged groups' pages, reads back the lists a
+// drain of the same shuffle yields; a persist codec the hand-off cannot
+// write fails the materialization with a *shuffle.CodecError, publishes no
+// block and leaves no page behind.
+func TestGroupByKeyBlockFromPages(t *testing.T) {
+	pairs := make([]decompose.Pair[int64, int64], 5000)
+	for i := range pairs {
+		pairs[i] = KV(int64(i*7919%613), int64(i))
+	}
+	sorted := func(m map[int64][]int64) map[int64][]int64 {
+		for _, vs := range m {
+			slices.Sort(vs)
+		}
+		return m
+	}
+	ctx := testCtx(t, ModeDeca)
+	drained := GroupByKey(Parallelize(ctx, pairs, 4), int64Ops(3))
+	want, err := CollectMap(drained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := decompose.PairCodec[int64, []int64]{KeyCodec: decompose.Int64Codec{}, ValueCodec: decompose.Int64SliceCodec{}}
+	cached := GroupByKey(Parallelize(ctx, pairs, 4), int64Ops(3))
+	cached.Persist(StorageDeca, Storage[decompose.Pair[int64, []int64]]{Codec: lists})
+	got, err := CollectMap(cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sorted(got), sorted(want)) {
+		t.Errorf("the cached lists differ from the drained ones")
+	}
+	cached.Unpersist()
+
+	vectors := decompose.PairCodec[int64, []int64]{KeyCodec: decompose.Int64Codec{}, ValueCodec: decompose.Int64VecCodec{Dim: 1}}
+	refused := GroupByKey(Parallelize(ctx, pairs, 4), int64Ops(3))
+	refused.Persist(StorageDeca, Storage[decompose.Pair[int64, []int64]]{Codec: vectors})
+	var ce *shuffle.CodecError
+	if err := Materialize(refused); !errors.As(err, &ce) {
+		t.Fatalf("materializing with a vector codec: %v, want a *shuffle.CodecError", err)
+	}
+	if ctx.Executors()[0].CacheManager().Contains(cache.BlockID{Dataset: refused.ID(), Partition: 0}) {
+		t.Error("a refused partition published a block")
+	}
+	for _, d := range []int{drained.ID(), cached.ID(), refused.ID()} {
+		ctx.ReleaseShuffle(d)
+	}
+	for _, ex := range ctx.Executors() {
+		if st := ex.Memory().Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
+			t.Errorf("executor %d still holds %d live groups, %d bytes", ex.ID(), st.LiveGroups, st.BytesInUse)
+		}
 	}
 }

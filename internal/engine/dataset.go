@@ -28,6 +28,9 @@ type Dataset[T any] struct {
 	storage   Storage[T]
 	blockMu   []sync.Mutex
 	persisted bool
+	// fromPages, where set, builds the Deca block from the pages of the
+	// shuffle container d drains (GroupByKey), not from d's records.
+	fromPages func(p int, ex *Executor) (cache.Block, error)
 }
 
 // StorageLevel selects the cache representation of a persisted dataset.
@@ -249,6 +252,9 @@ func (d *Dataset[T]) buildBlock(p int, ex *Executor) (cache.Block, error) {
 	case StorageSerialized:
 		return cache.BuildSerializedBlock(records, d.storage.Ser), nil
 	case StorageDeca:
+		if d.fromPages != nil {
+			return d.fromPages(p, ex)
+		}
 		return cache.BuildDecaBlock(ex.mem, d.storage.Codec, records), nil
 	default:
 		return nil, fmt.Errorf("engine: dataset %d has unsupported storage level %v", d.id, d.level)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/obs"
 	"deca/internal/sched"
@@ -573,15 +574,16 @@ func ReduceByKey[K comparable, V any](
 }
 
 // GroupByKey shuffles d by key and collects the complete value list per
-// key. In Deca mode values decompose into the buffer's pages with per-key
-// pointer arrays (Figure 7(b)).
+// key. In Deca mode values decompose into the buffer's pages as per-key
+// chains, and a Deca-persisted output's block is written from them
+// (DecaGroup.WriteLists; Figure 7(b)).
 func GroupByKey[K comparable, V any](
 	d *Dataset[decompose.Pair[K, V]],
 	ops PairOps[K, V],
 ) *Dataset[decompose.Pair[K, []V]] {
 	ctx := d.ctx
 	deca, dir, cfg := ops.decaGroupAble(ctx), ctx.conf.SpillDir, ops.objectConfig(ctx)
-	return keyedShuffle(d, ops, sinkShape[K, V, decompose.Pair[K, []V], groupSink[K, V]]{
+	out := keyedShuffle(d, ops, sinkShape[K, V, decompose.Pair[K, []V], groupSink[K, V]]{
 		deca: deca,
 		newBuf: func(ex *Executor) (groupSink[K, V], error) {
 			if deca {
@@ -593,6 +595,22 @@ func GroupByKey[K comparable, V any](
 			return s.Drain(func(k K, vs []V) bool { return yield(KV(k, vs)) })
 		},
 	})
+	if deca {
+		st := ctx.shuffleOf(out.id).(*shuffleState[decompose.Pair[K, []V]])
+		out.fromPages = func(p int, ex *Executor) (cache.Block, error) {
+			buf, err := st.pin(p)
+			if err != nil {
+				return nil, err
+			}
+			defer st.unpin(p)
+			g, n, err := buf.(*shuffle.DecaGroup[K, V]).WriteLists(ex.mem, out.storage.Codec)
+			if err != nil {
+				return nil, err
+			}
+			return cache.NewDecaBlockFromGroup(ex.mem, out.storage.Codec, g, n), nil
+		}
+	}
+	return out
 }
 
 // SortByKey hash-partitions d and sorts each output partition by key

@@ -1,16 +1,15 @@
 // Package integration_test exercises cross-module flows that no single
-// package owns: the Figure 7(b) partially-decomposable hand-off from a
-// grouped shuffle buffer into a cached page block, the engine's
-// hand-written codecs against the layouts the analysis chain compiles (no
-// job runs that chain), and whole-pipeline memory hygiene.
+// package owns: the engine's hand-written codecs against the layouts the
+// analysis chain compiles (no job runs that chain), and whole-pipeline
+// memory hygiene. (The Figure 7(b) hand-off from a grouped shuffle buffer
+// into a cached page block is shuffle.DecaGroup.WriteLists; its test lives
+// beside it.)
 package integration_test
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
-	"deca/internal/cache"
 	"deca/internal/core"
 	"deca/internal/datagen"
 	"deca/internal/decompose"
@@ -20,68 +19,6 @@ import (
 	"deca/internal/udt"
 	"deca/internal/workloads"
 )
-
-// TestFigure7bPartialDecomposition walks the exact §4.3.3 scenario: a
-// groupByKey shuffle buffer whose value lists cannot be decomposed while
-// growing, immediately copied into a cache block where the data *is*
-// decomposed; the shuffle buffer then dies and its space reclaims, while
-// the cache serves reads from pages.
-func TestFigure7bPartialDecomposition(t *testing.T) {
-	mem := memory.NewManager(4096, 0)
-
-	// Phase 1: the grouped shuffle buffer (primary container).
-	buf := shuffle.NewDecaGroup[int64, int64](mem, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-	edges := []struct{ src, dst int64 }{
-		{1, 2}, {1, 3}, {2, 3}, {1, 4}, {3, 1}, {2, 4},
-	}
-	for _, e := range edges {
-		buf.Put(e.src, e.dst)
-	}
-
-	// Phase boundary: copy each key's complete (now size-frozen) adjacency
-	// into the cache's page group — the phased refinement grades the list
-	// RuntimeFixed from here on, so decomposition is safe.
-	adjCodec := decompose.PairCodec[int64, []int64]{
-		KeyCodec:   decompose.Int64Codec{},
-		ValueCodec: decompose.Int64SliceCodec{},
-	}
-	cacheGroup := mem.NewGroup()
-	count := 0
-	err := buf.Drain(func(k int64, vs []int64) bool {
-		decompose.Write(cacheGroup, adjCodec, decompose.Pair[int64, []int64]{Key: k, Value: vs})
-		count++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := cache.NewDecaBlockFromGroup(mem, adjCodec, cacheGroup, count)
-
-	// The shuffle buffer's lifetime ends; its pages reclaim wholesale.
-	inUseBefore := mem.InUse()
-	buf.Release()
-	if mem.InUse() >= inUseBefore {
-		t.Error("releasing the shuffle buffer did not reclaim pages")
-	}
-
-	// Phase 2: read adjacency from the decomposed cache.
-	got := map[int64][]int64{}
-	blk.Each(func(kv decompose.Pair[int64, []int64]) bool {
-		vs := append([]int64(nil), kv.Value...)
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		got[kv.Key] = vs
-		return true
-	})
-	want := map[int64][]int64{1: {2, 3, 4}, 2: {3, 4}, 3: {1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("adjacency after hand-off = %v, want %v", got, want)
-	}
-
-	blk.Drop()
-	if mem.InUse() != 0 {
-		t.Errorf("pages leaked after cache drop: %d", mem.InUse())
-	}
-}
 
 // TestPlannerEngineConsistency: the decisions core.Optimize makes for the
 // paper's jobs must match what the engine actually does under the

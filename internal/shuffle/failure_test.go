@@ -1,6 +1,9 @@
 package shuffle
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -310,4 +313,175 @@ func TestDrainSortedStopsAtACorruptRun(t *testing.T) {
 	if err == nil || len(got) != 0 {
 		t.Errorf("drained %q, then %v; want an error", got, err)
 	}
+}
+
+// TestWriteListsFailsAsDrainDoes: a chain the drain refuses fails the
+// hand-off to a cache block with the drain's own error, never a panic, and
+// the block's half-written group gives every page back: InUse is what it
+// was before the build. The chains are the hostile group frames a fold lets
+// through (counts swapped between keys, which the fold's sums cannot see)
+// and corruptions of a buffer's own pages, which no fold checked.
+func TestWriteListsFailsAsDrainDoes(t *testing.T) {
+	codec := decompose.PairCodec[int64, []int64]{KeyCodec: i64, ValueCodec: decompose.Int64SliceCodec{}}
+	c := frameCases[2]
+	mem := memory.NewManager(4096, 0)
+	dir := t.TempDir()
+	// Each case builds its buffer twice, one to drain and one to hand off;
+	// nil is a frame the fold refused.
+	twins := map[string]func() *DecaGroup[int64, int64]{}
+	for what, frame := range hostileFrames(t, c) {
+		twins["frame: "+what] = func() *DecaGroup[int64, int64] {
+			b := NewDecaGroup[int64, int64](mem, i64, i64, dir)
+			st, err := c.stage(frame, mem, dir)
+			if err != nil || b.Fold(st) != nil {
+				b.Release()
+				return nil
+			}
+			return b
+		}
+	}
+	// own corrupts key 1's record (two values) on a buffer of keys 0-39,
+	// 1 + key%3 values each, the first 21 keys spilled and replayed.
+	own := func(corrupt func(b *DecaGroup[int64, int64], it *recordIter)) func() *DecaGroup[int64, int64] {
+		return func() *DecaGroup[int64, int64] {
+			b := NewDecaGroup[int64, int64](mem, i64, i64, dir)
+			for i := range 40 {
+				for j := range 1 + i%3 {
+					b.Put(int64(i), int64(j))
+				}
+				if i == 20 {
+					if err := b.Spill(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			b.flush()
+			if err := b.replay(b.replayRun); err != nil {
+				t.Fatal(err)
+			}
+			it := b.records(0)
+			for it.next() && decompose.I64(it.key, 0) != 1 {
+			}
+			corrupt(b, &it)
+			return b
+		}
+	}
+	twins["count past its chain"] = own(func(_ *DecaGroup[int64, int64], it *recordIter) { addCount(it.val, 1) })
+	twins["count short of its chain"] = own(func(_ *DecaGroup[int64, int64], it *recordIter) { addCount(it.val, -1) })
+	twins["count past every node"] = own(func(_ *DecaGroup[int64, int64], it *recordIter) {
+		binary.LittleEndian.PutUint32(it.val[2*linkSize:], math.MaxUint32) // 32 GiB of values, were it believed
+	})
+	twins["head at a key record"] = own(func(_ *DecaGroup[int64, int64], it *recordIter) {
+		putLink(it.val, int32(it.page), it.ptr)
+	})
+	twins["head past the pages"] = own(func(_ *DecaGroup[int64, int64], it *recordIter) {
+		putLink(it.val, int32(it.page), memory.Ptr{Page: 1 << 20})
+	})
+
+	refused := 0
+	for what, build := range twins {
+		drained, handed := build(), build()
+		if drained == nil {
+			continue
+		}
+		errD := drained.Drain(func(int64, []int64) bool { return true })
+		drained.Release()
+		if errD == nil {
+			if !strings.HasPrefix(what, "frame: ") {
+				t.Errorf("%s: drained without error", what)
+			}
+			handed.Release()
+			continue
+		}
+		refused++
+		before := mem.InUse()
+		g, n, errW := handed.WriteLists(mem, codec)
+		if in := mem.InUse(); in != before || g != nil {
+			t.Errorf("%s: %d bytes in use after the failed build, %d before it; group %v", what, in, before, g)
+		}
+		if errW == nil || errW.Error() != errD.Error() {
+			t.Errorf("%s: the hand-off wrote %d records, then %v; the drain returned %v", what, n, errW, errD)
+		}
+		handed.Release()
+		assertClean(t, mem, dir, what)
+	}
+	if refused < 6 {
+		t.Errorf("%d chains refused by the drain, want the 5 corruptions and a swapped count", refused)
+	}
+}
+
+// otherI64 is Int64Codec under another type: the same bytes, but not the
+// buffer's codec.
+type otherI64 struct{ decompose.Int64Codec }
+
+// funcI64 is Int64Codec in a type whose values cannot be compared.
+type funcI64 struct {
+	decompose.Int64Codec
+	f func()
+}
+
+// pairCodec is a PairCodec under another type.
+type pairCodec struct {
+	decompose.PairCodec[int64, []int64]
+}
+
+// TestWriteListsRefusesOtherCodecs: a block codec whose records are not the
+// buffer's key bytes, a list header and its value bytes, each under the
+// buffer's own fixed-size codecs, is a *CodecError before anything is
+// replayed or written, and the buffer still drains whole.
+func TestWriteListsRefusesOtherCodecs(t *testing.T) {
+	mem := memory.NewManager(4096, 0)
+	dir := t.TempDir()
+	ints := NewDecaGroup[int64, int64](mem, i64, i64, dir)
+	strs := NewDecaGroup[string, int64](mem, str, i64, dir)
+	for i := range 30 {
+		ints.Put(int64(i%7), int64(i))
+		strs.Put(string(rune('a'+i%7)), int64(i))
+		if i == 15 {
+			if err := errors.Join(ints.Spill(), strs.Spill()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	list := decompose.Int64SliceCodec{}
+	for what, write := range map[string]func(*memory.Manager) (*memory.Group, int, error){
+		"not a PairCodec": func(mem *memory.Manager) (*memory.Group, int, error) {
+			return ints.WriteLists(mem, pairCodec{decompose.PairCodec[int64, []int64]{KeyCodec: i64, ValueCodec: list}})
+		},
+		"a value codec that is no list codec": func(mem *memory.Manager) (*memory.Group, int, error) {
+			return ints.WriteLists(mem, decompose.PairCodec[int64, []int64]{KeyCodec: i64, ValueCodec: decompose.Int64VecCodec{Dim: 2}})
+		},
+		"another key codec": func(mem *memory.Manager) (*memory.Group, int, error) {
+			return ints.WriteLists(mem, decompose.PairCodec[int64, []int64]{KeyCodec: otherI64{}, ValueCodec: list})
+		},
+		"a key codec that cannot be compared": func(mem *memory.Manager) (*memory.Group, int, error) {
+			b := NewDecaGroup[int64, int64](mem, funcI64{}, i64, dir)
+			defer b.Release()
+			b.Put(1, 1)
+			return b.WriteLists(mem, decompose.PairCodec[int64, []int64]{KeyCodec: funcI64{}, ValueCodec: list})
+		},
+		"a variable-size key": func(mem *memory.Manager) (*memory.Group, int, error) {
+			return strs.WriteLists(mem, decompose.PairCodec[string, []int64]{KeyCodec: str, ValueCodec: list})
+		},
+	} {
+		before := mem.InUse()
+		g, _, err := write(mem)
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: %v, want a *CodecError", what, err)
+		}
+		if in := mem.InUse(); in != before || g != nil {
+			t.Errorf("%s: %d bytes in use after the refusal, %d before it; group %v", what, in, before, g)
+		}
+	}
+	keys, values := 0, 0
+	count := func(vs []int64) bool { keys, values = keys+1, values+len(vs); return true }
+	err := errors.Join(ints.Drain(func(_ int64, vs []int64) bool { return count(vs) }),
+		strs.Drain(func(_ string, vs []int64) bool { return count(vs) }))
+	if err != nil || keys != 14 || values != 60 {
+		t.Errorf("the refused buffers drain %d keys, %d values, %v; want 14, 60", keys, values, err)
+	}
+	ints.Release()
+	strs.Release()
+	assertClean(t, mem, dir, "refused codecs")
 }

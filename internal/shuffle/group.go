@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
@@ -228,11 +229,11 @@ func (b *DecaGroup[K, V]) Values() int {
 	return b.count
 }
 
-// node decodes the value of the value node at p through vals and returns
-// its next-link segment, checked against its page: chains are walked with
-// the distrust their pages were absorbed with, and a value must decode to
-// exactly its bytes.
-func (b *DecaGroup[K, V]) node(p memory.Ptr, vals decompose.Decoder[V]) (v V, link []byte, err error) {
+// node returns the value bytes of the value node at p and its next-link
+// segment, checked against its page — chains are walked with the distrust
+// their pages were absorbed with — or false where p holds no well-formed
+// node.
+func (b *DecaGroup[K, V]) node(p memory.Ptr) (val, link []byte, ok bool) {
 	var data []byte
 	if p.Page >= 0 && int(p.Page) < b.group.NumPages() && p.Off >= 0 {
 		if page := b.group.Page(int(p.Page)); int(p.Off) < len(page) {
@@ -243,11 +244,28 @@ func (b *DecaGroup[K, V]) node(p memory.Ptr, vals decompose.Decoder[V]) (v V, li
 	vl, fixed := min(hd>>1, uint64(len(data))), b.shape[1].fixed
 	end := w + int(vl) + linkSize
 	if w > 0 && hd&1 != 0 && end <= len(data) && (fixed < 0 || vl == uint64(fixed)) {
-		if v, ok := vals.Exact(data[w : end-linkSize]); ok {
-			return v, data[end-linkSize : end], nil
-		}
+		return data[w : end-linkSize], data[end-linkSize : end], true
 	}
-	return v, nil, fmt.Errorf("shuffle: DecaGroup chain reaches no well-formed value node at %v", p)
+	return nil, nil, false
+}
+
+// chain walks the chain of the key record it stands on for the n nodes the
+// record counts, handing visit each node's value bytes: every node must be
+// well-formed and accepted by visit, and the chain must end where the
+// count does.
+func (b *DecaGroup[K, V]) chain(it *recordIter, n int, visit func(val []byte) bool) error {
+	for link, from := it.val[:linkSize], int32(it.page); n > 0; n-- {
+		at := getLink(link, from)
+		val, next, ok := b.node(at)
+		if !ok || !visit(val) {
+			return fmt.Errorf("shuffle: DecaGroup chain reaches no well-formed value node at %v", at)
+		}
+		if (binary.LittleEndian.Uint64(next) == 0) != (n == 1) {
+			return fmt.Errorf("shuffle: DecaGroup chain of the key at %v does not end with its count, %d nodes on", it.ptr, n-1)
+		}
+		link, from = next, at.Page
+	}
+	return nil
 }
 
 // Spill writes the pages as they lie — records, links and all: Deca's
@@ -317,23 +335,97 @@ func (b *DecaGroup[K, V]) Drain(yield func(K, []V) bool) error {
 			lists = make([]V, 0, max(m, min(b.count, listChunk)))
 		}
 		start := len(lists)
-		for link, from := it.val[:linkSize], int32(it.page); n > 0; n-- {
-			at := getLink(link, from)
-			v, next, err := b.node(at, vals)
-			if err == nil && (binary.LittleEndian.Uint64(next) == 0) != (n == 1) {
-				err = fmt.Errorf("shuffle: DecaGroup chain of the key at %v does not end with its count, %d nodes on", it.ptr, n-1)
-			}
-			if err != nil {
-				return err
-			}
+		if err := b.chain(&it, n, func(seg []byte) bool {
+			v, ok := vals.Exact(seg) // a value must decode to exactly its bytes
 			lists = append(lists, v)
-			link, from = next, at.Page
+			return ok
+		}); err != nil {
+			return err
 		}
 		if k, ok := drainKey(&it, keys); !ok || !yield(k, lists[start:len(lists):len(lists)]) {
 			break
 		}
 	}
 	return it.err
+}
+
+// WriteLists is Drain writing where it would yield — Figure 7(b)'s hand-off
+// of the grouped lists to a cache block. After the same replay it writes
+// each live key with its value list into a fresh group of mem as one
+// record of codec, in Drain's order and under Drain's checks, and returns
+// the group and how many records it holds. A record is the key's bytes,
+// the list header and each value's bytes, copied as they lie: no key, list
+// or value is decoded. codec must be a decompose.PairCodec of the buffer's
+// key codec and a listCodec of its value codec, both fixed-size; any other
+// is a *CodecError. On an error the group is released.
+//
+//deca:owns
+func (b *DecaGroup[K, V]) WriteLists(mem *memory.Manager, codec decompose.Codec[decompose.Pair[K, []V]]) (*memory.Group, int, error) {
+	pair, _ := codec.(decompose.PairCodec[K, []V])
+	list, _ := pair.ValueCodec.(listCodec[V])
+	kn, vn := b.shape[0].fixed, b.shape[1].fixed
+	if list == nil || kn <= 0 || vn <= 0 || !sameCodec(pair.KeyCodec, b.keyCodec) || !sameCodec(list.Elem(), b.valCodec) {
+		return nil, 0, &CodecError{Codec: codec}
+	}
+	b.flush()
+	if err := b.replay(b.replayRun); err != nil {
+		return nil, 0, err
+	}
+	g, hn, written := mem.NewGroup(), list.HeaderSize(), 0
+	it := b.records(0)
+	for it.next() {
+		n := chainCount(it.val)
+		if n == 0 {
+			continue
+		}
+		// A chain's nodes are distinct nodes of these pages, so a count past
+		// b.count is one the walk refuses: it writes nowhere.
+		var rec []byte
+		if n <= b.count {
+			rec, _ = g.Alloc(kn + hn + n*vn)
+			copy(rec, it.key)
+			list.PutHeader(rec[kn:], n)
+			rec = rec[kn+hn:]
+		}
+		if err := b.chain(&it, n, func(val []byte) bool {
+			rec = rec[copy(rec, val):]
+			return true
+		}); err != nil {
+			g.Release()
+			return nil, 0, err
+		}
+		written++
+	}
+	if it.err != nil {
+		g.Release()
+		return nil, 0, it.err
+	}
+	return g, written, nil
+}
+
+// listCodec encodes a list as a header of HeaderSize bytes (PutHeader)
+// and each element as Elem does, in order (decompose.Int64SliceCodec).
+type listCodec[V any] interface {
+	Elem() decompose.Codec[V]
+	HeaderSize() int
+	PutHeader(seg []byte, n int)
+}
+
+// CodecError is WriteLists refusing a block codec whose records are not the
+// buffer's key bytes, a list header and its value bytes under its own
+// fixed-size codecs: the lists cannot be copied into it as they lie.
+type CodecError struct{ Codec any }
+
+func (e *CodecError) Error() string {
+	return fmt.Sprintf("shuffle: a DecaGroup cannot write its lists as %T records: "+
+		"want a decompose.PairCodec of its fixed-size key codec and a list codec of its fixed-size value codec", e.Codec)
+}
+
+// sameCodec reports whether a and b are one codec: equal comparable values
+// of one type.
+func sameCodec[T any](a, b decompose.Codec[T]) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	return va.IsValid() && vb.IsValid() && va.Type() == vb.Type() && va.Comparable() && va.Equal(vb)
 }
 
 // EncodeWire writes the buffer's wire frame to w.

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"deca/internal/cache"
+	"deca/internal/decompose"
 	"deca/internal/memory"
 	"deca/internal/serial"
 	"deca/internal/transport"
@@ -460,5 +462,60 @@ func TestGoldenObjectFrames(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("%d spill files left", len(entries))
+	}
+}
+
+// TestFigure7bPartialDecomposition walks the exact §4.3.3 scenario: a
+// groupByKey shuffle buffer whose value lists cannot be decomposed while
+// growing hands them to a cache block where the data *is* decomposed —
+// written from the buffer's pages (WriteLists), no list rebuilt on the way;
+// the shuffle buffer then dies and its space reclaims, while the cache
+// serves reads from pages.
+func TestFigure7bPartialDecomposition(t *testing.T) {
+	mem := memory.NewManager(4096, 0)
+
+	// Phase 1: the grouped shuffle buffer (primary container).
+	buf := NewDecaGroup[int64, int64](mem, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
+	edges := []struct{ src, dst int64 }{
+		{1, 2}, {1, 3}, {2, 3}, {1, 4}, {3, 1}, {2, 4},
+	}
+	for _, e := range edges {
+		buf.Put(e.src, e.dst)
+	}
+
+	// Phase boundary: each key's complete (now size-frozen) adjacency is
+	// written into the cache's page group — the phased refinement grades
+	// the list RuntimeFixed from here on, so decomposition is safe.
+	adjCodec := decompose.PairCodec[int64, []int64]{
+		KeyCodec:   decompose.Int64Codec{},
+		ValueCodec: decompose.Int64SliceCodec{},
+	}
+	cacheGroup, count, err := buf.WriteLists(mem, adjCodec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := cache.NewDecaBlockFromGroup(mem, adjCodec, cacheGroup, count)
+
+	// The shuffle buffer's lifetime ends; its pages reclaim wholesale.
+	inUseBefore := mem.InUse()
+	buf.Release()
+	if mem.InUse() >= inUseBefore {
+		t.Error("releasing the shuffle buffer did not reclaim pages")
+	}
+
+	// Phase 2: read adjacency from the decomposed cache.
+	got := map[int64][]int64{}
+	blk.Each(func(kv decompose.Pair[int64, []int64]) bool {
+		got[kv.Key] = slices.Sorted(slices.Values(kv.Value))
+		return true
+	})
+	want := map[int64][]int64{1: {2, 3, 4}, 2: {3, 4}, 3: {1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("adjacency after hand-off = %v, want %v", got, want)
+	}
+
+	blk.Drop()
+	if mem.InUse() != 0 {
+		t.Errorf("pages leaked after cache drop: %d", mem.InUse())
 	}
 }

@@ -48,7 +48,8 @@ func rankOps(parts int) engine.PairOps[int64, float64] {
 // do (§6.3): edges → groupByKey → cache. The group shuffle's value lists
 // grow while buffering (Variable), but the cached copy never changes —
 // the partially-decomposable hand-off of Figure 7(b), which is why the
-// Deca cache level is safe here (the planner's PRJob() decision).
+// Deca cache level is safe here (the planner's PRJob() decision); its
+// blocks are written from the group's pages (engine.GroupByKey).
 // undirected additionally emits each edge's reverse.
 func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected bool) (*engine.Dataset[decompose.Pair[int64, []int64]], error) {
 	cfg = cfg.withDefaults()
