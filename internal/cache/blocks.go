@@ -282,8 +282,8 @@ type DecaBlock[T any] struct {
 // BuildDecaBlock decomposes each record into a fresh page group as records
 // yields it: the block is born in its pages, and no copy of the partition
 // exists beside them. If records panics — the engine's lazy plumbing
-// carries a failed or cancelled upstream that way — the pages are released
-// before the panic continues.
+// carries a failed upstream that way — the pages are released before the
+// panic continues.
 //
 //deca:owns
 func BuildDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], records iter.Seq[T]) *DecaBlock[T] {

@@ -2,7 +2,7 @@
 // the engine's fault-tolerance subsystem. It plugs into the scheduler
 // through the sched.FaultInjector seam (task-level faults: injected
 // attempt failures, post-success failures that model an executor dying
-// before reporting, straggler delays, and a mid-stage executor kill) and
+// before reporting, and a mid-stage executor kill) and
 // wraps any transport.Transport (fetch-level faults that surface as
 // retryable errors). Every decision is a pure hash of the seed and the
 // fault's coordinates — (stage, partition, attempt) for tasks, (output
@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"deca/internal/sched"
 	"deca/internal/transport"
 )
 
@@ -45,19 +43,9 @@ type Injector struct {
 	// FailAfterRate is the probability a *successful* attempt is failed
 	// after its side effects landed (the executor died before reporting):
 	// the retry's map-output re-registration then displaces the completed
-	// attempt's buffers. The scheduler applies it only to speculatable
-	// (map) stages, whose side effects replace idempotently.
+	// attempt's buffers. The scheduler applies it only to idempotent (map)
+	// stages, whose side effects replace.
 	FailAfterRate float64
-
-	// TaskDelay stalls attempts selected by DelayRate (or DelayMatch) for
-	// the given duration before their body runs — injected stragglers for
-	// speculation. The stall aborts with sched.ErrCanceled when the
-	// attempt's cancel signal fires (a speculative twin won).
-	TaskDelay time.Duration
-	DelayRate float64
-	// DelayMatch, when non-nil, replaces DelayRate: exact targeting of
-	// attempts to stall (tests).
-	DelayMatch func(stage, part, attempt, exec int) bool
 	// FailAfterMatch, when non-nil, replaces FailAfterRate (tests).
 	FailAfterMatch func(stage, part, attempt, exec int) bool
 
@@ -112,7 +100,6 @@ type Injector struct {
 type Stats struct {
 	TaskFailures  int64
 	AfterFailures int64
-	Delays        int64
 	Kills         int64
 	FetchFailures int64
 	MergeFailures int64
@@ -156,9 +143,9 @@ func (i *Injector) roll(label string, a, b, c int64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// BeforeAttempt implements sched.FaultInjector: executor kill, injected
-// straggler delay, then injected attempt failure, in that order.
-func (i *Injector) BeforeAttempt(stage, part, attempt, exec int, cancel <-chan struct{}) error {
+// BeforeAttempt implements sched.FaultInjector: executor kill, then
+// injected attempt failure.
+func (i *Injector) BeforeAttempt(stage, part, attempt, exec int) error {
 	if i.KillExecutor >= 0 && exec == i.KillExecutor {
 		if i.killStarted.Add(1) > int64(i.KillAfter) {
 			i.count(func(s *Stats) { s.Kills++ })
@@ -167,14 +154,6 @@ func (i *Injector) BeforeAttempt(stage, part, attempt, exec int, cancel <-chan s
 			}
 			return fmt.Errorf("%w: executor %d is dead (stage %d task %d attempt %d)",
 				ErrInjected, exec, stage, part, attempt)
-		}
-	}
-	if i.TaskDelay > 0 && i.delayHit(stage, part, attempt, exec) {
-		i.count(func(s *Stats) { s.Delays++ })
-		select {
-		case <-time.After(i.TaskDelay):
-		case <-cancel:
-			return sched.ErrCanceled
 		}
 	}
 	if i.TaskFailureRate > 0 &&
@@ -216,19 +195,6 @@ func (i *Injector) MergeFault(stage, part, attempt, consumed int) error {
 	i.count(func(s *Stats) { s.MergeFailures++ })
 	return fmt.Errorf("%w: reduce attempt died mid-merge (stage %d task %d attempt %d, %d outputs consumed)",
 		ErrInjected, stage, part, attempt, consumed)
-}
-
-// delayHit decides whether this attempt draws an injected straggler
-// delay (the delay itself is served in BeforeAttempt; the decision is
-// what must be pure).
-//
-//deca:pure
-func (i *Injector) delayHit(stage, part, attempt, exec int) bool {
-	if i.DelayMatch != nil {
-		return i.DelayMatch(stage, part, attempt, exec)
-	}
-	return i.DelayRate > 0 &&
-		i.roll("delay", int64(stage), int64(part), int64(attempt)) < i.DelayRate
 }
 
 // fetchFault decides whether this Fetch call fails. Each output id keeps

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"deca/internal/sched"
 	"deca/internal/transport"
@@ -50,7 +49,7 @@ func TestTaskFailureInjectionRerollsPerAttempt(t *testing.T) {
 	inj.TaskFailureRate = 0.5
 	failedAttempt1 := -1
 	for part := 0; part < 64; part++ {
-		if inj.BeforeAttempt(1, part, 1, 0, nil) != nil {
+		if inj.BeforeAttempt(1, part, 1, 0) != nil {
 			failedAttempt1 = part
 			break
 		}
@@ -59,14 +58,14 @@ func TestTaskFailureInjectionRerollsPerAttempt(t *testing.T) {
 		t.Fatal("rate 0.5 injected nothing across 64 tasks")
 	}
 	// The same coordinates fail again (determinism)...
-	err := inj.BeforeAttempt(1, failedAttempt1, 1, 0, nil)
+	err := inj.BeforeAttempt(1, failedAttempt1, 1, 0)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("re-rolled decision changed: %v", err)
 	}
 	// ...but some retry succeeds within a few attempts (independent rolls).
 	recovered := false
 	for attempt := 2; attempt < 12; attempt++ {
-		if inj.BeforeAttempt(1, failedAttempt1, attempt, 0, nil) == nil {
+		if inj.BeforeAttempt(1, failedAttempt1, attempt, 0) == nil {
 			recovered = true
 			break
 		}
@@ -81,34 +80,18 @@ func TestKillExecutorAfterN(t *testing.T) {
 	inj.KillExecutor = 2
 	inj.KillAfter = 3
 	for i := 0; i < 3; i++ {
-		if err := inj.BeforeAttempt(1, i, 1, 2, nil); err != nil {
+		if err := inj.BeforeAttempt(1, i, 1, 2); err != nil {
 			t.Fatalf("attempt %d on executor 2 should pre-date the kill: %v", i, err)
 		}
 	}
-	if err := inj.BeforeAttempt(1, 9, 1, 2, nil); !errors.Is(err, ErrInjected) {
+	if err := inj.BeforeAttempt(1, 9, 1, 2); !errors.Is(err, ErrInjected) {
 		t.Fatalf("attempt after the kill survived: %v", err)
 	}
-	if err := inj.BeforeAttempt(1, 9, 1, 1, nil); err != nil {
+	if err := inj.BeforeAttempt(1, 9, 1, 1); err != nil {
 		t.Fatalf("other executors must be unaffected: %v", err)
 	}
 	if got := inj.Stats().Kills; got != 1 {
 		t.Errorf("kills = %d, want 1", got)
-	}
-}
-
-func TestDelayHonorsCancellation(t *testing.T) {
-	inj := New(1)
-	inj.TaskDelay = 10 * time.Second
-	inj.DelayMatch = func(stage, part, attempt, exec int) bool { return true }
-	cancel := make(chan struct{})
-	close(cancel)
-	start := time.Now()
-	err := inj.BeforeAttempt(1, 0, 1, 0, cancel)
-	if !errors.Is(err, sched.ErrCanceled) {
-		t.Fatalf("canceled delay returned %v, want sched.ErrCanceled", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("canceled delay still slept")
 	}
 }
 

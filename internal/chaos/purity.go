@@ -20,8 +20,6 @@ var PureDecisionFuncs = []string{
 	// Fault-coordinate hashing: the seed → [0,1) roll every injected
 	// fault decision derives from.
 	"deca/internal/chaos.Injector.roll",
-	// Straggler-delay coordinates.
-	"deca/internal/chaos.Injector.delayHit",
 	// Post-completion failure (fail-after-side-effects) coordinates.
 	"deca/internal/chaos.Injector.AfterAttempt",
 	// Fetch-fault decisions (per-output retry counters are deterministic
@@ -33,5 +31,4 @@ var PureDecisionFuncs = []string{
 	// Placement: partition → executor affinity and deterministic
 	// re-placement after blacklisting.
 	"deca/internal/sched.Cluster.Place",
-	"deca/internal/sched.Cluster.placeLocked",
 }

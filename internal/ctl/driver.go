@@ -427,8 +427,8 @@ func appendOutputID(e *enc, id transport.MapOutputID) {
 // RetireShuffle the driver's own stage verdicts.
 
 // Publish records a map output's location, telling the previous holder —
-// when the entry moved across executors on a retry or a speculative
-// re-registration — to discard its now-orphaned buffers, which is why it
+// when the entry moved across executors on a retry or a lineage re-run —
+// to discard its now-orphaned buffers, which is why it
 // reports no previous holder for the caller to take from. Same-executor
 // displacement is handled locally by the executor's own data server.
 func (d *Driver) Publish(id transport.MapOutputID, exec int) (int, bool, error) {
@@ -443,8 +443,8 @@ func (d *Driver) Publish(id transport.MapOutputID, exec int) (int, bool, error) 
 }
 
 // Lookup resolves the output's holder and its data address. It is
-// non-consuming: the entry survives so reduce retries and speculative
-// twins can re-fetch; Retire or RetireShuffle end its lifetime.
+// non-consuming: the entry survives so reduce retries can re-fetch;
+// Retire or RetireShuffle end its lifetime.
 func (d *Driver) Lookup(id transport.MapOutputID) (exec int, addr string, found bool, err error) {
 	d.dirMu.Lock()
 	exec, found = d.dir[id]
@@ -558,13 +558,8 @@ func (d *Driver) Kill(exec int) {
 
 // RunTask dispatches one attempt descriptor to an executor and waits for
 // its result. A dead executor — at dispatch time or mid-flight — returns
-// an error, which the scheduler counts as the attempt's failure. A close
-// of cancel (nil = never) relays a best-effort msgCancelTask to the
-// executor — the attempt's twin already won, or its stage aborted — and
-// keeps waiting: the executor always answers with msgTaskDone. Per-
-// connection FIFO guarantees the executor reads the RunTask frame before
-// the CancelTask frame.
-func (d *Driver) RunTask(exec int, key string, stage, part, attempt int, cancel <-chan struct{}) (TaskResult, error) {
+// an error, which the scheduler counts as the attempt's failure.
+func (d *Driver) RunTask(exec int, key string, stage, part, attempt int) (TaskResult, error) {
 	st := d.execs[exec]
 	taskID := d.nextTask.Add(1)
 	ch := make(chan TaskResult, 1)
@@ -589,21 +584,12 @@ func (d *Driver) RunTask(exec int, key string, stage, part, attempt int, cancel 
 		st.mu.Unlock()
 		return TaskResult{}, fmt.Errorf("ctl: dispatching to executor %d: %w", exec, err)
 	}
-	for {
-		select {
-		case res, ok := <-ch:
-			if !ok {
-				return TaskResult{}, fmt.Errorf("ctl: executor %d died running %s part %d attempt %d",
-					exec, key, part, attempt)
-			}
-			return res, nil
-		case <-cancel:
-			var ce enc
-			ce.uint(taskID)
-			st.conn.send(msgCancelTask, ce.b)
-			cancel = nil // fire once, then wait out the result
-		}
+	res, ok := <-ch
+	if !ok {
+		return TaskResult{}, fmt.Errorf("ctl: executor %d died running %s part %d attempt %d",
+			exec, key, part, attempt)
 	}
+	return res, nil
 }
 
 // broadcast sends a frame to every live executor.

@@ -37,10 +37,8 @@ type Runtime interface {
 }
 
 // StageBody runs one dispatched attempt of a stage the mirrored program
-// published (AddStageBody). cancel closes when the driver sends CancelTask
-// for the attempt: a best-effort early stop, after which a result is still
-// expected.
-type StageBody func(stage, part, attempt int, cancel <-chan struct{}) TaskResult
+// published (AddStageBody).
+type StageBody func(stage, part, attempt int) TaskResult
 
 // heartbeatEventBatch bounds the events one heartbeat carries; at the
 // driver's 100ms period that is 10k events/s of shipping capacity per
@@ -55,12 +53,11 @@ const heartbeatEventBatch = 1024
 var stageBodyTimeout = 2 * time.Minute
 
 // The ends of a wait other than a dead connection: errShutdown ends every
-// wait once the driver broadcast Shutdown; errBodyCanceled and errNoBody end
-// a body wait whose attempt the driver canceled or whose deadline passed.
+// wait once the driver broadcast Shutdown; errNoBody ends a body wait whose
+// deadline passed.
 var (
-	errShutdown     = errors.New("ctl: the driver shut the fleet down")
-	errBodyCanceled = errors.New("ctl: the attempt was canceled before its stage body was published")
-	errNoBody       = errors.New("ctl: no stage body was published before the deadline (mirror diverged?)")
+	errShutdown = errors.New("ctl: the driver shut the fleet down")
+	errNoBody   = errors.New("ctl: no stage body was published before the deadline (mirror diverged?)")
 )
 
 // FollowerConfig connects one executor process to its driver; it beats at
@@ -107,8 +104,7 @@ type Follower struct {
 	mats     map[int]matEntry
 	bodies   map[string]StageBody
 	lookups  map[uint64]chan lookupReply
-	cancels  map[uint64]chan struct{} // taskID → attempt cancel signal
-	closed   bool                     // the connection died or the driver broadcast Shutdown
+	closed   bool // the connection died or the driver broadcast Shutdown
 	closeErr error
 
 	// snapMu is held from reading a counter snapshot to sending it, so
@@ -149,7 +145,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		mats:       make(map[int]matEntry),
 		bodies:     make(map[string]StageBody),
 		lookups:    make(map[uint64]chan lookupReply),
-		cancels:    make(map[uint64]chan struct{}),
 		shutdownCh: make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -253,10 +248,9 @@ func (f *Follower) DropStageBodies(keys ...string) {
 }
 
 // awaitBody blocks until the stage's body is published. Beyond the ends
-// every wait has, this one ends when the attempt's cancel closes (the
-// driver no longer waits for it) or when stageBodyTimeout passes (the
-// mirror diverged and will never reach the stage).
-func (f *Follower) awaitBody(key string, cancel <-chan struct{}) (StageBody, error) {
+// every wait has, this one ends when stageBodyTimeout passes (the mirror
+// diverged and will never reach the stage).
+func (f *Follower) awaitBody(key string) (StageBody, error) {
 	expired := false
 	deadline := time.AfterFunc(stageBodyTimeout, func() {
 		f.mu.Lock()
@@ -269,11 +263,6 @@ func (f *Follower) awaitBody(key string, cancel <-chan struct{}) (StageBody, err
 	defer f.mu.Unlock()
 	var body StageBody
 	err := f.waitLocked(func() bool { body = f.bodies[key]; return body != nil }, func() error {
-		select {
-		case <-cancel:
-			return errBodyCanceled
-		default:
-		}
 		if expired {
 			return errNoBody
 		}
@@ -337,23 +326,7 @@ func (f *Follower) readLoop() {
 			if !dd.ok() {
 				continue
 			}
-			cancel := make(chan struct{})
-			f.mu.Lock()
-			f.cancels[taskID] = cancel
-			f.mu.Unlock()
-			go f.handleRunTask(taskID, key, stage, part, attempt, cancel)
-		case msgCancelTask:
-			taskID := dd.uint()
-			if !dd.ok() {
-				continue
-			}
-			f.mu.Lock()
-			if cancel := f.cancels[taskID]; cancel != nil {
-				close(cancel)
-				delete(f.cancels, taskID)
-			}
-			f.mu.Unlock()
-			f.cond.Broadcast() // a body wait of the attempt ends
+			go f.handleRunTask(taskID, key, stage, part, attempt)
 		case msgStageEnd:
 			key := dd.str()
 			if len(dd.b) < 1 {
@@ -461,17 +434,14 @@ func (f *Follower) readLoop() {
 
 // handleRunTask runs one dispatched attempt against the body the mirrored
 // program published for its stage, and answers TaskDone. A body wait that
-// ends early is the attempt's failure — Canceled when the driver canceled it.
-func (f *Follower) handleRunTask(taskID uint64, key string, stage, part, attempt int, cancel <-chan struct{}) {
+// ends early is the attempt's failure.
+func (f *Follower) handleRunTask(taskID uint64, key string, stage, part, attempt int) {
 	var res TaskResult
-	if body, err := f.awaitBody(key, cancel); err != nil {
-		res = TaskResult{ErrMsg: err.Error(), Canceled: errors.Is(err, errBodyCanceled)}
+	if body, err := f.awaitBody(key); err != nil {
+		res = TaskResult{ErrMsg: err.Error()}
 	} else {
-		res = body(stage, part, attempt, cancel)
+		res = body(stage, part, attempt)
 	}
-	f.mu.Lock()
-	delete(f.cancels, taskID) // a cancel arriving after the result is a no-op
-	f.mu.Unlock()
 	var e enc
 	appendTaskResult(&e, taskID, res)
 	f.conn.send(msgTaskDone, e.b)

@@ -88,7 +88,7 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					actions[p] = drv.RunTask("action/1", 1, p, 1, nil)
+					actions[p] = drv.RunTask("action/1", 1, p, 1)
 				}()
 			}
 			var dataset int
@@ -101,7 +101,7 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 			for _, phase := range []string{"map", "reduce"} {
 				key := "x/1/1/" + phase
 				for p := 0; p < parts; p++ {
-					if res := drv.RunTask(key, 2, p, 1, nil); !res.OK {
+					if res := drv.RunTask(key, 2, p, 1); !res.OK {
 						t.Fatalf("%s task %d: %s", phase, p, res.ErrMsg)
 					}
 				}
@@ -142,30 +142,5 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 				t.Errorf("%d map outputs still registered after the abort", n)
 			}
 		})
-	}
-}
-
-// TestCanceledAttemptStopsWaitingForItsBody: a dispatched attempt whose
-// stage body the mirror never registers waits for it — until the driver
-// cancels the attempt. Then it answers Canceled at once instead of
-// holding the driver's dispatch for the stage-body deadline (minutes).
-func TestCanceledAttemptStopsWaitingForItsBody(t *testing.T) {
-	drv, _ := scriptedMirror(t)
-	cancel := make(chan struct{})
-	done := make(chan ctl.TaskResult, 1)
-	go func() { done <- drv.RunTask("x/never/registered/map", 1, 0, 1, cancel) }()
-	select {
-	case res := <-done:
-		t.Fatalf("the attempt answered before any body or cancel: %+v", res)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(cancel)
-	select {
-	case res := <-done:
-		if !res.Canceled || res.OK {
-			t.Errorf("result = %+v, want Canceled", res)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("the canceled attempt was still waiting for its stage body after 1s")
 	}
 }

@@ -44,7 +44,7 @@ const (
 	msgPlan byte = 3
 	// msgRunTask (driver→exec): taskID, key, stage, part, attempt.
 	msgRunTask byte = 4
-	// msgTaskDone (exec→driver): taskID, ok, canceled, errMsg,
+	// msgTaskDone (exec→driver): taskID, ok, errMsg,
 	// missingDataset, missingEpoch, lostOutputs, result bytes.
 	msgTaskDone byte = 5
 	// msgStageEnd (driver→exec): key, verdict, errMsg. Broadcast stage
@@ -86,11 +86,6 @@ const (
 	msgMetricsReply byte = 18
 	// msgShutdown (driver→exec): none. The executor exits.
 	msgShutdown byte = 19
-	// msgCancelTask (driver→exec): taskID. A best-effort request to stop a
-	// running attempt early (its twin already won, or the stage aborted);
-	// the executor still sends msgTaskDone for the attempt, typically with
-	// canceled set.
-	msgCancelTask byte = 20
 )
 
 // Verdicts broadcast in msgStageEnd.
@@ -110,9 +105,8 @@ const maxFrame = 1 << 30
 
 // TaskResult is one attempt's outcome, shipped back in msgTaskDone.
 type TaskResult struct {
-	OK       bool
-	Canceled bool   // the attempt stopped on a driver CancelTask (sched.ErrCanceled semantics)
-	ErrMsg   string // set when !OK
+	OK     bool
+	ErrMsg string // set when !OK
 	// MissingDataset/MissingEpoch name a shuffle whose locally-owned
 	// output was gone when the task tried to drain it (its reduce ran on
 	// an executor that died). The driver releases that materialization so
@@ -148,7 +142,6 @@ func decodeWelcome(payload []byte) (time.Duration, error) {
 func appendTaskResult(e *enc, taskID uint64, res TaskResult) {
 	e.uint(taskID)
 	e.bool(res.OK)
-	e.bool(res.Canceled)
 	e.str(res.ErrMsg)
 	e.int(int64(res.MissingDataset))
 	e.int(int64(res.MissingEpoch))
@@ -162,7 +155,6 @@ func appendTaskResult(e *enc, taskID uint64, res TaskResult) {
 func decodeTaskResult(d *dec) (taskID uint64, res TaskResult) {
 	taskID = d.uint()
 	res.OK = d.bool()
-	res.Canceled = d.bool()
 	res.ErrMsg = d.str()
 	res.MissingDataset = int(d.int())
 	res.MissingEpoch = int(d.int())

@@ -102,10 +102,8 @@ func (d *ScriptedDriver) pump() {
 }
 
 // RunTask dispatches one attempt descriptor and waits for its result; a
-// connection that dies first yields a failed result. A close of cancel
-// (nil = never) sends msgCancelTask for the attempt once, as the real
-// driver does, and keeps waiting for the result.
-func (d *ScriptedDriver) RunTask(key string, stage, part, attempt int, cancel <-chan struct{}) TaskResult {
+// connection that dies first yields a failed result.
+func (d *ScriptedDriver) RunTask(key string, stage, part, attempt int) TaskResult {
 	ch := make(chan TaskResult, 1)
 	d.mu.Lock()
 	d.nextTask++
@@ -119,20 +117,11 @@ func (d *ScriptedDriver) RunTask(key string, stage, part, attempt int, cancel <-
 	e.int(int64(part))
 	e.int(int64(attempt))
 	d.rc.send(msgRunTask, e.b)
-	for {
-		select {
-		case res, ok := <-ch:
-			if !ok {
-				return TaskResult{ErrMsg: "scripted driver: connection closed"}
-			}
-			return res
-		case <-cancel:
-			var ce enc
-			ce.uint(taskID)
-			d.rc.send(msgCancelTask, ce.b)
-			cancel = nil
-		}
+	res, ok := <-ch
+	if !ok {
+		return TaskResult{ErrMsg: "scripted driver: connection closed"}
 	}
+	return res
 }
 
 // Materialize announces a materialization of dataset.

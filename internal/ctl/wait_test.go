@@ -6,7 +6,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"deca/internal/obs"
 )
+
+// nopRuntime is a Runtime with no shuffles, nothing counted and no events.
+type nopRuntime struct{}
+
+func (nopRuntime) MaterializeDataset(int, int) {}
+func (nopRuntime) ReleaseDataset(int, int)     {}
+func (nopRuntime) Snapshot() obs.CounterValues { return obs.CounterValues{} }
+func (nopRuntime) DrainEvents(int) []obs.Event { return nil }
 
 // scriptedFollower connects a bare Follower — no engine, so nothing ever
 // publishes a stage body — to a ScriptedDriver; the test's cleanup tears
@@ -42,9 +52,9 @@ func scriptedFollower(t *testing.T) (*ScriptedDriver, *Follower) {
 
 // dispatch runs one attempt of key through the scripted driver on its own
 // goroutine; the channel yields its result.
-func dispatch(drv *ScriptedDriver, key string, cancel <-chan struct{}) <-chan TaskResult {
+func dispatch(drv *ScriptedDriver, key string) <-chan TaskResult {
 	done := make(chan TaskResult, 1)
-	go func() { done <- drv.RunTask(key, 1, 0, 1, cancel) }()
+	go func() { done <- drv.RunTask(key, 1, 0, 1) }()
 	return done
 }
 
@@ -74,34 +84,22 @@ func within[T any](t *testing.T, what string, ch <-chan T, bound time.Duration) 
 // TestWaitsEndWithoutTheirAnswer: every follower-side wait runs through
 // waitLocked, and each way it can end without its answer arriving answers
 // within a bound. A dispatched attempt whose stage body is never published
-// fails once the body deadline passes, naming the stage; a CancelTask for
-// it answers Canceled at once; and the driver's Shutdown broadcast ends the
-// mirrored program's pending waits and the attempts' alike.
+// fails once the body deadline passes, naming the stage; and the driver's
+// Shutdown broadcast ends the mirrored program's pending waits and the
+// attempts' alike.
 func TestWaitsEndWithoutTheirAnswer(t *testing.T) {
 	t.Run("body deadline", func(t *testing.T) {
 		defer func(d time.Duration) { stageBodyTimeout = d }(stageBodyTimeout)
 		stageBodyTimeout = 100 * time.Millisecond
 		drv, _ := scriptedFollower(t)
 		start := time.Now()
-		res := within(t, "the attempt", dispatch(drv, "x/never/published", nil), 5*time.Second)
-		if res.OK || res.Canceled || !strings.Contains(res.ErrMsg, errNoBody.Error()) ||
+		res := within(t, "the attempt", dispatch(drv, "x/never/published"), 5*time.Second)
+		if res.OK || !strings.Contains(res.ErrMsg, errNoBody.Error()) ||
 			!strings.Contains(res.ErrMsg, "x/never/published") {
 			t.Errorf("result = %+v, want the body deadline's error naming the stage", res)
 		}
 		if waited := time.Since(start); waited < stageBodyTimeout {
 			t.Errorf("the attempt gave up after %v, before the %v deadline", waited, stageBodyTimeout)
-		}
-	})
-
-	t.Run("cancel", func(t *testing.T) {
-		drv, _ := scriptedFollower(t)
-		cancel := make(chan struct{})
-		done := dispatch(drv, "x/never/published", cancel)
-		pending(t, "the attempt", done)
-		close(cancel)
-		res := within(t, "the canceled attempt", done, time.Second)
-		if !res.Canceled || res.OK || !strings.Contains(res.ErrMsg, errBodyCanceled.Error()) {
-			t.Errorf("result = %+v, want Canceled", res)
 		}
 	})
 
@@ -112,7 +110,7 @@ func TestWaitsEndWithoutTheirAnswer(t *testing.T) {
 			_, _, err := f.AwaitStageEnd("x/never/ended")
 			verdict <- err
 		}()
-		attempt := dispatch(drv, "x/never/published", nil)
+		attempt := dispatch(drv, "x/never/published")
 		pending(t, "the verdict wait", verdict)
 		pending(t, "the attempt", attempt)
 		drv.Shutdown()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"slices"
@@ -10,7 +11,6 @@ import (
 	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/obs"
-	"deca/internal/sched"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
 )
@@ -110,12 +110,13 @@ func TestCountAcrossLevelsAndSwap(t *testing.T) {
 
 // TestFailedBuildLeavesNoPages: a partition whose upstream dies while its
 // Deca block is being filled — a generator panic, or the error panic the
-// lazy chain uses to carry a failed or cancelled upstream — releases the
-// half-built page group and publishes no block, on every attempt.
+// lazy chain uses to carry an upstream's error (here context.Canceled) —
+// releases the half-built page group and publishes no block, on every
+// attempt.
 func TestFailedBuildLeavesNoPages(t *testing.T) {
 	for name, failure := range map[string]any{
 		"panic":    "generator exploded",
-		"canceled": sched.ErrCanceled,
+		"canceled": context.Canceled,
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx := testCtx(t, ModeDeca)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"deca/internal/chaos"
 	"deca/internal/decompose"
@@ -261,47 +260,6 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 	}
 }
 
-// TestChaosSpeculativeRaceLeaksNothing is satellite leak test (c): a
-// straggler map task (stalled by an injected delay) gets a speculative
-// duplicate that wins; the losing attempt is cancelled and its buffers
-// released, with nothing leaked and the answer unchanged. The stall runs
-// at the scheduler's own thresholds: 300ms is ten times the 30ms floor and
-// far above 1.5× the median of tasks that take a few milliseconds.
-func TestChaosSpeculativeRaceLeaksNothing(t *testing.T) {
-	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
-		t.Run(kind.String(), func(t *testing.T) {
-			want := wordCountOn(t, clusterCtx(t, ModeDeca, 4))
-
-			inj := chaos.New(77)
-			inj.TaskDelay = 300 * time.Millisecond
-			inj.DelayMatch = func(stage, part, attempt, exec int) bool {
-				return stage == wcMapStage && part == 3 && attempt == 1
-			}
-			ctx := chaosCtx(t, kind, inj, func(c *Config) {
-				c.SpeculationEnabled = true
-			})
-			got := wordCountOn(t, ctx)
-			if !reflect.DeepEqual(got, want) {
-				t.Error("result differs after a speculative race")
-			}
-			m := ctx.Counters()
-			if m[obs.SpeculativeLaunched] == 0 {
-				t.Error("no speculative attempt launched for the stalled straggler")
-			}
-			if m[obs.SpeculativeWon] == 0 {
-				t.Error("the speculative duplicate never won against a 300ms stall")
-			}
-			if m[obs.TasksFailed] != 0 {
-				t.Errorf("TasksFailed = %d, want 0 (a cancelled loser is not a failure)", m[obs.TasksFailed])
-			}
-			ctx.ReleaseAllShuffles()
-			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
-			assertManagersEmptyAfterClose(t, ctx)
-		})
-	}
-}
-
 // TestChaosMidMergeReduceFailureRetries: under the stage-commit
 // protocol serving is non-consuming, so a reduce attempt that dies
 // mid-merge — after half its inputs already folded in — simply retries
@@ -332,47 +290,6 @@ func TestChaosMidMergeReduceFailureRetries(t *testing.T) {
 			}
 			if n := m[obs.LineageMapReruns]; n != 0 {
 				t.Errorf("LineageMapReruns = %d, want 0 (sources stayed pinned; no repair needed)", n)
-			}
-			ctx.ReleaseAllShuffles()
-			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
-			assertManagersEmptyAfterClose(t, ctx)
-		})
-	}
-}
-
-// TestChaosReduceSpeculationReleasesLoser: with speculation on, a
-// stalled reduce attempt gets a speculative twin (the stall is sized as in
-// TestChaosSpeculativeRaceLeaksNothing). Both fetch the same
-// pinned inputs (serving is non-consuming), the winner's merge lands,
-// and the loser's is released by its cancel poll or the have-guard —
-// identical answer, no failures counted, nothing leaked.
-func TestChaosReduceSpeculationReleasesLoser(t *testing.T) {
-	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
-		t.Run(kind.String(), func(t *testing.T) {
-			want := wordCountOn(t, clusterCtx(t, ModeDeca, 4))
-
-			inj := chaos.New(88)
-			inj.TaskDelay = 300 * time.Millisecond
-			inj.DelayMatch = func(stage, part, attempt, exec int) bool {
-				return stage == wcReduceStage && part == 3 && attempt == 1
-			}
-			ctx := chaosCtx(t, kind, inj, func(c *Config) {
-				c.SpeculationEnabled = true
-			})
-			got := wordCountOn(t, ctx)
-			if !reflect.DeepEqual(got, want) {
-				t.Error("result differs after a speculative reduce race")
-			}
-			m := ctx.Counters()
-			if m[obs.SpeculativeLaunched] == 0 {
-				t.Error("no speculative attempt launched for the stalled reduce task")
-			}
-			if m[obs.SpeculativeWon] == 0 {
-				t.Error("the speculative duplicate never won against a 300ms stall")
-			}
-			if m[obs.TasksFailed] != 0 {
-				t.Errorf("TasksFailed = %d, want 0 (a cancelled loser is not a failure)", m[obs.TasksFailed])
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)

@@ -212,12 +212,6 @@ type Config struct {
 	// elsewhere. 0 disables blacklisting; the last healthy executor is
 	// never blacklisted.
 	MaxExecutorFailures int
-	// SpeculationEnabled duplicates straggler map and reduce tasks at the
-	// scheduler's fixed thresholds (sched.Config.Speculate). Reduce stages
-	// qualify under stage commit: inputs stay pinned, so a duplicate
-	// re-fetches them and the loser's merge is released. Action stages
-	// never speculate: result slots are not idempotent. Default off.
-	SpeculationEnabled bool
 	// Chaos, when non-nil, injects deterministic faults into task attempts
 	// (via the scheduler) and map-output fetches (via a transport
 	// wrapper) — the fault-injection harness of internal/chaos.
@@ -348,7 +342,6 @@ func New(conf Config) *Context {
 		SlotsPerExecutor:    conf.Parallelism,
 		MaxTaskRetries:      conf.MaxTaskRetries,
 		MaxExecutorFailures: conf.MaxExecutorFailures,
-		Speculate:           conf.SpeculationEnabled,
 		Recorder:            c.rec,
 		Faults:              faults,
 	})

@@ -522,10 +522,11 @@ func TestCountAndForeach(t *testing.T) {
 // flag, benchmark workload or deployment sets is a constant, not a field.
 // The ceiling only goes down; a raise states its reason here, as the CI
 // line ratchets do. (29 -> 20 when the fetch pipeline's shape, the fetch
-// retry count, probation and the speculation thresholds became constants.)
+// retry count, probation and the speculation thresholds became constants;
+// 20 -> 19 when speculative execution, which no run turned on, was deleted.)
 func TestConfigSurface(t *testing.T) {
-	if n := leafFields(reflect.TypeOf(Config{})); n > 20 {
-		t.Errorf("engine.Config has %d settable values, the ceiling is 20", n)
+	if n := leafFields(reflect.TypeOf(Config{})); n > 19 {
+		t.Errorf("engine.Config has %d settable values, the ceiling is 19", n)
 	}
 }
 

@@ -43,7 +43,7 @@ type fetchResult struct {
 // worker, and per-executor local/remote locality is accounted at fetch
 // time on the destination executor. Serving is non-consuming under the
 // stage-commit protocol — the source registration stays pinned, so a
-// retried or speculative attempt re-fetches the same outputs. The
+// retried attempt re-fetches the same outputs. The
 // deadlock shape of ordered delivery + byte budgeting is
 // avoided by construction: workers acquire the budget *before* taking a
 // ticket (tickets are issued in m order), and a fetch in progress never

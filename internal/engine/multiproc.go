@@ -198,14 +198,14 @@ func noPartial(fn func(t sched.Attempt, ex *Executor) error) taskBody[struct{}] 
 }
 
 // stage names one stage of the mirrored program: the key every role meets
-// on, the partition ids its tasks run over, whether stragglers among them
-// may be duplicated, and — on a reduce stage — who re-runs map tasks whose
-// outputs an attempt finds lost.
+// on, the partition ids its tasks run over, whether a completed task may
+// be re-run (sched.StageOptions.Idempotent), and — on a reduce stage — who
+// re-runs map tasks whose outputs an attempt finds lost.
 type stage struct {
-	key          string
-	parts        []int
-	speculatable bool
-	rep          *lineageRepair
+	key        string
+	parts      []int
+	idempotent bool
+	rep        *lineageRepair
 }
 
 // denseParts is the partition set of a full stage: every id in [0, n).
@@ -255,10 +255,10 @@ func runStage[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
 // trip to the driver, and the outcome is a ctl.TaskResult (taskResult).
 func onWire[P any](c *Context, body taskBody[P], partial bool) ctl.StageBody {
 	me := c.follower.ID()
-	return func(stage, part, attempt int, cancel <-chan struct{}) ctl.TaskResult {
+	return func(stage, part, attempt int) ctl.TaskResult {
 		return taskResult(func() (raw []byte, err error) {
 			defer recoverErr(&err)
-			v, err := body(sched.ExternalAttempt(stage, part, attempt, me, cancel), c.execs[me])
+			v, err := body(sched.Attempt{Stage: stage, Part: part, Attempt: attempt, Exec: me}, c.execs[me])
 			if err != nil || !partial {
 				return nil, err
 			}
@@ -274,7 +274,7 @@ func taskResult(raw []byte, err error) ctl.TaskResult {
 	if err == nil {
 		return ctl.TaskResult{OK: true, Result: raw}
 	}
-	res := ctl.TaskResult{ErrMsg: err.Error(), Canceled: errors.Is(err, sched.ErrCanceled)}
+	res := ctl.TaskResult{ErrMsg: err.Error()}
 	var missing *MissingOutputError
 	if errors.As(err, &missing) {
 		res.MissingDataset, res.MissingEpoch = missing.Dataset, missing.Epoch
@@ -287,16 +287,15 @@ func taskResult(raw []byte, err error) ctl.TaskResult {
 }
 
 // dispatch runs a stage's tasks through the scheduler (retries,
-// blacklist-aware placement, speculation) without settling a verdict —
-// runStage's deciding arms, and the lineage repair's re-dispatch inside a
-// still-open exchange. The local arm runs the body on this process's
-// executor goroutines; the driver arm ships each attempt as a descriptor,
-// relays the attempt's cancel signal as a CancelTask frame, and turns the
-// TaskResult back into the error value the local arm would have seen.
+// blacklist-aware placement) without settling a verdict — runStage's
+// deciding arms, and the lineage repair's re-dispatch inside a still-open
+// exchange. The local arm runs the body on this process's executor
+// goroutines; the driver arm ships each attempt as a descriptor and turns
+// the TaskResult back into the error value the local arm would have seen.
 // Either way a failed attempt that names lost map outputs gets exactly
 // those map tasks re-run before the scheduler retries it.
 func dispatch[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
-	opts := sched.StageOptions{Speculatable: st.speculatable}
+	opts := sched.StageOptions{Idempotent: st.idempotent}
 	if c.rec != nil {
 		opts.OnStart = func(id int) { c.noteStageStart(st.key, id) }
 	}
@@ -307,7 +306,7 @@ func dispatch[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
 	}
 	if d := c.driver; d != nil {
 		run = func(t sched.Attempt) (v P, err error) {
-			res, err := d.d.RunTask(t.Exec, st.key, t.Stage, t.Part, t.Attempt, t.CancelCh())
+			res, err := d.d.RunTask(t.Exec, st.key, t.Stage, t.Part, t.Attempt)
 			if err != nil {
 				return v, err
 			}
@@ -338,7 +337,7 @@ func dispatch[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
 			return err
 		}
 		if ps != nil {
-			ps[t.Part] = v // attempts of one task never succeed twice where ps is set (actions do not speculate)
+			ps[t.Part] = v // a task's attempts run one at a time and action stages take no AfterAttempt faults: one success per part
 		}
 		return nil
 	})
@@ -349,14 +348,10 @@ func dispatch[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
 // a follower reported in TaskResult fields come back as the error types
 // the local arm sees.
 func taskError(exec int, res ctl.TaskResult) error {
-	switch {
-	case res.Canceled:
-		return sched.ErrCanceled
-	case len(res.LostOutputs) > 0:
+	if len(res.LostOutputs) > 0 {
 		return fmt.Errorf("executor %d: %w", exec, &LostOutputsError{IDs: res.LostOutputs})
-	default:
-		return fmt.Errorf("executor %d: %s", exec, res.ErrMsg)
 	}
+	return fmt.Errorf("executor %d: %s", exec, res.ErrMsg)
 }
 
 // endStage settles a stage at the deciding process: the verdict is

@@ -20,7 +20,7 @@ import (
 //	/metrics   Prometheus text: every engine counter, per executor and
 //	           cluster-aggregated, plus transport serve/copy stats
 //	/stages    JSON: live stage summaries with in-flight attempt states
-//	/executors JSON: per-executor scheduler state (blacklist, probation),
+//	/executors JSON: per-executor scheduler state (attempt failures, blacklist),
 //	           liveness, data-plane counters, in-flight fetch bytes
 //	/memory    JSON: per-executor page and spill accounting plus the
 //	           per-shuffle occupancy time series

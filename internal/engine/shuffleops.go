@@ -103,9 +103,7 @@ func shuffleStageKey(sh transport.ShuffleID, epoch int, phase string) string {
 // from partition m of d, spilling under the derived threshold, and
 // register each with the transport — wrapped in a payload carrying the
 // buffer's frame encoder (payloadFor), so a networked transport can frame
-// it without knowing its type. The fill loop polls for cooperative
-// cancellation so the loser of a speculative race releases its buffers
-// and bails out early.
+// it without knowing its type.
 func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	ctx *Context,
 	d *Dataset[decompose.Pair[K, V]],
@@ -143,10 +141,6 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		r := shuffle.Partition(key.Hash(p.Key), R)
 		bufs[r].Put(p.Key, p.Value)
 		records++
-		if records&1023 == 0 && t.Canceled() {
-			iterErr = sched.ErrCanceled
-			return false
-		}
 		if trackers[r].add() {
 			// Sample page occupancy at the moment the spill decision fires:
 			// the used/footprint ratio right before pages flush to disk is
@@ -166,11 +160,6 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	}
 	if iterErr != nil {
 		return iterErr
-	}
-	if t.Canceled() {
-		// The twin attempt won while this one filled; drop the buffers
-		// instead of displacing the winner's registered outputs.
-		return sched.ErrCanceled
 	}
 	for r, b := range bufs {
 		b.Seal() // nothing probes a map output again: its index goes back now, not at stage commit
@@ -289,11 +278,6 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 				return zero, err
 			}
 		}
-		if t.Canceled() {
-			// A speculative twin won (or the stage aborted); the merged
-			// partial is released by the deferred cleanup.
-			return zero, sched.ErrCanceled
-		}
 	}
 	if len(lost) > 0 {
 		return zero, &LostOutputsError{IDs: lost}
@@ -383,10 +367,10 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		return nil, prev, err
 	}
 
-	// The map stage is speculatable: two attempts of the same map task
-	// build private buffers and register content-identical outputs, and
-	// Register's replace semantics release whichever set is displaced.
-	maps := stage{key: shuffleStageKey(shufID, epoch, "map"), parts: denseParts(M), speculatable: true}
+	// The map stage is idempotent: a re-run of a completed map task builds
+	// private buffers and registers content-identical outputs, and
+	// Register's replace semantics release the set it displaces.
+	maps := stage{key: shuffleStageKey(shufID, epoch, "map"), parts: denseParts(M), idempotent: true}
 	mapBody := noPartial(func(t sched.Attempt, ex *Executor) error {
 		return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, t, ex)
 	})
@@ -398,17 +382,16 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		ctx.testAfterMapStage(shufID)
 	}
 
-	// The reduce stage speculates whenever speculation is on: under the
-	// commit protocol duplicate reduce attempts are safe (both re-fetch
-	// pinned inputs; the loser's merge is released below or by its cancel
-	// poll). The first task with a buffer to keep makes the map, so a
-	// process that runs none of the tasks holds nothing.
+	// A reduce task keeps its merged output, so the stage is not
+	// idempotent: a failed attempt retries against the still-pinned map
+	// outputs, a completed one is never re-run. The first task with a
+	// buffer to keep makes the map, so a process that runs none of the
+	// tasks holds nothing.
 	var outMu sync.Mutex
 	var outputs map[int]releasable
 	reduces := stage{
 		key: shuffleStageKey(shufID, epoch, "reduce"), parts: denseParts(R),
-		speculatable: ctx.conf.SpeculationEnabled,
-		rep:          &lineageRepair{ctx: ctx, maps: maps, body: mapBody},
+		rep: &lineageRepair{ctx: ctx, maps: maps, body: mapBody},
 	}
 	err = runStage(ctx, reduces, nil, noPartial(func(t sched.Attempt, ex *Executor) error {
 		merged, err := shuffleReduceBody(ctx, shufID, M, t, ex, newBuf)
@@ -418,7 +401,9 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 		outMu.Lock()
 		defer outMu.Unlock()
 		if _, dup := outputs[t.Part]; dup {
-			merged.Release() // a duplicate attempt lost; keep the first
+			// A leak guard, not a race: a task's attempts run one at a time
+			// and a completed reduce is never re-run. Keep the first.
+			merged.Release()
 			return nil
 		}
 		if outputs == nil {

@@ -24,8 +24,9 @@ import (
 // Which functions are checked is not ad hoc: chaos.PureDecisionFuncs is
 // the single documented manifest of decision paths, and //deca:pure
 // annotations must match it — a manifest entry without the annotation,
-// or an annotated chaos/sched function missing from the manifest, is
-// itself a diagnostic. Packages outside chaos/sched may opt functions in
+// an annotated chaos/sched function missing from the manifest, or an entry
+// naming a chaos/sched function that is no longer declared, is itself a
+// diagnostic. Packages outside chaos/sched may opt functions in
 // with //deca:pure alone. The check is intra-procedural: calls out to
 // unannotated helpers are not followed, so keep decision arithmetic in
 // the annotated function.
@@ -47,10 +48,11 @@ func runDeterminism(p *Pass) {
 	for _, name := range chaos.PureDecisionFuncs {
 		manifest[name] = true
 	}
+	declared := make(map[string]bool)
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
 				continue
 			}
 			obj, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
@@ -58,6 +60,10 @@ func runDeterminism(p *Pass) {
 				continue
 			}
 			name := FuncName(obj)
+			declared[name] = true
+			if fd.Body == nil {
+				continue
+			}
 			annotated := p.Ann.Pure[name]
 			listed := manifest[name]
 			if listed && !annotated {
@@ -71,6 +77,17 @@ func runDeterminism(p *Pass) {
 			if annotated || listed {
 				checkPurity(p, fd)
 			}
+		}
+	}
+	if !manifestPackages[p.Pkg.PkgPath] || len(p.Pkg.Files) == 0 {
+		return
+	}
+	// A stale entry has no declaration to report at; the package clause
+	// stands in for it.
+	for _, name := range chaos.PureDecisionFuncs {
+		if strings.HasPrefix(name, p.Pkg.PkgPath+".") && !declared[name] {
+			p.Reportf(p.Pkg.Files[0].Name.Pos(),
+				"chaos.PureDecisionFuncs lists %s, which is not declared; delete the entry with the function", name)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package lint
 
 import (
 	"regexp"
+	"slices"
 	"testing"
+
+	"deca/internal/chaos"
 )
 
 // The golden harness type-checks a testdata package, runs exactly one
@@ -81,6 +84,19 @@ func TestPtrEscapeGolden(t *testing.T) {
 
 func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, Determinism, "determinism", "determinism")
+}
+
+// TestDeterminismReportsStaleManifestEntries: in a manifest package, an
+// entry of chaos.PureDecisionFuncs naming a function the package no longer
+// declares is reported — it would otherwise stay in the manifest, checking
+// nothing. Another package's entries are not this package's to judge.
+func TestDeterminismReportsStaleManifestEntries(t *testing.T) {
+	defer func(m []string) { chaos.PureDecisionFuncs = m }(chaos.PureDecisionFuncs)
+	chaos.PureDecisionFuncs = append(slices.Clone(chaos.PureDecisionFuncs),
+		"manifestpkg.kept", "manifestpkg.T.method", "manifestpkg.deleted", "otherpkg.deleted")
+	manifestPackages["manifestpkg"] = true
+	defer delete(manifestPackages, "manifestpkg")
+	runGolden(t, Determinism, "manifestpkg", "manifestpkg")
 }
 
 func TestWireSafeGolden(t *testing.T) {

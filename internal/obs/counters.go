@@ -9,7 +9,8 @@ import "sync/atomic"
 // increment site.
 //
 // The numeric value is the counter's position in the heartbeat snapshot
-// (internal/ctl): append new counters before NumCounters, never renumber.
+// (internal/ctl): append new counters before NumCounters, never renumber
+// an executor-scoped one. Driver-scoped positions never cross the wire.
 type Counter uint8
 
 const (
@@ -34,8 +35,6 @@ const (
 	TasksFailed
 	TaskRetries
 	LineageMapReruns
-	SpeculativeLaunched
-	SpeculativeWon
 	ExecutorsBlacklisted
 	NumCounters
 )
@@ -109,8 +108,7 @@ var counterTable = [NumCounters]CounterRow{
 	// What the cache blocks now on disk only held in memory.
 	CacheSwappedBytes: {"cache_swapped_bytes", true, ScopeExecutor},
 	// Task *attempts* started and failed on the executor: a task retried
-	// twice contributes three runs and up to three failures, and a
-	// speculative duplicate counts like any other attempt.
+	// twice contributes three runs and up to three failures.
 	TasksRun:    {"tasks_run", false, ScopeDriver},
 	TasksFailed: {"tasks_failed", false, ScopeDriver},
 	// Retry attempts launched after a failure — the recomputed-task volume
@@ -121,9 +119,6 @@ var counterTable = [NumCounters]CounterRow{
 	// exchange — were recomputed. Booked on the executor the re-run is
 	// placed on.
 	LineageMapReruns: {"lineage_map_reruns", false, ScopeDriver},
-	// Straggler duplicates launched, and how many beat the original attempt.
-	SpeculativeLaunched: {"speculative_launched", false, ScopeDriver},
-	SpeculativeWon:      {"speculative_won", false, ScopeDriver},
 	// Times the executor was removed from placement: after repeated attempt
 	// failures, or because its process died.
 	ExecutorsBlacklisted: {"executors_blacklisted", false, ScopeDriver},

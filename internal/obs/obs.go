@@ -24,11 +24,11 @@ type Kind uint8
 const (
 	KindNone Kind = iota
 	// Task attempt lifecycle (driver-side, from the scheduler).
-	KindTaskStart      // Exec/Stage/Part/Attempt; B=1 if speculative
-	KindTaskFinish     // same ids; A=duration ns; B=0 ok, 1 failed; Key=error
-	KindTaskRetry      // Exec/Stage/Part/Attempt of the retry launched
-	KindTaskSpeculate  // same ids, of a speculative duplicate launched
-	KindSpeculativeWon // same ids: the duplicate beat the primary
+	KindTaskStart  // Exec/Stage/Part/Attempt
+	KindTaskFinish // same ids; A=duration ns; B=0 ok, 1 failed; Key=error
+	KindTaskRetry  // Exec/Stage/Part/Attempt of the retry launched
+	_              // 4 and 5 were the deleted speculation events
+	_
 	KindExecutorBlacklisted
 	// Stage lifecycle (driver-side, from the exchange loop and the
 	// multiproc stage-commit protocol).
@@ -57,8 +57,6 @@ var kindNames = [...]string{
 	KindTaskStart:           "task_start",
 	KindTaskFinish:          "task_finish",
 	KindTaskRetry:           "task_retry",
-	KindTaskSpeculate:       "task_speculate",
-	KindSpeculativeWon:      "speculative_won",
 	KindExecutorBlacklisted: "executor_blacklisted",
 	KindStageBegin:          "stage_begin",
 	KindStageVerdict:        "stage_verdict",

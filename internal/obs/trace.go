@@ -13,7 +13,7 @@ import (
 // tools' "idle" conventions, and the driver's pseudo-exec -1 maps to
 // pid 1000). Task attempts become complete ("X") slices on tid = part,
 // stage spans live on a dedicated driver-lane process, retries /
-// speculation / blacklists / fetch failures are instants ("i"), and GC
+// blacklists / fetch failures are instants ("i"), and GC
 // plus shuffle occupancy samples are counter ("C") series.
 
 type traceEvent struct {
@@ -61,9 +61,8 @@ func WriteTrace(w io.Writer, events []Event) error {
 	}
 
 	type openAttempt struct {
-		startNanos  int64
-		exec        int32
-		speculative bool
+		startNanos int64
+		exec       int32
 	}
 	type attemptID struct {
 		stage, part, attempt int32
@@ -80,7 +79,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 		switch e.Kind {
 		case KindTaskStart:
 			openAttempts[attemptID{e.Stage, e.Part, e.Attempt}] = openAttempt{
-				startNanos: e.Nanos, exec: e.Exec, speculative: e.B != 0,
+				startNanos: e.Nanos, exec: e.Exec,
 			}
 		case KindTaskFinish:
 			id := attemptID{e.Stage, e.Part, e.Attempt}
@@ -133,8 +132,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 				PID: stageLanePID, TID: int64(id),
 				Args: map[string]any{"verdict": verdictName(true, e.A)},
 			})
-		case KindTaskRetry, KindTaskSpeculate, KindSpeculativeWon,
-			KindExecutorBlacklisted, KindFetchFailed, KindStageAbort, KindStageCommit:
+		case KindTaskRetry, KindExecutorBlacklisted, KindFetchFailed, KindStageAbort, KindStageCommit:
 			pid := tracePID(e.Exec)
 			notePID(pid, fmt.Sprintf("executor %d", e.Exec))
 			args := map[string]any{}

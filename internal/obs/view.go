@@ -45,9 +45,8 @@ type stageAgg struct {
 }
 
 type runningAttempt struct {
-	exec        int32
-	startNanos  int64
-	speculative bool
+	exec       int32
+	startNanos int64
 }
 
 // OccupancyPoint is one sample of a shuffle buffer's live bytes vs its
@@ -114,7 +113,7 @@ func (v *View) aggregate(e Event) {
 		s := v.stage(e.Stage)
 		s.started++
 		s.running[attemptKey{e.Part, e.Attempt}] = runningAttempt{
-			exec: e.Exec, startNanos: e.Nanos, speculative: e.B != 0,
+			exec: e.Exec, startNanos: e.Nanos,
 		}
 	case KindTaskFinish:
 		s := v.stage(e.Stage)
@@ -227,11 +226,10 @@ func (v *View) Dropped() uint64 {
 
 // AttemptState is one in-flight attempt in a stage summary.
 type AttemptState struct {
-	Part        int32 `json:"part"`
-	Attempt     int32 `json:"attempt"`
-	Exec        int32 `json:"exec"`
-	StartNanos  int64 `json:"start_nanos"`
-	Speculative bool  `json:"speculative,omitempty"`
+	Part       int32 `json:"part"`
+	Attempt    int32 `json:"attempt"`
+	Exec       int32 `json:"exec"`
+	StartNanos int64 `json:"start_nanos"`
 }
 
 // StageSummary is the /stages row for one scheduled stage.
@@ -285,7 +283,7 @@ func (v *View) Stages() []StageSummary {
 		for k, r := range s.running {
 			sum.Running = append(sum.Running, AttemptState{
 				Part: k.part, Attempt: k.attempt, Exec: r.exec,
-				StartNanos: r.startNanos, Speculative: r.speculative,
+				StartNanos: r.startNanos,
 			})
 		}
 		sort.Slice(sum.Running, func(i, j int) bool {

@@ -1,20 +1,16 @@
 // Package sched is the fault-tolerant task scheduler behind the engine's
 // stages. It replaces the engine's original inline runTasks loop with a
 // Spark-shaped recovery model: every (stage, partition) runs as a chain of
-// task *attempts* with a per-task retry budget; repeated attempt failures
-// on one executor blacklist it cluster-wide, after which placement
-// re-routes that executor's partitions to the surviving ones; and stages
-// whose tasks are safe to duplicate — map stages, whose
-// side effect is map-output registration replacing idempotently, and
-// reduce stages under the engine's stage-commit shuffle protocol, whose
-// fetches are non-consuming — can launch a speculative copy of straggler
-// tasks past a quantile-based runtime threshold, the loser being
-// cancelled cooperatively.
+// task *attempts*, one at a time, with a per-task retry budget; repeated
+// attempt failures on one executor blacklist it cluster-wide, after which
+// placement re-routes that executor's partitions to the surviving ones.
+// Retry, blacklist and the engine's lineage re-run of lost map outputs are
+// the whole recovery story: a task never has two attempts in flight.
 //
 // The package is engine-agnostic: it schedules opaque attempt bodies over
 // integer executor ids. It keeps its own per-executor counts (Counters),
 // which the engine pulls into each executor's counter vector, and records
-// its attempt, retry, speculation and blacklist events into the obs spine
+// its attempt, retry and blacklist events into the obs spine
 // (Config.Recorder). The engine adapts bodies to its Executor objects and
 // wires the deterministic fault-injection harness (internal/chaos) in
 // through the FaultInjector seam, so every recovery path is testable
@@ -30,41 +26,19 @@ import (
 	"deca/internal/obs"
 )
 
-// ErrCanceled is returned by attempt bodies (and fault injectors) that
-// observed their cancellation signal — the task's twin attempt already
-// completed it. The scheduler treats it as a clean exit, not a failure:
-// it is not counted, not retried, and not held against the executor.
-var ErrCanceled = errors.New("sched: attempt canceled (task completed by a twin attempt)")
-
 // FaultInjector is the seam for deterministic fault injection
 // (internal/chaos implements it). Both methods may return an injected
-// error; BeforeAttempt may also block (an injected straggler delay), in
-// which case it must unblock when cancel closes and return ErrCanceled.
+// error.
 type FaultInjector interface {
 	// BeforeAttempt runs before the attempt body.
-	BeforeAttempt(stage, part, attempt, exec int, cancel <-chan struct{}) error
-	// AfterAttempt runs after a successful attempt body, on speculatable
-	// stages only (their side effects are idempotent under re-execution);
+	BeforeAttempt(stage, part, attempt, exec int) error
+	// AfterAttempt runs after a successful attempt body, on idempotent
+	// stages only (their side effects replace under re-execution);
 	// an error fails the attempt *after* its side effects landed (the
 	// "executor died before reporting success" case — the retry's
 	// re-registration then displaces the completed attempt's outputs).
 	AfterAttempt(stage, part, attempt, exec int) error
 }
-
-// The straggler thresholds speculation runs at.
-const (
-	// speculationQuantile is the fraction of a stage's tasks that must have
-	// finished before any straggler is duplicated.
-	speculationQuantile = 0.75
-	// speculationMultiplier scales the median successful-attempt runtime
-	// into the straggler threshold.
-	speculationMultiplier = 1.5
-	// speculationMinRuntime floors the straggler threshold, so microsecond
-	// tasks do not speculate on scheduling noise.
-	speculationMinRuntime = 30 * time.Millisecond
-	// speculationInterval is the straggler-monitor tick.
-	speculationInterval = 2 * time.Millisecond
-)
 
 // Config sizes a Cluster.
 type Config struct {
@@ -82,14 +56,8 @@ type Config struct {
 	// have failed on it. 0 disables blacklisting. The last healthy
 	// executor is never blacklisted.
 	MaxExecutorFailures int
-	// Speculate duplicates stragglers of speculatable stages (default off:
-	// it duplicates work). Once speculationQuantile of a stage's tasks
-	// finished, a task running longer than speculationMultiplier × their
-	// median runtime, and at least speculationMinRuntime, gets one twin.
-	Speculate bool
 	// Recorder receives the scheduler's events: each attempt's start and
-	// finish, retries, speculative launches and wins, blacklistings (nil =
-	// none).
+	// finish, retries and blacklistings (nil = none).
 	Recorder *obs.Recorder
 	// Faults is the fault-injection seam (nil = no injected faults).
 	Faults FaultInjector
@@ -140,9 +108,8 @@ func NewCluster(conf Config) *Cluster {
 }
 
 // Counters reads what the scheduler counted against one executor: task
-// attempts run and failed (retries and speculative duplicates are attempts
-// too), retries launched, speculative duplicates launched and won, and
-// blacklistings. Every other counter reads 0.
+// attempts run and failed (retries are attempts too), retries launched,
+// and blacklistings. Every other counter reads 0.
 func (c *Cluster) Counters(exec int) obs.CounterValues { return c.execs[exec].counts.Load() }
 
 // Place is the affinity rule: partition p lives on executor p mod N while
@@ -155,33 +122,17 @@ func (c *Cluster) Counters(exec int) obs.CounterValues { return c.execs[exec].co
 func (c *Cluster) Place(part int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.placeLocked(part, -1)
-}
-
-// placeLocked resolves placement, optionally avoiding one executor (a
-// speculative duplicate should not run beside the attempt it is racing).
-//
-//deca:pure
-func (c *Cluster) placeLocked(part, avoid int) int {
 	n := c.conf.NumExecutors
 	home := part % n
-	if !c.execs[home].Blacklisted && home != avoid {
+	if !c.execs[home].Blacklisted {
 		return home
 	}
+	// Never empty: the last healthy executor is never blacklisted.
 	candidates := make([]int, 0, n)
 	for e := 0; e < n; e++ {
-		if !c.execs[e].Blacklisted && e != avoid {
+		if !c.execs[e].Blacklisted {
 			candidates = append(candidates, e)
 		}
-	}
-	if len(candidates) == 0 {
-		// Only the avoided executor is healthy; use it anyway.
-		for e := 0; e < n; e++ {
-			if !c.execs[e].Blacklisted {
-				return e
-			}
-		}
-		return home // unreachable: the last healthy executor is never blacklisted
 	}
 	return candidates[part%len(candidates)]
 }
@@ -263,16 +214,12 @@ func (c *Cluster) States() []ExecutorState {
 
 // StageOptions selects per-stage scheduling behaviour.
 type StageOptions struct {
-	// Speculatable marks the stage's tasks as safe to run twice
-	// concurrently: their side effects must be idempotent under
-	// duplication. Map stages qualify because map-output registration
-	// replaces (Transport.Register displaces, and the displaced buffers
-	// are released); reduce stages qualify under the stage-commit shuffle
-	// protocol, where fetches are non-consuming frame copies and the
-	// engine keeps only the first attempt's merged output. Action stages
-	// that write shared result slots must likewise guard their slot
-	// against a duplicate delivery before opting in.
-	Speculatable bool
+	// Idempotent marks the stage's tasks as safe to re-run after one of
+	// their attempts succeeded: their side effects must replace, not add
+	// up. Map stages qualify because map-output registration replaces
+	// (Transport.Register displaces, and the displaced buffers are
+	// released). Only idempotent stages take AfterAttempt faults.
+	Idempotent bool
 	// OnStart, when set, receives the scheduler-assigned stage id before
 	// any attempt launches — the seam observability uses to correlate a
 	// caller-side stage name with the ids attempt events carry.
@@ -283,52 +230,17 @@ type StageOptions struct {
 type Attempt struct {
 	Stage   int
 	Part    int
-	Attempt int // 1-based, unique per task across retries and speculation
+	Attempt int // 1-based; a task's attempts run one after another in this order
 	Exec    int
-	// Speculative marks duplicate attempts racing a straggler.
-	Speculative bool
-
-	cancel <-chan struct{}
 }
-
-// ExternalAttempt builds the attempt descriptor for a task dispatched by
-// a remote scheduler (the multi-process control plane): the driver's
-// sched.Cluster made the placement and retry decisions, and the executor
-// process only executes the body. cancel carries the driver's CancelTask
-// signal into the body's cooperative polling; nil means no cancellation
-// is plumbed and Canceled always reports false.
-func ExternalAttempt(stage, part, attempt, exec int, cancel <-chan struct{}) Attempt {
-	return Attempt{Stage: stage, Part: part, Attempt: attempt, Exec: exec, cancel: cancel}
-}
-
-// CancelCh exposes the attempt's cancellation signal for dispatchers
-// that relay it across a process boundary — the multiproc driver selects
-// on it to send CancelTask. nil means cancellation was not plumbed.
-func (a Attempt) CancelCh() <-chan struct{} { return a.cancel }
-
-// Canceled reports whether the task was completed by a twin attempt;
-// long-running bodies should poll it and bail out with ErrCanceled.
-func (a Attempt) Canceled() bool {
-	select {
-	case <-a.cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// Cancel exposes the cancellation signal for select-based waits.
-func (a Attempt) Cancel() <-chan struct{} { return a.cancel }
 
 // RunStage executes body once per partition index in [0, parts), placing
 // each attempt via the cluster affinity (blacklist-aware), bounding
-// concurrency to SlotsPerExecutor per executor, retrying failed attempts
-// up to the task budget, and — for speculatable stages with speculation
-// enabled — duplicating stragglers. It waits for every attempt, including
-// losers of speculative races, before returning. Per task, only the final
-// attempt's error survives into the joined stage error (earlier failures
-// are in the recorded events); tasks that never succeeded report their
-// attempt count and final executor.
+// concurrency to SlotsPerExecutor per executor, and retrying failed
+// attempts up to the task budget. Per task, only the final attempt's
+// error survives into the joined stage error (earlier failures are in the
+// recorded events); tasks that never succeeded report their attempt count
+// and final executor.
 func (c *Cluster) RunStage(parts int, opts StageOptions, body func(Attempt) error) error {
 	ids := make([]int, parts)
 	for p := range ids {
@@ -353,41 +265,18 @@ func (c *Cluster) RunStageOn(partIDs []int, opts StageOptions, body func(Attempt
 	for i := range s.sems {
 		s.sems[i] = make(chan struct{}, c.conf.SlotsPerExecutor)
 	}
-	s.tasks = make([]*taskState, len(partIDs))
-	for i, part := range partIDs {
-		s.tasks[i] = &taskState{part: part, doneCh: make(chan struct{})}
-	}
 	if opts.OnStart != nil {
 		opts.OnStart(s.id)
 	}
-
-	var stopMonitor, monitorDone chan struct{}
-	if opts.Speculatable && c.conf.Speculate && len(s.tasks) > 1 {
-		stopMonitor = make(chan struct{})
-		monitorDone = make(chan struct{})
-		go s.monitor(stopMonitor, monitorDone, body)
+	errs := make([]error, len(partIDs))
+	var wg sync.WaitGroup
+	wg.Add(len(partIDs))
+	for i, part := range partIDs {
+		go func() {
+			defer wg.Done()
+			errs[i] = s.run(part, body)
+		}()
 	}
-	s.wg.Add(len(s.tasks))
-	for i := range s.tasks {
-		go s.primary(i, body)
-	}
-	s.wg.Wait()
-	if stopMonitor != nil {
-		// Stop the monitor before waiting on the speculative attempts: only
-		// the monitor adds to specWg, so once it has exited the Wait cannot
-		// race an Add.
-		close(stopMonitor)
-		<-monitorDone
-	}
-	s.specWg.Wait()
-
-	var errs []error
-	for _, t := range s.tasks {
-		t.mu.Lock()
-		if t.failed {
-			errs = append(errs, t.err)
-		}
-		t.mu.Unlock()
-	}
+	wg.Wait()
 	return errors.Join(errs...)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"deca/internal/chaos"
 	"deca/internal/obs"
 )
 
@@ -169,77 +170,13 @@ func TestLastHealthyExecutorIsNeverBlacklisted(t *testing.T) {
 	}
 }
 
-func TestSpeculationDuplicatesStragglerAndCancelsLoser(t *testing.T) {
-	c := NewCluster(Config{
-		NumExecutors: 2, SlotsPerExecutor: 4, MaxTaskRetries: 1,
-		Speculate: true,
-	})
-	var loserCanceled atomic.Bool
-	var straggler atomic.Int64
-	err := c.RunStage(8, StageOptions{Speculatable: true}, func(a Attempt) error {
-		if a.Part != 3 {
-			return nil
-		}
-		if straggler.Add(1) == 1 && !a.Speculative {
-			// The original attempt stalls for up to 2s — far past the 30ms
-			// floor, with every other task done in microseconds — polling
-			// for cancellation like the engine's fill loop does.
-			for i := 0; i < 2000; i++ {
-				if a.Canceled() {
-					loserCanceled.Store(true)
-					return ErrCanceled
-				}
-				time.Sleep(time.Millisecond)
-			}
-			return nil
-		}
-		return nil // the speculative duplicate finishes immediately
-	})
-	if err != nil {
-		t.Fatalf("stage failed: %v", err)
-	}
-	if got := count(c, obs.SpeculativeLaunched); got != 1 {
-		t.Errorf("speculative launches = %d, want 1", got)
-	}
-	if got := count(c, obs.SpeculativeWon); got != 1 {
-		t.Errorf("speculative wins = %d, want 1", got)
-	}
-	if !loserCanceled.Load() {
-		t.Error("losing attempt never observed its cancellation")
-	}
-	if got := count(c, obs.TasksFailed); got != 0 {
-		t.Errorf("failures = %d, want 0 (a canceled loser is not a failure)", got)
-	}
-}
-
-func TestSpeculationDisabledForNonSpeculatableStages(t *testing.T) {
-	c := NewCluster(Config{
-		NumExecutors: 2, SlotsPerExecutor: 4,
-		Speculate: true,
-	})
-	err := c.RunStage(4, StageOptions{}, func(a Attempt) error {
-		if a.Part == 0 {
-			// A straggler past every threshold (30ms floor, 1.5× a
-			// microsecond median), but not speculatable.
-			time.Sleep(150 * time.Millisecond)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := count(c, obs.SpeculativeLaunched); got != 0 {
-		t.Errorf("non-speculatable stage launched %d duplicates", got)
-	}
-}
-
 // errInjector fails chosen attempts before/after the body.
 type errInjector struct {
 	before func(stage, part, attempt, exec int) error
 	after  func(stage, part, attempt, exec int) error
 }
 
-func (i errInjector) BeforeAttempt(stage, part, attempt, exec int, _ <-chan struct{}) error {
+func (i errInjector) BeforeAttempt(stage, part, attempt, exec int) error {
 	if i.before == nil {
 		return nil
 	}
@@ -264,9 +201,9 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 			return nil
 		}},
 	})
-	// AfterAttempt faults only apply to speculatable stages — the ones
-	// whose side effects are idempotent under re-execution.
-	err := c.RunStage(2, StageOptions{Speculatable: true}, func(a Attempt) error {
+	// AfterAttempt faults only apply to idempotent stages — the ones whose
+	// side effects replace under re-execution.
+	err := c.RunStage(2, StageOptions{Idempotent: true}, func(a Attempt) error {
 		bodies.Add(1)
 		return nil
 	})
@@ -279,7 +216,7 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 	if got := count(c, obs.TaskRetries); got != 1 {
 		t.Errorf("retried = %d, want 1", got)
 	}
-	// On a non-speculatable stage the same injector fires nothing.
+	// On a non-idempotent stage the same injector fires nothing.
 	bodies.Store(0)
 	if err := c.RunStage(2, StageOptions{}, func(a Attempt) error {
 		bodies.Add(1)
@@ -288,51 +225,81 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := bodies.Load(); got != 2 {
-		t.Errorf("non-speculatable stage ran bodies %d times, want 2 (no AfterAttempt faults)", got)
+		t.Errorf("non-idempotent stage ran bodies %d times, want 2 (no AfterAttempt faults)", got)
 	}
 }
 
-// TestStageStress hammers retries, blacklisting and speculation together
-// under -race: deterministic outcome not asserted, only convergence and
-// bookkeeping sanity. The stragglers' 60ms stalls clear the 30ms floor
-// twice over, so speculative twins race them.
+// attemptLog passes BeforeAttempt on to the injector it wraps, after
+// recording the attempt number under its (stage, part), in the order the
+// attempts arrived.
+type attemptLog struct {
+	FaultInjector
+	mu   sync.Mutex
+	seen map[[2]int][]int
+}
+
+func (l *attemptLog) BeforeAttempt(stage, part, attempt, exec int) error {
+	l.mu.Lock()
+	k := [2]int{stage, part}
+	l.seen[k] = append(l.seen[k], attempt)
+	l.mu.Unlock()
+	return l.FaultInjector.BeforeAttempt(stage, part, attempt, exec)
+}
+
+// TestStageStress hammers retries and blacklisting together under -race:
+// chaos fails a share of attempts before their body, fails some first
+// attempts after it, and kills executor 3, whose failures then blacklist
+// it. Whatever fails, a task has one attempt in flight at a time: no body
+// runs beside another of its own task, and each task's attempts are
+// numbered 1..n in the order they ran. The transport's one-Register-per-id
+// and the exchange's one-output-per-part comments rest on this.
 func TestStageStress(t *testing.T) {
+	inj := chaos.New(44)
+	inj.TaskFailureRate = 0.05
+	inj.FailAfterMatch = func(_, part, attempt, _ int) bool { return part%8 == 1 && attempt == 1 }
+	inj.KillExecutor, inj.KillAfter = 3, 4
+	log := &attemptLog{FaultInjector: inj, seen: make(map[[2]int][]int)}
 	c := NewCluster(Config{
 		NumExecutors: 4, SlotsPerExecutor: 4,
-		MaxTaskRetries: 6, MaxExecutorFailures: 50,
-		Speculate: true,
+		MaxTaskRetries: 8, MaxExecutorFailures: 6,
+		Faults: log,
 	})
-	var fails atomic.Int64
+	var running sync.Map // {stage, part} of every body in flight
 	for round := 0; round < 5; round++ {
-		err := c.RunStage(32, StageOptions{Speculatable: true}, func(a Attempt) error {
-			if (a.Part+a.Attempt+round)%7 == 0 {
-				fails.Add(1)
-				return fmt.Errorf("pseudo-random failure")
+		err := c.RunStage(32, StageOptions{Idempotent: true}, func(a Attempt) error {
+			k := [2]int{a.Stage, a.Part}
+			if _, twin := running.LoadOrStore(k, a.Attempt); twin {
+				t.Errorf("stage %d task %d: attempt %d's body ran beside another attempt's", a.Stage, a.Part, a.Attempt)
+				return nil
 			}
-			if a.Part%13 == round && !a.Speculative {
-				select {
-				case <-time.After(60 * time.Millisecond):
-				case <-a.Cancel():
-					return ErrCanceled
-				}
-			}
-			if a.Canceled() {
-				return ErrCanceled
-			}
+			defer running.Delete(k)
+			time.Sleep(time.Duration(a.Part%3) * time.Millisecond)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("round %d failed: %v", round, err)
 		}
 	}
-	if count(c, obs.TasksFailed) == 0 {
-		t.Error("stress test injected no failures")
+	st := inj.Stats()
+	if st.TaskFailures == 0 || st.AfterFailures == 0 || st.Kills == 0 {
+		t.Errorf("injected %+v; every kind of fault must fire", st)
 	}
-	if count(c, obs.SpeculativeLaunched) == 0 {
-		t.Error("no straggler was ever duplicated")
+	if !c.Blacklisted(3) {
+		t.Error("the killed executor was never blacklisted")
 	}
 	if count(c, obs.TasksRun) < 5*32 {
 		t.Errorf("started = %d, want ≥ %d", count(c, obs.TasksRun), 5*32)
+	}
+	if len(log.seen) != 5*32 {
+		t.Errorf("%d tasks reached BeforeAttempt, want %d", len(log.seen), 5*32)
+	}
+	for k, attempts := range log.seen {
+		for i, a := range attempts {
+			if a != i+1 {
+				t.Errorf("stage %d task %d ran attempts %v, want 1..%d in order", k[0], k[1], attempts, len(attempts))
+				break
+			}
+		}
 	}
 }
 
@@ -375,10 +342,11 @@ func TestRunStageOnSparsePartitions(t *testing.T) {
 // TestConfigSurface ratchets the scheduler's settings. The ceiling only
 // goes down; a raise states its reason here, as the CI line ratchets do.
 // (12 -> 7 when probation was deleted and Speculation{Enabled, Quantile,
-// Multiplier, MinRuntime, Interval} became Speculate over constants.)
+// Multiplier, MinRuntime, Interval} became Speculate over constants; 7 -> 6
+// when speculative execution, which no run turned on, was deleted.)
 func TestConfigSurface(t *testing.T) {
-	if n := leafFields(reflect.TypeOf(Config{})); n > 7 {
-		t.Errorf("sched.Config has %d settable values, the ceiling is 7", n)
+	if n := leafFields(reflect.TypeOf(Config{})); n > 6 {
+		t.Errorf("sched.Config has %d settable values, the ceiling is 6", n)
 	}
 }
 

@@ -39,8 +39,8 @@ const (
 // DataServer is one executor endpoint: its registered outputs and — nil
 // in the never-dialing construction — its listener, with the serve loop
 // answering FETCH requests. Serving is non-consuming: a served entry
-// stays pinned in the store for other consumers (reduce retries,
-// speculative twins) until the consuming stage commits and the driver
+// stays pinned in the store for other consumers (reduce retries) until
+// the consuming stage commits and the driver
 // discards it, per the package's stage-commit ownership rule.
 type DataServer struct {
 	ln   net.Listener

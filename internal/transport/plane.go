@@ -93,10 +93,11 @@ type Plane struct {
 	// holds every executor's outputs.
 	client *DataClient
 
-	// regMu makes a Register one whole replacement: two speculative
-	// attempts registering the same id must not interleave their put,
-	// publish and take of the displaced entry, or one payload would be
-	// stored with no location pointing at it.
+	// regMu makes a Register one whole replacement. The scheduler runs one
+	// attempt of a task at a time, so two Registers of one id do not
+	// overlap in a job; the lock keeps that from being a caller's promise:
+	// interleaved put, publish and take of the displaced entry would store
+	// a payload no location points at.
 	regMu sync.Mutex
 
 	mu     sync.Mutex // guards stats
@@ -198,8 +199,8 @@ func (t *Plane) Addrs() []string {
 
 // Register stores the output on its source executor's node and publishes
 // the location, returning any entry it displaced — from the same node, or
-// from another local one when a retried or speculative task re-registered
-// elsewhere (a holder in another process is told to discard by the
+// from another local one when a retried or lineage-re-run task
+// re-registered elsewhere (a holder in another process is told to discard by the
 // directory). The entry is stored before it is published, so no lookup
 // can resolve to a node that does not hold it yet.
 func (t *Plane) Register(id MapOutputID, p Payload) (prev Payload, replaced bool, err error) {

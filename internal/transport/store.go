@@ -10,8 +10,7 @@ import (
 // outputStore is a node's pinned map-output registry. Serving is
 // non-consuming: an entry stays registered — pinned — until the consuming
 // stage commits (Commit) or the shuffle is dropped (Drop), so any number
-// of consumers (reduce retries, speculative twins) can fetch the same
-// output.
+// of consumers (the reduce task, its retries) can fetch the same output.
 //
 // Because a serve encodes the entry's buffer outside the lock, an entry
 // removed mid-serve cannot release its buffers immediately. The stage

@@ -10,8 +10,8 @@
 // the transport until the driver commits the consuming stage (Commit) or
 // the shuffle is dropped (Drop). Fetch serves a *copy* — an encoded wire
 // frame the consumer decodes into its own memory — and never consumes the
-// registration, so any number of consumers (reduce retries after a
-// mid-merge failure, speculative twins) can fetch the same output.
+// registration, so any number of consumers (a reduce task and its retries
+// after a mid-merge failure) can fetch the same output.
 // Commit/Drop return whatever was still registered so the caller can
 // release those buffers — the lifetime end of every map output is one of
 // those two calls, never a fetch. A payload that cannot be framed is

@@ -225,7 +225,7 @@ func TestTransportContract(t *testing.T) {
 			if _, ok, err := r.tr.Fetch(MapOutputID{Shuffle: 9}, r.reader, openBytes); ok || err != nil {
 				t.Errorf("fetch of an unregistered id = (ok=%v, err=%v), want a definitive miss", ok, err)
 			}
-			// A reduce retry, a speculative twin: every fetch serves again.
+			// A reduce attempt and its retries: every fetch serves again.
 			for i := 0; i < 3; i++ {
 				if got := mustFetch(t, r.tr, id, r.reader); got != "wire-frame-bytes" {
 					t.Errorf("fetch %d served %q", i, got)
@@ -269,9 +269,11 @@ func TestTransportContract(t *testing.T) {
 			}
 		}},
 		{"replace under concurrent registers", func(t *testing.T, r *rig) {
-			// Speculative attempts race to register one id — from different
-			// nodes where the construction hosts several. Every payload but
-			// the survivor comes back as displaced exactly once.
+			// Registers of one id race — the scheduler never issues them (a
+			// task runs one attempt at a time), but Register stays one whole
+			// replacement without that promise — from different nodes where
+			// the construction hosts several. Every payload but the survivor
+			// comes back as displaced exactly once.
 			execs := []int{r.holder}
 			if r.holder != r.reader {
 				execs = append(execs, r.reader)

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
@@ -81,37 +80,6 @@ func TestChaosWorkloadEquivalence(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestChaosWorkloadWithSpeculation: the same chaos plus straggler delays
-// and speculation enabled still converges to the fault-free answer.
-func TestChaosWorkloadWithSpeculation(t *testing.T) {
-	base := Config{
-		Mode: engine.ModeDeca, NumExecutors: 4, Parallelism: 2,
-		Partitions: 8, SpillDir: t.TempDir(), Seed: 1,
-	}
-	params := WCParams{DistinctKeys: 2000, WordsPerLine: 8, Lines: 3000}
-	ref, err := WordCount(base, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := chaos.New(5150)
-	inj.TaskFailureRate = 0.05
-	inj.TaskDelay = 60 * time.Millisecond
-	inj.DelayRate = 0.05
-	faulty := base
-	faulty.SpillDir = t.TempDir()
-	faulty.Chaos = inj
-	faulty.MaxTaskRetries = 4
-	faulty.SpeculationEnabled = true
-	got, err := WordCount(faulty, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Checksum != ref.Checksum {
-		t.Errorf("checksum %v != fault-free %v", got.Checksum, ref.Checksum)
-	}
-	assertDirEmpty(t, faulty.SpillDir)
 }
 
 func assertDirEmpty(t *testing.T, dir string) {

@@ -53,8 +53,6 @@ type Config struct {
 	// scheduler (0 = engine defaults; see engine.Config).
 	MaxTaskRetries      int
 	MaxExecutorFailures int
-	// SpeculationEnabled duplicates straggler map and reduce tasks.
-	SpeculationEnabled bool
 	// Chaos injects deterministic faults (nil = none).
 	Chaos *chaos.Injector `json:"-"`
 	// FetchFailureRate injects transient data-plane fetch faults *inside
@@ -127,7 +125,6 @@ func (c Config) newEngine() *engine.Context {
 		TransportKind:         c.TransportKind,
 		MaxTaskRetries:        c.MaxTaskRetries,
 		MaxExecutorFailures:   c.MaxExecutorFailures,
-		SpeculationEnabled:    c.SpeculationEnabled,
 		Chaos:                 c.chaosInjector(),
 		DeployKind:            c.Deploy,
 		ExecutorCmd:           c.ExecutorCmd,
@@ -164,13 +161,11 @@ type Result struct {
 	BytesSendfile           int64
 	ServeUserspaceCopyBytes int64
 	// Fault-tolerance counters: failed and retried task attempts (the
-	// recomputation volume), speculative duplicates, executors
-	// blacklisted during the run, and map tasks re-run by lineage repair
-	// after their outputs were definitively lost.
+	// recomputation volume), executors blacklisted during the run, and
+	// map tasks re-run by lineage repair after their outputs were
+	// definitively lost.
 	TasksFailed          int64
 	TaskRetries          int64
-	SpeculativeLaunched  int64
-	SpeculativeWon       int64
 	ExecutorsBlacklisted int64
 	LineageMapReruns     int64
 }
@@ -231,8 +226,6 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 		ServeUserspaceCopyBytes: v[obs.ServeUserspaceCopyBytes],
 		TasksFailed:             v[obs.TasksFailed],
 		TaskRetries:             v[obs.TaskRetries],
-		SpeculativeLaunched:     v[obs.SpeculativeLaunched],
-		SpeculativeWon:          v[obs.SpeculativeWon],
 		ExecutorsBlacklisted:    v[obs.ExecutorsBlacklisted],
 		LineageMapReruns:        v[obs.LineageMapReruns],
 	}, nil
