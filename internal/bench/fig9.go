@@ -57,9 +57,9 @@ func Fig9bLR(o Options) (*Report, error) {
 		rep.add("n=%-8d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup(Spark/Deca)=%-6s",
 			n, fmtDur(results[0].Wall), fmtDur(results[1].Wall), fmtDur(results[2].Wall),
 			speedup(spark.Wall, deca.Wall))
-		rep.add("           cache: Spark=%-9s SparkSer=%-9s Deca=%-9s swap: Spark=%s Deca=%s",
-			mb(results[0].CacheBytes), mb(results[1].CacheBytes), mb(results[2].CacheBytes),
-			mb(results[0].SwapBytes), mb(results[2].SwapBytes))
+		rep.add("           cache: Spark=%-9s SparkSer=%-9s Deca=%-9s swap: Spark=%-7s Deca=%-7s cycles=%d/%d/%d",
+			mb(results[0].CacheBytes), mb(results[1].CacheBytes), mb(results[2].CacheBytes), mb(results[0].SwapBytes),
+			mb(results[2].SwapBytes), results[0].GC.NumGC, results[1].GC.NumGC, results[2].GC.NumGC)
 	}
 	return rep, nil
 }

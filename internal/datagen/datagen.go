@@ -20,6 +20,14 @@ import (
 // in the same order: XSeq streams the records one at a time, so a consumer
 // that stores them elsewhere (a cache block, a shuffle buffer) never holds
 // the partition twice, and X collects the same stream into a slice.
+//
+// A streamed record lives for one emit. PointsSeq and VectorsSeq allocate
+// one vector per walk and overwrite it for every record, so the vector a
+// record carries is valid until the next yield, like bufio.Scanner.Bytes:
+// a consumer that encodes the record before asking for the next one (a
+// serialized or Deca cache block) costs the heap nothing per record, and
+// one that keeps it (an object cache) clones the vector. Points and Vectors
+// return records that own their vectors.
 
 // collect gathers a stream of n records.
 func collect[T any](n int, seq iter.Seq[T]) []T {
@@ -72,11 +80,12 @@ type LabeledPoint struct {
 }
 
 // PointsSeq streams n labeled points of dimension d, drawn from two
-// Gaussian-ish clusters so LR has signal to fit. Every point owns a fresh
-// Features vector.
+// Gaussian-ish clusters so LR has signal to fit. Every point carries the
+// walk's one Features vector, valid until the next yield.
 func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
 	return func(yield func(LabeledPoint) bool) {
 		r := rand.New(rand.NewSource(seed))
+		f := make([]float64, d)
 		for i := 0; i < n; i++ {
 			label := float64(1)
 			shift := 0.5
@@ -84,7 +93,6 @@ func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
 				label = -1
 				shift = -0.5
 			}
-			f := make([]float64, d)
 			for j := range f {
 				f[j] = r.NormFloat64() + shift
 			}
@@ -95,13 +103,18 @@ func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
 	}
 }
 
-// Points is PointsSeq as a slice.
+// Points is PointsSeq as a slice; every point owns its Features vector.
 func Points(seed int64, n, d int) []LabeledPoint {
-	return collect(n, PointsSeq(seed, n, d))
+	pts := make([]LabeledPoint, 0, n)
+	for p := range PointsSeq(seed, n, d) {
+		pts = append(pts, LabeledPoint{Label: p.Label, Features: slices.Clone(p.Features)})
+	}
+	return pts
 }
 
 // VectorsSeq streams n unlabeled vectors of dimension d around k cluster
-// centers, for KMeans.
+// centers, for KMeans. Every record is the walk's one vector, valid until
+// the next yield.
 func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
 	return func(yield func([]float64) bool) {
 		r := rand.New(rand.NewSource(seed))
@@ -112,9 +125,9 @@ func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
 				centers[c][j] = r.Float64() * 10
 			}
 		}
+		v := make([]float64, d)
 		for i := 0; i < n; i++ {
 			c := centers[r.Intn(k)]
-			v := make([]float64, d)
 			for j := range v {
 				v[j] = c[j] + r.NormFloat64()*0.5
 			}
@@ -125,9 +138,13 @@ func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
 	}
 }
 
-// Vectors is VectorsSeq as a slice.
+// Vectors is VectorsSeq as a slice of vectors that own their backing arrays.
 func Vectors(seed int64, n, d, k int) [][]float64 {
-	return collect(n, VectorsSeq(seed, n, d, k))
+	vecs := make([][]float64, 0, n)
+	for v := range VectorsSeq(seed, n, d, k) {
+		vecs = append(vecs, slices.Clone(v))
+	}
+	return vecs
 }
 
 // Edge is a directed graph edge.

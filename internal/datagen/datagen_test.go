@@ -191,7 +191,9 @@ func TestAppendWordMatchesFmt(t *testing.T) {
 // second walk (the RNG is seeded per walk, not per Seq), and stops when
 // told to. The last record of each is pinned to what the slice-building
 // generators produced before the streaming forms existed: one RNG call
-// out of order anywhere in the partition would move it.
+// out of order anywhere in the partition would move it. A streamed point
+// or vector is valid only until the next yield, so the walk clones each
+// one it keeps.
 func TestStreamsMatchSlices(t *testing.T) {
 	pinned := map[int64]struct {
 		word   string
@@ -213,18 +215,26 @@ func TestStreamsMatchSlices(t *testing.T) {
 		},
 	}
 	const n = 50
+	ownPoint := func(p LabeledPoint) LabeledPoint { return LabeledPoint{p.Label, slices.Clone(p.Features)} }
+	ownVector := slices.Clone[[]float64]
 	for seed, want := range pinned {
-		checkStream(t, "Words", WordsSeq(seed, 1000, 3, n), Words(seed, 1000, 3, n), want.word)
-		checkStream(t, "Points", PointsSeq(seed, n, 3), Points(seed, n, 3), want.point)
-		checkStream(t, "Vectors", VectorsSeq(seed, n, 3, 4), Vectors(seed, n, 3, 4), want.vector)
-		checkStream(t, "Graph", GraphSeq(seed, 1000, n, 0.6), Graph(seed, 1000, n, 0.6), want.edge)
+		checkStream(t, "Words", WordsSeq(seed, 1000, 3, n), asIs[string], Words(seed, 1000, 3, n), want.word)
+		checkStream(t, "Points", PointsSeq(seed, n, 3), ownPoint, Points(seed, n, 3), want.point)
+		checkStream(t, "Vectors", VectorsSeq(seed, n, 3, 4), ownVector, Vectors(seed, n, 3, 4), want.vector)
+		checkStream(t, "Graph", GraphSeq(seed, 1000, n, 0.6), asIs[Edge], Graph(seed, 1000, n, 0.6), want.edge)
 	}
 }
 
-func checkStream[T any](t *testing.T, name string, stream iter.Seq[T], slice []T, last T) {
+// checkStream collects stream through own, which gives the kept record the
+// memory it may not borrow from the walk.
+func checkStream[T any](t *testing.T, name string, stream iter.Seq[T], own func(T) T, slice []T, last T) {
 	t.Helper()
 	for walk := 1; walk <= 2; walk++ {
-		if got := slices.Collect(stream); !reflect.DeepEqual(got, slice) {
+		var got []T
+		for v := range stream {
+			got = append(got, own(v))
+		}
+		if !reflect.DeepEqual(got, slice) {
 			t.Errorf("%s: walk %d of the stream differs from the slice form", name, walk)
 		}
 	}
@@ -239,5 +249,68 @@ func checkStream[T any](t *testing.T, name string, stream iter.Seq[T], slice []T
 	}
 	if seen != 3 {
 		t.Errorf("%s: stream yielded %d records before a stop at 3", name, seen)
+	}
+}
+
+func asIs[T any](v T) T { return v }
+
+// TestVectorStreamsAllocatePerWalk: a walk of PointsSeq or VectorsSeq
+// allocates its RNG and one vector (VectorsSeq its centers too), however
+// many records it yields — the vector is overwritten for every record.
+func TestVectorStreamsAllocatePerWalk(t *testing.T) {
+	const n, d, k = 10_000, 10, 8
+	walks := map[string]func(n int) func(){
+		"PointsSeq": func(n int) func() {
+			return func() {
+				for p := range PointsSeq(1, n, d) {
+					sinkF64 = p.Features
+				}
+			}
+		},
+		"VectorsSeq": func(n int) func() {
+			return func() {
+				for v := range VectorsSeq(1, n, d, k) {
+					sinkF64 = v
+				}
+			}
+		},
+	}
+	for name, walk := range walks {
+		one := testing.AllocsPerRun(5, walk(1))
+		long := testing.AllocsPerRun(5, walk(n))
+		if long != one {
+			t.Errorf("%s: a %d-record walk makes %v allocations, a 1-record walk %v", name, n, long, one)
+		}
+	}
+}
+
+var sinkF64 []float64
+
+// TestSliceFormsOwnTheirVectors: Points and Vectors hand out vectors that
+// share no memory, so overwriting one record leaves every other intact.
+func TestSliceFormsOwnTheirVectors(t *testing.T) {
+	const n, d = 40, 3
+	vecs := map[string]func() [][]float64{
+		"Points": func() [][]float64 {
+			var out [][]float64
+			for _, p := range Points(7, n, d) {
+				out = append(out, p.Features)
+			}
+			return out
+		},
+		"Vectors": func() [][]float64 { return Vectors(7, n, d, 4) },
+	}
+	for name, form := range vecs {
+		got, want := form(), form()
+		for i := range got {
+			for j := range got[i] {
+				got[i][j] = -1e9
+			}
+			for k := i + 1; k < len(got); k++ {
+				if !slices.Equal(got[k], want[k]) {
+					t.Fatalf("%s: overwriting record %d changed record %d", name, i, k)
+				}
+			}
+		}
 	}
 }

@@ -53,10 +53,7 @@ func rankOps(parts int) engine.PairOps[int64, float64] {
 // undirected additionally emits each edge's reverse.
 func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected bool) (*engine.Dataset[decompose.Pair[int64, []int64]], error) {
 	cfg = cfg.withDefaults()
-	edgesPerPart := params.Edges / cfg.Partitions
-	if edgesPerPart == 0 {
-		edgesPerPart = 1
-	}
+	edgesPerPart := max(params.Edges/cfg.Partitions, 1)
 	edges := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(decompose.Pair[int64, int64])) {
 		for e := range datagen.GraphSeq(cfg.Seed+int64(p), params.Vertices, edgesPerPart, params.Skew) {
 			emit(engine.KV(e.Src, e.Dst))

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 
 	"deca/internal/datagen"
 	"deca/internal/decompose"
@@ -29,12 +30,12 @@ type KMeansParams struct {
 func KMeans(cfg Config, params KMeansParams) (Result, error) {
 	return run("KMeans", cfg, PlanSpec{Workload: "kmeans", KM: params}, func(ctx *engine.Context) (float64, error) {
 		cfg := cfg.withDefaults()
-		perPart := params.Points / cfg.Partitions
-		if perPart == 0 {
-			perPart = 1
-		}
+		perPart := max(params.Points/cfg.Partitions, 1)
 		vectors := engine.Generate(ctx, cfg.Partitions, func(p int, emit func([]float64)) {
 			for v := range datagen.VectorsSeq(cfg.Seed+int64(p), perPart, params.Dim, params.K) {
+				if cfg.Mode == engine.ModeSpark { // the object cache keeps the vector past this emit
+					v = slices.Clone(v)
+				}
 				emit(v)
 			}
 		})

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 
 	"deca/internal/datagen"
 	"deca/internal/decompose"
@@ -33,12 +34,12 @@ type LRParams struct {
 func LogisticRegression(cfg Config, params LRParams) (Result, error) {
 	return run("LR", cfg, PlanSpec{Workload: "lr", LR: params}, func(ctx *engine.Context) (float64, error) {
 		cfg := cfg.withDefaults()
-		perPart := params.Points / cfg.Partitions
-		if perPart == 0 {
-			perPart = 1
-		}
+		perPart := max(params.Points/cfg.Partitions, 1)
 		points := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(datagen.LabeledPoint)) {
 			for pt := range datagen.PointsSeq(cfg.Seed+int64(p), perPart, params.Dim) {
+				if cfg.Mode == engine.ModeSpark { // the object cache keeps the point past this emit
+					pt.Features = slices.Clone(pt.Features)
+				}
 				emit(pt)
 			}
 		})

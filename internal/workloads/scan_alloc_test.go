@@ -16,11 +16,7 @@ func TestLRGradientAllocBudget(t *testing.T) {
 	const dim, budget = 10, 2
 	weights := scanWeights(dim)
 	for name, mem := range scanManagers() {
-		var points []datagen.LabeledPoint
-		for p := range datagen.PointsSeq(1, 1_000, dim) {
-			points = append(points, p)
-		}
-		blk := cache.NewDecaBlock(mem, LabeledPointCodec{Dim: dim}, points)
+		blk := cache.NewDecaBlock(mem, LabeledPointCodec{Dim: dim}, datagen.Points(1, 1_000, dim))
 		got := testing.AllocsPerRun(20, func() { scanSink = lrGradientBlock(blk.Group(), weights) })
 		blk.Drop()
 		if got > budget {

@@ -80,10 +80,7 @@ func TestDecaGradientMatchesCodec(t *testing.T) {
 	for name, mem := range scanManagers() {
 		for _, n := range []int{256, 257, 258, 259} {
 			for _, dim := range []int{1, 8, 10} {
-				var points []datagen.LabeledPoint
-				for p := range datagen.PointsSeq(int64(dim), n, dim) {
-					points = append(points, p)
-				}
+				points := datagen.Points(int64(dim), n, dim)
 				weights := scanWeights(dim)
 				blk := cache.NewDecaBlock(mem, LabeledPointCodec{Dim: dim}, points)
 				eachRoundTrip(t, blk, func(what string) {
@@ -115,10 +112,7 @@ func TestDecaKMeansStepMatchesCodec(t *testing.T) {
 	const k = 4
 	for name, mem := range scanManagers() {
 		for _, dim := range []int{1, 8, 10} {
-			var vectors [][]float64
-			for v := range datagen.VectorsSeq(int64(dim), 257, dim, k) {
-				vectors = append(vectors, v)
-			}
+			vectors := datagen.Vectors(int64(dim), 257, dim, k)
 			centers := scanCenters(k, dim)
 			blk := cache.NewDecaBlock(mem, decompose.Float64VecCodec{Dim: dim}, vectors)
 			eachRoundTrip(t, blk, func(what string) {

@@ -33,10 +33,7 @@ func WordCount(cfg Config, params WCParams) (Result, error) {
 func wcBody(cfg Config, params WCParams) func(ctx *engine.Context) (float64, error) {
 	return func(ctx *engine.Context) (float64, error) {
 		cfg := cfg.withDefaults()
-		linesPerPart := params.Lines / cfg.Partitions
-		if linesPerPart == 0 {
-			linesPerPart = 1
-		}
+		linesPerPart := max(params.Lines/cfg.Partitions, 1)
 		lines := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(string)) {
 			for line := range datagen.WordsSeq(cfg.Seed+int64(p), params.DistinctKeys, params.WordsPerLine, linesPerPart) {
 				emit(line)
