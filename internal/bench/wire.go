@@ -19,10 +19,10 @@ import (
 // page snapshot (the records are already bytes), while an object
 // container must marshal — and on the fold re-materialize — every record
 // through the Kryo-style serializer. The experiment fills an aggregation
-// and a sort container of each flavour with identical LR-shaped records
-// (int64 key, fixed-dimension int vector), then measures encode (frame
-// segments written out) and decode (stage + fold into a fresh container)
-// throughput over the frames.
+// container of each flavour with identical LR-shaped records (int64 key,
+// fixed-dimension int vector), then measures encode (frame segments
+// written out) and decode (stage + fold into a fresh container) throughput
+// over the frames.
 func WireThroughput(o Options) (*Report, error) {
 	o = o.withDefaults()
 	rep := &Report{
@@ -52,15 +52,8 @@ func WireThroughput(o Options) (*Report, error) {
 		return nil, err
 	}
 	oAgg := shuffle.NewObjectAgg(combineVec, objCfg)
-	// Sort containers (SortByKey map output): the leanest Deca frame —
-	// pointer array + pages, no key table.
-	dSort := shuffle.NewDecaSort[int64, []int64](decaMem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
-	oSort := shuffle.NewObjectSort(lessI64, objCfg)
 	defer dAgg.Release()
 	defer oAgg.Release()
-	defer dSort.Release()
-	defer oSort.Release()
 
 	// Wide-varint element values exercise the serializer's per-element
 	// cost; Deca's page layout stores them as raw words either way. The
@@ -76,8 +69,6 @@ func WireThroughput(o Options) (*Report, error) {
 		copy(boxed, vec)
 		dAgg.Put(int64(i), vec)
 		oAgg.Put(int64(i), boxed)
-		dSort.Put(int64(i), vec)
-		oSort.Put(int64(i), boxed)
 	}
 
 	// Every row runs what the engine runs: an encode builds the container's
@@ -99,10 +90,6 @@ func WireThroughput(o Options) (*Report, error) {
 			return shuffle.NewDecaAgg(dstMem, combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
 		}},
 		{"agg  Object", oAgg.EncodeSegments, func() (folder, error) { return shuffle.NewObjectAgg(combineVec, objCfg), nil }},
-		{"sort Deca", dSort.EncodeSegments, func() (folder, error) {
-			return shuffle.NewDecaSort(dstMem, lessI64, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill), nil
-		}},
-		{"sort Object", oSort.EncodeSegments, func() (folder, error) { return shuffle.NewObjectSort(lessI64, objCfg), nil }},
 	}
 	decode := func(p path, frame []byte) error {
 		b, err := p.fresh()
@@ -153,12 +140,8 @@ func WireThroughput(o Options) (*Report, error) {
 		rep.add("%-11s frame=%-9s encode=%8.1fMB/s decode=%8.1fMB/s (records=%d dim=%d)",
 			p.label, mb(size), enc, dec, records, dim)
 	}
-	// Paths alternate Deca/Object per shape: agg at 0/1, sort at 2/3.
-	for i, shape := range []string{"agg", "sort"} {
-		d, obj := mbps[2*i], mbps[2*i+1]
-		rep.add("%-4s Deca/Object ratio: encode %.1fx, decode %.1fx",
-			shape, ratio(d[0], obj[0]), ratio(d[1], obj[1]))
-	}
+	d, obj := mbps[0], mbps[1]
+	rep.add("agg  Deca/Object ratio: encode %.1fx, decode %.1fx", ratio(d[0], obj[0]), ratio(d[1], obj[1]))
 	if err := serveFetchRows(rep, o, decaMem, records, dim, iters); err != nil {
 		return nil, err
 	}
@@ -170,25 +153,33 @@ func WireThroughput(o Options) (*Report, error) {
 // vectored (the container's segments: writev page segments, sendfile
 // spill runs) against buffered (an Encode-only registration of the same
 // container, the form Object payloads take: the transport stages every
-// byte the encoder writes before shipping it). Sort containers carry the
-// frames because their byte stream is deterministic (a pointer array, no
-// map iteration), so the two registrations must produce bit-identical
-// frames — the checksum row enforces it. The userspace-copy metric
-// records how many frame bytes each serve staged through user memory per
-// fetch: the buffered one stages the whole frame, the vectored one only
-// its varint headers and pointer tables.
+// byte the encoder writes before shipping it). Aggregation containers of
+// distinct keys carry the frames: a Deca frame is its header, its pages
+// and its runs, with no table in map order, so the two registrations must
+// produce bit-identical frames — the checksum row enforces it. The
+// userspace-copy metric records how many frame bytes each serve staged
+// through user memory per fetch: the buffered one stages the whole frame,
+// the vectored one only its varint headers.
 func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, iters int) error {
 	// In-memory container: every record in pages. Spill-backed container:
 	// the first fill forced to disk, a second fill resident — its frame
 	// exercises pages and the sendfile run path in one serve.
-	dMem := shuffle.NewDecaSort[int64, []int64](mem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
-	dSp := shuffle.NewDecaSort[int64, []int64](mem, lessI64,
-		decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
+	newAgg := func() (*shuffle.DecaAgg[int64, []int64], error) {
+		return shuffle.NewDecaAgg[int64, []int64](mem, combineVec,
+			decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, o.Base.SpillDir)
+	}
+	dMem, err := newAgg()
+	if err != nil {
+		return err
+	}
 	defer dMem.Release()
+	dSp, err := newAgg()
+	if err != nil {
+		return err
+	}
 	defer dSp.Release()
 	vec := make([]int64, dim)
-	fill := func(b *shuffle.DecaSort[int64, []int64]) {
+	fill := func(b *shuffle.DecaAgg[int64, []int64]) {
 		for i := 0; i < records; i++ {
 			for d := range vec {
 				vec[d] = int64(1)<<55 + int64(i*dim+d)
@@ -213,13 +204,13 @@ func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, i
 
 	cases := []struct {
 		label    string
-		sink     *shuffle.DecaSort[int64, []int64]
+		sink     *shuffle.DecaAgg[int64, []int64]
 		vectored bool
 	}{
-		{"serve/sort Deca mem", dMem, true},
-		{"serve/sort Deca mem", dMem, false},
-		{"serve/sort Deca spill", dSp, true},
-		{"serve/sort Deca spill", dSp, false},
+		{"serve/agg Deca mem", dMem, true},
+		{"serve/agg Deca mem", dMem, false},
+		{"serve/agg Deca spill", dSp, true},
+		{"serve/agg Deca spill", dSp, false},
 	}
 	sums := make([]uint32, len(cases))
 	rates := make([]float64, len(cases))
@@ -314,8 +305,6 @@ func combineVec(a, b []int64) []int64 {
 	}
 	return out
 }
-
-func lessI64(a, b int64) bool { return a < b }
 
 func throughputMBps(size int64, iters int, d time.Duration) float64 {
 	if d <= 0 {

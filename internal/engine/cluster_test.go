@@ -118,6 +118,22 @@ func TestMultiExecutorEquivalence(t *testing.T) {
 	}
 }
 
+// collectByKey collects d's records sorted by key (a reduce yields each
+// key once).
+func collectByKey(t *testing.T, d *Dataset[decompose.Pair[int64, int64]]) []decompose.Pair[int64, int64] {
+	t.Helper()
+	got, err := Collect(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
+	return got
+}
+
+func addI64(a, b int64) int64 { return a + b }
+
+// TestMultiExecutorGroupAndSort: GroupByKey's lists and ReduceByKey's
+// sums, each sorted by key, are the same on 4 executors as on 1.
 func TestMultiExecutorGroupAndSort(t *testing.T) {
 	for _, mode := range []Mode{ModeSpark, ModeDeca} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -148,16 +164,10 @@ func TestMultiExecutorGroupAndSort(t *testing.T) {
 				}
 			}
 
-			wantS, err := Collect(SortByKey(Parallelize(single, pairs, 8), int64Ops(4)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotS, err := Collect(SortByKey(Parallelize(multi, pairs, 8), int64Ops(4)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotS, wantS) {
-				t.Error("sorted output differs between 1 and 4 executors")
+			wantR := collectByKey(t, ReduceByKey(Parallelize(single, pairs, 8), int64Ops(4), addI64))
+			gotR := collectByKey(t, ReduceByKey(Parallelize(multi, pairs, 8), int64Ops(4), addI64))
+			if !reflect.DeepEqual(gotR, wantR) {
+				t.Error("reduced output, sorted by key, differs between 1 and 4 executors")
 			}
 		})
 	}

@@ -285,41 +285,6 @@ func TestGroupByKeyAllModes(t *testing.T) {
 	}
 }
 
-func TestSortByKeyAllModes(t *testing.T) {
-	for _, mode := range []Mode{ModeSpark, ModeDeca} {
-		t.Run(mode.String(), func(t *testing.T) {
-			ctx := testCtx(t, mode)
-			var pairs []decompose.Pair[int64, int64]
-			for i := int64(500); i > 0; i-- {
-				pairs = append(pairs, KV(i, i*3))
-			}
-			d := Parallelize(ctx, pairs, 4)
-			sorted := SortByKey(d, int64Ops(3))
-			// Each partition must be internally sorted and values correct.
-			for p := 0; p < sorted.Partitions(); p++ {
-				var keys []int64
-				err := sorted.Iterate(p, func(kv decompose.Pair[int64, int64]) bool {
-					if kv.Value != kv.Key*3 {
-						t.Fatalf("value mismatch for key %d", kv.Key)
-					}
-					keys = append(keys, kv.Key)
-					return true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-					t.Errorf("partition %d not sorted", p)
-				}
-			}
-			n, err := Count(sorted)
-			if err != nil || n != 500 {
-				t.Errorf("Count = %d, %v", n, err)
-			}
-		})
-	}
-}
-
 func TestShuffleSpilling(t *testing.T) {
 	for _, mode := range []Mode{ModeSpark, ModeDeca} {
 		t.Run(mode.String(), func(t *testing.T) {

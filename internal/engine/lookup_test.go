@@ -113,8 +113,8 @@ func TestLookupForAgreesWithCollectMap(t *testing.T) {
 				t.Errorf("epoch %d after a release and a round of probes, want 2", epoch)
 			}
 			one := Parallelize(ctx, []decompose.Pair[int64, int64]{KV(int64(1), int64(2))}, 1)
-			if _, _, err := LookupFor(SortByKey(one, int64Ops(1)), 0); err == nil {
-				t.Error("LookupFor probed a SortByKey output")
+			if _, _, err := LookupFor(GroupByKey(one, int64Ops(1)), 0); err == nil {
+				t.Error("LookupFor probed a GroupByKey output")
 			}
 			if _, _, err := LookupFor(one, 0); err == nil {
 				t.Error("LookupFor probed a dataset with no shuffle")

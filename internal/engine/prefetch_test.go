@@ -91,7 +91,7 @@ func TestPrefetchConcurrentActions(t *testing.T) {
 }
 
 // TestZeroCopyMergeEquivalence compares Deca's stage → fold reduce merge
-// against the drain/re-Put merge the Object sinks run, for all three sink
+// against the drain/re-Put merge the Object sinks run, for both sink
 // shapes on a multi-executor cluster.
 func TestZeroCopyMergeEquivalence(t *testing.T) {
 	var pairs []decompose.Pair[int64, int64]
@@ -137,25 +137,9 @@ func TestZeroCopyMergeEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(grp(ModeDeca), grp(ModeSpark)) {
 		t.Error("GroupByKey: zero-copy merge changes the answer")
 	}
-
-	// SortByKey: key sequences must match exactly.
-	srt := func(mode Mode) []int64 {
-		got, err := Collect(SortByKey(Parallelize(newCtx(mode), pairs, 8), int64Ops(4)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]int64, len(got))
-		for i, kv := range got {
-			keys[i] = kv.Key
-		}
-		return keys
-	}
-	if !reflect.DeepEqual(srt(ModeDeca), srt(ModeSpark)) {
-		t.Error("SortByKey: zero-copy merge changes the key order")
-	}
 }
 
-// TestZeroCopyMergeReleasesAllPages runs grouped and sorted Deca shuffles
+// TestZeroCopyMergeReleasesAllPages runs grouped and reduced Deca shuffles
 // with zero-copy merge on a multi-executor cluster and checks release
 // returns every adopted page on every executor's manager.
 func TestZeroCopyMergeReleasesAllPages(t *testing.T) {
@@ -168,53 +152,91 @@ func TestZeroCopyMergeReleasesAllPages(t *testing.T) {
 	if _, err := CollectMap(g); err != nil {
 		t.Fatal(err)
 	}
-	s := SortByKey(Parallelize(ctx, pairs, 8), int64Ops(4))
-	if _, err := Collect(s); err != nil {
+	r := ReduceByKey(Parallelize(ctx, pairs, 8), int64Ops(4), addI64)
+	if _, err := Collect(r); err != nil {
 		t.Fatal(err)
 	}
 	ctx.ReleaseShuffle(g.ID())
-	ctx.ReleaseShuffle(s.ID())
+	ctx.ReleaseShuffle(r.ID())
 	if in := ctx.MemoryInUse(); in != 0 {
 		t.Errorf("zero-copy merged shuffles leaked %d bytes across executors", in)
 	}
 }
 
-// TestSortedShuffleRedrainsWithSpills runs SortByKey under a spill
-// threshold small enough that map outputs carry spill runs into the
-// zero-copy merge, then drains the memoized output twice: both actions
-// must see every record, including the spilled ones.
-func TestSortedShuffleRedrainsWithSpills(t *testing.T) {
-	ctx := New(Config{
-		NumExecutors:          2,
-		Parallelism:           2,
-		Mode:                  ModeDeca,
-		PageSize:              1024,
-		SpillDir:              t.TempDir(),
-		ShuffleSpillThreshold: 256,
-	})
-	defer ctx.Close()
+// TestShuffleRedrainsWithSpills runs GroupByKey and ReduceByKey under a
+// spill threshold small enough that map outputs carry spill runs into the
+// zero-copy merge, then drains each memoized output twice: both actions
+// must see every record, the spilled ones included.
+func TestShuffleRedrainsWithSpills(t *testing.T) {
+	newCtx := func(t *testing.T) *Context {
+		ctx := New(Config{
+			NumExecutors:          2,
+			Parallelism:           2,
+			Mode:                  ModeDeca,
+			PageSize:              1024,
+			SpillDir:              t.TempDir(),
+			ShuffleSpillThreshold: 256,
+		})
+		t.Cleanup(ctx.Close)
+		return ctx
+	}
 	var pairs []decompose.Pair[int64, int64]
+	want := map[int64]int64{}
 	for i := int64(0); i < 2000; i++ {
 		pairs = append(pairs, KV(i%101, i))
+		want[i%101] += i
 	}
-	sorted := SortByKey(Parallelize(ctx, pairs, 8), int64Ops(4))
-	first, err := Collect(sorted)
-	if err != nil {
-		t.Fatal(err)
+	spilled := func(t *testing.T, ctx *Context) {
+		t.Helper()
+		if ctx.Counters()[obs.ShuffleSpillBytes] == 0 {
+			t.Fatal("test needs spills to exercise transferred runs")
+		}
 	}
-	if len(first) != len(pairs) {
-		t.Fatalf("first drain yielded %d records, want %d", len(first), len(pairs))
-	}
-	if ctx.Counters()[obs.ShuffleSpillBytes] == 0 {
-		t.Fatal("test needs spills to exercise transferred runs")
-	}
-	second, err := Collect(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("second drain differs: %d records then %d", len(first), len(second))
-	}
+
+	t.Run("GroupByKey", func(t *testing.T) {
+		ctx := newCtx(t)
+		grouped := GroupByKey(Parallelize(ctx, pairs, 8), int64Ops(4))
+		drain := func() []decompose.Pair[int64, []int64] {
+			got, err := Collect(grouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range got {
+				sort.Slice(kv.Value, func(i, j int) bool { return kv.Value[i] < kv.Value[j] })
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
+			return got
+		}
+		first := drain()
+		values := 0
+		for _, kv := range first {
+			values += len(kv.Value)
+		}
+		if len(first) != len(want) || values != len(pairs) {
+			t.Fatalf("first drain yielded %d keys and %d values, want %d and %d", len(first), values, len(want), len(pairs))
+		}
+		spilled(t, ctx)
+		if second := drain(); !reflect.DeepEqual(first, second) {
+			t.Fatalf("second drain differs: %d keys then %d", len(first), len(second))
+		}
+	})
+
+	t.Run("ReduceByKey", func(t *testing.T) {
+		ctx := newCtx(t)
+		reduced := ReduceByKey(Parallelize(ctx, pairs, 8), int64Ops(4), addI64)
+		first := collectByKey(t, reduced)
+		got := map[int64]int64{}
+		for _, kv := range first {
+			got[kv.Key] = kv.Value
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("first drain yielded %d keys that differ from the reference's %d", len(got), len(want))
+		}
+		spilled(t, ctx)
+		if second := collectByKey(t, reduced); !reflect.DeepEqual(first, second) {
+			t.Fatalf("second drain differs: %d keys then %d", len(first), len(second))
+		}
+	})
 }
 
 // countingReleasable counts Release calls (a stand-in for a shuffle

@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -46,49 +45,6 @@ func TestReduceByKeyProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSortByKeyTotalOrderProperty(t *testing.T) {
-	// With a single output partition, SortByKey produces a globally
-	// sorted sequence equal to the reference sort.
-	dir := t.TempDir()
-	prop := func(seed int64, n uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		var pairs []decompose.Pair[int64, int64]
-		var ref []int64
-		for i := 0; i < int(n)%500; i++ {
-			k := r.Int63n(100)
-			pairs = append(pairs, KV(k, k))
-			ref = append(ref, k)
-		}
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		for _, mode := range []Mode{ModeSpark, ModeDeca} {
-			ctx := New(Config{Parallelism: 2, Mode: mode, PageSize: 512, SpillDir: dir})
-			d := Parallelize(ctx, pairs, 3)
-			sorted := SortByKey(d, int64Ops(1))
-			var got []int64
-			err := sorted.Iterate(0, func(kv decompose.Pair[int64, int64]) bool {
-				got = append(got, kv.Key)
-				return true
-			})
-			ctx.Close()
-			if err != nil {
-				return false
-			}
-			if len(got) != len(ref) {
-				return false
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }

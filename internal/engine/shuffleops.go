@@ -18,9 +18,9 @@ func KV[K, V any](k K, v V) decompose.Pair[K, V] {
 	return decompose.Pair[K, V]{Key: k, Value: v}
 }
 
-// PairOps bundles the per-type helpers of a keyed shuffle: the key hash
-// and ordering, serializers (object-mode spill and SparkSer), codecs
-// (Deca page buffers), and an entry-size estimator for object buffers.
+// PairOps bundles the per-type helpers of a keyed shuffle: the key hash,
+// serializers (object-mode spill and SparkSer), codecs (Deca page
+// buffers), and an entry-size estimator for object buffers.
 type PairOps[K comparable, V any] struct {
 	Key        shuffle.Key[K]
 	KeySer     serial.Serializer[K]
@@ -83,12 +83,6 @@ type aggSink[K comparable, V any] interface {
 type groupSink[K comparable, V any] interface {
 	pairSink[K, V]
 	Drain(yield func(K, []V) bool) error
-}
-
-// sortSink is SortByKey's sink: the sort buffer variants.
-type sortSink[K comparable, V any] interface {
-	pairSink[K, V]
-	DrainSorted(yield func(K, V) bool) error
 }
 
 // shuffleStageKey names one stage of one exchange: every role derives the
@@ -469,7 +463,7 @@ type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 	drain  func(s S, yield func(T) bool) error
 }
 
-// keyedShuffle is the shell ReduceByKey, GroupByKey and SortByKey share: a
+// keyedShuffle is the shell ReduceByKey and GroupByKey share: a
 // dataset of R partitions over a memoized exchange of sh's sinks — the
 // shuffle state with its materialize/drain wiring, entered in the context's
 // registry once, for the dataset's life.
@@ -596,30 +590,6 @@ func GroupByKey[K comparable, V any](
 		}
 	}
 	return out
-}
-
-// SortByKey hash-partitions d and sorts each output partition by key
-// using the sort-based shuffle buffers of Figure 6(b): Deca mode sorts an
-// in-page pointer array, object mode sorts record objects.
-func SortByKey[K comparable, V any](
-	d *Dataset[decompose.Pair[K, V]],
-	ops PairOps[K, V],
-) *Dataset[decompose.Pair[K, V]] {
-	ctx := d.ctx
-	// Sort buffers need only codecs, as grouping ones.
-	deca, dir, cfg := ops.decaGroupAble(ctx), ctx.conf.SpillDir, ops.objectConfig(ctx)
-	return keyedShuffle(d, ops, sinkShape[K, V, decompose.Pair[K, V], sortSink[K, V]]{
-		deca: deca,
-		newBuf: func(ex *Executor) (sortSink[K, V], error) {
-			if deca {
-				return shuffle.NewDecaSort(ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, dir), nil
-			}
-			return shuffle.NewObjectSort(ops.Key.Less, cfg), nil
-		},
-		drain: func(s sortSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
-			return s.DrainSorted(func(k K, v V) bool { return yield(KV(k, v)) })
-		},
-	})
 }
 
 // shuffleState memoizes a shuffle's materialized outputs across actions,

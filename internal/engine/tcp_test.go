@@ -53,8 +53,9 @@ func TestTCPTransportEquivalence(t *testing.T) {
 	}
 }
 
-// TestTCPTransportGroupAndSort covers the remaining wire codecs through
-// the full engine path, against the in-process answers.
+// TestTCPTransportGroupAndSort covers both containers' wire frames through
+// the full engine path: GroupByKey's lists and ReduceByKey's sums, each
+// sorted by key, against the in-process answers.
 func TestTCPTransportGroupAndSort(t *testing.T) {
 	for _, mode := range []Mode{ModeSpark, ModeDeca} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -85,19 +86,13 @@ func TestTCPTransportGroupAndSort(t *testing.T) {
 				}
 			}
 
-			wantS, err := Collect(SortByKey(Parallelize(inproc, pairs, 8), int64Ops(4)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotS, err := Collect(SortByKey(Parallelize(tcp, pairs, 8), int64Ops(4)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotS, wantS) {
-				t.Error("sorted output differs between transports")
+			wantR := collectByKey(t, ReduceByKey(Parallelize(inproc, pairs, 8), int64Ops(4), addI64))
+			gotR := collectByKey(t, ReduceByKey(Parallelize(tcp, pairs, 8), int64Ops(4), addI64))
+			if !reflect.DeepEqual(gotR, wantR) {
+				t.Error("reduced output, sorted by key, differs between transports")
 			}
 			if ts := tcp.Transport().Stats(); ts.RemoteBytes == 0 {
-				t.Error("expected wire traffic on group/sort shuffles")
+				t.Error("expected wire traffic on group/reduce shuffles")
 			}
 		})
 	}

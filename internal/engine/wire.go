@@ -6,7 +6,7 @@ import (
 )
 
 // The seam between the generic shuffle operators and the payload-agnostic
-// transport, the same for all six containers: a map output is registered
+// transport, the same for all four containers: a map output is registered
 // with its own frame encoder (pairSink.EncodeSegments) as the payload's
 // Segments, and a fetched frame stages in the *destination* executor
 // (shuffle.Stage) for the reduce task to fold into its merged buffer

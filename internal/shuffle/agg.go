@@ -286,7 +286,7 @@ func (s *keyedStore) Release() {
 //deca:owns
 func (s *keyedStore) EncodeSegments() (*transport.FrameSegments, error) {
 	s.flush()
-	return s.encodeSegments(s.kind, s.idx.n, nil)
+	return s.encodeSegments(s.kind, s.idx.n)
 }
 
 // mergeFrom is the containers' MergeFrom: s adopts src's page group and

@@ -229,120 +229,6 @@ func BenchmarkDecaGroupMergeDrain(b *testing.B) {
 	}
 }
 
-// The sort benchmarks time merge *plus* a full DrainSorted of the merged
-// buffer: a fold defers all sorting to the first drain, so merge-only
-// timing would compare unequal amounts of work (the hash-shaped
-// benchmarks above have no such asymmetry — both strategies leave an
-// equivalent fully-merged state). The sort buffer has no MergeFrom: it is
-// received the reduce side's way, each source's frame staged and folded.
-
-func BenchmarkDecaSortStageFold(b *testing.B) {
-	m := memory.NewManager(1<<20, 0)
-	less := func(x, y int64) bool { return x < y }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		frames := make([][]byte, mergeSources)
-		for s := range frames {
-			src := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-			for j := 0; j < recsPerSource; j++ {
-				src.Put(int64((j*2654435761)%recsPerSource), int64(j))
-			}
-			frames[s] = encodeFrame(b, src)
-		}
-		dst := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-		b.StartTimer()
-		for _, frame := range frames {
-			st, err := Stage(bytes.NewReader(frame), m, "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := dst.Fold(st); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := dst.DrainSorted(func(int64, int64) bool { return true }); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		dst.Release()
-		b.StartTimer()
-	}
-}
-
-func BenchmarkDecaSortMergeDrain(b *testing.B) {
-	m := memory.NewManager(1<<20, 0)
-	less := func(x, y int64) bool { return x < y }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		srcs := make([]*DecaSort[int64, int64], mergeSources)
-		for s := range srcs {
-			srcs[s] = NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-			for j := 0; j < recsPerSource; j++ {
-				srcs[s].Put(int64((j*2654435761)%recsPerSource), int64(j))
-			}
-		}
-		dst := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-		b.StartTimer()
-		for _, src := range srcs {
-			if err := src.DrainSorted(func(k, v int64) bool { dst.Put(k, v); return true }); err != nil {
-				b.Fatal(err)
-			}
-			src.Release()
-		}
-		if err := dst.DrainSorted(func(int64, int64) bool { return true }); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		dst.Release()
-		b.StartTimer()
-	}
-}
-
-func BenchmarkObjectSortDrain(b *testing.B) {
-	less := func(x, y int64) bool { return x < y }
-	const n = 50_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		buf := NewObjectSort[int64, int64](less, ObjectConfig[int64, int64]{})
-		for j := 0; j < n; j++ {
-			buf.Put(int64((j*2654435761)%n), int64(j))
-		}
-		b.StartTimer()
-		cnt := 0
-		if err := buf.DrainSorted(func(int64, int64) bool { cnt++; return true }); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		buf.Release()
-		b.StartTimer()
-	}
-}
-
-func BenchmarkDecaSortDrain(b *testing.B) {
-	m := memory.NewManager(1<<20, 0)
-	less := func(x, y int64) bool { return x < y }
-	const n = 50_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		buf := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, "")
-		for j := 0; j < n; j++ {
-			buf.Put(int64((j*2654435761)%n), int64(j))
-		}
-		b.StartTimer()
-		cnt := 0
-		if err := buf.DrainSorted(func(int64, int64) bool { cnt++; return true }); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		buf.Release()
-		b.StartTimer()
-	}
-}
-
 // The two halves of a ReduceByKey exchange at the buffer level, in the
 // benchmark workloads' shapes: a map task's fill (200 k puts) and a reduce
 // task's stage + fold of four such map outputs into one merged buffer.

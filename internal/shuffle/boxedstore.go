@@ -23,10 +23,10 @@ type ObjectConfig[K comparable, V any] struct {
 	EntrySize func(K, V) int
 }
 
-// boxedStore is the boxed storage layer under ObjectAgg, ObjectGroup and
-// ObjectSort: records live as heap objects in the container's own table,
-// and everything that turns them into bytes and back — the spill-run
-// writer, the run replay, the record frame — goes through the Kryo-style
+// boxedStore is the boxed storage layer under ObjectAgg and ObjectGroup:
+// records live as heap objects in the container's own table, and
+// everything that turns them into bytes and back — the spill-run writer,
+// the run replay, the record frame — goes through the Kryo-style
 // serializers here, record by record (the per-record cost Deca's pages
 // avoid). It also keeps the running footprint estimate. A container embeds
 // one by value and supplies only an enumeration of its in-memory records

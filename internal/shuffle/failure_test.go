@@ -210,9 +210,8 @@ func TestDecaGroupFoldRejectsMalformedChains(t *testing.T) {
 	}
 }
 
-func TestObjectSortSpillWithoutSerializers(t *testing.T) {
-	b := NewObjectSort[int64, int64](func(a, c int64) bool { return a < c },
-		ObjectConfig[int64, int64]{})
+func TestObjectGroupSpillWithoutSerializers(t *testing.T) {
+	b := NewObjectGroup(ObjectConfig[int64, int64]{})
 	defer b.Release()
 	b.Put(1, 1)
 	if err := b.Spill(); err == nil {
@@ -230,13 +229,6 @@ func TestEmptyBufferSpillIsNoOp(t *testing.T) {
 	}
 	if dec.SpilledBytes() != 0 {
 		t.Error("empty spill wrote bytes")
-	}
-
-	srt := NewDecaSort[int64, int64](m, func(a, c int64) bool { return a < c },
-		decompose.Int64Codec{}, decompose.Int64Codec{}, t.TempDir())
-	defer srt.Release()
-	if err := srt.Spill(); err != nil {
-		t.Errorf("empty sort spill errored: %v", err)
 	}
 
 	grp := NewDecaGroup[int64, int64](m, decompose.Int64Codec{}, decompose.Int64Codec{}, t.TempDir())
@@ -286,32 +278,6 @@ func TestDrainEarlyStopKeepsBufferUsable(t *testing.T) {
 	b.Drain(func(int64, int64) bool { n++; return true })
 	if n != 10 {
 		t.Errorf("re-drain visited %d, want 10", n)
-	}
-}
-
-// TestDrainSortedStopsAtACorruptRun: a sorted spill run whose record does
-// not decode — a string length past the end of the run — ends DrainSorted
-// with an error, instead of yielding that record again and again.
-func TestDrainSortedStopsAtACorruptRun(t *testing.T) {
-	b := NewDecaSort[string, int64](memory.NewManager(4096, 0), func(a, c string) bool { return a < c },
-		decompose.StringCodec{}, decompose.Int64Codec{}, t.TempDir())
-	defer b.Release()
-	b.Put("b", 2)
-	if err := b.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	b.Put("a", 1)
-	if err := os.WriteFile(b.spills[0].path, []byte{0xff, 0xff, 0xff, 0x7f, 'b'}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b.spills[0].size = 5
-	var got []string
-	err := b.DrainSorted(func(k string, _ int64) bool {
-		got = append(got, k)
-		return len(got) < 10
-	})
-	if err == nil || len(got) != 0 {
-		t.Errorf("drained %q, then %v; want an error", got, err)
 	}
 }
 

@@ -158,6 +158,20 @@ func NewDecaGroup[K comparable, V any](
 	return b
 }
 
+// putPtr writes p as two little-endian uint32s, page then offset; getPtr
+// reads it back.
+func putPtr(b []byte, p memory.Ptr) {
+	binary.LittleEndian.PutUint32(b, uint32(p.Page))
+	binary.LittleEndian.PutUint32(b[4:], uint32(p.Off))
+}
+
+func getPtr(b []byte) memory.Ptr {
+	return memory.Ptr{
+		Page: int32(binary.LittleEndian.Uint32(b)),
+		Off:  int32(binary.LittleEndian.Uint32(b[4:])),
+	}
+}
+
 // getLink reads, and putLink writes, the link in b of a record in page from.
 func getLink(b []byte, from int32) memory.Ptr     { return getPtr(b).Rebase(int(from)) }
 func putLink(b []byte, from int32, to memory.Ptr) { putPtr(b, to.Rebase(-int(from))) }

@@ -28,22 +28,20 @@ type container struct {
 	release func()
 	runs    *runSet
 	// drain yields every key with its values sorted (an aggregation buffer
-	// has one value per key, the sum). inOrder reports whether keys arrived
-	// in ascending order, which only the sort buffers promise.
-	drain func() (got map[int64][]int64, inOrder bool, err error)
+	// has one value per key, the sum).
+	drain func() (got map[int64][]int64, err error)
 	// merge takes over src, a container of the same kind: MergeFrom for
 	// DecaAgg and DecaGroup, src's frame staged and folded — the reduce
-	// side's one path — for the others. The caller releases src afterwards.
+	// side's one path — for the Object kinds. The caller releases src afterwards.
 	merge func(src container) error
 	self  any // the concrete buffer, for merge's type assertion
 }
 
-// containerCase is one of the six kinds: how to build an empty buffer and
+// containerCase is one of the four kinds: how to build an empty buffer and
 // how a frame of it is received on the far side — staged and folded into a
 // fresh buffer (for the Deca kinds, that is what DecodeDeca* are).
 type containerCase struct {
 	name    string
-	hash    bool // spill runs are folded back in (and consumed) by the drain
 	agg     bool // one combined value per key
 	new     func(mem *memory.Manager, dir string) container
 	receive func(frame []byte, mem *memory.Manager, dir string) (container, error)
@@ -53,24 +51,22 @@ func objCfg(dir string) ObjectConfig[int64, int64] {
 	return ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir}
 }
 
-// collect adapts the three drain shapes to container.drain.
-func collect(each func(yield func(k int64, vs []int64) bool) error) func() (map[int64][]int64, bool, error) {
-	return func() (map[int64][]int64, bool, error) {
-		got, inOrder, last := map[int64][]int64{}, true, int64(-1<<63)
+// collect adapts the two drain shapes to container.drain.
+func collect(each func(yield func(k int64, vs []int64) bool) error) func() (map[int64][]int64, error) {
+	return func() (map[int64][]int64, error) {
+		got := map[int64][]int64{}
 		err := each(func(k int64, vs []int64) bool {
-			inOrder = inOrder && k >= last
-			last = k
 			got[k] = append(got[k], vs...)
 			return true
 		})
 		for _, vs := range got {
 			slices.Sort(vs)
 		}
-		return got, inOrder, err
+		return got, err
 	}
 }
 
-func pairs(drain func(func(k, v int64) bool) error) func() (map[int64][]int64, bool, error) {
+func pairs(drain func(func(k, v int64) bool) error) func() (map[int64][]int64, error) {
 	return collect(func(yield func(int64, []int64) bool) error {
 		return drain(func(k, v int64) bool { return yield(k, []int64{v}) })
 	})
@@ -125,18 +121,6 @@ func wrapDecaGroup(b *DecaGroup[int64, int64]) container {
 		merge: func(src container) error { return b.MergeFrom(src.self.(*DecaGroup[int64, int64])) }}
 }
 
-func wrapObjectSort(b *ObjectSort[int64, int64]) container {
-	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
-		drain: pairs(b.DrainSorted),
-		merge: func(src container) error { return refold(b, src, nil) }}
-}
-
-func wrapDecaSort(b *DecaSort[int64, int64], mem *memory.Manager) container {
-	return container{put: b.Put, spill: b.Spill, encode: wire(b.EncodeSegments), release: b.Release, runs: &b.runSet, self: b,
-		drain: pairs(b.DrainSorted),
-		merge: func(src container) error { return refold(b, src, mem) }}
-}
-
 // wrapped adapts a decoder's result to container.
 func wrapped[B any](wrap func(B) container) func(b B, err error) (container, error) {
 	return func(b B, err error) (container, error) {
@@ -147,16 +131,16 @@ func wrapped[B any](wrap func(B) container) func(b B, err error) (container, err
 	}
 }
 
-// containerCases is the six-kind sibling of frameCases (which drives the
+// containerCases is the four-kind sibling of frameCases (which drives the
 // stage parser and its allocation budget, not a lifecycle).
 var containerCases = []containerCase{
-	{name: "ObjectAgg", hash: true, agg: true,
+	{name: "ObjectAgg", agg: true,
 		new: func(_ *memory.Manager, dir string) container { return wrapObjectAgg(NewObjectAgg(addI, objCfg(dir))) },
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
 			b := NewObjectAgg(addI, objCfg(dir))
 			return wrapObjectAgg(b), foldFrame(b, frame, nil, dir)
 		}},
-	{name: "DecaAgg", hash: true, agg: true,
+	{name: "DecaAgg", agg: true,
 		new: func(mem *memory.Manager, dir string) container {
 			b, err := NewDecaAgg[int64, int64](mem, addI, i64, i64, dir)
 			if err != nil {
@@ -167,34 +151,18 @@ var containerCases = []containerCase{
 		receive: func(frame []byte, mem *memory.Manager, dir string) (container, error) {
 			return wrapped(wrapDecaAgg)(DecodeDecaAgg[int64, int64](bytes.NewReader(frame), mem, addI, i64, i64, dir))
 		}},
-	{name: "ObjectGroup", hash: true,
+	{name: "ObjectGroup",
 		new: func(_ *memory.Manager, dir string) container { return wrapObjectGroup(NewObjectGroup(objCfg(dir))) },
 		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
 			b := NewObjectGroup(objCfg(dir))
 			return wrapObjectGroup(b), foldFrame(b, frame, nil, dir)
 		}},
-	{name: "DecaGroup", hash: true,
+	{name: "DecaGroup",
 		new: func(mem *memory.Manager, dir string) container {
 			return wrapDecaGroup(NewDecaGroup[int64, int64](mem, i64, i64, dir))
 		},
 		receive: func(frame []byte, mem *memory.Manager, dir string) (container, error) {
 			return wrapped(wrapDecaGroup)(DecodeDecaGroup[int64, int64](bytes.NewReader(frame), mem, i64, i64, dir))
-		}},
-	{name: "ObjectSort",
-		new: func(_ *memory.Manager, dir string) container {
-			return wrapObjectSort(NewObjectSort(lessI, objCfg(dir)))
-		},
-		receive: func(frame []byte, _ *memory.Manager, dir string) (container, error) {
-			b := NewObjectSort(lessI, objCfg(dir))
-			return wrapObjectSort(b), foldFrame(b, frame, nil, dir)
-		}},
-	{name: "DecaSort",
-		new: func(mem *memory.Manager, dir string) container {
-			return wrapDecaSort(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), mem)
-		},
-		receive: func(frame []byte, mem *memory.Manager, dir string) (container, error) {
-			wrap := func(b *DecaSort[int64, int64]) container { return wrapDecaSort(b, mem) }
-			return wrapped(wrap)(DecodeDecaSort[int64, int64](bytes.NewReader(frame), mem, lessI, i64, i64, dir))
 		}},
 }
 
@@ -231,19 +199,16 @@ func (ref reference) want(c containerCase) map[int64][]int64 {
 
 func (c containerCase) checkDrain(t *testing.T, b container, ref reference, what string) {
 	t.Helper()
-	got, inOrder, err := b.drain()
+	got, err := b.drain()
 	if err != nil {
 		t.Fatalf("%s: drain: %v", what, err)
 	}
 	if !reflect.DeepEqual(got, ref.want(c)) {
 		t.Fatalf("%s: drained %d keys that differ from the reference's %d", what, len(got), len(ref))
 	}
-	if !c.hash && !inOrder {
-		t.Fatalf("%s: sorted drain yielded keys out of order", what)
-	}
 }
 
-// TestContainerLifecycle is the contract all six kinds share: fill, spill
+// TestContainerLifecycle is the contract all four kinds share: fill, spill
 // twice, encode, receive on another manager, merge a second buffer, drain
 // twice, release — the answers match a plain map at every step and nothing
 // (page, group, spill file) outlives the buffers.
@@ -313,9 +278,6 @@ func TestContainerLifecycle(t *testing.T) {
 // the buffer encodes and drains its full contents exactly once.
 func TestDrainSurvivesFailedReplay(t *testing.T) {
 	for _, c := range containerCases {
-		if !c.hash {
-			continue // sort buffers merge their runs without consuming them
-		}
 		t.Run(c.name, func(t *testing.T) {
 			mem := memory.NewManager(256, 0)
 			dir := t.TempDir()
@@ -337,7 +299,7 @@ func TestDrainSurvivesFailedReplay(t *testing.T) {
 			if err := os.Rename(mid, mid+".away"); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := b.drain()
+			_, err := b.drain()
 			if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), mid) {
 				t.Fatalf("drain with run %s missing returned %v", mid, err)
 			}
@@ -358,13 +320,12 @@ func TestDrainSurvivesFailedReplay(t *testing.T) {
 // goldenObjectFrames pins the Object wire format and, inside it, the
 // serialized spill-run format: frames written by the tree before the
 // storage layers were factored out, one per kind, which EncodeSegments
-// writes byte for byte and Stage + Fold receive. Each hash
-// container holds a single key, so map iteration cannot reorder it, and
+// writes byte for byte and Stage + Fold receive. Each container
+// holds a single key, so map iteration cannot reorder it, and
 // every frame carries one spill run.
 var goldenObjectFrames = map[string]string{
 	"agg":   "02010705736576656e04010705736576656e50",
 	"group": "0402050e03636363020e0001070e01610e026262",
-	"sort":  "0602020a06020108010406041202",
 }
 
 func TestGoldenObjectFrames(t *testing.T) {
@@ -394,15 +355,6 @@ func TestGoldenObjectFrames(t *testing.T) {
 			b.Put(7, "")
 			return b
 		},
-		"sort": func() frameBuffer {
-			b := NewObjectSort(lessI, objCfg(dir))
-			b.Put(9, 1)
-			b.Put(3, 2)
-			mustSpill(b.Spill)
-			b.Put(5, 3)
-			b.Put(-1, 4)
-			return b
-		},
 	}
 	// What each golden frame holds, as a fresh buffer that folds it must
 	// drain it.
@@ -426,16 +378,6 @@ func TestGoldenObjectFrames(t *testing.T) {
 				err = b.Drain(func(k int64, vs []string) bool { got[k] = vs; return true })
 			}
 			return got, map[int64][]string{7: {"ccc", "", "a", "bb"}}, err
-		},
-		"sort": func(frame []byte) (any, any, error) {
-			b := NewObjectSort(lessI, objCfg(dir))
-			defer b.Release()
-			var got [][2]int64
-			err := foldFrame(b, frame, nil, dir)
-			if err == nil {
-				err = b.DrainSorted(func(k, v int64) bool { got = append(got, [2]int64{k, v}); return true })
-			}
-			return got, [][2]int64{{-1, 4}, {3, 2}, {5, 3}, {9, 1}}, err
 		},
 	}
 	for name, want := range goldenObjectFrames {

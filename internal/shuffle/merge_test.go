@@ -247,124 +247,6 @@ func TestDecaGroupMergeFromMatchesDrainMerge(t *testing.T) {
 	}
 }
 
-// sortSources builds n DecaSort sources, the first one empty.
-func sortSources(t *testing.T, m *memory.Manager, n int, spill bool, dir string) []*DecaSort[int64, int64] {
-	t.Helper()
-	less := func(a, b int64) bool { return a < b }
-	var out []*DecaSort[int64, int64]
-	for s := -1; s < n; s++ {
-		b := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-		for i := 0; i < 64 && s >= 0; i++ {
-			b.Put(int64((i*2654435761+s)%40), int64(s*1000+i))
-		}
-		if spill && s == 1 {
-			if err := b.Spill(); err != nil {
-				t.Fatal(err)
-			}
-			b.Put(7, 9999)
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// TestDecaSortFoldMatchesDrainMerge: sort buffers received the reduce
-// side's way — each source's frame staged and folded — drain the same
-// records in the same key order as a buffer the sources were drained and
-// re-Put into.
-func TestDecaSortFoldMatchesDrainMerge(t *testing.T) {
-	for _, spill := range []bool{false, true} {
-		m := memory.NewManager(512, 0)
-		dir := t.TempDir()
-		less := func(a, b int64) bool { return a < b }
-
-		base := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-		for _, src := range sortSources(t, m, 4, spill, dir) {
-			if err := src.DrainSorted(func(k, v int64) bool { base.Put(k, v); return true }); err != nil {
-				t.Fatal(err)
-			}
-			src.Release()
-		}
-		want := drainSorted(t, base)
-
-		sf := foldSorts(t, m, sortSources(t, m, 4, spill, dir), dir)
-		folded := drainSorted(t, sf)
-
-		if len(folded) != len(want) {
-			t.Fatalf("spill=%v: %d records folded, want %d", spill, len(folded), len(want))
-		}
-		// Key order must match exactly; equal-key runs may order values
-		// differently (stable sort over different insertion orders), so
-		// compare them as sets.
-		for i := range folded {
-			if folded[i].Key != want[i].Key {
-				t.Fatalf("spill=%v: key order diverges at %d: %d vs %d", spill, i, folded[i].Key, want[i].Key)
-			}
-		}
-		sortPairs := func(ps []decompose.Pair[int64, int64]) {
-			sort.Slice(ps, func(i, j int) bool {
-				if ps[i].Key != ps[j].Key {
-					return ps[i].Key < ps[j].Key
-				}
-				return ps[i].Value < ps[j].Value
-			})
-		}
-		sortPairs(folded)
-		sortPairs(want)
-		if !reflect.DeepEqual(folded, want) {
-			t.Errorf("spill=%v: record multisets differ", spill)
-		}
-		base.Release()
-		sf.Release()
-		assertClean(t, m, dir, fmt.Sprintf("spill=%v", spill))
-	}
-}
-
-// foldSorts receives every source into one fresh sort buffer the reduce
-// side's way: frame staged into m, then folded.
-func foldSorts(t *testing.T, m *memory.Manager, srcs []*DecaSort[int64, int64], dir string) *DecaSort[int64, int64] {
-	t.Helper()
-	dst := NewDecaSort[int64, int64](m, func(a, b int64) bool { return a < b }, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-	for _, src := range srcs {
-		st := stageFrom(t, src, func(r WireReader) (*Staged, error) { return Stage(r, m, dir) })
-		if err := dst.Fold(st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
-func drainSorted(t *testing.T, b *DecaSort[int64, int64]) []decompose.Pair[int64, int64] {
-	t.Helper()
-	var out []decompose.Pair[int64, int64]
-	if err := b.DrainSorted(func(k, v int64) bool {
-		out = append(out, decompose.Pair[int64, int64]{Key: k, Value: v})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestSortDrainRepeatsAfterFold pins the memoized-output contract: a
-// merged sort buffer holding the spill runs its folds took over must yield
-// the identical record set on every DrainSorted — draining must not consume
-// the runs (they are Release's to delete).
-func TestSortDrainRepeatsAfterFold(t *testing.T) {
-	m := memory.NewManager(512, 0)
-	dir := t.TempDir()
-	dst := foldSorts(t, m, sortSources(t, m, 3, true, dir), dir)
-	defer dst.Release()
-	if len(dst.spills) == 0 {
-		t.Fatal("the folds took over no spill run")
-	}
-	first := drainSorted(t, dst)
-	second := drainSorted(t, dst)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("second drain lost records: %d then %d", len(first), len(second))
-	}
-}
-
 // TestMergeFromRefcounts pins the dependency-retention semantics: the
 // source group survives the source buffer's Release because the merged
 // buffer holds a dep, pages free exactly once when the merged buffer

@@ -1,25 +1,22 @@
 package shuffle
 
 import (
-	"encoding/binary"
 	"io"
 
 	"deca/internal/memory"
 	"deca/internal/transport"
 )
 
-// pageStore is the page storage layer under DecaAgg, DecaGroup, DecaSort
-// and a staged frame: the page group the records live in and the spill
-// runs that die with it. A container embeds one by value and keeps only
-// its index over the pages (DecaAgg, DecaGroup: a hash table of key-record
-// pointers, manager memory too; DecaSort: a sortable pointer array) plus
-// the Put/Drain/absorb that read it; spilling, adopting another store, the
-// wire frame and the end of the lifetime are written here, once.
+// pageStore is the page storage layer under DecaAgg, DecaGroup and a
+// staged frame: the page group the records live in and the spill runs that
+// die with it. A container embeds one by value and keeps only its index
+// over the pages (a hash table of key-record pointers, manager memory too)
+// plus the Put/Drain/absorb that read it; spilling, adopting another store,
+// the wire frame and the end of the lifetime are written here, once.
 //
-// The Deca frame (built by encodeSegments, parsed by Stage) is kind byte |
-// uvarint n | DecaSort only: n record pointers, two fixed little-endian
-// uint32s each, bulk-copyable on both ends | memory.Group.Snapshot | spill
-// section (runSet.restore). Record bytes never leave their pages.
+// Every Deca frame (built by encodeSegments, parsed by Stage) is kind byte |
+// uvarint n | memory.Group.Snapshot | spill section (runSet.restore): no
+// table, so record bytes never leave their pages.
 type pageStore struct {
 	group *memory.Group //deca:owns (released by Release; adopt takes other stores' pages in as dependencies)
 	runSet
@@ -73,8 +70,7 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 }
 
 // encodeSegments builds a container's wire frame as
-// transport.FrameSegments: the header and the index's table (n entries,
-// staged by table; nil when the kind has none) go into the frame's scratch
+// transport.FrameSegments: the header goes into the frame's scratch
 // chunks, the page snapshot is referenced in place from the retained
 // group, spill runs are referenced as opened files (runSet.endFrame) — the
 // serve path ships them with writev/sendfile instead of staging the frame.
@@ -85,12 +81,9 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 // while any of its frames is in flight.
 //
 //deca:owns
-func (ps *pageStore) encodeSegments(kind byte, n int, table func(fs *transport.FrameSegments)) (*transport.FrameSegments, error) {
+func (ps *pageStore) encodeSegments(kind byte, n int) (*transport.FrameSegments, error) {
 	fs := newFrame(kind, n)
 	fs.Owner(ps.group.Retain().Release)
-	if table != nil {
-		table(fs)
-	}
 	ps.group.SnapshotSegments(fs.Stage, fs.AppendPage)
 	return ps.endFrame(fs)
 }
@@ -113,25 +106,5 @@ func writeSegments(w io.Writer, encode func() (*transport.FrameSegments, error))
 func (ps *pageStore) Release() {
 	if ps.release() && ps.group != nil {
 		ps.group.Release()
-	}
-}
-
-// putPtr writes p in the wire layout getPtr reads.
-func putPtr(b []byte, p memory.Ptr) {
-	binary.LittleEndian.PutUint32(b, uint32(p.Page))
-	binary.LittleEndian.PutUint32(b[4:], uint32(p.Off))
-}
-
-// stagePtrs stages a pointer array in the ptrs wire layout (fixed 8-byte
-// little-endian pairs), chunked so one huge array does not demand one
-// contiguous scratch region.
-func stagePtrs(fs *transport.FrameSegments, ps []memory.Ptr) {
-	for len(ps) > 0 {
-		n := min(len(ps), ptrChunk)
-		buf := fs.Stage(8 * n)
-		for i, p := range ps[:n] {
-			putPtr(buf[8*i:], p)
-		}
-		ps = ps[n:]
 	}
 }

@@ -203,32 +203,6 @@ func replayRuns[K comparable, V any](rs *runSet, decode func([]byte) (decompose.
 	})
 }
 
-// mergeSorted k-way merges the set's runs — each written in key order,
-// decoded record by record through decode — with the sorted in-memory
-// records mem. The runs are read, not consumed: a memoized shuffle output
-// drains identically on every action, and release owns their deletion.
-func mergeSorted[K comparable, V any](
-	rs *runSet,
-	decode func([]byte) (decompose.Pair[K, V], int),
-	mem []decompose.Pair[K, V],
-	less func(a, b K) bool,
-	yield func(K, V) bool,
-) error {
-	runs := make([]*runCursor[K, V], 0, len(rs.spills)+1)
-	for _, run := range rs.spills {
-		data, err := run.read(nil)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, &runCursor[K, V]{data: data, decode: decode})
-	}
-	runs = append(runs, &runCursor[K, V]{mem: mem})
-	for _, rc := range runs {
-		rc.advance()
-	}
-	return mergeRuns(runs, less, yield)
-}
-
 // restore reads a frame's spill section off r — uvarint run count, then
 // per run a uvarint size and the raw file bytes — into fresh files under
 // the set's directory. On error the runs that already landed stay in the
@@ -287,58 +261,4 @@ func (rs *runSet) release() bool {
 	}
 	rs.spills = nil
 	return true
-}
-
-// runCursor iterates one sorted run: a spill run's records decoded one by
-// one, or (decode nil) the in-memory records. A record that decodes to
-// nothing ends the run with err.
-type runCursor[K comparable, V any] struct {
-	data   []byte
-	decode func(src []byte) (decompose.Pair[K, V], int)
-	mem    []decompose.Pair[K, V]
-	at     int // the next record's offset in data, or index in mem
-	cur    decompose.Pair[K, V]
-	ok     bool
-	err    error
-}
-
-func (rc *runCursor[K, V]) advance() {
-	if rc.decode == nil {
-		if rc.ok = rc.at < len(rc.mem); rc.ok {
-			rc.cur, rc.at = rc.mem[rc.at], rc.at+1
-		}
-		return
-	}
-	if rc.ok = rc.at < len(rc.data); rc.ok {
-		var n int
-		if rc.cur, n = rc.decode(rc.data[rc.at:]); n <= 0 {
-			rc.ok, rc.err = false, fmt.Errorf("shuffle: sorted run: no record decodes at offset %d", rc.at)
-		}
-		rc.at += n
-	}
-}
-
-// mergeRuns k-way merges sorted runs by repeatedly taking the minimum key,
-// and stops at a run that fails to decode. Run counts are small (spill
-// count + 1), so a linear scan beats a heap.
-func mergeRuns[K comparable, V any](runs []*runCursor[K, V], less func(a, b K) bool, yield func(K, V) bool) error {
-	for {
-		best := -1
-		for i, rc := range runs {
-			if rc.err != nil {
-				return rc.err
-			}
-			if rc.ok && (best < 0 || less(rc.cur.Key, runs[best].cur.Key)) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		rec := runs[best].cur
-		runs[best].advance()
-		if !yield(rec.Key, rec.Value) {
-			return nil
-		}
-	}
 }

@@ -1,5 +1,5 @@
-// Package shuffle implements the three shuffle-buffer shapes the paper's
-// lifetime analysis distinguishes (§4.2):
+// Package shuffle implements two of the three shuffle-buffer shapes the
+// paper's lifetime analysis distinguishes (§4.2):
 //
 //  1. hash-based buffers with eager combining (reduceByKey): each combine
 //     kills the old Value and creates a new one, so Values are short-lived
@@ -11,19 +11,19 @@
 //     which Deca keeps as a chain of value segments in the pages;
 //  3. sort-based buffers (sortByKey): records are immutable once inserted;
 //     Deca keeps raw records in pages and sorts a pointer array
-//     (Figure 6(b)).
+//     (Figure 6(b)). This shape is described, not built: no job here sorts
+//     (DESIGN.md, "Figure 6(b) is described, not built").
 //
-// Each shape has an object-based implementation (Spark semantics: boxed
-// values, fresh allocations per combine) and a Deca implementation
+// Each built shape has an object-based implementation (Spark semantics:
+// boxed values, fresh allocations per combine) and a Deca implementation
 // (page-decomposed). Buffers spill to disk when asked (Appendix C): object
 // buffers serialize, Deca buffers write raw page-encoded records.
 package shuffle
 
 // Key bundles the per-key-type operations a shuffle needs: a partitioning
-// hash and an ordering.
+// hash.
 type Key[K comparable] struct {
 	Hash func(K) uint32
-	Less func(a, b K) bool
 }
 
 // StringKey returns Key ops for string keys. The hash is FNV-1a — a
@@ -33,10 +33,7 @@ type Key[K comparable] struct {
 // merged, or records silently migrate between reduce partitions
 // (Spark's determinism requirement on partitioners).
 func StringKey() Key[string] {
-	return Key[string]{
-		Hash: fnv32a,
-		Less: func(a, b string) bool { return a < b },
-	}
+	return Key[string]{Hash: fnv32a}
 }
 
 // fnv32a is the 32-bit FNV-1a hash.
@@ -64,7 +61,6 @@ func Int64Key() Key[int64] {
 			x ^= x >> 31
 			return uint32(x)
 		},
-		Less: func(a, b int64) bool { return a < b },
 	}
 }
 
@@ -73,7 +69,6 @@ func Int32Key() Key[int32] {
 	i64 := Int64Key()
 	return Key[int32]{
 		Hash: func(v int32) uint32 { return i64.Hash(int64(v)) },
-		Less: func(a, b int32) bool { return a < b },
 	}
 }
 

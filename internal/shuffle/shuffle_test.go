@@ -307,90 +307,6 @@ func TestGroupSpillRoundTrip(t *testing.T) {
 	check("deca", dec.Drain)
 }
 
-func TestSortBuffersOrder(t *testing.T) {
-	less := func(a, b int64) bool { return a < b }
-	obj := NewObjectSort[int64, string](less, ObjectConfig[int64, string]{})
-	defer obj.Release()
-	m := memory.NewManager(64, 0)
-	dec := NewDecaSort[int64, string](m, less, decompose.Int64Codec{}, decompose.StringCodec{}, "")
-	defer dec.Release()
-
-	input := []decompose.Pair[int64, string]{
-		{Key: 5, Value: "five"}, {Key: 1, Value: "one"}, {Key: 3, Value: "three"},
-		{Key: 2, Value: "two"}, {Key: 4, Value: "four"},
-	}
-	for _, p := range input {
-		obj.Put(p.Key, p.Value)
-		dec.Put(p.Key, p.Value)
-	}
-	check := func(name string, drain func(func(int64, string) bool) error) {
-		var keys []int64
-		var vals []string
-		if err := drain(func(k int64, v string) bool {
-			keys = append(keys, k)
-			vals = append(vals, v)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(keys, []int64{1, 2, 3, 4, 5}) {
-			t.Errorf("%s: keys = %v", name, keys)
-		}
-		if !reflect.DeepEqual(vals, []string{"one", "two", "three", "four", "five"}) {
-			t.Errorf("%s: vals = %v", name, vals)
-		}
-	}
-	check("object", obj.DrainSorted)
-	check("deca", dec.DrainSorted)
-}
-
-func TestSortSpillMerge(t *testing.T) {
-	dir := t.TempDir()
-	less := func(a, b int64) bool { return a < b }
-	obj := NewObjectSort[int64, int64](less, ObjectConfig[int64, int64]{
-		KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
-	defer obj.Release()
-	m := memory.NewManager(128, 0)
-	dec := NewDecaSort[int64, int64](m, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-	defer dec.Release()
-
-	r := rand.New(rand.NewSource(11))
-	var want []int64
-	for i := 0; i < 500; i++ {
-		k := int64(r.Intn(10000))
-		want = append(want, k)
-		obj.Put(k, k*2)
-		dec.Put(k, k*2)
-		if i%150 == 149 {
-			if err := obj.Spill(); err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.Spill(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-
-	check := func(name string, drain func(func(int64, int64) bool) error) {
-		var got []int64
-		if err := drain(func(k, v int64) bool {
-			if v != k*2 {
-				t.Fatalf("%s: value %d for key %d", name, v, k)
-			}
-			got = append(got, k)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: merged order incorrect (%d records)", name, len(got))
-		}
-	}
-	check("object", obj.DrainSorted)
-	check("deca", dec.DrainSorted)
-}
-
 // Property: both aggregation buffers agree with the reference for random
 // workloads, spilling at random points.
 func TestAggEquivalenceProperty(t *testing.T) {

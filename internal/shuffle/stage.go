@@ -10,25 +10,23 @@ import (
 )
 
 // Stage → fold: how a fetched frame joins the reduce-side buffer (DESIGN.md,
-// "Reduce merge: stage → fold"), for all six containers.
+// "Reduce merge: stage → fold"), for all four containers.
 //
 // Stage (the fetch-pipeline worker runs it as the frame streams off the
 // transport) restores a Deca frame's page bodies straight into the
-// destination manager — and, for DecaSort, reads the record pointers into
-// one flat array — and reads an Object frame's records, still serialized,
-// into one byte slice; either frame's spill runs land in the spill
-// directory. It builds no map, no per-key slice and no container: a staged
-// frame is O(1) heap objects whatever its key count. Fold (the reduce task
-// runs it, in map order) takes the runs over and walks the records once,
-// in wire order: a Deca container adopts the pages and indexes their own
-// records (DecaAgg, DecaGroup) or the pointer array (DecaSort); an Object
-// container deserializes each record into its table through Put.
+// destination manager and reads an Object frame's records, still
+// serialized, into one byte slice; either frame's spill runs land in the
+// spill directory. It builds no map, no per-key slice and no container: a
+// staged frame is O(1) heap objects whatever its key count. Fold (the
+// reduce task runs it, in map order) takes the runs over and walks the
+// records once, in wire order: a Deca container adopts the pages and indexes their own
+// records; an Object container deserializes each record into its table
+// through Put.
 
 // kindNames names the frame kinds in error text.
 var kindNames = [...]string{
 	wireDecaAgg: "DecaAgg", wireObjectAgg: "ObjectAgg",
 	wireDecaGroup: "DecaGroup", wireObjectGroup: "ObjectGroup",
-	wireDecaSort: "DecaSort", wireObjectSort: "ObjectSort",
 }
 
 // kindName names one of the frame kind constants.
@@ -40,18 +38,16 @@ func kindName(kind byte) string { return kindNames[kind] }
 type Staged struct {
 	pageStore
 	kind byte
-	n    int // live key records (DecaAgg, DecaGroup) or records (the rest)
-	// ptrs holds DecaSort's records. They address group's pages as-is.
-	ptrs []memory.Ptr
+	n    int // live key records (Deca) or records (Object)
 	// recs holds an Object frame's n records as they stood on the wire:
 	// uvarint length | Marshal(key) | Marshal(value), each.
 	recs []byte
 }
 
 // stagePresize caps how many entries a stage or a fold reserves room for
-// on the strength of the count header alone; past it the pointer array,
-// the record bytes and the index grow as records actually arrive, so a
-// corrupt count cannot turn into a huge allocation.
+// on the strength of the count header alone; past it the record bytes and
+// the index grow as records actually arrive, so a corrupt count cannot turn
+// into a huge allocation.
 const stagePresize = 1 << 18
 
 // Stage stages a frame inside the destination executor: pages restore into
@@ -66,7 +62,7 @@ func Stage(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) 
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: frame kind: %w", err)
 	}
-	if kind < wireDecaAgg || kind > wireObjectSort {
+	if kind < wireDecaAgg || kind > wireObjectGroup {
 		return nil, fmt.Errorf("shuffle: frame of kind %d is no container's", kind)
 	}
 	n, err := readCount(r, kindName(kind))
@@ -79,11 +75,6 @@ func Stage(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) 
 			return nil, err // nothing owned yet: the records are plain heap
 		}
 	} else {
-		if kind == wireDecaSort {
-			if st.ptrs, err = readPtrs(r, n); err != nil {
-				return nil, err // nothing owned yet: the array is plain heap
-			}
-		}
 		g, err := mem.RestoreGroup(r)
 		if err != nil {
 			return nil, err
@@ -97,10 +88,10 @@ func Stage(r WireReader, mem *memory.Manager, spillDir string) (*Staged, error) 
 	return st, nil
 }
 
-// SizeBytes is the staged frame's in-memory footprint: restored pages, the
-// pointer array and the record bytes (fetch budgeting).
+// SizeBytes is the staged frame's in-memory footprint: restored pages and
+// the record bytes (fetch budgeting).
 func (st *Staged) SizeBytes() int64 {
-	size := int64(len(st.ptrs))*8 + int64(len(st.recs))
+	size := int64(len(st.recs))
 	if st.group != nil {
 		size += st.group.Footprint()
 	}
@@ -120,35 +111,8 @@ func (st *Staged) check(kind byte) error {
 // restored group (pages a Fold adopted stay alive through the adopter)
 // and any spill runs no Fold took over. Idempotent.
 func (st *Staged) Release() {
-	st.ptrs, st.recs = nil, nil
+	st.recs = nil
 	st.pageStore.Release()
-}
-
-func getPtr(b []byte) memory.Ptr {
-	return memory.Ptr{
-		Page: int32(binary.LittleEndian.Uint32(b)),
-		Off:  int32(binary.LittleEndian.Uint32(b[4:])),
-	}
-}
-
-// readPtrs reads a DecaSort frame's n wire pointers in chunked bulk reads
-// through one scratch buffer, the array growing as they arrive.
-func readPtrs(r WireReader, n int) ([]memory.Ptr, error) {
-	dst := make([]memory.Ptr, 0, min(n, stagePresize))
-	scratch := make([]byte, 8*min(n, ptrChunk))
-	for n > 0 {
-		c := min(n, ptrChunk)
-		buf := scratch[:8*c]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("shuffle: DecaSort ptr array: %w", err)
-		}
-		dst = slices.Grow(dst, c)
-		for ; len(buf) > 0; buf = buf[8:] {
-			dst = append(dst, getPtr(buf))
-		}
-		n -= c
-	}
-	return dst, nil
 }
 
 // readChunk is the most a stage reads of one record before its bytes have
@@ -156,8 +120,8 @@ func readPtrs(r WireReader, n int) ([]memory.Ptr, error) {
 const readChunk = 64 << 10
 
 // readRecords reads an Object frame's n length-prefixed records verbatim
-// into one slice, reserved at 8 bytes a record (capped like the pointer
-// array) and doubled as the bytes arrive.
+// into one slice, reserved at 8 bytes a record (capped at stagePresize
+// records) and doubled as the bytes arrive.
 func readRecords(r WireReader, n int) ([]byte, error) {
 	recs := make([]byte, 0, 8*min(n, stagePresize))
 	for i := 0; i < n; i++ {

@@ -15,9 +15,8 @@ import (
 // The allocation budget of stage → fold (the race detector changes
 // allocation counts, so plain builds only).
 //
-// A staged frame is a fixed set of heap objects — the Staged, DecaSort's
-// pointer array and its reader's scratch buffer, the restored group and
-// its page array (pages themselves recycle through the manager's pool), an
+// A staged frame is a fixed set of heap objects — the Staged, the
+// restored group and its page array (pages themselves recycle through the manager's pool), an
 // Object frame's one record slice and its doublings — whatever its key
 // count.
 //
@@ -340,9 +339,7 @@ func TestDrainListsDoNotOverlap(t *testing.T) {
 // TestDrainAllocBudget: a drain allocates an array per chunk of what it
 // yields — 32 KiB of key bytes (decompose.Chunk), listChunk values — and a
 // few objects of its own, never an object per key: DecaAgg[string, int64]
-// over 50 k keys, DecaGroup[int64, int64] over 10 k keys, and a re-sort of
-// a DecaSort of 20 k string keys, where a sort that decodes both keys of
-// every comparison allocates O(n log n) strings.
+// over 50 k keys and DecaGroup[int64, int64] over 10 k keys.
 func TestDrainAllocBudget(t *testing.T) {
 	const chunk = 32 << 10
 	within := func(what string, got, budget float64) {
@@ -380,16 +377,4 @@ func TestDrainAllocBudget(t *testing.T) {
 	within(fmt.Sprintf("draining %d keys with %d values", groupKeys, values), testing.AllocsPerRun(5, func() {
 		group.Drain(func(int64, []int64) bool { return true })
 	}), float64(values/listChunk+4))
-
-	sorter := NewDecaSort[string, int64](mem, func(a, b string) bool { return a < b }, str, i64, "")
-	defer sorter.Release()
-	size = 0
-	for i, k := range keys[:20_000] {
-		sorter.Put(k, int64(i))
-		size += len(k)
-	}
-	sorter.DrainSorted(func(string, int64) bool { return true }) // sorted now: what follows re-sorts
-	within(fmt.Sprintf("re-sorting %d string keys (%d bytes)", 20_000, size), testing.AllocsPerRun(5, func() {
-		sorter.DrainSorted(func(string, int64) bool { return true })
-	}), float64(size/chunk+12))
 }

@@ -38,7 +38,6 @@ type frameCase struct {
 
 func addF(a, b float64) float64 { return a + b }
 func addI(a, b int64) int64     { return a + b }
-func lessI(a, b int64) bool     { return a < b }
 
 var (
 	i64 = decompose.Int64Codec{}
@@ -165,16 +164,6 @@ var frameCases = []frameCase{
 		},
 	},
 	{
-		name: "sort-int64-int64", kind: wireDecaSort, keySize: 8,
-		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
-			b := NewDecaSort[int64, int64](memory.NewManager(4096, 0), lessI, i64, i64, dir)
-			return fillFrame(tb, b, keys, spill, func(i int) { b.Put(int64(i*7919%1009), int64(i)) })
-		},
-		fold: func(st *Staged, mem *memory.Manager, dir string) error {
-			return foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st)
-		},
-	},
-	{
 		name: "object-agg-int64-float64", kind: wireObjectAgg, keySize: -1,
 		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
 			b := NewObjectAgg(addF, f64Cfg(dir))
@@ -196,16 +185,6 @@ var frameCases = []frameCase{
 		},
 		fold: func(st *Staged, _ *memory.Manager, dir string) error {
 			return foldFresh(NewObjectGroup(objCfg(dir)), st)
-		},
-	},
-	{
-		name: "object-sort-int64-int64", kind: wireObjectSort, keySize: -1,
-		build: func(tb testing.TB, keys int, dir string, spill bool) []byte {
-			b := NewObjectSort(lessI, objCfg(dir))
-			return fillFrame(tb, b, keys, spill, func(i int) { b.Put(int64(i*7919%1009), int64(i)) })
-		},
-		fold: func(st *Staged, _ *memory.Manager, dir string) error {
-			return foldFresh(NewObjectSort(lessI, objCfg(dir)), st)
 		},
 	},
 }
@@ -245,7 +224,7 @@ func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
 }
 
 // TestStageKindMismatch: a frame stages as what its kind byte says it is
-// — one of the six containers' or not at all — and refuses to fold into a
+// — one of the four containers' or not at all — and refuses to fold into a
 // container of another kind.
 func TestStageKindMismatch(t *testing.T) {
 	mem := memory.NewManager(4096, 0)
@@ -266,21 +245,44 @@ func TestStageKindMismatch(t *testing.T) {
 			assertClean(t, mem, dir, src.name+" as "+dst.name)
 		}
 	}
-	for _, kind := range []byte{0, wireObjectSort + 1, 0xff} {
+	// 5 and 6 were the sort containers' kinds: no container's any more.
+	for _, kind := range []byte{0, 5, 6, 7, 0xff} {
 		if _, err := Stage(bytes.NewReader([]byte{kind, 0, 0, 0}), mem, t.TempDir()); err == nil {
 			t.Errorf("a frame of kind %d staged as a container's", kind)
 		}
 	}
+	for _, retired := range retiredFrames {
+		frame, err := hex.DecodeString(retired)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := Stage(bytes.NewReader(frame), mem, dir); err == nil {
+			t.Errorf("a retired frame of kind %d staged as a container's", frame[0])
+		}
+		assertClean(t, mem, dir, "retired frame")
+	}
+}
+
+// retiredFrames are frames of the retired kinds 5 (DecaSort: a pointer
+// table ahead of the page snapshot) and 6 (ObjectSort: sorted records),
+// byte for byte as the deleted sort containers wrote them. No container
+// takes either kind, so Stage refuses them, whole or cut short.
+var retiredFrames = []string{
+	"0503000000000000000000000000100000000100000000000000" +
+		"022007000000000000000000000000000000070000000000000001000000000000001007000000000000000200000000000000" +
+		"01200700000000000000090000000000000007000000000000000900000000000000",
+	"0602020a06020108010406041202",
 }
 
 // TestStageTruncation: a frame cut anywhere — inside the count, inside a
-// bulk-read table chunk, inside a page body, inside a spill run — errors
-// and leaves no page, group or spill file behind.
+// record, inside a page body, inside a spill run — errors and leaves no
+// page, group or spill file behind.
 func TestStageTruncation(t *testing.T) {
 	for _, c := range frameCases {
 		t.Run(c.name, func(t *testing.T) {
 			mem := memory.NewManager(4096, 0)
-			full := c.build(t, 2000, t.TempDir(), true) // 1000 keys in memory: several 8 KiB table chunks
+			full := c.build(t, 2000, t.TempDir(), true) // 1000 keys in memory: several pages
 			dir := t.TempDir()
 			if err := c.stageFold(full, mem, dir); err != nil {
 				t.Fatalf("whole frame: %v", err)
@@ -317,15 +319,11 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 	}
 	far := []byte{0xff, 0xff, 0xff, 0x7f} // page 2^31-1
 	neg := []byte{0xff, 0xff, 0xff, 0xff} // page -1
-	// Agg and group frames have no table: the records fill one page, which
-	// follows the page count and its own length.
+	// No Deca frame has a table: the records fill one page, which follows
+	// the page count and its own length.
 	plen, pw := binary.Uvarint(good[body+1:])
 	page := body + 1 + pw
 	switch c.kind {
-	case wireDecaSort:
-		out["pointer past the restored group"] = patch(body, far...)
-		out["negative page"] = patch(body, neg...)
-		out["offset past the page"] = patch(body+4, far...)
 	case wireDecaGroup:
 		// Key i has 1 + i%3 values and each of its nodes follows it: key
 		// record 0 at offset 0 (0x10 | key | head | tail | count: 29
@@ -355,7 +353,7 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 		out["header never ends"] = patch(at(key2), bytes.Repeat([]byte{0x80}, int(plen)-key2)...)
 		out["page announces a gigabyte"] = slices.Concat(
 			binary.AppendUvarint(bytes.Clone(good[:body+1]), 1<<30), good[page:page+16])
-	case wireObjectAgg, wireObjectGroup, wireObjectSort:
+	case wireObjectAgg, wireObjectGroup:
 		// The records follow the count, each uvarint length | key | value;
 		// the first has a one-byte length and a one-byte key.
 		out["key runs into its value"] = patch(body+1, good[body+1]|0x80)
@@ -397,7 +395,7 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 // like any other.
 func TestStageEmptyPageHeaders(t *testing.T) {
 	const pages = 100_000
-	frame := []byte{wireDecaSort, 0}                // no records
+	frame := []byte{wireDecaGroup, 0}               // no records
 	frame = binary.AppendUvarint(frame, pages)      // page count
 	frame = append(frame, make([]byte, pages+1)...) // pages × length 0, then 0 spill runs
 	mem := memory.NewManager(4096, 0)
@@ -409,7 +407,7 @@ func TestStageEmptyPageHeaders(t *testing.T) {
 	if in := mem.InUse(); in != 0 {
 		t.Errorf("%d empty page headers hold %d manager bytes while staged, want 0", pages, in)
 	}
-	if err := foldFresh(NewDecaSort[int64, int64](mem, lessI, i64, i64, dir), st); err != nil {
+	if err := foldFresh(NewDecaGroup[int64, int64](mem, i64, i64, dir), st); err != nil {
 		t.Error(err)
 	}
 	if _, err := Stage(bytes.NewReader(frame[:len(frame)/2]), mem, dir); err == nil {
@@ -471,7 +469,8 @@ func TestDrainDistrustsKeyLength(t *testing.T) {
 // does: whatever happens, no panic and nothing left behind — no manager
 // byte in use, no spill file. The string-key drain decodes every key it
 // meets, checked against its record. The seeds are every case's frames and
-// corruptions, then the golden Object frames and each of their truncations.
+// corruptions, then the golden Object frames and the retired frames, each
+// with every truncation.
 func FuzzStageDecaFrames(f *testing.F) {
 	for _, c := range frameCases {
 		f.Add(c.build(f, 0, f.TempDir(), false))
@@ -480,7 +479,7 @@ func FuzzStageDecaFrames(f *testing.F) {
 			f.Add(frame)
 		}
 	}
-	for _, golden := range goldenObjectFrames {
+	cuts := func(golden string) {
 		frame, err := hex.DecodeString(golden)
 		if err != nil {
 			f.Fatal(err)
@@ -488,6 +487,12 @@ func FuzzStageDecaFrames(f *testing.F) {
 		for cut := len(frame); cut >= 0; cut-- {
 			f.Add(frame[:cut])
 		}
+	}
+	for _, golden := range goldenObjectFrames {
+		cuts(golden)
+	}
+	for _, retired := range retiredFrames {
+		cuts(retired)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		// RestoreGroup takes one pool page per non-empty page header,

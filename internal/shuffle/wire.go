@@ -14,12 +14,12 @@ import (
 // network transport can move map output between executors. The asymmetry
 // the paper measures in §6.5 is built in:
 //
-//   - Deca containers encode as header (+ DecaSort's pointer array) + a
-//     page snapshot (memory.Group.Snapshot): the record bytes — keys,
-//     values and the links between them — are already in wire format, so
-//     the frame references the pages in place (pagestore.go) and staging
-//     restores them into the destination executor's manager with pointers
-//     and links valid as-is (page boundaries survive the frame).
+//   - Deca containers encode as header + a page snapshot
+//     (memory.Group.Snapshot): the record bytes — keys, values and the
+//     links between them — are already in wire format, so the frame
+//     references the pages in place (pagestore.go) and staging restores
+//     them into the destination executor's manager with links valid as-is
+//     (page boundaries survive the frame).
 //   - Object containers serialize through internal/serial, record by
 //     record (boxedstore.go), and their Fold deserializes every record
 //     into fresh objects — the allocation and GC cost Kryo/SparkSer pays
@@ -40,23 +40,19 @@ type WireReader interface {
 	io.ByteReader
 }
 
-// Frame kind bytes.
+// Frame kind bytes. 5 and 6 were the deleted sort containers' kinds and
+// are never reused: Stage rejects them like any other byte past
+// wireObjectGroup.
 const (
 	wireDecaAgg byte = iota + 1
 	wireObjectAgg
 	wireDecaGroup
 	wireObjectGroup
-	wireDecaSort
-	wireObjectSort
 )
 
 // maxWireCount bounds table counts and record lengths read off the wire,
 // rejecting corrupt headers before they turn into huge allocations.
 const maxWireCount = 1 << 31
-
-// ptrChunk is how many pointers a bulk stage (stagePtrs) or bulk read
-// (readPtrs) moves per call.
-const ptrChunk = 1024
 
 // objectKind reports whether a frame kind is an Object container's (the
 // even ones): records serialized one by one, no pages.
@@ -145,18 +141,4 @@ func DecodeDecaGroup[K comparable, V any](
 ) (*DecaGroup[K, V], error) {
 	st, err := Stage(r, mem, spillDir)
 	return folded(NewDecaGroup[K, V](mem, keyCodec, valCodec, spillDir), st, err)
-}
-
-// DecodeDecaSort rebuilds a sort buffer from its wire frame. Spill runs
-// arrive already sorted and join the k-way merge untouched.
-func DecodeDecaSort[K comparable, V any](
-	r WireReader,
-	mem *memory.Manager,
-	less func(a, b K) bool,
-	keyCodec decompose.Codec[K],
-	valCodec decompose.Codec[V],
-	spillDir string,
-) (*DecaSort[K, V], error) {
-	st, err := Stage(r, mem, spillDir)
-	return folded(NewDecaSort[K, V](mem, less, keyCodec, valCodec, spillDir), st, err)
 }

@@ -8,7 +8,6 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
-	"deca/internal/serial"
 )
 
 func drainAggMap[K comparable, V any](t *testing.T, b interface {
@@ -127,83 +126,6 @@ func TestDecaGroupWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortWireRoundTrip(t *testing.T) {
-	srcMem := memory.NewManager(256, 0)
-	dir := t.TempDir()
-	less := func(a, b int64) bool { return a < b }
-
-	ds := NewDecaSort[int64, int64](srcMem, less, decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-	os := NewObjectSort(less, ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
-	for i := int64(0); i < 500; i++ {
-		k, v := (i*7919)%101, i
-		ds.Put(k, v)
-		os.Put(k, v)
-	}
-	if err := ds.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 100; i++ {
-		ds.Put(i%11, -i)
-		os.Put(i%11, -i)
-	}
-
-	collectDeca := func(b *DecaSort[int64, int64]) []decompose.Pair[int64, int64] {
-		var out []decompose.Pair[int64, int64]
-		if err := b.DrainSorted(func(k, v int64) bool {
-			out = append(out, decompose.Pair[int64, int64]{Key: k, Value: v})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	collectObj := func(b *ObjectSort[int64, int64]) []decompose.Pair[int64, int64] {
-		var out []decompose.Pair[int64, int64]
-		if err := b.DrainSorted(func(k, v int64) bool {
-			out = append(out, decompose.Pair[int64, int64]{Key: k, Value: v})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	var dFrame, oFrame bytes.Buffer
-	if err := ds.EncodeWire(&dFrame); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSegments(&oFrame, os.EncodeSegments); err != nil {
-		t.Fatal(err)
-	}
-
-	dstMem := memory.NewManager(1024, 0)
-	gd, err := DecodeDecaSort[int64, int64](bytes.NewReader(dFrame.Bytes()), dstMem, less,
-		decompose.Int64Codec{}, decompose.Int64Codec{}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go2 := NewObjectSort(less, ObjectConfig[int64, int64]{KeySer: serial.Int64{}, ValSer: serial.Int64{}, SpillDir: dir})
-	if err := foldFrame(go2, oFrame.Bytes(), nil, dir); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collectDeca(gd), collectDeca(ds)) {
-		t.Error("decoded DecaSort drains differently from the source")
-	}
-	if !reflect.DeepEqual(collectObj(go2), collectObj(os)) {
-		t.Error("decoded ObjectSort drains differently from the source")
-	}
-	gd.Release()
-	go2.Release()
-	ds.Release()
-	os.Release()
-	if dstMem.InUse() != 0 || srcMem.InUse() != 0 {
-		t.Errorf("leaked pages: src=%d dst=%d", srcMem.InUse(), dstMem.InUse())
-	}
-}
-
 // TestWireKindMismatch: a frame handed to the wrong decoder errors
 // instead of misparsing.
 func TestWireKindMismatch(t *testing.T) {
@@ -219,10 +141,9 @@ func TestWireKindMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Release()
-	if _, err := DecodeDecaSort[int64, int64](bytes.NewReader(frame.Bytes()), mem,
-		func(a, b int64) bool { return a < b },
+	if _, err := DecodeDecaGroup[int64, int64](bytes.NewReader(frame.Bytes()), mem,
 		decompose.Int64Codec{}, decompose.Int64Codec{}, ""); err == nil {
-		t.Error("DecaAgg frame decoded as DecaSort without error")
+		t.Error("DecaAgg frame decoded as DecaGroup without error")
 	}
 	if mem.InUse() != 0 {
 		t.Errorf("leaked %d bytes", mem.InUse())
