@@ -9,8 +9,8 @@ import (
 
 // ReleasePair enforces the engine's paired-release discipline: a value
 // returned by an owned-resource producer — Manager.NewGroup,
-// Manager.NewSlab, Manager.RestoreGroup, MapGroup, DecaBlockFor's release
-// func, and any constructor annotated //deca:owns — must, on every path out
+// Manager.NewSlab, Manager.RestoreGroup, MapGroup, MapFile, DecaBlockFor's
+// release func, and any constructor annotated //deca:owns — must, on every path out
 // of the acquiring function, either be released (x.Release(), or calling the
 // returned release func, directly or deferred) or be handed off: returned to the
 // caller, stored into a //deca:owns-annotated field, placed in a
@@ -46,6 +46,7 @@ var builtinOwns = map[string]bool{
 	"deca/internal/memory.Manager.NewSlab":      true,
 	"deca/internal/memory.Manager.RestoreGroup": true,
 	"deca/internal/memory.MapGroup":             true,
+	"deca/internal/memory.MapFile":              true,
 	"deca/internal/engine.DecaBlockFor":         true,
 	"deca/internal/transport.NewFrameSegments":  true,
 }

@@ -30,5 +30,14 @@ func mapFile(f *os.File, size int) ([]byte, error) {
 	return data, err
 }
 
+// fileSize is f's size on disk.
+func fileSize(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
+}
+
 // unmap leaves the bytes to the collector.
 func unmap([]byte) {}

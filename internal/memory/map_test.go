@@ -221,3 +221,29 @@ func FuzzMapGroup(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkMapped(t, data) })
 }
+
+// TestMapFileChecksSize: MapFile maps a file of exactly the recorded size
+// and nothing else — a shorter or a longer file is refused unmapped — and
+// an empty file is an empty mapping, made without mmap (Bytes is nil).
+func TestMapFileChecksSize(t *testing.T) {
+	data := bytes.Repeat([]byte("run bytes "), 1000)
+	path := spillFile(t, data)
+	fm, err := MapFile(path, int64(len(data)))
+	if err != nil || !bytes.Equal(fm.Bytes(), data) {
+		t.Fatalf("MapFile of a %d-byte file: %d bytes, %v", len(data), len(fm.Bytes()), err)
+	}
+	fm.Release()
+	for _, size := range []int64{0, int64(len(data)) - 1, int64(len(data)) + 1} {
+		if _, err := MapFile(path, size); err == nil {
+			t.Errorf("a %d-byte file mapped as %d bytes", len(data), size)
+		}
+	}
+	empty, err := MapFile(spillFile(t, nil), 0)
+	if err != nil || empty.Bytes() != nil {
+		t.Errorf("empty file: %v, %d bytes at %p; want no mapping", err, len(empty.Bytes()), empty.Bytes())
+	}
+	empty.Release()
+	if _, err := MapFile(filepath.Join(t.TempDir(), "absent"), 0); err == nil {
+		t.Error("a missing file mapped")
+	}
+}

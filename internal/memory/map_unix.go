@@ -47,10 +47,23 @@ func mapFile(f *os.File, size int) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// unmap ends a mapping mapFile or newBytes returned. Unmapping a live
-// mapping of our own cannot fail; if it does, the bookkeeping around it is
-// broken.
+// fileSize is f's size on disk, read by an fstat into the stack: no
+// FileInfo on the heap per mapping.
+func fileSize(f *os.File) (int64, error) {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(int(f.Fd()), &st); err != nil {
+		return 0, err
+	}
+	return st.Size, nil
+}
+
+// unmap ends a mapping mapFile or newBytes returned (nil: the empty file
+// mapPath mapped nothing for). Unmapping a live mapping of our own cannot
+// fail; if it does, the bookkeeping around it is broken.
 func unmap(data []byte) {
+	if len(data) == 0 {
+		return
+	}
 	if err := syscall.Munmap(data); err != nil {
 		panic(fmt.Sprintf("memory: munmap: %v", err))
 	}

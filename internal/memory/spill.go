@@ -78,22 +78,13 @@ func (g *Group) WriteTo(w io.Writer) (int64, error) {
 // corrupt file is therefore an error here, never a fault in whoever scans
 // the pages.
 func MapGroup(m *Manager, path string) (*Group, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	data, err := mapPath(path, -1)
+	if err == nil && len(data) < 8 {
+		unmap(data)
+		err = fmt.Errorf("implausible size %d", len(data))
 	}
-	defer f.Close() // the mapping outlives the descriptor
-	st, err := f.Stat()
 	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	if size < 8 || int64(int(size)) != size {
-		return nil, fmt.Errorf("memory: spill file %s: implausible size %d", path, size)
-	}
-	data, err := mapFile(f, int(size))
-	if err != nil {
-		return nil, fmt.Errorf("memory: mapping %s: %w", path, err)
+		return nil, fmt.Errorf("memory: spill file %s: %w", path, err)
 	}
 	pages, bytes, err := spillPages(data)
 	if err != nil {
@@ -103,6 +94,55 @@ func MapGroup(m *Manager, path string) (*Group, error) {
 	g := m.NewGroup()
 	g.mapping, g.pages, g.bytes = data, pages, bytes
 	return g, nil
+}
+
+// FileMapping is a whole file mapped read-only (MapFile). Its bytes are
+// valid until Release: where there is mmap, a read after it faults instead
+// of returning stale bytes.
+type FileMapping struct{ data []byte }
+
+// MapFile maps the file at path, which must hold exactly size bytes: a
+// file of any other size is an error before anything is mapped, never a
+// SIGBUS in whoever reads past its end. An empty file is an empty mapping,
+// made without an mmap call. It shares MapGroup's one mapping site
+// (mapPath), and returns the mapping as a value: the caller's Release
+// unmaps it.
+func MapFile(path string, size int64) (FileMapping, error) {
+	data, err := mapPath(path, size)
+	return FileMapping{data}, err
+}
+
+// Bytes is the mapped file.
+func (fm FileMapping) Bytes() []byte { return fm.data }
+
+// Release unmaps the file.
+func (fm FileMapping) Release() { unmap(fm.data) }
+
+// mapPath maps the whole file at path (mapFile). want >= 0 is the size the
+// caller recorded for it: a file of another size is refused unmapped. An
+// empty file maps to nil with no mmap call (mmap refuses length 0).
+func mapPath(path string, want int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // the mapping outlives the descriptor
+	size, err := fileSize(f)
+	switch {
+	case err != nil:
+		return nil, err
+	case want >= 0 && size != want:
+		return nil, fmt.Errorf("%d bytes on disk, %d recorded", size, want)
+	case int64(int(size)) != size:
+		return nil, fmt.Errorf("implausible size %d", size)
+	case size == 0:
+		return nil, nil
+	}
+	data, err := mapFile(f, int(size))
+	if err != nil {
+		return nil, fmt.Errorf("mapping: %w", err)
+	}
+	return data, nil
 }
 
 // spillPages validates data as a whole spill file and returns its pages as

@@ -482,7 +482,7 @@ func (b *DecaAgg[K, V]) Spill() error {
 	err := b.spillPages(func(w *spillWriter) error {
 		it := b.records(0)
 		for it.next() {
-			if err := w.emit(it.rec); err != nil {
+			if _, err := w.Write(it.rec); err != nil {
 				return err
 			}
 		}

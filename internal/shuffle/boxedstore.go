@@ -64,9 +64,17 @@ func (s *boxedStore[K, V]) needSerializers(kind byte, what string) error {
 
 // decodePair reads one serialized record: Marshal(key) then Marshal(value),
 // the layout of spill runs and — behind a length prefix — of frame records.
+// A record that does not decode reads as 0 bytes, which ends the replay
+// with an error (a run restored off a frame is not trusted).
 func (s *boxedStore[K, V]) decodePair(src []byte) (decompose.Pair[K, V], int) {
 	k, kn := s.cfg.KeySer.Unmarshal(src)
+	if kn <= 0 {
+		return decompose.Pair[K, V]{}, 0
+	}
 	v, vn := s.cfg.ValSer.Unmarshal(src[kn:])
+	if vn <= 0 {
+		return decompose.Pair[K, V]{}, 0
+	}
 	return decompose.Pair[K, V]{Key: k, Value: v}, kn + vn
 }
 
@@ -82,7 +90,9 @@ func (s *boxedStore[K, V]) spill(kind byte, n int, records func(emit func(K, V) 
 	}
 	err := s.write(func(w *spillWriter) error {
 		return records(func(k K, v V) error {
-			return w.emitScratch(s.cfg.ValSer.Marshal(s.cfg.KeySer.Marshal(w.stage(0), k), v))
+			w.scratch = s.cfg.ValSer.Marshal(s.cfg.KeySer.Marshal(w.scratch[:0], k), v)
+			_, err := w.Write(w.scratch)
+			return err
 		})
 	})
 	if err != nil {

@@ -292,7 +292,8 @@ func (b *DecaGroup[K, V]) Spill() error {
 		return nil
 	}
 	err := b.spillPages(func(w *spillWriter) error {
-		if err := w.emitScratch(binary.AppendUvarint(w.stage(0), uint64(b.idx.n))); err != nil {
+		w.scratch = binary.AppendUvarint(w.scratch[:0], uint64(b.idx.n))
+		if _, err := w.Write(w.scratch); err != nil {
 			return err
 		}
 		_, err := b.group.Snapshot(w)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -279,21 +280,8 @@ func TestContainerLifecycle(t *testing.T) {
 func TestDrainSurvivesFailedReplay(t *testing.T) {
 	for _, c := range containerCases {
 		t.Run(c.name, func(t *testing.T) {
-			mem := memory.NewManager(256, 0)
-			dir := t.TempDir()
-			ref := reference{}
-			b := c.new(mem, dir)
-			for lo := int64(0); lo < 300; lo += 100 {
-				ref.fill(b, lo, lo+100)
-				if err := b.spill(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ref.fill(b, 300, 350)
-			if len(b.runs.spills) != 3 {
-				t.Fatalf("%d runs, want 3", len(b.runs.spills))
-			}
-
+			mem, dir := memory.NewManager(256, 0), t.TempDir()
+			b, ref := spilledThrice(t, c, mem, dir)
 			// Rename, not chmod: tests may run as root, where modes block nothing.
 			mid := b.runs.spills[1].path
 			if err := os.Rename(mid, mid+".away"); err != nil {
@@ -313,6 +301,150 @@ func TestDrainSurvivesFailedReplay(t *testing.T) {
 			c.checkDrain(t, b, ref, "retried drain")
 			b.release()
 			assertClean(t, mem, dir, c.name)
+		})
+	}
+}
+
+// spilledThrice is a buffer of kind c holding three spill runs and 50
+// records in memory, with its reference.
+func spilledThrice(t *testing.T, c containerCase, mem *memory.Manager, dir string) (container, reference) {
+	t.Helper()
+	ref := reference{}
+	b := c.new(mem, dir)
+	for lo := int64(0); lo < 300; lo += 100 {
+		ref.fill(b, lo, lo+100)
+		if err := b.spill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.fill(b, 300, 350)
+	if len(b.runs.spills) != 3 {
+		t.Fatalf("%d runs, want 3", len(b.runs.spills))
+	}
+	return b, ref
+}
+
+// assertRunsOnDisk: the set lists exactly the run files in dir.
+func assertRunsOnDisk(t *testing.T, rs *runSet, dir string) {
+	t.Helper()
+	var listed, onDisk []string
+	for _, run := range rs.spills {
+		listed = append(listed, filepath.Base(run.path))
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		onDisk = append(onDisk, e.Name())
+	}
+	slices.Sort(listed)
+	if !slices.Equal(listed, onDisk) {
+		t.Errorf("the set lists runs %q, the disk holds %q", listed, onDisk)
+	}
+}
+
+// TestReplayChecksRunSize: a run file shorter or longer than the run's
+// record fails the drain with an error that names it, before anything is
+// mapped (a mapped read past the end of a file is a SIGBUS, not an error);
+// the set still lists exactly the runs left on disk, and the release
+// leaves nothing behind.
+func TestReplayChecksRunSize(t *testing.T) {
+	resize := map[string]func(path string, size int64) error{
+		"truncated": func(path string, size int64) error { return os.Truncate(path, size/2) },
+		"extended":  func(path string, size int64) error { return os.Truncate(path, size+1) },
+	}
+	for _, c := range containerCases {
+		for how, change := range resize {
+			t.Run(c.name+"/"+how, func(t *testing.T) {
+				mem, dir := memory.NewManager(256, 0), t.TempDir()
+				b, _ := spilledThrice(t, c, mem, dir)
+				mid := b.runs.spills[1]
+				if err := change(mid.path, mid.size); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.drain(); err == nil || !strings.Contains(err.Error(), mid.path) {
+					t.Fatalf("drain with run %s %s returned %v", mid.path, how, err)
+				}
+				if len(b.runs.spills) != 2 || b.runs.spills[0] != mid {
+					t.Errorf("after the failed drain the set lists %v, want %s and the one after it", b.runs.spills, mid.path)
+				}
+				assertRunsOnDisk(t, b.runs, dir)
+				b.release()
+				assertClean(t, mem, dir, c.name+" "+how)
+			})
+		}
+	}
+}
+
+// TestReplayOfAnEmptyRun: a spill section may announce a run of zero bytes;
+// it restores as an empty file and replays as an empty run, which a DecaAgg
+// folds as no records — no mmap of length 0 is attempted.
+func TestReplayOfAnEmptyRun(t *testing.T) {
+	dir := t.TempDir()
+	rs := runSet{dir: dir}
+	if err := rs.restore(bytes.NewReader([]byte{1, 0})); err != nil || len(rs.spills) != 1 || rs.spills[0].size != 0 {
+		t.Fatalf("restoring one empty run: %v, %v", err, rs.spills)
+	}
+	folds := 0
+	if err := rs.replay(func(run []byte) error { folds += 1 + len(run); return nil }); err != nil || folds != 1 {
+		t.Errorf("replaying an empty run: %v after %d folds of %d bytes", err, folds, folds-1)
+	}
+	rs.release()
+
+	mem := memory.NewManager(256, 0)
+	b, err := NewDecaAgg[int64, int64](mem, addI, i64, i64, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Put(7, 35)
+	var frame bytes.Buffer
+	if err := writeSegments(&frame, b.EncodeSegments); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	// The frame ends with its spill section, a run count of 0: announce one
+	// run of 0 bytes instead.
+	wire := append(bytes.TrimSuffix(frame.Bytes(), []byte{0}), 1, 0)
+	dst, err := NewDecaAgg[int64, int64](mem, addI, i64, i64, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foldFrame(dst, wire, mem, dir); err != nil {
+		t.Fatal(err)
+	}
+	sums := map[int64]int64{}
+	if err := dst.Drain(func(k, v int64) bool { sums[k] = v; return true }); err != nil || len(sums) != 1 || sums[7] != 35 {
+		t.Errorf("drained %v (%v) off a frame with an empty run, want 7:35", sums, err)
+	}
+	dst.Release()
+	assertClean(t, mem, dir, "after the empty run")
+}
+
+// TestNoMappingOutlivesItsReplay: a replay unmaps each run when its fold
+// returns — after a drain that succeeds, after a fold that fails on a
+// corrupt run — and a release with runs pending maps none; assertClean
+// reads /proc/self/maps (Linux) for mappings of the spill dir's files.
+func TestNoMappingOutlivesItsReplay(t *testing.T) {
+	for _, c := range containerCases {
+		t.Run(c.name, func(t *testing.T) {
+			mem, dir := memory.NewManager(256, 0), t.TempDir()
+			b, ref := spilledThrice(t, c, mem, dir)
+			c.checkDrain(t, b, ref, "drain")
+			b.release()
+			assertClean(t, mem, dir, "after a drain")
+
+			b, _ = spilledThrice(t, c, mem, dir)
+			mid := b.runs.spills[1]
+			if err := os.WriteFile(mid.path, bytes.Repeat([]byte{0xff}, int(mid.size)), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.drain(); err == nil {
+				t.Fatalf("drain over a run of 0xff bytes succeeded")
+			}
+			b.release()
+			assertClean(t, mem, dir, "after a failed fold")
+
+			b, _ = spilledThrice(t, c, mem, dir)
+			b.release()
+			assertClean(t, mem, dir, "after a release with runs pending")
 		})
 	}
 }

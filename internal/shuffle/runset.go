@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
+	"sync"
 
 	"deca/internal/decompose"
+	"deca/internal/memory"
 	"deca/internal/transport"
 )
 
@@ -25,103 +26,52 @@ type spillFile struct {
 
 // spillWriter streams records into a run file through a buffered writer,
 // so spilling never materializes the whole run in memory: Deca buffers
-// emit value segments straight out of their pages, object buffers stage
-// one record at a time in a reusable scratch buffer.
+// write value segments straight out of their pages, object buffers
+// serialize one record at a time into scratch, reused across records.
 type spillWriter struct {
-	w       *bufio.Writer
-	n       int64
+	*bufio.Writer
 	scratch []byte
 }
 
-// emit appends b to the run.
-func (w *spillWriter) emit(b []byte) error {
-	_, err := w.Write(b)
-	return err
+// runWriters recycles spill writers, buffer and scratch, across runs and
+// containers, so neither writing nor restoring a run allocates per run.
+var runWriters = sync.Pool{New: func() any { return &spillWriter{Writer: bufio.NewWriterSize(nil, 32<<10)} }}
+
+// land appends the next size bytes of r to the run, each read landing in
+// the writer's free buffer space: no copy buffer beside it (a copy into
+// the file allocates one per call).
+func (w *spillWriter) land(r io.Reader, size int64) error {
+	for size > 0 {
+		if w.Available() == 0 {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		free := w.AvailableBuffer()
+		n, err := r.Read(free[:min(int64(cap(free)), size)])
+		w.Write(free[:n]) // into its own free space: no flush, no error
+		if size -= int64(n); err != nil && size > 0 {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
-// Write is emit as an io.Writer, for a page snapshot.
-func (w *spillWriter) Write(b []byte) (int, error) {
-	n, err := w.w.Write(b)
-	w.n += int64(n)
+// fold hands the run to fold as a read-only mapping of its file
+// (memory.MapFile, which first checks that the file holds exactly the
+// bytes recorded for the run) and unmaps it when fold returns, a panic
+// included: fold keeps nothing of run but copies, and a view kept past the
+// unmap would fault, not read stale bytes.
+func (s spillFile) fold(fold func(run []byte) error) error {
+	m, err := memory.MapFile(s.path, s.size)
 	if err != nil {
-		err = fmt.Errorf("shuffle: writing spill: %w", err)
+		return fmt.Errorf("shuffle: reading spill %s: %w", s.path, err)
 	}
-	return n, err
-}
-
-// stage returns the writer's scratch buffer resized to n bytes, growing
-// it in place (no per-record throwaway allocation) and reusing it across
-// records.
-func (w *spillWriter) stage(n int) []byte {
-	w.scratch = slices.Grow(w.scratch[:0], n)[:n]
-	return w.scratch
-}
-
-// emitScratch writes whatever the caller built in buf — usually an
-// extension of the staged buffer — and keeps the backing array for the
-// next record.
-func (w *spillWriter) emitScratch(buf []byte) error {
-	w.scratch = buf[:0]
-	return w.emit(buf)
-}
-
-// writeSpill streams records through fn into a new temp file in dir.
-// fn emits any number of records through the writer; it is called once.
-func writeSpill(dir string, fn func(w *spillWriter) error) (spillFile, error) {
-	f, err := os.CreateTemp(dir, "deca-spill-*.bin")
-	if err != nil {
-		return spillFile{}, fmt.Errorf("shuffle: creating spill file: %w", err)
-	}
-	sw := &spillWriter{w: bufio.NewWriter(f)}
-	if err := fn(sw); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return spillFile{}, err
-	}
-	if err := sw.w.Flush(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return spillFile{}, fmt.Errorf("shuffle: flushing spill: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return spillFile{}, fmt.Errorf("shuffle: closing spill: %w", err)
-	}
-	return spillFile{path: f.Name(), size: sw.n}, nil
-}
-
-// restoreSpill writes the next size bytes of r into a fresh run file in
-// dir — the receiving end of a spill run that crossed the wire.
-func restoreSpill(dir string, r io.Reader, size int64) (spillFile, error) {
-	f, err := os.CreateTemp(dir, "deca-spill-*.bin")
-	if err != nil {
-		return spillFile{}, fmt.Errorf("shuffle: creating restored spill: %w", err)
-	}
-	if _, err := io.CopyN(f, r, size); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return spillFile{}, fmt.Errorf("shuffle: restoring spill: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return spillFile{}, fmt.Errorf("shuffle: closing restored spill: %w", err)
-	}
-	return spillFile{path: f.Name(), size: size}, nil
-}
-
-// read loads the whole run back into buf, grown when it is too short (nil:
-// a buffer of the run's own), and returns it.
-func (s spillFile) read(buf []byte) ([]byte, error) {
-	f, err := os.Open(s.path)
-	if err == nil {
-		defer f.Close()
-		buf = slices.Grow(buf[:0], int(s.size))[:s.size]
-		_, err = io.ReadFull(f, buf)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: reading spill %s: %w", s.path, err)
-	}
-	return buf, nil
+	defer m.Release()
+	return fold(m.Bytes())
 }
 
 // remove deletes the run file.
@@ -145,11 +95,31 @@ type runSet struct {
 // SpilledBytes returns the cumulative spill volume.
 func (rs *runSet) SpilledBytes() int64 { return rs.spilled }
 
-// write streams one run through fn into a new file and accounts it.
+// write streams one run through fn, called once, into a new file under
+// the set's directory with a writer borrowed from runWriters, and accounts
+// it — a spill and a restore alike. On error the file is removed.
 func (rs *runSet) write(fn func(w *spillWriter) error) error {
-	run, err := writeSpill(rs.dir, fn)
+	f, err := os.CreateTemp(rs.dir, "deca-spill-*.bin")
 	if err != nil {
-		return err
+		return fmt.Errorf("shuffle: creating spill: %w", err)
+	}
+	w := runWriters.Get().(*spillWriter)
+	w.Reset(f)
+	if err = fn(w); err == nil {
+		err = w.Flush()
+	}
+	w.Reset(nil)
+	runWriters.Put(w)
+	run := spillFile{path: f.Name()}
+	if err == nil {
+		run.size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		run.remove()
+		return fmt.Errorf("shuffle: writing spill: %w", err)
 	}
 	rs.spills = append(rs.spills, run)
 	rs.spilled += run.size
@@ -164,21 +134,16 @@ func (rs *runSet) take(src *runSet) {
 	src.spills = nil
 }
 
-// replay folds every run back in: each is read whole, handed to fold,
-// deleted, and dropped from the set at that moment. A failure on one run
-// therefore leaves the set listing exactly the runs still on disk, so the
-// retried replay — and any encode of the buffer in between — meets no
-// deleted file, and the caller sees the error that actually happened. The
-// runs are read one after the other into one buffer that lives as long as
-// the replay: fold keeps nothing of run past its return but copies.
+// replay folds every run back in: each is mapped where it lies, handed to
+// fold (spillFile.fold), unmapped, deleted, and dropped from the set at
+// that moment. A failure on one run therefore leaves the set listing
+// exactly the runs still on disk, so the retried replay — and any encode
+// of the buffer in between — meets no deleted file, and the caller sees
+// the error that actually happened. No run's bytes pass through the Go
+// heap.
 func (rs *runSet) replay(fold func(run []byte) error) error {
-	var data []byte
 	for len(rs.spills) > 0 {
-		var err error
-		if data, err = rs.spills[0].read(data); err != nil {
-			return err
-		}
-		if err := fold(data); err != nil {
+		if err := rs.spills[0].fold(fold); err != nil {
 			return err
 		}
 		rs.spills[0].remove()
@@ -220,12 +185,9 @@ func (rs *runSet) restore(r WireReader) error {
 		if size > maxWireCount {
 			return fmt.Errorf("shuffle: spill run %d size %d implausible", i, size)
 		}
-		run, err := restoreSpill(rs.dir, r, int64(size))
-		if err != nil {
-			return err
+		if err := rs.write(func(w *spillWriter) error { return w.land(r, int64(size)) }); err != nil {
+			return fmt.Errorf("shuffle: restoring spill run %d: %w", i, err)
 		}
-		rs.spills = append(rs.spills, run)
-		rs.spilled += run.size
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"deca/internal/memory"
 	"deca/internal/serial"
@@ -186,32 +185,13 @@ func TestSealedContainer(t *testing.T) {
 	}
 }
 
-// TestReplayReadsIntoOneBuffer: a replay reads its runs one after the other
-// into one buffer, grown to the largest — sound because every fold copies
-// what it keeps of a run. Pinned for the four containers that replay
-// (string keys and values: an alias into the buffer would read as the next
-// run's bytes), Object path included.
-func TestReplayReadsIntoOneBuffer(t *testing.T) {
-	rs := runSet{dir: t.TempDir()}
-	sizes := []int{4096, 100, 2000}
-	for _, n := range sizes {
-		if err := rs.write(func(w *spillWriter) error { return w.emit(bytes.Repeat([]byte{byte(n)}, n)) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var at []*byte
-	err := rs.replay(func(run []byte) error {
-		if want := sizes[len(at)]; len(run) != want || run[0] != byte(want) || run[want-1] != byte(want) {
-			t.Errorf("run %d read back as %d bytes of %#x", len(at), len(run), run[0])
-		}
-		at = append(at, unsafe.SliceData(run))
-		return nil
-	})
-	if err != nil || len(at) != 3 || at[1] != at[0] || at[2] != at[0] || len(rs.spills) != 0 {
-		t.Errorf("3 runs, the first the largest, replayed at %v (%v), want one buffer", at, err)
-	}
-	rs.release()
-
+// TestReplayCopiesWhatItKeeps: a replay hands each fold a mapping of its
+// run and unmaps it when the fold returns (TestReplayAllocBudget holds it
+// to no heap buffer) — sound because every fold copies what it keeps of a
+// run. Pinned for the four containers that replay (string keys and
+// values: an alias into a run would fault once it is unmapped), Object
+// path included.
+func TestReplayCopiesWhatItKeeps(t *testing.T) {
 	mem, dir := memory.NewManager(256, 0), t.TempDir()
 	objCfg := ObjectConfig[string, string]{KeySer: serial.Str{}, ValSer: serial.Str{}, SpillDir: dir}
 	concat := func(a, b string) string { return a + b }
@@ -222,8 +202,8 @@ func TestReplayReadsIntoOneBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three runs, long records first: the later runs overwrite the head of
-	// what the earlier ones were decoded from.
+	// Three runs, long records first: a kept view of an earlier run would
+	// fault, or read a later run mapped at the same address.
 	want, sums := map[string][]string{}, map[string]int64{}
 	for run, n := range []int{300, 40, 120} {
 		for i := 0; i < n; i++ {

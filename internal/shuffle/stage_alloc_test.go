@@ -5,6 +5,7 @@ package shuffle
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -377,4 +378,79 @@ func TestDrainAllocBudget(t *testing.T) {
 	within(fmt.Sprintf("draining %d keys with %d values", groupKeys, values), testing.AllocsPerRun(5, func() {
 		group.Drain(func(int64, []int64) bool { return true })
 	}), float64(values/listChunk+4))
+}
+
+// TestReplayAllocBudget: a replay reads no run through the Go heap — each
+// is a mapping of its file — so a drain over 8 MiB of runs and more
+// allocates what the same drain does with every record in memory, plus
+// 64 KiB: DecaAgg[string, int64] over runs of 100 k keys and
+// DecaGroup[int64, int64] over runs of 10 k keys' values.
+func TestReplayAllocBudget(t *testing.T) {
+	const runBytes, slack = 8 << 20, 64 << 10
+	mem, dir := memory.NewManager(1<<20, 0), t.TempDir()
+	// allocated is what one drain allocates, by TotalAlloc (not a mean over
+	// runs: a drain consumes its runs).
+	allocated := func(drain func() error) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := drain(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	check := func(what string, spilled int64, withRuns, inMemory func() error) {
+		t.Helper()
+		if spilled < runBytes {
+			t.Fatalf("%s: runs of %d bytes, want %d and more", what, spilled, runBytes)
+		}
+		got, base := allocated(withRuns), allocated(inMemory)
+		t.Logf("%s: %d bytes allocated over %d bytes of runs, %d with none", what, got, spilled, base)
+		if got >= base+slack {
+			t.Errorf("%s allocated %d bytes over %d bytes of runs, budget %d (%d with no runs + %d)", what, got, spilled, base+slack, base, slack)
+		}
+	}
+
+	keys := drainKeys("word", 100_000)
+	newAgg := func() *DecaAgg[string, int64] {
+		b, err := NewDecaAgg[string, int64](mem, addI, str, i64, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	spilledAgg, agg := newAgg(), newAgg()
+	defer spilledAgg.Release()
+	defer agg.Release()
+	for pass := range 4 {
+		for i, k := range keys {
+			spilledAgg.Put(k, int64(pass*i))
+			agg.Put(k, int64(pass*i))
+		}
+		if err := spilledAgg.Spill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	yieldAll := func(string, int64) bool { return true }
+	check("DecaAgg drain", spilledAgg.SpilledBytes(),
+		func() error { return spilledAgg.Drain(yieldAll) },
+		func() error { return agg.Drain(yieldAll) })
+
+	const groupKeys, values = 10_000, 480_000
+	spilledGroup, group := NewDecaGroup[int64, int64](mem, i64, i64, dir), NewDecaGroup[int64, int64](mem, i64, i64, dir)
+	defer spilledGroup.Release()
+	defer group.Release()
+	for i := int64(0); i < values; i++ {
+		spilledGroup.Put(i*7919%groupKeys, i)
+		group.Put(i*7919%groupKeys, i)
+		if (i+1)%(values/4) == 0 {
+			if err := spilledGroup.Spill(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	yieldLists := func(int64, []int64) bool { return true }
+	check("DecaGroup drain", spilledGroup.SpilledBytes(),
+		func() error { return spilledGroup.Drain(yieldLists) },
+		func() error { return group.Drain(yieldLists) })
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -208,8 +209,8 @@ func (c frameCase) stageFold(frame []byte, mem *memory.Manager, dir string) erro
 }
 
 // assertClean: every page and every group — merged buffers, adopted
-// sources, restored frames — is back with the manager, and no spill file
-// outlived its buffer.
+// sources, restored frames — is back with the manager, no spill file
+// outlived its buffer, and no mapping of one outlived its replay.
 func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
 	tb.Helper()
 	if in := mem.InUse(); in != 0 {
@@ -221,6 +222,29 @@ func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		tb.Fatalf("%s: %d spill files left in %s", what, len(entries), dir)
 	}
+	if mapped := mappedUnder(dir); len(mapped) != 0 {
+		tb.Fatalf("%s: %d mappings of files in %s left: %q", what, len(mapped), dir, mapped)
+	}
+}
+
+// mappedUnder lists the process's mappings of files under dir, deleted
+// ones included, as /proc/self/maps names them; nothing where there is no
+// /proc (the check is Linux's).
+func mappedUnder(dir string) []string {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return nil
+	}
+	if real, err := filepath.EvalSymlinks(dir); err == nil {
+		dir = real // the kernel names a mapping by its resolved path
+	}
+	var mapped []string
+	for line := range strings.Lines(string(maps)) {
+		if _, path, ok := strings.Cut(line, " "+dir+"/"); ok {
+			mapped = append(mapped, strings.TrimSpace(path))
+		}
+	}
+	return mapped
 }
 
 // TestStageKindMismatch: a frame stages as what its kind byte says it is
