@@ -239,7 +239,7 @@ func WrapTransport(inner transport.Transport, inj *Injector) *Transport {
 }
 
 // Register delegates to the inner transport.
-func (t *Transport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool, error) {
+func (t *Transport) Register(id transport.MapOutputID, p transport.Payload) error {
 	return t.inner.Register(id, p)
 }
 

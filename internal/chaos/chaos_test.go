@@ -101,7 +101,7 @@ func TestTransportWrapperInjectsAndDelegates(t *testing.T) {
 	inj.FailFetchN = 1
 	tr := WrapTransport(inner, inj)
 	id := transport.MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
-	if _, _, err := tr.Register(id, transport.Payload{
+	if err := tr.Register(id, transport.Payload{
 		Data: "buf", SrcExecutor: 0, Bytes: 3,
 		Encode: func(w io.Writer) error { _, err := io.WriteString(w, "buf"); return err },
 	}); err != nil {

@@ -428,10 +428,9 @@ func appendOutputID(e *enc, id transport.MapOutputID) {
 
 // Publish records a map output's location, telling the previous holder —
 // when the entry moved across executors on a retry or a lineage re-run —
-// to discard its now-orphaned buffers, which is why it
-// reports no previous holder for the caller to take from. Same-executor
-// displacement is handled locally by the executor's own data server.
-func (d *Driver) Publish(id transport.MapOutputID, exec int) (int, bool, error) {
+// to discard its now-orphaned buffers. Same-executor displacement is
+// handled locally by the executor's own data server.
+func (d *Driver) Publish(id transport.MapOutputID, exec int) error {
 	d.dirMu.Lock()
 	prev, had := d.dir[id]
 	d.dir[id] = exec
@@ -439,7 +438,7 @@ func (d *Driver) Publish(id transport.MapOutputID, exec int) (int, bool, error) 
 	if had && prev != exec {
 		d.sendDiscard(prev, id)
 	}
-	return 0, false, nil
+	return nil
 }
 
 // Lookup resolves the output's holder and its data address. It is

@@ -377,11 +377,7 @@ func (f *Follower) readLoop() {
 			if !dd.ok() {
 				continue
 			}
-			if p, ok := f.server.Take(id); ok {
-				if r, okR := p.Data.(interface{ Release() }); okR {
-					r.Release()
-				}
-			}
+			f.server.Discard(id)
 		case msgReleaseDataset:
 			dataset := int(dd.int())
 			epoch := int(dd.int())
@@ -542,13 +538,13 @@ func (f *Follower) NeedShuffle(dataset int) {
 
 // Publish records a map output's location in the driver directory.
 // Ordering is guaranteed against this executor's later TaskDone frames
-// (same stream, handled in order by the driver). It reports no previous
-// holder: the driver tells a displaced one to discard (msgDiscardOutput).
-func (f *Follower) Publish(id transport.MapOutputID, exec int) (int, bool, error) {
+// (same stream, handled in order by the driver); the driver tells a
+// displaced holder to discard (msgDiscardOutput).
+func (f *Follower) Publish(id transport.MapOutputID, exec int) error {
 	var e enc
 	appendOutputID(&e, id)
 	e.int(int64(exec))
-	return 0, false, f.conn.send(msgRegisterOutput, e.b)
+	return f.conn.send(msgRegisterOutput, e.b)
 }
 
 // Retire and RetireShuffle are no-ops: the driver retires directory

@@ -71,7 +71,7 @@ const (
 	// under the stage-commit protocol (directory entries survive fetches,
 	// so a failed round-trip has nothing to restore).
 	// msgDiscardOutput (driver→exec): shuffle, mapTask, reduce. The
-	// holder takes the output from its data server and releases it.
+	// holder discards the output from its data server.
 	msgDiscardOutput byte = 14
 	// msgReleaseDataset (driver→exec): dataset, epoch. Recovery-initiated
 	// local shuffle release (the next read re-materializes from lineage);

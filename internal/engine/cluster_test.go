@@ -64,7 +64,7 @@ type recordingTransport struct {
 	payloads []transport.Payload
 }
 
-func (r *recordingTransport) Register(id transport.MapOutputID, p transport.Payload) (transport.Payload, bool, error) {
+func (r *recordingTransport) Register(id transport.MapOutputID, p transport.Payload) error {
 	r.mu.Lock()
 	r.payloads = append(r.payloads, p)
 	r.mu.Unlock()

@@ -267,6 +267,8 @@ func (d *Dataset[T]) buildBlock(p int, ex *Executor) (cache.Block, error) {
 // straight from the pages via the block's Group, then call release. The
 // release is bound to the executor the pin actually hit — placement can
 // shift between pin and unpin when an executor gets blacklisted.
+//
+//deca:owns
 func DecaBlockFor[T any](d *Dataset[T], p int) (*cache.DecaBlock[T], func(), error) {
 	if d.level != StorageDeca {
 		return nil, nil, fmt.Errorf("engine: dataset %d is not Deca-persisted (level %v)", d.id, d.level)
@@ -283,6 +285,8 @@ func DecaBlockFor[T any](d *Dataset[T], p int) (*cache.DecaBlock[T], func(), err
 // folded back, pinned until the returned release (shuffleState.pin) — for a
 // dataset co-partitioned with d, a narrow join. A process that does not
 // hold partition p reports the *MissingOutputError a drain would.
+//
+//deca:owns
 func LookupFor[K comparable, V any](d *Dataset[decompose.Pair[K, V]], p int) (func(K) (V, bool), func(), error) {
 	notAgg := fmt.Errorf("engine: dataset %d is not a ReduceByKey output", d.id)
 	st, ok := d.ctx.shuffleOf(d.id).(*shuffleState[decompose.Pair[K, V]])

@@ -182,11 +182,11 @@ func (fp *fetchPipeline) merged(pl transport.Payload) {
 }
 
 // shutdown stops the workers and releases every fetched-but-unconsumed
-// payload through release — the airtight error path: a payload that left
-// the transport must be released by exactly one owner. It is idempotent
-// for payloads (each slot is drained once) and safe after full
-// consumption, where every slot is already empty.
-func (fp *fetchPipeline) shutdown(release func(transport.Payload)) {
+// payload — the airtight error path: a payload that left the transport
+// must be released by exactly one owner. It is idempotent for payloads
+// (each slot is drained once) and safe after full consumption, where
+// every slot is already empty.
+func (fp *fetchPipeline) shutdown() {
 	fp.mu.Lock()
 	fp.aborted = true
 	fp.mu.Unlock()
@@ -195,9 +195,7 @@ func (fp *fetchPipeline) shutdown(release func(transport.Payload)) {
 	for _, ch := range fp.slots {
 		select {
 		case res := <-ch:
-			if res.ok {
-				release(res.pl)
-			}
+			releasePayloads(res.pl) // a miss or an error carries none
 		default:
 		}
 	}

@@ -263,7 +263,7 @@ func TestFetchPipelineMissingAndAbort(t *testing.T) {
 		}
 		sources[m] = &countingReleasable{}
 		frame := []byte{byte(m)}
-		if _, _, err := ctx.trans.Register(
+		if err := ctx.trans.Register(
 			transport.MapOutputID{Shuffle: 9, MapTask: m, Reduce: 0},
 			transport.Payload{Data: sources[m], SrcExecutor: 0, Bytes: 10, Encode: func(w io.Writer) error {
 				_, err := w.Write(frame)
@@ -299,9 +299,7 @@ func TestFetchPipelineMissingAndAbort(t *testing.T) {
 	// Abort as the exchange's error path does; outputs 4 and 5 may or may
 	// not have been prefetched — a copy that was must end up released
 	// exactly once.
-	fp.shutdown(func(pl transport.Payload) {
-		pl.Data.(*countingReleasable).Release()
-	})
+	fp.shutdown()
 	for m := range copies {
 		want := int32(0)
 		if fetched[m].Load() {

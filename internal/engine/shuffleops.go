@@ -158,14 +158,9 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	for r, b := range bufs {
 		b.Seal() // nothing probes a map output again: its index goes back now, not at stage commit
 		ctx.noteOccupancy(shufID, b)
-		prev, replaced, err := ctx.trans.Register(
+		err := ctx.trans.Register(
 			transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r}, payloadFor[K, V](b, ex))
 		registered = r + 1 // Register owns b now, even when it fails
-		if replaced {
-			// Task-retry semantics: the displaced registration's buffers
-			// are nobody else's to free anymore.
-			releasePayloads(prev)
-		}
 		if err != nil {
 			return err
 		}
@@ -232,7 +227,7 @@ func shuffleReduceBody[K comparable, V any, S pairSink[K, V]](
 	defer func() {
 		// shutdown releases whatever the workers fetched ahead of a
 		// failed merge; after full consumption it is a no-op.
-		fp.shutdown(func(pl transport.Payload) { releasePayloads(pl) })
+		fp.shutdown()
 		if !done {
 			merged.Release()
 		}

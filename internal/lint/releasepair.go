@@ -9,10 +9,11 @@ import (
 
 // ReleasePair enforces the engine's paired-release discipline: a value
 // returned by an owned-resource producer — Manager.NewGroup,
-// Manager.NewSlab, Manager.RestoreGroup, MapGroup, MapFile, DecaBlockFor's
-// release func, and any constructor annotated //deca:owns — must, on every path out
-// of the acquiring function, either be released (x.Release(), or calling the
-// returned release func, directly or deferred) or be handed off: returned to the
+// Manager.NewSlab, Manager.RestoreGroup, MapGroup, MapFile, and any
+// function annotated //deca:owns (engine.DecaBlockFor's and LookupFor's
+// release funcs among them) — must, on every path out of the acquiring
+// function, either be released (x.Release(), or calling the returned
+// release func, directly or deferred) or be handed off: returned to the
 // caller, stored into a //deca:owns-annotated field, placed in a
 // container, or passed to another function (AdoptPages, MergeFrom, and
 // anything annotated //deca:transfers are the documented hand-offs).
@@ -29,10 +30,6 @@ import (
 // it to any call all count as hand-offs. What remains is the real bug
 // class PRs 2–5 kept fixing by hand — acquire, hit an error, return
 // without releasing.
-//
-// It also checks Transport.Register call sites: Register returns the
-// payload it displaced (task-retry semantics), and a caller that drops
-// that result leaks the displaced buffers.
 var ReleasePair = &Analyzer{
 	Name: "releasepair",
 	Doc:  "owned resources must be released on all paths or explicitly handed off",
@@ -47,7 +44,6 @@ var builtinOwns = map[string]bool{
 	"deca/internal/memory.Manager.RestoreGroup": true,
 	"deca/internal/memory.MapGroup":             true,
 	"deca/internal/memory.MapFile":              true,
-	"deca/internal/engine.DecaBlockFor":         true,
 	"deca/internal/transport.NewFrameSegments":  true,
 }
 
@@ -71,7 +67,6 @@ func runReleasePair(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkRegisterSites(p, fd)
 			rp := &releaseWalker{p: p}
 			rp.walkFunc(fd.Body, transferredParams(p, fd))
 		}
@@ -648,80 +643,4 @@ func exprIdents(names []*ast.Ident) []ast.Expr {
 		out[i] = n
 	}
 	return out
-}
-
-//
-// Transport.Register displaced-payload check.
-//
-
-// checkRegisterSites flags Register calls whose displaced-payload result
-// is dropped.
-func checkRegisterSites(p *Pass, fd *ast.FuncDecl) {
-	info := p.Pkg.Info
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		stmt, ok := n.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isRegisterCall(info, call) {
-				p.Reportf(call.Pos(),
-					"Transport.Register result discarded: the displaced payload (task-retry replacement) leaks; bind it and release on replaced=true")
-			}
-		case *ast.AssignStmt:
-			if len(s.Rhs) != 1 || len(s.Lhs) < 1 {
-				return true
-			}
-			call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
-			if !ok || !isRegisterCall(info, call) {
-				return true
-			}
-			obj := identObj(info, s.Lhs[0])
-			if obj == nil || obj.Name() == "_" {
-				p.Reportf(call.Pos(),
-					"Transport.Register displaced payload assigned to _; bind it and release on replaced=true")
-				return true
-			}
-			if !usedAfter(info, fd.Body, obj, s.End()) {
-				p.Reportf(call.Pos(),
-					"Transport.Register displaced payload %q is never examined; release it when replaced=true", obj.Name())
-			}
-		}
-		return true
-	})
-}
-
-// isRegisterCall matches methods named Register with the transport
-// signature (MapOutputID, Payload) (Payload, bool, error).
-func isRegisterCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != "Register" {
-		return false
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != 2 || sig.Results().Len() != 3 {
-		return false
-	}
-	return isNamed(sig.Params().At(0).Type(), "deca/internal/transport", "MapOutputID") &&
-		isNamed(sig.Params().At(1).Type(), "deca/internal/transport", "Payload") &&
-		isNamed(sig.Results().At(0).Type(), "deca/internal/transport", "Payload")
-}
-
-// usedAfter reports whether obj is referenced anywhere in body after
-// pos.
-func usedAfter(info *types.Info, body *ast.BlockStmt, obj types.Object, pos token.Pos) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && id.Pos() > pos {
-			if info.ObjectOf(id) == obj {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -5,7 +5,6 @@ package releasepair
 
 import (
 	"errors"
-	"io"
 
 	"deca/internal/memory"
 	"deca/internal/transport"
@@ -274,24 +273,30 @@ func mapLeak(m *memory.Manager, path string, fail bool) error {
 	return nil
 }
 
-// True positive: Register's displaced payload is dropped.
-func dropsDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
-	tr.Register(id, p) // want "Register result discarded"
+// True positive: a frame built through the Payload.Segments field and
+// dropped — every call builds a FrameSegments its caller must release.
+func dropsFrame(p transport.Payload) error {
+	_, err := p.Segments() // want "discarded"
+	return err
 }
 
-// True positive: displaced payload bound to blanks.
-func blankDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
-	_, _, _ = tr.Register(id, p) // want "assigned to _"
-}
-
-// Negative: the replace-release idiom.
-func handlesDisplaced(tr transport.Transport, id transport.MapOutputID, p transport.Payload) {
-	prev, replaced, _ := tr.Register(id, p)
-	if replaced {
-		if c, ok := prev.Data.(io.Closer); ok {
-			_ = c.Close()
-		}
+// Negative: the frame is released once it has been measured.
+func sizesFrame(p transport.Payload) (int64, error) {
+	fs, err := p.Segments()
+	if err != nil {
+		return 0, err
 	}
+	defer fs.Release()
+	return fs.Len(), nil
+}
+
+// Negative: the frame is handed back to the caller.
+func buildsFrame(p transport.Payload) (*transport.FrameSegments, error) {
+	fs, err := p.Segments()
+	if err != nil {
+		return nil, err
+	}
+	return fs, nil
 }
 
 // Negative via suppression: a justified //deca:allow covers the line.

@@ -90,18 +90,17 @@ func newNode() *DataServer {
 // Addr returns the resolved listen address.
 func (s *DataServer) Addr() string { return s.addr }
 
-// Put stores a map output, returning any entry it displaced (task-retry
-// re-registration semantics: the caller owns releasing the old buffers;
-// a mid-serve displaced entry releases server-side once its serve ends).
-func (s *DataServer) Put(id MapOutputID, p Payload) (prev Payload, replaced bool) {
-	return s.store.put(id, p)
+// Put stores a map output. An entry it displaces (a retried or re-run
+// map task's earlier registration) is released here: at once, or by the
+// last serve in flight on it.
+func (s *DataServer) Put(id MapOutputID, p Payload) {
+	s.store.put(id, p)
 }
 
-// Take removes the entry for id, returning its payload for the caller to
-// release. A mid-serve entry is removed but releases server-side later
-// (ok=false).
-func (s *DataServer) Take(id MapOutputID) (Payload, bool) {
-	return s.store.take(id)
+// Discard removes the entry for id, if any, and releases it as Put
+// releases a displaced one.
+func (s *DataServer) Discard(id MapOutputID) {
+	s.store.discard(id)
 }
 
 // TakeAll removes the listed entries — a stage verdict — and returns

@@ -15,10 +15,10 @@ import (
 // one keeps it at the driver, reached over the control connection
 // (internal/ctl's Driver and Follower both implement it).
 type Directory interface {
-	// Publish records exec as id's holder. had reports a previous holder
-	// whose entry the caller must take; a directory that tells displaced
-	// holders to discard by itself (the driver's) reports none.
-	Publish(id MapOutputID, exec int) (prev int, had bool, err error)
+	// Publish records exec as id's holder. A previous holder hosted in
+	// another process is the directory's to tell to discard (the
+	// driver's does); one in this process, the Plane's.
+	Publish(id MapOutputID, exec int) error
 	// Lookup resolves id without consuming the entry. found=false with a
 	// nil error is definitive: nothing is registered under id.
 	Lookup(id MapOutputID) (exec int, addr string, found bool, err error)
@@ -36,12 +36,11 @@ type memDirectory struct {
 	loc map[MapOutputID]int
 }
 
-func (d *memDirectory) Publish(id MapOutputID, exec int) (int, bool, error) {
+func (d *memDirectory) Publish(id MapOutputID, exec int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	prev, had := d.loc[id]
 	d.loc[id] = exec
-	return prev, had, nil
+	return nil
 }
 
 func (d *memDirectory) Lookup(id MapOutputID) (int, string, bool, error) {
@@ -83,7 +82,8 @@ func (d *memDirectory) RetireShuffle(shuffle ShuffleID) {
 // Serving is non-consuming (the package's ownership rule): an entry and
 // its location survive every fetch, and Commit/Drop — which retire the
 // directory entries and take the payloads off this process's nodes,
-// waiting out the serves in flight on them — are the only lifetime end.
+// waiting out the serves in flight on them — are the only lifetime end
+// besides a displacing Register, which releases what it displaced.
 type Plane struct {
 	dir Directory
 	// nodes is keyed by executor id; an executor hosted in another process
@@ -96,8 +96,8 @@ type Plane struct {
 	// regMu makes a Register one whole replacement. The scheduler runs one
 	// attempt of a task at a time, so two Registers of one id do not
 	// overlap in a job; the lock keeps that from being a caller's promise:
-	// interleaved put, publish and take of the displaced entry would store
-	// a payload no location points at.
+	// interleaved put, publish and discard of the displaced entry would
+	// store a payload no location points at.
 	regMu sync.Mutex
 
 	mu     sync.Mutex // guards stats
@@ -197,14 +197,16 @@ func (t *Plane) Addrs() []string {
 	return addrs
 }
 
-// Register stores the output on its source executor's node and publishes
-// the location, returning any entry it displaced — from the same node, or
-// from another local one when a retried or lineage-re-run task
-// re-registered elsewhere (a holder in another process is told to discard by the
-// directory). The entry is stored before it is published, so no lookup
-// can resolve to a node that does not hold it yet.
-func (t *Plane) Register(id MapOutputID, p Payload) (prev Payload, replaced bool, err error) {
+// Register stores the output on its source executor's node, publishes
+// the location and discards id from every other local node: an id has one
+// live registration, and whatever a retried or lineage-re-run task
+// displaced — on the same node or on another — ends its lifetime here (a
+// holder in another process is told to discard by the directory). The
+// entry is stored before it is published, so no lookup can resolve to a
+// node that does not hold it yet.
+func (t *Plane) Register(id MapOutputID, p Payload) error {
 	node := t.node(p.SrcExecutor)
+	var err error
 	switch {
 	case p.Segments == nil && p.Encode == nil:
 		err = fmt.Errorf("transport: registering %v: payload has neither Segments nor Encode, and only a frame can be served", id)
@@ -213,28 +215,25 @@ func (t *Plane) Register(id MapOutputID, p Payload) (prev Payload, replaced bool
 	}
 	if err != nil {
 		releasePayload(p)
-		return Payload{}, false, err
+		return err
 	}
 	t.regMu.Lock()
 	defer t.regMu.Unlock()
-	prev, replaced = node.Put(id, p)
-	holder, had, err := t.dir.Publish(id, p.SrcExecutor)
-	if err != nil {
-		// Unpublished, the entry can never be fetched: take it back. (Mid-
-		// serve already — an earlier registration of the id was published —
-		// the store releases it when that serve ends.)
-		if unpublished, ok := node.Take(id); ok {
-			releasePayload(unpublished)
-		}
-		return prev, replaced, fmt.Errorf("transport: publishing %v: %w", id, err)
+	node.Put(id, p)
+	if err := t.dir.Publish(id, p.SrcExecutor); err != nil {
+		// Unpublished, the entry can never be fetched.
+		node.Discard(id)
+		return fmt.Errorf("transport: publishing %v: %w", id, err)
 	}
-	if old := t.node(holder); had && old != nil && old != node {
-		prev, replaced = old.Take(id)
+	for _, n := range t.nodes {
+		if n != node {
+			n.Discard(id)
+		}
 	}
 	t.mu.Lock()
 	t.stats.Registered++
 	t.mu.Unlock()
-	return prev, replaced, nil
+	return nil
 }
 
 // Fetch resolves the output's holder and serves a frame: in place when
@@ -268,7 +267,7 @@ func (t *Plane) Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload,
 	}
 	if err != nil || !found {
 		// found=false: the node kept nothing under id — the entry was taken
-		// by a racing Commit/Drop or displacement after the lookup.
+		// by a racing Commit/Drop or discarded after the lookup.
 		return Payload{}, false, err
 	}
 	t.mu.Lock()

@@ -20,9 +20,9 @@ import (
 // server goroutine unpins only after the fetcher already holds the
 // frame's last byte, so the job can get here first. The single-entry
 // removals (displacement by a re-registration, a discard), which run
-// under other locks or on a control loop, never wait: the entry leaves
-// the registry as a zombie that the store releases when its last serve
-// ends, and is reported absent/unreplaced to the caller.
+// under other locks or on a control loop, never wait and hand nothing
+// back: the store releases the entry at once, or — mid-serve — leaves it
+// as a zombie that it releases when its last serve ends.
 type outputStore struct {
 	mu sync.Mutex
 	m  map[MapOutputID]*storeEntry
@@ -62,44 +62,37 @@ func (s *outputStore) init() {
 	s.drained.L = &s.mu
 }
 
-// put stores a payload, returning any entry it displaced so the caller
-// can release it. A displaced entry that is mid-serve is released by the
-// store instead (replaced=false).
-func (s *outputStore) put(id MapOutputID, p Payload) (prev Payload, replaced bool) {
+// put stores a payload, ending the lifetime of any entry it displaces.
+func (s *outputStore) put(id MapOutputID, p Payload) {
 	s.mu.Lock()
-	old, had := s.m[id]
+	old := s.m[id]
 	s.m[id] = &storeEntry{p: p}
-	if had && old.serving > 0 {
-		old.dead = true
-		had = false
-	}
 	s.mu.Unlock()
-	if !had {
-		return Payload{}, false
-	}
-	return old.p, true
+	s.retire(old)
 }
 
-// take removes the entry and returns its payload for the caller to
-// release. A mid-serve entry is removed but released by the store later
-// (ok=false).
-func (s *outputStore) take(id MapOutputID) (Payload, bool) {
+// discard removes the entry, if any, and ends its lifetime.
+func (s *outputStore) discard(id MapOutputID) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.removeLocked(id)
+	old := s.m[id]
+	delete(s.m, id)
+	s.mu.Unlock()
+	s.retire(old)
 }
 
-func (s *outputStore) removeLocked(id MapOutputID) (Payload, bool) {
-	e, ok := s.m[id]
-	if !ok {
-		return Payload{}, false
+// retire releases an entry just removed from the registry, or marks it a
+// zombie for its last endServe when a serve is still encoding it.
+func (s *outputStore) retire(e *storeEntry) {
+	if e == nil {
+		return
 	}
-	delete(s.m, id)
-	if e.serving > 0 {
-		e.dead = true
-		return Payload{}, false
+	s.mu.Lock()
+	release := e.serving == 0
+	e.dead = !release
+	s.mu.Unlock()
+	if release {
+		releasePayload(e.p)
 	}
-	return e.p, true
 }
 
 // takeAll removes every listed entry and returns the payloads, all the

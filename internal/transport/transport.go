@@ -14,8 +14,9 @@
 // after a mid-merge failure) can fetch the same output.
 // Commit/Drop return whatever was still registered so the caller can
 // release those buffers — the lifetime end of every map output is one of
-// those two calls, never a fetch. A payload that cannot be framed is
-// rejected at Register.
+// those two calls, never a fetch — except for an output that a
+// re-registration of its id displaces, which the transport releases
+// itself. A payload that cannot be framed is rejected at Register.
 package transport
 
 import (
@@ -139,12 +140,11 @@ type Transport interface {
 	// or not it succeeds: a rejected payload — one with neither Segments nor
 	// Encode, one whose source executor has no node in this process, one
 	// whose location could not be published — is released before Register
-	// returns the error. Registering the same id twice replaces the entry
-	// (task retry semantics) and returns the payload it displaced with
-	// replaced=true, so the caller can release the old buffers instead of
-	// leaking them. A displaced entry that is mid-serve is released by the
-	// transport once the serve ends (replaced=false).
-	Register(id MapOutputID, p Payload) (prev Payload, replaced bool, err error)
+	// returns the error. Registering the same id twice, from any executor,
+	// replaces the entry (task retry semantics) and ends the displaced
+	// payload's lifetime inside the transport: it is released at once, or
+	// by the last serve in flight on it.
+	Register(id MapOutputID, p Payload) error
 	// Fetch serves the output to the reduce task running on dstExecutor
 	// without consuming the registration, which stays pinned for other
 	// consumers until Commit/Drop. The frame is decoded by open as it

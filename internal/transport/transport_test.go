@@ -60,12 +60,8 @@ func openBytes(r FrameReader, size int64) (Decoded, error) {
 
 func mustRegister(t *testing.T, tr Transport, id MapOutputID, p Payload) {
 	t.Helper()
-	prev, replaced, err := tr.Register(id, p)
-	if err != nil {
+	if err := tr.Register(id, p); err != nil {
 		t.Fatalf("Register(%v): %v", id, err)
-	}
-	if replaced {
-		releasePayload(prev)
 	}
 }
 
@@ -85,8 +81,7 @@ func mustFetch(t *testing.T, tr Transport, id MapOutputID, dst int) string {
 // scriptedDir is the in-test Directory behind the remote construction: a
 // location table the test writes directly — so an output can be "held by
 // a non-local executor" at any address, or unknown — plus a switchable
-// lookup error. Like the driver's, it reports no previous holder from
-// Publish and drops entries on Retire/RetireShuffle.
+// lookup error. It drops entries on Retire/RetireShuffle.
 type scriptedDir struct {
 	mu        sync.Mutex
 	loc       map[MapOutputID]scriptedLoc
@@ -111,9 +106,9 @@ func (d *scriptedDir) failLookups(err error) {
 	d.lookupErr = err
 }
 
-func (d *scriptedDir) Publish(id MapOutputID, exec int) (int, bool, error) {
+func (d *scriptedDir) Publish(id MapOutputID, exec int) error {
 	d.hold(id, exec, "")
-	return 0, false, nil
+	return nil
 }
 
 func (d *scriptedDir) Lookup(id MapOutputID) (int, string, bool, error) {
@@ -199,9 +194,7 @@ var constructions = []struct {
 		dir := &scriptedDir{loc: make(map[MapOutputID]scriptedLoc)}
 		r := &rig{tr: NewRemote(dir, map[int]*DataServer{me: node}, 0), holder: me, reader: me, dir: dir}
 		r.remote = func(t *testing.T, id MapOutputID, buf *fakeBuf) {
-			if prev, replaced := peer.Put(id, buf.payload(peerExec)); replaced {
-				releasePayload(prev)
-			}
+			peer.Put(id, buf.payload(peerExec))
 			dir.hold(id, peerExec, peer.Addr())
 		}
 		r.sever = func() { peer.Close() }
@@ -272,8 +265,9 @@ func TestTransportContract(t *testing.T) {
 			// Registers of one id race — the scheduler never issues them (a
 			// task runs one attempt at a time), but Register stays one whole
 			// replacement without that promise — from different nodes where
-			// the construction hosts several. Every payload but the survivor
-			// comes back as displaced exactly once.
+			// the construction hosts several. The transport releases every
+			// payload but the survivor exactly once (fakeBuf panics on a
+			// second release).
 			execs := []int{r.holder}
 			if r.holder != r.reader {
 				execs = append(execs, r.reader)
@@ -287,12 +281,8 @@ func TestTransportContract(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					prev, replaced, err := r.tr.Register(id, bufs[i].payload(execs[i%len(execs)]))
-					if err != nil {
+					if err := r.tr.Register(id, bufs[i].payload(execs[i%len(execs)])); err != nil {
 						t.Errorf("Register %d: %v", i, err)
-					}
-					if replaced {
-						releasePayload(prev)
 					}
 				}(i)
 			}
@@ -310,6 +300,30 @@ func TestTransportContract(t *testing.T) {
 				}
 			}
 		}},
+		{"re-registration on another executor releases the old node's copy", func(t *testing.T, r *rig) {
+			// A lineage re-run places the map task on another executor: the
+			// id's one live registration moves there, and the copy left on
+			// the old node is the transport's to release, not the caller's.
+			if r.reader == r.holder {
+				t.Skip("one executor hosted here; another process's holder is told to discard by the directory")
+			}
+			id := MapOutputID{Shuffle: 10}
+			old, fresh := &fakeBuf{frame: []byte("first run")}, &fakeBuf{frame: []byte("re-run")}
+			mustRegister(t, r.tr, id, old.payload(r.holder))
+			mustRegister(t, r.tr, id, fresh.payload(r.reader))
+			if !old.released.Load() {
+				t.Error("the displaced copy was not released")
+			}
+			if fresh.released.Load() || r.tr.Pending() != 1 {
+				t.Errorf("after the move: fresh released=%v, pending=%d, want the new copy alone registered", fresh.released.Load(), r.tr.Pending())
+			}
+			if got := mustFetch(t, r.tr, id, r.holder); got != "re-run" {
+				t.Errorf("the moved output served %q", got)
+			}
+			for _, p := range r.tr.Commit([]MapOutputID{id}) {
+				releasePayload(p)
+			}
+		}},
 		{"displacement mid-serve defers the release", func(t *testing.T, r *rig) {
 			id := MapOutputID{Shuffle: 8}
 			old, fresh := &fakeBuf{frame: []byte("v1")}, &fakeBuf{frame: []byte("v2")}
@@ -321,9 +335,7 @@ func TestTransportContract(t *testing.T) {
 				r.tr.Fetch(id, r.reader, openBytes) // blocks in Encode
 			}()
 			<-entered
-			if _, replaced, err := r.tr.Register(id, fresh.payload(r.holder)); replaced || err != nil {
-				t.Errorf("mid-serve displacement = (replaced=%v, err=%v): the payload must stay with the store", replaced, err)
-			}
+			mustRegister(t, r.tr, id, fresh.payload(r.holder))
 			if old.released.Load() {
 				t.Fatal("displaced buffer released while a serve was encoding it")
 			}
@@ -523,9 +535,9 @@ func TestRegisterRejectsPayloadWithoutWireForm(t *testing.T) {
 			defer r.tr.Close()
 			buf := &fakeBuf{frame: []byte("x")}
 			id := MapOutputID{Shuffle: 3}
-			_, replaced, err := r.tr.Register(id, Payload{Data: buf, SrcExecutor: r.holder, Bytes: 1})
-			if err == nil || replaced || !strings.Contains(err.Error(), "neither Segments nor Encode") {
-				t.Fatalf("Register of a payload with no encoder = (replaced=%v, err=%v), want a rejection naming the missing encoders", replaced, err)
+			err := r.tr.Register(id, Payload{Data: buf, SrcExecutor: r.holder, Bytes: 1})
+			if err == nil || !strings.Contains(err.Error(), "neither Segments nor Encode") {
+				t.Fatalf("Register of a payload with no encoder = %v, want a rejection naming the missing encoders", err)
 			}
 			if !buf.released.Load() {
 				t.Error("the rejected payload was not released")
@@ -550,7 +562,7 @@ func TestPlaneWithoutLocalNodes(t *testing.T) {
 	defer tr.Close()
 	buf := &fakeBuf{frame: []byte("x")}
 	id := MapOutputID{Shuffle: 1}
-	if _, _, err := tr.Register(id, buf.payload(3)); err == nil || !strings.Contains(err.Error(), "no local node for executor 3") {
+	if err := tr.Register(id, buf.payload(3)); err == nil || !strings.Contains(err.Error(), "no local node for executor 3") {
 		t.Errorf("Register on a node-less plane: err = %v", err)
 	}
 	if !buf.released.Load() {
