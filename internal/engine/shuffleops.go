@@ -59,6 +59,7 @@ func (o PairOps[K, V]) decaGroupAble(ctx *Context) bool {
 // operator's sink adds the one drain method it names.
 type pairSink[K comparable, V any] interface {
 	Put(k K, v V)
+	Len() int // records in memory
 	Spill() error
 	Seal() // the fill ended: the container returns what only a Put needed
 	SizeBytes() int64
@@ -74,6 +75,7 @@ type pairSink[K comparable, V any] interface {
 // aggSink is ReduceByKey's sink; a merged one is the table LookupFor probes.
 type aggSink[K comparable, V any] interface {
 	pairSink[K, V]
+	StopCombining()
 	Drain(yield func(K, V) bool) error
 	FoldRuns() error
 	Lookup(k K) (V, bool)
@@ -93,11 +95,16 @@ func shuffleStageKey(sh transport.ShuffleID, epoch int, phase string) string {
 	return fmt.Sprintf("x/%d/%d/%s", sh, epoch, phase)
 }
 
+// uncombinedAfter is the Put at which a combining map buffer is judged
+// (DESIGN.md "Where the map side stops combining").
+const uncombinedAfter = 16 << 10
+
 // shuffleMapBody is one map task: fill one buffer per reduce partition
 // from partition m of d, spilling under the derived threshold, and
 // register each with the transport — wrapped in a payload carrying the
 // buffer's frame encoder (payloadFor), so a networked transport can frame
-// it without knowing its type.
+// it without knowing its type. stop (a combining sink's) ends the combine
+// of a buffer whose first uncombinedAfter Puts were over half new keys.
 func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	ctx *Context,
 	d *Dataset[decompose.Pair[K, V]],
@@ -107,6 +114,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	threshold int64,
 	entrySize func(K, V) int,
 	newBuf func(ex *Executor) (S, error),
+	stop func(S),
 	t sched.Attempt,
 	ex *Executor,
 ) error {
@@ -135,7 +143,12 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		r := shuffle.Partition(key.Hash(p.Key), R)
 		bufs[r].Put(p.Key, p.Value)
 		records++
-		if trackers[r].add() {
+		spill := trackers[r].add()
+		if stop != nil && trackers[r].puts == uncombinedAfter && bufs[r].Len()*2 > uncombinedAfter {
+			stop(bufs[r])
+			ex.counters[obs.ShuffleUncombined].Add(1) // a variable the walk captured would be an object per task
+		}
+		if spill {
 			// Sample page occupancy at the moment the spill decision fires:
 			// the used/footprint ratio right before pages flush to disk is
 			// the signal adaptive page sizing needs (a chronically low ratio
@@ -347,6 +360,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	R int,
 	entrySize func(K, V) int,
 	newBuf func(ex *Executor) (S, error),
+	stop func(S),
 ) (map[int]releasable, int, error) {
 	ctx := d.ctx
 	M := d.parts
@@ -361,7 +375,7 @@ func exchange[K comparable, V any, S pairSink[K, V]](
 	// Register's replace semantics release the set it displaces.
 	maps := stage{key: shuffleStageKey(shufID, epoch, "map"), parts: denseParts(M), idempotent: true}
 	mapBody := noPartial(func(t sched.Attempt, ex *Executor) error {
-		return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, t, ex)
+		return shuffleMapBody(ctx, d, key, shufID, R, threshold, entrySize, newBuf, stop, t, ex)
 	})
 	if err := runStage(ctx, maps, nil, mapBody); err != nil {
 		ctx.dropShuffleOutputs(shufID)
@@ -425,6 +439,7 @@ type spillTracker struct {
 	threshold int64
 	approx    int64
 	per       int64
+	puts      int // into the buffer, for the combine rule (shuffleMapBody)
 }
 
 func newSpillTracker(threshold int64, perEntry int64) *spillTracker {
@@ -436,6 +451,7 @@ func newSpillTracker(threshold int64, perEntry int64) *spillTracker {
 
 // add records one insertion; it reports whether the caller should spill.
 func (s *spillTracker) add() bool {
+	s.puts++
 	if s.threshold <= 0 {
 		return false
 	}
@@ -456,6 +472,7 @@ type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 	deca   bool
 	newBuf func(ex *Executor) (S, error)
 	drain  func(s S, yield func(T) bool) error
+	stop   func(S) // ends a map buffer's combine; nil where S does not combine
 }
 
 // keyedShuffle is the shell ReduceByKey and GroupByKey share: a
@@ -488,7 +505,7 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 			return fmt.Errorf("engine: shuffle of dataset %d: PairOps.%s is nil, and Object-mode buffers cross executors only as serialized frames",
 				st.datasetID, missing)
 		}
-		st.outputs, st.epoch, err = exchange(d, st.datasetID, st.epoch, ops.Key, R, ops.EntrySize, sh.newBuf)
+		st.outputs, st.epoch, err = exchange(d, st.datasetID, st.epoch, ops.Key, R, ops.EntrySize, sh.newBuf, sh.stop)
 		return err
 	}
 
@@ -544,6 +561,7 @@ func ReduceByKey[K comparable, V any](
 		drain: func(s aggSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
 			return s.Drain(func(k K, v V) bool { return yield(KV(k, v)) })
 		},
+		stop: aggSink[K, V].StopCombining,
 	})
 }
 

@@ -36,6 +36,7 @@ const (
 	TaskRetries
 	LineageMapReruns
 	ExecutorsBlacklisted
+	ShuffleUncombined
 	NumCounters
 )
 
@@ -122,6 +123,10 @@ var counterTable = [NumCounters]CounterRow{
 	// Times the executor was removed from placement: after repeated attempt
 	// failures, or because its process died.
 	ExecutorsBlacklisted: {"executors_blacklisted", false, ScopeDriver},
+	// Map-side shuffle buffers that stopped combining: their first Puts
+	// were mostly distinct keys, so the rest went into the frame as they
+	// came and the reduce side combined them.
+	ShuffleUncombined: {"shuffle_uncombined_buffers", false, ScopeExecutor},
 }
 
 // Row returns the counter's table entry.

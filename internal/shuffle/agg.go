@@ -20,6 +20,8 @@ type ObjectAgg[K comparable, V any] struct {
 	boxedStore[K, V]
 	combine func(V, V) V
 	table   map[K]*V
+	rest    []decompose.Pair[K, V] // the Puts since StopCombining, in Put order
+	stopped bool
 }
 
 // NewObjectAgg returns an empty buffer combining values with combine.
@@ -32,6 +34,11 @@ func NewObjectAgg[K comparable, V any](combine func(V, V) V, cfg ObjectConfig[K,
 // Put eagerly combines v into the entry for k, allocating a new boxed
 // value (JVM semantics: the old Value object dies, a new one is born).
 func (b *ObjectAgg[K, V]) Put(k K, v V) {
+	if b.stopped {
+		b.charge(k, v)
+		b.rest = append(b.rest, decompose.Pair[K, V]{Key: k, Value: v})
+		return
+	}
 	if old, ok := b.table[k]; ok {
 		nv := b.combine(*old, v)
 		b.approx += int64(b.cfg.EntrySize(k, nv)) - int64(b.cfg.EntrySize(k, *old))
@@ -42,25 +49,34 @@ func (b *ObjectAgg[K, V]) Put(k K, v V) {
 	b.table[k] = &v
 }
 
-// Len returns the number of distinct keys in memory.
-func (b *ObjectAgg[K, V]) Len() int { return len(b.table) }
+// Len returns the records in memory: the table's, then the Puts in rest.
+func (b *ObjectAgg[K, V]) Len() int { return len(b.table) + len(b.rest) }
 
-// each enumerates the table for the store's spill and frame writers.
+// StopCombining ends the combine (DecaAgg.StopCombining): a later Put is
+// kept as it comes. Drain, Lookup, FoldRuns and Fold panic from here on.
+func (b *ObjectAgg[K, V]) StopCombining() { b.stopped = true }
+
+// each enumerates the table, then rest, for the spill and frame writers.
 func (b *ObjectAgg[K, V]) each(emit func(K, V) error) error {
 	for k, v := range b.table {
 		if err := emit(k, *v); err != nil {
 			return err
 		}
 	}
+	for _, p := range b.rest {
+		if err := emit(p.Key, p.Value); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// Spill serializes the table to a run file and clears memory.
+// Spill serializes the records to a run file and clears memory.
 func (b *ObjectAgg[K, V]) Spill() error {
-	if err := b.spill(wireObjectAgg, len(b.table), b.each); err != nil {
+	if err := b.spill(wireObjectAgg, b.Len(), b.each); err != nil {
 		return err
 	}
-	b.table = make(map[K]*V)
+	b.table, b.rest = make(map[K]*V), b.rest[:0]
 	return nil
 }
 
@@ -68,20 +84,27 @@ func (b *ObjectAgg[K, V]) Spill() error {
 //
 //deca:owns
 func (b *ObjectAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
-	return b.encodeSegments(wireObjectAgg, len(b.table), b.each)
+	return b.encodeSegments(wireObjectAgg, b.Len(), b.each)
 }
 
 // Fold merges a staged frame of b's kind into b (boxedStore.fold).
 //
 //deca:transfers
-func (b *ObjectAgg[K, V]) Fold(st *Staged) error { return b.fold(st, wireObjectAgg, b.Put) }
+func (b *ObjectAgg[K, V]) Fold(st *Staged) error {
+	combines(b.stopped, "Fold", wireObjectAgg)
+	return b.fold(st, wireObjectAgg, b.Put)
+}
 
 // FoldRuns merges spilled runs back as Spark's spill merge does, deleting each.
-func (b *ObjectAgg[K, V]) FoldRuns() error { return b.replay(b.Put) }
+func (b *ObjectAgg[K, V]) FoldRuns() error {
+	combines(b.stopped, "FoldRuns", wireObjectAgg)
+	return b.replay(b.Put)
+}
 
 // Drain folds the spilled runs back and yields every (key, value) pair.
 // The buffer stays valid; Release frees it.
 func (b *ObjectAgg[K, V]) Drain(yield func(K, V) bool) error {
+	combines(b.stopped, "Drain", wireObjectAgg)
 	if err := b.FoldRuns(); err != nil {
 		return err
 	}
@@ -96,6 +119,7 @@ func (b *ObjectAgg[K, V]) Drain(yield func(K, V) bool) error {
 // Lookup returns k's combined value and whether b holds k. A spill run not
 // yet folded back (FoldRuns) would hide its keys: Lookup panics then.
 func (b *ObjectAgg[K, V]) Lookup(k K) (v V, ok bool) {
+	combines(b.stopped, "Lookup", wireObjectAgg)
 	if len(b.spills) > 0 {
 		panic("shuffle: Lookup on an ObjectAgg with spill runs pending (FoldRuns first)")
 	}
@@ -107,7 +131,7 @@ func (b *ObjectAgg[K, V]) Lookup(k K) (v V, ok bool) {
 
 // Release drops the table and deletes any remaining spill files.
 func (b *ObjectAgg[K, V]) Release() {
-	b.table = nil
+	b.table, b.rest = nil, nil
 	b.boxedStore.Release()
 }
 
@@ -135,12 +159,13 @@ type keyedStore struct {
 	// and value, entry after entry, ending at ends[i][0] and ends[i][1].
 	// One buffer per container, grown on demand: a stack array handed to the
 	// codec interface escapes, an allocation per record.
-	buf    []byte
-	staged int // entries
-	used   int // bytes of buf
-	tags   [probeBatch]uint32
-	ends   [probeBatch][2]int32
-	sealed bool // Seal ran: the index is gone, the records are final
+	buf     []byte
+	staged  int // entries
+	used    int // bytes of buf
+	tags    [probeBatch]uint32
+	ends    [probeBatch][2]int32
+	sealed  bool // Seal ran: the index is gone, the records are final
+	stopped bool // DecaAgg.StopCombining ran: no index, every Put appends
 }
 
 // keyedOps is what a keyedStore asks of its container.
@@ -164,15 +189,19 @@ func newKeyedStore(mem *memory.Manager, spillDir string, kind byte, flag0, flag1
 // stagePut is the head of every Put: it adds k, encoded and hashed once, to
 // the pending batch — flushing a full one first — and returns the vlen bytes
 // the caller encodes the value into. Nothing reaches pages or index before
-// the flush, which every method that reads them runs first.
+// the flush, which every method that reads them runs first. A store that
+// stopped combining appends k's record to its pages instead.
 func stagePut[K any](s *keyedStore, c decompose.Codec[K], k K, vlen int) []byte {
 	s.fills("Put")
+	klen := keySize(s, c, k)
+	if s.stopped {
+		key, tail, _ := s.newRecord(klen, vlen)
+		c.Encode(key, k)
+		s.idx.n++
+		return tail
+	}
 	if s.staged == probeBatch {
 		s.flush()
-	}
-	klen := s.shape[0].fixed
-	if klen < 0 {
-		klen = c.Size(k)
 	}
 	at, i := s.used, s.staged
 	vat, end := at+klen, at+klen+vlen
@@ -187,6 +216,14 @@ func stagePut[K any](s *keyedStore, c decompose.Codec[K], k K, vlen int) []byte 
 	s.tags[i], s.ends[i] = hashKey(key), [2]int32{int32(vat), int32(end)}
 	s.staged, s.used = i+1, end
 	return s.buf[vat:end]
+}
+
+// keySize is the length of k's encoding in s's records.
+func keySize[K any](s *keyedStore, c decompose.Codec[K], k K) int {
+	if klen := s.shape[0].fixed; klen >= 0 {
+		return klen
+	}
+	return c.Size(k)
 }
 
 // flush probes for the pending batch as one pipeline — touch, then each
@@ -215,17 +252,24 @@ func (s *keyedStore) upsert(tag uint32, key []byte) (tail []byte, page int32, fr
 	if found {
 		return tail, s.idx.slot(at).ptr.Page, false
 	}
-	hd := uint64(len(key)) << 1
-	w := (bits.Len64(hd|1) + 6) / 7 // the header's uvarint width
-	rec, ptr := s.group.Alloc(w + len(key) + size)
-	binary.PutUvarint(rec, hd)
-	copy(rec[w:], key)
-	clear(rec[w+len(key):])
+	dst, tail, ptr := s.newRecord(len(key), size)
+	copy(dst, key)
+	clear(tail)
 	s.idx.insert(at, tag, ptr)
-	return rec[w+len(key):], ptr.Page, true
+	return tail, ptr.Page, true
 }
 
-// Len returns the number of distinct keys in memory.
+// newRecord appends a key record with room for a klen-byte key and a tail
+// of size bytes, its header written, and returns where key and tail go.
+func (s *keyedStore) newRecord(klen, size int) (key, tail []byte, ptr memory.Ptr) {
+	hd := uint64(klen) << 1
+	w := (bits.Len64(hd|1) + 6) / 7 // the header's uvarint width
+	rec, ptr := s.group.Alloc(w + klen + size)
+	binary.PutUvarint(rec, hd)
+	return rec[w : w+klen], rec[w+klen:], ptr
+}
+
+// Len returns the live key records in memory: the distinct keys, unless stopped.
 func (s *keyedStore) Len() int {
 	s.flush()
 	return s.idx.n
@@ -250,16 +294,30 @@ func (s *keyedStore) PageOccupancy() (used, footprint int64) {
 // runs are pending: replaying one fills); Put, Spill, Fold and being a
 // MergeFrom destination panic. Idempotent.
 func (s *keyedStore) Seal() {
-	s.flush()
-	n := s.idx.n // a sealed container still counts its keys
-	s.idx.release()
-	s.idx.n, s.sealed = n, true
+	s.dropIndex()
+	s.sealed = true
 }
 
-// fills heads every method that needs the index.
+// dropIndex flushes and returns the index slabs; idx.n goes on counting.
+func (s *keyedStore) dropIndex() {
+	s.flush()
+	n := s.idx.n
+	s.idx.release()
+	s.idx.n = n
+}
+
+// fills heads every method that adds records.
 func (s *keyedStore) fills(method string) {
 	if s.sealed {
 		panic("shuffle: " + method + " on a sealed " + kindName(s.kind))
+	}
+}
+
+// combines heads every method that reads or folds through the index: a
+// container that stopped combining has none, and may repeat a key.
+func combines(stopped bool, method string, kind byte) {
+	if stopped {
+		panic("shuffle: " + method + " on a " + kindName(kind) + " that stopped combining (read it through its frame)")
 	}
 }
 
@@ -298,6 +356,7 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 		return fmt.Errorf("shuffle: %s cannot merge from itself", kindName(s.kind))
 	}
 	s.fills("MergeFrom")
+	combines(s.stopped, "MergeFrom", s.kind)
 	s.flush()
 	src.flush()
 	if base, ok := s.adopt(&src.pageStore, src.idx.n); ok {
@@ -315,6 +374,7 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 func (s *keyedStore) Fold(st *Staged) error {
 	defer st.Release()
 	s.fills("Fold")
+	combines(s.stopped, "Fold", s.kind)
 	s.flush()
 	base, ok, err := s.adoptStaged(st, s.kind)
 	if !ok {
@@ -456,9 +516,20 @@ func (b *DecaAgg[K, V]) combineInto(seg []byte, v V) {
 }
 
 // Put eagerly combines v into k's record, reusing its segment in place —
-// when the batch it joins is flushed (stagePut).
+// when the batch it joins is flushed (stagePut). After StopCombining it
+// appends a record of k and v to the pages instead.
 func (b *DecaAgg[K, V]) Put(k K, v V) {
 	b.valCodec.Encode(stagePut(&b.keyedStore, b.keyCodec, k, b.shape[0].tail), v)
+}
+
+// StopCombining ends the combine (DESIGN.md "Where the map side stops
+// combining"): the index goes back to the manager and each later Put
+// appends its record to the pages, so a run or frame may repeat a key,
+// which the reduce side's fold combines. Drain, Lookup, FoldRuns, Fold and
+// MergeFrom panic from here on. Idempotent.
+func (b *DecaAgg[K, V]) StopCombining() {
+	b.dropIndex()
+	b.stopped = true
 }
 
 // put combines the encoded value val into key's record (keyedOps).
@@ -497,6 +568,7 @@ func (b *DecaAgg[K, V]) Spill() error {
 // FoldRuns merges any spilled runs back — each record re-aggregates through
 // the byte-keyed put, a batch at a time — and deletes each as it lands.
 func (b *DecaAgg[K, V]) FoldRuns() error {
+	combines(b.stopped, "FoldRuns", b.kind)
 	b.flush()
 	return b.replay(func(run []byte) error {
 		it := recordIter{shape: b.shape, data: run}
@@ -515,14 +587,12 @@ func (b *DecaAgg[K, V]) FoldRuns() error {
 // allocated. Pending spill runs (FoldRuns first) or a seal panic.
 func (b *DecaAgg[K, V]) Lookup(k K) (v V, ok bool) {
 	b.fills("Lookup")
+	combines(b.stopped, "Lookup", b.kind)
 	if len(b.spills) > 0 {
 		panic("shuffle: Lookup on a DecaAgg with spill runs pending (FoldRuns first)")
 	}
 	b.flush()
-	klen := b.shape[0].fixed
-	if klen < 0 {
-		klen = b.keyCodec.Size(k)
-	}
+	klen := keySize(&b.keyedStore, b.keyCodec, k)
 	if len(b.buf) < klen {
 		b.buf = make([]byte, klen)
 	}
@@ -539,6 +609,7 @@ func (b *DecaAgg[K, V]) Lookup(k K) (v V, ok bool) {
 // decoding a key only as it is yielded, into the drain's own chunk
 // (decompose.Chunk): no key is a view of a page.
 func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
+	combines(b.stopped, "Drain", b.kind)
 	if err := b.FoldRuns(); err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ type aggIndex struct {
 	// the segments fit there.
 	dir   []aggSegment           //deca:owns (every segment's slab is returned by release, a split one's by resize)
 	dir0  [inlineSegs]aggSegment //deca:owns (dir's first backing array)
-	n     int                    // occupied slots = distinct keys in memory
+	n     int                    // occupied slots; the container's live records once the table is released (keyedStore.dropIndex)
 	shift uint                   // 32 - log2(slots of the whole table): a tag's home is its top bits
 	mask  int                    // slots per segment - 1
 	// chained says a key record's tail is a DecaGroup chain, whose last node

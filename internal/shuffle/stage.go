@@ -38,7 +38,7 @@ func kindName(kind byte) string { return kindNames[kind] }
 type Staged struct {
 	pageStore
 	kind byte
-	n    int // live key records (Deca) or records (Object)
+	n    int // live key records (Deca) or records (Object); an uncombined frame's may repeat a key
 	// recs holds an Object frame's n records as they stood on the wire:
 	// uvarint length | Marshal(key) | Marshal(value), each.
 	recs []byte

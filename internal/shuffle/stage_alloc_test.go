@@ -143,6 +143,26 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 	}
 }
 
+// TestStoppedDecaAggPutAllocs: a Put into a DecaAgg that stopped combining
+// appends its record to the pages — no batch, no probe, no Go object.
+func TestStoppedDecaAggPutAllocs(t *testing.T) {
+	b, err := NewDecaAgg[string, int64](memory.NewManager(1<<20, 0), addI, str, i64, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	b.Put("warm", 1) // the first page
+	b.StopCombining()
+	keys := []string{"alpha", "beta", "a key longer than the others"}
+	i := 0
+	if got := testing.AllocsPerRun(1000, func() { b.Put(keys[i%len(keys)], int64(i)); i++ }); got != 0 {
+		t.Errorf("an appending Put took %.0f allocations, want 0", got)
+	}
+	if b.Len() != 1+i {
+		t.Errorf("Len = %d after %d appending Puts on one combined key, want %d", b.Len(), i, 1+i)
+	}
+}
+
 // TestLookupAllocBudget: a probe of a merged aggregation buffer — the next
 // PageRank iteration's rank table — allocates nothing, hit or miss, once
 // its runs are folded back: DecaAgg encodes the key into its staging
