@@ -2,11 +2,15 @@
 // on the paper's running examples: the local UDT classification
 // (Algorithm 1), the global refinement with program facts (Algorithms
 // 2-4), the phased refinement (§3.4), and the container lifetime plans
-// (§4.2-4.3) for the LR, WC and PR jobs.
+// (§4.2-4.3) for the LR, WC and PR jobs, with the byte layout each
+// decomposed container compiles to once its symbolic array lengths are
+// bound at submission (Appendix A).
 package main
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"deca/internal/analysis"
 	"deca/internal/core"
@@ -67,6 +71,34 @@ func main() {
 			continue
 		}
 		fmt.Print(plan.String())
+		printLayouts(plan)
 		fmt.Println()
+	}
+}
+
+// printLayouts binds the feature dimension D to 10 and prints one line
+// per container that compiles to a byte layout. A RuntimeFixed layout has
+// no constant size: its arrays carry their own lengths.
+func printLayouts(plan *core.Plan) {
+	bindings := core.Bindings{"D": 10}
+	compiled, err := plan.CompileLayouts(bindings)
+	if err != nil {
+		fmt.Printf("  layouts: error: %v\n", err)
+		return
+	}
+	for _, name := range slices.Sorted(maps.Keys(compiled)) {
+		l := compiled[name].ElemLayout
+		if l == nil {
+			continue
+		}
+		desc := fmt.Sprintf("%s, sized per instance by its length-prefixed arrays", l.SizeType)
+		if l.SizeType == udt.StaticFixed {
+			scalars, arrays := l.NumSlots()
+			desc = fmt.Sprintf("%s, %d bytes, %d scalar + %d array slots", l.SizeType, l.FixedSize, scalars, arrays)
+			if arrays > 0 {
+				desc += fmt.Sprintf(" at D=%d", bindings["D"])
+			}
+		}
+		fmt.Printf("  layout %-22s %-13s %s\n", name, l.Type, desc)
 	}
 }

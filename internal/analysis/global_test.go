@@ -289,16 +289,3 @@ func TestFieldRefString(t *testing.T) {
 		t.Errorf("FieldRef.String() = %q", s)
 	}
 }
-
-func TestAssignedInScope(t *testing.T) {
-	p := NewProgram()
-	ref := FieldRef{Owner: "T", Field: "f"}
-	p.AddMethod("a").AssignField(ref, 1)
-	p.AddMethod("b")
-	if !p.MustScope("a").AssignedInScope(ref) {
-		t.Error("scope a should see the assignment")
-	}
-	if p.MustScope("b").AssignedInScope(ref) {
-		t.Error("scope b should not see the assignment")
-	}
-}

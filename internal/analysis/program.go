@@ -97,9 +97,6 @@ func (p *Program) AddCtor(name, owner string) *Method {
 	return m
 }
 
-// Method returns the named method or nil.
-func (p *Program) Method(name string) *Method { return p.methods[name] }
-
 // MethodNames returns all method names, sorted (for deterministic output).
 func (p *Program) MethodNames() []string {
 	names := make([]string, 0, len(p.methods))
@@ -156,26 +153,6 @@ func (p *Program) MustScope(entries ...string) *Scope {
 type Scope struct {
 	prog      *Program
 	reachable map[string]*Method
-}
-
-// Methods returns the reachable methods in deterministic order.
-func (s *Scope) Methods() []*Method {
-	names := make([]string, 0, len(s.reachable))
-	for n := range s.reachable {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ms := make([]*Method, len(names))
-	for i, n := range names {
-		ms[i] = s.reachable[n]
-	}
-	return ms
-}
-
-// Contains reports whether the named method is in scope.
-func (s *Scope) Contains(name string) bool {
-	_, ok := s.reachable[name]
-	return ok
 }
 
 // InitOnly implements the §3.3 rules for init-only fields:
@@ -289,18 +266,4 @@ func (s *Scope) FixedLengthValue(arrayType string, ref FieldRef) (SymExpr, bool)
 		}
 	}
 	return SymExpr{}, false
-}
-
-// AssignedInScope reports whether any in-scope method assigns ref at all.
-// The phased refinement relies on this: a field untouched by a phase is
-// trivially init-only within that phase.
-func (s *Scope) AssignedInScope(ref FieldRef) bool {
-	for _, m := range s.reachable {
-		for _, a := range m.assigns {
-			if a.Field == ref && a.Count > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -54,12 +54,6 @@ func (e SymExpr) Add(o SymExpr) SymExpr {
 	return r
 }
 
-// Sub returns e - o.
-func (e SymExpr) Sub(o SymExpr) SymExpr { return e.Add(o.Neg()) }
-
-// Neg returns -e.
-func (e SymExpr) Neg() SymExpr { return e.MulConst(-1) }
-
 // AddConst returns e + c.
 func (e SymExpr) AddConst(c int64) SymExpr {
 	r := e.clone()
@@ -92,15 +86,6 @@ func (e SymExpr) Equal(o SymExpr) bool {
 		}
 	}
 	return true
-}
-
-// ConstValue returns the constant value and true when the expression has no
-// symbolic part.
-func (e SymExpr) ConstValue() (int64, bool) {
-	if len(e.Terms) == 0 {
-		return e.Const, true
-	}
-	return 0, false
 }
 
 // Eval resolves the expression under a symbol binding. Missing symbols

@@ -325,9 +325,6 @@ func (b *DecaBlock[T]) Each(yield func(T) bool) {
 // (the Figure 12 access path).
 func (b *DecaBlock[T]) Group() *memory.Group { return b.group }
 
-// Codec returns the block's codec.
-func (b *DecaBlock[T]) Codec() decompose.Codec[T] { return b.codec }
-
 // Count implements Block.
 func (b *DecaBlock[T]) Count() int { return b.count }
 

@@ -12,8 +12,8 @@ import (
 // the feature dimension Symbol(D)); at submission Deca's driver binds the
 // concrete values and compiles the byte layouts the transformed code uses,
 // so only submitted jobs get layouts (no path explosion). Here no job is
-// submitted through this path: tests and cmd/deca-analyze supply the
-// bindings.
+// submitted through this path: cmd/deca-analyze binds D and prints each
+// plan's layouts, and tests hold the hand-written codecs to them.
 
 // Bindings resolves analysis symbols to concrete values at submission
 // time (Symbol name → value).

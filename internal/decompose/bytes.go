@@ -34,16 +34,6 @@ func PutF64(b []byte, off int, v float64) {
 	binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
 }
 
-// F32 reads a float32 at off.
-func F32(b []byte, off int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
-}
-
-// PutF32 writes a float32 at off.
-func PutF32(b []byte, off int, v float32) {
-	binary.LittleEndian.PutUint32(b[off:], math.Float32bits(v))
-}
-
 // I64 reads an int64 at off.
 func I64(b []byte, off int) int64 {
 	return int64(binary.LittleEndian.Uint64(b[off:]))
@@ -62,32 +52,4 @@ func I32(b []byte, off int) int32 {
 // PutI32 writes an int32 at off.
 func PutI32(b []byte, off int, v int32) {
 	binary.LittleEndian.PutUint32(b[off:], uint32(v))
-}
-
-// I16 reads an int16 at off.
-func I16(b []byte, off int) int16 {
-	return int16(binary.LittleEndian.Uint16(b[off:]))
-}
-
-// PutI16 writes an int16 at off.
-func PutI16(b []byte, off int, v int16) {
-	binary.LittleEndian.PutUint16(b[off:], uint16(v))
-}
-
-// I8 reads an int8 at off.
-func I8(b []byte, off int) int8 { return int8(b[off]) }
-
-// PutI8 writes an int8 at off.
-func PutI8(b []byte, off int, v int8) { b[off] = byte(v) }
-
-// Bool reads a bool at off.
-func Bool(b []byte, off int) bool { return b[off] != 0 }
-
-// PutBool writes a bool at off.
-func PutBool(b []byte, off int, v bool) {
-	if v {
-		b[off] = 1
-	} else {
-		b[off] = 0
-	}
 }

@@ -13,34 +13,17 @@ import (
 func TestPrimitiveAccessorsRoundTrip(t *testing.T) {
 	b := make([]byte, 64)
 	PutF64(b, 0, 3.14159)
-	PutF32(b, 8, -2.5)
 	PutI64(b, 12, -1<<62)
 	PutI32(b, 20, -12345)
-	PutI16(b, 24, -999)
-	PutI8(b, 26, -7)
-	PutBool(b, 27, true)
-	PutBool(b, 28, false)
 
 	if F64(b, 0) != 3.14159 {
 		t.Error("F64 round trip failed")
-	}
-	if F32(b, 8) != -2.5 {
-		t.Error("F32 round trip failed")
 	}
 	if I64(b, 12) != -1<<62 {
 		t.Error("I64 round trip failed")
 	}
 	if I32(b, 20) != -12345 {
 		t.Error("I32 round trip failed")
-	}
-	if I16(b, 24) != -999 {
-		t.Error("I16 round trip failed")
-	}
-	if I8(b, 26) != -7 {
-		t.Error("I8 round trip failed")
-	}
-	if !Bool(b, 27) || Bool(b, 28) {
-		t.Error("Bool round trip failed")
 	}
 }
 

@@ -22,27 +22,16 @@ import (
 // associative, as in Spark — they may run in either grouping).
 
 // runAction runs an action: one task per partition computing its partial,
-// then the fold.
+// then the fold. Action stages are numbered in program order (actionKey),
+// identically on every mirror.
 func runAction[P, R any](ctx *Context, parts int,
 	partial func(p int, ex *Executor) (P, error),
 	fold func(ps []P) R,
 ) (R, error) {
-	return runActionAttempt(ctx, parts,
-		func(t sched.Attempt, ex *Executor) (P, error) { return partial(t.Part, ex) },
-		fold)
-}
-
-// runActionAttempt is runAction with the scheduler attempt visible to
-// the partial — the seam side-effecting actions use to expose the
-// at-least-once attempt epoch to user code. Action stages are numbered in
-// program order (actionKey), identically on every mirror.
-func runActionAttempt[P, R any](ctx *Context, parts int,
-	partial func(t sched.Attempt, ex *Executor) (P, error),
-	fold func(ps []P) R,
-) (R, error) {
 	key := ctx.actionKey()
 	ps := make([]P, parts)
-	if err := runStage(ctx, stage{key: key, parts: denseParts(parts)}, ps, partial); err != nil {
+	if err := runStage(ctx, stage{key: key, parts: denseParts(parts)}, ps,
+		func(t sched.Attempt, ex *Executor) (P, error) { return partial(t.Part, ex) }); err != nil {
 		var zero R
 		return zero, err
 	}
@@ -169,41 +158,6 @@ func Reduce[T any](d *Dataset[T], f func(T, T) T) (zero T, ok bool, err error) {
 		return zero, false, err
 	}
 	return acc.Val, acc.Has, nil
-}
-
-// Foreach applies f to every record for its side effects. f runs
-// concurrently across partitions — and, in the multi-process deployment,
-// inside the partition's executor process — so it must be safe for that
-// and must not rely on driver-process state. Under the retrying
-// scheduler the semantics are at-least-once: an attempt that fails
-// mid-partition is re-run and re-applies f to records the failed attempt
-// already visited — make f idempotent, use ForeachAttempt to dedup by
-// attempt epoch, or disable retries with Config.MaxTaskRetries = -1.
-// (The other actions are unaffected: they accumulate attempt-locally and
-// publish only on success.)
-func Foreach[T any](d *Dataset[T], f func(p int, v T)) error {
-	return ForeachAttempt(d, func(p, _ int, v T) { f(p, v) })
-}
-
-// ForeachAttempt is Foreach with the scheduler's attempt epoch visible
-// to f: every retry of a partition carries a distinct, increasing
-// attempt number, so a side-effecting sink can tag its writes with
-// (partition, attempt) and discard the partial output of attempts that
-// never finished — the standard recipe for exactly-once effects on top
-// of at-least-once execution.
-func ForeachAttempt[T any](d *Dataset[T], f func(p, attempt int, v T)) error {
-	_, err := runActionAttempt(d.ctx, d.parts,
-		func(t sched.Attempt, _ *Executor) (bool, error) {
-			if err := d.Iterate(t.Part, func(v T) bool {
-				f(t.Part, t.Attempt, v)
-				return true
-			}); err != nil {
-				return false, err
-			}
-			return true, nil
-		},
-		func([]bool) bool { return true })
-	return err
 }
 
 // Materialize forces computation (and caching, if persisted) of every

@@ -136,7 +136,7 @@ func TestFailedBuildLeavesNoPages(t *testing.T) {
 			if want, ok := failure.(error); ok && !errors.Is(err, want) {
 				t.Errorf("error %v does not wrap %v", err, want)
 			}
-			if ctx.Executors()[0].CacheManager().Contains(cache.BlockID{Dataset: d.ID(), Partition: 2}) {
+			if ctx.Executors()[0].cache.Contains(cache.BlockID{Dataset: d.ID(), Partition: 2}) {
 				t.Error("the failed partition published a block")
 			}
 			d.Unpersist()
@@ -190,7 +190,7 @@ func TestGroupByKeyBlockFromPages(t *testing.T) {
 	if err := Materialize(refused); !errors.As(err, &ce) {
 		t.Fatalf("materializing with a vector codec: %v, want a *shuffle.CodecError", err)
 	}
-	if ctx.Executors()[0].CacheManager().Contains(cache.BlockID{Dataset: refused.ID(), Partition: 0}) {
+	if ctx.Executors()[0].cache.Contains(cache.BlockID{Dataset: refused.ID(), Partition: 0}) {
 		t.Error("a refused partition published a block")
 	}
 	for _, d := range []int{drained.ID(), cached.ID(), refused.ID()} {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"deca/internal/chaos"
@@ -127,7 +126,7 @@ func TestChaosTaskFailuresRecover(t *testing.T) {
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertNoSpillFiles(t, ctx.conf.SpillDir)
 			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
@@ -151,7 +150,7 @@ func TestChaosExecutorKillBlacklistsAndRecovers(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("post-kill result differs from fault-free run")
 			}
-			if !ctx.Scheduler().Blacklisted(1) {
+			if !ctx.cluster.Blacklisted(1) {
 				t.Error("killed executor was never blacklisted")
 			}
 			if got := ctx.Counters()[obs.ExecutorsBlacklisted]; got != 1 {
@@ -159,7 +158,7 @@ func TestChaosExecutorKillBlacklistsAndRecovers(t *testing.T) {
 			}
 			// Placement must avoid the dead executor, keeping healthy homes.
 			for p := 0; p < 8; p++ {
-				ex := ctx.ExecutorFor(p)
+				ex := ctx.executorFor(p)
 				if ex.ID() == 1 {
 					t.Errorf("partition %d still placed on the dead executor", p)
 				}
@@ -169,7 +168,7 @@ func TestChaosExecutorKillBlacklistsAndRecovers(t *testing.T) {
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertNoSpillFiles(t, ctx.conf.SpillDir)
 			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
@@ -197,7 +196,7 @@ func TestBlacklistTreatsCacheBlocksAsMisses(t *testing.T) {
 	want := sum()
 	missesBefore := ctx.Counters()[obs.CacheMisses]
 
-	if !ctx.Scheduler().Blacklist(1) {
+	if !ctx.cluster.Blacklist(1) {
 		t.Fatal("blacklist refused")
 	}
 	if got := sum(); got != want {
@@ -209,7 +208,7 @@ func TestBlacklistTreatsCacheBlocksAsMisses(t *testing.T) {
 		t.Errorf("cache misses after blacklist = %d, want ≥ 2 (recompute)", misses)
 	}
 	for p := 0; p < 8; p++ {
-		if ctx.ExecutorFor(p).ID() == 1 {
+		if ctx.executorFor(p).ID() == 1 {
 			t.Errorf("partition %d placed on blacklisted executor", p)
 		}
 	}
@@ -254,7 +253,7 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertNoSpillFiles(t, ctx.conf.SpillDir)
 			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
@@ -293,7 +292,7 @@ func TestChaosMidMergeReduceFailureRetries(t *testing.T) {
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertNoSpillFiles(t, ctx.conf.SpillDir)
 			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
@@ -353,12 +352,12 @@ func TestChaosCombinedFaults(t *testing.T) {
 			if m[obs.TaskRetries] == 0 {
 				t.Error("no retries recorded")
 			}
-			if !ctx.Scheduler().Blacklisted(2) {
+			if !ctx.cluster.Blacklisted(2) {
 				t.Error("killed executor not blacklisted")
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
-			assertNoSpillFiles(t, ctx.Conf().SpillDir)
+			assertNoSpillFiles(t, ctx.conf.SpillDir)
 			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
@@ -406,61 +405,11 @@ func TestChaosExhaustedBudgetStillReleasesEverything(t *testing.T) {
 		t.Fatal("rate-1.0 chaos should fail the job")
 	}
 	msg := err.Error()
-	attempts := ctx.Conf().MaxTaskRetries + 1
+	attempts := ctx.conf.MaxTaskRetries + 1
 	if want := fmt.Sprintf("failed after %d attempts", attempts); !strings.Contains(msg, want) {
 		t.Errorf("error %q lacks %q", msg, want)
 	}
 	ctx.ReleaseAllShuffles()
 	assertNoLeaks(t, ctx)
 	assertManagersEmptyAfterClose(t, ctx)
-}
-
-// TestForeachAttemptExposesRetryEpoch: a Foreach partition whose user
-// function dies mid-partition is retried with a distinct, larger
-// attempt number, and the retry re-applies f from the first record —
-// the at-least-once contract ForeachAttempt lets side-effecting sinks
-// dedup against.
-func TestForeachAttemptExposesRetryEpoch(t *testing.T) {
-	ctx := clusterCtx(t, ModeDeca, 2)
-	const parts, per = 4, 10
-	var vals []int64
-	for i := int64(0); i < parts*per; i++ {
-		vals = append(vals, i)
-	}
-	d := Parallelize(ctx, vals, parts)
-
-	var mu sync.Mutex
-	seen := map[int]map[int]int{} // partition -> attempt -> records applied
-	err := ForeachAttempt(d, func(p, attempt int, v int64) {
-		mu.Lock()
-		m := seen[p]
-		if m == nil {
-			m = map[int]int{}
-			seen[p] = m
-		}
-		m[attempt]++
-		n := m[attempt]
-		mu.Unlock()
-		if p == 2 && attempt == 1 && n == 3 {
-			panic(fmt.Errorf("sink crashed mid-partition"))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < parts; p++ {
-		m := seen[p]
-		if p == 2 {
-			if m[1] != 3 || m[2] != per {
-				t.Errorf("partition 2 applied %v records per attempt, want 3 on attempt 1 then all %d on attempt 2", m, per)
-			}
-			continue
-		}
-		if len(m) != 1 || m[1] != per {
-			t.Errorf("partition %d applied %v records per attempt, want %d on attempt 1 only", p, m, per)
-		}
-	}
-	if ctx.Counters()[obs.TaskRetries] == 0 {
-		t.Error("the crashed partition left no TaskRetries trace")
-	}
 }

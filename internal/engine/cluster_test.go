@@ -216,9 +216,9 @@ func TestBudgetSplitsAcrossExecutors(t *testing.T) {
 	var memSum int64
 	for _, ex := range ctx.Executors() {
 		memSum += ex.Memory().Limit()
-		if ex.CacheManager().Budget() != int64(float64(ex.Memory().Limit())*0.5) {
+		if ex.cache.Budget() != int64(float64(ex.Memory().Limit())*0.5) {
 			t.Errorf("executor %d cache budget %d != half of %d",
-				ex.ID(), ex.CacheManager().Budget(), ex.Memory().Limit())
+				ex.ID(), ex.cache.Budget(), ex.Memory().Limit())
 		}
 	}
 	if memSum != budget {
@@ -230,9 +230,9 @@ func TestBudgetSplitsAcrossExecutors(t *testing.T) {
 	tiny := New(Config{NumExecutors: 8, MemoryBudget: 3})
 	defer tiny.Close()
 	for _, ex := range tiny.Executors() {
-		if ex.Memory().Limit() < 1 || ex.CacheManager().Budget() < 1 {
+		if ex.Memory().Limit() < 1 || ex.cache.Budget() < 1 {
 			t.Errorf("executor %d: degenerate budget left limit %d / cache %d unlimited",
-				ex.ID(), ex.Memory().Limit(), ex.CacheManager().Budget())
+				ex.ID(), ex.Memory().Limit(), ex.cache.Budget())
 		}
 	}
 }
@@ -251,7 +251,7 @@ func TestCacheBlocksAreExecutorLocal(t *testing.T) {
 	for p := 0; p < d.Partitions(); p++ {
 		for _, ex := range ctx.Executors() {
 			want := ex.ID() == p%3
-			got := ex.CacheManager().Contains(cache.BlockID{Dataset: d.ID(), Partition: p})
+			got := ex.cache.Contains(cache.BlockID{Dataset: d.ID(), Partition: p})
 			if got != want {
 				t.Errorf("partition %d on executor %d: present=%v, want %v", p, ex.ID(), got, want)
 			}
@@ -259,7 +259,7 @@ func TestCacheBlocksAreExecutorLocal(t *testing.T) {
 	}
 	d.Unpersist()
 	for _, ex := range ctx.Executors() {
-		if ex.CacheManager().Contains(cache.BlockID{Dataset: d.ID(), Partition: 0}) {
+		if ex.cache.Contains(cache.BlockID{Dataset: d.ID(), Partition: 0}) {
 			t.Errorf("executor %d still holds blocks after Unpersist", ex.ID())
 		}
 	}
@@ -319,7 +319,7 @@ func TestRunTasksRetriesCountPerAttempt(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	wantAttempts := int64(ctx.Conf().MaxTaskRetries + 1)
+	wantAttempts := int64(ctx.conf.MaxTaskRetries + 1)
 	if got := calls.Load(); got != wantAttempts {
 		t.Errorf("task body ran %d times, want %d", got, wantAttempts)
 	}

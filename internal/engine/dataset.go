@@ -14,7 +14,7 @@ import (
 // Dataset is the engine's RDD: a lazy, partitioned collection. Transform
 // it with the free functions (Map, FlatMap, ReduceByKey, ...) — Go methods
 // cannot introduce type parameters — and materialize it with an action
-// (Collect, Reduce, Count, Foreach).
+// (Collect, Reduce, Count, Materialize).
 type Dataset[T any] struct {
 	ctx     *Context
 	id      int
@@ -129,9 +129,6 @@ func (d *Dataset[T]) Partitions() int { return d.parts }
 
 // ID returns the dataset's unique id.
 func (d *Dataset[T]) ID() int { return d.id }
-
-// Context returns the owning context.
-func (d *Dataset[T]) Context() *Context { return d.ctx }
 
 // Persist marks the dataset for caching at the given level on first
 // materialization. It returns d for chaining. Level requirements:

@@ -606,9 +606,6 @@ func (c *Context) Close() {
 	})
 }
 
-// Conf returns the effective configuration.
-func (c *Context) Conf() Config { return c.conf }
-
 // Mode returns the execution mode.
 func (c *Context) Mode() Mode { return c.conf.Mode }
 
@@ -625,9 +622,6 @@ func (c *Context) Executors() []*Executor { return c.execs }
 func (c *Context) executorFor(p int) *Executor {
 	return c.execs[c.cluster.Place(p)]
 }
-
-// ExecutorFor exposes the partition→executor placement (tests, tools).
-func (c *Context) ExecutorFor(p int) *Executor { return c.executorFor(p) }
 
 // Transport returns the shuffle transport.
 func (c *Context) Transport() transport.Transport { return c.trans }
@@ -737,10 +731,6 @@ func (c *Context) datasetID() int { return int(c.nextID.Add(1)) }
 func (c *Context) shuffleID() transport.ShuffleID {
 	return transport.ShuffleID(c.nextShf.Add(1))
 }
-
-// Scheduler exposes the cluster scheduler state (blacklist, placement)
-// for tests and tools.
-func (c *Context) Scheduler() *sched.Cluster { return c.cluster }
 
 // noteFetch records a map-output fetch's locality on the destination
 // executor.

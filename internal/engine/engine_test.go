@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -348,7 +347,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Error("data changed across eviction round trips")
 	}
-	st := ctx.Executors()[0].CacheManager().Stats()
+	st := ctx.Executors()[0].cache.Stats()
 	if st.Evictions == 0 {
 		t.Errorf("expected evictions under pressure, stats = %+v", st)
 	}
@@ -464,22 +463,12 @@ func TestObjectShuffleWithoutSerializersFailsAtMaterialization(t *testing.T) {
 	}
 }
 
-func TestCountAndForeach(t *testing.T) {
+func TestCount(t *testing.T) {
 	ctx := testCtx(t, ModeSpark)
 	d := Parallelize(ctx, []int{5, 6, 7}, 2)
 	n, err := Count(d)
 	if err != nil || n != 3 {
 		t.Errorf("Count = %d, %v", n, err)
-	}
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	err = Foreach(d, func(p int, v int) {
-		mu.Lock()
-		seen[v] = true
-		mu.Unlock()
-	})
-	if err != nil || len(seen) != 3 {
-		t.Errorf("Foreach: %v, %v", seen, err)
 	}
 }
 

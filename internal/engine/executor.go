@@ -27,6 +27,3 @@ func (e *Executor) ID() int { return e.id }
 
 // Memory returns the executor's page memory manager.
 func (e *Executor) Memory() *memory.Manager { return e.mem }
-
-// CacheManager returns the executor's block store.
-func (e *Executor) CacheManager() *cache.Manager { return e.cache }

@@ -64,15 +64,6 @@ func (o *opsServer) shutdown() {
 	<-o.done
 }
 
-// OpsAddr returns the resolved ops-plane listen address ("" when the
-// plane is not serving) — tests pass ":0" and read the port back here.
-func (c *Context) OpsAddr() string {
-	if c.ops == nil {
-		return ""
-	}
-	return c.ops.ln.Addr().String()
-}
-
 // handleMetrics is two loops over the counter table: every counter per
 // executor, then its cluster sum. On a multiproc driver the
 // executor-resident values are the last heartbeat's, so a scrape is live

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,10 +46,10 @@ func TestOpsEndpointsServeLiveState(t *testing.T) {
 		OpsAddr:      "127.0.0.1:0",
 		TraceOut:     traceOut,
 	})
-	addr := ctx.OpsAddr()
-	if addr == "" {
+	if ctx.ops == nil {
 		t.Fatal("ops plane did not start")
 	}
+	addr := ctx.ops.ln.Addr().String()
 	wordCountOn(t, ctx)
 
 	metrics := string(opsGet(t, addr, "/metrics"))
@@ -160,13 +161,16 @@ func TestStagesCountTheirOwnRetries(t *testing.T) {
 		OpsAddr:      "127.0.0.1:0",
 	})
 	t.Cleanup(ctx.Close)
-	d := Parallelize(ctx, []int{1, 2, 3, 4}, 4)
-	err := ForeachAttempt(d, func(p, attempt int, _ int) {
-		if p%2 == 0 && attempt == 1 {
+	// Partition p holds the one record p+1: the even partitions' first
+	// calls panic.
+	var failed [5]atomic.Bool
+	d := Map(Parallelize(ctx, []int{1, 2, 3, 4}, 4), func(v int) int {
+		if v%2 == 1 && !failed[v].Swap(true) {
 			panic("first attempt fails")
 		}
+		return v
 	})
-	if err != nil {
+	if _, err := Count(d); err != nil {
 		t.Fatal(err)
 	}
 	retries := ctx.Counters()[obs.TaskRetries]
@@ -176,7 +180,7 @@ func TestStagesCountTheirOwnRetries(t *testing.T) {
 	var stages struct {
 		Stages []obs.StageSummary `json:"stages"`
 	}
-	if err := json.Unmarshal(opsGet(t, ctx.OpsAddr(), "/stages"), &stages); err != nil {
+	if err := json.Unmarshal(opsGet(t, ctx.ops.ln.Addr().String(), "/stages"), &stages); err != nil {
 		t.Fatalf("/stages: %v", err)
 	}
 	var action *obs.StageSummary
@@ -210,7 +214,7 @@ func TestObservabilityDisabledByNegativeEventBuffer(t *testing.T) {
 		t.Fatal("recorder allocated despite EventBuffer < 0")
 	}
 	wordCountOn(t, ctx) // instrumented seams must tolerate the nil recorder
-	body := string(opsGet(t, ctx.OpsAddr(), "/metrics"))
+	body := string(opsGet(t, ctx.ops.ln.Addr().String(), "/metrics"))
 	if !strings.Contains(body, "deca_tasks_run_total") {
 		t.Error("/metrics should still serve counters with events disabled")
 	}
@@ -281,7 +285,7 @@ func TestMetricsTable(t *testing.T) {
 	})
 	t.Cleanup(ctx.Close)
 	wordCountOn(t, ctx)
-	vals, types := scrapeMetrics(t, string(opsGet(t, ctx.OpsAddr(), "/metrics")))
+	vals, types := scrapeMetrics(t, string(opsGet(t, ctx.ops.ln.Addr().String(), "/metrics")))
 
 	// Every Counter has a table row, a unique name and a scope; fromTable
 	// collects what the table may put on /metrics.

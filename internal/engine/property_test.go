@@ -77,7 +77,7 @@ func TestCachedSerializedSwapPath(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("serialized cache changed across swap round trips")
 	}
-	if ctx.Executors()[0].CacheManager().Stats().Evictions == 0 {
+	if ctx.Executors()[0].cache.Stats().Evictions == 0 {
 		t.Error("expected evictions under the tiny budget")
 	}
 }

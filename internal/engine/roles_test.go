@@ -180,7 +180,7 @@ func TestUnconvergedRepairFailsTheJob(t *testing.T) {
 		ctx := chaosCtx(t, TransportInProcess, loseMapTaskZero(), nil)
 		check(t, ctx)
 		assertNoLeaks(t, ctx)
-		assertNoSpillFiles(t, ctx.Conf().SpillDir)
+		assertNoSpillFiles(t, ctx.conf.SpillDir)
 	})
 	t.Run("multiproc", func(t *testing.T) {
 		ctx := multiprocCtx(t, "unconverged")

@@ -88,13 +88,6 @@ func (d Delta) GCRatio() float64 {
 	return d.GCCPUSeconds / d.Wall.Seconds()
 }
 
-// Measure runs f and returns the counter delta across it.
-func Measure(f func()) Delta {
-	before := Read()
-	f()
-	return Read().Sub(before)
-}
-
 // Sampler invokes a callback with a fresh Snapshot at a fixed interval
 // on a background goroutine, reproducing the periodic recording the paper
 // does with JProfiler: the obs event spine streams the samples, the

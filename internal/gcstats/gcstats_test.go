@@ -27,11 +27,11 @@ func TestReadMonotonic(t *testing.T) {
 
 func TestMeasureCountsAllocations(t *testing.T) {
 	var keep [][]byte
-	d := Measure(func() {
-		for i := 0; i < 100; i++ {
-			keep = append(keep, make([]byte, 4096))
-		}
-	})
+	before := Read()
+	for i := 0; i < 100; i++ {
+		keep = append(keep, make([]byte, 4096))
+	}
+	d := Read().Sub(before)
 	_ = keep
 	if d.AllocBytes < 100*4096 {
 		t.Errorf("AllocBytes = %d, want >= %d", d.AllocBytes, 100*4096)

@@ -43,21 +43,6 @@ func TestAdoptPagesSpansGroups(t *testing.T) {
 		t.Errorf("Len = %d, want 132", dst.Len())
 	}
 
-	// A cursor walks owned and adopted pages in sequence.
-	c := dst.Scan()
-	for _, want := range []struct {
-		b byte
-		n int
-	}{{'d', 16}, {'a', 100}, {'b', 16}} {
-		seg := c.Next(want.n)
-		if !bytes.Equal(seg, bytes.Repeat([]byte{want.b}, want.n)) {
-			t.Errorf("cursor segment %c mismatch", want.b)
-		}
-	}
-	if !c.Done() {
-		t.Error("cursor should be exhausted")
-	}
-
 	src1.Release()
 	src2.Release()
 	dst.Release()

@@ -42,24 +42,6 @@ func BenchmarkGroupRandomRead(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkGroupCursorScan(b *testing.B) {
-	m := NewManager(1<<20, 0)
-	g := m.NewGroup()
-	defer g.Release()
-	const n = 10000
-	for i := 0; i < n; i++ {
-		g.Append(make([]byte, 64))
-	}
-	b.SetBytes(64 * n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := g.Scan()
-		for !c.Done() {
-			_ = c.Next(64)
-		}
-	}
-}
-
 func BenchmarkPoolReuse(b *testing.B) {
 	m := NewManager(64<<10, 0)
 	payload := make([]byte, 1024)

@@ -160,13 +160,6 @@ func (m *Manager) InUse() int64 {
 	return m.inUse
 }
 
-// OverBudget reports whether live pages exceed the soft budget.
-func (m *Manager) OverBudget() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.limit > 0 && m.inUse > m.limit
-}
-
 // Stats returns a snapshot of the manager counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -481,15 +474,6 @@ func (g *Group) NumPages() int { return len(g.pages) }
 // Len returns the total number of data bytes stored.
 func (g *Group) Len() int64 { return g.bytes }
 
-// EndOffset returns the start offset of the unused part of the last page
-// (the paper's endOffset field). Zero when the group is empty.
-func (g *Group) EndOffset() int {
-	if len(g.pages) == 0 {
-		return 0
-	}
-	return len(g.pages[len(g.pages)-1])
-}
-
 // Footprint returns the bytes of manager page capacity held: ≥ Len, or 0
 // for a mapped group, whose pages are the page cache's.
 func (g *Group) Footprint() int64 {
@@ -519,9 +503,6 @@ func (g *Group) AddDep(dep *Group) {
 	g.checkLive()
 	g.deps = append(g.deps, dep.Retain())
 }
-
-// Deps returns the dependent (primary) groups.
-func (g *Group) Deps() []*Group { return g.deps }
 
 // isAdopted reports whether page i was adopted from another group.
 func (g *Group) isAdopted(i int) bool { return g.adopted != nil && g.adopted[i] }
@@ -663,59 +644,4 @@ func (g *Group) checkLive() {
 	if g.refs.Load() <= 0 {
 		panic("memory: use of released page group")
 	}
-}
-
-// Cursor scans a group sequentially; it is the paper's (curPage,
-// curOffset) pair. Next returns consecutive segments of caller-known
-// sizes, as produced by sequential Alloc/Append calls.
-type Cursor struct {
-	g    *Group
-	page int
-	off  int
-}
-
-// Scan returns a cursor positioned at the first byte of the group.
-func (g *Group) Scan() *Cursor { return &Cursor{g: g} }
-
-// Done reports whether the cursor has consumed every byte.
-func (c *Cursor) Done() bool {
-	for c.page < len(c.g.pages) {
-		if c.off < len(c.g.pages[c.page]) {
-			return false
-		}
-		c.page++
-		c.off = 0
-	}
-	return true
-}
-
-// Next returns the next n-byte segment. It panics when fewer than n bytes
-// remain in the current page and the following page cannot satisfy the
-// request either — segments never span pages, so a well-formed reader
-// always asks for exactly the sizes that were written.
-func (c *Cursor) Next(n int) []byte {
-	c.g.checkLive()
-	for c.page < len(c.g.pages) {
-		p := c.g.pages[c.page]
-		if c.off < len(p) {
-			if c.off+n > len(p) {
-				panic(fmt.Sprintf("memory: cursor read of %d bytes exceeds page remainder %d", n, len(p)-c.off))
-			}
-			seg := p[c.off : c.off+n]
-			c.off += n
-			return seg
-		}
-		c.page++
-		c.off = 0
-	}
-	panic("memory: cursor read past end of page group")
-}
-
-// Ptr returns the position the next read will start from.
-func (c *Cursor) Ptr() Ptr { return Ptr{Page: int32(c.page), Off: int32(c.off)} }
-
-// Seek repositions the cursor.
-func (c *Cursor) Seek(p Ptr) {
-	c.page = int(p.Page)
-	c.off = int(p.Off)
 }

@@ -24,9 +24,6 @@ func TestAllocAppendRead(t *testing.T) {
 	if g.Len() != 11 {
 		t.Errorf("Len = %d, want 11", g.Len())
 	}
-	if g.EndOffset() != 11 {
-		t.Errorf("EndOffset = %d, want 11", g.EndOffset())
-	}
 }
 
 func TestSegmentsNeverSpanPages(t *testing.T) {
@@ -147,8 +144,8 @@ func TestDepGroups(t *testing.T) {
 	if primary.Refs() != 2 {
 		t.Fatalf("primary refs = %d, want 2", primary.Refs())
 	}
-	if len(secondary.Deps()) != 1 {
-		t.Fatalf("deps = %d, want 1", len(secondary.Deps()))
+	if len(secondary.deps) != 1 {
+		t.Fatalf("deps = %d, want 1", len(secondary.deps))
 	}
 
 	primary.Release() // owner drops it; data must survive via the secondary
@@ -181,63 +178,6 @@ func TestCheckedBytes(t *testing.T) {
 	}
 }
 
-func TestCursorScan(t *testing.T) {
-	m := NewManager(16, 0)
-	g := m.NewGroup()
-	defer g.Release()
-
-	sizes := []int{5, 10, 3, 16, 1}
-	var want [][]byte
-	for i, n := range sizes {
-		b := bytes.Repeat([]byte{byte('a' + i)}, n)
-		g.Append(b)
-		want = append(want, b)
-	}
-	c := g.Scan()
-	for i, n := range sizes {
-		if c.Done() {
-			t.Fatalf("cursor done early at segment %d", i)
-		}
-		got := c.Next(n)
-		if !bytes.Equal(got, want[i]) {
-			t.Errorf("segment %d: got %q want %q", i, got, want[i])
-		}
-	}
-	if !c.Done() {
-		t.Error("cursor should be done")
-	}
-}
-
-func TestCursorSeek(t *testing.T) {
-	m := NewManager(64, 0)
-	g := m.NewGroup()
-	defer g.Release()
-	g.Append([]byte("0123456789"))
-	c := g.Scan()
-	c.Next(4)
-	mark := c.Ptr()
-	c.Next(4)
-	c.Seek(mark)
-	if got := string(c.Next(3)); got != "456" {
-		t.Errorf("after seek read %q, want 456", got)
-	}
-}
-
-func TestCursorOverrun(t *testing.T) {
-	m := NewManager(64, 0)
-	g := m.NewGroup()
-	defer g.Release()
-	g.Append([]byte("abc"))
-	c := g.Scan()
-	c.Next(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("reading past end should panic")
-		}
-	}()
-	c.Next(1)
-}
-
 func TestReset(t *testing.T) {
 	m := NewManager(32, 0)
 	g := m.NewGroup()
@@ -262,14 +202,14 @@ func TestBudgetAccounting(t *testing.T) {
 	m := NewManager(32, 64)
 	g := m.NewGroup()
 	defer g.Release()
-	if m.OverBudget() {
-		t.Error("empty manager over budget")
+	if m.InUse() != 0 {
+		t.Errorf("empty manager holds %d bytes", m.InUse())
 	}
 	g.Append(make([]byte, 30))
 	g.Append(make([]byte, 30))
 	g.Append(make([]byte, 30)) // 3 pages = 96 bytes > 64
-	if !m.OverBudget() {
-		t.Error("manager should be over budget")
+	if m.InUse() != 96 || m.InUse() <= m.Limit() {
+		t.Errorf("InUse = %d, want 96, over the limit", m.InUse())
 	}
 	if m.Limit() != 64 {
 		t.Errorf("Limit = %d", m.Limit())
@@ -313,8 +253,8 @@ func TestConcurrentGroups(t *testing.T) {
 	}
 }
 
-// Property: any sequence of appends reads back intact through both random
-// access and a sequential cursor, with Len equal to the sum of segment
+// Property: any sequence of appends reads back intact through random
+// access, laid out in append order, with Len equal to the sum of segment
 // sizes.
 func TestGroupRoundTripProperty(t *testing.T) {
 	m := NewManager(64, 0)
@@ -341,16 +281,13 @@ func TestGroupRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		c := g.Scan()
-		for i := range segs {
-			if len(segs[i]) == 0 {
-				continue
-			}
-			if !bytes.Equal(c.Next(len(segs[i])), segs[i]) {
+		for i := 1; i < n; i++ {
+			prev, cur := ptrs[i-1], ptrs[i]
+			if cur.Page < prev.Page || cur.Page == prev.Page && int(cur.Off) != int(prev.Off)+len(segs[i-1]) {
 				return false
 			}
 		}
-		return c.Done()
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

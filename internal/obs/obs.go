@@ -97,9 +97,6 @@ type Event struct {
 	Key     string
 }
 
-// Time returns the event timestamp.
-func (e Event) Time() time.Time { return time.Unix(0, e.Nanos) }
-
 // DefaultCapacity is the ring size a zero engine.Config gets: at task /
 // page / sample granularity a few thousand events cover the shipping
 // interval with plenty of slack, and the bound is what matters.
@@ -129,9 +126,6 @@ func NewRecorder(capacity int) *Recorder {
 	}
 	return &Recorder{buf: make([]Event, capacity)}
 }
-
-// Enabled reports whether events are being collected.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record stamps e with a sequence number and the current time (unless
 // the caller already set Nanos) and appends it, overwriting the oldest

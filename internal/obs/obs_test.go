@@ -9,9 +9,6 @@ import (
 
 func TestRecorderNilIsDisabled(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Error("nil recorder reports enabled")
-	}
 	r.Record(Event{Kind: KindTaskStart}) // must not panic
 	if got := r.Drain(0); got != nil {
 		t.Errorf("nil drain = %v, want nil", got)

@@ -144,13 +144,6 @@ func (c *Cluster) Blacklisted(exec int) bool {
 	return c.execs[exec].Blacklisted
 }
 
-// NumBlacklisted returns how many executors are blacklisted.
-func (c *Cluster) NumBlacklisted() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conf.NumExecutors - c.numHealthy
-}
-
 // Blacklist removes the executor from placement immediately (an operator
 // drain, or a test forcing re-placement). It reports whether the
 // blacklist took effect: the last healthy executor is never blacklisted.

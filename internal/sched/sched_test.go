@@ -156,8 +156,8 @@ func TestLastHealthyExecutorIsNeverBlacklisted(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected stage failure")
 	}
-	if c.NumBlacklisted() != 1 {
-		t.Errorf("blacklisted = %d, want 1 (never the last healthy executor)", c.NumBlacklisted())
+	if got := count(c, obs.ExecutorsBlacklisted); got != 1 {
+		t.Errorf("blacklisted = %d, want 1 (never the last healthy executor)", got)
 	}
 	healthy := 0
 	for e := 0; e < 2; e++ {

@@ -74,9 +74,6 @@ func FuzzSliceDecoders(f *testing.F) {
 		if _, n := (I64Slice{}).Unmarshal(src); n > len(src) {
 			t.Fatalf("I64Slice over-consumed %d of %d", n, len(src))
 		}
-		if _, n := (Slice[string]{Elem: Str{}}).Unmarshal(src); n > len(src) {
-			t.Fatalf("Slice[string] over-consumed %d of %d", n, len(src))
-		}
 		if _, n := (Pair[string, float64]{Key: Str{}, Value: F64{}}).Unmarshal(src); n > len(src) {
 			t.Fatalf("Pair over-consumed %d of %d", n, len(src))
 		}

@@ -186,36 +186,6 @@ func (p Pair[K, V]) Unmarshal(src []byte) (KV[K, V], int) {
 	return KV[K, V]{Key: k, Value: v}, kn + vn
 }
 
-// Slice lifts an element serializer to a slice serializer.
-type Slice[T any] struct{ Elem Serializer[T] }
-
-func (s Slice[T]) Marshal(dst []byte, v []T) []byte {
-	dst = AppendUvarint(dst, uint64(len(v)))
-	for _, x := range v {
-		dst = s.Elem.Marshal(dst, x)
-	}
-	return dst
-}
-
-func (s Slice[T]) Unmarshal(src []byte) ([]T, int) {
-	n, k := Uvarint(src)
-	// Elements take at least one byte each under every Serializer here;
-	// larger counts cannot be backed by the buffer.
-	if k <= 0 || n > uint64(len(src)-k) {
-		return nil, 0
-	}
-	v := make([]T, n)
-	for i := range v {
-		var m int
-		v[i], m = s.Elem.Unmarshal(src[k:])
-		if m <= 0 {
-			return nil, 0
-		}
-		k += m
-	}
-	return v, k
-}
-
 // Func builds a Serializer from two closures, for workload-specific record
 // types (the analogue of registering a custom Kryo serializer).
 type Func[T any] struct {

@@ -86,16 +86,6 @@ func TestPairRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNestedSliceOfPairs(t *testing.T) {
-	s := Slice[KV[string, int64]]{Elem: Pair[string, int64]{Key: Str{}, Value: Int64{}}}
-	v := []KV[string, int64]{{"a", 1}, {"bb", -2}, {"", 0}}
-	b := s.Marshal(nil, v)
-	got, n := s.Unmarshal(b)
-	if !reflect.DeepEqual(got, v) || n != len(b) {
-		t.Errorf("nested round trip: %+v", got)
-	}
-}
-
 func TestFuncSerializer(t *testing.T) {
 	type point struct{ X, Y float64 }
 	ps := Func[point]{

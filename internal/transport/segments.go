@@ -183,9 +183,6 @@ func (fs *FrameSegments) Len() int64 { return fs.staged + fs.pageBytes + fs.file
 // frame that is not zero-copy).
 func (fs *FrameSegments) Staged() int64 { return fs.staged }
 
-// PageBytes is the bytes served in place from container pages.
-func (fs *FrameSegments) PageBytes() int64 { return fs.pageBytes }
-
 // FileBytes is the bytes served from spill files (the sendfile-eligible
 // part of the frame).
 func (fs *FrameSegments) FileBytes() int64 { return fs.fileBytes }

@@ -78,7 +78,7 @@ func TestFrameSegmentsReaderRoundTrip(t *testing.T) {
 	if fs.Len() != int64(len(want)) {
 		t.Fatalf("Len %d, want %d", fs.Len(), len(want))
 	}
-	if got := fs.Staged() + fs.PageBytes() + fs.FileBytes(); got != fs.Len() {
+	if got := fs.Staged() + fs.pageBytes + fs.FileBytes(); got != fs.Len() {
 		t.Fatalf("segment byte classes sum to %d, want %d", got, fs.Len())
 	}
 	var got bytes.Buffer

@@ -412,16 +412,3 @@ func TestDescribeNonFinalString(t *testing.T) {
 		t.Errorf("Classify(row{var URL}) = %s, want Variable", got)
 	}
 }
-
-func TestFieldByName(t *testing.T) {
-	lp := LabeledPointType(false)
-	if f := lp.FieldByName("features"); f == nil || f.Name != "features" {
-		t.Error("FieldByName(features) failed")
-	}
-	if f := lp.FieldByName("nope"); f != nil {
-		t.Error("FieldByName(nope) should be nil")
-	}
-	if f := Primitive(PrimInt32).FieldByName("x"); f != nil {
-		t.Error("FieldByName on primitive should be nil")
-	}
-}

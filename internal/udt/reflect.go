@@ -33,11 +33,6 @@ func MustDescribe(goType reflect.Type) *Type {
 	return t
 }
 
-// DescribeValue is shorthand for Describe(reflect.TypeOf(v)).
-func DescribeValue(v any) (*Type, error) {
-	return Describe(reflect.TypeOf(v))
-}
-
 type describer struct {
 	seen map[reflect.Type]*Type
 }

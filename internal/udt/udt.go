@@ -190,9 +190,6 @@ func (f *Field) RuntimeTypes() []*Type {
 	return nil
 }
 
-// IsPrimitive reports whether t is a primitive descriptor.
-func (t *Type) IsPrimitive() bool { return t.Kind == KindPrimitive }
-
 // String renders a compact, deterministic description of the type.
 func (t *Type) String() string {
 	if t == nil {
@@ -222,19 +219,6 @@ func (t *Type) elemName() string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, "|")
-}
-
-// FieldByName returns the struct field with the given name, or nil.
-func (t *Type) FieldByName(name string) *Field {
-	if t == nil || t.Kind != KindStruct {
-		return nil
-	}
-	for _, f := range t.Fields {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
 }
 
 // Primitive returns a descriptor for the given primitive kind. Descriptors

@@ -1,6 +1,7 @@
 package udt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -35,15 +36,15 @@ func TestTypeStringVariants(t *testing.T) {
 
 func TestDescribeValue(t *testing.T) {
 	type point struct{ X, Y float64 }
-	d, err := DescribeValue(point{})
+	d, err := Describe(reflect.TypeOf(point{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Name != "point" || len(d.Fields) != 2 {
-		t.Errorf("DescribeValue = %+v", d)
+		t.Errorf("Describe(point) = %+v", d)
 	}
-	if _, err := DescribeValue(nil); err == nil {
-		t.Error("DescribeValue(nil) should fail")
+	if _, err := Describe(reflect.TypeOf(nil)); err == nil {
+		t.Error("Describe(nil) should fail")
 	}
 }
 
@@ -62,7 +63,7 @@ func TestDescribeSkipsUnexported(t *testing.T) {
 		hidden string //nolint:unused // presence is the point
 	}
 	_ = rec{}.hidden
-	d, err := DescribeValue(rec{})
+	d, err := Describe(reflect.TypeOf(rec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
