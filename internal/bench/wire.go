@@ -9,6 +9,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
 	"deca/internal/transport"
@@ -236,8 +237,7 @@ func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, i
 			sum = h.Sum32()
 			return transport.Decoded{}, nil
 		}
-		var before, after transport.Stats
-		srv.ServeStats(&before)
+		before := srv.Counters()
 		var size int64
 		start := time.Now()
 		for i := 0; i < iters; i++ {
@@ -251,11 +251,11 @@ func serveFetchRows(rep *Report, o Options, mem *memory.Manager, records, dim, i
 			size = n
 		}
 		dur := time.Since(start)
-		srv.ServeStats(&after)
+		after := srv.Counters()
 		sums[ci] = sum
 		rates[ci] = throughputMBps(size, iters, dur)
-		userCopy := (after.UserspaceCopyBytes - before.UserspaceCopyBytes) / int64(iters)
-		sendfile := (after.BytesSendfile - before.BytesSendfile) / int64(iters)
+		userCopy := (after[obs.ServeUserspaceCopyBytes] - before[obs.ServeUserspaceCopyBytes]) / int64(iters)
+		sendfile := (after[obs.BytesSendfile] - before[obs.BytesSendfile]) / int64(iters)
 		mode := "buffered"
 		if c.vectored {
 			mode = "vectored"

@@ -31,6 +31,8 @@ package cache
 import (
 	"fmt"
 	"sync"
+
+	"deca/internal/obs"
 )
 
 // BlockID identifies a cache block: one partition of one cached dataset.
@@ -69,18 +71,6 @@ type Block interface {
 	// Drop releases all memory and disk resources. Nobody may be reading
 	// the block.
 	Drop()
-}
-
-// Stats counts cache manager activity.
-type Stats struct {
-	Hits         uint64
-	Misses       uint64
-	Evictions    uint64
-	Drops        uint64 // evictions that discarded data (non-swappable)
-	SwapOutBytes int64  // written to swap files: each block once, however often it is evicted
-	SwapInBytes  int64
-	MemBytes     int64 // current bytes held of the budget
-	SwappedBytes int64 // what the blocks now in their swap files held in memory
 }
 
 type entry struct {
@@ -123,8 +113,11 @@ type Manager struct {
 	// leaving holds the removed entries whose readers have yet to Unpin.
 	leaving map[BlockID]*entry
 	clock   uint64
-	stats   Stats
-	loaded  sync.Cond // on mu: some entry's load just ended
+	// counts holds the manager's rows of the run's counter table (the
+	// Cache* counters, obs/counters.go) under mu; the two gauges are
+	// computed on read.
+	counts obs.CounterValues
+	loaded sync.Cond // on mu: some entry's load just ended
 }
 
 // NewManager returns a cache manager with the given resident-byte budget
@@ -144,18 +137,19 @@ func NewManager(budget int64, swapDir string) *Manager {
 // Budget returns the resident-byte budget.
 func (m *Manager) Budget() int64 { return m.budget }
 
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
+// Counters reads the manager's counter rows, with the CacheMemBytes and
+// CacheSwappedBytes gauges summed over the blocks held now.
+func (m *Manager) Counters() obs.CounterValues {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.stats
+	v := m.counts
 	for _, e := range m.blocks {
-		s.MemBytes += e.memBytes()
+		v[obs.CacheMemBytes] += e.memBytes()
 		if !e.loading {
-			s.SwappedBytes += e.swapped
+			v[obs.CacheSwappedBytes] += e.swapped
 		}
 	}
-	return s
+	return v
 }
 
 func (m *Manager) residentLocked() int64 {
@@ -195,7 +189,7 @@ func (m *Manager) Put(id BlockID, b Block) error {
 // was dropped under pressure — the caller recomputes, as Spark does.
 //
 // The swap-in's file read runs outside the lock, under the pin and the
-// entry's loading mark, so hits, Unpins and Stats of other blocks do not
+// entry's loading mark, so hits, Unpins and Counters of other blocks do not
 // queue behind it; a second Get of the same block waits for the load
 // instead of starting another. (An eviction's first SwapOut, the one that
 // writes the file, still runs under the lock in reclaimLocked: once per
@@ -205,7 +199,7 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 	defer m.mu.Unlock()
 	e, ok := m.blocks[id]
 	if !ok {
-		m.stats.Misses++
+		m.counts[obs.CacheMisses]++
 		return nil, false, nil
 	}
 	m.clock++
@@ -225,7 +219,7 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 			e.block.Drop()
 		} else {
 			if err == nil {
-				m.stats.SwapInBytes += e.block.MemBytes()
+				m.counts[obs.CacheSwapInBytes] += e.block.MemBytes()
 				e.swapped = 0
 				err = m.reclaimLocked()
 			}
@@ -236,10 +230,10 @@ func (m *Manager) Get(id BlockID) (Block, bool, error) {
 		}
 	}
 	if e.removed {
-		m.stats.Misses++
+		m.counts[obs.CacheMisses]++
 		return nil, false, nil
 	}
-	m.stats.Hits++
+	m.counts[obs.CacheHits]++
 	return e.block, true, nil
 }
 
@@ -331,7 +325,7 @@ func (m *Manager) reclaimLocked() error {
 			return nil // everything left is pinned or holds nothing; overshoot
 		}
 		e := m.blocks[*victim]
-		m.stats.Evictions++
+		m.counts[obs.CacheEvictions]++
 		if e.block.Swappable() && m.swapDir != "" {
 			bytes, written := e.block.MemBytes(), e.block.OnDisk()
 			if err := e.block.SwapOut(m.swapDir); err != nil {
@@ -339,11 +333,11 @@ func (m *Manager) reclaimLocked() error {
 			}
 			e.swapped = bytes
 			if !written {
-				m.stats.SwapOutBytes += bytes
+				m.counts[obs.CacheSwapOutBytes] += bytes
 			}
 		} else {
 			m.removeLocked(*victim, e)
-			m.stats.Drops++
+			m.counts[obs.CacheDrops]++
 		}
 	}
 	return nil

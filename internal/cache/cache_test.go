@@ -9,6 +9,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 )
 
@@ -52,8 +53,8 @@ func TestPutGetUnpersist(t *testing.T) {
 	if _, ok, _ := m.Get(id); ok {
 		t.Error("Get after Unpersist should miss")
 	}
-	st := m.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
+	st := m.Counters()
+	if st[obs.CacheHits] != 1 || st[obs.CacheMisses] != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -74,8 +75,8 @@ func TestLRUEvictionSwapsOldest(t *testing.T) {
 	}
 	m.Unpin(b)
 
-	st := m.Stats()
-	if st.Evictions == 0 || st.SwapOutBytes == 0 {
+	st := m.Counters()
+	if st[obs.CacheEvictions] == 0 || st[obs.CacheSwapOutBytes] == 0 {
 		t.Fatalf("expected a swap-out eviction, stats = %+v", st)
 	}
 
@@ -88,7 +89,7 @@ func TestLRUEvictionSwapsOldest(t *testing.T) {
 		t.Errorf("swapped-in values = %v", got)
 	}
 	m.Unpin(a)
-	if m.Stats().SwapInBytes == 0 {
+	if m.Counters()[obs.CacheSwapInBytes] == 0 {
 		t.Error("SwapInBytes = 0 after swap-in")
 	}
 }
@@ -106,7 +107,7 @@ func TestEvictionDropsNonSwappable(t *testing.T) {
 	if m.Contains(a) {
 		t.Error("non-swappable LRU block should have been dropped")
 	}
-	if m.Stats().Drops == 0 {
+	if m.Counters()[obs.CacheDrops] == 0 {
 		t.Error("Drops = 0")
 	}
 }
@@ -215,8 +216,8 @@ func TestDecaBlockEvictionViaManager(t *testing.T) {
 	m.Put(b, NewDecaBlock[int64](mem, decompose.Int64Codec{}, []int64{9, 10, 11, 12, 13, 14, 15, 16}))
 	m.Unpin(b)
 
-	st := m.Stats()
-	if st.Evictions == 0 {
+	st := m.Counters()
+	if st[obs.CacheEvictions] == 0 {
 		t.Fatalf("expected eviction, stats = %+v", st)
 	}
 	blk, ok, err := m.Get(a)
@@ -319,22 +320,22 @@ func TestWriteOnceEviction(t *testing.T) {
 					m.Unpin(id(p))
 				}
 			}
-			st := m.Stats()
+			st := m.Counters()
 			written := int64(blocks * perBlock)
 			if !level.readBack {
 				written /= 2
 			}
-			if st.SwapOutBytes != written {
-				t.Errorf("SwapOutBytes = %d after %d passes, want %d", st.SwapOutBytes, passes, written)
+			if st[obs.CacheSwapOutBytes] != written {
+				t.Errorf("SwapOutBytes = %d after %d passes, want %d", st[obs.CacheSwapOutBytes], passes, written)
 			}
-			if level.readBack && st.SwapInBytes < int64(passes-1)*blocks*perBlock {
-				t.Errorf("SwapInBytes = %d: the passes did not go through swap", st.SwapInBytes)
+			if level.readBack && st[obs.CacheSwapInBytes] < int64(passes-1)*blocks*perBlock {
+				t.Errorf("SwapInBytes = %d: the passes did not go through swap", st[obs.CacheSwapInBytes])
 			}
-			if !level.readBack && (st.SwapInBytes != 0 || st.Evictions != blocks/2 || st.Misses != 0) {
+			if !level.readBack && (st[obs.CacheSwapInBytes] != 0 || st[obs.CacheEvictions] != blocks/2 || st[obs.CacheMisses] != 0) {
 				t.Errorf("a mapped block was read back, evicted again or missed: %+v", st)
 			}
-			if got, want := st.MemBytes+st.SwappedBytes, int64(blocks*perBlock); got != want {
-				t.Errorf("resident %d + swapped %d = %d, want the dataset's %d", st.MemBytes, st.SwappedBytes, got, want)
+			if got, want := st[obs.CacheMemBytes]+st[obs.CacheSwappedBytes], int64(blocks*perBlock); got != want {
+				t.Errorf("resident %d + swapped %d = %d, want the dataset's %d", st[obs.CacheMemBytes], st[obs.CacheSwappedBytes], got, want)
 			}
 			if files, _ := os.ReadDir(dir); int64(len(files))*perBlock != written {
 				t.Errorf("%d swap files for %d bytes written", len(files), written)
@@ -383,8 +384,8 @@ func TestSwappedDecaBlockScansItsFile(t *testing.T) {
 		}
 		m.Unpin(id(p))
 	}
-	after := m.Stats()
-	if after.Evictions != blocks/2 || after.SwapOutBytes != dataset/2 || after.SwappedBytes != dataset/2 || after.MemBytes != dataset/2 {
+	after := m.Counters()
+	if after[obs.CacheEvictions] != blocks/2 || after[obs.CacheSwapOutBytes] != dataset/2 || after[obs.CacheSwappedBytes] != dataset/2 || after[obs.CacheMemBytes] != dataset/2 {
 		t.Fatalf("after the build: %+v, want half of %d bytes evicted", after, dataset)
 	}
 	if mem.InUse() != dataset/2 {
@@ -424,12 +425,12 @@ func TestSwappedDecaBlockScansItsFile(t *testing.T) {
 	if mapped != blocks/2 {
 		t.Errorf("%d blocks on disk, want %d", mapped, blocks/2)
 	}
-	st := m.Stats()
-	if st.SwapInBytes != 0 || st.Misses != 0 || st.Hits != 6*blocks {
+	st := m.Counters()
+	if st[obs.CacheSwapInBytes] != 0 || st[obs.CacheMisses] != 0 || st[obs.CacheHits] != 6*blocks {
 		t.Errorf("the passes read something back or missed: %+v", st)
 	}
-	if st.Evictions != after.Evictions || st.SwapOutBytes != after.SwapOutBytes ||
-		st.SwappedBytes != after.SwappedBytes || st.MemBytes != after.MemBytes {
+	if st[obs.CacheEvictions] != after[obs.CacheEvictions] || st[obs.CacheSwapOutBytes] != after[obs.CacheSwapOutBytes] ||
+		st[obs.CacheSwappedBytes] != after[obs.CacheSwappedBytes] || st[obs.CacheMemBytes] != after[obs.CacheMemBytes] {
 		t.Errorf("the passes moved the cache: %+v, was %+v", st, after)
 	}
 	if files, _ := os.ReadDir(dir); len(files) != blocks/2 {
@@ -469,7 +470,7 @@ func TestReclaimSkipsBlocksThatFreeNothing(t *testing.T) {
 	})
 	// Block 1 was evicted by block 2's Put; block 2, unpinned over budget,
 	// is evicted by the next thing that reclaims — nothing here did.
-	if st := m.Stats(); st.Evictions != 1 || st.MemBytes != 128 || st.SwappedBytes != 64 {
+	if st := m.Counters(); st[obs.CacheEvictions] != 1 || st[obs.CacheMemBytes] != 128 || st[obs.CacheSwappedBytes] != 64 {
 		t.Errorf("stats = %+v, want one eviction and two blocks on their pages", st)
 	}
 	for p := 0; p < 3; p++ {

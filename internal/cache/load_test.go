@@ -10,6 +10,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 // parkedBlock is a scripted Block whose SwapIn announces itself on entered
@@ -133,10 +134,10 @@ func TestSwapInLeavesTheLock(t *testing.T) {
 		}
 		m.Unpin(idB)
 	})
-	returns(t, "Stats while a block loads", func() {
+	returns(t, "Counters while a block loads", func() {
 		// The loading block already counts as resident, at what it gave up.
-		if st := m.Stats(); st.MemBytes != 64 || st.SwappedBytes != 0 {
-			t.Errorf("mid-load MemBytes = %d, SwappedBytes = %d, want 64, 0", st.MemBytes, st.SwappedBytes)
+		if st := m.Counters(); st[obs.CacheMemBytes] != 64 || st[obs.CacheSwappedBytes] != 0 {
+			t.Errorf("mid-load MemBytes = %d, SwappedBytes = %d, want 64, 0", st[obs.CacheMemBytes], st[obs.CacheSwappedBytes])
 		}
 	})
 
@@ -156,7 +157,7 @@ func TestSwapInLeavesTheLock(t *testing.T) {
 	if a.swapIns != 1 || ea.pinned != 2 {
 		t.Errorf("swapIns = %d, pinned = %d, want 1, 2", a.swapIns, ea.pinned)
 	}
-	if st := m.Stats(); st.SwapInBytes != 32 || st.Hits != 3 {
+	if st := m.Counters(); st[obs.CacheSwapInBytes] != 32 || st[obs.CacheHits] != 3 {
 		t.Errorf("stats after the load = %+v", st)
 	}
 }
@@ -183,8 +184,8 @@ func TestUnpersistDuringLoad(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("swap file %s survived the drop: %v", path, err)
 	}
-	if m.Contains(BlockID{1, 0}) || m.Stats().MemBytes != 0 {
-		t.Errorf("cache still holds something: %+v", m.Stats())
+	if m.Contains(BlockID{1, 0}) || m.Counters()[obs.CacheMemBytes] != 0 {
+		t.Errorf("cache still holds something: %+v", m.Counters())
 	}
 }
 

@@ -2,9 +2,10 @@
 // the engine's fault-tolerance subsystem. It plugs into the scheduler
 // through the sched.FaultInjector seam (task-level faults: injected
 // attempt failures, post-success failures that model an executor dying
-// before reporting, and a mid-stage executor kill) and
-// wraps any transport.Transport (fetch-level faults that surface as
-// retryable errors). Every decision is a pure hash of the seed and the
+// before reporting, and a mid-stage executor kill); the engine consults
+// it before each map-output fetch (FetchFault: retryable errors and lost
+// outputs) and after each merged one (MergeFault). Every decision is a
+// pure hash of the seed and the
 // fault's coordinates — (stage, partition, attempt) for tasks, (output
 // id, try) for fetches — so a given seed injects the same faults on every
 // run regardless of goroutine scheduling, and every recovery path is
@@ -197,89 +198,32 @@ func (i *Injector) MergeFault(stage, part, attempt, consumed int) error {
 		ErrInjected, stage, part, attempt, consumed)
 }
 
-// fetchFault decides whether this Fetch call fails. Each output id keeps
-// its own try counter, so a fetch that failed rerolls on retry.
+// FetchFault decides whether this fetch try fails, before the transport
+// is consulted: an injected error is retryable (Transport.Fetch's
+// contract) and lost=true is a definitive miss (LoseOutput). Either fires
+// before any wire byte moves, so the registered output is never consumed
+// or half-decoded by it. Each output id keeps its own try counter, so a
+// fetch that failed rerolls on retry.
 //
 //deca:pure
-func (i *Injector) fetchFault(id transport.MapOutputID) error {
+func (i *Injector) FetchFault(id transport.MapOutputID) (lost bool, err error) {
 	n := i.fetchCount.Add(1)
 	if i.FailFetchN > 0 && n == i.FailFetchN {
 		i.count(func(s *Stats) { s.FetchFailures++ })
-		return fmt.Errorf("%w: fetch %d (%v) dropped", ErrInjected, n, id)
+		return false, fmt.Errorf("%w: fetch %d (%v) dropped", ErrInjected, n, id)
 	}
-	if i.FetchFailureRate <= 0 {
-		return nil
+	if i.FetchFailureRate > 0 {
+		i.mu.Lock()
+		if i.fetchTries == nil {
+			i.fetchTries = make(map[transport.MapOutputID]int)
+		}
+		try := i.fetchTries[id]
+		i.fetchTries[id] = try + 1
+		i.mu.Unlock()
+		if i.roll("fetch", int64(id.Shuffle), int64(id.MapTask)<<20|int64(id.Reduce), int64(try)) < i.FetchFailureRate {
+			i.count(func(s *Stats) { s.FetchFailures++ })
+			return false, fmt.Errorf("%w: fetch of %v (try %d) dropped", ErrInjected, id, try+1)
+		}
 	}
-	i.mu.Lock()
-	if i.fetchTries == nil {
-		i.fetchTries = make(map[transport.MapOutputID]int)
-	}
-	try := i.fetchTries[id]
-	i.fetchTries[id] = try + 1
-	i.mu.Unlock()
-	if i.roll("fetch", int64(id.Shuffle), int64(id.MapTask)<<20|int64(id.Reduce), int64(try)) < i.FetchFailureRate {
-		i.count(func(s *Stats) { s.FetchFailures++ })
-		return fmt.Errorf("%w: fetch of %v (try %d) dropped", ErrInjected, id, try+1)
-	}
-	return nil
+	return i.LoseOutput != nil && i.LoseOutput(id), nil
 }
-
-// Transport wraps an inner transport with fetch-fault injection. Injected
-// failures surface as retryable errors before the inner transport is
-// consulted, so the registered output is never consumed by a failed
-// fetch.
-type Transport struct {
-	inner transport.Transport
-	inj   *Injector
-}
-
-// WrapTransport builds the chaos transport around inner.
-func WrapTransport(inner transport.Transport, inj *Injector) *Transport {
-	return &Transport{inner: inner, inj: inj}
-}
-
-// Register delegates to the inner transport.
-func (t *Transport) Register(id transport.MapOutputID, p transport.Payload) error {
-	return t.inner.Register(id, p)
-}
-
-// Fetch injects a fault or delegates. The streaming-decode hook passes
-// through untouched: injected faults fire before any wire byte moves, so
-// the registered output is never half-decoded by a failed fetch.
-func (t *Transport) Fetch(id transport.MapOutputID, dstExecutor int, open transport.FrameOpen) (transport.Payload, bool, error) {
-	if err := t.inj.fetchFault(id); err != nil {
-		return transport.Payload{}, false, err
-	}
-	if lose := t.inj.LoseOutput; lose != nil && lose(id) {
-		return transport.Payload{}, false, nil
-	}
-	return t.inner.Fetch(id, dstExecutor, open)
-}
-
-// Commit delegates to the inner transport (commits are a driver
-// decision, never a fault site).
-func (t *Transport) Commit(ids []transport.MapOutputID) []transport.Payload {
-	return t.inner.Commit(ids)
-}
-
-// Drop delegates to the inner transport.
-func (t *Transport) Drop(shuffle transport.ShuffleID) []transport.Payload {
-	return t.inner.Drop(shuffle)
-}
-
-// Stats delegates to the inner transport.
-func (t *Transport) Stats() transport.Stats { return t.inner.Stats() }
-
-// Close delegates to the inner transport.
-func (t *Transport) Close() error { return t.inner.Close() }
-
-// Pending forwards the inner transport's leak probe (tests).
-func (t *Transport) Pending() int {
-	if p, ok := t.inner.(interface{ Pending() int }); ok {
-		return p.Pending()
-	}
-	return 0
-}
-
-// Inner returns the wrapped transport (tests).
-func (t *Transport) Inner() transport.Transport { return t.inner }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"deca/internal/obs"
 	"deca/internal/sched"
 	"deca/internal/transport"
 )
@@ -95,13 +96,17 @@ func TestKillExecutorAfterN(t *testing.T) {
 	}
 }
 
-func TestTransportWrapperInjectsAndDelegates(t *testing.T) {
-	inner := transport.NewInProcess()
+// TestFetchFaultFiresBeforeThePlane consults the injector before the
+// plane, as the engine's fetch loop does: an injected failure does not
+// consume the registration and the retry goes through untouched, and a
+// lost output is a definitive miss, decided after the injected failure.
+func TestFetchFaultFiresBeforeThePlane(t *testing.T) {
+	plane := transport.NewInProcess()
+	defer plane.Close()
 	inj := New(1)
 	inj.FailFetchN = 1
-	tr := WrapTransport(inner, inj)
 	id := transport.MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
-	if err := tr.Register(id, transport.Payload{
+	if err := plane.Register(id, transport.Payload{
 		Data: "buf", SrcExecutor: 0, Bytes: 3,
 		Encode: func(w io.Writer) error { _, err := io.WriteString(w, "buf"); return err },
 	}); err != nil {
@@ -111,18 +116,28 @@ func TestTransportWrapperInjectsAndDelegates(t *testing.T) {
 		b, err := io.ReadAll(r)
 		return transport.Decoded{Data: string(b), MemBytes: size}, err
 	}
+	fetch := func() (transport.Payload, bool, error) {
+		if lost, err := inj.FetchFault(id); lost || err != nil {
+			return transport.Payload{}, false, err
+		}
+		return plane.Fetch(id, 0, open)
+	}
 
-	_, ok, err := tr.Fetch(id, 0, open)
+	_, ok, err := fetch()
 	if ok || !errors.Is(err, ErrInjected) {
 		t.Fatalf("first fetch = (ok=%v, err=%v), want injected failure", ok, err)
 	}
-	if tr.Pending() != 1 {
-		t.Fatalf("injected failure consumed the registration (pending=%d)", tr.Pending())
+	if n := plane.Counters(0)[obs.ShuffleOutputsPinned]; n != 1 {
+		t.Fatalf("injected failure consumed the registration (pinned=%d)", n)
 	}
 	// The retry goes through untouched.
-	p, ok, err := tr.Fetch(id, 0, open)
+	p, ok, err := fetch()
 	if err != nil || !ok || p.Data != "buf" {
 		t.Fatalf("retry fetch = (%v, %v, %v)", p, ok, err)
+	}
+	inj.LoseOutput = func(lost transport.MapOutputID) bool { return lost == id }
+	if _, ok, err := fetch(); ok || err != nil {
+		t.Errorf("fetch of a lost output = (ok=%v, err=%v), want a definitive miss", ok, err)
 	}
 	if got := inj.Stats().FetchFailures; got != 1 {
 		t.Errorf("fetch failures = %d, want 1", got)
@@ -135,7 +150,7 @@ func TestFetchFailureRateRerollsPerTry(t *testing.T) {
 	id := transport.MapOutputID{Shuffle: 3, MapTask: 1, Reduce: 2}
 	sawFailure, sawSuccess := false, false
 	for try := 0; try < 32; try++ {
-		if inj.fetchFault(id) != nil {
+		if _, err := inj.FetchFault(id); err != nil {
 			sawFailure = true
 		} else {
 			sawSuccess = true

@@ -24,7 +24,7 @@ var PureDecisionFuncs = []string{
 	"deca/internal/chaos.Injector.AfterAttempt",
 	// Fetch-fault decisions (per-output retry counters are deterministic
 	// state, not clocks).
-	"deca/internal/chaos.Injector.fetchFault",
+	"deca/internal/chaos.Injector.FetchFault",
 	// Mid-merge reduce-death coordinates (exact targeting via
 	// MergeFailMatch; the match predicate itself must stay pure too).
 	"deca/internal/chaos.Injector.MergeFault",

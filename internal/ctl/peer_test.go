@@ -11,6 +11,7 @@ import (
 	"deca/internal/ctl"
 	"deca/internal/decompose"
 	"deca/internal/engine"
+	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/shuffle"
 )
@@ -138,7 +139,7 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 			if st := ctx.Executors()[0].Memory().Stats(); st.LiveGroups != 0 {
 				t.Errorf("%d page groups still live after the abort", st.LiveGroups)
 			}
-			if n := ctx.Transport().(interface{ Pending() int }).Pending(); n != 0 {
+			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
 				t.Errorf("%d map outputs still registered after the abort", n)
 			}
 		})

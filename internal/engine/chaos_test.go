@@ -6,11 +6,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"deca/internal/chaos"
 	"deca/internal/decompose"
 	"deca/internal/obs"
+	"deca/internal/transport"
 )
 
 // Stage ids are deterministic for a single-action WC-shaped job: the
@@ -36,11 +38,7 @@ func assertNoLeaks(t *testing.T, ctx *Context) {
 			t.Errorf("executor %d still holds %d live groups", ex.ID(), st.LiveGroups)
 		}
 	}
-	p, ok := ctx.Transport().(interface{ Pending() int })
-	if !ok {
-		t.Fatalf("transport %T has no Pending probe", ctx.Transport())
-	}
-	if n := p.Pending(); n != 0 {
+	if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
 		t.Errorf("%d payloads still registered with the transport", n)
 	}
 }
@@ -236,6 +234,12 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 				c.ShuffleSpillThreshold = 256
 				c.PageSize = 1024
 			})
+			// Between the stages every output is pinned once: each second
+			// registration released the first (8 map tasks x 5 reducers).
+			var pinnedAfterMaps int64
+			ctx.testAfterMapStage = func(transport.ShuffleID) {
+				pinnedAfterMaps = ctx.Counters()[obs.ShuffleOutputsPinned]
+			}
 			got := wordCountOn(t, ctx)
 			if !reflect.DeepEqual(got, want) {
 				t.Error("result differs after displacement retries")
@@ -247,9 +251,8 @@ func TestChaosMapRetryDisplacesRegisteredOutputs(t *testing.T) {
 			if got := ctx.Counters()[obs.TaskRetries]; got < 8 {
 				t.Errorf("TaskRetries = %d, want ≥ 8 (one per map task)", got)
 			}
-			ts := ctx.Transport().Stats()
-			if ts.Registered < 2*8*5 {
-				t.Errorf("Registered = %d, want ≥ 80 (each map output registered twice)", ts.Registered)
+			if pinnedAfterMaps != 8*5 {
+				t.Errorf("%d outputs pinned after the map stage, want 40 (the displaced copies released)", pinnedAfterMaps)
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)
@@ -327,6 +330,40 @@ func TestChaosFetchFaultsRetryBelowTaskLevel(t *testing.T) {
 			assertManagersEmptyAfterClose(t, ctx)
 		})
 	}
+}
+
+// TestFetchFaultLeavesTheOutputPinned: the fetch loop consults the
+// injector before the plane, so on a 2-executor TCP cluster an injected
+// fetch failure leaves the output it hit pinned — every merge after the
+// fault still sees all 8 x 5 map outputs counted — and the retry fetches
+// it: the answer is the fault-free run's.
+func TestFetchFaultLeavesTheOutputPinned(t *testing.T) {
+	want := wordCountOn(t, clusterCtx(t, ModeDeca, 2))
+	inj := chaos.New(1)
+	inj.FailFetchN = 1
+	var ctx *Context
+	var probes atomic.Int64
+	inj.MergeFailMatch = func(stage, part, attempt, consumed int) bool {
+		if inj.Stats().FetchFailures == 1 {
+			probes.Add(1)
+			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 8*5 {
+				t.Errorf("%d outputs pinned after the fault, want 40", n)
+			}
+		}
+		return false
+	}
+	ctx = chaosCtx(t, TransportTCP, inj, func(c *Config) { c.NumExecutors = 2 })
+	if got := wordCountOn(t, ctx); !reflect.DeepEqual(got, want) {
+		t.Error("result differs after an injected fetch failure")
+	}
+	if n := inj.Stats().FetchFailures; n != 1 || probes.Load() == 0 {
+		t.Fatalf("%d fetch failures injected and %d merges after it, want 1 and some", n, probes.Load())
+	}
+	if n := ctx.Counters()[obs.TaskRetries]; n != 0 {
+		t.Errorf("TaskRetries = %d, want 0: the fetch retry absorbs the fault", n)
+	}
+	ctx.ReleaseAllShuffles()
+	assertNoLeaks(t, ctx)
 }
 
 // TestChaosCombinedFaults is the acceptance scenario in engine form: a 5%

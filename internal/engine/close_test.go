@@ -39,7 +39,7 @@ func TestCloseIdempotentAfterFailedStage(t *testing.T) {
 		t.Fatal("reduce stage unexpectedly succeeded with a stolen output")
 	}
 
-	addrs := ctx.trans.(*chaos.Transport).Inner().(interface{ Addrs() []string }).Addrs()
+	addrs := ctx.plane.Addrs()
 
 	// Concurrent + repeated Close: idempotent, race-free.
 	var wg sync.WaitGroup

@@ -57,32 +57,23 @@ func wordCountOn(t *testing.T, ctx *Context) map[string]int64 {
 	return got
 }
 
-// recordingTransport remembers what was registered with it.
-type recordingTransport struct {
-	transport.Transport
-	mu       sync.Mutex
-	payloads []transport.Payload
-}
-
-func (r *recordingTransport) Register(id transport.MapOutputID, p transport.Payload) error {
-	r.mu.Lock()
-	r.payloads = append(r.payloads, p)
-	r.mu.Unlock()
-	return r.Transport.Register(id, p)
-}
-
 // TestMapOutputsRegisterSealed: a map output is registered without its hash
 // index — nothing probes it again — so between the stages of a 2-executor
 // WordCount every payload weighs its pages and the managers hold the pages
 // and nothing else: the tables went back at registration, not at commit.
 func TestMapOutputsRegisterSealed(t *testing.T) {
 	ctx := clusterCtx(t, ModeDeca, 2)
-	rec := &recordingTransport{Transport: ctx.trans}
-	ctx.trans = rec
+	var mu sync.Mutex
+	var payloads []transport.Payload
+	ctx.testRegister = func(_ transport.MapOutputID, p transport.Payload) {
+		mu.Lock()
+		payloads = append(payloads, p)
+		mu.Unlock()
+	}
 	var pages int64
 	ctx.testAfterMapStage = func(transport.ShuffleID) {
 		keys := 0
-		for _, pl := range rec.payloads {
+		for _, pl := range payloads {
 			b := pl.Data.(*shuffle.DecaAgg[string, int64])
 			_, footprint := b.PageOccupancy()
 			if pl.MemBytes != footprint || b.SizeBytes() != footprint {
@@ -92,8 +83,8 @@ func TestMapOutputsRegisterSealed(t *testing.T) {
 			pages += footprint
 			keys += b.Len()
 		}
-		if len(rec.payloads) != 8*5 || keys == 0 || pages == 0 {
-			t.Fatalf("%d map outputs of %d keys on %d bytes of pages, want 8 x 5 filled ones", len(rec.payloads), keys, pages)
+		if len(payloads) != 8*5 || keys == 0 || pages == 0 {
+			t.Fatalf("%d map outputs of %d keys on %d bytes of pages, want 8 x 5 filled ones", len(payloads), keys, pages)
 		}
 		if got := ctx.MemoryInUse(); got != pages {
 			t.Errorf("the managers hold %d bytes between the stages, want the map outputs' pages (%d) and no table", got, pages)
@@ -202,10 +193,6 @@ func TestCrossExecutorShuffleMetrics(t *testing.T) {
 	// M=8 map partitions × R=5 reduce partitions.
 	if total := local + remote; total != 8*5 {
 		t.Errorf("fetched %d map outputs, want 40", total)
-	}
-	ts := ctx.Transport().Stats()
-	if ts.RemoteFetches != uint64(remote) || ts.LocalFetches != uint64(local) {
-		t.Errorf("transport stats %+v disagree with engine metrics", ts)
 	}
 }
 

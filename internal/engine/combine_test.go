@@ -14,15 +14,15 @@ import (
 	"deca/internal/transport"
 )
 
-// frameRecorder keeps the frame of every map output registered through it,
+// frameRecorder keeps the frame of every map output the map body registers,
 // as a serve would ship it at registration, one entry per registration.
 type frameRecorder struct {
-	transport.Transport
+	t      *testing.T
 	mu     sync.Mutex
 	frames map[transport.MapOutputID][][]byte
 }
 
-func (r *frameRecorder) Register(id transport.MapOutputID, p transport.Payload) error {
+func (r *frameRecorder) register(id transport.MapOutputID, p transport.Payload) {
 	var frame bytes.Buffer
 	fs, err := p.Segments()
 	if err == nil {
@@ -30,12 +30,11 @@ func (r *frameRecorder) Register(id transport.MapOutputID, p transport.Payload) 
 		fs.Release()
 	}
 	if err != nil {
-		return err
+		r.t.Errorf("framing %v: %v", id, err)
 	}
 	r.mu.Lock()
 	r.frames[id] = append(r.frames[id], frame.Bytes())
 	r.mu.Unlock()
-	return r.Transport.Register(id, p)
 }
 
 // frameCount is a frame's record count: the uvarint after its kind byte.
@@ -92,8 +91,8 @@ func wantCounts(pairs []decompose.Pair[string, int64], few bool) (n [combineM][c
 func combineCtx(t *testing.T, mode Mode) (*Context, *frameRecorder) {
 	ctx := New(Config{NumExecutors: 1, Parallelism: 2, Mode: mode, PageSize: 1 << 16, SpillDir: t.TempDir()})
 	t.Cleanup(ctx.Close)
-	rec := &frameRecorder{Transport: ctx.trans, frames: make(map[transport.MapOutputID][][]byte)}
-	ctx.trans = rec
+	rec := &frameRecorder{t: t, frames: make(map[transport.MapOutputID][][]byte)}
+	ctx.testRegister = rec.register
 	return ctx, rec
 }
 
@@ -150,7 +149,7 @@ func TestUncombinedMapOutputRerunsIdentically(t *testing.T) {
 		for r := 0; r < combineR; r++ {
 			ids = append(ids, transport.MapOutputID{Shuffle: id, MapTask: 0, Reduce: r})
 		}
-		for _, pl := range ctx.trans.Commit(ids) {
+		for _, pl := range ctx.plane.Commit(ids) {
 			pl.Data.(releasable).Release()
 		}
 	}

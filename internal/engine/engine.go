@@ -213,15 +213,11 @@ type Config struct {
 	// never blacklisted.
 	MaxExecutorFailures int
 	// Chaos, when non-nil, injects deterministic faults into task attempts
-	// (via the scheduler) and map-output fetches (via a transport
-	// wrapper) — the fault-injection harness of internal/chaos.
+	// (via the scheduler), map-output fetches and reduce merges (the
+	// engine consults it before each fetch and after each merged output) —
+	// the fault-injection harness of internal/chaos.
 	Chaos *chaos.Injector
 
-	// EventBuffer sizes the per-process observability event ring
-	// (internal/obs). 0 selects obs.DefaultCapacity; negative disables
-	// event recording entirely — every instrumentation seam then costs a
-	// single nil check.
-	EventBuffer int
 	// OpsAddr, when set, serves the live HTTP ops plane on this address
 	// ("host:port"): /metrics (Prometheus text), /stages, /executors,
 	// /memory (JSON) and /trace (Chrome trace-event JSON). Driver-side
@@ -260,10 +256,9 @@ func (c Config) withDefaults() Config {
 type Context struct {
 	conf  Config
 	execs []*Executor
-	// plane is the data plane and trans the face the engine moves map
-	// output through: the plane itself, or the chaos wrapper around it.
+	// plane is the data plane, the one face the engine moves map output
+	// through.
 	plane   *transport.Plane
-	trans   transport.Transport
 	cluster *sched.Cluster
 	nextID  atomic.Int64
 	nextShf atomic.Int64
@@ -286,8 +281,7 @@ type Context struct {
 
 	// Observability: the process-local event ring, the driver-side
 	// cluster view, the periodic GC sampler, and the HTTP ops plane.
-	// rec is nil when Config.EventBuffer is negative; view and ops are
-	// nil on followers.
+	// view and ops are nil on followers.
 	rec        *obs.Recorder
 	view       *obs.View
 	gcSampler  *gcstats.Sampler
@@ -307,6 +301,9 @@ type Context struct {
 	// stages (tests: injecting map-output loss to drive the reduce error
 	// path).
 	testAfterMapStage func(transport.ShuffleID)
+	// testRegister, when set, sees each map output the map body is about
+	// to register (tests: the payloads and frames a job registers).
+	testRegister func(transport.MapOutputID, transport.Payload)
 	// testAfterReduceVerdict, when set, runs on the driver between a
 	// shuffle's reduce verdict (followers are live from here) and the
 	// return of its materialization (the driver is live only then) — the
@@ -328,10 +325,9 @@ func New(conf Config) *Context {
 		stageIDs:     make(map[string]int32),
 		fetchWorkers: fetchConcurrency,
 		fetchBudget:  maxFetchBytesInFlight,
-	}
-	// Observability spine: one event ring per process, fed by every layer.
-	if conf.EventBuffer >= 0 {
-		c.rec = obs.NewRecorder(conf.EventBuffer)
+		// Observability spine: one event ring per process, fed by every
+		// layer.
+		rec: obs.NewRecorder(0),
 	}
 	var faults sched.FaultInjector
 	if conf.Chaos != nil {
@@ -373,23 +369,21 @@ func New(conf Config) *Context {
 	// The driver (any non-follower role) also aggregates the ring into a
 	// View; a follower's ring drains into ctl heartbeats instead. The GC
 	// sampler turns runtime GC stats into a periodic event stream.
-	if c.rec != nil {
-		for i, ex := range c.execs {
-			ex.mem.SetRecorder(c.rec, int32(i))
-		}
-		if conf.CtlFollower == nil {
-			c.view = obs.NewView(0)
-		}
-		rec, exec := c.rec, c.obsExec()
-		c.gcSampler = gcstats.StartSampler(gcSampleInterval, func(s gcstats.Snapshot) {
-			rec.Record(obs.Event{
-				Kind: obs.KindGCSample,
-				Exec: exec,
-				A:    int64(s.GCCPUSeconds * 1e9),
-				B:    int64(s.HeapAlloc),
-			})
-		})
+	for i, ex := range c.execs {
+		ex.mem.SetRecorder(c.rec, int32(i))
 	}
+	if conf.CtlFollower == nil {
+		c.view = obs.NewView(0)
+	}
+	rec, exec := c.rec, c.obsExec()
+	c.gcSampler = gcstats.StartSampler(gcSampleInterval, func(s gcstats.Snapshot) {
+		rec.Record(obs.Event{
+			Kind: obs.KindGCSample,
+			Exec: exec,
+			A:    int64(s.GCCPUSeconds * 1e9),
+			B:    int64(s.HeapAlloc),
+		})
+	})
 
 	// Role-specific control-plane wiring, and the construction of the data
 	// plane that goes with it. A follower mirrors the plan inside one
@@ -412,12 +406,6 @@ func New(conf Config) *Context {
 		c.plane = transport.NewInProcess()
 	}
 	c.plane.SetRecorder(c.rec)
-	c.trans = c.plane
-	// Followers wrap too: an executor-process injector (built from the
-	// plan's chaos spec) makes fetch faults fire inside the real process.
-	if conf.Chaos != nil {
-		c.trans = chaos.WrapTransport(c.plane, conf.Chaos)
-	}
 	if conf.OpsAddr != "" && conf.CtlFollower == nil {
 		c.ops = startOps(c, conf.OpsAddr)
 	}
@@ -447,7 +435,7 @@ func (c *Context) obsExec() int32 {
 // export call it so the view is current at read time; follower events
 // arrive through heartbeats instead.
 func (c *Context) drainLocalEvents() {
-	if c.view == nil || c.rec == nil {
+	if c.view == nil {
 		return
 	}
 	for {
@@ -477,9 +465,6 @@ func (c *Context) noteStageStart(key string, stage int) {
 // start (0 when the stage never started locally — the view then matches by
 // key).
 func (c *Context) recordStageVerdict(key string, err error) {
-	if c.rec == nil {
-		return
-	}
 	c.stageIDMu.Lock()
 	id := c.stageIDs[key]
 	delete(c.stageIDs, key)
@@ -585,9 +570,7 @@ func (c *Context) ReleaseAllShuffles() {
 // stage's error path, is a no-op. The context is unusable afterwards.
 func (c *Context) Close() {
 	c.closeOnce.Do(func() {
-		if c.gcSampler != nil {
-			c.gcSampler.Stop()
-		}
+		c.gcSampler.Stop()
 		if c.ops != nil {
 			c.ops.shutdown()
 		}
@@ -599,7 +582,7 @@ func (c *Context) Close() {
 		if c.driver != nil {
 			c.driver.d.Close()
 		}
-		c.trans.Close()
+		c.plane.Close()
 		if c.conf.TraceOut != "" && c.view != nil {
 			c.writeTraceOut()
 		}
@@ -623,9 +606,6 @@ func (c *Context) executorFor(p int) *Executor {
 	return c.execs[c.cluster.Place(p)]
 }
 
-// Transport returns the shuffle transport.
-func (c *Context) Transport() transport.Transport { return c.trans }
-
 // Memory returns executor 0's page memory manager — the cluster's only
 // manager in single-executor configs. Multi-executor callers should range
 // over Executors() or use MemoryInUse.
@@ -640,29 +620,17 @@ func (c *Context) MemoryInUse() int64 {
 	return total
 }
 
-// execCounters reads one executor's counter vector: the counters this
-// process increments, the values the scheduler (sched.Cluster.Counters),
-// the executor's block store (cache.Stats) and its transport node
-// (transport.Stats) already keep — this function is the one place they are
-// pulled into the vector — and, on a multiproc
-// driver, whose executors' data lives in other processes, the
-// executor-resident values the executor's last heartbeat carried
+// execCounters reads one executor's counter vector: the rows this process
+// increments, plus one read each of the rows the scheduler, the
+// executor's block store and its transport node keep, and — on a
+// multiproc driver, whose executors' data lives in other processes — the
+// executor-resident rows the executor's last heartbeat carried
 // (SyncClusterMetrics asks for fresh ones).
 func (c *Context) execCounters(ex *Executor) obs.CounterValues {
 	v := ex.counters.Load()
 	v.Add(c.cluster.Counters(ex.id))
-	cs, ts := ex.cache.Stats(), c.plane.ServeStats(ex.id)
-	v[obs.CacheHits] = int64(cs.Hits)
-	v[obs.CacheMisses] = int64(cs.Misses)
-	v[obs.CacheEvictions] = int64(cs.Evictions)
-	v[obs.CacheDrops] = int64(cs.Drops)
-	v[obs.CacheSwapOutBytes] = cs.SwapOutBytes
-	v[obs.CacheSwapInBytes] = cs.SwapInBytes
-	v[obs.CacheMemBytes] = cs.MemBytes
-	v[obs.CacheSwappedBytes] = cs.SwappedBytes
-	v[obs.PagesServedZeroCopy] = ts.PagesServedZeroCopy
-	v[obs.BytesSendfile] = ts.BytesSendfile
-	v[obs.ServeUserspaceCopyBytes] = ts.UserspaceCopyBytes
+	v.Add(ex.cache.Counters())
+	v.Add(c.plane.Counters(ex.id))
 	if c.driver != nil {
 		v.Add(c.driver.d.Counters(ex.id))
 	}
@@ -758,7 +726,7 @@ func (c *Context) noteSpill(srcExec int, bytes int64) {
 // cleanup for a stage that failed between map and reduce.
 func (c *Context) dropShuffleOutputs(id transport.ShuffleID) {
 	c.rec.Record(obs.Event{Kind: obs.KindStageAbort, Exec: c.obsExec(), Shuffle: int64(id)})
-	releasePayloads(c.trans.Drop(id)...)
+	releasePayloads(c.plane.Drop(id)...)
 }
 
 // commitShuffleOutputs is the stage commit: the reduce stage consuming
@@ -777,7 +745,7 @@ func (c *Context) commitShuffleOutputs(id transport.ShuffleID, M, R int) {
 			ids = append(ids, transport.MapOutputID{Shuffle: id, MapTask: m, Reduce: r})
 		}
 	}
-	releasePayloads(c.trans.Commit(ids)...)
+	releasePayloads(c.plane.Commit(ids)...)
 }
 
 // Seq is a pull iterator over a partition's records: it calls yield for

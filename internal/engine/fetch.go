@@ -145,7 +145,7 @@ func (fp *fetchPipeline) addInFlightGauge(delta int64) {
 // for map-task-granular lineage repair.
 func (fp *fetchPipeline) fetchWithRetry(id transport.MapOutputID) fetchResult {
 	for try := 0; ; try++ {
-		pl, ok, err := fp.ctx.trans.Fetch(id, fp.ex.id, fp.open)
+		pl, ok, err := fp.fetch(id)
 		if err == nil {
 			return fetchResult{pl: pl, ok: ok}
 		}
@@ -153,6 +153,19 @@ func (fp *fetchPipeline) fetchWithRetry(id transport.MapOutputID) fetchResult {
 			return fetchResult{err: err}
 		}
 	}
+}
+
+// fetch is one try: the chaos injector's fetch fault, when one is
+// configured, then the plane — as shuffleReduceBody consults MergeFault
+// after each merged output. An injected error or loss fires before any
+// wire byte moves, so the registration is never consumed by it.
+func (fp *fetchPipeline) fetch(id transport.MapOutputID) (transport.Payload, bool, error) {
+	if f := fp.ctx.conf.Chaos; f != nil {
+		if lost, err := f.FetchFault(id); lost || err != nil {
+			return transport.Payload{}, false, err
+		}
+	}
+	return fp.ctx.plane.Fetch(id, fp.ex.id, fp.open)
 }
 
 // fetchCharge is the in-flight budget cost of a payload: the bytes a

@@ -295,9 +295,9 @@ func taskResult(raw []byte, err error) ctl.TaskResult {
 // Either way a failed attempt that names lost map outputs gets exactly
 // those map tasks re-run before the scheduler retries it.
 func dispatch[P any](c *Context, st stage, ps []P, body taskBody[P]) error {
-	opts := sched.StageOptions{Idempotent: st.idempotent}
-	if c.rec != nil {
-		opts.OnStart = func(id int) { c.noteStageStart(st.key, id) }
+	opts := sched.StageOptions{
+		Idempotent: st.idempotent,
+		OnStart:    func(id int) { c.noteStageStart(st.key, id) },
 	}
 	mark := c.driver.failMark()
 	run := func(t sched.Attempt) (v P, err error) {

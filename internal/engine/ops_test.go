@@ -200,26 +200,6 @@ func TestStagesCountTheirOwnRetries(t *testing.T) {
 	}
 }
 
-func TestObservabilityDisabledByNegativeEventBuffer(t *testing.T) {
-	ctx := New(Config{
-		NumExecutors: 2,
-		Parallelism:  2,
-		Mode:         ModeDeca,
-		PageSize:     4096,
-		EventBuffer:  -1,
-		OpsAddr:      "127.0.0.1:0",
-	})
-	t.Cleanup(ctx.Close)
-	if ctx.rec != nil {
-		t.Fatal("recorder allocated despite EventBuffer < 0")
-	}
-	wordCountOn(t, ctx) // instrumented seams must tolerate the nil recorder
-	body := string(opsGet(t, ctx.ops.ln.Addr().String(), "/metrics"))
-	if !strings.Contains(body, "deca_tasks_run_total") {
-		t.Error("/metrics should still serve counters with events disabled")
-	}
-}
-
 // TestCloseStopsObservability is the leak test: contexts that started GC
 // samplers and ops listeners must not leave goroutines behind after
 // Close. Run with -race in CI.

@@ -263,7 +263,7 @@ func TestFetchPipelineMissingAndAbort(t *testing.T) {
 		}
 		sources[m] = &countingReleasable{}
 		frame := []byte{byte(m)}
-		if err := ctx.trans.Register(
+		if err := ctx.plane.Register(
 			transport.MapOutputID{Shuffle: 9, MapTask: m, Reduce: 0},
 			transport.Payload{Data: sources[m], SrcExecutor: 0, Bytes: 10, Encode: func(w io.Writer) error {
 				_, err := w.Write(frame)
@@ -309,7 +309,7 @@ func TestFetchPipelineMissingAndAbort(t *testing.T) {
 			t.Errorf("copy of output %d (fetched=%v) released %d times, want %d", m, fetched[m].Load(), got, want)
 		}
 	}
-	if n := ctx.trans.(*transport.Plane).Pending(); n != M-1 {
+	if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != M-1 {
 		t.Errorf("%d outputs still registered, want all %d: a fetch never consumes its source", n, M-1)
 	}
 	for m, src := range sources {

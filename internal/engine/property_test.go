@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"deca/internal/decompose"
+	"deca/internal/obs"
 )
 
 // Property tests pitting the engine's shuffle operators against plain-map
@@ -77,7 +78,7 @@ func TestCachedSerializedSwapPath(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("serialized cache changed across swap round trips")
 	}
-	if ctx.Executors()[0].cache.Stats().Evictions == 0 {
+	if ctx.Executors()[0].cache.Counters()[obs.CacheEvictions] == 0 {
 		t.Error("expected evictions under the tiny budget")
 	}
 }

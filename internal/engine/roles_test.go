@@ -146,7 +146,7 @@ func mirrorUnconverged(ctx *Context) error {
 	}
 	me := ctx.follower.ID()
 	ledger := fmt.Sprintf("groups=%d bytes=%d pending=%d", ctx.execs[me].mem.Stats().LiveGroups,
-		ctx.MemoryInUse(), ctx.trans.(interface{ Pending() int }).Pending())
+		ctx.MemoryInUse(), ctx.Counters()[obs.ShuffleOutputsPinned])
 	return os.WriteFile(filepath.Join(ctx.conf.SpillDir, fmt.Sprintf("ledger-%d", me)), []byte(ledger), 0o644)
 }
 

@@ -171,8 +171,11 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	for r, b := range bufs {
 		b.Seal() // nothing probes a map output again: its index goes back now, not at stage commit
 		ctx.noteOccupancy(shufID, b)
-		err := ctx.trans.Register(
-			transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r}, payloadFor[K, V](b, ex))
+		id, pl := transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r}, payloadFor[K, V](b, ex)
+		if ctx.testRegister != nil {
+			ctx.testRegister(id, pl)
+		}
+		err := ctx.plane.Register(id, pl)
 		registered = r + 1 // Register owns b now, even when it fails
 		if err != nil {
 			return err

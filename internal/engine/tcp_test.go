@@ -37,12 +37,8 @@ func TestTCPTransportEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("TCP-transport result differs from in-process run")
 			}
-			ts := ctx.Transport().Stats()
-			if ts.RemoteFetches == 0 || ts.RemoteBytes == 0 {
-				t.Errorf("expected wire traffic, stats = %+v", ts)
-			}
-			if m := ctx.Counters(); m[obs.RemoteShuffleBytes] == 0 {
-				t.Error("engine metrics saw no remote shuffle bytes")
+			if m := ctx.Counters(); m[obs.RemoteShuffleFetches] == 0 || m[obs.RemoteShuffleBytes] == 0 {
+				t.Errorf("expected wire traffic, counters = %v", m)
 			}
 			// Every executor's pages are free once shuffles release.
 			ctx.ReleaseAllShuffles()
@@ -91,7 +87,7 @@ func TestTCPTransportGroupAndSort(t *testing.T) {
 			if !reflect.DeepEqual(gotR, wantR) {
 				t.Error("reduced output, sorted by key, differs between transports")
 			}
-			if ts := tcp.Transport().Stats(); ts.RemoteBytes == 0 {
+			if tcp.Counters()[obs.RemoteShuffleBytes] == 0 {
 				t.Error("expected wire traffic on group/reduce shuffles")
 			}
 		})
@@ -147,7 +143,6 @@ func TestTCPSpilledShuffleEquivalence(t *testing.T) {
 // scheduler re-runs exactly that map task from lineage, and the retried
 // reduce produces the right answer with nothing leaked.
 func TestLineageRepairOnLostMapOutput(t *testing.T) {
-	type pending interface{ Pending() int }
 	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
 		t.Run(kind.String(), func(t *testing.T) {
 			ctx := New(Config{
@@ -166,7 +161,7 @@ func TestLineageRepairOnLostMapOutput(t *testing.T) {
 				for r := 0; r < 4; r++ {
 					ids = append(ids, transport.MapOutputID{Shuffle: id, MapTask: 0, Reduce: r})
 				}
-				for _, pl := range ctx.trans.Commit(ids) {
+				for _, pl := range ctx.plane.Commit(ids) {
 					if rel, ok := pl.Data.(releasable); ok {
 						rel.Release()
 					}
@@ -191,10 +186,8 @@ func TestLineageRepairOnLostMapOutput(t *testing.T) {
 				t.Errorf("LineageMapReruns = %d, want 1 (only the lost map task re-runs)", n)
 			}
 			ctx.ReleaseAllShuffles()
-			if p, ok := ctx.trans.(pending); ok {
-				if n := p.Pending(); n != 0 {
-					t.Errorf("%d payloads still registered after release", n)
-				}
+			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
+				t.Errorf("%d payloads still registered after release", n)
 			}
 			if in := ctx.MemoryInUse(); in != 0 {
 				t.Errorf("recovered job leaked %d bytes of pages", in)
@@ -209,7 +202,6 @@ func TestLineageRepairOnLostMapOutput(t *testing.T) {
 // of the transport and be released — no leaked pages, no live groups,
 // nothing left pending.
 func TestDropOnFailedReduceStage(t *testing.T) {
-	type pending interface{ Pending() int }
 	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
 		t.Run(kind.String(), func(t *testing.T) {
 			inj := chaos.New(1)
@@ -239,12 +231,8 @@ func TestDropOnFailedReduceStage(t *testing.T) {
 			}
 			// The transport must hold nothing and every page group across
 			// every executor must be back at refcount zero.
-			if p, ok := ctx.trans.(pending); ok {
-				if n := p.Pending(); n != 0 {
-					t.Errorf("%d payloads still registered after failed reduce", n)
-				}
-			} else {
-				t.Fatalf("transport %T has no Pending probe", ctx.trans)
+			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
+				t.Errorf("%d payloads still registered after failed reduce", n)
 			}
 			if in := ctx.MemoryInUse(); in != 0 {
 				t.Errorf("failed reduce leaked %d bytes of pages", in)

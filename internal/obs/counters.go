@@ -37,6 +37,7 @@ const (
 	LineageMapReruns
 	ExecutorsBlacklisted
 	ShuffleUncombined
+	ShuffleOutputsPinned
 	NumCounters
 )
 
@@ -79,10 +80,10 @@ var counterTable = [NumCounters]CounterRow{
 	// deployment. Booked on the fetching executor.
 	RemoteShuffleFetches: {"remote_shuffle_fetches", false, ScopeExecutor},
 	RemoteShuffleBytes:   {"remote_shuffle_bytes", false, ScopeExecutor},
-	// The executor's block store, as cache.Stats keeps it: lookups served
-	// and missed, blocks evicted, evictions that discarded data
-	// (non-swappable), bytes written to swap files (each block once,
-	// however often it is evicted) and read back.
+	// The executor's block store, counted by its cache.Manager under the
+	// cache lock: lookups served and missed, blocks evicted, evictions
+	// that discarded data (non-swappable), bytes written to swap files
+	// (each block once, however often it is evicted) and read back.
 	CacheHits:         {"cache_hits", false, ScopeExecutor},
 	CacheMisses:       {"cache_misses", false, ScopeExecutor},
 	CacheEvictions:    {"cache_evictions", false, ScopeExecutor},
@@ -91,9 +92,9 @@ var counterTable = [NumCounters]CounterRow{
 	CacheSwapInBytes:  {"cache_swap_in_bytes", false, ScopeExecutor},
 	// Bytes of cache blocks resident now.
 	CacheMemBytes: {"cache_mem_bytes", true, ScopeExecutor},
-	// The serve path, as the executor's transport node keeps it: pages
-	// served in place from their pinned groups (writev, never staged into
-	// a frame buffer), spill-file bytes shipped through the
+	// The serve path, counted by the executor's transport node where it
+	// serves: pages served in place from their pinned groups (writev, never
+	// staged into a frame buffer), spill-file bytes shipped through the
 	// sendfile-eligible path, and frame bytes the serve path did stage in
 	// user space (headers, key tables, an Encode-only payload's frame). A
 	// serve is counted before its bytes leave, so a fetch that returned is
@@ -127,6 +128,10 @@ var counterTable = [NumCounters]CounterRow{
 	// were mostly distinct keys, so the rest went into the frame as they
 	// came and the reduce side combined them.
 	ShuffleUncombined: {"shuffle_uncombined_buffers", false, ScopeExecutor},
+	// Map outputs registered on the executor's transport node now, pinned
+	// until their consuming stage commits or their shuffle is dropped (the
+	// in-process plane's one node reports them all under executor 0).
+	ShuffleOutputsPinned: {"shuffle_outputs_pinned", true, ScopeExecutor},
 }
 
 // Row returns the counter's table entry.

@@ -116,21 +116,22 @@ func (s *DataServer) ServeLocal(id MapOutputID, open FrameOpen) (Payload, bool, 
 	return s.store.serveCopy(id, open)
 }
 
-// ServeStats folds the server's serve-path copy counters into st.
-func (s *DataServer) ServeStats(st *Stats) {
-	s.store.addServeStats(st)
+// Counters reads the node's serve rows and its ShuffleOutputsPinned
+// gauge: the outputs registered on it now, counted under the store lock,
+// so the gauge cannot drift from the registry. A zombie awaiting its last
+// serve is not counted: its release is already ordered.
+func (s *DataServer) Counters() obs.CounterValues {
+	v := s.store.counters.Load()
+	s.store.mu.Lock()
+	v[obs.ShuffleOutputsPinned] = int64(len(s.store.m))
+	s.store.mu.Unlock()
+	return v
 }
 
 // DropShuffle removes every output of the shuffle and returns them, after
 // the serves in flight on them have ended.
 func (s *DataServer) DropShuffle(shuffle ShuffleID) []Payload {
 	return s.store.dropShuffle(shuffle)
-}
-
-// Pending returns the number of registered outputs (leak probes in
-// tests).
-func (s *DataServer) Pending() int {
-	return s.store.pending()
 }
 
 // Close shuts the listener. Registered payloads are not touched; take or
@@ -202,7 +203,7 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 	// Counted before the frame's bytes leave: once the fetcher holds the
 	// last one it may end the job, and the driver read this node's counters.
 	s.store.countServe(fs)
-	s.store.bytesSendfile.Add(fs.FileBytes())
+	s.store.counters[obs.BytesSendfile].Add(fs.FileBytes())
 	if !writeFrameHeader(bw, fs.Len()) || bw.Flush() != nil {
 		return false
 	}

@@ -100,8 +100,6 @@ type Plane struct {
 	// store a payload no location points at.
 	regMu sync.Mutex
 
-	mu     sync.Mutex // guards stats
-	stats  Stats
 	closed atomic.Bool
 }
 
@@ -117,9 +115,9 @@ func LoopbackAddrs(n int) []string {
 
 // NewInProcess returns the single-process construction that moves no
 // byte through a socket: every fetch decodes the frame straight off the
-// registered buffer's segments. The local/remote distinction is still
-// accounted, so the engine can report how much shuffle data would travel
-// on a real network.
+// registered buffer's segments. A fetched payload still names its source
+// executor, so the engine can count how much shuffle data would travel on
+// a real network.
 func NewInProcess() *Plane {
 	return &Plane{dir: &memDirectory{loc: make(map[MapOutputID]int)}, nodes: map[int]*DataServer{0: newNode()}}
 }
@@ -230,9 +228,6 @@ func (t *Plane) Register(id MapOutputID, p Payload) error {
 			n.Discard(id)
 		}
 	}
-	t.mu.Lock()
-	t.stats.Registered++
-	t.mu.Unlock()
 	return nil
 }
 
@@ -270,15 +265,6 @@ func (t *Plane) Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload,
 		// by a racing Commit/Drop or discarded after the lookup.
 		return Payload{}, false, err
 	}
-	t.mu.Lock()
-	if src == dstExecutor {
-		t.stats.LocalFetches++
-		t.stats.LocalBytes += p.Bytes
-	} else {
-		t.stats.RemoteFetches++
-		t.stats.RemoteBytes += p.Bytes
-	}
-	t.mu.Unlock()
 	return p, true, nil
 }
 
@@ -303,37 +289,15 @@ func (t *Plane) Drop(shuffle ShuffleID) []Payload {
 	return out
 }
 
-// Pending returns the number of outputs registered on this process's
-// nodes (tests and leak checks).
-func (t *Plane) Pending() int {
-	total := 0
-	for _, n := range t.nodes {
-		total += n.Pending()
-	}
-	return total
-}
-
-// Stats snapshots the traffic counters, folding in every local node's
-// serve-path copy counters.
-func (t *Plane) Stats() Stats {
-	t.mu.Lock()
-	st := t.stats
-	t.mu.Unlock()
-	for _, n := range t.nodes {
-		n.ServeStats(&st)
-	}
-	return st
-}
-
-// ServeStats returns the serve-path copy counters of the local node keyed
-// by exec, zero where this process hosts none. The never-dialing
-// construction's single node is keyed 0, so executor 0 reports the serves
-// of every executor there.
-func (t *Plane) ServeStats(exec int) (st Stats) {
+// Counters reads the serve rows and the pinned-output gauge of the local
+// node keyed by exec, zero where this process hosts none. The
+// never-dialing construction's single node is keyed 0, so executor 0
+// reports the serves and outputs of every executor there.
+func (t *Plane) Counters(exec int) (v obs.CounterValues) {
 	if n := t.nodes[exec]; n != nil {
-		n.ServeStats(&st)
+		v = n.Counters()
 	}
-	return st
+	return v
 }
 
 // Close shuts every local listener and drains every pooled connection; a

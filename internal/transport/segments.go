@@ -4,7 +4,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 )
 
 // This file is the one representation of an encoded wire frame: a
@@ -36,8 +35,10 @@ const stageChunkSize = 64 << 10
 // serve of every map output stages at least one, and a fresh 64 KiB per
 // staged run was the serve path's largest allocation. A frame returns its
 // chunks on Release and not before — the segments it handed out alias
-// them until then.
-var stageChunks = sync.Pool{New: func() any { return new([stageChunkSize]byte) }}
+// them until then. It is a bounded free list (1 MiB), not a sync.Pool: a
+// pool empties at every collection, so a job's chunk allocations depended
+// on how many of its serves overlapped since the last one.
+var stageChunks = make(chan *[stageChunkSize]byte, 16)
 
 // Seg is one wire-order piece of a frame: either staged/page bytes
 // (Buf != nil) or a file-backed run of Size bytes (File != nil).
@@ -83,7 +84,12 @@ func (fs *FrameSegments) Stage(n int) []byte {
 		if n > stageChunkSize {
 			fs.chunk = make([]byte, 0, n)
 		} else {
-			c := stageChunks.Get().(*[stageChunkSize]byte)
+			var c *[stageChunkSize]byte
+			select {
+			case c = <-stageChunks:
+			default:
+				c = new([stageChunkSize]byte)
+			}
 			fs.pooled = append(fs.pooled, c)
 			fs.chunk = c[:0]
 		}
@@ -209,7 +215,10 @@ func (fs *FrameSegments) Release() {
 		release()
 	}
 	for _, c := range fs.pooled {
-		stageChunks.Put(c)
+		select {
+		case stageChunks <- c:
+		default: // the list is full: the collector takes this one
+		}
 	}
 	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
 }

@@ -9,9 +9,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"deca/internal/obs"
 )
 
 // buildSegments assembles a frame with every segment flavour: staged
@@ -174,6 +177,28 @@ func TestFrameSegmentsChunksRecycleOnlyOnRelease(t *testing.T) {
 	}
 }
 
+// A released chunk outlives collections: the next frame takes it back
+// instead of allocating one, however many GCs ran in between, so a
+// serve's allocation does not depend on when the collector last ran.
+func TestStageChunksSurviveCollections(t *testing.T) {
+	fs := NewFrameSegments()
+	fs.Stage(64)
+	fs.Release()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8; i++ {
+		runtime.GC()
+		runtime.GC()
+		fs := NewFrameSegments()
+		fs.Stage(64)
+		fs.Release()
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= stageChunkSize {
+		t.Fatalf("8 frames staged after collections allocated %d bytes; want less than one %d-byte chunk", d, stageChunkSize)
+	}
+}
+
 // A truncated spill file surfaces as ErrUnexpectedEOF, not silent short
 // frames.
 func TestFrameSegmentsShortFile(t *testing.T) {
@@ -266,8 +291,8 @@ func TestServeSegmentsConnResetKeepsRegistration(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if srv.Pending() != 1 {
-		t.Fatalf("registration count %d after reset, want 1 (still pinned)", srv.Pending())
+	if srv.Counters()[obs.ShuffleOutputsPinned] != 1 {
+		t.Fatalf("registration count %d after reset, want 1 (still pinned)", srv.Counters()[obs.ShuffleOutputsPinned])
 	}
 
 	// A clean retry re-serves the same registration in full.
@@ -284,8 +309,8 @@ func TestServeSegmentsConnResetKeepsRegistration(t *testing.T) {
 	if got := sp.releases.Load(); got != sp.serves.Load() {
 		t.Fatalf("frames released %d of %d serves", got, sp.serves.Load())
 	}
-	if srv.Pending() != 1 {
-		t.Fatalf("registration count %d after retry, want 1", srv.Pending())
+	if srv.Counters()[obs.ShuffleOutputsPinned] != 1 {
+		t.Fatalf("registration count %d after retry, want 1", srv.Counters()[obs.ShuffleOutputsPinned])
 	}
 }
 
@@ -319,8 +344,8 @@ func TestFetchIntoStreamingDecode(t *testing.T) {
 	if err == nil {
 		t.Fatal("decoder error did not surface")
 	}
-	if srv.Pending() != 1 {
-		t.Fatalf("registration count %d after decode error, want 1", srv.Pending())
+	if srv.Counters()[obs.ShuffleOutputsPinned] != 1 {
+		t.Fatalf("registration count %d after decode error, want 1", srv.Counters()[obs.ShuffleOutputsPinned])
 	}
 
 	// A streaming opener consuming exactly the frame succeeds.
@@ -368,16 +393,18 @@ func TestEncodeOnlyAndSegmentsPayloadsFetchIdentically(t *testing.T) {
 	frame := flatten(sp.pages, sp.spill)
 	headers := int64(len(frame) - 3*8192 - len(sp.spill))
 	forms := map[string]struct {
-		p     Payload
-		stats Stats // per fetch: socket, then local (which never sendfiles)
+		p         Payload
+		staged    int64 // user-space copy per fetch, socket and local alike
+		pages     int64 // pages served in place per fetch
+		sendfiled int64 // per socket fetch (a local one never sendfiles)
 	}{
 		"encode-only": {
-			Payload{Data: sp, Encode: func(w io.Writer) error { _, err := w.Write(frame); return err }},
-			Stats{UserspaceCopyBytes: int64(len(frame))},
+			p:      Payload{Data: sp, Encode: func(w io.Writer) error { _, err := w.Write(frame); return err }},
+			staged: int64(len(frame)),
 		},
 		"segments": {
-			Payload{Data: sp, Segments: sp.payload().Segments},
-			Stats{UserspaceCopyBytes: headers, PagesServedZeroCopy: 3, BytesSendfile: int64(len(sp.spill))},
+			p:      Payload{Data: sp, Segments: sp.payload().Segments},
+			staged: headers, pages: 3, sendfiled: int64(len(sp.spill)),
 		},
 	}
 	for name, form := range forms {
@@ -389,25 +416,23 @@ func TestEncodeOnlyAndSegmentsPayloadsFetchIdentically(t *testing.T) {
 		id := MapOutputID{Shuffle: 1, MapTask: 0, Reduce: 0}
 		form.p.SrcExecutor = 0
 		mustRegister(t, tr, id, form.p)
-		want := Stats{Registered: 1}
 		for _, dst := range []int{1, 0} { // over the socket, then local
 			if got := mustFetch(t, tr, id, dst); got != string(frame) {
 				t.Errorf("%s: fetch to executor %d returned a different frame (%d bytes)", name, dst, len(got))
 			}
-			want.UserspaceCopyBytes += form.stats.UserspaceCopyBytes
-			want.PagesServedZeroCopy += form.stats.PagesServedZeroCopy
-			if dst == 1 {
-				want.RemoteFetches, want.RemoteBytes = 1, int64(len(frame))
-				want.BytesSendfile = form.stats.BytesSendfile
-			} else {
-				want.LocalFetches, want.LocalBytes = 1, int64(len(frame))
-			}
 		}
-		// The verdict waits out the socket serve, whose goroutine books
-		// its counters after the fetcher already holds the last byte.
+		// The verdict waits out the socket serve. Both serves were the
+		// holder's (executor 0's); the fetching node served nothing.
 		tr.Commit([]MapOutputID{id})
-		if got := tr.Stats(); got != want {
-			t.Errorf("%s: stats %+v, want %+v", name, got, want)
+		var want obs.CounterValues
+		want[obs.ServeUserspaceCopyBytes] = 2 * form.staged
+		want[obs.PagesServedZeroCopy] = 2 * form.pages
+		want[obs.BytesSendfile] = form.sendfiled
+		if got := tr.Counters(0); got != want {
+			t.Errorf("%s: holder's counters %v, want %v", name, got, want)
+		}
+		if got := tr.Counters(1); got != (obs.CounterValues{}) {
+			t.Errorf("%s: the fetching node counted %v", name, got)
 		}
 	}
 	if sp.releases.Load() != sp.serves.Load() {

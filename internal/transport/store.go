@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"sync"
-	"sync/atomic"
+
+	"deca/internal/obs"
 )
 
 // outputStore is a node's pinned map-output registry. Serving is
@@ -29,10 +30,10 @@ type outputStore struct {
 	// drained is broadcast whenever an entry's serving count reaches zero.
 	drained sync.Cond
 
-	// Serve-path copy accounting (atomic: serves run outside the lock).
-	pagesZeroCopy atomic.Int64
-	bytesSendfile atomic.Int64
-	userCopyBytes atomic.Int64
+	// counters holds the node's serve rows (PagesServedZeroCopy,
+	// BytesSendfile, ServeUserspaceCopyBytes); atomic, as serves run
+	// outside the lock.
+	counters obs.Counters
 }
 
 // countServe books one shipped frame into the serve-path counters. Pages
@@ -40,15 +41,8 @@ type outputStore struct {
 // the socket and the executor-local path alike; file bytes count only
 // where they went through sendfile (the socket serve adds them itself).
 func (s *outputStore) countServe(fs *FrameSegments) {
-	s.pagesZeroCopy.Add(int64(fs.Pages()))
-	s.userCopyBytes.Add(fs.Staged())
-}
-
-// addServeStats folds the store's serve-path counters into st.
-func (s *outputStore) addServeStats(st *Stats) {
-	st.PagesServedZeroCopy += s.pagesZeroCopy.Load()
-	st.BytesSendfile += s.bytesSendfile.Load()
-	st.UserspaceCopyBytes += s.userCopyBytes.Load()
+	s.counters[obs.PagesServedZeroCopy].Add(int64(fs.Pages()))
+	s.counters[obs.ServeUserspaceCopyBytes].Add(fs.Staged())
 }
 
 type storeEntry struct {
@@ -137,14 +131,6 @@ func (s *outputStore) settleLocked(es []*storeEntry) []Payload {
 		out = append(out, e.p)
 	}
 	return out
-}
-
-// pending counts registered entries (leak probes). Zombies awaiting
-// their last endServe are not counted: their release is already ordered.
-func (s *outputStore) pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }
 
 // beginServe pins the entry for an out-of-lock encode and returns its

@@ -1,10 +1,10 @@
 // Package transport is the shuffle-data seam between executors: map tasks
 // register their per-reduce-partition output buffers here, and reduce
 // tasks — possibly running on a different executor — fetch them. The
-// engine sees only the Transport interface; the one implementation is
-// Plane, and a deployment is a construction of it (NewInProcess, NewTCP,
-// NewRemote). The interface is deliberately payload-agnostic because the
-// shuffle buffers are generic types the engine casts back on arrival.
+// engine holds the one implementation, Plane, and a deployment is a
+// construction of it (NewInProcess, NewTCP, NewRemote). Payloads are
+// deliberately untyped because the shuffle buffers are generic types the
+// engine casts back on arrival.
 //
 // Ownership rule (stage-commit protocol): a registered payload belongs to
 // the transport until the driver commits the consuming stage (Commit) or
@@ -115,26 +115,10 @@ type Decoded struct {
 // already be released.
 type FrameOpen func(r FrameReader, size int64) (Decoded, error)
 
-// Stats counts transport traffic. A fetch is "local" when the requesting
-// executor is the one that registered the output, "remote" otherwise —
-// the cross-executor shuffle traffic a real network would pay for.
-type Stats struct {
-	Registered    uint64
-	LocalFetches  uint64
-	RemoteFetches uint64
-	LocalBytes    int64
-	RemoteBytes   int64
-	// Serve-path copy accounting: pages served in place (writev, no
-	// user-space staging), bytes served from spill files through the
-	// sendfile-eligible path, and bytes the serve path did stage in user
-	// space (headers, key tables, and the whole frame of an Encode-only
-	// payload).
-	PagesServedZeroCopy int64
-	BytesSendfile       int64
-	UserspaceCopyBytes  int64
-}
-
-// Transport moves shuffle map output between executors.
+// Transport moves shuffle map output between executors. Plane is its one
+// implementation and the engine holds a *Plane; the interface stays only
+// because the benchmark harness (bench/e2e) names it, and goes when that
+// harness is next changed (ROADMAP 2b).
 type Transport interface {
 	// Register publishes a map output, handing p to the transport whether
 	// or not it succeeds: a rejected payload — one with neither Segments nor
@@ -165,8 +149,6 @@ type Transport interface {
 	// Drop removes every output of the shuffle still registered and
 	// returns them as Commit does (terminal shuffle teardown).
 	Drop(shuffle ShuffleID) []Payload
-	// Stats snapshots the traffic counters.
-	Stats() Stats
 	// Close releases transport resources (listeners, pooled connections).
 	// Registered payloads are not touched; drop them first.
 	Close() error

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"deca/internal/obs"
 )
 
 // fakeBuf is a payload body with a wire form and release tracking.
@@ -77,6 +79,18 @@ func mustFetch(t *testing.T, tr Transport, id MapOutputID, dst int) string {
 	}
 	return string(p.Data.([]byte))
 }
+
+// nodeSum sums counter k over the plane's nodes: what this process's
+// executors counted.
+func nodeSum(tr *Plane, k obs.Counter) (n int64) {
+	for exec := range tr.nodes {
+		n += tr.Counters(exec)[k]
+	}
+	return n
+}
+
+// pinned is the number of outputs registered in this process.
+func pinned(tr *Plane) int64 { return nodeSum(tr, obs.ShuffleOutputsPinned) }
 
 // scriptedDir is the in-test Directory behind the remote construction: a
 // location table the test writes directly — so an output can be "held by
@@ -224,11 +238,8 @@ func TestTransportContract(t *testing.T) {
 					t.Errorf("fetch %d served %q", i, got)
 				}
 			}
-			if buf.released.Load() || r.tr.Pending() != 1 {
-				t.Errorf("after three fetches: released=%v pending=%d, want the source still pinned", buf.released.Load(), r.tr.Pending())
-			}
-			if st := r.tr.Stats(); st.Registered != 1 {
-				t.Errorf("Registered = %d, want 1", st.Registered)
+			if buf.released.Load() || pinned(r.tr) != 1 {
+				t.Errorf("after three fetches: released=%v pending=%d, want the source still pinned", buf.released.Load(), pinned(r.tr))
 			}
 			committed := r.tr.Commit([]MapOutputID{id})
 			if len(committed) != 1 || committed[0].Data != buf {
@@ -237,28 +248,30 @@ func TestTransportContract(t *testing.T) {
 			if _, ok, err := r.tr.Fetch(id, r.reader, openBytes); ok || err != nil {
 				t.Errorf("fetch after commit = (ok=%v, err=%v), want a definitive miss", ok, err)
 			}
-			if r.tr.Pending() != 0 {
-				t.Errorf("pending = %d after commit", r.tr.Pending())
+			if pinned(r.tr) != 0 {
+				t.Errorf("pending = %d after commit", pinned(r.tr))
 			}
 		}},
 		{"local and remote fetches are accounted apart", func(t *testing.T, r *rig) {
+			// The payload names its source and its frame length, which is
+			// what the engine books a fetch as local or remote by.
 			local, far := &fakeBuf{frame: []byte("hello")}, &fakeBuf{frame: []byte("from afar")}
 			localID, farID := MapOutputID{Shuffle: 1, MapTask: 0}, MapOutputID{Shuffle: 1, MapTask: 1}
 			mustRegister(t, r.tr, localID, local.payload(r.holder))
 			r.remote(t, farID, far)
-			if got := mustFetch(t, r.tr, localID, r.holder); got != "hello" {
-				t.Errorf("local fetch served %q", got)
+			lp, ok, err := r.tr.Fetch(localID, r.holder, openBytes)
+			if err != nil || !ok || string(lp.Data.([]byte)) != "hello" {
+				t.Fatalf("local fetch = (%+v, ok=%v, err=%v)", lp, ok, err)
+			}
+			if lp.SrcExecutor != r.holder || lp.Bytes != 5 {
+				t.Errorf("local payload metadata = %+v, want a 5-byte frame from the fetching executor", lp)
 			}
 			p, ok, err := r.tr.Fetch(farID, r.reader, openBytes)
 			if err != nil || !ok || string(p.Data.([]byte)) != "from afar" {
 				t.Fatalf("remote fetch = (%+v, ok=%v, err=%v)", p, ok, err)
 			}
-			if p.SrcExecutor == r.reader || p.MemBytes != p.Bytes {
-				t.Errorf("remote payload metadata = %+v", p)
-			}
-			st := r.tr.Stats()
-			if st.LocalFetches != 1 || st.LocalBytes != 5 || st.RemoteFetches != 1 || st.RemoteBytes != 9 {
-				t.Errorf("stats = %+v, want one 5-byte local and one 9-byte remote fetch", st)
+			if p.SrcExecutor == r.reader || p.MemBytes != p.Bytes || p.Bytes != 9 {
+				t.Errorf("remote payload metadata = %+v, want a 9-byte frame from another executor", p)
 			}
 		}},
 		{"replace under concurrent registers", func(t *testing.T, r *rig) {
@@ -287,8 +300,8 @@ func TestTransportContract(t *testing.T) {
 				}(i)
 			}
 			wg.Wait()
-			if r.tr.Pending() != 1 {
-				t.Fatalf("pending = %d after %d racing registers of one id, want 1", r.tr.Pending(), n)
+			if pinned(r.tr) != 1 {
+				t.Fatalf("pending = %d after %d racing registers of one id, want 1", pinned(r.tr), n)
 			}
 			mustFetch(t, r.tr, id, r.reader)
 			for _, p := range r.tr.Commit([]MapOutputID{id}) {
@@ -314,8 +327,8 @@ func TestTransportContract(t *testing.T) {
 			if !old.released.Load() {
 				t.Error("the displaced copy was not released")
 			}
-			if fresh.released.Load() || r.tr.Pending() != 1 {
-				t.Errorf("after the move: fresh released=%v, pending=%d, want the new copy alone registered", fresh.released.Load(), r.tr.Pending())
+			if fresh.released.Load() || pinned(r.tr) != 1 {
+				t.Errorf("after the move: fresh released=%v, pending=%d, want the new copy alone registered", fresh.released.Load(), pinned(r.tr))
 			}
 			if got := mustFetch(t, r.tr, id, r.holder); got != "re-run" {
 				t.Errorf("the moved output served %q", got)
@@ -393,8 +406,8 @@ func TestTransportContract(t *testing.T) {
 			for _, p := range r.tr.Drop(4) {
 				releasePayload(p)
 			}
-			if !buf.released.Load() || r.tr.Pending() != 0 {
-				t.Errorf("after Drop: released=%v pending=%d", buf.released.Load(), r.tr.Pending())
+			if !buf.released.Load() || pinned(r.tr) != 0 {
+				t.Errorf("after Drop: released=%v pending=%d", buf.released.Load(), pinned(r.tr))
 			}
 		}},
 		{"commit and drop wait out an in-flight serve", func(t *testing.T, r *rig) {
@@ -420,7 +433,7 @@ func TestTransportContract(t *testing.T) {
 					t.Fatalf("%s returned while a serve was encoding the entry", name)
 				case <-time.After(20 * time.Millisecond):
 				}
-				if r.tr.Pending() != 0 {
+				if pinned(r.tr) != 0 {
 					t.Errorf("%s: the entry must leave the registry at once, so nothing pins it anew", name)
 				}
 				close(unblock)
@@ -453,8 +466,8 @@ func TestTransportContract(t *testing.T) {
 					t.Errorf("map %d output not released after drop+release", m)
 				}
 			}
-			if r.tr.Pending() != 1 {
-				t.Errorf("pending = %d, want 1 (shuffle 6 untouched)", r.tr.Pending())
+			if pinned(r.tr) != 1 {
+				t.Errorf("pending = %d, want 1 (shuffle 6 untouched)", pinned(r.tr))
 			}
 		}},
 		{"concurrent fetches", func(t *testing.T, r *rig) {
@@ -481,11 +494,13 @@ func TestTransportContract(t *testing.T) {
 				}(i)
 			}
 			wg.Wait()
-			if st := r.tr.Stats(); st.LocalFetches+st.RemoteFetches != n {
-				t.Errorf("stats = %+v, want %d fetches", st, n)
+			// Every frame was staged whole (Encode-only payloads), and counted
+			// before its fetch returned.
+			if got := nodeSum(r.tr, obs.ServeUserspaceCopyBytes); got != n*int64(len("frame-0000")) {
+				t.Errorf("serve rows count %d staged bytes, want %d fetches' worth", got, n)
 			}
-			if r.tr.Pending() != n {
-				t.Errorf("pending = %d, want %d pinned sources", r.tr.Pending(), n)
+			if pinned(r.tr) != n {
+				t.Errorf("pending = %d, want %d pinned sources", pinned(r.tr), n)
 			}
 			for _, p := range r.tr.Commit(ids) {
 				releasePayload(p)
@@ -542,8 +557,8 @@ func TestRegisterRejectsPayloadWithoutWireForm(t *testing.T) {
 			if !buf.released.Load() {
 				t.Error("the rejected payload was not released")
 			}
-			if r.tr.Pending() != 0 || r.tr.Stats().Registered != 0 {
-				t.Errorf("the rejected payload was registered (pending=%d)", r.tr.Pending())
+			if pinned(r.tr) != 0 {
+				t.Errorf("the rejected payload was registered (pending=%d)", pinned(r.tr))
 			}
 			if _, ok, err := r.tr.Fetch(id, r.reader, openBytes); ok || err != nil {
 				t.Errorf("fetch of the rejected id = (ok=%v, err=%v), want a definitive miss", ok, err)
@@ -740,11 +755,65 @@ func TestServeCountedBeforeFetchReturns(t *testing.T) {
 	mustRegister(t, tr, id, (&fakeBuf{frame: frame}).payload(0))
 	for i := 1; i <= 20; i++ {
 		mustFetch(t, tr, id, 1)
-		if got, want := tr.ServeStats(0).UserspaceCopyBytes, int64(i*len(frame)); got != want {
+		if got, want := tr.Counters(0)[obs.ServeUserspaceCopyBytes], int64(i*len(frame)); got != want {
 			t.Fatalf("after fetch %d the serving node counted %d staged bytes, want %d", i, got, want)
 		}
 	}
 	for _, p := range tr.Drop(12) {
 		releasePayload(p)
 	}
+}
+
+// TestPinnedGaugeFollowsTheRegistry: ShuffleOutputsPinned is the node's
+// registry read under its lock, so it follows every lifetime end — a
+// displacement, a discard, a Commit, a Drop — and does not count a zombie,
+// an entry removed mid-serve whose release its last serve already owes.
+func TestPinnedGaugeFollowsTheRegistry(t *testing.T) {
+	tr := NewInProcess()
+	defer tr.Close()
+	want := func(step string, n int64) {
+		t.Helper()
+		if got := tr.Counters(0)[obs.ShuffleOutputsPinned]; got != n {
+			t.Errorf("after %s: pinned = %d, want %d", step, got, n)
+		}
+	}
+	a, b, c := MapOutputID{Shuffle: 1}, MapOutputID{Shuffle: 1, MapTask: 1}, MapOutputID{Shuffle: 2}
+	for _, id := range []MapOutputID{a, b, c} {
+		mustRegister(t, tr, id, (&fakeBuf{frame: []byte("v1")}).payload(0))
+	}
+	want("three puts", 3)
+	mustRegister(t, tr, a, (&fakeBuf{frame: []byte("v2")}).payload(0))
+	want("a displacement", 3)
+	tr.nodes[0].Discard(c)
+	want("a discard", 2)
+	for _, p := range tr.Commit([]MapOutputID{a}) {
+		releasePayload(p)
+	}
+	want("a commit", 1)
+	for _, p := range tr.Drop(1) {
+		releasePayload(p)
+	}
+	want("a drop", 0)
+
+	zombie := &fakeBuf{frame: []byte("z")}
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	mustRegister(t, tr, c, slowPayload(zombie, 0, entered, unblock))
+	want("a put", 1)
+	fetchDone := make(chan struct{})
+	go func() {
+		defer close(fetchDone)
+		tr.Fetch(c, 0, openBytes) // blocks in Encode
+	}()
+	<-entered
+	tr.nodes[0].Discard(c)
+	if zombie.released.Load() {
+		t.Fatal("an entry discarded mid-serve was released under its serve")
+	}
+	want("a discard mid-serve", 0)
+	close(unblock)
+	<-fetchDone
+	if !zombie.released.Load() {
+		t.Error("the zombie was not released by its last serve")
+	}
+	want("the zombie's last serve", 0)
 }
