@@ -175,8 +175,8 @@ func TestDecaBlockRoundTrip(t *testing.T) {
 	if err := b.SwapOut(dir); err != nil {
 		t.Fatal(err)
 	}
-	if mem.InUse() != 0 {
-		t.Errorf("pages not released on swap-out: %d", mem.InUse())
+	if mem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages not released on swap-out: %d", mem.Counters()[obs.PageBytesInUse])
 	}
 	if err := b.SwapIn(); err != nil {
 		t.Fatal(err)
@@ -187,8 +187,8 @@ func TestDecaBlockRoundTrip(t *testing.T) {
 		t.Errorf("post-swap Each = %v", got)
 	}
 	b.Drop()
-	if mem.InUse() != 0 {
-		t.Errorf("pages leaked after Drop: %d", mem.InUse())
+	if mem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages leaked after Drop: %d", mem.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -231,8 +231,8 @@ func TestDecaBlockEvictionViaManager(t *testing.T) {
 	}
 	m.Unpin(a)
 	m.Clear()
-	if mem.InUse() != 0 {
-		t.Errorf("pages leaked after Clear: %d", mem.InUse())
+	if mem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages leaked after Clear: %d", mem.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -344,7 +344,7 @@ func TestWriteOnceEviction(t *testing.T) {
 			if files, _ := os.ReadDir(dir); len(files) != 0 {
 				t.Errorf("%d swap files survived Unpersist", len(files))
 			}
-			if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+			if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 				t.Errorf("pages or mappings leaked after Unpersist: %+v", st)
 			}
 		})
@@ -388,8 +388,8 @@ func TestSwappedDecaBlockScansItsFile(t *testing.T) {
 	if after[obs.CacheEvictions] != blocks/2 || after[obs.CacheSwapOutBytes] != dataset/2 || after[obs.CacheSwappedBytes] != dataset/2 || after[obs.CacheMemBytes] != dataset/2 {
 		t.Fatalf("after the build: %+v, want half of %d bytes evicted", after, dataset)
 	}
-	if mem.InUse() != dataset/2 {
-		t.Errorf("manager holds %d bytes, want the resident half of %d", mem.InUse(), dataset)
+	if mem.Counters()[obs.PageBytesInUse] != dataset/2 {
+		t.Errorf("manager holds %d bytes, want the resident half of %d", mem.Counters()[obs.PageBytesInUse], dataset)
 	}
 	mapped := 0
 	for pass := 0; pass < 6; pass++ {
@@ -440,7 +440,7 @@ func TestSwappedDecaBlockScansItsFile(t *testing.T) {
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
 		t.Errorf("%d swap files survived Clear", len(files))
 	}
-	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+	if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("after Clear the manager holds %+v", st)
 	}
 }
@@ -478,7 +478,7 @@ func TestReclaimSkipsBlocksThatFreeNothing(t *testing.T) {
 		m.Unpin(id(p))
 	}
 	m.Clear()
-	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+	if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("after Clear the manager holds %+v", st)
 	}
 }
@@ -526,7 +526,7 @@ func TestCountSurvivesSwap(t *testing.T) {
 			t.Errorf("%s: swap file survived Drop", name)
 		}
 	}
-	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+	if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("the deca block left %+v", st)
 	}
 }
@@ -548,7 +548,7 @@ func TestBuildDecaBlockReleasesOnPanic(t *testing.T) {
 			panic("upstream failed")
 		})
 	}()
-	if st := mem.Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
-		t.Errorf("failed build left %d live groups, %d bytes in use", st.LiveGroups, st.BytesInUse)
+	if st := mem.Counters(); st[obs.PageGroupsLive] != 0 || st[obs.PageBytesInUse] != 0 {
+		t.Errorf("failed build left %d live groups, %d bytes in use", st[obs.PageGroupsLive], st[obs.PageBytesInUse])
 	}
 }

@@ -292,7 +292,7 @@ func TestUnpersistUnderAPinnedScan(t *testing.T) {
 				if files, _ := os.ReadDir(dir); len(files) != 0 {
 					t.Errorf("%d swap files left", len(files))
 				}
-				if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+				if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 					t.Errorf("the manager still holds %+v", st)
 				}
 				if len(m.leaving) != 0 {

@@ -453,7 +453,7 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 	f.Add(hostileSnapshotCount)
 	f.Add(hostileEventCount)
 	f.Add(appendEvents(appendSnapshot(nil, obs.CounterValues{obs.ShuffleRecords: 9}),
-		[]obs.Event{{Kind: obs.KindServe, Exec: 1, B: 4096, Key: "k"}}))
+		[]obs.Event{{Kind: obs.KindFetchFailed, Exec: 1, A: 3, Key: "k"}}))
 	f.Add(binary.AppendUvarint([]byte{0, 1}, 1<<40)) // one event claiming 2^40 numeric fields
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, evs, ok := decodeHeartbeat(payload)

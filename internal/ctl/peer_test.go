@@ -113,7 +113,7 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 			if drv.Registered() != parts*parts {
 				t.Fatalf("directory holds %d outputs, want %d", drv.Registered(), parts*parts)
 			}
-			if ctx.MemoryInUse() == 0 {
+			if ctx.Counters()[obs.PageBytesInUse] == 0 {
 				t.Fatal("the follower holds no pages before the verdict; the test proves nothing")
 			}
 
@@ -133,11 +133,11 @@ func TestFollowerTreatsUnknownVerdictsAsAbort(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("the mirrored action never returned")
 			}
-			if n := ctx.MemoryInUse(); n != 0 {
+			if n := ctx.Counters()[obs.PageBytesInUse]; n != 0 {
 				t.Errorf("%d bytes of pages still held after the abort", n)
 			}
-			if st := ctx.Executors()[0].Memory().Stats(); st.LiveGroups != 0 {
-				t.Errorf("%d page groups still live after the abort", st.LiveGroups)
+			if st := ctx.Executors()[0].Memory().Counters(); st[obs.PageGroupsLive] != 0 {
+				t.Errorf("%d page groups still live after the abort", st[obs.PageGroupsLive])
 			}
 			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
 				t.Errorf("%d map outputs still registered after the abort", n)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deca/internal/decompose"
+	"deca/internal/obs"
 )
 
 // expandUDF is reached through a variable: handed to FlatMap as a literal
@@ -63,8 +64,7 @@ func TestDecaBuildAllocatesOnlyItsPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		st := ctx.Memory().Stats()
-		pageBytes := st.PagesAllocated * uint64(st.PageSize)
+		pageBytes := uint64(ctx.Counters()[obs.PagesAllocated]) * uint64(ctx.execs[0].mem.PageSize())
 		if pageBytes < uint64(8*n) {
 			t.Fatalf("%d records sit in %d page bytes", n, pageBytes)
 		}

@@ -141,8 +141,8 @@ func TestFailedBuildLeavesNoPages(t *testing.T) {
 			}
 			d.Unpersist()
 			for _, ex := range ctx.Executors() {
-				if st := ex.Memory().Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
-					t.Errorf("executor %d still holds %d live groups, %d bytes", ex.ID(), st.LiveGroups, st.BytesInUse)
+				if st := ex.Memory().Counters(); st[obs.PageGroupsLive] != 0 || st[obs.PageBytesInUse] != 0 {
+					t.Errorf("executor %d still holds %d live groups, %d bytes", ex.ID(), st[obs.PageGroupsLive], st[obs.PageBytesInUse])
 				}
 			}
 		})
@@ -197,8 +197,8 @@ func TestGroupByKeyBlockFromPages(t *testing.T) {
 		ctx.ReleaseShuffle(d)
 	}
 	for _, ex := range ctx.Executors() {
-		if st := ex.Memory().Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
-			t.Errorf("executor %d still holds %d live groups, %d bytes", ex.ID(), st.LiveGroups, st.BytesInUse)
+		if st := ex.Memory().Counters(); st[obs.PageGroupsLive] != 0 || st[obs.PageBytesInUse] != 0 {
+			t.Errorf("executor %d still holds %d live groups, %d bytes", ex.ID(), st[obs.PageGroupsLive], st[obs.PageBytesInUse])
 		}
 	}
 }

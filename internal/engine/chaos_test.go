@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,12 +31,12 @@ const (
 // transport.
 func assertNoLeaks(t *testing.T, ctx *Context) {
 	t.Helper()
-	if in := ctx.MemoryInUse(); in != 0 {
+	if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("%d bytes of pages leaked across executors", in)
 	}
 	for _, ex := range ctx.Executors() {
-		if st := ex.Memory().Stats(); st.LiveGroups != 0 {
-			t.Errorf("executor %d still holds %d live groups", ex.ID(), st.LiveGroups)
+		if st := ex.Memory().Counters(); st[obs.PageGroupsLive] != 0 {
+			t.Errorf("executor %d still holds %d live groups", ex.ID(), st[obs.PageGroupsLive])
 		}
 	}
 	if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
@@ -51,8 +52,8 @@ func assertManagersEmptyAfterClose(t *testing.T, ctx *Context) {
 	t.Helper()
 	ctx.Close()
 	for _, ex := range ctx.Executors() {
-		if st := ex.Memory().Stats(); st.BytesInUse != 0 || st.BytesPooled != 0 {
-			t.Errorf("executor %d's manager after Close: %d bytes in use, %d pooled; want 0 and 0", ex.ID(), st.BytesInUse, st.BytesPooled)
+		if st := ex.Memory().Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 0 {
+			t.Errorf("executor %d's manager after Close: %d bytes in use, %d pooled; want 0 and 0", ex.ID(), st[obs.PageBytesInUse], st[obs.PageBytesPooled])
 		}
 	}
 }
@@ -364,6 +365,49 @@ func TestFetchFaultLeavesTheOutputPinned(t *testing.T) {
 	}
 	ctx.ReleaseAllShuffles()
 	assertNoLeaks(t, ctx)
+}
+
+// TestFetchFailureIsCountedAndTraced: on both single-process planes of a
+// 2-executor cluster, one injected fetch failure is one ShuffleFetchFailures
+// row and one fetch_failed instant in the trace, and the retry makes the
+// answer the fault-free run's.
+func TestFetchFailureIsCountedAndTraced(t *testing.T) {
+	want := wordCountOn(t, clusterCtx(t, ModeDeca, 2))
+	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
+		t.Run(kind.String(), func(t *testing.T) {
+			inj := chaos.New(1)
+			inj.FailFetchN = 1
+			traceOut := filepath.Join(t.TempDir(), "trace.json")
+			ctx := chaosCtx(t, kind, inj, func(c *Config) {
+				c.NumExecutors = 2
+				c.TraceOut = traceOut
+			})
+			if got := wordCountOn(t, ctx); !reflect.DeepEqual(got, want) {
+				t.Error("result differs after an injected fetch failure")
+			}
+			if n := ctx.Counters()[obs.ShuffleFetchFailures]; n != 1 {
+				t.Errorf("ShuffleFetchFailures = %d, want 1", n)
+			}
+			ctx.Close()
+			raw, err := os.ReadFile(traceOut)
+			if err != nil {
+				t.Fatalf("TraceOut not written: %v", err)
+			}
+			var trace []map[string]any
+			if err := json.Unmarshal(raw, &trace); err != nil {
+				t.Fatalf("TraceOut is not trace-event JSON: %v", err)
+			}
+			var failed int
+			for _, ev := range trace {
+				if ev["name"] == "fetch_failed" && ev["ph"] == "i" {
+					failed++
+				}
+			}
+			if failed != 1 {
+				t.Errorf("the trace holds %d fetch_failed instants, want 1", failed)
+			}
+		})
+	}
 }
 
 // TestChaosCombinedFaults is the acceptance scenario in engine form: a 5%

@@ -86,7 +86,7 @@ func TestMapOutputsRegisterSealed(t *testing.T) {
 		if len(payloads) != 8*5 || keys == 0 || pages == 0 {
 			t.Fatalf("%d map outputs of %d keys on %d bytes of pages, want 8 x 5 filled ones", len(payloads), keys, pages)
 		}
-		if got := ctx.MemoryInUse(); got != pages {
+		if got := ctx.Counters()[obs.PageBytesInUse]; got != pages {
 			t.Errorf("the managers hold %d bytes between the stages, want the map outputs' pages (%d) and no table", got, pages)
 		}
 	}
@@ -359,7 +359,7 @@ func TestMultiExecutorShuffleReleaseFreesAllHeaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.ReleaseShuffle(red.ID())
-	if in := ctx.MemoryInUse(); in != 0 {
+	if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("pages leaked across executors after release: %d bytes", in)
 	}
 }
@@ -421,7 +421,7 @@ func TestShuffleErrorPathReleasesBuffers(t *testing.T) {
 	if _, err := Collect(red); err == nil {
 		t.Fatal("expected spill failure")
 	}
-	if in := ctx.MemoryInUse(); in != 0 {
+	if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("failed shuffle leaked %d bytes of pages across executors", in)
 	}
 	if ctx.Counters()[obs.TasksFailed] == 0 {

@@ -369,9 +369,6 @@ func New(conf Config) *Context {
 	// The driver (any non-follower role) also aggregates the ring into a
 	// View; a follower's ring drains into ctl heartbeats instead. The GC
 	// sampler turns runtime GC stats into a periodic event stream.
-	for i, ex := range c.execs {
-		ex.mem.SetRecorder(c.rec, int32(i))
-	}
 	if conf.CtlFollower == nil {
 		c.view = obs.NewView(0)
 	}
@@ -405,7 +402,6 @@ func New(conf Config) *Context {
 	default:
 		c.plane = transport.NewInProcess()
 	}
-	c.plane.SetRecorder(c.rec)
 	if conf.OpsAddr != "" && conf.CtlFollower == nil {
 		c.ops = startOps(c, conf.OpsAddr)
 	}
@@ -606,29 +602,16 @@ func (c *Context) executorFor(p int) *Executor {
 	return c.execs[c.cluster.Place(p)]
 }
 
-// Memory returns executor 0's page memory manager — the cluster's only
-// manager in single-executor configs. Multi-executor callers should range
-// over Executors() or use MemoryInUse.
-func (c *Context) Memory() *memory.Manager { return c.execs[0].mem }
-
-// MemoryInUse sums live page bytes across every executor.
-func (c *Context) MemoryInUse() int64 {
-	var total int64
-	for _, ex := range c.execs {
-		total += ex.mem.InUse()
-	}
-	return total
-}
-
 // execCounters reads one executor's counter vector: the rows this process
 // increments, plus one read each of the rows the scheduler, the
-// executor's block store and its transport node keep, and — on a
-// multiproc driver, whose executors' data lives in other processes — the
-// executor-resident rows the executor's last heartbeat carried
-// (SyncClusterMetrics asks for fresh ones).
+// executor's page manager, its block store and its transport node keep,
+// and — on a multiproc driver, whose executors' data lives in other
+// processes — the executor-resident rows the executor's last heartbeat
+// carried (SyncClusterMetrics asks for fresh ones).
 func (c *Context) execCounters(ex *Executor) obs.CounterValues {
 	v := ex.counters.Load()
 	v.Add(c.cluster.Counters(ex.id))
+	v.Add(ex.mem.Counters())
 	v.Add(ex.cache.Counters())
 	v.Add(c.plane.Counters(ex.id))
 	if c.driver != nil {
@@ -718,7 +701,6 @@ func (c *Context) noteSpill(srcExec int, bytes int64) {
 		return
 	}
 	c.execs[srcExec].counters[obs.ShuffleSpillBytes].Add(bytes)
-	c.rec.Record(obs.Event{Kind: obs.KindPageSpill, Exec: int32(srcExec), B: bytes})
 }
 
 // dropShuffleOutputs removes any still-registered map outputs of the

@@ -360,8 +360,8 @@ func TestShuffleRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.ReleaseShuffle(red.ID())
-	if ctx.Memory().InUse() != 0 {
-		t.Errorf("pages leaked after shuffle release: %d", ctx.Memory().InUse())
+	if ctx.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages leaked after shuffle release: %d", ctx.Counters()[obs.PageBytesInUse])
 	}
 	// A read after release re-materializes the shuffle from its lineage (a
 	// fresh container lifetime) instead of failing — the recovery path the
@@ -377,8 +377,8 @@ func TestShuffleRelease(t *testing.T) {
 	// The revived materialization re-registered itself: releasing again
 	// frees its pages.
 	ctx.ReleaseShuffle(red.ID())
-	if ctx.Memory().InUse() != 0 {
-		t.Errorf("pages leaked after second release: %d", ctx.Memory().InUse())
+	if ctx.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages leaked after second release: %d", ctx.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -454,8 +454,8 @@ func TestObjectShuffleWithoutSerializersFailsAtMaterialization(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "PairOps."+missing+" is nil") {
 				t.Fatalf("Collect = %v, want an error naming PairOps.%s", err, missing)
 			}
-			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 || ctx.MemoryInUse() != 0 {
-				t.Errorf("the failed shuffle left %d registrations and %d bytes behind", n, ctx.MemoryInUse())
+			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 || ctx.Counters()[obs.PageBytesInUse] != 0 {
+				t.Errorf("the failed shuffle left %d registrations and %d bytes behind", n, ctx.Counters()[obs.PageBytesInUse])
 			}
 		})
 	}

@@ -139,16 +139,23 @@ func (fp *fetchPipeline) addInFlightGauge(delta int64) {
 // fetchWithRetry is the per-fetch retry loop: a transient transport error
 // (socket fault, timeout, injected fault) leaves the output registered,
 // so the fetch is re-tried against the serving executor up to
-// fetchRetries times before the error is given up as final. A definitive
-// miss (ok=false, nil error) is never retried — the output is not
-// registered anywhere; the reduce body collects such ids and reports them
-// for map-task-granular lineage repair.
+// fetchRetries times before the error is given up as final. Every failed
+// try is counted on the fetching executor and traced. A definitive miss
+// (ok=false, nil error) is never retried — the output is not registered
+// anywhere; the reduce body collects such ids and reports them for
+// map-task-granular lineage repair.
 func (fp *fetchPipeline) fetchWithRetry(id transport.MapOutputID) fetchResult {
 	for try := 0; ; try++ {
 		pl, ok, err := fp.fetch(id)
 		if err == nil {
 			return fetchResult{pl: pl, ok: ok}
 		}
+		fp.ex.counters[obs.ShuffleFetchFailures].Add(1)
+		fp.ctx.rec.Record(obs.Event{
+			Kind: obs.KindFetchFailed, Exec: int32(fp.ex.id),
+			Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), A: int64(id.MapTask),
+			Key: err.Error(),
+		})
 		if try >= fetchRetries {
 			return fetchResult{err: err}
 		}

@@ -17,13 +17,13 @@ import (
 // observability view, served on Config.OpsAddr for the lifetime of the
 // Context. Endpoints:
 //
-//	/metrics   Prometheus text: every engine counter, per executor and
-//	           cluster-aggregated, plus transport serve/copy stats
+//	/metrics   Prometheus text: every row of the counter table, per executor
+//	           and cluster-summed, plus the latest GC samples
 //	/stages    JSON: live stage summaries with in-flight attempt states
 //	/executors JSON: per-executor scheduler state (attempt failures, blacklist),
-//	           liveness, data-plane counters, in-flight fetch bytes
-//	/memory    JSON: per-executor page and spill accounting plus the
-//	           per-shuffle occupancy time series
+//	           liveness, in-flight fetch bytes, last event and GC sample
+//	/memory    JSON: per-executor page-manager and spill rows of the counter
+//	           table, plus the per-shuffle occupancy time series
 //	/trace     Chrome trace-event JSON of the retained event spine
 //	           (loadable in Perfetto / chrome://tracing)
 type opsServer struct {
@@ -163,33 +163,30 @@ func (o *opsServer) handleExecutors(w http.ResponseWriter, _ *http.Request) {
 	}{Executors: out})
 }
 
-// opsMemoryExec is one /memory row: local manager accounting where the
-// manager lives in this process, event-derived accounting always.
-type opsMemoryExec struct {
-	obs.ExecObs
-	InUseBytes int64 `json:"in_use_bytes,omitempty"`
+// memoryCounters are the rows a /memory row serves, keyed by their table
+// names: the page manager's account and the bytes shuffle buffers spilled.
+var memoryCounters = []obs.Counter{
+	obs.PagesAllocated, obs.PagesReused, obs.PagesReleased, obs.PagesAdopted,
+	obs.PageBytesInUse, obs.PageBytesPooled, obs.PageGroupsLive, obs.ShuffleSpillBytes,
 }
 
+// handleMemory serves one row per executor from its counter vector, which
+// on a multiproc driver is the executor's last heartbeat.
 func (o *opsServer) handleMemory(w http.ResponseWriter, _ *http.Request) {
 	c := o.c
 	c.drainLocalEvents()
-	obsByExec := make(map[int32]obs.ExecObs)
-	for _, x := range c.view.Executors() {
-		obsByExec[x.Exec] = x
-	}
-	out := make([]opsMemoryExec, 0, len(c.execs))
-	for i, ex := range c.execs {
-		row := opsMemoryExec{ExecObs: obsByExec[int32(i)]}
-		row.Exec = int32(i) // an executor no event has named yet still gets its row
-		if c.driver == nil {
-			row.InUseBytes = ex.mem.InUse()
+	execs := c.ExecCounters()
+	rows := make([]map[string]int64, len(execs))
+	for i, v := range execs {
+		rows[i] = map[string]int64{"exec": int64(i)}
+		for _, k := range memoryCounters {
+			rows[i][k.Row().Name] = v[k]
 		}
-		out = append(out, row)
 	}
 	o.writeJSON(w, struct {
-		Executors []opsMemoryExec                `json:"executors"`
+		Executors []map[string]int64             `json:"executors"`
 		Occupancy map[int64][]obs.OccupancyPoint `json:"occupancy,omitempty"`
-	}{Executors: out, Occupancy: c.view.Occupancy()})
+	}{Executors: rows, Occupancy: c.view.Occupancy()})
 }
 
 func (o *opsServer) handleTrace(w http.ResponseWriter, _ *http.Request) {

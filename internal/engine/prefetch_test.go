@@ -158,7 +158,7 @@ func TestZeroCopyMergeReleasesAllPages(t *testing.T) {
 	}
 	ctx.ReleaseShuffle(g.ID())
 	ctx.ReleaseShuffle(r.ID())
-	if in := ctx.MemoryInUse(); in != 0 {
+	if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("zero-copy merged shuffles leaked %d bytes across executors", in)
 	}
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,6 +121,27 @@ func TestRoleEquivalence(t *testing.T) {
 			if plane != wantPlane || slices.Contains(plane[:], 0) {
 				t.Errorf("records, fetches, zero-copy pages, spill bytes = %v, want the first deployment's %v, none zero", plane, wantPlane)
 			}
+			// Every executor's page manager allocated, and the driver's
+			// /memory serves that row per executor, whichever process it
+			// was counted in.
+			w := httptest.NewRecorder()
+			(&opsServer{c: ctx}).handleMemory(w, nil)
+			var mem struct {
+				Executors []map[string]int64 `json:"executors"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &mem); err != nil {
+				t.Fatalf("/memory: %v", err)
+			}
+			execs := ctx.ExecCounters()
+			if len(mem.Executors) != len(execs) {
+				t.Fatalf("/memory has %d rows for %d executors", len(mem.Executors), len(execs))
+			}
+			for i, v := range execs {
+				if n := v[obs.PagesAllocated]; n <= 0 || mem.Executors[i]["pages_allocated"] != n {
+					t.Errorf("executor %d: PagesAllocated = %d, /memory pages_allocated = %d; want the same, > 0",
+						i, n, mem.Executors[i]["pages_allocated"])
+				}
+			}
 		})
 	}
 }
@@ -145,8 +168,8 @@ func mirrorUnconverged(ctx *Context) error {
 		return errors.New("the mirrored job succeeded")
 	}
 	me := ctx.follower.ID()
-	ledger := fmt.Sprintf("groups=%d bytes=%d pending=%d", ctx.execs[me].mem.Stats().LiveGroups,
-		ctx.MemoryInUse(), ctx.Counters()[obs.ShuffleOutputsPinned])
+	ledger := fmt.Sprintf("groups=%d bytes=%d pending=%d", ctx.execs[me].mem.Counters()[obs.PageGroupsLive],
+		ctx.Counters()[obs.PageBytesInUse], ctx.Counters()[obs.ShuffleOutputsPinned])
 	return os.WriteFile(filepath.Join(ctx.conf.SpillDir, fmt.Sprintf("ledger-%d", me)), []byte(ledger), 0o644)
 }
 

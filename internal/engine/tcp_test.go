@@ -42,7 +42,7 @@ func TestTCPTransportEquivalence(t *testing.T) {
 			}
 			// Every executor's pages are free once shuffles release.
 			ctx.ReleaseAllShuffles()
-			if in := ctx.MemoryInUse(); in != 0 {
+			if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 				t.Errorf("pages leaked after release: %d bytes", in)
 			}
 		})
@@ -189,7 +189,7 @@ func TestLineageRepairOnLostMapOutput(t *testing.T) {
 			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
 				t.Errorf("%d payloads still registered after release", n)
 			}
-			if in := ctx.MemoryInUse(); in != 0 {
+			if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 				t.Errorf("recovered job leaked %d bytes of pages", in)
 			}
 		})
@@ -234,12 +234,12 @@ func TestDropOnFailedReduceStage(t *testing.T) {
 			if n := ctx.Counters()[obs.ShuffleOutputsPinned]; n != 0 {
 				t.Errorf("%d payloads still registered after failed reduce", n)
 			}
-			if in := ctx.MemoryInUse(); in != 0 {
+			if in := ctx.Counters()[obs.PageBytesInUse]; in != 0 {
 				t.Errorf("failed reduce leaked %d bytes of pages", in)
 			}
 			for _, ex := range ctx.Executors() {
-				if st := ex.Memory().Stats(); st.LiveGroups != 0 {
-					t.Errorf("executor %d still has %d live groups", ex.ID(), st.LiveGroups)
+				if st := ex.Memory().Counters(); st[obs.PageGroupsLive] != 0 {
+					t.Errorf("executor %d still has %d live groups", ex.ID(), st[obs.PageGroupsLive])
 				}
 			}
 		})

@@ -15,6 +15,7 @@ import (
 	"deca/internal/decompose"
 	"deca/internal/engine"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/shuffle"
 	"deca/internal/udt"
 	"deca/internal/workloads"
@@ -120,11 +121,11 @@ func TestMemoryHygieneAcrossJob(t *testing.T) {
 		t.Errorf("counts = %v", got)
 	}
 	ctx.Close()
-	if ctx.Memory().InUse() != 0 {
-		t.Errorf("pages in use after Close: %d", ctx.Memory().InUse())
+	if ctx.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages in use after Close: %d", ctx.Counters()[obs.PageBytesInUse])
 	}
-	if ctx.Memory().Stats().LiveGroups != 0 {
-		t.Errorf("live groups after Close: %d", ctx.Memory().Stats().LiveGroups)
+	if ctx.Counters()[obs.PageGroupsLive] != 0 {
+		t.Errorf("live groups after Close: %d", ctx.Counters()[obs.PageGroupsLive])
 	}
 }
 

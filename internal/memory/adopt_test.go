@@ -3,6 +3,8 @@ package memory
 import (
 	"bytes"
 	"testing"
+
+	"deca/internal/obs"
 )
 
 // put fills a segment with a repeated byte so tests can recognize it later.
@@ -42,11 +44,14 @@ func TestAdoptPagesSpansGroups(t *testing.T) {
 	if dst.Len() != 16+100+16 {
 		t.Errorf("Len = %d, want 132", dst.Len())
 	}
+	if got := m.Counters()[obs.PagesAdopted]; got != 2 {
+		t.Errorf("PagesAdopted = %d, want the two source pages", got)
+	}
 
 	src1.Release()
 	src2.Release()
 	dst.Release()
-	if in := m.InUse(); in != 0 {
+	if in := m.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("InUse = %d after releasing everything", in)
 	}
 }
@@ -61,14 +66,14 @@ func TestAdoptedPagesSurviveSourceRelease(t *testing.T) {
 	if src.Refs() != 2 {
 		t.Fatalf("src refs = %d, want 2 (owner + adopter)", src.Refs())
 	}
-	inUse := m.InUse()
-	released := m.Stats().PagesReleased
+	inUse := m.Counters()[obs.PageBytesInUse]
+	released := m.Counters()[obs.PagesReleased]
 
 	src.Release() // owner lets go; the adopter's dep keeps the pages live
 	if src.Refs() != 1 {
 		t.Fatalf("src refs after owner release = %d, want 1", src.Refs())
 	}
-	if got := m.InUse(); got != inUse {
+	if got := m.Counters()[obs.PageBytesInUse]; got != inUse {
 		t.Errorf("InUse changed on deferred release: %d -> %d", inUse, got)
 	}
 	if got := dst.Bytes(p.Rebase(base), 32); !bytes.Equal(got, bytes.Repeat([]byte{'x'}, 32)) {
@@ -76,10 +81,10 @@ func TestAdoptedPagesSurviveSourceRelease(t *testing.T) {
 	}
 
 	dst.Release() // frees dst and, through deps, src's pages — exactly once
-	if got := m.InUse(); got != 0 {
+	if got := m.Counters()[obs.PageBytesInUse]; got != 0 {
 		t.Errorf("InUse = %d after final release", got)
 	}
-	if got := m.Stats().PagesReleased - released; got != 1 {
+	if got := m.Counters()[obs.PagesReleased] - released; got != 1 {
 		t.Errorf("pages released %d times, want exactly once", got)
 	}
 
@@ -122,13 +127,13 @@ func TestResetReleasesAdoptedDeps(t *testing.T) {
 	src.Release() // dst's dep is now the only reference
 
 	dst.Reset()
-	if got := m.InUse(); got != 0 {
+	if got := m.Counters()[obs.PageBytesInUse]; got != 0 {
 		t.Errorf("InUse = %d after Reset of the last holder", got)
 	}
 	// The group stays usable after Reset.
 	put(dst, 'e', 8)
 	dst.Release()
-	if got := m.InUse(); got != 0 {
+	if got := m.Counters()[obs.PageBytesInUse]; got != 0 {
 		t.Errorf("InUse = %d after final release", got)
 	}
 }
@@ -141,20 +146,20 @@ func TestAdoptAcrossManagersRehomesAccounting(t *testing.T) {
 
 	dst := dstMgr.NewGroup()
 	put(dst, 'd', 8)
-	dstBefore := dstMgr.InUse()
+	dstBefore := dstMgr.Counters()[obs.PageBytesInUse]
 
 	base := dst.AdoptPages(src)
 	// The adopter's executor now holds the bytes: the source manager's
 	// budget is relieved, the destination's charged.
-	if got := srcMgr.InUse(); got != 0 {
+	if got := srcMgr.Counters()[obs.PageBytesInUse]; got != 0 {
 		t.Errorf("source manager still charged %d bytes after adoption", got)
 	}
-	if got := dstMgr.InUse(); got != dstBefore+100 {
+	if got := dstMgr.Counters()[obs.PageBytesInUse]; got != dstBefore+100 {
 		t.Errorf("destination manager charged %d bytes, want %d", got, dstBefore+100)
 	}
-	if srcMgr.Stats().LiveGroups != 0 || dstMgr.Stats().LiveGroups != 2 {
+	if srcMgr.Counters()[obs.PageGroupsLive] != 0 || dstMgr.Counters()[obs.PageGroupsLive] != 2 {
 		t.Errorf("live groups = %d/%d, want 0/2",
-			srcMgr.Stats().LiveGroups, dstMgr.Stats().LiveGroups)
+			srcMgr.Counters()[obs.PageGroupsLive], dstMgr.Counters()[obs.PageGroupsLive])
 	}
 
 	src.Release()
@@ -162,14 +167,14 @@ func TestAdoptAcrossManagersRehomesAccounting(t *testing.T) {
 		t.Errorf("adopted bytes wrong after cross-manager release: %q", got[:4])
 	}
 	dst.Release() // returns the re-homed page to the destination's pool
-	if srcMgr.InUse() != 0 || dstMgr.InUse() != 0 {
-		t.Errorf("InUse after release: src=%d dst=%d", srcMgr.InUse(), dstMgr.InUse())
+	if srcMgr.Counters()[obs.PageBytesInUse] != 0 || dstMgr.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("InUse after release: src=%d dst=%d", srcMgr.Counters()[obs.PageBytesInUse], dstMgr.Counters()[obs.PageBytesInUse])
 	}
-	if dstMgr.Stats().PagesReleased != 2 {
-		t.Errorf("destination released %d pages, want 2 (own + re-homed)", dstMgr.Stats().PagesReleased)
+	if dstMgr.Counters()[obs.PagesReleased] != 2 {
+		t.Errorf("destination released %d pages, want 2 (own + re-homed)", dstMgr.Counters()[obs.PagesReleased])
 	}
-	if srcMgr.Stats().PagesReleased != 0 {
-		t.Errorf("source released %d pages, want 0 after re-homing", srcMgr.Stats().PagesReleased)
+	if srcMgr.Counters()[obs.PagesReleased] != 0 {
+		t.Errorf("source released %d pages, want 0 after re-homing", srcMgr.Counters()[obs.PagesReleased])
 	}
 }
 
@@ -196,8 +201,8 @@ func TestOversizedPagePooledSeparately(t *testing.T) {
 	g.Alloc(8)   // standard page
 	g.Release()
 
-	st := m.Stats()
-	if st.BytesPooled == 0 {
+	st := m.Counters()
+	if st[obs.PageBytesPooled] == 0 {
 		t.Fatal("expected released pages pooled")
 	}
 	// A standard request must not consume the oversized page.
@@ -207,9 +212,9 @@ func TestOversizedPagePooledSeparately(t *testing.T) {
 		t.Errorf("standard allocation served from oversized page (cap %d)", cap(seg))
 	}
 	// An oversized request reuses the parked oversized page.
-	reusedBefore := m.Stats().PagesReused
+	reusedBefore := m.Counters()[obs.PagesReused]
 	g2.Alloc(400)
-	if got := m.Stats().PagesReused - reusedBefore; got != 1 {
+	if got := m.Counters()[obs.PagesReused] - reusedBefore; got != 1 {
 		t.Errorf("oversized request reused %d pages, want 1", got)
 	}
 	g2.Release()

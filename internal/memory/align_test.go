@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"unsafe"
+
+	"deca/internal/obs"
 )
 
 // TestManagerMemoryIsAligned pins the invariant decompose.Float64s/Int64s
@@ -102,8 +104,8 @@ func TestManagerMemoryIsAligned(t *testing.T) {
 			groupAligned("mapped odd page", mapped)
 			mapped.Release()
 		}
-		if s := m.Stats(); s.BytesInUse != 0 || s.PagesReused == 0 {
-			t.Errorf("page size %d: in use %d, reused %d: the pooled round did not run on the pool", m.PageSize(), s.BytesInUse, s.PagesReused)
+		if s := m.Counters(); s[obs.PageBytesInUse] != 0 || s[obs.PagesReused] == 0 {
+			t.Errorf("page size %d: in use %d, reused %d: the pooled round did not run on the pool", m.PageSize(), s[obs.PageBytesInUse], s[obs.PagesReused])
 		}
 	}
 }

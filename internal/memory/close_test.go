@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"deca/internal/gcstats"
+	"deca/internal/obs"
 )
 
 // TestCloseAfterReleases: a manager whose groups and slabs were all
@@ -20,11 +21,11 @@ func TestCloseAfterReleases(t *testing.T) {
 	s := m.NewSlab(192)
 	g.Release()
 	s.Release()
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 3*4096+9000+192 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 3*4096+9000+192 {
 		t.Fatalf("before Close: %+v, want everything pooled", st)
 	}
 	m.Close()
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 0 || st.LiveGroups != 0 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("after Close: %+v, want nothing in use or pooled", st)
 	}
 }
@@ -73,7 +74,7 @@ func TestCloseUnderLiveGroup(t *testing.T) {
 	spare.Release() // one page pooled: Close unmaps it
 
 	m.Close()
-	if st, live := m.Stats(), g.Footprint()+s.Footprint(); st.BytesInUse != live || st.BytesPooled != 0 {
+	if st, live := m.Counters(), g.Footprint()+s.Footprint(); st[obs.PageBytesInUse] != live || st[obs.PageBytesPooled] != 0 {
 		t.Errorf("closed under a live group: %+v, want %d bytes in use and none pooled", st, live)
 	}
 	for i, p := range ptrs {
@@ -86,7 +87,7 @@ func TestCloseUnderLiveGroup(t *testing.T) {
 	}
 	g.Release()
 	s.Release()
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 0 || st.LiveGroups != 0 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("released after Close: %+v, want nothing in use or pooled", st)
 	}
 }

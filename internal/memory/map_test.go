@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"deca/internal/obs"
 )
 
 // spillBytes is the group in the raw spill format.
@@ -48,7 +50,7 @@ func TestMapGroupRoundTrip(t *testing.T) {
 	pages, length := g.NumPages(), g.Len()
 	path := spillFile(t, spillBytes(t, g))
 	g.Release()
-	before := m.Stats()
+	before := m.Counters()
 
 	g2, err := MapGroup(m, path)
 	if err != nil {
@@ -71,11 +73,11 @@ func TestMapGroupRoundTrip(t *testing.T) {
 	if got := g2.Bytes(ptrs[0], len(want[0])); !bytes.Equal(got, want[0]) {
 		t.Fatal("the mapping went with a reference that was not the last")
 	}
-	if st := m.Stats(); st.BytesInUse != before.BytesInUse || st.BytesPooled != before.BytesPooled || st.LiveGroups != 1 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != before[obs.PageBytesInUse] || st[obs.PageBytesPooled] != before[obs.PageBytesPooled] || st[obs.PageGroupsLive] != 1 {
 		t.Errorf("a mapped group moved the manager's bytes: %+v, before %+v", st, before)
 	}
 	g2.Release()
-	if st := m.Stats(); st != before {
+	if st := m.Counters(); st != before {
 		t.Errorf("stats after the release %+v, want %+v", st, before)
 	}
 }
@@ -107,12 +109,12 @@ func TestMappedGroupIsSealed(t *testing.T) {
 	if got := dst.Bytes(ptr.Rebase(base), 12); string(got) != "mapped bytes" {
 		t.Errorf("adopted mapped page reads %q", got)
 	}
-	if m.InUse() != 0 || other.InUse() != 0 {
-		t.Errorf("in use after adopting a mapping: %d and %d, want 0", m.InUse(), other.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 0 || other.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("in use after adopting a mapping: %d and %d, want 0", m.Counters()[obs.PageBytesInUse], other.Counters()[obs.PageBytesInUse])
 	}
 	dst.Release()
 	for _, mgr := range []*Manager{m, other} {
-		if st := mgr.Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
+		if st := mgr.Counters(); st[obs.PageGroupsLive] != 0 || st[obs.PageBytesInUse] != 0 {
 			t.Errorf("left behind: %+v", st)
 		}
 	}
@@ -171,7 +173,7 @@ func checkMapped(t *testing.T, data []byte) (ok bool) {
 		}
 		g.Release()
 	}
-	if st := m.Stats(); st.LiveGroups != 0 || st.BytesInUse != 0 {
+	if st := m.Counters(); st[obs.PageGroupsLive] != 0 || st[obs.PageBytesInUse] != 0 {
 		t.Errorf("after MapGroup (err = %v): %+v", err, st)
 	}
 	return ok

@@ -32,17 +32,6 @@ import (
 // only a moderate number of pages; 1 MiB gives that for laptop-scale heaps.
 const DefaultPageSize = 1 << 20
 
-// Stats is a snapshot of manager counters.
-type Stats struct {
-	PageSize       int
-	PagesAllocated uint64 // pages and slabs freshly mapped (newBytes)
-	PagesReused    uint64 // pages and slabs served from the free pool
-	PagesReleased  uint64 // pages returned by group release, slabs by theirs
-	BytesInUse     int64  // bytes of live pages (allocated to groups) and slabs
-	BytesPooled    int64  // bytes parked in the free pool
-	LiveGroups     int64
-}
-
 // Manager allocates fixed-size pages, pools released ones, and tracks a
 // soft memory budget. It is safe for concurrent use.
 //
@@ -66,25 +55,13 @@ type Manager struct {
 	pool       *pool // an object of its own, so the cleanup that unmaps it does not keep the manager reachable
 	poolMax    int64 // max bytes kept in the pool, pages and blocks together
 	closed     bool
-	inUse      int64
-	pooled     int64
-	allocated  uint64
-	reused     uint64
-	released   uint64
+	inUse      int64 // bytes of live pages (allocated to groups) and slabs
+	pooled     int64 // bytes parked in the free pool
+	allocated  int64 // pages and slabs freshly mapped (newBytes)
+	reused     int64 // pages and slabs served from the free pool
+	released   int64 // pages returned by group release, slabs by theirs
+	adopted    int64 // pages this manager's groups adopted (AdoptPages)
 	liveGroups int64
-
-	// rec receives page lifecycle events (nil = observability off). Set
-	// once via SetRecorder before the manager sees concurrent use; events
-	// carry only counts and byte sizes, never Ptrs or Groups.
-	rec     *obs.Recorder
-	recExec int32
-}
-
-// SetRecorder attaches an observability recorder; page alloc / adopt /
-// release events are tagged with exec. Call before concurrent use.
-func (m *Manager) SetRecorder(r *obs.Recorder, exec int32) {
-	m.rec = r
-	m.recExec = exec
 }
 
 // NewManager returns a Manager with the given page size and soft budget in
@@ -128,7 +105,7 @@ func (p *pool) unmap() {
 // Close ends the manager's lifetime: every pooled mapping is unmapped at
 // once, and asking for a page or a slab afterwards panics. Memory a live
 // group or slab still holds stays mapped — the group may still be read —
-// and stays in Stats.BytesInUse until its release, which unmaps it instead
+// and stays in PageBytesInUse until its release, which unmaps it instead
 // of pooling it. A second Close is a no-op.
 func (m *Manager) Close() {
 	m.mu.Lock()
@@ -153,26 +130,20 @@ func (m *Manager) PageSize() int { return m.pageSize }
 // Limit returns the soft budget (0 = unlimited).
 func (m *Manager) Limit() int64 { return m.limit }
 
-// InUse returns the bytes currently held by live page groups.
-func (m *Manager) InUse() int64 {
+// Counters reads the manager's account into its rows of the counter
+// table: the page counts, and the gauges a lifetime end brings back to
+// zero (bytes in use, live groups) beside the pool's bytes.
+func (m *Manager) Counters() (v obs.CounterValues) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.inUse
-}
-
-// Stats returns a snapshot of the manager counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Stats{
-		PageSize:       m.pageSize,
-		PagesAllocated: m.allocated,
-		PagesReused:    m.reused,
-		PagesReleased:  m.released,
-		BytesInUse:     m.inUse,
-		BytesPooled:    m.pooled,
-		LiveGroups:     m.liveGroups,
-	}
+	v[obs.PagesAllocated] = m.allocated
+	v[obs.PagesReused] = m.reused
+	v[obs.PagesReleased] = m.released
+	v[obs.PagesAdopted] = m.adopted
+	v[obs.PageBytesInUse] = m.inUse
+	v[obs.PageBytesPooled] = m.pooled
+	v[obs.PageGroupsLive] = m.liveGroups
+	return v
 }
 
 // getPage returns a zero-length page with capacity ≥ want (normally the
@@ -197,13 +168,8 @@ func (m *Manager) getPage(want int) []byte {
 	}
 	m.checkOpenLocked()
 	m.allocated++
-	allocated := m.allocated
 	m.inUse += int64(m.pageSize)
 	m.mu.Unlock()
-	m.rec.Record(obs.Event{
-		Kind: obs.KindPageAlloc, Exec: m.recExec,
-		A: int64(allocated), B: int64(m.pageSize),
-	})
 	return newBytes(m.pageSize)
 }
 
@@ -235,13 +201,8 @@ func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 	}
 	m.checkOpenLocked()
 	m.allocated++
-	allocated := m.allocated
 	m.inUse += int64(want)
 	m.mu.Unlock()
-	m.rec.Record(obs.Event{
-		Kind: obs.KindPageAlloc, Exec: m.recExec,
-		A: int64(allocated), B: int64(want),
-	})
 	return newBytes(want), true
 }
 
@@ -279,11 +240,6 @@ func (m *Manager) pools(b []byte) bool {
 // putPages returns pages to the pool, unmapping those the pool has no room
 // for.
 func (m *Manager) putPages(pages [][]byte) {
-	if len(pages) > 0 {
-		m.rec.Record(obs.Event{
-			Kind: obs.KindPageRelease, Exec: m.recExec, A: int64(len(pages)),
-		})
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range pages {
@@ -541,9 +497,9 @@ func (g *Group) AdoptPages(src *Group) int {
 	g.bytes += src.bytes
 	g.AddDep(src)
 	src.rehome(g.m)
-	g.m.rec.Record(obs.Event{
-		Kind: obs.KindPageAdopt, Exec: g.m.recExec, A: int64(len(src.pages)),
-	})
+	g.m.mu.Lock()
+	g.m.adopted += int64(len(src.pages))
+	g.m.mu.Unlock()
 	return base
 }
 

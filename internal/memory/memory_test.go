@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"deca/internal/obs"
 )
 
 func TestAllocAppendRead(t *testing.T) {
@@ -63,24 +65,24 @@ func TestPagePooling(t *testing.T) {
 	g.Append(make([]byte, 20))
 	g.Release()
 
-	st := m.Stats()
-	if st.PagesAllocated != 2 {
-		t.Fatalf("PagesAllocated = %d, want 2", st.PagesAllocated)
+	st := m.Counters()
+	if st[obs.PagesAllocated] != 2 {
+		t.Fatalf("PagesAllocated = %d, want 2", st[obs.PagesAllocated])
 	}
-	if st.BytesInUse != 0 {
-		t.Errorf("BytesInUse after release = %d, want 0", st.BytesInUse)
+	if st[obs.PageBytesInUse] != 0 {
+		t.Errorf("BytesInUse after release = %d, want 0", st[obs.PageBytesInUse])
 	}
 
 	g2 := m.NewGroup()
 	g2.Append(make([]byte, 20))
 	g2.Append(make([]byte, 20))
 	defer g2.Release()
-	st = m.Stats()
-	if st.PagesReused != 2 {
-		t.Errorf("PagesReused = %d, want 2 (got stats %+v)", st.PagesReused, st)
+	st = m.Counters()
+	if st[obs.PagesReused] != 2 {
+		t.Errorf("PagesReused = %d, want 2 (got stats %+v)", st[obs.PagesReused], st)
 	}
-	if st.PagesAllocated != 2 {
-		t.Errorf("PagesAllocated = %d, want still 2", st.PagesAllocated)
+	if st[obs.PagesAllocated] != 2 {
+		t.Errorf("PagesAllocated = %d, want still 2", st[obs.PagesAllocated])
 	}
 }
 
@@ -188,8 +190,8 @@ func TestReset(t *testing.T) {
 	if g.Len() != 0 || g.NumPages() != 0 {
 		t.Errorf("after reset: Len=%d NumPages=%d", g.Len(), g.NumPages())
 	}
-	if m.InUse() != 0 {
-		t.Errorf("InUse after reset = %d, want 0", m.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("InUse after reset = %d, want 0", m.Counters()[obs.PageBytesInUse])
 	}
 	// Group remains usable.
 	p := g.Append([]byte("x"))
@@ -202,14 +204,14 @@ func TestBudgetAccounting(t *testing.T) {
 	m := NewManager(32, 64)
 	g := m.NewGroup()
 	defer g.Release()
-	if m.InUse() != 0 {
-		t.Errorf("empty manager holds %d bytes", m.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("empty manager holds %d bytes", m.Counters()[obs.PageBytesInUse])
 	}
 	g.Append(make([]byte, 30))
 	g.Append(make([]byte, 30))
 	g.Append(make([]byte, 30)) // 3 pages = 96 bytes > 64
-	if m.InUse() != 96 || m.InUse() <= m.Limit() {
-		t.Errorf("InUse = %d, want 96, over the limit", m.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 96 || m.Counters()[obs.PageBytesInUse] <= m.Limit() {
+		t.Errorf("InUse = %d, want 96, over the limit", m.Counters()[obs.PageBytesInUse])
 	}
 	if m.Limit() != 64 {
 		t.Errorf("Limit = %d", m.Limit())
@@ -245,10 +247,10 @@ func TestConcurrentGroups(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if got := m.InUse(); got != 0 {
+	if got := m.Counters()[obs.PageBytesInUse]; got != 0 {
 		t.Errorf("InUse after all releases = %d, want 0", got)
 	}
-	if got := m.Stats().LiveGroups; got != 0 {
+	if got := m.Counters()[obs.PageGroupsLive]; got != 0 {
 		t.Errorf("LiveGroups = %d, want 0", got)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"deca/internal/obs"
 )
 
 // TestRestoreDoesNotTrustAnnouncedPageLength: a frame announcing one 1 GiB
@@ -31,7 +33,7 @@ func TestRestoreDoesNotTrustAnnouncedPageLength(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Errorf("a 1 GiB page header cost %d bytes of allocation, want < 1 MiB", grew)
 	}
-	if st := m.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("manager not settled after the failed restore: %+v", st)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"deca/internal/obs"
 )
 
 // TestSlabLedger: a slab is charged while held, pooled once when released
@@ -11,15 +13,15 @@ import (
 func TestSlabLedger(t *testing.T) {
 	m := NewManager(1<<16, 0)
 	s := m.NewSlab(192) // a 16-slot index table: not a 64 KiB page
-	if st := m.Stats(); st.BytesInUse != 192 || s.Footprint() != 192 || st.PagesAllocated != 1 {
-		t.Fatalf("a 192-byte slab is charged %d bytes (footprint %d) in %d allocations, want 192 in 1", st.BytesInUse, s.Footprint(), st.PagesAllocated)
+	if st := m.Counters(); st[obs.PageBytesInUse] != 192 || s.Footprint() != 192 || st[obs.PagesAllocated] != 1 {
+		t.Fatalf("a 192-byte slab is charged %d bytes (footprint %d) in %d allocations, want 192 in 1", st[obs.PageBytesInUse], s.Footprint(), st[obs.PagesAllocated])
 	}
 	for i := range s.Bytes() {
 		s.Bytes()[i] = 0xff
 	}
 	s.Release()
 	s.Release()
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 192 || st.PagesReleased != 1 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 192 || st[obs.PagesReleased] != 1 {
 		t.Fatalf("after a double Release: %+v, want 0 in use, 192 pooled, 1 released", st)
 	}
 	if s.Bytes() != nil || s.Footprint() != 0 {
@@ -27,7 +29,7 @@ func TestSlabLedger(t *testing.T) {
 	}
 	again := m.NewSlab(192)
 	defer again.Release()
-	if st := m.Stats(); st.PagesAllocated != 1 || st.PagesReused != 1 || st.BytesPooled != 0 {
+	if st := m.Counters(); st[obs.PagesAllocated] != 1 || st[obs.PagesReused] != 1 || st[obs.PageBytesPooled] != 0 {
 		t.Errorf("the second slab of a size was not the first one's memory: %+v", st)
 	}
 	if !bytes.Equal(again.Bytes(), make([]byte, 192)) {
@@ -47,7 +49,7 @@ func TestSlabSizeClasses(t *testing.T) {
 	for _, s := range []*Slab{big, small, mid, other} {
 		s.Release()
 	}
-	base := m.Stats()
+	base := m.Counters()
 
 	for _, c := range []struct{ want, footprint int }{
 		{530, 600},   // 520 is too small, 1000 fits worse
@@ -62,9 +64,9 @@ func TestSlabSizeClasses(t *testing.T) {
 		}
 		defer s.Release()
 	}
-	if st := m.Stats(); st.PagesReused-base.PagesReused != 4 || st.PagesAllocated-base.PagesAllocated != 1 || st.BytesPooled != 0 {
+	if st := m.Counters(); st[obs.PagesReused]-base[obs.PagesReused] != 4 || st[obs.PagesAllocated]-base[obs.PagesAllocated] != 1 || st[obs.PageBytesPooled] != 0 {
 		t.Errorf("5 requests: %d reused, %d fresh, %d bytes still pooled; want 4, 1 and 0",
-			st.PagesReused-base.PagesReused, st.PagesAllocated-base.PagesAllocated, st.BytesPooled)
+			st[obs.PagesReused]-base[obs.PagesReused], st[obs.PagesAllocated]-base[obs.PagesAllocated], st[obs.PageBytesPooled])
 	}
 }
 
@@ -85,14 +87,14 @@ func TestOversizedPagesBestFit(t *testing.T) {
 	if seg, _ := g.Alloc(280); cap(seg) != 300 {
 		t.Errorf("a 280-byte object got a %d-byte page, want the 300-byte one", cap(seg))
 	}
-	if st := m.Stats(); st.PagesReused != 2 || st.BytesPooled != 500 {
+	if st := m.Counters(); st[obs.PagesReused] != 2 || st[obs.PageBytesPooled] != 500 {
 		t.Errorf("two oversized requests: %+v, want both reused and the 500-byte page still pooled", st)
 	}
 	for i := 0; i < bigMax+4; i++ {
 		g.Alloc(300)
 	}
 	g.Release()
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 500+450+(bigMax-2)*300 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 500+450+(bigMax-2)*300 {
 		t.Errorf("%d oversized pages of one class released: %+v, want %d of them pooled", bigMax+6, st, bigMax)
 	}
 }
@@ -114,17 +116,17 @@ func TestBlockPoolCaps(t *testing.T) {
 	}
 	large := m.NewSlab(513)
 	large.Release()
-	if st := m.Stats(); st.BytesPooled != 513 || st.PagesReleased != 1 {
+	if st := m.Counters(); st[obs.PageBytesPooled] != 513 || st[obs.PagesReleased] != 1 {
 		t.Errorf("a slab over half a page was not pooled: %+v", st)
 	}
 	for i := range slabs {
 		slabs[i].Release()
 	}
-	if st := m.Stats(); st.BytesPooled != 513+2500 || st.PagesReleased != 6 {
+	if st := m.Counters(); st[obs.PageBytesPooled] != 513+2500 || st[obs.PagesReleased] != 6 {
 		t.Errorf("513 + 5 × 500 bytes released under a 4096-byte cap: %+v, want 3013 pooled", st)
 	}
 	g.Release() // blocks first, then pages: the same 4096 bytes bound both
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 3013+1024 || st.PagesReleased != 10 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 3013+1024 || st[obs.PagesReleased] != 10 {
 		t.Errorf("4 pages released beside 3013 pooled bytes: %+v, want one of them pooled", st)
 	}
 
@@ -136,7 +138,7 @@ func TestBlockPoolCaps(t *testing.T) {
 	s := m.NewSlab(500)
 	g.Release() // pages first: the pool is full,
 	s.Release() // and a block finds no room in it
-	if st := m.Stats(); st.BytesInUse != 0 || st.BytesPooled != 4096 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 4096 {
 		t.Errorf("a block released into a pool full of pages: %+v, want 4096 pooled", st)
 	}
 }
@@ -165,7 +167,7 @@ func TestSlabsConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if st := m.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 || st.PagesAllocated+st.PagesReused != st.PagesReleased {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 || st[obs.PagesAllocated]+st[obs.PagesReused] != st[obs.PagesReleased] {
 		t.Errorf("ledger after the storm: %+v", st)
 	}
 }
@@ -196,11 +198,11 @@ func TestRestoreRightSizesShortPages(t *testing.T) {
 	if got := r.Footprint(); got != 1024+100 {
 		t.Errorf("restored footprint %d, want a 1024-byte page and a 100-byte block", got)
 	}
-	if st := dst.Stats(); st.BytesInUse != r.Footprint() || st.BytesPooled != 1024 {
-		t.Errorf("manager charges %d for a footprint of %d with %d bytes pooled, want one page left in the pool", st.BytesInUse, r.Footprint(), st.BytesPooled)
+	if st := dst.Counters(); st[obs.PageBytesInUse] != r.Footprint() || st[obs.PageBytesPooled] != 1024 {
+		t.Errorf("manager charges %d for a footprint of %d with %d bytes pooled, want one page left in the pool", st[obs.PageBytesInUse], r.Footprint(), st[obs.PageBytesPooled])
 	}
 	r.Release()
-	if st := dst.Stats(); st.BytesInUse != 0 || st.BytesPooled != 2048+100 {
+	if st := dst.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 2048+100 {
 		t.Errorf("after release: %+v, want both pages and the block pooled", st)
 	}
 }

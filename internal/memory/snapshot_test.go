@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"deca/internal/obs"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -52,19 +54,19 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Accounting: the restored pages are charged to dst, released on
 	// Release, and dst goes back to zero.
-	if dst.InUse() == 0 {
+	if dst.Counters()[obs.PageBytesInUse] == 0 {
 		t.Error("restore charged no bytes to the destination manager")
 	}
 	r.Release()
-	if dst.InUse() != 0 {
-		t.Errorf("destination manager still charges %d bytes after release", dst.InUse())
+	if dst.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("destination manager still charges %d bytes after release", dst.Counters()[obs.PageBytesInUse])
 	}
-	if st := dst.Stats(); st.LiveGroups != 0 {
-		t.Errorf("destination has %d live groups after release", st.LiveGroups)
+	if st := dst.Counters(); st[obs.PageGroupsLive] != 0 {
+		t.Errorf("destination has %d live groups after release", st[obs.PageGroupsLive])
 	}
 	g.Release()
-	if src.InUse() != 0 {
-		t.Errorf("source manager still charges %d bytes", src.InUse())
+	if src.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("source manager still charges %d bytes", src.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -114,7 +116,7 @@ func TestRestoreEmptyPagesTakeNoPoolPages(t *testing.T) {
 	if r.NumPages() != 2 || !bytes.Equal(r.Bytes(ptr, len(payload)), payload) {
 		t.Errorf("restored group has %d pages; the source's Ptr no longer addresses its bytes", r.NumPages())
 	}
-	if in := dst.InUse(); in != int64(len(payload)) {
+	if in := dst.Counters()[obs.PageBytesInUse]; in != int64(len(payload)) {
 		t.Errorf("restore charges %d bytes for one %d-byte page and one empty one", in, len(payload))
 	}
 	r.Release()
@@ -125,11 +127,11 @@ func TestRestoreEmptyPagesTakeNoPoolPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in, fp := dst.InUse(), r.Footprint(); in != 0 || fp != 0 {
+	if in, fp := dst.Counters()[obs.PageBytesInUse], r.Footprint(); in != 0 || fp != 0 {
 		t.Errorf("100k empty pages charge %d manager bytes (footprint %d), want 0", in, fp)
 	}
 	r.Release()
-	if st := dst.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 || st.PagesAllocated+st.PagesReused != st.PagesReleased {
+	if st := dst.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 || st[obs.PagesAllocated]+st[obs.PagesReused] != st[obs.PagesReleased] {
 		t.Errorf("manager not settled after releases: %+v", st)
 	}
 }
@@ -155,11 +157,11 @@ func TestRestoreGroupTruncatedAndCorrupt(t *testing.T) {
 	if _, err := m.RestoreGroup(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})); err == nil {
 		t.Error("corrupt page count restored without error")
 	}
-	if m.InUse() != 0 {
-		t.Errorf("failed restores leaked %d bytes", m.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("failed restores leaked %d bytes", m.Counters()[obs.PageBytesInUse])
 	}
-	if st := m.Stats(); st.LiveGroups != 0 {
-		t.Errorf("failed restores leaked %d live groups", st.LiveGroups)
+	if st := m.Counters(); st[obs.PageGroupsLive] != 0 {
+		t.Errorf("failed restores leaked %d live groups", st[obs.PageGroupsLive])
 	}
 }
 
@@ -190,8 +192,8 @@ func TestSnapshotAfterAdoption(t *testing.T) {
 	}
 	r.Release()
 	a.Release()
-	if m.InUse() != 0 {
-		t.Errorf("leaked %d bytes", m.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("leaked %d bytes", m.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -230,7 +232,7 @@ func TestRestoreOversizedPageRoundTrip(t *testing.T) {
 			t.Fatalf("truncation at %d/%d bytes restored without error", cut, buf.Len())
 		}
 	}
-	if st := m.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("manager not settled: %+v", st)
 	}
 }

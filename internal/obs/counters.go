@@ -38,6 +38,15 @@ const (
 	ExecutorsBlacklisted
 	ShuffleUncombined
 	ShuffleOutputsPinned
+	PagesAllocated
+	PagesReused
+	PagesReleased
+	PagesAdopted
+	PageBytesInUse
+	PageBytesPooled
+	PageGroupsLive
+	ServeFrameBytes
+	ShuffleFetchFailures
 	NumCounters
 )
 
@@ -132,6 +141,26 @@ var counterTable = [NumCounters]CounterRow{
 	// until their consuming stage commits or their shuffle is dropped (the
 	// in-process plane's one node reports them all under executor 0).
 	ShuffleOutputsPinned: {"shuffle_outputs_pinned", true, ScopeExecutor},
+	// The executor's page manager, counted by its memory.Manager under the
+	// manager lock: pages and slabs freshly mapped, served from the free
+	// pool and returned to it (or unmapped), and pages a merged container
+	// adopted from the groups it merged (no byte moved).
+	PagesAllocated: {"pages_allocated", false, ScopeExecutor},
+	PagesReused:    {"pages_reused", false, ScopeExecutor},
+	PagesReleased:  {"pages_released", false, ScopeExecutor},
+	PagesAdopted:   {"pages_adopted", false, ScopeExecutor},
+	// Bytes of pages and slabs live groups and containers hold now, bytes
+	// parked in the free pool, and the page groups not yet released: the
+	// leak probes a lifetime end must bring back to zero.
+	PageBytesInUse:  {"page_bytes_in_use", true, ScopeExecutor},
+	PageBytesPooled: {"page_bytes_pooled", true, ScopeExecutor},
+	PageGroupsLive:  {"page_groups_live", true, ScopeExecutor},
+	// Frame bytes the executor's transport node served, over the socket or
+	// executor-locally, counted where PagesServedZeroCopy is.
+	ServeFrameBytes: {"serve_frame_bytes", false, ScopeExecutor},
+	// Map-output fetch tries that failed (socket, local or injected) and
+	// were retried or given up, booked on the fetching executor.
+	ShuffleFetchFailures: {"shuffle_fetch_failures", false, ScopeExecutor},
 }
 
 // Row returns the counter's table entry.

@@ -5,10 +5,12 @@
 // and the Chrome trace export.
 //
 // The package is deliberately stdlib-only and imports nothing from the
-// engine, so every layer (memory, transport, sched, ctl, engine) can
-// emit events without cycles. Events carry only plain identifiers —
-// executor ids, stage ids, page counts, byte sizes — never memory.Ptr
-// or *memory.Group: instrumentation must not extend object lifetimes
+// engine, so every layer can use it without cycles. Events are
+// timelines — task and stage spans, retries, blacklists, fetch failures,
+// GC and occupancy samples; a count is a row of the counter table
+// (Counters), never an event. Events carry only plain identifiers —
+// executor ids, stage ids, byte sizes — never memory.Ptr or
+// *memory.Group: instrumentation must not extend object lifetimes
 // (enforced by deca-vet's ptrescape analyzer).
 package obs
 
@@ -36,16 +38,15 @@ const (
 	KindStageVerdict // Key=stage key; A=verdict (0 ok, 1 abort)
 	KindStageCommit  // Shuffle; A=map tasks, B=reduce tasks
 	KindStageAbort   // Shuffle
-	// Data plane (executor-side).
-	KindFetchIssued // Exec=fetcher; Shuffle; Part=reduce part; A=map task
-	KindFetchServed // Exec=fetcher; Shuffle; Part=reduce part; A=map task; B=bytes
+	_                // 12 and 13 were fetch counts, now rows of the counter table
+	_
+	// Data plane (executor-side): one failed fetch try.
 	KindFetchFailed // Exec=fetcher; Shuffle; Part=reduce part; A=map task; Key=error
-	KindServe       // Exec=server; Shuffle; Part=reduce part; B=bytes served
-	// Memory manager (executor-side).
-	KindPageAlloc   // Exec; A=pages fresh-allocated (cumulative), B=page bytes
-	KindPageAdopt   // Exec; A=pages adopted in one zero-copy merge
-	KindPageSpill   // Exec; B=bytes spilled
-	KindPageRelease // Exec; A=pages returned to the pool
+	_               // 15 to 19 were serve and page counts, now rows of the counter table
+	_
+	_
+	_
+	_
 	// Periodic samples.
 	KindGCSample  // Exec; A=cumulative GC CPU ns; B=heap live bytes
 	KindOccupancy // Exec; Shuffle; A=used bytes; B=footprint bytes
@@ -62,14 +63,7 @@ var kindNames = [...]string{
 	KindStageVerdict:        "stage_verdict",
 	KindStageCommit:         "stage_commit",
 	KindStageAbort:          "stage_abort",
-	KindFetchIssued:         "fetch_issued",
-	KindFetchServed:         "fetch_served",
 	KindFetchFailed:         "fetch_failed",
-	KindServe:               "serve",
-	KindPageAlloc:           "page_alloc",
-	KindPageAdopt:           "page_adopt",
-	KindPageSpill:           "page_spill",
-	KindPageRelease:         "page_release",
 	KindGCSample:            "gc_sample",
 	KindOccupancy:           "occupancy",
 }
@@ -97,8 +91,8 @@ type Event struct {
 	Key     string
 }
 
-// DefaultCapacity is the ring size a zero engine.Config gets: at task /
-// page / sample granularity a few thousand events cover the shipping
+// DefaultCapacity is the ring size of every engine's recorder: at task
+// and sample granularity a few thousand events cover the shipping
 // interval with plenty of slack, and the bound is what matters.
 const DefaultCapacity = 4096
 

@@ -21,7 +21,7 @@ func TestRecorderNilIsDisabled(t *testing.T) {
 func TestRecorderRingOverwritesOldest(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 6; i++ {
-		r.Record(Event{Kind: KindPageAlloc, A: int64(i)})
+		r.Record(Event{Kind: KindTaskStart, A: int64(i)})
 	}
 	if got := r.Dropped(); got != 2 {
 		t.Errorf("dropped = %d, want 2", got)
@@ -46,7 +46,7 @@ func TestRecorderRingOverwritesOldest(t *testing.T) {
 func TestRecorderDrainMax(t *testing.T) {
 	r := NewRecorder(8)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{Kind: KindFetchIssued, A: int64(i)})
+		r.Record(Event{Kind: KindTaskRetry, A: int64(i)})
 	}
 	first := r.Drain(2)
 	if len(first) != 2 || first[0].A != 0 || first[1].A != 1 {
@@ -66,7 +66,7 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Record(Event{Kind: KindPageRelease})
+				r.Record(Event{Kind: KindGCSample})
 			}
 		}()
 	}
@@ -109,9 +109,7 @@ func TestViewStageAggregation(t *testing.T) {
 func TestViewExecutorAndOccupancy(t *testing.T) {
 	v := NewView(64)
 	v.Ingest([]Event{
-		{Kind: KindPageAlloc, Exec: 0, A: 7, Nanos: 10},
-		{Kind: KindPageSpill, Exec: 0, B: 4096, Nanos: 20},
-		{Kind: KindFetchServed, Exec: 1, B: 1024, Nanos: 30},
+		{Kind: KindFetchFailed, Exec: 0, Shuffle: 9, Key: "dropped", Nanos: 20},
 		{Kind: KindGCSample, Exec: 1, A: 5e6, B: 1 << 20, Nanos: 40},
 		{Kind: KindOccupancy, Exec: 0, Shuffle: 9, A: 100, B: 400, Nanos: 50},
 		{Kind: KindOccupancy, Exec: 0, Shuffle: 9, A: 200, B: 400, Nanos: 60},
@@ -120,11 +118,11 @@ func TestViewExecutorAndOccupancy(t *testing.T) {
 	if len(execs) != 2 {
 		t.Fatalf("got %d executors, want 2", len(execs))
 	}
-	if execs[0].PagesAlloc != 7 || execs[0].SpillBytes != 4096 {
-		t.Errorf("exec 0 = %+v", execs[0])
+	if execs[0].LastNanos != 60 || execs[0].GCCPUNanos != 0 {
+		t.Errorf("exec 0 = %+v, want its last event at 60 and no GC sample", execs[0])
 	}
-	if execs[1].FetchBytes != 1024 || execs[1].GCCPUNanos != 5e6 {
-		t.Errorf("exec 1 = %+v", execs[1])
+	if execs[1].LastNanos != 40 || execs[1].GCCPUNanos != 5e6 || execs[1].HeapLiveBytes != 1<<20 {
+		t.Errorf("exec 1 = %+v, want the GC sample at 40", execs[1])
 	}
 	occ := v.Occupancy()
 	if pts := occ[9]; len(pts) != 2 || pts[1].Used != 200 {
@@ -136,7 +134,7 @@ func TestViewRingBound(t *testing.T) {
 	v := NewView(8)
 	evs := make([]Event, 20)
 	for i := range evs {
-		evs[i] = Event{Kind: KindServe, Exec: 0, B: 1, Nanos: int64(i + 1)}
+		evs[i] = Event{Kind: KindOccupancy, Exec: 0, Shuffle: 1, A: 1, B: 1, Nanos: int64(i + 1)}
 	}
 	if cap(v.buf) != 0 {
 		t.Errorf("a view with no events holds a %d-event ring; it grows as events arrive", cap(v.buf))
@@ -156,8 +154,8 @@ func TestViewRingBound(t *testing.T) {
 		t.Errorf("dropped = %d, want 12", v.Dropped())
 	}
 	// Aggregates still fold every event, not just the retained window.
-	if x := v.Executors(); len(x) != 1 || x[0].ServeBytes != 20 {
-		t.Errorf("serve bytes = %+v, want 20", x)
+	if pts := v.Occupancy()[1]; len(pts) != 20 {
+		t.Errorf("occupancy series holds %d points, want all 20", len(pts))
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 // driver ingests its own recorder plus every follower's heartbeat
 // drains, and the ops endpoints read the result. It keeps a bounded
 // ring of raw events (the /trace export) alongside small running
-// aggregates (the /stages, /executors and /memory views), so a
-// long-running job's ops plane stays O(capacity) no matter how many
-// events flow through.
+// aggregates (the /stages and /executors views, the /memory occupancy
+// series), so a long-running job's ops plane stays O(capacity) no
+// matter how many events flow through.
 type View struct {
 	mu       sync.Mutex
 	buf      []Event // append-grown up to capacity, a ring from there
@@ -141,24 +141,6 @@ func (v *View) aggregate(e Event) {
 		x := v.exec(e.Exec)
 		x.GCCPUNanos = e.A
 		x.HeapLiveBytes = e.B
-	case KindPageAlloc:
-		v.exec(e.Exec).PagesAlloc = e.A
-	case KindPageAdopt:
-		v.exec(e.Exec).PagesAdopted += e.A
-	case KindPageRelease:
-		v.exec(e.Exec).PagesReleased += e.A
-	case KindPageSpill:
-		v.exec(e.Exec).SpillBytes += e.B
-	case KindServe:
-		v.exec(e.Exec).ServeBytes += e.B
-	case KindFetchIssued:
-		v.exec(e.Exec).FetchIssued++
-	case KindFetchServed:
-		x := v.exec(e.Exec)
-		x.FetchServed++
-		x.FetchBytes += e.B
-	case KindFetchFailed:
-		v.exec(e.Exec).FetchFailed++
 	case KindOccupancy:
 		pts := v.occ[e.Shuffle]
 		pts = append(pts, OccupancyPoint{Nanos: e.Nanos, Exec: e.Exec, Used: e.A, Footprint: e.B})
@@ -298,23 +280,13 @@ func (v *View) Stages() []StageSummary {
 	return out
 }
 
-// ExecObs is the per-executor slice of the event stream: data-plane and
-// memory activity plus the latest GC sample. The view aggregates straight
-// into it.
+// ExecObs is the per-executor slice of the event stream: when the
+// executor last recorded an event, and its latest GC sample.
 type ExecObs struct {
 	Exec          int32 `json:"exec"`
 	LastNanos     int64 `json:"last_event_nanos,omitempty"`
 	GCCPUNanos    int64 `json:"gc_cpu_nanos,omitempty"`
 	HeapLiveBytes int64 `json:"heap_live_bytes,omitempty"`
-	PagesAlloc    int64 `json:"pages_allocated,omitempty"`
-	PagesAdopted  int64 `json:"pages_adopted,omitempty"`
-	PagesReleased int64 `json:"pages_released,omitempty"`
-	SpillBytes    int64 `json:"spill_bytes,omitempty"`
-	ServeBytes    int64 `json:"serve_bytes,omitempty"`
-	FetchIssued   int64 `json:"fetch_issued,omitempty"`
-	FetchServed   int64 `json:"fetch_served,omitempty"`
-	FetchFailed   int64 `json:"fetch_failed,omitempty"`
-	FetchBytes    int64 `json:"fetch_bytes,omitempty"`
 }
 
 // Executors summarizes per-executor observations, ordered by id (the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 // The probe pipeline (DESIGN.md, "Probe pipeline") must be invisible: a
@@ -266,7 +267,7 @@ func TestBatchedFillWritesTheSameBytes(t *testing.T) {
 			t.Errorf("%s: the batched fill's frame (%d bytes, spill runs included) differs from the serial fill's (%d bytes)", name, len(got), len(want))
 		}
 	}
-	if in := mem.InUse(); in != 0 {
+	if in := mem.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("%d bytes still in use", in)
 	}
 }

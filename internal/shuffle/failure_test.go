@@ -12,6 +12,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 )
 
@@ -360,9 +361,9 @@ func TestWriteListsFailsAsDrainDoes(t *testing.T) {
 			continue
 		}
 		refused++
-		before := mem.InUse()
+		before := mem.Counters()[obs.PageBytesInUse]
 		g, n, errW := handed.WriteLists(mem, codec)
-		if in := mem.InUse(); in != before || g != nil {
+		if in := mem.Counters()[obs.PageBytesInUse]; in != before || g != nil {
 			t.Errorf("%s: %d bytes in use after the failed build, %d before it; group %v", what, in, before, g)
 		}
 		if errW == nil || errW.Error() != errD.Error() {
@@ -430,13 +431,13 @@ func TestWriteListsRefusesOtherCodecs(t *testing.T) {
 			return strs.WriteLists(mem, decompose.PairCodec[string, []int64]{KeyCodec: str, ValueCodec: list})
 		},
 	} {
-		before := mem.InUse()
+		before := mem.Counters()[obs.PageBytesInUse]
 		g, _, err := write(mem)
 		var ce *CodecError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: %v, want a *CodecError", what, err)
 		}
-		if in := mem.InUse(); in != before || g != nil {
+		if in := mem.Counters()[obs.PageBytesInUse]; in != before || g != nil {
 			t.Errorf("%s: %d bytes in use after the refusal, %d before it; group %v", what, in, before, g)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 )
 
@@ -263,7 +264,7 @@ func groupOrderProperty[K comparable, V cmp.Ordered](t *testing.T, keyCodec deco
 		}
 		dst.release()
 		assertClean(t, mem, dir, fmt.Sprintf("seed %d", seed))
-		if st := mem.Stats(); st.BytesPooled == 0 {
+		if st := mem.Counters(); st[obs.PageBytesPooled] == 0 {
 			t.Errorf("seed %d: nothing pooled after every container was released: %+v", seed, st)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 // meanProbes is the average number of slots a lookup of a present key
@@ -186,8 +187,8 @@ func (m *indexModel) check(what string) {
 			m.t.Fatalf("%s: found a key never inserted", what)
 		}
 	}
-	if st := m.mem.Stats(); st.BytesInUse != m.g.Footprint()+int64(m.ix.size())*aggSlotSize || m.ix.footprint() != int64(m.ix.size())*aggSlotSize {
-		m.t.Fatalf("%s: %d bytes in use, want %d of pages + a table of %d slots", what, st.BytesInUse, m.g.Footprint(), m.ix.size())
+	if st := m.mem.Counters(); st[obs.PageBytesInUse] != m.g.Footprint()+int64(m.ix.size())*aggSlotSize || m.ix.footprint() != int64(m.ix.size())*aggSlotSize {
+		m.t.Fatalf("%s: %d bytes in use, want %d of pages + a table of %d slots", what, st[obs.PageBytesInUse], m.g.Footprint(), m.ix.size())
 	}
 }
 
@@ -204,11 +205,11 @@ func (m *indexModel) end() {
 	m.t.Helper()
 	m.ix.release()
 	m.ix.release()
-	if st := m.mem.Stats(); st.BytesInUse != m.g.Footprint() || len(m.ix.dir) != 0 {
+	if st := m.mem.Counters(); st[obs.PageBytesInUse] != m.g.Footprint() || len(m.ix.dir) != 0 {
 		m.t.Fatalf("after release: %+v beside %d bytes of pages, %d segments", st, m.g.Footprint(), len(m.ix.dir))
 	}
 	m.g.Release()
-	if st := m.mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 {
+	if st := m.mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		m.t.Fatalf("after release: %+v", st)
 	}
 }
@@ -229,12 +230,12 @@ func TestAggIndexSegmentBoundaries(t *testing.T) {
 		t.Fatalf("%d keys in %d segments of %d slots, want one full segment", m.ix.n, len(m.ix.dir), m.ix.size())
 	}
 	m.check("one segment")
-	fresh := m.mem.Stats().PagesAllocated
+	fresh := m.mem.Counters()[obs.PagesAllocated]
 	m.fill(m.ix.n + 1)
 	if len(m.ix.dir) != 2 || m.ix.size() != 2*segSlots {
 		t.Fatalf("%d keys in %d segments of %d slots, want the first split", m.ix.n, len(m.ix.dir), m.ix.size())
 	}
-	if got := m.mem.Stats().PagesAllocated - fresh; got > 3 { // two segments and the record's page
+	if got := m.mem.Counters()[obs.PagesAllocated] - fresh; got > 3 { // two segments and the record's page
 		t.Errorf("the first split took %d blocks", got)
 	}
 	m.check("first split")

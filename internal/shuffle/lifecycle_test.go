@@ -16,6 +16,7 @@ import (
 	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/transport"
 )
@@ -242,7 +243,7 @@ func TestContainerLifecycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.HasPrefix(c.name, "Deca") && dstMem.InUse() == 0 {
+			if strings.HasPrefix(c.name, "Deca") && dstMem.Counters()[obs.PageBytesInUse] == 0 {
 				t.Error("received buffer holds no pages in the destination manager")
 			}
 			if got.runs.SpilledBytes() != a.runs.SpilledBytes() {
@@ -571,9 +572,9 @@ func TestFigure7bPartialDecomposition(t *testing.T) {
 	blk := cache.NewDecaBlockFromGroup(mem, adjCodec, cacheGroup, count)
 
 	// The shuffle buffer's lifetime ends; its pages reclaim wholesale.
-	inUseBefore := mem.InUse()
+	inUseBefore := mem.Counters()[obs.PageBytesInUse]
 	buf.Release()
-	if mem.InUse() >= inUseBefore {
+	if mem.Counters()[obs.PageBytesInUse] >= inUseBefore {
 		t.Error("releasing the shuffle buffer did not reclaim pages")
 	}
 
@@ -589,7 +590,7 @@ func TestFigure7bPartialDecomposition(t *testing.T) {
 	}
 
 	blk.Drop()
-	if mem.InUse() != 0 {
-		t.Errorf("pages leaked after cache drop: %d", mem.InUse())
+	if mem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("pages leaked after cache drop: %d", mem.Counters()[obs.PageBytesInUse])
 	}
 }

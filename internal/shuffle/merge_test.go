@@ -9,6 +9,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 // mergeCase is one run of the merge properties: whether sources carry
@@ -272,18 +273,18 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if refs := src.group.Refs(); refs != 2 {
 		t.Fatalf("source group refs = %d after merge, want 2", refs)
 	}
-	inUse, srcSlab, pooled := m.InUse(), src.idx.footprint(), m.Stats().BytesPooled
+	inUse, srcSlab, pooled := m.Counters()[obs.PageBytesInUse], src.idx.footprint(), m.Counters()[obs.PageBytesPooled]
 	if want := dst.SizeBytes() + srcSlab; inUse != want {
 		t.Errorf("InUse = %d after merge, want %d: the adopted pages and two index slabs, each once", inUse, want)
 	}
-	releasedBefore := m.Stats().PagesReleased
+	releasedBefore := m.Counters()[obs.PagesReleased]
 
 	src.Release()
 	src.Release() // the slab goes back once
 	if refs := src.group.Refs(); refs != 1 {
 		t.Fatalf("source group refs = %d after source release, want 1 (dep)", refs)
 	}
-	if got := m.InUse(); got != inUse-srcSlab {
+	if got := m.Counters()[obs.PageBytesInUse]; got != inUse-srcSlab {
 		t.Errorf("source release must free its index slab (%d bytes) and no dep-retained page: InUse %d -> %d", srcSlab, inUse, got)
 	}
 	// The merged buffer still reads the adopted segments.
@@ -293,18 +294,18 @@ func TestMergeFromRefcounts(t *testing.T) {
 	}
 
 	dst.Release()
-	if got := m.InUse(); got != 0 {
+	if got := m.Counters()[obs.PageBytesInUse]; got != 0 {
 		t.Errorf("InUse = %d after merged release", got)
 	}
-	if m.Stats().LiveGroups != 0 {
-		t.Errorf("live groups = %d after merged release", m.Stats().LiveGroups)
+	if m.Counters()[obs.PageGroupsLive] != 0 {
+		t.Errorf("live groups = %d after merged release", m.Counters()[obs.PageGroupsLive])
 	}
 	// Everything pools, the two 3 KiB tables (six pages' worth each)
 	// included: until ISSUE 23 a slab of more than half a page left the
 	// ledger for the collector and this expectation was short of 2*srcSlab.
-	if st := m.Stats(); st.PagesReleased == releasedBefore || st.BytesPooled != pooled+inUse {
+	if st := m.Counters(); st[obs.PagesReleased] == releasedBefore || st[obs.PageBytesPooled] != pooled+inUse {
 		t.Errorf("merged release returned %d pages and slabs, %d bytes pooled; want every page of the %d bytes in use back beside the %d pooled before",
-			st.PagesReleased-releasedBefore, st.BytesPooled, inUse, pooled)
+			st[obs.PagesReleased]-releasedBefore, st[obs.PageBytesPooled], inUse, pooled)
 	}
 
 	defer func() {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/transport"
 )
@@ -125,10 +126,10 @@ func TestSealedContainer(t *testing.T) {
 				}
 				twin, b := fill(), fill()
 				used, pages := b.PageOccupancy() // flushes: the ledger below is final
-				before, table := mem.InUse(), b.SizeBytes()-pages
+				before, table := mem.Counters()[obs.PageBytesInUse], b.SizeBytes()-pages
 				b.Seal()
 				b.Seal()
-				if got := mem.InUse(); table <= 0 || got != before-table {
+				if got := mem.Counters()[obs.PageBytesInUse]; table <= 0 || got != before-table {
 					t.Errorf("the seal took the manager from %d to %d bytes in use, want the table's %d returned", before, got, table)
 				}
 				if b.Len() != twin.Len() || b.SpilledBytes() != twin.SpilledBytes() || b.SizeBytes() != pages {

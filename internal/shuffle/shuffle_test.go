@@ -9,6 +9,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 )
 
@@ -356,8 +357,8 @@ func TestReleaseIdempotent(t *testing.T) {
 	dec.Put(1, 1)
 	dec.Release()
 	dec.Release() // second release must be a no-op, not a panic
-	if m.InUse() != 0 {
-		t.Errorf("InUse after release = %d", m.InUse())
+	if m.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("InUse after release = %d", m.Counters()[obs.PageBytesInUse])
 	}
 }
 

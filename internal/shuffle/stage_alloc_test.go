@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 // The allocation budget of stage → fold (the race detector changes
@@ -107,7 +108,7 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 		return b
 	}
 	fill().Release() // the pages and index slabs the measured fills take now come from the pool
-	warm := mem.Stats().PagesAllocated
+	warm := mem.Counters()[obs.PagesAllocated]
 
 	steps := float64(bits.Len(n))
 	if got, budget := testing.AllocsPerRun(5, func() { fill().Release() }), 2*steps+8; got > budget {
@@ -117,7 +118,7 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 	b := fill()
 	defer b.Release()
 	b.flush() // what follows reads table and pages directly
-	if got := mem.Stats().PagesAllocated - warm; got != 0 || len(b.idx.dir) != 4 {
+	if got := mem.Counters()[obs.PagesAllocated] - warm; got != 0 || len(b.idx.dir) != 4 {
 		t.Errorf("7 container lifetimes on a warm manager took %d pages or index slabs from the heap, want none (table of %d segments, want 4)", got, len(b.idx.dir))
 	}
 	if got := testing.AllocsPerRun(100, func() { b.Put(keys[n/2], 1) }); got != 0 {
@@ -137,9 +138,9 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 	if !slices.Equal(b.idx.segments(), table) || b.idx.size() != slots {
 		t.Errorf("refill after a spill runs on a new table (%d slots, was %d)", b.idx.size(), slots)
 	}
-	if want := b.group.Footprint() + int64(slots)*aggSlotSize; b.SizeBytes() != want || mem.Stats().BytesInUse != want {
+	if want := b.group.Footprint() + int64(slots)*aggSlotSize; b.SizeBytes() != want || mem.Counters()[obs.PageBytesInUse] != want {
 		t.Errorf("SizeBytes %d and the manager's BytesInUse %d, want pages + table = %d, each once",
-			b.SizeBytes(), mem.Stats().BytesInUse, want)
+			b.SizeBytes(), mem.Counters()[obs.PageBytesInUse], want)
 	}
 }
 
@@ -206,22 +207,22 @@ func TestDecaGroupFillAllocBudget(t *testing.T) {
 		return b
 	}
 	fill().Release()
-	warm := mem.Stats().PagesAllocated
+	warm := mem.Counters()[obs.PagesAllocated]
 	if got, budget := testing.AllocsPerRun(5, func() { fill().Release() }), 2*float64(bits.Len(values))+8; got > budget {
 		t.Errorf("filling %d values over %d keys took %.0f allocations, budget %.0f", values, keys, got, budget)
 	}
-	if got := mem.Stats().PagesAllocated; got != warm {
+	if got := mem.Counters()[obs.PagesAllocated]; got != warm {
 		t.Errorf("later container lifetimes took %d pages or index slabs from the heap, want none", got-warm)
 	}
 	b := fill()
 	if b.Len() != keys || b.Values() != values {
 		t.Fatalf("%d keys, %d values in the buffer", b.Len(), b.Values())
 	}
-	if in := mem.Stats().BytesInUse; b.SizeBytes() != in || in != b.group.Footprint()+b.idx.footprint() {
+	if in := mem.Counters()[obs.PageBytesInUse]; b.SizeBytes() != in || in != b.group.Footprint()+b.idx.footprint() {
 		t.Errorf("SizeBytes %d, BytesInUse %d, want pages %d + index slab %d, each once", b.SizeBytes(), in, b.group.Footprint(), b.idx.footprint())
 	}
 	b.Release()
-	if st := mem.Stats(); st.BytesInUse != 0 || st.LiveGroups != 0 || st.BytesPooled == 0 {
+	if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 || st[obs.PageBytesPooled] == 0 {
 		t.Errorf("after release: %+v", st)
 	}
 }
@@ -308,11 +309,11 @@ func TestDrainOutlivesItsContainer(t *testing.T) {
 	agg.Release()
 	group.Release()
 	check("after Release")
-	warm := mem.Stats().PagesAllocated
+	warm := mem.Counters()[obs.PagesAllocated]
 	agg, group = fillAgg("b"), fillGroup(1_000_000)
 	defer agg.Release()
 	defer group.Release()
-	if got := mem.Stats().PagesAllocated; got != warm {
+	if got := mem.Counters()[obs.PagesAllocated]; got != warm {
 		t.Fatalf("the refill took %d fresh pages: it must reuse the released ones", got-warm)
 	}
 	check("after a new fill of the same pages")

@@ -12,6 +12,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/serial"
 	"deca/internal/transport"
 )
@@ -213,11 +214,11 @@ func (c frameCase) stageFold(frame []byte, mem *memory.Manager, dir string) erro
 // outlived its buffer, and no mapping of one outlived its replay.
 func assertClean(tb testing.TB, mem *memory.Manager, dir, what string) {
 	tb.Helper()
-	if in := mem.InUse(); in != 0 {
+	if in := mem.Counters()[obs.PageBytesInUse]; in != 0 {
 		tb.Fatalf("%s: %d bytes still in use", what, in)
 	}
-	if st := mem.Stats(); st.LiveGroups != 0 {
-		tb.Fatalf("%s: %d groups still live", what, st.LiveGroups)
+	if st := mem.Counters(); st[obs.PageGroupsLive] != 0 {
+		tb.Fatalf("%s: %d groups still live", what, st[obs.PageGroupsLive])
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		tb.Fatalf("%s: %d spill files left in %s", what, len(entries), dir)
@@ -428,7 +429,7 @@ func TestStageEmptyPageHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in := mem.InUse(); in != 0 {
+	if in := mem.Counters()[obs.PageBytesInUse]; in != 0 {
 		t.Errorf("%d empty page headers hold %d manager bytes while staged, want 0", pages, in)
 	}
 	if err := foldFresh(NewDecaGroup[int64, int64](mem, i64, i64, dir), st); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 func drainAggMap[K comparable, V any](t *testing.T, b interface {
@@ -60,7 +61,7 @@ func TestDecaAggWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dstMem.InUse() == 0 {
+	if dstMem.Counters()[obs.PageBytesInUse] == 0 {
 		t.Error("decoded buffer holds no pages in the destination manager")
 	}
 	if gotMap := drainAggMap[int64, int64](t, got); !reflect.DeepEqual(gotMap, want) {
@@ -68,11 +69,11 @@ func TestDecaAggWireRoundTrip(t *testing.T) {
 	}
 	got.Release()
 	b.Release()
-	if dstMem.InUse() != 0 || srcMem.InUse() != 0 {
-		t.Errorf("leaked pages: src=%d dst=%d", srcMem.InUse(), dstMem.InUse())
+	if dstMem.Counters()[obs.PageBytesInUse] != 0 || srcMem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("leaked pages: src=%d dst=%d", srcMem.Counters()[obs.PageBytesInUse], dstMem.Counters()[obs.PageBytesInUse])
 	}
-	if st := dstMem.Stats(); st.LiveGroups != 0 {
-		t.Errorf("destination live groups = %d", st.LiveGroups)
+	if st := dstMem.Counters(); st[obs.PageGroupsLive] != 0 {
+		t.Errorf("destination live groups = %d", st[obs.PageGroupsLive])
 	}
 }
 
@@ -121,8 +122,8 @@ func TestDecaGroupWireRoundTrip(t *testing.T) {
 	}
 	got.Release()
 	b.Release()
-	if dstMem.InUse() != 0 || srcMem.InUse() != 0 {
-		t.Errorf("leaked pages: src=%d dst=%d", srcMem.InUse(), dstMem.InUse())
+	if dstMem.Counters()[obs.PageBytesInUse] != 0 || srcMem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("leaked pages: src=%d dst=%d", srcMem.Counters()[obs.PageBytesInUse], dstMem.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -145,8 +146,8 @@ func TestWireKindMismatch(t *testing.T) {
 		decompose.Int64Codec{}, decompose.Int64Codec{}, ""); err == nil {
 		t.Error("DecaAgg frame decoded as DecaGroup without error")
 	}
-	if mem.InUse() != 0 {
-		t.Errorf("leaked %d bytes", mem.InUse())
+	if mem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("leaked %d bytes", mem.Counters()[obs.PageBytesInUse])
 	}
 }
 
@@ -179,10 +180,10 @@ func TestWireTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(full))
 		}
 	}
-	if mem.InUse() != 0 {
-		t.Errorf("truncated decodes leaked %d bytes", mem.InUse())
+	if mem.Counters()[obs.PageBytesInUse] != 0 {
+		t.Errorf("truncated decodes leaked %d bytes", mem.Counters()[obs.PageBytesInUse])
 	}
-	if st := mem.Stats(); st.LiveGroups != 0 {
-		t.Errorf("truncated decodes leaked %d groups", st.LiveGroups)
+	if st := mem.Counters(); st[obs.PageGroupsLive] != 0 {
+		t.Errorf("truncated decodes leaked %d groups", st[obs.PageGroupsLive])
 	}
 }

@@ -48,19 +48,8 @@ type DataServer struct {
 
 	store outputStore
 
-	// rec receives serve events (nil = observability off); set once via
-	// SetRecorder before serving starts.
-	rec     *obs.Recorder
-	recExec int32
-
 	mu     sync.Mutex
 	closed bool
-}
-
-// SetRecorder attaches an observability recorder; each successful serve
-// emits a KindServe event tagged with exec. Call before concurrent use.
-func (s *DataServer) SetRecorder(r *obs.Recorder, exec int32) {
-	s.rec, s.recExec = r, exec
 }
 
 // NewDataServer listens on addr ("host:port"; ":0" picks an ephemeral
@@ -207,14 +196,8 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 	if !writeFrameHeader(bw, fs.Len()) || bw.Flush() != nil {
 		return false
 	}
-	if _, err := fs.WriteTo(conn); err != nil {
-		return false
-	}
-	s.rec.Record(obs.Event{
-		Kind: obs.KindServe, Exec: s.recExec,
-		Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), B: fs.Len(),
-	})
-	return true
+	_, err = fs.WriteTo(conn)
+	return err == nil
 }
 
 func writeNotFound(bw *bufio.Writer) bool {
@@ -260,20 +243,9 @@ func releasePayload(p Payload) {
 type DataClient struct {
 	fetchTimeout time.Duration
 
-	// rec receives fetch issued/served/failed events (nil = off); set
-	// once via SetRecorder before concurrent use.
-	rec     *obs.Recorder
-	recExec int32
-
 	mu     sync.Mutex
 	pools  map[string]chan *dataConn
 	closed bool
-}
-
-// SetRecorder attaches an observability recorder; every FETCH
-// round-trip emits issued and served/failed events tagged with exec.
-func (c *DataClient) SetRecorder(r *obs.Recorder, exec int32) {
-	c.rec, c.recExec = r, exec
 }
 
 // dataConn is a pooled client connection with its buffered endpoints (the
@@ -300,33 +272,17 @@ func NewDataClient(fetchTimeout time.Duration) *DataClient {
 // frame's wire length; found=false with nil error is NOTFOUND. A
 // transport or decode error retires the connection (its stream position
 // is unknown) and returns a non-nil error the caller may retry.
-func (c *DataClient) FetchInto(addr string, id MapOutputID, open FrameOpen) (dec Decoded, size int64, found bool, err error) {
-	c.rec.Record(obs.Event{
-		Kind: obs.KindFetchIssued, Exec: c.recExec,
-		Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), A: int64(id.MapTask),
-	})
+func (c *DataClient) FetchInto(addr string, id MapOutputID, open FrameOpen) (Decoded, int64, bool, error) {
 	conn, err := c.getConn(addr)
-	if err == nil {
-		dec, size, found, err = conn.fetchInto(id, c.fetchTimeout, open)
-		if err != nil {
-			conn.c.Close()
-		} else {
-			c.putConn(addr, conn)
-		}
-	}
 	if err != nil {
-		c.rec.Record(obs.Event{
-			Kind: obs.KindFetchFailed, Exec: c.recExec,
-			Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), A: int64(id.MapTask),
-			Key: err.Error(),
-		})
 		return Decoded{}, 0, false, err
 	}
-	c.rec.Record(obs.Event{
-		Kind: obs.KindFetchServed, Exec: c.recExec,
-		Shuffle: int64(id.Shuffle), Part: int32(id.Reduce), A: int64(id.MapTask),
-		B: size,
-	})
+	dec, size, found, err := conn.fetchInto(id, c.fetchTimeout, open)
+	if err != nil {
+		conn.c.Close()
+		return Decoded{}, 0, false, err
+	}
+	c.putConn(addr, conn)
 	return dec, size, found, nil
 }
 

@@ -168,20 +168,6 @@ func (t *Plane) node(exec int) *DataServer {
 	return t.nodes[exec]
 }
 
-// SetRecorder attaches an observability recorder to every local node,
-// tagged with its executor id so serve events carry the serving side, and
-// to the fetch client where it fetches for exactly one executor (a client
-// shared by several cannot attribute its round-trips). Call before
-// serving starts.
-func (t *Plane) SetRecorder(r *obs.Recorder) {
-	for i, n := range t.nodes {
-		n.SetRecorder(r, int32(i))
-		if len(t.nodes) == 1 && t.client != nil {
-			t.client.SetRecorder(r, int32(i))
-		}
-	}
-}
-
 // Addrs returns each local node's resolved listen address, by executor id
 // ("" for one that does not listen or is hosted elsewhere).
 func (t *Plane) Addrs() []string {

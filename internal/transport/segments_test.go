@@ -425,6 +425,7 @@ func TestEncodeOnlyAndSegmentsPayloadsFetchIdentically(t *testing.T) {
 		// holder's (executor 0's); the fetching node served nothing.
 		tr.Commit([]MapOutputID{id})
 		var want obs.CounterValues
+		want[obs.ServeFrameBytes] = 2 * int64(len(frame))
 		want[obs.ServeUserspaceCopyBytes] = 2 * form.staged
 		want[obs.PagesServedZeroCopy] = 2 * form.pages
 		want[obs.BytesSendfile] = form.sendfiled

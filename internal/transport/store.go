@@ -30,9 +30,9 @@ type outputStore struct {
 	// drained is broadcast whenever an entry's serving count reaches zero.
 	drained sync.Cond
 
-	// counters holds the node's serve rows (PagesServedZeroCopy,
-	// BytesSendfile, ServeUserspaceCopyBytes); atomic, as serves run
-	// outside the lock.
+	// counters holds the node's serve rows (ServeFrameBytes,
+	// PagesServedZeroCopy, BytesSendfile, ServeUserspaceCopyBytes);
+	// atomic, as serves run outside the lock.
 	counters obs.Counters
 }
 
@@ -41,6 +41,7 @@ type outputStore struct {
 // the socket and the executor-local path alike; file bytes count only
 // where they went through sendfile (the socket serve adds them itself).
 func (s *outputStore) countServe(fs *FrameSegments) {
+	s.counters[obs.ServeFrameBytes].Add(fs.Len())
 	s.counters[obs.PagesServedZeroCopy].Add(int64(fs.Pages()))
 	s.counters[obs.ServeUserspaceCopyBytes].Add(fs.Staged())
 }

@@ -10,6 +10,7 @@ import (
 	"deca/internal/datagen"
 	"deca/internal/decompose"
 	"deca/internal/memory"
+	"deca/internal/obs"
 )
 
 // The scan kernels read records through typed page views; these tests pin
@@ -102,7 +103,7 @@ func TestDecaGradientMatchesCodec(t *testing.T) {
 				blk.Drop()
 			}
 		}
-		if s := mem.Stats(); s.BytesInUse != 0 || s.LiveGroups != 0 {
+		if s := mem.Counters(); s[obs.PageBytesInUse] != 0 || s[obs.PageGroupsLive] != 0 {
 			t.Errorf("%s: manager still holds %+v", name, s)
 		}
 	}
