@@ -86,14 +86,15 @@ func TestDecTruncated(t *testing.T) {
 }
 
 // TestDriverSpawnTimeout: executors that never handshake (here /bin/true,
-// which exits immediately) fail the bring-up within SpawnTimeout, with
+// which exits immediately) fail the bring-up within spawnTimeout, with
 // the fleet torn down rather than half-started.
 func TestDriverSpawnTimeout(t *testing.T) {
+	defer func(d time.Duration) { spawnTimeout = d }(spawnTimeout)
+	spawnTimeout = 500 * time.Millisecond
 	start := time.Now()
 	_, err := NewDriver(DriverConfig{
 		NumExecutors: 2,
 		ExecutorCmd:  []string{"true"},
-		SpawnTimeout: 500 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("NewDriver succeeded with executors that never handshake")
@@ -109,12 +110,14 @@ func TestDriverSpawnTimeout(t *testing.T) {
 // TestConfigSurface ratchets the control plane's settings. The ceilings
 // only go down; a raise states its reason here, as the CI line ratchets
 // do. (Driver 9 -> 7 and follower 5 -> 4 when the heartbeat period and
-// miss budget became constants and the period one fact in the welcome.)
+// miss budget became constants and the period one fact in the welcome;
+// driver 7 -> 6 when the spawn timeout, which only a test set, became a
+// package variable tests shorten, as stageBodyTimeout is.)
 func TestConfigSurface(t *testing.T) {
 	for _, c := range []struct {
 		cfg     any
 		ceiling int
-	}{{DriverConfig{}, 7}, {FollowerConfig{}, 4}} {
+	}{{DriverConfig{}, 6}, {FollowerConfig{}, 4}} {
 		typ := reflect.TypeOf(c.cfg)
 		if n := leafFields(typ); n > c.ceiling {
 			t.Errorf("ctl.%s has %d settable values, the ceiling is %d", typ.Name(), n, c.ceiling)

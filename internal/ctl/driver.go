@@ -27,9 +27,6 @@ type DriverConfig struct {
 	ExecutorCmd []string
 	// ListenAddr is the control listener address ("127.0.0.1:0" default).
 	ListenAddr string
-	// SpawnTimeout bounds the spawn+handshake of the whole fleet
-	// (default 30s).
-	SpawnTimeout time.Duration
 	// OnExecutorDead fires once per executor when it is declared dead
 	// (process exit, control-connection error, or heartbeat-budget
 	// exhaustion). The engine feeds it straight into sched's blacklist.
@@ -45,6 +42,10 @@ type DriverConfig struct {
 	OnEvents func(exec int, evs []obs.Event)
 }
 
+// spawnTimeout bounds the spawn and handshake of the whole fleet. A
+// variable so tests can shorten it.
+var spawnTimeout = 30 * time.Second
+
 // Executor liveness. The welcome carries heartbeatInterval, so followers
 // beat at the period the miss budget counts in: an executor silent for
 // heartbeatMisses periods (2 s) is declared dead. A period above that
@@ -59,13 +60,12 @@ func (c DriverConfig) withDefaults() DriverConfig {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
-	if c.SpawnTimeout <= 0 {
-		c.SpawnTimeout = 30 * time.Second
-	}
 	return c
 }
 
-// execState is the driver's view of one executor process.
+// execState is the driver's view of one executor process. Its waiter is
+// stopped when the executor is declared dead (markDead), which ends every
+// wait on it.
 type execState struct {
 	id   int
 	cmd  *exec.Cmd
@@ -73,14 +73,18 @@ type execState struct {
 
 	dataAddr string
 
-	mu       sync.Mutex
-	alive    bool
-	deadErr  error
-	deadCh   chan struct{} // closed when declared dead
+	waiter
 	lastBeat time.Time
-	counters obs.CounterValues          // the latest snapshot: heartbeat or metrics reply
-	pending  map[uint64]chan TaskResult // taskID → dispatch waiter
-	reqs     map[uint64]chan struct{}   // reqID → SyncMetrics waiter
+	counters obs.CounterValues      // the latest heartbeat's snapshot
+	answered uint64                 // the highest metrics request a heartbeat answered
+	done     map[uint64]*TaskResult // taskID → result; nil while awaited
+}
+
+// alive reports whether the executor has not been declared dead.
+func (st *execState) alive() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.end == nil
 }
 
 // Driver supervises the executor fleet: it spawns the processes, owns
@@ -131,12 +135,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		execs: make([]*execState, cfg.NumExecutors),
 	}
 	for i := range d.execs {
-		d.execs[i] = &execState{
-			id:      i,
-			deadCh:  make(chan struct{}),
-			pending: make(map[uint64]chan TaskResult),
-			reqs:    make(map[uint64]chan struct{}),
-		}
+		d.execs[i] = &execState{id: i, done: make(map[uint64]*TaskResult)}
 	}
 
 	// Collect handshakes concurrently with spawning.
@@ -179,7 +178,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		}
 	}
 
-	deadline := time.After(cfg.SpawnTimeout)
+	deadline := time.After(spawnTimeout)
 	seen := 0
 	for seen < cfg.NumExecutors {
 		select {
@@ -193,7 +192,6 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 			}
 			st.conn = h.conn
 			st.dataAddr = h.addr
-			st.alive = true
 			st.lastBeat = time.Now()
 			st.mu.Unlock()
 			// Welcome: the executor may proceed to wait for the plan.
@@ -205,7 +203,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		case <-deadline:
 			d.teardown()
 			return nil, fmt.Errorf("ctl: %d/%d executors handshook within %v",
-				seen, cfg.NumExecutors, cfg.SpawnTimeout)
+				seen, cfg.NumExecutors, spawnTimeout)
 		}
 	}
 
@@ -248,33 +246,18 @@ func (d *Driver) teardown() {
 	}
 }
 
-// markDead declares an executor dead exactly once: its pending dispatches
-// fail, its process is reaped, and OnExecutorDead fires.
+// markDead declares an executor dead exactly once: every wait on it ends
+// (in-flight dispatches fail), its process is reaped, and OnExecutorDead
+// fires.
 func (d *Driver) markDead(st *execState, cause error) {
-	st.mu.Lock()
-	if !st.alive {
-		st.mu.Unlock()
+	if !st.stop(cause) {
 		return
 	}
-	st.alive = false
-	st.deadErr = cause
-	close(st.deadCh)
-	pending := st.pending
-	st.pending = make(map[uint64]chan TaskResult)
-	reqs := st.reqs
-	st.reqs = make(map[uint64]chan struct{})
-	st.mu.Unlock()
 	if st.conn != nil {
 		st.conn.close()
 	}
 	if st.cmd != nil && st.cmd.Process != nil {
 		st.cmd.Process.Kill() // idempotent; reaped by waitChild
-	}
-	for _, ch := range pending {
-		close(ch)
-	}
-	for _, ch := range reqs {
-		close(ch)
 	}
 	// Sweep the directory: outputs homed on the dead executor are gone
 	// with its process, so lookups for them must report definitively
@@ -313,7 +296,7 @@ func (d *Driver) heartbeatMonitor() {
 		now := time.Now()
 		for _, st := range d.execs {
 			st.mu.Lock()
-			silent := st.alive && now.Sub(st.lastBeat) > budget
+			silent := st.end == nil && now.Sub(st.lastBeat) > budget
 			st.mu.Unlock()
 			if silent {
 				d.markDead(st, fmt.Errorf("ctl: executor %d missed %d heartbeats",
@@ -338,7 +321,7 @@ func (d *Driver) readLoop(st *execState) {
 		dd := &dec{b: payload}
 		switch t {
 		case msgHeartbeat:
-			snap, evs, ok := decodeHeartbeat(payload)
+			answered, snap, evs, ok := decodeHeartbeat(payload)
 			if !ok {
 				d.markDead(st, fmt.Errorf("ctl: executor %d sent a malformed heartbeat", st.id))
 				return
@@ -346,21 +329,16 @@ func (d *Driver) readLoop(st *execState) {
 			st.mu.Lock()
 			st.lastBeat = time.Now()
 			st.counters = snap
+			st.answered = max(st.answered, answered)
 			st.mu.Unlock()
+			st.cond.Broadcast()
 			if len(evs) > 0 && d.cfg.OnEvents != nil {
 				d.cfg.OnEvents(st.id, evs)
 			}
 		case msgTaskDone:
 			taskID, res := decodeTaskResult(dd)
-			if !dd.ok() {
-				continue
-			}
-			st.mu.Lock()
-			ch := st.pending[taskID]
-			delete(st.pending, taskID)
-			st.mu.Unlock()
-			if ch != nil {
-				ch <- res
+			if dd.ok() {
+				answer(&st.waiter, st.done, taskID, res)
 			}
 		case msgRegisterOutput:
 			id := decodeOutputID(dd)
@@ -389,20 +367,6 @@ func (d *Driver) readLoop(st *execState) {
 			}
 			if d.cfg.OnNeedShuffle != nil {
 				go d.cfg.OnNeedShuffle(dataset)
-			}
-		case msgMetricsReply:
-			reqID := dd.uint()
-			snap := decodeSnapshot(dd)
-			if !dd.ok() {
-				continue
-			}
-			st.mu.Lock()
-			ch := st.reqs[reqID]
-			delete(st.reqs, reqID)
-			st.counters = snap
-			st.mu.Unlock()
-			if ch != nil {
-				close(ch)
 			}
 		}
 	}
@@ -456,10 +420,7 @@ func (d *Driver) Lookup(id transport.MapOutputID) (exec int, addr string, found 
 
 func (d *Driver) sendDiscard(exec int, id transport.MapOutputID) {
 	st := d.execs[exec]
-	st.mu.Lock()
-	alive := st.alive
-	st.mu.Unlock()
-	if !alive {
+	if !st.alive() {
 		return
 	}
 	var e enc
@@ -529,7 +490,7 @@ func (d *Driver) Statuses() []ExecStatus {
 	for i, st := range d.execs {
 		st.mu.Lock()
 		out[i] = ExecStatus{
-			Exec: i, Alive: st.alive, LastBeat: st.lastBeat,
+			Exec: i, Alive: st.end == nil, LastBeat: st.lastBeat,
 		}
 		st.mu.Unlock()
 	}
@@ -561,32 +522,16 @@ func (d *Driver) Kill(exec int) {
 func (d *Driver) RunTask(exec int, key string, stage, part, attempt int) (TaskResult, error) {
 	st := d.execs[exec]
 	taskID := d.nextTask.Add(1)
-	ch := make(chan TaskResult, 1)
-	st.mu.Lock()
-	if !st.alive {
-		err := st.deadErr
-		st.mu.Unlock()
-		return TaskResult{}, fmt.Errorf("ctl: executor %d is dead: %w", exec, err)
-	}
-	st.pending[taskID] = ch
-	st.mu.Unlock()
-
 	var e enc
 	e.uint(taskID)
 	e.str(key)
 	e.int(int64(stage))
 	e.int(int64(part))
 	e.int(int64(attempt))
-	if err := st.conn.send(msgRunTask, e.b); err != nil {
-		st.mu.Lock()
-		delete(st.pending, taskID)
-		st.mu.Unlock()
-		return TaskResult{}, fmt.Errorf("ctl: dispatching to executor %d: %w", exec, err)
-	}
-	res, ok := <-ch
-	if !ok {
-		return TaskResult{}, fmt.Errorf("ctl: executor %d died running %s part %d attempt %d",
-			exec, key, part, attempt)
+	res, err := roundTrip(&st.waiter, st.done, taskID, func() error { return st.conn.send(msgRunTask, e.b) })
+	if err != nil {
+		return TaskResult{}, fmt.Errorf("ctl: executor %d running %s part %d attempt %d: %w",
+			exec, key, part, attempt, err)
 	}
 	return res, nil
 }
@@ -594,10 +539,7 @@ func (d *Driver) RunTask(exec int, key string, stage, part, attempt int) (TaskRe
 // broadcast sends a frame to every live executor.
 func (d *Driver) broadcast(t byte, payload []byte) {
 	for _, st := range d.execs {
-		st.mu.Lock()
-		alive := st.alive
-		st.mu.Unlock()
-		if alive {
+		if st.alive() {
 			st.conn.send(t, payload)
 		}
 	}
@@ -649,41 +591,21 @@ func (d *Driver) ReleaseDataset(dataset, epoch int) {
 	d.broadcast(msgReleaseDataset, e.b)
 }
 
-// SyncMetrics requests a fresh counter snapshot from every live executor
-// and waits, up to timeout, for the replies to land where Counters reads
-// them; a dead executor keeps what its last heartbeat reported.
+// SyncMetrics asks every live executor for a heartbeat now and waits, up
+// to timeout in all, until each has sent one answering the request: its
+// snapshot is then where Counters reads it. A dead executor, or one silent
+// past the deadline, keeps what its last heartbeat reported.
 func (d *Driver) SyncMetrics(timeout time.Duration) {
-	var wg sync.WaitGroup
+	reqID := d.nextReq.Add(1)
+	var e enc
+	e.uint(reqID)
+	d.broadcast(msgMetricsRequest, e.b)
+	deadline := time.Now().Add(timeout)
 	for _, st := range d.execs {
-		reqID := d.nextReq.Add(1)
-		ch := make(chan struct{})
 		st.mu.Lock()
-		alive := st.alive
-		if alive {
-			st.reqs[reqID] = ch
-		}
+		_ = st.waitLocked(func() bool { return st.answered >= reqID }, deadline)
 		st.mu.Unlock()
-		if !alive {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var e enc
-			e.uint(reqID)
-			if err := st.conn.send(msgMetricsRequest, e.b); err != nil {
-				return
-			}
-			select {
-			case <-ch: // replied, or declared dead
-			case <-time.After(timeout):
-				st.mu.Lock()
-				delete(st.reqs, reqID)
-				st.mu.Unlock()
-			}
-		}()
 	}
-	wg.Wait()
 }
 
 // Close shuts the fleet down: Shutdown broadcast, a grace period for the
@@ -695,15 +617,9 @@ func (d *Driver) Close() {
 		d.broadcast(msgShutdown, nil)
 		deadline := time.Now().Add(5 * time.Second)
 		for _, st := range d.execs {
-			for {
-				st.mu.Lock()
-				alive := st.alive
-				st.mu.Unlock()
-				if !alive || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
+			st.mu.Lock()
+			_ = st.waitLocked(nil, deadline) // the executor died, or it is killed below
+			st.mu.Unlock()
 			if st.cmd != nil && st.cmd.Process != nil {
 				st.cmd.Process.Kill()
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,11 +51,12 @@ const heartbeatEventBatch = 1024
 // shorten it.
 var stageBodyTimeout = 2 * time.Minute
 
-// The ends of a wait other than a dead connection: errShutdown ends every
-// wait once the driver broadcast Shutdown; errNoBody ends a body wait whose
-// deadline passed.
+// The ends of a follower's wait other than its answer: errShutdown ends
+// every wait once the driver broadcast Shutdown or the connection to it
+// died (wrapping the cause); errNoBody ends a body wait whose deadline
+// passed.
 var (
-	errShutdown = errors.New("ctl: the driver shut the fleet down")
+	errShutdown = errors.New("ctl: the follower shut down")
 	errNoBody   = errors.New("ctl: no stage body was published before the deadline (mirror diverged?)")
 )
 
@@ -85,35 +85,28 @@ type stageVerdict struct {
 
 // Follower is the executor-process side of the control plane: the
 // control connection, the data-plane server whose address it advertises,
-// and the stores behind its one wait loop: what the engine's mirrored
-// program waits on (plan, stage verdicts, action results, materialization
-// announcements) and what the driver's dispatched attempts wait on (the
-// stage bodies the program published).
+// and the stores behind its waits, which its waiter guards: what the
+// engine's mirrored program waits on (plan, stage verdicts, action
+// results, materialization announcements), what the driver's dispatched
+// attempts wait on (the stage bodies the program published), the lookup
+// replies, and the metrics requests the heartbeat answers.
 type Follower struct {
 	id     int
 	conn   *rpcConn
 	server *transport.DataServer
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	rt       Runtime
-	plan     []byte
-	hasPlan  bool
-	ends     map[string]stageVerdict
-	actions  map[string][]byte
-	mats     map[int]matEntry
-	bodies   map[string]StageBody
-	lookups  map[uint64]chan lookupReply
-	closed   bool // the connection died or the driver broadcast Shutdown
-	closeErr error
+	waiter  // stopped when the connection dies or the driver broadcasts Shutdown
+	rt      Runtime
+	plan    []byte
+	hasPlan bool
+	ends    map[string]stageVerdict
+	actions map[string][]byte
+	mats    map[int]matEntry
+	bodies  map[string]StageBody
+	lookups map[uint64]*lookupReply // reqID → reply; nil while awaited
+	asked   uint64                  // the highest metrics request read
 
-	// snapMu is held from reading a counter snapshot to sending it, so
-	// snapshots reach the driver in the order they were taken: the driver
-	// keeps the last vector it received, and a heartbeat must not lay an
-	// older one over a metrics reply's.
-	snapMu sync.Mutex
-
-	shutdownCh chan struct{} // closed with closed
+	shutdownCh chan struct{} // closed when the waiter stops
 	nextReq    atomic.Uint64
 }
 
@@ -144,10 +137,9 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		actions:    make(map[string][]byte),
 		mats:       make(map[int]matEntry),
 		bodies:     make(map[string]StageBody),
-		lookups:    make(map[uint64]chan lookupReply),
+		lookups:    make(map[uint64]*lookupReply),
 		shutdownCh: make(chan struct{}),
 	}
-	f.cond = sync.NewCond(&f.mu)
 
 	var e enc
 	e.int(int64(cfg.ID))
@@ -199,32 +191,11 @@ func (f *Follower) SetRuntime(rt Runtime) {
 	f.cond.Broadcast()
 }
 
-// waitLocked blocks, with f.mu held, until ready reports true, or the wait
-// ends: the control connection died or the driver broadcast Shutdown
-// (closeErr), or ended — nil for a wait with no end of its own — reports
-// why. It is the one wait loop behind every follower-side await, so a
-// liveness rule has exactly one place to land; whatever can change an
-// answer broadcasts f.cond under f.mu.
-func (f *Follower) waitLocked(ready func() bool, ended func() error) error {
-	for !ready() {
-		if f.closed {
-			return f.closeErr
-		}
-		if ended != nil {
-			if err := ended(); err != nil {
-				return err
-			}
-		}
-		f.cond.Wait()
-	}
-	return nil
-}
-
 // runtime blocks until SetRuntime (nil once the follower is closed).
 func (f *Follower) runtime() Runtime {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_ = f.waitLocked(func() bool { return f.rt != nil }, nil)
+	_ = f.waitLocked(func() bool { return f.rt != nil }, never)
 	return f.rt
 }
 
@@ -251,47 +222,34 @@ func (f *Follower) DropStageBodies(keys ...string) {
 // every wait has, this one ends when stageBodyTimeout passes (the mirror
 // diverged and will never reach the stage).
 func (f *Follower) awaitBody(key string) (StageBody, error) {
-	expired := false
-	deadline := time.AfterFunc(stageBodyTimeout, func() {
-		f.mu.Lock()
-		expired = true
-		f.mu.Unlock()
-		f.cond.Broadcast()
-	})
-	defer deadline.Stop()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var body StageBody
-	err := f.waitLocked(func() bool { body = f.bodies[key]; return body != nil }, func() error {
-		if expired {
-			return errNoBody
-		}
-		return nil
-	})
+	err := f.waitLocked(func() bool { body = f.bodies[key]; return body != nil }, time.Now().Add(stageBodyTimeout))
+	if errors.Is(err, errDeadline) {
+		err = errNoBody
+	}
 	if err != nil {
 		return nil, fmt.Errorf("stage %q: %w", key, err)
 	}
 	return body, nil
 }
 
-// markClosed wakes every waiter with a terminal error.
-func (f *Follower) markClosed(err error) {
-	f.mu.Lock()
-	if !f.closed {
-		f.closed, f.closeErr = true, err
-		for _, ch := range f.lookups {
-			close(ch)
-		}
-		f.lookups = make(map[uint64]chan lookupReply)
+// markClosed ends every wait with errShutdown, wrapping cause (nil: the
+// driver broadcast Shutdown).
+func (f *Follower) markClosed(cause error) {
+	err := errShutdown
+	if cause != nil {
+		err = fmt.Errorf("%w: %w", errShutdown, cause)
+	}
+	if f.stop(err) {
 		close(f.shutdownCh)
 	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
 }
 
 // Close tears the follower down (executor main, after shutdown).
 func (f *Follower) Close() {
-	f.markClosed(fmt.Errorf("ctl: follower closed"))
+	f.markClosed(errors.New("closed"))
 	f.teardown()
 }
 
@@ -302,7 +260,7 @@ func (f *Follower) readLoop() {
 	for {
 		t, payload, err := f.conn.read()
 		if err != nil {
-			f.markClosed(fmt.Errorf("ctl: driver connection: %w", err))
+			f.markClosed(fmt.Errorf("driver connection: %w", err))
 			return
 		}
 		dd := &dec{b: payload}
@@ -397,33 +355,18 @@ func (f *Follower) readLoop() {
 			if !dd.ok() {
 				continue
 			}
-			f.mu.Lock()
-			ch := f.lookups[reqID]
-			delete(f.lookups, reqID)
-			f.mu.Unlock()
-			if ch != nil {
-				ch <- lookupReply{found: found, exec: exec, addr: addr}
-			}
+			answer(&f.waiter, f.lookups, reqID, lookupReply{found: found, exec: exec, addr: addr})
 		case msgMetricsRequest:
 			reqID := dd.uint()
 			if !dd.ok() {
 				continue
 			}
-			var snap obs.CounterValues
 			f.mu.Lock()
-			rt := f.rt
+			f.asked = max(f.asked, reqID)
 			f.mu.Unlock()
-			f.snapMu.Lock()
-			if rt != nil {
-				snap = rt.Snapshot()
-			}
-			var e enc
-			e.uint(reqID)
-			e.b = appendSnapshot(e.b, snap)
-			f.conn.send(msgMetricsReply, e.b)
-			f.snapMu.Unlock()
+			f.cond.Broadcast()
 		case msgShutdown:
-			f.markClosed(errShutdown)
+			f.markClosed(nil)
 		}
 	}
 }
@@ -443,33 +386,29 @@ func (f *Follower) handleRunTask(taskID uint64, key string, stage, part, attempt
 	f.conn.send(msgTaskDone, e.b)
 }
 
+// heartbeatLoop is the one sender of counter snapshots, so they reach the
+// driver in the order taken: it beats every interval, and at once when the
+// driver asks for metrics. A beat carries the highest metrics request read
+// before its snapshot was taken, which tells SyncMetrics it is answered.
 func (f *Follower) heartbeatLoop(interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	var answered uint64
 	for {
-		select {
-		case <-ticker.C:
-		case <-f.shutdownCh:
+		f.mu.Lock()
+		err := f.waitLocked(func() bool { return f.asked > answered }, time.Now().Add(interval))
+		answered = f.asked
+		rt := f.rt
+		f.mu.Unlock()
+		if err != nil && !errors.Is(err, errDeadline) {
 			return
 		}
 		var snap obs.CounterValues
-		f.mu.Lock()
-		rt := f.rt
-		f.mu.Unlock()
 		var evs []obs.Event
-		f.snapMu.Lock()
 		if rt != nil {
 			snap = rt.Snapshot()
 			evs = rt.DrainEvents(heartbeatEventBatch)
 		}
-		payload := appendSnapshot(nil, snap)
-		if len(evs) > 0 {
-			payload = appendEvents(payload, evs)
-		}
-		err := f.conn.send(msgHeartbeat, payload)
-		f.snapMu.Unlock()
-		if err != nil {
-			f.markClosed(fmt.Errorf("ctl: heartbeat send: %w", err))
+		if err := f.conn.send(msgHeartbeat, appendHeartbeat(answered, snap, evs)); err != nil {
+			f.markClosed(fmt.Errorf("heartbeat send: %w", err))
 			return
 		}
 	}
@@ -479,7 +418,7 @@ func (f *Follower) heartbeatLoop(interval time.Duration) {
 func (f *Follower) AwaitPlan() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.waitLocked(func() bool { return f.hasPlan }, nil); err != nil {
+	if err := f.waitLocked(func() bool { return f.hasPlan }, never); err != nil {
 		return nil, err
 	}
 	return f.plan, nil
@@ -492,7 +431,7 @@ func (f *Follower) AwaitStageEnd(key string) (byte, string, error) {
 	defer f.mu.Unlock()
 	var v stageVerdict
 	var ok bool
-	if err := f.waitLocked(func() bool { v, ok = f.ends[key]; return ok }, nil); err != nil {
+	if err := f.waitLocked(func() bool { v, ok = f.ends[key]; return ok }, never); err != nil {
 		return VerdictAbort, "", err
 	}
 	delete(f.ends, key)
@@ -506,7 +445,7 @@ func (f *Follower) AwaitActionResult(key string) ([]byte, error) {
 	defer f.mu.Unlock()
 	var res []byte
 	var ok bool
-	if err := f.waitLocked(func() bool { res, ok = f.actions[key]; return ok }, nil); err != nil {
+	if err := f.waitLocked(func() bool { res, ok = f.actions[key]; return ok }, never); err != nil {
 		return nil, err
 	}
 	delete(f.actions, key)
@@ -519,7 +458,7 @@ func (f *Follower) AwaitMaterialize(dataset, afterEpoch int) (epoch int, shuffle
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var m matEntry
-	if err := f.waitLocked(func() bool { m = f.mats[dataset]; return m.epoch > afterEpoch }, nil); err != nil {
+	if err := f.waitLocked(func() bool { m = f.mats[dataset]; return m.epoch > afterEpoch }, never); err != nil {
 		return 0, 0, err
 	}
 	return m.epoch, m.shuffle, nil
@@ -558,27 +497,9 @@ func (f *Follower) RetireShuffle(transport.ShuffleID) {}
 // and lineage repair is the only way back.
 func (f *Follower) Lookup(id transport.MapOutputID) (exec int, addr string, found bool, err error) {
 	reqID := f.nextReq.Add(1)
-	ch := make(chan lookupReply, 1)
-	f.mu.Lock()
-	if f.closed {
-		err := f.closeErr
-		f.mu.Unlock()
-		return 0, "", false, err
-	}
-	f.lookups[reqID] = ch
-	f.mu.Unlock()
 	var e enc
 	e.uint(reqID)
 	appendOutputID(&e, id)
-	if err := f.conn.send(msgLookupOutput, e.b); err != nil {
-		f.mu.Lock()
-		delete(f.lookups, reqID)
-		f.mu.Unlock()
-		return 0, "", false, err
-	}
-	rep, ok := <-ch
-	if !ok {
-		return 0, "", false, fmt.Errorf("ctl: driver connection lost during lookup")
-	}
-	return rep.exec, rep.addr, rep.found, nil
+	rep, err := roundTrip(&f.waiter, f.lookups, reqID, func() error { return f.conn.send(msgLookupOutput, e.b) })
+	return rep.exec, rep.addr, rep.found, err
 }

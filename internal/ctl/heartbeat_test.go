@@ -84,7 +84,7 @@ func fakeDriver(t *testing.T, ln net.Listener, beats chan<- beat) {
 		if typ != msgHeartbeat {
 			continue
 		}
-		snap, evs, ok := decodeHeartbeat(payload)
+		_, snap, evs, ok := decodeHeartbeat(payload)
 		if !ok {
 			t.Error("heartbeat frame failed to decode")
 			return
@@ -229,9 +229,10 @@ func (r *gatedRuntime) Snapshot() obs.CounterValues {
 // TestSnapshotsArriveInOrderTaken: the driver keeps the last vector it
 // received, so a vector must not arrive after one read later. The first
 // snapshot — a heartbeat's — is held back while a metrics request comes in;
-// the reply's later read still lands after it. (Without Follower.snapMu the
-// reply overtakes the heartbeat, and the driver is left with the older
-// vector once SyncMetrics has returned.)
+// the heartbeat that answers the request, read later, still lands after
+// it. (A second sender of snapshots beside heartbeatLoop would overtake the
+// held one, and the driver would be left with the older vector once
+// SyncMetrics has returned.)
 func TestSnapshotsArriveInOrderTaken(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -252,10 +253,10 @@ func TestSnapshotsArriveInOrderTaken(t *testing.T) {
 	rt := &gatedRuntime{entered: make(chan struct{}), gate: make(chan struct{})}
 	f.SetRuntime(rt)
 
-	// Every snapshot-carrying frame, in arrival order.
+	// Every heartbeat, in arrival order.
 	type arrival struct {
-		reply bool
-		n     int64
+		answered uint64
+		n        int64
 	}
 	arrivals := make(chan arrival, 64)
 	go func() {
@@ -265,13 +266,8 @@ func TestSnapshotsArriveInOrderTaken(t *testing.T) {
 			if err != nil {
 				return
 			}
-			d := &dec{b: payload}
-			switch typ {
-			case msgMetricsReply:
-				d.uint()
-				fallthrough
-			case msgHeartbeat:
-				arrivals <- arrival{typ == msgMetricsReply, decodeSnapshot(d)[obs.ShuffleRecords]}
+			if answered, snap, _, ok := decodeHeartbeat(payload); typ == msgHeartbeat && ok {
+				arrivals <- arrival{answered, snap[obs.ShuffleRecords]}
 			}
 		}
 	}()
@@ -302,9 +298,14 @@ func TestSnapshotsArriveInOrderTaken(t *testing.T) {
 			}
 			last = a.n
 			sawHeld = sawHeld || a.n == 1
-			sawReply = sawReply || a.reply
+			if a.answered >= 1 && !sawReply {
+				if !sawHeld {
+					t.Error("the heartbeat answering request 1 arrived before the held one")
+				}
+				sawReply = true
+			}
 		case <-timeout:
-			t.Fatalf("held heartbeat arrived: %v, metrics reply arrived: %v", sawHeld, sawReply)
+			t.Fatalf("held heartbeat arrived: %v, heartbeat answering request 1 arrived: %v", sawHeld, sawReply)
 		}
 	}
 }
@@ -424,6 +425,14 @@ func TestSnapshotCodec(t *testing.T) {
 		}
 	}
 
+	// A heartbeat leads with the metrics request it answers, then the
+	// snapshot, then the events.
+	ev := obs.Event{Kind: obs.KindFetchFailed, Exec: 1, A: 3, Key: "k"}
+	answered, snap, evs, ok := decodeHeartbeat(appendHeartbeat(1<<40, full, []obs.Event{ev}))
+	if !ok || answered != 1<<40 || snap != full || len(evs) != 1 || evs[0] != ev {
+		t.Errorf("heartbeat round trip = %d, %v, %+v (ok=%v)", answered, snap, evs, ok)
+	}
+
 	wire := []obs.Counter{
 		obs.ShuffleRecords, obs.ShuffleSpillBytes, obs.LocalShuffleFetches, obs.RemoteShuffleFetches,
 		obs.RemoteShuffleBytes, obs.CacheHits, obs.CacheMisses, obs.CacheEvictions, obs.CacheDrops,
@@ -437,13 +446,14 @@ func TestSnapshotCodec(t *testing.T) {
 	}
 }
 
-// hostileSnapshotCount is a heartbeat whose snapshot claims 2^62 values:
-// the unbounded decode loop spun the executor's readLoop goroutine forever.
-// hostileEventCount is a well-formed empty snapshot followed by an event
-// batch claiming 2^40 events: make([]obs.Event, 0, n) panicked the driver.
+// hostileSnapshotCount is a heartbeat (answering request 0) whose snapshot
+// claims 2^62 values: the unbounded decode loop spun the executor's
+// readLoop goroutine forever. hostileEventCount is a well-formed empty
+// snapshot followed by an event batch claiming 2^40 events:
+// make([]obs.Event, 0, n) panicked the driver.
 var (
-	hostileSnapshotCount = binary.AppendUvarint(nil, 1<<62)
-	hostileEventCount    = binary.AppendUvarint([]byte{0}, 1<<40)
+	hostileSnapshotCount = binary.AppendUvarint([]byte{0}, 1<<62)
+	hostileEventCount    = binary.AppendUvarint([]byte{0, 0}, 1<<40)
 )
 
 // FuzzDecodeHeartbeat: whatever bytes a peer puts in a heartbeat frame,
@@ -452,11 +462,11 @@ var (
 func FuzzDecodeHeartbeat(f *testing.F) {
 	f.Add(hostileSnapshotCount)
 	f.Add(hostileEventCount)
-	f.Add(appendEvents(appendSnapshot(nil, obs.CounterValues{obs.ShuffleRecords: 9}),
+	f.Add(appendHeartbeat(5, obs.CounterValues{obs.ShuffleRecords: 9},
 		[]obs.Event{{Kind: obs.KindFetchFailed, Exec: 1, A: 3, Key: "k"}}))
-	f.Add(binary.AppendUvarint([]byte{0, 1}, 1<<40)) // one event claiming 2^40 numeric fields
+	f.Add(binary.AppendUvarint([]byte{0, 0, 1}, 1<<40)) // one event claiming 2^40 numeric fields
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		_, evs, ok := decodeHeartbeat(payload)
+		_, _, evs, ok := decodeHeartbeat(payload)
 		if !ok && evs != nil {
 			t.Errorf("malformed frame still yielded %d events", len(evs))
 		}
@@ -475,7 +485,7 @@ func TestMalformedHeartbeatKillsExecutor(t *testing.T) {
 			near, far := net.Pipe()
 			defer far.Close()
 			dead := make(chan int, 1)
-			st := &execState{id: 0, conn: newRPCConn(near), alive: true, deadCh: make(chan struct{})}
+			st := &execState{id: 0, conn: newRPCConn(near)}
 			d := &Driver{
 				cfg:   DriverConfig{OnExecutorDead: func(exec int) { dead <- exec }},
 				execs: []*execState{st},
@@ -491,7 +501,7 @@ func TestMalformedHeartbeatKillsExecutor(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("the executor was not declared dead")
 			}
-			if err := st.deadErr; err == nil || !strings.Contains(err.Error(), "malformed heartbeat") {
+			if err := st.end; err == nil || !strings.Contains(err.Error(), "malformed heartbeat") {
 				t.Errorf("cause of death = %v, want the malformed heartbeat", err)
 			}
 		})

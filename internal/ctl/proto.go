@@ -77,13 +77,15 @@ const (
 	// local shuffle release (the next read re-materializes from lineage);
 	// followers already on a newer epoch ignore it.
 	msgReleaseDataset byte = 15
-	// msgHeartbeat (exec→driver): counter snapshot, drained events.
-	// Liveness + counters.
+	// msgHeartbeat (exec→driver): answered reqID, counter snapshot,
+	// drained events. Liveness + counters; the only frame that carries a
+	// snapshot.
 	msgHeartbeat byte = 16
-	// msgMetricsRequest (driver→exec): reqID.
+	// msgMetricsRequest (driver→exec): reqID. Asks for a heartbeat now; the
+	// first one whose snapshot was taken after reading reqID answers it.
 	msgMetricsRequest byte = 17
-	// msgMetricsReply (exec→driver): reqID, counter snapshot.
-	msgMetricsReply byte = 18
+	// 18 was the metrics reply; retired when a metrics sync became a
+	// heartbeat on demand (one sender keeps snapshots in the order taken).
 	// msgShutdown (driver→exec): none. The executor exits.
 	msgShutdown byte = 19
 )
@@ -166,8 +168,7 @@ func decodeTaskResult(d *dec) (taskID uint64, res TaskResult) {
 	return taskID, res
 }
 
-// A counter snapshot — the body of a metrics reply and the head of a
-// heartbeat — is an obs.CounterValues on the wire: a uvarint count, then
+// A counter snapshot — the body of a heartbeat — is an obs.CounterValues on the wire: a uvarint count, then
 // that many varints, position = obs.Counter value. A sender built before a
 // counter existed ships a shorter vector and the rest reads zero; one built
 // after ships a longer one and the surplus is skipped.
@@ -256,15 +257,26 @@ func decodeEvents(d *dec) []obs.Event {
 	return evs
 }
 
-// decodeHeartbeat decodes a msgHeartbeat payload: the executor's counter
-// snapshot, then the events it drained. ok=false means the frame is
-// malformed — the peer is not speaking the protocol, and the driver
-// declares it dead rather than guess at what it meant.
-func decodeHeartbeat(payload []byte) (snap obs.CounterValues, evs []obs.Event, ok bool) {
+// appendHeartbeat / decodeHeartbeat keep the msgHeartbeat layout in one
+// place: the highest metrics request the executor had read when it took
+// the snapshot, the counter snapshot, then the events it drained.
+// ok=false means the frame is malformed — the peer is not speaking the
+// protocol, and the driver declares it dead rather than guess at what it
+// meant.
+func appendHeartbeat(answered uint64, snap obs.CounterValues, evs []obs.Event) []byte {
+	payload := appendSnapshot(serial.AppendUvarint(nil, answered), snap)
+	if len(evs) > 0 {
+		payload = appendEvents(payload, evs)
+	}
+	return payload
+}
+
+func decodeHeartbeat(payload []byte) (answered uint64, snap obs.CounterValues, evs []obs.Event, ok bool) {
 	d := &dec{b: payload}
+	answered = d.uint()
 	snap = decodeSnapshot(d)
 	evs = decodeEvents(d)
-	return snap, evs, d.ok()
+	return answered, snap, evs, d.ok()
 }
 
 // enc builds a message payload field by field.

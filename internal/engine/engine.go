@@ -638,11 +638,11 @@ func (c *Context) Counters() (sum obs.CounterValues) {
 	return sum
 }
 
-// noteOccupancy samples a shuffle buffer's page occupancy (used bytes vs
-// footprint) into the event spine, where obs.View keeps the per-shuffle
-// series. Buffers that do not expose PageOccupancy (object containers)
-// contribute nothing.
-func (c *Context) noteOccupancy(sh transport.ShuffleID, buf any) {
+// noteOccupancy samples the page occupancy (used bytes vs footprint) of a
+// shuffle buffer executor exec holds into the event spine, where obs.View
+// keeps the per-shuffle series. Buffers that do not expose PageOccupancy
+// (object containers) contribute nothing.
+func (c *Context) noteOccupancy(exec int, sh transport.ShuffleID, buf any) {
 	po, ok := buf.(interface{ PageOccupancy() (int64, int64) })
 	if !ok {
 		return
@@ -652,7 +652,7 @@ func (c *Context) noteOccupancy(sh transport.ShuffleID, buf any) {
 		return
 	}
 	c.rec.Record(obs.Event{
-		Kind: obs.KindOccupancy, Exec: c.obsExec(),
+		Kind: obs.KindOccupancy, Exec: int32(exec),
 		Shuffle: int64(sh), A: used, B: footprint,
 	})
 }

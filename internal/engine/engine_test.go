@@ -317,6 +317,47 @@ func TestShuffleSpilling(t *testing.T) {
 	}
 }
 
+// TestOccupancyNamesTheBuffersExecutor: an occupancy sample names the
+// executor that holds the sampled buffer. A 2-executor in-process word
+// count that spills samples buffers on both executors, and no sample
+// carries the driver's -1.
+func TestOccupancyNamesTheBuffersExecutor(t *testing.T) {
+	ctx := New(Config{
+		NumExecutors:          2,
+		Parallelism:           2,
+		Mode:                  ModeDeca,
+		PageSize:              1024,
+		SpillDir:              t.TempDir(),
+		ShuffleSpillThreshold: 512, // tiny: force spills
+	})
+	defer ctx.Close()
+	var words []decompose.Pair[string, int64]
+	for i := range 2000 {
+		words = append(words, KV(fmt.Sprintf("w%d", i%301), int64(1)))
+	}
+	counts, err := CollectMap(ReduceByKey(Parallelize(ctx, words, 4), stringOps(2),
+		func(a, b int64) int64 { return a + b }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != 301 || counts["w0"] != 7 {
+		t.Fatalf("%d words, w0 counted %d times; want 301 and 7", len(counts), counts["w0"])
+	}
+	if ctx.Counters()[obs.ShuffleSpillBytes] == 0 {
+		t.Fatal("nothing spilled; the test proves nothing")
+	}
+	ctx.drainLocalEvents()
+	seen := map[int32]int{}
+	for _, pts := range ctx.view.Occupancy() {
+		for _, p := range pts {
+			seen[p.Exec]++
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 || len(seen) != 2 {
+		t.Errorf("occupancy samples per executor = %v, want executors 0 and 1 only", seen)
+	}
+}
+
 func TestCacheEvictionUnderPressure(t *testing.T) {
 	// A budget that holds only some partitions forces swaps; results must
 	// stay correct.

@@ -153,7 +153,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 			// the used/footprint ratio right before pages flush to disk is
 			// the signal adaptive page sizing needs (a chronically low ratio
 			// means the page size is wrong for this dataset's record shape).
-			ctx.noteOccupancy(shufID, bufs[r])
+			ctx.noteOccupancy(ex.id, shufID, bufs[r])
 			if err := bufs[r].Spill(); err != nil {
 				iterErr = err
 				return false
@@ -170,7 +170,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	}
 	for r, b := range bufs {
 		b.Seal() // nothing probes a map output again: its index goes back now, not at stage commit
-		ctx.noteOccupancy(shufID, b)
+		ctx.noteOccupancy(ex.id, shufID, b)
 		id, pl := transport.MapOutputID{Shuffle: shufID, MapTask: m, Reduce: r}, payloadFor[K, V](b, ex)
 		if ctx.testRegister != nil {
 			ctx.testRegister(id, pl)

@@ -271,11 +271,12 @@ func TestMultiprocReduceKillLineageRepair(t *testing.T) {
 	}
 }
 
-// TestSyncClusterMetricsIdempotent: a metrics reply replaces the driver's
-// copy of the executor's vector, so pulling the cluster's counters twice —
-// duplicate delivery, or an ops scrape racing the end-of-run sync — leaves
-// the cluster figures unchanged rather than doubled. The job runs against a
-// hand-held context so the cluster is still up for the second sync.
+// TestSyncClusterMetricsIdempotent: the heartbeat answering a sync
+// replaces the driver's copy of the executor's vector, so pulling the
+// cluster's counters twice — duplicate delivery, or an ops scrape racing
+// the end-of-run sync — leaves the cluster figures unchanged rather than
+// doubled. The job runs against a hand-held context so the cluster is
+// still up for the second sync.
 func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns executor processes")
