@@ -102,9 +102,9 @@ func Fig9aLRLifetime(o Options) (*Report, error) {
 
 // decaPeakShare is the shape Figures 8(a) and 9(a) assert: Deca's peak
 // heap-object count is at most 1/decaPeakShare of Spark's in the same run.
-// On a 2-core VM fig8a's Spark/Deca measured 4.8-11.7x at -scale 0.02/0.05
-// (Deca's peak mostly unswept input lines) and up to 78x at -scale 1; fig9a,
-// whose points reuse one vector per walk, 85-122x and 1,158-1,236x.
+// On a 2-core VM fig8a, whose lines reuse one buffer per walk, measured
+// 96-224x at -scale 0.02/0.05 and 7,051-7,164x at -scale 1 (Deca ≈ 700-870
+// objects); fig9a, whose points reuse one vector per walk, 85-122x and 1,158-1,236x.
 const decaPeakShare = 4
 
 // lifetime runs a workload in Spark and then in Deca mode, sampling the

@@ -21,13 +21,16 @@ import (
 // that stores them elsewhere (a cache block, a shuffle buffer) never holds
 // the partition twice, and X collects the same stream into a slice.
 //
-// A streamed record lives for one emit. PointsSeq and VectorsSeq allocate
-// one vector per walk and overwrite it for every record, so the vector a
-// record carries is valid until the next yield, like bufio.Scanner.Bytes:
-// a consumer that encodes the record before asking for the next one (a
-// serialized or Deca cache block) costs the heap nothing per record, and
-// one that keeps it (an object cache) clones the vector. Points and Vectors
-// return records that own their vectors.
+// A streamed record lives for one emit. WordsSeq, PointsSeq and VectorsSeq
+// allocate one buffer per walk (a line, a vector) and overwrite it for every
+// record, so the bytes or vector a record carries are valid until the next
+// yield, like bufio.Scanner.Bytes: a consumer that encodes the record before
+// asking for the next one (a Deca shuffle buffer, a serialized or Deca cache
+// block) costs the heap nothing per record, and one that keeps it (an object
+// hash map, an object cache) copies it. Words, Points and Vectors return
+// records that own their memory. Under the decapoison build tag each stream
+// spoils its buffer after every yield (poison.go), so a consumer that kept a
+// record reads garbage instead of a plausible neighbour.
 
 // collect gathers a stream of n records.
 func collect[T any](n int, seq iter.Seq[T]) []T {
@@ -36,11 +39,12 @@ func collect[T any](n int, seq iter.Seq[T]) []T {
 
 // WordsSeq streams space-separated word lines. distinctKeys controls the
 // vocabulary size — the paper varies 10M vs 100M keys to grow the shuffle
-// hash table; wordsPerLine and numLines control volume.
-func WordsSeq(seed int64, distinctKeys, wordsPerLine, numLines int) iter.Seq[string] {
-	return func(yield func(string) bool) {
+// hash table; wordsPerLine and numLines control volume. Every line is the
+// walk's one buffer, valid until the next yield.
+func WordsSeq(seed int64, distinctKeys, wordsPerLine, numLines int) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
 		r := rand.New(rand.NewSource(seed))
-		var buf []byte
+		buf := make([]byte, 0, 9*wordsPerLine) // a key below 16⁷ is 8 bytes, plus its separator
 		for i := 0; i < numLines; i++ {
 			buf = buf[:0]
 			for w := 0; w < wordsPerLine; w++ {
@@ -49,16 +53,21 @@ func WordsSeq(seed int64, distinctKeys, wordsPerLine, numLines int) iter.Seq[str
 				}
 				buf = appendWord(buf, r.Intn(distinctKeys))
 			}
-			if !yield(string(buf)) {
+			if !yield(buf) {
 				return
 			}
+			spoilLine(buf)
 		}
 	}
 }
 
-// Words is WordsSeq as a slice.
+// Words is WordsSeq as a slice of lines that own their bytes.
 func Words(seed int64, distinctKeys, wordsPerLine, numLines int) []string {
-	return collect(numLines, WordsSeq(seed, distinctKeys, wordsPerLine, numLines))
+	lines := make([]string, 0, numLines)
+	for line := range WordsSeq(seed, distinctKeys, wordsPerLine, numLines) {
+		lines = append(lines, string(line))
+	}
+	return lines
 }
 
 // appendWord renders key i (non-negative) as a pronounceable-ish
@@ -99,6 +108,7 @@ func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
 			if !yield(LabeledPoint{Label: label, Features: f}) {
 				return
 			}
+			spoilVector(f)
 		}
 	}
 }
@@ -134,6 +144,7 @@ func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
 			if !yield(v) {
 				return
 			}
+			spoilVector(v)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"iter"
 	"reflect"
@@ -191,9 +193,9 @@ func TestAppendWordMatchesFmt(t *testing.T) {
 // second walk (the RNG is seeded per walk, not per Seq), and stops when
 // told to. The last record of each is pinned to what the slice-building
 // generators produced before the streaming forms existed: one RNG call
-// out of order anywhere in the partition would move it. A streamed point
-// or vector is valid only until the next yield, so the walk clones each
-// one it keeps.
+// out of order anywhere in the partition would move it. A streamed line,
+// point or vector is valid only until the next yield, so the walk clones
+// each one it keeps.
 func TestStreamsMatchSlices(t *testing.T) {
 	pinned := map[int64]struct {
 		word   string
@@ -218,7 +220,7 @@ func TestStreamsMatchSlices(t *testing.T) {
 	ownPoint := func(p LabeledPoint) LabeledPoint { return LabeledPoint{p.Label, slices.Clone(p.Features)} }
 	ownVector := slices.Clone[[]float64]
 	for seed, want := range pinned {
-		checkStream(t, "Words", WordsSeq(seed, 1000, 3, n), asIs[string], Words(seed, 1000, 3, n), want.word)
+		checkStream(t, "Words", WordsSeq(seed, 1000, 3, n), slices.Clone[[]byte], lineBytes(Words(seed, 1000, 3, n)), []byte(want.word))
 		checkStream(t, "Points", PointsSeq(seed, n, 3), ownPoint, Points(seed, n, 3), want.point)
 		checkStream(t, "Vectors", VectorsSeq(seed, n, 3, 4), ownVector, Vectors(seed, n, 3, 4), want.vector)
 		checkStream(t, "Graph", GraphSeq(seed, 1000, n, 0.6), asIs[Edge], Graph(seed, 1000, n, 0.6), want.edge)
@@ -254,12 +256,54 @@ func checkStream[T any](t *testing.T, name string, stream iter.Seq[T], own func(
 
 func asIs[T any](v T) T { return v }
 
-// TestVectorStreamsAllocatePerWalk: a walk of PointsSeq or VectorsSeq
-// allocates its RNG and one vector (VectorsSeq its centers too), however
-// many records it yields — the vector is overwritten for every record.
+func lineBytes(lines []string) [][]byte {
+	out := make([][]byte, len(lines))
+	for i, l := range lines {
+		out[i] = []byte(l)
+	}
+	return out
+}
+
+// TestWordsLinesUnchanged: Words returns, byte for byte, the lines it
+// returned when WordsSeq yielded a fresh string per line. The WordCount
+// goldens, the baselines' checksums and bench/e2e's closed form are sums
+// over these lines; the digests were taken before the stream reused its
+// buffer. The second case's keys pass 16⁷, so some of its words are nine
+// bytes and its lines differ in length.
+func TestWordsLinesUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		seed                              int64
+		distinctKeys, wordsPerLine, lines int
+		sha256                            string
+	}{
+		{7, 200, 8, 400, "c1cfd1a8285e79be04d8fa1e93085fc340b7eadea3c67003e3a1d2a8c880bbb4"},
+		{1, 1 << 30, 10, 3000, "919e6a29ad92fd1ecd1166c81dcc1ed6696513df4c04da3c5553af964c693e47"},
+		{3, 640_000, 10, 2000, "73dc2284c2d129ce981d002a76717a4bf1806e0a19e56302e6d33a5a774b9a46"},
+	} {
+		h := sha256.New()
+		for _, l := range Words(c.seed, c.distinctKeys, c.wordsPerLine, c.lines) {
+			h.Write([]byte(l + "\n"))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+			t.Errorf("Words(%d, %d, %d, %d) digest %s, want %s", c.seed, c.distinctKeys, c.wordsPerLine, c.lines, got, c.sha256)
+		}
+	}
+}
+
+// TestVectorStreamsAllocatePerWalk: a walk of WordsSeq, PointsSeq or
+// VectorsSeq allocates its RNG and one buffer (VectorsSeq its centers too),
+// however many records it yields — the line or vector is overwritten for
+// every record.
 func TestVectorStreamsAllocatePerWalk(t *testing.T) {
 	const n, d, k = 10_000, 10, 8
 	walks := map[string]func(n int) func(){
+		"WordsSeq": func(n int) func() {
+			return func() {
+				for line := range WordsSeq(1, 640_000, d, n) {
+					sinkBytes = line
+				}
+			}
+		},
 		"PointsSeq": func(n int) func() {
 			return func() {
 				for p := range PointsSeq(1, n, d) {
@@ -284,7 +328,10 @@ func TestVectorStreamsAllocatePerWalk(t *testing.T) {
 	}
 }
 
-var sinkF64 []float64
+var (
+	sinkF64   []float64
+	sinkBytes []byte
+)
 
 // TestSliceFormsOwnTheirVectors: Points and Vectors hand out vectors that
 // share no memory, so overwriting one record leaves every other intact.

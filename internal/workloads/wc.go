@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"strings"
+	"unsafe"
 
 	"deca/internal/datagen"
 	"deca/internal/decompose"
@@ -36,7 +37,11 @@ func wcBody(cfg Config, params WCParams) func(ctx *engine.Context) (float64, err
 		linesPerPart := max(params.Lines/cfg.Partitions, 1)
 		lines := engine.Generate(ctx, cfg.Partitions, func(p int, emit func(string)) {
 			for line := range datagen.WordsSeq(cfg.Seed+int64(p), params.DistinctKeys, params.WordsPerLine, linesPerPart) {
-				emit(line)
+				if cfg.Mode == engine.ModeDeca { // lent for one emit: every Deca Put copies its key into container memory
+					emit(unsafe.String(unsafe.SliceData(line), len(line)))
+				} else { // an object hash map keeps its keys: a string per line, as Spark's text reader allocates
+					emit(string(line))
+				}
 			}
 		})
 		pairs := engine.FlatMap(lines, func(line string, emit func(decompose.Pair[string, int64])) {
