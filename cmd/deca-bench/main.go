@@ -39,7 +39,7 @@ func run() int {
 	var (
 		expFlag  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		execBin  = flag.String("executor-bin", "", "deca-executor binary for -deploy multiproc (default: next to deca-bench, then $PATH)")
-		jsonDir  = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, bytes, checksums) into this directory ('.' = cwd)")
+		jsonDir  = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, GC, checksum and counters per run) into this directory ('.' = cwd)")
 		listOnly = flag.Bool("list", false, "list experiment ids and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile (every allocation since start, not just the live heap) to this file at exit")

@@ -36,7 +36,7 @@ func main() {
 		}
 		fmt.Printf("%-9s exec=%-10s gcCPU=%6.3fs gcCycles=%-4d allocObjects=%-10d cache=%5.1fMB |w|=%.6f\n",
 			mode, res.Wall.Round(1e6), res.GC.GCCPUSeconds, res.GC.NumGC,
-			res.GC.AllocObjects, float64(res.CacheBytes)/(1<<20), res.Checksum)
+			res.GC.AllocObjects, float64(res.Counters.CacheBytes())/(1<<20), res.Checksum)
 	}
 	fmt.Println("\nAll three |w| values agree: the layout change is transparent (§2.3).")
 }

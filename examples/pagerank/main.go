@@ -42,6 +42,6 @@ func main() {
 		}
 		fmt.Printf("%-7s exec=%-10s gcCPU=%6.3fs cache=%6.2fMB Σrank=%.2f\n",
 			mode, res.Wall.Round(1e6), res.GC.GCCPUSeconds,
-			float64(res.CacheBytes)/(1<<20), res.Checksum)
+			float64(res.Counters.CacheBytes())/(1<<20), res.Checksum)
 	}
 }

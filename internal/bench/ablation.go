@@ -42,7 +42,7 @@ func AblationPageSize(o Options) (*Report, error) {
 		}
 		rep.record("page-"+mb(int64(ps)), res)
 		rep.add("page=%-8s exec=%-9s gc=%6.3fs cache-footprint=%s",
-			mb(int64(ps)), fmtDur(res.Wall), res.GC.GCCPUSeconds, mb(res.CacheBytes))
+			mb(int64(ps)), fmtDur(res.Wall), res.GC.GCCPUSeconds, mb(res.Counters.CacheBytes()))
 	}
 	return rep, nil
 }

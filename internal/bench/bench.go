@@ -16,6 +16,7 @@ import (
 	"deca/internal/chaos"
 	"deca/internal/engine"
 	"deca/internal/gcstats"
+	"deca/internal/obs"
 	"deca/internal/workloads"
 )
 
@@ -77,22 +78,24 @@ type Report struct {
 	Metrics []Metric `json:"metrics"`
 }
 
-// Metric is one measured run in machine-readable form. Bytes is the
-// run's total data motion (cache footprint + swap + shuffle spill +
-// remote shuffle); Checksum is the workload's answer digest, so two
-// bench runs can be diffed for result drift, not just speed. PeakRSSMB is
-// the process's resident high-water mark (VmHWM; 0 where the kernel does
-// not say) when the row was recorded: a mark of the whole deca-bench
-// process so far, not of the one run, so it only rises down a report —
-// compare it row for row between two reports of the same experiment.
+// Metric is one measured run in machine-readable form. Checksum is the
+// answer digest, so two bench runs can be diffed for result drift, not
+// just speed. Counters is a workload run's counter vector (its nonzero
+// rows by name); a hand-built row has none, and Bytes is the byte figure
+// some measure instead (wire's frame sizes, table6's cached sizes).
+// PeakRSSMB is the process's resident high-water mark (VmHWM; 0 where the
+// kernel does not say) when the row was recorded: a mark of the whole
+// deca-bench process so far, not of the one run, so it only rises down a
+// report — compare it row for row between two reports of an experiment.
 type Metric struct {
-	Name      string  `json:"name"`
-	Mode      string  `json:"mode,omitempty"`
-	WallMS    float64 `json:"wall_ms"`
-	GCSec     float64 `json:"gc_sec"`
-	Bytes     int64   `json:"bytes"`
-	Checksum  float64 `json:"checksum"`
-	PeakRSSMB float64 `json:"peak_rss_mb"`
+	Name      string            `json:"name"`
+	Mode      string            `json:"mode,omitempty"`
+	WallMS    float64           `json:"wall_ms"`
+	GCSec     float64           `json:"gc_sec"`
+	Bytes     int64             `json:"bytes,omitempty"`
+	Checksum  float64           `json:"checksum"`
+	PeakRSSMB float64           `json:"peak_rss_mb"`
+	Counters  obs.CounterValues `json:"counters,omitzero"`
 }
 
 func (r *Report) add(format string, args ...any) {
@@ -107,7 +110,7 @@ func (r *Report) record(name string, res workloads.Result) {
 		Mode:     res.Mode.String(),
 		WallMS:   float64(res.Wall) / float64(time.Millisecond),
 		GCSec:    res.GC.GCCPUSeconds,
-		Bytes:    res.CacheBytes + res.SwapBytes + res.ShuffleSpillBytes + res.RemoteShuffleBytes,
+		Counters: res.Counters,
 		Checksum: res.Checksum,
 	})
 }

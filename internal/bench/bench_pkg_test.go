@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"deca/internal/engine"
 	"deca/internal/gcstats"
 	"deca/internal/workloads"
 )
@@ -51,7 +52,10 @@ func TestEveryExperimentHasABaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep Report
+		var rep struct { // a Report, its rows left undecoded
+			ID      string
+			Metrics []json.RawMessage
+		}
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -68,6 +72,48 @@ func TestEveryExperimentHasABaseline(t *testing.T) {
 	}
 	for id := range baselines {
 		t.Errorf("bench/baseline/BENCH_%s.json belongs to no experiment", id)
+	}
+}
+
+// A workload row of a -json report carries the run's counter vector by
+// row name, the page-manager and serve-frame rows included, while a
+// hand-built row carries none.
+func TestJSONRowsCarryTheRunsCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs an experiment")
+	}
+	exp, _ := Find("fig8b")
+	rep, err := exp.Run(Options{Scale: 0.01, Base: workloads.Config{
+		SpillDir: t.TempDir(), Parallelism: 2, NumExecutors: 2, TransportKind: engine.TransportTCP,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.metric(Metric{Name: "hand-built", Bytes: 1})
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics []struct {
+			Name, Mode string
+			Counters   map[string]int64
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	row := doc.Metrics[1] // the first size's Deca run
+	if row.Mode != engine.ModeDeca.String() {
+		t.Fatalf("row %s is a %s run, want Deca", row.Name, row.Mode)
+	}
+	for _, name := range []string{"shuffle_records", "pages_allocated", "serve_frame_bytes"} {
+		if row.Counters[name] <= 0 {
+			t.Errorf("%s: counters[%q] = %d, want > 0 (counters %v)", row.Name, name, row.Counters[name], row.Counters)
+		}
+	}
+	if last := doc.Metrics[len(doc.Metrics)-1]; last.Counters != nil {
+		t.Errorf("a hand-built row carries counters %v", last.Counters)
 	}
 }
 

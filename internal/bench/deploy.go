@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"deca/internal/engine"
+	"deca/internal/obs"
 	"deca/internal/workloads"
 )
 
@@ -84,7 +85,7 @@ func DeployComparison(o Options) (*Report, error) {
 			rep.record(fmt.Sprintf("%s-%s", a.name, r.name), res)
 			rep.add("%-3s %-10s exec=%-9s remote-fetches=%-5d remote=%-9s checksum=%.6g",
 				a.name, r.name, fmtDur(res.Wall),
-				res.RemoteShuffleFetches, mb(res.RemoteShuffleBytes), res.Checksum)
+				res.Counters[obs.RemoteShuffleFetches], mb(res.Counters[obs.RemoteShuffleBytes]), res.Checksum)
 		}
 	}
 	return rep, nil

@@ -6,6 +6,7 @@ import (
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
+	"deca/internal/obs"
 	"deca/internal/workloads"
 )
 
@@ -48,8 +49,9 @@ func FaultTolerance(o Options) (*Report, error) {
 	// One base config per transport; each run clones it and sets only its
 	// fault profile. MaxTaskRetries is pinned so the 10% rows survive a
 	// streak (the flag-driven default stays available via -max-retries on
-	// the other experiments).
-	baseCfg := func(kind engine.TransportKind) workloads.Config {
+	// the other experiments). A kill row's last executor dies after two of
+	// its attempts started, and two failures blacklist it.
+	baseCfg := func(kind engine.TransportKind, kill bool) workloads.Config {
 		cfg := o.baseCfg(engine.ModeDeca)
 		cfg.NumExecutors = execs
 		cfg.Partitions = o.Base.Parallelism * execs
@@ -57,6 +59,11 @@ func FaultTolerance(o Options) (*Report, error) {
 		cfg.Deploy = engine.DeployInProcess // the classic rows sweep transports themselves
 		cfg.Chaos = nil
 		cfg.MaxTaskRetries = 4
+		if kill {
+			inj := chaos.New(o.chaosSeed())
+			inj.KillExecutor, inj.KillAfter = execs-1, 2
+			cfg.Chaos, cfg.MaxExecutorFailures = inj, 2
+		}
 		return cfg
 	}
 
@@ -64,7 +71,7 @@ func FaultTolerance(o Options) (*Report, error) {
 		for _, a := range apps {
 			var baseline float64
 			for _, rate := range rates {
-				cfg := baseCfg(kind)
+				cfg := baseCfg(kind, false)
 				if rate > 0 {
 					inj := chaos.New(o.chaosSeed())
 					inj.TaskFailureRate = rate
@@ -83,18 +90,12 @@ func FaultTolerance(o Options) (*Report, error) {
 				rep.record(fmt.Sprintf("%s-%v-fail%.0f%%", a.name, kind, 100*rate), res)
 				rep.add("%-3s %-9s fail=%4.0f%% exec=%-9s retries=%-4d failed=%-4d checksum=%.6g",
 					a.name, kind, 100*rate, fmtDur(res.Wall),
-					res.TaskRetries, res.TasksFailed, res.Checksum)
+					res.Counters[obs.TaskRetries], res.Counters[obs.TasksFailed], res.Checksum)
 			}
 
 			// One executor kill mid-job: a quarter of the cluster dies, is
 			// blacklisted, and its partitions recompute elsewhere.
-			inj := chaos.New(o.chaosSeed())
-			inj.KillExecutor = execs - 1
-			inj.KillAfter = 2
-			cfg := baseCfg(kind)
-			cfg.Chaos = inj
-			cfg.MaxExecutorFailures = 2
-			res, err := a.run(cfg)
+			res, err := a.run(baseCfg(kind, true))
 			if err != nil {
 				return nil, fmt.Errorf("%s[%v] kill: %w", a.name, kind, err)
 			}
@@ -104,7 +105,7 @@ func FaultTolerance(o Options) (*Report, error) {
 			}
 			rep.record(fmt.Sprintf("%s-%v-kill", a.name, kind), res)
 			rep.add("%-3s %-9s kill x1    exec=%-9s retries=%-4d blacklisted=%d checksum=%.6g",
-				a.name, kind, fmtDur(res.Wall), res.TaskRetries, res.ExecutorsBlacklisted, res.Checksum)
+				a.name, kind, fmtDur(res.Wall), res.Counters[obs.TaskRetries], res.Counters[obs.ExecutorsBlacklisted], res.Checksum)
 		}
 	}
 
@@ -114,43 +115,31 @@ func FaultTolerance(o Options) (*Report, error) {
 	// rows above, answers still identical.
 	if len(o.Base.ExecutorCmd) > 0 {
 		baseline := 0.0
-		for _, row := range []string{"none", "fetch", "kill"} {
-			cfg := baseCfg(engine.TransportInProcess)
+		for _, row := range []struct{ name, label string }{
+			{"none", "fail=   0%"}, {"fetch", "fetch= 20%"}, {"kill", "SIGKILL x1"},
+		} {
+			cfg := baseCfg(engine.TransportInProcess, row.name == "kill")
 			cfg.Deploy = engine.DeployMultiproc
 			cfg.ExecutorCmd = o.Base.ExecutorCmd
-			switch row {
-			case "fetch":
+			if row.name == "fetch" {
 				// The rate rides in the plan: each executor process builds
 				// its own injector and fails fetches inside the data plane.
 				cfg.FetchFailureRate = 0.2
-			case "kill":
-				inj := chaos.New(o.chaosSeed())
-				inj.KillExecutor = execs - 1
-				inj.KillAfter = 2
-				cfg.Chaos = inj
-				cfg.MaxExecutorFailures = 2
 			}
 			res, err := apps[0].run(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("WC[multiproc] %s: %w", row, err)
+				return nil, fmt.Errorf("WC[multiproc] %s: %w", row.name, err)
 			}
-			if row == "none" {
+			if row.name == "none" {
 				baseline = res.Checksum
 			} else if !checksumClose(res.Checksum, baseline) {
 				return nil, fmt.Errorf("WC[multiproc] %s: checksum %g != fault-free %g",
-					row, res.Checksum, baseline)
+					row.name, res.Checksum, baseline)
 			}
-			label := "fail=   0%"
-			switch row {
-			case "fetch":
-				label = "fetch= 20%"
-			case "kill":
-				label = "SIGKILL x1"
-			}
-			rep.record("WC-multiproc-"+row, res)
+			rep.record("WC-multiproc-"+row.name, res)
 			rep.add("%-3s %-9s %s exec=%-9s retries=%-4d blacklisted=%d checksum=%.6g",
-				"WC", "multiproc", label, fmtDur(res.Wall),
-				res.TaskRetries, res.ExecutorsBlacklisted, res.Checksum)
+				"WC", "multiproc", row.label, fmtDur(res.Wall),
+				res.Counters[obs.TaskRetries], res.Counters[obs.ExecutorsBlacklisted], res.Checksum)
 		}
 	} else {
 		rep.add("(multiproc rows skipped: no deca-executor binary — run deca-bench -deploy multiproc)")

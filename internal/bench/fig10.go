@@ -47,7 +47,7 @@ func Fig10aPageRank(o Options) (*Report, error) {
 			g.name, fmtDur(results[0].Wall), fmtDur(results[1].Wall), fmtDur(results[2].Wall),
 			speedup(results[0].Wall, results[2].Wall),
 			results[0].GC.GCCPUSeconds, results[2].GC.GCCPUSeconds,
-			mb(results[0].CacheBytes), mb(results[2].CacheBytes))
+			mb(results[0].Counters.CacheBytes()), mb(results[2].Counters.CacheBytes()))
 	}
 	return rep, nil
 }

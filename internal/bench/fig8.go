@@ -131,7 +131,7 @@ func lifetime(rep *Report, name string, run func(engine.Mode) (workloads.Result,
 		last := tl.samples[len(tl.samples)-1]
 		rep.add("%-9s exec=%-9s samples=%-4d peak-heap-objects=%-9d gc=%.3fs cycles=%-3d cache=%s",
 			mode, fmtDur(res.Wall), len(tl.samples), tl.peakObjects(),
-			last.GCCPUSeconds-tl.start.GCCPUSeconds, last.NumGC-tl.start.NumGC, mb(res.CacheBytes))
+			last.GCCPUSeconds-tl.start.GCCPUSeconds, last.NumGC-tl.start.NumGC, mb(res.Counters.CacheBytes()))
 		for _, row := range tl.series(6) {
 			rep.add("    %s", row)
 		}

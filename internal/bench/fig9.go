@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"deca/internal/engine"
+	"deca/internal/obs"
 	"deca/internal/workloads"
 )
 
@@ -58,8 +59,8 @@ func Fig9bLR(o Options) (*Report, error) {
 			n, fmtDur(results[0].Wall), fmtDur(results[1].Wall), fmtDur(results[2].Wall),
 			speedup(spark.Wall, deca.Wall))
 		rep.add("           cache: Spark=%-9s SparkSer=%-9s Deca=%-9s swap: Spark=%-7s Deca=%-7s cycles=%d/%d/%d",
-			mb(results[0].CacheBytes), mb(results[1].CacheBytes), mb(results[2].CacheBytes), mb(results[0].SwapBytes),
-			mb(results[2].SwapBytes), results[0].GC.NumGC, results[1].GC.NumGC, results[2].GC.NumGC)
+			mb(spark.Counters.CacheBytes()), mb(results[1].Counters.CacheBytes()), mb(deca.Counters.CacheBytes()),
+			mb(spark.Counters[obs.CacheSwapOutBytes]), mb(deca.Counters[obs.CacheSwapOutBytes]), spark.GC.NumGC, results[1].GC.NumGC, deca.GC.NumGC)
 	}
 	return rep, nil
 }
@@ -91,7 +92,7 @@ func Fig9cKMeans(o Options) (*Report, error) {
 		rep.add("n=%-8d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup=%-6s cache(S/D)=%s/%s",
 			n, fmtDur(results[0].Wall), fmtDur(results[1].Wall), fmtDur(results[2].Wall),
 			speedup(results[0].Wall, results[2].Wall),
-			mb(results[0].CacheBytes), mb(results[2].CacheBytes))
+			mb(results[0].Counters.CacheBytes()), mb(results[2].Counters.CacheBytes()))
 	}
 	return rep, nil
 }
@@ -133,7 +134,7 @@ func Fig9dHighDim(o Options) (*Report, error) {
 	rep.add("LR     n=%-6d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup=%-6s cache(S/D)=%s/%s",
 		nLR, fmtDur(lrResults[0].Wall), fmtDur(lrResults[1].Wall), fmtDur(lrResults[2].Wall),
 		speedup(lrResults[0].Wall, lrResults[2].Wall),
-		mb(lrResults[0].CacheBytes), mb(lrResults[2].CacheBytes))
+		mb(lrResults[0].Counters.CacheBytes()), mb(lrResults[2].Counters.CacheBytes()))
 
 	kmBudget := int64(nKM) * int64(8*dim) * 8 / 10
 	kmParams := workloads.KMeansParams{Points: nKM, Dim: dim, K: 4, Iterations: 2}
@@ -152,6 +153,6 @@ func Fig9dHighDim(o Options) (*Report, error) {
 	rep.add("KMeans n=%-6d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup=%-6s cache(S/D)=%s/%s",
 		nKM, fmtDur(kmResults[0].Wall), fmtDur(kmResults[1].Wall), fmtDur(kmResults[2].Wall),
 		speedup(kmResults[0].Wall, kmResults[2].Wall),
-		mb(kmResults[0].CacheBytes), mb(kmResults[2].CacheBytes))
+		mb(kmResults[0].Counters.CacheBytes()), mb(kmResults[2].Counters.CacheBytes()))
 	return rep, nil
 }

@@ -9,6 +9,7 @@ import (
 	"deca/internal/engine"
 	"deca/internal/gcstats"
 	"deca/internal/memory"
+	"deca/internal/obs"
 	"deca/internal/sqlmini"
 	"deca/internal/workloads"
 )
@@ -96,7 +97,7 @@ func Table4GCTuning(o Options) (*Report, error) {
 			return nil, err
 		}
 		rep.record(fmt.Sprintf("lr-frac%.1f", frac), res)
-		rep.add("  frac=%.1f  exec=%-9s gc=%6.3fs swap=%s", frac, fmtDur(res.Wall), res.GC.GCCPUSeconds, mb(res.SwapBytes))
+		rep.add("  frac=%.1f  exec=%-9s gc=%6.3fs swap=%s", frac, fmtDur(res.Wall), res.GC.GCCPUSeconds, mb(res.Counters[obs.CacheSwapOutBytes]))
 	}
 	rep.add("LR: collector aggressiveness sweep (GOGC as the PS/CMS/G1 analogue)")
 	for _, gogc := range []int{50, 100, 300} {

@@ -357,7 +357,7 @@ func TestWriteOnceEviction(t *testing.T) {
 // still resolve, and pass after pass over twice the budget evicts nothing
 // more and writes no more files. The accounting keeps its meaning: what is
 // in files is SwappedBytes, and MemBytes + SwappedBytes — what
-// workloads.Result.CacheBytes reports — is still the dataset.
+// a run record's Counters.CacheBytes() reports — is still the dataset.
 func TestSwappedDecaBlockScansItsFile(t *testing.T) {
 	const blocks, pageSize, perBlock = 6, 128, 40 // 40 values: two full pages and a half
 	mem := memory.NewManager(pageSize, 0)

@@ -93,35 +93,11 @@ type Injector struct {
 
 	mu         sync.Mutex
 	fetchTries map[transport.MapOutputID]int
-
-	stats Stats
-}
-
-// Stats counts the faults the injector actually fired.
-type Stats struct {
-	TaskFailures  int64
-	AfterFailures int64
-	Kills         int64
-	FetchFailures int64
-	MergeFailures int64
 }
 
 // New returns an injector with no faults configured (KillExecutor -1).
 func New(seed int64) *Injector {
 	return &Injector{Seed: seed, KillExecutor: -1}
-}
-
-// Stats snapshots the injected-fault counters.
-func (i *Injector) Stats() Stats {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.stats
-}
-
-func (i *Injector) count(f func(s *Stats)) {
-	i.mu.Lock()
-	f(&i.stats)
-	i.mu.Unlock()
 }
 
 // roll hashes the seed and fault coordinates into a uniform [0, 1).
@@ -149,7 +125,6 @@ func (i *Injector) roll(label string, a, b, c int64) float64 {
 func (i *Injector) BeforeAttempt(stage, part, attempt, exec int) error {
 	if i.KillExecutor >= 0 && exec == i.KillExecutor {
 		if i.killStarted.Add(1) > int64(i.KillAfter) {
-			i.count(func(s *Stats) { s.Kills++ })
 			if i.OnKill != nil && i.killFired.CompareAndSwap(false, true) {
 				i.OnKill(exec)
 			}
@@ -159,7 +134,6 @@ func (i *Injector) BeforeAttempt(stage, part, attempt, exec int) error {
 	}
 	if i.TaskFailureRate > 0 &&
 		i.roll("task", int64(stage), int64(part), int64(attempt)) < i.TaskFailureRate {
-		i.count(func(s *Stats) { s.TaskFailures++ })
 		return fmt.Errorf("%w: task failure (stage %d task %d attempt %d on executor %d)",
 			ErrInjected, stage, part, attempt, exec)
 	}
@@ -180,7 +154,6 @@ func (i *Injector) AfterAttempt(stage, part, attempt, exec int) error {
 	if !hit {
 		return nil
 	}
-	i.count(func(s *Stats) { s.AfterFailures++ })
 	return fmt.Errorf("%w: executor %d died after stage %d task %d attempt %d completed",
 		ErrInjected, exec, stage, part, attempt)
 }
@@ -193,7 +166,6 @@ func (i *Injector) MergeFault(stage, part, attempt, consumed int) error {
 	if i.MergeFailMatch == nil || !i.MergeFailMatch(stage, part, attempt, consumed) {
 		return nil
 	}
-	i.count(func(s *Stats) { s.MergeFailures++ })
 	return fmt.Errorf("%w: reduce attempt died mid-merge (stage %d task %d attempt %d, %d outputs consumed)",
 		ErrInjected, stage, part, attempt, consumed)
 }
@@ -209,7 +181,6 @@ func (i *Injector) MergeFault(stage, part, attempt, consumed int) error {
 func (i *Injector) FetchFault(id transport.MapOutputID) (lost bool, err error) {
 	n := i.fetchCount.Add(1)
 	if i.FailFetchN > 0 && n == i.FailFetchN {
-		i.count(func(s *Stats) { s.FetchFailures++ })
 		return false, fmt.Errorf("%w: fetch %d (%v) dropped", ErrInjected, n, id)
 	}
 	if i.FetchFailureRate > 0 {
@@ -221,7 +192,6 @@ func (i *Injector) FetchFault(id transport.MapOutputID) (lost bool, err error) {
 		i.fetchTries[id] = try + 1
 		i.mu.Unlock()
 		if i.roll("fetch", int64(id.Shuffle), int64(id.MapTask)<<20|int64(id.Reduce), int64(try)) < i.FetchFailureRate {
-			i.count(func(s *Stats) { s.FetchFailures++ })
 			return false, fmt.Errorf("%w: fetch of %v (try %d) dropped", ErrInjected, id, try+1)
 		}
 	}

@@ -80,6 +80,8 @@ func TestKillExecutorAfterN(t *testing.T) {
 	inj := New(1)
 	inj.KillExecutor = 2
 	inj.KillAfter = 3
+	var kills []int
+	inj.OnKill = func(exec int) { kills = append(kills, exec) }
 	for i := 0; i < 3; i++ {
 		if err := inj.BeforeAttempt(1, i, 1, 2); err != nil {
 			t.Fatalf("attempt %d on executor 2 should pre-date the kill: %v", i, err)
@@ -91,8 +93,11 @@ func TestKillExecutorAfterN(t *testing.T) {
 	if err := inj.BeforeAttempt(1, 9, 1, 1); err != nil {
 		t.Fatalf("other executors must be unaffected: %v", err)
 	}
-	if got := inj.Stats().Kills; got != 1 {
-		t.Errorf("kills = %d, want 1", got)
+	if err := inj.BeforeAttempt(1, 10, 1, 2); !errors.Is(err, ErrInjected) {
+		t.Fatalf("a second attempt on the dead executor survived: %v", err)
+	}
+	if len(kills) != 1 || kills[0] != 2 {
+		t.Errorf("OnKill fired for %v, want once for executor 2", kills)
 	}
 }
 
@@ -116,8 +121,12 @@ func TestFetchFaultFiresBeforeThePlane(t *testing.T) {
 		b, err := io.ReadAll(r)
 		return transport.Decoded{Data: string(b), MemBytes: size}, err
 	}
+	injected := 0
 	fetch := func() (transport.Payload, bool, error) {
 		if lost, err := inj.FetchFault(id); lost || err != nil {
+			if errors.Is(err, ErrInjected) {
+				injected++
+			}
 			return transport.Payload{}, false, err
 		}
 		return plane.Fetch(id, 0, open)
@@ -139,8 +148,8 @@ func TestFetchFaultFiresBeforeThePlane(t *testing.T) {
 	if _, ok, err := fetch(); ok || err != nil {
 		t.Errorf("fetch of a lost output = (ok=%v, err=%v), want a definitive miss", ok, err)
 	}
-	if got := inj.Stats().FetchFailures; got != 1 {
-		t.Errorf("fetch failures = %d, want 1", got)
+	if injected != 1 {
+		t.Errorf("fetch failures = %d, want 1", injected)
 	}
 }
 

@@ -1,12 +1,15 @@
 package obs
 
-import "sync/atomic"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
 // Counter names one of a run's counters. The set of counters is this one
 // enum and its table: every other place that handles them — the heartbeat
-// snapshot, the cluster sum, /metrics, workloads.Result — loops over the
-// table, so adding a counter is one constant, one table row and its
-// increment site.
+// snapshot, the cluster sum, /metrics, the run record (workloads.Result
+// and its -json row) — loops over the table, so adding a counter is one
+// constant, one table row and its increment site.
 //
 // The numeric value is the counter's position in the heartbeat snapshot
 // (internal/ctl): append new counters before NumCounters, never renumber
@@ -197,4 +200,27 @@ func (v *CounterValues) Add(o CounterValues) {
 	for k := range v {
 		v[k] += o[k]
 	}
+}
+
+// CacheBytes is the cached data's footprint (the paper's "cached data"
+// bars, Fig. 9): the bytes resident plus what the blocks now on disk only
+// held in memory.
+func (v CounterValues) CacheBytes() int64 { return v[CacheMemBytes] + v[CacheSwappedBytes] }
+
+// MarshalJSON writes the nonzero rows as one object keyed by their table
+// names, in table order — the "counters" of a deca-bench -json row.
+func (v CounterValues) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for k, n := range v {
+		if n == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, counterTable[k].Name)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, n, 10)
+	}
+	return append(b, '}'), nil
 }

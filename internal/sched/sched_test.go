@@ -229,13 +229,16 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 	}
 }
 
-// attemptLog passes BeforeAttempt on to the injector it wraps, after
-// recording the attempt number under its (stage, part), in the order the
-// attempts arrived.
+// attemptLog passes both hooks on to the injector it wraps. It records
+// each attempt number under its (stage, part), in the order the attempts
+// arrived, and counts the faults the injector returned: before an attempt
+// on each executor, and after one.
 type attemptLog struct {
 	FaultInjector
-	mu   sync.Mutex
-	seen map[[2]int][]int
+	mu     sync.Mutex
+	seen   map[[2]int][]int
+	before map[int]int // by executor
+	after  int
 }
 
 func (l *attemptLog) BeforeAttempt(stage, part, attempt, exec int) error {
@@ -243,7 +246,23 @@ func (l *attemptLog) BeforeAttempt(stage, part, attempt, exec int) error {
 	k := [2]int{stage, part}
 	l.seen[k] = append(l.seen[k], attempt)
 	l.mu.Unlock()
-	return l.FaultInjector.BeforeAttempt(stage, part, attempt, exec)
+	err := l.FaultInjector.BeforeAttempt(stage, part, attempt, exec)
+	if err != nil {
+		l.mu.Lock()
+		l.before[exec]++
+		l.mu.Unlock()
+	}
+	return err
+}
+
+func (l *attemptLog) AfterAttempt(stage, part, attempt, exec int) error {
+	err := l.FaultInjector.AfterAttempt(stage, part, attempt, exec)
+	if err != nil {
+		l.mu.Lock()
+		l.after++
+		l.mu.Unlock()
+	}
+	return err
 }
 
 // TestStageStress hammers retries and blacklisting together under -race:
@@ -258,7 +277,9 @@ func TestStageStress(t *testing.T) {
 	inj.TaskFailureRate = 0.05
 	inj.FailAfterMatch = func(_, part, attempt, _ int) bool { return part%8 == 1 && attempt == 1 }
 	inj.KillExecutor, inj.KillAfter = 3, 4
-	log := &attemptLog{FaultInjector: inj, seen: make(map[[2]int][]int)}
+	var killed atomic.Bool
+	inj.OnKill = func(int) { killed.Store(true) }
+	log := &attemptLog{FaultInjector: inj, seen: make(map[[2]int][]int), before: make(map[int]int)}
 	c := NewCluster(Config{
 		NumExecutors: 4, SlotsPerExecutor: 4,
 		MaxTaskRetries: 8, MaxExecutorFailures: 6,
@@ -280,9 +301,12 @@ func TestStageStress(t *testing.T) {
 			t.Fatalf("round %d failed: %v", round, err)
 		}
 	}
-	st := inj.Stats()
-	if st.TaskFailures == 0 || st.AfterFailures == 0 || st.Kills == 0 {
-		t.Errorf("injected %+v; every kind of fault must fire", st)
+	// Only executor 3 dies, so a fault before an attempt elsewhere is a
+	// task failure.
+	taskFaults := log.before[0] + log.before[1] + log.before[2]
+	if taskFaults == 0 || log.after == 0 || !killed.Load() {
+		t.Errorf("task failures %d, after-attempt failures %d, kill fired %v; every kind of fault must fire",
+			taskFaults, log.after, killed.Load())
 	}
 	if !c.Blacklisted(3) {
 		t.Error("the killed executor was never blacklisted")

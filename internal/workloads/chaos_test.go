@@ -3,10 +3,12 @@ package workloads
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
+	"deca/internal/obs"
 )
 
 // TestChaosWorkloadEquivalence is the fault-tolerance acceptance bar:
@@ -50,6 +52,8 @@ func TestChaosWorkloadEquivalence(t *testing.T) {
 				inj.TaskFailureRate = 0.05
 				inj.KillExecutor = 3
 				inj.KillAfter = 2
+				var killed atomic.Bool
+				inj.OnKill = func(int) { killed.Store(true) }
 				faulty := base
 				faulty.SpillDir = t.TempDir()
 				faulty.Chaos = inj
@@ -67,13 +71,13 @@ func TestChaosWorkloadEquivalence(t *testing.T) {
 				} else if !approxEqual(got.Checksum, ref.Checksum) {
 					t.Errorf("checksum %v != fault-free %v", got.Checksum, ref.Checksum)
 				}
-				if inj.Stats().TaskFailures == 0 && inj.Stats().Kills == 0 {
+				if got.Counters[obs.TasksFailed] == 0 {
 					t.Fatal("chaos injected nothing; the run proves nothing")
 				}
-				if got.TaskRetries == 0 {
+				if got.Counters[obs.TaskRetries] == 0 {
 					t.Error("recovery left no TaskRetries trace in the result")
 				}
-				if inj.Stats().Kills > 0 && got.ExecutorsBlacklisted == 0 {
+				if killed.Load() && got.Counters[obs.ExecutorsBlacklisted] == 0 {
 					t.Error("executor kill never led to a blacklist")
 				}
 				assertDirEmpty(t, faulty.SpillDir)

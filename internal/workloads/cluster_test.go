@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deca/internal/engine"
+	"deca/internal/obs"
 )
 
 // The acceptance bar of the multi-executor refactor: WC, LR and PageRank
@@ -49,18 +50,18 @@ func TestMultiExecutorWorkloadEquivalence(t *testing.T) {
 					if !approxEqual(got.Checksum, ref.Checksum) {
 						t.Errorf("%d-executor checksum %v != single-executor %v", execs, got.Checksum, ref.Checksum)
 					}
-					if j.shuffles && got.RemoteShuffleFetches == 0 {
+					if j.shuffles && got.Counters[obs.RemoteShuffleFetches] == 0 {
 						t.Errorf("expected cross-executor shuffle fetches on %d executors", execs)
 					}
-					if j.shuffles && mode == engine.ModeDeca && got.PagesServedZeroCopy == 0 {
+					if j.shuffles && mode == engine.ModeDeca && got.Counters[obs.PagesServedZeroCopy] == 0 {
 						t.Errorf("%d executors: Deca run served no pages in place (frames were staged)", execs)
 					}
-					if !j.shuffles && got.RemoteShuffleFetches != 0 {
-						t.Errorf("%d executors: shuffle-free workload reported %d remote fetches", execs, got.RemoteShuffleFetches)
+					if !j.shuffles && got.Counters[obs.RemoteShuffleFetches] != 0 {
+						t.Errorf("%d executors: shuffle-free workload reported %d remote fetches", execs, got.Counters[obs.RemoteShuffleFetches])
 					}
 				}
-				if ref.RemoteShuffleFetches != 0 {
-					t.Errorf("single-executor run reported %d remote fetches", ref.RemoteShuffleFetches)
+				if ref.Counters[obs.RemoteShuffleFetches] != 0 {
+					t.Errorf("single-executor run reported %d remote fetches", ref.Counters[obs.RemoteShuffleFetches])
 				}
 			})
 		}
@@ -129,22 +130,22 @@ func TestTCPTransportWorkloadEquivalence(t *testing.T) {
 				if !approxEqual(got.Checksum, ref.Checksum) {
 					t.Errorf("TCP checksum %v != in-process %v", got.Checksum, ref.Checksum)
 				}
-				if j.shuffles && got.RemoteShuffleBytes == 0 {
+				if j.shuffles && got.Counters[obs.RemoteShuffleBytes] == 0 {
 					t.Error("expected wire bytes on the TCP transport")
 				}
 				if j.shuffles && mode == engine.ModeDeca {
 					// Deca frames ship as segments: pages in place, only
 					// headers and key tables through user space.
-					if got.PagesServedZeroCopy == 0 {
+					if got.Counters[obs.PagesServedZeroCopy] == 0 {
 						t.Error("Deca run served no pages in place over TCP")
 					}
-					if got.ServeUserspaceCopyBytes >= got.RemoteShuffleBytes {
+					if got.Counters[obs.ServeUserspaceCopyBytes] >= got.Counters[obs.RemoteShuffleBytes] {
 						t.Errorf("Deca run staged %d bytes in user space for %d wire bytes — whole frames were staged",
-							got.ServeUserspaceCopyBytes, got.RemoteShuffleBytes)
+							got.Counters[obs.ServeUserspaceCopyBytes], got.Counters[obs.RemoteShuffleBytes])
 					}
 				}
-				if !j.shuffles && got.RemoteShuffleBytes != 0 {
-					t.Errorf("shuffle-free workload moved %d wire bytes", got.RemoteShuffleBytes)
+				if !j.shuffles && got.Counters[obs.RemoteShuffleBytes] != 0 {
+					t.Errorf("shuffle-free workload moved %d wire bytes", got.Counters[obs.RemoteShuffleBytes])
 				}
 			})
 		}
@@ -172,13 +173,13 @@ func TestTCPSpilledServeEquivalence(t *testing.T) {
 	if got.Checksum != ref.Checksum {
 		t.Errorf("checksum: spilled %v != unspilled %v", got.Checksum, ref.Checksum)
 	}
-	if got.ShuffleSpillBytes == 0 {
+	if got.Counters[obs.ShuffleSpillBytes] == 0 {
 		t.Fatal("threshold did not force shuffle spills; the sendfile path was not exercised")
 	}
-	if got.BytesSendfile == 0 {
+	if got.Counters[obs.BytesSendfile] == 0 {
 		t.Error("spilled run shipped no spill bytes via sendfile")
 	}
-	if ref.BytesSendfile != 0 {
-		t.Errorf("unspilled run shipped %d bytes via sendfile", ref.BytesSendfile)
+	if ref.Counters[obs.BytesSendfile] != 0 {
+		t.Errorf("unspilled run shipped %d bytes via sendfile", ref.Counters[obs.BytesSendfile])
 	}
 }

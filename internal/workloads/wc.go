@@ -67,8 +67,10 @@ func wcBody(cfg Config, params WCParams) func(ctx *engine.Context) (float64, err
 			},
 		}, func(a, b int64) int64 { return a + b })
 
-		// Checksum: Σ count·(1 + len(word) mod 7) detects both count and
-		// key corruption.
+		// Checksum: Σ count·(1 + len(word) mod 7) detects count corruption
+		// and key corruption that changes a word's length; a key garbled
+		// at the same length (every generated word is 8 bytes) passes.
+		// ROADMAP 17(a)'s key-bound fold is the checksum that sees keys.
 		sum, _, err := engine.Reduce(
 			engine.Map(counts, func(kv decompose.Pair[string, int64]) float64 {
 				return float64(kv.Value) * float64(1+len(strings.TrimSpace(kv.Key))%7)

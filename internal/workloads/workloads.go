@@ -8,8 +8,8 @@
 //	PageRank (PR)            multi-stage, static cache, grouped+aggregated
 //	ConnectedComponents (CC) like PR with min-label propagation
 //
-// Every workload returns a Result with the wall time, GC cost, memory
-// footprints and an output checksum, so tests can assert that all three
+// Every workload returns a Result with the wall time, GC cost, the run's
+// counter vector and an output checksum, so tests can assert that all three
 // modes compute identical answers and benches can print paper-style rows.
 package workloads
 
@@ -141,40 +141,24 @@ type Result struct {
 	Wall     time.Duration
 	GC       gcstats.Delta
 	Checksum float64
-	// CacheBytes is the cached data's footprint (the paper's "cached data"
-	// bars, Fig. 9): resident bytes plus what the blocks now on disk only
-	// held in memory.
-	CacheBytes int64
-	// SwapBytes / ShuffleSpillBytes are disk traffic from memory pressure.
-	SwapBytes         int64
-	ShuffleSpillBytes int64
-	// RemoteShuffleFetches / RemoteShuffleBytes are map outputs a reduce
-	// task fetched from a different executor, and their estimated volume —
-	// zero on single-executor runs.
-	RemoteShuffleFetches int64
-	RemoteShuffleBytes   int64
-	// Serve-path counters: pages the data plane served straight from
-	// their pinned groups (writev, never staged into a frame buffer),
-	// spill bytes shipped through the kernel's sendfile path, and frame
-	// bytes the serve path did copy through user memory.
-	PagesServedZeroCopy     int64
-	BytesSendfile           int64
-	ServeUserspaceCopyBytes int64
-	// Fault-tolerance counters: failed and retried task attempts (the
-	// recomputation volume), executors blacklisted during the run, and
-	// map tasks re-run by lineage repair after their outputs were
-	// definitively lost.
-	TasksFailed          int64
-	TaskRetries          int64
-	ExecutorsBlacklisted int64
-	LineageMapReruns     int64
+	// Counters is the run's counter vector, read once the job returned:
+	// the record every report reads its counts from.
+	Counters obs.CounterValues
+
+	// Ten of Counters' figures by name, copied in run for their one
+	// reader, bench/e2e's measure.go; the benchmark change that re-points
+	// it at Counters (ROADMAP 2b) deletes them.
+	CacheBytes, SwapBytes, ShuffleSpillBytes                    int64
+	RemoteShuffleFetches, RemoteShuffleBytes                    int64
+	PagesServedZeroCopy, BytesSendfile, ServeUserspaceCopyBytes int64
+	TasksFailed, TaskRetries                                    int64
 }
 
 func (r Result) String() string {
 	return fmt.Sprintf("%s[%s]: exec=%v gc=%.3fs (%.1f%%) cache=%.1fMB spill=%.1fMB checksum=%.6g",
 		r.Name, r.Mode, r.Wall.Round(time.Millisecond),
 		r.GC.GCCPUSeconds, 100*r.GC.GCRatio(),
-		float64(r.CacheBytes)/(1<<20), float64(r.SwapBytes+r.ShuffleSpillBytes)/(1<<20),
+		float64(r.Counters.CacheBytes())/(1<<20), float64(r.Counters[obs.CacheSwapOutBytes]+r.Counters[obs.ShuffleSpillBytes])/(1<<20),
 		r.Checksum)
 }
 
@@ -211,23 +195,11 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 	ctx.SyncClusterMetrics()
 	v := ctx.Counters()
 	return Result{
-		Name:                    name,
-		Mode:                    cfg.Mode,
-		Wall:                    wall,
-		GC:                      delta,
-		Checksum:                checksum,
-		CacheBytes:              v[obs.CacheMemBytes] + v[obs.CacheSwappedBytes],
-		SwapBytes:               v[obs.CacheSwapOutBytes],
-		ShuffleSpillBytes:       v[obs.ShuffleSpillBytes],
-		RemoteShuffleFetches:    v[obs.RemoteShuffleFetches],
-		RemoteShuffleBytes:      v[obs.RemoteShuffleBytes],
-		PagesServedZeroCopy:     v[obs.PagesServedZeroCopy],
-		BytesSendfile:           v[obs.BytesSendfile],
-		ServeUserspaceCopyBytes: v[obs.ServeUserspaceCopyBytes],
-		TasksFailed:             v[obs.TasksFailed],
-		TaskRetries:             v[obs.TaskRetries],
-		ExecutorsBlacklisted:    v[obs.ExecutorsBlacklisted],
-		LineageMapReruns:        v[obs.LineageMapReruns],
+		Name: name, Mode: cfg.Mode, Wall: wall, GC: delta, Checksum: checksum, Counters: v,
+		CacheBytes: v.CacheBytes(), SwapBytes: v[obs.CacheSwapOutBytes], ShuffleSpillBytes: v[obs.ShuffleSpillBytes],
+		RemoteShuffleFetches: v[obs.RemoteShuffleFetches], RemoteShuffleBytes: v[obs.RemoteShuffleBytes],
+		PagesServedZeroCopy: v[obs.PagesServedZeroCopy], BytesSendfile: v[obs.BytesSendfile],
+		ServeUserspaceCopyBytes: v[obs.ServeUserspaceCopyBytes], TasksFailed: v[obs.TasksFailed], TaskRetries: v[obs.TaskRetries],
 	}, nil
 }
 

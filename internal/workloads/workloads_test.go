@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deca/internal/engine"
+	"deca/internal/obs"
 )
 
 // The paper's correctness baseline: Deca "transparently" changes the
@@ -136,7 +137,7 @@ func TestWordCountUnderSpill(t *testing.T) {
 		if res.Checksum != ref.Checksum {
 			t.Errorf("%v spilled checksum %v != %v", m, res.Checksum, ref.Checksum)
 		}
-		if res.ShuffleSpillBytes == 0 {
+		if res.Counters[obs.ShuffleSpillBytes] == 0 {
 			t.Errorf("%v: expected shuffle spills", m)
 		}
 	}
@@ -161,16 +162,16 @@ func TestLRUnderCachePressure(t *testing.T) {
 	if !approxEqual(res.Checksum, ref.Checksum) {
 		t.Errorf("pressured checksum %v != %v", res.Checksum, ref.Checksum)
 	}
-	if res.SwapBytes == 0 {
+	if res.Counters[obs.CacheSwapOutBytes] == 0 {
 		t.Error("expected cache swaps under pressure")
 	}
 	// The footprint counts blocks wherever they are, and a block is written
 	// to swap once however many passes evict it.
-	if min := int64(params.Points * LabeledPointCodec{Dim: params.Dim}.FixedSize()); res.CacheBytes < min {
-		t.Errorf("CacheBytes = %d, below the %d bytes of records cached", res.CacheBytes, min)
+	if min := int64(params.Points * LabeledPointCodec{Dim: params.Dim}.FixedSize()); res.Counters.CacheBytes() < min {
+		t.Errorf("CacheBytes = %d, below the %d bytes of records cached", res.Counters.CacheBytes(), min)
 	}
-	if res.SwapBytes > res.CacheBytes {
-		t.Errorf("SwapBytes = %d exceeds the cached data's %d: blocks were rewritten", res.SwapBytes, res.CacheBytes)
+	if res.Counters[obs.CacheSwapOutBytes] > res.Counters.CacheBytes() {
+		t.Errorf("SwapBytes = %d exceeds the cached data's %d: blocks were rewritten", res.Counters[obs.CacheSwapOutBytes], res.Counters.CacheBytes())
 	}
 }
 
