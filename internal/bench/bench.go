@@ -16,7 +16,6 @@ import (
 	"deca/internal/chaos"
 	"deca/internal/engine"
 	"deca/internal/gcstats"
-	"deca/internal/obs"
 	"deca/internal/workloads"
 )
 
@@ -88,14 +87,14 @@ type Report struct {
 // deca-bench process so far, not of the one run, so it only rises down a
 // report — compare it row for row between two reports of an experiment.
 type Metric struct {
-	Name      string            `json:"name"`
-	Mode      string            `json:"mode,omitempty"`
-	WallMS    float64           `json:"wall_ms"`
-	GCSec     float64           `json:"gc_sec"`
-	Bytes     int64             `json:"bytes,omitempty"`
-	Checksum  float64           `json:"checksum"`
-	PeakRSSMB float64           `json:"peak_rss_mb"`
-	Counters  obs.CounterValues `json:"counters,omitzero"`
+	Name      string           `json:"name"`
+	Mode      string           `json:"mode,omitempty"`
+	WallMS    float64          `json:"wall_ms"`
+	GCSec     float64          `json:"gc_sec"`
+	Bytes     int64            `json:"bytes,omitempty"`
+	Checksum  float64          `json:"checksum"`
+	PeakRSSMB float64          `json:"peak_rss_mb"`
+	Counters  map[string]int64 `json:"counters,omitempty"`
 }
 
 func (r *Report) add(format string, args ...any) {
@@ -110,7 +109,7 @@ func (r *Report) record(name string, res workloads.Result) {
 		Mode:     res.Mode.String(),
 		WallMS:   float64(res.Wall) / float64(time.Millisecond),
 		GCSec:    res.GC.GCCPUSeconds,
-		Counters: res.Counters,
+		Counters: res.Counters.Named(),
 		Checksum: res.Checksum,
 	})
 }

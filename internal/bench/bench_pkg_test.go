@@ -52,10 +52,7 @@ func TestEveryExperimentHasABaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep struct { // a Report, its rows left undecoded
-			ID      string
-			Metrics []json.RawMessage
-		}
+		var rep Report
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -94,12 +91,7 @@ func TestJSONRowsCarryTheRunsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Metrics []struct {
-			Name, Mode string
-			Counters   map[string]int64
-		}
-	}
+	var doc Report
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}

@@ -113,14 +113,28 @@ func TestChaosTaskFailuresRecover(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Error("chaos run result differs from fault-free run")
 			}
-			// Only rate-based task faults fire and the job succeeded, so
-			// every failed attempt was retried.
-			m := ctx.Counters()
-			if m[obs.TasksFailed] == 0 {
+			// With no kill configured the injector's decision is a pure
+			// function of the attempt, so replaying it over every attempt
+			// the run started gives the faults it fired.
+			ctx.drainLocalEvents()
+			if d := ctx.view.Dropped(); d != 0 {
+				t.Fatalf("%d events dropped; the replay would undercount", d)
+			}
+			var injected int64
+			for _, e := range ctx.view.Events() {
+				if e.Kind == obs.KindTaskStart && inj.BeforeAttempt(int(e.Stage), int(e.Part), int(e.Attempt), int(e.Exec)) != nil {
+					injected++
+				}
+			}
+			if injected == 0 {
 				t.Fatal("seed injected no failures; the test proves nothing")
 			}
-			if m[obs.TaskRetries] != m[obs.TasksFailed] {
-				t.Errorf("TaskRetries = %d, TasksFailed = %d: a failed attempt went unretried", m[obs.TaskRetries], m[obs.TasksFailed])
+			m := ctx.Counters()
+			if m[obs.TaskRetries] == 0 {
+				t.Error("recovery left no TaskRetries trace")
+			}
+			if m[obs.TasksFailed] != injected {
+				t.Errorf("TasksFailed = %d, injected = %d", m[obs.TasksFailed], injected)
 			}
 			ctx.ReleaseAllShuffles()
 			assertNoLeaks(t, ctx)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strconv"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter names one of a run's counters. The set of counters is this one
 // enum and its table: every other place that handles them — the heartbeat
@@ -207,20 +204,14 @@ func (v *CounterValues) Add(o CounterValues) {
 // held in memory.
 func (v CounterValues) CacheBytes() int64 { return v[CacheMemBytes] + v[CacheSwappedBytes] }
 
-// MarshalJSON writes the nonzero rows as one object keyed by their table
-// names, in table order — the "counters" of a deca-bench -json row.
-func (v CounterValues) MarshalJSON() ([]byte, error) {
-	b := []byte{'{'}
+// Named returns the nonzero rows keyed by their table names — the
+// "counters" of a deca-bench -json row.
+func (v CounterValues) Named() map[string]int64 {
+	m := make(map[string]int64)
 	for k, n := range v {
-		if n == 0 {
-			continue
+		if n != 0 {
+			m[counterTable[k].Name] = n
 		}
-		if len(b) > 1 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendQuote(b, counterTable[k].Name)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, n, 10)
 	}
-	return append(b, '}'), nil
+	return m
 }

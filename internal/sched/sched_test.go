@@ -231,14 +231,16 @@ func TestAfterAttemptFailureRetriesDespiteSideEffects(t *testing.T) {
 
 // attemptLog passes both hooks on to the injector it wraps. It records
 // each attempt number under its (stage, part), in the order the attempts
-// arrived, and counts the faults the injector returned: before an attempt
-// on each executor, and after one.
+// arrived, and counts the faults the injector returned: task failures
+// before an attempt on a live executor (deadExec's are kill faults), and
+// failures after one.
 type attemptLog struct {
 	FaultInjector
-	mu     sync.Mutex
-	seen   map[[2]int][]int
-	before map[int]int // by executor
-	after  int
+	deadExec   int
+	mu         sync.Mutex
+	seen       map[[2]int][]int
+	taskFaults int
+	after      int
 }
 
 func (l *attemptLog) BeforeAttempt(stage, part, attempt, exec int) error {
@@ -247,9 +249,9 @@ func (l *attemptLog) BeforeAttempt(stage, part, attempt, exec int) error {
 	l.seen[k] = append(l.seen[k], attempt)
 	l.mu.Unlock()
 	err := l.FaultInjector.BeforeAttempt(stage, part, attempt, exec)
-	if err != nil {
+	if err != nil && exec != l.deadExec {
 		l.mu.Lock()
-		l.before[exec]++
+		l.taskFaults++
 		l.mu.Unlock()
 	}
 	return err
@@ -279,7 +281,7 @@ func TestStageStress(t *testing.T) {
 	inj.KillExecutor, inj.KillAfter = 3, 4
 	var killed atomic.Bool
 	inj.OnKill = func(int) { killed.Store(true) }
-	log := &attemptLog{FaultInjector: inj, seen: make(map[[2]int][]int), before: make(map[int]int)}
+	log := &attemptLog{FaultInjector: inj, deadExec: inj.KillExecutor, seen: make(map[[2]int][]int)}
 	c := NewCluster(Config{
 		NumExecutors: 4, SlotsPerExecutor: 4,
 		MaxTaskRetries: 8, MaxExecutorFailures: 6,
@@ -301,12 +303,9 @@ func TestStageStress(t *testing.T) {
 			t.Fatalf("round %d failed: %v", round, err)
 		}
 	}
-	// Only executor 3 dies, so a fault before an attempt elsewhere is a
-	// task failure.
-	taskFaults := log.before[0] + log.before[1] + log.before[2]
-	if taskFaults == 0 || log.after == 0 || !killed.Load() {
+	if log.taskFaults == 0 || log.after == 0 || !killed.Load() {
 		t.Errorf("task failures %d, after-attempt failures %d, kill fired %v; every kind of fault must fire",
-			taskFaults, log.after, killed.Load())
+			log.taskFaults, log.after, killed.Load())
 	}
 	if !c.Blacklisted(3) {
 		t.Error("the killed executor was never blacklisted")
