@@ -319,15 +319,20 @@ type Context struct {
 // holds whenever MemoryBudget ≥ NumExecutors (any realistic sizing).
 func New(conf Config) *Context {
 	conf = conf.withDefaults()
+	// Observability spine: one event ring per process, fed by every layer.
+	// A traced driver's ring may be drained only when the trace is written,
+	// so it keeps as many events as the View: the trace starts with the job.
+	ring := obs.DefaultCapacity
+	if conf.TraceOut != "" && conf.CtlFollower == nil {
+		ring = obs.DefaultViewCapacity
+	}
 	c := &Context{
 		conf:         conf,
 		shuffleReg:   make(map[int]materializable),
 		stageIDs:     make(map[string]int32),
 		fetchWorkers: fetchConcurrency,
 		fetchBudget:  maxFetchBytesInFlight,
-		// Observability spine: one event ring per process, fed by every
-		// layer.
-		rec: obs.NewRecorder(0),
+		rec:          obs.NewRecorder(ring),
 	}
 	var faults sched.FaultInjector
 	if conf.Chaos != nil {
@@ -434,13 +439,7 @@ func (c *Context) drainLocalEvents() {
 	if c.view == nil {
 		return
 	}
-	for {
-		evs := c.rec.Drain(obs.DefaultCapacity)
-		if len(evs) == 0 {
-			break
-		}
-		c.view.Ingest(evs)
-	}
+	c.view.Ingest(c.rec.Drain(0))
 	d := c.rec.Dropped()
 	if prev := c.obsDropped.Swap(d); d > prev {
 		c.view.AddDropped(d - prev)

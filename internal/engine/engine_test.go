@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -537,4 +538,40 @@ func leafFields(t reflect.Type) int {
 		}
 	}
 	return n
+}
+
+// TestTracedJobKeepsItsStart: a traced driver's ring is drained only when
+// the trace is written, so it keeps as many events as the View: a job
+// that records more events than an untraced ring holds (DefaultCapacity)
+// still has its first stage's begin event when the trace is read, and
+// nothing was dropped.
+func TestTracedJobKeepsItsStart(t *testing.T) {
+	ctx := New(Config{
+		Parallelism: 4,
+		Mode:        ModeDeca,
+		PageSize:    4096,
+		SpillDir:    t.TempDir(),
+		TraceOut:    filepath.Join(t.TempDir(), "trace.json"),
+	})
+	defer ctx.Close()
+	const actions = 200
+	d := Parallelize(ctx, make([]int64, 64), 16)
+	for range actions {
+		if n, err := Count(d); err != nil || n != 64 {
+			t.Fatalf("Count = %d, %v; want 64", n, err)
+		}
+	}
+	if n := uint64(ctx.rec.Len()) + ctx.rec.Dropped(); n <= obs.DefaultCapacity {
+		t.Fatalf("the job recorded %d events, no more than an untraced ring holds: the test proves nothing", n)
+	}
+	ctx.drainLocalEvents()
+	begins := 0
+	for _, e := range ctx.view.Events() {
+		if e.Kind == obs.KindStageBegin {
+			begins++
+		}
+	}
+	if begins != actions || ctx.view.Dropped() != 0 {
+		t.Errorf("the trace holds %d stage begins and dropped %d events, want %d and 0", begins, ctx.view.Dropped(), actions)
+	}
 }

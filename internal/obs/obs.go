@@ -91,34 +91,47 @@ type Event struct {
 	Key     string
 }
 
-// DefaultCapacity is the ring size of every engine's recorder: at task
-// and sample granularity a few thousand events cover the shipping
-// interval with plenty of slack, and the bound is what matters.
+// DefaultCapacity bounds every engine's recorder: at task and sample
+// granularity a few thousand events cover the shipping interval with plenty
+// of slack, and the bound is what matters. An untraced driver's ring is
+// drained only when an ops endpoint reads it, so without one it is never
+// drained and keeps the newest DefaultCapacity events.
 const DefaultCapacity = 4096
 
-// Recorder is a bounded ring of events. A nil *Recorder is the
+// blockEvents is the most events one block of a recorder holds (20 KiB).
+const blockEvents = 256
+
+// Recorder is a bounded queue of events. A nil *Recorder is the
 // disabled state: Record on nil is a single predictable branch, so
 // instrumentation seams cost near nothing when observability is off.
 //
 // Writers call Record; the ctl heartbeat loop calls Drain to ship the
-// backlog; when the ring overflows before a drain the oldest events
-// are overwritten and counted in Dropped.
+// backlog; when the backlog reaches the capacity before a drain the oldest
+// events are overwritten and counted in Dropped.
+//
+// The capacity bounds the backlog, not the allocation: events live in
+// fixed blocks taken as the backlog reaches them, and a block whose events
+// are all drained or overwritten becomes the one spare the next is taken
+// from, so the recorder holds its backlog plus at most one block.
 type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // live events in buf
-	seq     uint64
-	dropped uint64
+	mu       sync.Mutex
+	capacity int
+	blocks   [][]Event // the backlog, oldest first; the last block may be part-filled
+	spare    []Event   // a drained block the next block is taken from
+	off      int       // index of the oldest event within blocks[0]
+	n        int       // live events
+	seq      uint64
+	dropped  uint64
 }
 
 // NewRecorder returns a recorder holding at most capacity events
-// (DefaultCapacity if capacity <= 0).
+// (DefaultCapacity if capacity <= 0). It allocates no event until one is
+// recorded.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // Record stamps e with a sequence number and the current time (unless
@@ -134,15 +147,33 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
-	if r.n == len(r.buf) {
-		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
+	if r.n == r.capacity {
+		r.off++
+		r.n--
 		r.dropped++
-	} else {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
-		r.n++
+		if r.off == blockEvents {
+			r.popBlock()
+		}
 	}
+	i := r.off + r.n
+	if i == len(r.blocks)*blockEvents {
+		b := r.spare
+		if b == nil {
+			b = make([]Event, blockEvents)
+		}
+		r.blocks, r.spare = append(r.blocks, b), nil
+	}
+	r.blocks[i/blockEvents][i%blockEvents] = e
+	r.n++
 	r.mu.Unlock()
+}
+
+// popBlock retires the oldest block, whose events are all drained or
+// overwritten, as the spare.
+func (r *Recorder) popBlock() {
+	r.spare = r.blocks[0]
+	r.blocks = r.blocks[:copy(r.blocks, r.blocks[1:])]
+	r.off = 0
 }
 
 // Drain removes and returns up to max oldest events (all of them if
@@ -161,11 +192,15 @@ func (r *Recorder) Drain(max int) []Event {
 		return nil
 	}
 	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
+	for k := 0; k < n; {
+		c := copy(out[k:], r.blocks[0][r.off:])
+		k += c
+		r.off += c
+		r.n -= c
+		if r.off == blockEvents || r.n == 0 {
+			r.popBlock()
+		}
 	}
-	r.start = (r.start + n) % len(r.buf)
-	r.n -= n
 	return out
 }
 

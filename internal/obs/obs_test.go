@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -74,6 +75,54 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 	total := uint64(len(r.Drain(0))) + r.Dropped()
 	if total != 800 {
 		t.Errorf("drained+dropped = %d, want 800", total)
+	}
+}
+
+// TestRecorderMatchesQueueModel drives a recorder with random bursts of
+// Record and Drain(max) and checks every answer against a plain slice
+// queue that drops its oldest event at the capacity: the same events in
+// the same order with the same Seqs, the same Len and Dropped. The
+// capacities put the bound below, on and across block boundaries.
+func TestRecorderMatchesQueueModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 2, 3, 7, 255, 256, 257, 511, 512, 513, 700, 1000} {
+		r := NewRecorder(capacity)
+		var model []Event
+		var seq, dropped uint64
+		for op := 0; op < 2000; op++ {
+			if rng.Intn(2) == 0 {
+				for k := rng.Intn(capacity + capacity/2 + 1); k >= 0; k-- {
+					seq++
+					e := Event{Kind: KindGCSample, Nanos: int64(seq), A: int64(rng.Int())}
+					r.Record(e)
+					e.Seq = seq
+					if len(model) == capacity {
+						model = model[1:]
+						dropped++
+					}
+					model = append(model, e)
+				}
+			} else {
+				max := rng.Intn(capacity + 2)
+				n := len(model)
+				if max > 0 && n > max {
+					n = max
+				}
+				got := r.Drain(max)
+				if len(got) != n {
+					t.Fatalf("capacity %d op %d: Drain(%d) = %d events, want %d", capacity, op, max, len(got), n)
+				}
+				for i := range got {
+					if got[i] != model[i] {
+						t.Fatalf("capacity %d op %d: drained event %d = %+v, want %+v", capacity, op, i, got[i], model[i])
+					}
+				}
+				model = model[n:]
+			}
+			if r.Len() != len(model) || r.Dropped() != dropped {
+				t.Fatalf("capacity %d op %d: Len %d Dropped %d, want %d and %d", capacity, op, r.Len(), r.Dropped(), len(model), dropped)
+			}
+		}
 	}
 }
 

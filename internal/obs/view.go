@@ -58,14 +58,15 @@ type OccupancyPoint struct {
 	Footprint int64 `json:"footprint_bytes"`
 }
 
-const defaultViewCapacity = 1 << 16
+// DefaultViewCapacity is how many raw events a View retains by default.
+const DefaultViewCapacity = 1 << 16
 
 // NewView returns a view retaining at most capacity raw events
-// (default 65536 if capacity <= 0) and a bounded occupancy series per
+// (DefaultViewCapacity if capacity <= 0) and a bounded occupancy series per
 // shuffle.
 func NewView(capacity int) *View {
 	if capacity <= 0 {
-		capacity = defaultViewCapacity
+		capacity = DefaultViewCapacity
 	}
 	return &View{
 		capacity: capacity,

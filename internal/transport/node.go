@@ -48,8 +48,7 @@ type DataServer struct {
 
 	store outputStore
 
-	mu     sync.Mutex
-	closed bool
+	closeOnce sync.Once
 }
 
 // NewDataServer listens on addr ("host:port"; ":0" picks an ephemeral
@@ -92,19 +91,6 @@ func (s *DataServer) Discard(id MapOutputID) {
 	s.store.discard(id)
 }
 
-// TakeAll removes the listed entries — a stage verdict — and returns
-// their payloads for the caller to release, after the serves in flight
-// on them have ended.
-func (s *DataServer) TakeAll(ids []MapOutputID) []Payload {
-	return s.store.takeAll(ids)
-}
-
-// ServeLocal serves the entry without consuming it — the executor-local
-// equivalent of a socket FETCH, streamed through open.
-func (s *DataServer) ServeLocal(id MapOutputID, open FrameOpen) (Payload, bool, error) {
-	return s.store.serveCopy(id, open)
-}
-
 // Counters reads the node's serve rows and its ShuffleOutputsPinned
 // gauge: the outputs registered on it now, counted under the store lock,
 // so the gauge cannot drift from the registry. A zombie awaiting its last
@@ -117,26 +103,13 @@ func (s *DataServer) Counters() obs.CounterValues {
 	return v
 }
 
-// DropShuffle removes every output of the shuffle and returns them, after
-// the serves in flight on them have ended.
-func (s *DataServer) DropShuffle(shuffle ShuffleID) []Payload {
-	return s.store.dropShuffle(shuffle)
-}
-
 // Close shuts the listener. Registered payloads are not touched; take or
 // drop them first. In-flight serves finish on their own connections.
-func (s *DataServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+func (s *DataServer) Close() (err error) {
+	if s.ln != nil {
+		s.closeOnce.Do(func() { err = s.ln.Close() })
 	}
-	s.closed = true
-	s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Close()
+	return err
 }
 
 // acceptLoop serves the listener until Close.

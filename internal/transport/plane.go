@@ -236,7 +236,7 @@ func (t *Plane) Fetch(id MapOutputID, dstExecutor int, open FrameOpen) (Payload,
 	}
 	var p Payload
 	if node := t.node(src); node != nil && (src == dstExecutor || t.client == nil) {
-		p, found, err = node.ServeLocal(id, open)
+		p, found, err = node.store.serveCopy(id, open)
 	} else {
 		if node != nil {
 			addr = node.Addr()
@@ -260,7 +260,7 @@ func (t *Plane) Commit(ids []MapOutputID) []Payload {
 	t.dir.Retire(ids)
 	var out []Payload
 	for _, n := range t.nodes {
-		out = append(out, n.TakeAll(ids)...)
+		out = append(out, n.store.takeAll(ids)...)
 	}
 	return out
 }
@@ -270,7 +270,7 @@ func (t *Plane) Drop(shuffle ShuffleID) []Payload {
 	t.dir.RetireShuffle(shuffle)
 	var out []Payload
 	for _, n := range t.nodes {
-		out = append(out, n.DropShuffle(shuffle)...)
+		out = append(out, n.store.dropShuffle(shuffle)...)
 	}
 	return out
 }

@@ -40,6 +40,12 @@ const stageChunkSize = 64 << 10
 // on how many of its serves overlapped since the last one.
 var stageChunks = make(chan *[stageChunkSize]byte, 16)
 
+// segLists recycles frames' segment lists the same way: a list grows by
+// two segments a page, so one built per serve would cost each serve heap
+// in proportion to its pages. It has stageChunks' 16 slots, as every serve
+// holds one list and at least one chunk.
+var segLists = make(chan []Seg, 16)
+
 // Seg is one wire-order piece of a frame: either staged/page bytes
 // (Buf != nil) or a file-backed run of Size bytes (File != nil).
 type Seg struct {
@@ -69,7 +75,21 @@ type FrameSegments struct {
 
 // NewFrameSegments returns an empty frame.
 func NewFrameSegments() *FrameSegments {
-	return &FrameSegments{}
+	fs := &FrameSegments{}
+	select {
+	case fs.segs = <-segLists:
+	default:
+	}
+	return fs
+}
+
+// recycle offers v to a bounded free list; when the list is full the
+// collector takes v.
+func recycle[T any](list chan T, v T) {
+	select {
+	case list <- v:
+	default:
+	}
 }
 
 // Stage reserves n bytes of scratch at the frame's current position and
@@ -215,11 +235,10 @@ func (fs *FrameSegments) Release() {
 		release()
 	}
 	for _, c := range fs.pooled {
-		select {
-		case stageChunks <- c:
-		default: // the list is full: the collector takes this one
-		}
+		recycle(stageChunks, c)
 	}
+	clear(fs.segs)
+	recycle(segLists, fs.segs[:0])
 	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
 }
 

@@ -376,7 +376,7 @@ func TestFetchIntoStreamingDecode(t *testing.T) {
 	// The client gave up mid-frame; the server may still be inside that
 	// serve. TakeAll waits the entry's in-flight serves out, and a serve
 	// releases its frame before it ends.
-	srv.TakeAll([]MapOutputID{id})
+	srv.store.takeAll([]MapOutputID{id})
 	if sp.releases.Load() != sp.serves.Load() {
 		t.Fatalf("frames released %d of %d serves", sp.releases.Load(), sp.serves.Load())
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"sync"
 
@@ -165,7 +164,10 @@ func (s *outputStore) endServe(e *storeEntry) {
 // serveCopy serves the entry without consuming it — the executor-local
 // equivalent of a socket FETCH, so local and remote consumers see
 // identical multi-consumer semantics: the consumer decodes straight off
-// the frame's segment stream; no intermediate frame buffer exists.
+// the frame's segments, which are a FrameReader themselves, so no frame
+// buffer or reader buffer exists. A decoder reads a count or a length a
+// byte at a time and a page body or a spill run in bulk, which a buffer
+// would only copy once more.
 func (s *outputStore) serveCopy(id MapOutputID, open FrameOpen) (Payload, bool, error) {
 	p, e, ok := s.beginServe(id)
 	if !ok {
@@ -178,7 +180,7 @@ func (s *outputStore) serveCopy(id MapOutputID, open FrameOpen) (Payload, bool, 
 		return Payload{}, false, fmt.Errorf("transport: encoding %v: %w", id, err)
 	}
 	defer fs.Release()
-	dec, err := open(bufio.NewReader(newSegmentsReader(fs)), fs.Len())
+	dec, err := open(newSegmentsReader(fs), fs.Len())
 	if err != nil {
 		return Payload{}, false, fmt.Errorf("transport: decoding %v: %w", id, err)
 	}
