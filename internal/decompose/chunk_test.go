@@ -40,6 +40,41 @@ func TestChunkCopy(t *testing.T) {
 	}
 }
 
+// TestLendingChunk: a lending chunk cuts the copies of one loan from its
+// array one after the other, from its start again after Reuse, and moves
+// to a larger array for a copy that does not fit; an owning chunk ignores
+// Reuse.
+func TestLendingChunk(t *testing.T) {
+	c := LendingChunk()
+	c.Copy(make([]byte, 64)) // the first copy takes the array
+	c.Reuse()
+	a := c.Copy([]byte("key"))
+	b := c.Copy([]byte("value"))
+	if string(a) != "key" || string(b) != "value" || unsafe.Pointer(&b[0]) != unsafe.Add(unsafe.Pointer(&a[0]), 3) {
+		t.Fatalf("two copies of one loan: %q at %p, %q at %p", a, a, b, b)
+	}
+	c.Reuse()
+	if again := c.Copy([]byte("next")); &again[0] != &a[0] {
+		t.Error("a copy after Reuse is not cut from the start of the array")
+	}
+	c.Reuse()
+	long := bytes.Repeat([]byte{'L'}, 1000)
+	if got := c.Copy(long); !bytes.Equal(got, long) || &got[0] == &a[0] {
+		t.Error("a copy longer than the array was not moved to a larger one")
+	}
+	c.Reuse()
+	if got := c.Copy([]byte("short")); string(got) != "short" || len(c.free) < len(long) {
+		t.Errorf("after Reuse the chunk has %d bytes free, want the larger array's", len(c.free))
+	}
+
+	var owned Chunk
+	x := owned.Copy([]byte("abc"))
+	owned.Reuse()
+	if y := owned.Copy([]byte("def")); string(x) != "abc" || &y[0] == &x[0] {
+		t.Errorf("Reuse on an owning chunk let a later copy overwrite an earlier one: %q", x)
+	}
+}
+
 // TestStringDecodeChunk: StringCodec's chunked form decodes what Decode
 // does, into the chunk, and believes no length prefix beyond its segment.
 func TestStringDecodeChunk(t *testing.T) {

@@ -75,3 +75,50 @@ func TestDecaBuildAllocatesOnlyItsPages(t *testing.T) {
 		}
 	}
 }
+
+// TestLentDrainAllocatesPerPartition: a pointer-free Map over a Deca
+// string-keyed ReduceByKey borrows each key (Map's rule), so an action over
+// a materialized shuffle allocates a constant per partition, not the key
+// bytes an owned drain cuts for 60 k keys — which a Map to string, given
+// keys of its own, still does.
+func TestLentDrainAllocatesPerPartition(t *testing.T) {
+	const keys, parts = 60_000, 4
+	ctx := testCtx(t, ModeDeca)
+	words := lendWords(keys, keys)
+	keyBytes := 0
+	for _, w := range words {
+		keyBytes += len(w)
+	}
+	counts := ReduceByKey(Map(Parallelize(ctx, words, parts), func(w string) decompose.Pair[string, int64] {
+		return KV(w, int64(1))
+	}), stringOps(parts), addI64)
+	if err := Materialize(counts); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(action func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := action(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	lent := allocated(func() error {
+		_, _, err := Reduce(Map(counts, func(kv decompose.Pair[string, int64]) float64 {
+			return float64(kv.Value) * float64(len(kv.Key))
+		}), func(a, b float64) float64 { return a + b })
+		return err
+	})
+	owned := allocated(func() error {
+		_, err := Count(Map(counts, func(kv decompose.Pair[string, int64]) string { return kv.Key }))
+		return err
+	})
+	t.Logf("%d keys (%d bytes) over %d partitions: %d B lent, %d B owned", keys, keyBytes, parts, lent, owned)
+	if budget := uint64(parts * 8 << 10); lent > budget {
+		t.Errorf("a pointer-free Map's action allocated %d B, budget %d (%d partitions); the key bytes are %d", lent, budget, parts, keyBytes)
+	}
+	if owned < uint64(keyBytes) {
+		t.Errorf("a Map to string's action allocated %d B, less than the %d bytes of the keys it is given", owned, keyBytes)
+	}
+}

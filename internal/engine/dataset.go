@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"iter"
+	"reflect"
 	"slices"
 	"sync"
 
@@ -20,6 +21,9 @@ type Dataset[T any] struct {
 	id      int
 	parts   int
 	compute func(p int) Seq[T]
+	// walk, where set, walks partition p as compute does, each record's
+	// memory lent to yield for the call if lend is (keyedShuffle; Map's rule).
+	walk func(p int, lend bool, yield func(T) bool)
 
 	// Caching state (§4.2 "cache blocks" container). blockMu serializes
 	// block production per partition so concurrent tasks neither compute a
@@ -310,18 +314,43 @@ func LookupFor[K comparable, V any](d *Dataset[decompose.Pair[K, V]], p int) (fu
 // Narrow transformations: fused into the parent's pull loop.
 //
 
-// Map applies f to every record.
+// Map applies f to every record. An f whose result holds no pointer
+// (pointerFree) borrows its argument for the call: a parent that lends (a
+// Deca ReduceByKey output, not persisted) reuses a key's bytes once f
+// returns. An f that must keep its argument returns it, and is then given
+// an owned one; one that keeps it in captured state breaks Spark's closure
+// model, and reads blanks under the decapoison build.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
+	borrows := pointerFree(reflect.TypeFor[U]())
 	return newDataset(d.ctx, d.parts, func(p int) Seq[U] {
 		return func(yield func(U) bool) {
-			err := d.Iterate(p, func(v T) bool {
-				return yield(f(v))
-			})
-			if err != nil {
+			each := func(v T) bool { return yield(f(v)) }
+			if borrows && d.walk != nil && !d.persisted {
+				d.walk(p, true, each) // a persisted parent is read through its block
+			} else if err := d.Iterate(p, each); err != nil {
 				panic(err)
 			}
 		}
 	})
+}
+
+// pointerFree reports whether a value of type t holds no pointer: a bool or
+// number (not uintptr, which may hold an address), or an array or struct of
+// them.
+func pointerFree(t reflect.Type) bool {
+	switch k := t.Kind(); k {
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return k >= reflect.Bool && k <= reflect.Complex128 && k != reflect.Uintptr
+	}
 }
 
 // FlatMap expands each record into zero or more outputs via emit.

@@ -474,8 +474,10 @@ type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 	// derive it from the same Config and PairOps.
 	deca   bool
 	newBuf func(ex *Executor) (S, error)
-	drain  func(s S, yield func(T) bool) error
-	stop   func(S) // ends a map buffer's combine; nil where S does not combine
+	// drain yields what s holds; lend says the consumer borrows each record
+	// for one yield (Map's rule), which a sink may use or ignore.
+	drain func(s S, lend bool, yield func(T) bool) error
+	stop  func(S) // ends a map buffer's combine; nil where S does not combine
 }
 
 // keyedShuffle is the shell ReduceByKey and GroupByKey share: a
@@ -512,18 +514,20 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 		return err
 	}
 
-	out := newDataset(ctx, R, func(p int) Seq[T] {
-		return func(yield func(T) bool) {
-			buf, err := st.pin(p)
-			if err != nil {
-				panic(err)
-			}
-			defer st.unpin(p)
-			if err := sh.drain(buf.(S), yield); err != nil {
-				panic(err)
-			}
+	walk := func(p int, lend bool, yield func(T) bool) {
+		buf, err := st.pin(p)
+		if err != nil {
+			panic(err)
 		}
+		defer st.unpin(p)
+		if err := sh.drain(buf.(S), lend, yield); err != nil {
+			panic(err)
+		}
+	}
+	out := newDataset(ctx, R, func(p int) Seq[T] {
+		return func(yield func(T) bool) { walk(p, false, yield) }
 	})
+	out.walk = walk
 	st.datasetID = out.id
 	ctx.shufMu.Lock()
 	ctx.shuffleReg[out.id] = st
@@ -561,8 +565,12 @@ func ReduceByKey[K comparable, V any](
 			}
 			return shuffle.NewObjectAgg(combine, cfg), nil
 		},
-		drain: func(s aggSink[K, V], yield func(decompose.Pair[K, V]) bool) error {
-			return s.Drain(func(k K, v V) bool { return yield(KV(k, v)) })
+		drain: func(s aggSink[K, V], lend bool, yield func(decompose.Pair[K, V]) bool) error {
+			emit := func(k K, v V) bool { return yield(KV(k, v)) }
+			if d, ok := s.(*shuffle.DecaAgg[K, V]); ok && lend {
+				return d.DrainInto(decompose.LendingChunk(), emit)
+			}
+			return s.Drain(emit)
 		},
 		stop: aggSink[K, V].StopCombining,
 	})
@@ -586,7 +594,7 @@ func GroupByKey[K comparable, V any](
 			}
 			return shuffle.NewObjectGroup(cfg), nil
 		},
-		drain: func(s groupSink[K, V], yield func(decompose.Pair[K, []V]) bool) error {
+		drain: func(s groupSink[K, V], _ bool, yield func(decompose.Pair[K, []V]) bool) error {
 			return s.Drain(func(k K, vs []V) bool { return yield(KV(k, vs)) })
 		},
 	})

@@ -606,21 +606,25 @@ func (b *DecaAgg[K, V]) Lookup(k K) (v V, ok bool) {
 }
 
 // Drain folds the spilled runs back and yields every pair in record order,
-// decoding a key only as it is yielded, into the drain's own chunk
-// (decompose.Chunk): no key is a view of a page.
+// each key the consumer's own (DrainInto over an owning Chunk).
 func (b *DecaAgg[K, V]) Drain(yield func(K, V) bool) error {
+	return b.DrainInto(new(decompose.Chunk), yield)
+}
+
+// DrainInto is Drain with each key decoded, only as it is yielded, into
+// keys, whose form says whether the consumer owns the key or borrows it
+// until yield returns (decompose.Chunk): no key is a view of a page.
+func (b *DecaAgg[K, V]) DrainInto(keys *decompose.Chunk, yield func(K, V) bool) error {
 	combines(b.stopped, "Drain", b.kind)
 	if err := b.FoldRuns(); err != nil {
 		return err
 	}
-	keys := decompose.NewDecoder(b.keyCodec, new(decompose.Chunk))
+	d := decompose.NewDecoder(b.keyCodec, keys)
 	it := b.records(0)
-	for it.next() {
-		k, ok := drainKey(&it, keys)
+	for more := true; more && it.next(); keys.Reuse() {
+		k, ok := drainKey(&it, d)
 		v, _ := b.valCodec.Decode(it.val)
-		if !ok || !yield(k, v) {
-			break
-		}
+		more = ok && yield(k, v)
 	}
 	return it.err
 }

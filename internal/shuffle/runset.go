@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
@@ -34,8 +33,13 @@ type spillWriter struct {
 }
 
 // runWriters recycles spill writers, buffer and scratch, across runs and
-// containers, so neither writing nor restoring a run allocates per run.
-var runWriters = sync.Pool{New: func() any { return &spillWriter{Writer: bufio.NewWriterSize(nil, 32<<10)} }}
+// containers, so neither writing nor restoring a run allocates per run. It
+// is a bounded free list, not a sync.Pool: a pool drops its writers at
+// every collection and keeps a returned one on the P that returned it, so
+// whether a restore allocated a writer was chance. Eight slots (256 KiB of
+// buffers) cover two reduce tasks, each staging the engine's four
+// concurrent fetches (fetchConcurrency).
+var runWriters = make(chan *spillWriter, 8)
 
 // land appends the next size bytes of r to the run, each read landing in
 // the writer's free buffer space: no copy buffer beside it (a copy into
@@ -103,13 +107,18 @@ func (rs *runSet) write(fn func(w *spillWriter) error) error {
 	if err != nil {
 		return fmt.Errorf("shuffle: creating spill: %w", err)
 	}
-	w := runWriters.Get().(*spillWriter)
-	w.Reset(f)
+	var w *spillWriter
+	select {
+	case w = <-runWriters:
+		w.Reset(f)
+	default:
+		w = &spillWriter{Writer: bufio.NewWriterSize(f, 32<<10)}
+	}
 	if err = fn(w); err == nil {
 		err = w.Flush()
 	}
 	w.Reset(nil)
-	runWriters.Put(w)
+	transport.Recycle(runWriters, w)
 	run := spillFile{path: f.Name()}
 	if err == nil {
 		run.size, err = f.Seek(0, io.SeekCurrent)

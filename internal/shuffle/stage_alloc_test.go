@@ -3,6 +3,8 @@
 package shuffle
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"deca/internal/decompose"
 	"deca/internal/memory"
 	"deca/internal/obs"
 )
@@ -361,7 +364,8 @@ func TestDrainListsDoNotOverlap(t *testing.T) {
 // TestDrainAllocBudget: a drain allocates an array per chunk of what it
 // yields — 32 KiB of key bytes (decompose.Chunk), listChunk values — and a
 // few objects of its own, never an object per key: DecaAgg[string, int64]
-// over 50 k keys and DecaGroup[int64, int64] over 10 k keys.
+// over 50 k keys and DecaGroup[int64, int64] over 10 k keys. A DecaAgg
+// drain that lends its keys (decompose.LendingChunk) allocates a constant.
 func TestDrainAllocBudget(t *testing.T) {
 	const chunk = 32 << 10
 	within := func(what string, got, budget float64) {
@@ -389,6 +393,9 @@ func TestDrainAllocBudget(t *testing.T) {
 	within(fmt.Sprintf("draining %d string keys (%d bytes)", len(keys), size), testing.AllocsPerRun(5, func() {
 		agg.Drain(func(string, int64) bool { return true })
 	}), float64(size/chunk+4))
+	within(fmt.Sprintf("lending %d string keys", len(keys)), testing.AllocsPerRun(5, func() {
+		agg.DrainInto(decompose.LendingChunk(), func(string, int64) bool { return true })
+	}), 4)
 
 	const groupKeys, values = 10_000, 100_000
 	group := NewDecaGroup[int64, int64](mem, i64, i64, "")
@@ -474,4 +481,33 @@ func TestReplayAllocBudget(t *testing.T) {
 	check("DecaGroup drain", spilledGroup.SpilledBytes(),
 		func() error { return spilledGroup.Drain(yieldLists) },
 		func() error { return group.Drain(yieldLists) })
+}
+
+// TestRestoreKeepsItsRunWriter: a restored spill run lands through a run
+// writer from a free list that collections do not empty, so a restore
+// after two runtime.GC calls (a sync.Pool's victim cache is gone by then)
+// still allocates far less than one 32 KiB writer.
+func TestRestoreKeepsItsRunWriter(t *testing.T) {
+	const writerBytes = 32 << 10
+	dir, run := t.TempDir(), strings.Repeat("r", 1000)
+	frame := append(binary.AppendUvarint([]byte{1}, uint64(len(run))), run...)
+	restore := func() uint64 {
+		rs, r := runSet{dir: dir}, bytes.NewReader(frame)
+		defer rs.release()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := rs.restore(r); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	restore() // a writer goes back to the free list
+	runtime.GC()
+	runtime.GC()
+	got := restore()
+	t.Logf("a restore after two collections allocated %d B", got)
+	if got >= writerBytes {
+		t.Errorf("a restore after two collections allocated %d B: a fresh %d B run writer", got, writerBytes)
+	}
 }

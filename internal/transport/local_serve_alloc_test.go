@@ -4,7 +4,6 @@ package transport_test
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"deca/internal/decompose"
@@ -112,12 +111,9 @@ func TestLocalServeReadsTheFrameInPlace(t *testing.T) {
 			}
 			return p
 		}
-		// The staging's spill run writer comes from a sync.Pool, which keeps
-		// a returned writer on the P that returned it and drops it at a
-		// collection: one P and no collection keep that 32 KiB writer from
-		// being charged to the fetches counted. The warm-up grows the
-		// serve's recycled segment lists to this frame.
-		procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+		// The warm-up grows the serve's recycled segment lists to this frame
+		// and leaves the staging's spill run writer in its free list, which
+		// neither a collection nor the P a fetch runs on takes it from.
 		before := tr.Counters(0)[obs.PagesServedZeroCopy]
 		for range runs {
 			fetch(0).Data.(*shuffle.Staged).Release()
@@ -128,8 +124,6 @@ func TestLocalServeReadsTheFrameInPlace(t *testing.T) {
 			fetch(0).Data.(*shuffle.Staged).Release()
 		}
 		runtime.ReadMemStats(&ms1)
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
 		if pages := (tr.Counters(0)[obs.PagesServedZeroCopy] - before) / (2 * runs); pages != int64(c.pages) {
 			t.Fatalf("the frame of %d keys served %d pages, want %d", c.keys, pages, c.pages)
 		}

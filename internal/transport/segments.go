@@ -83,9 +83,9 @@ func NewFrameSegments() *FrameSegments {
 	return fs
 }
 
-// recycle offers v to a bounded free list; when the list is full the
-// collector takes v.
-func recycle[T any](list chan T, v T) {
+// Recycle offers v to a bounded free list; when the list is full the
+// collector takes v. The shuffle's spill run writers recycle through it too.
+func Recycle[T any](list chan T, v T) {
 	select {
 	case list <- v:
 	default:
@@ -235,10 +235,10 @@ func (fs *FrameSegments) Release() {
 		release()
 	}
 	for _, c := range fs.pooled {
-		recycle(stageChunks, c)
+		Recycle(stageChunks, c)
 	}
 	clear(fs.segs)
-	recycle(segLists, fs.segs[:0])
+	Recycle(segLists, fs.segs[:0])
 	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
 }
 
