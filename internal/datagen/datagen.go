@@ -32,6 +32,31 @@ import (
 // spoils its buffer after every yield (poison.go), so a consumer that kept a
 // record reads garbage instead of a plausible neighbour.
 
+// rngs recycles the generators' random sources: a rand.Rand over a fresh
+// source is ≈ 5 KB, and every walk of a stream needs one. A bounded free
+// list rather than a sync.Pool, which every collection empties.
+var rngs = make(chan *rand.Rand, 8)
+
+// newRand returns a generator seeded with seed: a recycled one reseeded,
+// whose stream is the fresh one's (Seed resets all of its state).
+func newRand(seed int64) *rand.Rand {
+	select {
+	case r := <-rngs:
+		r.Seed(seed)
+		return r
+	default:
+		return rand.New(rand.NewSource(seed))
+	}
+}
+
+// putRand gives back a generator newRand handed out, once its walk ended.
+func putRand(r *rand.Rand) {
+	select {
+	case rngs <- r:
+	default:
+	}
+}
+
 // collect gathers a stream of n records.
 func collect[T any](n int, seq iter.Seq[T]) []T {
 	return slices.AppendSeq(make([]T, 0, n), seq)
@@ -43,7 +68,8 @@ func collect[T any](n int, seq iter.Seq[T]) []T {
 // walk's one buffer, valid until the next yield.
 func WordsSeq(seed int64, distinctKeys, wordsPerLine, numLines int) iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
-		r := rand.New(rand.NewSource(seed))
+		r := newRand(seed)
+		defer putRand(r)
 		buf := make([]byte, 0, 9*wordsPerLine) // a key below 16⁷ is 8 bytes, plus its separator
 		for i := 0; i < numLines; i++ {
 			buf = buf[:0]
@@ -93,7 +119,8 @@ type LabeledPoint struct {
 // walk's one Features vector, valid until the next yield.
 func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
 	return func(yield func(LabeledPoint) bool) {
-		r := rand.New(rand.NewSource(seed))
+		r := newRand(seed)
+		defer putRand(r)
 		f := make([]float64, d)
 		for i := 0; i < n; i++ {
 			label := float64(1)
@@ -127,7 +154,8 @@ func Points(seed int64, n, d int) []LabeledPoint {
 // the next yield.
 func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
 	return func(yield func([]float64) bool) {
-		r := rand.New(rand.NewSource(seed))
+		r := newRand(seed)
+		defer putRand(r)
 		centers := make([][]float64, k)
 		for c := range centers {
 			centers[c] = make([]float64, d)
@@ -173,7 +201,8 @@ func GraphSeq(seed int64, numVertices int64, numEdges int, skew float64) iter.Se
 		skew = 0.6
 	}
 	return func(yield func(Edge) bool) {
-		r := rand.New(rand.NewSource(seed))
+		r := newRand(seed)
+		defer putRand(r)
 		for i := 0; i < numEdges; i++ {
 			// Power-law-ish sampling: u^(1/skew) concentrates mass near 0.
 			src := int64(powSample(r, skew) * float64(numVertices))
@@ -220,7 +249,8 @@ type Ranking struct {
 
 // Rankings generates n ranking rows with ranks in [0, 1000).
 func Rankings(seed int64, n int) []Ranking {
-	r := rand.New(rand.NewSource(seed))
+	r := newRand(seed)
+	defer putRand(r)
 	rows := make([]Ranking, n)
 	for i := range rows {
 		rows[i] = Ranking{
@@ -248,7 +278,8 @@ type UserVisit struct {
 // UserVisits generates n uservisits rows. Source IPs share a limited
 // prefix space so the Query 2 SUBSTR group-by has realistic cardinality.
 func UserVisits(seed int64, n int) []UserVisit {
-	r := rand.New(rand.NewSource(seed))
+	r := newRand(seed)
+	defer putRand(r)
 	agents := []string{"Mozilla/5.0", "Chrome/50.0", "Safari/9.1", "curl/7.47"}
 	countries := []string{"US", "CN", "DE", "DK", "UK", "FR", "JP", "BR"}
 	langs := []string{"en", "zh", "de", "da", "fr", "ja", "pt"}

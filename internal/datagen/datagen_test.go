@@ -2,9 +2,11 @@ package datagen
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"iter"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -290,9 +292,50 @@ func TestWordsLinesUnchanged(t *testing.T) {
 	}
 }
 
+// TestStreamsUnchanged: PointsSeq, VectorsSeq and GraphSeq yield, bit for
+// bit, the records they yielded when every walk built its own random
+// source; the digests were taken before walks recycled them. Each walk runs
+// twice, so the second draws from a reseeded source.
+func TestStreamsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		walk   func(put func(...float64))
+		sha256 string
+	}{
+		{"PointsSeq(1, 2000, 10)", func(put func(...float64)) {
+			for p := range PointsSeq(1, 2000, 10) {
+				put(p.Label)
+				put(p.Features...)
+			}
+		}, "0ae5fc144c50b7985060ca08ccd7502d878429adacbbd618b0c0e19ef609ef57"},
+		{"VectorsSeq(3, 2000, 10, 8)", func(put func(...float64)) {
+			for v := range VectorsSeq(3, 2000, 10, 8) {
+				put(v...)
+			}
+		}, "6abe34a6b8e2dc3dc5e9cd987e225bc896328a1a79f0a950c0adab9907a4da2f"},
+		{"GraphSeq(1, 5000, 20000, 0.6)", func(put func(...float64)) {
+			for e := range GraphSeq(1, 5000, 20000, 0.6) {
+				put(float64(e.Src), float64(e.Dst))
+			}
+		}, "b5500a7ee508d815e016d18350d10425214e22eacc37fd4d3cda0a60e29d78eb"},
+	} {
+		for walk := range 2 {
+			h := sha256.New()
+			c.walk(func(xs ...float64) {
+				for _, x := range xs {
+					h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+				}
+			})
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+				t.Errorf("%s, walk %d: digest %s, want %s", c.name, walk+1, got, c.sha256)
+			}
+		}
+	}
+}
+
 // TestVectorStreamsAllocatePerWalk: a walk of WordsSeq, PointsSeq or
-// VectorsSeq allocates its RNG and one buffer (VectorsSeq its centers too),
-// however many records it yields — the line or vector is overwritten for
+// VectorsSeq allocates one buffer (VectorsSeq its centers too), and its RNG
+// when the free list has none, however many records it yields — the line or vector is overwritten for
 // every record.
 func TestVectorStreamsAllocatePerWalk(t *testing.T) {
 	const n, d, k = 10_000, 10, 8

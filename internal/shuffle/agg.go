@@ -150,23 +150,41 @@ func (b *ObjectAgg[K, V]) Release() {
 // value node) and every walk skips it: the pages alone say what they hold.
 type keyedStore struct {
 	pageStore
-	idx   aggIndex
-	shape [2]recordShape // of a record, by its flag
-	kind  byte           // of the container's frame
-	ops   keyedOps       // the container built on the store
-	// The pending batch: Puts staged, not yet probed (flush). staged counts
-	// them, tags holds the hash of each one's key, and buf its encoded key
-	// and value, entry after entry, ending at ends[i][0] and ends[i][1].
-	// One buffer per container, grown on demand: a stack array handed to the
-	// codec interface escapes, an allocation per record.
-	buf     []byte
-	staged  int // entries
-	used    int // bytes of buf
-	tags    [probeBatch]uint32
-	ends    [probeBatch][2]int32
-	sealed  bool // Seal ran: the index is gone, the records are final
-	stopped bool // DecaAgg.StopCombining ran: no index, every Put appends
+	// *fillState is what only the fill uses; nil once the fill ended
+	// (endFill), so a sealed or stopped container's header holds only what
+	// outlives it.
+	*fillState
+	n       int            // live key records once the fill ended; while it lasts, idx.n
+	shape   [2]recordShape // of a record, by its flag
+	kind    byte           // of the container's frame
+	ops     keyedOps       // the container built on the store
+	sealed  bool           // Seal ran: the index is gone, the records are final
+	stopped bool           // DecaAgg.StopCombining ran: no index, every Put appends
 }
+
+// fillState is a keyedStore's fill: the index and the pending batch — the
+// Puts staged, not yet probed (flush). staged counts them, tags holds the
+// hash of each one's key, and buf its encoded key and value, entry after
+// entry, ending at ends[i][0] and ends[i][1]. One buffer per fill, grown on
+// demand: a stack array handed to the codec interface escapes, an
+// allocation per record. A container takes its state from fillStates and
+// gives it back when its fill ends, like the index slabs (DESIGN.md "Hash
+// index").
+type fillState struct {
+	idx    aggIndex //deca:owns (its slots point into the pages of the container holding the state, which ends the fill before it releases them)
+	buf    []byte
+	staged int // entries
+	used   int // bytes of buf
+	tags   [probeBatch]uint32
+	ends   [probeBatch][2]int32
+}
+
+// fillStates recycles fill states, as runWriters does spill writers.
+//
+//deca:allow ptrescape -- a recycled state holds no Ptr: endFill releases its index, which clears every slot and segment, before it sends the state
+var fillStates = make(chan *fillState, 32)
+
+const maxKeptBatch = 4 << 10 // a longer batch buffer is left to the collector
 
 // keyedOps is what a keyedStore asks of its container.
 type keyedOps interface {
@@ -183,7 +201,9 @@ type keyedOps interface {
 type recordShape struct{ fixed, tail int }
 
 func newKeyedStore(mem *memory.Manager, spillDir string, kind byte, flag0, flag1 recordShape) keyedStore {
-	return keyedStore{pageStore: newPageStore(mem, spillDir), idx: aggIndex{mem: mem}, kind: kind, shape: [2]recordShape{flag0, flag1}}
+	f := transport.Reuse(fillStates, func() *fillState { return new(fillState) })
+	f.idx.mem = mem
+	return keyedStore{pageStore: newPageStore(mem, spillDir), fillState: f, kind: kind, shape: [2]recordShape{flag0, flag1}}
 }
 
 // stagePut is the head of every Put: it adds k, encoded and hashed once, to
@@ -197,25 +217,26 @@ func stagePut[K any](s *keyedStore, c decompose.Codec[K], k K, vlen int) []byte 
 	if s.stopped {
 		key, tail, _ := s.newRecord(klen, vlen)
 		c.Encode(key, k)
-		s.idx.n++
+		s.n++
 		return tail
 	}
-	if s.staged == probeBatch {
+	f := s.fillState
+	if f.staged == probeBatch {
 		s.flush()
 	}
-	at, i := s.used, s.staged
+	at, i := f.used, f.staged
 	vat, end := at+klen, at+klen+vlen
-	if end > len(s.buf) {
+	if end > len(f.buf) {
 		// Room for the rest of the batch at this entry's size: all a
 		// container of fixed-size records ever takes.
-		s.buf = slices.Grow(s.buf[:at], (probeBatch-i)*(klen+vlen))
-		s.buf = s.buf[:cap(s.buf)]
+		f.buf = slices.Grow(f.buf[:at], (probeBatch-i)*(klen+vlen))
+		f.buf = f.buf[:cap(f.buf)]
 	}
-	key := s.buf[at:vat]
+	key := f.buf[at:vat]
 	c.Encode(key, k)
-	s.tags[i], s.ends[i] = hashKey(key), [2]int32{int32(vat), int32(end)}
-	s.staged, s.used = i+1, end
-	return s.buf[vat:end]
+	f.tags[i], f.ends[i] = hashKey(key), [2]int32{int32(vat), int32(end)}
+	f.staged, f.used = i+1, end
+	return f.buf[vat:end]
 }
 
 // keySize is the length of k's encoding in s's records.
@@ -230,15 +251,16 @@ func keySize[K any](s *keyedStore, c decompose.Codec[K], k K) int {
 // entry's put in Put order — and leaves it empty. A flush is the only way a
 // Put takes effect, of one entry like of sixteen.
 func (s *keyedStore) flush() {
-	n := s.staged
-	if n == 0 {
+	f := s.fillState
+	if f == nil || f.staged == 0 {
 		return
 	}
-	s.staged, s.used = 0, 0
-	s.idx.touch(s.group, s.tags[:n])
+	n := f.staged
+	f.staged, f.used = 0, 0
+	f.idx.touch(s.group, f.tags[:n])
 	at := int32(0)
-	for i, end := range s.ends[:n] {
-		s.ops.put(s.tags[i], s.buf[at:end[0]], s.buf[end[0]:end[1]])
+	for i, end := range f.ends[:n] {
+		s.ops.put(f.tags[i], f.buf[at:end[0]], f.buf[end[0]:end[1]])
 		at = end[1]
 	}
 }
@@ -247,15 +269,15 @@ func (s *keyedStore) flush() {
 // the page the record lies in, appending the record, its tail zeroed, when
 // the key is new.
 func (s *keyedStore) upsert(tag uint32, key []byte) (tail []byte, page int32, fresh bool) {
-	size := s.shape[0].tail
-	tail, at, found := s.idx.find(s.group, tag, key, size)
+	ix, size := &s.idx, s.shape[0].tail
+	tail, at, found := ix.find(s.group, tag, key, size)
 	if found {
-		return tail, s.idx.slot(at).ptr.Page, false
+		return tail, ix.slot(at).ptr.Page, false
 	}
 	dst, tail, ptr := s.newRecord(len(key), size)
 	copy(dst, key)
 	clear(tail)
-	s.idx.insert(at, tag, ptr)
+	ix.insert(at, tag, ptr)
 	return tail, ptr.Page, true
 }
 
@@ -272,14 +294,25 @@ func (s *keyedStore) newRecord(klen, size int) (key, tail []byte, ptr memory.Ptr
 // Len returns the live key records in memory: the distinct keys, unless stopped.
 func (s *keyedStore) Len() int {
 	s.flush()
-	return s.idx.n
+	return s.live()
+}
+
+// live is the live key records: the index's count while the fill lasts.
+func (s *keyedStore) live() int {
+	if s.fillState != nil {
+		return s.idx.n
+	}
+	return s.n
 }
 
 // SizeBytes returns what the buffer holds of its manager: the page
 // footprint plus the index slabs.
 func (s *keyedStore) SizeBytes() int64 {
 	s.flush()
-	return s.group.Footprint() + s.idx.footprint()
+	if s.fillState != nil {
+		return s.group.Footprint() + s.idx.footprint()
+	}
+	return s.group.Footprint()
 }
 
 // PageOccupancy is pageStore.PageOccupancy with every Put in the pages.
@@ -288,22 +321,41 @@ func (s *keyedStore) PageOccupancy() (used, footprint int64) {
 	return s.pageStore.PageOccupancy()
 }
 
-// Seal ends the fill: every Put is in the pages and the index goes back to
-// the manager — nothing probes a filled buffer again. What is left counts,
-// sizes, encodes, releases, is a MergeFrom source and drains (unless spill
-// runs are pending: replaying one fills); Put, Spill, Fold and being a
-// MergeFrom destination panic. Idempotent.
+// Seal ends the fill: every Put is in the pages, and the index and the
+// batch go back (endFill) — nothing probes a filled buffer again. What is
+// left counts, sizes, encodes, releases, is a MergeFrom source and drains
+// (unless spill runs are pending: replaying one fills); Put, Spill, Fold
+// and being a MergeFrom destination panic. Idempotent.
 func (s *keyedStore) Seal() {
-	s.dropIndex()
+	s.flush()
+	s.endFill()
 	s.sealed = true
 }
 
-// dropIndex flushes and returns the index slabs; idx.n goes on counting.
-func (s *keyedStore) dropIndex() {
-	s.flush()
-	n := s.idx.n
-	s.idx.release()
-	s.idx.n = n
+// endFill returns the fill state: the index slabs to the manager, the state
+// to fillStates; n goes on counting. A pending batch is dropped, so a
+// caller whose Puts count flushes first. Idempotent.
+func (s *keyedStore) endFill() {
+	f := s.fillState
+	if f == nil {
+		return
+	}
+	s.fillState, s.n = nil, f.idx.n
+	f.idx.release()
+	f.idx.mem, f.idx.chained, f.staged, f.used = nil, false, 0, 0
+	if cap(f.buf) > maxKeptBatch {
+		f.buf = nil
+	}
+	transport.Recycle(fillStates, f)
+}
+
+// emptied follows a spill: no record is left in memory, and the index
+// clears in place for the refill.
+func (s *keyedStore) emptied() {
+	if s.fillState != nil {
+		s.idx.reset()
+	}
+	s.n = 0
 }
 
 // fills heads every method that adds records.
@@ -329,11 +381,12 @@ func (s *keyedStore) replay(fold func(run []byte) error) error {
 	return s.runSet.replay(fold)
 }
 
-// Release frees the pages and spill files (pageStore.Release) and returns
-// the index slabs; a pending batch is dropped. Idempotent.
+// Release frees the pages and spill files (pageStore.Release) and ends
+// the fill of a container never sealed; a pending batch is dropped.
+// Idempotent.
 func (s *keyedStore) Release() {
-	s.staged, s.used = 0, 0
-	s.idx.release()
+	s.endFill()
+	s.n = 0
 	s.pageStore.Release()
 }
 
@@ -344,7 +397,7 @@ func (s *keyedStore) Release() {
 //deca:owns
 func (s *keyedStore) EncodeSegments() (*transport.FrameSegments, error) {
 	s.flush()
-	return s.encodeSegments(s.kind, s.idx.n)
+	return s.encodeSegments(s.kind, s.live())
 }
 
 // mergeFrom is the containers' MergeFrom: s adopts src's page group and
@@ -359,8 +412,8 @@ func (s *keyedStore) mergeFrom(src *keyedStore) error {
 	combines(s.stopped, "MergeFrom", s.kind)
 	s.flush()
 	src.flush()
-	if base, ok := s.adopt(&src.pageStore, src.idx.n); ok {
-		return s.ops.absorbPages(base, src.idx.n)
+	if base, ok := s.adopt(&src.pageStore, src.live()); ok {
+		return s.ops.absorbPages(base, src.live())
 	}
 	return nil
 }
@@ -523,12 +576,13 @@ func (b *DecaAgg[K, V]) Put(k K, v V) {
 }
 
 // StopCombining ends the combine (DESIGN.md "Where the map side stops
-// combining"): the index goes back to the manager and each later Put
+// combining"): the fill state goes back (endFill) and each later Put
 // appends its record to the pages, so a run or frame may repeat a key,
 // which the reduce side's fold combines. Drain, Lookup, FoldRuns, Fold and
 // MergeFrom panic from here on. Idempotent.
 func (b *DecaAgg[K, V]) StopCombining() {
-	b.dropIndex()
+	b.flush()
+	b.endFill()
 	b.stopped = true
 }
 
@@ -560,7 +614,7 @@ func (b *DecaAgg[K, V]) Spill() error {
 		return it.err
 	})
 	if err == nil {
-		b.idx.reset()
+		b.emptied()
 	}
 	return err
 }
@@ -592,13 +646,13 @@ func (b *DecaAgg[K, V]) Lookup(k K) (v V, ok bool) {
 		panic("shuffle: Lookup on a DecaAgg with spill runs pending (FoldRuns first)")
 	}
 	b.flush()
-	klen := keySize(&b.keyedStore, b.keyCodec, k)
-	if len(b.buf) < klen {
-		b.buf = make([]byte, klen)
+	f, klen := b.fillState, keySize(&b.keyedStore, b.keyCodec, k)
+	if len(f.buf) < klen {
+		f.buf = make([]byte, klen)
 	}
-	key := b.buf[:klen] // flushed: no staged entry lives in buf
+	key := f.buf[:klen] // flushed: no staged entry lives in buf
 	b.keyCodec.Encode(key, k)
-	if val, _, found := b.idx.find(b.group, hashKey(key), key, b.shape[0].tail); found {
+	if val, _, found := f.idx.find(b.group, hashKey(key), key, b.shape[0].tail); found {
 		v, _ = b.valCodec.Decode(val)
 		return v, true
 	}
@@ -650,21 +704,22 @@ func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error { return b.mergeFrom
 // ones. An empty b sizes its table from n first (capped: n may be a hostile
 // header).
 func (b *DecaAgg[K, V]) absorbPages(base, n int) error {
-	if b.idx.n == 0 {
-		b.idx.reserve(min(n, stagePresize))
+	ix := &b.idx
+	if ix.n == 0 {
+		ix.reserve(min(n, stagePresize))
 	}
 	live, it := 0, b.records(base)
 	for got := it.nextBatch(); got > 0; got = it.nextBatch() {
 		live += got
-		b.idx.touch(b.group, it.tags[:got])
+		ix.touch(b.group, it.tags[:got])
 		for i := 0; i < got; i++ {
 			tag, ptr := it.tags[i], it.ptrs[i]
-			if dst, at, found := b.idx.find(b.group, tag, it.keys[i], b.shape[0].tail); found {
+			if dst, at, found := ix.find(b.group, tag, it.keys[i], b.shape[0].tail); found {
 				v, _ := b.valCodec.Decode(it.vals[i])
 				b.combineInto(dst, v)
 				b.group.Bytes(ptr, 1)[0] |= 1
 			} else {
-				b.idx.insert(at, tag, ptr)
+				ix.insert(at, tag, ptr)
 			}
 		}
 	}

@@ -292,7 +292,7 @@ func (b *DecaGroup[K, V]) Spill() error {
 		return nil
 	}
 	err := b.spillPages(func(w *spillWriter) error {
-		w.scratch = binary.AppendUvarint(w.scratch[:0], uint64(b.idx.n))
+		w.scratch = binary.AppendUvarint(w.scratch[:0], uint64(b.live()))
 		if _, err := w.Write(w.scratch); err != nil {
 			return err
 		}
@@ -300,7 +300,7 @@ func (b *DecaGroup[K, V]) Spill() error {
 		return err
 	})
 	if err == nil {
-		b.idx.reset()
+		b.emptied()
 		b.count = 0
 	}
 	return err
@@ -463,8 +463,9 @@ func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error { return b.merge
 // record, out of the pages or onto another chain's node balances. An error
 // leaves b partially merged, for the caller to release.
 func (b *DecaGroup[K, V]) absorbPages(base, n int) error {
-	if b.idx.n == 0 {
-		b.idx.reserve(min(n, stagePresize))
+	ix := &b.idx
+	if ix.n == 0 {
+		ix.reserve(min(n, stagePresize))
 	}
 	var live, nodes, values int
 	var links, ends uint64 // Σ hash(node) − Σ hash(link to it); Σ hash(nil link field) − Σ hash(tail link)
@@ -496,12 +497,12 @@ func (b *DecaGroup[K, V]) absorbPages(base, n int) error {
 		links -= mixPtr(head)
 		ends -= mixPtr(tail)
 		tag := hashKey(it.key)
-		dst, at, found := b.idx.find(b.group, tag, it.key, chainSize)
+		dst, at, found := ix.find(b.group, tag, it.key, chainSize)
 		if !found {
-			b.idx.insert(at, tag, it.ptr)
+			ix.insert(at, tag, it.ptr)
 			continue
 		}
-		dpage := b.idx.slot(at).ptr.Page
+		dpage := ix.slot(at).ptr.Page
 		dtail := getLink(dst[linkSize:], dpage)
 		link, err := b.group.CheckedBytes(dtail, linkSize)
 		if err != nil {

@@ -107,13 +107,8 @@ func (rs *runSet) write(fn func(w *spillWriter) error) error {
 	if err != nil {
 		return fmt.Errorf("shuffle: creating spill: %w", err)
 	}
-	var w *spillWriter
-	select {
-	case w = <-runWriters:
-		w.Reset(f)
-	default:
-		w = &spillWriter{Writer: bufio.NewWriterSize(f, 32<<10)}
-	}
+	w := transport.Reuse(runWriters, func() *spillWriter { return &spillWriter{Writer: bufio.NewWriterSize(nil, 32<<10)} })
+	w.Reset(f)
 	if err = fn(w); err == nil {
 		err = w.Flush()
 	}

@@ -87,11 +87,12 @@ func panicsNaming(t *testing.T, method string, fn func()) {
 }
 
 // TestSealedContainer is the seal contract (DESIGN.md "Hash index"): a
-// sealed container is its pages without its index. Against an unsealed twin
-// filled alike: it counts, sizes (the table gone from SizeBytes and from
-// the manager), reports occupancy and spill volume, encodes both ways byte
-// for byte, drains and is merged from as the twin; what would probe the
-// index panics by name; and its Release leaves the ledger at zero.
+// sealed container is its pages without its fill state — index and Put
+// batch. Against an unsealed twin filled alike: it counts, sizes (the
+// table gone from SizeBytes and from the manager), reports occupancy and
+// spill volume, encodes both ways byte for byte, drains and is merged from
+// as the twin; what would probe the index panics by name; and its Release
+// leaves the ledger at zero and the count at 0.
 func TestSealedContainer(t *testing.T) {
 	for _, c := range sealCases {
 		for _, spilled := range []bool{false, true} {
@@ -129,6 +130,9 @@ func TestSealedContainer(t *testing.T) {
 				before, table := mem.Counters()[obs.PageBytesInUse], b.SizeBytes()-pages
 				b.Seal()
 				b.Seal()
+				if fillOf(b) != nil || fillOf(twin) == nil {
+					t.Errorf("the fill state outlives the seal, or an unsealed twin lost it")
+				}
 				if got := mem.Counters()[obs.PageBytesInUse]; table <= 0 || got != before-table {
 					t.Errorf("the seal took the manager from %d to %d bytes in use, want the table's %d returned", before, got, table)
 				}
@@ -179,11 +183,25 @@ func TestSealedContainer(t *testing.T) {
 				for _, x := range []sealable{b, twin, dst, twinDst} {
 					x.Release()
 					x.Release()
+					if x.Len() != 0 {
+						t.Errorf("a released container counts %d keys", x.Len())
+					}
 				}
 				assertClean(t, mem, dir, "after the releases")
 			})
 		}
 	}
+}
+
+// fillOf is a sealCases container's fill state.
+func fillOf(b sealable) *fillState {
+	switch b := b.(type) {
+	case *DecaAgg[int64, int64]:
+		return b.fillState
+	case *DecaGroup[int64, int64]:
+		return b.fillState
+	}
+	panic(fmt.Sprintf("fillOf(%T)", b))
 }
 
 // TestReplayCopiesWhatItKeeps: a replay hands each fold a mapping of its

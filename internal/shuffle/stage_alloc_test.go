@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
@@ -27,7 +28,7 @@ import (
 //
 // Folding a Deca frame adds the destination's own index: for DecaAgg and
 // DecaGroup slabs of manager memory sized from the frame's count, under a
-// directory inside the container — and nothing per key or per value,
+// directory in its fill state — and nothing per key or per value,
 // whatever their types: a folded key stays in its page, and so does its
 // value list. (Folding an Object frame boxes every record by design: that
 // half holds the Deca kinds only.)
@@ -147,6 +148,53 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMapOutputHeaderIsSmall: a map output's header outlives its fill —
+// it lives until the stage's outputs are released — so the fill's index
+// directory and Put batch are not in it: Seal gives them back, and the next
+// container takes them. 64 lifetimes one after another, each filled,
+// sealed and released, allocate at most 256 bytes of header each beside
+// what their page group allocates, plus one fill state.
+func TestMapOutputHeaderIsSmall(t *testing.T) {
+	const lives, keys, header = 64, 100, 256
+	mem := memory.NewManager(4096, 0)
+	least := func(life func()) uint64 {
+		life() // the pages come from the pool from here on
+		n := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range lives {
+				life()
+			}
+			runtime.ReadMemStats(&after)
+			n = min(n, after.TotalAlloc-before.TotalAlloc)
+		}
+		return n
+	}
+	pages := least(func() {
+		g := mem.NewGroup()
+		for range keys {
+			g.Alloc(17) // a DecaAgg[int64, float64] record
+		}
+		g.Release()
+	})
+	got := least(func() {
+		b, err := NewDecaAgg[int64, float64](mem, addF, i64, f64, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			b.Put(int64(i), 1)
+		}
+		b.Seal()
+		b.Release()
+	})
+	if budget := pages + lives*header + uint64(unsafe.Sizeof(fillState{})); got > budget {
+		t.Errorf("%d map outputs allocated %d bytes, budget %d: their page groups' %d, %d of header each and one fill state",
+			lives, got, budget, pages, header)
+	}
+}
+
 // TestStoppedDecaAggPutAllocs: a Put into a DecaAgg that stopped combining
 // appends its record to the pages — no batch, no probe, no Go object.
 func TestStoppedDecaAggPutAllocs(t *testing.T) {
@@ -157,6 +205,9 @@ func TestStoppedDecaAggPutAllocs(t *testing.T) {
 	defer b.Release()
 	b.Put("warm", 1) // the first page
 	b.StopCombining()
+	if b.fillState != nil {
+		t.Error("a DecaAgg that stopped combining still holds its fill state")
+	}
 	keys := []string{"alpha", "beta", "a key longer than the others"}
 	i := 0
 	if got := testing.AllocsPerRun(1000, func() { b.Put(keys[i%len(keys)], int64(i)); i++ }); got != 0 {

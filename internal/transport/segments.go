@@ -75,16 +75,23 @@ type FrameSegments struct {
 
 // NewFrameSegments returns an empty frame.
 func NewFrameSegments() *FrameSegments {
-	fs := &FrameSegments{}
+	return &FrameSegments{segs: Reuse(segLists, func() []Seg { return nil })}
+}
+
+// Reuse takes a value from a bounded free list, or fresh's when the list is
+// empty. The shuffle's spill run writers and fill states recycle through it
+// and Recycle too.
+func Reuse[T any](list chan T, fresh func() T) T {
 	select {
-	case fs.segs = <-segLists:
+	case v := <-list:
+		return v
 	default:
+		return fresh()
 	}
-	return fs
 }
 
 // Recycle offers v to a bounded free list; when the list is full the
-// collector takes v. The shuffle's spill run writers recycle through it too.
+// collector takes v.
 func Recycle[T any](list chan T, v T) {
 	select {
 	case list <- v:
@@ -104,12 +111,7 @@ func (fs *FrameSegments) Stage(n int) []byte {
 		if n > stageChunkSize {
 			fs.chunk = make([]byte, 0, n)
 		} else {
-			var c *[stageChunkSize]byte
-			select {
-			case c = <-stageChunks:
-			default:
-				c = new([stageChunkSize]byte)
-			}
+			c := Reuse(stageChunks, func() *[stageChunkSize]byte { return new([stageChunkSize]byte) })
 			fs.pooled = append(fs.pooled, c)
 			fs.chunk = c[:0]
 		}

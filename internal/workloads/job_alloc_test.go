@@ -9,12 +9,12 @@ import (
 	"deca/internal/engine"
 )
 
-// leastMallocs counts the heap allocations of job, the fewest of three
-// runs: a collection or a runtime goroutine that allocates during one run
-// does not count against the job.
-func leastMallocs(t *testing.T, job func() error) uint64 {
+// leastMallocs counts the heap allocations and bytes of job, each the
+// fewest of three runs: a collection or a runtime goroutine that allocates
+// during one run does not count against the job.
+func leastMallocs(t *testing.T, job func() error) (mallocs, bytes uint64) {
 	t.Helper()
-	least := ^uint64(0)
+	mallocs, bytes = ^uint64(0), ^uint64(0)
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -23,61 +23,83 @@ func leastMallocs(t *testing.T, job func() error) uint64 {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return least
+	return mallocs, bytes
 }
 
-// TestDecaLRJobAllocatesPerPageNotPerPoint: a Deca LR job encodes each
-// generated point into its cache block before the next one is drawn, so
-// the point's vector is reused across the walk and doubling the points adds
-// pages, not heap objects. A job that allocates per point (a fresh vector,
-// a boxed record) makes about n more allocations at 2n than at n.
-func TestDecaLRJobAllocatesPerPageNotPerPoint(t *testing.T) {
-	const n = 20_000
-	mallocs := func(points int) uint64 {
-		cfg := baseCfg(t, engine.ModeDeca)
-		cfg.PageSize = 0 // the default page: per-page bookkeeping stays out of the count
-		params := LRParams{Points: points, Dim: 8, Iterations: 2}
-		return leastMallocs(t, func() error {
-			_, err := LogisticRegression(cfg, params)
+// TestHeapLaw: a Deca job's Go heap is O(plan), not O(input). Each of the
+// five jobs runs in Deca mode in-process and on two executors over TCP, at
+// an input s and at 4s; the larger run may cost at most the job's stated
+// number of allocations and 64 KiB more than the smaller one — records
+// live in pages, and what is left on the heap is per stage, per partition
+// and per page. A job that allocates per record (a boxed value, a fresh
+// vector, a string per line or per key) adds about one allocation per added
+// record. The Spark rows are the positive control: there every record is an
+// object, so the count sees the input grow by at least one allocation per
+// added record (in-process only; the deployment does not change that).
+func TestHeapLaw(t *testing.T) {
+	const bytesBudget = 64 << 10
+	jobs := []struct {
+		name    string
+		run     func(cfg Config, s int) error
+		records int // what s adds to the input: lines, points or edges
+		allocs  uint64
+	}{
+		{"WC", func(cfg Config, s int) error {
+			_, err := WordCount(cfg, WCParams{DistinctKeys: 500, WordsPerLine: 8, Lines: 20_000 * s})
 			return err
-		})
+		}, 20_000, 64},
+		{"LR", func(cfg Config, s int) error {
+			_, err := LogisticRegression(cfg, LRParams{Points: 50_000 * s, Dim: 8, Iterations: 2})
+			return err
+		}, 50_000, 32},
+		{"KMeans", func(cfg Config, s int) error {
+			_, err := KMeans(cfg, KMeansParams{Points: 50_000 * s, Dim: 8, K: 4, Iterations: 2})
+			return err
+		}, 50_000, 32},
+		{"PR", func(cfg Config, s int) error {
+			_, err := PageRank(cfg, GraphParams{Vertices: 5_000 * int64(s), Edges: 25_000 * s, Skew: 0.6, Iterations: 3})
+			return err
+		}, 25_000, 64},
+		{"CC", func(cfg Config, s int) error {
+			_, err := ConnectedComponents(cfg, GraphParams{Vertices: 5_000 * int64(s), Edges: 25_000 * s, Skew: 0.6, Iterations: 3})
+			return err
+		}, 25_000, 64},
 	}
-	small, large := mallocs(n), mallocs(2*n)
-	t.Logf("LR in Deca mode: %d allocations at %d points, %d at %d", small, n, large, 2*n)
-	if large > small && large-small >= n/100 {
-		t.Errorf("%d more points cost %d more allocations, budget %d: the job allocates per point", n, large-small, n/100)
+	rows := []struct {
+		name string
+		mode engine.Mode
+		tcp  bool
+	}{
+		{"Deca, in-process", engine.ModeDeca, false},
+		{"Deca, 2 executors over TCP", engine.ModeDeca, true},
+		{"Spark, in-process", engine.ModeSpark, false},
 	}
-}
-
-// TestDecaWCJobAllocatesPerKeyNotPerLine: a Deca WC job splits each
-// generated line while it is the walk's one buffer, and every Put copies
-// its word into container memory, so with a key space every run sees in
-// full, doubling the lines adds no heap objects. Spark mode's object hash
-// map keeps its keys, cut from a string per line, and its records are
-// objects: the same doubling costs it at least one allocation a line, so
-// the count does see per-line allocation where a mode makes it.
-func TestDecaWCJobAllocatesPerKeyNotPerLine(t *testing.T) {
-	const n = 20_000
-	added := func(mode engine.Mode) int64 {
-		mallocs := func(lines int) int64 {
-			cfg := baseCfg(t, mode)
-			cfg.PageSize = 0 // the default page: per-page bookkeeping stays out of the count
-			params := WCParams{DistinctKeys: 500, WordsPerLine: 8, Lines: lines}
-			return int64(leastMallocs(t, func() error {
-				_, err := WordCount(cfg, params)
-				return err
-			}))
+	for _, j := range jobs {
+		for _, r := range rows {
+			var mallocs, bytes [2]uint64
+			for i, s := range []int{1, 4} {
+				mallocs[i], bytes[i] = leastMallocs(t, func() error {
+					cfg := baseCfg(t, r.mode)
+					cfg.PageSize = 0 // the default page: per-page bookkeeping stays out of the count
+					if r.tcp {
+						cfg.NumExecutors, cfg.TransportKind = 2, engine.TransportTCP
+					}
+					return j.run(cfg, s)
+				})
+			}
+			added, grew := 3*j.records, int64(mallocs[1]-mallocs[0])
+			t.Logf("%s, %s: %d → %d allocations, %d → %d bytes at %d more records", j.name, r.name, mallocs[0], mallocs[1], bytes[0], bytes[1], added)
+			switch {
+			case r.mode == engine.ModeSpark && grew < int64(added):
+				t.Errorf("%s, %s: %d more records cost %d more allocations, want at least %d: the control does not see per-record objects",
+					j.name, r.name, added, grew, added)
+			case r.mode == engine.ModeDeca && (grew > int64(j.allocs) || int64(bytes[1]-bytes[0]) > bytesBudget):
+				t.Errorf("%s, %s: %d more records cost %d more allocations and %d more bytes, budget %d and %d: the job's heap grows with its input",
+					j.name, r.name, added, grew, int64(bytes[1]-bytes[0]), j.allocs, bytesBudget)
+			}
 		}
-		return mallocs(2*n) - mallocs(n)
-	}
-	deca, spark := added(engine.ModeDeca), added(engine.ModeSpark)
-	t.Logf("WC: %d more lines cost Deca mode %d more allocations, Spark mode %d", n, deca, spark)
-	if deca >= n/100 {
-		t.Errorf("Deca mode: %d more lines cost %d more allocations, budget %d: the job allocates per line", n, deca, n/100)
-	}
-	if spark < n {
-		t.Errorf("Spark mode: %d more lines cost %d more allocations, want at least %d", n, spark, n)
 	}
 }

@@ -190,7 +190,11 @@ func kmeansStepDeca(
 func kmeansStepBlock(g *memory.Group, dim int, centers [][]float64) []float64 {
 	recSize := 8 * dim
 	acc := make([]float64, len(centers)*(dim+1))
-	scratch := make([]float64, dim)
+	var stack [16]float64 // up to 16 coordinates the scratch stays off the heap
+	scratch := stack[:]
+	if len(scratch) < dim {
+		scratch = make([]float64, dim)
+	}
 	for pi := 0; pi < g.NumPages(); pi++ {
 		page := g.Page(pi)
 		for off := 0; off+recSize <= len(page); off += recSize {

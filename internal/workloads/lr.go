@@ -177,7 +177,11 @@ func lrGradientBlock(g *memory.Group, weights []float64) []float64 {
 	dim := len(weights)
 	recSize := 8 + 8*dim
 	acc := make([]float64, dim)
-	scratch := make([]float64, 4*(1+dim))
+	var stack [4 * 17]float64 // up to 16 features the scratch stays off the heap
+	scratch := stack[:]
+	if len(scratch) < 4*(1+dim) {
+		scratch = make([]float64, 4*(1+dim))
+	}
 	for pi := 0; pi < g.NumPages(); pi++ {
 		page := g.Page(pi)
 		off := 0

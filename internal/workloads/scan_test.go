@@ -80,7 +80,7 @@ func eachRoundTrip[T any](t *testing.T, blk *cache.DecaBlock[T], check func(what
 func TestDecaGradientMatchesCodec(t *testing.T) {
 	for name, mem := range scanManagers() {
 		for _, n := range []int{256, 257, 258, 259} {
-			for _, dim := range []int{1, 8, 10} {
+			for _, dim := range []int{1, 8, 10, 17} {
 				points := datagen.Points(int64(dim), n, dim)
 				weights := scanWeights(dim)
 				blk := cache.NewDecaBlock(mem, LabeledPointCodec{Dim: dim}, points)
@@ -112,7 +112,7 @@ func TestDecaGradientMatchesCodec(t *testing.T) {
 func TestDecaKMeansStepMatchesCodec(t *testing.T) {
 	const k = 4
 	for name, mem := range scanManagers() {
-		for _, dim := range []int{1, 8, 10} {
+		for _, dim := range []int{1, 8, 10, 17} {
 			vectors := datagen.Vectors(int64(dim), 257, dim, k)
 			centers := scanCenters(k, dim)
 			blk := cache.NewDecaBlock(mem, decompose.Float64VecCodec{Dim: dim}, vectors)
