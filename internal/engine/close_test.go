@@ -7,6 +7,7 @@ import (
 
 	"deca/internal/chaos"
 	"deca/internal/decompose"
+	"deca/internal/obs"
 )
 
 // TestCloseIdempotentAfterFailedStage: a stage that errors mid-flight
@@ -58,6 +59,49 @@ func TestCloseIdempotentAfterFailedStage(t *testing.T) {
 		if conn, err := net.Dial("tcp", addr); err == nil {
 			conn.Close()
 			t.Errorf("listener %s still accepting after Close", addr)
+		}
+	}
+}
+
+// TestClosedContextsRingGoesToTheNext: Close gives the event ring's blocks
+// back to the process, where the next Context's ring takes them. A late
+// Record and Drain on the closed context — a stage's error path racing its
+// Close — reach none of them while the next context runs a job: the closed
+// ring records and returns nothing, and the open one keeps every event it
+// recorded, in sequence. Run with -race.
+func TestClosedContextsRingGoesToTheNext(t *testing.T) {
+	conf := Config{Parallelism: 2, Mode: ModeDeca, PageSize: 1024, SpillDir: t.TempDir()}
+	count := func(ctx *Context) {
+		if n, err := Count(Parallelize(ctx, make([]int64, 64), 8)); err != nil || n != 64 {
+			t.Errorf("Count = %d, %v; want 64", n, err)
+		}
+	}
+	a := New(conf)
+	count(a)
+	a.Close()
+	b := New(conf)
+	defer b.Close()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 500 {
+			a.rec.Record(obs.Event{Kind: obs.KindStageAbort, Key: "late"})
+			if evs := a.rec.Drain(0); evs != nil {
+				t.Errorf("the closed context's ring drained %d events", len(evs))
+				return
+			}
+		}
+	}()
+	count(b)
+	wg.Wait()
+	evs := b.rec.Drain(0)
+	if len(evs) == 0 {
+		t.Fatal("the open context recorded no event")
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) || e.Key == "late" {
+			t.Fatalf("the open context's event %d = %+v: not its own, in sequence", i, e)
 		}
 	}
 }

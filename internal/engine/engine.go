@@ -559,10 +559,11 @@ func (c *Context) ReleaseAllShuffles() {
 }
 
 // Close releases shuffles, every executor's cache blocks and memory
-// manager, the transport's listeners and connection pools, and — on a
-// multiproc driver — the executor fleet (Shutdown broadcast, then SIGKILL
-// for stragglers). Idempotent: a second Close, including one racing a
-// stage's error path, is a no-op. The context is unusable afterwards.
+// manager, the transport's listeners and connection pools, on a multiproc
+// driver the executor fleet (Shutdown broadcast, then SIGKILL for
+// stragglers), and last the event ring's blocks (obs.Recorder.Close).
+// Idempotent: a second Close, including one racing a stage's error path,
+// is a no-op. The context is unusable afterwards.
 func (c *Context) Close() {
 	c.closeOnce.Do(func() {
 		c.gcSampler.Stop()
@@ -581,6 +582,7 @@ func (c *Context) Close() {
 		if c.conf.TraceOut != "" && c.view != nil {
 			c.writeTraceOut()
 		}
+		c.rec.Close()
 	})
 }
 

@@ -120,7 +120,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 ) error {
 	m := t.Part
 	bufs := make([]S, 0, R)
-	trackers := make([]*spillTracker, R)
+	trackers := make([]spillTracker, R) // one object a task, not one a reducer buffer
 	// Until the task hands a buffer to the transport it is the task's to
 	// release: any error return must not leak its pages.
 	registered := 0
@@ -135,7 +135,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 			return err
 		}
 		bufs = append(bufs, b)
-		trackers[r] = newSpillTracker(threshold, entrySizeHint(entrySize))
+		trackers[r] = spillTracker{threshold: threshold, per: entrySizeHint(entrySize)}
 	}
 	var records int64
 	var iterErr error
@@ -443,13 +443,6 @@ type spillTracker struct {
 	approx    int64
 	per       int64
 	puts      int // into the buffer, for the combine rule (shuffleMapBody)
-}
-
-func newSpillTracker(threshold int64, perEntry int64) *spillTracker {
-	if perEntry <= 0 {
-		perEntry = 48
-	}
-	return &spillTracker{threshold: threshold, per: perEntry}
 }
 
 // add records one insertion; it reports whether the caller should spill.
@@ -796,11 +789,15 @@ func releasePayloads(pls ...transport.Payload) {
 	}
 }
 
+// entrySizeHint is a spill tracker's per-Put estimate: es of the zero
+// pair, or 48 bytes where es is nil or sizes nothing.
 func entrySizeHint[K comparable, V any](es func(K, V) int) int64 {
-	if es == nil {
-		return 48
+	if es != nil {
+		var k K
+		var v V
+		if n := es(k, v); n > 0 {
+			return int64(n)
+		}
 	}
-	var k K
-	var v V
-	return int64(es(k, v))
+	return 48
 }

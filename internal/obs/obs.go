@@ -95,11 +95,19 @@ type Event struct {
 // granularity a few thousand events cover the shipping interval with plenty
 // of slack, and the bound is what matters. An untraced driver's ring is
 // drained only when an ops endpoint reads it, so without one it is never
-// drained and keeps the newest DefaultCapacity events.
+// drained and keeps the newest DefaultCapacity events. Its blocks go back
+// to the process at Close (freeBlocks), so a ring is paid once per process,
+// not once per job.
 const DefaultCapacity = 4096
 
 // blockEvents is the most events one block of a recorder holds (20 KiB).
 const blockEvents = 256
+
+// freeBlocks recycles closed recorders' blocks, cleared, into the next
+// recorder's ring. It is a bounded free list, not a sync.Pool, which every
+// collection empties; it holds the most blocks an untraced ring does, so
+// what a closed job leaves the process is at most one ring.
+var freeBlocks = make(chan []Event, DefaultCapacity/blockEvents)
 
 // Recorder is a bounded queue of events. A nil *Recorder is the
 // disabled state: Record on nil is a single predictable branch, so
@@ -112,7 +120,9 @@ const blockEvents = 256
 // The capacity bounds the backlog, not the allocation: events live in
 // fixed blocks taken as the backlog reaches them, and a block whose events
 // are all drained or overwritten becomes the one spare the next is taken
-// from, so the recorder holds its backlog plus at most one block.
+// from, so the recorder holds its backlog plus at most one block. Blocks
+// come from the process's free list (freeBlocks) before the heap, and
+// Close gives them back: a recorder lives as long as its Context.
 type Recorder struct {
 	mu       sync.Mutex
 	capacity int
@@ -122,6 +132,7 @@ type Recorder struct {
 	n        int       // live events
 	seq      uint64
 	dropped  uint64
+	closed   bool // the blocks went back at Close; Record and Drain do nothing
 }
 
 // NewRecorder returns a recorder holding at most capacity events
@@ -145,6 +156,10 @@ func (r *Recorder) Record(e Event) {
 		e.Nanos = time.Now().UnixNano()
 	}
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
 	r.seq++
 	e.Seq = r.seq
 	if r.n == r.capacity {
@@ -159,7 +174,11 @@ func (r *Recorder) Record(e Event) {
 	if i == len(r.blocks)*blockEvents {
 		b := r.spare
 		if b == nil {
-			b = make([]Event, blockEvents)
+			select {
+			case b = <-freeBlocks:
+			default:
+				b = make([]Event, blockEvents)
+			}
 		}
 		r.blocks, r.spare = append(r.blocks, b), nil
 	}
@@ -174,6 +193,37 @@ func (r *Recorder) popBlock() {
 	r.spare = r.blocks[0]
 	r.blocks = r.blocks[:copy(r.blocks, r.blocks[1:])]
 	r.off = 0
+}
+
+// Close ends the recorder's lifetime: each block is cleared, so that no
+// event's Key stays alive, and offered to the process's free list, where
+// the next recorder takes its blocks. Record, Drain and Len do nothing
+// afterwards, so a late writer (a stage's error path racing the Context's
+// Close) never reaches a block another recorder now holds. Safe on a nil
+// receiver; a second Close does nothing.
+func (r *Recorder) Close() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	for _, b := range r.blocks {
+		freeBlock(b)
+	}
+	freeBlock(r.spare)
+	r.blocks, r.spare, r.off, r.n = nil, nil, 0, 0
+}
+
+func freeBlock(b []Event) {
+	if b == nil {
+		return
+	}
+	clear(b)
+	select {
+	case freeBlocks <- b:
+	default:
+	}
 }
 
 // Drain removes and returns up to max oldest events (all of them if

@@ -61,3 +61,25 @@ func TestRecorderHeapFollowsBacklog(t *testing.T) {
 		t.Fatalf("drained %d events, A %d..%d; want the newest %d", len(evs), evs[0].A, evs[len(evs)-1].A, DefaultCapacity)
 	}
 }
+
+// TestRecorderTakesAClosedRingsBlocks: a recorder's blocks are paid once
+// per process. After the first recorder's Close, a second one that records
+// 500 events (two blocks) takes the blocks the first gave back and
+// allocates no block of its own, only its header and block list.
+func TestRecorderTakesAClosedRingsBlocks(t *testing.T) {
+	emptyFreeBlocks()
+	block := heapBytes(func() { blockSink = make([]Event, blockEvents) })
+	record := func() (r *Recorder) {
+		r = NewRecorder(0)
+		for i := 0; i < 500; i++ {
+			r.Record(Event{Kind: KindGCSample, A: int64(i)})
+		}
+		return r
+	}
+	record().Close()
+	got := heapBytes(func() { record() })
+	t.Logf("a second recorder's 500 events allocated %d bytes (a block is %d)", got, block)
+	if got >= block {
+		t.Errorf("a second recorder's 500 events allocated %d bytes, a block's worth (%d): it took no block the first one closed", got, block)
+	}
+}

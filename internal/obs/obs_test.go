@@ -261,3 +261,69 @@ func TestWriteTraceEmpty(t *testing.T) {
 		t.Fatalf("empty trace is not a JSON array: %v", err)
 	}
 }
+
+// emptyFreeBlocks takes every block the package's earlier tests gave back,
+// so the next recorder's blocks come from the recorder a test closes.
+func emptyFreeBlocks() {
+	for len(freeBlocks) > 0 {
+		<-freeBlocks
+	}
+}
+
+// TestClosedRecorderGivesItsBlocksToTheNext: a closed recorder's blocks go,
+// cleared, to the next recorder, and a late Record and Drain on the closed
+// one — a stage's error path racing its Context's Close — reach none of
+// them: the closed recorder records and returns nothing, and the next one
+// keeps every event it recorded, in order. Run with -race.
+func TestClosedRecorderGivesItsBlocksToTheNext(t *testing.T) {
+	emptyFreeBlocks()
+	a := NewRecorder(0)
+	for i := range 300 {
+		a.Record(Event{Kind: KindGCSample, A: int64(i), Key: "a"})
+	}
+	held := map[*Event]bool{&a.blocks[0][0]: true, &a.blocks[1][0]: true}
+	a.Close()
+	a.Close()
+
+	b := NewRecorder(0)
+	const n = 600
+	b.Record(Event{Kind: KindOccupancy})
+	for _, blk := range b.blocks {
+		if !held[&blk[0]] {
+			t.Fatal("the next recorder's block is not one the closed recorder gave back")
+		}
+		for _, e := range blk[1:] {
+			if e.Key != "" {
+				t.Fatalf("a recycled block still holds the closed recorder's event %+v", e)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 1000 {
+			a.Record(Event{Kind: KindTaskStart, Key: "late"})
+			if evs := a.Drain(0); evs != nil {
+				t.Errorf("a closed recorder drained %d events", len(evs))
+				return
+			}
+		}
+	}()
+	for i := 1; i < n; i++ {
+		b.Record(Event{Kind: KindOccupancy, A: int64(i)})
+	}
+	wg.Wait()
+	if a.Len() != 0 {
+		t.Errorf("a closed recorder holds %d events", a.Len())
+	}
+	evs := b.Drain(0)
+	if len(evs) != n {
+		t.Fatalf("the next recorder drained %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		if e.Kind != KindOccupancy || e.A != int64(i) || e.Seq != uint64(i+1) || e.Key != "" {
+			t.Fatalf("event %d = %+v, want the next recorder's own event %d", i, e, i)
+		}
+	}
+}

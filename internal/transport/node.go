@@ -27,6 +27,7 @@ const (
 
 	// maxWireFrame bounds a response frame length read off the wire.
 	maxWireFrame = 1 << 32
+	maxRequest   = 3 * binary.MaxVarintLen64 // the longest FETCH request
 	// connPoolSize caps idle pooled connections per destination node.
 	connPoolSize = 4
 	// frameReadChunk is the granularity at which a fetching client
@@ -131,58 +132,49 @@ func (s *DataServer) acceptLoop() {
 // entry was pinned, not consumed, so the fetcher's retry re-serves it.
 func (s *DataServer) serve(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	br := bufio.NewReaderSize(conn, maxRequest)
+	hdr := make([]byte, 1+binary.MaxVarintLen64)
 	for {
 		id, err := readFetchRequest(br)
 		if err != nil {
 			return // client closed or spoke garbage; drop the connection
 		}
-		if !s.serveOne(conn, bw, id) {
+		if !s.serveOne(conn, hdr, id) {
 			return
 		}
 	}
 }
 
-// serveOne answers a single FETCH: status + length header through the
-// buffered writer, then — after a flush, so ordering holds on the raw
-// socket — the frame's segments (FrameSegments.WriteTo: page buffers in
-// one writev batch, spill files via the kernel's sendfile path). Returns
-// false when the connection should be dropped.
-func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) bool {
+// serveOne answers a single FETCH with no write buffer: the status byte
+// and length header (hdr, the connection's) lead the frame's segments
+// (FrameSegments.writeAfter: one writev batch with the page buffers, spill
+// files via the kernel's sendfile path). Returns false when the connection
+// should be dropped.
+func (s *DataServer) serveOne(conn net.Conn, hdr []byte, id MapOutputID) bool {
 	p, e, ok := s.store.beginServe(id)
 	if !ok {
-		return writeNotFound(bw)
+		return writeNotFound(conn, hdr)
 	}
 	defer s.store.endServe(e)
 	fs, err := p.frame()
 	if err != nil {
 		// Unencodable: the entry stays registered until its stage's
 		// verdict; the fetcher sees NOTFOUND and recovers by lineage.
-		return writeNotFound(bw)
+		return writeNotFound(conn, hdr)
 	}
 	defer fs.Release()
 	// Counted before the frame's bytes leave: once the fetcher holds the
 	// last one it may end the job, and the driver read this node's counters.
 	s.store.countServe(fs)
 	s.store.counters[obs.BytesSendfile].Add(fs.FileBytes())
-	if !writeFrameHeader(bw, fs.Len()) || bw.Flush() != nil {
-		return false
-	}
-	_, err = fs.WriteTo(conn)
+	hdr[0] = statusOK
+	_, err = fs.writeAfter(net.Buffers{hdr[:1+binary.PutUvarint(hdr[1:], uint64(fs.Len()))]}, conn)
 	return err == nil
 }
 
-func writeNotFound(bw *bufio.Writer) bool {
-	return bw.WriteByte(statusNotFound) == nil && bw.Flush() == nil
-}
-
-func writeFrameHeader(bw *bufio.Writer, n int64) bool {
-	var hdr [binary.MaxVarintLen64]byte
-	if bw.WriteByte(statusOK) != nil {
-		return false
-	}
-	_, err := bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(n))])
+func writeNotFound(conn net.Conn, hdr []byte) bool {
+	hdr[0] = statusNotFound
+	_, err := conn.Write(hdr[:1])
 	return err == nil
 }
 
@@ -221,13 +213,13 @@ type DataClient struct {
 	closed bool
 }
 
-// dataConn is a pooled client connection with its buffered endpoints (the
-// reader may hold response bytes between requests, so it travels with the
-// connection).
+// dataConn is a pooled client connection: the reader responses stream
+// through (it may hold their bytes between requests, so it travels with the
+// connection) and the bytes a request goes out from, in one write.
 type dataConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	c   net.Conn
+	br  *bufio.Reader
+	req [maxRequest]byte
 }
 
 // NewDataClient builds a client whose FETCH round-trips are bounded by
@@ -280,7 +272,7 @@ func (c *DataClient) getConn(addr string) (*dataConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	return &dataConn{c: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
+	return &dataConn{c: nc, br: bufio.NewReader(nc)}, nil
 }
 
 // putConn returns a healthy connection to its pool. After Close — or
@@ -345,14 +337,10 @@ func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOp
 			return Decoded{}, 0, false, err
 		}
 	}
-	var hdr [3 * binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(hdr[:], uint64(id.Shuffle))
-	k += binary.PutUvarint(hdr[k:], uint64(id.MapTask))
-	k += binary.PutUvarint(hdr[k:], uint64(id.Reduce))
-	if _, err := c.bw.Write(hdr[:k]); err != nil {
-		return Decoded{}, 0, false, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	k := binary.PutUvarint(c.req[:], uint64(id.Shuffle))
+	k += binary.PutUvarint(c.req[k:], uint64(id.MapTask))
+	k += binary.PutUvarint(c.req[k:], uint64(id.Reduce))
+	if _, err := c.c.Write(c.req[:k]); err != nil {
 		return Decoded{}, 0, false, err
 	}
 	status, err := c.br.ReadByte()

@@ -171,9 +171,12 @@ func (fs *FrameSegments) Owner(release func()) {
 // one net.Buffers write (a single writev on a TCP conn, plain writes into
 // any other writer); file segments go through io.Copy from a
 // LimitedReader, which *net.TCPConn turns into sendfile.
-func (fs *FrameSegments) WriteTo(w io.Writer) (int64, error) {
+func (fs *FrameSegments) WriteTo(w io.Writer) (int64, error) { return fs.writeAfter(nil, w) }
+
+// writeAfter is WriteTo behind batch (a serve's response header), which
+// goes out in the frame's first write and is counted in its total.
+func (fs *FrameSegments) writeAfter(batch net.Buffers, w io.Writer) (int64, error) {
 	var total int64
-	var batch net.Buffers
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
