@@ -23,34 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"deca/internal/bench"
 )
 
-// metric mirrors the bench.Metric JSON shape (only the compared fields).
-type metric struct {
-	Name     string  `json:"name"`
-	Mode     string  `json:"mode"`
-	WallMS   float64 `json:"wall_ms"`
-	Checksum float64 `json:"checksum"`
-}
-
-// key identifies a row: the paper-figure experiments record one row per
-// mode under one name (fig9b: "lr-n500000" for Spark, SparkSer and Deca).
-func (m metric) key() string {
-	if m.Mode == "" {
-		return m.Name
-	}
-	return m.Name + " [" + m.Mode + "]"
-}
-
-type report struct {
-	ID      string   `json:"id"`
-	Metrics []metric `json:"metrics"`
-}
-
-func load(path string) (report, error) {
-	var r report
+func load(path string) (bench.Report, error) {
+	var r bench.Report
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return r, err
@@ -67,57 +46,58 @@ func load(path string) (report, error) {
 // current report means the experiment shrank, and a current row absent
 // from the baseline means the baseline predates the metric — both fail,
 // because a gate that silently skips unmatched rows gates nothing.
-func diff(base, cur report, wallWarn float64, w io.Writer) (failed bool) {
-	current := make(map[string]metric, len(cur.Metrics))
-	for _, m := range cur.Metrics {
-		current[m.key()] = m
-	}
+func diff(base, cur bench.Report, wallWarn float64, w io.Writer) (failed bool) {
+	baseline, dupBase := rowsByKey(base, "baseline", w)
+	current, dupCur := rowsByKey(cur, "current", w)
+	failed = dupBase || dupCur
 
 	for _, want := range base.Metrics {
-		got, ok := current[want.key()]
+		got, ok := current[want.Key()]
 		if !ok {
 			// A row the baseline measured vanished: the experiment's
 			// coverage shrank, which silent wall/checksum comparison would
 			// never notice.
-			fmt.Fprintf(w, "FAIL %-28s missing from current report\n", want.key())
+			fmt.Fprintf(w, "FAIL %-28s missing from current report\n", want.Key())
 			failed = true
 			continue
 		}
-		// Float checksums are scheduler-order sensitive only across
-		// partitions folded in nondeterministic order; the bench folds in
-		// partition order, so a small relative tolerance covers them.
-		if math.Abs(got.Checksum-want.Checksum) > 1e-6*math.Abs(want.Checksum) {
+		if !bench.ChecksumClose(got.Checksum, want.Checksum) {
 			fmt.Fprintf(w, "FAIL %-28s checksum %.6g, baseline %.6g — answers drifted\n",
-				want.key(), got.Checksum, want.Checksum)
+				want.Key(), got.Checksum, want.Checksum)
 			failed = true
 			continue
 		}
 		if want.WallMS > 0 && got.WallMS > want.WallMS*(1+wallWarn) {
 			fmt.Fprintf(w, "WARN %-28s wall %.1fms vs baseline %.1fms (+%.0f%%)\n",
-				want.key(), got.WallMS, want.WallMS, 100*(got.WallMS/want.WallMS-1))
+				want.Key(), got.WallMS, want.WallMS, 100*(got.WallMS/want.WallMS-1))
 			continue
 		}
 		fmt.Fprintf(w, "ok   %-28s checksum %.6g, wall %.1fms (baseline %.1fms)\n",
-			want.key(), got.Checksum, got.WallMS, want.WallMS)
+			want.Key(), got.Checksum, got.WallMS, want.WallMS)
 	}
 	for _, m := range cur.Metrics {
-		if _, ok := lookup(base.Metrics, m.key()); !ok {
+		if _, ok := baseline[m.Key()]; !ok {
 			fmt.Fprintf(w, "FAIL %-28s not in baseline %s — the baseline predates this metric; regenerate it\n",
-				m.key(), base.ID)
+				m.Key(), base.ID)
 			failed = true
 		}
 	}
 	return failed
 }
 
-// lookup finds a metric by key in a report's rows.
-func lookup(ms []metric, key string) (metric, bool) {
-	for _, m := range ms {
-		if m.key() == key {
-			return m, true
+// rowsByKey maps a report's rows by key and fails (through w) on a key
+// the report holds twice: the map would keep one of the two, and the
+// coverage checks would pass a run recorded twice.
+func rowsByKey(r bench.Report, side string, w io.Writer) (rows map[string]bench.Metric, dup bool) {
+	rows = make(map[string]bench.Metric, len(r.Metrics))
+	for _, m := range r.Metrics {
+		if _, ok := rows[m.Key()]; ok {
+			fmt.Fprintf(w, "FAIL %-28s recorded twice in the %s report\n", m.Key(), side)
+			dup = true
 		}
+		rows[m.Key()] = m
 	}
-	return metric{}, false
+	return rows, dup
 }
 
 func main() {

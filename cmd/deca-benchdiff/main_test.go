@@ -3,6 +3,13 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"deca/internal/bench"
+)
+
+type (
+	report = bench.Report
+	metric = bench.Metric
 )
 
 func row(name string, wall, checksum float64) metric {
@@ -92,5 +99,28 @@ func TestDiffTellsModesApart(t *testing.T) {
 	out.Reset()
 	if !diff(base, report{Metrics: []metric{modeRow("Deca", 150)}}, 0.25, &out) {
 		t.Errorf("a missing mode went unnoticed:\n%s", out.String())
+	}
+}
+
+// A row recorded twice fails whichever report holds it: a map keyed by row
+// would keep one of the two, and every coverage check would then pass.
+func TestDiffFailsOnARowRecordedTwice(t *testing.T) {
+	once := report{ID: "fig9b", Metrics: []metric{row("lr-n50000", 100, 2.05), row("lr-n100000", 200, 2.1)}}
+	twice := report{ID: "fig9b", Metrics: []metric{row("lr-n50000", 100, 2.05), row("lr-n50000", 100, 2.05), row("lr-n100000", 200, 2.1)}}
+	for _, c := range []struct {
+		name      string
+		base, cur report
+		side      string
+	}{
+		{"current", once, twice, "current"},
+		{"baseline", twice, once, "baseline"},
+	} {
+		var out strings.Builder
+		if !diff(c.base, c.cur, 0.25, &out) {
+			t.Errorf("%s: a row recorded twice passed:\n%s", c.name, out.String())
+		}
+		if !strings.Contains(out.String(), "FAIL lr-n50000") || !strings.Contains(out.String(), "recorded twice in the "+c.side+" report") {
+			t.Errorf("%s: no line names the row recorded twice:\n%s", c.name, out.String())
+		}
 	}
 }

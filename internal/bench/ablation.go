@@ -23,28 +23,23 @@ import (
 // unix a tiny page costs one mapping of its own: an mmap when it is first
 // made, an munmap when the pool drops it, and pool traffic in between.
 // Huge pages waste the unused tail of each container's last page.
-func AblationPageSize(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "ablation-pagesize",
-		Title: "Page-size sweep for the LR cache",
-		PaperClaim: "§2.3/§4.3.1: pages must be neither too small (the paper: GC traces many arrays; " +
-			"here, mapped pages: one mmap/munmap and mapping per page, pool churn) " +
-			"nor too large (unused space in each container's last page)",
-	}
+func AblationPageSize(o Options, rep *Report) error {
+	rep.PaperClaim = "§2.3/§4.3.1: pages must be neither too small (the paper: GC traces many arrays; " +
+		"here, mapped pages: one mmap/munmap and mapping per page, pool churn) " +
+		"nor too large (unused space in each container's last page)"
 	params := workloads.LRParams{Points: o.scaled(200_000), Dim: 10, Iterations: 8}
 	for _, ps := range []int{4 << 10, 64 << 10, 1 << 20, 16 << 20} {
 		cfg := o.baseCfg(engine.ModeDeca)
 		cfg.PageSize = ps
 		res, err := workloads.LogisticRegression(cfg, params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.record("page-"+mb(int64(ps)), res)
 		rep.add("page=%-8s exec=%-9s gc=%6.3fs cache-footprint=%s",
 			mb(int64(ps)), fmtDur(res.Wall), res.GC.GCCPUSeconds, mb(res.Counters.CacheBytes()))
 	}
-	return rep, nil
+	return nil
 }
 
 // AblationValueReuse isolates §4.3.2's segment reuse: the same eager
@@ -52,14 +47,9 @@ func AblationPageSize(o Options) (*Report, error) {
 // segment in place, and (b) the object buffer that allocates a boxed
 // value per combine. Same keys, same combines; only the value lifecycle
 // differs.
-func AblationValueReuse(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "ablation-value-reuse",
-		Title: "SFST in-place value reuse vs boxed combine values",
-		PaperClaim: "§4.3.2: combining kills the old value; reusing its page segment removes " +
-			"the per-combine garbage entirely",
-	}
+func AblationValueReuse(o Options, rep *Report) error {
+	rep.PaperClaim = "§4.3.2: combining kills the old value; reusing its page segment removes " +
+		"the per-combine garbage entirely"
 	n := o.scaled(4_000_000)
 	keys := o.scaled(100_000)
 	mem := memory.NewManager(1<<20, 0)
@@ -85,7 +75,7 @@ func AblationValueReuse(o Options) (*Report, error) {
 		func(a, b int64) int64 { return a + b },
 		decompose.Int64Codec{}, decompose.Int64Codec{}, "")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	runAgg("deca-reuse", deca.Put, func() int { return deca.Len() })
 	deca.Release()
@@ -96,5 +86,5 @@ func AblationValueReuse(o Options) (*Report, error) {
 	runAgg("object-boxed", obj.Put, func() int { return obj.Len() })
 	obj.Release()
 
-	return rep, nil
+	return nil
 }

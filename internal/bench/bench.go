@@ -9,13 +9,16 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
 	"deca/internal/gcstats"
+	"deca/internal/obs"
 	"deca/internal/workloads"
 )
 
@@ -97,6 +100,23 @@ type Metric struct {
 	Counters  map[string]int64 `json:"counters,omitempty"`
 }
 
+// Key names a row as deca-benchdiff matches it: a comparison records one
+// row per mode under one name (fig9b: "lr-n500000" for Spark, SparkSer and
+// Deca).
+func (m Metric) Key() string {
+	if m.Mode == "" {
+		return m.Name
+	}
+	return m.Name + " [" + m.Mode + "]"
+}
+
+// ChecksumClose is the same-answer rule of a series and of deca-benchdiff:
+// float checksums agree to 1e-6 relative, because cross-partition folds
+// are scheduler-order sensitive.
+func ChecksumClose(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-6*math.Abs(want)
+}
+
 func (r *Report) add(format string, args ...any) {
 	r.Rows = append(r.Rows, fmt.Sprintf(format, args...))
 }
@@ -135,33 +155,43 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Experiment pairs an id with its runner.
+// Experiment is one report: its id and title, declared here once, and the
+// runner that measures its rows.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Options) (*Report, error)
+	ID, Title string
+	run       func(Options, *Report) error
 }
 
-// All returns every experiment in paper order.
+// Run runs the experiment and returns its report.
+func (e Experiment) Run(o Options) (*Report, error) {
+	rep := &Report{ID: e.ID, Title: e.Title}
+	if err := e.run(o.withDefaults(), rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// All returns every experiment in paper order. The titles are the ones
+// the committed baselines carry.
 func All() []Experiment {
 	return []Experiment{
-		{"fig8a", "WC shuffle-object lifetime timeline", Fig8aWCLifetime},
-		{"fig8b", "WC execution time vs data and key size", Fig8bWordCount},
-		{"fig9a", "LR cached-object lifetime timeline", Fig9aLRLifetime},
-		{"fig9b", "LR execution time and cache size", Fig9bLR},
-		{"fig9c", "KMeans execution time and cache size", Fig9cKMeans},
-		{"fig9d", "High-dimensional (Amazon-style) LR/KMeans", Fig9dHighDim},
+		{"fig8a", "WC object-lifetime timeline (sampled)", Fig8aWCLifetime},
+		{"fig8b", "WC execution time vs data size and key cardinality", Fig8bWordCount},
+		{"fig9a", "LR cached-object lifetime timeline (sampled)", Fig9aLRLifetime},
+		{"fig9b", "LR exec time + cache size across dataset sizes (10-dim)", Fig9bLR},
+		{"fig9c", "KMeans exec time + cache size across dataset sizes (10-dim)", Fig9cKMeans},
+		{"fig9d", "High-dimensional (4096-dim) LR and KMeans", Fig9dHighDim},
 		{"fig10a", "PageRank on power-law graphs", Fig10aPageRank},
 		{"fig10b", "ConnectedComponents on power-law graphs", Fig10bCC},
-		{"table3", "GC time reduction per application", Table3GCReduction},
-		{"table4", "GC tuning: storage fraction and collector aggressiveness", Table4GCTuning},
-		{"table5", "Single-process microbenchmark and ser/deser costs", Table5Micro},
-		{"table6", "SQL queries: rows vs columnar vs Deca", Table6SQL},
-		{"deploy", "Deployment: in-process vs TCP frames vs executor processes", DeployComparison},
-		{"faults", "Fault tolerance: wall time and recomputed attempts vs failure rate", FaultTolerance},
+		{"table3", "GC time and Deca's reduction per application", Table3GCReduction},
+		{"table4", "GC tuning vs Deca", Table4GCTuning},
+		{"table5", "Microbenchmark: heap-size regimes and per-object ser/deser", Table5Micro},
+		{"table6", "SQL: filtering and group-by over rows / columnar / Deca pages", Table6SQL},
+		{"deploy", "Deployment: in-process vs TCP frames vs real executor processes", DeployComparison},
+		{"faults", "Fault tolerance: wall time and recomputed attempts vs injected failure rate", FaultTolerance},
 		{"wire", "Wire format: container encode/decode throughput, Deca vs Object", WireThroughput},
-		{"ablation-pagesize", "Page-size sweep (design-choice ablation)", AblationPageSize},
-		{"ablation-value-reuse", "SFST value reuse vs boxed combines (ablation)", AblationValueReuse},
+		{"ablation-pagesize", "Page-size sweep for the LR cache", AblationPageSize},
+		{"ablation-value-reuse", "SFST in-place value reuse vs boxed combine values", AblationValueReuse},
 	}
 }
 
@@ -221,3 +251,147 @@ func (o Options) chaosSeed() int64 {
 	}
 	return 1
 }
+
+// job is a workloads entry point bound to its parameters: what a
+// comparison runs under each mode or configuration.
+type job func(workloads.Config) (workloads.Result, error)
+
+// The jobs, one constructor a workload. (A generic binder would be one
+// function, but its instances make the linker treat workloads.Result as
+// reflected and link Result.String into deca-bench.)
+func wcJob(p workloads.WCParams) job {
+	return func(cfg workloads.Config) (workloads.Result, error) { return workloads.WordCount(cfg, p) }
+}
+
+func lrJob(p workloads.LRParams) job {
+	return func(cfg workloads.Config) (workloads.Result, error) { return workloads.LogisticRegression(cfg, p) }
+}
+
+func kmeansJob(p workloads.KMeansParams) job {
+	return func(cfg workloads.Config) (workloads.Result, error) { return workloads.KMeans(cfg, p) }
+}
+
+func prJob(p workloads.GraphParams) job {
+	return func(cfg workloads.Config) (workloads.Result, error) { return workloads.PageRank(cfg, p) }
+}
+
+func ccJob(p workloads.GraphParams) job {
+	return func(cfg workloads.Config) (workloads.Result, error) { return workloads.ConnectedComponents(cfg, p) }
+}
+
+// app is a job under the name its rows carry.
+type app struct {
+	name string
+	run  job
+}
+
+var (
+	allModes  = []engine.Mode{engine.ModeSpark, engine.ModeSparkSer, engine.ModeDeca}
+	sparkDeca = []engine.Mode{engine.ModeSpark, engine.ModeDeca}
+)
+
+// sweep runs j once in each of modes, on baseCfg(mode) as tune (if not
+// nil) changes it, and records each run under name in mode order. A
+// failed run is left out of the report and the results; once every mode
+// ran, the failures are returned, each named by its row and mode.
+func (o Options) sweep(rep *Report, name string, modes []engine.Mode, tune func(*workloads.Config), j job) ([]workloads.Result, error) {
+	var runs []workloads.Result
+	var errs []error
+	for _, mode := range modes {
+		cfg := o.baseCfg(mode)
+		if tune != nil {
+			tune(&cfg)
+		}
+		res, err := j(cfg)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s [%v]: %w", name, mode, err))
+			continue
+		}
+		rep.record(name, res)
+		runs = append(runs, res)
+	}
+	return runs, errors.Join(errs...)
+}
+
+// storage is a sweep's tune that gives the cache frac of the memory
+// budget, and sets the budget to the given bytes unless they are 0.
+func storage(frac float64, budget int64) func(*workloads.Config) {
+	return func(cfg *workloads.Config) {
+		cfg.StorageFraction = frac
+		if budget > 0 {
+			cfg.MemoryBudget = budget
+		}
+	}
+}
+
+// walls renders a sweep's wall time per mode and the first mode's over
+// the last's.
+func walls(runs []workloads.Result) string {
+	var b strings.Builder
+	for _, r := range runs {
+		fmt.Fprintf(&b, "%v=%-9s ", r.Mode, fmtDur(r.Wall))
+	}
+	fmt.Fprintf(&b, "speedup=%s", speedup(runs[0].Wall, runs[len(runs)-1].Wall))
+	return b.String()
+}
+
+// sweepRows is a sweep that renders one row per run it recorded.
+func (o Options) sweepRows(rep *Report, name string, modes []engine.Mode, tune func(*workloads.Config), j job) error {
+	runs, err := o.sweep(rep, name, modes, tune, j)
+	for _, r := range runs {
+		rep.add("  %-24s exec=%-9s gc=%6.3fs swap=%s", name+" ["+r.Mode.String()+"]",
+			fmtDur(r.Wall), r.GC.GCCPUSeconds, mb(r.Counters[obs.CacheSwapOutBytes]))
+	}
+	return err
+}
+
+// series runs one job under several configurations and holds every run
+// to the first run's answer: a deployment, a transport or a fault moves
+// bytes and processes around, never answers.
+type series struct {
+	rep  *Report
+	job  job
+	runs int
+	want float64
+}
+
+// run runs the series' job on cfg, fails unless its checksum is the first
+// run's within ChecksumClose, and records and renders it under name.
+func (s *series) run(name string, cfg workloads.Config) error {
+	res, err := s.job(cfg)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	if s.runs++; s.runs == 1 {
+		s.want = res.Checksum
+	} else if !ChecksumClose(res.Checksum, s.want) {
+		return fmt.Errorf("%s: checksum %g, but the series' first run's is %g", name, res.Checksum, s.want)
+	}
+	s.rep.record(name, res)
+	c := res.Counters
+	s.rep.add("%-22s exec=%-9s retries=%-4d failed=%-4d blacklisted=%d remote-fetches=%-5d remote=%-9s checksum=%.6g",
+		name, fmtDur(res.Wall), c[obs.TaskRetries], c[obs.TasksFailed], c[obs.ExecutorsBlacklisted],
+		c[obs.RemoteShuffleFetches], mb(c[obs.RemoteShuffleBytes]), res.Checksum)
+	return nil
+}
+
+// cluster is the Deca config of a cluster of at least n executors.
+func (o Options) cluster(n int) workloads.Config {
+	cfg := o.baseCfg(engine.ModeDeca)
+	cfg.NumExecutors = max(o.Base.NumExecutors, n)
+	cfg.Partitions = o.Base.Parallelism * cfg.NumExecutors
+	return cfg
+}
+
+// clusterApps are the jobs deploy and faults move across deployments and
+// failure rates.
+func (o Options) clusterApps() (wc, lr, pr app) {
+	wc = app{"WC", wcJob(workloads.WCParams{DistinctKeys: o.scaled(100_000), WordsPerLine: 10, Lines: o.scaled(100_000)})}
+	lr = app{"LR", lrJob(workloads.LRParams{Points: o.scaled(200_000), Dim: 10, Iterations: 5})}
+	pr = app{"PR", prJob(workloads.GraphParams{Vertices: int64(o.scaled(20_000)), Edges: o.scaled(100_000), Skew: 1.2, Iterations: 3})}
+	return wc, lr, pr
+}
+
+// noExecutorBin is the row of an experiment whose multiproc rows need a
+// deca-executor binary it was not given.
+const noExecutorBin = "(multiproc rows skipped: no deca-executor binary — run deca-bench -deploy multiproc)"

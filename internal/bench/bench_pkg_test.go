@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,14 +39,15 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	}
 }
 
-// Every experiment has a committed baseline for CI to diff, and every
-// committed baseline is the report of an experiment deca-bench still runs.
+// Every experiment has a committed baseline for CI to diff, under the
+// title the experiment declares, and every committed baseline is the
+// report of an experiment deca-bench still runs.
 func TestEveryExperimentHasABaseline(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "bench", "baseline", "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baselines := make(map[string]bool, len(files))
+	baselines := make(map[string]string, len(files)) // id -> title
 	for _, f := range files {
 		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
 		data, err := os.ReadFile(f)
@@ -59,11 +61,13 @@ func TestEveryExperimentHasABaseline(t *testing.T) {
 		if rep.ID != id || len(rep.Metrics) == 0 {
 			t.Errorf("%s holds %d rows of experiment %q", f, len(rep.Metrics), rep.ID)
 		}
-		baselines[id] = true
+		baselines[id] = rep.Title
 	}
 	for _, e := range All() {
-		if !baselines[e.ID] {
+		if title, ok := baselines[e.ID]; !ok {
 			t.Errorf("experiment %s has no bench/baseline/BENCH_%s.json", e.ID, e.ID)
+		} else if title != e.Title {
+			t.Errorf("experiment %s is titled %q, its baseline %q", e.ID, e.Title, title)
 		}
 		delete(baselines, e.ID)
 	}
@@ -135,6 +139,62 @@ func TestLifetimeShape(t *testing.T) {
 		if err := checkLifetimeShape(spark, c.deca); (err == nil) != c.ok {
 			t.Errorf("%s: checkLifetimeShape = %v, want ok=%v", c.name, err, c.ok)
 		}
+	}
+}
+
+// The same-answer gate: the first run of a series sets the answer, and a
+// later run whose checksum is off it by more than 1e-6 relative fails,
+// naming its row, while one within it passes and is recorded.
+func TestSeriesHoldsEveryRunToTheFirstAnswer(t *testing.T) {
+	for _, c := range []struct {
+		second float64
+		ok     bool
+	}{{1 + 2e-6, false}, {1 + 5e-7, true}} {
+		sums := []float64{1, c.second}
+		s := series{rep: &Report{}, job: func(workloads.Config) (workloads.Result, error) {
+			res := workloads.Result{Mode: engine.ModeDeca, Checksum: sums[0]}
+			sums = sums[1:]
+			return res, nil
+		}}
+		if err := s.run("WC-inprocess", workloads.Config{}); err != nil {
+			t.Fatalf("the first run of a series failed: %v", err)
+		}
+		err := s.run("WC-tcp", workloads.Config{})
+		if (err == nil) != c.ok {
+			t.Errorf("checksums 1, %.7f: err = %v, want ok=%v", c.second, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "WC-tcp") {
+			t.Errorf("the failure does not name its row: %v", err)
+		}
+		if want := map[bool]int{true: 2, false: 1}[c.ok]; len(s.rep.Metrics) != want {
+			t.Errorf("checksums 1, %.7f: %d rows recorded, want %d", c.second, len(s.rep.Metrics), want)
+		}
+	}
+}
+
+// A sweep records its runs in mode order; a failed run is left out, the
+// other modes still run, and the failure names its row and mode.
+func TestSweepRecordsInModeOrderAndGoesOnPastAFailure(t *testing.T) {
+	rep := &Report{}
+	runs, err := Options{}.withDefaults().sweep(rep, "lr-n1", allModes, func(cfg *workloads.Config) { cfg.PageSize = 1 },
+		func(cfg workloads.Config) (workloads.Result, error) {
+			if cfg.PageSize != 1 {
+				t.Errorf("%v ran on an untuned config", cfg.Mode)
+			}
+			if cfg.Mode == engine.ModeSparkSer {
+				return workloads.Result{}, errors.New("out of memory")
+			}
+			return workloads.Result{Mode: cfg.Mode}, nil
+		})
+	if err == nil || !strings.Contains(err.Error(), "lr-n1 [SparkSer]: out of memory") {
+		t.Errorf("err = %v, want the SparkSer run's failure by row and mode", err)
+	}
+	var keys []string
+	for _, m := range rep.Metrics {
+		keys = append(keys, m.Key())
+	}
+	if got := strings.Join(keys, ", "); got != "lr-n1 [Spark], lr-n1 [Deca]" || len(runs) != 2 {
+		t.Errorf("recorded %q and returned %d runs, want the Spark and Deca runs", got, len(runs))
 	}
 }
 

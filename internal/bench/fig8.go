@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"deca/internal/engine"
 	"deca/internal/gcstats"
 	"deca/internal/workloads"
 )
@@ -15,33 +14,17 @@ import (
 // object count oscillates and GC time climbs; Deca's page buffers keep
 // both nearly flat. The run fails unless Deca's peak object count is a
 // quarter of Spark's or less (lifetime).
-func Fig8aWCLifetime(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "fig8a",
-		Title: "WC object-lifetime timeline (sampled)",
-		PaperClaim: "Spark: Tuple2 count fluctuates with frequent GC during shuffle; " +
-			"Deca: object count flat, GC time near zero",
-	}
-	params := workloads.WCParams{
-		DistinctKeys: o.scaled(200_000),
-		WordsPerLine: 10,
-		Lines:        o.scaled(400_000),
-	}
-	return lifetime(rep, "wc-lifetime", func(mode engine.Mode) (workloads.Result, error) {
-		return workloads.WordCount(o.baseCfg(mode), params)
-	})
+func Fig8aWCLifetime(o Options, rep *Report) error {
+	rep.PaperClaim = "Spark: Tuple2 count fluctuates with frequent GC during shuffle; " +
+		"Deca: object count flat, GC time near zero"
+	return o.lifetime(rep, "wc-lifetime", wcJob(workloads.WCParams{
+		DistinctKeys: o.scaled(200_000), WordsPerLine: 10, Lines: o.scaled(400_000)}))
 }
 
 // Fig8bWordCount reproduces Figure 8(b): WC execution time across three
 // data sizes and two distinct-key counts, Spark vs Deca.
-func Fig8bWordCount(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:         "fig8b",
-		Title:      "WC execution time vs data size and key cardinality",
-		PaperClaim: "Deca reduces execution time 10-58%; the gap widens with more distinct keys",
-	}
+func Fig8bWordCount(o Options, rep *Report) error {
+	rep.PaperClaim = "Deca reduces execution time 10-58%; the gap widens with more distinct keys"
 	sizes := []struct {
 		name  string
 		lines int
@@ -59,45 +42,27 @@ func Fig8bWordCount(o Options) (*Report, error) {
 	}
 	for _, kc := range keyCounts {
 		for _, sz := range sizes {
-			params := workloads.WCParams{DistinctKeys: kc.keys, WordsPerLine: 10, Lines: sz.lines}
-			var spark, deca workloads.Result
-			var err error
-			if spark, err = workloads.WordCount(o.baseCfg(engine.ModeSpark), params); err != nil {
-				return nil, err
+			runs, err := o.sweep(rep, kc.name+"/"+sz.name, sparkDeca, nil,
+				wcJob(workloads.WCParams{DistinctKeys: kc.keys, WordsPerLine: 10, Lines: sz.lines}))
+			if err != nil {
+				return err
 			}
-			if deca, err = workloads.WordCount(o.baseCfg(engine.ModeDeca), params); err != nil {
-				return nil, err
-			}
-			rep.record(kc.name+"/"+sz.name, spark)
-			rep.record(kc.name+"/"+sz.name, deca)
-			rep.add("%-10s %-7s Spark=%-9s Deca=%-9s speedup=%-6s sparkGC=%.3fs decaGC=%.3fs",
-				kc.name, sz.name, fmtDur(spark.Wall), fmtDur(deca.Wall),
-				speedup(spark.Wall, deca.Wall), spark.GC.GCCPUSeconds, deca.GC.GCCPUSeconds)
+			rep.add("%-10s %-7s %s sparkGC=%.3fs decaGC=%.3fs",
+				kc.name, sz.name, walls(runs), runs[0].GC.GCCPUSeconds, runs[1].GC.GCCPUSeconds)
 		}
 	}
-	return rep, nil
+	return nil
 }
 
 // Fig9aLRLifetime reproduces Figure 9(a): the cached-object population
 // during iterative LR. Spark holds every LabeledPoint live for the whole
 // run (futile full GCs); Deca's cache is a handful of pages. The shape is
 // asserted as Figure 8(a)'s is.
-func Fig9aLRLifetime(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "fig9a",
-		Title: "LR cached-object lifetime timeline (sampled)",
-		PaperClaim: "Spark: object count stable and huge, repeated full GCs reclaim nothing; " +
-			"Deca: objects reduced to pages, GC quiet",
-	}
-	params := workloads.LRParams{
-		Points:     o.scaled(150_000),
-		Dim:        10,
-		Iterations: 10,
-	}
-	return lifetime(rep, "lr-lifetime", func(mode engine.Mode) (workloads.Result, error) {
-		return workloads.LogisticRegression(o.baseCfg(mode), params)
-	})
+func Fig9aLRLifetime(o Options, rep *Report) error {
+	rep.PaperClaim = "Spark: object count stable and huge, repeated full GCs reclaim nothing; " +
+		"Deca: objects reduced to pages, GC quiet"
+	return o.lifetime(rep, "lr-lifetime", lrJob(workloads.LRParams{
+		Points: o.scaled(150_000), Dim: 10, Iterations: 10}))
 }
 
 // decaPeakShare is the shape Figures 8(a) and 9(a) assert: Deca's peak
@@ -107,27 +72,27 @@ func Fig9aLRLifetime(o Options) (*Report, error) {
 // objects); fig9a, whose points reuse one vector per walk, 85-122x and 1,158-1,236x.
 const decaPeakShare = 4
 
-// lifetime runs a workload in Spark and then in Deca mode, sampling the
-// collector every millisecond while each runs (the paper's periodic
-// JProfiler recording, fine enough to see a short run's peak), renders
-// each mode's timeline, and fails the experiment unless the two have the
-// asserted shape.
-func lifetime(rep *Report, name string, run func(engine.Mode) (workloads.Result, error)) (*Report, error) {
+// lifetime runs j in Spark and then in Deca mode, sampling the collector
+// every millisecond while each runs (the paper's periodic JProfiler
+// recording, fine enough to see a short run's peak), renders each mode's
+// timeline, and fails the experiment unless the two have the asserted
+// shape.
+func (o Options) lifetime(rep *Report, name string, j job) error {
 	var timelines [2]timeline
-	for i, mode := range []engine.Mode{engine.ModeSpark, engine.ModeDeca} {
+	for i, mode := range sparkDeca {
 		gcstats.ForceGC() // neither mode's timeline starts on the other's garbage
 		tl := timeline{start: gcstats.Read()}
 		s := gcstats.StartSampler(time.Millisecond, func(snap gcstats.Snapshot) {
 			tl.samples = append(tl.samples, snap)
 		})
-		res, err := run(mode)
+		res, err := j(o.baseCfg(mode))
 		s.Stop() // the sampler goroutine has exited: tl is ours
 		if err != nil {
-			return nil, err
+			return err
 		}
+		rep.record(name, res)
 		tl.samples = append(tl.samples, gcstats.Read())
 		timelines[i] = tl
-		rep.record(name, res)
 		last := tl.samples[len(tl.samples)-1]
 		rep.add("%-9s exec=%-9s samples=%-4d peak-heap-objects=%-9d gc=%.3fs cycles=%-3d cache=%s",
 			mode, fmtDur(res.Wall), len(tl.samples), tl.peakObjects(),
@@ -137,11 +102,11 @@ func lifetime(rep *Report, name string, run func(engine.Mode) (workloads.Result,
 		}
 	}
 	if err := checkLifetimeShape(timelines[0], timelines[1]); err != nil {
-		return nil, err
+		return err
 	}
 	rep.add("peak heap objects Spark/Deca = %.1fx (asserted >= %dx)",
 		float64(timelines[0].peakObjects())/float64(max(timelines[1].peakObjects(), 1)), decaPeakShare)
-	return rep, nil
+	return nil
 }
 
 // checkLifetimeShape returns an error unless Deca's peak heap-object

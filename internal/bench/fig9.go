@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"deca/internal/engine"
 	"deca/internal/obs"
 	"deca/internal/workloads"
 )
@@ -19,19 +18,12 @@ func lrBudget(o Options, dim int) int64 {
 	return int64(o.scaled(220_000)) * perPoint * 2
 }
 
-var allModes = []engine.Mode{engine.ModeSpark, engine.ModeSparkSer, engine.ModeDeca}
-
 // Fig9bLR reproduces Figure 9(b): LR execution time and cached-data size
 // across five dataset sizes spanning the fits-in-memory and spilling
 // regimes, for Spark, SparkSer and Deca.
-func Fig9bLR(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "fig9b",
-		Title: "LR exec time + cache size across dataset sizes (10-dim)",
-		PaperClaim: "moderate gains while memory suffices; 16-41x once the cache saturates " +
-			"(full GCs trace the cached points in vain, Spark swaps more); Deca cache smaller",
-	}
+func Fig9bLR(o Options, rep *Report) error {
+	rep.PaperClaim = "moderate gains while memory suffices; 16-41x once the cache saturates " +
+		"(full GCs trace the cached points in vain, Spark swaps more); Deca cache smaller"
 	// Five sizes mirroring the paper's 40-200GB sweep: the first three fit
 	// every mode, the fourth exceeds the object cache only (Spark swaps),
 	// the fifth exceeds even the page cache (both swap, Deca less).
@@ -41,72 +33,41 @@ func Fig9bLR(o Options) (*Report, error) {
 	}
 	budget := lrBudget(o, 10)
 	for _, n := range sizes {
-		params := workloads.LRParams{Points: n, Dim: 10, Iterations: 8}
-		var results []workloads.Result
-		for _, mode := range allModes {
-			cfg := o.baseCfg(mode)
-			cfg.MemoryBudget = budget
-			cfg.StorageFraction = 0.9 // the paper gives 90% to caching here
-			res, err := workloads.LogisticRegression(cfg, params)
-			if err != nil {
-				return nil, err
-			}
-			rep.record(fmt.Sprintf("lr-n%d", n), res)
-			results = append(results, res)
+		// The paper gives 90% to caching here.
+		runs, err := o.sweep(rep, fmt.Sprintf("lr-n%d", n), allModes, storage(0.9, budget),
+			lrJob(workloads.LRParams{Points: n, Dim: 10, Iterations: 8}))
+		if err != nil {
+			return err
 		}
-		spark, deca := results[0], results[2]
-		rep.add("n=%-8d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup(Spark/Deca)=%-6s",
-			n, fmtDur(results[0].Wall), fmtDur(results[1].Wall), fmtDur(results[2].Wall),
-			speedup(spark.Wall, deca.Wall))
+		spark, ser, deca := runs[0], runs[1], runs[2]
+		rep.add("n=%-8d %s", n, walls(runs))
 		rep.add("           cache: Spark=%-9s SparkSer=%-9s Deca=%-9s swap: Spark=%-7s Deca=%-7s cycles=%d/%d/%d",
-			mb(spark.Counters.CacheBytes()), mb(results[1].Counters.CacheBytes()), mb(deca.Counters.CacheBytes()),
-			mb(spark.Counters[obs.CacheSwapOutBytes]), mb(deca.Counters[obs.CacheSwapOutBytes]), spark.GC.NumGC, results[1].GC.NumGC, deca.GC.NumGC)
+			mb(spark.Counters.CacheBytes()), mb(ser.Counters.CacheBytes()), mb(deca.Counters.CacheBytes()),
+			mb(spark.Counters[obs.CacheSwapOutBytes]), mb(deca.Counters[obs.CacheSwapOutBytes]), spark.GC.NumGC, ser.GC.NumGC, deca.GC.NumGC)
 	}
-	return rep, nil
+	return nil
 }
 
 // Fig9cKMeans reproduces Figure 9(c): the same sweep for KMeans.
-func Fig9cKMeans(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:         "fig9c",
-		Title:      "KMeans exec time + cache size across dataset sizes (10-dim)",
-		PaperClaim: "same pattern as LR: large speedups once the cached vectors saturate memory",
-	}
-	sizes := []int{o.scaled(50_000), o.scaled(150_000), o.scaled(300_000)}
+func Fig9cKMeans(o Options, rep *Report) error {
+	rep.PaperClaim = "same pattern as LR: large speedups once the cached vectors saturate memory"
 	budget := lrBudget(o, 10)
-	for _, n := range sizes {
-		params := workloads.KMeansParams{Points: n, Dim: 10, K: 8, Iterations: 5}
-		var results []workloads.Result
-		for _, mode := range allModes {
-			cfg := o.baseCfg(mode)
-			cfg.MemoryBudget = budget
-			cfg.StorageFraction = 0.9
-			res, err := workloads.KMeans(cfg, params)
-			if err != nil {
-				return nil, err
-			}
-			rep.record(fmt.Sprintf("kmeans-n%d", n), res)
-			results = append(results, res)
+	for _, n := range []int{o.scaled(50_000), o.scaled(150_000), o.scaled(300_000)} {
+		runs, err := o.sweep(rep, fmt.Sprintf("kmeans-n%d", n), allModes, storage(0.9, budget),
+			kmeansJob(workloads.KMeansParams{Points: n, Dim: 10, K: 8, Iterations: 5}))
+		if err != nil {
+			return err
 		}
-		rep.add("n=%-8d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup=%-6s cache(S/D)=%s/%s",
-			n, fmtDur(results[0].Wall), fmtDur(results[1].Wall), fmtDur(results[2].Wall),
-			speedup(results[0].Wall, results[2].Wall),
-			mb(results[0].Counters.CacheBytes()), mb(results[2].Counters.CacheBytes()))
+		rep.add("n=%-8d %s %s", n, walls(runs), cacheSD(runs))
 	}
-	return rep, nil
+	return nil
 }
 
 // Fig9dHighDim reproduces Figure 9(d): 4096-dimensional vectors (the
 // Amazon image features). Object headers amortize over huge payloads, so
 // cache sizes converge and speedups shrink to the paper's 1.2-5.3x band.
-func Fig9dHighDim(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:         "fig9d",
-		Title:      "High-dimensional (4096-dim) LR and KMeans",
-		PaperClaim: "speedups shrink to 1.2-5.3x; Spark and Deca cache sizes nearly identical",
-	}
+func Fig9dHighDim(o Options, rep *Report) error {
+	rep.PaperClaim = "speedups shrink to 1.2-5.3x; Spark and Deca cache sizes nearly identical"
 	const dim = 4096
 	nLR := o.scaled(3_000)
 	nKM := o.scaled(2_000)
@@ -116,43 +77,24 @@ func Fig9dHighDim(o Options) (*Report, error) {
 	// memory pressure — both systems swap, Deca moves raw pages while
 	// Spark (de)serializes — so the sweep runs under a budget both modes
 	// exceed, like the paper's 40/80GB inputs against 30GB executors.
-	lrBudget := int64(nLR) * int64(8*dim) * 8 / 10
-
-	lrParams := workloads.LRParams{Points: nLR, Dim: dim, Iterations: 3}
-	var lrResults []workloads.Result
-	for _, mode := range allModes {
-		cfg := o.baseCfg(mode)
-		cfg.MemoryBudget = lrBudget
-		cfg.StorageFraction = 0.9
-		res, err := workloads.LogisticRegression(cfg, lrParams)
+	for _, c := range []struct {
+		name string
+		n    int
+		j    job
+	}{
+		{"lr", nLR, lrJob(workloads.LRParams{Points: nLR, Dim: dim, Iterations: 3})},
+		{"kmeans", nKM, kmeansJob(workloads.KMeansParams{Points: nKM, Dim: dim, K: 4, Iterations: 2})},
+	} {
+		runs, err := o.sweep(rep, c.name+"-highdim", allModes, storage(0.9, int64(c.n)*int64(8*dim)*8/10), c.j)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rep.record("lr-highdim", res)
-		lrResults = append(lrResults, res)
+		rep.add("%-6s n=%-6d %s %s", c.name, c.n, walls(runs), cacheSD(runs))
 	}
-	rep.add("LR     n=%-6d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup=%-6s cache(S/D)=%s/%s",
-		nLR, fmtDur(lrResults[0].Wall), fmtDur(lrResults[1].Wall), fmtDur(lrResults[2].Wall),
-		speedup(lrResults[0].Wall, lrResults[2].Wall),
-		mb(lrResults[0].Counters.CacheBytes()), mb(lrResults[2].Counters.CacheBytes()))
+	return nil
+}
 
-	kmBudget := int64(nKM) * int64(8*dim) * 8 / 10
-	kmParams := workloads.KMeansParams{Points: nKM, Dim: dim, K: 4, Iterations: 2}
-	var kmResults []workloads.Result
-	for _, mode := range allModes {
-		cfg := o.baseCfg(mode)
-		cfg.MemoryBudget = kmBudget
-		cfg.StorageFraction = 0.9
-		res, err := workloads.KMeans(cfg, kmParams)
-		if err != nil {
-			return nil, err
-		}
-		rep.record("kmeans-highdim", res)
-		kmResults = append(kmResults, res)
-	}
-	rep.add("KMeans n=%-6d Spark=%-9s SparkSer=%-9s Deca=%-9s speedup=%-6s cache(S/D)=%s/%s",
-		nKM, fmtDur(kmResults[0].Wall), fmtDur(kmResults[1].Wall), fmtDur(kmResults[2].Wall),
-		speedup(kmResults[0].Wall, kmResults[2].Wall),
-		mb(kmResults[0].Counters.CacheBytes()), mb(kmResults[2].Counters.CacheBytes()))
-	return rep, nil
+// cacheSD renders a sweep's cache footprint, Spark's and Deca's.
+func cacheSD(runs []workloads.Result) string {
+	return fmt.Sprintf("cache(S/D)=%s/%s", mb(runs[0].Counters.CacheBytes()), mb(runs[len(runs)-1].Counters.CacheBytes()))
 }

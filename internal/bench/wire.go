@@ -24,14 +24,9 @@ import (
 // fixed-dimension int vector), then measures encode (frame segments
 // written out) and decode (stage + fold into a fresh container) throughput
 // over the frames.
-func WireThroughput(o Options) (*Report, error) {
-	o = o.withDefaults()
-	rep := &Report{
-		ID:    "wire",
-		Title: "Wire format: container encode/decode throughput, Deca vs Object",
-		PaperClaim: "Deca saves the cost of data (de-)serialization by directly outputting " +
-			"the raw bytes; Spark's serializer pays per record on both ends (§6.5, Table 5)",
-	}
+func WireThroughput(o Options, rep *Report) error {
+	rep.PaperClaim = "Deca saves the cost of data (de-)serialization by directly outputting " +
+		"the raw bytes; Spark's serializer pays per record on both ends (§6.5, Table 5)"
 
 	const dim = 48
 	records := o.scaled(100_000)
@@ -50,7 +45,7 @@ func WireThroughput(o Options) (*Report, error) {
 	dAgg, err := shuffle.NewDecaAgg[int64, []int64](decaMem,
 		combineVec, decompose.Int64Codec{}, decompose.Int64VecCodec{Dim: dim}, spill)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	oAgg := shuffle.NewObjectAgg(combineVec, objCfg)
 	defer dAgg.Release()
@@ -109,7 +104,7 @@ func WireThroughput(o Options) (*Report, error) {
 	for pi, p := range paths {
 		var frame bytes.Buffer
 		if err := writeFrame(&frame, p.encode); err != nil {
-			return nil, fmt.Errorf("wire: %s encode: %w", p.label, err)
+			return fmt.Errorf("wire: %s encode: %w", p.label, err)
 		}
 		size := int64(frame.Len())
 
@@ -117,7 +112,7 @@ func WireThroughput(o Options) (*Report, error) {
 		for i := 0; i < iters; i++ {
 			frame.Reset()
 			if err := writeFrame(&frame, p.encode); err != nil {
-				return nil, fmt.Errorf("wire: %s encode: %w", p.label, err)
+				return fmt.Errorf("wire: %s encode: %w", p.label, err)
 			}
 		}
 		encDur := time.Since(start)
@@ -126,7 +121,7 @@ func WireThroughput(o Options) (*Report, error) {
 		start = time.Now()
 		for i := 0; i < iters; i++ {
 			if err := decode(p, buf); err != nil {
-				return nil, fmt.Errorf("wire: %s decode: %w", p.label, err)
+				return fmt.Errorf("wire: %s decode: %w", p.label, err)
 			}
 		}
 		decDur := time.Since(start)
@@ -144,9 +139,9 @@ func WireThroughput(o Options) (*Report, error) {
 	d, obj := mbps[0], mbps[1]
 	rep.add("agg  Deca/Object ratio: encode %.1fx, decode %.1fx", ratio(d[0], obj[0]), ratio(d[1], obj[1]))
 	if err := serveFetchRows(rep, o, decaMem, records, dim, iters); err != nil {
-		return nil, err
+		return err
 	}
-	return rep, nil
+	return nil
 }
 
 // serveFetchRows measures the data plane end to end: a DataServer serving
