@@ -70,8 +70,8 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 }
 
 // encodeSegments builds a container's wire frame as
-// transport.FrameSegments: the header goes into the frame's scratch
-// chunks, the page snapshot is referenced in place from the retained
+// transport.FrameSegments: the header is staged into the frame's head,
+// the page snapshot is referenced in place from the retained
 // group, spill runs are referenced as opened files (runSet.endFrame) — the
 // serve path ships them with writev/sendfile instead of staging the frame.
 //
@@ -83,7 +83,7 @@ func (ps *pageStore) adoptStaged(st *Staged, kind byte) (base int, ok bool, err 
 //deca:owns
 func (ps *pageStore) encodeSegments(kind byte, n int) (*transport.FrameSegments, error) {
 	fs := newFrame(kind, n)
-	fs.Owner(ps.group.Retain().Release)
+	fs.Owner(ps.group.Retain())
 	ps.group.SnapshotSegments(fs.Stage, fs.AppendPage)
 	return ps.endFrame(fs)
 }

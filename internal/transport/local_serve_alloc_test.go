@@ -111,7 +111,7 @@ func TestLocalServeReadsTheFrameInPlace(t *testing.T) {
 			}
 			return p
 		}
-		// The warm-up grows the serve's recycled segment lists to this frame
+		// The warm-up grows the recycled scratches' segment lists to this frame
 		// and leaves the staging's spill run writer in its free list, which
 		// neither a collection nor the P a fetch runs on takes it from.
 		before := tr.Counters(0)[obs.PagesServedZeroCopy]
@@ -192,11 +192,8 @@ func TestConnectionKeepsNoWriteBuffer(t *testing.T) {
 	// A serve releases its frame after its last byte left, so the next
 	// connection's serve may begin before the last one gave its scratch back:
 	// the warm-up holds two frames open across a fetch, which leaves the
-	// free lists a chunk and a segment list more than one serve takes.
+	// free list a frame scratch more than one serve takes.
 	held := []*transport.FrameSegments{transport.NewFrameSegments(), transport.NewFrameSegments()}
-	for _, fs := range held {
-		fs.Stage(1)
-	}
 	fetch()
 	for _, fs := range held {
 		fs.Release()

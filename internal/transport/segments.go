@@ -8,8 +8,8 @@ import (
 
 // This file is the one representation of an encoded wire frame: a
 // FrameSegments is the frame decomposed into wire-order segments instead
-// of one staged byte buffer. Small metadata (kind bytes, key/pointer
-// tables, varint headers) is staged into chunked scratch memory owned by
+// of one staged byte buffer. Small metadata (kind bytes, varint headers)
+// is staged into the frame's head, then into scratch chunks owned by
 // the FrameSegments; raw container pages are referenced in place (served
 // with one writev, never copied into user-space scratch); spill runs are
 // referenced as open files (served with sendfile). A payload that can
@@ -23,28 +23,37 @@ import (
 // the spill files — and hands the pins to the FrameSegments. The
 // consumer must call Release exactly once, after the last byte of every
 // segment has been written or abandoned; Release closes the files and
-// runs the producer's release hooks (unpinning the group). Double
+// releases the producer's pins (unpinning the group). Double
 // release panics, like memory.Group.
 
-// stageChunkSize is the scratch-chunk capacity staged segment bytes are
-// carved from. Chunks are fixed-capacity so staged subslices stay valid
-// as more segments are staged (append never reallocates within a chunk).
+// stageChunkSize is the capacity of the scratch chunks staging that
+// overflows a frame's head is carved from. Fixed capacity keeps staged
+// subslices valid as more are staged (append never reallocates a chunk).
 const stageChunkSize = 64 << 10
 
-// stageChunks recycles standard-size scratch chunks across frames: every
-// serve of every map output stages at least one, and a fresh 64 KiB per
-// staged run was the serve path's largest allocation. A frame returns its
-// chunks on Release and not before — the segments it handed out alias
-// them until then. It is a bounded free list (1 MiB), not a sync.Pool: a
-// pool empties at every collection, so a job's chunk allocations depended
-// on how many of its serves overlapped since the last one.
+// stageChunks recycles standard-size scratch chunks across frames: an
+// Object frame stages its records into them, a Deca frame only a header
+// longer than its head (≈ 75 pages or more). A frame returns its chunks on
+// Release and not before — the segments it handed out alias them until
+// then. It is a bounded free list (1 MiB), not a sync.Pool: a pool empties
+// at every collection, so a job's chunk allocations depended on how many
+// of its serves overlapped since the last one.
 var stageChunks = make(chan *[stageChunkSize]byte, 16)
 
-// segLists recycles frames' segment lists the same way: a list grows by
-// two segments a page, so one built per serve would cost each serve heap
-// in proportion to its pages. It has stageChunks' 16 slots, as every serve
-// holds one list and at least one chunk.
-var segLists = make(chan []Seg, 16)
+// frameScratch is what a frame builds in: its segment list (two segments
+// a page), its owners and its head, where its first bytes are staged. A
+// Deca frame stages only its header (kind, count, page and run lengths:
+// 9-20 B a frame on the repo benchmark), so it takes no chunk. A frame
+// returns its scratch at Release, to a free list like stageChunks.
+type frameScratch struct {
+	segs   []Seg
+	owners []interface{ Release() }
+	head   [frameHeadSize]byte
+}
+
+const frameHeadSize = 256
+
+var scratches = make(chan *frameScratch, 16)
 
 // Seg is one wire-order piece of a frame: either staged/page bytes
 // (Buf != nil) or a file-backed run of Size bytes (File != nil).
@@ -58,24 +67,23 @@ type Seg struct {
 // with Stage/Write/AppendPage/AppendFile, register cleanup with Owner,
 // ship with WriteTo, then Release exactly once.
 type FrameSegments struct {
-	segs   []Seg
-	owners []func()
+	*frameScratch // nil once released; the head never moves
 
-	staged    int64 // bytes copied into scratch chunks (user-space copies)
+	staged    int64 // bytes copied into the head and chunks (user-space copies)
 	pageBytes int64 // bytes referenced in place from container pages
 	fileBytes int64 // bytes referenced from spill files
 	pages     int   // page segments referenced in place
 
-	chunk       []byte                  // current scratch chunk; subslices are stable
+	chunk       []byte                  // the head, then the current scratch chunk; subslices are stable
 	pooled      []*[stageChunkSize]byte // standard chunks to recycle on Release
 	lastInChunk bool                    // last segment is a staged run ending at len(chunk)
 	lastStart   int                     // its start offset in chunk
-	released    bool
 }
 
-// NewFrameSegments returns an empty frame.
+// NewFrameSegments returns an empty frame, staging into its head.
 func NewFrameSegments() *FrameSegments {
-	return &FrameSegments{segs: Reuse(segLists, func() []Seg { return nil })}
+	sc := Reuse(scratches, func() *frameScratch { return new(frameScratch) })
+	return &FrameSegments{frameScratch: sc, chunk: sc.head[:0]}
 }
 
 // Reuse takes a value from a bounded free list, or fresh's when the list is
@@ -100,9 +108,9 @@ func Recycle[T any](list chan T, v T) {
 }
 
 // Stage reserves n bytes of scratch at the frame's current position and
-// returns them for the caller to fill (varint headers, key tables).
-// Adjacent staged runs coalesce into one segment, so fine-grained
-// staging still yields few writev iovecs.
+// returns them for the caller to fill (varint headers), in the head while
+// they fit. Adjacent staged runs coalesce into one segment, so
+// fine-grained staging still yields few writev iovecs.
 func (fs *FrameSegments) Stage(n int) []byte {
 	if n <= 0 {
 		return nil
@@ -160,10 +168,10 @@ func (fs *FrameSegments) AppendFile(f *os.File, size int64) {
 	fs.lastInChunk = false
 }
 
-// Owner registers a release hook (e.g. a retained page group's Release)
-// run once when the frame is released.
-func (fs *FrameSegments) Owner(release func()) {
-	fs.owners = append(fs.owners, release)
+// Owner registers what the frame pinned (e.g. a retained page group),
+// released once when the frame is.
+func (fs *FrameSegments) Owner(pin interface{ Release() }) {
+	fs.owners = append(fs.owners, pin)
 }
 
 // WriteTo ships the frame in wire order — the one loop behind every
@@ -221,30 +229,31 @@ func (fs *FrameSegments) FileBytes() int64 { return fs.fileBytes }
 // Pages is the number of page segments served in place.
 func (fs *FrameSegments) Pages() int { return fs.pages }
 
-// Release ends the frame's lifetime: closes every file segment, runs the
-// producer's release hooks and recycles the scratch chunks — segments
+// Release ends the frame's lifetime: closes every file segment, releases
+// the producer's pins and recycles the scratch and its chunks — segments
 // obtained from Stage must not be read afterwards. Must be called exactly
 // once; a second call panics (use-after-release of the referenced pages
 // would corrupt an in-flight serve).
 func (fs *FrameSegments) Release() {
-	if fs.released {
+	if fs.frameScratch == nil {
 		panic("transport: FrameSegments released twice")
 	}
-	fs.released = true
 	for i := range fs.segs {
 		if fs.segs[i].File != nil {
 			fs.segs[i].File.Close()
 		}
 	}
-	for _, release := range fs.owners {
-		release()
+	for _, pin := range fs.owners {
+		pin.Release()
 	}
 	for _, c := range fs.pooled {
 		Recycle(stageChunks, c)
 	}
-	clear(fs.segs)
-	Recycle(segLists, fs.segs[:0])
-	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
+	clear(fs.segs) // no page, file or group stays reachable from the free list
+	clear(fs.owners)
+	fs.segs, fs.owners = fs.segs[:0], fs.owners[:0]
+	Recycle(scratches, fs.frameScratch)
+	fs.frameScratch, fs.chunk, fs.pooled = nil, nil, nil
 }
 
 // segmentsReader streams a frame's segments as one io.Reader — the

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,17 +14,24 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"deca/internal/obs"
 )
 
+// releaseCounter is a frame owner that counts its releases, modelling the
+// retained page group.
+type releaseCounter struct{ n *atomic.Int32 }
+
+func (c releaseCounter) Release() { c.n.Add(1) }
+
 // buildSegments assembles a frame with every segment flavour: staged
 // scratch bytes, in-place pages, and (optionally) a spill file — plus an
-// owner hook counting releases, modelling the retained page group.
+// owner counting releases.
 func buildSegments(t *testing.T, pages [][]byte, spill []byte, releases *atomic.Int32) *FrameSegments {
 	t.Helper()
 	fs := NewFrameSegments()
-	fs.Owner(func() { releases.Add(1) })
+	fs.Owner(releaseCounter{releases})
 	var hdr [binary.MaxVarintLen64]byte
 	copy(fs.Stage(binary.PutUvarint(hdr[:], uint64(len(pages)))), hdr[:])
 	for _, p := range pages {
@@ -148,28 +156,134 @@ func TestFrameSegmentsStagingStable(t *testing.T) {
 	}
 }
 
-// Scratch chunks recycle through a pool on Release, never before: frames
-// staged while earlier ones are still live (including right after another
-// frame's Release put its chunk back) must not share backing memory.
+// TestStagingAcrossHeadAndChunks builds random frames of staged runs
+// (1-300 B, and one over a chunk) with pages and files between them, so
+// staging crosses from the head into chunks and from chunk to chunk at
+// every offset: the bytes WriteTo ships and the segments reader reads equal
+// the flat frame, and every slice Stage returned still holds its bytes at
+// Release.
+func TestStagingAcrossHeadAndChunks(t *testing.T) {
+	dir := t.TempDir()
+	for seed := range int64(12) {
+		rng := rand.New(rand.NewSource(seed))
+		type op struct {
+			run  []byte // staged, or
+			page []byte // referenced in place, or
+			file string // read from this spill file
+		}
+		var ops []op
+		var want []byte
+		n := 1 + rng.Intn(800)
+		big := rng.Intn(n)
+		for i := range n {
+			var o op
+			switch r := rng.Intn(10); {
+			case i == big:
+				o.run = make([]byte, stageChunkSize+1+rng.Intn(1000))
+			case r < 7:
+				o.run = make([]byte, 1+rng.Intn(300))
+			case r < 9:
+				o.page = make([]byte, 1+rng.Intn(5000))
+			default:
+				o.file = filepath.Join(dir, fmt.Sprintf("run-%d-%d", seed, i))
+				body := make([]byte, rng.Intn(3000))
+				rng.Read(body)
+				if err := os.WriteFile(o.file, body, 0o600); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, body...)
+				ops = append(ops, o)
+				continue
+			}
+			rng.Read(o.run)
+			rng.Read(o.page)
+			want = append(append(want, o.run...), o.page...)
+			ops = append(ops, o)
+		}
+		// build stages ops into a fresh frame, half the runs through Write,
+		// and returns the slices Stage gave the other half.
+		type stagedRun struct{ got, want []byte }
+		build := func() (*FrameSegments, []stagedRun) {
+			fs := NewFrameSegments()
+			var staged []stagedRun
+			for i, o := range ops {
+				switch {
+				case o.run != nil && i%2 == 0:
+					b := fs.Stage(len(o.run))
+					copy(b, o.run)
+					staged = append(staged, stagedRun{b, o.run})
+				case o.run != nil:
+					fs.Write(o.run)
+				case o.page != nil:
+					fs.AppendPage(o.page)
+				default:
+					f, err := os.Open(o.file)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := f.Stat()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs.AppendFile(f, st.Size())
+				}
+			}
+			return fs, staged
+		}
+		release := func(fs *FrameSegments, staged []stagedRun) {
+			for i, r := range staged {
+				if !bytes.Equal(r.got, r.want) {
+					t.Fatalf("seed %d: staged run %d (%d B) changed before Release", seed, i, len(r.got))
+				}
+			}
+			fs.Release()
+		}
+		written, staged := build()
+		var got bytes.Buffer
+		if n, err := written.WriteTo(&got); err != nil || n != int64(len(want)) || written.Len() != n {
+			t.Fatalf("seed %d: WriteTo wrote %d B (Len %d), err %v; want %d", seed, n, written.Len(), err, len(want))
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("seed %d: WriteTo's %d B differ from the flat frame", seed, got.Len())
+		}
+		release(written, staged)
+		read, staged := build()
+		b, err := io.ReadAll(bufio.NewReaderSize(newSegmentsReader(read), 16))
+		if err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("seed %d: the segments reader read %d B (err %v), want the flat frame's %d", seed, len(b), err, len(want))
+		}
+		release(read, staged)
+	}
+}
+
+// A frame's head and scratch chunks recycle on Release, never before:
+// frames staged while earlier ones are still live (including right after
+// another frame's Release put its scratch and chunk back) must not share
+// backing memory.
 func TestFrameSegmentsChunksRecycleOnlyOnRelease(t *testing.T) {
-	NewFrameSegments().Release() // no chunk taken: nothing to recycle
+	NewFrameSegments().Release() // nothing staged: only the scratch recycles
 	var live []*FrameSegments
 	var staged [][]byte
 	for i := 0; i < 8; i++ {
 		done := NewFrameSegments()
 		copy(done.Stage(64), bytes.Repeat([]byte{0xEE}, 64))
-		done.Release() // its chunk is now up for reuse by the next frame
+		copy(done.Stage(frameHeadSize), bytes.Repeat([]byte{0xEE}, frameHeadSize))
+		done.Release() // its head and chunk are now up for reuse by the next frame
 
 		fs := NewFrameSegments()
-		b := fs.Stage(64)
-		copy(b, bytes.Repeat([]byte{byte(i)}, 64))
+		head, chunk := fs.Stage(64), fs.Stage(frameHeadSize) // the second overflows the head
+		copy(head, bytes.Repeat([]byte{byte(i)}, 64))
+		copy(chunk, bytes.Repeat([]byte{byte(i)}, frameHeadSize))
+		if len(fs.pooled) != 1 {
+			t.Fatalf("a frame staging %d B took %d chunks, want 1", 64+frameHeadSize, len(fs.pooled))
+		}
 		// An oversized run gets its own unpooled chunk.
 		copy(fs.Stage(stageChunkSize+1), bytes.Repeat([]byte{byte(i)}, stageChunkSize+1))
-		live, staged = append(live, fs), append(staged, b)
+		live, staged = append(live, fs), append(staged, head, chunk)
 	}
 	for i, b := range staged {
-		if !bytes.Equal(b, bytes.Repeat([]byte{byte(i)}, 64)) {
-			t.Fatalf("frame %d's staged bytes were overwritten while it was live", i)
+		if !bytes.Equal(b, bytes.Repeat([]byte{byte(i / 2)}, len(b))) {
+			t.Fatalf("frame %d's staged bytes (%d B) were overwritten while it was live", i/2, len(b))
 		}
 	}
 	for _, fs := range live {
@@ -177,25 +291,27 @@ func TestFrameSegmentsChunksRecycleOnlyOnRelease(t *testing.T) {
 	}
 }
 
-// A released chunk outlives collections: the next frame takes it back
-// instead of allocating one, however many GCs ran in between, so a
+// A released scratch and chunk outlive collections: the next frame takes
+// them back instead of allocating, however many GCs ran in between, so a
 // serve's allocation does not depend on when the collector last ran.
 func TestStageChunksSurviveCollections(t *testing.T) {
-	fs := NewFrameSegments()
-	fs.Stage(64)
-	fs.Release()
+	stage := func() {
+		fs := NewFrameSegments()
+		fs.Stage(64)
+		fs.Stage(frameHeadSize) // overflows the head into a chunk
+		fs.Release()
+	}
+	stage()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 8; i++ {
 		runtime.GC()
 		runtime.GC()
-		fs := NewFrameSegments()
-		fs.Stage(64)
-		fs.Release()
+		stage()
 	}
 	runtime.ReadMemStats(&after)
-	if d := after.TotalAlloc - before.TotalAlloc; d >= stageChunkSize {
-		t.Fatalf("8 frames staged after collections allocated %d bytes; want less than one %d-byte chunk", d, stageChunkSize)
+	if d, scratch := after.TotalAlloc-before.TotalAlloc, uint64(unsafe.Sizeof(frameScratch{})); d >= 8*scratch {
+		t.Fatalf("8 frames staged after collections allocated %d bytes; want less than one %d-byte scratch a frame", d, scratch)
 	}
 }
 
