@@ -124,3 +124,34 @@ func TestDiffFailsOnARowRecordedTwice(t *testing.T) {
 		}
 	}
 }
+
+// A wall under the floor is not compared, however far it moved: 0.4 ms to
+// 1.0 ms is a page fault's worth. The same ratio above it warns.
+func TestDiffComparesNoWallUnderTheFloor(t *testing.T) {
+	for _, c := range []struct {
+		base, cur float64
+		warn      bool
+	}{{0.4, 1.0, false}, {40, 100, true}} {
+		var out strings.Builder
+		if diff(report{Metrics: []metric{row("ser/deca", c.base, 0)}}, report{Metrics: []metric{row("ser/deca", c.cur, 0)}}, 0.25, &out) {
+			t.Fatalf("%v -> %v ms failed:\n%s", c.base, c.cur, out.String())
+		}
+		if got := strings.Contains(out.String(), "WARN"); got != c.warn {
+			t.Errorf("%v -> %v ms: warned %v, want %v:\n%s", c.base, c.cur, got, c.warn, out.String())
+		}
+	}
+}
+
+// A workload row's faults and system CPU are printed, and never fail or
+// warn a diff however far they moved.
+func TestDiffPrintsKernelCostUngated(t *testing.T) {
+	base := report{Metrics: []metric{{Name: "WC", WallMS: 100, Checksum: 1, MinorFaults: 10, SysMS: 1}}}
+	cur := report{Metrics: []metric{{Name: "WC", WallMS: 100, Checksum: 1, MinorFaults: 46000, SysMS: 150}}}
+	var out strings.Builder
+	if diff(base, cur, 0.25, &out) || strings.Contains(out.String(), "WARN") {
+		t.Fatalf("faults and sys CPU gated the diff:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "46000 minor faults, sys 150.0ms") {
+		t.Errorf("faults and sys CPU not printed:\n%s", out.String())
+	}
+}

@@ -19,13 +19,13 @@ import (
 
 // AblationPageSize sweeps the page size for the LR cache. In the paper a
 // tiny page costs GC tracing, one more array per page. Here pages are
-// anonymous mappings the collector never sees (memory.newBytes), so on
-// unix a tiny page costs one mapping of its own: an mmap when it is first
-// made, an munmap when the pool drops it, and pool traffic in between.
+// spans of anonymous mappings the collector never sees (memory's reserve
+// cuts them from huge-page chunks), so a tiny page costs pool and reserve
+// traffic, and a page that does not fit the reserve's cap an munmap.
 // Huge pages waste the unused tail of each container's last page.
 func AblationPageSize(o Options, rep *Report) error {
 	rep.PaperClaim = "§2.3/§4.3.1: pages must be neither too small (the paper: GC traces many arrays; " +
-		"here, mapped pages: one mmap/munmap and mapping per page, pool churn) " +
+		"here, mapped pages: pool and reserve traffic per page) " +
 		"nor too large (unused space in each container's last page)"
 	params := workloads.LRParams{Points: o.scaled(200_000), Dim: 10, Iterations: 8}
 	for _, ps := range []int{4 << 10, 64 << 10, 1 << 20, 16 << 20} {

@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -83,21 +84,25 @@ type Report struct {
 // Metric is one measured run in machine-readable form. Checksum is the
 // answer digest, so two bench runs can be diffed for result drift, not
 // just speed. Counters is a workload run's counter vector (its nonzero
-// rows by name); a hand-built row has none, and Bytes is the byte figure
-// some measure instead (wire's frame sizes, table6's cached sizes).
-// PeakRSSMB is the process's resident high-water mark (VmHWM; 0 where the
-// kernel does not say) when the row was recorded: a mark of the whole
-// deca-bench process so far, not of the one run, so it only rises down a
-// report — compare it row for row between two reports of an experiment.
+// rows by name), and MinorFaults and SysMS the kernel's charge for it
+// (gcstats.Delta: first touches of pages, system CPU; reported, never
+// gated); a hand-built row has none, and Bytes is the byte figure some
+// measure instead (wire's frame sizes, table6's cached sizes). PeakRSSMB
+// is the process's resident high-water mark (VmHWM; 0 where the kernel
+// does not say) when the row was recorded: a mark of the whole deca-bench
+// process so far, not of the one run, so it only rises down a report —
+// compare it row for row between two reports of an experiment.
 type Metric struct {
-	Name      string           `json:"name"`
-	Mode      string           `json:"mode,omitempty"`
-	WallMS    float64          `json:"wall_ms"`
-	GCSec     float64          `json:"gc_sec"`
-	Bytes     int64            `json:"bytes,omitempty"`
-	Checksum  float64          `json:"checksum"`
-	PeakRSSMB float64          `json:"peak_rss_mb"`
-	Counters  map[string]int64 `json:"counters,omitempty"`
+	Name        string           `json:"name"`
+	Mode        string           `json:"mode,omitempty"`
+	WallMS      float64          `json:"wall_ms"`
+	GCSec       float64          `json:"gc_sec"`
+	Bytes       int64            `json:"bytes,omitempty"`
+	Checksum    float64          `json:"checksum"`
+	PeakRSSMB   float64          `json:"peak_rss_mb"`
+	MinorFaults uint64           `json:"minor_faults,omitempty"`
+	SysMS       float64          `json:"sys_ms,omitempty"`
+	Counters    map[string]int64 `json:"counters,omitempty"`
 }
 
 // Key names a row as deca-benchdiff matches it: a comparison records one
@@ -125,12 +130,14 @@ func (r *Report) add(format string, args ...any) {
 // rendered Rows the experiment adds.
 func (r *Report) record(name string, res workloads.Result) {
 	r.metric(Metric{
-		Name:     name,
-		Mode:     res.Mode.String(),
-		WallMS:   float64(res.Wall) / float64(time.Millisecond),
-		GCSec:    res.GC.GCCPUSeconds,
-		Counters: res.Counters.Named(),
-		Checksum: res.Checksum,
+		Name:        name,
+		Mode:        res.Mode.String(),
+		WallMS:      float64(res.Wall) / float64(time.Millisecond),
+		GCSec:       res.GC.GCCPUSeconds,
+		MinorFaults: res.GC.MinorFaults,
+		SysMS:       float64(res.GC.SysCPU) / float64(time.Millisecond),
+		Counters:    res.Counters.Named(),
+		Checksum:    res.Checksum,
 	})
 }
 
@@ -206,9 +213,7 @@ func Find(id string) (Experiment, bool) {
 }
 
 // fmtDur renders a duration compactly.
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Millisecond).String()
-}
+func fmtDur(d time.Duration) string { return d.Round(time.Millisecond).String() }
 
 // speedup formats a/b as "N.Nx".
 func speedup(base, other time.Duration) string {
@@ -219,9 +224,7 @@ func speedup(base, other time.Duration) string {
 }
 
 // mb renders bytes as MB with one decimal.
-func mb(b int64) string {
-	return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-}
+func mb(b int64) string { return fmt.Sprintf("%.1fMB", float64(b)/(1<<20)) }
 
 // baseCfg builds a workload config for the given mode from Base, wiring in
 // the global chaos flags: every engine the experiment builds gets its own
@@ -245,12 +248,7 @@ func (o Options) baseCfg(mode engine.Mode) workloads.Config {
 }
 
 // chaosSeed resolves the injector seed (default 1).
-func (o Options) chaosSeed() int64 {
-	if o.ChaosSeed != 0 {
-		return o.ChaosSeed
-	}
-	return 1
-}
+func (o Options) chaosSeed() int64 { return cmp.Or(o.ChaosSeed, 1) }
 
 // job is a workloads entry point bound to its parameters: what a
 // comparison runs under each mode or configuration.

@@ -99,8 +99,13 @@ func Words(seed int64, distinctKeys, wordsPerLine, numLines int) []string {
 // appendWord renders key i (non-negative) as a pronounceable-ish
 // fixed-alphabet token, like RandomWriter's random keys but deterministic
 // per index: 'w' then i in hex, zero-padded to 7 digits — fmt's "w%07x",
-// without the interface box fmt allocates per call.
+// without the interface box fmt allocates per call. Below 2^28, where the
+// padding is exact, the seven digits are written directly.
 func appendWord(dst []byte, i int) []byte {
+	if i < 1<<28 {
+		const x = "0123456789abcdef"
+		return append(dst, 'w', x[i>>24], x[i>>20&15], x[i>>16&15], x[i>>12&15], x[i>>8&15], x[i>>4&15], x[i&15])
+	}
 	var hex [16]byte
 	digits := strconv.AppendUint(hex[:0], uint64(i), 16)
 	dst = append(dst, "w0000000"[:max(8-len(digits), 1)]...)

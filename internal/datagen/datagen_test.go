@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -401,6 +402,21 @@ func TestSliceFormsOwnTheirVectors(t *testing.T) {
 					t.Fatalf("%s: overwriting record %d changed record %d", name, i, k)
 				}
 			}
+		}
+	}
+}
+
+// TestAppendWordIsFmt: the direct seven-digit path and the path above 2^28
+// both write fmt's "w%07x".
+func TestAppendWordIsFmt(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	is := []int{0, 15, 16, 1<<28 - 1, 1 << 28, 1<<28 + 1, 1 << 40}
+	for range 10000 {
+		is = append(is, r.Intn(1<<28), r.Intn(1<<36))
+	}
+	for _, i := range is {
+		if got, want := string(appendWord([]byte("x"), i)), "x"+fmt.Sprintf("w%07x", i); got != want {
+			t.Fatalf("appendWord(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

@@ -604,13 +604,16 @@ func (c *Context) executorFor(p int) *Executor {
 }
 
 // execCounters reads one executor's counter vector: the rows this process
-// increments, plus one read each of the rows the scheduler, the
-// executor's page manager, its block store and its transport node keep,
-// and — on a multiproc driver, whose executors' data lives in other
-// processes — the executor-resident rows the executor's last heartbeat
-// carried (SyncClusterMetrics asks for fresh ones).
+// increments, plus one read each of the rows the scheduler, the page
+// manager, block store and transport node keep, the process reserve's on
+// the first executor, and — on a multiproc driver, whose executors' data
+// lives in other processes — the executor-resident rows the executor's
+// last heartbeat carried (SyncClusterMetrics asks for fresh ones).
 func (c *Context) execCounters(ex *Executor) obs.CounterValues {
 	v := ex.counters.Load()
+	if ex == c.execs[0] {
+		v[obs.ReserveBytes] = memory.ReserveBytes()
+	}
 	v.Add(c.cluster.Counters(ex.id))
 	v.Add(ex.mem.Counters())
 	v.Add(ex.cache.Counters())

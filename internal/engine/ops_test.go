@@ -117,6 +117,21 @@ func TestOpsEndpointsServeLiveState(t *testing.T) {
 	if pages == 0 {
 		t.Error("/memory shows no page allocations after a Deca shuffle")
 	}
+	// The process reserve's rows: on every row, its level booked once (on
+	// executor 0), however many executors share the process.
+	var rows struct {
+		Executors []map[string]int64 `json:"executors"`
+	}
+	if err := json.Unmarshal(opsGet(t, addr, "/memory"), &rows); err != nil {
+		t.Fatalf("/memory: %v", err)
+	}
+	for i, row := range rows.Executors {
+		_, takes := row["reserve_takes"]
+		held, ok := row["reserve_bytes"]
+		if !takes || !ok || i > 0 && held != 0 {
+			t.Errorf("/memory row %d: reserve_takes shown %v, reserve_bytes %d shown %v; want both, the level on row 0 only", i, takes, held, ok)
+		}
+	}
 
 	var trace []map[string]any
 	if err := json.Unmarshal(opsGet(t, addr, "/trace"), &trace); err != nil {

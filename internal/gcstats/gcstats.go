@@ -5,7 +5,9 @@
 // "time of GC" the paper reports; heap object counts drive the lifetime
 // timelines of Figures 8(a) and 9(a). ReadProcMem adds the kernel's view of
 // the process (peak RSS, split into anonymous and file-backed), which is
-// what says whether memory that left the Go heap left the process too.
+// what says whether memory that left the Go heap left the process too, and
+// every Snapshot carries what the kernel charged for memory: minor page
+// faults and system CPU (readRusage).
 package gcstats
 
 import (
@@ -29,13 +31,16 @@ type Snapshot struct {
 	HeapAlloc    uint64        // bytes of allocated heap objects
 	TotalAlloc   uint64        // cumulative bytes allocated
 	Mallocs      uint64        // cumulative objects allocated
+	MinorFaults  uint64        // cumulative minor page faults of the process (0 where unknown)
+	SysCPU       time.Duration // cumulative system CPU of the process (0 where unknown)
 }
 
 var gcCPUSample = []metrics.Sample{
 	{Name: "/cpu/classes/gc/total:cpu-seconds"},
 }
 
-// Read returns the current counters. It does not force a GC.
+// Read returns the current counters, allocating nothing. It does not
+// force a GC.
 func Read() Snapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -53,6 +58,7 @@ func Read() Snapshot {
 	if samples[0].Value.Kind() == metrics.KindFloat64 {
 		s.GCCPUSeconds = samples[0].Value.Float64()
 	}
+	readRusage(&s)
 	return s
 }
 
@@ -64,6 +70,8 @@ type Delta struct {
 	PauseTotal   time.Duration
 	AllocBytes   uint64
 	AllocObjects uint64
+	MinorFaults  uint64
+	SysCPU       time.Duration
 }
 
 // Sub returns the delta from a to s (s taken after a).
@@ -75,6 +83,8 @@ func (s Snapshot) Sub(a Snapshot) Delta {
 		PauseTotal:   s.PauseTotal - a.PauseTotal,
 		AllocBytes:   s.TotalAlloc - a.TotalAlloc,
 		AllocObjects: s.Mallocs - a.Mallocs,
+		MinorFaults:  s.MinorFaults - a.MinorFaults,
+		SysCPU:       s.SysCPU - a.SysCPU,
 	}
 }
 

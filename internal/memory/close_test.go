@@ -103,9 +103,13 @@ func rssAnon(t *testing.T) int64 {
 	return n
 }
 
-const touched = 64 << 20
+const (
+	touched  = 64 << 20
+	smallCap = 16 << 20 // the test reserves' cap: a quarter of what they are given
+	slack    = 8 << 20  // what the Go heap and the runtime may move meanwhile
+)
 
-// fillAndRelease maps, touches and releases touched bytes of 1 MiB pages:
+// fillAndRelease takes, touches and releases touched bytes of 1 MiB pages:
 // afterwards every one of them sits in m's pool.
 func fillAndRelease(m *Manager) {
 	g := m.NewGroup()
@@ -118,38 +122,66 @@ func fillAndRelease(m *Manager) {
 	g.Release()
 }
 
-// TestReleasedMemoryLeavesTheProcess is release at lifetime end as the
-// kernel sees it: 64 MiB of pages mapped, touched, released and closed
-// leave RssAnon within a few MB of where it started, which memory the
-// collector had to give back could not promise.
-func TestReleasedMemoryLeavesTheProcess(t *testing.T) {
+// closedRSS is how far above its start RssAnon stands once 64 MiB of
+// pages were touched, released and closed over the reserve r, and
+// trimming r brings it back within slack.
+func closedRSS(t *testing.T, r *reserve) int64 {
+	t.Helper()
 	before := rssAnon(t)
-	m := NewManager(1<<20, 0)
+	m := newManager(1<<20, 0, r)
 	fillAndRelease(m)
 	if held := rssAnon(t) - before; held < touched*3/4 {
 		t.Fatalf("64 MiB of touched pages raised RssAnon by only %d MiB: the test measures nothing", held>>20)
 	}
 	m.Close()
-	if after := rssAnon(t); after > before+8<<20 {
-		t.Errorf("RssAnon %d MiB after Close, %d MiB before the pages: the mappings outlived their manager", after>>20, before>>20)
+	after := rssAnon(t) - before
+	r.trim()
+	if trimmed := rssAnon(t) - before; trimmed > slack {
+		t.Errorf("RssAnon %d MiB above its start with the reserve trimmed: the pages outlived their reserve", trimmed>>20)
+	}
+	return after
+}
+
+// TestReleasedMemoryLeavesTheProcess is release at lifetime end as the
+// kernel sees it: 64 MiB of pages taken, touched, released and closed leave
+// RssAnon within the reserve's cap (plus slack) of where it started, which
+// memory the collector had to give back could not promise; the reserve
+// parks the cap's worth for the next manager and unmaps the rest. Its
+// positive control is a reserve without a cap, which keeps all 64 MiB.
+func TestReleasedMemoryLeavesTheProcess(t *testing.T) {
+	if held := closedRSS(t, &reserve{cap: smallCap}); held > smallCap+slack {
+		t.Errorf("RssAnon %d MiB above its start after Close over a %d MiB reserve: the reserve held past its cap", held>>20, smallCap>>20)
+	}
+	if held := closedRSS(t, &reserve{cap: 1 << 40}); held <= smallCap+slack {
+		t.Errorf("an uncapped reserve left RssAnon only %d MiB above its start: the bound tests nothing", held>>20)
 	}
 }
 
 // TestUnclosedManagerPoolIsUnmapped: a manager nobody closed, holding only
-// pooled pages, has them unmapped by its cleanup once it is unreachable.
+// pooled pages, has them given to its reserve by its cleanup once it is
+// unreachable, and the reserve unmaps what its cap does not keep.
 func TestUnclosedManagerPoolIsUnmapped(t *testing.T) {
+	r := &reserve{cap: smallCap}
+	defer r.trim()
 	before := rssAnon(t)
-	fillAndRelease(NewManager(1<<20, 0))
+	fillAndRelease(newManager(1<<20, 0, r))
 	if held := rssAnon(t) - before; held < touched*3/4 {
 		t.Fatalf("64 MiB of pooled pages raised RssAnon by only %d MiB: the test measures nothing", held>>20)
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		runtime.GC() // the cleanup is queued by a cycle and runs after it
-		if rssAnon(t) <= before+8<<20 {
-			return
+		if rssAnon(t) <= before+smallCap+slack {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("RssAnon still %d MiB above its start 5 s after the manager became unreachable", (rssAnon(t)-before)>>20)
 		}
+	}
+	if got := r.bytes(); got != smallCap {
+		t.Errorf("the reserve parks %d MiB of the dropped pool, want its cap, %d MiB", got>>20, smallCap>>20)
+	}
+	r.trim()
+	if trimmed := rssAnon(t) - before; trimmed > slack {
+		t.Errorf("RssAnon %d MiB above its start with the reserve trimmed", trimmed>>20)
 	}
 }

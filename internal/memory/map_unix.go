@@ -1,4 +1,4 @@
-//go:build unix
+//go:build linux || darwin
 
 package memory
 
@@ -9,36 +9,45 @@ import (
 	"unsafe"
 )
 
-// newBytes is the one place manager memory comes from: a zero-length,
-// zeroed byte slice of capacity n, the front of an anonymous private
-// mapping of its own. Everything the manager hands out is cut from the
-// front of such a slice — a page, a block, a restored page — and
-// Group.Alloc packs a page from offset 0; a mapping starts on an OS page,
-// so a record whose layout is only 8-byte primitives is aligned wherever it
-// lies, and decompose.Float64s/Int64s can read it in place
-// (TestManagerMemoryIsAligned). The mapping is not Go heap: the collector
+// mapChunk is the one place manager memory comes from: n bytes (a whole
+// number of huge pages) of zeroed anonymous private memory that start on a
+// huge-page boundary, advised to be backed by huge pages (adviseHuge). The
+// reserve cuts every page, block and restored page from such a chunk, so
+// everything a manager hands out starts on an OS page, and a record whose
+// layout is only 8-byte primitives is aligned wherever it lies:
+// decompose.Float64s/Int64s can read it in place
+// (TestManagerMemoryIsAligned). The memory is not Go heap: the collector
 // neither scans it nor counts it toward its next goal, and it lives until
-// freeBytes, not until the collector notices it is unreachable. A request
-// below the OS page size still costs an OS page.
-func newBytes(n int) []byte {
-	b, err := syscall.Mmap(-1, 0, mappedLen(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+// the reserve unmaps it, not until the collector notices it is
+// unreachable.
+//
+// The mapping is n plus a huge page long and its misaligned ends are
+// unmapped at once. They, and every span the reserve unmaps past its cap,
+// are parts of a mapping, so they go by a raw munmap: syscall.Munmap takes
+// only a whole mapping syscall.Mmap returned.
+func mapChunk(n int) []byte {
+	b, err := syscall.Mmap(-1, 0, n+hugePage, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
 		panic(fmt.Sprintf("memory: mapping %d bytes: %v", n, err))
 	}
-	return b[:0:n]
+	lead := -int(uintptr(unsafe.Pointer(unsafe.SliceData(b)))) & (hugePage - 1)
+	unmapAnon(b[:lead])
+	unmapAnon(b[lead+n:])
+	chunk := b[lead : lead+n : lead+n]
+	adviseHuge(chunk)
+	return chunk
 }
 
-// freeBytes unmaps the mapping newBytes cut b from: b's lifetime, and that
-// of every slice of it, is over.
-func freeBytes(b []byte) { unmap(whole(b)) }
-
-// whole is the entire mapping b is the front of.
-func whole(b []byte) []byte { return unsafe.Slice(unsafe.SliceData(b), mappedLen(cap(b))) }
-
-var osPage = syscall.Getpagesize()
-
-// mappedLen rounds n up to whole OS pages.
-func mappedLen(n int) int { return (n + osPage - 1) &^ (osPage - 1) }
+// unmapAnon ends the part s of a chunk: s starts on an OS page and is a
+// whole number of them.
+func unmapAnon(s []byte) {
+	if len(s) == 0 {
+		return
+	}
+	if _, _, errno := syscall.Syscall(syscall.SYS_MUNMAP, uintptr(unsafe.Pointer(unsafe.SliceData(s))), uintptr(len(s)), 0); errno != 0 {
+		panic(fmt.Sprintf("memory: munmap: %v", errno))
+	}
+}
 
 // mapFile returns the first size bytes of f as a read-only shared mapping:
 // page-aligned, backed by the page cache, reclaimed by the kernel under
@@ -57,9 +66,9 @@ func fileSize(f *os.File) (int64, error) {
 	return st.Size, nil
 }
 
-// unmap ends a mapping mapFile or newBytes returned (nil: the empty file
-// mapPath mapped nothing for). Unmapping a live mapping of our own cannot
-// fail; if it does, the bookkeeping around it is broken.
+// unmap ends a mapping mapFile returned (nil: the empty file mapPath
+// mapped nothing for). Unmapping a live mapping of our own cannot fail; if
+// it does, the bookkeeping around it is broken.
 func unmap(data []byte) {
 	if len(data) == 0 {
 		return

@@ -4,17 +4,28 @@
 // a common fixed size. Each data container (cache block, shuffle buffer)
 // owns a page group; a page-info structure tracks the group's pages, the
 // end offset of the last page, and a sequential cursor. The pages are not
-// Go heap at all but anonymous mappings (newBytes), so the garbage
-// collector neither traces them nor paces itself on them. When a
-// container's lifetime ends, releasing the group reclaims all of its space
-// at once; when a mapping's own lifetime ends — it does not fit in the
-// pool, or it is in the pool when the manager closes — the manager unmaps
-// it, and the kernel has the memory back.
+// Go heap at all but spans of anonymous mappings, so the garbage collector
+// neither traces them nor paces itself on them.
 //
-// The Manager hands out pages from a free pool so that steady-state
-// execution maps no new memory at all, and accounts the bytes in use
-// against an optional soft budget that the cache and shuffle layers
-// consult for eviction and spilling decisions.
+// Where memory comes from and where it goes: the reserve below every
+// manager cuts spans from 2 MiB-aligned chunks that the kernel is advised
+// to back with huge pages (mapChunk, adviseHuge). A manager takes its pages
+// and slabs from its own free pool first and from the reserve second. When
+// a container's lifetime ends, releasing the group reclaims all of its
+// space at once into the pool; when the manager's lifetime ends (Close, or
+// the cleanup of a manager nobody closed), its pool goes to the reserve,
+// as does anything the pool has no room for. The reserve parks up to its
+// cap (reserveCap) for the next manager, dirty, and unmaps the rest, so the
+// kernel has it back. A process whose jobs run one after another thus
+// pays its page faults once: the next job's pages are the last job's.
+//
+// The price of huge pages: a touched byte makes its whole 2 MiB resident,
+// so a span's untouched tail may cost memory where with small pages it
+// would not (ROADMAP 25(b)).
+//
+// The Manager accounts the bytes in use against an optional soft budget
+// that the cache and shuffle layers consult for eviction and spilling
+// decisions.
 package memory
 
 import (
@@ -45,19 +56,20 @@ const DefaultPageSize = 1 << 20
 // which blocks pool.
 //
 // Close ends the manager's lifetime. A manager nobody closes has its pool
-// unmapped by a cleanup once it is unreachable; nothing else can be left
-// to unmap by then, because every group and slab holds its manager.
+// returned to the reserve by a cleanup once it is unreachable; nothing else
+// can be left by then, because every group and slab holds its manager.
 type Manager struct {
 	pageSize int
 	limit    int64 // soft budget in bytes; 0 means unlimited
 
 	mu         sync.Mutex
-	pool       *pool // an object of its own, so the cleanup that unmaps it does not keep the manager reachable
+	pool       *pool // an object of its own, so the cleanup that returns it does not keep the manager reachable
 	poolMax    int64 // max bytes kept in the pool, pages and blocks together
 	closed     bool
 	inUse      int64 // bytes of live pages (allocated to groups) and slabs
 	pooled     int64 // bytes parked in the free pool
-	allocated  int64 // pages and slabs freshly mapped (newBytes)
+	allocated  int64 // pages and slabs taken from the reserve (res.take)
+	fromRes    int64 // of those, the ones the reserve had parked rather than cut fresh
 	reused     int64 // pages and slabs served from the free pool
 	released   int64 // pages returned by group release, slabs by theirs
 	adopted    int64 // pages this manager's groups adopted (AdoptPages)
@@ -67,51 +79,59 @@ type Manager struct {
 // NewManager returns a Manager with the given page size and soft budget in
 // bytes (0 = unlimited). Non-positive pageSize selects DefaultPageSize.
 func NewManager(pageSize int, limit int64) *Manager {
+	return newManager(pageSize, limit, &processReserve)
+}
+
+// newManager is NewManager over the reserve res.
+func newManager(pageSize int, limit int64, res *reserve) *Manager {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	m := &Manager{pageSize: pageSize, limit: limit, pool: new(pool)}
+	m := &Manager{pageSize: pageSize, limit: limit, pool: &pool{res: res}}
 	// Keep at most the budget's worth of pages pooled, or a generous
 	// default when unlimited.
 	m.poolMax = 1024 * int64(pageSize)
 	if n := limit / int64(pageSize); n > 0 {
 		m.poolMax = n * int64(pageSize)
 	}
-	runtime.AddCleanup(m, (*pool).unmap, m.pool)
+	runtime.AddCleanup(m, (*pool).drain, m.pool)
 	return m
 }
 
 // pool is a manager's free memory: standard-size pages, and blocks by size
-// class. Guarded by the manager's mu.
+// class, over the reserve everything goes back to. Guarded by the
+// manager's mu.
 type pool struct {
+	res    *reserve
 	free   [][]byte                // standard-size pages; pop from the tail
 	blocks [bits.UintSize][][]byte // class c holds capacities in [2^c, 2^(c+1))
 }
 
-// unmap ends every pooled mapping and empties the pool.
-func (p *pool) unmap() {
+// drain gives every pooled page and block to the reserve and empties the
+// pool.
+func (p *pool) drain() {
 	for _, b := range p.free {
-		freeBytes(b)
+		p.res.give(b)
 	}
 	p.free = nil
 	for c := range p.blocks {
 		for _, b := range p.blocks[c] {
-			freeBytes(b)
+			p.res.give(b)
 		}
 		p.blocks[c] = nil
 	}
 }
 
-// Close ends the manager's lifetime: every pooled mapping is unmapped at
+// Close ends the manager's lifetime: the whole pool goes to the reserve at
 // once, and asking for a page or a slab afterwards panics. Memory a live
-// group or slab still holds stays mapped — the group may still be read —
-// and stays in PageBytesInUse until its release, which unmaps it instead
-// of pooling it. A second Close is a no-op.
+// group or slab still holds stays where it is — the group may still be
+// read — and stays in PageBytesInUse until its release, which gives it to
+// the reserve instead of pooling it. A second Close is a no-op.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = true
-	m.pool.unmap()
+	m.pool.drain()
 	m.pooled = 0
 }
 
@@ -132,11 +152,13 @@ func (m *Manager) Limit() int64 { return m.limit }
 
 // Counters reads the manager's account into its rows of the counter
 // table: the page counts, and the gauges a lifetime end brings back to
-// zero (bytes in use, live groups) beside the pool's bytes.
+// zero (bytes in use, live groups) beside the pool's bytes. The reserve's
+// bytes are the process's, not the manager's (ReserveBytes).
 func (m *Manager) Counters() (v obs.CounterValues) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v[obs.PagesAllocated] = m.allocated
+	v[obs.ReserveTakes] = m.fromRes
 	v[obs.PagesReused] = m.reused
 	v[obs.PagesReleased] = m.released
 	v[obs.PagesAdopted] = m.adopted
@@ -166,21 +188,32 @@ func (m *Manager) getPage(want int) []byte {
 		m.mu.Unlock()
 		return p[:0]
 	}
+	p, _ := m.takeLocked(m.pageSize)
+	return p
+}
+
+// takeLocked takes a page or block the pool could not serve from the
+// reserve and books it. Called with m.mu held, which it releases.
+func (m *Manager) takeLocked(n int) (b []byte, fresh bool) {
 	m.checkOpenLocked()
 	m.allocated++
-	m.inUse += int64(m.pageSize)
+	m.inUse += int64(n)
+	if b, fresh = m.pool.res.take(n); !fresh {
+		m.fromRes++
+	}
 	m.mu.Unlock()
-	return newBytes(m.pageSize)
+	return b, fresh
 }
 
 // getBlock returns a zero-length block with capacity ≥ want: the best fit
 // (the smallest that is large enough) among the pooled blocks of want's
-// size class, or a fresh — zeroed — one of exactly want bytes. Staying
-// inside the class bounds the waste at 2× and keeps a small request from
-// taking the large block a sibling is about to ask for.
+// size class, or one of exactly want bytes from the reserve, zeroed only
+// when fresh is true. Staying inside the class bounds the waste at 2× and
+// keeps a small request from taking the large block a sibling is about to
+// ask for.
 func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 	m.mu.Lock()
-	class := &m.pool.blocks[bits.Len(uint(want))-1]
+	class := &m.pool.blocks[sizeClass(want)]
 	best := -1
 	for i, b := range *class {
 		if cap(b) >= want && (best < 0 || cap(b) < cap((*class)[best])) {
@@ -199,11 +232,7 @@ func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
 		m.mu.Unlock()
 		return b, false
 	}
-	m.checkOpenLocked()
-	m.allocated++
-	m.inUse += int64(want)
-	m.mu.Unlock()
-	return newBytes(want), true
+	return m.takeLocked(want)
 }
 
 // bigMax is how many oversized pages a size class keeps pooled.
@@ -211,7 +240,7 @@ const bigMax = 16
 
 // putBlock takes a block back and pools it in its size class, within the
 // pool's byte bound, unless it is larger than a page and its class already
-// holds bigMax blocks; a block that does not pool is unmapped on the spot.
+// holds bigMax blocks; a block that does not pool goes to the reserve.
 // A pooled block is resident memory nobody uses, so what is parked here
 // must be what the next request asks for: slabs are (a container's index
 // takes them a segment at a time, all of one size past the small ones), a
@@ -221,13 +250,13 @@ const bigMax = 16
 func (m *Manager) putBlock(b []byte) {
 	m.inUse -= int64(cap(b))
 	m.released++
-	class := &m.pool.blocks[bits.Len(uint(cap(b)))-1]
+	class := &m.pool.blocks[sizeClass(cap(b))]
 	if m.pools(b) && (cap(b) <= m.pageSize || len(*class) < bigMax) {
 		poison(b)
 		*class = append(*class, b[:0])
 		m.pooled += int64(cap(b))
 	} else {
-		freeBytes(b)
+		m.pool.res.give(b)
 	}
 }
 
@@ -237,8 +266,8 @@ func (m *Manager) pools(b []byte) bool {
 	return !m.closed && m.pooled+int64(cap(b)) <= m.poolMax
 }
 
-// putPages returns pages to the pool, unmapping those the pool has no room
-// for.
+// putPages returns pages to the pool, and those the pool has no room for
+// to the reserve.
 func (m *Manager) putPages(pages [][]byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -255,7 +284,7 @@ func (m *Manager) putPages(pages [][]byte) {
 				m.pool.free = append(m.pool.free, p[:0])
 				m.pooled += int64(cap(p))
 			} else {
-				freeBytes(p)
+				m.pool.res.give(p)
 			}
 		}
 	}
@@ -266,7 +295,7 @@ func (m *Manager) putPages(pages [][]byte) {
 // group's records. It is charged to the budget like a page and pooled on
 // release like one (putBlock), but comes in whatever size is asked for — a
 // 16-slot table does not cost a page — and is zeroed, whether it came from
-// the pool or a fresh mapping. The zero Slab is empty; Release is
+// the pool, the reserve or a fresh chunk. The zero Slab is empty; Release is
 // idempotent, so a container's double Release returns the memory once.
 type Slab struct {
 	m   *Manager
@@ -283,7 +312,7 @@ func (m *Manager) NewSlab(n int) Slab {
 }
 
 // Bytes returns the slab's n bytes (nil once released), 8-byte aligned
-// like all manager memory (newBytes).
+// like all manager memory (mapChunk).
 func (s *Slab) Bytes() []byte { return s.buf }
 
 // Footprint returns the bytes the manager charges for the slab.

@@ -47,6 +47,8 @@ const (
 	PageGroupsLive
 	ServeFrameBytes
 	ShuffleFetchFailures
+	ReserveTakes
+	ReserveBytes
 	NumCounters
 )
 
@@ -161,6 +163,18 @@ var counterTable = [NumCounters]CounterRow{
 	// Map-output fetch tries that failed (socket, local or injected) and
 	// were retried or given up, booked on the fetching executor.
 	ShuffleFetchFailures: {"shuffle_fetch_failures", false, ScopeExecutor},
+	// Pages and slabs the executor's page manager took from the process's
+	// memory reserve already resident, parked there when an earlier
+	// manager's lifetime ended, where it would otherwise have cut fresh
+	// memory from a chunk: the faults a warm process no longer pays.
+	ReserveTakes: {"reserve_takes", false, ScopeExecutor},
+	// Bytes the process's memory reserve parks now (memory.ReserveBytes).
+	// Every manager in a process shares the one reserve, so the level is
+	// the process's and is booked once per process: on the first executor
+	// of each Context (Context.execCounters). An in-process cluster thus
+	// shows it once, on executor 0, and a multiproc cluster's sum adds up
+	// each process's reserve, the driver's included.
+	ReserveBytes: {"reserve_bytes", true, ScopeExecutor},
 }
 
 // Row returns the counter's table entry.

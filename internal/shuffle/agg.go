@@ -472,7 +472,10 @@ func (it *recordIter) step() bool {
 		it.data = it.g.Page(it.page)
 	}
 	start := it.off
-	hd, w := binary.Uvarint(it.data[start:])
+	hd, w := uint64(it.data[start]), 1
+	if hd >= 0x80 { // a key of 64 bytes or more
+		hd, w = binary.Uvarint(it.data[start:])
+	}
 	sh := it.shape[hd&1]
 	kl := min(hd>>1, uint64(len(it.data)))
 	ks := start + w

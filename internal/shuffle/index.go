@@ -126,10 +126,19 @@ func (ix *aggIndex) find(g *memory.Group, tag uint32, key []byte, valSize int) (
 		if hd >= 0x80 { // a key of 64 bytes or more
 			hd, w = binary.Uvarint(rec)
 		}
-		if kl := int(hd >> 1); kl == len(key) && string(rec[w:w+kl]) == string(key) {
+		if kl := int(hd >> 1); kl == len(key) && sameKey(rec[w:w+kl], key) {
 			return rec[w+kl : w+kl+valSize], h&^mask | i, true
 		}
 	}
+}
+
+// sameKey compares keys of one length, of 8-16 bytes (WC's 12, PR's 8) as two overlapping words.
+func sameKey(a, b []byte) bool {
+	if n := len(a); n >= 8 && n <= 16 {
+		return binary.LittleEndian.Uint64(a) == binary.LittleEndian.Uint64(b) &&
+			binary.LittleEndian.Uint64(a[n-8:]) == binary.LittleEndian.Uint64(b[n-8:])
+	}
+	return string(a) == string(b)
 }
 
 // touch is the head of a pipelined probe: it loads what the finds for tags

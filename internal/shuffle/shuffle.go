@@ -72,7 +72,11 @@ func Int32Key() Key[int32] {
 	}
 }
 
-// Partition maps a key hash to one of n reduce partitions.
+// Partition maps a key hash to one of n reduce partitions: hash mod n,
+// which for a power of two is a mask, not a division.
 func Partition(hash uint32, n int) int {
+	if n&(n-1) == 0 {
+		return int(hash & uint32(n-1))
+	}
 	return int(hash % uint32(n))
 }
