@@ -377,7 +377,7 @@ func (b *DecaBlock[T]) SwapIn() error {
 }
 
 // Drop implements Block: the whole page group releases at once — back to
-// the pool, or unmapped and then unlinked.
+// the memory reserve, or unmapped and then unlinked.
 func (b *DecaBlock[T]) Drop() {
 	if b.group != nil {
 		b.group.Release()

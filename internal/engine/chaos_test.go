@@ -45,15 +45,15 @@ func assertNoLeaks(t *testing.T, ctx *Context) {
 }
 
 // assertManagersEmptyAfterClose closes the context, after which no
-// executor's manager may hold a byte, in use or pooled: the pool's mappings
-// went with Close. It runs after every other ledger check, since Close
-// itself deletes spill files and releases what the job left behind.
+// executor's manager may hold a byte in use: every page went back to the
+// reserve. It runs after every other ledger check, since Close itself
+// deletes spill files and releases what the job left behind.
 func assertManagersEmptyAfterClose(t *testing.T, ctx *Context) {
 	t.Helper()
 	ctx.Close()
 	for _, ex := range ctx.Executors() {
-		if st := ex.Memory().Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 0 {
-			t.Errorf("executor %d's manager after Close: %d bytes in use, %d pooled; want 0 and 0", ex.ID(), st[obs.PageBytesInUse], st[obs.PageBytesPooled])
+		if in := ex.Memory().Counters()[obs.PageBytesInUse]; in != 0 {
+			t.Errorf("executor %d's manager after Close: %d bytes in use, want 0", ex.ID(), in)
 		}
 	}
 }

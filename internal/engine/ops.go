@@ -166,8 +166,8 @@ func (o *opsServer) handleExecutors(w http.ResponseWriter, _ *http.Request) {
 // memoryCounters are the rows a /memory row serves, keyed by their table
 // names: the page manager's and the process reserve's account, and spills.
 var memoryCounters = []obs.Counter{
-	obs.PagesAllocated, obs.PagesReused, obs.PagesReleased, obs.PagesAdopted, obs.ReserveTakes,
-	obs.PageBytesInUse, obs.PageBytesPooled, obs.PageGroupsLive, obs.ReserveBytes, obs.ShuffleSpillBytes,
+	obs.PagesAllocated, obs.PagesReused, obs.PagesReleased, obs.PagesAdopted,
+	obs.PageBytesInUse, obs.PageGroupsLive, obs.ReserveBytes, obs.ShuffleSpillBytes,
 }
 
 // handleMemory serves one row per executor from its counter vector, which

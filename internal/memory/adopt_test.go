@@ -166,7 +166,7 @@ func TestAdoptAcrossManagersRehomesAccounting(t *testing.T) {
 	if got := dst.Bytes(put2ptr(base), 100); !bytes.Equal(got, bytes.Repeat([]byte{'x'}, 100)) {
 		t.Errorf("adopted bytes wrong after cross-manager release: %q", got[:4])
 	}
-	dst.Release() // returns the re-homed page to the destination's pool
+	dst.Release() // releases the re-homed page through the destination's ledger
 	if srcMgr.Counters()[obs.PageBytesInUse] != 0 || dstMgr.Counters()[obs.PageBytesInUse] != 0 {
 		t.Errorf("InUse after release: src=%d dst=%d", srcMgr.Counters()[obs.PageBytesInUse], dstMgr.Counters()[obs.PageBytesInUse])
 	}
@@ -194,26 +194,27 @@ func TestAdoptSelfPanics(t *testing.T) {
 	g.AdoptPages(g)
 }
 
+// TestOversizedPagePooledSeparately: a released oversized page is parked
+// in its own size class, so a standard request does not take it and an
+// oversized one does.
 func TestOversizedPagePooledSeparately(t *testing.T) {
-	m := NewManager(64, 0)
+	m, r := ownManager(t, 4096)
 	g := m.NewGroup()
-	g.Alloc(500) // oversized page
-	g.Alloc(8)   // standard page
+	g.Alloc(3 * 4096) // oversized page
+	seg, _ := g.Alloc(8)
+	standard := spanOf(seg).lo
 	g.Release()
-
-	st := m.Counters()
-	if st[obs.PageBytesPooled] == 0 {
-		t.Fatal("expected released pages pooled")
+	if r.bytes() != 4*4096 {
+		t.Fatalf("the reserve parks %d bytes, want both pages", r.bytes())
 	}
 	// A standard request must not consume the oversized page.
 	g2 := m.NewGroup()
-	seg, _ := g2.Alloc(8)
-	if cap(seg) > 64 {
-		t.Errorf("standard allocation served from oversized page (cap %d)", cap(seg))
+	if seg, _ := g2.Alloc(8); spanOf(seg).lo != standard {
+		t.Errorf("a standard page at %#x, want the parked one at %#x", spanOf(seg).lo, standard)
 	}
 	// An oversized request reuses the parked oversized page.
 	reusedBefore := m.Counters()[obs.PagesReused]
-	g2.Alloc(400)
+	g2.Alloc(2*4096 + 1)
 	if got := m.Counters()[obs.PagesReused] - reusedBefore; got != 1 {
 		t.Errorf("oversized request reused %d pages, want 1", got)
 	}

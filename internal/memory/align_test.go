@@ -10,7 +10,7 @@ import (
 
 // TestManagerMemoryIsAligned pins the invariant decompose.Float64s/Int64s
 // read in place on: every page and block a Manager hands out starts 8-byte
-// aligned — fresh or pooled, standard, short, oversized, restored from a
+// aligned — fresh or parked, standard, short, oversized, restored from a
 // frame — and Group.Alloc packs a page from offset 0, so a record made only
 // of 8-byte primitives is aligned too. A mapped swap file (MapGroup) keeps
 // the promise for memory that is not the manager's: whatever the page count
@@ -33,10 +33,10 @@ func TestManagerMemoryIsAligned(t *testing.T) {
 	odd := []int{1, 3, 7, 9, 13, 15, 17, 31, 33, 63, 65, 100, 129, 1001, 4097}
 
 	for _, pageSize := range []int{64, 0} {
-		m := NewManager(pageSize, 0)
-		// Two rounds: the first takes everything fresh from the heap, the
-		// second from the pool the first filled.
-		for _, round := range []string{"fresh", "pooled"} {
+		m, _ := ownManager(t, pageSize)
+		// Two rounds: the first takes everything fresh from chunks, the
+		// second from the spans the first parked.
+		for _, round := range []string{"fresh", "parked"} {
 			page := m.getPage(1)
 			aligned(round+" page", page)
 			held := [][]byte{page}
@@ -44,7 +44,7 @@ func TestManagerMemoryIsAligned(t *testing.T) {
 				// Several of each size: small blocks share the allocator's
 				// tiny-object cells, where a lone one would be aligned by luck.
 				for range 4 {
-					b, _ := m.getBlock(n)
+					b, _ := m.take(n)
 					aligned(round+" block", b)
 					held = append(held, b)
 				}
@@ -52,7 +52,7 @@ func TestManagerMemoryIsAligned(t *testing.T) {
 				aligned(round+" oversized page", big)
 				held = append(held, big)
 			}
-			m.putPages(held)
+			m.give(held...)
 
 			// A group of 24-byte records with a short last page and one
 			// oversized record, through the frame and through the swap file.
@@ -105,7 +105,7 @@ func TestManagerMemoryIsAligned(t *testing.T) {
 			mapped.Release()
 		}
 		if s := m.Counters(); s[obs.PageBytesInUse] != 0 || s[obs.PagesReused] == 0 {
-			t.Errorf("page size %d: in use %d, reused %d: the pooled round did not run on the pool", m.PageSize(), s[obs.PageBytesInUse], s[obs.PagesReused])
+			t.Errorf("page size %d: in use %d, reused %d: the parked round did not run on parked spans", m.PageSize(), s[obs.PageBytesInUse], s[obs.PagesReused])
 		}
 	}
 }

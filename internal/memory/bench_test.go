@@ -52,7 +52,7 @@ func BenchmarkPoolReuse(b *testing.B) {
 		for j := 0; j < 64; j++ {
 			g.Append(payload)
 		}
-		g.Release() // pages return to the pool; steady state allocates nothing
+		g.Release() // pages return to the reserve; steady state allocates nothing
 	}
 }
 

@@ -2,18 +2,17 @@ package memory
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-	"time"
 
 	"deca/internal/gcstats"
 	"deca/internal/obs"
 )
 
 // TestCloseAfterReleases: a manager whose groups and slabs were all
-// released holds its memory only in the pool, and Close unmaps all of it.
+// released has given all of its memory to the reserve already, and Close
+// gives nothing more.
 func TestCloseAfterReleases(t *testing.T) {
-	m := NewManager(4096, 0)
+	m, r := ownManager(t, 4096)
 	g := m.NewGroup()
 	for _, n := range []int{100, 4000, 9000, 30} { // two standard pages, an oversized one, a third page
 		g.Alloc(n)
@@ -21,12 +20,13 @@ func TestCloseAfterReleases(t *testing.T) {
 	s := m.NewSlab(192)
 	g.Release()
 	s.Release()
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 3*4096+9000+192 {
-		t.Fatalf("before Close: %+v, want everything pooled", st)
+	parked := int64(3*4096 + mappedLen(9000) + mappedLen(192))
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || r.bytes() != parked {
+		t.Fatalf("before Close: %+v, reserve %d bytes; want nothing in use and %d parked", st, r.bytes(), parked)
 	}
 	m.Close()
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 0 || st[obs.PageGroupsLive] != 0 {
-		t.Errorf("after Close: %+v, want nothing in use or pooled", st)
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 || r.bytes() != parked {
+		t.Errorf("after Close: %+v, reserve %d bytes; want nothing in use and the reserve unchanged", st, r.bytes())
 	}
 }
 
@@ -39,7 +39,7 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	for name, ask := range map[string]func(){
 		"getPage":   func() { m.getPage(1) },
 		"oversized": func() { m.getPage(1000) },
-		"getBlock":  func() { m.getBlock(10) },
+		"take":      func() { m.take(10) },
 		"NewSlab":   func() { m.NewSlab(10) },
 		"Alloc":     func() { m.NewGroup().Alloc(8) },
 	} {
@@ -54,11 +54,11 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	}
 }
 
-// TestCloseUnderLiveGroup: Close never unmaps memory a live group or slab
+// TestCloseUnderLiveGroup: Close never takes memory a live group or slab
 // may still read. Their bytes stay readable and in BytesInUse, and their
-// release unmaps them rather than pooling them.
+// release gives them to the reserve as it would before Close.
 func TestCloseUnderLiveGroup(t *testing.T) {
-	m := NewManager(256, 0)
+	m, r := ownManager(t, 256)
 	g := m.NewGroup()
 	var want [][]byte
 	var ptrs []Ptr
@@ -69,13 +69,10 @@ func TestCloseUnderLiveGroup(t *testing.T) {
 	}
 	s := m.NewSlab(100)
 	copy(s.Bytes(), "slab bytes")
-	spare := m.NewGroup()
-	spare.Alloc(200)
-	spare.Release() // one page pooled: Close unmaps it
 
 	m.Close()
-	if st, live := m.Counters(), g.Footprint()+s.Footprint(); st[obs.PageBytesInUse] != live || st[obs.PageBytesPooled] != 0 {
-		t.Errorf("closed under a live group: %+v, want %d bytes in use and none pooled", st, live)
+	if st, live := m.Counters(), g.Footprint()+s.Footprint(); st[obs.PageBytesInUse] != live {
+		t.Errorf("closed under a live group: %+v, want %d bytes in use", st, live)
 	}
 	for i, p := range ptrs {
 		if !bytes.Equal(g.Bytes(p, len(want[i])), want[i]) {
@@ -85,10 +82,11 @@ func TestCloseUnderLiveGroup(t *testing.T) {
 	if string(s.Bytes()[:10]) != "slab bytes" {
 		t.Error("the slab changed under Close")
 	}
+	parked := r.bytes()
 	g.Release()
 	s.Release()
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 0 || st[obs.PageGroupsLive] != 0 {
-		t.Errorf("released after Close: %+v, want nothing in use or pooled", st)
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 || r.bytes() <= parked {
+		t.Errorf("released after Close: %+v, reserve %d bytes (%d before); want nothing in use, the reserve grown", st, r.bytes(), parked)
 	}
 }
 
@@ -109,9 +107,10 @@ const (
 	slack    = 8 << 20  // what the Go heap and the runtime may move meanwhile
 )
 
-// fillAndRelease takes, touches and releases touched bytes of 1 MiB pages:
-// afterwards every one of them sits in m's pool.
-func fillAndRelease(m *Manager) {
+// touch takes and touches touched bytes of 1 MiB pages of m in one group,
+// and fails the test unless RssAnon rose above before by most of them.
+func touch(t *testing.T, m *Manager, before int64) *Group {
+	t.Helper()
 	g := m.NewGroup()
 	for range touched / m.PageSize() {
 		seg, _ := g.Alloc(m.PageSize())
@@ -119,7 +118,10 @@ func fillAndRelease(m *Manager) {
 			seg[i] = 1
 		}
 	}
-	g.Release()
+	if held := rssAnon(t) - before; held < touched*3/4 {
+		t.Fatalf("64 MiB of touched pages raised RssAnon by only %d MiB: the test measures nothing", held>>20)
+	}
+	return g
 }
 
 // closedRSS is how far above its start RssAnon stands once 64 MiB of
@@ -129,10 +131,7 @@ func closedRSS(t *testing.T, r *reserve) int64 {
 	t.Helper()
 	before := rssAnon(t)
 	m := newManager(1<<20, 0, r)
-	fillAndRelease(m)
-	if held := rssAnon(t) - before; held < touched*3/4 {
-		t.Fatalf("64 MiB of touched pages raised RssAnon by only %d MiB: the test measures nothing", held>>20)
-	}
+	touch(t, m, before).Release()
 	m.Close()
 	after := rssAnon(t) - before
 	r.trim()
@@ -146,7 +145,7 @@ func closedRSS(t *testing.T, r *reserve) int64 {
 // kernel sees it: 64 MiB of pages taken, touched, released and closed leave
 // RssAnon within the reserve's cap (plus slack) of where it started, which
 // memory the collector had to give back could not promise; the reserve
-// parks the cap's worth for the next manager and unmaps the rest. Its
+// parks the cap's worth for the next page and unmaps the rest. Its
 // positive control is a reserve without a cap, which keeps all 64 MiB.
 func TestReleasedMemoryLeavesTheProcess(t *testing.T) {
 	if held := closedRSS(t, &reserve{cap: smallCap}); held > smallCap+slack {
@@ -157,28 +156,19 @@ func TestReleasedMemoryLeavesTheProcess(t *testing.T) {
 	}
 }
 
-// TestUnclosedManagerPoolIsUnmapped: a manager nobody closed, holding only
-// pooled pages, has them given to its reserve by its cleanup once it is
-// unreachable, and the reserve unmaps what its cap does not keep.
+// TestUnclosedManagerPoolIsUnmapped: a manager nobody closes strands
+// nothing. Its released pages are with the reserve at once — no Close, no
+// collection — which parks its cap's worth and unmaps the rest.
 func TestUnclosedManagerPoolIsUnmapped(t *testing.T) {
 	r := &reserve{cap: smallCap}
 	defer r.trim()
 	before := rssAnon(t)
-	fillAndRelease(newManager(1<<20, 0, r))
-	if held := rssAnon(t) - before; held < touched*3/4 {
-		t.Fatalf("64 MiB of pooled pages raised RssAnon by only %d MiB: the test measures nothing", held>>20)
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		runtime.GC() // the cleanup is queued by a cycle and runs after it
-		if rssAnon(t) <= before+smallCap+slack {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("RssAnon still %d MiB above its start 5 s after the manager became unreachable", (rssAnon(t)-before)>>20)
-		}
+	touch(t, newManager(1<<20, 0, r), before).Release()
+	if held := rssAnon(t) - before; held > smallCap+slack {
+		t.Errorf("RssAnon %d MiB above its start once an unclosed manager's pages were released over a %d MiB reserve", held>>20, smallCap>>20)
 	}
 	if got := r.bytes(); got != smallCap {
-		t.Errorf("the reserve parks %d MiB of the dropped pool, want its cap, %d MiB", got>>20, smallCap>>20)
+		t.Errorf("the reserve parks %d MiB of the released pages, want its cap, %d MiB", got>>20, smallCap>>20)
 	}
 	r.trim()
 	if trimmed := rssAnon(t) - before; trimmed > slack {

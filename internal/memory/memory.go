@@ -7,17 +7,16 @@
 // Go heap at all but spans of anonymous mappings, so the garbage collector
 // neither traces them nor paces itself on them.
 //
-// Where memory comes from and where it goes: the reserve below every
-// manager cuts spans from 2 MiB-aligned chunks that the kernel is advised
-// to back with huge pages (mapChunk, adviseHuge). A manager takes its pages
-// and slabs from its own free pool first and from the reserve second. When
-// a container's lifetime ends, releasing the group reclaims all of its
-// space at once into the pool; when the manager's lifetime ends (Close, or
-// the cleanup of a manager nobody closed), its pool goes to the reserve,
-// as does anything the pool has no room for. The reserve parks up to its
-// cap (reserveCap) for the next manager, dirty, and unmaps the rest, so the
-// kernel has it back. A process whose jobs run one after another thus
-// pays its page faults once: the next job's pages are the last job's.
+// Where memory comes from and where it goes: a manager takes every page
+// and slab from the reserve below all managers, which cuts spans from
+// 2 MiB-aligned chunks that the kernel is advised to back with huge pages
+// (mapChunk, adviseHuge). When a container's lifetime ends, releasing its
+// group gives all of its space back to the reserve at once, which parks up
+// to its cap (reserveCap), dirty, for the next page or slab of any manager
+// and unmaps the rest, so the kernel has it back. A process whose jobs run
+// one after another thus pays its page faults once: the next job's pages
+// are the last job's, and a page one executor released is the next one
+// another executor asks for.
 //
 // The price of huge pages: a touched byte makes its whole 2 MiB resident,
 // so a span's untouched tail may cost memory where with small pages it
@@ -30,8 +29,6 @@ package memory
 
 import (
 	"fmt"
-	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -43,34 +40,23 @@ import (
 // only a moderate number of pages; 1 MiB gives that for laptop-scale heaps.
 const DefaultPageSize = 1 << 20
 
-// Manager allocates fixed-size pages, pools released ones, and tracks a
-// soft memory budget. It is safe for concurrent use.
+// Manager hands out fixed-size pages and slabs from its reserve, gives
+// released ones straight back to it, and tracks a soft memory budget. It
+// keeps no free memory of its own, only its ledger. It is safe for
+// concurrent use.
 //
-// The pool keeps standard-size pages in a LIFO stack served by popping the
-// tail (O(1) under the global mutex — the hot path every shuffle buffer
-// and cache block allocation takes), and everything that is not a standard
-// page — the slabs containers keep their index tables in (Slab), a
-// restored frame's short last page, the rare oversized page of a single
-// object larger than the page size — as blocks in size classes, one per
-// power of two, searched only within the request's class. putBlock says
-// which blocks pool.
-//
-// Close ends the manager's lifetime. A manager nobody closes has its pool
-// returned to the reserve by a cleanup once it is unreachable; nothing else
-// can be left by then, because every group and slab holds its manager.
+// Close ends the manager's lifetime. Memory not in use is never the
+// manager's, so one nobody closes strands nothing.
 type Manager struct {
 	pageSize int
 	limit    int64 // soft budget in bytes; 0 means unlimited
+	res      *reserve
 
 	mu         sync.Mutex
-	pool       *pool // an object of its own, so the cleanup that returns it does not keep the manager reachable
-	poolMax    int64 // max bytes kept in the pool, pages and blocks together
 	closed     bool
 	inUse      int64 // bytes of live pages (allocated to groups) and slabs
-	pooled     int64 // bytes parked in the free pool
-	allocated  int64 // pages and slabs taken from the reserve (res.take)
-	fromRes    int64 // of those, the ones the reserve had parked rather than cut fresh
-	reused     int64 // pages and slabs served from the free pool
+	allocated  int64 // pages and slabs the reserve cut fresh from a chunk
+	reused     int64 // pages and slabs the reserve had parked
 	released   int64 // pages returned by group release, slabs by theirs
 	adopted    int64 // pages this manager's groups adopted (AdoptPages)
 	liveGroups int64
@@ -87,61 +73,17 @@ func newManager(pageSize int, limit int64, res *reserve) *Manager {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	m := &Manager{pageSize: pageSize, limit: limit, pool: &pool{res: res}}
-	// Keep at most the budget's worth of pages pooled, or a generous
-	// default when unlimited.
-	m.poolMax = 1024 * int64(pageSize)
-	if n := limit / int64(pageSize); n > 0 {
-		m.poolMax = n * int64(pageSize)
-	}
-	runtime.AddCleanup(m, (*pool).drain, m.pool)
-	return m
+	return &Manager{pageSize: pageSize, limit: limit, res: res}
 }
 
-// pool is a manager's free memory: standard-size pages, and blocks by size
-// class, over the reserve everything goes back to. Guarded by the
-// manager's mu.
-type pool struct {
-	res    *reserve
-	free   [][]byte                // standard-size pages; pop from the tail
-	blocks [bits.UintSize][][]byte // class c holds capacities in [2^c, 2^(c+1))
-}
-
-// drain gives every pooled page and block to the reserve and empties the
-// pool.
-func (p *pool) drain() {
-	for _, b := range p.free {
-		p.res.give(b)
-	}
-	p.free = nil
-	for c := range p.blocks {
-		for _, b := range p.blocks[c] {
-			p.res.give(b)
-		}
-		p.blocks[c] = nil
-	}
-}
-
-// Close ends the manager's lifetime: the whole pool goes to the reserve at
-// once, and asking for a page or a slab afterwards panics. Memory a live
-// group or slab still holds stays where it is — the group may still be
-// read — and stays in PageBytesInUse until its release, which gives it to
-// the reserve instead of pooling it. A second Close is a no-op.
+// Close ends the manager's lifetime: asking for a page or a slab
+// afterwards panics. Memory a live group or slab still holds stays where
+// it is — the group may still be read — and stays in PageBytesInUse until
+// its release gives it to the reserve. A second Close is a no-op.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.closed = true
-	m.pool.drain()
-	m.pooled = 0
-}
-
-// checkOpenLocked panics on a closed manager; called with m.mu held, which
-// it releases before panicking.
-func (m *Manager) checkOpenLocked() {
-	if m.closed {
-		m.mu.Unlock()
-		panic("memory: page or slab requested from a closed manager")
-	}
+	m.mu.Unlock()
 }
 
 // PageSize returns the fixed page size in bytes.
@@ -152,150 +94,65 @@ func (m *Manager) Limit() int64 { return m.limit }
 
 // Counters reads the manager's account into its rows of the counter
 // table: the page counts, and the gauges a lifetime end brings back to
-// zero (bytes in use, live groups) beside the pool's bytes. The reserve's
-// bytes are the process's, not the manager's (ReserveBytes).
+// zero (bytes in use, live groups). The reserve's bytes are the process's,
+// not the manager's (ReserveBytes).
 func (m *Manager) Counters() (v obs.CounterValues) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v[obs.PagesAllocated] = m.allocated
-	v[obs.ReserveTakes] = m.fromRes
 	v[obs.PagesReused] = m.reused
 	v[obs.PagesReleased] = m.released
 	v[obs.PagesAdopted] = m.adopted
 	v[obs.PageBytesInUse] = m.inUse
-	v[obs.PageBytesPooled] = m.pooled
 	v[obs.PageGroupsLive] = m.liveGroups
 	return v
 }
 
-// getPage returns a zero-length page with capacity ≥ want (normally the
-// page size; larger only for oversized single objects). Standard requests
-// pop the free stack's tail — O(1); an oversized one is a block of its own.
+// getPage returns a zero-length page with capacity ≥ want: the page size,
+// or want for an oversized single object.
 func (m *Manager) getPage(want int) []byte {
-	if want > m.pageSize {
-		b, _ := m.getBlock(want)
-		return b
-	}
-	m.mu.Lock()
-	if n := len(m.pool.free); n > 0 {
-		p := m.pool.free[n-1]
-		m.pool.free[n-1] = nil
-		m.pool.free = m.pool.free[:n-1]
-		m.pooled -= int64(cap(p))
-		m.reused++
-		m.inUse += int64(cap(p))
-		unpoison(p)
-		m.mu.Unlock()
-		return p[:0]
-	}
-	p, _ := m.takeLocked(m.pageSize)
+	p, _ := m.take(max(want, m.pageSize))
 	return p
 }
 
-// takeLocked takes a page or block the pool could not serve from the
-// reserve and books it. Called with m.mu held, which it releases.
-func (m *Manager) takeLocked(n int) (b []byte, fresh bool) {
-	m.checkOpenLocked()
-	m.allocated++
-	m.inUse += int64(n)
-	if b, fresh = m.pool.res.take(n); !fresh {
-		m.fromRes++
+// take returns a zero-length slice of capacity n from the reserve, zeroed
+// only when fresh is true, and books it.
+func (m *Manager) take(n int) (b []byte, fresh bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		panic("memory: page or slab requested from a closed manager")
 	}
-	m.mu.Unlock()
+	if b, fresh = m.res.take(n); fresh {
+		m.allocated++
+	} else {
+		m.reused++
+	}
+	m.inUse += int64(n)
 	return b, fresh
 }
 
-// getBlock returns a zero-length block with capacity ≥ want: the best fit
-// (the smallest that is large enough) among the pooled blocks of want's
-// size class, or one of exactly want bytes from the reserve, zeroed only
-// when fresh is true. Staying inside the class bounds the waste at 2× and
-// keeps a small request from taking the large block a sibling is about to
-// ask for.
-func (m *Manager) getBlock(want int) (b []byte, fresh bool) {
+// give books the pages and slabs in bs as released and gives them to the
+// reserve. A restored empty page (capacity 0) took nothing and gives
+// nothing back.
+func (m *Manager) give(bs ...[]byte) {
 	m.mu.Lock()
-	class := &m.pool.blocks[sizeClass(want)]
-	best := -1
-	for i, b := range *class {
-		if cap(b) >= want && (best < 0 || cap(b) < cap((*class)[best])) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		last := len(*class) - 1
-		b = (*class)[best]
-		(*class)[best], (*class)[last] = (*class)[last], nil
-		*class = (*class)[:last]
-		m.pooled -= int64(cap(b))
-		m.reused++
-		m.inUse += int64(cap(b))
-		unpoison(b)
-		m.mu.Unlock()
-		return b, false
-	}
-	return m.takeLocked(want)
-}
-
-// bigMax is how many oversized pages a size class keeps pooled.
-const bigMax = 16
-
-// putBlock takes a block back and pools it in its size class, within the
-// pool's byte bound, unless it is larger than a page and its class already
-// holds bigMax blocks; a block that does not pool goes to the reserve.
-// A pooled block is resident memory nobody uses, so what is parked here
-// must be what the next request asks for: slabs are (a container's index
-// takes them a segment at a time, all of one size past the small ones), a
-// single object's oversized page rarely.
-//
-// Called with m.mu held.
-func (m *Manager) putBlock(b []byte) {
-	m.inUse -= int64(cap(b))
-	m.released++
-	class := &m.pool.blocks[sizeClass(cap(b))]
-	if m.pools(b) && (cap(b) <= m.pageSize || len(*class) < bigMax) {
-		poison(b)
-		*class = append(*class, b[:0])
-		m.pooled += int64(cap(b))
-	} else {
-		m.pool.res.give(b)
-	}
-}
-
-// pools reports whether b fits in an open manager's pool. Called with m.mu
-// held.
-func (m *Manager) pools(b []byte) bool {
-	return !m.closed && m.pooled+int64(cap(b)) <= m.poolMax
-}
-
-// putPages returns pages to the pool, and those the pool has no room for
-// to the reserve.
-func (m *Manager) putPages(pages [][]byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, p := range pages {
-		switch {
-		case cap(p) == 0: // a restored empty page never came from the pool
-		case cap(p) != m.pageSize:
-			m.putBlock(p)
-		default:
-			m.inUse -= int64(cap(p))
+	for _, b := range bs {
+		if cap(b) > 0 {
+			m.inUse -= int64(cap(b))
 			m.released++
-			if m.pools(p) {
-				poison(p)
-				m.pool.free = append(m.pool.free, p[:0])
-				m.pooled += int64(cap(p))
-			} else {
-				m.pool.res.give(p)
-			}
 		}
 	}
+	m.mu.Unlock()
+	m.res.give(bs...)
 }
 
 // Slab is a block of manager memory that belongs to a container rather
 // than to its page group: a segment of the hash-index table over the
-// group's records. It is charged to the budget like a page and pooled on
-// release like one (putBlock), but comes in whatever size is asked for — a
-// 16-slot table does not cost a page — and is zeroed, whether it came from
-// the pool, the reserve or a fresh chunk. The zero Slab is empty; Release is
+// group's records. It is charged to the budget like a page and given back
+// on release like one, but comes in whatever size is asked for — a
+// 16-slot table does not cost a page — and is zeroed, whether the reserve
+// had it parked or cut it fresh. The zero Slab is empty; Release is
 // idempotent, so a container's double Release returns the memory once.
 type Slab struct {
 	m   *Manager
@@ -304,7 +161,7 @@ type Slab struct {
 
 // NewSlab returns a zeroed slab of n > 0 bytes.
 func (m *Manager) NewSlab(n int) Slab {
-	buf, fresh := m.getBlock(n)
+	buf, fresh := m.take(n)
 	if buf = buf[:n]; !fresh {
 		clear(buf)
 	}
@@ -318,14 +175,12 @@ func (s *Slab) Bytes() []byte { return s.buf }
 // Footprint returns the bytes the manager charges for the slab.
 func (s *Slab) Footprint() int64 { return int64(cap(s.buf)) }
 
-// Release returns the memory to the manager's pool.
+// Release gives the memory back to the reserve.
 func (s *Slab) Release() {
 	if s.buf == nil {
 		return
 	}
-	s.m.mu.Lock()
-	s.m.putBlock(s.buf)
-	s.m.mu.Unlock()
+	s.m.give(s.buf)
 	s.buf = nil
 }
 
@@ -369,7 +224,7 @@ type Group struct {
 	pages [][]byte
 	// adopted marks pages shared from another group via AdoptPages; nil
 	// until the first adoption, so the common non-merged group pays
-	// nothing. Adopted pages are excluded from putPages and sealed
+	// nothing. Adopted pages are excluded from reclaim and sealed
 	// against further Alloc.
 	adopted []bool
 	bytes   int64
@@ -532,13 +387,13 @@ func (g *Group) AdoptPages(src *Group) int {
 	return base
 }
 
-// rehome transfers the group's page accounting — and the pool its owned
-// pages will eventually return to — to the adopter's manager, then
-// re-homes its own dependencies the same way. Cross-executor adoption
-// (a reduce container adopting a map output allocated on another
-// executor) would otherwise leave the source executor's budget charged
-// for bytes the reduce executor's container now holds, for as long as
-// the memoized shuffle output lives.
+// rehome transfers the group's page accounting to the adopter's manager,
+// whose ledger books the owned pages' release, then re-homes its own
+// dependencies the same way. Cross-executor adoption (a reduce container
+// adopting a map output allocated on another executor) would otherwise
+// leave the source executor's budget charged for bytes the reduce
+// executor's container now holds, for as long as the memoized shuffle
+// output lives.
 func (g *Group) rehome(dst *Manager) {
 	if g.m == dst {
 		return
@@ -574,7 +429,7 @@ func (g *Group) reclaim() {
 		unmap(g.mapping)
 		g.mapping = nil
 	} else if g.adopted == nil {
-		g.m.putPages(g.pages)
+		g.m.give(g.pages...)
 	} else {
 		owned := g.pages[:0]
 		for i, p := range g.pages {
@@ -582,15 +437,15 @@ func (g *Group) reclaim() {
 				owned = append(owned, p)
 			}
 		}
-		g.m.putPages(owned)
+		g.m.give(owned...)
 	}
 	g.pages = nil
 	g.adopted = nil
 	g.bytes = 0
 }
 
-// Release decrements the reference count; the last release returns all
-// pages to the manager's pool and releases dependencies. Releasing more
+// Release decrements the reference count; the last release gives all
+// owned pages back to the reserve and releases dependencies. Releasing more
 // times than retained panics: refcount bugs must not be silent.
 func (g *Group) Release() {
 	n := g.refs.Add(-1)
@@ -610,8 +465,8 @@ func (g *Group) Release() {
 	g.deps = nil
 }
 
-// Reset drops the group's content but keeps it alive, returning its owned
-// pages to the pool and releasing any adopted dependencies. Used when a
+// Reset drops the group's content but keeps it alive, giving its owned
+// pages back to the reserve and releasing any adopted dependencies. Used when a
 // shuffle buffer spills and restarts.
 func (g *Group) Reset() {
 	g.checkLive()

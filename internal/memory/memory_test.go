@@ -58,8 +58,10 @@ func TestOversizedAllocation(t *testing.T) {
 	}
 }
 
+// TestPagePooling: released pages are parked in the reserve and are the
+// next group's pages.
 func TestPagePooling(t *testing.T) {
-	m := NewManager(32, 0)
+	m, _ := ownManager(t, 32)
 	g := m.NewGroup()
 	g.Append(make([]byte, 20))
 	g.Append(make([]byte, 20))

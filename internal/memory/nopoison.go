@@ -2,7 +2,7 @@
 
 package memory
 
-// Without the decapoison build tag, a pooled mapping stays readable: see
+// Without the decapoison build tag, a parked span stays readable: see
 // poison.go.
 
 func poison([]byte)   {}

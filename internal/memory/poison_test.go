@@ -11,7 +11,7 @@ var sink byte
 
 // TestReleasedPageFaults is the decapoison build's positive control: a page
 // read through a slice kept past its group's release faults, where without
-// the tag it would return whatever the pool's next taker wrote there.
+// the tag it would return whatever the reserve's next taker wrote there.
 func TestReleasedPageFaults(t *testing.T) {
 	m := NewManager(4096, 0)
 	defer m.Close()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"unsafe"
@@ -25,13 +26,20 @@ func (r *reserve) trim() {
 	r.chunk = nil
 }
 
+// ownManager is a manager over a reserve of its own, trimmed when the test
+// ends, so its counts do not depend on what other tests left parked in the
+// process reserve.
+func ownManager(t *testing.T, pageSize int) (*Manager, *reserve) {
+	r := &reserve{cap: reserveCap}
+	t.Cleanup(r.trim)
+	return newManager(pageSize, 0, r), r
+}
+
 // TestReserveReusesWhatAManagerLeft: a second manager's pages and slabs
 // are the first one's, taken back from the reserve dirty (a slab cleared
 // all the same), and no take maps a chunk.
 func TestReserveReusesWhatAManagerLeft(t *testing.T) {
-	r := &reserve{cap: 64 << 20}
-	defer r.trim()
-	first := newManager(1<<20, 0, r)
+	first, r := ownManager(t, 1<<20)
 	g := first.NewGroup()
 	for range 4 {
 		seg, _ := g.Alloc(1 << 20)
@@ -41,10 +49,10 @@ func TestReserveReusesWhatAManagerLeft(t *testing.T) {
 	copy(s.Bytes(), "dirty")
 	g.Release()
 	s.Release()
-	first.Close()
 	if got, want := r.bytes(), int64(4<<20+mappedLen(3000)); got != want {
-		t.Fatalf("after Close the reserve parks %d bytes, want %d", got, want)
+		t.Fatalf("after the releases the reserve parks %d bytes, want %d", got, want)
 	}
+	first.Close()
 
 	second := newManager(1<<20, 0, r)
 	defer second.Close()
@@ -58,8 +66,8 @@ func TestReserveReusesWhatAManagerLeft(t *testing.T) {
 			t.Fatalf("a slab from the reserve has byte %d = %#x, want it cleared", i, b)
 		}
 	}
-	if c := second.Counters(); c[obs.ReserveTakes] != 5 || c[obs.PagesAllocated] != 5 {
-		t.Errorf("second manager: %d reserve takes of %d allocated, want 5 of 5", c[obs.ReserveTakes], c[obs.PagesAllocated])
+	if c := second.Counters(); c[obs.PagesReused] != 5 || c[obs.PagesAllocated] != 0 {
+		t.Errorf("second manager: %d reused, %d cut fresh; want 5 and 0", c[obs.PagesReused], c[obs.PagesAllocated])
 	}
 	if r.bytes() != 0 {
 		t.Errorf("the reserve still parks %d bytes", r.bytes())
@@ -67,6 +75,76 @@ func TestReserveReusesWhatAManagerLeft(t *testing.T) {
 	g.Release()
 	s.Release()
 }
+
+// TestReleasedPageIsAnotherManagersNext: memory goes back to the one place
+// every manager takes from. While two managers are open, a page one
+// releases is the other's next page, and within a size class the span
+// parked last is taken first.
+func TestReleasedPageIsAnotherManagersNext(t *testing.T) {
+	a, r := ownManager(t, 64<<10)
+	b := newManager(64<<10, 0, r)
+	defer a.Close()
+	defer b.Close()
+	ga := a.NewGroup()
+	seg, _ := ga.Alloc(100)
+	released := spanOf(seg).lo
+	ga.Release()
+	gb := b.NewGroup()
+	defer gb.Release()
+	if seg, _ := gb.Alloc(100); spanOf(seg).lo != released {
+		t.Errorf("b's page is at %#x, want the one a released at %#x", spanOf(seg).lo, released)
+	}
+	if c := b.Counters(); c[obs.PagesReused] != 1 || c[obs.PagesAllocated] != 0 {
+		t.Errorf("b: %d reused, %d cut fresh; want 1 and 0", c[obs.PagesReused], c[obs.PagesAllocated])
+	}
+
+	p1, p2 := a.NewSlab(5000), a.NewSlab(6000) // one class: two OS pages each
+	at2 := spanOf(p2.buf).lo
+	p1.Release()
+	p2.Release()
+	next := b.NewSlab(5000)
+	defer next.Release()
+	if spanOf(next.buf).lo != at2 {
+		t.Errorf("the next take got the span at %#x, want p2's at %#x, the one parked last", spanOf(next.buf).lo, at2)
+	}
+}
+
+// TestReserveSlotsBound: the reserve is the process's only free list, so
+// its slot array is a bound too. Once reserveSlots spans are parked, the
+// next span given back unmaps the oldest one parked, and neither the
+// parked count nor the parked bytes grow.
+func TestReserveSlotsBound(t *testing.T) {
+	r := &reserve{cap: 1 << 40}
+	defer r.trim()
+	spans := make([][]byte, reserveSlots+1)
+	for i := range spans {
+		spans[i], _ = r.take(1)
+	}
+	r.give(spans[:reserveSlots]...)
+	full := r.bytes()
+	if r.n != reserveSlots || full != int64(reserveSlots*osPage) {
+		t.Fatalf("%d spans given: %d parked, %d bytes; want %d and %d", reserveSlots, r.n, full, reserveSlots, reserveSlots*osPage)
+	}
+	r.give(spans[reserveSlots])
+	if r.n != reserveSlots || r.bytes() != full || spanOf(r.spans[r.n-1]).lo != spanOf(spans[reserveSlots]).lo {
+		t.Errorf("a span given to a full reserve: %d parked, %d bytes; want %d and %d, the new span parked last", r.n, r.bytes(), reserveSlots, full)
+	}
+	if spanOf(r.spans[0]).lo != spanOf(spans[1]).lo {
+		t.Error("the oldest span is still parked")
+	}
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		return // the Go-heap chunks of other platforms are not unmapped
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if recover() == nil {
+			t.Error("the oldest span is still mapped")
+		}
+	}()
+	faultSink = spans[0][:1][0]
+}
+
+var faultSink byte
 
 // span is a range of manager memory in the property test's model.
 type span struct{ lo, hi uintptr }
@@ -79,7 +157,7 @@ func spanOf(b []byte) span {
 // TestReserveProperty runs random sequences over managers that share a
 // small reserve: groups of standard, short and oversized pages, slabs,
 // pages adopted across managers, Close in random order and managers
-// dropped unclosed for their cleanup. After every step, nothing live
+// dropped unclosed. After every step, nothing live
 // overlaps anything else live or parked, everything handed out is 8-byte
 // aligned, every slab comes zeroed, every live byte holds what was written
 // there, and the reserve parks at most its cap.
@@ -114,7 +192,7 @@ func reserveRun(t *testing.T, seed int64) {
 	var took int64 // takes the reserve served from parked spans
 	open := func(i int) {
 		if m := mgrs[i]; m != nil {
-			took += m.Counters()[obs.ReserveTakes]
+			took += m.Counters()[obs.PagesReused]
 		}
 		mgrs[i] = newManager(pageSizes[rng.Intn(len(pageSizes))], 0, r)
 	}
@@ -148,21 +226,6 @@ func reserveRun(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: a live slab of fill %#x was overwritten", seed, step, ls.fill)
 			}
 		}
-		for _, m := range mgrs {
-			if m == nil {
-				continue
-			}
-			m.mu.Lock()
-			for _, p := range m.pool.free {
-				all = append(all, spanOf(p))
-			}
-			for _, c := range m.pool.blocks {
-				for _, b := range c {
-					all = append(all, spanOf(b))
-				}
-			}
-			m.mu.Unlock()
-		}
 		r.mu.Lock()
 		for _, s := range r.spans[:r.n] {
 			all = append(all, spanOf(s))
@@ -184,7 +247,7 @@ func reserveRun(t *testing.T, seed int64) {
 		i := rng.Intn(len(mgrs))
 		m := mgrs[i]
 		switch op := rng.Intn(10); {
-		case op < 3 && m != nil && !m.closed: // a group of records
+		case op < 3: // a group of records
 			fill++
 			lg := &liveGroup{g: m.NewGroup()}
 			for range 1 + rng.Intn(6) {
@@ -197,7 +260,7 @@ func reserveRun(t *testing.T, seed int64) {
 				lg.segs = append(lg.segs, filled{seg, fill})
 			}
 			groups = append(groups, lg)
-		case op < 5 && m != nil && !m.closed: // a slab
+		case op < 5: // a slab
 			fill++
 			s := m.NewSlab(1 + rng.Intn(64<<10))
 			aligned(s.Bytes())
@@ -226,16 +289,11 @@ func reserveRun(t *testing.T, seed int64) {
 			k := rng.Intn(len(slabs))
 			slabs[k].s.Release()
 			slabs = append(slabs[:k], slabs[k+1:]...)
-		case m != nil && rng.Intn(2) == 0: // a manager's lifetime ends
+		case rng.Intn(2) == 0: // a manager's lifetime ends
 			m.Close()
 			open(i)
-		case m != nil: // dropped unclosed: its cleanup drains the pool once nothing holds it
-			if !heldBy(m, groups, slabs) {
-				took += m.Counters()[obs.ReserveTakes]
-				mgrs[i] = nil
-				runtime.GC()
-				open(i)
-			}
+		default: // dropped unclosed: it holds nothing to give back
+			open(i)
 		}
 		check(step)
 	}
@@ -255,19 +313,4 @@ func reserveRun(t *testing.T, seed int64) {
 		t.Errorf("seed %d: the reserve served no take: the run tested only fresh chunks", seed)
 	}
 	t.Logf("seed %d: %d takes from parked spans", seed, took)
-}
-
-// heldBy reports whether a live group or slab still holds m.
-func heldBy(m *Manager, groups []*liveGroup, slabs []*liveSlab) bool {
-	for _, lg := range groups {
-		if lg.g.m == m {
-			return true
-		}
-	}
-	for _, ls := range slabs {
-		if ls.s.m == m {
-			return true
-		}
-	}
-	return false
 }

@@ -8,10 +8,10 @@ import (
 	"deca/internal/obs"
 )
 
-// TestSlabLedger: a slab is charged while held, pooled once when released
-// — however often Release is called — and comes back zeroed.
+// TestSlabLedger: a slab is charged while held, given back once when
+// released — however often Release is called — and comes back zeroed.
 func TestSlabLedger(t *testing.T) {
-	m := NewManager(1<<16, 0)
+	m, r := ownManager(t, 1<<16)
 	s := m.NewSlab(192) // a 16-slot index table: not a 64 KiB page
 	if st := m.Counters(); st[obs.PageBytesInUse] != 192 || s.Footprint() != 192 || st[obs.PagesAllocated] != 1 {
 		t.Fatalf("a 192-byte slab is charged %d bytes (footprint %d) in %d allocations, want 192 in 1", st[obs.PageBytesInUse], s.Footprint(), st[obs.PagesAllocated])
@@ -21,15 +21,15 @@ func TestSlabLedger(t *testing.T) {
 	}
 	s.Release()
 	s.Release()
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 192 || st[obs.PagesReleased] != 1 {
-		t.Fatalf("after a double Release: %+v, want 0 in use, 192 pooled, 1 released", st)
+	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || r.bytes() != int64(osPage) || st[obs.PagesReleased] != 1 {
+		t.Fatalf("after a double Release: %+v, reserve %d bytes; want 0 in use, one OS page parked, 1 released", st, r.bytes())
 	}
 	if s.Bytes() != nil || s.Footprint() != 0 {
 		t.Error("a released slab still shows its memory")
 	}
 	again := m.NewSlab(192)
 	defer again.Release()
-	if st := m.Counters(); st[obs.PagesAllocated] != 1 || st[obs.PagesReused] != 1 || st[obs.PageBytesPooled] != 0 {
+	if st := m.Counters(); st[obs.PagesAllocated] != 1 || st[obs.PagesReused] != 1 || r.bytes() != 0 {
 		t.Errorf("the second slab of a size was not the first one's memory: %+v", st)
 	}
 	if !bytes.Equal(again.Bytes(), make([]byte, 192)) {
@@ -38,108 +38,51 @@ func TestSlabLedger(t *testing.T) {
 }
 
 // TestSlabSizeClasses: a request is served from its own power-of-two
-// class only — never a block less than it asks for, never the much larger
-// one a sibling will want — and, within the class, by the best fit, not
-// the first.
+// class only — never a span less than it asks for, never one of a larger
+// class a sibling will want — and, within the class, by the best fit; a
+// larger span is split, and its rest stays parked.
 func TestSlabSizeClasses(t *testing.T) {
-	m := NewManager(4096, 0)
+	if osPage != 4096 {
+		t.Skipf("sizes are written for 4 KiB OS pages, not %d", osPage)
+	}
+	const k = 1 << 10
+	m, r := ownManager(t, 4096)
 	hold := func(n int) *Slab { s := m.NewSlab(n); return &s }
-	big, mid, small := hold(1000), hold(600), hold(520) // one class: [512, 1024)
-	other := hold(1536)                                 // the next one
-	for _, s := range []*Slab{big, small, mid, other} {
+	big, mid, small := hold(60*k), hold(40*k), hold(36*k) // one class: [32 KiB, 64 KiB)
+	other := hold(96 * k)                                 // the next one
+	at := func(s *Slab) uintptr { return spanOf(s.buf).lo }
+	bigAt, midAt, smallAt, otherAt := at(big), at(mid), at(small), at(other)
+	for _, s := range []*Slab{big, small, mid, other} { // parked in this order, newest last
 		s.Release()
 	}
 	base := m.Counters()
 
-	for _, c := range []struct{ want, footprint int }{
-		{530, 600},   // 520 is too small, 1000 fits worse
-		{512, 520},   // the best of what is left
-		{400, 400},   // class [256, 512) is empty: the 1000 and 1536 are not for it
-		{1100, 1536}, // class [1024, 2048)
-		{900, 1000},  // the last one pooled
+	for _, c := range []struct {
+		want int
+		at   uintptr // 0: a fresh span
+	}{
+		{38 * k, midAt},   // the best fit of its class
+		{36 * k, smallAt}, // the best fit left
+		{20 * k, 0},       // class [16 KiB, 32 KiB) is empty: the larger spans are not for it
+		{70 * k, otherAt}, // class [64 KiB, 128 KiB); its 24 KiB rest stays parked
+		{50 * k, bigAt},   // the last one of [32 KiB, 64 KiB), split too
+		{24 * k, otherAt + 72*k},
 	} {
 		s := m.NewSlab(c.want)
-		if got := s.Footprint(); got != int64(c.footprint) {
-			t.Errorf("a %d-byte request got a %d-byte block, want %d", c.want, got, c.footprint)
-		}
 		defer s.Release()
+		if c.at != 0 && at(&s) != c.at {
+			t.Errorf("a %d KiB request got the span at %#x, want the one at %#x", c.want/k, at(&s), c.at)
+		}
+		if c.at == 0 && (at(&s) == bigAt || at(&s) == otherAt) {
+			t.Errorf("a %d KiB request got a parked span of a larger class", c.want/k)
+		}
+		if s.Footprint() != int64(c.want) {
+			t.Errorf("a %d-byte request is charged %d bytes", c.want, s.Footprint())
+		}
 	}
-	if st := m.Counters(); st[obs.PagesReused]-base[obs.PagesReused] != 4 || st[obs.PagesAllocated]-base[obs.PagesAllocated] != 1 || st[obs.PageBytesPooled] != 0 {
-		t.Errorf("5 requests: %d reused, %d fresh, %d bytes still pooled; want 4, 1 and 0",
-			st[obs.PagesReused]-base[obs.PagesReused], st[obs.PagesAllocated]-base[obs.PagesAllocated], st[obs.PageBytesPooled])
-	}
-}
-
-// TestOversizedPagesBestFit: an oversized page request takes the smallest
-// pooled block that holds it, not the first, and a class keeps at most
-// bigMax oversized pages.
-func TestOversizedPagesBestFit(t *testing.T) {
-	m := NewManager(64, 0)
-	g := m.NewGroup()
-	for _, n := range []int{500, 300, 450} { // one class: [256, 512)
-		g.Alloc(n)
-	}
-	g.Release()
-	g = m.NewGroup()
-	if seg, _ := g.Alloc(400); cap(seg) != 450 {
-		t.Errorf("a 400-byte object got a %d-byte page, want the 450-byte one", cap(seg))
-	}
-	if seg, _ := g.Alloc(280); cap(seg) != 300 {
-		t.Errorf("a 280-byte object got a %d-byte page, want the 300-byte one", cap(seg))
-	}
-	if st := m.Counters(); st[obs.PagesReused] != 2 || st[obs.PageBytesPooled] != 500 {
-		t.Errorf("two oversized requests: %+v, want both reused and the 500-byte page still pooled", st)
-	}
-	for i := 0; i < bigMax+4; i++ {
-		g.Alloc(300)
-	}
-	g.Release()
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 500+450+(bigMax-2)*300 {
-		t.Errorf("%d oversized pages of one class released: %+v, want %d of them pooled", bigMax+6, st, bigMax)
-	}
-}
-
-// TestBlockPoolCaps: every released slab is pooled inside poolMax, whatever
-// its size against a page (until ISSUE 23 one over half a page was not: the
-// index tables that large are now segments, asked for again by the next
-// split), and pages and blocks share that one byte bound, whichever come
-// first; the ledger returns to zero either way.
-func TestBlockPoolCaps(t *testing.T) {
-	m := NewManager(1024, 4096) // pool cap: 4 pages' worth
-	slabs := make([]Slab, 5)
-	for i := range slabs {
-		slabs[i] = m.NewSlab(500)
-	}
-	g := m.NewGroup()
-	for i := 0; i < 4; i++ {
-		g.Alloc(1024)
-	}
-	large := m.NewSlab(513)
-	large.Release()
-	if st := m.Counters(); st[obs.PageBytesPooled] != 513 || st[obs.PagesReleased] != 1 {
-		t.Errorf("a slab over half a page was not pooled: %+v", st)
-	}
-	for i := range slabs {
-		slabs[i].Release()
-	}
-	if st := m.Counters(); st[obs.PageBytesPooled] != 513+2500 || st[obs.PagesReleased] != 6 {
-		t.Errorf("513 + 5 × 500 bytes released under a 4096-byte cap: %+v, want 3013 pooled", st)
-	}
-	g.Release() // blocks first, then pages: the same 4096 bytes bound both
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 3013+1024 || st[obs.PagesReleased] != 10 {
-		t.Errorf("4 pages released beside 3013 pooled bytes: %+v, want one of them pooled", st)
-	}
-
-	m = NewManager(1024, 4096)
-	g = m.NewGroup()
-	for i := 0; i < 4; i++ {
-		g.Alloc(1024)
-	}
-	s := m.NewSlab(500)
-	g.Release() // pages first: the pool is full,
-	s.Release() // and a block finds no room in it
-	if st := m.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 4096 {
-		t.Errorf("a block released into a pool full of pages: %+v, want 4096 pooled", st)
+	if st := m.Counters(); st[obs.PagesReused]-base[obs.PagesReused] != 5 || st[obs.PagesAllocated]-base[obs.PagesAllocated] != 1 || r.bytes() != 8*k {
+		t.Errorf("6 requests: %d reused, %d fresh, %d bytes still parked; want 5, 1 and big's 8 KiB rest",
+			st[obs.PagesReused]-base[obs.PagesReused], st[obs.PagesAllocated]-base[obs.PagesAllocated], r.bytes())
 	}
 }
 
@@ -173,12 +116,13 @@ func TestSlabsConcurrent(t *testing.T) {
 }
 
 // TestRestoreRightSizesShortPages: a frame's short last page restores into
-// a block of its own size — whether or not the pool has a page to spare —
-// and goes back to the pool as one.
+// a block of its own size — whether or not the reserve has a page parked —
+// and goes back to the reserve as one.
 func TestRestoreRightSizesShortPages(t *testing.T) {
-	src := NewManager(1024, 0)
+	const page = 64 << 10
+	src := NewManager(page, 0)
 	g := src.NewGroup()
-	g.Alloc(1000) // a full page's worth,
+	g.Alloc(page) // a full page,
 	g.Alloc(100)  // and a short second page
 	var frame bytes.Buffer
 	if _, err := g.Snapshot(&frame); err != nil {
@@ -186,23 +130,23 @@ func TestRestoreRightSizesShortPages(t *testing.T) {
 	}
 	g.Release()
 
-	dst := NewManager(1024, 0)
+	dst, res := ownManager(t, page)
 	warm := dst.NewGroup()
-	warm.Alloc(1000)
-	warm.Alloc(1000)
-	warm.Release() // two pooled pages: the restore takes one
+	warm.Alloc(page)
+	warm.Alloc(page)
+	warm.Release() // two parked pages: the restore takes one
 	r, err := dst.RestoreGroup(&frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Footprint(); got != 1024+100 {
-		t.Errorf("restored footprint %d, want a 1024-byte page and a 100-byte block", got)
+	if got := r.Footprint(); got != page+100 {
+		t.Errorf("restored footprint %d, want a %d-byte page and a 100-byte block", got, page)
 	}
-	if st := dst.Counters(); st[obs.PageBytesInUse] != r.Footprint() || st[obs.PageBytesPooled] != 1024 {
-		t.Errorf("manager charges %d for a footprint of %d with %d bytes pooled, want one page left in the pool", st[obs.PageBytesInUse], r.Footprint(), st[obs.PageBytesPooled])
+	if st := dst.Counters(); st[obs.PageBytesInUse] != r.Footprint() || res.bytes() != page {
+		t.Errorf("manager charges %d for a footprint of %d with %d bytes parked, want one page left in the reserve", st[obs.PageBytesInUse], r.Footprint(), res.bytes())
 	}
 	r.Release()
-	if st := dst.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageBytesPooled] != 2048+100 {
-		t.Errorf("after release: %+v, want both pages and the block pooled", st)
+	if st := dst.Counters(); st[obs.PageBytesInUse] != 0 || res.bytes() != 2*page+int64(osPage) {
+		t.Errorf("after release: %+v, %d bytes parked; want both pages and the block's OS page parked", st, res.bytes())
 	}
 }

@@ -94,7 +94,7 @@ func uvarintLen(v uint64) int {
 
 // RestoreGroup rebuilds a snapshotted page group inside this manager: the
 // destination executor's side of a remote shuffle fetch. Pages come from
-// this manager's pool and are charged against its budget, page boundaries
+// this manager's reserve and are charged against its budget, page boundaries
 // and offsets are preserved one-to-one with the source, and the restored
 // group owns all of its pages (no adoptions, refcount 1). On any error
 // the partially restored group is released before returning.
@@ -138,10 +138,10 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 
 // restorePage reads one n-byte page body into a page of this manager,
 // returning the page (to be released with its group) even beside an error.
-// An empty page announces no bytes, so it takes no pool page — a frame's
+// An empty page announces no bytes, so it takes no page — a frame's
 // page headers must not cost the manager more than they announce — but it
 // keeps its index slot: later pages' Ptrs count it. A page that fits the
-// pool's page size — every page but an oversized single object's — is
+// manager's page size — every page but an oversized single object's — is
 // taken up front and filled in place; nothing is appended to a restored
 // page, so a short one (a frame's last page, at most half a page) is a block
 // of its own size, not a page's worth of memory. An oversized one is
@@ -156,7 +156,7 @@ func (m *Manager) restorePage(r io.Reader, n int) ([]byte, error) {
 	if n <= m.pageSize {
 		var page []byte
 		if n <= m.pageSize/2 {
-			page, _ = m.getBlock(n)
+			page, _ = m.take(n)
 		} else {
 			page = m.getPage(n)
 		}

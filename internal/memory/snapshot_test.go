@@ -92,7 +92,7 @@ func TestSnapshotEmptyGroup(t *testing.T) {
 // no more bytes than it announces. Snapshot can emit an empty page (a
 // zero-byte Alloc opens one), so RestoreGroup must keep its index slot —
 // later pages' Ptrs count it — but a frame of nothing but empty-page
-// headers, one byte each, must not turn into a pool page apiece.
+// headers, one byte each, must not turn into a page apiece.
 func TestRestoreEmptyPagesTakeNoPoolPages(t *testing.T) {
 	src := NewManager(64, 0)
 	g := src.NewGroup()
@@ -198,7 +198,7 @@ func TestSnapshotAfterAdoption(t *testing.T) {
 }
 
 // TestRestoreOversizedPageRoundTrip: a page larger than the destination's
-// pool pages — an oversized single object — is read through the growing
+// page size — an oversized single object — is read through the growing
 // buffer (here 64 → 128 → 197 bytes) and lands bit-identical in one page,
 // charged and released like any other; cut anywhere, it fails clean.
 func TestRestoreOversizedPageRoundTrip(t *testing.T) {

@@ -66,7 +66,7 @@ func (g *Group) WriteTo(w io.Writer) (int64, error) {
 // MapGroup maps the spill file at path read-only and returns a group whose
 // pages are views of the mapping: nothing is read, and pointers recorded
 // before the spill address the same segments. The pages are not manager
-// memory — never pooled, not counted in PageBytesInUse, Footprint 0 — the
+// memory — never parked, not counted in PageBytesInUse, Footprint 0 — the
 // group is sealed (Alloc panics; a write through a page faults), and its last
 // Release unmaps the file. The caller keeps the file as long as the group:
 // it may unlink it, it must not truncate it.

@@ -9,8 +9,10 @@ import "sync/atomic"
 // constant, one table row and its increment site.
 //
 // The numeric value is the counter's position in the heartbeat snapshot
-// (internal/ctl): append new counters before NumCounters, never renumber
-// an executor-scoped one. Driver-scoped positions never cross the wire.
+// (internal/ctl): append new counters before NumCounters. The first 17
+// positions never move; deleting a later counter renumbers the ones after
+// it, which a driver and executors of one build agree on. Driver-scoped
+// positions never cross the wire.
 type Counter uint8
 
 const (
@@ -43,11 +45,9 @@ const (
 	PagesReleased
 	PagesAdopted
 	PageBytesInUse
-	PageBytesPooled
 	PageGroupsLive
 	ServeFrameBytes
 	ShuffleFetchFailures
-	ReserveTakes
 	ReserveBytes
 	NumCounters
 )
@@ -144,30 +144,26 @@ var counterTable = [NumCounters]CounterRow{
 	// in-process plane's one node reports them all under executor 0).
 	ShuffleOutputsPinned: {"shuffle_outputs_pinned", true, ScopeExecutor},
 	// The executor's page manager, counted by its memory.Manager under the
-	// manager lock: pages and slabs freshly mapped, served from the free
-	// pool and returned to it (or unmapped), and pages a merged container
-	// adopted from the groups it merged (no byte moved).
+	// manager lock: pages and slabs the process's memory reserve cut fresh
+	// from a chunk, those it had parked (released by this manager or any
+	// other, already resident: the faults a warm process no longer pays),
+	// those released back to it, and pages a merged container adopted from
+	// the groups it merged (no byte moved).
 	PagesAllocated: {"pages_allocated", false, ScopeExecutor},
 	PagesReused:    {"pages_reused", false, ScopeExecutor},
 	PagesReleased:  {"pages_released", false, ScopeExecutor},
 	PagesAdopted:   {"pages_adopted", false, ScopeExecutor},
-	// Bytes of pages and slabs live groups and containers hold now, bytes
-	// parked in the free pool, and the page groups not yet released: the
-	// leak probes a lifetime end must bring back to zero.
-	PageBytesInUse:  {"page_bytes_in_use", true, ScopeExecutor},
-	PageBytesPooled: {"page_bytes_pooled", true, ScopeExecutor},
-	PageGroupsLive:  {"page_groups_live", true, ScopeExecutor},
+	// Bytes of pages and slabs live groups and containers hold now, and
+	// the page groups not yet released: the leak probes a lifetime end must
+	// bring back to zero.
+	PageBytesInUse: {"page_bytes_in_use", true, ScopeExecutor},
+	PageGroupsLive: {"page_groups_live", true, ScopeExecutor},
 	// Frame bytes the executor's transport node served, over the socket or
 	// executor-locally, counted where PagesServedZeroCopy is.
 	ServeFrameBytes: {"serve_frame_bytes", false, ScopeExecutor},
 	// Map-output fetch tries that failed (socket, local or injected) and
 	// were retried or given up, booked on the fetching executor.
 	ShuffleFetchFailures: {"shuffle_fetch_failures", false, ScopeExecutor},
-	// Pages and slabs the executor's page manager took from the process's
-	// memory reserve already resident, parked there when an earlier
-	// manager's lifetime ended, where it would otherwise have cut fresh
-	// memory from a chunk: the faults a warm process no longer pays.
-	ReserveTakes: {"reserve_takes", false, ScopeExecutor},
 	// Bytes the process's memory reserve parks now (memory.ReserveBytes).
 	// Every manager in a process shares the one reserve, so the level is
 	// the process's and is booked once per process: on the first executor

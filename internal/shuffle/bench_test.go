@@ -66,7 +66,7 @@ func BenchmarkDecaGroupPut(b *testing.B) {
 // benchPuts times fill, one container lifetime of puts Puts on a manager it
 // warms first, and reports ns/put.
 func benchPuts(b *testing.B, puts int, fill func()) {
-	fill() // warm the page pool
+	fill() // warm the memory reserve
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -270,7 +270,7 @@ func fillAgg[K comparable, V any](b *testing.B, m *memory.Manager, kc decompose.
 func benchAggFill[K comparable, V any](b *testing.B, kc decompose.Codec[K], vc decompose.Codec[V],
 	add func(V, V) V, keys []K, one V) {
 	m := memory.NewManager(1<<20, 0)
-	fillAgg(b, m, kc, vc, add, keys, one).Release() // warm the page pool
+	fillAgg(b, m, kc, vc, add, keys, one).Release() // warm the memory reserve
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -390,7 +390,7 @@ func BenchmarkGroupToBlock(b *testing.B) {
 	}
 	codec := decompose.PairCodec[int64, []int64]{KeyCodec: i64, ValueCodec: decompose.Int64SliceCodec{}}
 	run := func(b *testing.B, build func() block) {
-		build().Drop() // warm the page pool
+		build().Drop() // warm the memory reserve
 		b.ReportAllocs()
 		b.ResetTimer()
 		for range b.N {

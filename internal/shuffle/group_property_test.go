@@ -12,7 +12,6 @@ import (
 	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/memory"
-	"deca/internal/obs"
 	"deca/internal/serial"
 )
 
@@ -264,8 +263,8 @@ func groupOrderProperty[K comparable, V cmp.Ordered](t *testing.T, keyCodec deco
 		}
 		dst.release()
 		assertClean(t, mem, dir, fmt.Sprintf("seed %d", seed))
-		if st := mem.Counters(); st[obs.PageBytesPooled] == 0 {
-			t.Errorf("seed %d: nothing pooled after every container was released: %+v", seed, st)
+		if memory.ReserveBytes() == 0 {
+			t.Errorf("seed %d: the reserve parks nothing after every container was released", seed)
 		}
 	}
 }

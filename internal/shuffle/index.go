@@ -26,7 +26,7 @@ import (
 // i are exactly those of segments 2i and 2i+1 of the doubled table. resize
 // splits one segment at a time and returns its slab before it takes the
 // next two: growing allocates the final table plus one segment, never a
-// second table beside the first, in blocks the manager's pool takes back
+// second table beside the first, in blocks the memory reserve takes back
 // and hands to the next split, the next container or a sibling. Tags are
 // independent of one another, so a segment's load stays within a percent
 // of the table's and none fills (DESIGN.md "Hash index").

@@ -273,7 +273,7 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if refs := src.group.Refs(); refs != 2 {
 		t.Fatalf("source group refs = %d after merge, want 2", refs)
 	}
-	inUse, srcSlab, pooled := m.Counters()[obs.PageBytesInUse], src.idx.footprint(), m.Counters()[obs.PageBytesPooled]
+	inUse, srcSlab, parked := m.Counters()[obs.PageBytesInUse], src.idx.footprint(), memory.ReserveBytes()
 	if want := dst.SizeBytes() + srcSlab; inUse != want {
 		t.Errorf("InUse = %d after merge, want %d: the adopted pages and two index slabs, each once", inUse, want)
 	}
@@ -300,12 +300,11 @@ func TestMergeFromRefcounts(t *testing.T) {
 	if m.Counters()[obs.PageGroupsLive] != 0 {
 		t.Errorf("live groups = %d after merged release", m.Counters()[obs.PageGroupsLive])
 	}
-	// Everything pools, the two 3 KiB tables (six pages' worth each)
-	// included: until ISSUE 23 a slab of more than half a page left the
-	// ledger for the collector and this expectation was short of 2*srcSlab.
-	if st := m.Counters(); st[obs.PagesReleased] == releasedBefore || st[obs.PageBytesPooled] != pooled+inUse {
-		t.Errorf("merged release returned %d pages and slabs, %d bytes pooled; want every page of the %d bytes in use back beside the %d pooled before",
-			st[obs.PagesReleased]-releasedBefore, st[obs.PageBytesPooled], inUse, pooled)
+	// Everything goes back to the reserve, the two 3 KiB tables (six
+	// pages' worth each) included, each rounded up to whole OS pages.
+	if st := m.Counters(); st[obs.PagesReleased] == releasedBefore || memory.ReserveBytes() < parked+inUse {
+		t.Errorf("merged release returned %d pages and slabs, the reserve parks %d bytes; want every page of the %d bytes in use back beside the %d parked before",
+			st[obs.PagesReleased]-releasedBefore, memory.ReserveBytes(), inUse, parked)
 	}
 
 	defer func() {

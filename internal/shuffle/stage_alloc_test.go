@@ -22,7 +22,7 @@ import (
 // allocation counts, so plain builds only).
 //
 // A staged frame is a fixed set of heap objects — the Staged, the
-// restored group and its page array (pages themselves recycle through the manager's pool), an
+// restored group and its page array (pages themselves recycle through the memory reserve), an
 // Object frame's one record slice and its doublings — whatever its key
 // count.
 //
@@ -111,7 +111,7 @@ func TestDecaAggFillAllocBudget(t *testing.T) {
 		}
 		return b
 	}
-	fill().Release() // the pages and index slabs the measured fills take now come from the pool
+	fill().Release() // the pages and index slabs the measured fills take now come from the reserve
 	warm := mem.Counters()[obs.PagesAllocated]
 
 	steps := float64(bits.Len(n))
@@ -158,7 +158,7 @@ func TestMapOutputHeaderIsSmall(t *testing.T) {
 	const lives, keys, header = 64, 100, 256
 	mem := memory.NewManager(4096, 0)
 	least := func(life func()) uint64 {
-		life() // the pages come from the pool from here on
+		life() // the pages come from the reserve from here on
 		n := ^uint64(0)
 		for range 3 {
 			var before, after runtime.MemStats
@@ -276,7 +276,7 @@ func TestDecaGroupFillAllocBudget(t *testing.T) {
 		t.Errorf("SizeBytes %d, BytesInUse %d, want pages %d + index slab %d, each once", b.SizeBytes(), in, b.group.Footprint(), b.idx.footprint())
 	}
 	b.Release()
-	if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 || st[obs.PageBytesPooled] == 0 {
+	if st := mem.Counters(); st[obs.PageBytesInUse] != 0 || st[obs.PageGroupsLive] != 0 {
 		t.Errorf("after release: %+v", st)
 	}
 }

@@ -416,7 +416,7 @@ func hostileFrames(tb testing.TB, c frameCase) map[string][]byte {
 
 // TestStageEmptyPageHeaders: a frame whose page section is nothing but
 // empty-page headers — one byte each on the wire — stages without taking
-// a pool page apiece (memory.RestoreGroup), and its truncation errors
+// a page apiece (memory.RestoreGroup), and its truncation errors
 // like any other.
 func TestStageEmptyPageHeaders(t *testing.T) {
 	const pages = 100_000
@@ -520,7 +520,7 @@ func FuzzStageDecaFrames(f *testing.F) {
 		cuts(retired)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		// RestoreGroup takes one pool page per non-empty page header,
+		// RestoreGroup takes one page per non-empty page header,
 		// however short the page (an empty one takes none): small pages
 		// keep a mutated page count from amplifying an input beyond 32×.
 		mem := memory.NewManager(64, 0)
