@@ -14,6 +14,8 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+
+	"deca/internal/freelist"
 )
 
 // The partition-sized generators come in two forms that draw from the RNG
@@ -33,28 +35,18 @@ import (
 // record reads garbage instead of a plausible neighbour.
 
 // rngs recycles the generators' random sources: a rand.Rand over a fresh
-// source is ≈ 5 KB, and every walk of a stream needs one. A bounded free
-// list rather than a sync.Pool, which every collection empties.
-var rngs = make(chan *rand.Rand, 8)
+// source is ≈ 5 KB, and every walk of a stream needs one. A walk gives its
+// source back once it ended.
+var rngs = freelist.New(8, rngBytes, func() *rand.Rand { return rand.New(rand.NewSource(0)) })
 
-// newRand returns a generator seeded with seed: a recycled one reseeded,
-// whose stream is the fresh one's (Seed resets all of its state).
+const rngBytes = 5424 // a rand.Rand and its source, as the heap sizes them
+
+// newRand returns a generator seeded with seed: a recycled or fresh one
+// reseeded, whose stream is a new source's (Seed resets all of its state).
 func newRand(seed int64) *rand.Rand {
-	select {
-	case r := <-rngs:
-		r.Seed(seed)
-		return r
-	default:
-		return rand.New(rand.NewSource(seed))
-	}
-}
-
-// putRand gives back a generator newRand handed out, once its walk ended.
-func putRand(r *rand.Rand) {
-	select {
-	case rngs <- r:
-	default:
-	}
+	r := rngs.Get()
+	r.Seed(seed)
+	return r
 }
 
 // collect gathers a stream of n records.
@@ -69,7 +61,7 @@ func collect[T any](n int, seq iter.Seq[T]) []T {
 func WordsSeq(seed int64, distinctKeys, wordsPerLine, numLines int) iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
 		r := newRand(seed)
-		defer putRand(r)
+		defer rngs.Put(r)
 		buf := make([]byte, 0, 9*wordsPerLine) // a key below 16⁷ is 8 bytes, plus its separator
 		for i := 0; i < numLines; i++ {
 			buf = buf[:0]
@@ -125,7 +117,7 @@ type LabeledPoint struct {
 func PointsSeq(seed int64, n, d int) iter.Seq[LabeledPoint] {
 	return func(yield func(LabeledPoint) bool) {
 		r := newRand(seed)
-		defer putRand(r)
+		defer rngs.Put(r)
 		f := make([]float64, d)
 		for i := 0; i < n; i++ {
 			label := float64(1)
@@ -160,7 +152,7 @@ func Points(seed int64, n, d int) []LabeledPoint {
 func VectorsSeq(seed int64, n, d, k int) iter.Seq[[]float64] {
 	return func(yield func([]float64) bool) {
 		r := newRand(seed)
-		defer putRand(r)
+		defer rngs.Put(r)
 		centers := make([][]float64, k)
 		for c := range centers {
 			centers[c] = make([]float64, d)
@@ -207,7 +199,7 @@ func GraphSeq(seed int64, numVertices int64, numEdges int, skew float64) iter.Se
 	}
 	return func(yield func(Edge) bool) {
 		r := newRand(seed)
-		defer putRand(r)
+		defer rngs.Put(r)
 		for i := 0; i < numEdges; i++ {
 			// Power-law-ish sampling: u^(1/skew) concentrates mass near 0.
 			src := int64(powSample(r, skew) * float64(numVertices))
@@ -255,7 +247,7 @@ type Ranking struct {
 // Rankings generates n ranking rows with ranks in [0, 1000).
 func Rankings(seed int64, n int) []Ranking {
 	r := newRand(seed)
-	defer putRand(r)
+	defer rngs.Put(r)
 	rows := make([]Ranking, n)
 	for i := range rows {
 		rows[i] = Ranking{
@@ -284,7 +276,7 @@ type UserVisit struct {
 // prefix space so the Query 2 SUBSTR group-by has realistic cardinality.
 func UserVisits(seed int64, n int) []UserVisit {
 	r := newRand(seed)
-	defer putRand(r)
+	defer rngs.Put(r)
 	agents := []string{"Mozilla/5.0", "Chrome/50.0", "Safari/9.1", "curl/7.47"}
 	countries := []string{"US", "CN", "DE", "DK", "UK", "FR", "JP", "BR"}
 	langs := []string{"en", "zh", "de", "da", "fr", "ja", "pt"}

@@ -38,6 +38,7 @@ import (
 	"deca/internal/cache"
 	"deca/internal/chaos"
 	"deca/internal/ctl"
+	"deca/internal/freelist"
 	"deca/internal/gcstats"
 	"deca/internal/memory"
 	"deca/internal/obs"
@@ -605,14 +606,15 @@ func (c *Context) executorFor(p int) *Executor {
 
 // execCounters reads one executor's counter vector: the rows this process
 // increments, plus one read each of the rows the scheduler, the page
-// manager, block store and transport node keep, the process reserve's on
-// the first executor, and — on a multiproc driver, whose executors' data
+// manager, block store and transport node keep, the process's reserve and
+// free lists on the first executor, and — on a multiproc driver, whose executors' data
 // lives in other processes — the executor-resident rows the executor's
 // last heartbeat carried (SyncClusterMetrics asks for fresh ones).
 func (c *Context) execCounters(ex *Executor) obs.CounterValues {
 	v := ex.counters.Load()
 	if ex == c.execs[0] {
 		v[obs.ReserveBytes] = memory.ReserveBytes()
+		v[obs.FreeListBytes], v[obs.FreeListFresh] = freelist.Totals()
 	}
 	v.Add(c.cluster.Counters(ex.id))
 	v.Add(ex.mem.Counters())

@@ -81,10 +81,8 @@ func (o *opsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
 		for i, v := range execs {
 			fmt.Fprintf(&b, "%s{exec=\"%d\"} %d\n", name, i, v[k])
+			cluster[k] += v[k]
 		}
-	}
-	for _, v := range execs {
-		cluster.Add(v)
 	}
 	for k := obs.Counter(0); k < obs.NumCounters; k++ {
 		name, typ := k.Series("deca_")
@@ -164,10 +162,10 @@ func (o *opsServer) handleExecutors(w http.ResponseWriter, _ *http.Request) {
 }
 
 // memoryCounters are the rows a /memory row serves, keyed by their table
-// names: the page manager's and the process reserve's account, and spills.
+// names: the page manager's account, the process's reserve and free lists, spills.
 var memoryCounters = []obs.Counter{
-	obs.PagesAllocated, obs.PagesReused, obs.PagesReleased, obs.PagesAdopted,
-	obs.PageBytesInUse, obs.PageGroupsLive, obs.ReserveBytes, obs.ShuffleSpillBytes,
+	obs.PagesAllocated, obs.PagesReused, obs.PagesReleased, obs.PagesAdopted, obs.PageBytesInUse,
+	obs.PageGroupsLive, obs.ReserveBytes, obs.FreeListBytes, obs.FreeListFresh, obs.ShuffleSpillBytes,
 }
 
 // handleMemory serves one row per executor from its counter vector, which

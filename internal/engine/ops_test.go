@@ -132,6 +132,16 @@ func TestOpsEndpointsServeLiveState(t *testing.T) {
 			t.Errorf("/memory row %d: reserve_bytes %d shown %v; want it shown, the level on row 0 only", i, held, ok)
 		}
 	}
+	// The process's free lists, booked the same way: a job gave back what it
+	// took (fill states, frame scratches, rand sources), so they park some.
+	if held := rows.Executors[0]["free_list_bytes"]; held <= 0 {
+		t.Errorf("/memory row 0: free_list_bytes %d after a job; want the bytes the process's free lists park", held)
+	}
+	for i, row := range rows.Executors[1:] {
+		if row["free_list_bytes"] != 0 || row["free_list_fresh"] != 0 {
+			t.Errorf("/memory row %d: free-list rows %v; want the process level on row 0 only", i+1, row)
+		}
+	}
 
 	var trace []map[string]any
 	if err := json.Unmarshal(opsGet(t, addr, "/trace"), &trace); err != nil {

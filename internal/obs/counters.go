@@ -49,6 +49,8 @@ const (
 	ServeFrameBytes
 	ShuffleFetchFailures
 	ReserveBytes
+	FreeListBytes
+	FreeListFresh
 	NumCounters
 )
 
@@ -171,6 +173,11 @@ var counterTable = [NumCounters]CounterRow{
 	// shows it once, on executor 0, and a multiproc cluster's sum adds up
 	// each process's reserve, the driver's included.
 	ReserveBytes: {"reserve_bytes", true, ScopeExecutor},
+	// The process's free lists (freelist.Totals), booked where ReserveBytes
+	// is: the bytes they park now, and the values their takes made fresh
+	// since the process started. A warm process's job makes none.
+	FreeListBytes: {"free_list_bytes", true, ScopeExecutor},
+	FreeListFresh: {"free_list_fresh", false, ScopeExecutor},
 }
 
 // Row returns the counter's table entry.

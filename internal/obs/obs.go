@@ -4,12 +4,12 @@
 // rolling cluster-wide view (see View) that backs the HTTP ops plane
 // and the Chrome trace export.
 //
-// The package is deliberately stdlib-only and imports nothing from the
-// engine, so every layer can use it without cycles. Events are
-// timelines — task and stage spans, retries, blacklists, fetch failures,
-// GC and occupancy samples; a count is a row of the counter table
-// (Counters), never an event. Events carry only plain identifiers —
-// executor ids, stage ids, byte sizes — never memory.Ptr or
+// The package imports only the standard library and the leaf free-list
+// package, nothing from the engine, so every layer can use it without
+// cycles. Events are timelines — task and stage spans, retries,
+// blacklists, fetch failures, GC and occupancy samples; a count is a row
+// of the counter table (Counters), never an event. Events carry only plain
+// identifiers — executor ids, stage ids, byte sizes — never memory.Ptr or
 // *memory.Group: instrumentation must not extend object lifetimes
 // (enforced by deca-vet's ptrescape analyzer).
 package obs
@@ -17,6 +17,9 @@ package obs
 import (
 	"sync"
 	"time"
+	"unsafe"
+
+	"deca/internal/freelist"
 )
 
 // Kind discriminates event payloads. The numeric values cross the ctl
@@ -104,10 +107,11 @@ const DefaultCapacity = 4096
 const blockEvents = 256
 
 // freeBlocks recycles closed recorders' blocks, cleared, into the next
-// recorder's ring. It is a bounded free list, not a sync.Pool, which every
-// collection empties; it holds the most blocks an untraced ring does, so
-// what a closed job leaves the process is at most one ring.
-var freeBlocks = make(chan []Event, DefaultCapacity/blockEvents)
+// recorder's ring. It holds the most blocks an untraced ring does, so what a
+// closed job leaves the process is at most one ring.
+var freeBlocks = freelist.New(DefaultCapacity/blockEvents, blockEvents*int64(unsafe.Sizeof(Event{})), func() []Event {
+	return make([]Event, blockEvents)
+})
 
 // Recorder is a bounded queue of events. A nil *Recorder is the
 // disabled state: Record on nil is a single predictable branch, so
@@ -174,11 +178,7 @@ func (r *Recorder) Record(e Event) {
 	if i == len(r.blocks)*blockEvents {
 		b := r.spare
 		if b == nil {
-			select {
-			case b = <-freeBlocks:
-			default:
-				b = make([]Event, blockEvents)
-			}
+			b = freeBlocks.Get()
 		}
 		r.blocks, r.spare = append(r.blocks, b), nil
 	}
@@ -209,21 +209,14 @@ func (r *Recorder) Close() {
 	defer r.mu.Unlock()
 	r.closed = true
 	for _, b := range r.blocks {
-		freeBlock(b)
+		clear(b)
+		freeBlocks.Put(b)
 	}
-	freeBlock(r.spare)
+	if r.spare != nil {
+		clear(r.spare)
+		freeBlocks.Put(r.spare)
+	}
 	r.blocks, r.spare, r.off, r.n = nil, nil, 0, 0
-}
-
-func freeBlock(b []Event) {
-	if b == nil {
-		return
-	}
-	clear(b)
-	select {
-	case freeBlocks <- b:
-	default:
-	}
 }
 
 // Drain removes and returns up to max oldest events (all of them if

@@ -263,10 +263,11 @@ func TestWriteTraceEmpty(t *testing.T) {
 }
 
 // emptyFreeBlocks takes every block the package's earlier tests gave back,
-// so the next recorder's blocks come from the recorder a test closes.
+// so the next recorder's blocks come from the recorder a test closes: the
+// list parks at most as many blocks as an untraced ring holds.
 func emptyFreeBlocks() {
-	for len(freeBlocks) > 0 {
-		<-freeBlocks
+	for range DefaultCapacity / blockEvents {
+		freeBlocks.Get()
 	}
 }
 

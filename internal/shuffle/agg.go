@@ -6,8 +6,10 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"deca/internal/decompose"
+	"deca/internal/freelist"
 	"deca/internal/memory"
 	"deca/internal/transport"
 )
@@ -179,10 +181,10 @@ type fillState struct {
 	ends   [probeBatch][2]int32
 }
 
-// fillStates recycles fill states, as runWriters does spill writers.
-//
-//deca:allow ptrescape -- a recycled state holds no Ptr: endFill releases its index, which clears every slot and segment, before it sends the state
-var fillStates = make(chan *fillState, 32)
+// fillStates recycles fill states, as runWriters does spill writers. A
+// parked state holds no Ptr: endFill releases its index, which clears every
+// slot and segment, before it gives the state back.
+var fillStates = freelist.New(32, int64(unsafe.Sizeof(fillState{})), func() *fillState { return new(fillState) })
 
 const maxKeptBatch = 4 << 10 // a longer batch buffer is left to the collector
 
@@ -201,7 +203,7 @@ type keyedOps interface {
 type recordShape struct{ fixed, tail int }
 
 func newKeyedStore(mem *memory.Manager, spillDir string, kind byte, flag0, flag1 recordShape) keyedStore {
-	f := transport.Reuse(fillStates, func() *fillState { return new(fillState) })
+	f := fillStates.Get()
 	f.idx.mem = mem
 	return keyedStore{pageStore: newPageStore(mem, spillDir), fillState: f, kind: kind, shape: [2]recordShape{flag0, flag1}}
 }
@@ -346,7 +348,7 @@ func (s *keyedStore) endFill() {
 	if cap(f.buf) > maxKeptBatch {
 		f.buf = nil
 	}
-	transport.Recycle(fillStates, f)
+	fillStates.Put(f)
 }
 
 // emptied follows a spill: no record is left in memory, and the index

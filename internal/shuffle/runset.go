@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"deca/internal/decompose"
+	"deca/internal/freelist"
 	"deca/internal/memory"
 	"deca/internal/transport"
 )
@@ -33,13 +34,14 @@ type spillWriter struct {
 }
 
 // runWriters recycles spill writers, buffer and scratch, across runs and
-// containers, so neither writing nor restoring a run allocates per run. It
-// is a bounded free list, not a sync.Pool: a pool drops its writers at
-// every collection and keeps a returned one on the P that returned it, so
-// whether a restore allocated a writer was chance. Eight slots (256 KiB of
-// buffers) cover two reduce tasks, each staging the engine's four
-// concurrent fetches (fetchConcurrency).
-var runWriters = make(chan *spillWriter, 8)
+// containers, so neither writing nor restoring a run allocates per run.
+// Eight slots (256 KiB of buffers) cover two reduce tasks, each staging the
+// engine's four concurrent fetches (fetchConcurrency).
+var runWriters = freelist.New(8, runWriterBytes, func() *spillWriter {
+	return &spillWriter{Writer: bufio.NewWriterSize(nil, runWriterBytes)}
+})
+
+const runWriterBytes = 32 << 10 // a run writer's buffer
 
 // land appends the next size bytes of r to the run, each read landing in
 // the writer's free buffer space: no copy buffer beside it (a copy into
@@ -107,13 +109,13 @@ func (rs *runSet) write(fn func(w *spillWriter) error) error {
 	if err != nil {
 		return fmt.Errorf("shuffle: creating spill: %w", err)
 	}
-	w := transport.Reuse(runWriters, func() *spillWriter { return &spillWriter{Writer: bufio.NewWriterSize(nil, 32<<10)} })
+	w := runWriters.Get()
 	w.Reset(f)
 	if err = fn(w); err == nil {
 		err = w.Flush()
 	}
 	w.Reset(nil)
-	transport.Recycle(runWriters, w)
+	runWriters.Put(w)
 	run := spillFile{path: f.Name()}
 	if err == nil {
 		run.size, err = f.Seek(0, io.SeekCurrent)

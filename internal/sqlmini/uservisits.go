@@ -147,34 +147,34 @@ const prefixLen = 5
 
 // Query2Rows aggregates revenue per IP prefix over boxed rows.
 func Query2Rows(t RowVisits) (int, float64) {
-	groups := make(map[string]float64)
+	groups := newGroupSums()
 	for _, r := range t {
 		p := r.SourceIP
 		if len(p) > prefixLen {
 			p = p[:prefixLen]
 		}
-		groups[p] += r.AdRevenue
+		*sumAt(groups, p) += r.AdRevenue
 	}
-	return len(groups), foldGroups(groups)
+	return groups.fold()
 }
 
 // Query2Columnar aggregates over the column vectors.
 func Query2Columnar(c *ColumnarVisits) (int, float64) {
-	groups := make(map[string]float64)
+	groups := newGroupSums()
 	for i := range c.AdRevenues {
 		lo, hi := c.IPOffsets[i], c.IPOffsets[i+1]
 		if hi-lo > prefixLen {
 			hi = lo + prefixLen
 		}
-		groups[string(c.IPBytes[lo:hi])] += c.AdRevenues[i]
+		*sumAt(groups, c.IPBytes[lo:hi]) += c.AdRevenues[i]
 	}
-	return len(groups), foldGroups(groups)
+	return groups.fold()
 }
 
 // Query2Deca aggregates straight off the pages: revenue at a constant
 // offset, the IP prefix read from the first string field in place.
 func Query2Deca(t *DecaVisits) (int, float64) {
-	groups := make(map[string]float64)
+	groups := newGroupSums()
 	g := t.Group
 	for pi := 0; pi < g.NumPages(); pi++ {
 		page := g.Page(pi)
@@ -189,7 +189,7 @@ func Query2Deca(t *DecaVisits) (int, float64) {
 			if pl > prefixLen {
 				pl = prefixLen
 			}
-			groups[string(page[so+4:so+4+pl])] += revenue
+			*sumAt(groups, page[so+4:so+4+pl]) += revenue
 			fo := so
 			for f := 0; f < 6; f++ {
 				n := int(binary.LittleEndian.Uint32(page[fo:]))
@@ -198,14 +198,37 @@ func Query2Deca(t *DecaVisits) (int, float64) {
 			off = fo
 		}
 	}
-	return len(groups), foldGroups(groups)
+	return groups.fold()
 }
 
-// foldGroups reduces the group map to an order-independent checksum.
-func foldGroups(groups map[string]float64) float64 {
-	var sum float64
-	for k, v := range groups {
-		sum += v * float64(1+len(k)%3)
+// groupSums is Query 2's revenue sum per group: the map holds each key's
+// index into sums, which grow by append, not by a pointer a group.
+type groupSums struct {
+	index map[string]int
+	sums  []float64
+}
+
+func newGroupSums() *groupSums { return &groupSums{index: make(map[string]int)} }
+
+// sumAt returns key's sum, a new group's at 0. It looks the key up before
+// it inserts, so only a new group converts a byte key to a string
+// (groups[string(b)] += v converts one every row), and a string key, a
+// substring of its row's field, is never copied.
+func sumAt[K string | []byte](g *groupSums, key K) *float64 {
+	i, ok := g.index[string(key)]
+	if !ok {
+		i = len(g.sums)
+		g.index[string(key)] = i
+		g.sums = append(g.sums, 0)
 	}
-	return sum
+	return &g.sums[i]
+}
+
+// fold returns the group count and an order-independent checksum.
+func (g *groupSums) fold() (int, float64) {
+	var sum float64
+	for k, i := range g.index {
+		sum += g.sums[i] * float64(1+len(k)%3)
+	}
+	return len(g.index), sum
 }

@@ -4,6 +4,9 @@ import (
 	"io"
 	"net"
 	"os"
+	"unsafe"
+
+	"deca/internal/freelist"
 )
 
 // This file is the one representation of an encoded wire frame: a
@@ -31,14 +34,12 @@ import (
 // subslices valid as more are staged (append never reallocates a chunk).
 const stageChunkSize = 64 << 10
 
-// stageChunks recycles standard-size scratch chunks across frames: an
-// Object frame stages its records into them, a Deca frame only a header
+// stageChunks recycles standard-size scratch chunks across frames (1 MiB):
+// an Object frame stages its records into them, a Deca frame only a header
 // longer than its head (≈ 75 pages or more). A frame returns its chunks on
 // Release and not before — the segments it handed out alias them until
-// then. It is a bounded free list (1 MiB), not a sync.Pool: a pool empties
-// at every collection, so a job's chunk allocations depended on how many
-// of its serves overlapped since the last one.
-var stageChunks = make(chan *[stageChunkSize]byte, 16)
+// then.
+var stageChunks = freelist.New(16, stageChunkSize, func() *[stageChunkSize]byte { return new([stageChunkSize]byte) })
 
 // frameScratch is what a frame builds in: its segment list (two segments
 // a page), its owners and its head, where its first bytes are staged. A
@@ -53,7 +54,7 @@ type frameScratch struct {
 
 const frameHeadSize = 256
 
-var scratches = make(chan *frameScratch, 16)
+var scratches = freelist.New(16, int64(unsafe.Sizeof(frameScratch{})), func() *frameScratch { return new(frameScratch) })
 
 // Seg is one wire-order piece of a frame: either staged/page bytes
 // (Buf != nil) or a file-backed run of Size bytes (File != nil).
@@ -82,29 +83,8 @@ type FrameSegments struct {
 
 // NewFrameSegments returns an empty frame, staging into its head.
 func NewFrameSegments() *FrameSegments {
-	sc := Reuse(scratches, func() *frameScratch { return new(frameScratch) })
+	sc := scratches.Get()
 	return &FrameSegments{frameScratch: sc, chunk: sc.head[:0]}
-}
-
-// Reuse takes a value from a bounded free list, or fresh's when the list is
-// empty. The shuffle's spill run writers and fill states recycle through it
-// and Recycle too.
-func Reuse[T any](list chan T, fresh func() T) T {
-	select {
-	case v := <-list:
-		return v
-	default:
-		return fresh()
-	}
-}
-
-// Recycle offers v to a bounded free list; when the list is full the
-// collector takes v.
-func Recycle[T any](list chan T, v T) {
-	select {
-	case list <- v:
-	default:
-	}
 }
 
 // Stage reserves n bytes of scratch at the frame's current position and
@@ -119,7 +99,7 @@ func (fs *FrameSegments) Stage(n int) []byte {
 		if n > stageChunkSize {
 			fs.chunk = make([]byte, 0, n)
 		} else {
-			c := Reuse(stageChunks, func() *[stageChunkSize]byte { return new([stageChunkSize]byte) })
+			c := stageChunks.Get()
 			fs.pooled = append(fs.pooled, c)
 			fs.chunk = c[:0]
 		}
@@ -247,12 +227,12 @@ func (fs *FrameSegments) Release() {
 		pin.Release()
 	}
 	for _, c := range fs.pooled {
-		Recycle(stageChunks, c)
+		stageChunks.Put(c)
 	}
 	clear(fs.segs) // no page, file or group stays reachable from the free list
 	clear(fs.owners)
 	fs.segs, fs.owners = fs.segs[:0], fs.owners[:0]
-	Recycle(scratches, fs.frameScratch)
+	scratches.Put(fs.frameScratch)
 	fs.frameScratch, fs.chunk, fs.pooled = nil, nil, nil
 }
 
