@@ -38,7 +38,7 @@ func run() int {
 	cfg := &opts.Base
 	var (
 		expFlag  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		execBin  = flag.String("executor-bin", "", "deca-executor binary for -deploy multiproc (default: next to deca-bench, then $PATH)")
+		execBin  = flag.String("executor-bin", "", "deca-executor binary for -transport multiproc (default: next to deca-bench, then $PATH)")
 		jsonDir  = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, GC, checksum and counters per run) into this directory ('.' = cwd)")
 		listOnly = flag.Bool("list", false, "list experiment ids and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -48,12 +48,8 @@ func run() int {
 	flag.Float64Var(&opts.Scale, "scale", 1.0, "dataset scale factor")
 	flag.IntVar(&cfg.Parallelism, "parallelism", 4, "worker goroutines per executor")
 	flag.IntVar(&cfg.NumExecutors, "executors", 1, "executors in the local cluster (deploy runs at least 2, faults at least 4)")
-	flag.Func("transport", "shuffle transport: inprocess (default) or tcp (loopback sockets)", func(s string) (err error) {
+	flag.Func("transport", "deployment: inprocess (default), tcp (in-process executors, loopback sockets) or multiproc (spawn deca-executor processes)", func(s string) (err error) {
 		cfg.TransportKind, err = engine.ParseTransportKind(s)
-		return err
-	})
-	flag.Func("deploy", "deployment: inprocess (default) or multiproc (spawn deca-executor processes)", func(s string) (err error) {
-		cfg.Deploy, err = engine.ParseDeployKind(s)
 		return err
 	})
 	flag.StringVar(&cfg.SpillDir, "spill-dir", "", "directory for spills and swaps (default: temp)")
@@ -68,7 +64,7 @@ func run() int {
 		runtime.MemProfileRate = *memRate
 	}
 
-	if cfg.Deploy == engine.DeployMultiproc {
+	if cfg.TransportKind == engine.TransportMultiproc {
 		bin, err := resolveExecutorBin(*execBin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "deca-bench:", err)

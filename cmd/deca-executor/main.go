@@ -2,7 +2,7 @@
 // cluster: a private page memory manager, cache manager, and shuffle
 // data-plane endpoint, driven over the control-plane RPC connection by
 // the process that spawned it (a deca-bench or application driver
-// running with -deploy multiproc / engine.DeployMultiproc).
+// running with -transport multiproc / engine.TransportMultiproc).
 //
 // It is not meant to be started by hand — the driver spawns one per
 // executor, passing the rendezvous flags:

@@ -31,13 +31,14 @@ type Options struct {
 	// Base is the workload config every experiment's engine starts from;
 	// deca-bench binds its cluster flags straight into it: NumExecutors
 	// (0/1 = single executor; deploy runs at least 2, faults at least 4),
-	// Parallelism (0 = 4), SpillDir, TransportKind, Deploy and ExecutorCmd
-	// (the deploy experiment sweeps deployments itself and only needs
-	// ExecutorCmd), MaxTaskRetries, FetchFailureRate (under multiproc it
+	// Parallelism (0 = 4), SpillDir, TransportKind (the deployment) and
+	// ExecutorCmd (the deploy experiment sweeps deployments itself and only
+	// needs ExecutorCmd), MaxTaskRetries, FetchFailureRate (under multiproc it
 	// travels in the plan, so the faults fire inside the executor
 	// processes), OpsAddr and TraceOut (runs with several engines overwrite
-	// the file, so it holds the last one). Mode, Partitions and Seed are
-	// each experiment's own.
+	// the file, so it holds the last one). Mode and Seed are each
+	// experiment's own; Partitions stays the workloads default, one per
+	// task slot of the cluster.
 	Base workloads.Config
 	// ChaosSeed seeds the deterministic fault injector (deca-bench
 	// -chaos-seed); 0 selects seed 1 when FailureRate asks for chaos.
@@ -233,12 +234,11 @@ func (o Options) baseCfg(mode engine.Mode) workloads.Config {
 	cfg := o.Base
 	cfg.Mode = mode
 	cfg.Seed = 1
-	if cfg.Deploy == engine.DeployMultiproc && cfg.NumExecutors < 2 {
+	if cfg.TransportKind == engine.TransportMultiproc && cfg.NumExecutors < 2 {
 		// A single-process "cluster" of one child defeats the point;
 		// multiproc runs always get at least two executor processes.
 		cfg.NumExecutors = 2
 	}
-	cfg.Partitions = cfg.Parallelism * cfg.NumExecutors
 	if o.FailureRate > 0 {
 		inj := chaos.New(o.chaosSeed())
 		inj.TaskFailureRate = o.FailureRate
@@ -377,7 +377,6 @@ func (s *series) run(name string, cfg workloads.Config) error {
 func (o Options) cluster(n int) workloads.Config {
 	cfg := o.baseCfg(engine.ModeDeca)
 	cfg.NumExecutors = max(o.Base.NumExecutors, n)
-	cfg.Partitions = o.Base.Parallelism * cfg.NumExecutors
 	return cfg
 }
 
@@ -392,4 +391,4 @@ func (o Options) clusterApps() (wc, lr, pr app) {
 
 // noExecutorBin is the row of an experiment whose multiproc rows need a
 // deca-executor binary it was not given.
-const noExecutorBin = "(multiproc rows skipped: no deca-executor binary — run deca-bench -deploy multiproc)"
+const noExecutorBin = "(multiproc rows skipped: no deca-executor binary — run deca-bench -transport multiproc)"

@@ -20,12 +20,12 @@ func FaultTolerance(o Options, rep *Report) error {
 	rep.PaperClaim = "Spark-style recovery re-runs failed tasks and re-registers their map " +
 		"outputs; results stay identical while wall time grows with the failure rate"
 
-	// One in-process base config; each run sets only its transport and fault
-	// profile (the multiproc rows below, their deployment). The kill row needs
-	// executors to spare; MaxTaskRetries is pinned so the 10% rows survive a
-	// streak (-max-retries still sets the other experiments').
+	// One base config; each run sets only its deployment and fault profile.
+	// The kill row needs executors to spare; MaxTaskRetries is pinned so the
+	// 10% rows survive a streak (-max-retries still sets the other
+	// experiments').
 	base := o.cluster(4)
-	base.Deploy, base.Chaos, base.MaxTaskRetries = engine.DeployInProcess, nil, 4
+	base.Chaos, base.MaxTaskRetries = nil, 4
 	// A killed run's last executor dies after two of its attempts started,
 	// and two failures blacklist it.
 	killed := func(cfg workloads.Config) workloads.Config {
@@ -66,7 +66,7 @@ func FaultTolerance(o Options, rep *Report) error {
 		return nil
 	}
 	mp := base
-	mp.Deploy, mp.TransportKind = engine.DeployMultiproc, engine.TransportInProcess
+	mp.TransportKind = engine.TransportMultiproc
 	fetch := mp
 	// The rate rides in the plan: each executor process builds its own
 	// injector and fails fetches inside the data plane.

@@ -72,21 +72,29 @@ func (m Mode) String() string {
 	}
 }
 
-// TransportKind selects how a single-process cluster's data plane is
-// constructed (transport.Plane).
+// TransportKind selects the deployment: where the executors run and how
+// their map output crosses between them. It is the one setting the
+// cluster's shape hangs on (-transport inprocess|tcp|multiproc).
 type TransportKind int
 
 const (
-	// TransportInProcess serves every fetch from the shared in-process
-	// registry (the default): the consumer decodes the map output's wire
-	// frame straight off its segments, no socket involved, with the
-	// would-be network volume accounted.
+	// TransportInProcess hosts every executor in this process and serves
+	// every fetch from the shared in-process registry (the default): the
+	// consumer decodes the map output's wire frame straight off its
+	// segments, no socket involved, with the would-be network volume
+	// accounted.
 	TransportInProcess TransportKind = iota
-	// TransportTCP runs one loopback listener per executor and moves
-	// cross-executor map output as wire frames over real sockets (writev
-	// for pages, sendfile for spill runs); executor-local fetches read the
-	// same frame without the socket.
+	// TransportTCP hosts every executor in this process, runs one loopback
+	// listener per executor and moves cross-executor map output as wire
+	// frames over real sockets (writev for pages, sendfile for spill runs);
+	// executor-local fetches read the same frame without the socket.
 	TransportTCP
+	// TransportMultiproc spawns each executor as a deca-executor OS
+	// process: the driver keeps the scheduler and the shuffle location
+	// directory, dispatches task descriptors over the internal/ctl RPC
+	// stream, and payload frames flow executor to executor over the TCP
+	// data plane.
+	TransportMultiproc
 )
 
 func (k TransportKind) String() string {
@@ -95,6 +103,8 @@ func (k TransportKind) String() string {
 		return "inprocess"
 	case TransportTCP:
 		return "tcp"
+	case TransportMultiproc:
+		return "multiproc"
 	default:
 		return fmt.Sprintf("TransportKind(%d)", int(k))
 	}
@@ -107,46 +117,10 @@ func ParseTransportKind(s string) (TransportKind, error) {
 		return TransportInProcess, nil
 	case "tcp":
 		return TransportTCP, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown transport %q (want inprocess or tcp)", s)
-	}
-}
-
-// DeployKind selects where the executors run: as goroutine pools inside
-// this process (TransportKind then says how their shuffles cross), or as
-// real OS processes supervised over the control plane.
-type DeployKind int
-
-const (
-	// DeployInProcess hosts all executors in this process — the default.
-	DeployInProcess DeployKind = iota
-	// DeployMultiproc spawns each executor as a deca-executor OS process:
-	// the driver keeps the scheduler and the shuffle location directory,
-	// dispatches task descriptors over the internal/ctl RPC stream, and
-	// payload frames flow executor↔executor over the TCP data plane.
-	DeployMultiproc
-)
-
-func (k DeployKind) String() string {
-	switch k {
-	case DeployInProcess:
-		return "inprocess"
-	case DeployMultiproc:
-		return "multiproc"
-	default:
-		return fmt.Sprintf("DeployKind(%d)", int(k))
-	}
-}
-
-// ParseDeployKind resolves the -deploy flag values.
-func ParseDeployKind(s string) (DeployKind, error) {
-	switch s {
-	case "", "inprocess":
-		return DeployInProcess, nil
 	case "multiproc":
-		return DeployMultiproc, nil
+		return TransportMultiproc, nil
 	default:
-		return 0, fmt.Errorf("engine: unknown deploy kind %q (want inprocess or multiproc)", s)
+		return 0, fmt.Errorf("engine: unknown transport %q (want inprocess, tcp or multiproc)", s)
 	}
 }
 
@@ -182,19 +156,16 @@ type Config struct {
 	// shuffle share of the owning executor's budget; negative disables
 	// spilling.
 	ShuffleSpillThreshold int64
-	// TransportKind selects how shuffle map output crosses executors:
-	// TransportInProcess (default) through the shared in-process registry,
-	// TransportTCP over per-executor loopback sockets. Either way a fetch
-	// serves a wire frame, never the registered buffer itself.
+	// TransportKind selects the deployment: TransportInProcess (default)
+	// and TransportTCP host the executors here and cross shuffles through
+	// the shared registry or over loopback sockets; TransportMultiproc
+	// turns this Context into the cluster's driver, spawning ExecutorCmd
+	// once per executor. Every way a fetch serves a wire frame, never the
+	// registered buffer itself.
 	TransportKind TransportKind
-
-	// DeployKind selects the deployment: in-process executors or real
-	// deca-executor OS processes. DeployMultiproc turns this Context into
-	// the cluster's driver, spawning ExecutorCmd once per executor.
-	DeployKind DeployKind
 	// ExecutorCmd is the deca-executor argv prefix the multiproc driver
 	// spawns (see ctl.DriverConfig.ExecutorCmd). Required for
-	// DeployMultiproc.
+	// TransportMultiproc.
 	ExecutorCmd []string
 	// CtlFollower, when set, marks this Context as one executor process's
 	// mirror of the plan: stages execute only when the driver dispatches
@@ -395,7 +366,7 @@ func New(conf Config) *Context {
 	switch {
 	case conf.CtlFollower != nil:
 		c.plane = c.wireFollower(conf.CtlFollower)
-	case conf.DeployKind == DeployMultiproc:
+	case conf.TransportKind == TransportMultiproc:
 		c.plane = c.wireDriver()
 	case conf.TransportKind == TransportTCP:
 		var err error

@@ -519,10 +519,31 @@ func TestCount(t *testing.T) {
 // retry count, probation and the speculation thresholds became constants;
 // 20 -> 19 when speculative execution, which no run turned on, was deleted;
 // 19 -> 18 when EventBuffer, which only its own test set, was deleted and
-// the event recorder became unconditional.)
+// the event recorder became unconditional; 18 -> 17 when DeployKind folded
+// into TransportKind, which names all three deployments — inprocess, tcp and
+// multiproc — where two settings made four combinations, one meaningless.)
 func TestConfigSurface(t *testing.T) {
-	if n := leafFields(reflect.TypeOf(Config{})); n > 18 {
-		t.Errorf("engine.Config has %d settable values, the ceiling is 18", n)
+	if n := leafFields(reflect.TypeOf(Config{})); n > 17 {
+		t.Errorf("engine.Config has %d settable values, the ceiling is 17", n)
+	}
+}
+
+// TestTransportKindRoundTrips: every deployment parses back from the name
+// it prints, the empty flag value is the in-process default, and a name
+// that is no deployment is rejected.
+func TestTransportKindRoundTrips(t *testing.T) {
+	for _, k := range []TransportKind{TransportInProcess, TransportTCP, TransportMultiproc} {
+		if got, err := ParseTransportKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseTransportKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	if got, err := ParseTransportKind(""); err != nil || got != TransportInProcess {
+		t.Errorf("ParseTransportKind(\"\") = %v, %v; want inprocess", got, err)
+	}
+	for _, s := range []string{"deploy", "multi", "TCP", "in-process", "multiproc "} {
+		if got, err := ParseTransportKind(s); err == nil {
+			t.Errorf("ParseTransportKind(%q) = %v, want an error", s, got)
+		}
 	}
 }
 

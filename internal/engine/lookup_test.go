@@ -127,7 +127,7 @@ func TestLookupForAgreesWithCollectMap(t *testing.T) {
 // every probe runs where its partition's reduce task left the merged
 // buffer — and the driver, which holds no reduce output, is told so.
 func TestMultiprocLookupFor(t *testing.T) {
-	ctx := multiprocCtx(t, "lookup")
+	ctx := programCtx(t, "lookup", TransportMultiproc)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

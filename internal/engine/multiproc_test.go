@@ -57,19 +57,22 @@ var mirrorPrograms = map[string]func(ctx *Context) error{
 	"unconverged": mirrorUnconverged,
 }
 
-// multiprocCtx starts a driver whose helper executors mirror program.
-func multiprocCtx(t *testing.T, program string) *Context {
+// programCtx starts a Context of deployment kind under program's config;
+// a multiproc driver's helper executors mirror program.
+func programCtx(t *testing.T, program string, kind TransportKind) *Context {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("spawns executor processes")
-	}
-	self, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	conf := programConfig(program, t.TempDir())
-	conf.DeployKind = DeployMultiproc
-	conf.ExecutorCmd = []string{"env", "DECA_ENGINE_HELPER=1", self}
+	conf.TransportKind = kind
+	if kind == TransportMultiproc {
+		if testing.Short() {
+			t.Skip("spawns executor processes")
+		}
+		self, err := os.Executable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf.ExecutorCmd = []string{"env", "DECA_ENGINE_HELPER=1", self}
+	}
 	ctx := New(conf)
 	t.Cleanup(ctx.Close)
 	ctx.RegisterPlan([]byte(program + "\n" + conf.SpillDir))
@@ -159,7 +162,7 @@ func helperExecutor(args []string) int {
 // driver live / followers released, where the next pull's NeedShuffle is
 // memoised away and the followers wait for an epoch nobody announces.
 func TestMultiprocRecoveryReleaseDuringMaterialize(t *testing.T) {
-	ctx := multiprocCtx(t, "recovery")
+	ctx := programCtx(t, "recovery", TransportMultiproc)
 
 	// Epoch 1 materializes under action 0. Before action 1 a first
 	// recovery releases it everywhere, so action 1 re-materializes as
@@ -249,7 +252,7 @@ func awaitLive(ctx *Context, dataset, epoch int) {
 // releases on its own: the driver's release reaches it as an epoch-guarded
 // broadcast.
 func TestMultiprocProgramOrderRelease(t *testing.T) {
-	ctx := multiprocCtx(t, "release")
+	ctx := programCtx(t, "release", TransportMultiproc)
 	runRecoveryProgram(t, ctx, func(action, dataset int) {
 		if action == 1 {
 			ctx.ReleaseShuffle(dataset)

@@ -67,24 +67,6 @@ func stageVerdicts(ctx *Context) []string {
 // driver — spill included, which a reduce task books on the executor whose
 // buffer it fetched, in whichever process it runs.
 func TestRoleEquivalence(t *testing.T) {
-	deployments := []struct {
-		name string
-		ctx  func(t *testing.T) *Context
-	}{
-		{"inprocess", func(t *testing.T) *Context {
-			ctx := New(programConfig("roles", t.TempDir()))
-			t.Cleanup(ctx.Close)
-			return ctx
-		}},
-		{"tcp", func(t *testing.T) *Context {
-			conf := programConfig("roles", t.TempDir())
-			conf.TransportKind = TransportTCP
-			ctx := New(conf)
-			t.Cleanup(ctx.Close)
-			return ctx
-		}},
-		{"multiproc", func(t *testing.T) *Context { return multiprocCtx(t, "roles") }},
-	}
 	wantVerdicts := []string{
 		"x/2/1/map=0", "x/2/1/reduce=0", // the aggregation, inside...
 		"x/1/1/map=0", "x/1/1/reduce=0", // ...the grouping's map stage
@@ -92,9 +74,9 @@ func TestRoleEquivalence(t *testing.T) {
 	}
 	var wantGroups map[int64][]int64
 	var wantPlane [4]int64
-	for i, d := range deployments {
-		t.Run(d.name, func(t *testing.T) {
-			ctx := d.ctx(t)
+	for i, kind := range []TransportKind{TransportInProcess, TransportTCP, TransportMultiproc} {
+		t.Run(kind.String(), func(t *testing.T) {
+			ctx := programCtx(t, "roles", kind)
 			groups, squares, err := rolesProgram(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -208,7 +190,7 @@ func TestUnconvergedRepairFailsTheJob(t *testing.T) {
 		assertNoSpillFiles(t, ctx.conf.SpillDir)
 	})
 	t.Run("multiproc", func(t *testing.T) {
-		ctx := multiprocCtx(t, "unconverged")
+		ctx := programCtx(t, "unconverged", TransportMultiproc)
 		check(t, ctx)
 		// The driver's directory holds nothing of the failed shuffle...
 		if n := ctx.driver.d.DropShuffle(1); n != 0 {

@@ -79,7 +79,7 @@ func TestReleasePairGolden(t *testing.T) {
 
 func TestPtrEscapeGolden(t *testing.T) {
 	runGolden(t, PtrEscape, "ptrescape", "ptrescape",
-		"deca/internal/decompose", "deca/internal/memory", "deca/internal/obs")
+		"deca/internal/decompose", "deca/internal/freelist", "deca/internal/memory", "deca/internal/obs")
 }
 
 func TestDeterminismGolden(t *testing.T) {

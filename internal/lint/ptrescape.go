@@ -69,7 +69,7 @@ func runPtrEscape(p *Pass) {
 			if !ok {
 				return true
 			}
-			if tv, ok := p.Pkg.Info.Types[ch.Value]; ok && containsPtr(tv.Type, nil) {
+			if tv, ok := p.Pkg.Info.Types[ch.Value]; ok && containsPtr(tv.Type) {
 				p.Reportf(ch.Pos(),
 					"channel of Ptr-bearing type %s: the receiver's lifetime is unbounded relative to the Group; send indexes or copies instead", tv.Type)
 			}
@@ -90,7 +90,7 @@ func checkPtrGlobals(p *Pass, d *ast.GenDecl) {
 			if !ok || obj.Parent() != p.Pkg.Types.Scope() {
 				continue
 			}
-			if containsPtr(obj.Type(), nil) {
+			if containsPtr(obj.Type()) {
 				p.Reportf(name.Pos(),
 					"package-level %s holds memory.Ptr, which outlives every Group; keep Ptrs inside Group-guarded owners", name.Name)
 			}
@@ -116,7 +116,7 @@ func checkPtrFields(p *Pass, d *ast.GenDecl) {
 		}
 		for _, field := range st.Fields.List {
 			tv, ok := p.Pkg.Info.Types[field.Type]
-			if !ok || !containsPtr(tv.Type, nil) {
+			if !ok || !containsPtr(tv.Type) {
 				continue
 			}
 			for _, name := range field.Names {
@@ -165,7 +165,7 @@ func checkObsPayloads(p *Pass, d *ast.GenDecl) {
 		}
 		isPayload := false
 		for _, field := range st.Fields.List {
-			if tv, ok := p.Pkg.Info.Types[field.Type]; ok && containsObsType(tv.Type, nil) {
+			if tv, ok := p.Pkg.Info.Types[field.Type]; ok && containsObsType(tv.Type) {
 				isPayload = true
 				break
 			}
@@ -180,9 +180,9 @@ func checkObsPayloads(p *Pass, d *ast.GenDecl) {
 			}
 			var bad string
 			switch {
-			case containsPtr(tv.Type, nil):
+			case containsPtr(tv.Type):
 				bad = "memory.Ptr"
-			case containsGroup(tv.Type, nil):
+			case containsGroup(tv.Type):
 				bad = "*memory.Group"
 			default:
 				continue
@@ -200,105 +200,68 @@ func checkObsPayloads(p *Pass, d *ast.GenDecl) {
 	}
 }
 
-// containsObsType reports whether t transitively involves a named type
-// from deca/internal/obs (Event, Kind, a slice of them, ...).
-func containsObsType(t types.Type, seen map[types.Type]bool) bool {
-	t = types.Unalias(t)
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if n := namedType(t); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == obsPkg {
-		return true
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		return containsObsType(t.Underlying(), seen)
-	case *types.Pointer:
-		return containsObsType(t.Elem(), seen)
-	case *types.Slice:
-		return containsObsType(t.Elem(), seen)
-	case *types.Array:
-		return containsObsType(t.Elem(), seen)
-	case *types.Map:
-		return containsObsType(t.Key(), seen) || containsObsType(t.Elem(), seen)
-	case *types.Chan:
-		return containsObsType(t.Elem(), seen)
-	}
-	return false
+// containsObsType reports whether t involves a named type from
+// deca/internal/obs (Event, Kind, a slice of them, ...). A struct the type
+// holds is not entered: a payload carries obs types itself.
+func containsObsType(t types.Type) bool {
+	return reaches(t, false, func(t types.Type) bool {
+		n := namedType(t)
+		return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == obsPkg
+	})
 }
 
 // containsGroup reports whether t transitively contains memory.Group
 // (typically behind a pointer).
-func containsGroup(t types.Type, seen map[types.Type]bool) bool {
-	t = types.Unalias(t)
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if isNamed(t, memoryPkg, "Group") {
-		return true
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		return containsGroup(t.Underlying(), seen)
-	case *types.Pointer:
-		return containsGroup(t.Elem(), seen)
-	case *types.Slice:
-		return containsGroup(t.Elem(), seen)
-	case *types.Array:
-		return containsGroup(t.Elem(), seen)
-	case *types.Map:
-		return containsGroup(t.Key(), seen) || containsGroup(t.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsGroup(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
+func containsGroup(t types.Type) bool {
+	return reaches(t, true, func(t types.Type) bool { return isNamed(t, memoryPkg, "Group") })
 }
 
 // containsPtr reports whether t transitively contains memory.Ptr.
-// Channels are excluded (they get their own rule).
-func containsPtr(t types.Type, seen map[types.Type]bool) bool {
-	t = types.Unalias(t)
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if isNamed(t, memoryPkg, "Ptr") {
-		return true
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		return containsPtr(t.Underlying(), seen)
-	case *types.Pointer:
-		return containsPtr(t.Elem(), seen)
-	case *types.Slice:
-		return containsPtr(t.Elem(), seen)
-	case *types.Array:
-		return containsPtr(t.Elem(), seen)
-	case *types.Map:
-		return containsPtr(t.Key(), seen) || containsPtr(t.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsPtr(t.Field(i).Type(), seen) {
-				return true
+func containsPtr(t types.Type) bool {
+	return reaches(t, true, func(t types.Type) bool { return isNamed(t, memoryPkg, "Ptr") })
+}
+
+// reaches reports whether is holds for t or for a type t reaches through
+// named types, pointers, slices, arrays, maps and, with fields set, struct
+// fields. A channel's element is reached only inside an instantiated
+// generic type — freelist.List[T]'s chan T, which no source line of the
+// checked package spells out; a chan type written in it is the channel
+// rule's to report, and only once.
+func reaches(t types.Type, fields bool, is func(types.Type) bool) bool {
+	seen := make(map[types.Type]bool)
+	var walk func(t types.Type, generic bool) bool
+	walk = func(t types.Type, generic bool) bool {
+		t = types.Unalias(t)
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		if is(t) {
+			return true
+		}
+		switch t := t.(type) {
+		case *types.Named:
+			return walk(t.Underlying(), generic || t.TypeArgs().Len() > 0)
+		case *types.Pointer:
+			return walk(t.Elem(), generic)
+		case *types.Slice:
+			return walk(t.Elem(), generic)
+		case *types.Array:
+			return walk(t.Elem(), generic)
+		case *types.Map:
+			return walk(t.Key(), generic) || walk(t.Elem(), generic)
+		case *types.Chan:
+			return generic && walk(t.Elem(), generic)
+		case *types.Struct:
+			for i := 0; fields && i < t.NumFields(); i++ {
+				if walk(t.Field(i).Type(), generic) {
+					return true
+				}
 			}
 		}
+		return false
 	}
-	return false
+	return walk(t, false)
 }
 
 //

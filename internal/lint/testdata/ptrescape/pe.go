@@ -3,6 +3,7 @@ package ptrescape
 
 import (
 	"deca/internal/decompose"
+	"deca/internal/freelist"
 	"deca/internal/memory"
 	"deca/internal/obs"
 )
@@ -54,6 +55,18 @@ type sanctioned struct {
 type pipeline struct {
 	ch chan memory.Ptr // want "channel of Ptr-bearing"
 }
+
+// True positive: a global free list parks Ptr-bearing values. The list is a
+// channel inside a generic type, so no chan type here names the element;
+// the global rule sees it through the instantiation.
+var parkedPtrs = freelist.New(4, 8, func() *unguarded { return new(unguarded) }) // want "package-level"
+
+// Negative: a free list of plain values holds no Ptr.
+var parkedCounts = freelist.New(4, 8, func() *[8]int { return new([8]int) })
+
+// True positive, reported once: a chan type written out is the channel
+// rule's; the global rule does not report the same channel again.
+var globalChan chan memory.Ptr // want "channel of Ptr-bearing"
 
 // True positive: straight-line use after Release.
 func useAfterRelease(m *memory.Manager) int {

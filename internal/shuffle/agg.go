@@ -181,9 +181,9 @@ type fillState struct {
 	ends   [probeBatch][2]int32
 }
 
-// fillStates recycles fill states, as runWriters does spill writers. A
-// parked state holds no Ptr: endFill releases its index, which clears every
-// slot and segment, before it gives the state back.
+// fillStates recycles fill states, as runWriters does spill writers.
+//
+//deca:allow ptrescape -- a parked state holds no Ptr: endFill releases its index, which clears every slot and segment, before it gives the state back
 var fillStates = freelist.New(32, int64(unsafe.Sizeof(fillState{})), func() *fillState { return new(fillState) })
 
 const maxKeptBatch = 4 << 10 // a longer batch buffer is left to the collector

@@ -54,23 +54,21 @@ func withDeadline(t *testing.T) {
 	t.Cleanup(func() { timer.Stop() })
 }
 
-func multiprocCfg(t *testing.T, execs int) Config {
-	return Config{
-		Mode:         engine.ModeDeca,
-		NumExecutors: execs,
-		Parallelism:  2,
-		Partitions:   2 * execs,
-		SpillDir:     t.TempDir(),
-		Deploy:       engine.DeployMultiproc,
-		ExecutorCmd:  helperExecutorCmd(t),
-		Seed:         7,
+// deployedCfg is the config the multiproc tests run under in deployment
+// kind; a multiproc one spawns this test binary as its executors.
+func deployedCfg(t *testing.T, execs int, kind engine.TransportKind) Config {
+	cfg := Config{
+		Mode:          engine.ModeDeca,
+		NumExecutors:  execs,
+		Parallelism:   2,
+		Partitions:    2 * execs,
+		SpillDir:      t.TempDir(),
+		TransportKind: kind,
+		Seed:          7,
 	}
-}
-
-func inprocessCfg(t *testing.T, execs int) Config {
-	cfg := multiprocCfg(t, execs)
-	cfg.Deploy = engine.DeployInProcess
-	cfg.ExecutorCmd = nil
+	if kind == engine.TransportMultiproc {
+		cfg.ExecutorCmd = helperExecutorCmd(t)
+	}
 	return cfg
 }
 
@@ -99,11 +97,11 @@ func TestMultiprocEquivalence(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			local, err := v.run(inprocessCfg(t, 2))
+			local, err := v.run(deployedCfg(t, 2, engine.TransportInProcess))
 			if err != nil {
 				t.Fatalf("inprocess: %v", err)
 			}
-			multi, err := v.run(multiprocCfg(t, 2))
+			multi, err := v.run(deployedCfg(t, 2, engine.TransportMultiproc))
 			if err != nil {
 				t.Fatalf("multiproc: %v", err)
 			}
@@ -146,12 +144,12 @@ func TestMultiprocSIGKILL(t *testing.T) {
 	withDeadline(t)
 	params := WCParams{DistinctKeys: 3_000, WordsPerLine: 8, Lines: 5_000}
 
-	clean, err := WordCount(inprocessCfg(t, 3), params)
+	clean, err := WordCount(deployedCfg(t, 3, engine.TransportInProcess), params)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 
-	cfg := multiprocCfg(t, 3)
+	cfg := deployedCfg(t, 3, engine.TransportMultiproc)
 	inj := chaos.New(11)
 	inj.KillExecutor = 1
 	inj.KillAfter = 2
@@ -186,7 +184,7 @@ func TestMultiprocSIGKILLPageRank(t *testing.T) {
 	}
 	params := GraphParams{Vertices: 800, Edges: 5_000, Skew: 1.1, Iterations: 3}
 
-	clean, err := PageRank(inprocessCfg(t, 3), params)
+	clean, err := PageRank(deployedCfg(t, 3, engine.TransportInProcess), params)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -196,7 +194,7 @@ func TestMultiprocSIGKILLPageRank(t *testing.T) {
 	}{{"adjacency", 8}, {"iteration", 22}} {
 		t.Run(c.name, func(t *testing.T) {
 			withDeadline(t)
-			cfg := multiprocCfg(t, 3)
+			cfg := deployedCfg(t, 3, engine.TransportMultiproc)
 			inj := chaos.New(13)
 			inj.KillExecutor = 1
 			inj.KillAfter = c.killAfter
@@ -232,7 +230,7 @@ func TestMultiprocReduceKillLineageRepair(t *testing.T) {
 	withDeadline(t)
 	params := WCParams{DistinctKeys: 3_000, WordsPerLine: 8, Lines: 5_000}
 
-	clean, err := WordCount(inprocessCfg(t, 3), params)
+	clean, err := WordCount(deployedCfg(t, 3, engine.TransportInProcess), params)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -242,7 +240,7 @@ func TestMultiprocReduceKillLineageRepair(t *testing.T) {
 	// five start and fires on its second reduce attempt — after both its
 	// map tasks registered outputs, so the loss is precisely their
 	// registrations.
-	cfg := multiprocCfg(t, 3)
+	cfg := deployedCfg(t, 3, engine.TransportMultiproc)
 	inj := chaos.New(17)
 	inj.KillExecutor = 1
 	inj.KillAfter = 5
@@ -279,7 +277,7 @@ func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	}
 	withDeadline(t)
 	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
-	cfg := multiprocCfg(t, 2).withDefaults()
+	cfg := deployedCfg(t, 2, engine.TransportMultiproc).withDefaults()
 	ctx := cfg.newEngine()
 	defer ctx.Close()
 	raw, err := json.Marshal(PlanSpec{Workload: "wc", Config: cfg, WC: params})
@@ -314,12 +312,12 @@ func TestMultiprocFetchFaultChaos(t *testing.T) {
 	withDeadline(t)
 	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
 
-	clean, err := WordCount(inprocessCfg(t, 2), params)
+	clean, err := WordCount(deployedCfg(t, 2, engine.TransportInProcess), params)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 
-	cfg := multiprocCfg(t, 2)
+	cfg := deployedCfg(t, 2, engine.TransportMultiproc)
 	cfg.FetchFailureRate = 0.25
 	cfg.MaxTaskRetries = 5
 	res, err := WordCount(cfg, params)

@@ -45,10 +45,12 @@ type Config struct {
 	// ShuffleSpillThreshold forces shuffle spilling at a per-buffer byte
 	// bound (<0 disables; 0 derives from budget).
 	ShuffleSpillThreshold int64
-	// TransportKind selects how shuffle map output crosses executors
-	// (default the in-process registry; engine.TransportTCP moves wire
-	// frames over loopback sockets).
+	// TransportKind selects the deployment (default in-process executors
+	// and registry; engine.TransportTCP moves wire frames over loopback
+	// sockets; engine.TransportMultiproc runs each executor as a spawned
+	// deca-executor process, ExecutorCmd its argv prefix, required then).
 	TransportKind engine.TransportKind `json:"-"`
+	ExecutorCmd   []string             `json:"-"`
 	// MaxTaskRetries / MaxExecutorFailures tune the fault-tolerant
 	// scheduler (0 = engine defaults; see engine.Config).
 	MaxTaskRetries      int
@@ -61,11 +63,6 @@ type Config struct {
 	// on the driver injector.
 	FetchFailureRate float64
 	Seed             int64
-	// Deploy selects the deployment (engine.DeployMultiproc runs each
-	// executor as a spawned deca-executor process; ExecutorCmd is its
-	// argv prefix, required then).
-	Deploy      engine.DeployKind `json:"-"`
-	ExecutorCmd []string          `json:"-"`
 	// Follower marks this process as one executor mirroring the plan —
 	// set by RunPlan, never by applications.
 	Follower *ctl.Follower `json:"-"`
@@ -84,7 +81,8 @@ func (c Config) withDefaults() Config {
 		c.Parallelism = 4
 	}
 	if c.Partitions <= 0 {
-		c.Partitions = c.Parallelism
+		// The engine's default: one partition per task slot of the cluster.
+		c.Partitions = c.Parallelism * max(c.NumExecutors, 1)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -126,7 +124,6 @@ func (c Config) newEngine() *engine.Context {
 		MaxTaskRetries:        c.MaxTaskRetries,
 		MaxExecutorFailures:   c.MaxExecutorFailures,
 		Chaos:                 c.chaosInjector(),
-		DeployKind:            c.Deploy,
 		ExecutorCmd:           c.ExecutorCmd,
 		CtlFollower:           c.Follower,
 		OpsAddr:               c.OpsAddr,
@@ -172,7 +169,7 @@ func run(name string, cfg Config, spec PlanSpec, body func(ctx *engine.Context) 
 	}
 	ctx := cfg.newEngine()
 	defer ctx.Close()
-	if cfg.Deploy == engine.DeployMultiproc {
+	if cfg.TransportKind == engine.TransportMultiproc {
 		spec.Config = cfg
 		raw, err := json.Marshal(spec)
 		if err != nil {
