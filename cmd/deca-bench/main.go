@@ -38,7 +38,7 @@ func run() int {
 	cfg := &opts.Base
 	var (
 		expFlag  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		execBin  = flag.String("executor-bin", "", "deca-executor binary for -transport multiproc (default: next to deca-bench, then $PATH)")
+		execBin  = flag.String("executor-bin", "", "deca-executor binary for -transport multiproc and the deploy and faults experiments' multiproc rows (default under multiproc: next to deca-bench, then $PATH)")
 		jsonDir  = flag.String("json", "", "also write each report as BENCH_<experiment>.json (wall, GC, checksum and counters per run) into this directory ('.' = cwd)")
 		listOnly = flag.Bool("list", false, "list experiment ids and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -64,13 +64,10 @@ func run() int {
 		runtime.MemProfileRate = *memRate
 	}
 
-	if cfg.TransportKind == engine.TransportMultiproc {
-		bin, err := resolveExecutorBin(*execBin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "deca-bench:", err)
-			return 1
-		}
-		cfg.ExecutorCmd = []string{bin}
+	var err error
+	if cfg.ExecutorCmd, err = executorCmd(cfg.TransportKind, *execBin); err != nil {
+		fmt.Fprintln(os.Stderr, "deca-bench:", err)
+		return 1
 	}
 
 	if *listOnly {
@@ -203,23 +200,28 @@ func writeJSON(dir string, rep *bench.Report, scale float64, elapsed time.Durati
 	return nil
 }
 
-// resolveExecutorBin locates the deca-executor binary for multiproc
-// deployments: the explicit flag, then next to this binary, then $PATH.
-func resolveExecutorBin(explicit string) (string, error) {
+// executorCmd is the deca-executor command: under -transport multiproc, or
+// wherever -executor-bin names one (the deploy and faults experiments' own
+// multiproc rows run with it), and nil otherwise. It is the explicit flag,
+// then the binary next to this one, then the one on $PATH.
+func executorCmd(kind engine.TransportKind, explicit string) ([]string, error) {
 	if explicit != "" {
 		if _, err := os.Stat(explicit); err != nil {
-			return "", fmt.Errorf("-executor-bin %s: %w", explicit, err)
+			return nil, fmt.Errorf("-executor-bin %s: %w", explicit, err)
 		}
-		return explicit, nil
+		return []string{explicit}, nil
+	}
+	if kind != engine.TransportMultiproc {
+		return nil, nil
 	}
 	if self, err := os.Executable(); err == nil {
 		sibling := filepath.Join(filepath.Dir(self), "deca-executor")
 		if _, err := os.Stat(sibling); err == nil {
-			return sibling, nil
+			return []string{sibling}, nil
 		}
 	}
 	if path, err := exec.LookPath("deca-executor"); err == nil {
-		return path, nil
+		return []string{path}, nil
 	}
-	return "", fmt.Errorf("deca-executor binary not found (build it with `go build ./cmd/deca-executor` and pass -executor-bin, or put it next to deca-bench)")
+	return nil, fmt.Errorf("deca-executor binary not found (build it with `go build ./cmd/deca-executor` and pass -executor-bin, or put it next to deca-bench)")
 }

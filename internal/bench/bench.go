@@ -391,4 +391,4 @@ func (o Options) clusterApps() (wc, lr, pr app) {
 
 // noExecutorBin is the row of an experiment whose multiproc rows need a
 // deca-executor binary it was not given.
-const noExecutorBin = "(multiproc rows skipped: no deca-executor binary — run deca-bench -transport multiproc)"
+const noExecutorBin = "(multiproc rows skipped: no deca-executor binary — run deca-bench -transport multiproc, or pass -executor-bin)"

@@ -8,9 +8,9 @@ import (
 // costs: WC, LR and PR in Deca mode on (a) in-process executors with
 // in-process shuffles, (b) in-process executors with TCP-framed shuffles,
 // and (c) real deca-executor OS processes driven over the control plane
-// (when an executor binary is available: deca-bench -transport multiproc
-// finds one next to itself, on $PATH or at -executor-bin). Each job is a
-// series: every deployment's checksum must match the in-process run's.
+// (when an executor binary is available: -executor-bin under any
+// -transport, or under multiproc one next to deca-bench or on $PATH). Each
+// job is a series: every deployment's checksum must match in-process's.
 func DeployComparison(o Options, rep *Report) error {
 	rep.PaperClaim = "the paper's cluster runs Deca across real executor JVMs; the answer is " +
 		"deployment-invariant while the data plane pays serialization and the control " +

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -27,8 +28,33 @@ func (c countingCodec) Decode(seg []byte) (int64, int) {
 }
 
 // TestMaterializeDecodesNothing: warming a Deca cache and counting it read
-// the count off the blocks; only an action that wants the records decodes.
+// the count off the blocks, and counting a ReduceByKey reads it off its
+// merged containers, spill runs pending or not and in every deployment;
+// only an action that wants the records decodes.
 func TestMaterializeDecodesNothing(t *testing.T) {
+	t.Run("cache", testCachedCountDecodesNothing)
+	for _, kind := range []TransportKind{TransportInProcess, TransportTCP} {
+		for _, mode := range []Mode{ModeSpark, ModeSparkSer, ModeDeca} {
+			for _, spill := range []int64{0, 256} {
+				t.Run(fmt.Sprintf("ReduceByKey/%s/%s/spill=%d", kind, mode, spill), func(t *testing.T) {
+					conf := recoveryConfig(t.TempDir())
+					conf.Mode, conf.TransportKind, conf.ShuffleSpillThreshold = mode, kind, spill
+					ctx := New(conf)
+					t.Cleanup(ctx.Close)
+					if got := checkReduceCount(t, ctx, spill > 0); mode == ModeDeca && got != countKeys {
+						t.Errorf("Count + Collect decoded %d keys, want Collect's %d", got, countKeys)
+					}
+				})
+			}
+		}
+	}
+	t.Run("ReduceByKey/multiproc/Deca/spill=256", func(t *testing.T) {
+		// The executor processes decode; their drained count is what shows.
+		checkReduceCount(t, programCtx(t, "count", TransportMultiproc), true)
+	})
+}
+
+func testCachedCountDecodesNothing(t *testing.T) {
 	const parts, perPart = 4, 500
 	ctx := testCtx(t, ModeDeca)
 	var decodes atomic.Int64
@@ -54,6 +80,50 @@ func TestMaterializeDecodesNothing(t *testing.T) {
 	if got := decodes.Load(); got != parts*perPart {
 		t.Errorf("Collect decoded %d records, want %d", got, parts*perPart)
 	}
+}
+
+// countKeys is how many keys countProgram's ReduceByKey holds.
+const countKeys = 331
+
+// countProgram is a ReduceByKey of countKeys keys whose key codec counts
+// its decodes into decodes, counted, then collected; counted is how many
+// of the decodes the Count took.
+func countProgram(ctx *Context, decodes *atomic.Int64) (n, counted int64, all []decompose.Pair[int64, int64], err error) {
+	var pairs []decompose.Pair[int64, int64]
+	for i := int64(0); i < 4000; i++ {
+		pairs = append(pairs, KV(i*7%countKeys, i))
+	}
+	ops := int64Ops(4)
+	ops.KeyCodec = countingCodec{decodes: decodes}
+	red := ReduceByKey(Parallelize(ctx, pairs, 4), ops, func(a, b int64) int64 { return a + b })
+	if n, err = Count(red); err != nil {
+		return 0, 0, nil, err
+	}
+	counted = decodes.Load()
+	all, err = Collect(red)
+	return n, counted, all, err
+}
+
+// checkReduceCount runs countProgram on ctx and returns the keys this
+// process decoded: Count decodes none and equals what Collect drains, and
+// a spilling run has spilled.
+func checkReduceCount(t *testing.T, ctx *Context, spills bool) int64 {
+	t.Helper()
+	var decodes atomic.Int64
+	n, counted, all, err := countProgram(ctx, &decodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted != 0 {
+		t.Errorf("Count decoded %d keys, want 0", counted)
+	}
+	if n != int64(len(all)) || n != countKeys {
+		t.Errorf("Count = %d, Collect drained %d records; want %d both", n, len(all), countKeys)
+	}
+	if spilled := ctx.Counters()[obs.ShuffleSpillBytes] > 0; spilled != spills {
+		t.Errorf("map buffers spilled: %v, want %v", spilled, spills)
+	}
+	return decodes.Load()
 }
 
 // TestCountAcrossLevelsAndSwap: Count agrees at every storage level, from

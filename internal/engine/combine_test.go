@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -43,27 +44,49 @@ func frameCount(frame []byte) int {
 	return int(n)
 }
 
-// The combine rule's two regimes, as WordCount shapes them: M map tasks
-// of 2 × 40 k words each, over R = 2 reducers, so 40 k Puts per map buffer.
+// The combine rule's regimes, as WordCount shapes them: M map tasks of
+// 2 × 40 k words each, over R = 2 reducers, so 40 k Puts per map buffer.
 const combineM, combineR, combineWords = 2, 2, 2 * 40_000
 
-// combineInput is the job's words and the closed form of their counts.
-// few: 50 keys in turn, every buffer meets every key of its reducer
-// hundreds of times. many: each map task's 40 k keys, drawn injectively
-// from a space of 640 k, twice over — a buffer's first 16 Ki Puts are all
-// distinct keys, and every key's second Put comes after them.
-func combineInput(few bool) ([]decompose.Pair[string, int64], map[string]int64) {
+// combineRegime is one row of the rule's table: a map task's i-th word, and
+// whether every buffer stops combining at its 1,024th Put.
+type combineRegime struct {
+	name  string
+	word  func(m, i int, rng *rand.Rand) string
+	stops bool
+}
+
+var combineRegimes = []combineRegime{
+	// 50 keys in turn: every buffer meets every key of its reducer hundreds
+	// of times.
+	{"few=true", func(_, i int, _ *rand.Rand) string { return fmt.Sprintf("w%d", i%50) }, false},
+	// Uniform over 10 k keys, 5 k a buffer: ≈ 926 of a buffer's first 1 Ki
+	// Puts are new keys, under the cutoff (972).
+	{"keys=5k", uniformWord(2 * 5_000), false},
+	// Uniform over 40 k keys, 20 k a buffer: ≈ 998 are new, over it.
+	{"keys=20k", uniformWord(2 * 20_000), true},
+	// Each map task's 40 k keys, drawn injectively from a space of 640 k,
+	// twice over: a buffer's first 1 Ki Puts are all distinct keys, and
+	// every key's second Put comes after them.
+	{"few=false", func(m, i int, _ *rand.Rand) string {
+		key := m*combineWords/2 + i%(combineWords/2)
+		return fmt.Sprintf("w%07x", key*7919%640_000)
+	}, true},
+}
+
+// uniformWord draws a word uniformly from a space of n.
+func uniformWord(n int) func(m, i int, rng *rand.Rand) string {
+	return func(_, _ int, rng *rand.Rand) string { return fmt.Sprintf("u%d", rng.Intn(n)) }
+}
+
+// input is the job's words and the closed form of their counts.
+func (c combineRegime) input() ([]decompose.Pair[string, int64], map[string]int64) {
 	var pairs []decompose.Pair[string, int64]
 	want := make(map[string]int64)
 	for m := 0; m < combineM; m++ {
+		rng := rand.New(rand.NewSource(int64(m) + 1))
 		for i := 0; i < combineWords; i++ {
-			var w string
-			if few {
-				w = fmt.Sprintf("w%d", i%50)
-			} else {
-				key := m*combineWords/2 + i%(combineWords/2)
-				w = fmt.Sprintf("w%07x", key*7919%640_000)
-			}
+			w := c.word(m, i, rng)
 			pairs = append(pairs, KV(w, int64(1)))
 			want[w]++
 		}
@@ -72,15 +95,18 @@ func combineInput(few bool) ([]decompose.Pair[string, int64], map[string]int64) 
 }
 
 // wantCounts is what each map output's frame must count, by map task and
-// reducer: the distinct keys a combining buffer was given, or every Put a
-// stopped one was (none of its keys repeats before the stop).
-func wantCounts(pairs []decompose.Pair[string, int64], few bool) (n [combineM][combineR]int) {
+// reducer: the distinct keys a combining buffer was given; for a stopped
+// one, the distinct keys of its first 1,024 Puts and every Put after them.
+func (c combineRegime) wantCounts(pairs []decompose.Pair[string, int64]) (n [combineM][combineR]int) {
 	hash := shuffle.StringKey().Hash
 	for m := 0; m < combineM; m++ {
+		var puts [combineR]int
 		seen := make(map[string]bool)
 		for _, p := range pairs[m*combineWords : (m+1)*combineWords] {
-			if !few || !seen[p.Key] {
-				n[m][shuffle.Partition(hash(p.Key), combineR)]++
+			r := shuffle.Partition(hash(p.Key), combineR)
+			puts[r]++
+			if c.stops && puts[r] > 1<<10 || !seen[p.Key] {
+				n[m][r]++
 			}
 			seen[p.Key] = true
 		}
@@ -96,21 +122,23 @@ func combineCtx(t *testing.T, mode Mode) (*Context, *frameRecorder) {
 	return ctx, rec
 }
 
-// TestMapSideCombineRule: a map buffer that finds few of its first 16 Ki
-// Puts' keys already present stops combining, in all three modes, and one
-// that finds many keeps on. Few keys: the counter stays 0 and each frame
-// counts the distinct keys its buffer was given. Many: every buffer stops
-// (the counter is M×R) and its frame counts every Put. Either way each
-// mode's answer is the closed form.
+// TestMapSideCombineRule: a map buffer that finds few of its first 1 Ki
+// Puts' keys already present (more than 95 % new) stops combining, in all
+// three modes, and one that finds more keeps on: 50-key and 5 k-key buffer
+// spaces combine, 20 k-key and 640 k-key ones stop. A combining row's
+// counter stays 0 and each frame counts the distinct keys its buffer was
+// given; a stopping row's counter is M×R and each frame counts its first
+// 1 Ki Puts' distinct keys and every Put after. Either way each mode's
+// answer is the closed form.
 func TestMapSideCombineRule(t *testing.T) {
-	for _, few := range []bool{true, false} {
-		pairs, want := combineInput(few)
-		counts, stopped := wantCounts(pairs, few), int64(combineM*combineR)
-		if few {
-			stopped = 0
+	for _, regime := range combineRegimes {
+		pairs, want := regime.input()
+		counts, stopped := regime.wantCounts(pairs), int64(0)
+		if regime.stops {
+			stopped = combineM * combineR
 		}
 		for _, mode := range []Mode{ModeSpark, ModeSparkSer, ModeDeca} {
-			t.Run(fmt.Sprintf("few=%v/%s", few, mode), func(t *testing.T) {
+			t.Run(regime.name+"/"+mode.String(), func(t *testing.T) {
 				ctx, rec := combineCtx(t, mode)
 				got, err := CollectMap(ReduceByKey(Parallelize(ctx, pairs, combineM), stringOps(combineR),
 					func(a, b int64) int64 { return a + b }))
@@ -142,7 +170,7 @@ func TestMapSideCombineRule(t *testing.T) {
 // the map stage's idempotence. (Deca frames: an Object frame enumerates a
 // Go map, in no fixed order.)
 func TestUncombinedMapOutputRerunsIdentically(t *testing.T) {
-	pairs, want := combineInput(false)
+	pairs, want := combineRegimes[len(combineRegimes)-1].input()
 	ctx, rec := combineCtx(t, ModeDeca)
 	ctx.testAfterMapStage = func(id transport.ShuffleID) {
 		var ids []transport.MapOutputID

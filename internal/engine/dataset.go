@@ -24,6 +24,8 @@ type Dataset[T any] struct {
 	// walk, where set, walks partition p as compute does, each record's
 	// memory lent to yield for the call if lend is (keyedShuffle; Map's rule).
 	walk func(p int, lend bool, yield func(T) bool)
+	// size, where set, counts partition p's records without walking them.
+	size func(p int) (int64, error)
 
 	// Caching state (§4.2 "cache blocks" container). blockMu serializes
 	// block production per partition so concurrent tasks neither compute a
@@ -185,8 +187,8 @@ func (d *Dataset[T]) Iterate(p int, yield func(T) bool) error {
 }
 
 // count returns partition p's record count. A persisted partition is
-// materialized if needed and answers from its block — no record is decoded
-// to be counted.
+// materialized if needed and answers from its block, a dataset with a size
+// from its container — no record is decoded to be counted.
 func (d *Dataset[T]) count(p int) (int64, error) {
 	if d.persisted {
 		blk, unpin, err := d.pinBlock(p)
@@ -195,6 +197,9 @@ func (d *Dataset[T]) count(p int) (int64, error) {
 		}
 		defer unpin()
 		return int64(blk.Count()), nil
+	}
+	if d.size != nil {
+		return d.size(p)
 	}
 	var n int64
 	d.compute(p)(func(T) bool {

@@ -26,9 +26,10 @@ const (
 
 // fetchResult is one map output delivered by the prefetch pipeline.
 type fetchResult struct {
-	pl  transport.Payload
-	ok  bool  // false: nothing registered under the id (missing output)
-	err error // the final transient fetch error, after retries ran out
+	pl   transport.Payload
+	ok   bool  // false: nothing registered under the id (missing output)
+	err  error // the final transient fetch error, after retries ran out
+	full bool  // delivered into its pipeline slot, not yet taken by wait
 }
 
 // fetchPipeline overlaps a reduce task's M map-output fetches with its
@@ -60,13 +61,13 @@ type fetchPipeline struct {
 	maxBytes int64
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	inFlight int64 // bytes fetched but not yet merged
-	next     int   // next map task index to fetch
+	cond     *sync.Cond // under mu: budget freed, a slot filled, or aborted
+	inFlight int64      // bytes fetched but not yet merged
+	next     int        // next map task index to fetch
 	aborted  bool
+	slots    []fetchResult // one single-use slot per map task, under mu
 
-	slots []chan fetchResult // one single-use slot per map task
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // startFetchPipeline launches the workers for reduce task r on executor
@@ -82,12 +83,9 @@ func (c *Context) startFetchPipeline(shuf transport.ShuffleID, r, m int, ex *Exe
 		m:        m,
 		open:     open,
 		maxBytes: c.fetchBudget,
-		slots:    make([]chan fetchResult, m),
+		slots:    make([]fetchResult, m),
 	}
 	fp.cond = sync.NewCond(&fp.mu)
-	for i := range fp.slots {
-		fp.slots[i] = make(chan fetchResult, 1)
-	}
 	workers := max(min(c.fetchWorkers, m), 1)
 	fp.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -115,14 +113,15 @@ func (fp *fetchPipeline) worker() {
 		id := transport.MapOutputID{Shuffle: fp.shuf, MapTask: m, Reduce: fp.r}
 		res := fp.fetchWithRetry(id)
 		if res.ok {
-			charge := fetchCharge(res.pl)
-			fp.mu.Lock()
-			fp.inFlight += charge
-			fp.mu.Unlock()
-			fp.addInFlightGauge(charge)
+			fp.addInFlightGauge(fetchCharge(res.pl))
 			fp.ctx.noteFetch(fp.ex, res.pl)
 		}
-		fp.slots[m] <- res // cap 1: never blocks
+		fp.mu.Lock()
+		fp.inFlight += fetchCharge(res.pl)
+		res.full = true
+		fp.slots[m] = res
+		fp.mu.Unlock()
+		fp.cond.Broadcast()
 	}
 }
 
@@ -189,7 +188,14 @@ func fetchCharge(pl transport.Payload) int64 {
 // in order; consuming releases nothing — call merged once the payload's
 // records are folded in, so its bytes leave the in-flight budget.
 func (fp *fetchPipeline) wait(m int) fetchResult {
-	return <-fp.slots[m]
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	for !fp.slots[m].full {
+		fp.cond.Wait()
+	}
+	res := fp.slots[m]
+	fp.slots[m] = fetchResult{}
+	return res
 }
 
 // merged returns a consumed payload's charge to the in-flight budget.
@@ -212,12 +218,9 @@ func (fp *fetchPipeline) shutdown() {
 	fp.mu.Unlock()
 	fp.cond.Broadcast()
 	fp.wg.Wait()
-	for _, ch := range fp.slots {
-		select {
-		case res := <-ch:
-			releasePayloads(res.pl) // a miss or an error carries none
-		default:
-		}
+	for i := range fp.slots {
+		releasePayloads(fp.slots[i].pl) // a taken or empty slot, a miss or an error carries none
+		fp.slots[i] = fetchResult{}
 	}
 	// Whatever was fetched but never merged leaves the gauge here, so an
 	// aborted attempt cannot leak in-flight bytes into the ops view.

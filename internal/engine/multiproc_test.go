@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +56,10 @@ var mirrorPrograms = map[string]func(ctx *Context) error{
 		return err
 	},
 	"unconverged": mirrorUnconverged,
+	"count": func(ctx *Context) error {
+		_, _, _, err := countProgram(ctx, new(atomic.Int64))
+		return err
+	},
 }
 
 // programCtx starts a Context of deployment kind under program's config;
@@ -87,10 +92,11 @@ func recoveryConfig(spillDir string) Config {
 
 // programConfig is the config every process of a mirrored program runs
 // under: recoveryConfig, with a threshold that makes "roles" spill its
-// shuffle buffers so its counter comparison covers spill accounting.
+// shuffle buffers so its counter comparison covers spill accounting, and
+// "count" so its merged containers hold runs when they are counted.
 func programConfig(program, spillDir string) Config {
 	conf := recoveryConfig(spillDir)
-	if program == "roles" {
+	if program == "roles" || program == "count" {
 		conf.ShuffleSpillThreshold = 256
 	}
 	return conf

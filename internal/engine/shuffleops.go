@@ -97,14 +97,14 @@ func shuffleStageKey(sh transport.ShuffleID, epoch int, phase string) string {
 
 // uncombinedAfter is the Put at which a combining map buffer is judged
 // (DESIGN.md "Where the map side stops combining").
-const uncombinedAfter = 16 << 10
+const uncombinedAfter = 1 << 10
 
 // shuffleMapBody is one map task: fill one buffer per reduce partition
 // from partition m of d, spilling under the derived threshold, and
 // register each with the transport — wrapped in a payload carrying the
 // buffer's frame encoder (payloadFor), so a networked transport can frame
 // it without knowing its type. stop (a combining sink's) ends the combine
-// of a buffer whose first uncombinedAfter Puts were over half new keys.
+// of a buffer whose first uncombinedAfter Puts were over 95 % new keys.
 func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 	ctx *Context,
 	d *Dataset[decompose.Pair[K, V]],
@@ -144,7 +144,7 @@ func shuffleMapBody[K comparable, V any, S pairSink[K, V]](
 		bufs[r].Put(p.Key, p.Value)
 		records++
 		spill := trackers[r].add()
-		if stop != nil && trackers[r].puts == uncombinedAfter && bufs[r].Len()*2 > uncombinedAfter {
+		if stop != nil && trackers[r].puts == uncombinedAfter && bufs[r].Len()*20 > 19*uncombinedAfter {
 			stop(bufs[r])
 			ex.counters[obs.ShuffleUncombined].Add(1) // a variable the walk captured would be an object per task
 		}
@@ -470,7 +470,8 @@ type sinkShape[K comparable, V, T any, S pairSink[K, V]] struct {
 	// drain yields what s holds; lend says the consumer borrows each record
 	// for one yield (Map's rule), which a sink may use or ignore.
 	drain func(s S, lend bool, yield func(T) bool) error
-	stop  func(S) // ends a map buffer's combine; nil where S does not combine
+	count func(S) (int64, error) // what drain would yield, decoding nothing; nil: only a drain can tell
+	stop  func(S)                // ends a map buffer's combine; nil where S does not combine
 }
 
 // keyedShuffle is the shell ReduceByKey and GroupByKey share: a
@@ -508,12 +509,7 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 	}
 
 	walk := func(p int, lend bool, yield func(T) bool) {
-		buf, err := st.pin(p)
-		if err != nil {
-			panic(err)
-		}
-		defer st.unpin(p)
-		if err := sh.drain(buf.(S), lend, yield); err != nil {
+		if _, err := pinned(st, p, func(buf any) (any, error) { return nil, sh.drain(buf.(S), lend, yield) }); err != nil {
 			panic(err)
 		}
 	}
@@ -521,6 +517,11 @@ func keyedShuffle[K comparable, V, T any, S pairSink[K, V]](
 		return func(yield func(T) bool) { walk(p, false, yield) }
 	})
 	out.walk = walk
+	if sh.count != nil {
+		out.size = func(p int) (int64, error) {
+			return pinned(st, p, func(buf any) (int64, error) { return sh.count(buf.(S)) })
+		}
+	}
 	st.datasetID = out.id
 	ctx.shufMu.Lock()
 	ctx.shuffleReg[out.id] = st
@@ -565,6 +566,11 @@ func ReduceByKey[K comparable, V any](
 			}
 			return s.Drain(emit)
 		},
+		// A merged container holds each key once, once its runs are folded in.
+		count: func(s aggSink[K, V]) (int64, error) {
+			err := s.FoldRuns()
+			return int64(s.Len()), err
+		},
 		stop: aggSink[K, V].StopCombining,
 	})
 }
@@ -594,16 +600,13 @@ func GroupByKey[K comparable, V any](
 	if deca {
 		st := ctx.shuffleOf(out.id).(*shuffleState[decompose.Pair[K, []V]])
 		out.fromPages = func(p int, ex *Executor) (cache.Block, error) {
-			buf, err := st.pin(p)
-			if err != nil {
-				return nil, err
-			}
-			defer st.unpin(p)
-			g, n, err := buf.(*shuffle.DecaGroup[K, V]).WriteLists(ex.mem, out.storage.Codec)
-			if err != nil {
-				return nil, err
-			}
-			return cache.NewDecaBlockFromGroup(ex.mem, out.storage.Codec, g, n), nil
+			return pinned(st, p, func(buf any) (cache.Block, error) {
+				g, n, err := buf.(*shuffle.DecaGroup[K, V]).WriteLists(ex.mem, out.storage.Codec)
+				if err != nil {
+					return nil, err
+				}
+				return cache.NewDecaBlockFromGroup(ex.mem, out.storage.Codec, g, n), nil
+			})
 		}
 	}
 	return out
@@ -759,6 +762,16 @@ func (st *shuffleState[T]) pin(p int) (any, error) {
 func (st *shuffleState[T]) unpin(p int) {
 	st.partMu[p].Unlock()
 	st.gate.RUnlock()
+}
+
+// pinned runs f on partition p's merged output, pinned for the call.
+func pinned[T, R any](st *shuffleState[T], p int, f func(buf any) (R, error)) (r R, err error) {
+	buf, err := st.pin(p)
+	if err != nil {
+		return r, err
+	}
+	defer st.unpin(p)
+	return f(buf)
 }
 
 func (st *shuffleState[T]) Release() {

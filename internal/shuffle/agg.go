@@ -706,12 +706,12 @@ func (b *DecaAgg[K, V]) MergeFrom(src *DecaAgg[K, V]) error { return b.mergeFrom
 // it lies; a collision combines the source value into b's record in place
 // and marks the source record dead. A slot only ever points at a record the
 // walk has checked against its page, and the walk must find exactly n live
-// ones. An empty b sizes its table from n first (capped: n may be a hostile
-// header).
+// ones. An empty b sizes its table from n first, capped at inlineKeys: n may
+// be a hostile header, or an uncombined frame's count of records, not keys.
 func (b *DecaAgg[K, V]) absorbPages(base, n int) error {
 	ix := &b.idx
 	if ix.n == 0 {
-		ix.reserve(min(n, stagePresize))
+		ix.reserve(min(n, inlineKeys))
 	}
 	live, it := 0, b.records(base)
 	for got := it.nextBatch(); got > 0; got = it.nextBatch() {

@@ -465,7 +465,7 @@ func (b *DecaGroup[K, V]) MergeFrom(src *DecaGroup[K, V]) error { return b.merge
 func (b *DecaGroup[K, V]) absorbPages(base, n int) error {
 	ix := &b.idx
 	if ix.n == 0 {
-		ix.reserve(min(n, stagePresize))
+		ix.reserve(min(n, inlineKeys))
 	}
 	var live, nodes, values int
 	var links, ends uint64 // Σ hash(node) − Σ hash(link to it); Σ hash(nil link field) − Σ hash(tail link)

@@ -69,8 +69,9 @@ const (
 	segBits  = 15
 	segSlots = 1 << segBits
 	// inlineSegs is how many segments the directory holds without an object
-	// of its own: a table of 3 MiB, 196 k keys.
+	// of its own: a table of 3 MiB, inlineKeys keys.
 	inlineSegs = 8
+	inlineKeys = inlineSegs * segSlots * 3 / 4
 	// probeBatch is how many probes run as one pipeline (touch): enough to
 	// keep every miss buffer of a core busy; 8 to 64 measure the same.
 	probeBatch = 16

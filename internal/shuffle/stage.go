@@ -44,10 +44,10 @@ type Staged struct {
 	recs []byte
 }
 
-// stagePresize caps how many entries a stage or a fold reserves room for
-// on the strength of the count header alone; past it the record bytes and
-// the index grow as records actually arrive, so a corrupt count cannot turn
-// into a huge allocation.
+// stagePresize caps how many records a stage reserves room for on the
+// strength of the count header alone; past it the record bytes grow as
+// records actually arrive, so a corrupt count cannot turn into a huge
+// allocation. (A fold's index is capped at inlineKeys.)
 const stagePresize = 1 << 18
 
 // Stage stages a frame inside the destination executor: pages restore into

@@ -158,17 +158,18 @@ func TestLocalServeReadsTheFrameInPlace(t *testing.T) {
 
 // connFetchBytes bounds the Go heap a new socket connection and one fetch
 // of a 1-page Deca frame over it allocate, on the dialing and the serving
-// side together, staging included: 7,432-7,732 B, of which the client's
-// 4 KiB response reader is the most; the bound is 7,732 B plus 25 %. A
-// connection that kept a 4 KiB bufio.Writer on each side and a 4 KiB
-// request reader on the serving one measured 19,752-20,324 B.
-const connFetchBytes = 9_665
+// side together, staging included: 3,320-3,365 B with the client's 64 B
+// response reader; the bound is 3,365 B plus 25 %. A default 4 KiB
+// response reader measured 7,432-7,732 B, and a connection that also kept
+// a 4 KiB bufio.Writer on each side and a 4 KiB request reader on the
+// serving one 19,752-20,324 B.
+const connFetchBytes = 4_206
 
 // TestConnectionKeepsNoWriteBuffer: a data connection keeps only the
-// buffer its responses are read through. The server reads a request
-// through a reader sized for one and writes a response's header with its
-// frame, and the client writes a request in one write, so neither side
-// allocates a write buffer per connection.
+// buffer its responses are read through, sized for a response's header.
+// The server reads a request through a reader sized for one and writes a
+// response's header with its frame, and the client writes a request in one
+// write, so neither side allocates a write buffer per connection.
 // (The race detector changes allocation counts, so plain builds only.)
 func TestConnectionKeepsNoWriteBuffer(t *testing.T) {
 	srv, err := transport.NewDataServer("")

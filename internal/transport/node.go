@@ -28,6 +28,7 @@ const (
 	// maxWireFrame bounds a response frame length read off the wire.
 	maxWireFrame = 1 << 32
 	maxRequest   = 3 * binary.MaxVarintLen64 // the longest FETCH request
+	respReader   = 64                        // a client's response buffer: a header, a frame's leading varints
 	// connPoolSize caps idle pooled connections per destination node.
 	connPoolSize = 4
 	// frameReadChunk is the granularity at which a fetching client
@@ -272,7 +273,7 @@ func (c *DataClient) getConn(addr string) (*dataConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
 	}
-	return &dataConn{c: nc, br: bufio.NewReader(nc)}, nil
+	return &dataConn{c: nc, br: bufio.NewReaderSize(nc, respReader)}, nil
 }
 
 // putConn returns a healthy connection to its pool. After Close — or
