@@ -78,9 +78,6 @@ func NewObjectBlock[T any](values []T, estimate func(T) int, ser serial.Serializ
 	return &ObjectBlock[T]{values: values, count: len(values), memBytes: total, ser: ser, estimate: estimate}
 }
 
-// Values returns the resident records; nil when swapped out.
-func (b *ObjectBlock[T]) Values() []T { return b.values }
-
 // Each yields the resident records in order.
 func (b *ObjectBlock[T]) Each(yield func(T) bool) {
 	for _, v := range b.values {

@@ -1,15 +1,15 @@
 // Package cache implements the cached-RDD container of the paper (§4.2):
-// a block store keyed by (dataset, partition) with three storage levels —
-// plain object arrays (Spark), serialized bytes (SparkSer/Kryo), and
-// decomposed page groups (Deca) — plus the LRU eviction and disk-swap
-// machinery of Appendix C. A cached dataset's lifetime is explicit: it
-// ends at Unpersist, at which point every block (and for Deca, every page
-// group) is released at once.
+// a block store keyed by (dataset, partition) with three representations,
+// one per mode — plain object arrays (Spark), serialized bytes
+// (SparkSer/Kryo), and decomposed page groups (Deca) — plus the LRU
+// eviction and disk-swap machinery of Appendix C. A cached dataset's
+// lifetime is explicit: it ends at Unpersist, at which point every block
+// (and for Deca, every page group) is released at once.
 //
 // A block is immutable from the moment it is built, which makes eviction
 // write-once: the first SwapOut writes the block's swap file and the file
 // lives until the block is dropped (Unpersist, Clear, replacement, or a
-// non-swappable eviction). What happens after that depends on the level.
+// non-swappable eviction). What happens after that depends on the kind.
 // An object or serialized block (the Spark baselines) is read back by
 // SwapIn and kept, later SwapOuts only free its memory, and the LRU decides
 // which of them are resident. A Deca block's file holds its pages exactly

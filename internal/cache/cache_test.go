@@ -40,7 +40,7 @@ func TestPutGetUnpersist(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
-	got := b.(*ObjectBlock[int64]).Values()
+	got := slices.Collect(b.(*ObjectBlock[int64]).Each)
 	if !reflect.DeepEqual(got, []int64{1, 2, 3}) {
 		t.Errorf("values = %v", got)
 	}
@@ -85,7 +85,7 @@ func TestLRUEvictionSwapsOldest(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get(a): ok=%v err=%v", ok, err)
 	}
-	if got := blk.(*ObjectBlock[int64]).Values(); !reflect.DeepEqual(got, []int64{1, 2}) {
+	if got := slices.Collect(blk.(*ObjectBlock[int64]).Each); !reflect.DeepEqual(got, []int64{1, 2}) {
 		t.Errorf("swapped-in values = %v", got)
 	}
 	m.Unpin(a)
@@ -261,7 +261,7 @@ func TestPutReplacesExisting(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after replace")
 	}
-	if got := blk.(*ObjectBlock[int64]).Values(); !reflect.DeepEqual(got, []int64{2}) {
+	if got := slices.Collect(blk.(*ObjectBlock[int64]).Each); !reflect.DeepEqual(got, []int64{2}) {
 		t.Errorf("values = %v", got)
 	}
 	m.Unpin(id)

@@ -57,7 +57,7 @@ func TestDecaBuildAllocatesOnlyItsPages(t *testing.T) {
 				emit(int64(i))
 			}
 		})
-		d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+		d.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := Materialize(d); err != nil {

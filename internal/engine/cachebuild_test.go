@@ -63,7 +63,7 @@ func testCachedCountDecodesNothing(t *testing.T) {
 			emit(int64(p)*perPart + i)
 		}
 	})
-	d.Persist(StorageDeca, Storage[int64]{Codec: countingCodec{decodes: &decodes}})
+	d.Persist(Storage[int64]{Codec: countingCodec{decodes: &decodes}})
 	if err := Materialize(d); err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +120,25 @@ func checkReduceCount(t *testing.T, ctx *Context, spills bool) int64 {
 	if n != int64(len(all)) || n != countKeys {
 		t.Errorf("Count = %d, Collect drained %d records; want %d both", n, len(all), countKeys)
 	}
+	ctx.SyncClusterMetrics() // an executor process's spill shows in its next heartbeat
 	if spilled := ctx.Counters()[obs.ShuffleSpillBytes] > 0; spilled != spills {
 		t.Errorf("map buffers spilled: %v, want %v", spilled, spills)
 	}
 	return decodes.Load()
 }
 
-// TestCountAcrossLevelsAndSwap: Count agrees at every storage level, from
-// the blocks as first built and again after a budget a fraction of the
-// dataset has pushed them to disk — and, for the two levels that are read
-// back, through it: a swapped-out Deca block is counted and collected from
-// its file's mapping, with nothing swapped in.
+// TestCountAcrossLevelsAndSwap: Count agrees in every mode's cache block,
+// from the blocks as first built and again after a budget a fraction of the
+// dataset has pushed them to disk — and, for the two modes whose blocks are
+// read back, through it: a swapped-out Deca block is counted and collected
+// from its file's mapping, with nothing swapped in.
 func TestCountAcrossLevelsAndSwap(t *testing.T) {
 	const parts, perPart = 8, 200
-	for _, level := range []StorageLevel{StorageObjects, StorageSerialized, StorageDeca} {
-		t.Run(level.String(), func(t *testing.T) {
+	for _, tc := range cacheModes {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx := New(Config{
 				Parallelism:     2,
-				Mode:            ModeDeca,
+				Mode:            tc.mode,
 				PageSize:        1024,
 				MemoryBudget:    2 * 1024,
 				StorageFraction: 0.5,
@@ -149,7 +150,7 @@ func TestCountAcrossLevelsAndSwap(t *testing.T) {
 					emit(int64(p)*1000 + i)
 				}
 			})
-			d.Persist(level, Storage[int64]{
+			d.Persist(Storage[int64]{
 				Estimate: func(int64) int { return 16 },
 				Ser:      serial.Int64{},
 				Codec:    decompose.Int64Codec{},
@@ -166,7 +167,7 @@ func TestCountAcrossLevelsAndSwap(t *testing.T) {
 				t.Fatalf("Collect = %d records, %v", len(all), err)
 			}
 			st := ctx.Counters()
-			if readBack := level != StorageDeca; st[obs.CacheSwapOutBytes] == 0 || (st[obs.CacheSwapInBytes] != 0) != readBack {
+			if readBack := tc.mode != ModeDeca; st[obs.CacheSwapOutBytes] == 0 || (st[obs.CacheSwapInBytes] != 0) != readBack {
 				t.Fatalf("swapped out %d bytes, swapped in %d (read back: %v): %v",
 					st[obs.CacheSwapOutBytes], st[obs.CacheSwapInBytes], readBack, st)
 			}
@@ -198,7 +199,7 @@ func TestFailedBuildLeavesNoPages(t *testing.T) {
 					panic(failure)
 				}
 			})
-			d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+			d.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
 			err := Materialize(d)
 			if err == nil {
 				t.Fatal("Materialize succeeded over a failing partition")
@@ -243,7 +244,7 @@ func TestGroupByKeyBlockFromPages(t *testing.T) {
 	}
 	lists := decompose.PairCodec[int64, []int64]{KeyCodec: decompose.Int64Codec{}, ValueCodec: decompose.Int64SliceCodec{}}
 	cached := GroupByKey(Parallelize(ctx, pairs, 4), int64Ops(3))
-	cached.Persist(StorageDeca, Storage[decompose.Pair[int64, []int64]]{Codec: lists})
+	cached.Persist(Storage[decompose.Pair[int64, []int64]]{Codec: lists})
 	got, err := CollectMap(cached)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +256,7 @@ func TestGroupByKeyBlockFromPages(t *testing.T) {
 
 	vectors := decompose.PairCodec[int64, []int64]{KeyCodec: decompose.Int64Codec{}, ValueCodec: decompose.Int64VecCodec{Dim: 1}}
 	refused := GroupByKey(Parallelize(ctx, pairs, 4), int64Ops(3))
-	refused.Persist(StorageDeca, Storage[decompose.Pair[int64, []int64]]{Codec: vectors})
+	refused.Persist(Storage[decompose.Pair[int64, []int64]]{Codec: vectors})
 	var ce *shuffle.CodecError
 	if err := Materialize(refused); !errors.As(err, &ce) {
 		t.Fatalf("materializing with a vector codec: %v, want a *shuffle.CodecError", err)

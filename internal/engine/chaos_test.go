@@ -196,7 +196,7 @@ func TestBlacklistTreatsCacheBlocksAsMisses(t *testing.T) {
 			emit(int64(p)*1000 + i)
 		}
 	})
-	d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+	d.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
 	sum := func() int64 {
 		total, _, err := Reduce(Map(d, func(v int64) int64 { return v }),
 			func(a, b int64) int64 { return a + b })

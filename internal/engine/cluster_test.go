@@ -231,7 +231,7 @@ func TestCacheBlocksAreExecutorLocal(t *testing.T) {
 			emit(int64(p)*100 + i)
 		}
 	})
-	d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+	d.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
 	if err := Materialize(d); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ type Dataset[T any] struct {
 	// Caching state (§4.2 "cache blocks" container). blockMu serializes
 	// block production per partition so concurrent tasks neither compute a
 	// partition twice nor replace a block another task has pinned.
-	level     StorageLevel
 	storage   Storage[T]
 	blockMu   []sync.Mutex
 	persisted bool
@@ -39,38 +38,10 @@ type Dataset[T any] struct {
 	fromPages func(p int, ex *Executor) (cache.Block, error)
 }
 
-// StorageLevel selects the cache representation of a persisted dataset.
-type StorageLevel int
-
-const (
-	// StorageNone: not cached; recomputed on each use.
-	StorageNone StorageLevel = iota
-	// StorageObjects: plain object arrays (Spark MEMORY).
-	StorageObjects
-	// StorageSerialized: Kryo-style bytes (SparkSer, MEMORY_SER).
-	StorageSerialized
-	// StorageDeca: decomposed page groups (Deca).
-	StorageDeca
-)
-
-func (l StorageLevel) String() string {
-	switch l {
-	case StorageNone:
-		return "none"
-	case StorageObjects:
-		return "objects"
-	case StorageSerialized:
-		return "serialized"
-	case StorageDeca:
-		return "deca-pages"
-	default:
-		return fmt.Sprintf("StorageLevel(%d)", int(l))
-	}
-}
-
-// Storage bundles the per-type helpers each level needs: a heap-size
-// estimator for object blocks, a serializer for serialized blocks and
-// swap, and a codec for Deca page blocks.
+// Storage bundles the per-type helpers a cache block may need: a heap-size
+// estimator for ModeSpark's object blocks, a serializer for ModeSparkSer's
+// serialized blocks and an object block's swap, and a codec for ModeDeca's
+// page blocks. A mode ignores the helpers it does not use.
 type Storage[T any] struct {
 	Estimate func(T) int
 	Ser      serial.Serializer[T]
@@ -136,26 +107,25 @@ func (d *Dataset[T]) Partitions() int { return d.parts }
 // ID returns the dataset's unique id.
 func (d *Dataset[T]) ID() int { return d.id }
 
-// Persist marks the dataset for caching at the given level on first
-// materialization. It returns d for chaining. Level requirements:
-// StorageObjects wants Estimate (and Ser to allow swap), StorageSerialized
-// requires Ser, StorageDeca requires Codec — enforced here so the failure
-// happens at plan time, not mid-job.
-func (d *Dataset[T]) Persist(level StorageLevel, s Storage[T]) *Dataset[T] {
-	switch level {
-	case StorageSerialized:
+// Persist marks the dataset for caching on first materialization, in the
+// representation its context's mode picks (§6: the modes differ in how a
+// cache block is held). It returns d for chaining. ModeSpark wants Estimate
+// (and Ser to allow swap), ModeSparkSer requires Ser, ModeDeca requires
+// Codec — enforced here so the failure happens at plan time, not mid-job.
+func (d *Dataset[T]) Persist(s Storage[T]) *Dataset[T] {
+	switch d.ctx.Mode() {
+	case ModeSparkSer:
 		if s.Ser == nil {
-			panic("engine: StorageSerialized requires Storage.Ser")
+			panic("engine: ModeSparkSer requires Storage.Ser")
 		}
-	case StorageDeca:
+	case ModeDeca:
 		if s.Codec == nil {
-			panic("engine: StorageDeca requires Storage.Codec")
+			panic("engine: ModeDeca requires Storage.Codec")
 		}
 	}
-	d.level = level
 	d.storage = s
 	d.blockMu = make([]sync.Mutex, d.parts)
-	d.persisted = level != StorageNone
+	d.persisted = true
 	return d
 }
 
@@ -247,23 +217,24 @@ func (d *Dataset[T]) pinBlock(p int) (cache.Block, func(), error) {
 	return blk, unpin, nil
 }
 
-// buildBlock computes partition p straight into its cache representation:
-// each record is marshalled or decomposed as the fused chain yields it, and
-// only the object level, whose representation is the slice, collects one.
+// buildBlock computes partition p straight into its mode's cache
+// representation: each record is marshalled or decomposed as the fused chain
+// yields it, and only ModeSpark, whose representation is the slice, collects
+// one.
 func (d *Dataset[T]) buildBlock(p int, ex *Executor) (cache.Block, error) {
 	records := iter.Seq[T](d.compute(p))
-	switch d.level {
-	case StorageObjects:
+	switch mode := d.ctx.Mode(); mode {
+	case ModeSpark:
 		return cache.NewObjectBlock(slices.Collect(records), d.storage.Estimate, d.storage.Ser), nil
-	case StorageSerialized:
+	case ModeSparkSer:
 		return cache.BuildSerializedBlock(records, d.storage.Ser), nil
-	case StorageDeca:
+	case ModeDeca:
 		if d.fromPages != nil {
 			return d.fromPages(p, ex)
 		}
 		return cache.BuildDecaBlock(ex.mem, d.storage.Codec, records), nil
 	default:
-		return nil, fmt.Errorf("engine: dataset %d has unsupported storage level %v", d.id, d.level)
+		return nil, fmt.Errorf("engine: dataset %d cannot be cached in unknown %v", d.id, mode)
 	}
 }
 
@@ -276,8 +247,8 @@ func (d *Dataset[T]) buildBlock(p int, ex *Executor) (cache.Block, error) {
 //
 //deca:owns
 func DecaBlockFor[T any](d *Dataset[T], p int) (*cache.DecaBlock[T], func(), error) {
-	if d.level != StorageDeca {
-		return nil, nil, fmt.Errorf("engine: dataset %d is not Deca-persisted (level %v)", d.id, d.level)
+	if !d.persisted || d.ctx.Mode() != ModeDeca {
+		return nil, nil, fmt.Errorf("engine: dataset %d is not persisted in ModeDeca (%v)", d.id, d.ctx.Mode())
 	}
 	blk, unpin, err := d.pinBlock(p)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"deca/internal/cache"
 	"deca/internal/decompose"
 	"deca/internal/obs"
 	"deca/internal/serial"
@@ -149,16 +150,23 @@ func TestReduceAction(t *testing.T) {
 	}
 }
 
+// cacheModes names each mode by the cache block it persists a dataset as.
+var cacheModes = []struct {
+	mode  Mode
+	name  string
+	block cache.Block // a nil block of the mode's type
+}{
+	{ModeSpark, "objects", (*cache.ObjectBlock[int64])(nil)},
+	{ModeSparkSer, "serialized", (*cache.SerializedBlock[int64])(nil)},
+	{ModeDeca, "deca-pages", (*cache.DecaBlock[int64])(nil)},
+}
+
+// TestCachingAllLevels: each mode caches a persisted dataset as its own
+// block type, reads it back without recomputing, and recomputes after
+// Unpersist.
 func TestCachingAllLevels(t *testing.T) {
-	for _, tc := range []struct {
-		level StorageLevel
-		mode  Mode
-	}{
-		{StorageObjects, ModeSpark},
-		{StorageSerialized, ModeSparkSer},
-		{StorageDeca, ModeDeca},
-	} {
-		t.Run(tc.level.String(), func(t *testing.T) {
+	for _, tc := range cacheModes {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx := testCtx(t, tc.mode)
 			var computes atomic.Int64
 			d := Generate(ctx, 2, func(p int, emit func(int64)) {
@@ -167,7 +175,7 @@ func TestCachingAllLevels(t *testing.T) {
 					emit(int64(p)*100 + i)
 				}
 			})
-			d.Persist(tc.level, Storage[int64]{
+			d.Persist(Storage[int64]{
 				Estimate: func(int64) int { return 16 },
 				Ser:      serial.Int64{},
 				Codec:    decompose.Int64Codec{},
@@ -178,6 +186,16 @@ func TestCachingAllLevels(t *testing.T) {
 			}
 			if n := computes.Load(); n != 2 {
 				t.Fatalf("first pass computed %d partitions, want 2", n)
+			}
+			id := cache.BlockID{Dataset: d.ID(), Partition: 0}
+			ex := ctx.executorFor(0)
+			blk, ok, err := ex.cache.Get(id)
+			if err != nil || !ok {
+				t.Fatalf("partition 0 is not cached: %v, %v", ok, err)
+			}
+			ex.cache.Unpin(id)
+			if reflect.TypeOf(blk) != reflect.TypeOf(tc.block) {
+				t.Errorf("%v cached a %T, want a %T", tc.mode, blk, tc.block)
 			}
 			second, err := Collect(d)
 			if err != nil {
@@ -201,23 +219,21 @@ func TestCachingAllLevels(t *testing.T) {
 	}
 }
 
+// TestPersistRequirements: a mode's missing helper fails at plan time —
+// ModeSparkSer without Ser, ModeDeca without Codec — while ModeSpark, which
+// can estimate and drop instead of swapping, needs neither.
 func TestPersistRequirements(t *testing.T) {
-	ctx := testCtx(t, ModeDeca)
-	d := Parallelize(ctx, []int64{1}, 1)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
+	for mode, panics := range map[Mode]bool{ModeSpark: false, ModeSparkSer: true, ModeDeca: true} {
+		d := Parallelize(testCtx(t, mode), []int64{1}, 1)
+		func() {
+			defer func() {
+				if got := recover() != nil; got != panics {
+					t.Errorf("%v: Persist with neither Ser nor Codec panicked: %v, want %v", mode, got, panics)
+				}
+			}()
+			d.Persist(Storage[int64]{})
 		}()
-		f()
 	}
-	mustPanic("serialized without ser", func() {
-		d.Persist(StorageSerialized, Storage[int64]{})
-	})
-	mustPanic("deca without codec", func() {
-		d.Persist(StorageDeca, Storage[int64]{})
-	})
 }
 
 func TestReduceByKeyAllModes(t *testing.T) {
@@ -376,7 +392,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 			emit(int64(p)*1000 + i)
 		}
 	})
-	d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+	d.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
 	first, err := Collect(d)
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +443,7 @@ func TestShuffleRelease(t *testing.T) {
 func TestDecaBlockForDirectAccess(t *testing.T) {
 	ctx := testCtx(t, ModeDeca)
 	d := Parallelize(ctx, []int64{1, 2, 3, 4}, 2)
-	d.Persist(StorageDeca, Storage[int64]{Codec: decompose.Int64Codec{}})
+	d.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
 	if err := Materialize(d); err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +469,15 @@ func TestDecaBlockForDirectAccess(t *testing.T) {
 	d2 := Parallelize(ctx, []int64{1}, 1)
 	if _, _, err := DecaBlockFor(d2, 0); err == nil {
 		t.Error("DecaBlockFor on unpersisted dataset should fail")
+	}
+	// So does it on a dataset persisted in another mode: its blocks are not pages.
+	spark := Parallelize(testCtx(t, ModeSpark), []int64{1}, 1)
+	spark.Persist(Storage[int64]{Codec: decompose.Int64Codec{}})
+	if err := Materialize(spark); err != nil {
+		t.Fatal(err)
+	}
+	if blk, _, err := DecaBlockFor(spark, 0); err == nil || blk != nil {
+		t.Errorf("DecaBlockFor on a ModeSpark dataset = %v, %v; want an error", blk, err)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestDecaGroupBlockAllocatesOnlyItsPages(t *testing.T) {
 			}
 		})
 		links := GroupByKey(edges, int64Ops(1))
-		links.Persist(StorageDeca, Storage[decompose.Pair[int64, []int64]]{Codec: codec})
+		links.Persist(Storage[decompose.Pair[int64, []int64]]{Codec: codec})
 		if err := ctx.MaterializeShuffle(links.ID()); err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func TestCachedSerializedSwapPath(t *testing.T) {
 			emit(int64(p)*1000 + i)
 		}
 	})
-	d.Persist(StorageSerialized, Storage[int64]{Ser: serialInt64{}})
+	d.Persist(Storage[int64]{Ser: serialInt64{}})
 	a, err := Collect(d)
 	if err != nil {
 		t.Fatal(err)

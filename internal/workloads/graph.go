@@ -48,7 +48,7 @@ func rankOps(parts int) engine.PairOps[int64, float64] {
 // do (§6.3): edges → groupByKey → cache. The group shuffle's value lists
 // grow while buffering (Variable), but the cached copy never changes —
 // the partially-decomposable hand-off of Figure 7(b), which is why the
-// Deca cache level is safe here (the planner's PRJob() decision); its
+// Deca cache block is safe here (the planner's PRJob() decision); its
 // blocks are written from the group's pages (engine.GroupByKey).
 // undirected additionally emits each edge's reverse.
 func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected bool) (*engine.Dataset[decompose.Pair[int64, []int64]], error) {
@@ -74,26 +74,11 @@ func adjacency(ctx *engine.Context, cfg Config, params GraphParams, undirected b
 			return engine.KV(kv.Key, kv.Value), n
 		},
 	}
-	adjCodec := decompose.PairCodec[int64, []int64]{
-		KeyCodec:   decompose.Int64Codec{},
-		ValueCodec: decompose.Int64SliceCodec{},
-	}
-
-	switch cfg.Mode {
-	case engine.ModeSpark:
-		links.Persist(engine.StorageObjects, engine.Storage[decompose.Pair[int64, []int64]]{
-			Estimate: func(v decompose.Pair[int64, []int64]) int { return 56 + 8*len(v.Value) },
-			Ser:      adjSer,
-		})
-	case engine.ModeSparkSer:
-		links.Persist(engine.StorageSerialized, engine.Storage[decompose.Pair[int64, []int64]]{
-			Ser: adjSer,
-		})
-	case engine.ModeDeca:
-		links.Persist(engine.StorageDeca, engine.Storage[decompose.Pair[int64, []int64]]{
-			Codec: adjCodec,
-		})
-	}
+	links.Persist(engine.Storage[decompose.Pair[int64, []int64]]{
+		Estimate: func(v decompose.Pair[int64, []int64]) int { return 56 + 8*len(v.Value) },
+		Ser:      adjSer,
+		Codec:    decompose.PairCodec[int64, []int64]{KeyCodec: decompose.Int64Codec{}, ValueCodec: decompose.Int64SliceCodec{}},
+	})
 	if err := engine.Materialize(links); err != nil {
 		return nil, err
 	}

@@ -40,22 +40,11 @@ func KMeans(cfg Config, params KMeansParams) (Result, error) {
 			}
 		})
 
-		vecCodec := decompose.Float64VecCodec{Dim: params.Dim}
-		switch cfg.Mode {
-		case engine.ModeSpark:
-			vectors.Persist(engine.StorageObjects, engine.Storage[[]float64]{
-				Estimate: func(v []float64) int { return 32 + 8*len(v) },
-				Ser:      serial.F64Slice{},
-			})
-		case engine.ModeSparkSer:
-			vectors.Persist(engine.StorageSerialized, engine.Storage[[]float64]{
-				Ser: serial.F64Slice{},
-			})
-		case engine.ModeDeca:
-			vectors.Persist(engine.StorageDeca, engine.Storage[[]float64]{
-				Codec: vecCodec,
-			})
-		}
+		vectors.Persist(engine.Storage[[]float64]{
+			Estimate: func(v []float64) int { return 32 + 8*len(v) },
+			Ser:      serial.F64Slice{},
+			Codec:    decompose.Float64VecCodec{Dim: params.Dim},
+		})
 		if err := engine.Materialize(vectors); err != nil {
 			return 0, err
 		}

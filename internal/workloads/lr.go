@@ -44,21 +44,9 @@ func LogisticRegression(cfg Config, params LRParams) (Result, error) {
 			}
 		})
 
-		codec := LabeledPointCodec{Dim: params.Dim}
-		switch cfg.Mode {
-		case engine.ModeSpark:
-			points.Persist(engine.StorageObjects, engine.Storage[datagen.LabeledPoint]{
-				Estimate: lpEstimate, Ser: LabeledPointSer{},
-			})
-		case engine.ModeSparkSer:
-			points.Persist(engine.StorageSerialized, engine.Storage[datagen.LabeledPoint]{
-				Ser: LabeledPointSer{},
-			})
-		case engine.ModeDeca:
-			points.Persist(engine.StorageDeca, engine.Storage[datagen.LabeledPoint]{
-				Codec: codec,
-			})
-		}
+		points.Persist(engine.Storage[datagen.LabeledPoint]{
+			Estimate: lpEstimate, Ser: LabeledPointSer{}, Codec: LabeledPointCodec{Dim: params.Dim},
+		})
 		if err := engine.Materialize(points); err != nil {
 			return 0, err
 		}
